@@ -39,7 +39,8 @@ BENCH_OUT ?= BENCH_RESULTS.json
 # rather than a pipe: a pipeline's exit status would be benchjson's, letting
 # a failing benchmark upload a partial trajectory as green.
 bench-json:
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -run='^$$' . > bench-raw.txt
+	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -run='^$$' ./cmd/adlserve > bench-raw.txt
+	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -run='^$$' . >> bench-raw.txt
 	$(GO) run ./cmd/benchjson -out $(BENCH_OUT) < bench-raw.txt
 	@rm -f bench-raw.txt
 
@@ -62,9 +63,10 @@ bench-vec:
 	$(GO) run ./cmd/benchjson -merge bench-vec.json -out $(BENCH_OUT)
 	@rm -f bench-vec-raw.txt bench-vec.json
 
-# Serving-layer smoke: boots the OOSQL server binary and drives it over HTTP
-# with the closed-loop load generator, then repeats the workload in-process
-# under the race detector with 256 clients on a small dataset (the
+# Serving-layer smoke: boots the OOSQL server binary — once on the scalar
+# operators, once with -vectorized on the batch pipeline — and drives it over
+# HTTP with the closed-loop load generator, then repeats the workload
+# in-process under the race detector with 256 clients on a small dataset (the
 # differential verification arm re-executes the untransformed nested form —
 # the paper's quadratic baseline — so the extent must stay small to bound
 # -race runtime). The driver exits non-zero on any request error or any
@@ -72,13 +74,18 @@ bench-vec:
 SERVE_ADDR ?= 127.0.0.1:18094
 serve-smoke:
 	$(GO) build -o adlserve.smoke ./cmd/adlserve
-	@./adlserve.smoke -addr $(SERVE_ADDR) -suppliers 100 -parts 200 -deliveries 50 & \
-	srv=$$!; trap 'kill $$srv 2>/dev/null' EXIT; \
-	for i in $$(seq 1 50); do \
-		curl -sf http://$(SERVE_ADDR)/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
-	$(GO) run ./cmd/adlload -addr http://$(SERVE_ADDR) -clients 64 -duration 2s \
-		-insert-frac 0.2 -delete-frac 0.05 -update-frac 0.05 -verify-frac 0.05 || exit 1
-	@rm -f adlserve.smoke
+	$(GO) build -o adlload.smoke ./cmd/adlload
+	@set -e; for mode in "" "-vectorized -batch 64"; do \
+		echo "== adlserve $$mode"; \
+		./adlserve.smoke -addr $(SERVE_ADDR) -suppliers 100 -parts 200 -deliveries 50 $$mode & \
+		srv=$$!; trap 'kill $$srv 2>/dev/null || true' EXIT; \
+		for i in $$(seq 1 50); do \
+			curl -sf http://$(SERVE_ADDR)/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
+		./adlload.smoke -addr http://$(SERVE_ADDR) -clients 64 -duration 2s \
+			-insert-frac 0.2 -delete-frac 0.05 -update-frac 0.05 -verify-frac 0.05; \
+		kill $$srv; wait $$srv 2>/dev/null || true; \
+	done
+	@rm -f adlserve.smoke adlload.smoke
 	$(GO) run -race ./cmd/adlload -clients 256 -duration 2s -insert-frac 0.2 \
 		-delete-frac 0.05 -update-frac 0.05 \
 		-verify-frac 0.05 -suppliers 100 -parts 200 -deliveries 50

@@ -556,3 +556,61 @@ func BenchmarkServeQuery(b *testing.B) {
 		})
 	})
 }
+
+// serveResults runs queries against adlserve's default store (the benchmark
+// suite's serve.* store) and returns their result sets.
+func serveResults(tb testing.TB, queries ...string) []*value.Set {
+	tb.Helper()
+	st := bench.Generate(bench.Config{Suppliers: 400, Parts: 800, Deliveries: 200, Seed: 94})
+	st.Analyze()
+	eng := server.New(st, server.Options{Parallelism: 1})
+	out := make([]*value.Set, len(queries))
+	for i, q := range queries {
+		res, err := eng.Query(q)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[i] = res.Set
+	}
+	return out
+}
+
+const (
+	allSuppliersQuery = `select s.sname from s in SUPPLIER`
+	eq5Query          = `select s from s in SUPPLIER
+ where exists x in s.parts_supplied : exists p in PART : x = p and p.color = "red"`
+)
+
+// BenchmarkSetString — canonical printing of a result set, the last stage of
+// a /query reply: 400 flat strings, and the 372 supplier objects of EQ5, each
+// carrying a nested set of part references.
+func BenchmarkSetString(b *testing.B) {
+	sets := serveResults(b, allSuppliersQuery, eq5Query)
+	for i, name := range []string{"atoms400", "eq5-372"} {
+		set := sets[i]
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if len(set.String()) == 0 {
+					b.Fatal("empty rendering")
+				}
+			}
+		})
+	}
+}
+
+// TestSetStringAllocations pins what BenchmarkSetString shows: printing
+// allocates the result string and little else, whatever the set holds. The
+// renderer this replaced took 808 allocations for the flat set and 48 611
+// for the EQ5 result; the bounds are "independent of 400 elements" and a
+// twentieth of the latter, with room for a cold encoder pool.
+func TestSetStringAllocations(t *testing.T) {
+	sets := serveResults(t, allSuppliersQuery, eq5Query)
+	for i, bound := range []float64{32, 48611 / 20} {
+		set := sets[i]
+		_ = set.String()
+		if n := testing.AllocsPerRun(10, func() { _ = set.String() }); n > bound {
+			t.Errorf("printing a %d-element result: %.0f allocations, want at most %.0f", set.Len(), n, bound)
+		}
+	}
+}

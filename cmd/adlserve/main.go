@@ -12,7 +12,9 @@
 // Endpoints:
 //
 //	POST /query   {"query": "...", "verify": false, "result": false}
-//	              → {"rows", "seq", "epoch", "cache_hit", "replanned", "evicted", ["result"]}
+//	              → {"cache_hit", "epoch", "evicted", "replanned", ["result"], "rows", "seq"}
+//	              result, when asked for, is the result set's canonical text
+//	              (Set.String()) as one JSON string
 //	POST /insert  {"extent": "PART", "object": {tagged value JSON}}
 //	              → {"oid"}
 //	POST /delete  {"extent": "PART", "oid": 7}
@@ -26,13 +28,13 @@
 // (internal/value JSON codec); an update's object must not carry the id
 // field. With -verify-all every query is differentially checked against a
 // serial re-execution of the untransformed nested form on the same pinned
-// snapshot.
+// snapshot; -vectorized (with -batch n) plans onto the batch pipeline. POST
+// bodies are capped at 1 MiB and the listener has read and idle timeouts.
 package main
 
 import (
 	"flag"
 	"log"
-	"net/http"
 	"os"
 
 	"repro/internal/bench"
@@ -52,6 +54,8 @@ func main() {
 		noFeedback  = flag.Bool("no-feedback", false, "disable runtime cardinality feedback eviction")
 		verifyAll   = flag.Bool("verify-all", false, "differentially verify every query against a serial re-execution")
 		indexes     = flag.Bool("indexes", true, "create hash indexes on PART.color and PART.price")
+		vectorized  = flag.Bool("vectorized", false, "plan eligible queries onto the batch execution pipeline")
+		batch       = flag.Int("batch", 0, "rows per batch under -vectorized (0 = planner default)")
 	)
 	flag.Parse()
 
@@ -69,11 +73,12 @@ func main() {
 	st.Analyze()
 	eng := server.New(st, server.Options{
 		NoPlanCache: *noCache, NoFeedback: *noFeedback, Parallelism: *parallelism,
+		Vectorized: *vectorized, BatchSize: *batch,
 	})
 
-	log.Printf("adlserve: listening on %s (%d suppliers, %d parts, %d deliveries, plan cache %v, feedback %v)",
-		*addr, *suppliers, *parts, *deliveries, !*noCache, !*noFeedback)
-	if err := http.ListenAndServe(*addr, newMux(eng, *verifyAll)); err != nil {
+	log.Printf("adlserve: listening on %s (%d suppliers, %d parts, %d deliveries, plan cache %v, feedback %v, vectorized %v)",
+		*addr, *suppliers, *parts, *deliveries, !*noCache, !*noFeedback, *vectorized)
+	if err := newServer(*addr, newMux(eng, *verifyAll)).ListenAndServe(); err != nil {
 		log.Println(err)
 		os.Exit(1)
 	}

@@ -28,7 +28,7 @@ func CloneTree(op Operator) Operator {
 	if op == nil {
 		return nil
 	}
-	return cloneAny(op).(Operator)
+	return mirror(op, CloneTree).(Operator)
 }
 
 // CloneVecTree is CloneTree for batch pipelines.
@@ -36,7 +36,7 @@ func CloneVecTree(op VecOp) VecOp {
 	if op == nil {
 		return nil
 	}
-	return cloneAny(op).(VecOp)
+	return mirror(op, CloneTree).(VecOp)
 }
 
 // cloneStep is one exported field of a clone plan. Dynamic fields can hold
@@ -74,8 +74,12 @@ func planFor(t reflect.Type) []cloneStep {
 	return p.([]cloneStep)
 }
 
-// cloneAny clones one pointer-to-struct node by its plan.
-func cloneAny(x any) any {
+// mirror copies one pointer-to-struct node by its plan. Operator children
+// are replaced by opChild's image of them — CloneTree itself for a plain
+// copy, a counting copy for Instrument — and VecOp children always by their
+// CloneVecTree, so every walk over a plan gives batch operators per-run
+// state of their own.
+func mirror(x any, opChild func(Operator) Operator) any {
 	v := reflect.ValueOf(x)
 	if v.Kind() != reflect.Pointer || v.IsNil() || v.Elem().Kind() != reflect.Struct {
 		return x
@@ -87,16 +91,15 @@ func cloneAny(x any) any {
 	for _, st := range planFor(t) {
 		fv := src.Field(st.idx)
 		if st.dynamic {
+			var cl any
 			switch child := fv.Interface().(type) {
 			case Operator:
-				if cl := CloneTree(child); cl != nil {
-					de.Field(st.idx).Set(reflect.ValueOf(cl))
-				}
-				continue
+				cl = opChild(child)
 			case VecOp:
-				if cl := CloneVecTree(child); cl != nil {
-					de.Field(st.idx).Set(reflect.ValueOf(cl))
-				}
+				cl = CloneVecTree(child)
+			}
+			if cl != nil {
+				de.Field(st.idx).Set(reflect.ValueOf(cl))
 				continue
 			}
 		}

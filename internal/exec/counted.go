@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"reflect"
 	"sync/atomic"
 
 	"repro/internal/value"
@@ -34,43 +33,21 @@ func (c *Counted) Close() error { return c.Child.Close() }
 // and returns the instrumented root plus the tallies keyed by the ORIGINAL
 // tree's nodes — the same keys a plan's estimate table uses, so estimates
 // and actuals line up without any bookkeeping in the caller. The original
-// tree is not modified and remains the one to Explain; the mirror is built
-// like a CloneTree copy (exported fields are plan-time configuration,
-// copied, recursing through Operator-valued ones; unexported per-run state
-// stays zero), so it is itself a fresh runnable clone: instrument once per
-// execution and the tallies are exact per-run counts.
+// tree is not modified and remains the one to Explain; the mirror is the
+// CloneTree walk with a different image for Operator children (batch
+// operators have no row stream to count and are plainly copied), so it is
+// itself a fresh runnable clone: instrument once per execution and the
+// tallies are exact per-run counts.
 func Instrument(op Operator) (Operator, map[Operator]*atomic.Int64) {
 	tallies := map[Operator]*atomic.Int64{}
-	return instrument(op, tallies), tallies
-}
-
-func instrument(op Operator, tallies map[Operator]*atomic.Int64) Operator {
-	if op == nil {
-		return nil
-	}
-	mirrored := op
-	if v := reflect.ValueOf(op); v.Kind() == reflect.Pointer && !v.IsNil() && v.Elem().Kind() == reflect.Struct {
-		src := v.Elem()
-		dst := reflect.New(src.Type())
-		de := dst.Elem()
-		t := src.Type()
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() {
-				continue
-			}
-			fv := src.Field(i)
-			if child, ok := fv.Interface().(Operator); ok {
-				if cl := instrument(child, tallies); cl != nil {
-					de.Field(i).Set(reflect.ValueOf(cl))
-				}
-				continue
-			}
-			de.Field(i).Set(fv)
+	var counted func(Operator) Operator
+	counted = func(op Operator) Operator {
+		if op == nil {
+			return nil
 		}
-		mirrored = dst.Interface().(Operator)
+		n := &atomic.Int64{}
+		tallies[op] = n
+		return &Counted{Child: mirror(op, counted).(Operator), N: n}
 	}
-	n := &atomic.Int64{}
-	tallies[op] = n
-	return &Counted{Child: mirrored, N: n}
+	return counted(op), tallies
 }

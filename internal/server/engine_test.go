@@ -343,3 +343,79 @@ func TestEngineRejectsNonPositiveBatchSize(t *testing.T) {
 		t.Fatalf("want batch-size error, got %v", err)
 	}
 }
+
+// TestEngineConcurrentVectorizedInstrumented runs cached vectorized plans
+// from many goroutines with feedback on, so every execution goes through
+// exec.Instrument: each must get batch operators of its own. Under -race
+// this fails when the instrumented mirror shares a VecOp with its original.
+func TestEngineConcurrentVectorizedInstrumented(t *testing.T) {
+	scalar := newEngine(t, Options{Parallelism: 1})
+	vec := New(scalar.Store(), Options{Parallelism: 1, Vectorized: true})
+	queries := []string{
+		redParts,
+		`select p.pname from p in PART where p.price < 10`,
+		`select s from s in SUPPLIER
+ where exists x in s.parts_supplied : exists p in PART : x = p and p.color = "red"`,
+	}
+	want := make([]*value.Set, len(queries))
+	for i, q := range queries {
+		rs, err := scalar.Query(q)
+		if err != nil {
+			t.Fatalf("scalar Query: %v", err)
+		}
+		want[i] = rs.Set
+		if _, err := vec.Query(q); err != nil { // cache the vectorized plan
+			t.Fatalf("vectorized Query: %v", err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				for i, q := range queries {
+					rv, err := vec.Query(q)
+					if err != nil {
+						t.Errorf("vectorized Query: %v", err)
+						return
+					}
+					if !value.Equal(rv.Set, want[i]) {
+						t.Errorf("%q: vectorized engine diverges from scalar under concurrency: %d rows, want %d",
+							q, rv.Set.Len(), want[i].Len())
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestConcurrentPrintSharedExtent prints one materialized store extent — a
+// set every reader of the version shares — from several goroutines. Under
+// -race it shows printing fills no cache on the shared Set or its tuples.
+func TestConcurrentPrintSharedExtent(t *testing.T) {
+	sn := newEngine(t, Options{}).Store().Snapshot()
+	defer sn.Release()
+	extent, err := sn.Table("SUPPLIER")
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := make([]string, 4)
+	var wg sync.WaitGroup
+	for g := range texts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			texts[g] = extent.String()
+		}()
+	}
+	wg.Wait()
+	for _, s := range texts[1:] {
+		if s != texts[0] || len(s) < extent.Len() {
+			t.Fatalf("concurrent prints of one extent differ")
+		}
+	}
+}

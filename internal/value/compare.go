@@ -53,75 +53,8 @@ func Equal(a, b Value) bool {
 // printing and by sort-based physical operators; it has no semantic role in
 // the algebra beyond the ordered atomic comparisons (<, ≤, >, ≥).
 func Compare(a, b Value) int {
-	if a.Kind() != b.Kind() {
-		return int(a.Kind()) - int(b.Kind())
-	}
-	switch av := a.(type) {
-	case Null:
-		return 0
-	case Bool:
-		bv := b.(Bool)
-		switch {
-		case av == bv:
-			return 0
-		case bool(bv):
-			return -1
-		default:
-			return 1
-		}
-	case Int:
-		return cmpOrdered(av, b.(Int))
-	case Float:
-		return cmpOrdered(av, b.(Float))
-	case String:
-		return cmpOrdered(av, b.(String))
-	case Date:
-		return cmpOrdered(av, b.(Date))
-	case OID:
-		return cmpOrdered(av, b.(OID))
-	case *Tuple:
-		bt := b.(*Tuple)
-		ai, bi := av.sortedIdx(), bt.sortedIdx()
-		for k := 0; k < len(ai) && k < len(bi); k++ {
-			an, bn := av.names[ai[k]], bt.names[bi[k]]
-			if an != bn {
-				if an < bn {
-					return -1
-				}
-				return 1
-			}
-			if c := Compare(av.vals[ai[k]], bt.vals[bi[k]]); c != 0 {
-				return c
-			}
-		}
-		return av.Len() - bt.Len()
-	case *Set:
-		bs := b.(*Set)
-		if av.Len() != bs.Len() {
-			return av.Len() - bs.Len()
-		}
-		as, bss := av.Sorted(), bs.Sorted()
-		for i := range as {
-			if c := Compare(as[i], bss[i]); c != 0 {
-				return c
-			}
-		}
-		return 0
-	}
-	panic("value.Compare: unknown kind")
-}
-
-func cmpOrdered[T interface {
-	~int32 | ~int64 | ~uint64 | ~float64 | ~string
-}](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
+	var c canon
+	return c.compare(a, b)
 }
 
 // Hash returns a 64-bit hash consistent with Equal: equal values hash

@@ -1,10 +1,6 @@
 package value
 
-import (
-	"sort"
-	"strings"
-	"sync"
-)
+import "sync"
 
 // Set is a finite set value built with the paper's { } constructor. Element
 // order is insignificant; duplicates are eliminated on insertion using deep
@@ -271,17 +267,12 @@ func (s *Set) Flatten() (*Set, error) {
 // The receiver is unchanged.
 func (s *Set) Sorted() []Value {
 	out := append(make([]Value, 0, len(s.elems)), s.elems...)
-	sort.Slice(out, func(i, j int) bool { return Compare(out[i], out[j]) < 0 })
+	var c canon
+	c.sort(out)
 	return out
 }
 
-func (s *Set) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	b.WriteString(joinStrings(s.Sorted()))
-	b.WriteByte('}')
-	return b.String()
-}
+func (s *Set) String() string { return text(s) }
 
 // KindError reports an operation applied to a value of the wrong kind.
 type KindError struct {

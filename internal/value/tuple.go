@@ -1,10 +1,6 @@
 package value
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // Tuple is a record value built with the paper's ⟨ ⟩ constructor: an unordered
 // mapping from attribute names to values. Field declaration order is preserved
@@ -172,28 +168,4 @@ func (t *Tuple) Except(updates *Tuple) *Tuple {
 	return nt
 }
 
-// sortedIdx returns attribute indices ordered by name; used by the
-// order-insensitive equality, hash and compare operations.
-func (t *Tuple) sortedIdx() []int {
-	idx := make([]int, len(t.names))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return t.names[idx[a]] < t.names[idx[b]] })
-	return idx
-}
-
-func (t *Tuple) String() string {
-	var b strings.Builder
-	b.WriteByte('(')
-	for i, n := range t.names {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(n)
-		b.WriteByte('=')
-		b.WriteString(t.vals[i].String())
-	}
-	b.WriteByte(')')
-	return b.String()
-}
+func (t *Tuple) String() string { return text(t) }

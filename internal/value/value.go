@@ -11,11 +11,7 @@
 // intersection, difference, and flattening.
 package value
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // Kind discriminates the variants of the Value sum type.
 type Kind uint8
@@ -75,7 +71,7 @@ type Null struct{}
 // Kind reports KindNull.
 func (Null) Kind() Kind { return KindNull }
 
-func (Null) String() string { return "null" }
+func (n Null) String() string { return atomText(n) }
 
 // Bool is an atomic boolean value.
 type Bool bool
@@ -83,12 +79,7 @@ type Bool bool
 // Kind reports KindBool.
 func (Bool) Kind() Kind { return KindBool }
 
-func (b Bool) String() string {
-	if b {
-		return "true"
-	}
-	return "false"
-}
+func (b Bool) String() string { return atomText(b) }
 
 // Int is an atomic 64-bit integer value.
 type Int int64
@@ -96,7 +87,7 @@ type Int int64
 // Kind reports KindInt.
 func (Int) Kind() Kind { return KindInt }
 
-func (i Int) String() string { return strconv.FormatInt(int64(i), 10) }
+func (i Int) String() string { return atomText(i) }
 
 // Float is an atomic 64-bit floating point value.
 type Float float64
@@ -104,7 +95,7 @@ type Float float64
 // Kind reports KindFloat.
 func (Float) Kind() Kind { return KindFloat }
 
-func (f Float) String() string { return strconv.FormatFloat(float64(f), 'g', -1, 64) }
+func (f Float) String() string { return atomText(f) }
 
 // String is an atomic string value.
 type String string
@@ -112,7 +103,7 @@ type String string
 // Kind reports KindString.
 func (String) Kind() Kind { return KindString }
 
-func (s String) String() string { return strconv.Quote(string(s)) }
+func (s String) String() string { return atomText(s) }
 
 // Date is an atomic date in the paper's literal format yyyymmdd
 // (e.g. 940101 for January 1, 1994).
@@ -121,7 +112,7 @@ type Date int32
 // Kind reports KindDate.
 func (Date) Kind() Kind { return KindDate }
 
-func (d Date) String() string { return fmt.Sprintf("d%06d", int32(d)) }
+func (d Date) String() string { return atomText(d) }
 
 // OID is an object identifier. The paper's logical design maps each class
 // extension to a table of tuples carrying an oid field; class references
@@ -131,20 +122,11 @@ type OID uint64
 // Kind reports KindOID.
 func (OID) Kind() Kind { return KindOID }
 
-func (o OID) String() string { return "@" + strconv.FormatUint(uint64(o), 10) }
+func (o OID) String() string { return atomText(o) }
 
 // Truth reports whether v is the boolean true. Non-boolean values are never
 // true; predicates in the algebra are boolean-typed by construction.
 func Truth(v Value) bool {
 	b, ok := v.(Bool)
 	return ok && bool(b)
-}
-
-// joinStrings renders a list of values separated by ", ".
-func joinStrings(vs []Value) string {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = v.String()
-	}
-	return strings.Join(parts, ", ")
 }
