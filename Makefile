@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-vec bench-smoke serve-smoke bench-serve examples-smoke cover fuzz-smoke fmt fmt-check vet staticcheck lint ci
+.PHONY: build test race bench bench-json bench-vec profile bench-smoke serve-smoke bench-serve examples-smoke cover fuzz-smoke fmt fmt-check vet staticcheck lint ci
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,25 @@ bench-vec:
 	$(GO) run ./cmd/benchjson -alloc-gate $(VEC_ALLOC_PCT) -match S400 bench-vec.json
 	$(GO) run ./cmd/benchjson -merge bench-vec.json -out $(BENCH_OUT)
 	@rm -f bench-vec-raw.txt bench-vec.json
+
+# CPU and allocation profiles of the four benchmarks ROADMAP direction 1
+# names — the semijoin of B1, the scalar/vectorized pipeline of B13, PNHL under
+# B4's budget sweep and the cached serving path — written with the test binary
+# into PROFILE_DIR (git-ignored) and summarized on stdout. Inspect further with
+# `go tool pprof -list <regexp> profiles/repro.test profiles/B1.cpu.prof`.
+PROFILE_DIR ?= profiles
+PROFILE_BENCHTIME ?= 2s
+profile:
+	@mkdir -p $(PROFILE_DIR)
+	@set -e; for spec in 'B1=BenchmarkB1/(semijoin_hash|scalar_exec)/S400' 'B13=BenchmarkB13/' \
+			'B4-PNHL=BenchmarkB4/pnhl' 'ServeQuery=BenchmarkServeQuery/plancache'; do \
+		name=$${spec%%=*}; \
+		$(GO) test -run='^$$' -bench="$${spec#*=}" -benchmem -benchtime=$(PROFILE_BENCHTIME) \
+			-o $(PROFILE_DIR)/repro.test -cpuprofile $(PROFILE_DIR)/$$name.cpu.prof \
+			-memprofile $(PROFILE_DIR)/$$name.mem.prof -memprofilerate 4096 .; \
+		$(GO) tool pprof -top -nodecount=12 $(PROFILE_DIR)/repro.test $(PROFILE_DIR)/$$name.cpu.prof 2>/dev/null | tail -n +4; \
+		$(GO) tool pprof -sample_index=alloc_space -top -nodecount=8 $(PROFILE_DIR)/repro.test $(PROFILE_DIR)/$$name.mem.prof 2>/dev/null | tail -n +4; \
+	done
 
 # Serving-layer smoke: boots the OOSQL server binary — once on the scalar
 # operators, once with -vectorized on the batch pipeline — and drives it over

@@ -10,6 +10,7 @@ package repro
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"repro/internal/adl"
@@ -612,5 +613,103 @@ func TestSetStringAllocations(t *testing.T) {
 		if n := testing.AllocsPerRun(10, func() { _ = set.String() }); n > bound {
 			t.Errorf("printing a %d-element result: %.0f allocations, want at most %.0f", set.Len(), n, bound)
 		}
+	}
+}
+
+// stored builds n distinct PART-shaped rows and hashes each once, the state
+// of rows that have been in an extent: their memo words are filled.
+func stored(n int) []value.Value {
+	rows := make([]value.Value, n)
+	for i := range rows {
+		rows[i] = value.NewTuple("pid", value.OID(i), "pname", value.String(fmt.Sprintf("part-%d", i)),
+			"price", value.Int(int64(i%97)), "color", value.String("red"))
+		value.Hash(rows[i])
+	}
+	return rows
+}
+
+func setOf(rows []value.Value) *value.Set {
+	s := value.EmptySet()
+	for _, r := range rows {
+		s.Add(r)
+	}
+	return s
+}
+
+// BenchmarkSetAdd — building a set element by element from stored rows, at
+// the size of a nest group (8: no table, linear scan over the hashes), of a
+// serve.point result (200) and of an analytic result (8000). The 8-element
+// arm is what the smallTable cutoff in internal/value/table.go was chosen on.
+func BenchmarkSetAdd(b *testing.B) {
+	for _, n := range []int{8, 200, 8000} {
+		rows := stored(n)
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			run(b, func() error { setOf(rows); return nil })
+		})
+	}
+}
+
+// BenchmarkSetClone — the copy every storage write makes of an extent's
+// materialized set before extending it.
+func BenchmarkSetClone(b *testing.B) {
+	s := setOf(stored(800))
+	b.Run("800", func(b *testing.B) {
+		run(b, func() error { s.Clone(); return nil })
+	})
+}
+
+// BenchmarkHashStoredTuple — what a join build side or a Collect pays per
+// stored row: one atomic load.
+func BenchmarkHashStoredTuple(b *testing.B) {
+	row := stored(1)[0]
+	run(b, func() error { value.Hash(row); return nil })
+}
+
+// materializeQuery is the `materialize` query of benchmark/spec.go: two
+// nestjoins over s.parts_supplied, one nested set of PART rows per supplier.
+const materializeQuery = `select (sname = s.sname,
+        supplied = select p from p in PART where p in s.parts_supplied,
+        cheap = count(select c from c in PART where c in s.parts_supplied and c.price < 50))
+ from s in SUPPLIER`
+
+// BenchmarkNestJoinMaterialize — the query that owns p95 on both analytic
+// workloads, on their store: 4000 suppliers, 8000 nested sets per execution.
+func BenchmarkNestJoinMaterialize(b *testing.B) {
+	st := bench.Generate(bench.Config{Suppliers: 4000, Parts: 8000, Deliveries: 200,
+		Fanout: 8, EmptyFrac: 0.05, Seed: 94})
+	st.Analyze()
+	eng := server.New(st, server.Options{Parallelism: 1})
+	if _, err := eng.Query(materializeQuery); err != nil { // warm the plan cache
+		b.Fatal(err)
+	}
+	b.Run("S4000", func(b *testing.B) {
+		run(b, func() error { _, err := eng.Query(materializeQuery); return err })
+	})
+}
+
+// TestSetAllocations pins the allocation shape of the flat set: building by
+// Add costs the growth of three slices and nothing per element, a nest-sized
+// set is the struct and two arrays, Clone is the struct and three copies, and
+// a stored row is never hashed twice.
+func TestSetAllocations(t *testing.T) {
+	for _, n := range []int{8, 200, 8000} {
+		rows := stored(n)
+		bound := 4.0 // the set, elems, hashes, and room for one more
+		if n > 8 {
+			// elems, hashes and the table each grow geometrically from 8 up
+			// to n: doubling at first, by append's smaller steps later.
+			bound = 5 * float64(bits.Len(uint(n/8)))
+		}
+		if got := testing.AllocsPerRun(10, func() { setOf(rows) }); got > bound {
+			t.Errorf("building a %d-element set by Add: %.0f allocations, want at most %.0f", n, got, bound)
+		}
+	}
+	s := setOf(stored(800))
+	if got := testing.AllocsPerRun(10, func() { s.Clone() }); got > 4 {
+		t.Errorf("cloning an 800-element set: %.0f allocations, want at most 4", got)
+	}
+	row := stored(1)[0]
+	if got := testing.AllocsPerRun(100, func() { value.Hash(row) }); got != 0 {
+		t.Errorf("hashing a stored tuple: %.0f allocations, want 0", got)
 	}
 }

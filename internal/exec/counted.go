@@ -29,6 +29,14 @@ func (c *Counted) Next() (value.Value, bool, error) {
 
 func (c *Counted) Close() error { return c.Child.Close() }
 
+// buffered forwards a blocking child's row count to Collect.
+func (c *Counted) buffered() int {
+	if b, ok := c.Child.(blocking); ok {
+		return b.buffered()
+	}
+	return 0
+}
+
 // Instrument mirrors an operator tree with every node wrapped in a Counted
 // and returns the instrumented root plus the tallies keyed by the ORIGINAL
 // tree's nodes — the same keys a plan's estimate table uses, so estimates

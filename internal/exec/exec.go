@@ -93,6 +93,9 @@ func Collect(op Operator, ctx *Ctx) (_ *value.Set, err error) {
 		}
 	}()
 	out := value.EmptySet()
+	if b, ok := op.(blocking); ok {
+		out = value.NewSetCap(b.buffered())
+	}
 	for {
 		row, ok, err := op.Next()
 		if err != nil {
@@ -104,6 +107,32 @@ func Collect(op Operator, ctx *Ctx) (_ *value.Set, err error) {
 		out.Add(row)
 	}
 }
+
+// blocking is implemented by operators whose Open has already computed every
+// row; buffered is how many are left to hand up.
+type blocking interface{ buffered() int }
+
+// rowBuf is the output side of a blocking operator: Open computes every row
+// into out, the promoted Next hands them up. It is embedded — an unexported
+// field, so CloneTree leaves it zero — and lets Collect size the result set.
+type rowBuf struct {
+	out []value.Value
+	pos int
+}
+
+func (b *rowBuf) reset() { b.out, b.pos = b.out[:0], 0 }
+
+// Next yields the next buffered row.
+func (b *rowBuf) Next() (value.Value, bool, error) {
+	if b.pos >= len(b.out) {
+		return nil, false, nil
+	}
+	row := b.out[b.pos]
+	b.pos++
+	return row, true, nil
+}
+
+func (b *rowBuf) buffered() int { return len(b.out) - b.pos }
 
 // drain materializes an operator's rows into a slice, propagating Close
 // errors like Collect. A VecAdapter hands over its materialized buffer

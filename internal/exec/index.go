@@ -128,8 +128,7 @@ type IndexNLJoin struct {
 	As       string
 	RFun     *Scalar
 
-	out []value.Value
-	pos int
+	rowBuf
 }
 
 // Open drains the outer side and probes per row.
@@ -145,8 +144,7 @@ func (j *IndexNLJoin) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	j.out = j.out[:0]
-	j.pos = 0
+	j.reset()
 	for _, lrow := range lrows {
 		lt, err := asTuple(lrow, "index join")
 		if err != nil {
@@ -161,10 +159,7 @@ func (j *IndexNLJoin) Open(ctx *Ctx) error {
 			return err
 		}
 		matched := false
-		var nest *value.Set
-		if j.Kind == adl.NestJ {
-			nest = value.EmptySet()
-		}
+		var nest nestGroup
 		for _, rrow := range matches {
 			if j.Residual != nil {
 				ok, err := j.Residual.Bool(ctx, lrow, rrow)
@@ -195,7 +190,7 @@ func (j *IndexNLJoin) Open(ctx *Ctx) error {
 						return err
 					}
 				}
-				nest.Add(member)
+				nest.add(member)
 			}
 			if j.Kind == adl.Semi {
 				break
@@ -211,20 +206,10 @@ func (j *IndexNLJoin) Open(ctx *Ctx) error {
 				j.out = append(j.out, lrow)
 			}
 		case adl.NestJ:
-			j.out = append(j.out, lt.With(j.As, nest))
+			j.out = append(j.out, lt.With(j.As, nest.set()))
 		}
 	}
 	return nil
-}
-
-// Next yields the next joined row.
-func (j *IndexNLJoin) Next() (value.Value, bool, error) {
-	if j.pos >= len(j.out) {
-		return nil, false, nil
-	}
-	row := j.out[j.pos]
-	j.pos++
-	return row, true, nil
 }
 
 // Close releases buffers.

@@ -20,8 +20,7 @@ type NLJoin struct {
 
 	ctx   *Ctx
 	right []value.Value
-	out   []value.Value
-	pos   int
+	rowBuf
 }
 
 // Open materializes the right operand and computes the join eagerly (the
@@ -38,8 +37,7 @@ func (j *NLJoin) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	j.out = j.out[:0]
-	j.pos = 0
+	j.reset()
 	nullPad := outerNullPad(j.Kind, j.right)
 	for _, lrow := range lrows {
 		lt, err := asTuple(lrow, "join")
@@ -47,10 +45,7 @@ func (j *NLJoin) Open(ctx *Ctx) error {
 			return err
 		}
 		matched := false
-		var nest *value.Set
-		if j.Kind == adl.NestJ {
-			nest = value.EmptySet()
-		}
+		var nest nestGroup
 		for _, rrow := range j.right {
 			ok, err := j.Pred.Bool(ctx, lrow, rrow)
 			if err != nil {
@@ -79,7 +74,7 @@ func (j *NLJoin) Open(ctx *Ctx) error {
 						return err
 					}
 				}
-				nest.Add(member)
+				nest.add(member)
 			}
 			if j.Kind == adl.Semi {
 				break
@@ -95,7 +90,7 @@ func (j *NLJoin) Open(ctx *Ctx) error {
 				j.out = append(j.out, lrow)
 			}
 		case adl.NestJ:
-			j.out = append(j.out, lt.With(j.As, nest))
+			j.out = append(j.out, lt.With(j.As, nest.set()))
 		case adl.Outer:
 			if !matched {
 				cat, err := lt.Concat(nullPad)
@@ -109,20 +104,43 @@ func (j *NLJoin) Open(ctx *Ctx) error {
 	return nil
 }
 
-// Next yields the next joined row.
-func (j *NLJoin) Next() (value.Value, bool, error) {
-	if j.pos >= len(j.out) {
-		return nil, false, nil
-	}
-	row := j.out[j.pos]
-	j.pos++
-	return row, true, nil
-}
-
 // Close releases buffers.
 func (j *NLJoin) Close() error {
 	j.right, j.out = nil, nil
 	return nil
+}
+
+// nestGroup collects the members a nestjoin or PNHL finds for one left row.
+// The set is created by the first member; left rows without a partner all
+// carry noMatches.
+type nestGroup struct{ members *value.Set }
+
+// noMatches is shared by every unmatched left row of every query, which the
+// Set contract allows: a set is never mutated once it is shared.
+var noMatches = value.EmptySet()
+
+func (g *nestGroup) add(member value.Value) {
+	if g.members == nil {
+		g.members = value.EmptySet()
+	}
+	g.members.Add(member)
+}
+
+func (g *nestGroup) set() *value.Set {
+	if g.members == nil {
+		return noMatches
+	}
+	return g.members
+}
+
+// indexKeys is the build side of every generic hash join: value.Hash buckets
+// over the evaluated build keys, which the probe confirms with value.Equal.
+func indexKeys(keys []value.Value) *value.Index {
+	hashes := make([]uint64, len(keys))
+	for i, k := range keys {
+		hashes[i] = value.Hash(k)
+	}
+	return value.NewIndex(hashes)
 }
 
 // outerNullPad builds the null tuple over the right schema for outer joins.
@@ -155,16 +173,15 @@ type HashJoin struct {
 	RFun     *Scalar
 
 	ctx   *Ctx
-	table map[uint64][]int // hash(key) → indices into right
-	rkeys []value.Value    // right rows' evaluated keys
-	right []value.Value    // retained for matching and outer-join null padding
-	out   []value.Value
-	pos   int
+	table *value.Index  // hash(key) → indices into right
+	rkeys []value.Value // right rows' evaluated keys
+	right []value.Value // retained for matching and outer-join null padding
+	rowBuf
 }
 
-// Open builds and probes. The hash table stores row indices with the keys in
-// a flat side slice — one map and no per-bucket key storage — the same
-// layout the partitioned variant uses per partition.
+// Open builds and probes. The hash table is a value.Index over the key
+// hashes with the keys in a flat side slice — the same layout the
+// partitioned variant uses per partition.
 func (j *HashJoin) Open(ctx *Ctx) error {
 	j.ctx = ctx
 	var err error
@@ -172,23 +189,18 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	j.table = make(map[uint64][]int, len(j.right))
 	j.rkeys = make([]value.Value, len(j.right))
 	for i, rrow := range j.right {
-		k, err := j.RKey.Eval(ctx, rrow)
-		if err != nil {
+		if j.rkeys[i], err = j.RKey.Eval(ctx, rrow); err != nil {
 			return err
 		}
-		j.rkeys[i] = k
-		h := value.Hash(k)
-		j.table[h] = append(j.table[h], i)
 	}
+	j.table = indexKeys(j.rkeys)
 	lrows, err := drain(j.L, ctx)
 	if err != nil {
 		return err
 	}
-	j.out = j.out[:0]
-	j.pos = 0
+	j.reset()
 	nullPad := outerNullPad(j.Kind, j.right)
 	for _, lrow := range lrows {
 		lt, err := asTuple(lrow, "hash join")
@@ -199,13 +211,9 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 		if err != nil {
 			return err
 		}
-		h := value.Hash(lk)
 		matched := false
-		var nest *value.Set
-		if j.Kind == adl.NestJ {
-			nest = value.EmptySet()
-		}
-		for _, ri := range j.table[h] {
+		var nest nestGroup
+		for ri := j.table.First(value.Hash(lk)); ri >= 0; ri = j.table.Next(ri) {
 			if !value.Equal(j.rkeys[ri], lk) {
 				continue
 			}
@@ -239,7 +247,7 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 						return err
 					}
 				}
-				nest.Add(member)
+				nest.add(member)
 			}
 			if j.Kind == adl.Semi {
 				break
@@ -255,7 +263,7 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 				j.out = append(j.out, lrow)
 			}
 		case adl.NestJ:
-			j.out = append(j.out, lt.With(j.As, nest))
+			j.out = append(j.out, lt.With(j.As, nest.set()))
 		case adl.Outer:
 			if !matched {
 				cat, err := lt.Concat(nullPad)
@@ -267,16 +275,6 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 		}
 	}
 	return nil
-}
-
-// Next yields the next joined row.
-func (j *HashJoin) Next() (value.Value, bool, error) {
-	if j.pos >= len(j.out) {
-		return nil, false, nil
-	}
-	row := j.out[j.pos]
-	j.pos++
-	return row, true, nil
 }
 
 // Close releases buffers.
@@ -307,8 +305,7 @@ type SetProbeJoin struct {
 	RFun *Scalar
 
 	ctx *Ctx
-	out []value.Value
-	pos int
+	rowBuf
 }
 
 // Open builds and probes.
@@ -318,23 +315,18 @@ func (j *SetProbeJoin) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	table := make(map[uint64][]int, len(rrows))
 	keys := make([]value.Value, len(rrows))
 	for i, rrow := range rrows {
-		k, err := j.RKey.Eval(ctx, rrow)
-		if err != nil {
+		if keys[i], err = j.RKey.Eval(ctx, rrow); err != nil {
 			return err
 		}
-		keys[i] = k
-		h := value.Hash(k)
-		table[h] = append(table[h], i)
 	}
+	table := indexKeys(keys)
 	lrows, err := drain(j.L, ctx)
 	if err != nil {
 		return err
 	}
-	j.out = j.out[:0]
-	j.pos = 0
+	j.reset()
 	for _, lrow := range lrows {
 		lt, err := asTuple(lrow, "set-probe join")
 		if err != nil {
@@ -349,14 +341,10 @@ func (j *SetProbeJoin) Open(ctx *Ctx) error {
 			return fmt.Errorf("exec: set-probe join on non-set attribute %q", j.Attr)
 		}
 		matched := false
-		var nest *value.Set
-		if j.Kind == adl.NestJ {
-			nest = value.EmptySet()
-		}
+		var nest nestGroup
 	probe:
 		for _, elem := range as.Elems() {
-			h := value.Hash(elem)
-			for _, ri := range table[h] {
+			for ri := table.First(value.Hash(elem)); ri >= 0; ri = table.Next(ri) {
 				if !value.Equal(keys[ri], elem) {
 					continue
 				}
@@ -372,7 +360,7 @@ func (j *SetProbeJoin) Open(ctx *Ctx) error {
 							return err
 						}
 					}
-					nest.Add(member)
+					nest.add(member)
 				}
 			}
 		}
@@ -386,22 +374,12 @@ func (j *SetProbeJoin) Open(ctx *Ctx) error {
 				j.out = append(j.out, lrow)
 			}
 		case adl.NestJ:
-			j.out = append(j.out, lt.With(j.As, nest))
+			j.out = append(j.out, lt.With(j.As, nest.set()))
 		default:
 			return fmt.Errorf("exec: set-probe join does not support kind %v", j.Kind)
 		}
 	}
 	return nil
-}
-
-// Next yields the next row.
-func (j *SetProbeJoin) Next() (value.Value, bool, error) {
-	if j.pos >= len(j.out) {
-		return nil, false, nil
-	}
-	row := j.out[j.pos]
-	j.pos++
-	return row, true, nil
 }
 
 // Close releases buffers.

@@ -213,11 +213,11 @@ func (j *PartitionedHashJoin) Open(ctx *Ctx) error {
 // with the matching left partition, emitting result rows into the merge
 // channel.
 func (j *PartitionedHashJoin) joinPartition(ctx *Ctx, lrows, lkeys []value.Value, li []int, rrows, rkeys []value.Value, ri []int, nullPad *value.Tuple) {
-	table := make(map[uint64][]int, len(ri))
-	for _, r := range ri {
-		h := value.Hash(rkeys[r])
-		table[h] = append(table[h], r)
+	hashes := make([]uint64, len(ri))
+	for i, r := range ri {
+		hashes[i] = value.Hash(rkeys[r])
 	}
+	table := value.NewIndex(hashes)
 	for _, l := range li {
 		lrow := lrows[l]
 		lt, err := asTuple(lrow, "partitioned hash join")
@@ -227,11 +227,9 @@ func (j *PartitionedHashJoin) joinPartition(ctx *Ctx, lrows, lkeys []value.Value
 		}
 		lk := lkeys[l]
 		matched := false
-		var nest *value.Set
-		if j.Kind == adl.NestJ {
-			nest = value.EmptySet()
-		}
-		for _, r := range table[value.Hash(lk)] {
+		var nest nestGroup
+		for i := table.First(value.Hash(lk)); i >= 0; i = table.Next(i) {
+			r := ri[i]
 			if !value.Equal(rkeys[r], lk) {
 				continue
 			}
@@ -271,7 +269,7 @@ func (j *PartitionedHashJoin) joinPartition(ctx *Ctx, lrows, lkeys []value.Value
 						return
 					}
 				}
-				nest.Add(member)
+				nest.add(member)
 			}
 			if j.Kind == adl.Semi {
 				break
@@ -287,7 +285,7 @@ func (j *PartitionedHashJoin) joinPartition(ctx *Ctx, lrows, lkeys []value.Value
 				return
 			}
 		case adl.NestJ:
-			if !j.merge.emit(lt.With(j.As, nest)) {
+			if !j.merge.emit(lt.With(j.As, nest.set())) {
 				return
 			}
 		case adl.Outer:

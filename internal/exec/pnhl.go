@@ -47,8 +47,7 @@ type PNHL struct {
 	// the clonesafety analyzer); read it through Segments.
 	segmentsUsed int
 
-	out []value.Value
-	pos int
+	rowBuf
 }
 
 // Segments reports how many build segments the last Open needed.
@@ -73,10 +72,7 @@ func (p *PNHL) Open(ctx *Ctx) error {
 	}
 
 	// Partial results: per left tuple, the accumulating set of e ∘ y pairs.
-	partial := make([]*value.Set, len(probe))
-	for i := range partial {
-		partial[i] = value.EmptySet()
-	}
+	partial := make([]nestGroup, len(probe))
 
 	p.segmentsUsed = 0
 	for lo := 0; lo < len(build) || lo == 0; lo += segment {
@@ -89,16 +85,14 @@ func (p *PNHL) Open(ctx *Ctx) error {
 		}
 		p.segmentsUsed++
 		// Build phase: hash this segment of the flat table.
-		table := map[uint64][]int{}
-		keys := make([]value.Value, hi-lo)
-		for i := lo; i < hi; i++ {
-			k, err := p.BuildKey.Eval(ctx, build[i])
-			if err != nil {
+		seg := build[lo:hi]
+		keys := make([]value.Value, len(seg))
+		for i, brow := range seg {
+			if keys[i], err = p.BuildKey.Eval(ctx, brow); err != nil {
 				return err
 			}
-			keys[i-lo] = k
-			table[value.Hash(k)] = append(table[value.Hash(k)], i)
 		}
+		table := indexKeys(keys)
 		// Probe phase: stream the nested operand against the segment.
 		for pi, lrow := range probe {
 			lt, err := asTuple(lrow, "PNHL")
@@ -122,20 +116,19 @@ func (p *PNHL) Open(ctx *Ctx) error {
 				if err != nil {
 					return err
 				}
-				h := value.Hash(k)
-				for _, bi := range table[h] {
-					if !value.Equal(keys[bi-lo], k) {
+				for bi := table.First(value.Hash(k)); bi >= 0; bi = table.Next(bi) {
+					if !value.Equal(keys[bi], k) {
 						continue
 					}
 					if p.Member != nil {
-						m, err := p.Member.Eval(ctx, elem, build[bi])
+						m, err := p.Member.Eval(ctx, elem, seg[bi])
 						if err != nil {
 							return err
 						}
-						partial[pi].Add(m)
+						partial[pi].add(m)
 						continue
 					}
-					bt, err := asTuple(build[bi], "PNHL")
+					bt, err := asTuple(seg[bi], "PNHL")
 					if err != nil {
 						return err
 					}
@@ -143,7 +136,7 @@ func (p *PNHL) Open(ctx *Ctx) error {
 					if err != nil {
 						return err
 					}
-					partial[pi].Add(cat)
+					partial[pi].add(cat)
 				}
 			}
 		}
@@ -153,23 +146,12 @@ func (p *PNHL) Open(ctx *Ctx) error {
 	}
 
 	// Merge phase: replace the attribute with the accumulated join result.
-	p.out = p.out[:0]
-	p.pos = 0
+	p.reset()
 	for pi, lrow := range probe {
 		lt := lrow.(*value.Tuple)
-		p.out = append(p.out, lt.Except(value.NewTuple(p.Attr, partial[pi])))
+		p.out = append(p.out, lt.Except(value.NewTuple(p.Attr, partial[pi].set())))
 	}
 	return nil
-}
-
-// Next yields the next merged row.
-func (p *PNHL) Next() (value.Value, bool, error) {
-	if p.pos >= len(p.out) {
-		return nil, false, nil
-	}
-	row := p.out[p.pos]
-	p.pos++
-	return row, true, nil
 }
 
 // Close releases buffers.

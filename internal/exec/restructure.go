@@ -76,8 +76,7 @@ type NestOp struct {
 	Attrs []string
 	As    string
 
-	out []value.Value
-	pos int
+	rowBuf
 }
 
 // Open groups eagerly (ν is a pipeline breaker).
@@ -116,22 +115,11 @@ func (n *NestOp) Open(ctx *Ctx) error {
 			groups = append(groups, &group{key: key, members: value.NewSet(sub)})
 		}
 	}
-	n.out = n.out[:0]
-	n.pos = 0
+	n.reset()
 	for _, g := range groups {
 		n.out = append(n.out, g.key.With(n.As, g.members))
 	}
 	return nil
-}
-
-// Next yields the next group.
-func (n *NestOp) Next() (value.Value, bool, error) {
-	if n.pos >= len(n.out) {
-		return nil, false, nil
-	}
-	row := n.out[n.pos]
-	n.pos++
-	return row, true, nil
 }
 
 // Close releases buffers.
@@ -184,8 +172,7 @@ func (f *FlattenOp) Close() error { return f.Child.Close() }
 type DivideOp struct {
 	L, R Operator
 
-	out []value.Value
-	pos int
+	rowBuf
 }
 
 // Open computes the division eagerly.
@@ -198,8 +185,7 @@ func (d *DivideOp) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	d.out = d.out[:0]
-	d.pos = 0
+	d.reset()
 	if len(lrows) == 0 {
 		return nil
 	}
@@ -252,16 +238,6 @@ func (d *DivideOp) Open(ctx *Ctx) error {
 		}
 	}
 	return nil
-}
-
-// Next yields the next quotient tuple.
-func (d *DivideOp) Next() (value.Value, bool, error) {
-	if d.pos >= len(d.out) {
-		return nil, false, nil
-	}
-	row := d.out[d.pos]
-	d.pos++
-	return row, true, nil
 }
 
 // Close releases buffers.

@@ -21,8 +21,7 @@ type SortMergeJoin struct {
 	As         string
 	RFun       *Scalar
 
-	out []value.Value
-	pos int
+	rowBuf
 }
 
 type keyedRow struct {
@@ -59,8 +58,7 @@ func (j *SortMergeJoin) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	j.out = j.out[:0]
-	j.pos = 0
+	j.reset()
 	ri := 0
 	for li := 0; li < len(ls); {
 		lkey := ls[li].key
@@ -94,7 +92,7 @@ func (j *SortMergeJoin) Open(ctx *Ctx) error {
 					j.out = append(j.out, cat)
 				}
 			case adl.NestJ:
-				nest := value.EmptySet()
+				var nest nestGroup
 				for k := ri; k < re; k++ {
 					member := rs[k].row
 					if j.RFun != nil {
@@ -103,25 +101,15 @@ func (j *SortMergeJoin) Open(ctx *Ctx) error {
 							return err
 						}
 					}
-					nest.Add(member)
+					nest.add(member)
 				}
-				j.out = append(j.out, lt.With(j.As, nest))
+				j.out = append(j.out, lt.With(j.As, nest.set()))
 			}
 			le++
 		}
 		li = le
 	}
 	return nil
-}
-
-// Next yields the next row.
-func (j *SortMergeJoin) Next() (value.Value, bool, error) {
-	if j.pos >= len(j.out) {
-		return nil, false, nil
-	}
-	row := j.out[j.pos]
-	j.pos++
-	return row, true, nil
 }
 
 // Close releases buffers.

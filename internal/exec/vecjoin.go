@@ -162,7 +162,7 @@ type keyTable struct {
 	keys  []value.Value
 	i64   *i64Table
 	str   *strTable
-	gen   map[uint64][]int32
+	gen   *value.Index
 }
 
 // build evaluates the key over each build row and constructs the table.
@@ -219,11 +219,7 @@ func (t *keyTable) index() {
 			}
 		}
 	}
-	t.gen = make(map[uint64][]int32, len(t.keys))
-	for i, k := range t.keys {
-		h := value.Hash(k)
-		t.gen[h] = append(t.gen[h], int32(i))
-	}
+	t.gen = indexKeys(t.keys)
 }
 
 // appendFast fills keys by reading a v.attr key straight off each build
@@ -267,7 +263,7 @@ func (t *keyTable) containsValue(k value.Value) bool {
 		s, ok := k.(value.String)
 		return ok && t.str.contains(string(s))
 	}
-	for _, ri := range t.gen[value.Hash(k)] {
+	for ri := t.gen.First(value.Hash(k)); ri >= 0; ri = t.gen.Next(ri) {
 		if value.Equal(t.keys[ri], k) {
 			return true
 		}
@@ -306,9 +302,9 @@ func (t *keyTable) forEach(k value.Value, fn func(ri int) error) error {
 		}
 		return nil
 	}
-	for _, ri := range t.gen[value.Hash(k)] {
+	for ri := t.gen.First(value.Hash(k)); ri >= 0; ri = t.gen.Next(ri) {
 		if value.Equal(t.keys[ri], k) {
-			if err := fn(int(ri)); err != nil {
+			if err := fn(ri); err != nil {
 				return err
 			}
 		}
@@ -722,7 +718,7 @@ func (j *VecHashGroupJoin) Open(ctx *Ctx) (err error) {
 			if err != nil {
 				return err
 			}
-			nest := value.EmptySet()
+			var nest nestGroup
 			if err := j.tab.probeEach(ctx, b.Proj, i, c, j.LKey, j.LAttr, "hash join", func(ri int) error {
 				if j.Residual != nil {
 					ok, err := j.Residual.Bool(ctx, lrow, j.right[ri])
@@ -739,12 +735,12 @@ func (j *VecHashGroupJoin) Open(ctx *Ctx) (err error) {
 						return err
 					}
 				}
-				nest.Add(member)
+				nest.add(member)
 				return nil
 			}); err != nil {
 				return err
 			}
-			j.out = append(j.out, lt.With(j.As, nest))
+			j.out = append(j.out, lt.With(j.As, nest.set()))
 		}
 	}
 }
@@ -918,7 +914,7 @@ type VecSetProbeJoin struct {
 // the scalar SetProbeJoin.
 type setKeyTable struct {
 	keys []value.Value
-	gen  map[uint64][]int32
+	gen  *value.Index
 	u    *i64Table
 	// uname/ukind describe the unary-tuple fast path's element shape.
 	uname string
@@ -943,11 +939,7 @@ func (t *setKeyTable) build(ctx *Ctx, rrows []value.Value, key Scalar) error {
 	if bs, name, kind, ok := unaryIntKeys(t.keys); ok {
 		t.u, t.uname, t.ukind = newI64Table(bs), name, kind
 	} else {
-		t.gen = make(map[uint64][]int32, len(t.keys))
-		for i, k := range t.keys {
-			h := value.Hash(k)
-			t.gen[h] = append(t.gen[h], int32(i))
-		}
+		t.gen = indexKeys(t.keys)
 	}
 	return nil
 }
@@ -972,8 +964,7 @@ func (t *setKeyTable) anyMatch(as *value.Set) bool {
 		return false
 	}
 	for _, elem := range as.Elems() {
-		h := value.Hash(elem)
-		for _, ri := range t.gen[h] {
+		for ri := t.gen.First(value.Hash(elem)); ri >= 0; ri = t.gen.Next(ri) {
 			if value.Equal(t.keys[ri], elem) {
 				return true
 			}
@@ -1016,9 +1007,9 @@ func (t *setKeyTable) walkElems(as *value.Set, fn func(ri int) error) error {
 		return nil
 	}
 	for _, elem := range as.Elems() {
-		for _, ri := range t.gen[value.Hash(elem)] {
+		for ri := t.gen.First(value.Hash(elem)); ri >= 0; ri = t.gen.Next(ri) {
 			if value.Equal(t.keys[ri], elem) {
-				if err := fn(int(ri)); err != nil {
+				if err := fn(ri); err != nil {
 					return err
 				}
 			}
@@ -1231,7 +1222,7 @@ func (j *VecSetGroupJoin) Open(ctx *Ctx) (err error) {
 			if err != nil {
 				return err
 			}
-			nest := value.EmptySet()
+			var nest nestGroup
 			if err := j.tab.forEachElem(as, func(ri int) error {
 				member := j.right[ri]
 				if j.RFun != nil {
@@ -1239,12 +1230,12 @@ func (j *VecSetGroupJoin) Open(ctx *Ctx) (err error) {
 						return err
 					}
 				}
-				nest.Add(member)
+				nest.add(member)
 				return nil
 			}); err != nil {
 				return err
 			}
-			j.out = append(j.out, lt.With(j.As, nest))
+			j.out = append(j.out, lt.With(j.As, nest.set()))
 		}
 	}
 }

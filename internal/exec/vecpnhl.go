@@ -140,10 +140,7 @@ func (p *VecPNHL) Open(ctx *Ctx) (err error) {
 		segment = 1
 	}
 
-	partial := make([]*value.Set, len(tuples))
-	for i := range partial {
-		partial[i] = value.EmptySet()
-	}
+	partial := make([]nestGroup, len(tuples))
 
 	p.segmentsUsed = 0
 	for lo := 0; lo < len(build) || lo == 0; lo += segment {
@@ -168,7 +165,7 @@ func (p *VecPNHL) Open(ctx *Ctx) (err error) {
 						if merr != nil {
 							return merr
 						}
-						partial[pi].Add(m)
+						partial[pi].add(m)
 						return nil
 					}
 					brow, berr := asTuple(build[bi], "PNHL")
@@ -179,7 +176,7 @@ func (p *VecPNHL) Open(ctx *Ctx) (err error) {
 					if cerr != nil {
 						return cerr
 					}
-					partial[pi].Add(cat)
+					partial[pi].add(cat)
 					return nil
 				}); ferr != nil {
 					return ferr
@@ -195,7 +192,7 @@ func (p *VecPNHL) Open(ctx *Ctx) (err error) {
 	p.out = p.out[:0]
 	p.pos = 0
 	for pi, lt := range tuples {
-		p.out = append(p.out, lt.Except(value.NewTuple(p.Attr, partial[pi])))
+		p.out = append(p.out, lt.Except(value.NewTuple(p.Attr, partial[pi].set())))
 	}
 	return nil
 }

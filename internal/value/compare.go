@@ -29,6 +29,9 @@ func Equal(a, b Value) bool {
 		return av == b.(OID)
 	case *Tuple:
 		bt := b.(*Tuple)
+		if av == bt {
+			return true // stored rows are shared by pointer
+		}
 		if av.Len() != bt.Len() {
 			return false
 		}
@@ -41,7 +44,7 @@ func Equal(a, b Value) bool {
 		return true
 	case *Set:
 		bs := b.(*Set)
-		return av.Len() == bs.Len() && av.SubsetOf(bs)
+		return av == bs || av.Len() == bs.Len() && av.SubsetOf(bs)
 	}
 	panic("value.Equal: unknown kind")
 }
@@ -59,7 +62,8 @@ func Compare(a, b Value) int {
 
 // Hash returns a 64-bit hash consistent with Equal: equal values hash
 // equally. Tuple and set hashes combine member hashes commutatively so that
-// attribute order and element order do not matter.
+// attribute order and element order do not matter. A tuple computes its hash
+// once and keeps it (see Tuple); a set sums the element hashes it stores.
 func Hash(v Value) uint64 {
 	switch av := v.(type) {
 	case Null:
@@ -80,16 +84,21 @@ func Hash(v Value) uint64 {
 	case OID:
 		return hashScalar(byte(KindOID), uint64(av))
 	case *Tuple:
+		if h := av.hash.Load(); h != 0 {
+			return h
+		}
 		var sum uint64
 		for i, n := range av.names {
 			fieldHash := fnvString(fnvOffset64, n) * fnvPrime64
 			sum += fieldHash ^ Hash(av.vals[i])
 		}
-		return sum ^ 0xa5a5a5a5a5a5a5a5
+		sum ^= 0xa5a5a5a5a5a5a5a5
+		av.hash.Store(sum)
+		return sum
 	case *Set:
 		var sum uint64
-		for _, e := range av.elems {
-			sum += Hash(e)
+		for _, h := range av.idx.hashes {
+			sum += h
 		}
 		return sum ^ 0x5a5a5a5a5a5a5a5a
 	}

@@ -1,88 +1,45 @@
 package value
 
-import "sync"
-
 // Set is a finite set value built with the paper's { } constructor. Element
 // order is insignificant; duplicates are eliminated on insertion using deep
-// equality. A Set must not be mutated after it has been shared.
+// equality.
+//
+// A set is three flat arrays: the elements in insertion order, each element's
+// Hash beside it, and the int32 chain table that finds a hash's positions
+// (absent while the set has at most smallTable elements — see hashTable).
+// Every probe compares stored hashes before it calls Equal and no element is
+// ever hashed twice. A Set must not be mutated after it has been shared; it
+// carries no lazily filled state, so a shared set is safe for concurrent
+// readers. The int32 positions cap a set at 2³¹−1 elements; Add panics beyond.
 type Set struct {
 	elems []Value
-	// index maps element hash to the positions of elements with that hash,
-	// making insertion near O(1) even for large extents.
-	index map[uint64][]int
+	idx   hashTable
 }
 
 // Kind reports KindSet.
 func (*Set) Kind() Kind { return KindSet }
 
 // NewSet builds a set from the given elements, eliminating duplicates.
-func NewSet(elems ...Value) *Set {
-	s := NewSetCap(len(elems))
-	for _, e := range elems {
-		s.Add(e)
-	}
-	return s
-}
+func NewSet(elems ...Value) *Set { return NewSetFromSlice(elems) }
 
 // NewSetCap returns an empty set with capacity for n elements.
 func NewSetCap(n int) *Set {
-	return &Set{
-		elems: make([]Value, 0, n),
-		index: make(map[uint64][]int, n),
+	if n == 0 {
+		return &Set{}
 	}
+	return &Set{elems: make([]Value, 0, n), idx: hashTable{hashes: make([]uint64, 0, n)}}
 }
 
 // EmptySet returns a new empty set.
-func EmptySet() *Set { return NewSetCap(0) }
+func EmptySet() *Set { return &Set{} }
 
-// setScratch is the transient state of the bulk set builders: the element
-// hash slice and the per-hash bucket counts. Neither escapes into the
-// returned Set, so pooling them drops the fixed allocation floor a small
-// query pays per result-set materialization.
-type setScratch struct {
-	hashes []uint64
-	counts map[uint64]int32
-}
-
-var setScratchPool = sync.Pool{
-	New: func() any { return &setScratch{counts: make(map[uint64]int32, 64)} },
-}
-
-// hashBuf returns the scratch hash slice sized to n.
-func (sc *setScratch) hashBuf(n int) []uint64 {
-	if cap(sc.hashes) < n {
-		sc.hashes = make([]uint64, n)
-	}
-	return sc.hashes[:n]
-}
-
-// release clears the bucket counts and returns the scratch to the pool.
-func (sc *setScratch) release() {
-	clear(sc.counts)
-	setScratchPool.Put(sc)
-}
-
-// NewSetFromSlice builds a set from elems with full duplicate elimination
-// (same semantics as repeated Add) but a constant number of allocations:
-// element hashes are computed once into a pooled scratch slice, per-hash
-// bucket sizes are counted up front, and every index bucket is carved out of
-// one shared arena instead of growing through per-bucket appends. The batch
-// executor uses it to materialize result sets without Add's per-element
-// allocation cost; elems is not retained.
+// NewSetFromSlice builds a set from elems with full duplicate elimination —
+// repeated Add into a pre-sized set. elems is not retained.
 func NewSetFromSlice(elems []Value) *Set {
-	n := len(elems)
-	if n == 0 {
-		return EmptySet()
+	s := NewSetCap(len(elems))
+	for _, e := range elems {
+		s.add(e, Hash(e))
 	}
-	sc := setScratchPool.Get().(*setScratch)
-	hashes := sc.hashBuf(n)
-	for i, e := range elems {
-		h := Hash(e)
-		hashes[i] = h
-		sc.counts[h]++
-	}
-	s := newSetHashed(elems, hashes, sc.counts)
-	sc.release()
 	return s
 }
 
@@ -91,45 +48,9 @@ func NewSetFromSlice(elems []Value) *Set {
 // their workers so the serial set build no longer pays the deep-hash pass.
 // hashes[i] must equal Hash(elems[i]); neither slice is retained.
 func NewSetFromSliceHashed(elems []Value, hashes []uint64) *Set {
-	n := len(elems)
-	if n == 0 {
-		return EmptySet()
-	}
-	sc := setScratchPool.Get().(*setScratch)
-	for _, h := range hashes[:n] {
-		sc.counts[h]++
-	}
-	s := newSetHashed(elems, hashes, sc.counts)
-	sc.release()
-	return s
-}
-
-// newSetHashed is the shared core of the bulk builders: counts must hold the
-// number of occurrences of every hash in hashes[:len(elems)].
-func newSetHashed(elems []Value, hashes []uint64, counts map[uint64]int32) *Set {
-	n := len(elems)
-	s := &Set{elems: make([]Value, 0, n), index: make(map[uint64][]int, n)}
-	arena := make([]int, n)
-	off := 0
-next:
+	s := NewSetCap(len(elems))
 	for i, e := range elems {
-		h := hashes[i]
-		bucket, seen := s.index[h]
-		for _, j := range bucket {
-			if Equal(s.elems[j], e) {
-				continue next
-			}
-		}
-		if !seen {
-			// First element with this hash: reserve capacity for every
-			// candidate that hashes here (duplicates overcount harmlessly),
-			// so the appends below never leave the arena.
-			c := int(counts[h])
-			bucket = arena[off : off : off+c]
-			off += c
-		}
-		s.index[h] = append(bucket, len(s.elems))
-		s.elems = append(s.elems, e)
+		s.add(e, hashes[i])
 	}
 	return s
 }
@@ -137,45 +58,56 @@ next:
 // Add inserts v unless an equal element is already present. It reports
 // whether the set grew. Add must only be called while the set is being
 // built, before it is shared.
-func (s *Set) Add(v Value) bool {
-	h := Hash(v)
-	if s.index == nil {
-		s.index = make(map[uint64][]int)
+func (s *Set) Add(v Value) bool { return s.add(v, Hash(v)) }
+
+// add is Add with v's hash supplied, so elements moving between sets are
+// never hashed again.
+func (s *Set) add(v Value, h uint64) bool {
+	if s.find(v, h) {
+		return false
 	}
-	for _, i := range s.index[h] {
-		if Equal(s.elems[i], v) {
-			return false
-		}
-	}
-	s.index[h] = append(s.index[h], len(s.elems))
-	s.elems = append(s.elems, v)
+	s.push(v, h)
 	return true
 }
 
-// Clone returns an independent copy of the set sharing only the (immutable)
-// element values. Backing arrays are allocated exactly, so growing the clone
-// never writes into storage shared with the original — the original may keep
-// being read concurrently while the clone is extended. This is what the
-// storage layer's copy-on-write extent materialization builds new versions
-// from without rehashing every element.
-func (s *Set) Clone() *Set {
-	c := &Set{elems: make([]Value, len(s.elems))}
-	copy(c.elems, s.elems)
-	if s.index != nil {
-		c.index = make(map[uint64][]int, len(s.index))
-		for h, idx := range s.index {
-			cp := make([]int, len(idx))
-			copy(cp, idx)
-			c.index[h] = cp
+// push appends v, whose hash is h and which the caller knows to be absent.
+func (s *Set) push(v Value, h uint64) {
+	if cap(s.elems) == 0 {
+		// The first element sizes both arrays for a small set at once
+		// instead of growing them through capacities 1, 2, 4, 8.
+		s.elems = make([]Value, 0, smallTable)
+		s.idx.hashes = make([]uint64, 0, smallTable)
+	}
+	s.elems = append(s.elems, v)
+	s.idx.push(h)
+}
+
+// find reports whether an element equal to v, whose hash is h, is present.
+func (s *Set) find(v Value, h uint64) bool {
+	for i := s.idx.first(h); i >= 0; i = s.idx.after(i) {
+		if Equal(s.elems[i], v) {
+			return true
 		}
 	}
+	return false
+}
+
+// Clone returns an independent copy of the set sharing only the (immutable)
+// element values: three exactly allocated array copies, no element rehashed.
+// Growing the clone therefore never writes into storage shared with the
+// original — the original may keep being read concurrently while the clone
+// is extended. This is what the storage layer's copy-on-write extent
+// materialization builds new versions from.
+func (s *Set) Clone() *Set {
+	c := &Set{elems: make([]Value, len(s.elems)), idx: s.idx.clone()}
+	copy(c.elems, s.elems)
 	return c
 }
 
 // AddAll inserts every element of t into s.
 func (s *Set) AddAll(t *Set) {
-	for _, e := range t.elems {
-		s.Add(e)
+	for i, e := range t.elems {
+		s.add(e, t.idx.hashes[i])
 	}
 }
 
@@ -188,13 +120,7 @@ func (s *Set) Elems() []Value { return s.elems }
 
 // Contains reports whether an element equal to v is in the set.
 func (s *Set) Contains(v Value) bool {
-	h := Hash(v)
-	for _, i := range s.index[h] {
-		if Equal(s.elems[i], v) {
-			return true
-		}
-	}
-	return false
+	return len(s.elems) > 0 && s.find(v, Hash(v))
 }
 
 // SubsetOf reports s ⊆ t.
@@ -202,8 +128,8 @@ func (s *Set) SubsetOf(t *Set) bool {
 	if s.Len() > t.Len() {
 		return false
 	}
-	for _, e := range s.elems {
-		if !t.Contains(e) {
+	for i, e := range s.elems {
+		if !t.find(e, s.idx.hashes[i]) {
 			return false
 		}
 	}
@@ -230,9 +156,9 @@ func (s *Set) Intersect(t *Set) *Set {
 		small, big = big, small
 	}
 	r := NewSetCap(small.Len())
-	for _, e := range small.elems {
-		if big.Contains(e) {
-			r.Add(e)
+	for i, e := range small.elems {
+		if h := small.idx.hashes[i]; big.find(e, h) {
+			r.push(e, h)
 		}
 	}
 	return r
@@ -241,9 +167,9 @@ func (s *Set) Intersect(t *Set) *Set {
 // Diff returns s − t as a fresh set.
 func (s *Set) Diff(t *Set) *Set {
 	r := NewSetCap(s.Len())
-	for _, e := range s.elems {
-		if !t.Contains(e) {
-			r.Add(e)
+	for i, e := range s.elems {
+		if h := s.idx.hashes[i]; !t.find(e, h) {
+			r.push(e, h)
 		}
 	}
 	return r

@@ -1,14 +1,25 @@
 package value
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Tuple is a record value built with the paper's ⟨ ⟩ constructor: an unordered
 // mapping from attribute names to values. Field declaration order is preserved
 // for printing, but equality, hashing and comparison treat tuples as
 // name→value functions, so ⟨a=1, b=2⟩ equals ⟨b=2, a=1⟩.
+//
+// A Tuple is immutable once its constructor returns: every "update" builds a
+// new tuple. The one word that changes afterwards is hash, the memo of the
+// deep Hash (0 = not yet computed), so a stored row is hashed once in its
+// lifetime however many queries touch it. It is the only lazily filled state
+// on any value, and it is read and written atomically — racing first calls
+// store the same number.
 type Tuple struct {
 	names []string
 	vals  []Value
+	hash  atomic.Uint64
 }
 
 // Kind reports KindTuple.
@@ -35,7 +46,11 @@ func NewTuple(pairs ...any) *Tuple {
 		if !ok {
 			panic(fmt.Sprintf("value.NewTuple: field %q is not a Value", name))
 		}
-		t = t.With(name, v)
+		if t.Has(name) {
+			panic(fmt.Sprintf("value: duplicate attribute %q in tuple", name))
+		}
+		t.names = append(t.names, name)
+		t.vals = append(t.vals, v)
 	}
 	return t
 }
