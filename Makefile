@@ -65,7 +65,8 @@ bench-vec:
 
 # CPU and allocation profiles of the four benchmarks ROADMAP direction 1
 # names — the semijoin of B1, the scalar/vectorized pipeline of B13, PNHL under
-# B4's budget sweep and the cached serving path — written with the test binary
+# B4's budget sweep and the cached serving path — and of the template path (a
+# never-seen text of a seen shape), written with the test binary
 # into PROFILE_DIR (git-ignored) and summarized on stdout. Inspect further with
 # `go tool pprof -list <regexp> profiles/repro.test profiles/B1.cpu.prof`.
 PROFILE_DIR ?= profiles
@@ -73,7 +74,8 @@ PROFILE_BENCHTIME ?= 2s
 profile:
 	@mkdir -p $(PROFILE_DIR)
 	@set -e; for spec in 'B1=BenchmarkB1/(semijoin_hash|scalar_exec)/S400' 'B13=BenchmarkB13/' \
-			'B4-PNHL=BenchmarkB4/pnhl' 'ServeQuery=BenchmarkServeQuery/plancache'; do \
+			'B4-PNHL=BenchmarkB4/pnhl' 'ServeQuery=BenchmarkServeQuery/plancache' \
+			'ServeTemplate=BenchmarkServeQuery/template'; do \
 		name=$${spec%%=*}; \
 		$(GO) test -run='^$$' -bench="$${spec#*=}" -benchmem -benchtime=$(PROFILE_BENCHTIME) \
 			-o $(PROFILE_DIR)/repro.test -cpuprofile $(PROFILE_DIR)/$$name.cpu.prof \
@@ -141,10 +143,12 @@ examples-smoke:
 	@set -e; for d in examples/*/; do \
 		echo "== $$d"; $(GO) run ./$$d > /dev/null; done
 
-# A short go test -fuzz run of the OOSQL parser fuzz target — CI's "the
-# fuzzer still runs and finds nothing in ten seconds" check.
+# Short go test -fuzz runs of the OOSQL parser target and of the template
+# cache's differential target — CI's "the fuzzers still run and find nothing
+# in ten seconds each" check.
 fuzz-smoke:
 	$(GO) test ./internal/oosql -run '^$$' -fuzz FuzzParse -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLift -fuzztime 10s
 
 fmt:
 	gofmt -w .

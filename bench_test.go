@@ -521,8 +521,10 @@ func exec_compile(e adl.Expr) exec.Operator {
 // BenchmarkServeQuery — the serving layer's plan cache: repeated execution
 // of one query through the server engine with the cache on (plan once, clone
 // the operator tree per run) vs off (full parse/typecheck/rewrite/plan every
-// time). The replan arm measures the cost of one epoch-drift re-plan per
-// iteration, the upper bound a client sees right after bulk inserts.
+// time). The template arm sends a never-seen text of a seen shape each
+// iteration: a level-1 miss that finds its rewritten template at level 2. The
+// replan arm measures the cost of one epoch-drift re-plan per iteration, the
+// upper bound a client sees right after bulk inserts.
 func BenchmarkServeQuery(b *testing.B) {
 	const q = `select p.pname from p in PART where p.color = "red"`
 	mk := func(noCache bool) *server.Engine {
@@ -539,6 +541,18 @@ func BenchmarkServeQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 		run(b, func() error { _, err := eng.Query(q); return err })
+	})
+	b.Run("template", func(b *testing.B) {
+		eng := mk(false)
+		if _, err := eng.Query(q); err != nil { // rewrite the template
+			b.Fatal(err)
+		}
+		k := 0
+		run(b, func() error {
+			k++
+			_, err := eng.Query(fmt.Sprintf(`select p.pname from p in PART where p.color = "c%d"`, k))
+			return err
+		})
 	})
 	b.Run("no_cache", func(b *testing.B) {
 		eng := mk(true)

@@ -39,6 +39,9 @@ func Infer(e Expr, env TypeEnv, r TypeResolver) (types.Type, error) {
 	case *Const:
 		return types.Infer(n.Val)
 
+	case *Param:
+		return n.Type, nil
+
 	case *Var:
 		t, ok := env[n.Name]
 		if !ok {

@@ -8,7 +8,7 @@ import "repro/internal/value"
 // rewrite engine are built on it.
 func Rebuild(e Expr, f func(Expr) Expr) Expr {
 	switch n := e.(type) {
-	case *Const, *Var, *Table:
+	case *Const, *Param, *Var, *Table:
 		return e
 	case *Field:
 		return &Field{X: f(n.X), Name: n.Name}
@@ -127,6 +127,9 @@ func Equal(a, b Expr) bool {
 	case *Const:
 		bn, ok := b.(*Const)
 		return ok && value.Equal(an.Val, bn.Val)
+	case *Param:
+		bn, ok := b.(*Param)
+		return ok && an.Slot == bn.Slot && an.Type == bn.Type
 	case *Var:
 		bn, ok := b.(*Var)
 		return ok && an.Name == bn.Name

@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/adl"
 	"repro/internal/eval"
@@ -36,7 +37,9 @@ type Query struct {
 	ADL adl.Expr
 	// Type is the reference-annotated result type.
 	Type types.Type
-	// Rewritten is the result of the §4 optimization strategy.
+	// Rewritten is the result of the §4 optimization strategy. Its Expr has
+	// the query's literals; its Trace is the template's, shared by every
+	// query of the shape and rendered with them by Explain.
 	Rewritten *rewrite.Result
 	// Plan is the physical operator tree for the rewritten form.
 	Plan exec.Operator
@@ -45,8 +48,21 @@ type Query struct {
 	// (instrumented execution, observed row counts, q-error drift).
 	Planned *plan.Plan
 
-	cat *schema.Catalog
+	cat  *schema.Catalog
+	args []value.Value // the literals adl.Lift took out of ADL
 }
+
+// TemplateCache remembers rewritten templates across queries. A prepare is
+// parse → translate → lift → rewrite → bind → plan, and the rewrite depends
+// on the lifted template alone: with a cache it runs once per query shape.
+type TemplateCache interface {
+	// Template returns what is cached under key, or else build's result,
+	// cached. key is valid during the call only; the result is shared.
+	Template(key []byte, build func() *rewrite.Result) *rewrite.Result
+}
+
+// keyBufs holds the buffers template keys are built in.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Prepare parses, typechecks, translates, optimizes and plans an OOSQL
 // query against a catalog.
@@ -56,10 +72,15 @@ func Prepare(src string, cat *schema.Catalog) (*Query, error) {
 
 // PrepareCfg is Prepare with an explicit physical-planner configuration, so
 // callers holding collected statistics (or tuning parallelism) get a
-// cost-based plan instead of the zero-config heuristics. The serving layer
-// prepares through this entry and caches the result keyed on the statistics
-// epoch the Config's stats were published under.
+// cost-based plan instead of the zero-config heuristics.
 func PrepareCfg(src string, cat *schema.Catalog, cfg plan.Config) (*Query, error) {
+	return PrepareCached(src, cat, cfg, nil)
+}
+
+// PrepareCached is PrepareCfg taking the rewritten template from tc (nil:
+// rewrite it here). The planner gets it with the literals bound back in, so
+// index ranges, selectivities and operators are those of the query as written.
+func PrepareCached(src string, cat *schema.Catalog, cfg plan.Config, tc TemplateCache) (*Query, error) {
 	ast, err := oosql.Parse(src)
 	if err != nil {
 		return nil, err
@@ -68,17 +89,30 @@ func PrepareCfg(src string, cat *schema.Catalog, cfg plan.Config) (*Query, error
 	if err != nil {
 		return nil, err
 	}
-	res := rewrite.Optimize(e, rewrite.NewContext(cat))
-	pl := cfg.Plan(res.Expr)
+	buf := keyBufs.Get().(*[]byte)
+	tmpl, args, key := adl.Lift(e, (*buf)[:0])
+	build := func() *rewrite.Result { return rewrite.Optimize(tmpl, rewrite.NewContext(cat)) }
+	var res *rewrite.Result
+	if tc != nil {
+		res = tc.Template(key, build)
+	} else {
+		res = build()
+	}
+	*buf = key
+	keyBufs.Put(buf)
+	bound := *res
+	bound.Expr = adl.Bind(res.Expr, args)
+	pl := cfg.Plan(bound.Expr)
 	return &Query{
 		Source:    src,
 		AST:       ast,
 		ADL:       e,
 		Type:      t,
-		Rewritten: res,
+		Rewritten: &bound,
 		Plan:      pl.Root,
 		Planned:   pl,
 		cat:       cat,
+		args:      args,
 	}, nil
 }
 
@@ -102,7 +136,7 @@ func (q *Query) Explain() string {
 	if len(q.Rewritten.Trace) > 0 {
 		b.WriteString("rewrite steps:\n")
 		for _, s := range q.Rewritten.Trace {
-			fmt.Fprintf(&b, "  [%s]\n    %s\n", s.Rule, s.After)
+			fmt.Fprintf(&b, "  [%s]\n    %s\n", s.Rule, adl.Bind(s.After, q.args))
 		}
 		b.WriteString("\n")
 	}

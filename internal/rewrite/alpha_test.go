@@ -89,7 +89,7 @@ func TestQuantExchangeRenames(t *testing.T) {
 			adl.Ex("s", adl.T("PART"),
 				adl.EqE(adl.V("x"), adl.SubT(adl.V("s"), "pid")))),
 		adl.T("SUPPLIER"))
-	res := Optimize(q, ctx)
+	res := optimizeLifted(t, q, ctx)
 	mustEq(t, st, q, res.Expr)
 	if res.NestedAfter != 0 {
 		t.Errorf("colliding exchange case not unnested: %s", res.Expr)

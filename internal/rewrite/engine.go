@@ -88,11 +88,13 @@ type Rule struct {
 	Apply func(e adl.Expr, ctx *Context) (adl.Expr, bool)
 }
 
-// Step records one rule firing for explanation output.
+// Step records one rule firing for explanation output: the rule and the node
+// it produced. After is kept as an expression and printed by whoever shows
+// the trace — most traces are never shown — and, when Optimize ran on a
+// lifted template, holds adl.Param leaves until adl.Bind fills them in.
 type Step struct {
-	Rule   string
-	Before string
-	After  string
+	Rule  string
+	After adl.Expr
 }
 
 // Engine applies a rule list bottom-up to a fixpoint.
@@ -135,7 +137,7 @@ func (en *Engine) pass(e adl.Expr, ctx *Context) adl.Expr {
 			if !ok {
 				continue
 			}
-			en.Trace = append(en.Trace, Step{Rule: r.Name, Before: e.String(), After: out.String()})
+			en.Trace = append(en.Trace, Step{Rule: r.Name, After: out})
 			en.steps++
 			// The replacement may expose further work in its children.
 			e = en.rebuild(out, ctx)

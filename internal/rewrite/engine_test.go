@@ -37,7 +37,7 @@ func TestEngineUntypeableFragmentsAreSafe(t *testing.T) {
 		adl.EqE(adl.AggE(adl.Count, adl.Sel("y",
 			adl.CmpE(adl.In, adl.V("y"), adl.Dot(adl.V("x"), "c")), adl.T("GHOST"))), adl.CInt(2)),
 		adl.T("ALSO_GHOST"))
-	res := Optimize(e, figureCtx())
+	res := optimizeLifted(t, e, figureCtx())
 	if res.Expr == nil {
 		t.Fatal("optimize returned nil on untypeable input")
 	}
@@ -54,7 +54,7 @@ func TestEngineUntypeableFragmentsAreSafe(t *testing.T) {
 // TestOptimizeNilResolver: a context without a resolver must not panic.
 func TestOptimizeNilResolver(t *testing.T) {
 	e := adl.Sel("x", adl.Ex("y", adl.T("Y"), adl.EqE(adl.V("y"), adl.Dot(adl.V("x"), "a"))), adl.T("X"))
-	res := Optimize(e, &Context{})
+	res := optimizeLifted(t, e, &Context{})
 	// Rule 1 needs no types: the semijoin still happens.
 	if _, ok := res.Expr.(*adl.Join); !ok {
 		t.Errorf("type-free rules should still fire: %s", res.Expr)
@@ -70,7 +70,7 @@ func TestRewritePreservesShadowing(t *testing.T) {
 	e := adl.Sel("s",
 		adl.Ex("s", adl.T("PART"), adl.EqE(adl.Dot(adl.V("s"), "color"), adl.CStr("red"))),
 		adl.T("SUPPLIER"))
-	res := Optimize(e, ctx)
+	res := optimizeLifted(t, e, ctx)
 	mustEq(t, st, e, res.Expr)
 }
 

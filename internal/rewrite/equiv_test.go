@@ -107,7 +107,7 @@ func TestOptimizePreservesSemantics(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/db%d", name, ci), func(t *testing.T) {
 				st := bench.Generate(cfg)
 				ctx := NewContext(st.Catalog())
-				res := Optimize(q, ctx)
+				res := optimizeLifted(t, q, ctx)
 				want, err := eval.Eval(q, nil, st)
 				if err != nil {
 					t.Fatalf("eval original: %v", err)
@@ -134,7 +134,7 @@ func TestOptimizeUnnestsAllTemplates(t *testing.T) {
 	ctx := NewContext(st.Catalog())
 	qs := queryTemplates()
 	for _, name := range unnestable {
-		res := Optimize(qs[name], ctx)
+		res := optimizeLifted(t, qs[name], ctx)
 		if res.NestedAfter != 0 {
 			t.Errorf("%s: %d base tables still nested:\n  %s", name, res.NestedAfter, res.Expr)
 		}
@@ -146,8 +146,8 @@ func TestOptimizeIdempotent(t *testing.T) {
 	st := bench.Generate(bench.Config{Suppliers: 5, Parts: 5, Seed: 9})
 	ctx := NewContext(st.Catalog())
 	for name, q := range queryTemplates() {
-		once := Optimize(q, ctx)
-		twice := Optimize(once.Expr, ctx)
+		once := optimizeLifted(t, q, ctx)
+		twice := optimizeLifted(t, once.Expr, ctx)
 		if !adl.Equal(once.Expr, twice.Expr) {
 			t.Errorf("%s: optimization not idempotent:\n  once:  %s\n  twice: %s",
 				name, once.Expr, twice.Expr)
@@ -160,7 +160,7 @@ func TestOptimizeIdempotent(t *testing.T) {
 func TestConstantHoisting(t *testing.T) {
 	st := bench.Generate(bench.Config{Suppliers: 50, Parts: 20, Seed: 7})
 	q := queryTemplates()["uncorrelated"]
-	res := Optimize(q, NewContext(st.Catalog()))
+	res := optimizeLifted(t, q, NewContext(st.Catalog()))
 	if res.NestedAfter != 0 {
 		t.Fatalf("uncorrelated subquery not hoisted: %s", res.Expr)
 	}

@@ -262,7 +262,7 @@ func TestComplexObjectBug(t *testing.T) {
 	}
 
 	// The nestjoin strategy handles it correctly.
-	res := Optimize(query, ctx)
+	res := optimizeLifted(t, query, ctx)
 	if NestedTableCount(res.Expr) != 0 {
 		t.Fatalf("Optimize left nesting: %s", res.Expr)
 	}
@@ -307,7 +307,7 @@ func TestOptimizeEQ5MatchesPaper(t *testing.T) {
 		adl.T("SUPPLIER"))
 	st := bench.Generate(bench.Config{Suppliers: 30, Parts: 40, Seed: 7})
 	ctx := NewContext(st.Catalog())
-	res := Optimize(e, ctx)
+	res := optimizeLifted(t, e, ctx)
 	want := `(SUPPLIER ⋉[s,p : p[pid] ∈ s.parts] σ[p : p.color = "red"](PART))`
 	if got := res.Expr.String(); got != want {
 		t.Errorf("EQ5 optimized:\n got %s\nwant %s", got, want)
@@ -329,7 +329,7 @@ func TestOptimizeEQ4UsesAttributeUnnest(t *testing.T) {
 			adl.T("SUPPLIER")))
 	st := bench.Generate(bench.Config{Suppliers: 30, Parts: 40, DanglingFrac: 0.2, Seed: 11})
 	ctx := NewContext(st.Catalog())
-	res := Optimize(e, ctx)
+	res := optimizeLifted(t, e, ctx)
 	want := `α[s : s.eid]((μ[parts](SUPPLIER) ▷[s,p : s[pid] = p[pid]] PART))`
 	if got := res.Expr.String(); got != want {
 		t.Errorf("EQ4 optimized:\n got %s\nwant %s", got, want)
@@ -357,7 +357,7 @@ func TestOptimizeEQ6UsesNestjoin(t *testing.T) {
 		adl.T("SUPPLIER"))
 	st := bench.Generate(bench.Config{Suppliers: 30, Parts: 40, Seed: 13})
 	ctx := NewContext(st.Catalog())
-	res := Optimize(e, ctx)
+	res := optimizeLifted(t, e, ctx)
 	want := `α[s : (sname = s.sname, parts_suppl = s.ys)]((SUPPLIER ⊣[s,p : p[pid] ∈ s.parts ; ys] PART))`
 	if got := res.Expr.String(); got != want {
 		t.Errorf("EQ6 optimized:\n got %s\nwant %s", got, want)
@@ -375,7 +375,7 @@ func TestOptimizeAggregateBetweenBlocks(t *testing.T) {
 	e := adl.Sel("s", adl.EqE(adl.AggE(adl.Count, sub), adl.CInt(2)), adl.T("SUPPLIER"))
 	st := bench.Generate(bench.Config{Suppliers: 30, Parts: 10, Fanout: 3, Seed: 17})
 	ctx := NewContext(st.Catalog())
-	res := Optimize(e, ctx)
+	res := optimizeLifted(t, e, ctx)
 	if res.NestedAfter != 0 {
 		t.Fatalf("aggregate query still nested: %s", res.Expr)
 	}
@@ -407,7 +407,7 @@ func TestCountBugScenario(t *testing.T) {
 		t.Fatalf("fixture must contain empty suppliers")
 	}
 	// The relational rules CAN handle count = 0 (Table 2) via an antijoin.
-	res := Optimize(e, ctx)
+	res := optimizeLifted(t, e, ctx)
 	if res.NestedAfter != 0 {
 		t.Fatalf("count=0 must unnest: %s", res.Expr)
 	}

@@ -179,7 +179,7 @@ func TestNestjoinNameCollisions(t *testing.T) {
 				adl.Sel("p", adl.CmpE(adl.In, adl.SubT(adl.V("p"), "pid"),
 					adl.Dot(adl.V("s"), "parts")), adl.T("PART")))),
 		adl.T("SUPPLIER"))
-	res := Optimize(q, ctx)
+	res := optimizeLifted(t, q, ctx)
 	if res.NestedAfter != 0 {
 		t.Fatalf("nestjoin-map did not unnest: %s", res.Expr)
 	}

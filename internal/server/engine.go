@@ -1,33 +1,44 @@
 // Package server is the serving layer: a long-lived query engine over one
 // storage.Store that executes OOSQL against pinned MVCC snapshots while
-// concurrent inserts land, planning through a prepared-query plan cache.
+// concurrent inserts land, planning through a two-level prepared-query cache.
 //
-// The cache is keyed on (query source, stats epoch). Statistics drift only
-// changes which plan is cheapest, never what a plan returns — the
-// differential suite proves every physical strategy result-equal — so a
-// cached plan is correct at any epoch; the epoch key exists to bound
-// staleness of plan *quality*. When the store's epoch moves past a cached
-// entry's (enough inserts since the last bump, or an index change), the
-// next request re-plans against freshly published statistics. Each
-// execution runs a clone of the cached operator tree (exec.CloneTree), so
-// concurrent requests never share iterator state.
+// Level 1 maps the exact query text to its physical plan and the stats epoch
+// it was priced under. Statistics drift only changes which plan is cheapest,
+// never what a plan returns — the differential suite proves every physical
+// strategy result-equal — so a cached plan is correct at any epoch; the epoch
+// exists to bound staleness of plan *quality*. When the store's epoch moves
+// past a cached entry's (enough inserts since the last bump, or an index
+// change), the next request re-plans against freshly published statistics.
+// Each execution runs a clone of the cached operator tree (exec.CloneTree),
+// so concurrent requests never share iterator state.
+//
+// Level 2 serves a text never seen, or one whose plan must be rebuilt, from
+// the rewritten form of its structure. adl.Lift takes the atomic literals out
+// of comparisons (`p.price < 1001` becomes `p.price < $0`) and encodes the rest
+// as the key; the paper's rewrite — most of the cost of a prepare — runs once
+// per such template, and a later query of the shape parses, translates, binds
+// its literals into the rewritten template and plans, so the planner prices
+// the query as written. Literals a rewrite rule reads (booleans, sets, 1 = 1,
+// the 0 of count(…) = 0) stay in the template and its key. A template hit
+// rebuilds the plan: it counts as a miss or a replan, and in TemplateHits.
+// Both levels hold a fixed number of entries (cache.go).
 //
 // Inserts advance the epoch through the store's mutation counter; deletes
 // and updates deliberately do not — their drift is caught from the other
 // end by runtime feedback: cached executions run instrumented, and when the
 // observed per-node row counts disagree with the plan's estimates past a
-// q-error threshold the entry is evicted and the epoch advanced, so the
-// next request re-plans against statistics that reflect the mutations.
+// q-error threshold and newer statistics exist, the entry is evicted and the
+// epoch advanced, so the next request re-plans against the mutations.
 package server
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/plan"
+	"repro/internal/rewrite"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -66,8 +77,8 @@ type Engine struct {
 	st   *storage.Store
 	opts Options
 
-	cacheMu sync.Mutex
-	cache   map[string]*cacheEntry
+	plans *clock[*cacheEntry] // level 1: query text → physical plan
+	tmpl  templates           // level 2: lifted structure → rewritten template
 
 	queries   atomic.Int64
 	inserts   atomic.Int64
@@ -79,16 +90,21 @@ type Engine struct {
 	evictions atomic.Int64
 }
 
-// cacheEntry is one prepared query: the plan and the stats epoch it was
-// priced under.
+// cacheEntry is one prepared query: the plan, and the stats epoch and the
+// statistics it was priced under.
 type cacheEntry struct {
 	epoch uint64
 	q     *core.Query
+	stats *storage.DBStats
+	// ackSeq is 1 + the store version at which feedback found the plan
+	// drifted under unchanged statistics; not checked again at that version.
+	ackSeq atomic.Uint64
 }
 
 // New builds an engine over a populated store.
 func New(st *storage.Store, opts Options) *Engine {
-	return &Engine{st: st, opts: opts, cache: map[string]*cacheEntry{}}
+	return &Engine{st: st, opts: opts, plans: newClock[*cacheEntry](planCacheCap),
+		tmpl: templates{cache: newClock[*rewrite.Result](templateCacheCap)}}
 }
 
 // Store exposes the underlying store (for diagnostics and direct loading).
@@ -114,38 +130,33 @@ type Result struct {
 
 // prepare resolves the plan for a query source at the given epoch, through
 // the cache unless disabled.
-func (e *Engine) prepare(src string, epoch uint64) (*core.Query, bool, bool, error) {
+func (e *Engine) prepare(src string, epoch uint64) (*cacheEntry, bool, bool, error) {
 	if e.opts.NoPlanCache {
-		q, err := e.plan(src)
-		return q, false, false, err
+		ent, err := e.plan(src, epoch, nil)
+		return ent, false, false, err
 	}
-	e.cacheMu.Lock()
-	ent := e.cache[src]
-	e.cacheMu.Unlock()
-	if ent != nil && ent.epoch == epoch {
+	old, cached := e.plans.get(src)
+	if cached && old.epoch == epoch {
 		e.hits.Add(1)
-		return ent.q, true, false, nil
+		return old, true, false, nil
 	}
 	// Miss or drift: plan outside the cache lock — planning can be costly
 	// and concurrent requests for other queries must not serialize on it.
-	q, err := e.plan(src)
+	ent, err := e.plan(src, epoch, &e.tmpl)
 	if err != nil {
 		return nil, false, false, err
 	}
-	replanned := ent != nil
-	if replanned {
+	if cached {
 		e.replans.Add(1)
 	} else {
 		e.misses.Add(1)
 	}
-	e.cacheMu.Lock()
-	e.cache[src] = &cacheEntry{epoch: epoch, q: q}
-	e.cacheMu.Unlock()
-	return q, false, replanned, nil
+	e.plans.put(src, ent)
+	return ent, false, cached, nil
 }
 
 // plan prepares a query against freshly published statistics.
-func (e *Engine) plan(src string) (*core.Query, error) {
+func (e *Engine) plan(src string, epoch uint64, tc core.TemplateCache) (*cacheEntry, error) {
 	stats := e.st.Analyze()
 	cfg := plan.Config{
 		Statistics:  stats,
@@ -158,7 +169,11 @@ func (e *Engine) plan(src string) (*core.Query, error) {
 			return nil, err
 		}
 	}
-	return core.PrepareCfg(src, e.st.Catalog(), cfg)
+	q, err := core.PrepareCached(src, e.st.Catalog(), cfg, tc)
+	if err != nil {
+		return nil, err
+	}
+	return &cacheEntry{epoch: epoch, q: q, stats: stats}, nil
 }
 
 // Query executes an OOSQL query against a snapshot pinned at call time:
@@ -169,11 +184,11 @@ func (e *Engine) Query(src string) (*Result, error) {
 	e.queries.Add(1)
 	sn := e.st.Snapshot()
 	defer sn.Release()
-	q, hit, replanned, err := e.prepare(src, sn.StatsEpoch())
+	ent, hit, replanned, err := e.prepare(src, sn.StatsEpoch())
 	if err != nil {
 		return nil, err
 	}
-	set, evicted, err := e.run(src, q, sn)
+	set, evicted, err := e.run(src, ent, sn)
 	if err != nil {
 		return nil, err
 	}
@@ -183,8 +198,9 @@ func (e *Engine) Query(src string) (*Result, error) {
 
 // run executes one prepared query against a pinned snapshot — instrumented
 // when feedback is on — and applies the post-execution drift check.
-func (e *Engine) run(src string, q *core.Query, sn *storage.Snapshot) (*value.Set, bool, error) {
-	if e.opts.NoPlanCache || e.opts.NoFeedback || q.Planned == nil {
+func (e *Engine) run(src string, ent *cacheEntry, sn *storage.Snapshot) (*value.Set, bool, error) {
+	q := ent.q
+	if e.opts.NoPlanCache || e.opts.NoFeedback || q.Planned == nil || ent.ackSeq.Load() == sn.Seq()+1 {
 		set, err := exec.Collect(exec.CloneTree(q.Plan), &exec.Ctx{DB: sn})
 		return set, false, err
 	}
@@ -195,7 +211,7 @@ func (e *Engine) run(src string, q *core.Query, sn *storage.Snapshot) (*value.Se
 		return nil, false, err
 	}
 	commit()
-	return set, e.feedback(src, q), nil
+	return set, e.feedback(src, ent, sn.Seq()), nil
 }
 
 // feedback compares a completed execution's observed row counts against the
@@ -203,23 +219,26 @@ func (e *Engine) run(src string, q *core.Query, sn *storage.Snapshot) (*value.Se
 // was priced under no longer describe the data (deletes and updates shift
 // cardinalities without re-ANALYZE): the entry is evicted and the stats
 // epoch advanced, so every cached plan re-prices against fresh statistics
-// on its next request. Drift never makes a plan wrong — every strategy is
-// result-equal — so correctness is untouched; this is purely a plan-quality
-// repair loop closing the estimate → execute → observe → re-plan cycle.
-func (e *Engine) feedback(src string, q *core.Query) bool {
+// on its next request — unless Analyze (memoized between mutations) still
+// returns what the plan was priced under: a re-plan would rebuild this plan
+// (dangling references, a shape no statistic covers), so entry and epoch
+// stay. Drift never makes a plan wrong — every strategy is result-equal — so
+// this is purely a plan-quality repair loop closing the estimate → execute →
+// observe → re-plan cycle.
+func (e *Engine) feedback(src string, ent *cacheEntry, seq uint64) bool {
 	thr := e.opts.FeedbackThreshold
 	if thr <= 0 {
 		thr = plan.DefaultFeedbackThreshold
 	}
-	d, ok := q.Planned.Feedback(e.opts.FeedbackMinRows)
+	d, ok := ent.q.Planned.Feedback(e.opts.FeedbackMinRows)
 	if !ok || d.Q <= thr {
 		return false
 	}
-	e.cacheMu.Lock()
-	if ent := e.cache[src]; ent != nil && ent.q == q {
-		delete(e.cache, src)
+	if e.st.Analyze() == ent.stats {
+		ent.ackSeq.Store(seq + 1)
+		return false
 	}
-	e.cacheMu.Unlock()
+	e.plans.remove(src, ent)
 	e.evictions.Add(1)
 	e.st.AdvanceStatsEpoch()
 	return true
@@ -234,15 +253,15 @@ func (e *Engine) QueryVerified(src string) (*Result, error) {
 	e.queries.Add(1)
 	sn := e.st.Snapshot()
 	defer sn.Release()
-	q, hit, replanned, err := e.prepare(src, sn.StatsEpoch())
+	ent, hit, replanned, err := e.prepare(src, sn.StatsEpoch())
 	if err != nil {
 		return nil, err
 	}
-	set, evicted, err := e.run(src, q, sn)
+	set, evicted, err := e.run(src, ent, sn)
 	if err != nil {
 		return nil, err
 	}
-	want, err := q.ExecuteNaive(sn)
+	want, err := ent.q.ExecuteNaive(sn)
 	if err != nil {
 		return nil, fmt.Errorf("server: serial re-execution failed: %w", err)
 	}
@@ -275,7 +294,9 @@ func (e *Engine) Update(extent string, oid value.OID, t *value.Tuple) error {
 	return e.st.Update(extent, oid, t)
 }
 
-// Metrics is a point-in-time counter snapshot.
+// Metrics is a point-in-time counter snapshot. TemplateHits counts plans
+// built from a cached rewritten template (each also a CacheMiss or a Replan),
+// CacheEntries the texts holding a plan.
 type Metrics struct {
 	Queries           int64  `json:"queries"`
 	Inserts           int64  `json:"inserts"`
@@ -285,6 +306,8 @@ type Metrics struct {
 	CacheMiss         int64  `json:"cache_misses"`
 	Replans           int64  `json:"replans"`
 	FeedbackEvictions int64  `json:"feedback_evictions"`
+	TemplateHits      int64  `json:"template_hits"`
+	CacheEntries      int64  `json:"cache_entries"`
 	StatsEpoch        uint64 `json:"stats_epoch"`
 	Seq               uint64 `json:"seq"`
 }
@@ -302,6 +325,8 @@ func (e *Engine) Metrics() Metrics {
 		CacheMiss:         e.misses.Load(),
 		Replans:           e.replans.Load(),
 		FeedbackEvictions: e.evictions.Load(),
+		TemplateHits:      e.tmpl.hits.Load(),
+		CacheEntries:      int64(e.plans.len()),
 		StatsEpoch:        sn.StatsEpoch(),
 		Seq:               sn.Seq(),
 	}

@@ -219,9 +219,8 @@ func TestFeedbackEvictsDriftedPlan(t *testing.T) {
 	if r1.Evicted {
 		t.Fatalf("accurate estimates must not evict")
 	}
-	eng.cacheMu.Lock()
-	q1 := eng.cache[src].q
-	eng.cacheMu.Unlock()
+	ent1, _ := eng.plans.get(src)
+	q1 := ent1.q
 
 	// Bulk delete shifts the cardinality 50x without advancing the epoch.
 	for _, oid := range blues[:980] {
@@ -254,9 +253,8 @@ func TestFeedbackEvictsDriftedPlan(t *testing.T) {
 	if r3.Evicted {
 		t.Fatalf("re-planned estimates match the data, nothing to evict")
 	}
-	eng.cacheMu.Lock()
-	q2 := eng.cache[src].q
-	eng.cacheMu.Unlock()
+	ent2, _ := eng.plans.get(src)
+	q2 := ent2.q
 
 	e1, ok1 := q1.Planned.Estimate(q1.Plan)
 	e2, ok2 := q2.Planned.Estimate(q2.Plan)
