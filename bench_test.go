@@ -727,3 +727,147 @@ func TestSetAllocations(t *testing.T) {
 		t.Errorf("hashing a stored tuple: %.0f allocations, want 0", got)
 	}
 }
+
+// tupleOps are the three row constructors under every join, nest and
+// projection, on a PART-shaped row.
+func tupleOps() (with, concat, subscript func() error) {
+	row := stored(1)[0].(*value.Tuple)
+	other := value.NewTuple("sname", value.String("s"), "city", value.String("c"))
+	attrs := []string{"pid", "price"}
+	set := value.EmptySet()
+	return func() error { row.With("ys", set); return nil },
+		func() error { _, err := row.Concat(other); return err },
+		func() error { _, err := row.Subscript(attrs); return err }
+}
+
+// BenchmarkTupleOps — a derived row once its derivation is warm: one shape
+// lookup and one vals copy.
+func BenchmarkTupleOps(b *testing.B) {
+	with, concat, subscript := tupleOps()
+	b.Run("with", func(b *testing.B) { run(b, with) })
+	b.Run("concat", func(b *testing.B) { run(b, concat) })
+	b.Run("subscript", func(b *testing.B) { run(b, subscript) })
+}
+
+// scalarFixtures are the scalar shapes of the analytic queries: the selection
+// `d.date < c`, the key `s.eid`, and the result constructor of the
+// delivery-join query, whose sname follows the supplier reference.
+func scalarFixtures(tb testing.TB) (ctx *exec.Ctx, d, s value.Value, cmp, field, tuple exec.Scalar) {
+	st := bench.Generate(bench.Config{Suppliers: 10, Parts: 10, Deliveries: 10, Seed: 94})
+	first := func(extent string) value.Value {
+		set, err := st.Table(extent)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return set.Elems()[0]
+	}
+	cmp = exec.NewScalar(adl.CmpE(adl.Lt, adl.Dot(adl.V("d"), "date"), adl.C(value.Date(940105))), "d")
+	field = exec.NewScalar(adl.Dot(adl.V("s"), "eid"), "s")
+	tuple = exec.NewScalar(adl.Tup("sname", adl.Dot(adl.Dot(adl.V("d"), "supplier"), "sname"),
+		"date", adl.Dot(adl.V("d"), "date")), "d")
+	return &exec.Ctx{DB: st}, first("DELIVERY"), first("SUPPLIER"), cmp, field, tuple
+}
+
+// BenchmarkScalarEval — one evaluation of each compiled scalar shape.
+func BenchmarkScalarEval(b *testing.B) {
+	ctx, d, s, cmp, field, tuple := scalarFixtures(b)
+	b.Run("field", func(b *testing.B) {
+		run(b, func() error { _, err := field.Eval(ctx, s); return err })
+	})
+	b.Run("cmp", func(b *testing.B) {
+		run(b, func() error { _, err := cmp.Bool(ctx, d); return err })
+	})
+	b.Run("tuple", func(b *testing.B) {
+		run(b, func() error { _, err := tuple.Eval(ctx, d); return err })
+	})
+}
+
+// TestRowAllocations pins the per-row fixed costs: a derived row on a seen
+// layout is the tuple and its vals, and a compiled field access or comparison
+// allocates nothing — no environment frame, no argument slice.
+func TestRowAllocations(t *testing.T) {
+	with, concat, subscript := tupleOps()
+	ctx, d, s, cmp, field, _ := scalarFixtures(t)
+	for _, c := range []struct {
+		name string
+		want float64
+		f    func() error
+	}{
+		{"With", 2, with},
+		{"Concat", 2, concat},
+		{"Subscript", 2, subscript},
+		{"Scalar.Bool of d.date < c", 0, func() error { _, err := cmp.Bool(ctx, d); return err }},
+		{"Scalar.Eval of s.eid", 0, func() error { _, err := field.Eval(ctx, s); return err }},
+	} {
+		if err := c.f(); err != nil { // also derives the shape
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := testing.AllocsPerRun(100, func() { _ = c.f() }); got != c.want {
+			t.Errorf("%s: %.0f allocations, want %.0f", c.name, got, c.want)
+		}
+	}
+}
+
+// analyticEngine is the analytic.default workload of benchmark/: its store
+// (4000 suppliers, 8000 parts, 20000 deliveries, both PART indexes) behind an
+// engine with default options, and its six query texts.
+func analyticEngine(tb testing.TB) (*server.Engine, [][2]string) {
+	st := bench.Generate(bench.Config{Suppliers: 4000, Parts: 8000, Deliveries: 20000,
+		Fanout: 8, EmptyFrac: 0.05, Seed: 94})
+	for attr, kind := range map[string]storage.IndexKind{"color": storage.HashIndex, "price": storage.OrderedIndex} {
+		if err := st.CreateIndex("PART", attr, kind); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return server.New(st, server.Options{}), [][2]string{
+		{"eq5-semijoin", eq5Query},
+		{"eq4-antijoin", `select s.eid from s in SUPPLIER
+ where exists z in s.parts_supplied : not exists p in PART : z = p`},
+		{"eq6-nestjoin", `select (sname = s.sname,
+        pnames = select p.pname from p in PART where p in s.parts_supplied and p.color = "red")
+ from s in SUPPLIER`},
+		{"materialize", materializeQuery},
+		{"delivery-semi", `select s.sname from s in SUPPLIER
+ where exists d in DELIVERY : d.supplier = s and d.date < 940105`},
+		{"delivery-join", `select (sname = d.supplier.sname, date = d.date)
+ from d in DELIVERY where d.date < 940105`},
+	}
+}
+
+// BenchmarkAnalyticCycle — each query of analytic.default as a plan-cache
+// hit, and the six in a row; `make profile` profiles the latter.
+func BenchmarkAnalyticCycle(b *testing.B) {
+	eng, queries := analyticEngine(b)
+	all := func() error {
+		for _, q := range queries {
+			if _, err := eng.Query(q[1]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := all(); err != nil { // warm the plan cache
+		b.Fatal(err)
+	}
+	for _, q := range queries {
+		b.Run(q[0], func(b *testing.B) {
+			run(b, func() error { _, err := eng.Query(q[1]); return err })
+		})
+	}
+	b.Run("cycle", func(b *testing.B) { run(b, all) })
+}
+
+// BenchmarkParallelFilter — the exchange alone: σ[d.date < c] over the 20000
+// deliveries of the analytic store on the worker pool, a seventh of the rows
+// passing. The chunk size of internal/exec/parallel.go was swept on it.
+func BenchmarkParallelFilter(b *testing.B) {
+	st := bench.Generate(bench.Config{Suppliers: 40, Parts: 80, Deliveries: 20000, Seed: 94})
+	ctx := &exec.Ctx{DB: st}
+	pred := exec.NewScalar(adl.CmpE(adl.Lt, adl.Dot(adl.V("d"), "date"), adl.C(value.Date(940105))), "d")
+	b.Run("D20000", func(b *testing.B) {
+		run(b, func() error {
+			_, err := exec.Collect(&exec.ParallelFilter{Child: &exec.Scan{Table: "DELIVERY"}, Var: "d", Pred: pred}, ctx)
+			return err
+		})
+	})
+}

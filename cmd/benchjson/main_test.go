@@ -178,58 +178,55 @@ func TestCompareDisjointFiles(t *testing.T) {
 	}
 }
 
-func TestAllocGatePairsAndBudget(t *testing.T) {
+func TestAllocGateArmsAndCeiling(t *testing.T) {
 	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatalf("open devnull: %v", err)
 	}
 	defer devnull.Close()
 	f := File{Results: []Result{
-		// Within budget: 40 ≤ 5% of 1000.
-		{Name: "BenchmarkB13/scalar/S400", AllocsPerOp: 1000, NsPerOp: 1},
-		{Name: "BenchmarkB13/vectorized/S400", AllocsPerOp: 40, NsPerOp: 1},
-		// Over budget — and the _exec suffix must still pair up.
-		{Name: "BenchmarkB1/scalar_exec/S400", AllocsPerOp: 1000, NsPerOp: 1},
-		{Name: "BenchmarkB1/vectorized_exec/S400", AllocsPerOp: 60, NsPerOp: 1},
-		// No vectorized twin: skipped, not failed.
-		{Name: "BenchmarkB2/scalar/S400", AllocsPerOp: 500, NsPerOp: 1},
+		// Scalar and tuple-parallel arms are not gated, whatever they allocate.
+		{Name: "BenchmarkB14/scalar/S400", AllocsPerOp: 100000, NsPerOp: 1},
+		{Name: "BenchmarkB14/parallel/S400", AllocsPerOp: 100000, NsPerOp: 1},
+		// Within the ceiling.
+		{Name: "BenchmarkB14/vectorized/S400", AllocsPerOp: 40, NsPerOp: 1},
+		{Name: "BenchmarkB14/parallel-vectorized/S400", AllocsPerOp: 300, NsPerOp: 1},
+		// Over it — and the _exec suffix must still count as a batch arm.
+		{Name: "BenchmarkB1/vectorized_exec/S400", AllocsPerOp: 1300, NsPerOp: 1},
 		// Zero alloc counts (no -benchmem): skipped.
-		{Name: "BenchmarkB3/scalar/S400", NsPerOp: 1},
 		{Name: "BenchmarkB3/vectorized/S400", NsPerOp: 1},
 	}}
-	failed, compared := allocGate(f, 5, regexp.MustCompile(""), devnull)
-	if compared != 2 {
-		t.Fatalf("compared = %d, want 2 (unpaired and alloc-less entries skipped)", compared)
+	failed, compared := allocGate(f, 512, regexp.MustCompile(""), devnull)
+	if compared != 3 {
+		t.Fatalf("compared = %d, want 3 (non-batch and alloc-less entries skipped)", compared)
 	}
 	if failed != 1 {
-		t.Fatalf("failed = %d, want 1 (only the 6%% pair)", failed)
+		t.Fatalf("failed = %d, want 1 (only the 1300-alloc arm)", failed)
 	}
-	// A looser budget clears the failing pair.
-	if fl, _ := allocGate(f, 10, regexp.MustCompile(""), devnull); fl != 0 {
-		t.Fatalf("failed = %d at 10%% budget, want 0", fl)
+	// A higher ceiling clears the failing arm.
+	if fl, _ := allocGate(f, 2000, regexp.MustCompile(""), devnull); fl != 0 {
+		t.Fatalf("failed = %d at a ceiling of 2000, want 0", fl)
 	}
 }
 
-func TestAllocGateMatchRestrictsPairs(t *testing.T) {
+func TestAllocGateMatchRestrictsArms(t *testing.T) {
 	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatalf("open devnull: %v", err)
 	}
 	defer devnull.Close()
 	f := File{Results: []Result{
-		// Smoke scale: over budget, but excluded by -match S400.
-		{Name: "BenchmarkB13/scalar/S100", AllocsPerOp: 100, NsPerOp: 1},
-		{Name: "BenchmarkB13/vectorized/S100", AllocsPerOp: 40, NsPerOp: 1},
-		// Full scale: within budget.
-		{Name: "BenchmarkB13/scalar/S400", AllocsPerOp: 1000, NsPerOp: 1},
+		// Another scale: over the ceiling, but excluded by -match S400.
+		{Name: "BenchmarkB13/vectorized/S1600", AllocsPerOp: 900, NsPerOp: 1},
+		// Full scale: within it.
 		{Name: "BenchmarkB13/vectorized/S400", AllocsPerOp: 40, NsPerOp: 1},
 	}}
-	failed, compared := allocGate(f, 5, regexp.MustCompile("S400"), devnull)
+	failed, compared := allocGate(f, 512, regexp.MustCompile("S400"), devnull)
 	if compared != 1 || failed != 0 {
 		t.Fatalf("S400-matched gate = %d failed, %d compared; want 0, 1", failed, compared)
 	}
-	// Without the restriction the smoke pair fails the budget.
-	failed, compared = allocGate(f, 5, regexp.MustCompile(""), devnull)
+	// Without the restriction the other arm fails.
+	failed, compared = allocGate(f, 512, regexp.MustCompile(""), devnull)
 	if compared != 2 || failed != 1 {
 		t.Fatalf("unrestricted gate = %d failed, %d compared; want 1, 2", failed, compared)
 	}

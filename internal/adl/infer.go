@@ -112,6 +112,9 @@ func Infer(e Expr, env TypeEnv, r TypeResolver) (types.Type, error) {
 			if !ok {
 				return nil, fmt.Errorf("adl: subscript on missing attribute %q", a)
 			}
+			if _, dup := out.Field(a); dup {
+				return nil, fmt.Errorf("adl: subscript repeats attribute %q", a)
+			}
 			out.Fields = append(out.Fields, types.Field{Name: a, Type: ft})
 		}
 		return out, nil

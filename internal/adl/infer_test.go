@@ -182,6 +182,11 @@ func TestInferScalarOps(t *testing.T) {
 	if err != nil || ty.String() != "(b: string)" {
 		t.Errorf("subscript type = %s, %v", ty, err)
 	}
+	// A repeated attribute would type as a tuple with two fields of one name.
+	if ty, err := Infer(SubT(V("t"), "a", "a"), env, testResolver{}); err == nil ||
+		!strings.Contains(err.Error(), `repeats attribute "a"`) {
+		t.Errorf("subscript [a, a] = %v, %v; want a repeated-attribute error", ty, err)
+	}
 	ty, err = Infer(Exc(V("t"), "a", CStr("s"), "z", CInt(1)), env, testResolver{})
 	if err != nil || ty.String() != "(a: string, b: string, z: int)" {
 		t.Errorf("except type = %s, %v", ty, err)

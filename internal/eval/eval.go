@@ -59,18 +59,18 @@ func Eval(e adl.Expr, env *Env, db DB) (value.Value, error) {
 		return db.Table(n.Name)
 
 	case *adl.Field:
-		return evalField(n, env, db)
+		x, err := Eval(n.X, env, db)
+		if err != nil {
+			return nil, err
+		}
+		return Field(x, n.Name, db)
 
 	case *adl.TupleExpr:
-		t := value.EmptyTuple()
-		for i, name := range n.Names {
-			v, err := Eval(n.Elems[i], env, db)
-			if err != nil {
-				return nil, err
-			}
-			t = t.With(name, v)
+		vals, err := evalAll(n.Elems, env, db)
+		if err != nil {
+			return nil, err
 		}
-		return t, nil
+		return Tuple(n.Names, vals)
 
 	case *adl.SetExpr:
 		s := value.NewSetCap(len(n.Elems))
@@ -95,13 +95,13 @@ func Eval(e adl.Expr, env *Env, db DB) (value.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		upd := value.EmptyTuple()
-		for i, name := range n.Names {
-			v, err := Eval(n.Elems[i], env, db)
-			if err != nil {
-				return nil, err
-			}
-			upd = upd.With(name, v)
+		vals, err := evalAll(n.Elems, env, db)
+		if err != nil {
+			return nil, err
+		}
+		upd, err := Tuple(n.Names, vals)
+		if err != nil {
+			return nil, err
 		}
 		return t.Except(upd), nil
 
@@ -117,10 +117,26 @@ func Eval(e adl.Expr, env *Env, db DB) (value.Value, error) {
 		return l.Concat(r)
 
 	case *adl.Cmp:
-		return evalCmp(n, env, db)
+		l, err := Eval(n.L, env, db)
+		if err != nil {
+			return nil, err
+		}
+		r, err := Eval(n.R, env, db)
+		if err != nil {
+			return nil, err
+		}
+		return Cmp(n.Op, l, r)
 
 	case *adl.Arith:
-		return evalArith(n, env, db)
+		l, err := Eval(n.L, env, db)
+		if err != nil {
+			return nil, err
+		}
+		r, err := Eval(n.R, env, db)
+		if err != nil {
+			return nil, err
+		}
+		return Arith(n.Op, l, r)
 
 	case *adl.Not:
 		b, err := evalBool(n.X, env, db, "¬")
@@ -205,7 +221,7 @@ func Eval(e adl.Expr, env *Env, db DB) (value.Value, error) {
 		}
 		out := value.NewSetCap(src.Len())
 		for _, x := range src.Elems() {
-			keep, err := evalBoolBound(n.Pred, env.Bind(n.Var, x), db, "σ predicate")
+			keep, err := evalBool(n.Pred, env.Bind(n.Var, x), db, "σ predicate")
 			if err != nil {
 				return nil, err
 			}
@@ -255,7 +271,7 @@ func Eval(e adl.Expr, env *Env, db DB) (value.Value, error) {
 			return nil, err
 		}
 		for _, x := range src.Elems() {
-			ok, err := evalBoolBound(n.Pred, env.Bind(n.Var, x), db, "quantifier predicate")
+			ok, err := evalBool(n.Pred, env.Bind(n.Var, x), db, "quantifier predicate")
 			if err != nil {
 				return nil, err
 			}
@@ -274,7 +290,7 @@ func Eval(e adl.Expr, env *Env, db DB) (value.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		return evalAgg(n.Op, s)
+		return Agg(n.Op, s)
 
 	case *adl.Rename:
 		src, err := evalSet(n.X, env, db, "ρ")
@@ -325,13 +341,13 @@ func EvalSet(e adl.Expr, env *Env, db DB) (*value.Set, error) {
 	return s, nil
 }
 
-func evalField(n *adl.Field, env *Env, db DB) (value.Value, error) {
-	x, err := Eval(n.X, env, db)
-	if err != nil {
-		return nil, err
-	}
-	// Implicit pointer navigation: path expressions over oid references are
-	// followed through the object store.
+// The functions from here to Agg are the value-level semantics of the scalar
+// operators: one definition, with its error text, shared by Eval above and by
+// the compiled scalars of package exec.
+
+// Field is x.name, following x through the object store if it is an oid
+// (implicit pointer navigation along path expressions).
+func Field(x value.Value, name string, db DB) (value.Value, error) {
 	if oid, ok := x.(value.OID); ok {
 		obj, err := db.Deref(oid)
 		if err != nil {
@@ -341,35 +357,37 @@ func evalField(n *adl.Field, env *Env, db DB) (value.Value, error) {
 	}
 	t, ok := x.(*value.Tuple)
 	if !ok {
-		return nil, fmt.Errorf("eval: field access .%s on %s", n.Name, x.Kind())
+		return nil, fmt.Errorf("eval: field access .%s on %s", name, x.Kind())
 	}
-	v, ok := t.Get(n.Name)
+	v, ok := t.Get(name)
 	if !ok {
-		return nil, fmt.Errorf("eval: tuple %v has no attribute %q", t, n.Name)
+		return nil, fmt.Errorf("eval: tuple %v has no attribute %q", t, name)
 	}
 	return v, nil
 }
 
-func evalCmp(n *adl.Cmp, env *Env, db DB) (value.Value, error) {
-	l, err := Eval(n.L, env, db)
+// Tuple is the tuple constructor ⟨names[i] = vals[i]⟩; it retains vals.
+func Tuple(names []string, vals []value.Value) (*value.Tuple, error) {
+	shape, err := value.ShapeOf(names)
 	if err != nil {
 		return nil, err
 	}
-	r, err := Eval(n.R, env, db)
-	if err != nil {
-		return nil, err
-	}
-	switch n.Op {
+	return shape.New(vals), nil
+}
+
+// Cmp applies a comparison operator.
+func Cmp(op adl.CmpOp, l, r value.Value) (value.Value, error) {
+	switch op {
 	case adl.Eq:
 		return value.Bool(value.Equal(l, r)), nil
 	case adl.Ne:
 		return value.Bool(!value.Equal(l, r)), nil
 	case adl.Lt, adl.Le, adl.Gt, adl.Ge:
 		if l.Kind() != r.Kind() || !orderedKind(l.Kind()) {
-			return nil, fmt.Errorf("eval: ordered comparison %s on %s and %s", n.Op, l.Kind(), r.Kind())
+			return nil, fmt.Errorf("eval: ordered comparison %s on %s and %s", op, l.Kind(), r.Kind())
 		}
 		c := value.Compare(l, r)
-		switch n.Op {
+		switch op {
 		case adl.Lt:
 			return value.Bool(c < 0), nil
 		case adl.Le:
@@ -395,9 +413,9 @@ func evalCmp(n *adl.Cmp, env *Env, db DB) (value.Value, error) {
 		ls, ok1 := l.(*value.Set)
 		rs, ok2 := r.(*value.Set)
 		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("eval: %s requires set operands, got %s and %s", n.Op, l.Kind(), r.Kind())
+			return nil, fmt.Errorf("eval: %s requires set operands, got %s and %s", op, l.Kind(), r.Kind())
 		}
-		switch n.Op {
+		switch op {
 		case adl.Sub:
 			return value.Bool(ls.ProperSubsetOf(rs)), nil
 		case adl.SubEq:
@@ -419,21 +437,14 @@ func orderedKind(k value.Kind) bool {
 	return false
 }
 
-func evalArith(n *adl.Arith, env *Env, db DB) (value.Value, error) {
-	l, err := Eval(n.L, env, db)
-	if err != nil {
-		return nil, err
-	}
-	r, err := Eval(n.R, env, db)
-	if err != nil {
-		return nil, err
-	}
+// Arith applies an arithmetic operator.
+func Arith(op adl.ArithOp, l, r value.Value) (value.Value, error) {
 	if li, ok := l.(value.Int); ok {
 		ri, ok := r.(value.Int)
 		if !ok {
 			return nil, fmt.Errorf("eval: arithmetic on int and %s", r.Kind())
 		}
-		switch n.Op {
+		switch op {
 		case adl.Add:
 			return li + ri, nil
 		case adl.Subtract:
@@ -452,7 +463,7 @@ func evalArith(n *adl.Arith, env *Env, db DB) (value.Value, error) {
 		if !ok {
 			return nil, fmt.Errorf("eval: arithmetic on float and %s", r.Kind())
 		}
-		switch n.Op {
+		switch op {
 		case adl.Add:
 			return lf + rf, nil
 		case adl.Subtract:
@@ -603,9 +614,7 @@ func evalJoin(n *adl.Join, env *Env, db DB) (value.Value, error) {
 		nullPad = value.EmptyTuple()
 		if len(r.Elems()) > 0 {
 			if rt, ok := r.Elems()[0].(*value.Tuple); ok {
-				for _, name := range rt.Names() {
-					nullPad = nullPad.With(name, value.Null{})
-				}
+				nullPad = value.NullTuple(rt.Shape)
 			}
 		}
 	}
@@ -621,7 +630,7 @@ func evalJoin(n *adl.Join, env *Env, db DB) (value.Value, error) {
 		}
 		for _, rv := range r.Elems() {
 			benv := env.Bind(n.LVar, lv).Bind(n.RVar, rv)
-			ok, err := evalBoolBound(n.On, benv, db, "join predicate")
+			ok, err := evalBool(n.On, benv, db, "join predicate")
 			if err != nil {
 				return nil, err
 			}
@@ -731,7 +740,8 @@ func evalDivide(n *adl.Divide, env *Env, db DB) (value.Value, error) {
 	return out, nil
 }
 
-func evalAgg(op adl.AggOp, s *value.Set) (value.Value, error) {
+// Agg applies an aggregate to a set.
+func Agg(op adl.AggOp, s *value.Set) (value.Value, error) {
 	if op == adl.Count {
 		return value.Int(int64(s.Len())), nil
 	}
@@ -857,16 +867,24 @@ func refOID(el value.Value) (value.OID, error) {
 	return 0, fmt.Errorf("eval: reference element %v is not an oid", el)
 }
 
+func evalAll(es []adl.Expr, env *Env, db DB) ([]value.Value, error) {
+	vals := make([]value.Value, len(es))
+	for i, e := range es {
+		v, err := Eval(e, env, db)
+		if err != nil {
+			return nil, err
+		}
+		vals[i] = v
+	}
+	return vals, nil
+}
+
 func evalSet(e adl.Expr, env *Env, db DB, op string) (*value.Set, error) {
 	v, err := Eval(e, env, db)
 	if err != nil {
 		return nil, err
 	}
-	s, ok := v.(*value.Set)
-	if !ok {
-		return nil, fmt.Errorf("eval: %s requires a set operand, got %s", op, v.Kind())
-	}
-	return s, nil
+	return AsSet(v, op)
 }
 
 func evalTuple(e adl.Expr, env *Env, db DB, op string) (*value.Tuple, error) {
@@ -874,7 +892,29 @@ func evalTuple(e adl.Expr, env *Env, db DB, op string) (*value.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Implicit pointer navigation also applies to tuple positions.
+	return AsTuple(v, db, op)
+}
+
+func evalBool(e adl.Expr, env *Env, db DB, op string) (bool, error) {
+	v, err := Eval(e, env, db)
+	if err != nil {
+		return false, err
+	}
+	return AsBool(v, op)
+}
+
+// AsSet requires v, an operand of op, to be a set.
+func AsSet(v value.Value, op string) (*value.Set, error) {
+	s, ok := v.(*value.Set)
+	if !ok {
+		return nil, fmt.Errorf("eval: %s requires a set operand, got %s", op, v.Kind())
+	}
+	return s, nil
+}
+
+// AsTuple requires v, an operand of op, to be a tuple or an oid, which is
+// followed (implicit pointer navigation also applies to tuple positions).
+func AsTuple(v value.Value, db DB, op string) (*value.Tuple, error) {
 	if oid, ok := v.(value.OID); ok {
 		return db.Deref(oid)
 	}
@@ -885,15 +925,8 @@ func evalTuple(e adl.Expr, env *Env, db DB, op string) (*value.Tuple, error) {
 	return t, nil
 }
 
-func evalBool(e adl.Expr, env *Env, db DB, op string) (bool, error) {
-	return evalBoolBound(e, env, db, op)
-}
-
-func evalBoolBound(e adl.Expr, env *Env, db DB, op string) (bool, error) {
-	v, err := Eval(e, env, db)
-	if err != nil {
-		return false, err
-	}
+// AsBool requires v, an operand of op, to be a boolean.
+func AsBool(v value.Value, op string) (bool, error) {
 	b, ok := v.(value.Bool)
 	if !ok {
 		return false, fmt.Errorf("eval: %s requires a boolean, got %s", op, v.Kind())

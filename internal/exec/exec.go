@@ -15,6 +15,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/adl"
 	"repro/internal/eval"
@@ -36,44 +37,6 @@ type Operator interface {
 	Next() (row value.Value, ok bool, err error)
 	// Close releases resources. Close is idempotent.
 	Close() error
-}
-
-// Scalar is a compiled scalar expression evaluated against operator rows:
-// Vars name the positional bindings supplied at call time, on top of the
-// plan context's outer environment.
-type Scalar struct {
-	Vars []string
-	Expr adl.Expr
-}
-
-// NewScalar builds a scalar over the given variables.
-func NewScalar(e adl.Expr, vars ...string) Scalar {
-	return Scalar{Vars: vars, Expr: e}
-}
-
-// Eval evaluates the scalar with the given variable values.
-func (s Scalar) Eval(ctx *Ctx, vals ...value.Value) (value.Value, error) {
-	if len(vals) != len(s.Vars) {
-		return nil, fmt.Errorf("exec: scalar arity mismatch: %d vars, %d values", len(s.Vars), len(vals))
-	}
-	env := ctx.Env
-	for i, v := range s.Vars {
-		env = env.Bind(v, vals[i])
-	}
-	return eval.Eval(s.Expr, env, ctx.DB)
-}
-
-// Bool evaluates the scalar as a predicate.
-func (s Scalar) Bool(ctx *Ctx, vals ...value.Value) (bool, error) {
-	v, err := s.Eval(ctx, vals...)
-	if err != nil {
-		return false, err
-	}
-	b, ok := v.(value.Bool)
-	if !ok {
-		return false, fmt.Errorf("exec: predicate returned %s", v.Kind())
-	}
-	return bool(b), nil
 }
 
 // Collect drains an operator into a set (deduplicating, per set semantics).
@@ -112,9 +75,10 @@ func Collect(op Operator, ctx *Ctx) (_ *value.Set, err error) {
 // row; buffered is how many are left to hand up.
 type blocking interface{ buffered() int }
 
-// rowBuf is the output side of a blocking operator: Open computes every row
-// into out, the promoted Next hands them up. It is embedded — an unexported
-// field, so CloneTree leaves it zero — and lets Collect size the result set.
+// rowBuf is the output side of a blocking operator and of a leaf scan: Open
+// computes every row into out (or points out at the extent), the promoted
+// Next hands them up. It is embedded — an unexported field, so CloneTree
+// leaves it zero — and lets Collect and drain size their results.
 type rowBuf struct {
 	out []value.Value
 	pos int
@@ -155,6 +119,9 @@ func drain(op Operator, ctx *Ctx) (_ []value.Value, err error) {
 		}
 	}()
 	var rows []value.Value
+	if b, ok := op.(blocking); ok {
+		rows = make([]value.Value, 0, b.buffered())
+	}
 	for {
 		row, ok, err := op.Next()
 		if err != nil {
@@ -162,6 +129,11 @@ func drain(op Operator, ctx *Ctx) (_ []value.Value, err error) {
 		}
 		if !ok {
 			return rows, nil
+		}
+		if len(rows) == cap(rows) {
+			// A streaming operand's size is not known: double, where append
+			// would grow a long slice by a quarter and copy it five times over.
+			rows = slices.Grow(rows, max(len(rows), chunkRows))
 		}
 		rows = append(rows, row)
 	}
@@ -184,8 +156,7 @@ func asTuple(row value.Value, op string) (*value.Tuple, error) {
 type Scan struct {
 	Table string
 
-	rows []value.Value
-	pos  int
+	rowBuf
 }
 
 // Open materializes the extent.
@@ -194,43 +165,22 @@ func (s *Scan) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	s.rows = set.Elems()
-	s.pos = 0
+	s.out, s.pos = set.Elems(), 0
 	return nil
 }
 
-// Next yields the next object.
-func (s *Scan) Next() (value.Value, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	row := s.rows[s.pos]
-	s.pos++
-	return row, true, nil
-}
-
 // Close releases the scan.
-func (s *Scan) Close() error { s.rows = nil; return nil }
+func (s *Scan) Close() error { s.out = nil; return nil }
 
 // SetScan iterates an in-memory set.
 type SetScan struct {
 	Set *value.Set
 
-	pos int
+	rowBuf
 }
 
 // Open resets the iterator.
-func (s *SetScan) Open(*Ctx) error { s.pos = 0; return nil }
-
-// Next yields the next element.
-func (s *SetScan) Next() (value.Value, bool, error) {
-	if s.pos >= s.Set.Len() {
-		return nil, false, nil
-	}
-	row := s.Set.Elems()[s.pos]
-	s.pos++
-	return row, true, nil
-}
+func (s *SetScan) Open(*Ctx) error { s.out, s.pos = s.Set.Elems(), 0; return nil }
 
 // Close is a no-op.
 func (s *SetScan) Close() error { return nil }
@@ -241,8 +191,7 @@ func (s *SetScan) Close() error { return nil }
 type ExprScan struct {
 	Expr adl.Expr
 
-	rows []value.Value
-	pos  int
+	rowBuf
 }
 
 // Open evaluates the expression.
@@ -251,23 +200,12 @@ func (s *ExprScan) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	s.rows = set.Elems()
-	s.pos = 0
+	s.out, s.pos = set.Elems(), 0
 	return nil
 }
 
-// Next yields the next element.
-func (s *ExprScan) Next() (value.Value, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	row := s.rows[s.pos]
-	s.pos++
-	return row, true, nil
-}
-
 // Close releases the buffer.
-func (s *ExprScan) Close() error { s.rows = nil; return nil }
+func (s *ExprScan) Close() error { s.out = nil; return nil }
 
 // ---------------------------------------------------------------------------
 // Row-at-a-time operators

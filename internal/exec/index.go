@@ -48,8 +48,7 @@ type IndexScan struct {
 	Lo, Hi         *Scalar
 	LoIncl, HiIncl bool
 
-	rows []value.Value
-	pos  int
+	rowBuf
 }
 
 // Open evaluates the bounds and runs the probe.
@@ -69,7 +68,7 @@ func (s *IndexScan) Open(ctx *Ctx) error {
 		if err != nil {
 			return err
 		}
-		s.rows, err = idb.IndexLookup(s.Table, s.Attr, key)
+		s.out, err = idb.IndexLookup(s.Table, s.Attr, key)
 		if err != nil {
 			return err
 		}
@@ -82,7 +81,7 @@ func (s *IndexScan) Open(ctx *Ctx) error {
 		if err != nil {
 			return err
 		}
-		s.rows, err = idb.IndexRange(s.Table, s.Attr, lo, hi, s.LoIncl, s.HiIncl)
+		s.out, err = idb.IndexRange(s.Table, s.Attr, lo, hi, s.LoIncl, s.HiIncl)
 		if err != nil {
 			return err
 		}
@@ -91,18 +90,8 @@ func (s *IndexScan) Open(ctx *Ctx) error {
 	return nil
 }
 
-// Next yields the next matching object.
-func (s *IndexScan) Next() (value.Value, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	row := s.rows[s.pos]
-	s.pos++
-	return row, true, nil
-}
-
 // Close releases the buffer.
-func (s *IndexScan) Close() error { s.rows = nil; return nil }
+func (s *IndexScan) Close() error { s.out = nil; return nil }
 
 // IndexNLJoin is the index-nested-loop join: the outer operand L streams,
 // and each outer row's key LKey probes the secondary index on Table.Attr —

@@ -145,16 +145,12 @@ func indexKeys(keys []value.Value) *value.Index {
 
 // outerNullPad builds the null tuple over the right schema for outer joins.
 func outerNullPad(kind adl.JoinKind, right []value.Value) *value.Tuple {
-	pad := value.EmptyTuple()
-	if kind != adl.Outer || len(right) == 0 {
-		return pad
-	}
-	if rt, ok := right[0].(*value.Tuple); ok {
-		for _, name := range rt.Names() {
-			pad = pad.With(name, value.Null{})
+	if kind == adl.Outer && len(right) > 0 {
+		if rt, ok := right[0].(*value.Tuple); ok {
+			return value.NullTuple(rt.Shape)
 		}
 	}
-	return pad
+	return value.EmptyTuple()
 }
 
 // HashJoin is the set-oriented join family on equi-keys: it builds a hash
@@ -184,6 +180,7 @@ type HashJoin struct {
 // partitioned variant uses per partition.
 func (j *HashJoin) Open(ctx *Ctx) error {
 	j.ctx = ctx
+	lkey, rkey := joinKeys(j.LKey, j.RKey)
 	var err error
 	j.right, err = drain(j.R, ctx)
 	if err != nil {
@@ -191,7 +188,7 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 	}
 	j.rkeys = make([]value.Value, len(j.right))
 	for i, rrow := range j.right {
-		if j.rkeys[i], err = j.RKey.Eval(ctx, rrow); err != nil {
+		if j.rkeys[i], err = rkey.Eval(ctx, rrow); err != nil {
 			return err
 		}
 	}
@@ -207,7 +204,7 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 		if err != nil {
 			return err
 		}
-		lk, err := j.LKey.Eval(ctx, lrow)
+		lk, err := lkey.Eval(ctx, lrow)
 		if err != nil {
 			return err
 		}

@@ -15,6 +15,8 @@ type UnnestOp struct {
 
 	pending []value.Value
 	ppos    int
+	// out is elem ∘ rest, derived when an element or its row changes layout.
+	elem, rest, out *value.Shape
 }
 
 // Open opens the child.
@@ -56,11 +58,16 @@ func (u *UnnestOp) Next() (value.Value, bool, error) {
 			if !ok {
 				return nil, false, fmt.Errorf("exec: μ element of %q is not a tuple", u.Attr)
 			}
-			cat, err := et.Concat(rest)
-			if err != nil {
-				return nil, false, err
+			if et.Shape != u.elem || rest.Shape != u.rest {
+				out, err := et.Shape.Concat(rest.Shape)
+				if err != nil {
+					return nil, false, err
+				}
+				u.elem, u.rest, u.out = et.Shape, rest.Shape, out
 			}
-			u.pending = append(u.pending, cat)
+			vals := make([]value.Value, 0, u.out.Len())
+			vals = append(append(vals, et.Vals()...), rest.Vals()...)
+			u.pending = append(u.pending, u.out.New(vals))
 		}
 	}
 }

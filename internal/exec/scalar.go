@@ -1,0 +1,315 @@
+package exec
+
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/adl"
+	"repro/internal/eval"
+	"repro/internal/value"
+)
+
+// Scalar is a scalar expression compiled for evaluation against operator
+// rows: Vars name the positional bindings supplied at call time, on top of
+// the plan context's outer environment. Every physical operator is unary or
+// binary, so a scalar ranges over at most two rows.
+//
+// NewScalar is the only constructor. It compiles Expr once, at plan time,
+// into prog: a tree of closures in which a variable is a positional slot, a
+// constant is captured, a tuple constructor's shape is already derived, and
+// no eval.Env exists. The tree is immutable — closures capture plan-time
+// values only, never anything a run produced — so CloneTree copies it with
+// the struct and the workers of a parallel operator share one Scalar.
+type Scalar struct {
+	Vars []string
+	Expr adl.Expr
+
+	prog prog
+}
+
+// prog evaluates one compiled node; a and b are the values of Vars[0] and
+// Vars[1] (nil where the scalar has fewer). Passing the slots by value keeps
+// the caller's argument list off the heap: nothing handed to a closure call
+// can be proven not to escape.
+type prog func(ctx *Ctx, a, b value.Value) (value.Value, error)
+
+// tupleProg and boolProg are operands already checked to be of their kind.
+type (
+	tupleProg func(ctx *Ctx, a, b value.Value) (*value.Tuple, error)
+	boolProg  func(ctx *Ctx, a, b value.Value) (bool, error)
+)
+
+// NewScalar compiles e over the given variables; later variables shadow
+// earlier ones, and both shadow the outer environment. It panics on more than
+// two variables, which no operator can supply.
+func NewScalar(e adl.Expr, vars ...string) Scalar {
+	if len(vars) > 2 {
+		panic(fmt.Sprintf("exec: scalar over %d variables; operators bind at most two", len(vars)))
+	}
+	return Scalar{Vars: vars, Expr: e, prog: compile(e, vars)}
+}
+
+// Eval evaluates the scalar with the given variable values.
+func (s Scalar) Eval(ctx *Ctx, vals ...value.Value) (value.Value, error) {
+	if len(vals) != len(s.Vars) {
+		return nil, fmt.Errorf("exec: scalar arity mismatch: %d vars, %d values", len(s.Vars), len(vals))
+	}
+	var slots [2]value.Value
+	copy(slots[:], vals)
+	return s.prog(ctx, slots[0], slots[1])
+}
+
+// Bool evaluates the scalar as a predicate.
+func (s Scalar) Bool(ctx *Ctx, vals ...value.Value) (bool, error) {
+	v, err := s.Eval(ctx, vals...)
+	if err != nil {
+		return false, err
+	}
+	b, ok := v.(value.Bool)
+	if !ok {
+		return false, fmt.Errorf("exec: predicate returned %s", v.Kind())
+	}
+	return bool(b), nil
+}
+
+// joinKeys returns the key scalars a hash join evaluates per row. Its keys
+// are only hashed and compared with each other, so for x[a] = y[a] the value
+// of a stands for the one-field tuple — same verdicts, no key tuple per row.
+// A row without the attribute is left to the full scalar to report.
+func joinKeys(l, r Scalar) (Scalar, Scalar) {
+	ls, lok := l.Expr.(*adl.Subscript)
+	rs, rok := r.Expr.(*adl.Subscript)
+	if !lok || !rok || len(ls.Attrs) != 1 || !slices.Equal(ls.Attrs, rs.Attrs) {
+		return l, r
+	}
+	return attrKey(l, ls), attrKey(r, rs)
+}
+
+func attrKey(s Scalar, n *adl.Subscript) Scalar {
+	x, attr, full := compileTuple(n.X, s.Vars, "subscript"), n.Attrs[0], s.prog
+	s.prog = func(ctx *Ctx, a, b value.Value) (value.Value, error) {
+		t, err := x(ctx, a, b)
+		if err != nil {
+			return nil, err
+		}
+		if v, ok := t.Get(attr); ok {
+			return v, nil
+		}
+		return full(ctx, a, b)
+	}
+	return s
+}
+
+// compile translates the scalar operators the planner emits into closures
+// over eval's value-level helpers, so each operator's semantics and error text
+// keep their one definition there. Any other node — iterators, quantifiers,
+// set algebra — is evaluated by the reference interpreter under an
+// environment built from the slots; its operands are then interpreted too.
+func compile(e adl.Expr, vars []string) prog {
+	switch n := e.(type) {
+	case *adl.Const:
+		v := n.Val
+		return func(*Ctx, value.Value, value.Value) (value.Value, error) { return v, nil }
+
+	case *adl.Var:
+		switch slot(vars, n.Name) {
+		case 0:
+			return func(_ *Ctx, a, _ value.Value) (value.Value, error) { return a, nil }
+		case 1:
+			return func(_ *Ctx, _, b value.Value) (value.Value, error) { return b, nil }
+		}
+		name := n.Name
+		return func(ctx *Ctx, _, _ value.Value) (value.Value, error) {
+			v, ok := ctx.Env.Lookup(name)
+			if !ok {
+				return nil, fmt.Errorf("eval: unbound variable %q", name)
+			}
+			return v, nil
+		}
+
+	case *adl.Field:
+		x, name := compile(n.X, vars), n.Name
+		return func(ctx *Ctx, a, b value.Value) (value.Value, error) {
+			v, err := x(ctx, a, b)
+			if err != nil {
+				return nil, err
+			}
+			return eval.Field(v, name, ctx.DB)
+		}
+
+	case *adl.Subscript:
+		x, attrs := compileTuple(n.X, vars, "subscript"), n.Attrs
+		return func(ctx *Ctx, a, b value.Value) (value.Value, error) {
+			t, err := x(ctx, a, b)
+			if err != nil {
+				return nil, err
+			}
+			return t.Subscript(attrs)
+		}
+
+	case *adl.TupleExpr:
+		if build := compileTupleExpr(n.Names, n.Elems, vars); build != nil {
+			return func(ctx *Ctx, a, b value.Value) (value.Value, error) { return build(ctx, a, b) }
+		}
+
+	case *adl.ExceptExpr:
+		x := compileTuple(n.X, vars, "except")
+		if build := compileTupleExpr(n.Names, n.Elems, vars); build != nil {
+			return func(ctx *Ctx, a, b value.Value) (value.Value, error) {
+				t, err := x(ctx, a, b)
+				if err != nil {
+					return nil, err
+				}
+				upd, err := build(ctx, a, b)
+				if err != nil {
+					return nil, err
+				}
+				return t.Except(upd), nil
+			}
+		}
+
+	case *adl.Concat:
+		l, r := compileTuple(n.L, vars, "concat"), compileTuple(n.R, vars, "concat")
+		return func(ctx *Ctx, a, b value.Value) (value.Value, error) {
+			lt, err := l(ctx, a, b)
+			if err != nil {
+				return nil, err
+			}
+			rt, err := r(ctx, a, b)
+			if err != nil {
+				return nil, err
+			}
+			return lt.Concat(rt)
+		}
+
+	case *adl.Cmp:
+		return binary(n.Op, compile(n.L, vars), compile(n.R, vars), eval.Cmp)
+
+	case *adl.Arith:
+		return binary(n.Op, compile(n.L, vars), compile(n.R, vars), eval.Arith)
+
+	case *adl.Not:
+		x := compileBool(n.X, vars, "¬")
+		return func(ctx *Ctx, a, b value.Value) (value.Value, error) {
+			v, err := x(ctx, a, b)
+			return value.Bool(!v), err
+		}
+
+	case *adl.And:
+		return compileConnective(n.L, n.R, vars, "∧", false)
+
+	case *adl.Or:
+		return compileConnective(n.L, n.R, vars, "∨", true)
+
+	case *adl.Agg:
+		x, op := compile(n.X, vars), n.Op
+		return func(ctx *Ctx, a, b value.Value) (value.Value, error) {
+			v, err := x(ctx, a, b)
+			if err != nil {
+				return nil, err
+			}
+			s, err := eval.AsSet(v, op.String())
+			if err != nil {
+				return nil, err
+			}
+			return eval.Agg(op, s)
+		}
+	}
+	return func(ctx *Ctx, a, b value.Value) (value.Value, error) {
+		env := ctx.Env
+		for i, name := range vars {
+			env = env.Bind(name, [2]value.Value{a, b}[i])
+		}
+		return eval.Eval(e, env, ctx.DB)
+	}
+}
+
+// slot resolves a variable to its position, or -1 for an outer variable.
+func slot(vars []string, name string) int {
+	for i := len(vars) - 1; i >= 0; i-- {
+		if vars[i] == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// binary compiles l op r for an operator whose semantics is the helper f.
+func binary[O any](op O, l, r prog, f func(O, value.Value, value.Value) (value.Value, error)) prog {
+	return func(ctx *Ctx, a, b value.Value) (value.Value, error) {
+		lv, err := l(ctx, a, b)
+		if err != nil {
+			return nil, err
+		}
+		rv, err := r(ctx, a, b)
+		if err != nil {
+			return nil, err
+		}
+		return f(op, lv, rv)
+	}
+}
+
+// compileTuple compiles an operand that must be a tuple (or an oid, which is
+// followed).
+func compileTuple(e adl.Expr, vars []string, op string) tupleProg {
+	x := compile(e, vars)
+	return func(ctx *Ctx, a, b value.Value) (*value.Tuple, error) {
+		v, err := x(ctx, a, b)
+		if err != nil {
+			return nil, err
+		}
+		return eval.AsTuple(v, ctx.DB, op)
+	}
+}
+
+// compileBool compiles an operand that must be a boolean.
+func compileBool(e adl.Expr, vars []string, op string) boolProg {
+	x := compile(e, vars)
+	return func(ctx *Ctx, a, b value.Value) (bool, error) {
+		v, err := x(ctx, a, b)
+		if err != nil {
+			return false, err
+		}
+		return eval.AsBool(v, op)
+	}
+}
+
+// compileConnective compiles l ∧ r (decided = false) or l ∨ r (decided =
+// true): the right operand is evaluated only when the left one does not
+// decide the result.
+func compileConnective(l, r adl.Expr, vars []string, op string, decided bool) prog {
+	lb, rb := compileBool(l, vars, op), compileBool(r, vars, op)
+	return func(ctx *Ctx, a, b value.Value) (value.Value, error) {
+		v, err := lb(ctx, a, b)
+		if err != nil || v == decided {
+			return value.Bool(v), err
+		}
+		v, err = rb(ctx, a, b)
+		return value.Bool(v), err
+	}
+}
+
+// compileTupleExpr compiles ⟨names[i] = elems[i]⟩ against its shape, derived
+// here once: a row is one vals slice. It returns nil for a repeated name,
+// which is left to the interpreter to report.
+func compileTupleExpr(names []string, elems []adl.Expr, vars []string) tupleProg {
+	shape, err := value.ShapeOf(names)
+	if err != nil {
+		return nil
+	}
+	progs := make([]prog, len(elems))
+	for i, el := range elems {
+		progs[i] = compile(el, vars)
+	}
+	return func(ctx *Ctx, a, b value.Value) (*value.Tuple, error) {
+		vals := make([]value.Value, len(progs))
+		for i, p := range progs {
+			v, err := p(ctx, a, b)
+			if err != nil {
+				return nil, err
+			}
+			vals[i] = v
+		}
+		return shape.New(vals), nil
+	}
+}

@@ -19,9 +19,13 @@
 //     route. Child fields must be operator-typed (or interface-typed)
 //     directly for CloneTree's dynamic dispatch to see them.
 //
-//  3. A method of an operator writing one of its exported fields: exported
-//     fields are copied into every clone from the cached original, so a
-//     run-time write is per-run state escaping into shared configuration.
+//  3. A method of an operator writing one of its exported fields, or into
+//     one: exported fields are copied into every clone from the cached
+//     original, so a run-time write is per-run state escaping into shared
+//     configuration. A struct-typed configuration field may carry unexported
+//     parts of its own — exec.Scalar's compiled program is built by its
+//     constructor at plan time and copied with the struct — but an operator
+//     method assigning one at run time is the same violation.
 package clonesafety
 
 import (
@@ -215,27 +219,25 @@ func operatorTypeName(t types.Type) string {
 	return t.String()
 }
 
-// receiverExportedTarget matches lhs being recv.Field or recv.Field[i] (any
-// index depth) for an exported Field, returning the selector.
+// receiverExportedTarget matches lhs being recv.Field, or anything reached
+// through it — recv.Field[i] at any index depth, recv.Field.sub of a struct
+// such as a compiled Scalar — for an exported Field, returning recv.Field.
 func receiverExportedTarget(pass *analysis.Pass, lhs ast.Expr, recv types.Object) *ast.SelectorExpr {
 	for {
-		ix, ok := lhs.(*ast.IndexExpr)
-		if !ok {
-			break
+		switch x := lhs.(type) {
+		case *ast.IndexExpr:
+			lhs = x.X
+			continue
+		case *ast.SelectorExpr:
+			if id, ok := x.X.(*ast.Ident); !ok || pass.TypesInfo.Uses[id] != recv {
+				lhs = x.X
+				continue
+			}
+			// Only direct field writes count; method values cannot be assigned.
+			if s, ok := pass.TypesInfo.Selections[x]; ok && s.Kind() == types.FieldVal && x.Sel.IsExported() {
+				return x
+			}
 		}
-		lhs = ix.X
-	}
-	sel, ok := lhs.(*ast.SelectorExpr)
-	if !ok || !sel.Sel.IsExported() {
 		return nil
 	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok || pass.TypesInfo.Uses[id] != recv {
-		return nil
-	}
-	// Only direct field writes count; method values cannot be assigned.
-	if s, ok := pass.TypesInfo.Selections[sel]; !ok || s.Kind() != types.FieldVal {
-		return nil
-	}
-	return sel
 }

@@ -94,3 +94,45 @@ type Plan struct {
 func (g *Good) SetAttr(a string) {
 	g.Attr = a // want `writes exported field Attr`
 }
+
+// Scalar stands in for exec.Scalar: plan-time configuration that carries an
+// unexported compiled program, built by its constructor and copied into
+// clones with the struct.
+type Scalar struct {
+	Vars []string
+	prog func(*Ctx, Row) (Row, error)
+}
+
+func NewScalar(vars ...string) Scalar {
+	return Scalar{Vars: vars, prog: func(_ *Ctx, r Row) (Row, error) { return r, nil }}
+}
+
+// Filter holds compiled scalars by value and by pointer: accepted, the
+// program is immutable configuration like the rest of the exported field.
+type Filter struct {
+	Child    Op
+	Pred     Scalar
+	Residual *Scalar
+	ctx      *Ctx
+}
+
+func (f *Filter) Open(ctx *Ctx) error { f.ctx = ctx; return f.Child.Open(ctx) }
+
+func (f *Filter) Next() (Row, bool, error) {
+	row, ok, err := f.Child.Next()
+	if err != nil || !ok {
+		return Row{}, false, err
+	}
+	row, err = f.Pred.prog(f.ctx, row)
+	return row, true, err
+}
+
+func (f *Filter) Close() error { return f.Child.Close() }
+
+// Respecialize recompiles a scalar against what a run saw: the closure would
+// capture per-run state and every clone shares the field it is stored in.
+func (f *Filter) Respecialize(seen Row) {
+	f.Pred.prog = func(*Ctx, Row) (Row, error) { return seen, nil }     // want `writes exported field Pred`
+	f.Residual.prog = func(*Ctx, Row) (Row, error) { return seen, nil } // want `writes exported field Residual`
+	f.Pred.Vars[0] = "x"                                                // want `writes exported field Pred`
+}

@@ -296,7 +296,10 @@ func (e *Engine) Update(extent string, oid value.OID, t *value.Tuple) error {
 
 // Metrics is a point-in-time counter snapshot. TemplateHits counts plans
 // built from a cached rewritten template (each also a CacheMiss or a Replan),
-// CacheEntries the texts holding a plan.
+// CacheEntries the texts holding a plan. TupleShapes is the process-wide
+// value.ShapeCount: shapes are never freed and a `select (x = …)` with a novel
+// attribute list mints one, so it should stop growing once the query mix has
+// been seen.
 type Metrics struct {
 	Queries           int64  `json:"queries"`
 	Inserts           int64  `json:"inserts"`
@@ -308,6 +311,7 @@ type Metrics struct {
 	FeedbackEvictions int64  `json:"feedback_evictions"`
 	TemplateHits      int64  `json:"template_hits"`
 	CacheEntries      int64  `json:"cache_entries"`
+	TupleShapes       int64  `json:"tuple_shapes"`
 	StatsEpoch        uint64 `json:"stats_epoch"`
 	Seq               uint64 `json:"seq"`
 }
@@ -327,6 +331,7 @@ func (e *Engine) Metrics() Metrics {
 		FeedbackEvictions: e.evictions.Load(),
 		TemplateHits:      e.tmpl.hits.Load(),
 		CacheEntries:      int64(e.plans.len()),
+		TupleShapes:       value.ShapeCount(),
 		StatsEpoch:        sn.StatsEpoch(),
 		Seq:               sn.Seq(),
 	}

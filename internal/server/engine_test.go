@@ -417,3 +417,27 @@ func TestConcurrentPrintSharedExtent(t *testing.T) {
 		}
 	}
 }
+
+// TestTupleShapesSettle: a query mints its layouts — here a novel result
+// attribute list, a joined row and a key — the first time it runs and none
+// afterwards, however often it is repeated.
+func TestTupleShapesSettle(t *testing.T) {
+	eng := newEngine(t, Options{})
+	const src = `select (settled_name = s.sname, settled_parts = count(select p from p in PART where p in s.parts_supplied))
+ from s in SUPPLIER`
+	if _, err := eng.Query(src); err != nil {
+		t.Fatal(err)
+	}
+	after := eng.Metrics().TupleShapes
+	if after < 2 {
+		t.Fatalf("tuple_shapes = %d after a query", after)
+	}
+	for i := 0; i < 1000; i++ {
+		if _, err := eng.Query(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := eng.Metrics().TupleShapes; got != after {
+		t.Errorf("tuple_shapes went from %d to %d over 1000 repetitions of one query", after, got)
+	}
+}

@@ -23,20 +23,6 @@ type canon struct {
 	stack []Value
 }
 
-// attrOrder appends to buf the indices of names in ascending name order.
-func attrOrder(names []string, buf []int) []int {
-	// Insertion sort: attribute lists are short and often already sorted.
-	for i := range names {
-		buf = append(buf, i)
-		j := i
-		for ; j > 0 && names[buf[j-1]] > names[i]; j-- {
-			buf[j] = buf[j-1]
-		}
-		buf[j] = i
-	}
-	return buf
-}
-
 // compare is Compare under the pass's memo.
 func (c *canon) compare(a, b Value) int {
 	switch av := a.(type) {
@@ -99,20 +85,17 @@ func (c *canon) compare(a, b Value) int {
 }
 
 // compareTuples orders tuples by name-sorted attribute list, then values.
-// Tuples of one layout — any two rows of a typed extent — resolve a single
-// permutation and never compare names; up to eight attributes it stays on
-// the stack.
+// Tuples of one layout — any two rows of a typed extent — share the order
+// their shape resolved and never compare names.
 func (c *canon) compareTuples(a, b *Tuple) int {
-	var abuf, bbuf [8]int
-	ai := attrOrder(a.names, abuf[:0])
-	if slices.Equal(a.names, b.names) {
+	ai, bi := a.order, b.order
+	if a.Shape == b.Shape {
 		return c.compareAligned(a, b, ai)
 	}
-	bi := attrOrder(b.names, bbuf[:0])
+	an, bn := a.names, b.names
 	for k := 0; k < len(ai) && k < len(bi); k++ {
-		an, bn := a.names[ai[k]], b.names[bi[k]]
-		if an != bn {
-			if an < bn {
+		if x, y := an[ai[k]], bn[bi[k]]; x != y {
+			if x < y {
 				return -1
 			}
 			return 1
@@ -179,8 +162,7 @@ func (c *canon) sort(vs []Value) {
 			return
 		case KindTuple:
 			if sameLayout(vs) {
-				var buf [8]int
-				order := attrOrder(vs[0].(*Tuple).names, buf[:0])
+				order := vs[0].(*Tuple).order
 				slices.SortFunc(vs, func(a, b Value) int {
 					return c.compareAligned(a.(*Tuple), b.(*Tuple), order)
 				})
@@ -202,12 +184,11 @@ func uniformKind(vs []Value) (Kind, bool) {
 	return kind, true
 }
 
-// sameLayout reports whether the tuples vs all declare the same attributes
-// in the same order.
+// sameLayout reports whether the tuples vs all have one shape.
 func sameLayout(vs []Value) bool {
-	names := vs[0].(*Tuple).names
+	shape := vs[0].(*Tuple).Shape
 	for _, v := range vs[1:] {
-		if !slices.Equal(v.(*Tuple).names, names) {
+		if v.(*Tuple).Shape != shape {
 			return false
 		}
 	}

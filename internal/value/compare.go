@@ -9,28 +9,44 @@ import (
 // never equal (the model is strongly typed, so mixed-kind comparisons only
 // arise for Null, which equals only itself).
 func Equal(a, b Value) bool {
-	if a.Kind() != b.Kind() {
-		return false
-	}
 	switch av := a.(type) {
 	case Null:
-		return true
+		_, ok := b.(Null)
+		return ok
 	case Bool:
-		return av == b.(Bool)
+		bv, ok := b.(Bool)
+		return ok && av == bv
 	case Int:
-		return av == b.(Int)
+		bv, ok := b.(Int)
+		return ok && av == bv
 	case Float:
-		return av == b.(Float)
+		bv, ok := b.(Float)
+		return ok && av == bv
 	case String:
-		return av == b.(String)
+		bv, ok := b.(String)
+		return ok && av == bv
 	case Date:
-		return av == b.(Date)
+		bv, ok := b.(Date)
+		return ok && av == bv
 	case OID:
-		return av == b.(OID)
+		bv, ok := b.(OID)
+		return ok && av == bv
 	case *Tuple:
-		bt := b.(*Tuple)
+		bt, ok := b.(*Tuple)
+		if !ok {
+			return false
+		}
 		if av == bt {
 			return true // stored rows are shared by pointer
+		}
+		if av.Shape == bt.Shape {
+			// One layout: slot i holds the same attribute on both sides.
+			for i, v := range av.vals {
+				if !Equal(v, bt.vals[i]) {
+					return false
+				}
+			}
+			return true
 		}
 		if av.Len() != bt.Len() {
 			return false
@@ -43,8 +59,8 @@ func Equal(a, b Value) bool {
 		}
 		return true
 	case *Set:
-		bs := b.(*Set)
-		return av == bs || av.Len() == bs.Len() && av.SubsetOf(bs)
+		bs, ok := b.(*Set)
+		return ok && (av == bs || av.Len() == bs.Len() && av.SubsetOf(bs))
 	}
 	panic("value.Equal: unknown kind")
 }
@@ -88,8 +104,7 @@ func Hash(v Value) uint64 {
 			return h
 		}
 		var sum uint64
-		for i, n := range av.names {
-			fieldHash := fnvString(fnvOffset64, n) * fnvPrime64
+		for i, fieldHash := range av.hashes {
 			sum += fieldHash ^ Hash(av.vals[i])
 		}
 		sum ^= 0xa5a5a5a5a5a5a5a5

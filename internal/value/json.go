@@ -125,7 +125,7 @@ func fromTagged(raw map[string]json.RawMessage) (Value, error) {
 			if err := json.Unmarshal(body, &fields); err != nil {
 				return nil, err
 			}
-			t := EmptyTuple()
+			shape, vals := emptyShape, make([]Value, 0, len(fields))
 			for _, f := range fields {
 				var pair []json.RawMessage
 				if err := json.Unmarshal(f, &pair); err != nil {
@@ -146,12 +146,12 @@ func fromTagged(raw map[string]json.RawMessage) (Value, error) {
 				if err != nil {
 					return nil, err
 				}
-				if t.Has(name) {
+				if shape = shape.with(name); shape == nil {
 					return nil, fmt.Errorf("value: decode: duplicate tuple attribute %q", name)
 				}
-				t = t.With(name, fv)
+				vals = append(vals, fv)
 			}
-			return t, nil
+			return shape.New(vals), nil
 		case "set":
 			var elems []map[string]json.RawMessage
 			if err := json.Unmarshal(body, &elems); err != nil {
