@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-vec profile bench-smoke serve-smoke bench-serve examples-smoke cover fuzz-smoke fmt fmt-check vet staticcheck lint ci
+.PHONY: build test race bench bench-json bench-vec profile bench-smoke serve-smoke bench-serve examples-smoke cover fuzz-smoke fmt fmt-check vet staticcheck lint loc ci
 
 build:
 	$(GO) build ./...
@@ -187,6 +187,17 @@ lint: vet
 	else \
 		$(GO) run ./cmd/adllint ./...; \
 	fi
+
+# The size ROADMAP direction 2 tracks: lines (wc -l) of the Go files of each
+# package directory under internal/ and cmd/ that are neither tests nor
+# testdata, and the total of the three trees the direction wants smaller.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | sort | \
+		xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; \
+			split(d, p, "/"); if (p[1] == "internal") t[p[2]] += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
+			printf "%6d internal/exec + internal/plan + internal/lint (%d + %d + %d)\n", \
+				t["exec"] + t["plan"] + t["lint"], t["exec"], t["plan"], t["lint"] }'
 
 # Exactly what .github/workflows/ci.yml runs. staticcheck is separate from
 # `ci` so the aggregate target stays runnable offline; CI runs both.

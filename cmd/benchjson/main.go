@@ -18,8 +18,8 @@
 //
 // -merge folds the results of another benchjson file (for example the
 // closed-loop serving results cmd/adlload emits) into the output, replacing
-// same-named entries and keeping the rest; with no stdin piped in, -merge
-// updates -out in place. -compare is the CI regression gate: it compares a
+// same-named entries and keeping the rest; it updates -out in place and never
+// reads stdin. -compare is the CI regression gate: it compares a
 // baseline file against a fresh run and fails (exit 1) when any benchmark
 // present in both regressed its wall time by more than -threshold percent.
 // Serving metrics (Metrics map) ride along in both modes but are reported
@@ -40,6 +40,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -195,6 +196,21 @@ func compare(base, fresh File, thresholdPct float64, w *os.File) (regressed int,
 	return regressed, compared
 }
 
+// input returns the results the output starts from: the benchmark text on
+// stdin, or in merge mode what the output file already holds (nothing if it
+// does not exist yet). A merge never reads stdin: under a harness stdin may
+// be a pipe nobody writes to or closes, or an empty one that would replace
+// the file's results with none.
+func input(stdin io.Reader, mergePath, out string) File {
+	if mergePath == "" {
+		return parse(bufio.NewScanner(stdin))
+	}
+	if existing, err := readFile(out); out != "" && err == nil {
+		return existing
+	}
+	return File{}
+}
+
 func main() {
 	out := flag.String("out", "", "output file (default stdout)")
 	mergePath := flag.String("merge", "", "benchjson file whose results are folded into the output")
@@ -256,16 +272,7 @@ func main() {
 		return
 	}
 
-	var f File
-	stat, _ := os.Stdin.Stat()
-	if stat != nil && stat.Mode()&os.ModeCharDevice == 0 {
-		f = parse(bufio.NewScanner(os.Stdin))
-	} else if *mergePath != "" && *out != "" {
-		// In-place merge: start from the existing output file.
-		if existing, err := readFile(*out); err == nil {
-			f = existing
-		}
-	}
+	f := input(os.Stdin, *mergePath, *out)
 	if *mergePath != "" {
 		extra, err := readFile(*mergePath)
 		if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -113,6 +114,37 @@ func TestReadFile(t *testing.T) {
 	os.WriteFile(bad, []byte(`{"results": [{]`), 0o644)
 	if _, err := readFile(bad); err == nil {
 		t.Fatalf("malformed JSON must error")
+	}
+}
+
+// unreadable is a stdin that must be left alone: an open pipe nobody writes
+// to, where a read never returns.
+type unreadable struct{ t *testing.T }
+
+func (u unreadable) Read([]byte) (int, error) {
+	u.t.Error("merge mode read stdin")
+	return 0, io.EOF
+}
+
+// TestMergeModeIgnoresStdin pins where the output starts from: in merge mode
+// from the -out file, whether stdin is an open pipe or an empty one — reading
+// the first would block forever, parsing the second would drop every result
+// the file held — and otherwise from stdin.
+func TestMergeModeIgnoresStdin(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "results.json")
+	os.WriteFile(out, []byte(`{"goos": "linux", "results": [{"name": "BenchmarkKept", "iterations": 5, "ns_per_op": 12.5}]}`), 0o644)
+	for name, stdin := range map[string]io.Reader{"open pipe": unreadable{t}, "empty pipe": strings.NewReader("")} {
+		f := input(stdin, "extra.json", out)
+		if len(f.Results) != 1 || f.Results[0].Name != "BenchmarkKept" {
+			t.Errorf("%s: merge starts from %+v, want the results of -out", name, f.Results)
+		}
+		if f := input(stdin, "extra.json", filepath.Join(t.TempDir(), "new.json")); len(f.Results) != 0 {
+			t.Errorf("%s: merge into a new file starts from %+v, want nothing", name, f.Results)
+		}
+	}
+	f := input(strings.NewReader("BenchmarkX-2  10  100 ns/op\n"), "", out)
+	if len(f.Results) != 1 || f.Results[0].Name != "BenchmarkX" {
+		t.Errorf("without -merge the results come from stdin, got %+v", f.Results)
 	}
 }
 

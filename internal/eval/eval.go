@@ -661,8 +661,8 @@ func evalJoin(n *adl.Join, env *Env, db DB) (value.Value, error) {
 				}
 				nestSet.Add(member)
 			}
-			if n.Kind == adl.Semi {
-				break
+			if n.Kind == adl.Semi || n.Kind == adl.Anti {
+				break // the verdict is known
 			}
 		}
 		switch n.Kind {

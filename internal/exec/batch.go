@@ -68,8 +68,7 @@ type VecAdapter struct {
 	Src     VecOp
 	Project []string
 
-	rows []value.Value
-	pos  int
+	rowBuf
 }
 
 // Open drains the batch pipeline eagerly (results are bounded by the
@@ -79,7 +78,7 @@ func (a *VecAdapter) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	a.rows, a.pos = rows, 0
+	a.out, a.pos = rows, 0
 	return nil
 }
 
@@ -93,7 +92,7 @@ func (a *VecAdapter) drainVec(ctx *Ctx) (_ []value.Value, err error) {
 			err = cerr
 		}
 	}()
-	rows := a.rows[:0]
+	rows := a.out[:0]
 	for {
 		b, ok, err := a.Src.NextBatch()
 		if err != nil {
@@ -118,18 +117,8 @@ func (a *VecAdapter) drainVec(ctx *Ctx) (_ []value.Value, err error) {
 	}
 }
 
-// Next yields the next materialized row.
-func (a *VecAdapter) Next() (value.Value, bool, error) {
-	if a.pos >= len(a.rows) {
-		return nil, false, nil
-	}
-	row := a.rows[a.pos]
-	a.pos++
-	return row, true, nil
-}
-
 // Close releases the row buffer.
-func (a *VecAdapter) Close() error { a.rows = nil; return nil }
+func (a *VecAdapter) Close() error { a.out = nil; return nil }
 
 // CollectSet materializes the pipeline straight into a set with the bulk
 // constructor — one hash pass, a handful of allocations, no per-row Add.
@@ -138,6 +127,6 @@ func (a *VecAdapter) CollectSet(ctx *Ctx) (*value.Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.rows = rows[:0] // keep the buffer for the next execution of this clone
+	a.out = rows[:0] // keep the buffer for the next execution of this clone
 	return value.NewSetFromSlice(rows), nil
 }

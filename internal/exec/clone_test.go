@@ -111,26 +111,25 @@ func TestCloneTreeVecPipeline(t *testing.T) {
 	l, r, _ := randomTables(3, 48, 24)
 	db := storage.NewMemDB("L", l, "R", r)
 	k := fieldKernel("b", adl.Lt, value.Int(5))
-	orig := &VecAdapter{Src: &VecSemiJoin{
+	orig := &VecHashJoin{Kind: adl.Semi,
 		L:     &VecFilter{Src: &VecScan{Extent: "L", Attrs: []string{"b"}, Batch: 8}, Var: "x", Kernels: []VecCmp{k}},
-		R:     &Scan{Table: "R"},
+		R:     &VecAdapter{Src: &VecScan{Extent: "R"}},
 		LAttr: "b",
 		LKey:  NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
 		RKey:  NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
-	}}
+	}
 	want, err := Collect(orig, &Ctx{DB: db})
 	if err != nil {
 		t.Fatalf("original: %v", err)
 	}
-	cl := CloneTree(orig).(*VecAdapter)
-	if cl == orig || cl.Src == orig.Src {
-		t.Fatalf("vec pipeline must be cloned, not shared")
+	cl := CloneTree(orig).(*VecHashJoin)
+	if cl == orig || cl.L == orig.L || cl.R == orig.R {
+		t.Fatalf("vec join and its inputs must be cloned, not shared")
 	}
-	cj, oj := cl.Src.(*VecSemiJoin), orig.Src.(*VecSemiJoin)
-	if cj.L == oj.L || cj.R == oj.R {
-		t.Fatalf("vec join inputs must be cloned, not shared")
+	if cl.R.(*VecAdapter).Src == orig.R.(*VecAdapter).Src {
+		t.Fatalf("vec pipeline under the adapter must be cloned, not shared")
 	}
-	if cj.L.(*VecFilter).Src == oj.L.(*VecFilter).Src {
+	if cl.L.(*VecFilter).Src == orig.L.(*VecFilter).Src {
 		t.Fatalf("vec scan must be cloned, not shared")
 	}
 	got, err := Collect(cl, &Ctx{DB: db})
@@ -158,13 +157,13 @@ func BenchmarkCloneTree(b *testing.B) {
 	})
 	b.Run("vectorized", func(b *testing.B) {
 		k := fieldKernel("b", adl.Lt, value.Int(5))
-		tree := Operator(&VecAdapter{Src: &VecSemiJoin{
+		tree := Operator(&VecHashJoin{Kind: adl.Semi,
 			L:     &VecFilter{Src: &VecScan{Extent: "L", Attrs: []string{"b"}}, Var: "x", Kernels: []VecCmp{k}},
-			R:     &Scan{Table: "R"},
+			R:     &VecAdapter{Src: &VecScan{Extent: "R"}},
 			LAttr: "b",
 			LKey:  NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
 			RKey:  NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
-		}})
+		})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -1,11 +1,9 @@
 package exec
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/adl"
-	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -62,11 +60,8 @@ func TestExchangeShape(t *testing.T) {
 	if ex.Morsel != 16 {
 		t.Errorf("morsel = %d, want the scan batch 16", ex.Morsel)
 	}
-	join := &VecSemiJoin{L: vecScan("L", nil, 0), R: &Scan{Table: "R"},
-		LAttr: "b", LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-		RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y")}
-	if _, ok := Exchange(join, 2); ok {
-		t.Error("Exchange must reject a join-rooted pipeline")
+	if _, ok := Exchange(&VecExchange{Src: vecScan("L", nil, 0)}, 2); ok {
+		t.Error("Exchange must reject a pipeline that is not scan+filter")
 	}
 }
 
@@ -116,197 +111,6 @@ func TestVecExchangeEarlyClose(t *testing.T) {
 	}
 	if err := ex.CloseVec(); err != nil { // CloseVec is idempotent
 		t.Fatal(err)
-	}
-}
-
-// partJoin builds the batch partitioned join over L ⋈ R on b = d.
-func partJoin(kind adl.JoinKind, batch, parts int, res *Scalar) *VecPartitionedHashJoin {
-	return &VecPartitionedHashJoin{Kind: kind,
-		L: vecScan("L", []string{"b"}, batch), R: &Scan{Table: "R"},
-		LAttr:    "b",
-		LKey:     NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-		RKey:     NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
-		Residual: res, Partitions: parts}
-}
-
-// TestVecPartitionedHashJoinAgainstScalar cross-validates every supported
-// kind, with and without a residual, against the serial HashJoin across
-// partition counts (including the single-partition degeneracy) and batch
-// sizes.
-func TestVecPartitionedHashJoinAgainstScalar(t *testing.T) {
-	residual := NewScalar(adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "a"), adl.Dot(adl.V("y"), "c")), "x", "y")
-	for seed := int64(1); seed <= 3; seed++ {
-		d := db(seed, 60, 40)
-		for _, kind := range []adl.JoinKind{adl.Inner, adl.Semi, adl.Anti, adl.Outer} {
-			for _, res := range []*Scalar{nil, &residual} {
-				want := collect(t, &HashJoin{Kind: kind,
-					L: &Scan{Table: "L"}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
-					LKey:     NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-					RKey:     NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
-					Residual: res}, d)
-				for _, parts := range []int{1, 4} {
-					for _, batch := range []int{3, 0} {
-						got := collect(t, partJoin(kind, batch, parts, res), d)
-						if !value.Equal(got, want) {
-							t.Errorf("seed %d %v parts %d batch %d residual=%v: got %v want %v",
-								seed, kind, parts, batch, res != nil, got, want)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestVecPartitionedHashJoinKeyShapes drives the routing modes off the int
-// fast path: string keys, a mixed-kind build side (generic routing), a
-// cross-kind probe, and an empty build side (nil typed tables in every
-// partition).
-func TestVecPartitionedHashJoinKeyShapes(t *testing.T) {
-	l := value.EmptySet()
-	for i := 0; i < 12; i++ {
-		l.Add(value.NewTuple("a", value.Int(int64(i)), "s", value.String(fmt.Sprintf("k%d", i%5))))
-	}
-	r := value.EmptySet()
-	r.Add(value.NewTuple("t", value.String("k1"), "c", value.Int(1)))
-	r.Add(value.NewTuple("t", value.String("k3"), "c", value.Int(2)))
-	mixed := value.EmptySet()
-	mixed.Add(value.NewTuple("t", value.String("k1"), "c", value.Int(1)))
-	mixed.Add(value.NewTuple("t", value.Int(0), "c", value.Int(2)))
-	d := storage.NewMemDB("L", l, "R", r, "M", mixed, "E", value.EmptySet())
-
-	lkeyS := NewScalar(adl.Dot(adl.V("x"), "s"), "x")
-	lkeyA := NewScalar(adl.Dot(adl.V("x"), "a"), "x")
-	rkey := NewScalar(adl.Dot(adl.V("y"), "t"), "y")
-	cases := []struct {
-		name  string
-		lattr string
-		lkey  Scalar
-		table string
-	}{
-		{"string-keys", "s", lkeyS, "R"},
-		{"mixed-build", "s", lkeyS, "M"},
-		{"cross-kind", "a", lkeyA, "R"},
-		{"empty-build", "s", lkeyS, "E"},
-	}
-	for _, tc := range cases {
-		for _, kind := range []adl.JoinKind{adl.Inner, adl.Semi, adl.Anti, adl.Outer} {
-			want := collect(t, &HashJoin{Kind: kind, L: &Scan{Table: "L"}, R: &Scan{Table: tc.table},
-				LVar: "x", RVar: "y", LKey: tc.lkey, RKey: rkey}, d)
-			vj := &VecPartitionedHashJoin{Kind: kind,
-				L: vecScan("L", []string{tc.lattr}, 3), R: &Scan{Table: tc.table},
-				LAttr: tc.lattr, LKey: tc.lkey, RKey: rkey, Partitions: 3}
-			got := collect(t, vj, d)
-			if !value.Equal(got, want) {
-				t.Errorf("%s %v: got %v want %v", tc.name, kind, got, want)
-			}
-		}
-	}
-}
-
-// TestVecPartitionedHashJoinErrors pins the unsupported-kind error and key
-// errors surfacing from workers without a hang.
-func TestVecPartitionedHashJoinErrors(t *testing.T) {
-	d := db(9, 20, 10)
-	nj := partJoin(adl.NestJ, 0, 2, nil)
-	if _, err := Collect(nj, &Ctx{DB: d}); err == nil {
-		t.Error("nestjoin kind must be rejected")
-	}
-	bad := &VecPartitionedHashJoin{Kind: adl.Inner,
-		L: vecScan("L", nil, 4), R: &Scan{Table: "R"},
-		LAttr: "nope",
-		LKey:  NewScalar(adl.Dot(adl.V("x"), "nope"), "x"),
-		RKey:  NewScalar(adl.Dot(adl.V("y"), "d"), "y"), Partitions: 3}
-	if _, err := Collect(bad, &Ctx{DB: d}); err == nil {
-		t.Error("probe key error must surface")
-	}
-}
-
-// TestVecHashGroupJoinAgainstScalar cross-validates the batch nestjoin
-// against the scalar HashJoin grouping, including the right-tuple function
-// and a residual.
-func TestVecHashGroupJoinAgainstScalar(t *testing.T) {
-	rfun := NewScalar(adl.Dot(adl.V("y"), "c"), "x", "y")
-	residual := NewScalar(adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "a"), adl.Dot(adl.V("y"), "c")), "x", "y")
-	for seed := int64(1); seed <= 3; seed++ {
-		d := db(seed, 20, 15)
-		for _, cfg := range []struct {
-			name string
-			rfun *Scalar
-			res  *Scalar
-		}{
-			{"plain", nil, nil},
-			{"rfun", &rfun, nil},
-			{"residual", nil, &residual},
-		} {
-			want := collect(t, &HashJoin{Kind: adl.NestJ,
-				L: &Scan{Table: "L"}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
-				LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-				RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
-				As:   "ys", RFun: cfg.rfun, Residual: cfg.res}, d)
-			for _, batch := range []int{3, 0} {
-				vj := &VecHashGroupJoin{L: vecScan("L", []string{"b"}, batch), R: &Scan{Table: "R"},
-					LAttr: "b",
-					LKey:  NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-					RKey:  NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
-					As:    "ys", RFun: cfg.rfun, Residual: cfg.res}
-				got := collect(t, vj, d)
-				if !value.Equal(got, want) {
-					t.Errorf("seed %d %s batch %d: got %v want %v", seed, cfg.name, batch, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestVecSetGroupJoinAgainstScalar cross-validates the batch set-probe
-// nestjoin against the scalar SetProbeJoin grouping, on both the whole-
-// element key shape and the unary-subtuple fast path, with and without the
-// right-tuple function.
-func TestVecSetGroupJoinAgainstScalar(t *testing.T) {
-	rfun := NewScalar(adl.Dot(adl.V("y"), "c"), "x", "y")
-	wholeKey := adl.Tup("k", adl.Dot(adl.V("y"), "d"), "w", adl.Dot(adl.V("y"), "c"))
-	for seed := int64(1); seed <= 3; seed++ {
-		d := db(seed, 15, 12)
-		for _, rf := range []*Scalar{nil, &rfun} {
-			want := collect(t, &SetProbeJoin{Kind: adl.NestJ,
-				L: &Scan{Table: "N"}, R: &Scan{Table: "R"},
-				Attr: "parts", RKey: NewScalar(wholeKey, "y"), As: "ys", RFun: rf}, d)
-			vj := &VecSetGroupJoin{L: vecScan("N", []string{"parts"}, 4), R: &Scan{Table: "R"},
-				Attr: "parts", RKey: NewScalar(wholeKey, "y"), As: "ys", RFun: rf}
-			got := collect(t, vj, d)
-			if !value.Equal(got, want) {
-				t.Errorf("seed %d whole-element rfun=%v: got %v want %v", seed, rf != nil, got, want)
-			}
-		}
-	}
-
-	// The unary-subtuple fast path needs ⟨k⟩ refs (TestVecSetProbeJoinHits
-	// shapes): even item keys so groups are non-trivially empty and full.
-	owners := value.EmptySet()
-	for i := 0; i < 8; i++ {
-		parts := value.EmptySet()
-		parts.Add(value.NewTuple("k", value.Int(int64(i))))
-		parts.Add(value.NewTuple("k", value.Int(int64(i+4))))
-		owners.Add(value.NewTuple("a", value.Int(int64(i)), "parts", parts))
-	}
-	items := value.EmptySet()
-	for i := 0; i < 6; i++ {
-		items.Add(value.NewTuple("k", value.Int(int64(2*i)), "w", value.Int(int64(i))))
-	}
-	d := storage.NewMemDB("O", owners, "I", items)
-	subKey := NewScalar(adl.SubT(adl.V("y"), "k"), "y")
-	rfunW := NewScalar(adl.Dot(adl.V("y"), "w"), "x", "y")
-	for _, rf := range []*Scalar{nil, &rfunW} {
-		want := collect(t, &SetProbeJoin{Kind: adl.NestJ,
-			L: &Scan{Table: "O"}, R: &Scan{Table: "I"},
-			Attr: "parts", RKey: subKey, As: "ys", RFun: rf}, d)
-		vj := &VecSetGroupJoin{L: vecScan("O", []string{"parts"}, 3), R: &Scan{Table: "I"},
-			Attr: "parts", RKey: subKey, As: "ys", RFun: rf}
-		got := collect(t, vj, d)
-		if !value.Equal(got, want) {
-			t.Errorf("subtuple rfun=%v: got %v want %v", rf != nil, got, want)
-		}
 	}
 }
 

@@ -107,7 +107,7 @@ func drain(op Operator, ctx *Ctx) (_ []value.Value, err error) {
 		if err != nil {
 			return nil, err
 		}
-		a.rows = nil // ownership moves to the caller
+		a.out = nil // ownership moves to the caller
 		return rows, nil
 	}
 	if err := op.Open(ctx); err != nil {

@@ -133,10 +133,9 @@ func (j *IndexNLJoin) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	j.reset()
+	em := newJoinEmit(ctx, j.Kind, "index join", j.Residual, j.RFun, j.As, nil)
 	for _, lrow := range lrows {
-		lt, err := asTuple(lrow, "index join")
-		if err != nil {
+		if err := em.begin(lrow); err != nil {
 			return err
 		}
 		lk, err := j.LKey.Eval(ctx, lrow)
@@ -147,57 +146,16 @@ func (j *IndexNLJoin) Open(ctx *Ctx) error {
 		if err != nil {
 			return err
 		}
-		matched := false
-		var nest nestGroup
 		for _, rrow := range matches {
-			if j.Residual != nil {
-				ok, err := j.Residual.Bool(ctx, lrow, rrow)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-			}
-			matched = true
-			switch j.Kind {
-			case adl.Inner:
-				rt, err := asTuple(rrow, "index join")
-				if err != nil {
-					return err
-				}
-				cat, err := lt.Concat(rt)
-				if err != nil {
-					return err
-				}
-				j.out = append(j.out, cat)
-			case adl.NestJ:
-				member := rrow
-				if j.RFun != nil {
-					member, err = j.RFun.Eval(ctx, lrow, rrow)
-					if err != nil {
-						return err
-					}
-				}
-				nest.add(member)
-			}
-			if j.Kind == adl.Semi {
+			if em.match(rrow) {
 				break
 			}
 		}
-		switch j.Kind {
-		case adl.Semi:
-			if matched {
-				j.out = append(j.out, lrow)
-			}
-		case adl.Anti:
-			if !matched {
-				j.out = append(j.out, lrow)
-			}
-		case adl.NestJ:
-			j.out = append(j.out, lt.With(j.As, nest.set()))
+		if err := em.end(); err != nil {
+			return err
 		}
 	}
+	j.out, j.pos = em.out, 0
 	return nil
 }
 

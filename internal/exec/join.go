@@ -18,7 +18,6 @@ type NLJoin struct {
 	As         string // nestjoin result attribute
 	RFun       *Scalar
 
-	ctx   *Ctx
 	right []value.Value
 	rowBuf
 }
@@ -27,7 +26,6 @@ type NLJoin struct {
 // result is bounded by the inputs; eager evaluation keeps Next trivial and
 // the timing honest for benchmarks).
 func (j *NLJoin) Open(ctx *Ctx) error {
-	j.ctx = ctx
 	var err error
 	j.right, err = drain(j.R, ctx)
 	if err != nil {
@@ -37,70 +35,21 @@ func (j *NLJoin) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	j.reset()
-	nullPad := outerNullPad(j.Kind, j.right)
+	em := newJoinEmit(ctx, j.Kind, "join", &j.Pred, j.RFun, j.As, j.right)
 	for _, lrow := range lrows {
-		lt, err := asTuple(lrow, "join")
-		if err != nil {
+		if err := em.begin(lrow); err != nil {
 			return err
 		}
-		matched := false
-		var nest nestGroup
 		for _, rrow := range j.right {
-			ok, err := j.Pred.Bool(ctx, lrow, rrow)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			matched = true
-			switch j.Kind {
-			case adl.Inner, adl.Outer:
-				rt, err := asTuple(rrow, "join")
-				if err != nil {
-					return err
-				}
-				cat, err := lt.Concat(rt)
-				if err != nil {
-					return err
-				}
-				j.out = append(j.out, cat)
-			case adl.NestJ:
-				member := rrow
-				if j.RFun != nil {
-					member, err = j.RFun.Eval(ctx, lrow, rrow)
-					if err != nil {
-						return err
-					}
-				}
-				nest.add(member)
-			}
-			if j.Kind == adl.Semi {
+			if em.match(rrow) {
 				break
 			}
 		}
-		switch j.Kind {
-		case adl.Semi:
-			if matched {
-				j.out = append(j.out, lrow)
-			}
-		case adl.Anti:
-			if !matched {
-				j.out = append(j.out, lrow)
-			}
-		case adl.NestJ:
-			j.out = append(j.out, lt.With(j.As, nest.set()))
-		case adl.Outer:
-			if !matched {
-				cat, err := lt.Concat(nullPad)
-				if err != nil {
-					return err
-				}
-				j.out = append(j.out, cat)
-			}
+		if err := em.end(); err != nil {
+			return err
 		}
 	}
+	j.out, j.pos = em.out, 0
 	return nil
 }
 
@@ -108,29 +57,6 @@ func (j *NLJoin) Open(ctx *Ctx) error {
 func (j *NLJoin) Close() error {
 	j.right, j.out = nil, nil
 	return nil
-}
-
-// nestGroup collects the members a nestjoin or PNHL finds for one left row.
-// The set is created by the first member; left rows without a partner all
-// carry noMatches.
-type nestGroup struct{ members *value.Set }
-
-// noMatches is shared by every unmatched left row of every query, which the
-// Set contract allows: a set is never mutated once it is shared.
-var noMatches = value.EmptySet()
-
-func (g *nestGroup) add(member value.Value) {
-	if g.members == nil {
-		g.members = value.EmptySet()
-	}
-	g.members.Add(member)
-}
-
-func (g *nestGroup) set() *value.Set {
-	if g.members == nil {
-		return noMatches
-	}
-	return g.members
 }
 
 // indexKeys is the build side of every generic hash join: value.Hash buckets
@@ -141,16 +67,6 @@ func indexKeys(keys []value.Value) *value.Index {
 		hashes[i] = value.Hash(k)
 	}
 	return value.NewIndex(hashes)
-}
-
-// outerNullPad builds the null tuple over the right schema for outer joins.
-func outerNullPad(kind adl.JoinKind, right []value.Value) *value.Tuple {
-	if kind == adl.Outer && len(right) > 0 {
-		if rt, ok := right[0].(*value.Tuple); ok {
-			return value.NullTuple(rt.Shape)
-		}
-	}
-	return value.EmptyTuple()
 }
 
 // HashJoin is the set-oriented join family on equi-keys: it builds a hash
@@ -168,7 +84,6 @@ type HashJoin struct {
 	As       string
 	RFun     *Scalar
 
-	ctx   *Ctx
 	table *value.Index  // hash(key) → indices into right
 	rkeys []value.Value // right rows' evaluated keys
 	right []value.Value // retained for matching and outer-join null padding
@@ -179,7 +94,6 @@ type HashJoin struct {
 // hashes with the keys in a flat side slice — the same layout the
 // partitioned variant uses per partition.
 func (j *HashJoin) Open(ctx *Ctx) error {
-	j.ctx = ctx
 	lkey, rkey := joinKeys(j.LKey, j.RKey)
 	var err error
 	j.right, err = drain(j.R, ctx)
@@ -197,80 +111,28 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	j.reset()
-	nullPad := outerNullPad(j.Kind, j.right)
+	em := newJoinEmit(ctx, j.Kind, "hash join", j.Residual, j.RFun, j.As, j.right)
 	for _, lrow := range lrows {
-		lt, err := asTuple(lrow, "hash join")
-		if err != nil {
+		if err := em.begin(lrow); err != nil {
 			return err
 		}
 		lk, err := lkey.Eval(ctx, lrow)
 		if err != nil {
 			return err
 		}
-		matched := false
-		var nest nestGroup
 		for ri := j.table.First(value.Hash(lk)); ri >= 0; ri = j.table.Next(ri) {
 			if !value.Equal(j.rkeys[ri], lk) {
 				continue
 			}
-			rrow := j.right[ri]
-			if j.Residual != nil {
-				ok, err := j.Residual.Bool(ctx, lrow, rrow)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-			}
-			matched = true
-			switch j.Kind {
-			case adl.Inner, adl.Outer:
-				rt, err := asTuple(rrow, "hash join")
-				if err != nil {
-					return err
-				}
-				cat, err := lt.Concat(rt)
-				if err != nil {
-					return err
-				}
-				j.out = append(j.out, cat)
-			case adl.NestJ:
-				member := rrow
-				if j.RFun != nil {
-					member, err = j.RFun.Eval(ctx, lrow, rrow)
-					if err != nil {
-						return err
-					}
-				}
-				nest.add(member)
-			}
-			if j.Kind == adl.Semi {
+			if em.match(j.right[ri]) {
 				break
 			}
 		}
-		switch j.Kind {
-		case adl.Semi:
-			if matched {
-				j.out = append(j.out, lrow)
-			}
-		case adl.Anti:
-			if !matched {
-				j.out = append(j.out, lrow)
-			}
-		case adl.NestJ:
-			j.out = append(j.out, lt.With(j.As, nest.set()))
-		case adl.Outer:
-			if !matched {
-				cat, err := lt.Concat(nullPad)
-				if err != nil {
-					return err
-				}
-				j.out = append(j.out, cat)
-			}
+		if err := em.end(); err != nil {
+			return err
 		}
 	}
+	j.out, j.pos = em.out, 0
 	return nil
 }
 
@@ -301,13 +163,14 @@ type SetProbeJoin struct {
 	As   string
 	RFun *Scalar
 
-	ctx *Ctx
 	rowBuf
 }
 
 // Open builds and probes.
 func (j *SetProbeJoin) Open(ctx *Ctx) error {
-	j.ctx = ctx
+	if err := setJoinKind(j.Kind); err != nil {
+		return err
+	}
 	rrows, err := drain(j.R, ctx)
 	if err != nil {
 		return err
@@ -323,60 +186,56 @@ func (j *SetProbeJoin) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	j.reset()
+	em := newJoinEmit(ctx, j.Kind, "set-probe join", nil, j.RFun, j.As, nil)
 	for _, lrow := range lrows {
-		lt, err := asTuple(lrow, "set-probe join")
+		if err := em.begin(lrow); err != nil {
+			return err
+		}
+		as, err := setAttr(em.lt, j.Attr)
 		if err != nil {
 			return err
 		}
-		av, ok := lt.Get(j.Attr)
-		if !ok {
-			return fmt.Errorf("exec: set-probe join on missing attribute %q", j.Attr)
-		}
-		as, ok := av.(*value.Set)
-		if !ok {
-			return fmt.Errorf("exec: set-probe join on non-set attribute %q", j.Attr)
-		}
-		matched := false
-		var nest nestGroup
 	probe:
 		for _, elem := range as.Elems() {
 			for ri := table.First(value.Hash(elem)); ri >= 0; ri = table.Next(ri) {
 				if !value.Equal(keys[ri], elem) {
 					continue
 				}
-				matched = true
-				switch j.Kind {
-				case adl.Semi:
+				if em.match(rrows[ri]) {
 					break probe
-				case adl.NestJ:
-					member := rrows[ri]
-					if j.RFun != nil {
-						member, err = j.RFun.Eval(ctx, lrow, rrows[ri])
-						if err != nil {
-							return err
-						}
-					}
-					nest.add(member)
 				}
 			}
 		}
-		switch j.Kind {
-		case adl.Semi:
-			if matched {
-				j.out = append(j.out, lrow)
-			}
-		case adl.Anti:
-			if !matched {
-				j.out = append(j.out, lrow)
-			}
-		case adl.NestJ:
-			j.out = append(j.out, lt.With(j.As, nest.set()))
-		default:
-			return fmt.Errorf("exec: set-probe join does not support kind %v", j.Kind)
+		if err := em.end(); err != nil {
+			return err
 		}
 	}
+	j.out, j.pos = em.out, 0
 	return nil
+}
+
+// setJoinKind rejects the kinds a set-probe join has no output rule for: the
+// membership predicate pairs a left row with right rows, never concatenates
+// them.
+func setJoinKind(kind adl.JoinKind) error {
+	switch kind {
+	case adl.Semi, adl.Anti, adl.NestJ:
+		return nil
+	}
+	return fmt.Errorf("exec: set-probe join does not support kind %v", kind)
+}
+
+// setAttr reads the set-valued probe attribute of a left tuple.
+func setAttr(lt *value.Tuple, attr string) (*value.Set, error) {
+	av, ok := lt.Get(attr)
+	if !ok {
+		return nil, fmt.Errorf("exec: set-probe join on missing attribute %q", attr)
+	}
+	as, ok := av.(*value.Set)
+	if !ok {
+		return nil, fmt.Errorf("exec: set-probe join on non-set attribute %q", attr)
+	}
+	return as, nil
 }
 
 // Close releases buffers.

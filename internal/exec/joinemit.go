@@ -1,0 +1,165 @@
+package exec
+
+import (
+	"slices"
+
+	"repro/internal/adl"
+	"repro/internal/value"
+)
+
+// joinEmit is the output rule of the join: what one left row emits once its
+// matches are known. The algebra's ⋈, ⋉, ▷, outer join and nestjoin differ in
+// nothing else, so every join operator — nested-loop, hash, set-probe, index,
+// sort-merge, partitioned, batch — finds the candidate right rows its own way
+// and hands them to this one verdict:
+//
+//	begin(lrow); for each candidate { if match(rrow) { break } }; end()
+//
+// match applies the residual predicate, then concatenates (inner, outer),
+// groups (nestjoin) or just notes the hit (semi, anti) — and for those two
+// asks the caller to stop: the verdict is known, and a residual that would
+// fail on a later pair is never evaluated. A failing pair stops the walk too;
+// end reports it, or else emits what the kind owes an unmatched or fully
+// matched row.
+//
+// It is plain per-run state: an operator owns one per Open, each worker of a
+// parallel probe owns its own, and the owner takes the rows from out.
+type joinEmit struct {
+	kind     adl.JoinKind
+	op       string // names the operator in a non-tuple row's error
+	ctx      *Ctx
+	residual *Scalar // nil: every candidate is a match
+	rfun     *Scalar // nestjoin: maps a matched pair to the group member
+	as       string  // nestjoin: the group attribute
+	nullPad  *value.Tuple
+
+	out []value.Value
+
+	// The left row between begin and end.
+	lrow    value.Value
+	lt      *value.Tuple
+	matched bool
+	nest    nestGroup
+	err     error // of a match; end returns it
+}
+
+// newJoinEmit prepares the verdict of one run. right is the materialized
+// right operand, which an outer join pads unmatched rows from; operators
+// that cannot run one (no right schema) pass nil.
+func newJoinEmit(ctx *Ctx, kind adl.JoinKind, op string, residual, rfun *Scalar, as string, right []value.Value) joinEmit {
+	return joinEmit{kind: kind, op: op, ctx: ctx, residual: residual, rfun: rfun, as: as,
+		nullPad: outerNullPad(kind, right)}
+}
+
+// outerNullPad builds the null tuple over the right schema for outer joins;
+// the other kinds pad nothing.
+func outerNullPad(kind adl.JoinKind, right []value.Value) *value.Tuple {
+	if kind != adl.Outer {
+		return nil
+	}
+	if len(right) > 0 {
+		if rt, ok := right[0].(*value.Tuple); ok {
+			return value.NullTuple(rt.Shape)
+		}
+	}
+	return value.EmptyTuple()
+}
+
+// emit appends a result row. A full buffer doubles, and starts at a chunk:
+// append would reach a chunk through nine reallocations and grow a long
+// result by a quarter at a time.
+func (e *joinEmit) emit(row value.Value) {
+	if len(e.out) == cap(e.out) {
+		e.out = slices.Grow(e.out, max(len(e.out), chunkRows))
+	}
+	e.out = append(e.out, row)
+}
+
+// begin starts a left row.
+func (e *joinEmit) begin(lrow value.Value) (err error) {
+	e.lrow, e.matched, e.nest, e.err = lrow, false, nestGroup{}, nil
+	e.lt, err = asTuple(lrow, e.op)
+	return err
+}
+
+// match offers a candidate right row. It reports whether to stop: further
+// candidates cannot change what the left row emits, or the pair failed.
+func (e *joinEmit) match(rrow value.Value) (stop bool) {
+	if e.residual != nil {
+		ok, err := e.residual.Bool(e.ctx, e.lrow, rrow)
+		if err != nil || !ok {
+			e.err = err
+			return err != nil
+		}
+	}
+	e.matched = true
+	switch e.kind {
+	case adl.Semi, adl.Anti:
+		return true
+	case adl.NestJ:
+		member := rrow
+		if e.rfun != nil {
+			if member, e.err = e.rfun.Eval(e.ctx, e.lrow, rrow); e.err != nil {
+				return true
+			}
+		}
+		e.nest.add(member)
+	default:
+		var rt, cat *value.Tuple
+		if rt, e.err = asTuple(rrow, e.op); e.err != nil {
+			return true
+		}
+		if cat, e.err = e.lt.Concat(rt); e.err != nil {
+			return true
+		}
+		e.emit(cat)
+	}
+	return false
+}
+
+// end finishes the left row.
+func (e *joinEmit) end() error {
+	if e.err != nil {
+		return e.err
+	}
+	switch e.kind {
+	case adl.Semi, adl.Anti:
+		if e.matched == (e.kind == adl.Semi) {
+			e.emit(e.lrow)
+		}
+	case adl.NestJ:
+		e.emit(e.lt.With(e.as, e.nest.set()))
+	case adl.Outer:
+		if !e.matched {
+			cat, err := e.lt.Concat(e.nullPad)
+			if err != nil {
+				return err
+			}
+			e.emit(cat)
+		}
+	}
+	return nil
+}
+
+// nestGroup collects the members a nestjoin or PNHL finds for one left row.
+// The set is created by the first member; left rows without a partner all
+// carry noMatches.
+type nestGroup struct{ members *value.Set }
+
+// noMatches is shared by every unmatched left row of every query, which the
+// Set contract allows: a set is never mutated once it is shared.
+var noMatches = value.EmptySet()
+
+func (g *nestGroup) add(member value.Value) {
+	if g.members == nil {
+		g.members = value.EmptySet()
+	}
+	g.members.Add(member)
+}
+
+func (g *nestGroup) set() *value.Set {
+	if g.members == nil {
+		return noMatches
+	}
+	return g.members
+}

@@ -236,14 +236,15 @@ func (j *PartitionedHashJoin) Open(ctx *Ctx) error {
 	}
 	rparts := partition(rkeys, p)
 	lparts := partition(lkeys, p)
-	nullPad := outerNullPad(j.Kind, rrows)
 
 	j.merge = newParMerge()
 	for i := 0; i < p; i++ {
 		j.wg.Add(1)
 		go func(li, ri []int) {
 			defer j.wg.Done()
-			j.joinPartition(ctx, lrows, lkeys, li, rrows, rkeys, ri, nullPad)
+			if err := j.joinPartition(ctx, lrows, lkeys, li, rrows, rkeys, ri); err != nil {
+				j.merge.fail(err)
+			}
 		}(lparts[i], rparts[i])
 	}
 	merge := j.merge
@@ -255,99 +256,44 @@ func (j *PartitionedHashJoin) Open(ctx *Ctx) error {
 }
 
 // joinPartition builds a hash table over one right partition and probes it
-// with the matching left partition, emitting result rows into the merge
-// channel.
-func (j *PartitionedHashJoin) joinPartition(ctx *Ctx, lrows, lkeys []value.Value, li []int, rrows, rkeys []value.Value, ri []int, nullPad *value.Tuple) {
+// with the matching left partition, sending result rows to the merge channel
+// a chunk at a time. It returns early, without error, once the pipeline
+// aborts.
+func (j *PartitionedHashJoin) joinPartition(ctx *Ctx, lrows, lkeys []value.Value, li []int, rrows, rkeys []value.Value, ri []int) error {
 	out := chunkWriter{m: j.merge, ch: j.merge.out}
-	defer out.flush()
+	em := newJoinEmit(ctx, j.Kind, "partitioned hash join", j.Residual, j.RFun, j.As, rrows)
 	hashes := make([]uint64, len(ri))
 	for i, r := range ri {
 		hashes[i] = value.Hash(rkeys[r])
 	}
 	table := value.NewIndex(hashes)
 	for _, l := range li {
-		lrow := lrows[l]
-		lt, err := asTuple(lrow, "partitioned hash join")
-		if err != nil {
-			j.merge.fail(err)
-			return
+		if err := em.begin(lrows[l]); err != nil {
+			return err
 		}
 		lk := lkeys[l]
-		matched := false
-		var nest nestGroup
 		for i := table.First(value.Hash(lk)); i >= 0; i = table.Next(i) {
 			r := ri[i]
 			if !value.Equal(rkeys[r], lk) {
 				continue
 			}
-			rrow := rrows[r]
-			if j.Residual != nil {
-				ok, err := j.Residual.Bool(ctx, lrow, rrow)
-				if err != nil {
-					j.merge.fail(err)
-					return
-				}
-				if !ok {
-					continue
-				}
-			}
-			matched = true
-			switch j.Kind {
-			case adl.Inner, adl.Outer:
-				rt, err := asTuple(rrow, "partitioned hash join")
-				if err != nil {
-					j.merge.fail(err)
-					return
-				}
-				cat, err := lt.Concat(rt)
-				if err != nil {
-					j.merge.fail(err)
-					return
-				}
-				if !out.emit(cat) {
-					return
-				}
-			case adl.NestJ:
-				member := rrow
-				if j.RFun != nil {
-					member, err = j.RFun.Eval(ctx, lrow, rrow)
-					if err != nil {
-						j.merge.fail(err)
-						return
-					}
-				}
-				nest.add(member)
-			}
-			if j.Kind == adl.Semi {
+			if em.match(rrows[r]) {
 				break
 			}
 		}
-		switch j.Kind {
-		case adl.Semi:
-			if matched && !out.emit(lrow) {
-				return
-			}
-		case adl.Anti:
-			if !matched && !out.emit(lrow) {
-				return
-			}
-		case adl.NestJ:
-			if !out.emit(lt.With(j.As, nest.set())) {
-				return
-			}
-		case adl.Outer:
-			if !matched {
-				cat, err := lt.Concat(nullPad)
-				if err != nil {
-					j.merge.fail(err)
-					return
-				}
-				if !out.emit(cat) {
-					return
-				}
+		if err := em.end(); err != nil {
+			return err
+		}
+		if len(em.out) >= chunkRows {
+			out.buf, em.out = em.out, nil
+			if !out.flush() {
+				return nil
 			}
 		}
 	}
+	out.buf = em.out
+	out.flush()
+	return nil
 }
 
 // Next yields the next joined row from the merge channel.

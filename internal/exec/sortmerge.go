@@ -1,20 +1,23 @@
 package exec
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/adl"
 	"repro/internal/value"
 )
 
-// SortMergeJoin is the sort-merge implementation of the inner join and the
-// nestjoin on a single equi-key (the paper names the sort-merge join as a
-// nestjoin implementation candidate in §6.1). Both inputs are materialized,
-// sorted by key under the canonical value order, and merged; for the
-// nestjoin, each left key group is paired with the matching right group
-// (dangling left tuples get the empty set).
+// SortMergeJoin is the sort-merge implementation of the join on a single
+// equi-key (the paper names the sort-merge join as a nestjoin implementation
+// candidate in §6.1). Both inputs are materialized, sorted by key under the
+// canonical value order, and merged: each left key group is paired with the
+// matching right group (for the nestjoin, dangling left tuples get the empty
+// set). The planner picks it for the inner join and the nestjoin; the outer
+// join is rejected (the merge keeps no right row to take the null schema
+// from).
 type SortMergeJoin struct {
-	Kind       adl.JoinKind // Inner or NestJ
+	Kind       adl.JoinKind
 	L, R       Operator
 	LVar, RVar string
 	LKey, RKey Scalar
@@ -50,6 +53,9 @@ func sortByKey(ctx *Ctx, op Operator, key Scalar) ([]keyedRow, error) {
 
 // Open sorts and merges.
 func (j *SortMergeJoin) Open(ctx *Ctx) error {
+	if j.Kind == adl.Outer {
+		return fmt.Errorf("exec: sort-merge join does not support kind %v", j.Kind)
+	}
 	ls, err := sortByKey(ctx, j.L, j.LKey)
 	if err != nil {
 		return err
@@ -58,7 +64,7 @@ func (j *SortMergeJoin) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	j.reset()
+	em := newJoinEmit(ctx, j.Kind, "sort-merge join", nil, j.RFun, j.As, nil)
 	ri := 0
 	for li := 0; li < len(ls); {
 		lkey := ls[li].key
@@ -72,43 +78,21 @@ func (j *SortMergeJoin) Open(ctx *Ctx) error {
 			re++
 		}
 		// Emit for every left row in this key group.
-		le := li
-		for le < len(ls) && value.Compare(ls[le].key, lkey) == 0 {
-			lt, err := asTuple(ls[le].row, "sort-merge join")
-			if err != nil {
+		for ; li < len(ls) && value.Compare(ls[li].key, lkey) == 0; li++ {
+			if err := em.begin(ls[li].row); err != nil {
 				return err
 			}
-			switch j.Kind {
-			case adl.Inner:
-				for k := ri; k < re; k++ {
-					rt, err := asTuple(rs[k].row, "sort-merge join")
-					if err != nil {
-						return err
-					}
-					cat, err := lt.Concat(rt)
-					if err != nil {
-						return err
-					}
-					j.out = append(j.out, cat)
+			for k := ri; k < re; k++ {
+				if em.match(rs[k].row) {
+					break
 				}
-			case adl.NestJ:
-				var nest nestGroup
-				for k := ri; k < re; k++ {
-					member := rs[k].row
-					if j.RFun != nil {
-						member, err = j.RFun.Eval(ctx, ls[le].row, rs[k].row)
-						if err != nil {
-							return err
-						}
-					}
-					nest.add(member)
-				}
-				j.out = append(j.out, lt.With(j.As, nest.set()))
 			}
-			le++
+			if err := em.end(); err != nil {
+				return err
+			}
 		}
-		li = le
 	}
+	j.out, j.pos = em.out, 0
 	return nil
 }
 

@@ -1,0 +1,441 @@
+package exec
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/adl"
+	"repro/internal/eval"
+	"repro/internal/schema"
+	"repro/internal/storage"
+	"repro/internal/types"
+	"repro/internal/value"
+)
+
+type joinKindCase struct {
+	name string
+	kind adl.JoinKind
+	rfun *Scalar
+}
+
+// joinKindCases are the five join kinds, the nestjoin with and without its
+// right-tuple function (over the payload y.c).
+func joinKindCases() []joinKindCase {
+	rfun := NewScalar(adl.Dot(adl.V("y"), "c"), "x", "y")
+	return []joinKindCase{
+		{"inner", adl.Inner, nil}, {"semi", adl.Semi, nil}, {"anti", adl.Anti, nil},
+		{"outer", adl.Outer, nil}, {"nestjoin", adl.NestJ, nil}, {"nestjoin-rfun", adl.NestJ, &rfun},
+	}
+}
+
+// keyShapeDB holds a probe table L and build tables whose key attributes
+// cover every column kind: L(a, i, dt, o, bo, s, f, m) with m an int on even
+// rows and a string on odd ones (a Mixed column), R(c, ri, rdt, ro, rbo, rs,
+// rf) with duplicate keys, M(c, rm) with build keys of two kinds, and the
+// empty E.
+func keyShapeDB() *storage.MemDB {
+	l := value.EmptySet()
+	for i := 0; i < 23; i++ {
+		var m value.Value = value.Int(int64(i % 5))
+		if i%2 == 1 {
+			m = value.String(fmt.Sprintf("k%d", i%5))
+		}
+		l.Add(value.NewTuple("a", value.Int(int64(i)), "i", value.Int(int64(i%7)),
+			"dt", value.Date(940100+int64(i%6)), "o", value.OID(int64(100+i%5)), "bo", value.Bool(i%3 == 0),
+			"s", value.String(fmt.Sprintf("k%d", i%5)), "f", value.Float(float64(i%4)/2), "m", m))
+	}
+	r, mixed := value.EmptySet(), value.EmptySet()
+	for i := 0; i < 17; i++ {
+		r.Add(value.NewTuple("c", value.Int(int64(i)), "ri", value.Int(int64(i%5)),
+			"rdt", value.Date(940100+int64(i%4)), "ro", value.OID(int64(100+i%3)), "rbo", value.Bool(true),
+			"rs", value.String(fmt.Sprintf("k%d", i%4)), "rf", value.Float(float64(i%3)/2)))
+		var m value.Value = value.Int(int64(i % 3))
+		if i%3 == 1 {
+			m = value.String(fmt.Sprintf("k%d", i%4))
+		}
+		mixed.Add(value.NewTuple("c", value.Int(int64(i)), "rm", m))
+	}
+	return storage.NewMemDB("L", l, "R", r, "M", mixed, "E", value.EmptySet())
+}
+
+// TestVecHashJoinAgainstScalar cross-validates the batch hash join against
+// the scalar HashJoin on the same rows: every kind × every key column shape
+// (each table and each arm of the probe's dispatch) × residual × serial and
+// partitioned × small and default batches.
+func TestVecHashJoinAgainstScalar(t *testing.T) {
+	d := keyShapeDB()
+	residual := NewScalar(adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "a"), adl.Dot(adl.V("y"), "c")), "x", "y")
+	shapes := []struct {
+		name, lattr, table, rattr string
+		matches                   bool // some left row has a partner
+	}{
+		{"int", "i", "R", "ri", true},
+		{"date", "dt", "R", "rdt", true},
+		{"oid", "o", "R", "ro", true},
+		{"bool", "bo", "R", "rbo", true},
+		{"string", "s", "R", "rs", true},
+		{"float-generic-table", "f", "R", "rf", true},
+		{"mixed-column-int-table", "m", "R", "ri", true},
+		{"mixed-column-string-table", "m", "R", "rs", true},
+		{"mixed-column-generic-table", "m", "M", "rm", true},
+		{"string-column-generic-table", "s", "M", "rm", true},
+		{"int-column-string-table", "i", "R", "rs", false},
+		{"string-column-int-table", "s", "R", "ri", false},
+		{"empty-build", "s", "E", "rs", false},
+	}
+	for _, sh := range shapes {
+		lkey := NewScalar(adl.Dot(adl.V("x"), sh.lattr), "x")
+		rkey := NewScalar(adl.Dot(adl.V("y"), sh.rattr), "y")
+		for _, kc := range joinKindCases() {
+			for _, res := range []*Scalar{nil, &residual} {
+				want := collect(t, &HashJoin{Kind: kc.kind, L: &Scan{Table: "L"}, R: &Scan{Table: sh.table},
+					LVar: "x", RVar: "y", LKey: lkey, RKey: rkey, Residual: res, As: "ys", RFun: kc.rfun}, d)
+				if sh.matches && res == nil && want.Len() == 0 {
+					t.Errorf("%s %s: empty reference result, the case checks nothing", sh.name, kc.name)
+				}
+				for _, parts := range []int{1, 3} {
+					for _, batch := range []int{3, 0} {
+						vj := &VecHashJoin{Kind: kc.kind, L: vecScan("L", []string{sh.lattr}, batch),
+							R: &Scan{Table: sh.table}, LAttr: sh.lattr, LKey: lkey, RKey: rkey,
+							Residual: res, As: "ys", RFun: kc.rfun, Partitions: parts}
+						if got := collect(t, vj, d); !value.Equal(got, want) {
+							t.Errorf("%s %s residual=%v partitions %d batch %d: got %v want %v",
+								sh.name, kc.name, res != nil, parts, batch, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestVecHashJoinRandomized repeats the comparison on the random tables the
+// scalar operators are tested on (duplicate keys on both sides), with a
+// filtered build side under a VecAdapter.
+func TestVecHashJoinRandomized(t *testing.T) {
+	residual := NewScalar(adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "a"), adl.Dot(adl.V("y"), "c")), "x", "y")
+	lkey := NewScalar(adl.Dot(adl.V("x"), "b"), "x")
+	rkey := NewScalar(adl.Dot(adl.V("y"), "d"), "y")
+	build := func() Operator {
+		return &VecAdapter{Src: &VecFilter{Src: vecScan("R", []string{"c"}, 4), Var: "x",
+			Kernels: []VecCmp{fieldKernel("c", adl.Ge, value.Int(3))}}}
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		d := db(seed, 60, 40)
+		for _, kc := range joinKindCases() {
+			for _, res := range []*Scalar{nil, &residual} {
+				want := collect(t, &HashJoin{Kind: kc.kind, L: &Scan{Table: "L"}, R: build(),
+					LVar: "x", RVar: "y", LKey: lkey, RKey: rkey, Residual: res, As: "ys", RFun: kc.rfun}, d)
+				for _, parts := range []int{1, 4} {
+					vj := &VecHashJoin{Kind: kc.kind, L: vecScan("L", []string{"b"}, 6), R: build(),
+						LAttr: "b", LKey: lkey, RKey: rkey, Residual: res, As: "ys", RFun: kc.rfun, Partitions: parts}
+					if got := collect(t, vj, d); !value.Equal(got, want) {
+						t.Errorf("seed %d %s residual=%v partitions %d: got %v want %v",
+							seed, kc.name, res != nil, parts, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// goroutinesSettle waits for the goroutine count to come back to want.
+func goroutinesSettle(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200 && n > want; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestVecHashJoinErrors checks that the batch join fails where the scalar
+// HashJoin fails, with its text — on the caller's goroutine and from a probe
+// worker, which must not leave a goroutine behind — and that a failed join
+// runs again after Close. Each case has one failing row: which of two a
+// parallel probe reports is not defined.
+func TestVecHashJoinErrors(t *testing.T) {
+	good := value.NewTuple("a", value.Int(1), "b", value.Int(1))
+	rows := func(vs ...value.Value) *value.Set { return value.NewSet(vs...) }
+	d := storage.NewMemDB(
+		"L", rows(good, value.NewTuple("a", value.Int(2), "b", value.Int(0))),
+		"NT", rows(good, value.Int(7)),
+		"LN", rows(value.NewTuple("a", value.Int(1), "b", value.Int(1), "n", value.Int(1)), value.NewTuple("a", value.Int(2), "b", value.Int(0))),
+		"R", rows(value.NewTuple("c", value.Int(1), "d", value.Int(1)), value.NewTuple("c", value.Int(2), "d", value.Int(0))),
+		"RNT", rows(value.NewTuple("c", value.Int(1), "d", value.Int(1)), value.Int(7)),
+	)
+	b := adl.Dot(adl.V("x"), "b")
+	dd := adl.Dot(adl.V("y"), "d")
+	one := adl.CInt(1)
+	inv := func(e adl.Expr) adl.Expr { return &adl.Arith{Op: adl.Div, L: one, R: e} }
+	cases := []struct {
+		name, ltable, rtable, lattr string
+		lkey, rkey                  adl.Expr
+		kind                        adl.JoinKind
+	}{
+		{"non-tuple left row", "NT", "R", "b", b, dd, adl.Semi},
+		{"non-tuple right row", "L", "RNT", "b", b, dd, adl.Inner},
+		{"missing left attribute", "LN", "R", "n", adl.Dot(adl.V("x"), "n"), dd, adl.Inner},
+		{"missing right attribute", "L", "R", "b", b, adl.Dot(adl.V("y"), "nope"), adl.Anti},
+		{"failing key scalar", "L", "R", "b", b, inv(dd), adl.Outer},
+	}
+	for _, tc := range cases {
+		lkey, rkey := NewScalar(tc.lkey, "x"), NewScalar(tc.rkey, "y")
+		_, werr := Collect(&HashJoin{Kind: tc.kind, L: &Scan{Table: tc.ltable}, R: &Scan{Table: tc.rtable},
+			LVar: "x", RVar: "y", LKey: lkey, RKey: rkey, As: "ys"}, &Ctx{DB: d})
+		if werr == nil {
+			t.Fatalf("%s: the scalar join must fail", tc.name)
+		}
+		for _, parts := range []int{1, 3} {
+			before := runtime.NumGoroutine()
+			vj := &VecHashJoin{Kind: tc.kind, L: vecScan(tc.ltable, []string{tc.lattr}, 1), R: &Scan{Table: tc.rtable},
+				LAttr: tc.lattr, LKey: lkey, RKey: rkey, As: "ys", Partitions: parts}
+			_, gerr := Collect(vj, &Ctx{DB: d})
+			if gerr == nil || gerr.Error() != werr.Error() {
+				t.Errorf("%s partitions %d: vec=%v scalar=%v", tc.name, parts, gerr, werr)
+			}
+			if after := goroutinesSettle(before); after > before {
+				t.Errorf("%s partitions %d: %d goroutines before, %d after", tc.name, parts, before, after)
+			}
+		}
+	}
+
+	// Re-Open after Close: one instance, failing run first.
+	for _, parts := range []int{1, 3} {
+		scan := vecScan("NT", []string{"b"}, 1)
+		vj := &VecHashJoin{Kind: adl.Semi, L: scan, R: &Scan{Table: "R"}, LAttr: "b",
+			LKey: NewScalar(b, "x"), RKey: NewScalar(dd, "y"), Partitions: parts}
+		if _, err := Collect(vj, &Ctx{DB: d}); err == nil {
+			t.Fatalf("partitions %d: non-tuple probe row must fail", parts)
+		}
+		scan.Extent = "L"
+		want := collect(t, &HashJoin{Kind: adl.Semi, L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
+			LVar: "x", RVar: "y", LKey: NewScalar(b, "x"), RKey: NewScalar(dd, "y")}, d)
+		for run := 0; run < 2; run++ {
+			if got := rowFacade(t, vj, d); !value.Equal(got, want) {
+				t.Errorf("partitions %d run %d after Close: got %v want %v", parts, run, got, want)
+			}
+		}
+	}
+}
+
+// antiResidualStore holds L(a, k) with one row whose key meets the build
+// rows of R(c, rk, d) — one per given d, inserted in that order, all of one
+// key — and one row that meets none; R.rk is indexed.
+func antiResidualStore(t *testing.T, ds ...int64) *storage.Store {
+	t.Helper()
+	cat := schema.NewCatalog()
+	for _, cl := range []*schema.Class{
+		{Name: "Left", Extent: "L", IDField: "lid", Attrs: []schema.Attr{
+			{Name: "a", Type: types.IntType}, {Name: "k", Type: types.IntType}}},
+		{Name: "Right", Extent: "R", IDField: "rid", Attrs: []schema.Attr{
+			{Name: "c", Type: types.IntType}, {Name: "rk", Type: types.IntType}, {Name: "d", Type: types.IntType}}},
+	} {
+		if err := cat.Define(cl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := storage.New(cat)
+	insert := func(extent string, row *value.Tuple) {
+		if _, err := st.Insert(extent, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert("L", value.NewTuple("a", value.Int(1), "k", value.Int(5)))
+	insert("L", value.NewTuple("a", value.Int(2), "k", value.Int(6)))
+	for i, dv := range ds {
+		insert("R", value.NewTuple("c", value.Int(int64(i)), "rk", value.Int(5), "d", value.Int(dv)))
+	}
+	if err := st.CreateIndex("R", "rk", storage.HashIndex); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestAntiJoinStopsAtFirstMatch pins the one verdict: L ▷ R on a key with two
+// build matches under the residual 1 / (y.d - 3) > 0. With d = 4 then 3 the
+// first match passes, the left row is out, and no operator goes on to the
+// pair that divides by zero; with d = 3 then 4 every operator fails on the
+// first pair, with one text.
+func TestAntiJoinStopsAtFirstMatch(t *testing.T) {
+	x, y := adl.V("x"), adl.V("y")
+	keyEq := adl.EqE(adl.Dot(x, "k"), adl.Dot(y, "rk"))
+	resid := adl.CmpE(adl.Gt, &adl.Arith{Op: adl.Div, L: adl.CInt(1),
+		R: &adl.Arith{Op: adl.Subtract, L: adl.Dot(y, "d"), R: adl.CInt(3)}}, adl.CInt(0))
+	logical := adl.JoinE(adl.T("L"), "x", "y", adl.AndE(keyEq, resid), adl.T("R"))
+	logical.Kind = adl.Anti
+	lkey, rkey := NewScalar(adl.Dot(x, "k"), "x"), NewScalar(adl.Dot(y, "rk"), "y")
+	res := NewScalar(resid, "x", "y")
+	scan := func(n string) Operator { return &Scan{Table: n} }
+	type arm struct {
+		name string
+		run  func(st *storage.Store) (*value.Set, error)
+	}
+	arms := []arm{
+		{"eval.EvalSet", func(st *storage.Store) (*value.Set, error) { return eval.EvalSet(logical, nil, st) }},
+		{"NLJoin", func(st *storage.Store) (*value.Set, error) {
+			return Collect(&NLJoin{Kind: adl.Anti, L: scan("L"), R: scan("R"), LVar: "x", RVar: "y",
+				Pred: NewScalar(logical.On, "x", "y")}, &Ctx{DB: st})
+		}},
+		{"HashJoin", func(st *storage.Store) (*value.Set, error) {
+			return Collect(&HashJoin{Kind: adl.Anti, L: scan("L"), R: scan("R"), LVar: "x", RVar: "y",
+				LKey: lkey, RKey: rkey, Residual: &res}, &Ctx{DB: st})
+		}},
+		{"IndexNLJoin", func(st *storage.Store) (*value.Set, error) {
+			return Collect(&IndexNLJoin{Kind: adl.Anti, L: scan("L"), Table: "R", Attr: "rk",
+				LVar: "x", RVar: "y", LKey: lkey, Residual: &res}, &Ctx{DB: st})
+		}},
+		{"PartitionedHashJoin", func(st *storage.Store) (*value.Set, error) {
+			return Collect(&PartitionedHashJoin{Kind: adl.Anti, L: scan("L"), R: scan("R"), LVar: "x", RVar: "y",
+				LKey: lkey, RKey: rkey, Residual: &res, Partitions: 3}, &Ctx{DB: st})
+		}},
+	}
+	for _, parts := range []int{1, 3} {
+		arms = append(arms, arm{fmt.Sprintf("VecHashJoin/partitions-%d", parts), func(st *storage.Store) (*value.Set, error) {
+			return Collect(&VecHashJoin{Kind: adl.Anti, L: vecScan("L", []string{"k"}, 1), R: scan("R"),
+				LAttr: "k", LKey: lkey, RKey: rkey, Residual: &res, Partitions: parts}, &Ctx{DB: st})
+		}})
+	}
+
+	st := antiResidualStore(t, 4, 3)
+	var want *value.Set
+	for _, arm := range arms {
+		got, err := arm.run(st)
+		if err != nil {
+			t.Errorf("%s: went on past the verdict: %v", arm.name, err)
+			continue
+		}
+		if want == nil {
+			want = got
+		}
+		if got.Len() != 1 || !value.Equal(got, want) {
+			t.Errorf("%s: got %v, want the one unmatched row %v", arm.name, got, want)
+		}
+	}
+
+	st = antiResidualStore(t, 3, 4)
+	var text string
+	for _, arm := range arms {
+		_, err := arm.run(st)
+		if err == nil {
+			t.Errorf("%s: the first pair divides by zero and must fail", arm.name)
+			continue
+		}
+		if text == "" {
+			text = err.Error()
+		}
+		if err.Error() != text {
+			t.Errorf("%s: error %q, the others %q", arm.name, err, text)
+		}
+	}
+}
+
+// TestVecSetJoinAgainstScalar cross-validates the batch set-probe join
+// against the scalar SetProbeJoin: semi, anti and the nestjoin with and
+// without its right-tuple function × the generic table (whole-element keys,
+// plain int elements under an atomic key, unary tuples over a string) and
+// the unary-int fast path (computed and subscript-read keys) × the typed Set
+// column and the decoded tuple.
+func TestVecSetJoinAgainstScalar(t *testing.T) {
+	// Owners hold sets of ⟨k:int⟩ refs, of plain ints and of ⟨t:string⟩ refs;
+	// items carry even keys only, so some owners hit and some miss.
+	owners := value.EmptySet()
+	for i := 0; i < 9; i++ {
+		parts, refs, tags := value.EmptySet(), value.EmptySet(), value.EmptySet()
+		for j := 0; j <= i%4; j++ {
+			refs.Add(value.Int(int64(3*i + j)))
+		}
+		if i != 4 { // one owner with empty sets
+			parts.Add(value.NewTuple("k", value.Int(int64(i))))
+			parts.Add(value.NewTuple("k", value.Int(int64(i+4))))
+			tags.Add(value.NewTuple("t", value.String(fmt.Sprintf("t%d", i%3))))
+		}
+		owners.Add(value.NewTuple("a", value.Int(int64(i)), "parts", parts, "refs", refs, "tags", tags))
+	}
+	items := value.EmptySet()
+	for i := 0; i < 7; i++ {
+		items.Add(value.NewTuple("k", value.Int(int64(2*(i%6))), "c", value.Int(int64(i)),
+			"t", value.String(fmt.Sprintf("t%d", i%2))))
+	}
+	fixed := storage.NewMemDB("O", owners, "I", items, "E", value.EmptySet())
+	y := adl.V("y")
+	type shape struct {
+		name        string
+		d           *storage.MemDB
+		left, right string
+		attr        string
+		rkey        adl.Expr
+	}
+	cases := []shape{
+		{"unary-int-subscript", fixed, "O", "I", "parts", adl.SubT(y, "k")},
+		{"unary-int-computed", fixed, "O", "I", "parts", adl.Tup("k", adl.Dot(y, "k"))},
+		{"unary-string-generic", fixed, "O", "I", "tags", adl.SubT(y, "t")},
+		{"atomic-key-generic", fixed, "O", "I", "refs", adl.Dot(y, "k")},
+		{"empty-build", fixed, "O", "E", "parts", adl.SubT(y, "k")},
+	}
+	wholeKey := adl.Tup("k", adl.Dot(y, "d"), "w", adl.Dot(y, "c"))
+	for seed := int64(1); seed <= 3; seed++ {
+		cases = append(cases, shape{fmt.Sprintf("whole-element-seed-%d", seed), db(seed, 15, 80), "N", "R", "parts", wholeKey})
+	}
+	for _, tc := range cases {
+		rkey := NewScalar(tc.rkey, "y")
+		sawHit, sawMiss := false, false
+		for _, kc := range joinKindCases() {
+			if kc.kind == adl.Inner || kc.kind == adl.Outer {
+				continue
+			}
+			want := collect(t, &SetProbeJoin{Kind: kc.kind, L: &Scan{Table: tc.left}, R: &Scan{Table: tc.right},
+				Attr: tc.attr, RKey: rkey, As: "ys", RFun: kc.rfun}, tc.d)
+			if kc.kind == adl.Semi {
+				sawHit, sawMiss = want.Len() > 0, want.Len() < collect(t, &Scan{Table: tc.left}, tc.d).Len()
+			}
+			for _, attrs := range [][]string{{tc.attr}, nil} {
+				vj := &VecSetJoin{Kind: kc.kind, L: vecScan(tc.left, attrs, 3), R: &Scan{Table: tc.right},
+					Attr: tc.attr, RKey: rkey, As: "ys", RFun: kc.rfun}
+				if got := collect(t, vj, tc.d); !value.Equal(got, want) {
+					t.Errorf("%s %s typed-column=%v: got %v want %v", tc.name, kc.name, attrs != nil, got, want)
+				}
+			}
+		}
+		if tc.right != "E" && !(sawHit && sawMiss) {
+			t.Errorf("%s: semijoin hit=%v miss=%v, the case must see both", tc.name, sawHit, sawMiss)
+		}
+	}
+
+	// Error parity with the scalar operator, then a second run of the
+	// failed instance after Close.
+	subKey := NewScalar(adl.SubT(y, "k"), "y")
+	bad := value.NewSet(value.NewTuple("a", value.Int(1), "parts", value.EmptySet()), value.Int(7))
+	ed := storage.NewMemDB("O", owners, "I", items, "NT", bad)
+	for _, tc := range []struct {
+		name, left, attr string
+		kind             adl.JoinKind
+		rkey             Scalar
+	}{
+		{"non-set attribute", "O", "a", adl.Semi, subKey},
+		{"missing attribute", "O", "nope", adl.Anti, subKey},
+		{"non-tuple row", "NT", "parts", adl.NestJ, subKey},
+		{"failing key scalar", "O", "parts", adl.Semi, NewScalar(adl.Dot(y, "nope"), "y")},
+		{"unsupported kind", "O", "parts", adl.Inner, subKey},
+	} {
+		_, werr := Collect(&SetProbeJoin{Kind: tc.kind, L: &Scan{Table: tc.left}, R: &Scan{Table: "I"},
+			Attr: tc.attr, RKey: tc.rkey, As: "ys"}, &Ctx{DB: ed})
+		scan := vecScan(tc.left, []string{tc.attr}, 2)
+		vj := &VecSetJoin{Kind: tc.kind, L: scan, R: &Scan{Table: "I"}, Attr: tc.attr, RKey: tc.rkey, As: "ys"}
+		_, gerr := Collect(vj, &Ctx{DB: ed})
+		if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
+			t.Errorf("%s: vec=%v scalar=%v", tc.name, gerr, werr)
+		}
+		if tc.name != "non-tuple row" {
+			continue
+		}
+		scan.Extent = "O"
+		want := collect(t, &SetProbeJoin{Kind: tc.kind, L: &Scan{Table: "O"}, R: &Scan{Table: "I"},
+			Attr: tc.attr, RKey: tc.rkey, As: "ys"}, ed)
+		if got := rowFacade(t, vj, ed); !value.Equal(got, want) {
+			t.Errorf("re-Open after a failed run: got %v want %v", got, want)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/adl"
@@ -34,8 +33,7 @@ type VecPNHL struct {
 	Member *Scalar
 
 	segmentsUsed int
-	out          []value.Value
-	pos          int
+	rowBuf
 }
 
 // Segments reports how many build segments the last Open needed.
@@ -119,18 +117,10 @@ func (p *VecPNHL) Open(ctx *Ctx) (err error) {
 	}
 
 	// Evaluate every build key once; segments slice into this.
-	var bt keyTable
-	if !bt.appendFast(build, p.BuildKey) {
-		bt.keys = bt.keys[:0]
-		for _, r := range build {
-			k, kerr := p.BuildKey.Eval(ctx, r)
-			if kerr != nil {
-				return kerr
-			}
-			bt.keys = append(bt.keys, k)
-		}
+	bkeys, err := buildKeys(ctx, build, p.BuildKey, 1)
+	if err != nil {
+		return err
 	}
-	buildKeys := bt.keys
 
 	segment := p.BudgetRows
 	if segment <= 0 || segment > len(build) {
@@ -153,32 +143,28 @@ func (p *VecPNHL) Open(ctx *Ctx) (err error) {
 		}
 		p.segmentsUsed++
 		// Build phase: a typed flat table over this segment's keys.
-		seg := keyTable{keys: buildKeys[lo:hi]}
+		seg := keyTable{keys: bkeys[lo:hi]}
 		seg.index()
 		// Probe phase: each element's precomputed key against the segment.
 		for pi := range tuples {
 			for ei, elem := range sets[pi].Elems() {
-				if ferr := seg.forEach(elemKeys[pi][ei], func(li int) error {
-					bi := lo + li
+				var ferr error
+				seg.forEach(elemKeys[pi][ei], func(li int) bool {
+					var m value.Value
 					if p.Member != nil {
-						m, merr := p.Member.Eval(ctx, elem, build[bi])
-						if merr != nil {
-							return merr
+						m, ferr = p.Member.Eval(ctx, elem, build[lo+li])
+					} else {
+						var brow *value.Tuple
+						if brow, ferr = asTuple(build[lo+li], "PNHL"); ferr == nil {
+							m, ferr = elem.(*value.Tuple).Concat(brow)
 						}
+					}
+					if ferr == nil {
 						partial[pi].add(m)
-						return nil
 					}
-					brow, berr := asTuple(build[bi], "PNHL")
-					if berr != nil {
-						return berr
-					}
-					cat, cerr := elem.(*value.Tuple).Concat(brow)
-					if cerr != nil {
-						return cerr
-					}
-					partial[pi].add(cat)
-					return nil
-				}); ferr != nil {
+					return ferr != nil
+				})
+				if ferr != nil {
 					return ferr
 				}
 			}
@@ -189,8 +175,7 @@ func (p *VecPNHL) Open(ctx *Ctx) (err error) {
 	}
 
 	// Merge phase: replace the attribute with the accumulated join result.
-	p.out = p.out[:0]
-	p.pos = 0
+	p.reset()
 	for pi, lt := range tuples {
 		p.out = append(p.out, lt.Except(value.NewTuple(p.Attr, partial[pi].set())))
 	}
@@ -211,28 +196,5 @@ func fieldKeyAttr(key Scalar) string {
 	return f.Name
 }
 
-// Next yields the next merged row.
-func (p *VecPNHL) Next() (value.Value, bool, error) {
-	if p.pos >= len(p.out) {
-		return nil, false, nil
-	}
-	row := p.out[p.pos]
-	p.pos++
-	return row, true, nil
-}
-
 // Close releases buffers.
 func (p *VecPNHL) Close() error { p.out = nil; return nil }
-
-// CollectSet materializes the merged rows straight into a set.
-func (p *VecPNHL) CollectSet(ctx *Ctx) (*value.Set, error) {
-	if err := p.Open(ctx); err != nil {
-		return nil, errors.Join(err, p.Close())
-	}
-	s := value.NewSetFromSlice(p.out)
-	p.out = p.out[:0]
-	if cerr := p.Close(); cerr != nil {
-		return nil, cerr
-	}
-	return s, nil
-}

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/adl"
@@ -130,201 +129,6 @@ func TestVecAdapterProject(t *testing.T) {
 	}
 }
 
-// TestVecSemiJoinAgainstScalar checks semi/anti against HashJoin, across
-// batch sizes and a filtered build side.
-func TestVecSemiJoinAgainstScalar(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		d := db(seed, 25, 18)
-		for _, anti := range []bool{false, true} {
-			kind := adl.Semi
-			if anti {
-				kind = adl.Anti
-			}
-			lkey := NewScalar(adl.Dot(adl.V("x"), "b"), "x")
-			rkey := NewScalar(adl.Dot(adl.V("y"), "d"), "y")
-			want := collect(t, &HashJoin{Kind: kind, L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
-				LVar: "x", RVar: "y", LKey: lkey, RKey: rkey}, d)
-
-			vj := &VecSemiJoin{Anti: anti, L: vecScan("L", []string{"b"}, 6), R: &Scan{Table: "R"},
-				LAttr: "b", LKey: lkey, RKey: rkey}
-			got := collect(t, &VecAdapter{Src: vj}, d)
-			if !value.Equal(got, want) {
-				t.Errorf("seed %d anti=%v: got %v want %v", seed, anti, got, want)
-			}
-		}
-	}
-}
-
-// TestVecSemiJoinKeyShapes drives the non-int table paths: string keys, a
-// cross-kind build side, and an empty build side.
-func TestVecSemiJoinKeyShapes(t *testing.T) {
-	l := value.EmptySet()
-	for i := 0; i < 6; i++ {
-		l.Add(value.NewTuple("a", value.Int(int64(i)), "s", value.String(fmt.Sprintf("k%d", i%3))))
-	}
-	r := value.EmptySet()
-	r.Add(value.NewTuple("t", value.String("k1")))
-	r.Add(value.NewTuple("t", value.String("k2")))
-	mixed := value.EmptySet()
-	mixed.Add(value.NewTuple("t", value.String("k1")))
-	mixed.Add(value.NewTuple("t", value.Int(0)))
-	empty := value.EmptySet()
-	d := storage.NewMemDB("L", l, "R", r, "M", mixed, "E", empty)
-
-	lkeyS := NewScalar(adl.Dot(adl.V("x"), "s"), "x")
-	lkeyA := NewScalar(adl.Dot(adl.V("x"), "a"), "x")
-	rkey := NewScalar(adl.Dot(adl.V("y"), "t"), "y")
-
-	cases := []struct {
-		name  string
-		lattr string
-		lkey  Scalar
-		table string
-	}{
-		{"string-keys", "s", lkeyS, "R"},
-		{"mixed-build", "s", lkeyS, "M"},
-		{"cross-kind", "a", lkeyA, "R"},
-		{"empty-build", "s", lkeyS, "E"},
-	}
-	for _, tc := range cases {
-		for _, anti := range []bool{false, true} {
-			kind := adl.Semi
-			if anti {
-				kind = adl.Anti
-			}
-			want := collect(t, &HashJoin{Kind: kind, L: &Scan{Table: "L"}, R: &Scan{Table: tc.table},
-				LVar: "x", RVar: "y", LKey: tc.lkey, RKey: rkey}, d)
-			vj := &VecSemiJoin{Anti: anti, L: vecScan("L", []string{tc.lattr}, 2), R: &Scan{Table: tc.table},
-				LAttr: tc.lattr, LKey: tc.lkey, RKey: rkey}
-			got := collect(t, &VecAdapter{Src: vj}, d)
-			if !value.Equal(got, want) {
-				t.Errorf("%s anti=%v: got %v want %v", tc.name, anti, got, want)
-			}
-		}
-	}
-}
-
-// TestVecInnerJoinAgainstScalar checks the inner join across batch sizes
-// and both the typed and generic table paths.
-func TestVecInnerJoinAgainstScalar(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		d := db(seed, 22, 16)
-		lkey := NewScalar(adl.Dot(adl.V("x"), "b"), "x")
-		rkey := NewScalar(adl.Dot(adl.V("y"), "d"), "y")
-		want := collect(t, &HashJoin{Kind: adl.Inner, L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
-			LVar: "x", RVar: "y", LKey: lkey, RKey: rkey}, d)
-		for _, batch := range []int{3, 0} {
-			vj := &VecInnerJoin{L: vecScan("L", []string{"b"}, batch), R: &Scan{Table: "R"},
-				LAttr: "b", LKey: lkey, RKey: rkey}
-			got := collect(t, vj, d)
-			if !value.Equal(got, want) {
-				t.Errorf("seed %d batch %d: got %v want %v", seed, batch, got, want)
-			}
-		}
-	}
-}
-
-// TestVecNLJoinAgainstScalar checks the batch nested-loop reference for
-// inner, semi and anti kinds with an arbitrary (non-equi) predicate.
-func TestVecNLJoinAgainstScalar(t *testing.T) {
-	d := db(9, 15, 12)
-	pred := NewScalar(adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "b"), adl.Dot(adl.V("y"), "d")), "x", "y")
-	for _, kind := range []adl.JoinKind{adl.Inner, adl.Semi, adl.Anti} {
-		want := collect(t, &NLJoin{Kind: kind, L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
-			LVar: "x", RVar: "y", Pred: pred}, d)
-		vj := &VecNLJoin{Kind: kind, L: vecScan("L", []string{"b"}, 4), R: &Scan{Table: "R"}, Pred: pred}
-		got := collect(t, vj, d)
-		if !value.Equal(got, want) {
-			t.Errorf("kind %v: got %v want %v", kind, got, want)
-		}
-	}
-}
-
-// TestVecSetProbeJoinGeneric drives the generic (hash/Equal) probe path:
-// sets of plain ints probed with an atomic int build key.
-func TestVecSetProbeJoinGeneric(t *testing.T) {
-	owners := value.EmptySet()
-	for i := 0; i < 8; i++ {
-		refs := value.EmptySet()
-		for j := 0; j <= i%4; j++ {
-			refs.Add(value.Int(int64(i + j)))
-		}
-		owners.Add(value.NewTuple("a", value.Int(int64(i)), "refs", refs))
-	}
-	items := value.EmptySet()
-	for i := 0; i < 6; i++ {
-		items.Add(value.NewTuple("k", value.Int(int64(2*i)), "w", value.Int(int64(i))))
-	}
-	d := storage.NewMemDB("O", owners, "I", items)
-
-	rkey := NewScalar(adl.Dot(adl.V("y"), "k"), "y")
-	for _, anti := range []bool{false, true} {
-		kind := adl.Semi
-		if anti {
-			kind = adl.Anti
-		}
-		want := collect(t, &SetProbeJoin{Kind: kind, L: &Scan{Table: "O"}, R: &Scan{Table: "I"},
-			Attr: "refs", RKey: rkey}, d)
-		vj := &VecSetProbeJoin{Anti: anti, L: vecScan("O", []string{"refs"}, 3), R: &Scan{Table: "I"},
-			Attr: "refs", RKey: rkey}
-		got := collect(t, &VecAdapter{Src: vj}, d)
-		if !value.Equal(got, want) {
-			t.Errorf("anti=%v: got %v want %v", anti, got, want)
-		}
-	}
-}
-
-// TestVecSetProbeJoinHits builds a database where the unary-tuple fast path
-// gets genuine hits and misses, and cross-checks the scalar result.
-func TestVecSetProbeJoinHits(t *testing.T) {
-	// Owners hold sets of ⟨k:int⟩ refs; ITEMS is the flat table keyed by k.
-	// Items carry even keys only, so odd owners miss and even owners hit.
-	owners := value.EmptySet()
-	for i := 0; i < 8; i++ {
-		parts := value.EmptySet()
-		parts.Add(value.NewTuple("k", value.Int(int64(i))))
-		parts.Add(value.NewTuple("k", value.Int(int64(i+4))))
-		owners.Add(value.NewTuple("a", value.Int(int64(i)), "parts", parts))
-	}
-	items := value.EmptySet()
-	for i := 0; i < 6; i++ {
-		items.Add(value.NewTuple("k", value.Int(int64(2*i)), "w", value.Int(int64(i))))
-	}
-	d := storage.NewMemDB("O", owners, "I", items)
-
-	rkey := NewScalar(adl.SubT(adl.V("y"), "k"), "y")
-	for _, anti := range []bool{false, true} {
-		kind := adl.Semi
-		if anti {
-			kind = adl.Anti
-		}
-		want := collect(t, &SetProbeJoin{Kind: kind, L: &Scan{Table: "O"}, R: &Scan{Table: "I"},
-			Attr: "parts", RKey: rkey}, d)
-		vj := &VecSetProbeJoin{Anti: anti, L: vecScan("O", []string{"parts"}, 3), R: &Scan{Table: "I"},
-			Attr: "parts", RKey: rkey}
-		got := collect(t, &VecAdapter{Src: vj}, d)
-		if !value.Equal(got, want) {
-			t.Errorf("anti=%v: got %v want %v", anti, got, want)
-		}
-		if anti && got.Len() == 0 {
-			t.Errorf("anti arm matched every owner — fast path suspiciously total")
-		}
-		if !anti && got.Len() == 0 {
-			t.Errorf("semi arm matched nothing — fast path suspiciously empty")
-		}
-	}
-
-	// Error parity: probing a non-set attribute.
-	vj := &VecSetProbeJoin{L: vecScan("O", []string{"a"}, 3), R: &Scan{Table: "I"},
-		Attr: "a", RKey: rkey}
-	_, gerr := Collect(&VecAdapter{Src: vj}, &Ctx{DB: d})
-	_, werr := Collect(&SetProbeJoin{Kind: adl.Semi, L: &Scan{Table: "O"}, R: &Scan{Table: "I"},
-		Attr: "a", RKey: rkey}, &Ctx{DB: d})
-	if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
-		t.Errorf("non-set error mismatch: vec=%v scalar=%v", gerr, werr)
-	}
-}
-
 // rowFacade drives op through the plain Open/Next/Close contract. Collect
 // prefers the bulk SetCollector path and drain short-circuits VecAdapter,
 // so without this loop the row-at-a-time facades would go untested.
@@ -357,7 +161,6 @@ func TestRowFacadesMatchBulkCollect(t *testing.T) {
 	d := db(11, 20, 14)
 	lkey := NewScalar(adl.Dot(adl.V("x"), "b"), "x")
 	rkey := NewScalar(adl.Dot(adl.V("y"), "d"), "y")
-	nlPred := NewScalar(adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "b"), adl.Dot(adl.V("y"), "d")), "x", "y")
 	makers := map[string]func() Operator{
 		"adapter": func() Operator {
 			vf := &VecFilter{Src: vecScan("L", []string{"a", "b"}, 6), Var: "x",
@@ -365,12 +168,16 @@ func TestRowFacadesMatchBulkCollect(t *testing.T) {
 			return &VecAdapter{Src: vf, Project: []string{"b"}}
 		},
 		"inner": func() Operator {
-			return &VecInnerJoin{L: vecScan("L", []string{"b"}, 5), R: &Scan{Table: "R"},
+			return &VecHashJoin{Kind: adl.Inner, L: vecScan("L", []string{"b"}, 5), R: &Scan{Table: "R"},
 				LAttr: "b", LKey: lkey, RKey: rkey}
 		},
-		"nljoin": func() Operator {
-			return &VecNLJoin{Kind: adl.Inner, L: vecScan("L", []string{"b"}, 5),
-				R: &Scan{Table: "R"}, Pred: nlPred}
+		"semi-partitioned": func() Operator {
+			return &VecHashJoin{Kind: adl.Semi, L: vecScan("L", []string{"b"}, 5), R: &Scan{Table: "R"},
+				LAttr: "b", LKey: lkey, RKey: rkey, Partitions: 3}
+		},
+		"set-anti": func() Operator {
+			return &VecSetJoin{Kind: adl.Anti, L: vecScan("N", []string{"parts"}, 5), R: &Scan{Table: "R"},
+				Attr: "parts", RKey: NewScalar(adl.Tup("k", adl.Dot(adl.V("y"), "d"), "w", adl.Dot(adl.V("y"), "c")), "y")}
 		},
 	}
 	for name, mk := range makers {
@@ -424,7 +231,7 @@ func TestVecScanOfWalksToTheLeaf(t *testing.T) {
 	if got := VecScanOf(chain); got != scan {
 		t.Errorf("VecScanOf(filter chain) = %v, want the scan leaf", got)
 	}
-	if got := VecScanOf(&VecSemiJoin{}); got != nil {
-		t.Errorf("VecScanOf(join) = %v, want nil", got)
+	if got := VecScanOf(&VecExchange{Src: scan}); got != nil {
+		t.Errorf("VecScanOf(exchange) = %v, want nil", got)
 	}
 }

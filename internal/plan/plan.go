@@ -83,8 +83,8 @@ type Config struct {
 	// (experiments.B12) and differential tests.
 	NoHistograms bool
 	// Vectorized enables batch execution: eligible fragments — extent
-	// scans, conjunctive selections, single-key equi-joins (inner, semi,
-	// anti), set-probe joins — compile to batch-at-a-time operators over
+	// scans, conjunctive selections, single-key equi-joins and set-probe
+	// joins of every kind — compile to batch-at-a-time operators over
 	// columnar extent projections with selection vectors (vectorize.go).
 	// Default off: the scalar operators are the reference semantics the
 	// differential harness compares against.
@@ -459,11 +459,7 @@ func (p *planner) compileJoin(j *adl.Join) (exec.Operator, nodeEst) {
 	}
 	l, le := p.compile(j.L)
 	r, re := p.compile(j.R)
-	var rfun *exec.Scalar
-	if j.RFun != nil {
-		s := exec.NewScalar(j.RFun, j.LVar, j.RVar)
-		rfun = &s
-	}
+	rfun := rfunScalar(j)
 
 	cs := conjuncts(j.On)
 	costed := p.statsMode() && le.known && re.known
@@ -817,40 +813,23 @@ func describe(node any) (string, []any) {
 	case *exec.VecExchange:
 		return fmt.Sprintf("VecExchange(workers %d | morsel %d)  -- parallel morsel scan",
 			exec.Parallelism(o.Workers), o.Morsel), []any{o.Src}
-	case *exec.VecSemiJoin:
-		kind := "semi"
-		if o.Anti {
-			kind = "anti"
+	case *exec.VecHashJoin:
+		on := fmt.Sprintf("on .%s = %s%s", o.LAttr, o.RKey.Expr, residualNote(o.Residual))
+		switch {
+		case o.Partitions > 1:
+			return fmt.Sprintf("VecPartitionedHashJoin[%v %s | workers %d]  -- parallel vectorized",
+				o.Kind, on, o.Partitions), []any{o.L, o.R}
+		case o.Kind == adl.NestJ:
+			return fmt.Sprintf("VecHashGroupJoin[nestjoin as %s %s]  -- vectorized", o.As, on), []any{o.L, o.R}
 		}
-		return fmt.Sprintf("VecHashJoin[%s on .%s = %s%s]  -- vectorized",
-			kind, o.LAttr, o.RKey.Expr, residualNote(o.Residual)), []any{o.L, o.R}
-	case *exec.VecInnerJoin:
-		kind := "inner"
-		if o.Outer {
-			kind = "outer"
-		}
-		return fmt.Sprintf("VecHashJoin[%s on .%s = %s%s]  -- vectorized",
-			kind, o.LAttr, o.RKey.Expr, residualNote(o.Residual)), []any{o.L, o.R}
-	case *exec.VecHashGroupJoin:
-		return fmt.Sprintf("VecHashGroupJoin[nestjoin as %s on .%s = %s%s]  -- vectorized",
-			o.As, o.LAttr, o.RKey.Expr, residualNote(o.Residual)), []any{o.L, o.R}
-	case *exec.VecPartitionedHashJoin:
-		return fmt.Sprintf("VecPartitionedHashJoin[%v on .%s = %s%s | workers %d]  -- parallel vectorized",
-			o.Kind, o.LAttr, o.RKey.Expr, residualNote(o.Residual),
-			exec.Parallelism(o.Partitions)), []any{o.L, o.R}
-	case *exec.VecNLJoin:
-		return fmt.Sprintf("VecNLJoin[%v on %s]  -- vectorized",
-			o.Kind, o.Pred.Expr), []any{o.L, o.R}
-	case *exec.VecSetProbeJoin:
-		kind := "semi"
-		if o.Anti {
-			kind = "anti"
+		return fmt.Sprintf("VecHashJoin[%s %s]  -- vectorized", kindWord(o.Kind), on), []any{o.L, o.R}
+	case *exec.VecSetJoin:
+		if o.Kind == adl.NestJ {
+			return fmt.Sprintf("VecSetGroupJoin[nestjoin as %s on %s ∈ .%s]  -- vectorized",
+				o.As, o.RKey.Expr, o.Attr), []any{o.L, o.R}
 		}
 		return fmt.Sprintf("VecSetProbeJoin[%s on %s ∈ .%s]  -- vectorized",
-			kind, o.RKey.Expr, o.Attr), []any{o.L, o.R}
-	case *exec.VecSetGroupJoin:
-		return fmt.Sprintf("VecSetGroupJoin[nestjoin as %s on %s ∈ .%s]  -- vectorized",
-			o.As, o.RKey.Expr, o.Attr), []any{o.L, o.R}
+			kindWord(o.Kind), o.RKey.Expr, o.Attr), []any{o.L, o.R}
 	case *exec.VecPNHL:
 		return fmt.Sprintf("VecPNHL[on .%s | budget %d rows]  -- vectorized segmented",
 			o.Attr, o.BudgetRows), []any{o.L, o.R}
@@ -923,6 +902,16 @@ func describe(node any) (string, []any) {
 		return fmt.Sprintf("PNHL[.%s with budget %d rows]", o.Attr, o.BudgetRows), []any{o.L, o.R}
 	}
 	return fmt.Sprintf("%T", node), nil
+}
+
+// kindWord names a join kind in a batch join's line.
+func kindWord(k adl.JoinKind) string {
+	words := [...]string{adl.Inner: "inner", adl.Semi: "semi", adl.Anti: "anti",
+		adl.NestJ: "nestjoin", adl.Outer: "outer"}
+	if int(k) < len(words) {
+		return words[k]
+	}
+	return k.String()
 }
 
 // residualNote renders an optional residual predicate for a join line.

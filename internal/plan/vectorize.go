@@ -1,16 +1,17 @@
 // Vectorized physical selection. Behind Config.Vectorized the planner
 // compiles eligible fragments to batch-at-a-time operators: extent scans
 // become columnar-projection scans, conjunctive selections become selection-
-// vector filters with typed comparison kernels, and single-key equi-joins of
-// every kind (inner, semi, anti, outer, nestjoin — residual conjuncts
-// included) and set-probe joins (semi/anti pass-through and the nestjoin
-// grouping form) probe flat hash tables batch by batch. With workers
-// available (Config.Parallelism) the scan+filter pipeline additionally
-// lowers to the morsel-driven VecExchange and semi/anti/inner/outer
-// equi-joins to VecPartitionedHashJoin — the batch-native parallel pair,
-// priced in stats mode and size-thresholded otherwise. Ineligible shapes —
-// computed or composite keys, non-extent sources — silently fall through to
-// the scalar operators, which remain the reference semantics.
+// vector filters with typed comparison kernels, and the joins become the two
+// batch join operators, each of every kind it has an output rule for:
+// single-key equi-joins (inner, semi, anti, outer, nestjoin — residual
+// conjuncts included) exec.VecHashJoin, set-probe joins (semi, anti,
+// nestjoin) exec.VecSetJoin. With workers available (Config.Parallelism) the
+// scan+filter pipeline additionally lowers to the morsel-driven VecExchange
+// and a semi/anti/inner/outer equi-join to a VecHashJoin with as many
+// Partitions — the batch-native parallel pair, priced in stats mode and
+// size-thresholded otherwise. Ineligible shapes — computed or composite keys,
+// non-extent sources — silently fall through to the scalar operators, which
+// remain the reference semantics.
 package plan
 
 import (
@@ -209,13 +210,11 @@ func (p *planner) maybeExchange(pipe exec.VecOp, src adl.Expr, est nodeEst) (exe
 }
 
 // tryVecJoin compiles eligible joins to batch operators behind the
-// Vectorized flag: set-probe joins (semi/anti pass-through and the nestjoin
-// grouping form) and single-key equi-joins of every kind — semi, anti,
-// inner, outer and nestjoin, residual conjuncts included — whose left
-// operand is a vectorizable pipeline. Semi/anti/inner/outer equi-joins
-// above the parallel threshold (or priced cheaper in stats mode) lower to
-// the morsel-exchanged VecPartitionedHashJoin instead of the serial batch
-// operator.
+// Vectorized flag: set-probe joins (semi, anti, nestjoin) and single-key
+// equi-joins of every kind, residual conjuncts included, whose left operand
+// is a vectorizable pipeline. Semi/anti/inner/outer equi-joins above the
+// parallel threshold (or priced cheaper in stats mode) are partitioned over
+// a morsel-exchanged probe pipeline.
 func (p *planner) tryVecJoin(j *adl.Join) (exec.Operator, nodeEst, bool) {
 	if !p.cfg.Vectorized {
 		return nil, unknownEst, false
@@ -238,19 +237,8 @@ func (p *planner) tryVecJoin(j *adl.Join) (exec.Operator, nodeEst, bool) {
 		r, re := p.compile(j.R)
 		scan.Attrs = addAttrs(scan.Attrs, []string{attr})
 		rkey := exec.NewScalar(rkeyExpr, j.RVar)
-		var op exec.Operator
-		if j.Kind == adl.NestJ {
-			var rfun *exec.Scalar
-			if j.RFun != nil {
-				s := exec.NewScalar(j.RFun, j.LVar, j.RVar)
-				rfun = &s
-			}
-			op = &exec.VecSetGroupJoin{L: pipe, R: r, Attr: attr, RKey: rkey,
-				As: j.As, RFun: rfun}
-		} else {
-			op = &exec.VecAdapter{Src: &exec.VecSetProbeJoin{Anti: j.Kind == adl.Anti,
-				L: pipe, R: r, Attr: attr, RKey: rkey}}
-		}
+		op := &exec.VecSetJoin{Kind: j.Kind, L: pipe, R: r, Attr: attr, RKey: rkey,
+			As: j.As, RFun: rfunScalar(j)}
 		est := unknownEst
 		if p.statsMode() && le.known && re.known {
 			avg := p.card.avgSetSize(le, attr)
@@ -269,11 +257,6 @@ func (p *planner) tryVecJoin(j *adl.Join) (exec.Operator, nodeEst, bool) {
 		return nil, unknownEst, false
 	}
 	if j.RFun != nil && j.Kind != adl.NestJ {
-		return nil, unknownEst, false
-	}
-	switch j.Kind {
-	case adl.Semi, adl.Anti, adl.Inner, adl.Outer, adl.NestJ:
-	default:
 		return nil, unknownEst, false
 	}
 	lattr := fieldAttr(lkeys[0], j.LVar)
@@ -305,56 +288,41 @@ func (p *planner) tryVecJoin(j *adl.Join) (exec.Operator, nodeEst, bool) {
 		out = joinOutRows(j.Kind, le.rows, re.rows, inner, ndvL, ndvR)
 	}
 
+	op := &exec.VecHashJoin{Kind: j.Kind, L: pipe, R: r, LAttr: lattr, LKey: lkey,
+		RKey: rkey, Residual: res, As: j.As, RFun: rfunScalar(j)}
+	own, note := costVecHash(re.rows, le.rows, out, batch), "vectorized"
+	// The planner does not price a partitioned nestjoin: grouping stays serial.
 	if j.Kind != adl.NestJ && p.vecParallelJoin(j, le, re, out, known) {
 		// Parallel-vectorized: morsel-exchange the probe pipeline and
 		// partition the build across the same worker count.
-		pipe, le = p.maybeExchange(pipe, j.L, le)
-		op := &exec.VecPartitionedHashJoin{Kind: j.Kind, L: pipe, R: r,
-			LAttr: lattr, LKey: lkey, RKey: rkey, Residual: res,
-			Partitions: p.cfg.Parallelism}
-		est := unknownEst
-		if known {
-			w := float64(exec.Parallelism(p.cfg.Parallelism))
-			est = nodeEst{rows: out, known: true, extent: joinExtent(j.Kind, le),
-				cost: le.cost + re.cost + costVecPartHash(re.rows, le.rows, out, batch, w),
-				note: "parallel vectorized"}
-		}
-		p.record(op, est)
-		return op, est, true
-	}
-
-	var op exec.Operator
-	switch j.Kind {
-	case adl.Inner, adl.Outer:
-		op = &exec.VecInnerJoin{L: pipe, R: r, LAttr: lattr, LKey: lkey, RKey: rkey,
-			Residual: res, Outer: j.Kind == adl.Outer}
-	case adl.NestJ:
-		var rfun *exec.Scalar
-		if j.RFun != nil {
-			s := exec.NewScalar(j.RFun, j.LVar, j.RVar)
-			rfun = &s
-		}
-		op = &exec.VecHashGroupJoin{L: pipe, R: r, LAttr: lattr, LKey: lkey,
-			RKey: rkey, Residual: res, As: j.As, RFun: rfun}
-	default:
-		op = &exec.VecAdapter{Src: &exec.VecSemiJoin{Anti: j.Kind == adl.Anti,
-			L: pipe, R: r, LAttr: lattr, LKey: lkey, RKey: rkey, Residual: res}}
+		w := exec.Parallelism(p.cfg.Parallelism)
+		op.L, le = p.maybeExchange(pipe, j.L, le)
+		op.Partitions = w
+		own, note = costVecPartHash(re.rows, le.rows, out, batch, float64(w)), "parallel vectorized"
 	}
 	est := unknownEst
 	if known {
 		est = nodeEst{rows: out, known: true, extent: joinExtent(j.Kind, le),
-			cost: le.cost + re.cost + costVecHash(re.rows, le.rows, out, batch),
-			note: "vectorized"}
+			cost: le.cost + re.cost + own, note: note}
 	}
 	p.record(op, est)
 	return op, est, true
 }
 
-// vecParallelJoin decides whether a semi/anti/inner/outer equi-join lowers
-// to the partitioned batch join: in stats mode when the parallel variant
-// prices cheaper than the serial batch hash join, otherwise by the same
-// combined-size threshold the scalar planner uses for PartitionedHashJoin.
-// Single-worker configurations never parallelize.
+// rfunScalar compiles a nestjoin's right-tuple function, if it has one.
+func rfunScalar(j *adl.Join) *exec.Scalar {
+	if j.RFun == nil {
+		return nil
+	}
+	s := exec.NewScalar(j.RFun, j.LVar, j.RVar)
+	return &s
+}
+
+// vecParallelJoin decides whether a semi/anti/inner/outer equi-join is
+// partitioned: in stats mode when the partitioned probe prices cheaper than
+// the serial one, otherwise by the same combined-size threshold the scalar
+// planner uses for PartitionedHashJoin. Single-worker configurations never
+// parallelize.
 func (p *planner) vecParallelJoin(j *adl.Join, le, re nodeEst, out float64, known bool) bool {
 	if exec.Parallelism(p.cfg.Parallelism) < 2 {
 		return false

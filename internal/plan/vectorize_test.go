@@ -80,68 +80,53 @@ func TestVectorizedPlanShapes(t *testing.T) {
 		t.Fatalf("π compiled to %T (project %v), want VecAdapter[π a]", ad, ad.Project)
 	}
 
-	ad, ok = vec.Compile(semi).(*exec.VecAdapter)
-	if !ok {
-		t.Fatalf("semi equi-join must vectorize")
+	// Every kind of the single-key equi-join is the one batch hash join —
+	// residual conjuncts ride along as a scalar predicate — and every kind
+	// of the set-probe join the one batch set join; both sink the pipeline.
+	hashJoin := func(cfg Config, q *adl.Join) *exec.VecHashJoin {
+		t.Helper()
+		hj, ok := cfg.Compile(q).(*exec.VecHashJoin)
+		if !ok || hj.Kind != q.Kind {
+			t.Fatalf("%v equi-join compiled to %T, want *exec.VecHashJoin of that kind", q.Kind, cfg.Compile(q))
+		}
+		return hj
 	}
-	if _, ok := ad.Src.(*exec.VecSemiJoin); !ok {
-		t.Fatalf("semi join pipeline is %T, want *exec.VecSemiJoin", ad.Src)
+	for _, q := range []*adl.Join{semi, inner, outer, nestj} {
+		if hj := hashJoin(vec, q); hj.Partitions > 1 || hj.Residual != nil {
+			t.Fatalf("%v equi-join: partitions %d, residual %v; want serial, none", q.Kind, hj.Partitions, hj.Residual)
+		}
 	}
-
-	if op := vec.Compile(inner); true {
-		if _, ok := op.(*exec.VecInnerJoin); !ok {
-			t.Fatalf("inner equi-join compiled to %T, want *exec.VecInnerJoin", op)
+	if hashJoin(vec, residual).Residual == nil {
+		t.Fatalf("residual conjunct dropped from the batch join")
+	}
+	if hashJoin(vec, nestj).As != "g" {
+		t.Fatalf("nestjoin attribute dropped from the batch join")
+	}
+	for _, q := range []*adl.Join{setprobe, setnest} {
+		sj, ok := vec.Compile(q).(*exec.VecSetJoin)
+		if !ok || sj.Kind != q.Kind || sj.As != q.As {
+			t.Fatalf("%v set-probe join compiled to %T, want *exec.VecSetJoin of that kind", q.Kind, vec.Compile(q))
 		}
 	}
 
-	ad, ok = vec.Compile(setprobe).(*exec.VecAdapter)
-	if !ok {
-		t.Fatalf("set-probe join must vectorize")
-	}
-	if _, ok := ad.Src.(*exec.VecSetProbeJoin); !ok {
-		t.Fatalf("set-probe pipeline is %T, want *exec.VecSetProbeJoin", ad.Src)
-	}
-
-	// The widened kinds all vectorize: residual conjuncts ride along as a
-	// scalar predicate on the batch join, outer shares the inner operator,
-	// nestjoin gets the grouping forms.
-	rj, ok := vec.Compile(residual).(*exec.VecInnerJoin)
-	if !ok || rj.Residual == nil {
-		t.Fatalf("residual join compiled to %T, want *exec.VecInnerJoin with residual",
-			vec.Compile(residual))
-	}
-	oj, ok := vec.Compile(outer).(*exec.VecInnerJoin)
-	if !ok || !oj.Outer {
-		t.Fatalf("outer join compiled to %T, want *exec.VecInnerJoin{Outer}", vec.Compile(outer))
-	}
-	if _, ok := vec.Compile(nestj).(*exec.VecHashGroupJoin); !ok {
-		t.Fatalf("nestjoin compiled to %T, want *exec.VecHashGroupJoin", vec.Compile(nestj))
-	}
-	if _, ok := vec.Compile(setnest).(*exec.VecSetGroupJoin); !ok {
-		t.Fatalf("set-probe nestjoin compiled to %T, want *exec.VecSetGroupJoin", vec.Compile(setnest))
-	}
-
-	// Above the parallel threshold the equi-join lowers to the partitioned
-	// batch join over a morsel-exchanged probe pipeline.
+	// Above the parallel threshold the equi-join is partitioned over a
+	// morsel-exchanged probe pipeline.
 	par := Config{Vectorized: true, Parallelism: 4,
 		Stats: fakeStats{"X": 10000, "Y": 10000}}
-	pj, ok := par.Compile(semi).(*exec.VecPartitionedHashJoin)
-	if !ok {
-		t.Fatalf("large semi join compiled to %T, want *exec.VecPartitionedHashJoin",
-			par.Compile(semi))
+	pj := hashJoin(par, semi)
+	if pj.Partitions != 4 {
+		t.Fatalf("large semi join has %d partitions, want 4", pj.Partitions)
 	}
 	if _, ok := pj.L.(*exec.VecExchange); !ok {
 		t.Fatalf("partitioned join probe pipeline is %T, want *exec.VecExchange", pj.L)
 	}
-	if _, ok := par.Compile(nestj).(*exec.VecHashGroupJoin); !ok {
-		t.Fatalf("nestjoin must stay on the serial grouping operator, got %T",
-			par.Compile(nestj))
+	if hashJoin(par, nestj).Partitions > 1 {
+		t.Fatalf("nestjoin grouping must stay serial")
 	}
 	// Below the threshold the serial batch operators stay.
 	small := Config{Vectorized: true, Parallelism: 4, Stats: fakeStats{"X": 10, "Y": 10}}
-	if _, ok := small.Compile(semi).(*exec.VecAdapter); !ok {
-		t.Fatalf("small semi join compiled to %T, want serial *exec.VecAdapter",
-			small.Compile(semi))
+	if hashJoin(small, semi).Partitions > 1 {
+		t.Fatalf("small semi join must stay serial")
 	}
 
 	// The flag off must never emit a batch operator.
