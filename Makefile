@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-vec profile bench-smoke serve-smoke bench-serve examples-smoke cover fuzz-smoke fmt fmt-check vet staticcheck lint loc ci
+.PHONY: build test race bench bench-json bench-vec profile bench-smoke serve-smoke ruler-smoke bench-serve examples-smoke cover fuzz-smoke fmt fmt-check vet staticcheck lint loc ci
 
 build:
 	$(GO) build ./...
@@ -177,8 +177,8 @@ staticcheck:
 		$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...; \
 	fi
 
-# The project's custom analyzer suite (clonesafety, snapshotdiscipline,
-# atomicmeter, closepropagate, batchimmutable — see `adllint -list`). Fully
+# The project's custom analyzer suite (snapshotdiscipline, atomicmeter,
+# closepropagate, batchimmutable — see `adllint -list`). Fully
 # offline: the driver is in-tree and loads packages via `go list -export`.
 # Prefers an installed adllint binary, falls back to go run like staticcheck.
 lint: vet
@@ -199,6 +199,16 @@ loc:
 			printf "%6d internal/exec + internal/plan + internal/lint (%d + %d + %d)\n", \
 				t["exec"] + t["plan"] + t["lint"], t["exec"], t["plan"], t["lint"] }'
 
+# Compiles and smoke-runs the fixed ruler. benchmark/ is its own module,
+# outside ./..., so nothing else notices an engine API change that breaks it
+# (trace.go reads plan.Plan, exec.Collect and exec.CloneTree directly) before
+# the benchmark pipeline does. Edits no file under benchmark/; what the run
+# leaves behind stays in benchmark/out/ (git-ignored).
+ruler-smoke:
+	cd benchmark && $(GO) vet . && $(GO) test ./...
+	bash benchmark/run.sh --quick
+	bash benchmark/run.sh --quick --trace 1 --workload serve.point
+
 # Exactly what .github/workflows/ci.yml runs. staticcheck is separate from
 # `ci` so the aggregate target stays runnable offline; CI runs both.
-ci: fmt-check lint build race cover fuzz-smoke bench-smoke examples-smoke serve-smoke
+ci: fmt-check lint build race cover fuzz-smoke bench-smoke examples-smoke serve-smoke ruler-smoke

@@ -59,13 +59,13 @@ func BenchmarkB1(b *testing.B) {
 		vecPl := plan.Config{Vectorized: true}.Plan(w.Opt)
 		b.Run("scalar_exec/"+name, func(b *testing.B) {
 			run(b, func() error {
-				_, err := exec.Collect(exec.CloneTree(scalarPl.Root), ctx)
+				_, err := exec.Collect(scalarPl.Root, ctx)
 				return err
 			})
 		})
 		b.Run("vectorized_exec/"+name, func(b *testing.B) {
 			run(b, func() error {
-				_, err := exec.Collect(exec.CloneTree(vecPl.Root), ctx)
+				_, err := exec.Collect(vecPl.Root, ctx)
 				return err
 			})
 		})
@@ -338,11 +338,11 @@ func BenchmarkB13(b *testing.B) {
 		}
 		ctx := &exec.Ctx{DB: w.Store}
 		scalarPl, vecPl := w.Plan(false), w.Plan(true)
-		want, err := exec.Collect(exec.CloneTree(scalarPl.Root), ctx)
+		want, err := exec.Collect(scalarPl.Root, ctx)
 		if err != nil {
 			b.Fatal(err)
 		}
-		got, err := exec.Collect(exec.CloneTree(vecPl.Root), ctx)
+		got, err := exec.Collect(vecPl.Root, ctx)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -352,13 +352,13 @@ func BenchmarkB13(b *testing.B) {
 		name := fmt.Sprintf("S%d_D%d", sc[0], sc[1])
 		b.Run("scalar/"+name, func(b *testing.B) {
 			run(b, func() error {
-				_, err := exec.Collect(exec.CloneTree(scalarPl.Root), ctx)
+				_, err := exec.Collect(scalarPl.Root, ctx)
 				return err
 			})
 		})
 		b.Run("vectorized/"+name, func(b *testing.B) {
 			run(b, func() error {
-				_, err := exec.Collect(exec.CloneTree(vecPl.Root), ctx)
+				_, err := exec.Collect(vecPl.Root, ctx)
 				return err
 			})
 		})
@@ -387,14 +387,14 @@ func BenchmarkB14(b *testing.B) {
 			{"vectorized", true, false},
 			{"parallel-vectorized", true, true},
 		}
-		want, err := exec.Collect(exec.CloneTree(w.PlanArm(false, false, 4).Root), ctx)
+		want, err := exec.Collect(w.PlanArm(false, false, 4).Root, ctx)
 		if err != nil {
 			b.Fatal(err)
 		}
 		name := fmt.Sprintf("S%d_D%d", sc[0], sc[1])
 		for _, arm := range arms {
 			pl := w.PlanArm(arm.vectorized, arm.parallel, 4)
-			got, err := exec.Collect(exec.CloneTree(pl.Root), ctx)
+			got, err := exec.Collect(pl.Root, ctx)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -403,7 +403,7 @@ func BenchmarkB14(b *testing.B) {
 			}
 			b.Run(arm.name+"/"+name, func(b *testing.B) {
 				run(b, func() error {
-					_, err := exec.Collect(exec.CloneTree(pl.Root), ctx)
+					_, err := exec.Collect(pl.Root, ctx)
 					return err
 				})
 			})

@@ -1,8 +1,7 @@
-// Command adllint runs the engine's custom static-analysis suite: five
-// analyzers encoding the concurrency and clone-safety invariants the
-// serving layer depends on (clonesafety, snapshotdiscipline, atomicmeter,
-// closepropagate, batchimmutable), plus the advisory fieldalign check
-// behind -fieldalign.
+// Command adllint runs the engine's custom static-analysis suite: four
+// analyzers encoding the concurrency and teardown invariants the serving
+// layer depends on (snapshotdiscipline, atomicmeter, closepropagate,
+// batchimmutable), plus the advisory fieldalign check behind -fieldalign.
 //
 // Usage:
 //

@@ -1,7 +1,7 @@
-// Package core is the front door of the library: it wires the full pipeline
-// of the paper together — OOSQL parsing, translation into the ADL algebra
-// (§3), the rewrite strategy turning nested queries into join queries
-// (§4–§6), physical planning, and execution — behind a small API.
+// Package core is the front door of the library: the paper's full pipeline —
+// OOSQL parsing, translation into ADL (§3), the rewrite of nested queries into
+// join queries (§4–§6), physical planning, execution — behind a small API. A
+// *Query is immutable once prepared: Execute is safe for concurrent use.
 //
 //	q, err := core.Prepare(src, store.Catalog())
 //	result, err := q.Execute(store)

@@ -10,10 +10,11 @@ import (
 	"repro/internal/value"
 )
 
-// interpreted returns a copy of a plan in which every Scalar is evaluated by
-// the reference interpreter: its expression sits under a node kind the scalar
-// compiler does not translate (a Let of an unused variable), so the whole of
-// it is delegated to eval.Eval. It also reports how many scalars it found.
+// interpreted rewrites a plan nobody else holds so that every Scalar is
+// evaluated by the reference interpreter: its expression sits under a node
+// kind the scalar compiler does not translate (a Let of an unused variable),
+// so the whole of it is delegated to eval.Eval. It also reports how many
+// scalars it found.
 func interpreted(op exec.Operator) (exec.Operator, int) {
 	scalars := 0
 	viaEval := func(s exec.Scalar) exec.Scalar {
@@ -44,9 +45,8 @@ func interpreted(op exec.Operator) (exec.Operator, int) {
 			}
 		}
 	}
-	clone := exec.CloneTree(op)
-	walk(clone)
-	return clone, scalars
+	walk(op)
+	return op, scalars
 }
 
 // TestCompiledScalarsMatchInterpretedPlans runs every corpus query's plan —
@@ -69,9 +69,13 @@ func TestCompiledScalarsMatchInterpretedPlans(t *testing.T) {
 			if err != nil {
 				t.Fatalf("corpus %d (%s): %v", qi, name, err)
 			}
-			ref, n := interpreted(q.Plan)
+			twin, err := PrepareCfg(src, st.Catalog(), cfg)
+			if err != nil {
+				t.Fatalf("corpus %d (%s): %v", qi, name, err)
+			}
+			ref, n := interpreted(twin.Plan)
 			total += n
-			got, gotErr := exec.Collect(exec.CloneTree(q.Plan), &exec.Ctx{DB: st})
+			got, gotErr := exec.Collect(q.Plan, &exec.Ctx{DB: st})
 			want, wantErr := exec.Collect(ref, &exec.Ctx{DB: st})
 			switch {
 			case gotErr != nil || wantErr != nil:

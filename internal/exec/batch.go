@@ -31,15 +31,19 @@ type Batch struct {
 	Sel  []int32
 }
 
-// VecOp is a batch-at-a-time operator. The method names are disjoint from
-// Operator's so one struct can implement both deliberately, never by
-// accident.
+// VecOp is a node of a batch pipeline — the Operator contract over batches:
+// immutable configuration whose OpenVec, on the value receiver, returns the
+// run's state as a stream of its own.
 type VecOp interface {
-	// OpenVec prepares the pipeline.
-	OpenVec(ctx *Ctx) error
+	// OpenVec starts a run of the pipeline and returns its batches.
+	OpenVec(ctx *Ctx) (Batches, error)
+}
+
+// Batches is the batch stream of one run of a VecOp, used by one goroutine.
+type Batches interface {
 	// NextBatch returns the next batch; ok is false at end of stream.
 	NextBatch() (b Batch, ok bool, err error)
-	// CloseVec releases buffers. Idempotent.
+	// CloseVec releases buffers and the streams below. Idempotent.
 	CloseVec() error
 }
 
@@ -51,55 +55,35 @@ type ColumnarDB interface {
 	ColProj(extent string, attrs []string) (*col.Proj, error)
 }
 
-// SetCollector is implemented by operators that can materialize their whole
-// result set in one step, cheaper than the generic Open/Next/Add loop.
-// Collect uses it when present.
-type SetCollector interface {
-	Operator
-	CollectSet(ctx *Ctx) (*value.Set, error)
-}
-
 // VecAdapter bridges a batch pipeline into the row-at-a-time Operator tree:
-// as an Operator it drains batches and hands the underlying tuples up one
-// at a time; as a SetCollector it materializes the whole result with a bulk
-// set build. Project, when set, applies π over the named attributes during
+// it drains the batches eagerly (results are bounded by the inputs, like the
+// eager scalar joins) and hands the underlying tuples up as a blocking
+// stream. Project, when set, applies π over the named attributes during
 // materialization (the batch pipeline itself never rewrites tuples).
 type VecAdapter struct {
 	Src     VecOp
 	Project []string
-
-	rowBuf
 }
 
-// Open drains the batch pipeline eagerly (results are bounded by the
-// inputs, like the eager scalar joins).
-func (a *VecAdapter) Open(ctx *Ctx) error {
-	rows, err := a.drainVec(ctx)
+// Open materializes the pipeline's rows, applying the projection.
+func (a VecAdapter) Open(ctx *Ctx) (_ Rows, err error) {
+	src, err := ctx.openVec(a.Src)
 	if err != nil {
-		return err
-	}
-	a.out, a.pos = rows, 0
-	return nil
-}
-
-// drainVec materializes the pipeline's rows, applying the projection.
-func (a *VecAdapter) drainVec(ctx *Ctx) (_ []value.Value, err error) {
-	if err := a.Src.OpenVec(ctx); err != nil {
 		return nil, err
 	}
 	defer func() {
-		if cerr := a.Src.CloseVec(); cerr != nil && err == nil {
+		if cerr := src.CloseVec(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}()
-	rows := a.out[:0]
+	var rows []value.Value
 	for {
-		b, ok, err := a.Src.NextBatch()
+		b, ok, err := src.NextBatch()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			return rows, nil
+			return buffered(rows)
 		}
 		for _, i := range b.Sel {
 			row := b.Proj.Rows[i]
@@ -115,18 +99,4 @@ func (a *VecAdapter) drainVec(ctx *Ctx) (_ []value.Value, err error) {
 			rows = append(rows, row)
 		}
 	}
-}
-
-// Close releases the row buffer.
-func (a *VecAdapter) Close() error { a.out = nil; return nil }
-
-// CollectSet materializes the pipeline straight into a set with the bulk
-// constructor — one hash pass, a handful of allocations, no per-row Add.
-func (a *VecAdapter) CollectSet(ctx *Ctx) (*value.Set, error) {
-	rows, err := a.drainVec(ctx)
-	if err != nil {
-		return nil, err
-	}
-	a.out = rows[:0] // keep the buffer for the next execution of this clone
-	return value.NewSetFromSlice(rows), nil
 }

@@ -125,13 +125,14 @@ func TestChunkedExchangeLifecycle(t *testing.T) {
 	}
 	for name, op := range ops {
 		ctx := &Ctx{DB: d}
-		if err := op.Open(ctx); err != nil {
+		rows, err := op.Open(ctx)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok, err := op.Next(); !ok || err != nil {
+		if _, ok, err := rows.Next(); !ok || err != nil {
 			t.Fatalf("%s: first Next: %v, %v", name, ok, err)
 		}
-		if err := op.Close(); err != nil {
+		if err := rows.Close(); err != nil {
 			t.Fatal(err)
 		}
 		settled(t, name+" closed after one Next", base)

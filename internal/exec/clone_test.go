@@ -1,6 +1,11 @@
 package exec
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"strings"
 	"sync"
 	"testing"
 
@@ -24,68 +29,56 @@ func cloneFixtureTree() Operator {
 	}
 }
 
-func TestCloneTreeIsDeepAndEquivalent(t *testing.T) {
-	l, r, _ := randomTables(7, 64, 32)
-	db := storage.NewMemDB("L", l, "R", r)
-
-	orig := cloneFixtureTree()
-	want, err := Collect(orig, &Ctx{DB: db})
-	if err != nil {
-		t.Fatalf("original: %v", err)
-	}
-	// The original has now been Opened and drained: its unexported iterator
-	// state is dirty. A clone taken from it must still run fresh.
-	cl := CloneTree(orig)
-	if cl == orig {
-		t.Fatalf("CloneTree returned the same root")
-	}
-	cj, oj := cl.(*HashJoin), orig.(*HashJoin)
-	if cj.L == oj.L || cj.R == oj.R {
-		t.Fatalf("children must be cloned, not shared")
-	}
-	if cj.L.(*Filter).Child == oj.L.(*Filter).Child {
-		t.Fatalf("grandchildren must be cloned, not shared")
-	}
-	got, err := Collect(cl, &Ctx{DB: db})
-	if err != nil {
-		t.Fatalf("clone: %v", err)
-	}
-	if got.Len() != want.Len() || !got.SubsetOf(want) {
-		t.Fatalf("clone returned %d rows, original %d", got.Len(), want.Len())
+// vecFixtureTree is a partitioned batch join over an exchange and a filter:
+// every operator that starts goroutines of its own.
+func vecFixtureTree(t *testing.T) Operator {
+	k := fieldKernel("b", adl.Lt, value.Int(5))
+	return &VecHashJoin{Kind: adl.Semi, Partitions: 3,
+		L: exchangeOf(t, &VecFilter{Src: &VecScan{Extent: "L", Attrs: []string{"b"}, Batch: 8},
+			Var: "x", Kernels: []VecCmp{k}}, 3),
+		R: &ParallelFilter{Child: &VecAdapter{Src: &VecScan{Extent: "R"}}, Var: "y", Workers: 2,
+			Pred: NewScalar(adl.CBool(true), "y")},
+		LAttr: "b",
+		LKey:  NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
+		RKey:  NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
 	}
 }
 
-// TestCloneTreeConcurrentExecutions is the plan-cache usage pattern: one
-// cached tree, many concurrent executions, each over its own clone.
-func TestCloneTreeConcurrentExecutions(t *testing.T) {
+// TestConcurrentExecutions is the plan-cache usage pattern: one cached tree,
+// many concurrent executions of that same root, plain and instrumented.
+func TestConcurrentExecutions(t *testing.T) {
 	l, r, _ := randomTables(7, 64, 32)
 	db := storage.NewMemDB("L", l, "R", r)
-	cached := cloneFixtureTree()
-	want, err := Collect(CloneTree(cached), &Ctx{DB: db})
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got, err := Collect(CloneTree(cached), &Ctx{DB: db})
-			if err != nil {
-				errs <- err
-				return
-			}
-			if got.Len() != want.Len() || !got.SubsetOf(want) {
-				errs <- errMismatch
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	for name, cached := range map[string]Operator{"scalar": cloneFixtureTree(), "vectorized": vecFixtureTree(t)} {
+		want, err := Collect(cached, &Ctx{DB: db})
+		if err != nil {
+			t.Fatalf("%s: reference run: %v", name, err)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, 16)
+		for i := 0; i < 16; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				root := cached
+				if i%2 == 1 {
+					root, _ = Instrument(cached)
+				}
+				got, err := Collect(root, &Ctx{DB: db})
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !value.Equal(got, want) {
+					errs <- errMismatch
+				}
+			}(i)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }
 
@@ -93,83 +86,80 @@ var errMismatch = &mismatchError{}
 
 type mismatchError struct{}
 
-func (*mismatchError) Error() string { return "concurrent clone execution diverged" }
+func (*mismatchError) Error() string { return "concurrent execution of one tree diverged" }
 
-func TestCloneTreeNil(t *testing.T) {
-	if CloneTree(nil) != nil {
-		t.Fatalf("CloneTree(nil) must be nil")
-	}
-	if CloneVecTree(nil) != nil {
-		t.Fatalf("CloneVecTree(nil) must be nil")
-	}
-}
-
-// TestCloneTreeVecPipeline checks cloning recurses through VecOp fields:
-// the adapter, the batch filter chain and the scan must all be fresh, and
-// the clone of a drained pipeline must still run.
-func TestCloneTreeVecPipeline(t *testing.T) {
-	l, r, _ := randomTables(3, 48, 24)
+// TestInstrumentCountsEveryNode checks the tally of one run: every row
+// operator of the tree, blocking or streaming, is counted under its own node;
+// batch operators are not.
+func TestInstrumentCountsEveryNode(t *testing.T) {
+	l, r, _ := randomTables(7, 64, 32)
 	db := storage.NewMemDB("L", l, "R", r)
-	k := fieldKernel("b", adl.Lt, value.Int(5))
-	orig := &VecHashJoin{Kind: adl.Semi,
-		L:     &VecFilter{Src: &VecScan{Extent: "L", Attrs: []string{"b"}, Batch: 8}, Var: "x", Kernels: []VecCmp{k}},
-		R:     &VecAdapter{Src: &VecScan{Extent: "R"}},
-		LAttr: "b",
-		LKey:  NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-		RKey:  NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
-	}
-	want, err := Collect(orig, &Ctx{DB: db})
+	tree := cloneFixtureTree().(*HashJoin)
+	root, tally := Instrument(tree)
+	got, err := Collect(root, &Ctx{DB: db})
 	if err != nil {
-		t.Fatalf("original: %v", err)
+		t.Fatal(err)
 	}
-	cl := CloneTree(orig).(*VecHashJoin)
-	if cl == orig || cl.L == orig.L || cl.R == orig.R {
-		t.Fatalf("vec join and its inputs must be cloned, not shared")
+	rows := tally.Rows()
+	want := map[Operator]int64{tree: int64(got.Len()), tree.L: int64(l.Len()),
+		tree.L.(*Filter).Child: int64(l.Len()), tree.R: int64(r.Len())}
+	if len(rows) != len(want) {
+		t.Fatalf("tally has %d nodes, want %d", len(rows), len(want))
 	}
-	if cl.R.(*VecAdapter).Src == orig.R.(*VecAdapter).Src {
-		t.Fatalf("vec pipeline under the adapter must be cloned, not shared")
-	}
-	if cl.L.(*VecFilter).Src == orig.L.(*VecFilter).Src {
-		t.Fatalf("vec scan must be cloned, not shared")
-	}
-	got, err := Collect(cl, &Ctx{DB: db})
-	if err != nil {
-		t.Fatalf("clone: %v", err)
-	}
-	if !value.Equal(got, want) {
-		t.Fatalf("clone returned %d rows, original %d", got.Len(), want.Len())
+	for op, n := range want {
+		if rows[op] != n {
+			t.Errorf("%T: counted %d rows, want %d", op, rows[op], n)
+		}
 	}
 }
 
-// BenchmarkCloneTree measures the per-execution cost of cloning a cached
-// plan — the hot edge of the serving path — over a representative scalar
-// tree and a batch pipeline.
-func BenchmarkCloneTree(b *testing.B) {
-	b.Run("scalar", func(b *testing.B) {
-		tree := cloneFixtureTree()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if CloneTree(tree) == nil {
-				b.Fatal("nil clone")
+// TestNodesHoldNoRunState checks the shape that makes a plan shareable: every
+// type with an Open(*Ctx) or OpenVec(*Ctx) method declares it on the value
+// receiver — Open works on a copy — and has no unexported field to hide run
+// state in.
+func TestNodesHoldNoRunState(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := map[string]bool{}
+	structs := map[string]*ast.StructType{}
+	for _, f := range pkgs["exec"].Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch d := n.(type) {
+			case *ast.TypeSpec:
+				if st, ok := d.Type.(*ast.StructType); ok {
+					structs[d.Name.Name] = st
+				}
+			case *ast.FuncDecl:
+				if d.Recv == nil || d.Name.Name != "Open" && d.Name.Name != "OpenVec" {
+					break
+				}
+				recv, ok := d.Recv.List[0].Type.(*ast.Ident)
+				if !ok {
+					t.Errorf("%s is not declared on a value receiver", d.Name.Name)
+					break
+				}
+				nodes[recv.Name] = true
 			}
-		}
-	})
-	b.Run("vectorized", func(b *testing.B) {
-		k := fieldKernel("b", adl.Lt, value.Int(5))
-		tree := Operator(&VecHashJoin{Kind: adl.Semi,
-			L:     &VecFilter{Src: &VecScan{Extent: "L", Attrs: []string{"b"}}, Var: "x", Kernels: []VecCmp{k}},
-			R:     &VecAdapter{Src: &VecScan{Extent: "R"}},
-			LAttr: "b",
-			LKey:  NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-			RKey:  NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
+			return true
 		})
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if CloneTree(tree) == nil {
-				b.Fatal("nil clone")
+	}
+	if len(nodes) < 30 {
+		t.Fatalf("found %d node types, want the whole operator set", len(nodes))
+	}
+	for name := range nodes {
+		for _, f := range structs[name].Fields.List {
+			for _, id := range f.Names {
+				if !id.IsExported() {
+					t.Errorf("node %s has the unexported field %s", name, id.Name)
+				}
+			}
+			if len(f.Names) == 0 {
+				t.Errorf("node %s embeds a type", name)
 			}
 		}
-	})
+	}
 }

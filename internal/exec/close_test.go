@@ -9,7 +9,8 @@ import (
 )
 
 // closeFailOp yields its rows normally and fails on Close — the regression
-// shape for the swallowed-Close-error bug in Collect/drain.
+// shape for the swallowed-Close-error bug in Collect/drain. It is its own
+// stream, for one run at a time.
 type closeFailOp struct {
 	rows    []value.Value
 	nextErr error
@@ -17,7 +18,7 @@ type closeFailOp struct {
 	pos     int
 }
 
-func (o *closeFailOp) Open(*Ctx) error { o.pos = 0; return nil }
+func (o *closeFailOp) Open(*Ctx) (Rows, error) { o.pos = 0; return o, nil }
 func (o *closeFailOp) Next() (value.Value, bool, error) {
 	if o.nextErr != nil {
 		return nil, false, o.nextErr
@@ -66,7 +67,7 @@ func TestDrainPropagatesCloseError(t *testing.T) {
 		LVar: "x", RVar: "y",
 		Pred: NewScalar(adl.CBool(true), "x", "y"),
 	}
-	if err := j.Open(&Ctx{}); err == nil {
+	if _, err := j.Open(&Ctx{}); err == nil {
 		t.Fatal("NLJoin.Open swallowed a child Close error")
 	}
 }

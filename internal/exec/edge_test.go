@@ -72,8 +72,8 @@ func TestPNHLAllDuplicateKeys(t *testing.T) {
 			t.Fatalf("budget %d: all-duplicate keys diverge from spec:\n got  %v\n want %v",
 				budget, got, want)
 		}
-		if budget == 1 && p.Segments() != 6 {
-			t.Fatalf("budget 1 over 6 build rows must use 6 segments, used %d", p.Segments())
+		if n := Segments(6, budget); budget == 1 && n != 6 {
+			t.Fatalf("budget 1 over 6 build rows must use 6 segments, used %d", n)
 		}
 	}
 }

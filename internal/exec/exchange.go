@@ -37,8 +37,13 @@ type VecExchange struct {
 	// Morsel is the rows claimed per cursor bump; <=0 uses the scan's
 	// batch size (or DefaultBatchSize).
 	Morsel int
+}
 
+// exchanged is the stream of a VecExchange: the workers' shared cursor, the
+// exchange channel and the consumer's current batch.
+type exchanged struct {
 	ctx     *Ctx
+	kernels []VecCmp
 	cursor  atomic.Int64
 	out     chan exchBatch
 	abort   chan struct{}
@@ -52,11 +57,11 @@ type VecExchange struct {
 // OpenVec opens the source scan and launches the workers plus a completion
 // goroutine that closes the source once every worker is done and then
 // closes the output stream.
-func (e *VecExchange) OpenVec(ctx *Ctx) error {
-	if err := e.Src.OpenVec(ctx); err != nil {
-		return err
+func (e VecExchange) OpenVec(ctx *Ctx) (Batches, error) {
+	src, err := ctx.openVec(e.Src)
+	if err != nil {
+		return nil, err
 	}
-	e.ctx = ctx
 	w := Parallelism(e.Workers)
 	morsel := e.Morsel
 	if morsel <= 0 {
@@ -65,37 +70,32 @@ func (e *VecExchange) OpenVec(ctx *Ctx) error {
 	if morsel <= 0 {
 		morsel = DefaultBatchSize
 	}
-	e.cursor.Store(0)
-	e.out = make(chan exchBatch, 2*w)
-	e.abort = make(chan struct{})
-	e.err = nil
-	e.stopped = false
-	e.cur = exchBatch{}
-	proj := e.Src.projection()
+	x := &exchanged{ctx: ctx, kernels: e.Kernels,
+		out: make(chan exchBatch, 2*w), abort: make(chan struct{})}
+	proj := src.(projected).projection()
 	n := proj.Len()
 	for i := 0; i < w; i++ {
-		e.wg.Add(1)
+		x.wg.Add(1)
 		pool := make(chan []int32, 4)
-		go e.worker(proj, n, morsel, pool)
+		go x.worker(proj, n, morsel, pool)
 	}
-	// Close ownership of the scan transfers to the worker group: this
-	// goroutine releases it the moment the last worker finishes (not when
-	// the consumer gets around to CloseVec), surfacing any close error at
-	// stream end.
-	src := e.Src
+	// Close ownership of the scan's stream transfers to the worker group:
+	// this goroutine releases it the moment the last worker finishes (not
+	// when the consumer gets around to CloseVec), surfacing any close error
+	// at stream end.
 	go func() {
-		e.wg.Wait()
+		x.wg.Wait()
 		if cerr := src.CloseVec(); cerr != nil {
-			e.fail(cerr)
+			x.fail(cerr)
 		}
-		close(e.out)
+		close(x.out)
 	}()
-	return nil
+	return x, nil
 }
 
 // worker claims morsels until the cursor passes the end, an error is
 // recorded, or the consumer aborts.
-func (e *VecExchange) worker(proj *col.Proj, n, morsel int, pool chan []int32) {
+func (e *exchanged) worker(proj *col.Proj, n, morsel int, pool chan []int32) {
 	defer e.wg.Done()
 	for {
 		lo := int(e.cursor.Add(int64(morsel))) - morsel
@@ -117,9 +117,9 @@ func (e *VecExchange) worker(proj *col.Proj, n, morsel int, pool chan []int32) {
 			sel[i] = int32(lo + i)
 		}
 		ok := true
-		for ki := range e.Kernels {
+		for ki := range e.kernels {
 			var err error
-			if sel, err = e.Kernels[ki].apply(e.ctx, proj, sel); err != nil {
+			if sel, err = e.kernels[ki].apply(e.ctx, proj, sel); err != nil {
 				e.fail(err)
 				return
 			}
@@ -146,7 +146,7 @@ func (e *VecExchange) worker(proj *col.Proj, n, morsel int, pool chan []int32) {
 // NextBatch recycles the previous batch's buffer and receives the next one.
 // Batch order is whatever the workers produce — the morsel cursor hands out
 // ranges in order, but completion interleaves.
-func (e *VecExchange) NextBatch() (Batch, bool, error) {
+func (e *exchanged) NextBatch() (Batch, bool, error) {
 	if e.cur.buf != nil {
 		select {
 		case e.cur.recycle <- e.cur.buf:
@@ -166,15 +166,11 @@ func (e *VecExchange) NextBatch() (Batch, bool, error) {
 
 // CloseVec aborts the workers, drains the stream (so the completion
 // goroutine's source close always runs before return), and reports any
-// recorded error. The source scan itself was closed by the worker group.
-func (e *VecExchange) CloseVec() error {
-	if e.out == nil {
-		return nil
-	}
+// recorded error. The scan's stream itself was closed by the worker group.
+func (e *exchanged) CloseVec() error {
 	e.stop()
 	for range e.out {
 	}
-	e.out = nil
 	e.cur = exchBatch{}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -182,7 +178,7 @@ func (e *VecExchange) CloseVec() error {
 }
 
 // fail records the first error and aborts the exchange.
-func (e *VecExchange) fail(err error) {
+func (e *exchanged) fail(err error) {
 	e.mu.Lock()
 	if e.err == nil {
 		e.err = err
@@ -192,7 +188,7 @@ func (e *VecExchange) fail(err error) {
 }
 
 // stop closes the abort channel exactly once.
-func (e *VecExchange) stop() {
+func (e *exchanged) stop() {
 	e.mu.Lock()
 	if !e.stopped {
 		e.stopped = true

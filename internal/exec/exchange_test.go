@@ -100,16 +100,17 @@ func TestVecExchangeEarlyClose(t *testing.T) {
 	d := db(7, 5000, 10)
 	ctx := &Ctx{DB: d}
 	ex := exchangeOf(t, vecScan("L", []string{"b"}, 4), 4)
-	if err := ex.OpenVec(ctx); err != nil {
+	bs, err := ex.OpenVec(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := ex.NextBatch(); err != nil || !ok {
+	if _, ok, err := bs.NextBatch(); err != nil || !ok {
 		t.Fatalf("NextBatch: ok=%v err=%v", ok, err)
 	}
-	if err := ex.CloseVec(); err != nil {
+	if err := bs.CloseVec(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ex.CloseVec(); err != nil { // CloseVec is idempotent
+	if err := bs.CloseVec(); err != nil { // CloseVec is idempotent
 		t.Fatal(err)
 	}
 }
@@ -138,9 +139,8 @@ func TestVecPNHLAgainstScalar(t *testing.T) {
 					t.Errorf("seed %d budget %d member=%v: got %v want %v",
 						seed, budget, m != nil, got, want)
 				}
-				if budget == 3 && vp.Segments() < 2 {
-					t.Errorf("budget 3 over 12 build rows should need ≥2 segments, used %d",
-						vp.Segments())
+				if n := Segments(12, budget); budget == 3 && n < 2 {
+					t.Errorf("budget 3 over 12 build rows should need ≥2 segments, used %d", n)
 				}
 			}
 		}

@@ -22,45 +22,91 @@ import (
 	"repro/internal/value"
 )
 
-// Ctx is the runtime context of a plan: the database and the environment of
+// Ctx is the runtime context of a run: the database and the environment of
 // outer (correlated) variable bindings.
 type Ctx struct {
 	DB  eval.DB
 	Env *eval.Env
+
+	// hook is handed every stream the run opens; nil in a plain run.
+	hook openHook
 }
 
-// Operator is a Volcano-style iterator.
+// Operator is a node of a physical plan: configuration fixed at plan time,
+// nothing else. Running it is Open, which hands back the run's state as a
+// stream of its own, so one tree serves any number of concurrent runs. Every
+// node type declares Open on the value receiver — Open gets a copy and cannot
+// leave anything on the node — and plans hold nodes by pointer: the pointer
+// is the node's identity in estimate and tally tables.
 type Operator interface {
-	// Open prepares the operator for iteration.
-	Open(ctx *Ctx) error
+	// Open starts a run of the subtree and returns its rows.
+	Open(ctx *Ctx) (Rows, error)
+}
+
+// CloneTree returns op: a plan is immutable, so the tree itself is the fresh
+// copy the contract promises.
+//
+// Deprecated: its only caller is benchmark/trace.go, which the engine may not
+// edit; the exec.clone_us span it times there is now a no-op. Remove it with
+// the next change to benchmark/.
+func CloneTree(op Operator) Operator { return op }
+
+// Rows is the row stream of one run of an operator, used by one goroutine.
+type Rows interface {
 	// Next returns the next row; ok is false at end of stream.
 	Next() (row value.Value, ok bool, err error)
-	// Close releases resources. Close is idempotent.
+	// Close releases the run's resources (goroutines, channels, the streams
+	// of its children). Close is idempotent.
 	Close() error
 }
 
-// Collect drains an operator into a set (deduplicating, per set semantics).
-// A Close error surfaces unless iteration already failed — operators release
-// pipelines (goroutines, channels) in Close, and swallowing their errors
-// would hide a failed teardown.
-func Collect(op Operator, ctx *Ctx) (_ *value.Set, err error) {
-	if sc, ok := op.(SetCollector); ok {
-		return sc.CollectSet(ctx)
+// openHook sees every stream of a run where it is opened, and may wrap it:
+// the row tally of an instrumented run (Tally), the stream tracker of the
+// lifecycle tests.
+type openHook interface {
+	rows(op Operator, r Rows) Rows
+	batches(op VecOp, b Batches) Batches
+}
+
+// open starts a run of a child. It and openVec are the only callers of an
+// operator's Open and OpenVec.
+func (c *Ctx) open(op Operator) (Rows, error) {
+	rows, err := op.Open(c)
+	if err != nil || c.hook == nil {
+		return rows, err
 	}
-	if err := op.Open(ctx); err != nil {
+	return c.hook.rows(op, rows), nil
+}
+
+// openVec starts a run of a batch child.
+func (c *Ctx) openVec(op VecOp) (Batches, error) {
+	bs, err := op.OpenVec(c)
+	if err != nil || c.hook == nil {
+		return bs, err
+	}
+	return c.hook.batches(op, bs), nil
+}
+
+// Collect runs an operator and gathers its rows into a set (deduplicating,
+// per set semantics). A Close error surfaces unless iteration already failed —
+// streams release pipelines (goroutines, channels) in Close, and swallowing
+// their errors would hide a failed teardown.
+func Collect(op Operator, ctx *Ctx) (_ *value.Set, err error) {
+	rows, err := ctx.open(op)
+	if err != nil {
 		return nil, err
 	}
 	defer func() {
-		if cerr := op.Close(); cerr != nil && err == nil {
+		if cerr := rows.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}()
-	out := value.EmptySet()
-	if b, ok := op.(blocking); ok {
-		out = value.NewSetCap(b.buffered())
+	if b, ok := rows.(blocking); ok {
+		return b.buf().set(), nil
 	}
+	out := value.EmptySet()
 	for {
-		row, ok, err := op.Next()
+		row, ok, err := rows.Next()
 		if err != nil {
 			return nil, err
 		}
@@ -71,20 +117,24 @@ func Collect(op Operator, ctx *Ctx) (_ *value.Set, err error) {
 	}
 }
 
-// blocking is implemented by operators whose Open has already computed every
-// row; buffered is how many are left to hand up.
-type blocking interface{ buffered() int }
-
-// rowBuf is the output side of a blocking operator and of a leaf scan: Open
-// computes every row into out (or points out at the extent), the promoted
-// Next hands them up. It is embedded — an unexported field, so CloneTree
-// leaves it zero — and lets Collect and drain size their results.
-type rowBuf struct {
-	out []value.Value
-	pos int
+// blocking is the stream of an operator whose Open has already computed every
+// row: a rowBuf, which Collect, drain and the tally take whole.
+type blocking interface {
+	Rows
+	buf() *rowBuf
 }
 
-func (b *rowBuf) reset() { b.out, b.pos = b.out[:0], 0 }
+// rowBuf is the stream of a blocking operator and of a leaf scan: Open
+// computes every row into out (or points out at the extent) and returns it.
+// Nobody writes into out: it may be an extent's own slice.
+type rowBuf struct {
+	out    []value.Value
+	hashes []uint64 // value.Hash of each row of out, where Open computed them
+	pos    int
+}
+
+// buffered is the stream over rows.
+func buffered(rows []value.Value) (Rows, error) { return &rowBuf{out: rows}, nil }
 
 // Next yields the next buffered row.
 func (b *rowBuf) Next() (value.Value, bool, error) {
@@ -96,46 +146,54 @@ func (b *rowBuf) Next() (value.Value, bool, error) {
 	return row, true, nil
 }
 
-func (b *rowBuf) buffered() int { return len(b.out) - b.pos }
+// Close has nothing to release.
+func (b *rowBuf) Close() error { return nil }
 
-// drain materializes an operator's rows into a slice, propagating Close
-// errors like Collect. A VecAdapter hands over its materialized buffer
-// directly instead of being copied row by row.
-func drain(op Operator, ctx *Ctx) (_ []value.Value, err error) {
-	if a, ok := op.(*VecAdapter); ok {
-		rows, err := a.drainVec(ctx)
-		if err != nil {
-			return nil, err
-		}
-		a.out = nil // ownership moves to the caller
-		return rows, nil
+func (b *rowBuf) buf() *rowBuf { return b }
+
+// rest is the rows not yet handed up.
+func (b *rowBuf) rest() []value.Value { return b.out[b.pos:] }
+
+// set builds the set of the remaining rows in one bulk pass, reusing their
+// hashes where Open computed them.
+func (b *rowBuf) set() *value.Set {
+	if b.hashes != nil {
+		return value.NewSetFromSliceHashed(b.rest(), b.hashes[b.pos:])
 	}
-	if err := op.Open(ctx); err != nil {
+	return value.NewSetFromSlice(b.rest())
+}
+
+// drain runs an operator and returns its rows, propagating Close errors like
+// Collect. A blocking stream hands its buffer over as it is; the caller must
+// not write into the slice.
+func drain(op Operator, ctx *Ctx) (_ []value.Value, err error) {
+	rows, err := ctx.open(op)
+	if err != nil {
 		return nil, err
 	}
 	defer func() {
-		if cerr := op.Close(); cerr != nil && err == nil {
+		if cerr := rows.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}()
-	var rows []value.Value
-	if b, ok := op.(blocking); ok {
-		rows = make([]value.Value, 0, b.buffered())
+	if b, ok := rows.(blocking); ok {
+		return b.buf().rest(), nil
 	}
+	var out []value.Value
 	for {
-		row, ok, err := op.Next()
+		row, ok, err := rows.Next()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			return rows, nil
+			return out, nil
 		}
-		if len(rows) == cap(rows) {
+		if len(out) == cap(out) {
 			// A streaming operand's size is not known: double, where append
 			// would grow a long slice by a quarter and copy it five times over.
-			rows = slices.Grow(rows, max(len(rows), chunkRows))
+			out = slices.Grow(out, max(len(out), chunkRows))
 		}
-		rows = append(rows, row)
+		out = append(out, row)
 	}
 }
 
@@ -155,121 +213,105 @@ func asTuple(row value.Value, op string) (*value.Tuple, error) {
 // Scan iterates a base table.
 type Scan struct {
 	Table string
-
-	rowBuf
 }
 
-// Open materializes the extent.
-func (s *Scan) Open(ctx *Ctx) error {
+// Open hands up the extent.
+func (s Scan) Open(ctx *Ctx) (Rows, error) {
 	set, err := ctx.DB.Table(s.Table)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.out, s.pos = set.Elems(), 0
-	return nil
+	return buffered(set.Elems())
 }
-
-// Close releases the scan.
-func (s *Scan) Close() error { s.out = nil; return nil }
 
 // SetScan iterates an in-memory set.
 type SetScan struct {
 	Set *value.Set
-
-	rowBuf
 }
 
-// Open resets the iterator.
-func (s *SetScan) Open(*Ctx) error { s.out, s.pos = s.Set.Elems(), 0; return nil }
-
-// Close is a no-op.
-func (s *SetScan) Close() error { return nil }
+// Open hands up the set's elements.
+func (s SetScan) Open(*Ctx) (Rows, error) { return buffered(s.Set.Elems()) }
 
 // ExprScan evaluates an arbitrary ADL expression to a set with the
 // reference interpreter and iterates it — the nested-loop fallback for plan
 // fragments without a dedicated physical operator.
 type ExprScan struct {
 	Expr adl.Expr
-
-	rowBuf
 }
 
 // Open evaluates the expression.
-func (s *ExprScan) Open(ctx *Ctx) error {
+func (s ExprScan) Open(ctx *Ctx) (Rows, error) {
 	set, err := eval.EvalSet(s.Expr, ctx.Env, ctx.DB)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.out, s.pos = set.Elems(), 0
-	return nil
+	return buffered(set.Elems())
 }
-
-// Close releases the buffer.
-func (s *ExprScan) Close() error { s.out = nil; return nil }
 
 // ---------------------------------------------------------------------------
 // Row-at-a-time operators
 // ---------------------------------------------------------------------------
+
+// rowFn is the work a 1:≤1 operator does per input row: the row it emits and
+// whether it emits one. The serial stream (mapped) and the worker pool
+// (pooled) both run on it.
+type rowFn func(ctx *Ctx, row value.Value) (out value.Value, keep bool, err error)
+
+// mapped is the stream of the serial 1:≤1 operators: fn over the rows of src.
+type mapped struct {
+	ctx *Ctx
+	src Rows
+	fn  rowFn
+}
+
+// stream runs child and applies fn to each of its rows.
+func (c *Ctx) stream(child Operator, fn rowFn) (Rows, error) {
+	src, err := c.open(child)
+	if err != nil {
+		return nil, err
+	}
+	return &mapped{ctx: c, src: src, fn: fn}, nil
+}
+
+// Next yields the image of the next row fn keeps.
+func (m *mapped) Next() (value.Value, bool, error) {
+	for {
+		row, ok, err := m.src.Next()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		out, keep, err := m.fn(m.ctx, row)
+		if err != nil {
+			return nil, false, err
+		}
+		if keep {
+			return out, true, nil
+		}
+	}
+}
+
+// Close closes the child's stream.
+func (m *mapped) Close() error { return m.src.Close() }
 
 // Filter implements σ with a compiled predicate.
 type Filter struct {
 	Child Operator
 	Var   string
 	Pred  Scalar
-
-	ctx *Ctx
 }
 
-// Open opens the child.
-func (f *Filter) Open(ctx *Ctx) error { f.ctx = ctx; return f.Child.Open(ctx) }
-
-// Next yields the next row satisfying the predicate.
-func (f *Filter) Next() (value.Value, bool, error) {
-	for {
-		row, ok, err := f.Child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		keep, err := f.Pred.Bool(f.ctx, row)
-		if err != nil {
-			return nil, false, err
-		}
-		if keep {
-			return row, true, nil
-		}
-	}
-}
-
-// Close closes the child.
-func (f *Filter) Close() error { return f.Child.Close() }
+// Open streams the child's rows that satisfy the predicate.
+func (f Filter) Open(ctx *Ctx) (Rows, error) { return ctx.stream(f.Child, f.Pred.keep) }
 
 // MapOp implements α with a compiled body.
 type MapOp struct {
 	Child Operator
 	Var   string
 	Body  Scalar
-
-	ctx *Ctx
 }
 
-// Open opens the child.
-func (m *MapOp) Open(ctx *Ctx) error { m.ctx = ctx; return m.Child.Open(ctx) }
-
-// Next yields the image of the next row.
-func (m *MapOp) Next() (value.Value, bool, error) {
-	row, ok, err := m.Child.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	v, err := m.Body.Eval(m.ctx, row)
-	if err != nil {
-		return nil, false, err
-	}
-	return v, true, nil
-}
-
-// Close closes the child.
-func (m *MapOp) Close() error { return m.Child.Close() }
+// Open streams the image of the child's rows.
+func (m MapOp) Open(ctx *Ctx) (Rows, error) { return ctx.stream(m.Child, m.Body.image) }
 
 // LetOp implements a with-binding: the (typically constant) value expression
 // is evaluated once at Open and bound into the environment the child's
@@ -281,22 +323,17 @@ type LetOp struct {
 	Child Operator
 }
 
-// Open evaluates the binding and opens the child under the extended
-// environment.
-func (l *LetOp) Open(ctx *Ctx) error {
+// Open evaluates the binding and runs the child under the extended
+// environment; its rows are the child's.
+func (l LetOp) Open(ctx *Ctx) (Rows, error) {
 	v, err := eval.Eval(l.Val, ctx.Env, ctx.DB)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	child := &Ctx{DB: ctx.DB, Env: ctx.Env.Bind(l.Var, v)}
-	return l.Child.Open(child)
+	child := *ctx
+	child.Env = ctx.Env.Bind(l.Var, v)
+	return child.open(l.Child)
 }
-
-// Next forwards to the child.
-func (l *LetOp) Next() (value.Value, bool, error) { return l.Child.Next() }
-
-// Close closes the child.
-func (l *LetOp) Close() error { return l.Child.Close() }
 
 // ProjectOp implements π.
 type ProjectOp struct {
@@ -304,25 +341,14 @@ type ProjectOp struct {
 	Attrs []string
 }
 
-// Open opens the child.
-func (p *ProjectOp) Open(ctx *Ctx) error { return p.Child.Open(ctx) }
+// Open streams the projection of the child's rows.
+func (p ProjectOp) Open(ctx *Ctx) (Rows, error) { return ctx.stream(p.Child, p.row) }
 
-// Next yields the projection of the next row.
-func (p *ProjectOp) Next() (value.Value, bool, error) {
-	row, ok, err := p.Child.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
+func (p ProjectOp) row(_ *Ctx, row value.Value) (value.Value, bool, error) {
 	t, err := asTuple(row, "π")
 	if err != nil {
 		return nil, false, err
 	}
 	sub, err := t.Subscript(p.Attrs)
-	if err != nil {
-		return nil, false, err
-	}
-	return sub, true, nil
+	return sub, true, err
 }
-
-// Close closes the child.
-func (p *ProjectOp) Close() error { return p.Child.Close() }

@@ -281,8 +281,8 @@ func TestPNHL(t *testing.T) {
 			if !value.Equal(got, want) {
 				t.Errorf("seed %d budget %d: PNHL got %v want %v", seed, budget, got, want)
 			}
-			if budget == 3 && p.Segments() < 2 {
-				t.Errorf("budget 3 over 12 build rows should need ≥2 segments, used %d", p.Segments())
+			if n := Segments(12, budget); budget == 3 && n < 2 {
+				t.Errorf("budget 3 over 12 build rows should need ≥2 segments, used %d", n)
 			}
 		}
 	}

@@ -47,15 +47,13 @@ type IndexScan struct {
 	// Lo and Hi are the optional range bounds (nil = unbounded).
 	Lo, Hi         *Scalar
 	LoIncl, HiIncl bool
-
-	rowBuf
 }
 
 // Open evaluates the bounds and runs the probe.
-func (s *IndexScan) Open(ctx *Ctx) error {
+func (s IndexScan) Open(ctx *Ctx) (Rows, error) {
 	idb, err := indexedDB(ctx, "index scan")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	bound := func(b *Scalar) (value.Value, error) {
 		if b == nil {
@@ -66,32 +64,28 @@ func (s *IndexScan) Open(ctx *Ctx) error {
 	if s.Eq != nil {
 		key, err := s.Eq.Eval(ctx)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		s.out, err = idb.IndexLookup(s.Table, s.Attr, key)
+		rows, err := idb.IndexLookup(s.Table, s.Attr, key)
 		if err != nil {
-			return err
+			return nil, err
 		}
-	} else {
-		lo, err := bound(s.Lo)
-		if err != nil {
-			return err
-		}
-		hi, err := bound(s.Hi)
-		if err != nil {
-			return err
-		}
-		s.out, err = idb.IndexRange(s.Table, s.Attr, lo, hi, s.LoIncl, s.HiIncl)
-		if err != nil {
-			return err
-		}
+		return buffered(rows)
 	}
-	s.pos = 0
-	return nil
+	lo, err := bound(s.Lo)
+	if err != nil {
+		return nil, err
+	}
+	hi, err := bound(s.Hi)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := idb.IndexRange(s.Table, s.Attr, lo, hi, s.LoIncl, s.HiIncl)
+	if err != nil {
+		return nil, err
+	}
+	return buffered(rows)
 }
-
-// Close releases the buffer.
-func (s *IndexScan) Close() error { s.out = nil; return nil }
 
 // IndexNLJoin is the index-nested-loop join: the outer operand L streams,
 // and each outer row's key LKey probes the secondary index on Table.Attr —
@@ -116,35 +110,33 @@ type IndexNLJoin struct {
 	Residual *Scalar
 	As       string
 	RFun     *Scalar
-
-	rowBuf
 }
 
 // Open drains the outer side and probes per row.
-func (j *IndexNLJoin) Open(ctx *Ctx) error {
+func (j IndexNLJoin) Open(ctx *Ctx) (Rows, error) {
 	idb, err := indexedDB(ctx, "index-nested-loop join")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if j.Kind == adl.Outer {
-		return fmt.Errorf("exec: index-nested-loop join does not support kind %v", j.Kind)
+		return nil, fmt.Errorf("exec: index-nested-loop join does not support kind %v", j.Kind)
 	}
 	lrows, err := drain(j.L, ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	em := newJoinEmit(ctx, j.Kind, "index join", j.Residual, j.RFun, j.As, nil)
 	for _, lrow := range lrows {
 		if err := em.begin(lrow); err != nil {
-			return err
+			return nil, err
 		}
 		lk, err := j.LKey.Eval(ctx, lrow)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		matches, err := idb.IndexLookup(j.Table, j.Attr, lk)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for _, rrow := range matches {
 			if em.match(rrow) {
@@ -152,12 +144,8 @@ func (j *IndexNLJoin) Open(ctx *Ctx) error {
 			}
 		}
 		if err := em.end(); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	j.out, j.pos = em.out, 0
-	return nil
+	return buffered(em.out)
 }
-
-// Close releases buffers.
-func (j *IndexNLJoin) Close() error { j.out = nil; return nil }

@@ -141,16 +141,16 @@ func TestIndexOperatorsRequireIndexedDB(t *testing.T) {
 	db := storage.NewMemDB("T", value.NewSet(value.NewTuple("a", value.Int(1))))
 	ctx := &Ctx{DB: db}
 	eq := NewScalar(adl.CInt(1))
-	if err := (&IndexScan{Table: "T", Attr: "a", Eq: &eq}).Open(ctx); err == nil {
+	if _, err := (&IndexScan{Table: "T", Attr: "a", Eq: &eq}).Open(ctx); err == nil {
 		t.Error("IndexScan over a MemDB must error")
 	}
 	lk := NewScalar(adl.Dot(adl.V("x"), "a"), "x")
-	if err := (&IndexNLJoin{Kind: adl.Inner, L: &Scan{Table: "T"}, Table: "T", Attr: "a",
+	if _, err := (&IndexNLJoin{Kind: adl.Inner, L: &Scan{Table: "T"}, Table: "T", Attr: "a",
 		LVar: "x", RVar: "y", LKey: lk}).Open(ctx); err == nil {
 		t.Error("IndexNLJoin over a MemDB must error")
 	}
 	st := indexedStore(t)
-	if err := (&IndexNLJoin{Kind: adl.Outer, L: &Scan{Table: "SUPPLIER"},
+	if _, err := (&IndexNLJoin{Kind: adl.Outer, L: &Scan{Table: "SUPPLIER"},
 		Table: "DELIVERY", Attr: "supplier", LVar: "s", RVar: "d",
 		LKey: lk}).Open(&Ctx{DB: st}); err == nil {
 		t.Error("IndexNLJoin must refuse the outer kind")

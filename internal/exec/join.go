@@ -17,46 +17,35 @@ type NLJoin struct {
 	Pred       Scalar
 	As         string // nestjoin result attribute
 	RFun       *Scalar
-
-	right []value.Value
-	rowBuf
 }
 
 // Open materializes the right operand and computes the join eagerly (the
 // result is bounded by the inputs; eager evaluation keeps Next trivial and
 // the timing honest for benchmarks).
-func (j *NLJoin) Open(ctx *Ctx) error {
-	var err error
-	j.right, err = drain(j.R, ctx)
+func (j NLJoin) Open(ctx *Ctx) (Rows, error) {
+	right, err := drain(j.R, ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	lrows, err := drain(j.L, ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	em := newJoinEmit(ctx, j.Kind, "join", &j.Pred, j.RFun, j.As, j.right)
+	em := newJoinEmit(ctx, j.Kind, "join", &j.Pred, j.RFun, j.As, right)
 	for _, lrow := range lrows {
 		if err := em.begin(lrow); err != nil {
-			return err
+			return nil, err
 		}
-		for _, rrow := range j.right {
+		for _, rrow := range right {
 			if em.match(rrow) {
 				break
 			}
 		}
 		if err := em.end(); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	j.out, j.pos = em.out, 0
-	return nil
-}
-
-// Close releases buffers.
-func (j *NLJoin) Close() error {
-	j.right, j.out = nil, nil
-	return nil
+	return buffered(em.out)
 }
 
 // indexKeys is the build side of every generic hash join: value.Hash buckets
@@ -83,63 +72,50 @@ type HashJoin struct {
 	Residual *Scalar
 	As       string
 	RFun     *Scalar
-
-	table *value.Index  // hash(key) → indices into right
-	rkeys []value.Value // right rows' evaluated keys
-	right []value.Value // retained for matching and outer-join null padding
-	rowBuf
 }
 
 // Open builds and probes. The hash table is a value.Index over the key
 // hashes with the keys in a flat side slice — the same layout the
 // partitioned variant uses per partition.
-func (j *HashJoin) Open(ctx *Ctx) error {
+func (j HashJoin) Open(ctx *Ctx) (Rows, error) {
 	lkey, rkey := joinKeys(j.LKey, j.RKey)
-	var err error
-	j.right, err = drain(j.R, ctx)
+	right, err := drain(j.R, ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	j.rkeys = make([]value.Value, len(j.right))
-	for i, rrow := range j.right {
-		if j.rkeys[i], err = rkey.Eval(ctx, rrow); err != nil {
-			return err
+	rkeys := make([]value.Value, len(right))
+	for i, rrow := range right {
+		if rkeys[i], err = rkey.Eval(ctx, rrow); err != nil {
+			return nil, err
 		}
 	}
-	j.table = indexKeys(j.rkeys)
+	table := indexKeys(rkeys) // hash(key) → indices into right
 	lrows, err := drain(j.L, ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	em := newJoinEmit(ctx, j.Kind, "hash join", j.Residual, j.RFun, j.As, j.right)
+	em := newJoinEmit(ctx, j.Kind, "hash join", j.Residual, j.RFun, j.As, right)
 	for _, lrow := range lrows {
 		if err := em.begin(lrow); err != nil {
-			return err
+			return nil, err
 		}
 		lk, err := lkey.Eval(ctx, lrow)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		for ri := j.table.First(value.Hash(lk)); ri >= 0; ri = j.table.Next(ri) {
-			if !value.Equal(j.rkeys[ri], lk) {
+		for ri := table.First(value.Hash(lk)); ri >= 0; ri = table.Next(ri) {
+			if !value.Equal(rkeys[ri], lk) {
 				continue
 			}
-			if em.match(j.right[ri]) {
+			if em.match(right[ri]) {
 				break
 			}
 		}
 		if err := em.end(); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	j.out, j.pos = em.out, 0
-	return nil
-}
-
-// Close releases buffers.
-func (j *HashJoin) Close() error {
-	j.table, j.rkeys, j.right, j.out = nil, nil, nil, nil
-	return nil
+	return buffered(em.out)
 }
 
 // SetProbeJoin is the set-oriented implementation of joins whose predicate
@@ -162,38 +138,36 @@ type SetProbeJoin struct {
 	RKey Scalar
 	As   string
 	RFun *Scalar
-
-	rowBuf
 }
 
 // Open builds and probes.
-func (j *SetProbeJoin) Open(ctx *Ctx) error {
+func (j SetProbeJoin) Open(ctx *Ctx) (Rows, error) {
 	if err := setJoinKind(j.Kind); err != nil {
-		return err
+		return nil, err
 	}
 	rrows, err := drain(j.R, ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	keys := make([]value.Value, len(rrows))
 	for i, rrow := range rrows {
 		if keys[i], err = j.RKey.Eval(ctx, rrow); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	table := indexKeys(keys)
 	lrows, err := drain(j.L, ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	em := newJoinEmit(ctx, j.Kind, "set-probe join", nil, j.RFun, j.As, nil)
 	for _, lrow := range lrows {
 		if err := em.begin(lrow); err != nil {
-			return err
+			return nil, err
 		}
 		as, err := setAttr(em.lt, j.Attr)
 		if err != nil {
-			return err
+			return nil, err
 		}
 	probe:
 		for _, elem := range as.Elems() {
@@ -207,11 +181,10 @@ func (j *SetProbeJoin) Open(ctx *Ctx) error {
 			}
 		}
 		if err := em.end(); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	j.out, j.pos = em.out, 0
-	return nil
+	return buffered(em.out)
 }
 
 // setJoinKind rejects the kinds a set-probe join has no output rule for: the
@@ -237,6 +210,3 @@ func setAttr(lt *value.Tuple, attr string) (*value.Set, error) {
 	}
 	return as, nil
 }
-
-// Close releases buffers.
-func (j *SetProbeJoin) Close() error { j.out = nil; return nil }

@@ -1,0 +1,244 @@
+package exec_test
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/bench"
+	"repro/internal/col"
+	"repro/internal/core"
+	"repro/internal/eval"
+	"repro/internal/exec"
+	"repro/internal/experiments"
+	"repro/internal/plan"
+	"repro/internal/storage"
+	"repro/internal/value"
+)
+
+// lifecycleTexts are the query texts of benchmark/spec.go's analytic.* and
+// serve.* cycles (benchmark/ is its own module, so they are repeated here).
+var lifecycleTexts = []string{
+	`select s from s in SUPPLIER
+ where exists x in s.parts_supplied : exists p in PART : x = p and p.color = "red"`,
+	`select s.eid from s in SUPPLIER
+ where exists z in s.parts_supplied : not exists p in PART : z = p`,
+	`select (sname = s.sname,
+        pnames = select p.pname from p in PART where p in s.parts_supplied and p.color = "red")
+ from s in SUPPLIER`,
+	`select (sname = s.sname,
+        supplied = select p from p in PART where p in s.parts_supplied,
+        cheap = count(select c from c in PART where c in s.parts_supplied and c.price < 50))
+ from s in SUPPLIER`,
+	`select s.sname from s in SUPPLIER
+ where exists d in DELIVERY : d.supplier = s and d.date < 940105`,
+	`select (sname = d.supplier.sname, date = d.date)
+ from d in DELIVERY where d.date < 940105`,
+	`select p.pname from p in PART where p.color = "red"`,
+	`select p.pname from p in PART where p.price < 10`,
+	`select s.sname from s in SUPPLIER`,
+}
+
+// lifecycleStore generates a store with the indexes of the benchmark's.
+func lifecycleStore(t *testing.T, cfg bench.Config) *storage.Store {
+	st := bench.Generate(cfg)
+	for attr, kind := range map[string]storage.IndexKind{"color": storage.HashIndex, "price": storage.OrderedIndex} {
+		if err := st.CreateIndex("PART", attr, kind); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st
+}
+
+// arm is one plan of a query and the database it runs on.
+type arm struct {
+	name string
+	root exec.Operator
+	db   eval.DB
+}
+
+// textArms plans every text scalar and vectorized, as the serving engine
+// configures the planner (serial, and three workers priced on statistics)
+// and with the parallel operators forced, so that they appear at any scale.
+func textArms(t *testing.T, st *storage.Store) [][]arm {
+	stats := st.Analyze()
+	var out [][]arm
+	for i, src := range lifecycleTexts {
+		var arms []arm
+		for _, vec := range []bool{false, true} {
+			for name, cfg := range map[string]plan.Config{
+				"p1":        {Statistics: stats, Stats: stats, Parallelism: 1, Vectorized: vec},
+				"p3":        {Statistics: stats, Stats: stats, Parallelism: 3, Vectorized: vec},
+				"p3-forced": {Stats: st, Parallelism: 3, ParallelThreshold: 1, Vectorized: vec},
+			} {
+				q, err := core.PrepareCfg(src, st.Catalog(), cfg)
+				if err != nil {
+					t.Fatalf("text %d: %v", i, err)
+				}
+				arms = append(arms, arm{fmt.Sprintf("text %d vec=%t %s", i, vec, name), q.Plan, st})
+			}
+		}
+		out = append(out, arms)
+	}
+	return out
+}
+
+// experimentArms are the arm plans of B1, B8, B13 and B14 at smoke scale.
+func experimentArms() [][]arm {
+	b1 := experiments.NewEQ5(40, 80, 1)
+	b8 := experiments.NewParallelJoin(60, 600, 3, 1)
+	b13 := experiments.NewVecJoin(60, 600, 16, 1)
+	return [][]arm{
+		{
+			{"B1 scalar", plan.Config{}.Compile(b1.Opt), b1.Store},
+			{"B1 vectorized", plan.Config{Vectorized: true, BatchSize: 16}.Compile(b1.Opt), b1.Store},
+		},
+		{
+			{"B8 serial", b8.SerialOp(), b8.Store},
+			{"B8 parallel", b8.ParallelOp(), b8.Store},
+		},
+		{
+			{"B13 scalar", b13.Plan(false).Root, b13.Store},
+			{"B13 vectorized", b13.Plan(true).Root, b13.Store},
+			{"B14 parallel", b13.PlanArm(false, true, 3).Root, b13.Store},
+			{"B14 parallel-vectorized", b13.PlanArm(true, true, 3).Root, b13.Store},
+		},
+	}
+}
+
+// settle waits for the goroutine count to come back to base.
+func settle(t *testing.T, what string, base int) {
+	t.Helper()
+	for i := 0; runtime.NumGoroutine() > base; i++ {
+		if i == 200 {
+			t.Fatalf("%s: %d goroutines, %d before", what, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// errInjected is what a faultyDB fails with.
+var errInjected = errors.New("injected fault")
+
+// faultyDB passes every read through to a store and fails the failAt-th
+// (from 1; 0: none) with errInjected. calls counts them.
+type faultyDB struct {
+	st     *storage.Store
+	failAt int64
+	calls  atomic.Int64
+}
+
+func (f *faultyDB) hit() error {
+	if f.calls.Add(1) == f.failAt {
+		return errInjected
+	}
+	return nil
+}
+
+func (f *faultyDB) Table(name string) (*value.Set, error) {
+	if err := f.hit(); err != nil {
+		return nil, err
+	}
+	return f.st.Table(name)
+}
+
+func (f *faultyDB) Deref(oid value.OID) (*value.Tuple, error) {
+	if err := f.hit(); err != nil {
+		return nil, err
+	}
+	return f.st.Deref(oid)
+}
+
+func (f *faultyDB) ColProj(extent string, attrs []string) (*col.Proj, error) {
+	if err := f.hit(); err != nil {
+		return nil, err
+	}
+	return f.st.ColProj(extent, attrs)
+}
+
+func (f *faultyDB) IndexLookup(extent, attr string, key value.Value) ([]value.Value, error) {
+	if err := f.hit(); err != nil {
+		return nil, err
+	}
+	return f.st.IndexLookup(extent, attr, key)
+}
+
+func (f *faultyDB) IndexRange(extent, attr string, lo, hi value.Value, loIncl, hiIncl bool) ([]value.Value, error) {
+	if err := f.hit(); err != nil {
+		return nil, err
+	}
+	return f.st.IndexRange(extent, attr, lo, hi, loIncl, hiIncl)
+}
+
+// TestEveryStreamClosedOnce checks, on every plan of the differential corpus,
+// what no static rule can: each stream a run opens — wherever, through the
+// one place streams are opened — is closed exactly once, and no goroutine
+// outlives the run. On success, where additionally the arms of a query agree
+// on the result; and with a store that fails its n-th read, for every n the
+// clean run reached, where they agree on the error.
+func TestEveryStreamClosedOnce(t *testing.T) {
+	base := runtime.NumGoroutine()
+	tr := exec.NewTracker()
+	seen := map[string]bool{}
+	check := func(what string) {
+		t.Helper()
+		kinds, problems := tr.Check()
+		for k := range kinds {
+			seen[k] = true
+		}
+		for _, p := range problems {
+			t.Errorf("%s: %s", what, p)
+		}
+		settle(t, what, base)
+	}
+
+	clean := append(textArms(t, lifecycleStore(t, bench.Config{Suppliers: 400, Parts: 800,
+		Deliveries: 2000, Fanout: 8, EmptyFrac: 0.05, Seed: 94})), experimentArms()...)
+	for _, arms := range clean {
+		var want *value.Set
+		for _, a := range arms {
+			got, err := exec.Collect(a.root, tr.Ctx(a.db))
+			if err != nil {
+				t.Fatalf("%s: %v", a.name, err)
+			}
+			if want == nil {
+				want = got
+			} else if !value.Equal(got, want) {
+				t.Errorf("%s returns %d rows, %s %d", a.name, got.Len(), arms[0].name, want.Len())
+			}
+			check(a.name)
+		}
+	}
+	// Every kind of stream the engine has must have been under watch.
+	for _, k := range []string{"*exec.rowBuf", "*exec.mapped", "*exec.fanned", "*exec.parMerge",
+		"*exec.pooled", "*exec.scanned", "*exec.filtered", "*exec.exchanged"} {
+		if !seen[k] {
+			t.Errorf("the corpus opened no %s", k)
+		}
+	}
+
+	small := lifecycleStore(t, bench.Config{Suppliers: 12, Parts: 24, Deliveries: 30,
+		Fanout: 3, EmptyFrac: 0.1, Seed: 7})
+	faults := 0
+	for _, arms := range textArms(t, small) {
+		for _, a := range arms {
+			db := &faultyDB{st: small}
+			if _, err := exec.Collect(a.root, tr.Ctx(db)); err != nil {
+				t.Fatalf("%s: %v", a.name, err)
+			}
+			reached := db.calls.Load()
+			faults += int(reached)
+			for n := int64(1); n <= reached; n++ {
+				_, err := exec.Collect(a.root, tr.Ctx(&faultyDB{st: small, failAt: n}))
+				if err == nil || err.Error() != errInjected.Error() {
+					t.Errorf("%s, read %d of %d failing: got %v, want %v", a.name, n, reached, err, errInjected)
+				}
+				check(fmt.Sprintf("%s, read %d of %d failing", a.name, n, reached))
+			}
+		}
+	}
+	t.Logf("%d runs with a failing read", faults)
+}

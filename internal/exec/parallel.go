@@ -7,10 +7,11 @@
 // matches — and therefore its semi/anti/nest/outer verdict — are decided
 // entirely within its own partition.
 //
-// All parallel operators preserve the Operator (Open/Next/Close) contract:
-// Open launches the workers, Next streams merged results from a bounded
-// channel, Close tears the pipeline down. Result order is nondeterministic,
-// which is harmless under the algebra's set semantics.
+// All parallel operators keep the Operator contract: Open launches the
+// workers and returns the merge as the run's stream, whose Next hands up
+// merged results from a bounded channel and whose Close tears the pipeline
+// down. Result order is nondeterministic, which is harmless under the
+// algebra's set semantics.
 package exec
 
 import (
@@ -45,15 +46,16 @@ func Parallelism(n int) int {
 	return runtime.NumCPU()
 }
 
-// parMerge is the shared fan-in plumbing: workers send chunks of rows into a
-// bounded channel, the consumer walks them out of Next, and the first error
-// aborts the pipeline.
+// parMerge is the stream of a parallel operator, the shared fan-in plumbing:
+// workers send chunks of rows into a bounded channel, the consumer walks them
+// out of Next, and the first error aborts the pipeline.
 type parMerge struct {
 	out   chan []value.Value
 	abort chan struct{}
 	once  sync.Once // guards closing abort
 	errMu sync.Mutex
 	err   error
+	wg    sync.WaitGroup // every goroutine of the pipeline; Close waits for them
 
 	cur []value.Value // the consumer's: rest of the chunk being walked
 }
@@ -112,8 +114,8 @@ func (m *parMerge) fail(err error) {
 // stop makes all workers wind down; it is safe to call repeatedly.
 func (m *parMerge) stop() { m.once.Do(func() { close(m.abort) }) }
 
-// next implements Operator.Next over the merged stream.
-func (m *parMerge) next() (value.Value, bool, error) {
+// Next yields the next row of the merged stream.
+func (m *parMerge) Next() (value.Value, bool, error) {
 	for len(m.cur) == 0 {
 		chunk, ok := <-m.out
 		if !ok {
@@ -128,13 +130,17 @@ func (m *parMerge) next() (value.Value, bool, error) {
 	return row, true, nil
 }
 
-// drain tears the pipeline down: abort workers and consume until the merge
-// channel is closed so no worker stays blocked on a send.
-func (m *parMerge) drain() {
+// teardown aborts the workers, consumes until the merge channel is closed so
+// none stays blocked on a send, and waits for them.
+func (m *parMerge) teardown() {
 	m.stop()
 	for range m.out {
 	}
+	m.wg.Wait()
 }
+
+// Close tears the pipeline down.
+func (m *parMerge) Close() error { m.teardown(); return nil }
 
 // evalKeys computes key(row) for every row with a pool of workers. The rows
 // are split into contiguous chunks, one per worker, so no locking is needed
@@ -207,60 +213,56 @@ type PartitionedHashJoin struct {
 	RFun       *Scalar
 	// Partitions is the partition/goroutine count; <=0 means NumCPU.
 	Partitions int
-
-	merge *parMerge
-	wg    sync.WaitGroup
 }
 
 // Open drains and partitions both inputs, then launches one build+probe
 // worker per partition.
-func (j *PartitionedHashJoin) Open(ctx *Ctx) error {
+func (j PartitionedHashJoin) Open(ctx *Ctx) (Rows, error) {
 	p := Parallelism(j.Partitions)
 	lkey, rkey := joinKeys(j.LKey, j.RKey)
 
 	rrows, err := drain(j.R, ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rkeys, err := evalKeys(ctx, rrows, rkey, p)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	lrows, err := drain(j.L, ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	lkeys, err := evalKeys(ctx, lrows, lkey, p)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rparts := partition(rkeys, p)
 	lparts := partition(lkeys, p)
 
-	j.merge = newParMerge()
+	merge := newParMerge()
 	for i := 0; i < p; i++ {
-		j.wg.Add(1)
+		merge.wg.Add(1)
 		go func(li, ri []int) {
-			defer j.wg.Done()
-			if err := j.joinPartition(ctx, lrows, lkeys, li, rrows, rkeys, ri); err != nil {
-				j.merge.fail(err)
+			defer merge.wg.Done()
+			if err := j.joinPartition(ctx, merge, lrows, lkeys, li, rrows, rkeys, ri); err != nil {
+				merge.fail(err)
 			}
 		}(lparts[i], rparts[i])
 	}
-	merge := j.merge
 	go func() {
-		j.wg.Wait()
+		merge.wg.Wait()
 		close(merge.out)
 	}()
-	return nil
+	return merge, nil
 }
 
 // joinPartition builds a hash table over one right partition and probes it
 // with the matching left partition, sending result rows to the merge channel
 // a chunk at a time. It returns early, without error, once the pipeline
 // aborts.
-func (j *PartitionedHashJoin) joinPartition(ctx *Ctx, lrows, lkeys []value.Value, li []int, rrows, rkeys []value.Value, ri []int) error {
-	out := chunkWriter{m: j.merge, ch: j.merge.out}
+func (j PartitionedHashJoin) joinPartition(ctx *Ctx, merge *parMerge, lrows, lkeys []value.Value, li []int, rrows, rkeys []value.Value, ri []int) error {
+	out := chunkWriter{m: merge, ch: merge.out}
 	em := newJoinEmit(ctx, j.Kind, "partitioned hash join", j.Residual, j.RFun, j.As, rrows)
 	hashes := make([]uint64, len(ri))
 	for i, r := range ri {
@@ -296,45 +298,33 @@ func (j *PartitionedHashJoin) joinPartition(ctx *Ctx, lrows, lkeys []value.Value
 	return nil
 }
 
-// Next yields the next joined row from the merge channel.
-func (j *PartitionedHashJoin) Next() (value.Value, bool, error) {
-	return j.merge.next()
+// pooled is the stream of ParallelMap and ParallelFilter: the child's rows
+// fanned out to a worker pool applying a rowFn, merged through a bounded
+// channel. The child's stream is pulled from a single feeder goroutine,
+// respecting the single-threaded Rows contract.
+type pooled struct {
+	*parMerge
+	src Rows
 }
 
-// Close aborts any still-running workers and waits for them.
-func (j *PartitionedHashJoin) Close() error {
-	if j.merge != nil {
-		j.merge.drain()
-		j.wg.Wait()
-		j.merge = nil
+// pool runs child and applies fn to its rows on workers goroutines (<=0:
+// NumCPU); workers drop rows with keep=false.
+func (c *Ctx) pool(child Operator, workers int, fn rowFn) (Rows, error) {
+	src, err := c.open(child)
+	if err != nil {
+		return nil, err
 	}
-	return nil
-}
-
-// parPool fans a child operator's rows out to a worker pool applying fn, and
-// merges results through a bounded channel. It is the shared engine of
-// ParallelMap and ParallelFilter. The child is pulled from a single feeder
-// goroutine, respecting the single-threaded Operator contract.
-type parPool struct {
-	merge *parMerge
-	wg    sync.WaitGroup // feeder + workers
-}
-
-// start opens the pipeline: fn maps a row to (result, keep); workers drop
-// rows with keep=false.
-func (p *parPool) start(ctx *Ctx, child Operator, workers int, fn func(*Ctx, value.Value) (value.Value, bool, error)) {
-	p.merge = newParMerge()
+	merge := newParMerge()
 	in := make(chan []value.Value, mergeChunks)
-	merge := p.merge
 
-	p.wg.Add(1)
-	go func() { // feeder: sole caller of child.Next
-		defer p.wg.Done()
+	merge.wg.Add(1)
+	go func() { // feeder: sole caller of src.Next
+		defer merge.wg.Done()
 		defer close(in)
 		feed := chunkWriter{m: merge, ch: in}
 		defer feed.flush()
 		for {
-			row, ok, err := child.Next()
+			row, ok, err := src.Next()
 			if err != nil {
 				merge.fail(err)
 				return
@@ -348,16 +338,16 @@ func (p *parPool) start(ctx *Ctx, child Operator, workers int, fn func(*Ctx, val
 	w := Parallelism(workers)
 	var workerWG sync.WaitGroup
 	for i := 0; i < w; i++ {
-		p.wg.Add(1)
+		merge.wg.Add(1)
 		workerWG.Add(1)
 		go func() {
-			defer p.wg.Done()
+			defer merge.wg.Done()
 			defer workerWG.Done()
 			out := chunkWriter{m: merge, ch: merge.out}
 			defer out.flush()
 			for chunk := range in {
 				for _, row := range chunk {
-					res, keep, err := fn(ctx, row)
+					res, keep, err := fn(c, row)
 					if err != nil {
 						merge.fail(err)
 						return
@@ -373,83 +363,41 @@ func (p *parPool) start(ctx *Ctx, child Operator, workers int, fn func(*Ctx, val
 		workerWG.Wait()
 		close(merge.out)
 	}()
+	return &pooled{parMerge: merge, src: src}, nil
 }
 
-// next forwards the merged stream.
-func (p *parPool) next() (value.Value, bool, error) { return p.merge.next() }
-
-// stop aborts and waits for the pipeline.
-func (p *parPool) stop() {
-	if p.merge != nil {
-		p.merge.drain()
-		p.wg.Wait()
-		p.merge = nil
-	}
+// Close tears down the pool, then closes the child's stream.
+func (p *pooled) Close() error {
+	p.teardown()
+	return p.src.Close()
 }
 
-// ParallelMap is α with the body evaluated by a worker pool: rows are pulled
-// from the child by a feeder goroutine, mapped concurrently, and merged
-// through a bounded channel.
+// ParallelMap is α with the body evaluated by a worker pool; order is not
+// preserved.
 type ParallelMap struct {
 	Child Operator
 	Var   string
 	Body  Scalar
 	// Workers is the pool size; <=0 means NumCPU.
 	Workers int
-
-	pool parPool
 }
 
-// Open opens the child and starts the pool.
-func (m *ParallelMap) Open(ctx *Ctx) error {
-	if err := m.Child.Open(ctx); err != nil {
-		return err
-	}
-	m.pool.start(ctx, m.Child, m.Workers, func(ctx *Ctx, row value.Value) (value.Value, bool, error) {
-		v, err := m.Body.Eval(ctx, row)
-		return v, true, err
-	})
-	return nil
+// Open starts the pool over the child's rows.
+func (m ParallelMap) Open(ctx *Ctx) (Rows, error) {
+	return ctx.pool(m.Child, m.Workers, m.Body.image)
 }
 
-// Next yields the image of some input row; order is not preserved.
-func (m *ParallelMap) Next() (value.Value, bool, error) { return m.pool.next() }
-
-// Close tears down the pool and closes the child.
-func (m *ParallelMap) Close() error {
-	m.pool.stop()
-	return m.Child.Close()
-}
-
-// ParallelFilter is σ with the predicate evaluated by a worker pool.
+// ParallelFilter is σ with the predicate evaluated by a worker pool; order is
+// not preserved.
 type ParallelFilter struct {
 	Child Operator
 	Var   string
 	Pred  Scalar
 	// Workers is the pool size; <=0 means NumCPU.
 	Workers int
-
-	pool parPool
 }
 
-// Open opens the child and starts the pool.
-func (f *ParallelFilter) Open(ctx *Ctx) error {
-	if err := f.Child.Open(ctx); err != nil {
-		return err
-	}
-	f.pool.start(ctx, f.Child, f.Workers, func(ctx *Ctx, row value.Value) (value.Value, bool, error) {
-		keep, err := f.Pred.Bool(ctx, row)
-		return row, keep, err
-	})
-	return nil
-}
-
-// Next yields some input row satisfying the predicate; order is not
-// preserved.
-func (f *ParallelFilter) Next() (value.Value, bool, error) { return f.pool.next() }
-
-// Close tears down the pool and closes the child.
-func (f *ParallelFilter) Close() error {
-	f.pool.stop()
-	return f.Child.Close()
+// Open starts the pool over the child's rows.
+func (f ParallelFilter) Open(ctx *Ctx) (Rows, error) {
+	return ctx.pool(f.Child, f.Workers, f.Pred.keep)
 }

@@ -130,7 +130,7 @@ type errAfter struct {
 	pos int
 }
 
-func (e *errAfter) Open(*Ctx) error { e.pos = 0; return nil }
+func (e *errAfter) Open(*Ctx) (Rows, error) { e.pos = 0; return e, nil }
 func (e *errAfter) Next() (value.Value, bool, error) {
 	if e.pos >= e.n {
 		return nil, false, errors.New("child exploded")
@@ -181,28 +181,29 @@ func TestParallelEarlyClose(t *testing.T) {
 		LVar: "x", RVar: "y",
 		LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
 		RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"), Partitions: 8}
-	if err := pj.Open(ctx); err != nil {
+	rows, err := pj.Open(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := pj.Next(); err != nil {
+	if _, _, err := rows.Next(); err != nil {
 		t.Fatal(err)
 	}
-	if err := pj.Close(); err != nil {
+	if err := rows.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := pj.Close(); err != nil { // Close is idempotent
+	if err := rows.Close(); err != nil { // Close is idempotent
 		t.Fatal(err)
 	}
 
 	pm := &ParallelMap{Child: &Scan{Table: "L"}, Var: "x",
 		Body: NewScalar(adl.Dot(adl.V("x"), "b"), "x"), Workers: 4}
-	if err := pm.Open(ctx); err != nil {
+	if rows, err = pm.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := pm.Next(); err != nil {
+	if _, _, err := rows.Next(); err != nil {
 		t.Fatal(err)
 	}
-	if err := pm.Close(); err != nil {
+	if err := rows.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -306,7 +307,7 @@ type closeErr struct {
 
 var errTeardown = errors.New("teardown failed")
 
-func (e *closeErr) Open(*Ctx) error { e.pos = 0; return nil }
+func (e *closeErr) Open(*Ctx) (Rows, error) { e.pos = 0; return e, nil }
 func (e *closeErr) Next() (value.Value, bool, error) {
 	if e.pos >= e.n {
 		return nil, false, nil
@@ -374,11 +375,12 @@ func TestParallelCancelMidPartition(t *testing.T) {
 		LVar: "x", RVar: "y",
 		LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
 		RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"), Partitions: 4}
-	if err := pj.Open(ctx); err != nil {
+	rows, err := pj.Open(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// No Next at all: every worker still mid-partition when Close lands.
-	if err := pj.Close(); err != nil {
+	if err := rows.Close(); err != nil {
 		t.Fatal(err)
 	}
 	want := collect(t, &HashJoin{Kind: adl.Inner,

@@ -41,55 +41,48 @@ type PNHL struct {
 	// row) instead of the default concatenation — e.g. the build row alone,
 	// which turns PNHL into reference materialization.
 	Member *Scalar
-
-	// segmentsUsed counts the build segments the last Open needed. It is
-	// per-run state (unexported so CloneTree zeroes it per clone, caught by
-	// the clonesafety analyzer); read it through Segments.
-	segmentsUsed int
-
-	rowBuf
 }
 
-// Segments reports how many build segments the last Open needed.
-func (p *PNHL) Segments() int { return p.segmentsUsed }
+// Segments is how many build segments PNHL and VecPNHL hash for a build
+// table of buildRows rows under a budget of budgetRows rows per segment: one
+// when the budget is unlimited (zero) or covers the table, which may be empty.
+func Segments(buildRows, budgetRows int) int {
+	if budgetRows <= 0 || budgetRows >= buildRows {
+		return 1
+	}
+	return (buildRows + budgetRows - 1) / budgetRows
+}
+
+// segment returns the bounds of build segment i of the Segments.
+func segment(i, buildRows, budgetRows int) (lo, hi int) {
+	if budgetRows <= 0 {
+		return 0, buildRows
+	}
+	return i * budgetRows, min((i+1)*budgetRows, buildRows)
+}
 
 // Open runs both phases eagerly.
-func (p *PNHL) Open(ctx *Ctx) error {
+func (p PNHL) Open(ctx *Ctx) (Rows, error) {
 	build, err := drain(p.R, ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	probe, err := drain(p.L, ctx)
 	if err != nil {
-		return err
-	}
-	segment := p.BudgetRows
-	if segment <= 0 || segment > len(build) {
-		segment = len(build)
-	}
-	if segment == 0 {
-		segment = 1
+		return nil, err
 	}
 
 	// Partial results: per left tuple, the accumulating set of e ∘ y pairs.
 	partial := make([]nestGroup, len(probe))
 
-	p.segmentsUsed = 0
-	for lo := 0; lo < len(build) || lo == 0; lo += segment {
-		hi := lo + segment
-		if hi > len(build) {
-			hi = len(build)
-		}
-		if lo >= hi && lo > 0 {
-			break
-		}
-		p.segmentsUsed++
+	for i := 0; i < Segments(len(build), p.BudgetRows); i++ {
 		// Build phase: hash this segment of the flat table.
+		lo, hi := segment(i, len(build), p.BudgetRows)
 		seg := build[lo:hi]
 		keys := make([]value.Value, len(seg))
 		for i, brow := range seg {
 			if keys[i], err = p.BuildKey.Eval(ctx, brow); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		table := indexKeys(keys)
@@ -97,24 +90,24 @@ func (p *PNHL) Open(ctx *Ctx) error {
 		for pi, lrow := range probe {
 			lt, err := asTuple(lrow, "PNHL")
 			if err != nil {
-				return err
+				return nil, err
 			}
 			av, ok := lt.Get(p.Attr)
 			if !ok {
-				return fmt.Errorf("exec: PNHL on missing attribute %q", p.Attr)
+				return nil, fmt.Errorf("exec: PNHL on missing attribute %q", p.Attr)
 			}
 			set, ok := av.(*value.Set)
 			if !ok {
-				return fmt.Errorf("exec: PNHL on non-set attribute %q", p.Attr)
+				return nil, fmt.Errorf("exec: PNHL on non-set attribute %q", p.Attr)
 			}
 			for _, elem := range set.Elems() {
 				et, ok := elem.(*value.Tuple)
 				if !ok {
-					return fmt.Errorf("exec: PNHL element of %q is not a tuple", p.Attr)
+					return nil, fmt.Errorf("exec: PNHL element of %q is not a tuple", p.Attr)
 				}
 				k, err := p.ElemKey.Eval(ctx, elem)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				for bi := table.First(value.Hash(k)); bi >= 0; bi = table.Next(bi) {
 					if !value.Equal(keys[bi], k) {
@@ -123,36 +116,30 @@ func (p *PNHL) Open(ctx *Ctx) error {
 					if p.Member != nil {
 						m, err := p.Member.Eval(ctx, elem, seg[bi])
 						if err != nil {
-							return err
+							return nil, err
 						}
 						partial[pi].add(m)
 						continue
 					}
 					bt, err := asTuple(seg[bi], "PNHL")
 					if err != nil {
-						return err
+						return nil, err
 					}
 					cat, err := et.Concat(bt)
 					if err != nil {
-						return err
+						return nil, err
 					}
 					partial[pi].add(cat)
 				}
 			}
 		}
-		if len(build) == 0 {
-			break
-		}
 	}
 
 	// Merge phase: replace the attribute with the accumulated join result.
-	p.reset()
+	out := make([]value.Value, len(probe))
 	for pi, lrow := range probe {
 		lt := lrow.(*value.Tuple)
-		p.out = append(p.out, lt.Except(value.NewTuple(p.Attr, partial[pi].set())))
+		out[pi] = lt.Except(value.NewTuple(p.Attr, partial[pi].set()))
 	}
-	return nil
+	return buffered(out)
 }
-
-// Close releases buffers.
-func (p *PNHL) Close() error { p.out = nil; return nil }

@@ -6,74 +6,89 @@ import (
 	"repro/internal/value"
 )
 
+// fanned is the stream of the 1:N operators: fn expands a row of src into
+// the rows that wait in pending. fn may reuse the slice it returned once it
+// is called again.
+type fanned struct {
+	src     Rows
+	fn      func(row value.Value) ([]value.Value, error)
+	pending []value.Value
+	ppos    int
+}
+
+// Next yields the next expanded row.
+func (f *fanned) Next() (value.Value, bool, error) {
+	for f.ppos >= len(f.pending) {
+		row, ok, err := f.src.Next()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		if f.pending, err = f.fn(row); err != nil {
+			return nil, false, err
+		}
+		f.ppos = 0
+	}
+	row := f.pending[f.ppos]
+	f.ppos++
+	return row, true, nil
+}
+
+// Close closes the child's stream.
+func (f *fanned) Close() error { return f.src.Close() }
+
 // UnnestOp implements μ_attr: each input tuple fans out into one row per
 // element of its set-valued attribute, concatenated with the remaining
 // attributes. Tuples with empty sets are dropped (the PNF caveat).
 type UnnestOp struct {
 	Child Operator
 	Attr  string
-
-	pending []value.Value
-	ppos    int
-	// out is elem ∘ rest, derived when an element or its row changes layout.
-	elem, rest, out *value.Shape
 }
 
-// Open opens the child.
-func (u *UnnestOp) Open(ctx *Ctx) error {
-	u.pending = nil
-	u.ppos = 0
-	return u.Child.Open(ctx)
-}
-
-// Next yields the next unnested row.
-func (u *UnnestOp) Next() (value.Value, bool, error) {
-	for {
-		if u.ppos < len(u.pending) {
-			row := u.pending[u.ppos]
-			u.ppos++
-			return row, true, nil
-		}
-		row, ok, err := u.Child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
+// Open streams the unnested rows of the child.
+func (u UnnestOp) Open(ctx *Ctx) (Rows, error) {
+	src, err := ctx.open(u.Child)
+	if err != nil {
+		return nil, err
+	}
+	var (
+		buf []value.Value
+		// out is elem ∘ rest, derived when an element or its row changes layout.
+		elem, rest, out *value.Shape
+	)
+	return &fanned{src: src, fn: func(row value.Value) ([]value.Value, error) {
 		t, err := asTuple(row, "μ")
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		av, ok := t.Get(u.Attr)
 		if !ok {
-			return nil, false, fmt.Errorf("exec: μ on missing attribute %q", u.Attr)
+			return nil, fmt.Errorf("exec: μ on missing attribute %q", u.Attr)
 		}
 		set, ok := av.(*value.Set)
 		if !ok {
-			return nil, false, fmt.Errorf("exec: μ on non-set attribute %q", u.Attr)
+			return nil, fmt.Errorf("exec: μ on non-set attribute %q", u.Attr)
 		}
-		rest := t.Drop([]string{u.Attr})
-		u.pending = u.pending[:0]
-		u.ppos = 0
+		others := t.Drop([]string{u.Attr})
+		buf = buf[:0]
 		for _, el := range set.Elems() {
 			et, ok := el.(*value.Tuple)
 			if !ok {
-				return nil, false, fmt.Errorf("exec: μ element of %q is not a tuple", u.Attr)
+				return nil, fmt.Errorf("exec: μ element of %q is not a tuple", u.Attr)
 			}
-			if et.Shape != u.elem || rest.Shape != u.rest {
-				out, err := et.Shape.Concat(rest.Shape)
+			if et.Shape != elem || others.Shape != rest {
+				cat, err := et.Shape.Concat(others.Shape)
 				if err != nil {
-					return nil, false, err
+					return nil, err
 				}
-				u.elem, u.rest, u.out = et.Shape, rest.Shape, out
+				elem, rest, out = et.Shape, others.Shape, cat
 			}
-			vals := make([]value.Value, 0, u.out.Len())
-			vals = append(append(vals, et.Vals()...), rest.Vals()...)
-			u.pending = append(u.pending, u.out.New(vals))
+			vals := make([]value.Value, 0, out.Len())
+			vals = append(append(vals, et.Vals()...), others.Vals()...)
+			buf = append(buf, out.New(vals))
 		}
-	}
+		return buf, nil
+	}}, nil
 }
-
-// Close closes the child.
-func (u *UnnestOp) Close() error { return u.Child.Close() }
 
 // NestOp implements ν_{Attrs→As} by hash grouping: rows are grouped by all
 // attributes not in Attrs; each group's Attrs-subtuples are collected into a
@@ -82,15 +97,13 @@ type NestOp struct {
 	Child Operator
 	Attrs []string
 	As    string
-
-	rowBuf
 }
 
 // Open groups eagerly (ν is a pipeline breaker).
-func (n *NestOp) Open(ctx *Ctx) error {
+func (n NestOp) Open(ctx *Ctx) (Rows, error) {
 	rows, err := drain(n.Child, ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	type group struct {
 		key     *value.Tuple
@@ -101,11 +114,11 @@ func (n *NestOp) Open(ctx *Ctx) error {
 	for _, row := range rows {
 		t, err := asTuple(row, "ν")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		sub, err := t.Subscript(n.Attrs)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		key := t.Drop(n.Attrs)
 		h := value.Hash(key)
@@ -122,54 +135,32 @@ func (n *NestOp) Open(ctx *Ctx) error {
 			groups = append(groups, &group{key: key, members: value.NewSet(sub)})
 		}
 	}
-	n.reset()
-	for _, g := range groups {
-		n.out = append(n.out, g.key.With(n.As, g.members))
+	out := make([]value.Value, len(groups))
+	for i, g := range groups {
+		out[i] = g.key.With(n.As, g.members)
 	}
-	return nil
+	return buffered(out)
 }
-
-// Close releases buffers.
-func (n *NestOp) Close() error { n.out = nil; return n.Child.Close() }
 
 // FlattenOp implements multiple union over a child producing sets.
 type FlattenOp struct {
 	Child Operator
-
-	pending []value.Value
-	ppos    int
 }
 
-// Open opens the child.
-func (f *FlattenOp) Open(ctx *Ctx) error {
-	f.pending = nil
-	f.ppos = 0
-	return f.Child.Open(ctx)
-}
-
-// Next yields the next inner element.
-func (f *FlattenOp) Next() (value.Value, bool, error) {
-	for {
-		if f.ppos < len(f.pending) {
-			row := f.pending[f.ppos]
-			f.ppos++
-			return row, true, nil
-		}
-		row, ok, err := f.Child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
+// Open streams the elements of the child's rows.
+func (f FlattenOp) Open(ctx *Ctx) (Rows, error) {
+	src, err := ctx.open(f.Child)
+	if err != nil {
+		return nil, err
+	}
+	return &fanned{src: src, fn: func(row value.Value) ([]value.Value, error) {
 		set, isSet := row.(*value.Set)
 		if !isSet {
-			return nil, false, fmt.Errorf("exec: flatten over non-set row %s", row.Kind())
+			return nil, fmt.Errorf("exec: flatten over non-set row %s", row.Kind())
 		}
-		f.pending = set.Elems()
-		f.ppos = 0
-	}
+		return set.Elems(), nil
+	}}, nil
 }
-
-// Close closes the child.
-func (f *FlattenOp) Close() error { return f.Child.Close() }
 
 // DivideOp implements relational division [Codd72], the classical operator
 // for universal quantification (§3): with SCH(L) = A ∪ B and SCH(R) = B,
@@ -178,29 +169,26 @@ func (f *FlattenOp) Close() error { return f.Child.Close() }
 // coverage of R.
 type DivideOp struct {
 	L, R Operator
-
-	rowBuf
 }
 
 // Open computes the division eagerly.
-func (d *DivideOp) Open(ctx *Ctx) error {
+func (d DivideOp) Open(ctx *Ctx) (Rows, error) {
 	lrows, err := drain(d.L, ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rrows, err := drain(d.R, ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	d.reset()
 	if len(lrows) == 0 {
-		return nil
+		return buffered(nil)
 	}
 	var bNames []string
 	if len(rrows) > 0 {
 		rt, err := asTuple(rrows[0], "÷")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		bNames = rt.Names()
 	}
@@ -218,12 +206,12 @@ func (d *DivideOp) Open(ctx *Ctx) error {
 	for _, lrow := range lrows {
 		lt, err := asTuple(lrow, "÷")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		key := lt.Drop(bNames)
 		b, err := lt.Subscript(bNames)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		h := value.Hash(key)
 		found := false
@@ -239,16 +227,14 @@ func (d *DivideOp) Open(ctx *Ctx) error {
 			groups = append(groups, &group{key: key, bPart: value.NewSet(b)})
 		}
 	}
+	var out []value.Value
 	for _, g := range groups {
 		if divisor.SubsetOf(g.bPart) {
-			d.out = append(d.out, g.key)
+			out = append(out, g.key)
 		}
 	}
-	return nil
+	return buffered(out)
 }
-
-// Close releases buffers.
-func (d *DivideOp) Close() error { d.out = nil; return nil }
 
 // RenameOp implements ρ_{from→to}.
 type RenameOp struct {
@@ -256,15 +242,10 @@ type RenameOp struct {
 	From, To string
 }
 
-// Open opens the child.
-func (r *RenameOp) Open(ctx *Ctx) error { return r.Child.Open(ctx) }
+// Open streams the child's rows renamed.
+func (r RenameOp) Open(ctx *Ctx) (Rows, error) { return ctx.stream(r.Child, r.row) }
 
-// Next yields the next renamed row.
-func (r *RenameOp) Next() (value.Value, bool, error) {
-	row, ok, err := r.Child.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
+func (r RenameOp) row(_ *Ctx, row value.Value) (value.Value, bool, error) {
 	t, err := asTuple(row, "ρ")
 	if err != nil {
 		return nil, false, err
@@ -280,9 +261,6 @@ func (r *RenameOp) Next() (value.Value, bool, error) {
 	return renamed.With(r.To, v), true, nil
 }
 
-// Close closes the child.
-func (r *RenameOp) Close() error { return r.Child.Close() }
-
 // Assembly is the physical counterpart of the materialize operator
 // ([BlMG93]): it dereferences an oid-valued attribute (or a set of unary
 // oid-reference tuples) through the object store and extends each tuple with
@@ -292,19 +270,12 @@ type Assembly struct {
 	Child Operator
 	Attr  string
 	As    string
-
-	ctx *Ctx
 }
 
-// Open opens the child.
-func (a *Assembly) Open(ctx *Ctx) error { a.ctx = ctx; return a.Child.Open(ctx) }
+// Open streams the child's rows assembled.
+func (a Assembly) Open(ctx *Ctx) (Rows, error) { return ctx.stream(a.Child, a.row) }
 
-// Next yields the next assembled row.
-func (a *Assembly) Next() (value.Value, bool, error) {
-	row, ok, err := a.Child.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
+func (a Assembly) row(ctx *Ctx, row value.Value) (value.Value, bool, error) {
 	t, err := asTuple(row, "assembly")
 	if err != nil {
 		return nil, false, err
@@ -315,7 +286,7 @@ func (a *Assembly) Next() (value.Value, bool, error) {
 	}
 	switch ref := av.(type) {
 	case value.OID:
-		obj, err := a.ctx.DB.Deref(ref)
+		obj, err := ctx.DB.Deref(ref)
 		if err != nil {
 			return nil, false, err
 		}
@@ -327,7 +298,7 @@ func (a *Assembly) Next() (value.Value, bool, error) {
 			if err != nil {
 				return nil, false, err
 			}
-			obj, err := a.ctx.DB.Deref(oid)
+			obj, err := ctx.DB.Deref(oid)
 			if err != nil {
 				return nil, false, err
 			}
@@ -337,9 +308,6 @@ func (a *Assembly) Next() (value.Value, bool, error) {
 	}
 	return nil, false, fmt.Errorf("exec: assembly on non-reference attribute %q", a.Attr)
 }
-
-// Close closes the child.
-func (a *Assembly) Close() error { return a.Child.Close() }
 
 // elemOID extracts the oid from a reference-set element.
 func elemOID(el value.Value) (value.OID, error) {

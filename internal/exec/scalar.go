@@ -18,8 +18,8 @@ import (
 // into prog: a tree of closures in which a variable is a positional slot, a
 // constant is captured, a tuple constructor's shape is already derived, and
 // no eval.Env exists. The tree is immutable — closures capture plan-time
-// values only, never anything a run produced — so CloneTree copies it with
-// the struct and the workers of a parallel operator share one Scalar.
+// values only, never anything a run produced — so concurrent runs of a plan
+// and the workers of a parallel operator share one Scalar.
 type Scalar struct {
 	Vars []string
 	Expr adl.Expr
@@ -70,6 +70,18 @@ func (s Scalar) Bool(ctx *Ctx, vals ...value.Value) (bool, error) {
 		return false, fmt.Errorf("exec: predicate returned %s", v.Kind())
 	}
 	return bool(b), nil
+}
+
+// keep is the rowFn of σ: a row passes when the predicate holds of it.
+func (s Scalar) keep(ctx *Ctx, row value.Value) (value.Value, bool, error) {
+	ok, err := s.Bool(ctx, row)
+	return row, ok, err
+}
+
+// image is the rowFn of α: every row maps to the scalar's value of it.
+func (s Scalar) image(ctx *Ctx, row value.Value) (value.Value, bool, error) {
+	v, err := s.Eval(ctx, row)
+	return v, true, err
 }
 
 // joinKeys returns the key scalars a hash join evaluates per row. Its keys

@@ -23,8 +23,6 @@ type SortMergeJoin struct {
 	LKey, RKey Scalar
 	As         string
 	RFun       *Scalar
-
-	rowBuf
 }
 
 type keyedRow struct {
@@ -52,17 +50,17 @@ func sortByKey(ctx *Ctx, op Operator, key Scalar) ([]keyedRow, error) {
 }
 
 // Open sorts and merges.
-func (j *SortMergeJoin) Open(ctx *Ctx) error {
+func (j SortMergeJoin) Open(ctx *Ctx) (Rows, error) {
 	if j.Kind == adl.Outer {
-		return fmt.Errorf("exec: sort-merge join does not support kind %v", j.Kind)
+		return nil, fmt.Errorf("exec: sort-merge join does not support kind %v", j.Kind)
 	}
 	ls, err := sortByKey(ctx, j.L, j.LKey)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rs, err := sortByKey(ctx, j.R, j.RKey)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	em := newJoinEmit(ctx, j.Kind, "sort-merge join", nil, j.RFun, j.As, nil)
 	ri := 0
@@ -80,7 +78,7 @@ func (j *SortMergeJoin) Open(ctx *Ctx) error {
 		// Emit for every left row in this key group.
 		for ; li < len(ls) && value.Compare(ls[li].key, lkey) == 0; li++ {
 			if err := em.begin(ls[li].row); err != nil {
-				return err
+				return nil, err
 			}
 			for k := ri; k < re; k++ {
 				if em.match(rs[k].row) {
@@ -88,13 +86,9 @@ func (j *SortMergeJoin) Open(ctx *Ctx) error {
 				}
 			}
 			if err := em.end(); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
-	j.out, j.pos = em.out, 0
-	return nil
+	return buffered(em.out)
 }
-
-// Close releases buffers.
-func (j *SortMergeJoin) Close() error { j.out = nil; return nil }

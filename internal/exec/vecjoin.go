@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -310,8 +309,8 @@ func (t *keyTable) forEach(k value.Value, fn func(ri int) (stop bool)) {
 // workers, each probing all partitions read-only. The exchange granularity is
 // Batch — one channel send per batch and per recycled selection buffer, never
 // per tuple. Workers buffer their output rows locally together with each
-// row's value.Hash, so CollectSet's final set build skips the serial
-// deep-hash pass.
+// row's value.Hash, so Collect's final set build skips the serial deep-hash
+// pass.
 type VecHashJoin struct {
 	Kind adl.JoinKind
 	L    VecOp
@@ -331,9 +330,6 @@ type VecHashJoin struct {
 	// Partitions is the number of build tables and probe workers; at most 1
 	// is one table probed on the caller's goroutine.
 	Partitions int
-
-	hashes []uint64 // partitioned probe: value.Hash of each row of out
-	rowBuf
 }
 
 // vecBuild is the build side of one run, read-only once indexed: the right
@@ -360,15 +356,15 @@ func (bs *vecBuild) part(h uint64) *vecPartition {
 
 // Open builds the tables from the right operand and computes the join
 // eagerly, like the scalar HashJoin.
-func (j *VecHashJoin) Open(ctx *Ctx) (err error) {
+func (j VecHashJoin) Open(ctx *Ctx) (_ Rows, err error) {
 	p := max(j.Partitions, 1)
 	right, err := drain(j.R, ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rkeys, err := buildKeys(ctx, right, j.RKey, p)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	bs := &vecBuild{parts: make([]vecPartition, p)}
 	bs.mode, bs.vkind = chooseRoute(rkeys)
@@ -392,34 +388,36 @@ func (j *VecHashJoin) Open(ctx *Ctx) (err error) {
 	bs.parts[0].tab.indexAs(bs.mode, bs.vkind)
 	bwg.Wait()
 
-	if err := j.L.OpenVec(ctx); err != nil {
-		return err
+	left, err := ctx.openVec(j.L)
+	if err != nil {
+		return nil, err
 	}
 	defer func() {
-		if cerr := j.L.CloseVec(); cerr != nil && err == nil {
+		if cerr := left.CloseVec(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}()
-	j.out, j.hashes, j.pos = nil, nil, 0
 	if p > 1 {
-		return j.probeParallel(ctx, bs, right)
+		return j.probeParallel(ctx, left, bs, right)
 	}
 	em := j.verdict(ctx, right)
 	for {
-		b, ok, err := j.L.NextBatch()
-		if err != nil || !ok {
-			j.out = em.out
-			return err
+		b, ok, err := left.NextBatch()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return buffered(em.out)
 		}
 		if err := j.probeBatch(ctx, b, bs, &em); err != nil {
-			return err
+			return nil, err
 		}
 	}
 }
 
 // verdict prepares the join verdict of the caller's goroutine or of one
 // probe worker.
-func (j *VecHashJoin) verdict(ctx *Ctx, right []value.Value) joinEmit {
+func (j VecHashJoin) verdict(ctx *Ctx, right []value.Value) joinEmit {
 	return newJoinEmit(ctx, j.Kind, "hash join", j.Residual, j.RFun, j.As, right)
 }
 
@@ -432,8 +430,8 @@ type probeWorker struct {
 }
 
 // probeParallel feeds left batches to one probe worker per partition and
-// concatenates their outputs.
-func (j *VecHashJoin) probeParallel(ctx *Ctx, bs *vecBuild, right []value.Value) error {
+// concatenates their outputs and the hashes of those rows.
+func (j VecHashJoin) probeParallel(ctx *Ctx, left Batches, bs *vecBuild, right []value.Value) (Rows, error) {
 	p := len(bs.parts)
 	// The caller's goroutine is the feeder: it is the sole caller of
 	// L.NextBatch and copies each selection into a pooled buffer before
@@ -466,7 +464,7 @@ func (j *VecHashJoin) probeParallel(ctx *Ctx, bs *vecBuild, right []value.Value)
 	}
 	var feedErr error
 	for {
-		b, ok, nerr := j.L.NextBatch()
+		b, ok, nerr := left.NextBatch()
 		if nerr != nil {
 			feedErr = nerr
 			break
@@ -489,22 +487,21 @@ func (j *VecHashJoin) probeParallel(ctx *Ctx, bs *vecBuild, right []value.Value)
 	close(in)
 	wg.Wait()
 	if feedErr != nil {
-		return feedErr
+		return nil, feedErr
 	}
 	total := 0
 	for i := range ws {
 		if ws[i].err != nil {
-			return ws[i].err
+			return nil, ws[i].err
 		}
 		total += len(ws[i].em.out)
 	}
-	j.out = make([]value.Value, 0, total)
-	j.hashes = make([]uint64, 0, total)
+	out := &rowBuf{out: make([]value.Value, 0, total), hashes: make([]uint64, 0, total)}
 	for i := range ws {
-		j.out = append(j.out, ws[i].em.out...)
-		j.hashes = append(j.hashes, ws[i].hashes...)
+		out.out = append(out.out, ws[i].em.out...)
+		out.hashes = append(out.hashes, ws[i].hashes...)
 	}
-	return nil
+	return out, nil
 }
 
 // probeBatch joins one batch against the build side through em — the one
@@ -515,7 +512,7 @@ func (j *VecHashJoin) probeParallel(ctx *Ctx, bs *vecBuild, right []value.Value)
 // kind matches nothing (Equal never crosses kinds); a typed column against
 // generic tables reads the key off the decoded tuple; Mixed columns go
 // through the interpreter, reference semantics and scalar errors included.
-func (j *VecHashJoin) probeBatch(ctx *Ctx, b Batch, bs *vecBuild, em *joinEmit) error {
+func (j VecHashJoin) probeBatch(ctx *Ctx, b Batch, bs *vecBuild, em *joinEmit) error {
 	c := b.Proj.Col(j.LAttr)
 	typedCol := c != nil && c.Kind != col.Mixed
 	intCol := typedCol && bs.mode == routeInt && colValueKind(c.Kind) == bs.vkind
@@ -568,25 +565,4 @@ func (j *VecHashJoin) probeBatch(ctx *Ctx, b Batch, bs *vecBuild, em *joinEmit) 
 		}
 	}
 	return nil
-}
-
-// Close releases buffers.
-func (j *VecHashJoin) Close() error {
-	j.out, j.hashes = nil, nil
-	return nil
-}
-
-// CollectSet materializes the join straight into a set, so that a partitioned
-// probe's rows reuse the hashes the workers computed in parallel.
-func (j *VecHashJoin) CollectSet(ctx *Ctx) (*value.Set, error) {
-	if err := j.Open(ctx); err != nil {
-		return nil, errors.Join(err, j.Close())
-	}
-	var set *value.Set
-	if j.hashes != nil {
-		set = value.NewSetFromSliceHashed(j.out, j.hashes)
-	} else {
-		set = value.NewSetFromSlice(j.out)
-	}
-	return set, j.Close()
 }

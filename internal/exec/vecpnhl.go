@@ -31,19 +31,13 @@ type VecPNHL struct {
 	// Member, if non-nil, computes the joined member from (element, build
 	// row) instead of the default concatenation.
 	Member *Scalar
-
-	segmentsUsed int
-	rowBuf
 }
 
-// Segments reports how many build segments the last Open needed.
-func (p *VecPNHL) Segments() int { return p.segmentsUsed }
-
 // Open runs both phases eagerly.
-func (p *VecPNHL) Open(ctx *Ctx) (err error) {
+func (p VecPNHL) Open(ctx *Ctx) (_ Rows, err error) {
 	build, err := drain(p.R, ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	// Drain the probe pipeline, keeping each row's tuple and set attribute.
@@ -51,18 +45,19 @@ func (p *VecPNHL) Open(ctx *Ctx) (err error) {
 		tuples []*value.Tuple
 		sets   []*value.Set
 	)
-	if err := p.L.OpenVec(ctx); err != nil {
-		return err
+	left, err := ctx.openVec(p.L)
+	if err != nil {
+		return nil, err
 	}
 	defer func() {
-		if cerr := p.L.CloseVec(); cerr != nil && err == nil {
+		if cerr := left.CloseVec(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}()
 	for {
-		b, ok, nerr := p.L.NextBatch()
+		b, ok, nerr := left.NextBatch()
 		if nerr != nil {
-			return nerr
+			return nil, nerr
 		}
 		if !ok {
 			break
@@ -71,7 +66,7 @@ func (p *VecPNHL) Open(ctx *Ctx) (err error) {
 		for _, i := range b.Sel {
 			lt, terr := asTuple(b.Proj.Rows[i], "PNHL")
 			if terr != nil {
-				return terr
+				return nil, terr
 			}
 			var as *value.Set
 			if c != nil && c.Kind == col.Set {
@@ -79,10 +74,10 @@ func (p *VecPNHL) Open(ctx *Ctx) (err error) {
 			} else {
 				av, ok := lt.Get(p.Attr)
 				if !ok {
-					return fmt.Errorf("exec: PNHL on missing attribute %q", p.Attr)
+					return nil, fmt.Errorf("exec: PNHL on missing attribute %q", p.Attr)
 				}
 				if as, ok = av.(*value.Set); !ok {
-					return fmt.Errorf("exec: PNHL on non-set attribute %q", p.Attr)
+					return nil, fmt.Errorf("exec: PNHL on non-set attribute %q", p.Attr)
 				}
 			}
 			tuples = append(tuples, lt)
@@ -99,7 +94,7 @@ func (p *VecPNHL) Open(ctx *Ctx) (err error) {
 		for ei, elem := range as.Elems() {
 			et, ok := elem.(*value.Tuple)
 			if !ok {
-				return fmt.Errorf("exec: PNHL element of %q is not a tuple", p.Attr)
+				return nil, fmt.Errorf("exec: PNHL element of %q is not a tuple", p.Attr)
 			}
 			if fattr != "" {
 				if k, ok := et.Get(fattr); ok {
@@ -109,7 +104,7 @@ func (p *VecPNHL) Open(ctx *Ctx) (err error) {
 			}
 			k, kerr := p.ElemKey.Eval(ctx, elem)
 			if kerr != nil {
-				return kerr
+				return nil, kerr
 			}
 			ks[ei] = k
 		}
@@ -119,30 +114,14 @@ func (p *VecPNHL) Open(ctx *Ctx) (err error) {
 	// Evaluate every build key once; segments slice into this.
 	bkeys, err := buildKeys(ctx, build, p.BuildKey, 1)
 	if err != nil {
-		return err
-	}
-
-	segment := p.BudgetRows
-	if segment <= 0 || segment > len(build) {
-		segment = len(build)
-	}
-	if segment == 0 {
-		segment = 1
+		return nil, err
 	}
 
 	partial := make([]nestGroup, len(tuples))
 
-	p.segmentsUsed = 0
-	for lo := 0; lo < len(build) || lo == 0; lo += segment {
-		hi := lo + segment
-		if hi > len(build) {
-			hi = len(build)
-		}
-		if lo >= hi && lo > 0 {
-			break
-		}
-		p.segmentsUsed++
+	for i := 0; i < Segments(len(build), p.BudgetRows); i++ {
 		// Build phase: a typed flat table over this segment's keys.
+		lo, hi := segment(i, len(build), p.BudgetRows)
 		seg := keyTable{keys: bkeys[lo:hi]}
 		seg.index()
 		// Probe phase: each element's precomputed key against the segment.
@@ -165,21 +144,18 @@ func (p *VecPNHL) Open(ctx *Ctx) (err error) {
 					return ferr != nil
 				})
 				if ferr != nil {
-					return ferr
+					return nil, ferr
 				}
 			}
-		}
-		if len(build) == 0 {
-			break
 		}
 	}
 
 	// Merge phase: replace the attribute with the accumulated join result.
-	p.reset()
+	out := make([]value.Value, len(tuples))
 	for pi, lt := range tuples {
-		p.out = append(p.out, lt.Except(value.NewTuple(p.Attr, partial[pi].set())))
+		out[pi] = lt.Except(value.NewTuple(p.Attr, partial[pi].set()))
 	}
-	return nil
+	return buffered(out)
 }
 
 // fieldKeyAttr returns the attribute a v.attr-shaped key scalar reads, or
@@ -195,6 +171,3 @@ func fieldKeyAttr(key Scalar) string {
 	}
 	return f.Name
 }
-
-// Close releases buffers.
-func (p *VecPNHL) Close() error { p.out = nil; return nil }

@@ -27,43 +27,44 @@ type VecSetJoin struct {
 	RKey Scalar
 	As   string
 	RFun *Scalar
-
-	rowBuf
 }
 
 // Open builds the table from the right operand and computes the join
 // eagerly.
-func (j *VecSetJoin) Open(ctx *Ctx) (err error) {
+func (j VecSetJoin) Open(ctx *Ctx) (_ Rows, err error) {
 	if err := setJoinKind(j.Kind); err != nil {
-		return err
+		return nil, err
 	}
 	right, err := drain(j.R, ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var tab setKeyTable
 	if err := tab.build(ctx, right, j.RKey); err != nil {
-		return err
+		return nil, err
 	}
-	if err := j.L.OpenVec(ctx); err != nil {
-		return err
+	left, err := ctx.openVec(j.L)
+	if err != nil {
+		return nil, err
 	}
 	defer func() {
-		if cerr := j.L.CloseVec(); cerr != nil && err == nil {
+		if cerr := left.CloseVec(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}()
 	em := newJoinEmit(ctx, j.Kind, "set-probe join", nil, j.RFun, j.As, nil)
 	for {
-		b, ok, err := j.L.NextBatch()
-		if err != nil || !ok {
-			j.out, j.pos = em.out, 0
-			return err
+		b, ok, err := left.NextBatch()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return buffered(em.out)
 		}
 		c := b.Proj.Col(j.Attr)
 		for _, i := range b.Sel {
 			if err := em.begin(b.Proj.Rows[i]); err != nil {
-				return err
+				return nil, err
 			}
 			// The typed column when present, else the decoded tuple with the
 			// scalar SetProbeJoin's exact errors.
@@ -71,18 +72,15 @@ func (j *VecSetJoin) Open(ctx *Ctx) (err error) {
 			if c != nil && c.Kind == col.Set {
 				as = c.Sets[i]
 			} else if as, err = setAttr(em.lt, j.Attr); err != nil {
-				return err
+				return nil, err
 			}
 			tab.probe(as, right, &em)
 			if err := em.end(); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
 }
-
-// Close releases buffers.
-func (j *VecSetJoin) Close() error { j.out = nil; return nil }
 
 // setKeyTable is the build side of the vectorized set-probe join: the right
 // operand's evaluated keys under either the unary-tuple int fast path (a

@@ -9,7 +9,6 @@ import (
 // VecScan produces an extent in batches over a columnar projection. Against
 // a ColumnarDB provider the projection is served snapshot-pinned and cached
 // by the store; otherwise the extent is fetched with Table and decoded here.
-// The selection vector is one reused buffer.
 type VecScan struct {
 	Extent string
 	// Attrs are the attributes the pipeline above reads columnar; the
@@ -18,43 +17,42 @@ type VecScan struct {
 	// Batch is the number of rows per batch (plan.Config.BatchSize);
 	// non-positive falls back to DefaultBatchSize.
 	Batch int
-
-	proj *col.Proj
-	pos  int
-	sel  []int32
 }
 
 // OpenVec obtains the projection.
-func (s *VecScan) OpenVec(ctx *Ctx) error {
-	if cdb, ok := ctx.DB.(ColumnarDB); ok {
-		proj, err := cdb.ColProj(s.Extent, s.Attrs)
-		if err != nil {
-			return err
-		}
-		s.proj = proj
-	} else {
-		set, err := ctx.DB.Table(s.Extent)
-		if err != nil {
-			return err
-		}
-		s.proj = col.New(s.Extent, set.Elems(), s.Attrs)
-	}
-	s.pos = 0
-	return nil
-}
-
-// NextBatch yields the next run of rows with a dense selection vector.
-func (s *VecScan) NextBatch() (Batch, bool, error) {
-	n := s.proj.Len() - s.pos
-	if n <= 0 {
-		return Batch{}, false, nil
-	}
+func (s VecScan) OpenVec(ctx *Ctx) (Batches, error) {
 	size := s.Batch
 	if size <= 0 {
 		size = DefaultBatchSize
 	}
-	if n > size {
-		n = size
+	if cdb, ok := ctx.DB.(ColumnarDB); ok {
+		proj, err := cdb.ColProj(s.Extent, s.Attrs)
+		if err != nil {
+			return nil, err
+		}
+		return &scanned{proj: proj, size: size}, nil
+	}
+	set, err := ctx.DB.Table(s.Extent)
+	if err != nil {
+		return nil, err
+	}
+	return &scanned{proj: col.New(s.Extent, set.Elems(), s.Attrs), size: size}, nil
+}
+
+// scanned is the stream of a VecScan: the projection in runs of size rows.
+// The selection vector is one reused buffer.
+type scanned struct {
+	proj *col.Proj
+	size int
+	pos  int
+	sel  []int32
+}
+
+// NextBatch yields the next run of rows with a dense selection vector.
+func (s *scanned) NextBatch() (Batch, bool, error) {
+	n := min(s.proj.Len()-s.pos, s.size)
+	if n <= 0 {
+		return Batch{}, false, nil
 	}
 	if cap(s.sel) < n {
 		s.sel = make([]int32, n)
@@ -67,12 +65,17 @@ func (s *VecScan) NextBatch() (Batch, bool, error) {
 	return Batch{Proj: s.proj, Sel: sel}, true, nil
 }
 
-// CloseVec drops the projection reference (the store keeps its own cache).
-func (s *VecScan) CloseVec() error { s.proj = nil; return nil }
+// CloseVec has nothing to release (the store keeps the projection cached).
+func (s *scanned) CloseVec() error { return nil }
 
-// projection exposes the opened columnar projection to the exchange, which
-// claims row ranges from it directly instead of calling NextBatch.
-func (s *VecScan) projection() *col.Proj { return s.proj }
+// projected is the stream of a VecScan as the exchange sees it: the exchange
+// claims row ranges from the projection directly instead of calling NextBatch.
+type projected interface {
+	Batches
+	projection() *col.Proj
+}
+
+func (s *scanned) projection() *col.Proj { return s.proj }
 
 // VecCmp is one compiled filter conjunct: column-versus-constant or
 // column-versus-column comparison. The typed kernels run only when the
@@ -99,22 +102,33 @@ type VecFilter struct {
 	Src     VecOp
 	Var     string
 	Kernels []VecCmp
-
-	ctx *Ctx
 }
 
 // OpenVec opens the source.
-func (f *VecFilter) OpenVec(ctx *Ctx) error { f.ctx = ctx; return f.Src.OpenVec(ctx) }
+func (f VecFilter) OpenVec(ctx *Ctx) (Batches, error) {
+	src, err := ctx.openVec(f.Src)
+	if err != nil {
+		return nil, err
+	}
+	return &filtered{ctx: ctx, src: src, kernels: f.Kernels}, nil
+}
+
+// filtered is the stream of a VecFilter.
+type filtered struct {
+	ctx     *Ctx
+	src     Batches
+	kernels []VecCmp
+}
 
 // NextBatch yields the source's next batch with the selection narrowed.
-func (f *VecFilter) NextBatch() (Batch, bool, error) {
+func (f *filtered) NextBatch() (Batch, bool, error) {
 	for {
-		b, ok, err := f.Src.NextBatch()
+		b, ok, err := f.src.NextBatch()
 		if err != nil || !ok {
 			return Batch{}, false, err
 		}
-		for ki := range f.Kernels {
-			if b.Sel, err = f.Kernels[ki].apply(f.ctx, b.Proj, b.Sel); err != nil {
+		for ki := range f.kernels {
+			if b.Sel, err = f.kernels[ki].apply(f.ctx, b.Proj, b.Sel); err != nil {
 				return Batch{}, false, err
 			}
 			if len(b.Sel) == 0 {
@@ -128,7 +142,7 @@ func (f *VecFilter) NextBatch() (Batch, bool, error) {
 }
 
 // CloseVec closes the source.
-func (f *VecFilter) CloseVec() error { return f.Src.CloseVec() }
+func (f *filtered) CloseVec() error { return f.src.CloseVec() }
 
 // apply narrows sel to the rows satisfying the conjunct, writing in place.
 func (k *VecCmp) apply(ctx *Ctx, p *col.Proj, sel []int32) ([]int32, error) {

@@ -129,18 +129,19 @@ func TestVecAdapterProject(t *testing.T) {
 	}
 }
 
-// rowFacade drives op through the plain Open/Next/Close contract. Collect
-// prefers the bulk SetCollector path and drain short-circuits VecAdapter,
-// so without this loop the row-at-a-time facades would go untested.
+// rowFacade drives op through the plain Open/Next/Close contract. Collect and
+// drain take a blocking stream's buffer whole, so without this loop its
+// row-at-a-time side would go untested.
 func rowFacade(t *testing.T, op Operator, d eval.DB) *value.Set {
 	t.Helper()
 	ctx := &Ctx{DB: d}
-	if err := op.Open(ctx); err != nil {
+	rows, err := op.Open(ctx)
+	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	got := value.EmptySet()
 	for {
-		v, ok, err := op.Next()
+		v, ok, err := rows.Next()
 		if err != nil {
 			t.Fatalf("Next: %v", err)
 		}
@@ -149,14 +150,14 @@ func rowFacade(t *testing.T, op Operator, d eval.DB) *value.Set {
 		}
 		got.Add(v)
 	}
-	if err := op.Close(); err != nil {
+	if err := rows.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	return got
 }
 
 // TestRowFacadesMatchBulkCollect checks that each vectorized operator's
-// Operator facade yields exactly what its bulk CollectSet path yields.
+// stream yields row by row exactly what Collect's bulk set build yields.
 func TestRowFacadesMatchBulkCollect(t *testing.T) {
 	d := db(11, 20, 14)
 	lkey := NewScalar(adl.Dot(adl.V("x"), "b"), "x")

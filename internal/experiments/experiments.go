@@ -806,13 +806,12 @@ func B13(suppliers, deliveries, batch int, seed int64) (*bench.Table, error) {
 		ctx := &exec.Ctx{DB: w.Store}
 		var out armResult
 		for i := 0; i < 3; i++ {
-			tree := exec.CloneTree(pl.Root)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			var res *value.Set
 			d, err := timed(func() error {
 				var e error
-				res, e = exec.Collect(tree, ctx)
+				res, e = exec.Collect(pl.Root, ctx)
 				return e
 			})
 			if err != nil {
@@ -898,13 +897,12 @@ func B14(suppliers, deliveries, batch, parallelism int, seed int64) (*bench.Tabl
 		ctx := &exec.Ctx{DB: w.Store}
 		var out armResult
 		for i := 0; i < 3; i++ {
-			tree := exec.CloneTree(pl.Root)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			var res *value.Set
 			d, err := timed(func() error {
 				var e error
-				res, e = exec.Collect(tree, ctx)
+				res, e = exec.Collect(pl.Root, ctx)
 				return e
 			})
 			if err != nil {

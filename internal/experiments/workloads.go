@@ -209,20 +209,7 @@ func (m *MaterializeArms) RunPNHL(budgetRows int) (*value.Set, int, error) {
 	member := exec.NewScalar(adl.V("y"), "e", "y")
 	elemKey := exec.NewScalar(adl.Dot(adl.V("e"), "pid"), "e")
 	buildKey := exec.NewScalar(adl.Dot(adl.V("y"), "pid"), "y")
-	if ExecMode.Vectorized {
-		op := &exec.VecPNHL{
-			L:          &exec.VecScan{Extent: "SUPPLIER", Attrs: []string{"parts"}, Batch: ExecMode.BatchSize},
-			R:          &exec.Scan{Table: "PART"},
-			Attr:       "parts",
-			ElemKey:    elemKey,
-			BuildKey:   buildKey,
-			BudgetRows: budgetRows,
-			Member:     &member,
-		}
-		set, err := exec.Collect(op, &exec.Ctx{DB: m.Store})
-		return set, op.Segments(), err
-	}
-	op := &exec.PNHL{
+	var op exec.Operator = &exec.PNHL{
 		L:          &exec.Scan{Table: "SUPPLIER"},
 		R:          &exec.Scan{Table: "PART"},
 		Attr:       "parts",
@@ -231,8 +218,23 @@ func (m *MaterializeArms) RunPNHL(budgetRows int) (*value.Set, int, error) {
 		BudgetRows: budgetRows,
 		Member:     &member,
 	}
+	if ExecMode.Vectorized {
+		op = &exec.VecPNHL{
+			L:          &exec.VecScan{Extent: "SUPPLIER", Attrs: []string{"parts"}, Batch: ExecMode.BatchSize},
+			R:          &exec.Scan{Table: "PART"},
+			Attr:       "parts",
+			ElemKey:    elemKey,
+			BuildKey:   buildKey,
+			BudgetRows: budgetRows,
+			Member:     &member,
+		}
+	}
 	set, err := exec.Collect(op, &exec.Ctx{DB: m.Store})
-	return set, op.Segments(), err
+	if err != nil {
+		return nil, 0, err
+	}
+	build, err := m.Store.Table("PART")
+	return set, exec.Segments(build.Len(), budgetRows), err
 }
 
 // RunUnnestJoinNest executes the μ → hash join → ν alternative the paper

@@ -24,7 +24,6 @@ import (
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/analyzers/atomicmeter"
 	"repro/internal/lint/analyzers/batchimmutable"
-	"repro/internal/lint/analyzers/clonesafety"
 	"repro/internal/lint/analyzers/closepropagate"
 	"repro/internal/lint/analyzers/fieldalign"
 	"repro/internal/lint/analyzers/snapshotdiscipline"
@@ -40,7 +39,6 @@ const (
 // Suite is the default analyzer set `make lint` runs.
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		clonesafety.Analyzer,
 		snapshotdiscipline.Analyzer,
 		atomicmeter.Analyzer,
 		closepropagate.Analyzer,

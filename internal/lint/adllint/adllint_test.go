@@ -31,7 +31,7 @@ func TestExitCodes(t *testing.T) {
 			t.Fatalf("exit = %d, want %d; output:\n%s", code, adllint.ExitFindings, buf.String())
 		}
 		out := buf.String()
-		for _, want := range []string{"(clonesafety)", "(closepropagate)", "violating.go"} {
+		for _, want := range []string{"(closepropagate)", "violating.go"} {
 			if !strings.Contains(out, want) {
 				t.Errorf("output missing %q:\n%s", want, out)
 			}
@@ -64,10 +64,12 @@ func TestExitCodes(t *testing.T) {
 	})
 }
 
-// TestSuiteSize pins the acceptance floor: at least five custom analyzers.
+// TestSuiteSize pins the suite `adllint -list` prints: the four analyzers of
+// the serving-layer invariants (the clone convention's went with the
+// convention).
 func TestSuiteSize(t *testing.T) {
-	if n := len(adllint.Suite()); n < 5 {
-		t.Fatalf("Suite() has %d analyzers, want >= 5", n)
+	if n := len(adllint.Suite()); n != 4 {
+		t.Fatalf("Suite() has %d analyzers, want 4", n)
 	}
 	seen := map[string]bool{}
 	for _, az := range adllint.Suite() {

@@ -1,56 +1,44 @@
-// Package clean passes every adllint analyzer: pointer-receiver operator,
-// unexported state, propagated Close errors, paired open/close.
+// Package clean passes every adllint analyzer: a stream whose Close error is
+// propagated on every path.
 package clean
 
-// Ctx and Row stand in for the engine's execution types.
-type Ctx struct{}
+// Row stands in for the engine's row type.
 type Row struct{}
 
-// Op structurally matches exec.Operator.
-type Op interface {
-	Open(*Ctx) error
+// Rows structurally matches exec.Rows.
+type Rows interface {
 	Next() (Row, bool, error)
 	Close() error
 }
 
-// Filter is a well-behaved operator.
+// Filter is a well-behaved stream over another.
 type Filter struct {
-	Child Op
-	Attr  string
-	done  bool
+	src  Rows
+	done bool
 }
 
-// Open opens the child; the child is closed by Close.
-func (f *Filter) Open(ctx *Ctx) error {
-	f.done = false
-	return f.Child.Open(ctx)
-}
-
-// Next pulls from the child.
+// Next pulls from the source.
 func (f *Filter) Next() (Row, bool, error) {
 	if f.done {
 		return Row{}, false, nil
 	}
-	return f.Child.Next()
+	return f.src.Next()
 }
 
-// Close tears down the child, propagating its error.
+// Close tears down the source, propagating its error.
 func (f *Filter) Close() error {
-	return f.Child.Close()
+	return f.src.Close()
 }
 
-// Collect drains an operator with the propagation idiom.
-func Collect(ctx *Ctx, op Op) (out []Row, err error) {
-	if err := op.Open(ctx); err != nil {
-		return nil, err
-	}
+// Collect drains a stream with the propagation idiom.
+func Collect(rows Rows) (out []Row, err error) {
 	defer func() {
-		if cerr := op.Close(); cerr != nil && err == nil {
+		if cerr := rows.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}()
 	for {
-		r, ok, nerr := op.Next()
+		r, ok, nerr := rows.Next()
 		if nerr != nil {
 			return nil, nerr
 		}

@@ -3,38 +3,36 @@
 // (trailing and standalone-above).
 package suppressed
 
-// Ctx and Row stand in for the engine's execution types.
-type Ctx struct{}
+// Row stands in for the engine's row type.
 type Row struct{}
 
-// Op structurally matches exec.Operator.
-type Op interface {
-	Open(*Ctx) error
+// Rows structurally matches exec.Rows.
+type Rows interface {
 	Next() (Row, bool, error)
 	Close() error
 }
 
-// Counter mutates its exported field at run time, with suppressions.
+// Counter counts the rows of its source.
 type Counter struct {
-	Child Op
-	Seen  int
+	src  Rows
+	seen int
 }
 
-// Open resets the exported counter (trailing suppression form).
-func (c *Counter) Open(ctx *Ctx) error {
-	c.Seen = 0 //lint:adllint clonesafety synthetic testdata exercising the trailing form
-	return c.Child.Open(ctx)
-}
-
-// Next bumps the exported counter (standalone suppression form).
+// Next bumps the counter.
 func (c *Counter) Next() (Row, bool, error) {
-	//lint:adllint clonesafety synthetic testdata exercising the standalone form
-	c.Seen++
-	return c.Child.Next()
+	c.seen++
+	return c.src.Next()
 }
 
-// Close discards the child's Close error, suppressed.
+// Close discards the source's Close error (trailing suppression form).
 func (c *Counter) Close() error {
-	c.Child.Close() //lint:adllint closepropagate synthetic testdata; error intentionally dropped
+	c.src.Close() //lint:adllint closepropagate synthetic testdata; error intentionally dropped
 	return nil
+}
+
+// First drops the Close error in a defer (standalone suppression form).
+func First(rows Rows) (Row, bool, error) {
+	//lint:adllint closepropagate synthetic testdata exercising the standalone form
+	defer rows.Close()
+	return rows.Next()
 }

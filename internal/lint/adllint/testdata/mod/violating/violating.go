@@ -1,39 +1,36 @@
-// Package violating seeds two adllint findings: a discarded Close error
-// (closepropagate) and a run-time write to an exported operator field
-// (clonesafety).
+// Package violating seeds adllint findings: discarded Close errors
+// (closepropagate), as a bare statement and as a direct defer.
 package violating
 
-// Ctx and Row stand in for the engine's execution types.
-type Ctx struct{}
+// Row stands in for the engine's row type.
 type Row struct{}
 
-// Op structurally matches exec.Operator.
-type Op interface {
-	Open(*Ctx) error
+// Rows structurally matches exec.Rows.
+type Rows interface {
 	Next() (Row, bool, error)
 	Close() error
 }
 
-// Counter mutates its exported field at run time.
+// Counter counts the rows of its source.
 type Counter struct {
-	Child Op
-	Seen  int
+	src  Rows
+	seen int
 }
 
-// Open resets the exported counter — a clonesafety violation.
-func (c *Counter) Open(ctx *Ctx) error {
-	c.Seen = 0
-	return c.Child.Open(ctx)
-}
-
-// Next bumps the exported counter — a clonesafety violation.
+// Next bumps the counter.
 func (c *Counter) Next() (Row, bool, error) {
-	c.Seen++
-	return c.Child.Next()
+	c.seen++
+	return c.src.Next()
 }
 
-// Close discards the child's Close error — a closepropagate violation.
+// Close discards the source's Close error — a closepropagate violation.
 func (c *Counter) Close() error {
-	c.Child.Close()
+	c.src.Close()
 	return nil
+}
+
+// First returns the first row and drops the Close error in a defer — another.
+func First(rows Rows) (Row, bool, error) {
+	defer rows.Close()
+	return rows.Next()
 }

@@ -1,44 +1,24 @@
-// Package closepropagate enforces the operator lifecycle contract from both
-// ends — the PR 2 Collect/drain bug class, made compile-time:
+// Package closepropagate enforces the closing half of the stream contract —
+// the PR 2 Collect/drain bug class, made compile-time: the error of a
+// stream's Close or CloseVec must be propagated, never discarded. A bare
+// statement `rows.Close()`, a `_ = rows.Close()`, or a direct
+// `defer rows.Close()` throws away the only signal a cursor, a worker pool or
+// a spill file has for reporting teardown failure. The accepted idiom is the
+// drain pattern:
 //
-//  1. Close errors must be propagated, never discarded. A bare statement
-//     `op.Close()`, a `_ = op.Close()`, or a direct `defer op.Close()`
-//     throws away the only signal a cursor or spill file has for reporting
-//     teardown failure. The accepted idiom is the drain pattern:
+//	defer func() {
+//		if cerr := rows.Close(); cerr != nil && err == nil {
+//			err = cerr
+//		}
+//	}()
 //
-//     defer func() {
-//     if cerr := op.Close(); cerr != nil && err == nil {
-//     err = cerr
-//     }
-//     }()
-//
-//  2. Children opened in an operator's Open/OpenVec must be closed: every
-//     receiver-rooted path opened there (j.left.Open(ctx), p.child.OpenVec)
-//     must have a matching Close/CloseVec on the same path either inside
-//     the method (error-path cleanup, including deferred closures) or in
-//     the type's own Close/CloseVec method. A path handed to another
-//     function (drain(p.child)) transfers ownership and is exempt.
-//
-//     Closes may go through a local alias of the path — the goroutine
-//     hand-off pattern, where a method rebinds the child before a
-//     completion goroutine closes it:
-//
-//     src := e.Src
-//     go func() {
-//     e.wg.Wait()
-//     if cerr := src.CloseVec(); cerr != nil { e.fail(cerr) }
-//     }()
-//
-//     The alias resolves to the path it was bound to (flow-insensitively;
-//     a rebound alias keeps its last binding), so the close above pairs
-//     with an e.Src.OpenVec in the same method. Aliasing alone transfers
-//     nothing: without the close call through the alias, the open is still
-//     flagged.
+// That every stream a run opens is closed, exactly once, is not checked here:
+// TestEveryStreamClosedOnce asserts it on every plan of the differential
+// corpus, through the one place streams are opened (exec.Ctx.open).
 package closepropagate
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"repro/internal/lint/analysis"
@@ -48,22 +28,20 @@ import (
 // Analyzer is the closepropagate check.
 var Analyzer = &analysis.Analyzer{
 	Name: "closepropagate",
-	Doc: "operator Close/CloseVec errors must be propagated (not discarded), and every child " +
-		"opened in Open/OpenVec must have a matching close on the same field path",
-	Run: run,
+	Doc:  "the Close/CloseVec error of a row or batch stream must be propagated, not discarded",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) (any, error) {
 	for _, file := range pass.Files {
 		checkDiscards(pass, file)
 	}
-	checkPairing(pass)
 	return nil, nil
 }
 
-// isOperatorClose reports whether call is x.Close() or x.CloseVec() on an
-// operator-shaped receiver, i.e. a call whose error result matters.
-func isOperatorClose(pass *analysis.Pass, call *ast.CallExpr) (*ast.SelectorExpr, bool) {
+// isStreamClose reports whether call is x.Close() or x.CloseVec() on a
+// stream-shaped receiver, i.e. a call whose error result matters.
+func isStreamClose(pass *analysis.Pass, call *ast.CallExpr) (*ast.SelectorExpr, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || (sel.Sel.Name != "Close" && sel.Sel.Name != "CloseVec") {
 		return nil, false
@@ -72,7 +50,7 @@ func isOperatorClose(pass *analysis.Pass, call *ast.CallExpr) (*ast.SelectorExpr
 	if !ok || s.Kind() != types.MethodVal {
 		return nil, false
 	}
-	if !opshape.IsOperator(s.Recv()) {
+	if !opshape.IsStream(s.Recv()) {
 		return nil, false
 	}
 	// Only calls that actually return an error can discard one.
@@ -87,7 +65,7 @@ func isOperatorClose(pass *analysis.Pass, call *ast.CallExpr) (*ast.SelectorExpr
 func checkDiscards(pass *analysis.Pass, file *ast.File) {
 	report := func(sel *ast.SelectorExpr, how string) {
 		pass.Reportf(sel.Sel.Pos(),
-			"%s discards the %s error of an operator; propagate it "+
+			"%s discards the %s error of a stream; propagate it "+
 				"(e.g. `if cerr := x.%s(); cerr != nil && err == nil { err = cerr }`)",
 			how, sel.Sel.Name, sel.Sel.Name)
 	}
@@ -95,17 +73,17 @@ func checkDiscards(pass *analysis.Pass, file *ast.File) {
 		switch st := n.(type) {
 		case *ast.ExprStmt:
 			if call, ok := st.X.(*ast.CallExpr); ok {
-				if sel, ok := isOperatorClose(pass, call); ok {
+				if sel, ok := isStreamClose(pass, call); ok {
 					report(sel, "bare statement")
 				}
 			}
 		case *ast.DeferStmt:
-			if sel, ok := isOperatorClose(pass, st.Call); ok {
+			if sel, ok := isStreamClose(pass, st.Call); ok {
 				report(sel, "direct defer")
 			}
 			// A deferred closure is fine — its body is walked normally.
 		case *ast.GoStmt:
-			if sel, ok := isOperatorClose(pass, st.Call); ok {
+			if sel, ok := isStreamClose(pass, st.Call); ok {
 				report(sel, "go statement")
 			}
 		case *ast.AssignStmt:
@@ -115,7 +93,7 @@ func checkDiscards(pass *analysis.Pass, file *ast.File) {
 					continue
 				}
 				if id, ok := st.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-					if sel, ok := isOperatorClose(pass, call); ok {
+					if sel, ok := isStreamClose(pass, call); ok {
 						report(sel, "assignment to _")
 					}
 				}
@@ -123,214 +101,4 @@ func checkDiscards(pass *analysis.Pass, file *ast.File) {
 		}
 		return true
 	})
-}
-
-// methodSet groups a type's declared methods for the pairing check.
-type methodSet struct {
-	typeName string
-	open     []*ast.FuncDecl // Open / OpenVec
-	other    []*ast.FuncDecl // everything else, searched for closes
-}
-
-// checkPairing verifies opened receiver paths have matching closes.
-func checkPairing(pass *analysis.Pass) {
-	byType := map[types.Object]*methodSet{}
-	recvOf := map[*ast.FuncDecl]types.Object{}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Body == nil || len(fd.Recv.List) != 1 || len(fd.Recv.List[0].Names) != 1 {
-				continue
-			}
-			recvObj := pass.TypesInfo.Defs[fd.Recv.List[0].Names[0]]
-			if recvObj == nil {
-				continue
-			}
-			rt := recvObj.Type()
-			if p, ok := rt.(*types.Pointer); ok {
-				rt = p.Elem()
-			}
-			named, ok := rt.(*types.Named)
-			if !ok || !opshape.IsOperator(named.Obj().Type()) {
-				continue
-			}
-			ms := byType[named.Obj()]
-			if ms == nil {
-				ms = &methodSet{typeName: named.Obj().Name()}
-				byType[named.Obj()] = ms
-			}
-			recvOf[fd] = recvObj
-			if fd.Name.Name == "Open" || fd.Name.Name == "OpenVec" {
-				ms.open = append(ms.open, fd)
-			} else {
-				ms.other = append(ms.other, fd)
-			}
-		}
-	}
-
-	for _, ms := range byType {
-		if len(ms.open) == 0 {
-			continue
-		}
-		// Paths closed anywhere in the type's non-open methods (Close,
-		// CloseVec, helpers they call stay out of scope — same-name paths
-		// only).
-		closed := map[string]bool{}
-		for _, fd := range ms.other {
-			collectClosed(pass, fd, recvOf[fd], closed)
-		}
-		for _, fd := range ms.open {
-			localClosed := map[string]bool{}
-			collectClosed(pass, fd, recvOf[fd], localClosed)
-			escaped := collectEscapes(pass, fd, recvOf[fd])
-			for _, op := range collectOpens(pass, fd, recvOf[fd]) {
-				if closed[op.path] || localClosed[op.path] || escaped[op.path] {
-					continue
-				}
-				pass.Reportf(op.pos,
-					"%s.%s opens %s but no matching Close/CloseVec on that path exists in %s or in "+
-						"%s's Close/CloseVec; the child leaks when this tree is torn down",
-					ms.typeName, fd.Name.Name, op.path, fd.Name.Name, ms.typeName)
-			}
-		}
-	}
-}
-
-type openSite struct {
-	path string
-	pos  token.Pos
-}
-
-// collectOpens finds receiver-rooted paths with .Open/.OpenVec calls.
-func collectOpens(pass *analysis.Pass, fd *ast.FuncDecl, recv types.Object) []openSite {
-	aliases := collectAliases(pass, fd, recv)
-	var out []openSite
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "Open" && sel.Sel.Name != "OpenVec") {
-			return true
-		}
-		s, ok := pass.TypesInfo.Selections[sel]
-		if !ok || s.Kind() != types.MethodVal || !opshape.IsOperator(s.Recv()) {
-			return true
-		}
-		if path, ok := receiverPath(pass, sel.X, recv, aliases); ok {
-			out = append(out, openSite{path: path, pos: sel.Sel.Pos()})
-		}
-		return true
-	})
-	return out
-}
-
-// collectClosed records receiver-rooted paths with .Close/.CloseVec calls.
-// Closes through a local alias of a path (the goroutine hand-off pattern)
-// resolve to the aliased path.
-func collectClosed(pass *analysis.Pass, fd *ast.FuncDecl, recv types.Object, into map[string]bool) {
-	aliases := collectAliases(pass, fd, recv)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "Close" && sel.Sel.Name != "CloseVec") {
-			return true
-		}
-		if path, ok := receiverPath(pass, sel.X, recv, aliases); ok {
-			into[path] = true
-		}
-		return true
-	})
-}
-
-// collectEscapes records receiver-rooted paths passed as call arguments —
-// ownership handed to a helper (drain, Collect, a goroutine body). Binding
-// an alias is NOT an escape: only a call argument transfers ownership, so
-// an alias that is never closed still leaves its open flagged.
-func collectEscapes(pass *analysis.Pass, fd *ast.FuncDecl, recv types.Object) map[string]bool {
-	aliases := collectAliases(pass, fd, recv)
-	out := map[string]bool{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		for _, arg := range call.Args {
-			if path, ok := receiverPath(pass, arg, recv, aliases); ok {
-				out[path] = true
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// collectAliases maps local variables bound to a receiver-rooted path
-// (src := e.Src) to that path. The mapping is flow-insensitive: a variable
-// rebound to a second path keeps the last binding seen in source order.
-func collectAliases(pass *analysis.Pass, fd *ast.FuncDecl, recv types.Object) map[types.Object]string {
-	out := map[types.Object]string{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok || id.Name == "_" {
-				continue
-			}
-			path, ok := receiverPath(pass, as.Rhs[i], recv, nil)
-			if !ok {
-				continue
-			}
-			obj := pass.TypesInfo.Defs[id]
-			if obj == nil {
-				obj = pass.TypesInfo.Uses[id]
-			}
-			if obj != nil {
-				out[obj] = path
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// receiverPath renders expr as a normalized path when it is the receiver or
-// a field chain rooted at it: recv.child → "recv.child", recv.kids[i] →
-// "recv.kids[#]". Index expressions normalize to "#" so an open in a loop
-// matches a close in a different loop. A non-nil aliases map additionally
-// resolves local variables bound to receiver paths.
-func receiverPath(pass *analysis.Pass, expr ast.Expr, recv types.Object, aliases map[types.Object]string) (string, bool) {
-	switch e := expr.(type) {
-	case *ast.Ident:
-		obj := pass.TypesInfo.Uses[e]
-		if obj == recv {
-			return "recv", true
-		}
-		if path, ok := aliases[obj]; ok {
-			return path, true
-		}
-		return "", false
-	case *ast.SelectorExpr:
-		base, ok := receiverPath(pass, e.X, recv, aliases)
-		if !ok {
-			return "", false
-		}
-		return base + "." + e.Sel.Name, true
-	case *ast.IndexExpr:
-		base, ok := receiverPath(pass, e.X, recv, aliases)
-		if !ok {
-			return "", false
-		}
-		return base + "[#]", true
-	case *ast.ParenExpr:
-		return receiverPath(pass, e.X, recv, aliases)
-	}
-	return "", false
 }

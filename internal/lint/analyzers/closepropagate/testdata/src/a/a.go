@@ -1,40 +1,51 @@
-// Package a is closepropagate testdata: discard shapes, open/close pairing
-// violations, and the accepted drain/ownership idioms.
+// Package a is closepropagate testdata: the discard shapes and the accepted
+// drain idioms, over row and batch streams.
 package a
 
-// Ctx and Row stand in for the engine's execution context and row types.
-type Ctx struct{}
+// Row and Batch stand in for the engine's row and batch types.
 type Row struct{}
+type Batch struct{}
 
-// Op structurally matches exec.Operator.
-type Op interface {
-	Open(*Ctx) error
+// Rows structurally matches exec.Rows, Batches exec.Batches.
+type Rows interface {
 	Next() (Row, bool, error)
 	Close() error
 }
+type Batches interface {
+	NextBatch() (Batch, bool, error)
+	CloseVec() error
+}
 
-// Leaf is a concrete operator.
-type Leaf struct{ pos int }
+// leaf is a concrete stream with pointer-receiver methods.
+type leaf struct{ pos int }
 
-func (l *Leaf) Open(*Ctx) error          { l.pos = 0; return nil }
-func (l *Leaf) Next() (Row, bool, error) { return Row{}, false, nil }
-func (l *Leaf) Close() error             { return nil }
+func (l *leaf) Next() (Row, bool, error) { return Row{}, false, nil }
+func (l *leaf) Close() error             { return nil }
+
+// file has a Close but is no stream: its error is the caller's business.
+type file struct{}
+
+func (file) Close() error { return nil }
 
 // --- discard shapes ---
 
-func discards(op Op) {
-	op.Close()     // want `bare statement discards`
-	_ = op.Close() // want `assignment to _ discards`
+func discards(op Rows, bs Batches, l leaf, f file) {
+	op.Close()       // want `bare statement discards`
+	_ = op.Close()   // want `assignment to _ discards`
+	bs.CloseVec()    // want `bare statement discards the CloseVec error`
+	go bs.CloseVec() // want `go statement discards`
+	l.Close()        // want `bare statement discards`
+	f.Close()
 }
 
-func deferred(op Op) error {
+func deferred(op Rows) error {
 	defer op.Close() // want `direct defer discards`
 	return nil
 }
 
 // propagate is the accepted idiom: the deferred closure folds the Close
 // error into the named return.
-func propagate(op Op) (err error) {
+func propagate(op Rows) (err error) {
 	defer func() {
 		if cerr := op.Close(); cerr != nil && err == nil {
 			err = cerr
@@ -44,125 +55,6 @@ func propagate(op Op) (err error) {
 }
 
 // returned is also fine: the error leaves the function.
-func returned(op Op) error {
+func returned(op Rows) error {
 	return op.Close()
 }
-
-// --- open/close pairing ---
-
-// LeakJoin closes its left child but never its right: flagged at the open.
-type LeakJoin struct {
-	Left  Op
-	Right Op
-}
-
-func (j *LeakJoin) Open(ctx *Ctx) error {
-	if err := j.Left.Open(ctx); err != nil {
-		return err
-	}
-	return j.Right.Open(ctx) // want `opens recv.Right but no matching`
-}
-func (j *LeakJoin) Next() (Row, bool, error) { return Row{}, false, nil }
-func (j *LeakJoin) Close() error             { return j.Left.Close() }
-
-// PairJoin opens both children and closes both, including the error path.
-type PairJoin struct {
-	Left  Op
-	Right Op
-}
-
-func (j *PairJoin) Open(ctx *Ctx) error {
-	if err := j.Left.Open(ctx); err != nil {
-		return err
-	}
-	if err := j.Right.Open(ctx); err != nil {
-		if cerr := j.Left.Close(); cerr != nil {
-			return cerr
-		}
-		return err
-	}
-	return nil
-}
-func (j *PairJoin) Next() (Row, bool, error) { return Row{}, false, nil }
-func (j *PairJoin) Close() error {
-	err := j.Left.Close()
-	if cerr := j.Right.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// drain consumes and closes an operator, propagating the Close error.
-func drain(op Op) (err error) {
-	defer func() {
-		if cerr := op.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	for {
-		if _, ok, nerr := op.Next(); nerr != nil {
-			return nerr
-		} else if !ok {
-			return nil
-		}
-	}
-}
-
-// EagerJoin hands its opened build side to drain — ownership transfer, not
-// a leak.
-type EagerJoin struct {
-	Build Op
-}
-
-func (j *EagerJoin) Open(ctx *Ctx) error {
-	if err := j.Build.Open(ctx); err != nil {
-		return err
-	}
-	return drain(j.Build)
-}
-func (j *EagerJoin) Next() (Row, bool, error) { return Row{}, false, nil }
-func (j *EagerJoin) Close() error             { return nil }
-
-// --- goroutine-transferred close ownership ---
-
-// HandoffExchange rebinds its source to a local before a completion
-// goroutine closes it — the morsel-exchange pattern. The close through the
-// alias pairs with the open on recv.Src: accepted.
-type HandoffExchange struct {
-	Src  Op
-	errs chan error
-}
-
-func (e *HandoffExchange) Open(ctx *Ctx) error {
-	if err := e.Src.Open(ctx); err != nil {
-		return err
-	}
-	src := e.Src
-	go func() {
-		if cerr := src.Close(); cerr != nil {
-			e.errs <- cerr
-		}
-	}()
-	return nil
-}
-func (e *HandoffExchange) Next() (Row, bool, error) { return Row{}, false, nil }
-func (e *HandoffExchange) Close() error             { return nil }
-
-// AliasLeak binds the same alias but never closes through it: the alias
-// alone transfers nothing, so the open is still flagged.
-type AliasLeak struct {
-	Src Op
-}
-
-func (e *AliasLeak) Open(ctx *Ctx) error {
-	if err := e.Src.Open(ctx); err != nil { // want `opens recv.Src but no matching`
-		return err
-	}
-	src := e.Src
-	go func() {
-		_ = src
-	}()
-	return nil
-}
-func (e *AliasLeak) Next() (Row, bool, error) { return Row{}, false, nil }
-func (e *AliasLeak) Close() error             { return nil }

@@ -1,11 +1,11 @@
-// Package opshape recognizes the engine's Volcano iterator shapes from type
-// structure alone: a row operator has Open/Next/Close methods, a batch
-// operator OpenVec/NextBatch/CloseVec, with Close returning exactly error
-// (the exec.Operator and exec.VecOp contracts). Matching structurally — by
-// method names and the Close signature, not by named interface identity —
-// keeps the analyzers working on any module, including the synthetic
-// testdata packages the analysistest suites and the driver test load, which
-// define their own toy operators.
+// Package opshape recognizes the engine's stream shapes from type structure
+// alone: the row stream of a run has Next and Close methods, the batch stream
+// NextBatch and CloseVec, with Close returning exactly error (the exec.Rows
+// and exec.Batches contracts). Matching structurally — by method names and
+// the Close signature, not by named interface identity — keeps the analyzers
+// working on any module, including the synthetic testdata packages the
+// analysistest suites and the driver test load, which define their own toy
+// streams.
 package opshape
 
 import "go/types"
@@ -32,41 +32,30 @@ func hasMethod(t types.Type, name string, wantErrResult bool) bool {
 	return false
 }
 
-// iteratorShape reports whether t (as given — pass a pointer type to get
-// the full method set) carries the row or batch iterator method triple.
-func iteratorShape(t types.Type) bool {
-	if hasMethod(t, "Close", true) && hasMethod(t, "Open", false) && hasMethod(t, "Next", false) {
-		return true
-	}
-	return hasMethod(t, "CloseVec", true) && hasMethod(t, "OpenVec", false) && hasMethod(t, "NextBatch", false)
+// streamShape reports whether t (as given — pass a pointer type to get the
+// full method set) carries the row or batch stream method pair.
+func streamShape(t types.Type) bool {
+	return hasMethod(t, "Close", true) && hasMethod(t, "Next", false) ||
+		hasMethod(t, "CloseVec", true) && hasMethod(t, "NextBatch", false)
 }
 
-// IsOperator reports whether values of type t behave as a row or batch
-// operator: t itself, or its pointer (for named non-pointer types), has the
-// iterator method triple. Interfaces qualify when they declare the triple.
-func IsOperator(t types.Type) bool {
+// IsStream reports whether values of type t behave as a row or batch stream:
+// t itself, or its pointer (for named non-pointer types), has the method
+// pair. Interfaces qualify when they declare it.
+func IsStream(t types.Type) bool {
 	if t == nil {
 		return false
 	}
-	if iteratorShape(t) {
+	if streamShape(t) {
 		return true
 	}
 	// A named struct whose methods live on the pointer receiver.
 	if _, isPtr := t.Underlying().(*types.Pointer); !isPtr {
 		if _, isIface := t.Underlying().(*types.Interface); !isIface {
-			return iteratorShape(types.NewPointer(t))
+			return streamShape(types.NewPointer(t))
 		}
 	}
 	return false
-}
-
-// ValueReceiverOperator reports whether t is an operator whose iterator
-// methods are all in the VALUE method set — the shape exec.CloneTree cannot
-// clone: cloneAny only copies pointer-to-struct nodes, so a value-typed
-// operator stored in an Operator interface is returned as-is and every
-// "clone" shares its state.
-func ValueReceiverOperator(t types.Type) bool {
-	return iteratorShape(t)
 }
 
 // IsNamedIn reports whether t (possibly behind a pointer) is the named type

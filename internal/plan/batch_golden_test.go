@@ -6,7 +6,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/adl"
 	"repro/internal/bench"
+	"repro/internal/exec"
 	"repro/internal/oosql"
 	"repro/internal/rewrite"
 	"repro/internal/storage"
@@ -39,6 +41,49 @@ var analyticTexts = [][2]string{
 // the store of those workloads: at a tenth of it the two-worker plans are the
 // serial ones and no golden would show the partitioned join or the exchange.
 func TestExplainGoldenBatch(t *testing.T) {
+	st, exprs := analyticStore(t)
+	stats := st.Analyze()
+	for i, q := range analyticTexts {
+		for _, par := range []int{1, 2} {
+			name := fmt.Sprintf("batch_%s_p%d", q[0], par)
+			t.Run(name, func(t *testing.T) {
+				cfg := Config{Statistics: stats, Stats: stats, Vectorized: true, Parallelism: par}
+				checkGolden(t, name, cfg.Plan(exprs[i]).Explain())
+			})
+		}
+	}
+}
+
+// TestExplainActualsGolden pins the row tally of every plan node: Explain
+// after one committed instrumented run of the analytic texts, scalar and
+// batch, serial and with two workers. The files were generated at the commit
+// before rows were counted where a child is opened and must not change: a
+// node that loses its (actual=N) is a failure, not a golden update.
+func TestExplainActualsGolden(t *testing.T) {
+	st, exprs := analyticStore(t)
+	stats := st.Analyze()
+	for i, q := range analyticTexts {
+		for _, vec := range []bool{false, true} {
+			for _, par := range []int{1, 2} {
+				name := fmt.Sprintf("actuals_%s_vec%t_p%d", q[0], vec, par)
+				t.Run(name, func(t *testing.T) {
+					cfg := Config{Statistics: stats, Stats: stats, Vectorized: vec, Parallelism: par}
+					p := cfg.Plan(exprs[i])
+					root, commit := p.Instrumented()
+					if _, err := exec.Collect(root, &exec.Ctx{DB: st}); err != nil {
+						t.Fatal(err)
+					}
+					commit()
+					checkGolden(t, name, p.Explain())
+				})
+			}
+		}
+	}
+}
+
+// analyticStore generates the store of the analytic.* workloads and rewrites
+// the six texts against it.
+func analyticStore(t *testing.T) (*storage.Store, []adl.Expr) {
 	st := bench.Generate(bench.Config{Suppliers: 4000, Parts: 8000, Deliveries: 20000,
 		Fanout: 8, EmptyFrac: 0.05, Seed: 94})
 	for attr, kind := range map[string]storage.IndexKind{"color": storage.HashIndex, "price": storage.OrderedIndex} {
@@ -46,7 +91,7 @@ func TestExplainGoldenBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats := st.Analyze()
+	var exprs []adl.Expr
 	for _, q := range analyticTexts {
 		ast, err := oosql.Parse(q[1])
 		if err != nil {
@@ -56,27 +101,26 @@ func TestExplainGoldenBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := rewrite.Optimize(e, rewrite.NewContext(st.Catalog()))
-		for _, par := range []int{1, 2} {
-			name := fmt.Sprintf("batch_%s_p%d", q[0], par)
-			t.Run(name, func(t *testing.T) {
-				cfg := Config{Statistics: stats, Stats: stats, Vectorized: true, Parallelism: par}
-				got := cfg.Plan(res.Expr).Explain()
-				path := filepath.Join("testdata", name+".golden")
-				if *update {
-					if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("missing golden file (run with -update): %v", err)
-				}
-				if got != string(want) {
-					t.Errorf("Explain output changed; run with -update if intended.\n--- got ---\n%s--- want ---\n%s", got, want)
-				}
-			})
+		exprs = append(exprs, rewrite.Optimize(e, rewrite.NewContext(st.Catalog())).Expr)
+	}
+	return st, exprs
+}
+
+// checkGolden compares got with testdata/name.golden, or writes it under
+// -update.
+func checkGolden(t *testing.T, name, got string) {
+	path := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
 		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("Explain output changed; run with -update if intended.\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }

@@ -1,7 +1,7 @@
 // Runtime cardinality feedback. The optimizer's estimates are predictions;
-// execution produces the ground truth. A plan hands out instrumented
-// mirrors (exec.Instrument) whose per-node row tallies are keyed by the
-// original plan nodes — the same keys the estimate table uses — and the
+// execution produces the ground truth. A plan hands out instrumented roots
+// (exec.Instrument) whose per-node row tallies are keyed by the plan's own
+// nodes — the same keys the estimate table uses — and the
 // q-error between the two tells a serving layer when a cached plan was
 // priced on assumptions the data no longer satisfies (deletes and updates
 // shift cardinalities without any re-ANALYZE). Estimate drift never makes a
@@ -52,25 +52,21 @@ type feedbackState struct {
 	execs   int64
 }
 
-// Instrumented returns a fresh counted mirror of the plan — already a
-// runnable clone, no CloneTree needed — and a commit func that records the
-// mirror's tallies as the plan's current observation. Call commit after the
-// tree has been drained to completion; an abandoned (errored) run is simply
-// never committed. Each execution gets its own mirror, so observations are
-// exact per-run counts even under concurrent executions — the committed
-// observation is whichever run finished last, which is also the freshest
-// view of the data.
+// Instrumented returns a root that runs the plan with a fresh row tally
+// installed — the plan's own nodes, counted where the run opens them — and a
+// commit func that records the tally as the plan's current observation. Call
+// commit after the root has been collected to completion; an abandoned
+// (errored) run is simply never committed. Each execution gets its own
+// tally, so observations are exact per-run counts even under concurrent
+// executions — the committed observation is whichever run finished last,
+// which is also the freshest view of the data.
 func (p *Plan) Instrumented() (root exec.Operator, commit func()) {
-	root, tallies := exec.Instrument(p.Root)
+	root, tally := exec.Instrument(p.Root)
 	return root, func() {
+		rows := tally.Rows() // of every node: a run opens them all
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		if p.actuals == nil {
-			p.actuals = make(map[exec.Operator]int64, len(tallies))
-		}
-		for op, n := range tallies {
-			p.actuals[op] = n.Load()
-		}
+		p.actuals = rows
 		p.execs++
 	}
 }

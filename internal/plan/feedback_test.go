@@ -70,7 +70,7 @@ func TestInstrumentedExecutionFeedback(t *testing.T) {
 	}
 
 	// Instrumentation must not change results.
-	plain, err := exec.Collect(exec.CloneTree(p.Root), &exec.Ctx{DB: st})
+	plain, err := exec.Collect(p.Root, &exec.Ctx{DB: st})
 	if err != nil {
 		t.Fatalf("plain exec: %v", err)
 	}

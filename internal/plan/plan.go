@@ -125,8 +125,11 @@ func (c Config) threshold() int {
 // Plan is a compiled physical operator tree plus the optimizer's per-node
 // estimates (present when the Config carried Statistics), and — once an
 // instrumented execution has committed — the observed row counts runtime
-// feedback compares them against (feedback.go).
+// feedback compares them against (feedback.go). A Plan is safe for concurrent
+// execution.
 type Plan struct {
+	// Root is the plan itself: immutable nodes whose Open returns the state
+	// of a run, so any number of goroutines may exec.Collect it at once.
 	Root exec.Operator
 
 	est map[exec.Operator]Estimate

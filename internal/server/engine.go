@@ -9,8 +9,8 @@
 // exists to bound staleness of plan *quality*. When the store's epoch moves
 // past a cached entry's (enough inserts since the last bump, or an index
 // change), the next request re-plans against freshly published statistics.
-// Each execution runs a clone of the cached operator tree (exec.CloneTree),
-// so concurrent requests never share iterator state.
+// A cached operator tree is immutable — opening it creates the state of one
+// run — so concurrent requests execute the cached tree itself.
 //
 // Level 2 serves a text never seen, or one whose plan must be rebuilt, from
 // the rewritten form of its structure. adl.Lift takes the atomic literals out
@@ -201,10 +201,9 @@ func (e *Engine) Query(src string) (*Result, error) {
 func (e *Engine) run(src string, ent *cacheEntry, sn *storage.Snapshot) (*value.Set, bool, error) {
 	q := ent.q
 	if e.opts.NoPlanCache || e.opts.NoFeedback || q.Planned == nil || ent.ackSeq.Load() == sn.Seq()+1 {
-		set, err := exec.Collect(exec.CloneTree(q.Plan), &exec.Ctx{DB: sn})
+		set, err := exec.Collect(q.Plan, &exec.Ctx{DB: sn})
 		return set, false, err
 	}
-	// An instrumented mirror is itself a fresh clone, so it runs directly.
 	root, commit := q.Planned.Instrumented()
 	set, err := exec.Collect(root, &exec.Ctx{DB: sn})
 	if err != nil {

@@ -343,9 +343,9 @@ func TestEngineRejectsNonPositiveBatchSize(t *testing.T) {
 }
 
 // TestEngineConcurrentVectorizedInstrumented runs cached vectorized plans
-// from many goroutines with feedback on, so every execution goes through
-// exec.Instrument: each must get batch operators of its own. Under -race
-// this fails when the instrumented mirror shares a VecOp with its original.
+// from many goroutines with feedback on: every execution instruments and
+// runs the one cached tree, no copy made. Under -race this fails when a
+// node, row or batch, keeps anything of a run.
 func TestEngineConcurrentVectorizedInstrumented(t *testing.T) {
 	scalar := newEngine(t, Options{Parallelism: 1})
 	vec := New(scalar.Store(), Options{Parallelism: 1, Vectorized: true})
