@@ -125,9 +125,10 @@ func (j HashJoin) Open(ctx *Ctx) (Rows, error) {
 //
 // — exactly the predicate shape the paper's Example Queries 5 and 6 reach
 // after rewriting (p[pid] ∈ s.parts). The right operand is hashed once by
-// key; each left tuple probes with the elements of its set-valued attribute.
-// This is the single-segment core of the PNHL idea: the flat table is the
-// build input, the nested operand probes.
+// key into a setKeyTable (vecsetjoin.go: a typed table over raw ints for
+// the p[pid] shape); each left tuple probes with the elements of its
+// set-valued attribute. This is the single-segment core of the PNHL idea:
+// the flat table is the build input, the nested operand probes.
 type SetProbeJoin struct {
 	Kind adl.JoinKind
 	L, R Operator
@@ -149,13 +150,10 @@ func (j SetProbeJoin) Open(ctx *Ctx) (Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]value.Value, len(rrows))
-	for i, rrow := range rrows {
-		if keys[i], err = j.RKey.Eval(ctx, rrow); err != nil {
-			return nil, err
-		}
+	var tab setKeyTable
+	if err := tab.build(ctx, rrows, j.RKey); err != nil {
+		return nil, err
 	}
-	table := indexKeys(keys)
 	lrows, err := drain(j.L, ctx)
 	if err != nil {
 		return nil, err
@@ -169,17 +167,7 @@ func (j SetProbeJoin) Open(ctx *Ctx) (Rows, error) {
 		if err != nil {
 			return nil, err
 		}
-	probe:
-		for _, elem := range as.Elems() {
-			for ri := table.First(value.Hash(elem)); ri >= 0; ri = table.Next(ri) {
-				if !value.Equal(keys[ri], elem) {
-					continue
-				}
-				if em.match(rrows[ri]) {
-					break probe
-				}
-			}
-		}
+		tab.probe(as, rrows, &em)
 		if err := em.end(); err != nil {
 			return nil, err
 		}

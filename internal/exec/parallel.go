@@ -142,57 +142,65 @@ func (m *parMerge) teardown() {
 // Close tears the pipeline down.
 func (m *parMerge) Close() error { m.teardown(); return nil }
 
-// evalKeys computes key(row) for every row with a pool of workers. The rows
-// are split into contiguous chunks, one per worker, so no locking is needed
-// on the result slice.
-func evalKeys(ctx *Ctx, rows []value.Value, key Scalar, workers int) ([]value.Value, error) {
-	keys := make([]value.Value, len(rows))
+// keyedRows are one side of a join: its rows, their evaluated join keys and
+// the keys' value.Hash.
+type keyedRows struct {
+	rows   []value.Value
+	keys   []value.Value
+	hashes []uint64
+}
+
+// evalKeys computes key(row) and its value.Hash for every row with a pool of
+// workers, so that partitioning and the partition tables never hash a key
+// twice. The rows are split into contiguous chunks, one per worker, so no
+// locking is needed on the result slices.
+func evalKeys(ctx *Ctx, rows []value.Value, key Scalar, workers int) (keyedRows, error) {
+	k := keyedRows{rows: rows, keys: make([]value.Value, len(rows)), hashes: make([]uint64, len(rows))}
 	if len(rows) == 0 {
-		return keys, nil
+		return k, nil
 	}
-	w := Parallelism(workers)
-	if w > len(rows) {
-		w = len(rows)
-	}
+	w := min(Parallelism(workers), len(rows))
 	chunk := (len(rows) + w - 1) / w
 	errs := make([]error, w)
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
-		lo, hi := i*chunk, (i+1)*chunk
-		if hi > len(rows) {
-			hi = len(rows)
-		}
 		wg.Add(1)
 		go func(i, lo, hi int) {
 			defer wg.Done()
 			for r := lo; r < hi; r++ {
-				k, err := key.Eval(ctx, rows[r])
+				v, err := key.Eval(ctx, rows[r])
 				if err != nil {
 					errs[i] = err
 					return
 				}
-				keys[r] = k
+				k.keys[r], k.hashes[r] = v, value.Hash(v)
 			}
-		}(i, lo, hi)
+		}(i, i*chunk, min((i+1)*chunk, len(rows)))
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return keyedRows{}, err
 		}
 	}
-	return keys, nil
+	return k, nil
 }
 
-// partition groups row indices by hash(key) mod p.
-func partition(keys []value.Value, p int) [][]int {
-	parts := make([][]int, p)
-	for i := range parts {
-		parts[i] = make([]int, 0, len(keys)/p)
+// partition groups row indices by key hash mod p, in row order, carving the
+// partitions out of one array sized by a counting pass.
+func partition(hashes []uint64, p int) [][]int {
+	var small [16]int // p is a core count: the counters stay on the stack
+	sizes := append(small[:0], make([]int, p)...)
+	for _, h := range hashes {
+		sizes[h%uint64(p)]++
 	}
-	for i, k := range keys {
-		h := value.Hash(k) % uint64(p)
-		parts[h] = append(parts[h], i)
+	flat := make([]int, len(hashes))
+	parts := make([][]int, p)
+	for i, n := range sizes {
+		parts[i], flat = flat[:0:n], flat[n:]
+	}
+	for i, h := range hashes {
+		parts[h%uint64(p)] = append(parts[h%uint64(p)], i)
 	}
 	return parts
 }
@@ -225,7 +233,7 @@ func (j PartitionedHashJoin) Open(ctx *Ctx) (Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	rkeys, err := evalKeys(ctx, rrows, rkey, p)
+	r, err := evalKeys(ctx, rrows, rkey, p)
 	if err != nil {
 		return nil, err
 	}
@@ -233,19 +241,19 @@ func (j PartitionedHashJoin) Open(ctx *Ctx) (Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	lkeys, err := evalKeys(ctx, lrows, lkey, p)
+	l, err := evalKeys(ctx, lrows, lkey, p)
 	if err != nil {
 		return nil, err
 	}
-	rparts := partition(rkeys, p)
-	lparts := partition(lkeys, p)
+	rparts := partition(r.hashes, p)
+	lparts := partition(l.hashes, p)
 
 	merge := newParMerge()
 	for i := 0; i < p; i++ {
 		merge.wg.Add(1)
 		go func(li, ri []int) {
 			defer merge.wg.Done()
-			if err := j.joinPartition(ctx, merge, lrows, lkeys, li, rrows, rkeys, ri); err != nil {
+			if err := j.joinPartition(ctx, merge, l, li, r, ri); err != nil {
 				merge.fail(err)
 			}
 		}(lparts[i], rparts[i])
@@ -261,25 +269,24 @@ func (j PartitionedHashJoin) Open(ctx *Ctx) (Rows, error) {
 // with the matching left partition, sending result rows to the merge channel
 // a chunk at a time. It returns early, without error, once the pipeline
 // aborts.
-func (j PartitionedHashJoin) joinPartition(ctx *Ctx, merge *parMerge, lrows, lkeys []value.Value, li []int, rrows, rkeys []value.Value, ri []int) error {
+func (j PartitionedHashJoin) joinPartition(ctx *Ctx, merge *parMerge, lk keyedRows, li []int, rk keyedRows, ri []int) error {
 	out := chunkWriter{m: merge, ch: merge.out}
-	em := newJoinEmit(ctx, j.Kind, "partitioned hash join", j.Residual, j.RFun, j.As, rrows)
+	em := newJoinEmit(ctx, j.Kind, "partitioned hash join", j.Residual, j.RFun, j.As, rk.rows)
 	hashes := make([]uint64, len(ri))
 	for i, r := range ri {
-		hashes[i] = value.Hash(rkeys[r])
+		hashes[i] = rk.hashes[r]
 	}
 	table := value.NewIndex(hashes)
 	for _, l := range li {
-		if err := em.begin(lrows[l]); err != nil {
+		if err := em.begin(lk.rows[l]); err != nil {
 			return err
 		}
-		lk := lkeys[l]
-		for i := table.First(value.Hash(lk)); i >= 0; i = table.Next(i) {
+		for i := table.First(lk.hashes[l]); i >= 0; i = table.Next(i) {
 			r := ri[i]
-			if !value.Equal(rkeys[r], lk) {
+			if !value.Equal(rk.keys[r], lk.keys[l]) {
 				continue
 			}
-			if em.match(rrows[r]) {
+			if em.match(rk.rows[r]) {
 				break
 			}
 		}

@@ -240,7 +240,8 @@ func TestParallelismResolution(t *testing.T) {
 }
 
 // TestEvalKeysChunking checks the parallel key evaluation helper across
-// worker counts and row counts, including workers > rows.
+// worker counts and row counts, including workers > rows, and that the hashes
+// it computes in its workers are each key's value.Hash.
 func TestEvalKeysChunking(t *testing.T) {
 	d := db(17, 33, 5)
 	ctx := &Ctx{DB: d}
@@ -256,9 +257,9 @@ func TestEvalKeysChunking(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range want {
-			if !value.Equal(got[i], want[i]) {
-				t.Fatalf("workers=%d key %d: %v != %v", w, i, got[i], want[i])
+		for i, k := range want.keys {
+			if !value.Equal(got.keys[i], k) || got.hashes[i] != value.Hash(k) {
+				t.Fatalf("workers=%d key %d: %v != %v or hash %x", w, i, got.keys[i], k, got.hashes[i])
 			}
 		}
 	}

@@ -229,7 +229,8 @@ func buildKeys(ctx *Ctx, rows []value.Value, key Scalar, workers int) ([]value.V
 		return keys, nil
 	}
 	if workers > 1 {
-		return evalKeys(ctx, rows, key, workers)
+		k, err := evalKeys(ctx, rows, key, workers)
+		return k.keys, err
 	}
 	keys := make([]value.Value, len(rows))
 	for i, r := range rows {

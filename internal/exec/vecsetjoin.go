@@ -14,11 +14,8 @@ import (
 // (nestjoin: the single-segment PNHL shape with grouping output). It sinks
 // the batch pipeline like VecHashJoin.
 //
-// Build keys of the shape the planner actually produces — x[pid]-style unary
-// tuples over an int-backed attribute — get a typed fast path: the table
-// holds the raw int64s, and probe elements match when they are unary tuples
-// of the same name and kind (exactly value.Equal on that shape). Anything
-// else uses the generic hash/Equal structure of the scalar SetProbeJoin.
+// Its build side is the setKeyTable the scalar SetProbeJoin builds too, so
+// the two differ only in how left rows arrive.
 type VecSetJoin struct {
 	Kind adl.JoinKind // Semi, Anti or NestJ
 	L    VecOp
@@ -82,34 +79,37 @@ func (j VecSetJoin) Open(ctx *Ctx) (_ Rows, err error) {
 	}
 }
 
-// setKeyTable is the build side of the vectorized set-probe join: the right
-// operand's evaluated keys under either the unary-tuple int fast path (a
-// flat i64Table over the raw bits) or the generic hash/Equal structure of
-// the scalar SetProbeJoin.
+// setKeyTable is the build side of both set-probe joins, the scalar
+// SetProbeJoin and the batch VecSetJoin: the right operand's evaluated keys
+// under either the unary-tuple int fast path (a flat i64Table over the raw
+// bits) or the generic hash/Equal structure (a value.Index probed with the
+// set's stored element hashes).
 type setKeyTable struct {
 	keys []value.Value
 	gen  *value.Index
 	u    *i64Table
-	// uname/ukind describe the unary-tuple fast path's element shape.
-	uname string
-	ukind value.Kind
+	// ushape/ukind describe the fast path's element: the canonical unary
+	// shape and the kind of its one value.
+	ushape *value.Shape
+	ukind  value.Kind
 }
 
 // build evaluates the key over each build row and constructs the table.
 func (t *setKeyTable) build(ctx *Ctx, rrows []value.Value, key Scalar) error {
-	if bs, name, kind, ok := subscriptIntKeys(rrows, key); ok {
-		t.u, t.uname, t.ukind = newI64Table(bs), name, kind
+	if bs, shape, kind, ok := subscriptIntKeys(rrows, key); ok {
+		t.u, t.ushape, t.ukind = newI64Table(bs), shape, kind
 		return nil
 	}
-	for _, rrow := range rrows {
+	t.keys = make([]value.Value, len(rrows))
+	for i, rrow := range rrows {
 		k, err := key.Eval(ctx, rrow)
 		if err != nil {
 			return err
 		}
-		t.keys = append(t.keys, k)
+		t.keys[i] = k
 	}
-	if bs, name, kind, ok := unaryIntKeys(t.keys); ok {
-		t.u, t.uname, t.ukind = newI64Table(bs), name, kind
+	if bs, shape, kind, ok := unaryIntKeys(t.keys); ok {
+		t.u, t.ushape, t.ukind = newI64Table(bs), shape, kind
 	} else {
 		t.gen = indexKeys(t.keys)
 	}
@@ -117,22 +117,27 @@ func (t *setKeyTable) build(ctx *Ctx, rrows []value.Value, key Scalar) error {
 }
 
 // probe offers em every (set element, matching build row) pair in element
-// order — the scalar SetProbeJoin's probe loop — until em asks to stop.
+// order until em asks to stop. On the fast path an element matches when it
+// has the unary shape, the kind and the bits of a key — exactly value.Equal
+// on that shape.
 func (t *setKeyTable) probe(as *value.Set, right []value.Value, em *joinEmit) {
-	for _, elem := range as.Elems() {
-		if t.u == nil {
-			for ri := t.gen.First(value.Hash(elem)); ri >= 0; ri = t.gen.Next(ri) {
+	if t.u == nil {
+		hs := as.Hashes()
+		for ei, elem := range as.Elems() {
+			for ri := t.gen.First(hs[ei]); ri >= 0; ri = t.gen.Next(ri) {
 				if value.Equal(t.keys[ri], elem) && em.match(right[ri]) {
 					return
 				}
 			}
-			continue
 		}
+		return
+	}
+	for _, elem := range as.Elems() {
 		et, ok := elem.(*value.Tuple)
-		if !ok || et.Len() != 1 || et.Names()[0] != t.uname {
+		if !ok || et.Shape != t.ushape {
 			continue
 		}
-		ev, _ := et.Get(t.uname)
+		ev := et.Vals()[0]
 		if ev.Kind() != t.ukind {
 			continue
 		}
@@ -149,18 +154,18 @@ func (t *setKeyTable) probe(as *value.Set, right []value.Value, em *joinEmit) {
 // when every row carries an int-backed value of one kind under attr — the
 // unary-tuple fast path's table built without materializing a single unary
 // tuple or environment frame. The shape produced is exactly what
-// unaryIntKeys would extract from the evaluated keys (name = attr, uniform
-// kind, raw bits), so probe semantics are unchanged. ok=false sends the
-// caller through the interpreter loop, which also reproduces its errors
-// (non-tuple rows, missing attributes).
-func subscriptIntKeys(rows []value.Value, key Scalar) ([]int64, string, value.Kind, bool) {
+// unaryIntKeys would extract from the evaluated keys (the unary shape of
+// attr, uniform kind, raw bits), so probe semantics are unchanged. ok=false
+// sends the caller through the interpreter loop, which also reproduces its
+// errors (non-tuple rows, missing attributes).
+func subscriptIntKeys(rows []value.Value, key Scalar) ([]int64, *value.Shape, value.Kind, bool) {
 	sub, ok := key.Expr.(*adl.Subscript)
 	if !ok || len(sub.Attrs) != 1 || len(key.Vars) != 1 || len(rows) == 0 {
-		return nil, "", value.KindNull, false
+		return nil, nil, value.KindNull, false
 	}
 	v, ok := sub.X.(*adl.Var)
 	if !ok || v.Name != key.Vars[0] {
-		return nil, "", value.KindNull, false
+		return nil, nil, value.KindNull, false
 	}
 	attr := sub.Attrs[0]
 	var kind value.Kind
@@ -168,53 +173,47 @@ func subscriptIntKeys(rows []value.Value, key Scalar) ([]int64, string, value.Ki
 	for i, r := range rows {
 		tup, ok := r.(*value.Tuple)
 		if !ok {
-			return nil, "", value.KindNull, false
+			return nil, nil, value.KindNull, false
 		}
 		ev, ok := tup.Get(attr)
 		if !ok {
-			return nil, "", value.KindNull, false
+			return nil, nil, value.KindNull, false
 		}
 		if i == 0 {
 			kind = ev.Kind()
 		} else if ev.Kind() != kind {
-			return nil, "", value.KindNull, false
+			return nil, nil, value.KindNull, false
 		}
 		b, ok := valueBits(ev)
 		if !ok {
-			return nil, "", value.KindNull, false
+			return nil, nil, value.KindNull, false
 		}
 		bs[i] = b
 	}
-	return bs, attr, kind, true
+	shape, _ := value.ShapeOf(sub.Attrs)
+	return bs, shape, kind, true
 }
 
 // unaryIntKeys recognizes a uniform build-key shape of unary tuples over one
 // int-backed attribute, returning the raw key bits.
-func unaryIntKeys(keys []value.Value) ([]int64, string, value.Kind, bool) {
+func unaryIntKeys(keys []value.Value) ([]int64, *value.Shape, value.Kind, bool) {
 	if len(keys) == 0 {
-		return nil, "", value.KindNull, false
+		return nil, nil, value.KindNull, false
 	}
 	first, ok := keys[0].(*value.Tuple)
 	if !ok || first.Len() != 1 {
-		return nil, "", value.KindNull, false
+		return nil, nil, value.KindNull, false
 	}
-	name := first.Names()[0]
-	v, _ := first.Get(name)
-	kind := v.Kind()
-	if _, ok := valueBits(v); !ok {
-		return nil, "", value.KindNull, false
-	}
+	kind := first.Vals()[0].Kind()
 	bs := make([]int64, len(keys))
 	for i, k := range keys {
 		t, ok := k.(*value.Tuple)
-		if !ok || t.Len() != 1 || t.Names()[0] != name {
-			return nil, "", value.KindNull, false
+		if !ok || t.Shape != first.Shape || t.Vals()[0].Kind() != kind {
+			return nil, nil, value.KindNull, false
 		}
-		ev, _ := t.Get(name)
-		if ev.Kind() != kind {
-			return nil, "", value.KindNull, false
+		if bs[i], ok = valueBits(t.Vals()[0]); !ok {
+			return nil, nil, value.KindNull, false
 		}
-		bs[i], _ = valueBits(ev)
 	}
-	return bs, name, kind, true
+	return bs, first.Shape, kind, true
 }

@@ -194,33 +194,43 @@ func (d *DBStats) String() string {
 	return b.String()
 }
 
-// distinctCounter counts distinct values exactly: values are bucketed by
-// hash and disambiguated with Equal, so hash collisions do not inflate the
-// count. Each value carries a reference count so deletes can retire a value
-// once its last row is gone (remove) — an NDV sketch could not support that.
+// distinctCounter counts distinct values exactly: values are chained by hash
+// and disambiguated with Equal, so hash collisions do not inflate the count.
+// Each value carries a reference count so deletes can retire a value once
+// its last row is gone (remove) — an NDV sketch could not support that.
+//
+// Slot s (1-based) is vals[s-1] with refs[s-1] and the chain link next[s-1];
+// heads maps a hash to the first slot of its chain. Nothing is allocated per
+// value — vals holds the rows' own values, the rest is pointer-free — and a
+// retired slot is threaded onto the free list through next and reused, so
+// insert/delete churn of never-repeated values keeps the slices at the live
+// count.
 type distinctCounter struct {
-	buckets map[uint64][]*distinctEntry
-	n       int
-}
-
-type distinctEntry struct {
-	v    value.Value
-	refs int
-}
-
-func newDistinctCounter() *distinctCounter {
-	return &distinctCounter{buckets: map[uint64][]*distinctEntry{}}
+	heads map[uint64]int32
+	vals  []value.Value
+	refs  []int32
+	next  []int32
+	free  int32 // first free slot, 0 = none
+	n     int
 }
 
 func (c *distinctCounter) add(v value.Value) {
 	h := value.Hash(v)
-	for _, e := range c.buckets[h] {
-		if value.Equal(e.v, v) {
-			e.refs++
+	for s := c.heads[h]; s != 0; s = c.next[s-1] {
+		if value.Equal(c.vals[s-1], v) {
+			c.refs[s-1]++
 			return
 		}
 	}
-	c.buckets[h] = append(c.buckets[h], &distinctEntry{v: v, refs: 1})
+	s := c.free
+	if s != 0 {
+		c.free = c.next[s-1]
+		c.vals[s-1], c.refs[s-1] = v, 1
+	} else {
+		c.vals, c.refs, c.next = append(c.vals, v), append(c.refs, 1), append(c.next, 0)
+		s = int32(len(c.vals))
+	}
+	c.next[s-1], c.heads[h] = c.heads[h], s
 	c.n++
 }
 
@@ -230,15 +240,24 @@ func (c *distinctCounter) add(v value.Value) {
 // being unabsorbed was scanned, and statistics tolerate approximation.
 func (c *distinctCounter) remove(v value.Value) {
 	h := value.Hash(v)
-	for i, e := range c.buckets[h] {
-		if value.Equal(e.v, v) {
-			e.refs--
-			if e.refs <= 0 {
-				c.buckets[h] = append(c.buckets[h][:i], c.buckets[h][i+1:]...)
-				c.n--
-			}
+	for prev, s := int32(0), c.heads[h]; s != 0; prev, s = s, c.next[s-1] {
+		if !value.Equal(c.vals[s-1], v) {
+			continue
+		}
+		if c.refs[s-1]--; c.refs[s-1] > 0 {
 			return
 		}
+		switch {
+		case prev != 0:
+			c.next[prev-1] = c.next[s-1]
+		case c.next[s-1] != 0:
+			c.heads[h] = c.next[s-1]
+		default:
+			delete(c.heads, h)
+		}
+		c.vals[s-1], c.next[s-1], c.free = nil, c.free, s
+		c.n--
+		return
 	}
 }
 
@@ -286,7 +305,7 @@ func (lt *liveTableStats) absorb(obj *value.Tuple) {
 		}
 		c := lt.counters[name]
 		if c == nil {
-			c = newDistinctCounter()
+			c = &distinctCounter{heads: map[uint64]int32{}}
 			lt.counters[name] = c
 		}
 		c.add(v)
@@ -414,7 +433,7 @@ func (s *Store) buildLive() {
 				}
 				c := lt.counters[name]
 				if c == nil {
-					c = newDistinctCounter()
+					c = &distinctCounter{heads: map[uint64]int32{}}
 					lt.counters[name] = c
 				}
 				c.add(av)

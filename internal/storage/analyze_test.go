@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -356,6 +358,103 @@ func TestDBStatsString(t *testing.T) {
 		".parts: set-valued, avg 1.5 elems", ".color: 2 distinct"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stats report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestDistinctCountsExactUnderChurn retires a value by deleting its only row
+// and brings it back, deletes and reinserts a shared value, and updates a row
+// to its own values: the incrementally maintained distinct counts must equal
+// a fresh Analyze of the same contents.
+func TestDistinctCountsExactUnderChurn(t *testing.T) {
+	s := newStore(t)
+	insertPart(t, s, "a", "red", 10)
+	b := insertPart(t, s, "b", "red", 20)
+	c := insertPart(t, s, "c", "blue", 30)
+	d := insertPart(t, s, "d", "green", 10)
+	s.Analyze()
+	mustDelete(t, s, "PART", c) // retires "c", "blue" and 30
+	insertPart(t, s, "c", "blue", 30)
+	mustDelete(t, s, "PART", b) // "red" keeps a row
+	insertPart(t, s, "b", "red", 20)
+	mustUpdate(t, s, d, "d", "green", 10)
+	var buf strings.Builder
+	if err := s.SaveJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := LoadJSON(s.Catalog(), strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := s.Analyze().Tables["PART"].Distinct, fresh.Analyze().Tables["PART"].Distinct
+	if len(got) != len(want) {
+		t.Fatalf("Distinct = %v, fresh Analyze %v", got, want)
+	}
+	for attr, n := range want {
+		if got[attr] != n {
+			t.Errorf("Distinct[%s] = %d, fresh Analyze %d", attr, got[attr], n)
+		}
+	}
+}
+
+// TestDistinctCounterBounded runs serve.mixed's writer pattern — inserts of
+// never-repeated names, each followed by a delete — 10 000 times: retired
+// slots are reused, so the counter's slices stay within a constant of the
+// live distinct count.
+func TestDistinctCounterBounded(t *testing.T) {
+	s := newStore(t)
+	for i := 0; i < 8; i++ {
+		insertPart(t, s, fmt.Sprintf("seed%d", i), "red", int64(i))
+	}
+	s.Analyze()
+	for i := 0; i < 10000; i++ {
+		oid := insertPart(t, s, fmt.Sprintf("n%d", i), "red", int64(i%7))
+		mustDelete(t, s, "PART", oid)
+	}
+	s.statsMu.Lock()
+	c := s.live["PART"].counters["pname"]
+	n, slots, chains := c.n, len(c.vals), len(c.heads)
+	s.statsMu.Unlock()
+	if n != 8 {
+		t.Fatalf("distinct pnames = %d, want the 8 live ones", n)
+	}
+	if slots > n+1 || chains != n {
+		t.Fatalf("counter holds %d slots and %d chains for %d live values", slots, chains, n)
+	}
+}
+
+// TestDistinctCounterAgainstMap checks add/remove against a map of reference
+// counts over a small domain, so values retire and come back into reused
+// slots.
+func TestDistinctCounterAgainstMap(t *testing.T) {
+	c := distinctCounter{heads: map[uint64]int32{}}
+	model := map[value.Value]int{}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 5000; i++ {
+		var v value.Value = value.Int(int64(rng.Intn(60)))
+		if rng.Intn(3) == 0 {
+			v = value.String(fmt.Sprintf("s%d", rng.Intn(40)))
+		}
+		if rng.Intn(5) < 3 {
+			c.add(v)
+			model[v]++
+		} else {
+			c.remove(v)
+			if model[v]--; model[v] <= 0 {
+				delete(model, v)
+			}
+		}
+		if c.n != len(model) {
+			t.Fatalf("op %d: counter has %d distinct values, model %d", i, c.n, len(model))
+		}
+	}
+	for v, refs := range model {
+		s := c.heads[value.Hash(v)]
+		for s != 0 && !value.Equal(c.vals[s-1], v) {
+			s = c.next[s-1]
+		}
+		if s == 0 || int(c.refs[s-1]) != refs {
+			t.Fatalf("value %v: counter lost it or its %d references", v, refs)
 		}
 	}
 }

@@ -74,23 +74,20 @@ func (s *Store) gcLocked() GCStats {
 	// version: the object leaves the table, and its extent's indexes are
 	// swept below.
 	removed := map[string][]value.OID{}
-	s.objects.Range(func(k, v any) bool {
-		node := v.(*objVersion)
+	s.objects.each(func(oid value.OID, node *objVersion) {
 		base := node.at(horizon)
 		if base == nil {
-			return true // born entirely after the horizon: all states live
+			return // born entirely after the horizon: all states live
 		}
 		for n := base.prev; n != nil; n = n.prev {
 			st.PrunedStates++
 		}
 		base.prev = nil
 		if base == node && base.obj == nil {
-			oid := k.(value.OID)
-			s.objects.Delete(oid)
+			s.objects.store(oid, nil)
 			st.RemovedObjects++
 			removed[base.extent] = append(removed[base.extent], oid)
 		}
-		return true
 	})
 
 	// Pass 2: sweep removed oids out of their extent's indexes.

@@ -148,23 +148,20 @@ func (s *Store) build(idx *extIndex) {
 		obj *value.Tuple
 	}
 	var states []state
-	s.objects.Range(func(k, v any) bool {
+	s.objects.each(func(oid value.OID, head *objVersion) {
 		start := len(states)
-		for n := v.(*objVersion); n != nil; n = n.prev {
+		for n := head; n != nil; n = n.prev {
 			if n.extent == idx.extent && n.obj != nil {
-				states = append(states, state{oid: k.(value.OID), obj: n.obj})
+				states = append(states, state{oid: oid, obj: n.obj})
 			}
 		}
 		// The chain walk yields newest-first; flip this oid's run so entry
-		// oid lists end up oldest-first.
+		// oid lists end up oldest-first, in insertion order like the
+		// incremental absorb path (each walks oids ascending).
 		for i, j := start, len(states)-1; i < j; i, j = i+1, j-1 {
 			states[i], states[j] = states[j], states[i]
 		}
-		return true
 	})
-	// Oldest state first per oid, oids ascending: keeps entry oid lists in
-	// insertion order like the incremental absorb path does.
-	sort.SliceStable(states, func(i, j int) bool { return states[i].oid < states[j].oid })
 	buckets := map[uint64][]*indexEntry{}
 	var entries []*indexEntry
 	for _, st := range states {

@@ -51,22 +51,18 @@ func (s *Store) SaveJSON(w io.Writer) error {
 			snap.Extents[ext] = append(snap.Extents[ext], enc)
 		}
 	}
-	// Objects dead at the pinned version are persisted as tombstones. Chains
-	// only ever grow under the writer lock, so the walk is race-free enough:
-	// an object deleted after the pin resolves to its live state above and is
-	// saved as data, not as a tombstone.
-	s.objects.Range(func(k, v any) bool {
-		if n := v.(*objVersion).at(sn.v.seq); n != nil && n.obj == nil {
+	// Objects dead at the pinned version are persisted as tombstones, oids
+	// ascending. Chains only ever grow under the writer lock, so the walk is
+	// race-free enough: an object deleted after the pin resolves to its live
+	// state above and is saved as data, not as a tombstone.
+	s.objects.each(func(oid value.OID, head *objVersion) {
+		if n := head.at(sn.v.seq); n != nil && n.obj == nil {
 			if snap.Tombstones == nil {
 				snap.Tombstones = map[string][]value.OID{}
 			}
-			snap.Tombstones[n.extent] = append(snap.Tombstones[n.extent], k.(value.OID))
+			snap.Tombstones[n.extent] = append(snap.Tombstones[n.extent], oid)
 		}
-		return true
 	})
-	for _, oids := range snap.Tombstones {
-		sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
-	}
 	e := json.NewEncoder(w)
 	e.SetIndent("", " ")
 	return e.Encode(snap)
@@ -78,13 +74,25 @@ func (s *Store) SaveJSON(w io.Writer) error {
 // store's allocator continues past the persisted horizon — never reusing a
 // dead oid. The loaded state is published as a single version, so the store
 // serves reads (and accepts concurrent writes) the moment LoadJSON returns.
+// Oids may be sparse but not above maxOID, which bounds the object table.
 func LoadJSON(cat *schema.Catalog, r io.Reader) (*Store, error) {
 	var snap persisted
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("storage: load: %w", err)
 	}
 	st := New(cat)
-	var maxOID value.OID
+	var top value.OID // highest loaded oid
+	put := func(oid value.OID, n *objVersion, dup string) error {
+		if oid > maxOID {
+			return fmt.Errorf("storage: load %s: oid %v above the bound %v", n.extent, oid, maxOID)
+		}
+		if st.objects.load(oid) != nil {
+			return fmt.Errorf(dup, oid)
+		}
+		st.objects.store(oid, n)
+		top = max(top, oid)
+		return nil
+	}
 	extents := map[string][]value.OID{}
 	exts := make([]string, 0, len(snap.Extents))
 	for ext := range snap.Extents {
@@ -113,14 +121,10 @@ func LoadJSON(cat *schema.Catalog, r io.Reader) (*Store, error) {
 			if !ok {
 				return nil, fmt.Errorf("storage: load %s: id field %q is not an oid", ext, cl.IDField)
 			}
-			if _, dup := st.objects.Load(oid); dup {
-				return nil, fmt.Errorf("storage: load: duplicate oid %v", oid)
+			if err := put(oid, &objVersion{extent: ext, obj: obj, born: 1}, "storage: load: duplicate oid %v"); err != nil {
+				return nil, err
 			}
-			st.objects.Store(oid, &objVersion{extent: ext, obj: obj, born: 1})
 			extents[ext] = append(extents[ext], oid)
-			if oid > maxOID {
-				maxOID = oid
-			}
 		}
 	}
 	for ext, oids := range snap.Tombstones {
@@ -128,19 +132,15 @@ func LoadJSON(cat *schema.Catalog, r io.Reader) (*Store, error) {
 			return nil, fmt.Errorf("storage: load: unknown tombstone extent %q", ext)
 		}
 		for _, oid := range oids {
-			if _, dup := st.objects.Load(oid); dup {
-				return nil, fmt.Errorf("storage: load: oid %v is both live and tombstoned", oid)
-			}
-			st.objects.Store(oid, &objVersion{extent: ext, born: 1})
-			if oid > maxOID {
-				maxOID = oid
+			if err := put(oid, &objVersion{extent: ext, born: 1}, "storage: load: oid %v is both live and tombstoned"); err != nil {
+				return nil, err
 			}
 		}
 	}
-	next := maxOID + 1
-	if snap.NextOID > next {
-		next = snap.NextOID
+	if snap.NextOID > maxOID+1 {
+		return nil, fmt.Errorf("storage: load: next_oid %v above the bound %v", snap.NextOID, maxOID+1)
 	}
+	next := max(top+1, snap.NextOID)
 	st.head.Store(&version{seq: 1, nextOID: next, extents: extents})
 	return st, nil
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -87,6 +88,19 @@ func TestLoadJSONErrors(t *testing.T) {
 	for name, src := range cases {
 		if _, err := LoadJSON(cat, strings.NewReader(src)); err == nil {
 			t.Errorf("%s: expected error", name)
+		}
+	}
+	// An oid above the object table's bound fails with an error naming it,
+	// whether it is a live object, a tombstone or the allocation horizon.
+	above := uint64(maxOID) + 1
+	for name, src := range map[string]string{
+		"live":      fmt.Sprintf(`{"extents":{"PART":[{"tuple":[["pid",{"oid":%d}]]}]}}`, above),
+		"tombstone": fmt.Sprintf(`{"extents":{},"tombstones":{"PART":[%d]}}`, above),
+		"next_oid":  fmt.Sprintf(`{"extents":{},"next_oid":%d}`, above+1),
+	} {
+		_, err := LoadJSON(cat, strings.NewReader(src))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(above)) {
+			t.Errorf("oid above the bound (%s): error %v, want one naming %d", name, err, above)
 		}
 	}
 	// Empty snapshot is fine.

@@ -60,10 +60,10 @@ type Store struct {
 	// first Analyze scan hold it. Readers never take it.
 	mu   sync.Mutex
 	head atomic.Pointer[version]
-	// objects maps oid → *objVersion, the head of the object's version
-	// chain. Entries are only removed by GC, and only once no pinned
-	// snapshot can reach any state of the object.
-	objects sync.Map
+	// objects resolves an oid by page arithmetic to the head of the object's
+	// version chain (objTable, version.go). Entries are only removed by GC,
+	// and only once no pinned snapshot can reach any state of the object.
+	objects objTable
 
 	// pins counts live snapshots per pinned seq; the minimum pinned seq is
 	// the GC horizon (gc.go).
@@ -175,7 +175,7 @@ func (s *Store) Insert(extent string, t *value.Tuple) (value.OID, error) {
 	v := s.head.Load()
 	oid := v.nextOID
 	obj := value.NewTuple(cl.IDField, oid).Except(t)
-	s.objects.Store(oid, &objVersion{extent: extent, obj: obj, born: v.seq + 1})
+	s.objects.store(oid, &objVersion{extent: extent, obj: obj, born: v.seq + 1})
 	s.absorbIndexes(extent, oid, obj)
 	s.absorbStats(extent, obj, len(v.extents[extent])+1)
 	s.head.Store(&version{
@@ -204,7 +204,7 @@ func (s *Store) Delete(extent string, oid value.OID) error {
 	if err != nil {
 		return fmt.Errorf("storage: delete: %w", err)
 	}
-	s.objects.Store(oid, &objVersion{extent: extent, born: v.seq + 1, prev: cur})
+	s.objects.store(oid, &objVersion{extent: extent, born: v.seq + 1, prev: cur})
 	s.unabsorbStats(extent, cur.obj)
 	s.head.Store(&version{
 		seq:     v.seq + 1,
@@ -237,7 +237,7 @@ func (s *Store) Update(extent string, oid value.OID, t *value.Tuple) error {
 		return fmt.Errorf("storage: update: %w", err)
 	}
 	obj := value.NewTuple(cl.IDField, oid).Except(t)
-	s.objects.Store(oid, &objVersion{extent: extent, obj: obj, born: v.seq + 1, prev: cur})
+	s.objects.store(oid, &objVersion{extent: extent, obj: obj, born: v.seq + 1, prev: cur})
 	s.absorbIndexes(extent, oid, obj)
 	s.unabsorbStats(extent, cur.obj)
 	s.absorbStats(extent, obj, len(v.extents[extent]))
@@ -255,11 +255,11 @@ func (s *Store) Update(extent string, oid value.OID, t *value.Tuple) error {
 // aliveAt resolves the object's chain at seq and verifies it is alive and
 // belongs to the extent. Caller holds the writer lock.
 func (s *Store) aliveAt(extent string, oid value.OID, seq uint64) (*objVersion, error) {
-	n, ok := s.objects.Load(oid)
-	if !ok {
+	n := s.objects.load(oid)
+	if n == nil {
 		return nil, fmt.Errorf("no object %v", oid)
 	}
-	cur := n.(*objVersion).at(seq)
+	cur := n.at(seq)
 	if cur == nil || cur.obj == nil {
 		return nil, fmt.Errorf("object %v is deleted", oid)
 	}
@@ -281,11 +281,7 @@ func (s *Store) mutated() {
 // objectAt resolves an oid to its state at seq without metering; ok is false
 // for unknown, not-yet-born, or deleted objects.
 func (s *Store) objectAt(oid value.OID, seq uint64) (*value.Tuple, bool) {
-	n, ok := s.objects.Load(oid)
-	if !ok {
-		return nil, false
-	}
-	cur := n.(*objVersion).at(seq)
+	cur := s.objects.load(oid).at(seq)
 	if cur == nil || cur.obj == nil {
 		return nil, false
 	}

@@ -2,13 +2,13 @@
 // per write: a reader pins one (Snapshot) and keeps scanning it while later
 // writes publish successors — the "populate, then query" restriction the
 // original store had is gone. Versions share structure: the object table
-// maps each oid to a version chain (newest first; insert-only objects have a
-// single-node chain), and each version's extent oid-lists share their
-// backing arrays with their predecessors where possible — only an insert's
-// append or a delete/update's fresh slice replaces the touched extent's
-// slice header. Publishing is one atomic pointer store; pinning is one
-// atomic load plus a reference count that holds back the garbage collector
-// (gc.go) until the snapshot is released.
+// resolves each oid by page arithmetic to a version chain (newest first;
+// insert-only objects have a single-node chain), and each version's extent
+// oid-lists share their backing arrays with their predecessors where
+// possible — only an insert's append or a delete/update's fresh slice
+// replaces the touched extent's slice header. Publishing is one atomic
+// pointer store; pinning is one atomic load plus a reference count that
+// holds back the garbage collector (gc.go) until the snapshot is released.
 package storage
 
 import (
@@ -39,6 +39,72 @@ type objVersion struct {
 	obj    *value.Tuple // nil = tombstone
 	born   uint64
 	prev   *objVersion
+}
+
+// objPageBits sizes the object table's pages at 1<<objPageBits oids (a unit
+// of the in-memory oid index, unrelated to the I/O page model's
+// objectsPerPage).
+const objPageBits = 10
+
+// maxOID bounds the oids LoadJSON accepts, and so the directory (one pointer
+// per page below the highest oid) at 2 MiB. Allocation never gets near it.
+const maxOID value.OID = 1 << 28
+
+type objPage [1 << objPageBits]atomic.Pointer[objVersion]
+
+// objTable resolves an oid to the head of its version chain: page
+// oid>>objPageBits of a copy-on-write directory, slot oid&(1<<objPageBits-1)
+// of the page — a shift, a mask and two atomic loads, no lock, no search.
+// Oids are dense (allocated monotonically from 1, never reused), so pages
+// fill up; only LoadJSON can leave holes, as nil pages. Writers hold the
+// store's writer lock; an unallocated oid is a plain not-found.
+type objTable struct {
+	dir atomic.Pointer[[]*objPage]
+}
+
+func (t *objTable) pages() []*objPage {
+	if d := t.dir.Load(); d != nil {
+		return *d
+	}
+	return nil
+}
+
+// load returns the head of oid's chain, or nil.
+func (t *objTable) load(oid value.OID) *objVersion {
+	d := t.pages()
+	if p := uint64(oid) >> objPageBits; p < uint64(len(d)) && d[p] != nil {
+		return d[p][oid&(1<<objPageBits-1)].Load()
+	}
+	return nil
+}
+
+// store sets oid's chain head (nil removes the object). A missing page is
+// added to a copy of the directory, which is then published, so a reader
+// never sees a directory slot change. Caller holds the writer lock.
+func (t *objTable) store(oid value.OID, n *objVersion) {
+	d, p := t.pages(), int(oid>>objPageBits)
+	if p >= len(d) || d[p] == nil {
+		nd := make([]*objPage, max(len(d), p+1))
+		copy(nd, d)
+		nd[p], d = new(objPage), nd
+		t.dir.Store(&d)
+	}
+	d[p][oid&(1<<objPageBits-1)].Store(n)
+}
+
+// each calls fn on every stored oid in ascending order with its chain head.
+// fn may store to the oid it is given.
+func (t *objTable) each(fn func(value.OID, *objVersion)) {
+	for p, pg := range t.pages() {
+		if pg == nil {
+			continue
+		}
+		for i := range pg {
+			if n := pg[i].Load(); n != nil {
+				fn(value.OID(p<<objPageBits|i), n)
+			}
+		}
+	}
 }
 
 // at resolves the chain to the state visible at seq, or nil when the object

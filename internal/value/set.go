@@ -118,6 +118,10 @@ func (s *Set) Len() int { return len(s.elems) }
 // must not modify it.
 func (s *Set) Elems() []Value { return s.elems }
 
+// Hashes returns each element's Hash, aligned with Elems. The slice is
+// shared; callers must not modify it.
+func (s *Set) Hashes() []uint64 { return s.idx.hashes }
+
 // Contains reports whether an element equal to v is in the set.
 func (s *Set) Contains(v Value) bool {
 	return len(s.elems) > 0 && s.find(v, Hash(v))
