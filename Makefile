@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-vec profile bench-smoke serve-smoke ruler-smoke bench-serve examples-smoke cover fuzz-smoke fmt fmt-check vet staticcheck lint loc ci
+.PHONY: build test race bench profile bench-smoke serve-smoke ruler-smoke examples-smoke cover fuzz-smoke fmt fmt-check vet staticcheck lint loc ci
 
 build:
 	$(GO) build ./...
@@ -15,55 +15,16 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
-# One iteration of every benchmark, plus the index-aware and histogram
-# experiments with their built-in correctness and plan-choice assertions —
-# CI's "does it still run" check, which keeps the index operator family and
-# the histogram estimator exercised end to end.
+# One iteration of every benchmark, then the experiment suite at smoke scale
+# with every check it makes (result equality, plan choice, page reads, lost
+# tuples, the orderings each claim names), then B14's parallel arms under the
+# race detector. Wall-clock comparison between commits is
+# `bash benchmark/run.sh --compare`'s job; allocations are gated by the
+# go test allocation tests (TestBatchAllocations and its neighbours).
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
-	$(GO) run ./cmd/adlbench -quick -exp B11 -indexes
-	$(GO) run ./cmd/adlbench -quick -exp B12
-
-# Benchmark iteration budget for the JSON artifact. 1x keeps CI fast; bump
-# locally (make bench-json BENCHTIME=5s) for stable numbers.
-BENCHTIME ?= 1x
-
-# Output file for bench-json. CI's regression job writes a fresh run to a
-# scratch path (BENCH_OUT=fresh.json) and compares it against the committed
-# BENCH_RESULTS.json with `benchjson -compare`.
-BENCH_OUT ?= BENCH_RESULTS.json
-
-# Runs the benchmark suite and archives the measurements as a JSON
-# perf-trajectory file (cmd/benchjson). CI uploads BENCH_RESULTS.json as an
-# artifact per commit so regressions show up as a number series. A temp file
-# rather than a pipe: a pipeline's exit status would be benchjson's, letting
-# a failing benchmark upload a partial trajectory as green.
-bench-json:
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -run='^$$' ./cmd/adlserve > bench-raw.txt
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -run='^$$' . >> bench-raw.txt
-	$(GO) run ./cmd/benchjson -out $(BENCH_OUT) < bench-raw.txt
-	@rm -f bench-raw.txt
-
-# Allocation ceiling for the vectorized arms, in allocs/op. The full-scale
-# arms read 1 200 (B1) to 40 400 (B13, B14) rows and take 39-48 allocations
-# serial and about 270 with the exchange, so anything allocated per row lands
-# far above it. It was a share (5%) of the scalar twin's allocs/op until
-# compiled scalars took B13's scalar arm from 41 879 allocations to 40.
-VEC_ALLOC_MAX ?= 512
-
-# Scalar-vs-batch benchmark pairs (B1's execution-only arms, the B13
-# pipeline, and B14's four-way parallel-vectorized arms), the batch arms gated
-# on the allocation ceiling at the full S400 scale and folded into the
-# committed perf trajectory. The gate runs before the merge so a failing run
-# never pollutes $(BENCH_OUT). Smoke scales are measured and archived but not
-# gated.
-bench-vec:
-	$(GO) test -bench='BenchmarkB1/(scalar|vectorized)_exec|BenchmarkB13/|BenchmarkB14/' \
-		-benchmem -benchtime=$(BENCHTIME) -run='^$$' . > bench-vec-raw.txt
-	$(GO) run ./cmd/benchjson -out bench-vec.json < bench-vec-raw.txt
-	$(GO) run ./cmd/benchjson -alloc-gate $(VEC_ALLOC_MAX) -match S400 bench-vec.json
-	$(GO) run ./cmd/benchjson -merge bench-vec.json -out $(BENCH_OUT)
-	@rm -f bench-vec-raw.txt bench-vec.json
+	$(GO) run ./cmd/adlbench -quick
+	$(GO) run -race ./cmd/adlbench -quick -exp B14
 
 # CPU and allocation profiles of the four benchmarks ROADMAP direction 1
 # names — the semijoin of B1, the scalar/vectorized pipeline of B13, PNHL under
@@ -77,8 +38,8 @@ PROFILE_DIR ?= profiles
 PROFILE_BENCHTIME ?= 2s
 profile:
 	@mkdir -p $(PROFILE_DIR)
-	@set -e; for spec in 'B1=BenchmarkB1/(semijoin_hash|scalar_exec)/S400' 'B13=BenchmarkB13/' \
-			'B4-PNHL=BenchmarkB4/pnhl' 'ServeQuery=BenchmarkServeQuery/plancache' \
+	@set -e; for spec in 'B1=BenchmarkB1/optimized/S400' 'B13=BenchmarkB13/' \
+			'B4-PNHL=BenchmarkB4/^PNHL' 'ServeQuery=BenchmarkServeQuery/plancache' \
 			'ServeTemplate=BenchmarkServeQuery/template' \
 			'analytic-cycle=BenchmarkAnalyticCycle/cycle'; do \
 		name=$${spec%%=*}; \
@@ -115,15 +76,6 @@ serve-smoke:
 	$(GO) run -race ./cmd/adlload -clients 256 -duration 2s -insert-frac 0.2 \
 		-delete-frac 0.05 -update-frac 0.05 \
 		-verify-frac 0.05 -suppliers 100 -parts 200 -deliveries 50
-
-# Closed-loop serving benchmark: 1000 concurrent clients, plan cache on vs
-# off, asserting identical results per query and a p50 win for the cached
-# arm, then folds the measurements into the committed perf trajectory.
-bench-serve:
-	$(GO) run ./cmd/adlload -clients 1000 -duration 3s -compare-cache -assert \
-		-json serve-results.json
-	$(GO) run ./cmd/benchjson -merge serve-results.json -out BENCH_RESULTS.json
-	@rm -f serve-results.json
 
 # Total-statement-coverage floor enforced by make cover. 81.8% was measured
 # after the serving-layer phase-2 test sweep; the floor sits just under it to
@@ -188,16 +140,22 @@ lint: vet
 		$(GO) run ./cmd/adllint ./...; \
 	fi
 
-# The size ROADMAP direction 2 tracks: lines (wc -l) of the Go files of each
-# package directory under internal/ and cmd/ that are neither tests nor
-# testdata, and the total of the three trees the direction wants smaller.
+# The sizes ROADMAP tracks: lines (wc -l) of the Go files of each package
+# directory under internal/ and cmd/ that are neither tests nor testdata, the
+# total of the three trees direction 2 wants smaller, and the total of the
+# measurement harness direction 5 wants smaller (cmd/bench* counts any
+# command of that name, none today).
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | sort | \
 		xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; \
-			split(d, p, "/"); if (p[1] == "internal") t[p[2]] += $$1 } \
+			split(d, p, "/"); if (p[1] == "internal") t[p[2]] += $$1; \
+			if (d ~ /^(internal\/(experiments|bench)|cmd\/(adl)?bench[^\/]*)$$/) h += $$1 } \
 		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
 			printf "%6d internal/exec + internal/plan + internal/lint (%d + %d + %d)\n", \
-				t["exec"] + t["plan"] + t["lint"], t["exec"], t["plan"], t["lint"] }'
+				t["exec"] + t["plan"] + t["lint"], t["exec"], t["plan"], t["lint"]; \
+			printf "%6d internal/experiments + internal/bench + cmd/adlbench + cmd/bench* (%d + %d + %d + %d)\n", \
+				h, n["internal/experiments"], n["internal/bench"], n["cmd/adlbench"], \
+				h - n["internal/experiments"] - n["internal/bench"] - n["cmd/adlbench"] }'
 
 # Compiles and smoke-runs the fixed ruler. benchmark/ is its own module,
 # outside ./..., so nothing else notices an engine API change that breaks it

@@ -1,11 +1,13 @@
-// Package repro's root benchmark suite: one testing.B family per experiment
-// of DESIGN.md §4 (B1–B8), runnable with
+// Package repro's root benchmark suite, runnable with
 //
 //	go test -bench=. -benchmem
 //
-// Each family compares the naive nested-loop execution against the
-// set-oriented plans the paper's rewriting enables; cmd/adlbench prints the
-// same comparisons as paper-style tables with correctness verification.
+// BenchmarkB1–B14 time the arms of the experiment suite
+// (internal/experiments) on its case constructors; cmd/adlbench runs the
+// same arms as paper-style tables with their result and claim checks. The
+// remaining benchmarks and the allocation tests cover the serving path and
+// the value kernel. Wall-clock comparison between commits is benchmark/'s
+// job; what is gated here is deterministic: allocation counts.
 package repro
 
 import (
@@ -15,7 +17,6 @@ import (
 
 	"repro/internal/adl"
 	"repro/internal/bench"
-	"repro/internal/eval"
 	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/plan"
@@ -36,378 +37,145 @@ func run(b *testing.B, f func() error) {
 	}
 }
 
+// benchArms benchmarks every arm of c as arm/scale: planned arms
+// execution-only, planned once as a cached query is.
+func benchArms(b *testing.B, c experiments.Case, scale string) {
+	for _, a := range c.Arms {
+		_, exe := c.Exec(a)
+		b.Run(a.Label+scale, func(b *testing.B) {
+			run(b, func() error { _, err := exe(); return err })
+		})
+	}
+}
+
 // BenchmarkB1 — EQ5 (existential nesting over a base table): nested loop vs
-// the Rule 1 semijoin, logical-only (NL execution) and hash-executed.
+// the Rule 1 semijoin, scalar and vectorized.
 func BenchmarkB1(b *testing.B) {
 	for _, sc := range [][2]int{{100, 200}, {400, 800}} {
-		w := experiments.NewEQ5(sc[0], sc[1], 94)
-		name := fmt.Sprintf("S%d_P%d", sc[0], sc[1])
-		b.Run("nested_loop/"+name, func(b *testing.B) {
-			run(b, func() error { _, err := w.RunNaive(); return err })
-		})
-		b.Run("semijoin_nl/"+name, func(b *testing.B) {
-			run(b, func() error { _, err := w.RunOptNL(); return err })
-		})
-		b.Run("semijoin_hash/"+name, func(b *testing.B) {
-			run(b, func() error { _, err := w.RunOpt(); return err })
-		})
-		// Execution-only pair for the vectorized A/B and the alloc
-		// regression gate (make bench-vec): cached plan, per-iteration
-		// clone — planning cost excluded from both arms alike.
-		ctx := &exec.Ctx{DB: w.Store}
-		scalarPl := plan.Config{}.Plan(w.Opt)
-		vecPl := plan.Config{Vectorized: true}.Plan(w.Opt)
-		b.Run("scalar_exec/"+name, func(b *testing.B) {
-			run(b, func() error {
-				_, err := exec.Collect(scalarPl.Root, ctx)
-				return err
-			})
-		})
-		b.Run("vectorized_exec/"+name, func(b *testing.B) {
-			run(b, func() error {
-				_, err := exec.Collect(vecPl.Root, ctx)
-				return err
-			})
-		})
+		benchArms(b, experiments.EQ5(sc[0], sc[1]), fmt.Sprintf("/S%d_P%d", sc[0], sc[1]))
 	}
 }
 
 // BenchmarkB2 — EQ4 (referential integrity, ¬∃): nested loop vs μ+antijoin.
 func BenchmarkB2(b *testing.B) {
 	for _, sc := range [][2]int{{100, 200}, {400, 800}} {
-		w := experiments.NewEQ4(sc[0], sc[1], 94)
-		name := fmt.Sprintf("S%d_P%d", sc[0], sc[1])
-		b.Run("nested_loop/"+name, func(b *testing.B) {
-			run(b, func() error { _, err := w.RunNaive(); return err })
-		})
-		b.Run("unnest_antijoin/"+name, func(b *testing.B) {
-			run(b, func() error { _, err := w.RunOpt(); return err })
-		})
+		benchArms(b, experiments.EQ4(sc[0], sc[1]), fmt.Sprintf("/S%d_P%d", sc[0], sc[1]))
 	}
 }
 
 // BenchmarkB3 — the grouping scenario (subset between blocks): nested loop
-// vs nestjoin vs the buggy [GaWo87] join+nest (timed for completeness; its
-// results silently drop dangling tuples).
+// vs nestjoin.
 func BenchmarkB3(b *testing.B) {
-	w := experiments.NewSubset(200, 150, 0.1, 94)
-	grouped, ok := w.GroupedPlan()
-	if !ok {
-		b.Fatal("grouping plan not derivable")
-	}
-	b.Run("nested_loop", func(b *testing.B) {
-		run(b, func() error { _, err := w.RunNaive(); return err })
-	})
-	b.Run("nestjoin", func(b *testing.B) {
-		run(b, func() error { _, err := w.RunOpt(); return err })
-	})
-	b.Run("join_nest_buggy", func(b *testing.B) {
-		run(b, func() error { _, err := eval.EvalSet(grouped, nil, w.Store); return err })
-	})
+	benchArms(b, experiments.Subset(200, 150, 0.1), "")
 }
 
-// BenchmarkB4 — materializing a set-valued attribute: naive loop,
-// unnest-join-nest, set-probe nestjoin, and PNHL across memory budgets.
+// BenchmarkB4 — materializing a set-valued attribute: naive loop, set-probe
+// nestjoin, unnest-join-nest, and PNHL and VecPNHL across memory budgets.
 func BenchmarkB4(b *testing.B) {
-	m := experiments.NewMaterialize(400, 1000, 16, 94)
-	b.Run("nested_loop", func(b *testing.B) {
-		run(b, func() error { _, err := m.RunNaive(); return err })
-	})
-	b.Run("nestjoin_setprobe", func(b *testing.B) {
-		run(b, func() error { _, err := m.RunNestjoin(); return err })
-	})
-	b.Run("unnest_join_nest", func(b *testing.B) {
-		run(b, func() error { _, err := m.RunUnnestJoinNest(); return err })
-	})
-	for _, budget := range []int{0, 500, 125} {
-		b.Run(fmt.Sprintf("pnhl_budget%d", budget), func(b *testing.B) {
-			run(b, func() error { _, _, err := m.RunPNHL(budget); return err })
-		})
-	}
+	benchArms(b, experiments.Materialize(400, 1000, 16, 0, 500, 125), "")
 }
 
 // BenchmarkB5 — pointer-based materialize (assembly) vs value hash join.
 func BenchmarkB5(b *testing.B) {
-	p := experiments.NewPointerJoin(2000, 2000, 94)
-	b.Run("value_hash_join", func(b *testing.B) {
-		run(b, func() error { _, err := p.RunHashJoin(); return err })
-	})
-	b.Run("assembly", func(b *testing.B) {
-		run(b, func() error { _, err := p.RunAssembly(); return err })
-	})
+	benchArms(b, experiments.PointerJoin(2000, 2000), "")
 }
 
 // BenchmarkB6 — quantifier exchange (RE3): nested ∀⊇ vs exchanged antijoin.
 func BenchmarkB6(b *testing.B) {
-	db, naive, opt := experiments.NewForallExchange(400, 400, 94)
-	b.Run("nested_loop", func(b *testing.B) {
-		run(b, func() error { _, err := eval.EvalSet(naive, nil, db); return err })
-	})
-	b.Run("antijoin", func(b *testing.B) {
-		run(b, func() error { _, err := eval.EvalSet(opt, nil, db); return err })
-	})
+	benchArms(b, experiments.ForallExchange(400, 400), "")
 }
 
 // BenchmarkB7 — the end-to-end §4 strategy on the paper's example queries.
 func BenchmarkB7(b *testing.B) {
-	workloads := []*experiments.Workload{
-		experiments.NewEQ5(300, 500, 94),
-		experiments.NewEQ4(300, 500, 94),
-		experiments.NewEQ6(80, 500, 94),
-		experiments.NewSubset(300, 200, 0.1, 94),
-	}
-	for _, w := range workloads {
-		b.Run("nested_loop/"+w.Name, func(b *testing.B) {
-			run(b, func() error { _, err := w.RunNaive(); return err })
-		})
-		b.Run("optimized/"+w.Name, func(b *testing.B) {
-			run(b, func() error { _, err := w.RunOpt(); return err })
-		})
+	for _, c := range []experiments.Case{experiments.EQ5(300, 500), experiments.EQ4(300, 500),
+		experiments.EQ6(80, 500), experiments.Subset(300, 200, 0.1)} {
+		benchArms(b, c, "/"+c.Name)
 	}
 }
 
-// BenchmarkB8 — parallel partitioned execution: the supplier-deliveries
-// grouping join executed by the serial HashJoin versus the Grace-style
-// PartitionedHashJoin (one partition per CPU). The serial/parallel pairs
-// let BENCH_*.json track the multicore speedup.
+// BenchmarkB8 — the supplier-deliveries grouping join executed by the serial
+// HashJoin and by the Grace-style PartitionedHashJoin (one partition per CPU).
 func BenchmarkB8(b *testing.B) {
 	for _, sc := range [][2]int{{500, 5000}, {2000, 20000}} {
-		name := fmt.Sprintf("S%d_D%d", sc[0], sc[1])
-		w := experiments.NewParallelJoin(sc[0], sc[1], -1, 94)
-		b.Run("serial/"+name, func(b *testing.B) {
-			run(b, func() error { _, err := w.RunSerial(); return err })
-		})
-		b.Run("parallel/"+name, func(b *testing.B) {
-			run(b, func() error { _, err := w.RunParallel(); return err })
-		})
+		c := experiments.StrategyJoin("group", adl.NestJ, sc[0], sc[1]).Only("hash", "parallel")
+		benchArms(b, c, fmt.Sprintf("/S%d_D%d", sc[0], sc[1]))
 	}
 }
 
-// BenchmarkB9 — physical strategy selection: the same logical joins planned
-// by the threshold-only planner (the previous planner's behavior) versus the
-// cost-based optimizer fed with collected statistics. The bar: the
-// cost-based choice is no slower on any workload of the sweep, and faster
-// where it picks a non-default strategy (the swapped build side on
-// inner_asym).
+// BenchmarkB9 — every forced join strategy and the cost-based optimizer's
+// plan on the same logical joins.
 func BenchmarkB9(b *testing.B) {
-	workloads := []struct {
-		name string
-		kind adl.JoinKind
-		s, d int
-	}{
-		{"inner_asym", adl.Inner, 200, 20000},
-		{"group_small", adl.NestJ, 500, 1000},
-		{"group_big", adl.NestJ, 2000, 20000},
-	}
-	for _, w := range workloads {
-		arms := experiments.NewStrategyJoin(w.name, w.kind, w.s, w.d, -1, 94)
-		ctx := &exec.Ctx{DB: arms.Store}
-		thresholdOp := plan.Config{Stats: arms.Store}.Compile(arms.Join)
-		costPl, _ := arms.PlanOptimizer(true)
-		// Both plans agree before timing.
-		want, err := exec.Collect(thresholdOp, ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		got, err := exec.Collect(costPl.Root, ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !value.Equal(got, want) {
-			b.Fatalf("%s: cost-based plan diverges from threshold plan", w.name)
-		}
-		b.Run("threshold/"+w.name, func(b *testing.B) {
-			run(b, func() error { _, err := exec.Collect(thresholdOp, ctx); return err })
-		})
-		b.Run("costbased/"+w.name, func(b *testing.B) {
-			run(b, func() error { _, err := exec.Collect(costPl.Root, ctx); return err })
-		})
+	for _, c := range []experiments.Case{
+		experiments.StrategyJoin("inner_asym", adl.Inner, 200, 20000),
+		experiments.StrategyJoin("group_small", adl.NestJ, 500, 1000),
+		experiments.StrategyJoin("group_big", adl.NestJ, 2000, 20000),
+	} {
+		benchArms(b, c, "/"+c.Name)
 	}
 }
 
 // BenchmarkB10 — join-order enumeration: the four-extent star join written
-// worst-first, executed in the written (rewriter) order versus the order the
-// DP enumerator picks from the same collected statistics. The bar: the
-// reordered plan wins by starting from the selective region filter instead
-// of the huge ORD ⋈ ITEM.
+// worst-first, in the written order and in the order the DP enumerator picks.
 func BenchmarkB10(b *testing.B) {
-	arms := experiments.NewStarJoin(20000, 2000, 400, 8, -1, 94)
-	if err := arms.Warm(); err != nil {
-		b.Fatal(err)
-	}
-	ctx := &exec.Ctx{DB: arms.Store}
-	baseline := arms.Plan(false)
-	reordered := arms.Plan(true)
-	// Both plans agree before timing.
-	want, err := exec.Collect(baseline.Root, ctx)
-	if err != nil {
-		b.Fatal(err)
-	}
-	got, err := exec.Collect(reordered.Root, ctx)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !value.Equal(got, want) {
-		b.Fatalf("reordered star plan diverges from rewriter order")
-	}
-	b.Run("baseline", func(b *testing.B) {
-		run(b, func() error { _, err := exec.Collect(baseline.Root, ctx); return err })
-	})
-	b.Run("reordered", func(b *testing.B) {
-		run(b, func() error { _, err := exec.Collect(reordered.Root, ctx); return err })
-	})
+	benchArms(b, experiments.StarJoin(20000, 2000, 400, 8), "")
 }
 
-// BenchmarkB11 — index-aware planning: the selective lookup join executed by
-// the forced hash join (full inner scan + build) versus the optimizer's
-// index-nested-loop plan probing the secondary index per outer row. The bar:
-// the index plan wins by never touching the bulk of DELIVERY.
+// BenchmarkB11 — index-aware planning: the selective lookup join by forced
+// hash joins and by the optimizer's index-nested-loop plan.
 func BenchmarkB11(b *testing.B) {
-	arms := experiments.NewLookupJoin(2000, 50000, -1, true, 94)
-	if err := arms.Warm(); err != nil {
-		b.Fatal(err)
-	}
-	ctx := &exec.Ctx{DB: arms.Store}
-	indexPl := arms.PlanOptimizer()
-	if _, ok := indexPl.Root.(*exec.IndexNLJoin); !ok {
-		b.Fatalf("optimizer should plan IndexNLJoin, got %T", indexPl.Root)
-	}
-	// Both plans agree before timing.
-	want, err := arms.RunForcedHash(true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	got, err := exec.Collect(indexPl.Root, ctx)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !value.Equal(got, want) {
-		b.Fatalf("index plan diverges from forced hash join")
-	}
-	b.Run("forced_hash", func(b *testing.B) {
-		run(b, func() error { _, err := arms.RunForcedHash(true); return err })
-	})
-	b.Run("index_nl", func(b *testing.B) {
-		run(b, func() error { _, err := exec.Collect(indexPl.Root, ctx); return err })
-	})
+	benchArms(b, experiments.LookupJoin(2000, 50000), "")
 }
 
 // BenchmarkB12 — histogram-based cardinality estimation: the Zipf-skewed
-// star join planned from the same collected statistics with histograms
-// (default) and without (NoHistograms, the NDV-only model). The bar: the
-// histogram arm's join order probes FACT with the genuinely selective
-// dimension and wins on wall time and page reads.
+// star join planned with and without histograms.
 func BenchmarkB12(b *testing.B) {
-	arms := experiments.NewSkewJoin(20000, 400, -1, 94)
-	if err := arms.Warm(); err != nil {
-		b.Fatal(err)
-	}
-	ctx := &exec.Ctx{DB: arms.Store}
-	ndvPl := arms.Plan(true)
-	histPl := arms.Plan(false)
-	// Both plans agree before timing.
-	want, err := exec.Collect(ndvPl.Root, ctx)
-	if err != nil {
-		b.Fatal(err)
-	}
-	got, err := exec.Collect(histPl.Root, ctx)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !value.Equal(got, want) {
-		b.Fatalf("histogram plan diverges from the NDV plan")
-	}
-	b.Run("ndv_only", func(b *testing.B) {
-		run(b, func() error { _, err := exec.Collect(ndvPl.Root, ctx); return err })
-	})
-	b.Run("histograms", func(b *testing.B) {
-		run(b, func() error { _, err := exec.Collect(histPl.Root, ctx); return err })
-	})
+	benchArms(b, experiments.SkewJoin(20000, 400), "")
 }
 
-// BenchmarkB13 — vectorized batch execution against the scalar reference on
-// the large filter + semi-join pipeline, execution-only: both arms run a
-// per-iteration clone of a cached plan (the serving path's shape), so the
-// comparison isolates the operators from planning. The alloc regression gate
-// (make bench-vec) holds the vectorized arm's allocs/op to ≤5% of scalar.
+// BenchmarkB13 — vectorized batch execution against the scalar operators on
+// the large filter + semi-join pipeline. TestBatchAllocations gates the
+// vectorized arm's allocations.
 func BenchmarkB13(b *testing.B) {
 	for _, sc := range [][2]int{{100, 10000}, {400, 40000}} {
-		w := experiments.NewVecJoin(sc[0], sc[1], 0, 94)
-		if err := w.Warm(); err != nil {
-			b.Fatal(err)
-		}
-		ctx := &exec.Ctx{DB: w.Store}
-		scalarPl, vecPl := w.Plan(false), w.Plan(true)
-		want, err := exec.Collect(scalarPl.Root, ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		got, err := exec.Collect(vecPl.Root, ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !value.Equal(got, want) {
-			b.Fatalf("vectorized arm diverges from scalar at scale %v", sc)
-		}
-		name := fmt.Sprintf("S%d_D%d", sc[0], sc[1])
-		b.Run("scalar/"+name, func(b *testing.B) {
-			run(b, func() error {
-				_, err := exec.Collect(scalarPl.Root, ctx)
-				return err
-			})
-		})
-		b.Run("vectorized/"+name, func(b *testing.B) {
-			run(b, func() error {
-				_, err := exec.Collect(vecPl.Root, ctx)
-				return err
-			})
-		})
+		c := experiments.VecJoin(sc[0], sc[1]).Only("scalar", "vectorized")
+		benchArms(b, c, fmt.Sprintf("/S%d_D%d", sc[0], sc[1]))
 	}
 }
 
-// BenchmarkB14 — the four-way parallel-vectorized A/B on the B13 pipeline,
-// execution-only: scalar, parallel partitioned operators, vectorized batch
-// kernels, and the morsel-driven exchange feeding the partitioned batch
-// join. Sub-names pair up under benchjson -alloc-gate (scalar vs vectorized
-// AND scalar vs parallel-vectorized at S400).
+// BenchmarkB14 — the parallel arms of the B13 pipeline: partitioned scalar
+// operators, and the morsel-driven exchange feeding the partitioned batch
+// join.
 func BenchmarkB14(b *testing.B) {
 	for _, sc := range [][2]int{{100, 10000}, {400, 40000}} {
-		w := experiments.NewVecJoin(sc[0], sc[1], 0, 94)
-		if err := w.Warm(); err != nil {
-			b.Fatal(err)
+		c := experiments.VecJoin(sc[0], sc[1]).Only("parallel", "parallel-vectorized")
+		benchArms(b, c, fmt.Sprintf("/S%d_D%d", sc[0], sc[1]))
+	}
+}
+
+// TestBatchAllocations pins the batch pipeline's claim: nothing is allocated
+// per row. A run of B1's vectorized arm (1 200 input rows) and of the B13/B14
+// pipeline's vectorized and parallel-vectorized arms (40 400 rows, 4
+// workers) stays at or under 512 allocations. They take a few dozen serial
+// and a couple of hundred with the exchange; one allocation per row would
+// be thousands.
+func TestBatchAllocations(t *testing.T) {
+	vec := experiments.VecJoin(400, 40000)
+	for _, tc := range []struct {
+		c     experiments.Case
+		label string
+	}{
+		{experiments.EQ5(400, 800), "vectorized"},
+		{vec, "vectorized"},
+		{vec, "parallel-vectorized"},
+	} {
+		cfg := *tc.c.Only(tc.label).Arms[0].Cfg
+		cfg.Parallelism = 4
+		root, ctx := cfg.Plan(tc.c.Query).Root, &exec.Ctx{DB: tc.c.DB}
+		n := testing.AllocsPerRun(5, func() { _, _ = exec.Collect(root, ctx) })
+		if n > 512 {
+			t.Errorf("%s %s: %.0f allocations per run, want at most 512", tc.c.Name, tc.label, n)
 		}
-		ctx := &exec.Ctx{DB: w.Store}
-		arms := []struct {
-			name       string
-			vectorized bool
-			parallel   bool
-		}{
-			{"scalar", false, false},
-			{"parallel", false, true},
-			{"vectorized", true, false},
-			{"parallel-vectorized", true, true},
-		}
-		want, err := exec.Collect(w.PlanArm(false, false, 4).Root, ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		name := fmt.Sprintf("S%d_D%d", sc[0], sc[1])
-		for _, arm := range arms {
-			pl := w.PlanArm(arm.vectorized, arm.parallel, 4)
-			got, err := exec.Collect(pl.Root, ctx)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !value.Equal(got, want) {
-				b.Fatalf("%s arm diverges from scalar at scale %v", arm.name, sc)
-			}
-			b.Run(arm.name+"/"+name, func(b *testing.B) {
-				run(b, func() error {
-					_, err := exec.Collect(pl.Root, ctx)
-					return err
-				})
-			})
-		}
+		t.Logf("%s %s: %.0f allocations per run", tc.c.Name, tc.label, n)
 	}
 }
 
@@ -444,8 +212,7 @@ func BenchmarkNestjoinAblation(b *testing.B) {
 	lk := exec.NewScalar(adl.Dot(adl.V("s"), "eid"), "s")
 	rk := exec.NewScalar(adl.Dot(adl.V("d"), "supplier"), "d")
 	pred := exec.NewScalar(adl.EqE(adl.Dot(adl.V("s"), "eid"), adl.Dot(adl.V("d"), "supplier")), "s", "d")
-	st2 := experiments.NewPointerJoin(400, 2000, 94).Store
-	ctx := &exec.Ctx{DB: st2}
+	ctx := &exec.Ctx{DB: experiments.PointerJoin(400, 2000).DB}
 	mk := map[string]func() exec.Operator{
 		"nl": func() exec.Operator {
 			return &exec.NLJoin{Kind: adl.NestJ, LVar: "s", RVar: "d", Pred: pred, As: "ds",
@@ -485,12 +252,12 @@ func BenchmarkNestjoinAblation(b *testing.B) {
 // logical semijoin — the paper's motivation for join operators: "a choice
 // can be made between various efficient join implementations" (§1).
 func BenchmarkJoinAblation(b *testing.B) {
-	w := experiments.NewEQ5(400, 800, 94)
-	join, ok := w.Opt.(*adl.Join)
+	c := experiments.EQ5(400, 800)
+	join, ok := c.Query.(*adl.Join)
 	if !ok {
-		b.Fatalf("EQ5 optimized form is %T", w.Opt)
+		b.Fatalf("EQ5 optimized form is %T", c.Query)
 	}
-	ctx := &exec.Ctx{DB: w.Store}
+	ctx := &exec.Ctx{DB: c.DB}
 	b.Run("nl_semijoin", func(b *testing.B) {
 		op := &exec.NLJoin{Kind: adl.Semi,
 			L: &exec.Scan{Table: "SUPPLIER"}, R: exec_compile(join.R),
@@ -499,7 +266,8 @@ func BenchmarkJoinAblation(b *testing.B) {
 		run(b, func() error { _, err := exec.Collect(op, ctx); return err })
 	})
 	b.Run("set_probe_semijoin", func(b *testing.B) {
-		run(b, func() error { _, err := w.RunOpt(); return err })
+		op := plan.Compile(c.Query)
+		run(b, func() error { _, err := exec.Collect(op, ctx); return err })
 	})
 }
 
@@ -519,8 +287,8 @@ func exec_compile(e adl.Expr) exec.Operator {
 }
 
 // BenchmarkServeQuery — the serving layer's plan cache: repeated execution
-// of one query through the server engine with the cache on (plan once, clone
-// the operator tree per run) vs off (full parse/typecheck/rewrite/plan every
+// of one query through the server engine with the cache on (plan once,
+// execute the cached plan per run) vs off (full parse/typecheck/rewrite/plan every
 // time). The template arm sends a never-seen text of a seen shape each
 // iteration: a level-1 miss that finds its rewritten template at level 2. The
 // replan arm measures the cost of one epoch-drift re-plan per iteration, the

@@ -1,163 +1,47 @@
-// Command adlbench runs the performance experiment suite B1–B14 (see
-// DESIGN.md §4) and prints paper-style result tables. Every optimized arm is
-// verified against the nested-loop reference before its time is reported.
+// Command adlbench runs the experiment suite B1–B14 — the paper's claims as
+// checked demonstrations — and prints one paper-style table per experiment.
+// Every arm's result is verified against its case's reference arm, and every
+// experiment checks its claim (plan choice, page reads, lost tuples, the
+// orderings it names), so a table that prints at all has passed.
+// Wall-clock comparison between commits is `bash benchmark/run.sh --compare`'s
+// job, not this command's.
 //
 // Usage:
 //
-//	adlbench                 # the full suite at default scales
-//	adlbench -exp B3         # one experiment
-//	adlbench -quick          # smaller scales (used by CI-style runs)
-//	adlbench -parallel 8     # B8's parallel arm with 8 partitions
-//	adlbench -parallel 0     # B8's parallel arm kept serial (sweep control)
-//	adlbench -exp B9         # forced strategies vs the cost-based optimizer
-//	adlbench -analyze=false  # B9's optimizer without collected statistics
-//	adlbench -exp B10        # join-order enumeration vs rewriter order
-//	adlbench -exp B11        # index-nested-loop vs forced hash join
-//	adlbench -indexes        # create secondary indexes for B11 (default)
-//	adlbench -indexes=false  # B11 planned without indexes (A/B control)
-//	adlbench -exp B12        # histogram estimates vs the NDV-only model
-//	adlbench -exp B13        # scalar vs vectorized batch execution
-//	adlbench -exp B14        # four-way: scalar / parallel / vectorized / parallel-vectorized
-//	adlbench -vectorized     # run every optimized arm through the batch pipeline
-//	adlbench -batch 256      # vectorized rows per batch (rejects n ≤ 0)
-//	adlbench -explain        # print each experiment's annotated plan first
-//
-// Every arm's wall time is reported next to a runtime.MemStats-based
-// allocation delta, so perf comparisons can quote allocation wins straight
-// from `adlbench -quick` without a separate go test -bench run.
+//	adlbench             # the full suite at default scales
+//	adlbench -exp B3     # one experiment
+//	adlbench -quick      # smoke scales, with every check (make bench-smoke)
+//	adlbench -explain    # print every planned arm's Explain before it runs
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"repro/internal/bench"
 	"repro/internal/experiments"
-	"repro/internal/plan"
 )
 
 func main() {
-	var (
-		exp        = flag.String("exp", "", "experiment to run (B1..B14); empty = all")
-		quick      = flag.Bool("quick", false, "smaller scales")
-		parallel   = flag.Int("parallel", -1, "partition/worker count for the parallel arms: n > 0 partitions, 0 = serial, negative = NumCPU")
-		analyze    = flag.Bool("analyze", true, "collect statistics (ANALYZE) before planning B9's optimizer arm; -analyze=false falls back to the size threshold")
-		indexes    = flag.Bool("indexes", true, "create secondary indexes for B11's workload; -indexes=false plans the same query without them (A/B control)")
-		vectorized = flag.Bool("vectorized", false, "plan every optimized arm over the batch execution pipeline (plan.Config.Vectorized)")
-		batch      = flag.Int("batch", 0, "vectorized rows per batch; 0 = planner default, non-positive values are rejected")
-		explain    = flag.Bool("explain", false, "print each experiment's annotated Plan.Explain() before running it")
-	)
+	exp := flag.String("exp", "", "experiment to run (B1..B14); empty = all")
+	quick := flag.Bool("quick", false, "smoke scales")
+	explain := flag.Bool("explain", false, "print every planned arm's Plan.Explain() before it runs")
 	flag.Parse()
 
-	if *batch != 0 {
-		var c plan.Config
-		if err := c.SetBatchSize(*batch); err != nil {
-			fmt.Fprintf(os.Stderr, "adlbench: %v\n", err)
-			os.Exit(2)
-		}
+	var plans io.Writer
+	if *explain {
+		plans = os.Stdout
 	}
-	experiments.ExecMode.Vectorized = *vectorized
-	experiments.ExecMode.BatchSize = *batch
-
-	scale := func(full, small int) int {
-		if *quick {
-			return small
-		}
-		return full
-	}
-	seed := int64(94)
-
-	runs := []struct {
-		name string
-		run  func() (*bench.Table, error)
-	}{
-		{"B1", func() (*bench.Table, error) {
-			return experiments.B1([][2]int{
-				{scale(200, 50), scale(400, 100)},
-				{scale(800, 100), scale(1600, 200)},
-				{scale(3200, 200), scale(6400, 400)},
-			}, seed)
-		}},
-		{"B2", func() (*bench.Table, error) {
-			return experiments.B2([][2]int{
-				{scale(200, 50), scale(400, 100)},
-				{scale(800, 100), scale(1600, 200)},
-				{scale(3200, 200), scale(6400, 400)},
-			}, seed)
-		}},
-		{"B3", func() (*bench.Table, error) {
-			return experiments.B3(scale(600, 100), scale(300, 60),
-				[]float64{0, 0.1, 0.5}, seed)
-		}},
-		{"B4", func() (*bench.Table, error) {
-			return experiments.B4(scale(800, 100), scale(2000, 200), scale(16, 8),
-				[]int{0, scale(1024, 128), scale(256, 64), scale(64, 16)}, seed)
-		}},
-		{"B5", func() (*bench.Table, error) {
-			return experiments.B5([][2]int{
-				{scale(1000, 100), scale(1000, 100)},
-				{scale(10000, 400), scale(5000, 400)},
-			}, seed)
-		}},
-		{"B6", func() (*bench.Table, error) {
-			return experiments.B6([][2]int{
-				{scale(200, 50), scale(200, 50)},
-				{scale(800, 100), scale(800, 100)},
-			}, seed)
-		}},
-		{"B7", func() (*bench.Table, error) {
-			return experiments.B7(scale(500, 80), scale(1000, 120), seed)
-		}},
-		{"B8", func() (*bench.Table, error) {
-			return experiments.B8([][2]int{
-				{scale(2000, 200), scale(20000, 2000)},
-				{scale(8000, 400), scale(80000, 4000)},
-			}, *parallel, seed)
-		}},
-		{"B9", func() (*bench.Table, error) {
-			return experiments.B9(scale(2000, 200), scale(20000, 2000),
-				*parallel, *analyze, seed)
-		}},
-		{"B10", func() (*bench.Table, error) {
-			return experiments.B10(scale(20000, 2000), scale(2000, 200),
-				scale(400, 80), 8, *parallel, seed)
-		}},
-		{"B11", func() (*bench.Table, error) {
-			return experiments.B11(scale(2000, 200), scale(50000, 5000),
-				*parallel, *indexes, seed)
-		}},
-		{"B12", func() (*bench.Table, error) {
-			return experiments.B12(scale(20000, 5000), scale(400, 200),
-				*parallel, seed)
-		}},
-		{"B13", func() (*bench.Table, error) {
-			return experiments.B13(scale(400, 60), scale(40000, 1200),
-				*batch, seed)
-		}},
-		{"B14", func() (*bench.Table, error) {
-			return experiments.B14(scale(400, 60), scale(200000, 1200),
-				*batch, *parallel, seed)
-		}},
-	}
-
 	ran := false
-	for _, r := range runs {
-		if *exp != "" && r.name != *exp {
+	for _, e := range experiments.Suite {
+		if *exp != "" && e.ID != *exp {
 			continue
 		}
 		ran = true
-		if *explain {
-			plans, err := experiments.ExplainPlans(r.name, *parallel, *analyze, seed)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "adlbench: %s: explain: %v\n", r.name, err)
-				os.Exit(1)
-			}
-			fmt.Printf("== %s plans ==\n%s\n", r.name, plans)
-		}
-		t, err := r.run()
+		t, err := e.Run(*quick, plans)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "adlbench: %s: %v\n", r.name, err)
+			fmt.Fprintf(os.Stderr, "adlbench: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Println(t)

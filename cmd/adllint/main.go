@@ -1,11 +1,11 @@
 // Command adllint runs the engine's custom static-analysis suite: four
 // analyzers encoding the concurrency and teardown invariants the serving
 // layer depends on (snapshotdiscipline, atomicmeter, closepropagate,
-// batchimmutable), plus the advisory fieldalign check behind -fieldalign.
+// batchimmutable).
 //
 // Usage:
 //
-//	adllint [-list] [-fieldalign] [packages...]
+//	adllint [-list] [packages...]
 //
 // Packages default to ./... resolved from the current directory. Exit code
 // 0 means clean, 1 means findings, 2 means packages failed to load.
@@ -23,14 +23,10 @@ import (
 
 func main() {
 	listFlag := flag.Bool("list", false, "list the analyzers and their invariants, then exit")
-	fieldalignFlag := flag.Bool("fieldalign", false, "also run the advisory struct-padding analyzer")
 	dirFlag := flag.String("dir", ".", "directory to resolve package patterns from")
 	flag.Parse()
 
 	suite := adllint.Suite()
-	if *fieldalignFlag {
-		suite = append(suite, adllint.Advisory()...)
-	}
 	if *listFlag {
 		for _, az := range suite {
 			fmt.Printf("%s\n\t%s\n", az.Name, az.Doc)

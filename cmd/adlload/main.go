@@ -1,9 +1,9 @@
 // Command adlload is the closed-loop load driver for the serving layer: N
 // concurrent clients each issue a mixed stream of OOSQL reads and PART
 // mutations — inserts, deletes, updates — as fast as the engine answers,
-// for a fixed duration. It reports p50/p99 latency and sustained QPS, and
-// writes them as a benchjson fragment (-json) for merging into
-// BENCH_RESULTS.json.
+// for a fixed duration. It reports p50/p99 latency and sustained QPS; it is
+// a correctness driver first (make serve-smoke), and wall-clock serving
+// numbers between commits come from benchmark/ (serve.* workloads).
 //
 // By default the driver runs in-process: it builds the store, wraps it in
 // the serving engine, and drives it directly — this is the mode CI runs
@@ -27,7 +27,7 @@
 // the run unless the cached arm wins on p50.
 //
 //	adlload -clients 1000 -duration 5s -insert-frac 0.2 -delete-frac 0.05 -update-frac 0.05
-//	adlload -compare-cache -assert -json serve.json
+//	adlload -compare-cache -assert
 package main
 
 import (
@@ -392,41 +392,6 @@ func (r runResult) report(label string, cfg config) {
 	}
 }
 
-// benchResult / benchFile mirror cmd/benchjson's artifact shape so the
-// fragment this driver writes merges cleanly into BENCH_RESULTS.json.
-type benchResult struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	NsPerOp    float64            `json:"ns_per_op"`
-	Metrics    map[string]float64 `json:"metrics,omitempty"`
-}
-
-type benchFile struct {
-	Results []benchResult `json:"results"`
-}
-
-func (r runResult) bench(name string, cfg config) benchResult {
-	return benchResult{
-		Name:       name,
-		Iterations: int64(r.ops),
-		NsPerOp:    float64(r.p50.Nanoseconds()),
-		Metrics: map[string]float64{
-			"clients":     float64(cfg.clients),
-			"p50_ns":      float64(r.p50.Nanoseconds()),
-			"p99_ns":      float64(r.p99.Nanoseconds()),
-			"qps":         r.qps,
-			"reads":       float64(r.counts.reads),
-			"writes":      float64(r.counts.writes),
-			"deletes":     float64(r.counts.deletes),
-			"updates":     float64(r.counts.updates),
-			"verified":    float64(r.counts.verified),
-			"self_checks": float64(r.counts.selfChecks),
-			"errors":      float64(len(r.errs)),
-			"divergences": float64(len(r.divergences)),
-		},
-	}
-}
-
 func buildEngine(suppliers, parts, deliveries int, seed int64, noCache bool) *server.Engine {
 	st := bench.Generate(bench.Config{Suppliers: suppliers, Parts: parts, Deliveries: deliveries, Seed: seed})
 	if err := st.CreateIndex("PART", "color", storage.HashIndex); err != nil {
@@ -482,8 +447,6 @@ func main() {
 		noCache      = flag.Bool("no-plan-cache", false, "disable the plan cache (in-process)")
 		compareCache = flag.Bool("compare-cache", false, "run the workload twice, plan cache on and off, and compare p50")
 		assertWin    = flag.Bool("assert", false, "exit non-zero unless the cached arm wins p50 in -compare-cache (and on any error always)")
-		jsonOut      = flag.String("json", "", "write results as a benchjson fragment to this file")
-		namePrefix   = flag.String("name", "Serve", "benchmark name prefix for the JSON fragment")
 	)
 	flag.Parse()
 
@@ -499,7 +462,6 @@ func main() {
 	if cfg.insertFrac+cfg.deleteFrac+cfg.updateFrac > 1 {
 		fatal(fmt.Errorf("insert/delete/update fractions sum past 1"))
 	}
-	var results []benchResult
 	failed := false
 	bad := func(r runResult) bool { return len(r.errs) > 0 || len(r.divergences) > 0 }
 
@@ -508,7 +470,6 @@ func main() {
 		hc := &http.Client{Timeout: 30 * time.Second}
 		res := run(cfg, func() client { return httpClient{base: *addr, hc: hc} })
 		res.report("http", cfg)
-		results = append(results, res.bench(*namePrefix+"/http", cfg))
 		failed = bad(res)
 
 	case *compareCache:
@@ -525,9 +486,6 @@ func main() {
 		speedup := float64(resUncached.p50) / float64(resCached.p50)
 		fmt.Printf("p50 plancache %v vs replan %v (%.2fx)\n",
 			resCached.p50.Round(time.Microsecond), resUncached.p50.Round(time.Microsecond), speedup)
-		results = append(results,
-			resCached.bench(*namePrefix+"/plancache", cfg),
-			resUncached.bench(*namePrefix+"/replan", cfg))
 		failed = bad(resCached) || bad(resUncached)
 		if *assertWin && resCached.p50 > resUncached.p50 {
 			fmt.Fprintln(os.Stderr, "adlload: ASSERT FAILED: plan-cache arm lost on p50")
@@ -545,20 +503,9 @@ func main() {
 		m := eng.Metrics()
 		fmt.Printf("plan cache: %d hits, %d misses, %d epoch-drift replans, %d feedback evictions; store at seq %d, stats epoch %d\n",
 			m.CacheHits, m.CacheMiss, m.Replans, m.FeedbackEvictions, m.Seq, m.StatsEpoch)
-		results = append(results, res.bench(*namePrefix+"/"+label, cfg))
 		failed = bad(res)
 	}
 
-	if *jsonOut != "" {
-		blob, err := json.MarshalIndent(benchFile{Results: results}, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*jsonOut, append(blob, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d results to %s\n", len(results), *jsonOut)
-	}
 	if failed {
 		os.Exit(1)
 	}

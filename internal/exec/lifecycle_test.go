@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/adl"
 	"repro/internal/bench"
 	"repro/internal/col"
 	"repro/internal/core"
@@ -86,27 +87,31 @@ func textArms(t *testing.T, st *storage.Store) [][]arm {
 	return out
 }
 
-// experimentArms are the arm plans of B1, B8, B13 and B14 at smoke scale.
+// experimentArms are the planned arms of B1, B8/B9's grouping join and
+// B13/B14 at smoke scale, with three workers and 16-row batches so that
+// parallel operators and multi-batch streams appear at any scale.
 func experimentArms() [][]arm {
-	b1 := experiments.NewEQ5(40, 80, 1)
-	b8 := experiments.NewParallelJoin(60, 600, 3, 1)
-	b13 := experiments.NewVecJoin(60, 600, 16, 1)
-	return [][]arm{
-		{
-			{"B1 scalar", plan.Config{}.Compile(b1.Opt), b1.Store},
-			{"B1 vectorized", plan.Config{Vectorized: true, BatchSize: 16}.Compile(b1.Opt), b1.Store},
-		},
-		{
-			{"B8 serial", b8.SerialOp(), b8.Store},
-			{"B8 parallel", b8.ParallelOp(), b8.Store},
-		},
-		{
-			{"B13 scalar", b13.Plan(false).Root, b13.Store},
-			{"B13 vectorized", b13.Plan(true).Root, b13.Store},
-			{"B14 parallel", b13.PlanArm(false, true, 3).Root, b13.Store},
-			{"B14 parallel-vectorized", b13.PlanArm(true, true, 3).Root, b13.Store},
-		},
+	var out [][]arm
+	for _, c := range []experiments.Case{experiments.EQ5(40, 80),
+		experiments.StrategyJoin("group", adl.NestJ, 60, 600), experiments.VecJoin(60, 600)} {
+		var arms []arm
+		for _, a := range c.Arms {
+			root := a.Op
+			if a.Cfg != nil {
+				cfg := *a.Cfg
+				cfg.Parallelism, cfg.BatchSize = 3, 16
+				if c.Analyze {
+					cfg.Statistics = c.DB.(*storage.Store).Analyze()
+				}
+				root = cfg.Plan(c.Query).Root
+			}
+			if root != nil {
+				arms = append(arms, arm{c.Name + " " + a.Label, root, c.DB})
+			}
+		}
+		out = append(out, arms)
 	}
+	return out
 }
 
 // settle waits for the goroutine count to come back to base.

@@ -1,16 +1,23 @@
-// Package experiments implements the performance experiment suite B1–B7
-// (see DESIGN.md): one experiment per performance claim behind the paper's
-// optimization options, each comparing the naive nested-loop execution
-// against the set-oriented plans the rewriter enables and printing a
-// paper-style result table. Absolute numbers are machine-dependent; the
-// reproduction claims are the shapes — who wins, by roughly what factor,
-// where crossovers fall.
+// Package experiments checks the paper's claims by running them. The suite
+// B1–B14 (Suite, behind cmd/adlbench) pits the naive nested-loop execution
+// against the set-oriented plans the rewriter enables and the physical
+// strategies the planner chooses between; artifacts.go regenerates the
+// paper's tables, figures and example queries.
+//
+// An experiment is a list of cases. A case is one store, the arms that
+// compute one result on it, and a check of the claim they illustrate. One
+// runner does the same for every case: warm the extents, time every arm and
+// count its allocations and store I/O, verify its result against the first
+// arm's, render a table row, and call the check. Absolute times are
+// machine-dependent; a check asserts only the orderings a claim names —
+// wall-clock comparison between commits is benchmark/'s job.
 package experiments
 
 import (
 	"fmt"
-	"math"
+	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -19,22 +26,201 @@ import (
 	"repro/internal/eval"
 	"repro/internal/exec"
 	"repro/internal/plan"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
-// timed runs f once and returns its duration.
-func timed(f func() error) (time.Duration, error) {
-	start := time.Now()
-	err := f()
-	return time.Since(start), err
+// Arm is one way to compute a case's result. Exactly one of Expr, Cfg and Op
+// is set.
+type Arm struct {
+	Label string
+	// Expr is evaluated tuple at a time by the reference interpreter.
+	Expr adl.Expr
+	// Cfg plans the case's Query, from the case's statistics under Analyze.
+	Cfg *plan.Config
+	// Op is a hand-built physical plan.
+	Op exec.Operator
+	// Lossy marks an arm expected to differ from the reference — a buggy
+	// plan, or another result shape. Its result is not compared; its row
+	// reports how many tuples fewer it returns.
+	Lossy bool
 }
 
-// timedAllocs runs f once and returns its duration plus the runtime.MemStats
-// Mallocs delta it incurred, so every experiment arm can report an allocation
-// count next to its wall time without a separate go test -bench run. The
-// delta includes whatever the goroutine's peers allocate meanwhile; arms run
-// serially here, so in practice it is the arm's own footprint.
-func timedAllocs(f func() error) (time.Duration, uint64, error) {
+// Case is one store, the arms computing one result on it, and the check of
+// the claim they illustrate.
+type Case struct {
+	Name  string
+	DB    eval.DB
+	Query adl.Expr
+	Arms  []Arm
+	// Analyze collects the store's statistics before the arms run, timed on
+	// a row of its own, and plans every Cfg arm from them.
+	Analyze bool
+	// Runs is the number of timed runs per arm (0 means one); the best time
+	// and the fewest allocations are reported, so one GC pause or one-off
+	// cache build does not decide an ordering a check asserts.
+	Runs int
+	// Check asserts the claim on the results, given in arm order.
+	Check func(rs []Result) error
+}
+
+// Result is the measurement of one arm.
+type Result struct {
+	Arm
+	Plan   *plan.Plan // nil for an Expr arm
+	Set    *value.Set
+	Time   time.Duration
+	Allocs uint64
+	IO     storage.Stats // of the last run: the meters are deterministic
+}
+
+// Experiment is one table of the suite.
+type Experiment struct {
+	ID, Title string
+	// Cases lists the experiment's cases at full or smoke (quick) scale. A
+	// case is built only when it runs, so one store is alive at a time.
+	Cases func(quick bool) []func() Case
+	Notes []string
+}
+
+// Only returns c with just the arms of the given labels, in c's order.
+func (c Case) Only(labels ...string) Case {
+	c.Arms = slices.DeleteFunc(slices.Clone(c.Arms), func(a Arm) bool { return !slices.Contains(labels, a.Label) })
+	return c
+}
+
+// Exec plans arm a on the case and returns its plan (nil for an Expr arm)
+// and a function executing one run. A plan is compiled once, as the serving
+// path caches it, so planned arms time execution only.
+func (c Case) Exec(a Arm) (*plan.Plan, func() (*value.Set, error)) {
+	if a.Expr != nil {
+		return nil, func() (*value.Set, error) { return eval.EvalSet(a.Expr, nil, c.DB) }
+	}
+	pl := &plan.Plan{Root: a.Op}
+	if a.Cfg != nil {
+		cfg := *a.Cfg
+		if c.Analyze {
+			cfg.Statistics = c.DB.(*storage.Store).Analyze() // memoized by the store
+		}
+		pl = cfg.Plan(c.Query)
+	}
+	ctx := &exec.Ctx{DB: c.DB}
+	return pl, func() (*value.Set, error) { return exec.Collect(pl.Root, ctx) }
+}
+
+// shape names the plan's root operator and the optimizer's note on it.
+func (r Result) shape() string {
+	if r.Plan == nil {
+		return "eval"
+	}
+	s := strings.TrimPrefix(fmt.Sprintf("%T", r.Plan.Root), "*exec.")
+	if est, ok := r.Plan.Estimate(r.Plan.Root); ok && est.Note != "" {
+		s += " (" + est.Note + ")"
+	}
+	return s
+}
+
+// cost is the optimizer's estimated cost of the whole plan, if annotated.
+func (r Result) cost() (float64, bool) {
+	if r.Plan == nil {
+		return 0, false
+	}
+	est, ok := r.Plan.Estimate(r.Plan.Root)
+	return est.Cost, ok
+}
+
+// find returns the result of the labelled arm.
+func find(rs []Result, label string) Result {
+	for _, r := range rs {
+		if r.Label == label {
+			return r
+		}
+	}
+	panic("experiments: no arm " + label)
+}
+
+var cols = []string{"case", "arm", "plan", "time", "speedup", "allocs/run", "rows", "lost",
+	"page reads", "index probes", "object reads", "est. cost"}
+
+// Run executes every case of e and renders its table. explain, when not
+// nil, receives each planned arm's Explain before the arm runs.
+func (e Experiment) Run(quick bool, explain io.Writer) (*bench.Table, error) {
+	t := &bench.Table{Title: e.ID + " — " + e.Title, Cols: slices.Clone(cols), Notes: e.Notes}
+	for _, build := range e.Cases(quick) {
+		c := build()
+		rs, err := c.run(t, explain)
+		if err == nil && c.Check != nil {
+			err = c.Check(rs)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s %s: %w", e.ID, c.Name, err)
+		}
+	}
+	dropEmptyCols(t)
+	return t, nil
+}
+
+// run measures every arm of c, adding one table row per arm.
+func (c Case) run(t *bench.Table, explain io.Writer) ([]Result, error) {
+	st, _ := c.DB.(*storage.Store)
+	if st != nil {
+		for _, ext := range st.Catalog().Extents() {
+			if _, err := st.Table(ext); err != nil {
+				return nil, err
+			}
+		}
+		if c.Analyze {
+			d, _, _ := measure(func() error { st.Analyze(); return nil })
+			t.AddRow(c.Name, "ANALYZE (one-off)", "-", ms(d), "-", "-", "-", "-", "-", "-", "-", "-")
+		}
+	}
+	var rs []Result
+	for _, a := range c.Arms {
+		r := Result{Arm: a}
+		pl, run := c.Exec(a)
+		r.Plan = pl
+		if explain != nil && pl != nil {
+			fmt.Fprintf(explain, "-- %s: %s\n%s\n", c.Name, a.Label, pl.Explain())
+		}
+		for i := 0; i < max(c.Runs, 1); i++ {
+			if st != nil {
+				st.ResetStats()
+			}
+			d, allocs, err := measure(func() (err error) { r.Set, err = run(); return err })
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", a.Label, err)
+			}
+			if i == 0 || d < r.Time {
+				r.Time = d
+			}
+			if i == 0 || allocs < r.Allocs {
+				r.Allocs = allocs
+			}
+		}
+		if st != nil {
+			r.IO = st.Stats()
+		}
+		lost := "-"
+		if len(rs) > 0 && a.Lossy {
+			lost = fmt.Sprint(rs[0].Set.Len() - r.Set.Len())
+		} else if len(rs) > 0 && !value.Equal(r.Set, rs[0].Set) {
+			return nil, fmt.Errorf("%s diverges from %s (%d rows vs %d)", a.Label, rs[0].Label, r.Set.Len(), rs[0].Set.Len())
+		}
+		rs = append(rs, r)
+		cost := "-"
+		if v, ok := r.cost(); ok {
+			cost = fmt.Sprintf("%.0f", v)
+		}
+		t.AddRow(c.Name, a.Label, r.shape(), ms(r.Time), speedup(rs[0].Time, r.Time), kilo(r.Allocs),
+			r.Set.Len(), lost, meter(r.IO.PageReads), meter(r.IO.IndexProbes), meter(r.IO.ObjectReads), cost)
+	}
+	return rs, nil
+}
+
+// measure runs f once, returning its wall time and the heap allocations
+// (runtime.MemStats.Mallocs) made meanwhile; arms run one at a time, so
+// they are the arm's own.
+func measure(f func() error) (time.Duration, uint64, error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
@@ -42,6 +228,38 @@ func timedAllocs(f func() error) (time.Duration, uint64, error) {
 	d := time.Since(start)
 	runtime.ReadMemStats(&after)
 	return d, after.Mallocs - before.Mallocs, err
+}
+
+// dropEmptyCols removes the columns no row of t has a value in.
+func dropEmptyCols(t *bench.Table) {
+	for i := len(t.Cols) - 1; i >= 0; i-- {
+		if slices.ContainsFunc(t.Rows, func(row []string) bool { return row[i] != "-" }) {
+			continue
+		}
+		t.Cols = slices.Delete(t.Cols, i, i+1)
+		for j := range t.Rows {
+			t.Rows[j] = slices.Delete(t.Rows[j], i, i+1)
+		}
+	}
+}
+
+// ms formats a duration in milliseconds.
+func ms(d time.Duration) string { return fmt.Sprintf("%.2fms", float64(d.Microseconds())/1000) }
+
+// speedup formats the ratio of a reference time to an arm's.
+func speedup(ref, d time.Duration) string {
+	if d <= 0 {
+		return "inf"
+	}
+	return fmt.Sprintf("%.1fx", float64(ref)/float64(d))
+}
+
+// meter formats an I/O count, zero as absent.
+func meter(n int) string {
+	if n == 0 {
+		return "-"
+	}
+	return fmt.Sprint(n)
 }
 
 // kilo formats an allocation count compactly (1234 → "1.2k").
@@ -57,910 +275,4 @@ func kilo(n uint64) string {
 		return fmt.Sprintf("%.1fk", float64(n)/1e3)
 	}
 	return fmt.Sprint(n)
-}
-
-// allocsDelta formats a naive→optimized allocation comparison cell.
-func allocsDelta(naive, opt uint64) string { return kilo(naive) + "→" + kilo(opt) }
-
-// ms formats a duration in milliseconds.
-func ms(d time.Duration) string {
-	return fmt.Sprintf("%.2fms", float64(d.Microseconds())/1000.0)
-}
-
-// speedup formats a ratio.
-func speedup(naive, opt time.Duration) string {
-	if opt <= 0 {
-		return "inf"
-	}
-	return fmt.Sprintf("%.1fx", float64(naive)/float64(opt))
-}
-
-// B1 measures Example Query 5 (existential nesting over a base table):
-// nested-loop execution versus the semijoin produced by Rule 1, executed
-// set-oriented (hash-based set-probe join). The paper's claim (§1, §5): the
-// join form admits efficient implementations; the nested loop is O(|X|·|Y|),
-// the set-probe O(|X|+|Y|).
-func B1(scales [][2]int, seed int64) (*bench.Table, error) {
-	t := &bench.Table{
-		Title: "B1 — EQ5: suppliers supplying red parts (σ[∃∃] vs semijoin)",
-		Cols:  []string{"|SUPPLIER|", "|PART|", "nested-loop", "semijoin(NL)", "semijoin(hash)", "speedup(hash)", "allocs(NL→hash)"},
-	}
-	for _, sc := range scales {
-		w := NewEQ5(sc[0], sc[1], seed)
-		var naiveRes, optRes, optNLRes *value.Set
-		naiveT, naiveA, err := timedAllocs(func() error { var e error; naiveRes, e = w.RunNaive(); return e })
-		if err != nil {
-			return nil, fmt.Errorf("B1 naive: %w", err)
-		}
-		optNLT, err := timed(func() error { var e error; optNLRes, e = w.RunOptNL(); return e })
-		if err != nil {
-			return nil, fmt.Errorf("B1 opt-nl: %w", err)
-		}
-		optT, optA, err := timedAllocs(func() error { var e error; optRes, e = w.RunOpt(); return e })
-		if err != nil {
-			return nil, fmt.Errorf("B1 opt: %w", err)
-		}
-		if !value.Equal(naiveRes, optRes) || !value.Equal(naiveRes, optNLRes) {
-			return nil, fmt.Errorf("B1: results diverge at scale %v", sc)
-		}
-		t.AddRow(sc[0], sc[1], ms(naiveT), ms(optNLT), ms(optT), speedup(naiveT, optT), allocsDelta(naiveA, optA))
-	}
-	t.Notes = append(t.Notes,
-		"all three arms verified equal; semijoin(NL) isolates the logical rewrite, semijoin(hash) adds the physical win")
-	return t, nil
-}
-
-// B2 measures Example Query 4 (referential integrity, ¬∃ over a base
-// table): nested loop versus μ + antijoin (attribute-unnest option plus
-// Rule 1), hash-executed.
-func B2(scales [][2]int, seed int64) (*bench.Table, error) {
-	t := &bench.Table{
-		Title: "B2 — EQ4: referential-integrity check (σ[∃¬∃] vs μ+antijoin)",
-		Cols:  []string{"|SUPPLIER|", "|PART|", "nested-loop", "μ+antijoin(hash)", "speedup", "allocs(NL→opt)", "violations"},
-	}
-	for _, sc := range scales {
-		w := NewEQ4(sc[0], sc[1], seed)
-		var naiveRes, optRes *value.Set
-		naiveT, naiveA, err := timedAllocs(func() error { var e error; naiveRes, e = w.RunNaive(); return e })
-		if err != nil {
-			return nil, fmt.Errorf("B2 naive: %w", err)
-		}
-		optT, optA, err := timedAllocs(func() error { var e error; optRes, e = w.RunOpt(); return e })
-		if err != nil {
-			return nil, fmt.Errorf("B2 opt: %w", err)
-		}
-		if !value.Equal(naiveRes, optRes) {
-			return nil, fmt.Errorf("B2: results diverge at scale %v", sc)
-		}
-		t.AddRow(sc[0], sc[1], ms(naiveT), ms(optT), speedup(naiveT, optT), allocsDelta(naiveA, optA), naiveRes.Len())
-	}
-	return t, nil
-}
-
-// B3 measures grouping queries (the §5.2.2/§6.1 scenario): nested loop
-// versus the nestjoin plan versus the buggy [GaWo87] join+nest plan, and
-// counts the tuples the buggy plan loses as the fraction of dangling
-// (empty-set) suppliers grows — the Complex Object bug made quantitative.
-func B3(suppliers, parts int, emptyFracs []float64, seed int64) (*bench.Table, error) {
-	t := &bench.Table{
-		Title: "B3 — subset query: nested loop vs nestjoin vs join+nest [GaWo87] vs outerjoin repair",
-		Cols:  []string{"empty%", "nested-loop", "nestjoin", "allocs(NL→nestjoin)", "join+nest", "lost tuples", "outerjoin", "correct size"},
-	}
-	for _, ef := range emptyFracs {
-		w := NewSubset(suppliers, parts, ef, seed)
-		var naiveRes, optRes *value.Set
-		naiveT, naiveA, err := timedAllocs(func() error { var e error; naiveRes, e = w.RunNaive(); return e })
-		if err != nil {
-			return nil, fmt.Errorf("B3 naive: %w", err)
-		}
-		optT, optA, err := timedAllocs(func() error { var e error; optRes, e = w.RunOpt(); return e })
-		if err != nil {
-			return nil, fmt.Errorf("B3 opt: %w", err)
-		}
-		if !value.Equal(naiveRes, optRes) {
-			return nil, fmt.Errorf("B3: nestjoin plan diverges at empty=%v", ef)
-		}
-		grouped, ok := w.GroupedPlan()
-		if !ok {
-			return nil, fmt.Errorf("B3: grouping plan not derivable")
-		}
-		var groupedRes *value.Set
-		groupedT, err := timed(func() error {
-			var e error
-			groupedRes, e = eval.EvalSet(grouped, nil, w.Store)
-			return e
-		})
-		if err != nil {
-			return nil, fmt.Errorf("B3 grouped: %w", err)
-		}
-		lost := naiveRes.Diff(groupedRes).Len()
-
-		repaired, ok := w.OuterRepairPlan()
-		if !ok {
-			return nil, fmt.Errorf("B3: outerjoin repair not derivable")
-		}
-		var repairedRes *value.Set
-		repairedT, err := timed(func() error {
-			var e error
-			repairedRes, e = eval.EvalSet(repaired, nil, w.Store)
-			return e
-		})
-		if err != nil {
-			return nil, fmt.Errorf("B3 repaired: %w", err)
-		}
-		if !value.Equal(naiveRes, repairedRes) {
-			return nil, fmt.Errorf("B3: outerjoin repair diverges at empty=%v", ef)
-		}
-		t.AddRow(fmt.Sprintf("%.0f%%", ef*100), ms(naiveT), ms(optT), allocsDelta(naiveA, optA),
-			ms(groupedT), lost, ms(repairedT), naiveRes.Len())
-	}
-	t.Notes = append(t.Notes,
-		"join+nest silently loses exactly the suppliers whose subquery is empty (the Complex Object bug)",
-		"the Table 3 guard refuses that plan: P(x, ∅) = (parts ⊆ ∅) is run-time dependent",
-		"the [GaWo87] outerjoin repair (§5.2.2) is correct but pays the wider join; the nestjoin needs neither nulls nor repair")
-	return t, nil
-}
-
-// B4 measures materializing a set-valued attribute against a base table
-// ([DeLa92], §6.2): naive per-tuple loop, unnest–join–nest, the set-probe
-// nestjoin, and PNHL across build-side memory budgets.
-func B4(suppliers, parts, fanout int, budgets []int, seed int64) (*bench.Table, error) {
-	t := &bench.Table{
-		Title: fmt.Sprintf("B4 — materialize parts (fanout %d): PNHL vs alternatives", fanout),
-		Cols:  []string{"arm", "budget(rows)", "segments", "time", "allocs/run", "result size"},
-	}
-	m := NewMaterialize(suppliers, parts, fanout, seed)
-	var naiveRes *value.Set
-	naiveT, naiveA, err := timedAllocs(func() error { var e error; naiveRes, e = m.RunNaive(); return e })
-	if err != nil {
-		return nil, fmt.Errorf("B4 naive: %w", err)
-	}
-	t.AddRow("nested-loop", "-", "-", ms(naiveT), kilo(naiveA), naiveRes.Len())
-
-	var njRes *value.Set
-	njT, njA, err := timedAllocs(func() error { var e error; njRes, e = m.RunNestjoin(); return e })
-	if err != nil {
-		return nil, fmt.Errorf("B4 nestjoin: %w", err)
-	}
-	if !value.Equal(naiveRes, njRes) {
-		return nil, fmt.Errorf("B4: nestjoin arm diverges")
-	}
-	t.AddRow("nestjoin(set-probe)", "-", "-", ms(njT), kilo(njA), njRes.Len())
-
-	var ujnLen int
-	ujnT, ujnA, err := timedAllocs(func() error { var e error; ujnLen, e = m.RunUnnestJoinNest(); return e })
-	if err != nil {
-		return nil, fmt.Errorf("B4 unnest-join-nest: %w", err)
-	}
-	t.AddRow("unnest-join-nest", "-", "-", ms(ujnT), kilo(ujnA), ujnLen)
-
-	for _, b := range budgets {
-		var pnhlRes *value.Set
-		var segs int
-		pnhlT, pnhlA, err := timedAllocs(func() error {
-			var e error
-			pnhlRes, segs, e = m.RunPNHL(b)
-			return e
-		})
-		if err != nil {
-			return nil, fmt.Errorf("B4 PNHL(%d): %w", b, err)
-		}
-		if !value.Equal(naiveRes, pnhlRes) {
-			return nil, fmt.Errorf("B4: PNHL(%d) diverges", b)
-		}
-		label := fmt.Sprint(b)
-		if b == 0 {
-			label = "unlimited"
-		}
-		t.AddRow("PNHL", label, segs, ms(pnhlT), kilo(pnhlA), pnhlRes.Len())
-	}
-	t.Notes = append(t.Notes,
-		"unnest-join-nest loses suppliers with empty part sets (result size vs the others) and pays restructuring",
-		"only the flat table can be PNHL's build input; budgets below the build size add probe passes")
-	return t, nil
-}
-
-// B5 measures pointer-based materialization ([BlMG93], §6.2): value-based
-// hash join versus assembly via oid dereferencing, with page-level I/O
-// counts from the store.
-func B5(scales [][2]int, seed int64) (*bench.Table, error) {
-	t := &bench.Table{
-		Title: "B5 — materialize d.supplier: value hash join vs pointer-based assembly",
-		Cols:  []string{"|SUPPLIER|", "|DELIVERY|", "hash join", "assembly", "speedup", "allocs(hash→asm)", "object reads"},
-	}
-	for _, sc := range scales {
-		p := NewPointerJoin(sc[0], sc[1], seed)
-		var hjRes, asRes *value.Set
-		hjT, hjA, err := timedAllocs(func() error { var e error; hjRes, e = p.RunHashJoin(); return e })
-		if err != nil {
-			return nil, fmt.Errorf("B5 hash: %w", err)
-		}
-		p.Store.ResetStats()
-		asT, asA, err := timedAllocs(func() error { var e error; asRes, e = p.RunAssembly(); return e })
-		if err != nil {
-			return nil, fmt.Errorf("B5 assembly: %w", err)
-		}
-		reads := p.Store.Stats().ObjectReads
-		if !value.Equal(hjRes, asRes) {
-			return nil, fmt.Errorf("B5: results diverge at scale %v", sc)
-		}
-		t.AddRow(sc[0], sc[1], ms(hjT), ms(asT), speedup(hjT, asT), allocsDelta(hjA, asA), reads)
-	}
-	t.Notes = append(t.Notes,
-		"assembly touches exactly one object per reference; the hash join scans and hashes the whole supplier extent")
-	return t, nil
-}
-
-// B6 measures the quantifier-exchange heuristic (Rewriting Example 3): the
-// nested ∀⊇ query versus the exchanged antijoin form.
-func B6(scales [][2]int, seed int64) (*bench.Table, error) {
-	t := &bench.Table{
-		Title: "B6 — ∀z ∈ x.c • z ⊇ Y′: nested loop vs exchanged antijoin",
-		Cols:  []string{"|X|", "|Y|", "nested-loop", "antijoin", "speedup", "allocs(NL→anti)"},
-	}
-	for _, sc := range scales {
-		db, naive, opt := NewForallExchange(sc[0], sc[1], seed)
-		var naiveRes, optRes *value.Set
-		naiveT, naiveA, err := timedAllocs(func() error {
-			var e error
-			naiveRes, e = eval.EvalSet(naive, nil, db)
-			return e
-		})
-		if err != nil {
-			return nil, fmt.Errorf("B6 naive: %w", err)
-		}
-		optT, optA, err := timedAllocs(func() error {
-			var e error
-			optRes, e = eval.EvalSet(opt, nil, db)
-			return e
-		})
-		if err != nil {
-			return nil, fmt.Errorf("B6 opt: %w", err)
-		}
-		if !value.Equal(naiveRes, optRes) {
-			return nil, fmt.Errorf("B6: results diverge at scale %v", sc)
-		}
-		t.AddRow(sc[0], sc[1], ms(naiveT), ms(optT), speedup(naiveT, optT), allocsDelta(naiveA, optA))
-	}
-	t.Notes = append(t.Notes,
-		"the antijoin evaluates the uncorrelated subquery once and stops at the first witness",
-	)
-	return t, nil
-}
-
-// B7 measures the end-to-end §4 strategy on the paper's example queries:
-// naive nested-loop execution versus optimize + plan + execute (including
-// rewrite and planning time in the optimized arm).
-func B7(suppliers, parts int, seed int64) (*bench.Table, error) {
-	t := &bench.Table{
-		Title: fmt.Sprintf("B7 — end-to-end strategy at |SUPPLIER|=%d, |PART|=%d", suppliers, parts),
-		Cols:  []string{"query", "options used", "nested-loop", "optimized", "speedup", "allocs(NL→opt)"},
-	}
-	mk := []func() *Workload{
-		func() *Workload { return NewEQ5(suppliers, parts, seed) },
-		func() *Workload { return NewEQ4(suppliers, parts, seed) },
-		func() *Workload { return NewEQ6(suppliers/4, parts, seed) },
-		func() *Workload { return NewSubset(suppliers, parts, 0.1, seed) },
-	}
-	for _, f := range mk {
-		w := f()
-		var naiveRes, optRes *value.Set
-		naiveT, naiveA, err := timedAllocs(func() error { var e error; naiveRes, e = w.RunNaive(); return e })
-		if err != nil {
-			return nil, fmt.Errorf("B7 %s naive: %w", w.Name, err)
-		}
-		optT, optA, err := timedAllocs(func() error { var e error; optRes, e = w.RunOpt(); return e })
-		if err != nil {
-			return nil, fmt.Errorf("B7 %s opt: %w", w.Name, err)
-		}
-		if !value.Equal(naiveRes, optRes) {
-			return nil, fmt.Errorf("B7 %s: results diverge", w.Name)
-		}
-		opts := "nested-loop"
-		if len(w.Rewrite.OptionsUsed) > 0 {
-			opts = fmt.Sprint(w.Rewrite.OptionsUsed)
-		}
-		t.AddRow(w.Name, opts, ms(naiveT), ms(optT), speedup(naiveT, optT), allocsDelta(naiveA, optA))
-	}
-	return t, nil
-}
-
-// B9 measures the cost-based optimizer against every forced physical join
-// strategy on three workloads: an asymmetric inner join (small × large,
-// where hash-join build-side swapping pays), a small grouping join (where
-// everything should stay serial) and a large grouping join (where the
-// partitioned parallel variant pays). Every arm is verified against the
-// forced hash join before its time is reported. With analyze set the
-// optimizer arm plans from collected statistics (storage.Analyze); without,
-// it falls back to the size-threshold heuristic.
-func B9(suppliers, deliveries, parallelism int, analyze bool, seed int64) (*bench.Table, error) {
-	mode := "cost-based (ANALYZE)"
-	if !analyze {
-		mode = "threshold fallback, -analyze=false"
-	}
-	t := &bench.Table{
-		Title: fmt.Sprintf("B9 — forced join strategies vs optimizer choice (%s)", mode),
-		Cols:  []string{"workload", "arm", "time", "allocs/run", "result size"},
-	}
-	workloads := []*StrategyArms{
-		NewStrategyJoin(fmt.Sprintf("inner_asym[%dx%d]", suppliers/10, deliveries),
-			adl.Inner, suppliers/10, deliveries, parallelism, seed),
-		NewStrategyJoin(fmt.Sprintf("group_small[%dx%d]", suppliers/4, deliveries/20),
-			adl.NestJ, suppliers/4, deliveries/20, parallelism, seed),
-		NewStrategyJoin(fmt.Sprintf("group_big[%dx%d]", suppliers, deliveries),
-			adl.NestJ, suppliers, deliveries, parallelism, seed),
-	}
-	for _, w := range workloads {
-		// No timed arm pays the store's one-off extent materialization, and
-		// the ANALYZE pass is timed on its own rather than charged to the
-		// optimizer arm.
-		if err := w.Warm(); err != nil {
-			return nil, fmt.Errorf("B9 %s: warm: %w", w.Name, err)
-		}
-		if analyze {
-			analyzeT, err := timed(func() error { w.Statistics(); return nil })
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(w.Name, "ANALYZE (one-off)", ms(analyzeT), "-", "-")
-		}
-		var ref *value.Set
-		for _, arm := range w.Arms() {
-			var res *value.Set
-			d, allocs, err := timedAllocs(func() error { var e error; res, e = w.RunForced(arm); return e })
-			if err != nil {
-				return nil, fmt.Errorf("B9 %s/%s: %w", w.Name, arm, err)
-			}
-			if ref == nil {
-				ref = res
-			} else if !value.Equal(res, ref) {
-				return nil, fmt.Errorf("B9 %s: arm %s diverges", w.Name, arm)
-			}
-			t.AddRow(w.Name, arm, ms(d), kilo(allocs), res.Len())
-		}
-		var optRes *value.Set
-		var chosen string
-		d, allocs, err := timedAllocs(func() error {
-			var e error
-			optRes, chosen, e = w.RunOptimizer(analyze)
-			return e
-		})
-		if err != nil {
-			return nil, fmt.Errorf("B9 %s/optimizer: %w", w.Name, err)
-		}
-		if !value.Equal(optRes, ref) {
-			return nil, fmt.Errorf("B9 %s: optimizer arm diverges", w.Name)
-		}
-		t.AddRow(w.Name, "optimizer→"+chosen, ms(d), kilo(allocs), optRes.Len())
-		t.Notes = append(t.Notes, fmt.Sprintf("%s: optimizer chose %s", w.Name, chosen))
-	}
-	return t, nil
-}
-
-// B10 measures join-order enumeration on the four-extent star workload: the
-// same nested join chain — written worst-first — planned with the two-phase
-// optimizer's enumerated order versus the written (rewriter) order, both
-// with cost-based physical selection from the same collected statistics.
-// Every arm is verified against the rule-based reference result before its
-// time is reported, and the optimizer's estimated plan costs are recorded
-// next to the wall times so the claim "the enumerated order is cheaper" is
-// visible in both currencies.
-func B10(orders, items, custs, regions, parallelism int, seed int64) (*bench.Table, error) {
-	t := &bench.Table{
-		Title: "B10 — star join: enumerated join order vs rewriter order",
-		Cols:  []string{"workload", "arm", "est. plan cost", "time", "allocs/run", "result size"},
-	}
-	w := NewStarJoin(orders, items, custs, regions, parallelism, seed)
-	if err := w.Warm(); err != nil {
-		return nil, fmt.Errorf("B10 %s: warm: %w", w.Name, err)
-	}
-	analyzeT, err := timed(func() error { w.Statistics(); return nil })
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow(w.Name, "ANALYZE (one-off)", "-", ms(analyzeT), "-", "-")
-
-	ref, err := w.RunReference()
-	if err != nil {
-		return nil, fmt.Errorf("B10 %s: reference: %w", w.Name, err)
-	}
-
-	type arm struct {
-		label   string
-		reorder bool
-	}
-	costs := map[string]float64{}
-	for _, a := range []arm{{"rewriter order", false}, {"enumerated order", true}} {
-		var res *value.Set
-		var pl *plan.Plan
-		d, allocs, err := timedAllocs(func() error {
-			var e error
-			res, pl, e = w.Run(a.reorder)
-			return e
-		})
-		if err != nil {
-			return nil, fmt.Errorf("B10 %s/%s: %w", w.Name, a.label, err)
-		}
-		if !value.Equal(res, ref) {
-			return nil, fmt.Errorf("B10 %s: %s arm diverges from the reference", w.Name, a.label)
-		}
-		est, ok := pl.Estimate(pl.Root)
-		if !ok {
-			return nil, fmt.Errorf("B10 %s: %s arm not annotated", w.Name, a.label)
-		}
-		costs[a.label] = est.Cost
-		t.AddRow(w.Name, a.label, fmt.Sprintf("%.0f", est.Cost), ms(d), kilo(allocs), res.Len())
-		if a.reorder {
-			if note := est.Note; note != "" {
-				t.Notes = append(t.Notes, fmt.Sprintf("%s: %s", w.Name, note))
-			}
-		}
-	}
-	if costs["enumerated order"] >= costs["rewriter order"] {
-		return nil, fmt.Errorf("B10 %s: enumerated order (%.0f) is not cheaper than rewriter order (%.0f)",
-			w.Name, costs["enumerated order"], costs["rewriter order"])
-	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("enumerated order is %.1fx cheaper by the cost model",
-			costs["rewriter order"]/costs["enumerated order"]),
-		"both arms run the same physical operator repertoire; only the join order differs")
-	return t, nil
-}
-
-// B11 measures index-aware planning on the selective lookup join: a filter
-// that keeps one supplier joined against a large delivery extent. The forced
-// arms run the best scan-based plans (hash join with either build side); the
-// optimizer arm plans from collected statistics that record the secondary
-// indexes and should choose an IndexScan leaf feeding an index-nested-loop
-// join. Every arm is verified identical before its time is reported, and
-// the store's I/O meters are reset around each arm so the page-level win is
-// visible next to the wall-clock one. With indexes present the experiment
-// asserts the index plan is chosen and strictly cheaper in both currencies;
-// with -indexes=false it degrades to an informational A/B of the same query
-// planned without indexes.
-func B11(suppliers, deliveries, parallelism int, indexes bool, seed int64) (*bench.Table, error) {
-	mode := "indexes on"
-	if !indexes {
-		mode = "-indexes=false control"
-	}
-	t := &bench.Table{
-		Title: fmt.Sprintf("B11 — selective lookup join: forced hash vs index-nested-loop (%s)", mode),
-		Cols:  []string{"workload", "arm", "time", "allocs/run", "page reads", "index probes", "result size"},
-	}
-	w := NewLookupJoin(suppliers, deliveries, parallelism, indexes, seed)
-	if err := w.Warm(); err != nil {
-		return nil, fmt.Errorf("B11 %s: warm: %w", w.Name, err)
-	}
-	analyzeT, err := timed(func() error { w.Statistics(); return nil })
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow(w.Name, "ANALYZE (one-off)", ms(analyzeT), "-", "-", "-", "-")
-
-	type armResult struct {
-		time  time.Duration
-		pages int
-	}
-	results := map[string]armResult{}
-	var ref *value.Set
-	// Each arm runs three times and reports its best wall time: the page
-	// and probe meters are deterministic per run, but a single-sample
-	// wall-clock comparison would let one GC pause or scheduler hiccup fail
-	// the experiment's faster-than assertion in CI.
-	runArm := func(label string, f func() (*value.Set, error)) error {
-		var best time.Duration
-		var bestA uint64
-		var pages, probes int
-		var res *value.Set
-		for i := 0; i < 3; i++ {
-			w.Store.ResetStats()
-			d, allocs, err := timedAllocs(func() error { var e error; res, e = f(); return e })
-			if err != nil {
-				return fmt.Errorf("B11 %s/%s: %w", w.Name, label, err)
-			}
-			st := w.Store.Stats()
-			if i == 0 || d < best {
-				best = d
-			}
-			if i == 0 || allocs < bestA {
-				bestA = allocs
-			}
-			pages, probes = st.PageReads, st.IndexProbes
-		}
-		if ref == nil {
-			ref = res
-		} else if !value.Equal(res, ref) {
-			return fmt.Errorf("B11 %s: arm %s diverges", w.Name, label)
-		}
-		results[label] = armResult{time: best, pages: pages}
-		t.AddRow(w.Name, label, ms(best), kilo(bestA), pages, probes, res.Len())
-		return nil
-	}
-	if err := runArm("hash (build DELIVERY)", func() (*value.Set, error) {
-		return w.RunForcedHash(false)
-	}); err != nil {
-		return nil, err
-	}
-	if err := runArm("hash (build σSUPPLIER)", func() (*value.Set, error) {
-		return w.RunForcedHash(true)
-	}); err != nil {
-		return nil, err
-	}
-	var chosen string
-	if err := runArm("optimizer", func() (*value.Set, error) {
-		var res *value.Set
-		var e error
-		res, chosen, e = w.RunOptimizer()
-		return res, e
-	}); err != nil {
-		return nil, err
-	}
-	t.Notes = append(t.Notes, fmt.Sprintf("%s: optimizer chose %s", w.Name, chosen))
-
-	if indexes {
-		if chosen != "IndexNLJoin" {
-			return nil, fmt.Errorf("B11 %s: optimizer chose %s, want IndexNLJoin", w.Name, chosen)
-		}
-		opt := results["optimizer"]
-		for _, hash := range []string{"hash (build DELIVERY)", "hash (build σSUPPLIER)"} {
-			h := results[hash]
-			if opt.time >= h.time {
-				return nil, fmt.Errorf("B11 %s: index plan (%v) not faster than %s (%v)",
-					w.Name, opt.time, hash, h.time)
-			}
-			if opt.pages >= h.pages {
-				return nil, fmt.Errorf("B11 %s: index plan (%d page reads) not cheaper than %s (%d)",
-					w.Name, opt.pages, hash, h.pages)
-			}
-		}
-		t.Notes = append(t.Notes,
-			fmt.Sprintf("index plan is %s vs best hash arm, and touches %d pages vs %d",
-				speedup(min(results["hash (build DELIVERY)"].time, results["hash (build σSUPPLIER)"].time), opt.time),
-				opt.pages, results["hash (build σSUPPLIER)"].pages),
-			"the probe side never scans DELIVERY: per-probe index lookups replace the full hash build")
-	}
-	return t, nil
-}
-
-// B12 measures histogram-based cardinality estimation on the Zipf-skewed
-// star join: the same query planned twice from the same collected
-// statistics — once with histograms (the default) and once under
-// plan.Config.NoHistograms (the pre-histogram NDV model). The skewed
-// DIMA filter keeps the heavy-hitter category, so the NDV arm
-// underestimates it badly, probes FACT with the wrong dimension first, and
-// drags a several-times-larger intermediate through the rest of the plan.
-// The experiment asserts the two arms choose different join orders, return
-// the identical (reference-verified) result, and that the histogram arm is
-// strictly better on both wall time (best of three) and page reads.
-func B12(facts, dims, parallelism int, seed int64) (*bench.Table, error) {
-	t := &bench.Table{
-		Title: "B12 — skewed star join: histogram estimates vs the NDV-only model",
-		Cols:  []string{"workload", "arm", "est. plan cost", "time", "allocs/run", "page reads", "result size"},
-	}
-	w := NewSkewJoin(facts, dims, parallelism, seed)
-	if err := w.Warm(); err != nil {
-		return nil, fmt.Errorf("B12 %s: warm: %w", w.Name, err)
-	}
-	analyzeT, err := timed(func() error { w.Statistics(); return nil })
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow(w.Name, "ANALYZE (one-off)", "-", ms(analyzeT), "-", "-", "-")
-
-	ref, err := w.RunReference()
-	if err != nil {
-		return nil, fmt.Errorf("B12 %s: reference: %w", w.Name, err)
-	}
-
-	type armResult struct {
-		time    time.Duration
-		pages   int
-		cost    float64
-		explain string
-	}
-	results := map[string]armResult{}
-	// Best wall time of three runs, like B11: the page meter is
-	// deterministic per run, but a single wall-clock sample would let one GC
-	// pause fail the strictly-faster assertion in CI.
-	runArm := func(label string, noHist bool) error {
-		var best time.Duration
-		var bestA uint64
-		var pages int
-		var res *value.Set
-		var pl *plan.Plan
-		for i := 0; i < 3; i++ {
-			w.Store.ResetStats()
-			d, allocs, err := timedAllocs(func() error {
-				var e error
-				res, pl, e = w.Run(noHist)
-				return e
-			})
-			if err != nil {
-				return fmt.Errorf("B12 %s/%s: %w", w.Name, label, err)
-			}
-			if i == 0 || d < best {
-				best = d
-			}
-			if i == 0 || allocs < bestA {
-				bestA = allocs
-			}
-			pages = w.Store.Stats().PageReads
-		}
-		if !value.Equal(res, ref) {
-			return fmt.Errorf("B12 %s: arm %s diverges from the reference", w.Name, label)
-		}
-		est, ok := pl.Estimate(pl.Root)
-		if !ok {
-			return fmt.Errorf("B12 %s: arm %s not annotated", w.Name, label)
-		}
-		results[label] = armResult{time: best, pages: pages, cost: est.Cost,
-			explain: pl.Explain()}
-		t.AddRow(w.Name, label, fmt.Sprintf("%.0f", est.Cost), ms(best), kilo(bestA), pages, res.Len())
-		return nil
-	}
-	if err := runArm("ndv (NoHistograms)", true); err != nil {
-		return nil, err
-	}
-	if err := runArm("histograms", false); err != nil {
-		return nil, err
-	}
-	ndv, hist := results["ndv (NoHistograms)"], results["histograms"]
-
-	// The claim is a planning one first: the two arms must disagree about
-	// the join order — the NDV model probes FACT with the skew-fooled σDIMA,
-	// the histogram model with the genuinely selective σDIMB.
-	if hist.explain == ndv.explain {
-		return nil, fmt.Errorf("B12 %s: histograms did not change the plan:\n%s",
-			w.Name, hist.explain)
-	}
-	if !strings.Contains(ndv.explain, "index probe into FACT.fa") {
-		return nil, fmt.Errorf("B12 %s: NDV arm did not probe with σDIMA first:\n%s",
-			w.Name, ndv.explain)
-	}
-	if !strings.Contains(hist.explain, "index probe into FACT.fb") {
-		return nil, fmt.Errorf("B12 %s: histogram arm did not probe with σDIMB first:\n%s",
-			w.Name, hist.explain)
-	}
-	// …and a measured one second: strictly fewer pages and strictly faster.
-	if hist.pages >= ndv.pages {
-		return nil, fmt.Errorf("B12 %s: histogram plan (%d page reads) not cheaper than NDV plan (%d)",
-			w.Name, hist.pages, ndv.pages)
-	}
-	if hist.time >= ndv.time {
-		return nil, fmt.Errorf("B12 %s: histogram plan (%v) not faster than NDV plan (%v)",
-			w.Name, hist.time, ndv.time)
-	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("skewed filter: DIMA.cat = %s (the heavy hitter)", w.HotCat),
-		fmt.Sprintf("histogram plan is %s and touches %d pages vs %d",
-			speedup(ndv.time, hist.time), hist.pages, ndv.pages),
-		"both arms plan from the same ANALYZE pass; only Config.NoHistograms differs",
-		"the NDV arm under-estimates the hot-category filter and probes FACT with the wrong dimension first")
-	return t, nil
-}
-
-// B8 measures the parallel partitioned hash join against the serial hash
-// join on the supplier-deliveries grouping join, across database scales.
-// The parallel arm is verified against the serial result before its time is
-// reported. parallelism > 0 sets the partition count, negative means one
-// partition per CPU, and 0 keeps the second arm serial as a sweep control.
-func B8(scales [][2]int, parallelism int, seed int64) (*bench.Table, error) {
-	mode := fmt.Sprintf("%d partitions", exec.Parallelism(parallelism))
-	if parallelism == 0 {
-		mode = "serial control, -parallel 0"
-	}
-	t := &bench.Table{
-		Title: fmt.Sprintf("B8 — grouping join: serial HashJoin vs PartitionedHashJoin (%s)", mode),
-		Cols:  []string{"|SUPPLIER|", "|DELIVERY|", "serial", "parallel", "speedup", "allocs(ser→par)"},
-	}
-	for _, sc := range scales {
-		p := NewParallelJoin(sc[0], sc[1], parallelism, seed)
-		var serialRes, parallelRes *value.Set
-		serialT, serialA, err := timedAllocs(func() error { var e error; serialRes, e = p.RunSerial(); return e })
-		if err != nil {
-			return nil, fmt.Errorf("B8 serial: %w", err)
-		}
-		parallelT, parallelA, err := timedAllocs(func() error { var e error; parallelRes, e = p.RunParallel(); return e })
-		if err != nil {
-			return nil, fmt.Errorf("B8 parallel: %w", err)
-		}
-		if !value.Equal(serialRes, parallelRes) {
-			return nil, fmt.Errorf("B8: results diverge at scale %v", sc)
-		}
-		t.AddRow(sc[0], sc[1], ms(serialT), ms(parallelT), speedup(serialT, parallelT), allocsDelta(serialA, parallelA))
-	}
-	t.Notes = append(t.Notes,
-		"both operands are hash-partitioned on the join key; each partition builds and probes on its own goroutine")
-	return t, nil
-}
-
-// B13 measures vectorized batch execution (plan.Config.Vectorized) on the
-// large equi-join + filter pipeline: σ(date < cutoff)(DELIVERY) semi-joined
-// with SUPPLIER. Both arms execute the identical logical plan — the scalar
-// operators interpret the predicate and probe row at a time, the vectorized
-// pipeline runs typed comparison kernels over the store's columnar extent
-// projection and probes a flat hash table batch at a time. Arms are
-// execution-only: plans are compiled once and every run executes a clone of
-// the cached tree, the serving path's shape. Wall time is best of three;
-// allocations are the smallest per-run runtime.MemStats Mallocs delta, so
-// one-off cache warming never counts. At full scale (suppliers ≥ 400) the
-// experiment asserts the tentpole claims: ≥3× faster wall, ≥10× fewer
-// allocations per run.
-func B13(suppliers, deliveries, batch int, seed int64) (*bench.Table, error) {
-	t := &bench.Table{
-		Title: "B13 — vectorized batch execution: scalar vs columnar kernels (semi-join pipeline)",
-		Cols:  []string{"|SUPPLIER|", "|DELIVERY|", "arm", "time", "allocs/run", "result size"},
-	}
-	w := NewVecJoin(suppliers, deliveries, batch, seed)
-	if err := w.Warm(); err != nil {
-		return nil, fmt.Errorf("B13 %s: warm: %w", w.Name, err)
-	}
-
-	type armResult struct {
-		time   time.Duration
-		allocs uint64
-		res    *value.Set
-	}
-	runArm := func(vectorized bool) (armResult, error) {
-		pl := w.Plan(vectorized)
-		ctx := &exec.Ctx{DB: w.Store}
-		var out armResult
-		for i := 0; i < 3; i++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			var res *value.Set
-			d, err := timed(func() error {
-				var e error
-				res, e = exec.Collect(pl.Root, ctx)
-				return e
-			})
-			if err != nil {
-				return out, err
-			}
-			runtime.ReadMemStats(&after)
-			allocs := after.Mallocs - before.Mallocs
-			if i == 0 || d < out.time {
-				out.time = d
-			}
-			if i == 0 || allocs < out.allocs {
-				out.allocs = allocs
-			}
-			out.res = res
-		}
-		return out, nil
-	}
-
-	scalar, err := runArm(false)
-	if err != nil {
-		return nil, fmt.Errorf("B13 %s: scalar: %w", w.Name, err)
-	}
-	vec, err := runArm(true)
-	if err != nil {
-		return nil, fmt.Errorf("B13 %s: vectorized: %w", w.Name, err)
-	}
-	if !value.Equal(scalar.res, vec.res) {
-		return nil, fmt.Errorf("B13 %s: vectorized result diverges from scalar", w.Name)
-	}
-	t.AddRow(suppliers, deliveries, "scalar", ms(scalar.time), kilo(scalar.allocs), scalar.res.Len())
-	t.AddRow(suppliers, deliveries, "vectorized", ms(vec.time), kilo(vec.allocs), vec.res.Len())
-
-	// The tentpole claims are asserted at full scale only; smoke scales
-	// (adlbench -quick, tests) print the comparison without gating on it.
-	if suppliers >= 400 {
-		if vec.time*3 > scalar.time {
-			return nil, fmt.Errorf("B13 %s: vectorized (%v) not ≥3x faster than scalar (%v)",
-				w.Name, vec.time, scalar.time)
-		}
-		if vec.allocs*10 > scalar.allocs {
-			return nil, fmt.Errorf("B13 %s: vectorized (%d allocs) not ≥10x leaner than scalar (%d)",
-				w.Name, vec.allocs, scalar.allocs)
-		}
-	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("identical results; vectorized is %s and allocates %.0fx less",
-			speedup(scalar.time, vec.time),
-			float64(scalar.allocs)/math.Max(1, float64(vec.allocs))),
-		"execution-only arms: cached plan, per-run clone — the serving path's shape",
-		"the vectorized arm reads the snapshot-pinned columnar projection and probes a flat int64 table")
-	return t, nil
-}
-
-// B14 measures parallel vectorized execution end to end: the B13 semi-join
-// pipeline compiled four ways from identical logical form — the scalar
-// reference, the parallel partitioned operators, the vectorized batch
-// kernels, and both combined: a morsel-driven VecExchange claims row ranges
-// of the columnar projection, applies the filter kernels on worker
-// goroutines, and hands whole batches over bounded channels to the
-// partitioned batch hash join (no per-tuple sends anywhere on that path).
-// Every arm's result must equal the scalar reference. At full scale on a
-// ≥4-core host the parallel-vectorized arm must at least halve the
-// single-threaded vectorized wall time; smoke scales and smaller hosts
-// print the comparison without gating on it.
-func B14(suppliers, deliveries, batch, parallelism int, seed int64) (*bench.Table, error) {
-	t := &bench.Table{
-		Title: "B14 — parallel vectorized execution: four-way A/B (semi-join pipeline)",
-		Cols:  []string{"|SUPPLIER|", "|DELIVERY|", "arm", "workers", "time", "allocs/run", "result size"},
-	}
-	w := NewVecJoin(suppliers, deliveries, batch, seed)
-	if err := w.Warm(); err != nil {
-		return nil, fmt.Errorf("B14 %s: warm: %w", w.Name, err)
-	}
-	workers := exec.Parallelism(parallelism)
-
-	type armResult struct {
-		time   time.Duration
-		allocs uint64
-		res    *value.Set
-	}
-	runArm := func(vectorized, parallel bool) (armResult, error) {
-		pl := w.PlanArm(vectorized, parallel, parallelism)
-		ctx := &exec.Ctx{DB: w.Store}
-		var out armResult
-		for i := 0; i < 3; i++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			var res *value.Set
-			d, err := timed(func() error {
-				var e error
-				res, e = exec.Collect(pl.Root, ctx)
-				return e
-			})
-			if err != nil {
-				return out, err
-			}
-			runtime.ReadMemStats(&after)
-			allocs := after.Mallocs - before.Mallocs
-			if i == 0 || d < out.time {
-				out.time = d
-			}
-			if i == 0 || allocs < out.allocs {
-				out.allocs = allocs
-			}
-			out.res = res
-		}
-		return out, nil
-	}
-
-	arms := []struct {
-		name       string
-		vectorized bool
-		parallel   bool
-	}{
-		{"scalar", false, false},
-		{"parallel", false, true},
-		{"vectorized", true, false},
-		{"parallel-vectorized", true, true},
-	}
-	results := map[string]armResult{}
-	for _, arm := range arms {
-		r, err := runArm(arm.vectorized, arm.parallel)
-		if err != nil {
-			return nil, fmt.Errorf("B14 %s: %s: %w", w.Name, arm.name, err)
-		}
-		if arm.name != "scalar" && !value.Equal(results["scalar"].res, r.res) {
-			return nil, fmt.Errorf("B14 %s: %s result diverges from scalar", w.Name, arm.name)
-		}
-		results[arm.name] = r
-		armWorkers := 1
-		if arm.parallel {
-			armWorkers = workers
-		}
-		t.AddRow(suppliers, deliveries, arm.name, armWorkers, ms(r.time), kilo(r.allocs), r.res.Len())
-	}
-
-	// The ≥2x claim needs real cores; single-core hosts and smoke scales
-	// print the four-way comparison without gating on it.
-	vec, parvec := results["vectorized"], results["parallel-vectorized"]
-	if suppliers >= 400 && runtime.NumCPU() >= 4 {
-		if parvec.time*2 > vec.time {
-			return nil, fmt.Errorf("B14 %s: parallel-vectorized (%v) not ≥2x faster than vectorized (%v) on %d cores",
-				w.Name, parvec.time, vec.time, runtime.NumCPU())
-		}
-	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("identical results across all four arms; parallel-vectorized is %s vs vectorized (%d workers, %d cores)",
-			speedup(vec.time, parvec.time), workers, runtime.NumCPU()),
-		"execution-only arms: cached plan, per-run clone — the serving path's shape",
-		"the parallel-vectorized arm exchanges whole batches over bounded channels: no per-tuple sends")
-	return t, nil
 }

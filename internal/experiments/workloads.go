@@ -3,11 +3,11 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 
 	"repro/internal/adl"
 	"repro/internal/bench"
-	"repro/internal/eval"
 	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/rewrite"
@@ -17,297 +17,370 @@ import (
 	"repro/internal/value"
 )
 
-// Workload bundles one experiment's database, its naive (nested-loop) query
-// and the optimized form produced by the §4 strategy.
-type Workload struct {
-	Name  string
-	Store *storage.Store
-	// Naive is the nested ADL expression as translated from OOSQL.
-	Naive adl.Expr
-	// Opt is the rewritten join query.
-	Opt adl.Expr
-	// Result of rewriting for inspection (trace, options used).
-	Rewrite *rewrite.Result
+// seed drives every generator of the suite; bench.Generate defaults to it.
+const seed = 94
+
+// batchAllocCeiling is the most allocations a vectorized run over thousands
+// of rows may make: a few dozen serial, a few hundred with the exchange, so
+// anything allocated per row lands far above it.
+const batchAllocCeiling = 512
+
+// pick returns full, or small at smoke scale.
+func pick(quick bool, full, small int) int {
+	if quick {
+		return small
+	}
+	return full
 }
 
-// RunNaive executes the nested form tuple-at-a-time (reference interpreter).
-func (w *Workload) RunNaive() (*value.Set, error) {
-	return eval.EvalSet(w.Naive, nil, w.Store)
+// cases lists case builders.
+func cases(fs ...func() Case) []func() Case { return fs }
+
+// sized builds one case per size pair, {full a, full b, small a, small b}.
+func sized(quick bool, sizes [][4]int, mk func(a, b int) Case) []func() Case {
+	var out []func() Case
+	for _, s := range sizes {
+		a, b := pick(quick, s[0], s[2]), pick(quick, s[1], s[3])
+		out = append(out, func() Case { return mk(a, b) })
+	}
+	return out
 }
 
-// ExecMode selects the physical execution mode for every workload's
-// optimized arm: the zero value plans scalar. adlbench sets it from
-// -vectorized/-batch so the whole suite can be A/B'd without a rebuild;
-// B13 ignores it (its two arms ARE the A/B).
-var ExecMode struct {
-	Vectorized bool
-	BatchSize  int
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
 }
 
-// RunOpt executes the optimized form through the physical planner.
-func (w *Workload) RunOpt() (*value.Set, error) {
-	cfg := plan.Config{Vectorized: ExecMode.Vectorized, BatchSize: ExecMode.BatchSize}
-	return exec.Collect(cfg.Compile(w.Opt), &exec.Ctx{DB: w.Store})
+// Suite is the experiment suite B1–B14 in presentation order.
+var Suite = []Experiment{
+	{ID: "B1", Title: "EQ5: suppliers supplying red parts (σ[∃∃] vs semijoin)",
+		Cases: func(q bool) []func() Case {
+			return sized(q, [][4]int{{200, 400, 50, 100}, {800, 1600, 100, 200}, {3200, 6400, 200, 400}}, func(s, p int) Case {
+				c := EQ5(s, p)
+				c.Arms = append(c.Arms, Arm{Label: "semijoin(NL)", Expr: c.Query})
+				return c
+			})
+		},
+		Notes: []string{"semijoin(NL) runs the rewritten form through the interpreter: it isolates the logical rewrite from the physical win"}},
+
+	{ID: "B2", Title: "EQ4: referential-integrity check (σ[∃¬∃] vs μ+antijoin)",
+		Cases: func(q bool) []func() Case {
+			return sized(q, [][4]int{{200, 400, 50, 100}, {800, 1600, 100, 200}, {3200, 6400, 200, 400}}, EQ4)
+		},
+		Notes: []string{"rows are the violations: suppliers referencing a part that does not exist"}},
+
+	{ID: "B3", Title: "subset query: nested loop vs nestjoin vs join+nest [GaWo87] vs outerjoin repair",
+		Cases: func(q bool) []func() Case {
+			var out []func() Case
+			for _, f := range []float64{0, 0.1, 0.5} {
+				out = append(out, func() Case { return grouping(Subset(pick(q, 600, 100), pick(q, 300, 60), f), f) })
+			}
+			return out
+		},
+		Notes: []string{
+			"join+nest silently loses exactly the suppliers whose subquery is empty (the Complex Object bug)",
+			"the Table 3 guard refuses that plan: P(x, ∅) = (parts ⊆ ∅) is run-time dependent",
+			"the [GaWo87] outerjoin repair (§5.2.2) is correct but pays the wider join; the nestjoin needs neither nulls nor repair"}},
+
+	{ID: "B4", Title: "materialize parts: PNHL vs alternatives",
+		Cases: func(q bool) []func() Case {
+			return cases(func() Case {
+				return Materialize(pick(q, 800, 100), pick(q, 2000, 200), pick(q, 16, 8),
+					0, pick(q, 1024, 128), pick(q, 256, 64), pick(q, 64, 16))
+			})
+		},
+		Notes: []string{
+			"unnest-join-nest loses suppliers with empty part sets and pays restructuring",
+			"only the flat table can be PNHL's build input; budgets below the build size add probe passes"}},
+
+	{ID: "B5", Title: "materialize d.supplier: value hash join vs pointer-based assembly",
+		Cases: func(q bool) []func() Case {
+			return sized(q, [][4]int{{1000, 1000, 100, 100}, {10000, 5000, 400, 400}}, PointerJoin)
+		},
+		Notes: []string{"assembly touches exactly one object per reference; the hash join scans and hashes the whole supplier extent"}},
+
+	{ID: "B6", Title: "∀z ∈ x.c • z ⊇ Y′: nested loop vs exchanged antijoin",
+		Cases: func(q bool) []func() Case {
+			return sized(q, [][4]int{{200, 200, 50, 50}, {800, 800, 100, 100}}, ForallExchange)
+		},
+		Notes: []string{"the antijoin evaluates the uncorrelated subquery once and stops at the first witness"}},
+
+	{ID: "B7", Title: "end-to-end §4 strategy on the paper's example queries",
+		Cases: func(q bool) []func() Case {
+			s, p := pick(q, 500, 80), pick(q, 1000, 120)
+			return cases(func() Case { return EQ5(s, p) }, func() Case { return EQ4(s, p) },
+				func() Case { return EQ6(s/4, p) }, func() Case { return Subset(s, p, 0.1) })
+		},
+		Notes: []string{"the optimized arm names the §4 options that fired; it is rewritten once and planned once, as a cached query is"}},
+
+	{ID: "B8", Title: "grouping join: serial HashJoin vs PartitionedHashJoin",
+		Cases: func(q bool) []func() Case {
+			return sized(q, [][4]int{{2000, 20000, 200, 2000}, {8000, 80000, 400, 4000}}, func(s, d int) Case {
+				c := StrategyJoin("group", adl.NestJ, s, d).Only("hash", "parallel")
+				c.Analyze = false
+				return c
+			})
+		},
+		Notes: []string{fmt.Sprintf("both operands are hash-partitioned on the join key, %d partitions (one per CPU), each built and probed on its own goroutine",
+			exec.Parallelism(0))}},
+
+	{ID: "B9", Title: "forced join strategies vs the cost-based optimizer's choice",
+		Cases: func(q bool) []func() Case {
+			s, d := pick(q, 2000, 200), pick(q, 20000, 2000)
+			return cases(func() Case {
+				c := StrategyJoin("inner_asym", adl.Inner, s/10, d)
+				c.Check = func(rs []Result) error {
+					if shape := find(rs, "optimizer").shape(); !strings.Contains(shape, "build side swapped") {
+						return fmt.Errorf("optimizer kept the large side as the build input: %s", shape)
+					}
+					return nil
+				}
+				return c
+			}, func() Case { return StrategyJoin("group_small", adl.NestJ, s/4, d/20) },
+				func() Case { return StrategyJoin("group_big", adl.NestJ, s, d) })
+		},
+		Notes: []string{"every forced arm and the optimizer's plan return the hash arm's result; the nested loop runs only up to a million pairs"}},
+
+	{ID: "B10", Title: "star join: enumerated join order vs rewriter order",
+		Cases: func(q bool) []func() Case {
+			return cases(func() Case { return StarJoin(pick(q, 20000, 2000), pick(q, 2000, 200), pick(q, 400, 80), 8) })
+		},
+		Notes: []string{"both orders plan from the same ANALYZE pass with the same physical operators; only Config.NoReorder differs"}},
+
+	{ID: "B11", Title: "selective lookup join: forced hash vs index-nested-loop",
+		Cases: func(q bool) []func() Case {
+			return cases(func() Case { return LookupJoin(pick(q, 2000, 200), pick(q, 50000, 5000)) })
+		},
+		Notes: []string{"the index plan never scans DELIVERY: per-probe index lookups replace the full hash build",
+			"Config.NoIndexes plans the same query from the same statistics as if the indexes did not exist"}},
+
+	{ID: "B12", Title: "skewed star join: histogram estimates vs the NDV-only model",
+		Cases: func(q bool) []func() Case {
+			return cases(func() Case { return SkewJoin(pick(q, 20000, 5000), pick(q, 400, 200)) })
+		},
+		Notes: []string{"both arms plan from the same ANALYZE pass; only Config.NoHistograms differs",
+			"the NDV arm under-estimates the hot-category filter and probes FACT with the wrong dimension first"}},
+
+	{ID: "B13", Title: "vectorized batch execution: scalar vs columnar kernels (semi-join pipeline)",
+		Cases: func(q bool) []func() Case {
+			return cases(func() Case {
+				c := VecJoin(pick(q, 400, 60), pick(q, 40000, 1200)).Only("scalar", "vectorized")
+				c.Check = func(rs []Result) error {
+					scalar, vec := find(rs, "scalar"), find(rs, "vectorized")
+					if vec.Allocs > batchAllocCeiling {
+						return fmt.Errorf("vectorized run allocates %d times, more than %d: something is allocated per row",
+							vec.Allocs, batchAllocCeiling)
+					}
+					if !q && vec.Time*3 > scalar.Time {
+						return fmt.Errorf("vectorized (%v) not ≥3x faster than scalar (%v)", vec.Time, scalar.Time)
+					}
+					return nil
+				}
+				return c
+			})
+		},
+		Notes: []string{"the vectorized arm reads the snapshot-pinned columnar projection and probes a flat int64 table",
+			fmt.Sprintf("vectorized must allocate at most %d times per run, and at full scale be ≥3x faster", batchAllocCeiling)}},
+
+	{ID: "B14", Title: "parallel vectorized execution: four-way A/B (semi-join pipeline)",
+		Cases: func(q bool) []func() Case {
+			return cases(func() Case {
+				c := VecJoin(pick(q, 400, 60), pick(q, 200000, 1200))
+				c.Check = func(rs []Result) error {
+					vec, parvec := find(rs, "vectorized"), find(rs, "parallel-vectorized")
+					if exec.Parallelism(0) >= 2 {
+						if x := parvec.Plan.Explain(); !strings.Contains(x, "VecPartitionedHashJoin") || !strings.Contains(x, "VecExchange") {
+							return fmt.Errorf("parallel-vectorized arm is not a partitioned batch join over a batch exchange:\n%s", x)
+						}
+					}
+					if !q && runtime.NumCPU() >= 4 && parvec.Time*2 > vec.Time {
+						return fmt.Errorf("parallel-vectorized (%v) not ≥2x faster than vectorized (%v) on %d cores",
+							parvec.Time, vec.Time, runtime.NumCPU())
+					}
+					return nil
+				}
+				return c
+			})
+		},
+		Notes: []string{fmt.Sprintf("parallel arms use %d workers (one per CPU); at full scale on ≥4 cores parallel-vectorized must halve vectorized",
+			exec.Parallelism(0)),
+			"the parallel-vectorized arm exchanges whole batches over bounded channels: no per-tuple sends"}},
 }
 
-// RunOptNL executes the optimized logical form with nested-loop physical
-// operators only (isolates the logical rewrite from the physical win).
-func (w *Workload) RunOptNL() (*value.Set, error) {
-	return eval.EvalSet(w.Opt, nil, w.Store)
-}
-
-func optimize(name string, st *storage.Store, naive adl.Expr) *Workload {
+// nested is a case of the §4 strategy on a generated supplier-part store:
+// the nested-loop reference arm, and the rewritten query planned scalar and
+// vectorized.
+func nested(name string, cfg bench.Config, naive adl.Expr) Case {
+	st := bench.Generate(cfg)
 	res := rewrite.Optimize(naive, rewrite.NewContext(st.Catalog()))
-	return &Workload{Name: name, Store: st, Naive: naive, Opt: res.Expr, Rewrite: res}
+	return Case{Name: name, DB: st, Query: res.Expr, Arms: []Arm{
+		{Label: "nested-loop", Expr: naive},
+		{Label: "optimized " + strings.Join(res.OptionsUsed, "+"), Cfg: &plan.Config{}},
+		{Label: "vectorized", Cfg: &plan.Config{Vectorized: true}},
+	}}
 }
 
-// eq5Expr is Example Query 5: suppliers supplying red parts.
-func eq5Expr() adl.Expr {
-	return adl.Sel("s",
-		adl.Ex("x", adl.Dot(adl.V("s"), "parts"),
-			adl.Ex("p", adl.T("PART"),
-				adl.AndE(adl.EqE(adl.V("x"), adl.SubT(adl.V("p"), "pid")),
-					adl.EqE(adl.Dot(adl.V("p"), "color"), adl.CStr("red"))))),
-		adl.T("SUPPLIER"))
-}
-
-// NewEQ5 builds the B1 workload (nested quantifiers vs semijoin) at a scale.
-func NewEQ5(suppliers, parts int, seed int64) *Workload {
-	st := bench.Generate(bench.Config{Suppliers: suppliers, Parts: parts, Seed: seed})
-	return optimize(fmt.Sprintf("EQ5[%dx%d]", suppliers, parts), st, eq5Expr())
-}
-
-// eq4Expr is Example Query 4: referential integrity violations.
-func eq4Expr() adl.Expr {
-	return adl.MapE("s", adl.Dot(adl.V("s"), "eid"),
+// EQ5 is Example Query 5, suppliers supplying red parts: an existential
+// nesting the rewriter turns into a semijoin (Rule 1).
+func EQ5(suppliers, parts int) Case {
+	return nested(fmt.Sprintf("EQ5[%dx%d]", suppliers, parts), bench.Config{Suppliers: suppliers, Parts: parts},
 		adl.Sel("s",
-			adl.Ex("z", adl.Dot(adl.V("s"), "parts"),
-				adl.NotE(adl.Ex("p", adl.T("PART"),
-					adl.EqE(adl.V("z"), adl.SubT(adl.V("p"), "pid"))))),
+			adl.Ex("x", adl.Dot(adl.V("s"), "parts"),
+				adl.Ex("p", adl.T("PART"),
+					adl.AndE(adl.EqE(adl.V("x"), adl.SubT(adl.V("p"), "pid")),
+						adl.EqE(adl.Dot(adl.V("p"), "color"), adl.CStr("red"))))),
 			adl.T("SUPPLIER")))
 }
 
-// NewEQ4 builds the B2 workload (universal/negated-existential vs
-// unnest + antijoin).
-func NewEQ4(suppliers, parts int, seed int64) *Workload {
-	st := bench.Generate(bench.Config{Suppliers: suppliers, Parts: parts, DanglingFrac: 0.01, Seed: seed})
-	return optimize(fmt.Sprintf("EQ4[%dx%d]", suppliers, parts), st, eq4Expr())
+// EQ4 is Example Query 4, referential-integrity violations: a negated
+// existential over a set attribute, unnested and antijoined.
+func EQ4(suppliers, parts int) Case {
+	return nested(fmt.Sprintf("EQ4[%dx%d]", suppliers, parts),
+		bench.Config{Suppliers: suppliers, Parts: parts, DanglingFrac: 0.01},
+		adl.MapE("s", adl.Dot(adl.V("s"), "eid"),
+			adl.Sel("s",
+				adl.Ex("z", adl.Dot(adl.V("s"), "parts"),
+					adl.NotE(adl.Ex("p", adl.T("PART"),
+						adl.EqE(adl.V("z"), adl.SubT(adl.V("p"), "pid"))))),
+				adl.T("SUPPLIER"))))
 }
 
-// eq6Expr is Example Query 6: supplier names with the parts supplied.
-func eq6Expr() adl.Expr {
-	return adl.MapE("s",
-		adl.Tup("sname", adl.Dot(adl.V("s"), "sname"),
-			"parts_suppl", adl.Sel("p",
-				adl.CmpE(adl.In, adl.SubT(adl.V("p"), "pid"), adl.Dot(adl.V("s"), "parts")),
-				adl.T("PART"))),
-		adl.T("SUPPLIER"))
+// EQ6 is Example Query 6, supplier names with the parts supplied: nesting
+// in the select clause, which becomes a nestjoin.
+func EQ6(suppliers, parts int) Case {
+	return nested(fmt.Sprintf("EQ6[%dx%d]", suppliers, parts), bench.Config{Suppliers: suppliers, Parts: parts},
+		adl.MapE("s",
+			adl.Tup("sname", adl.Dot(adl.V("s"), "sname"),
+				"parts_suppl", adl.Sel("p",
+					adl.CmpE(adl.In, adl.SubT(adl.V("p"), "pid"), adl.Dot(adl.V("s"), "parts")),
+					adl.T("PART"))),
+			adl.T("SUPPLIER")))
 }
 
-// NewEQ6 builds the B3 nestjoin workload (nesting in the select-clause).
-func NewEQ6(suppliers, parts int, seed int64) *Workload {
-	st := bench.Generate(bench.Config{Suppliers: suppliers, Parts: parts, Seed: seed})
-	return optimize(fmt.Sprintf("EQ6[%dx%d]", suppliers, parts), st, eq6Expr())
-}
-
-// subsetExpr is the Figure 1/2 query shape against the supplier-part
-// schema: suppliers all of whose parts are cheap — s.parts ⊆ Y′ with the
-// correlated block Y′ = {⟨pid⟩ | p ∈ PART, p[pid] ∈ s.parts, p.price < 60}.
-// P(x, ∅) = (s.parts ⊆ ∅) is run-time dependent, so grouping is buggy
-// (suppliers with empty part sets vacuously qualify but are lost by the
-// join) and the strategy must use the nestjoin.
-func subsetExpr() adl.Expr {
+// Subset is the Figure 1/2 query shape on the supplier-part schema,
+// suppliers all of whose parts are cheap: s.parts ⊆ Y′ with the correlated
+// block Y′ = {⟨pid⟩ | p ∈ PART, p[pid] ∈ s.parts, p.price < 60}, over a store
+// where a fraction of the suppliers has no parts. P(x, ∅) = (s.parts ⊆ ∅) is
+// run-time dependent, so grouping is buggy — suppliers with empty part sets
+// vacuously qualify but are lost by the join — and the strategy must use
+// the nestjoin.
+func Subset(suppliers, parts int, emptyFrac float64) Case {
 	sub := adl.MapE("p", adl.Tup("pid", adl.Dot(adl.V("p"), "pid")),
 		adl.Sel("p", adl.AndE(
 			adl.CmpE(adl.In, adl.SubT(adl.V("p"), "pid"), adl.Dot(adl.V("s"), "parts")),
 			adl.CmpE(adl.Lt, adl.Dot(adl.V("p"), "price"), adl.CInt(60))),
 			adl.T("PART")))
-	return adl.Sel("s",
-		adl.CmpE(adl.SubEq, adl.Dot(adl.V("s"), "parts"), sub),
-		adl.T("SUPPLIER"))
+	return nested(fmt.Sprintf("subset[%dx%d,empty=%.0f%%]", suppliers, parts, emptyFrac*100),
+		bench.Config{Suppliers: suppliers, Parts: parts, EmptyFrac: emptyFrac},
+		adl.Sel("s", adl.CmpE(adl.SubEq, adl.Dot(adl.V("s"), "parts"), sub), adl.T("SUPPLIER")))
 }
 
-// NewSubset builds the B3 bug workload with a tunable fraction of suppliers
-// with empty part sets (the dangling tuples grouping loses).
-func NewSubset(suppliers, parts int, emptyFrac float64, seed int64) *Workload {
-	st := bench.Generate(bench.Config{Suppliers: suppliers, Parts: parts, EmptyFrac: emptyFrac, Seed: seed})
-	return optimize(fmt.Sprintf("subset[%dx%d,empty=%.0f%%]", suppliers, parts, emptyFrac*100), st, subsetExpr())
+// grouping adds to a Subset case the [GaWo87] join+nest plan of its naive
+// query, forced past the Table 3 guard (the buggy plan of Figure 2), and its
+// outer-join repair, and checks that the buggy plan loses tuples exactly
+// when some suppliers have no parts.
+func grouping(c Case, emptyFrac float64) Case {
+	ctx := func() *rewrite.Context { return rewrite.NewContext(c.DB.(*storage.Store).Catalog()) }
+	base := rewrite.NewEngine(rewrite.NormalizeRules()).Run(c.Arms[0].Expr, ctx())
+	grouped, ok := rewrite.UnnestByGrouping(base, ctx(), true)
+	repaired, ok2 := rewrite.UnnestByGroupingOuter(base, ctx())
+	if !ok || !ok2 {
+		panic("experiments: grouping plans not derivable for " + c.Name)
+	}
+	c.Arms = append(c.Arms, Arm{Label: "join+nest", Expr: grouped, Lossy: true}, Arm{Label: "outerjoin", Expr: repaired})
+	c.Check = func(rs []Result) error {
+		lost := rs[0].Set.Len() - find(rs, "join+nest").Set.Len()
+		if (lost > 0) != (emptyFrac > 0) {
+			return fmt.Errorf("join+nest lost %d tuples with %.0f%% empty part sets", lost, emptyFrac*100)
+		}
+		return nil
+	}
+	return c
 }
 
-// GroupedPlan returns the [GaWo87] join+nest plan for the workload's naive
-// query, forced past the Table 3 guard (the buggy plan of Figure 2).
-func (w *Workload) GroupedPlan() (adl.Expr, bool) {
-	// Normalize first so the with-bindings and from-compositions are gone.
-	norm := rewrite.NewEngine(rewrite.NormalizeRules())
-	base := norm.Run(w.Naive, rewrite.NewContext(w.Store.Catalog()))
-	return rewrite.UnnestByGrouping(base, rewrite.NewContext(w.Store.Catalog()), true)
-}
-
-// OuterRepairPlan returns the [GaWo87] outer-join repair of the grouping
-// plan — correct for every predicate, at the cost of the wider join.
-func (w *Workload) OuterRepairPlan() (adl.Expr, bool) {
-	norm := rewrite.NewEngine(rewrite.NormalizeRules())
-	base := norm.Run(w.Naive, rewrite.NewContext(w.Store.Catalog()))
-	return rewrite.UnnestByGroupingOuter(base, rewrite.NewContext(w.Store.Catalog()))
-}
-
-// MaterializeArms builds the B4 experiment: attach to every supplier the set
-// of Part objects it references, four ways. The returned runners each
-// produce the same-shaped result (supplier tuple with parts replaced by the
-// set of part objects) except unnest-join-nest, which loses suppliers with
-// empty part sets — its runner also reports the result cardinality so the
-// loss is visible.
-type MaterializeArms struct {
-	Store *storage.Store
-	// NaiveExpr is evaluated tuple-at-a-time.
-	NaiveExpr adl.Expr
-}
-
-// NewMaterialize builds the B4 workload.
-func NewMaterialize(suppliers, parts, fanout int, seed int64) *MaterializeArms {
-	st := bench.Generate(bench.Config{Suppliers: suppliers, Parts: parts, Fanout: fanout, EmptyFrac: 0.05, Seed: seed})
+// Materialize attaches to every supplier the set of PART objects it
+// references ([DeLa92], §6.2): the per-tuple loop, the set-probe nestjoin,
+// unnest–join–nest, and PNHL and its batch twin at each build-side budget
+// (rows per segment; 0 = unlimited).
+func Materialize(suppliers, parts, fanout int, budgets ...int) Case {
+	st := bench.Generate(bench.Config{Suppliers: suppliers, Parts: parts, Fanout: fanout, EmptyFrac: 0.05})
 	naive := adl.MapE("s",
 		adl.Exc(adl.V("s"), "parts",
-			adl.Sel("p",
-				adl.CmpE(adl.In, adl.SubT(adl.V("p"), "pid"), adl.Dot(adl.V("s"), "parts")),
-				adl.T("PART"))),
+			adl.Sel("p", adl.CmpE(adl.In, adl.SubT(adl.V("p"), "pid"), adl.Dot(adl.V("s"), "parts")), adl.T("PART"))),
 		adl.T("SUPPLIER"))
-	return &MaterializeArms{Store: st, NaiveExpr: naive}
-}
-
-// RunNaive executes the per-tuple nested loop.
-func (m *MaterializeArms) RunNaive() (*value.Set, error) {
-	return eval.EvalSet(m.NaiveExpr, nil, m.Store)
-}
-
-// NestjoinOp builds the set-probe nestjoin arm's physical plan.
-func (m *MaterializeArms) NestjoinOp() exec.Operator {
-	join := &exec.SetProbeJoin{
-		Kind: adl.NestJ,
-		L:    &exec.Scan{Table: "SUPPLIER"},
-		R:    &exec.Scan{Table: "PART"},
-		Attr: "parts",
-		RKey: exec.NewScalar(adl.SubT(adl.V("p"), "pid"), "p"),
-		As:   "ys",
-	}
-	// Reshape (eid, sname, parts, ys) to parts := ys.
-	body := adl.Exc(adl.SubT(adl.V("z"), "eid", "sname"),
-		"parts", adl.Dot(adl.V("z"), "ys"))
-	return &exec.MapOp{Child: join, Var: "z", Body: exec.NewScalar(body, "z")}
-}
-
-// RunNestjoin executes the set-probe nestjoin plan.
-func (m *MaterializeArms) RunNestjoin() (*value.Set, error) {
-	return exec.Collect(m.NestjoinOp(), &exec.Ctx{DB: m.Store})
-}
-
-// RunPNHL executes the partitioned nested-hashed-loops algorithm with the
-// given build-side memory budget (rows per segment; 0 = unlimited). Under
-// ExecMode.Vectorized the batch-native VecPNHL runs instead, with the same
-// segmentation semantics.
-func (m *MaterializeArms) RunPNHL(budgetRows int) (*value.Set, int, error) {
+	// The nestjoin yields (eid, sname, parts, ys); the map reshapes it to parts := ys.
+	nestjoin := &exec.MapOp{Var: "z",
+		Child: &exec.SetProbeJoin{Kind: adl.NestJ, L: &exec.Scan{Table: "SUPPLIER"}, R: &exec.Scan{Table: "PART"},
+			Attr: "parts", RKey: exec.NewScalar(adl.SubT(adl.V("p"), "pid"), "p"), As: "ys"},
+		Body: exec.NewScalar(adl.Exc(adl.SubT(adl.V("z"), "eid", "sname"), "parts", adl.Dot(adl.V("z"), "ys")), "z")}
+	// μ_parts(SUPPLIER) ⋈ PART wrapped as (pobj = p, jpid = p.pid) to avoid
+	// the pid conflict, then ν: suppliers with no parts are lost by μ.
+	unjoin := &exec.NestOp{Attrs: []string{"pid", "pobj", "jpid"}, As: "parts",
+		Child: &exec.HashJoin{Kind: adl.Inner, LVar: "l", RVar: "r",
+			L: &exec.UnnestOp{Child: &exec.Scan{Table: "SUPPLIER"}, Attr: "parts"},
+			R: &exec.MapOp{Child: &exec.Scan{Table: "PART"}, Var: "p",
+				Body: exec.NewScalar(adl.Tup("pobj", adl.V("p"), "jpid", adl.Dot(adl.V("p"), "pid")), "p")},
+			LKey: exec.NewScalar(adl.Dot(adl.V("l"), "pid"), "l"),
+			RKey: exec.NewScalar(adl.Dot(adl.V("r"), "jpid"), "r")}}
+	arms := []Arm{{Label: "nested-loop", Expr: naive}, {Label: "nestjoin(set-probe)", Op: nestjoin},
+		{Label: "unnest-join-nest", Op: unjoin, Lossy: true}}
 	member := exec.NewScalar(adl.V("y"), "e", "y")
-	elemKey := exec.NewScalar(adl.Dot(adl.V("e"), "pid"), "e")
-	buildKey := exec.NewScalar(adl.Dot(adl.V("y"), "pid"), "y")
-	var op exec.Operator = &exec.PNHL{
-		L:          &exec.Scan{Table: "SUPPLIER"},
-		R:          &exec.Scan{Table: "PART"},
-		Attr:       "parts",
-		ElemKey:    elemKey,
-		BuildKey:   buildKey,
-		BudgetRows: budgetRows,
-		Member:     &member,
-	}
-	if ExecMode.Vectorized {
-		op = &exec.VecPNHL{
-			L:          &exec.VecScan{Extent: "SUPPLIER", Attrs: []string{"parts"}, Batch: ExecMode.BatchSize},
-			R:          &exec.Scan{Table: "PART"},
-			Attr:       "parts",
-			ElemKey:    elemKey,
-			BuildKey:   buildKey,
-			BudgetRows: budgetRows,
-			Member:     &member,
+	elemKey, buildKey := exec.NewScalar(adl.Dot(adl.V("e"), "pid"), "e"), exec.NewScalar(adl.Dot(adl.V("y"), "pid"), "y")
+	for _, b := range budgets {
+		budget := "unlimited"
+		if b > 0 {
+			budget = fmt.Sprint(b)
 		}
+		label := fmt.Sprintf("PNHL budget %s (%d segments)", budget, exec.Segments(parts, b))
+		arms = append(arms,
+			Arm{Label: label, Op: &exec.PNHL{L: &exec.Scan{Table: "SUPPLIER"}, R: &exec.Scan{Table: "PART"},
+				Attr: "parts", ElemKey: elemKey, BuildKey: buildKey, BudgetRows: b, Member: &member}},
+			Arm{Label: "Vec" + label, Op: &exec.VecPNHL{L: &exec.VecScan{Extent: "SUPPLIER", Attrs: []string{"parts"}},
+				R: &exec.Scan{Table: "PART"}, Attr: "parts", ElemKey: elemKey, BuildKey: buildKey, BudgetRows: b, Member: &member}})
 	}
-	set, err := exec.Collect(op, &exec.Ctx{DB: m.Store})
-	if err != nil {
-		return nil, 0, err
-	}
-	build, err := m.Store.Table("PART")
-	return set, exec.Segments(build.Len(), budgetRows), err
+	return Case{Name: fmt.Sprintf("materialize[%dx%d,fanout %d]", suppliers, parts, fanout), DB: st, Arms: arms,
+		Check: func(rs []Result) error {
+			if n := find(rs, "unnest-join-nest").Set.Len(); n >= rs[0].Set.Len() {
+				return fmt.Errorf("unnest-join-nest kept all %d suppliers, the ones without parts included", n)
+			}
+			if exec.Segments(parts, budgets[0]) != 1 || exec.Segments(parts, budgets[len(budgets)-1]) < 2 {
+				return fmt.Errorf("budgets %v over %d build rows do not span one to several segments", budgets, parts)
+			}
+			return nil
+		}}
 }
 
-// RunUnnestJoinNest executes the μ → hash join → ν alternative the paper
-// compares PNHL against. It returns its result cardinality: suppliers with
-// empty part sets are lost by μ and never regrouped (the restructuring
-// overhead plus the PNF caveat of §4).
-func (m *MaterializeArms) RunUnnestJoinNest() (int, error) {
-	// μ_parts(SUPPLIER): (pid, eid, sname); join part objects wrapped as
-	// (pobj = p, jpid = p.pid) to avoid the pid concat conflict; nest the
-	// pobj/jpid/pid attributes away.
-	rshape := adl.Tup("pobj", adl.V("p"), "jpid", adl.Dot(adl.V("p"), "pid"))
-	rop := &exec.MapOp{Child: &exec.Scan{Table: "PART"}, Var: "p", Body: exec.NewScalar(rshape, "p")}
-	join := &exec.HashJoin{
-		Kind: adl.Inner,
-		L:    &exec.UnnestOp{Child: &exec.Scan{Table: "SUPPLIER"}, Attr: "parts"},
-		R:    rop,
-		LVar: "l", RVar: "r",
-		LKey: exec.NewScalar(adl.Dot(adl.V("l"), "pid"), "l"),
-		RKey: exec.NewScalar(adl.Dot(adl.V("r"), "jpid"), "r"),
-	}
-	nest := &exec.NestOp{Child: join, Attrs: []string{"pid", "pobj", "jpid"}, As: "parts"}
-	set, err := exec.Collect(nest, &exec.Ctx{DB: m.Store})
-	if err != nil {
-		return 0, err
-	}
-	return set.Len(), nil
+// PointerJoin materializes each delivery's supplier object ([BlMG93],
+// §6.2): by value-based hash join on the oid, and by pointer-based assembly,
+// which dereferences exactly one object per delivery.
+func PointerJoin(suppliers, deliveries int) Case {
+	st := bench.Generate(bench.Config{Suppliers: suppliers, Parts: 10, Fanout: 2, Deliveries: deliveries})
+	hash := &exec.MapOp{Var: "z",
+		Child: &exec.HashJoin{Kind: adl.Inner, LVar: "d", RVar: "r",
+			L: &exec.Scan{Table: "DELIVERY"},
+			R: &exec.MapOp{Child: &exec.Scan{Table: "SUPPLIER"}, Var: "s",
+				Body: exec.NewScalar(adl.Tup("sobj", adl.V("s"), "seid", adl.Dot(adl.V("s"), "eid")), "s")},
+			LKey: exec.NewScalar(adl.Dot(adl.V("d"), "supplier"), "d"),
+			RKey: exec.NewScalar(adl.Dot(adl.V("r"), "seid"), "r")},
+		Body: exec.NewScalar(adl.Exc(adl.SubT(adl.V("z"), "did", "supplier", "supply", "date"),
+			"sup", adl.Dot(adl.V("z"), "sobj")), "z")}
+	return Case{Name: fmt.Sprintf("pointer[%dx%d]", suppliers, deliveries), DB: st, Arms: []Arm{
+		{Label: "hash join", Op: hash},
+		{Label: "assembly", Op: &exec.Assembly{Child: &exec.Scan{Table: "DELIVERY"}, Attr: "supplier", As: "sup"}},
+	}, Check: func(rs []Result) error {
+		if n := find(rs, "assembly").IO.ObjectReads; n != deliveries {
+			return fmt.Errorf("assembly read %d objects for %d references", n, deliveries)
+		}
+		return nil
+	}}
 }
 
-// PointerJoinArms is the B5 experiment: materialize each delivery's supplier
-// object, by value-based hash join versus pointer-based assembly.
-type PointerJoinArms struct {
-	Store *storage.Store
-}
-
-// NewPointerJoin builds the B5 workload.
-func NewPointerJoin(suppliers, deliveries int, seed int64) *PointerJoinArms {
-	st := bench.Generate(bench.Config{Suppliers: suppliers, Parts: 10, Fanout: 2,
-		Deliveries: deliveries, Seed: seed})
-	return &PointerJoinArms{Store: st}
-}
-
-// RunHashJoin materializes via a value-based hash join on the oid.
-func (p *PointerJoinArms) RunHashJoin() (*value.Set, error) {
-	rshape := adl.Tup("sobj", adl.V("s"), "seid", adl.Dot(adl.V("s"), "eid"))
-	rop := &exec.MapOp{Child: &exec.Scan{Table: "SUPPLIER"}, Var: "s", Body: exec.NewScalar(rshape, "s")}
-	join := &exec.HashJoin{
-		Kind: adl.Inner,
-		L:    &exec.Scan{Table: "DELIVERY"},
-		R:    rop,
-		LVar: "d", RVar: "r",
-		LKey: exec.NewScalar(adl.Dot(adl.V("d"), "supplier"), "d"),
-		RKey: exec.NewScalar(adl.Dot(adl.V("r"), "seid"), "r"),
-	}
-	body := adl.Exc(adl.SubT(adl.V("z"), "did", "supplier", "supply", "date"),
-		"sup", adl.Dot(adl.V("z"), "sobj"))
-	op := &exec.MapOp{Child: join, Var: "z", Body: exec.NewScalar(body, "z")}
-	return exec.Collect(op, &exec.Ctx{DB: p.Store})
-}
-
-// AssemblyOp builds the pointer-based materialization arm's physical plan.
-func (p *PointerJoinArms) AssemblyOp() exec.Operator {
-	return &exec.Assembly{Child: &exec.Scan{Table: "DELIVERY"}, Attr: "supplier", As: "sup"}
-}
-
-// RunAssembly materializes via pointer dereferencing.
-func (p *PointerJoinArms) RunAssembly() (*value.Set, error) {
-	return exec.Collect(p.AssemblyOp(), &exec.Ctx{DB: p.Store})
-}
-
-// NewForallExchange builds the B6 workload (Rewriting Example 3 shape) on a
-// synthetic set-of-sets database of the given size.
-func NewForallExchange(nx, ny int, seed int64) (*storage.MemDB, adl.Expr, adl.Expr) {
-	rng := newRng(seed)
+// ForallExchange is the Rewriting Example 3 shape on a synthetic
+// set-of-sets database: the nested ∀⊇ query against its exchanged antijoin
+// form, both run by the interpreter.
+func ForallExchange(nx, ny int) Case {
+	rng := rand.New(rand.NewSource(seed))
 	x := value.EmptySet()
 	for i := 0; i < nx; i++ {
 		c := value.EmptySet()
@@ -324,641 +397,222 @@ func NewForallExchange(nx, ny int, seed int64) (*storage.MemDB, adl.Expr, adl.Ex
 	for i := 0; i < ny; i++ {
 		y.Add(value.NewTuple("d", value.Int(int64(i))))
 	}
-	db := storage.NewMemDB("XX", x, "YY", y)
-
-	q := adl.CmpE(adl.Le, adl.Dot(adl.V("y"), "d"), adl.CInt(2))
-	sub := adl.MapE("y", adl.Dot(adl.V("y"), "d"), adl.Sel("y", q, adl.T("YY")))
-	naive := adl.Sel("x",
-		adl.All("z", adl.Dot(adl.V("x"), "c"), adl.CmpE(adl.SupEq, adl.V("z"), sub)),
-		adl.T("XX"))
-
-	ctx := rewrite.NewStaticContext(map[string]*types.Tuple{
+	sub := adl.MapE("y", adl.Dot(adl.V("y"), "d"),
+		adl.Sel("y", adl.CmpE(adl.Le, adl.Dot(adl.V("y"), "d"), adl.CInt(2)), adl.T("YY")))
+	naive := adl.Sel("x", adl.All("z", adl.Dot(adl.V("x"), "c"), adl.CmpE(adl.SupEq, adl.V("z"), sub)), adl.T("XX"))
+	res := rewrite.Optimize(naive, rewrite.NewStaticContext(map[string]*types.Tuple{
 		"XX": types.NewTuple("a", types.IntType, "c", types.NewSet(types.NewSet(types.IntType))),
 		"YY": types.NewTuple("d", types.IntType),
-	})
-	res := rewrite.Optimize(naive, ctx)
-	return db, naive, res.Expr
+	}))
+	return Case{Name: fmt.Sprintf("forall[%dx%d]", nx, ny), DB: storage.NewMemDB("XX", x, "YY", y), Arms: []Arm{
+		{Label: "nested-loop", Expr: naive},
+		{Label: "antijoin", Expr: res.Expr},
+	}}
 }
 
-// newRng is a deterministic rand source helper.
-func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-// ParallelJoinArms is the B8 workload: the same equi-key grouping join —
-// nest each supplier's deliveries, keeping only the delivery oids — executed
-// by the serial HashJoin and by the Grace-style PartitionedHashJoin. The
-// per-probe work (match iteration plus the right-tuple function) happens
-// inside the partitions, so it is the shape parallelism pays off on.
-type ParallelJoinArms struct {
-	Store *storage.Store
-	// Parallelism is the partition count of the parallel arm: n > 0 means n
-	// partitions, negative means NumCPU, and 0 means serial — the parallel
-	// arm falls back to the serial HashJoin, giving benchmark sweeps a
-	// control point (cmd/adlbench -parallel 0).
-	Parallelism int
-}
-
-// NewParallelJoin builds the B8 workload.
-func NewParallelJoin(suppliers, deliveries, parallelism int, seed int64) *ParallelJoinArms {
-	st := bench.Generate(bench.Config{Suppliers: suppliers, Parts: 10, Fanout: 2,
-		Deliveries: deliveries, Seed: seed})
-	return &ParallelJoinArms{Store: st, Parallelism: parallelism}
-}
-
-// StrategyArms is the B9 workload: one logical equi-key join over the
-// supplier-delivery schema, executed by every applicable forced physical
-// strategy and by the optimizer — cost-based with collected statistics, or
-// the size-threshold fallback without. It is the paper's §5.1 "the optimizer
-// may choose" made measurable: the forced arms expose what each strategy
-// costs, the optimizer arm shows which one the cost model picks.
-type StrategyArms struct {
-	Name  string
-	Store *storage.Store
-	// Join is the logical join (SUPPLIER × DELIVERY on eid = supplier).
-	Join *adl.Join
-	// Parallelism is the partition count for the partitioned arm and the
-	// optimizer's parallel candidates; <=0 means NumCPU.
-	Parallelism int
-
-	stats *storage.DBStats
-}
-
-// Statistics returns the workload's collected statistics, running the
-// ANALYZE pass on first use. B9 times the first call separately so the
-// one-off collection cost is visible but not charged to the optimizer arm.
-func (a *StrategyArms) Statistics() *storage.DBStats {
-	if a.stats == nil {
-		a.stats = a.Store.Analyze()
-	}
-	return a.stats
-}
-
-// Warm materializes both extents so no timed arm pays the store's one-off
-// extent-cache build.
-func (a *StrategyArms) Warm() error {
-	for _, ext := range []string{"SUPPLIER", "DELIVERY"} {
-		if _, err := a.Store.Table(ext); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// NewStrategyJoin builds a B9 workload of the given join kind and scale.
-func NewStrategyJoin(name string, kind adl.JoinKind, suppliers, deliveries, parallelism int, seed int64) *StrategyArms {
-	st := bench.Generate(bench.Config{Suppliers: suppliers, Parts: 10, Fanout: 2,
-		Deliveries: deliveries, Seed: seed})
+// StrategyJoin is one logical equi-join of SUPPLIER and DELIVERY on
+// s.eid = d.supplier — inner, or nesting each supplier's delivery oids —
+// run by every applicable physical strategy, forced, and as the cost-based
+// optimizer plans it: §5.1's "the optimizer may choose" made measurable.
+// The nested loop is left out above a million pairs, where it only proves
+// the point by wasting minutes.
+func StrategyJoin(name string, kind adl.JoinKind, suppliers, deliveries int) Case {
+	st := bench.Generate(bench.Config{Suppliers: suppliers, Parts: 10, Fanout: 2, Deliveries: deliveries})
 	j := adl.JoinE(adl.T("SUPPLIER"), "s", "d",
-		adl.EqE(adl.Dot(adl.V("s"), "eid"), adl.Dot(adl.V("d"), "supplier")),
-		adl.T("DELIVERY"))
+		adl.EqE(adl.Dot(adl.V("s"), "eid"), adl.Dot(adl.V("d"), "supplier")), adl.T("DELIVERY"))
 	j.Kind = kind
-	if kind == adl.NestJ {
-		j.As = "ds"
-		j.RFun = adl.SubT(adl.V("d"), "did")
-	}
-	return &StrategyArms{Name: name, Store: st, Join: j, Parallelism: parallelism}
-}
-
-// Arms lists the forced strategies applicable to this workload's join kind.
-// The nested loop is skipped when the cross product exceeds a million pairs —
-// at that scale it only proves the point by wasting minutes.
-func (a *StrategyArms) Arms() []string {
-	arms := []string{"hash"}
-	if a.Join.Kind == adl.Inner {
-		arms = append(arms, "hash-swap")
-	}
-	if a.Join.Kind == adl.Inner || a.Join.Kind == adl.NestJ {
-		arms = append(arms, "sortmerge")
-	}
-	arms = append(arms, "parallel")
-	if a.Store.Size("SUPPLIER")*a.Store.Size("DELIVERY") <= 1_000_000 {
-		arms = append(arms, "nl")
-	}
-	return arms
-}
-
-// RunForced executes the join with one forced physical strategy.
-func (a *StrategyArms) RunForced(arm string) (*value.Set, error) {
-	lk := exec.NewScalar(adl.Dot(adl.V("s"), "eid"), "s")
-	rk := exec.NewScalar(adl.Dot(adl.V("d"), "supplier"), "d")
-	l := &exec.Scan{Table: "SUPPLIER"}
-	r := &exec.Scan{Table: "DELIVERY"}
 	var rfun *exec.Scalar
-	if a.Join.RFun != nil {
-		s := exec.NewScalar(a.Join.RFun, "s", "d")
+	if kind == adl.NestJ {
+		j.As, j.RFun = "ds", adl.SubT(adl.V("d"), "did")
+		s := exec.NewScalar(j.RFun, "s", "d")
 		rfun = &s
 	}
-	var op exec.Operator
-	switch arm {
-	case "nl":
-		op = &exec.NLJoin{Kind: a.Join.Kind, L: l, R: r, LVar: "s", RVar: "d",
-			Pred: exec.NewScalar(a.Join.On, "s", "d"), As: a.Join.As, RFun: rfun}
-	case "hash":
-		op = &exec.HashJoin{Kind: a.Join.Kind, L: l, R: r, LVar: "s", RVar: "d",
-			LKey: lk, RKey: rk, As: a.Join.As, RFun: rfun}
-	case "hash-swap":
-		if a.Join.Kind != adl.Inner {
-			return nil, fmt.Errorf("B9: hash-swap applies to inner joins only")
-		}
-		op = &exec.HashJoin{Kind: adl.Inner, L: r, R: l, LVar: "d", RVar: "s",
-			LKey: rk, RKey: lk}
-	case "sortmerge":
-		op = &exec.SortMergeJoin{Kind: a.Join.Kind, L: l, R: r, LVar: "s", RVar: "d",
-			LKey: lk, RKey: rk, As: a.Join.As, RFun: rfun}
-	case "parallel":
-		op = &exec.PartitionedHashJoin{Kind: a.Join.Kind, L: l, R: r,
-			LVar: "s", RVar: "d", LKey: lk, RKey: rk, As: a.Join.As, RFun: rfun,
-			Partitions: a.Parallelism}
-	default:
-		return nil, fmt.Errorf("B9: unknown arm %q", arm)
+	lk, rk := exec.NewScalar(adl.Dot(adl.V("s"), "eid"), "s"), exec.NewScalar(adl.Dot(adl.V("d"), "supplier"), "d")
+	l, r := &exec.Scan{Table: "SUPPLIER"}, &exec.Scan{Table: "DELIVERY"}
+	arms := []Arm{{Label: "hash", Op: &exec.HashJoin{Kind: kind, L: l, R: r, LVar: "s", RVar: "d",
+		LKey: lk, RKey: rk, As: j.As, RFun: rfun}}}
+	if kind == adl.Inner {
+		arms = append(arms, Arm{Label: "hash-swap", Op: &exec.HashJoin{Kind: adl.Inner, L: r, R: l, LVar: "d", RVar: "s",
+			LKey: rk, RKey: lk}})
 	}
-	return exec.Collect(op, &exec.Ctx{DB: a.Store})
-}
-
-// PlanOptimizer compiles the optimizer arm's plan: cost-based when analyze
-// is set (statistics collected first), threshold fallback otherwise. The
-// returned label describes the chosen strategy.
-func (a *StrategyArms) PlanOptimizer(analyze bool) (*plan.Plan, string) {
-	cfg := plan.Config{Parallelism: a.Parallelism}
-	if analyze {
-		cfg.Statistics = a.Statistics()
-	} else {
-		cfg.Stats = a.Store
+	arms = append(arms,
+		Arm{Label: "sortmerge", Op: &exec.SortMergeJoin{Kind: kind, L: l, R: r, LVar: "s", RVar: "d",
+			LKey: lk, RKey: rk, As: j.As, RFun: rfun}},
+		Arm{Label: "parallel", Op: &exec.PartitionedHashJoin{Kind: kind, L: l, R: r, LVar: "s", RVar: "d",
+			LKey: lk, RKey: rk, As: j.As, RFun: rfun}})
+	if suppliers*deliveries <= 1_000_000 {
+		arms = append(arms, Arm{Label: "nl", Op: &exec.NLJoin{Kind: kind, L: l, R: r, LVar: "s", RVar: "d",
+			Pred: exec.NewScalar(j.On, "s", "d"), As: j.As, RFun: rfun}})
 	}
-	pl := cfg.Plan(a.Join)
-	label := strings.TrimPrefix(fmt.Sprintf("%T", pl.Root), "*exec.")
-	if est, ok := pl.Estimate(pl.Root); ok && est.Note != "" {
-		label += " (" + est.Note + ")"
-	}
-	return pl, label
+	arms = append(arms, Arm{Label: "optimizer", Cfg: &plan.Config{}})
+	return Case{Name: fmt.Sprintf("%s[%dx%d]", name, suppliers, deliveries), DB: st, Query: j, Arms: arms, Analyze: true}
 }
 
-// RunOptimizer executes the optimizer arm.
-func (a *StrategyArms) RunOptimizer(analyze bool) (*value.Set, string, error) {
-	pl, label := a.PlanOptimizer(analyze)
-	set, err := exec.Collect(pl.Root, &exec.Ctx{DB: a.Store})
-	return set, label, err
-}
-
-// StarJoinArms is the B10 workload: a four-extent star join —
-// ORD(ordid, cust, item, qty) against ITEM, CUST and a region-filtered
-// REGION — written in a deliberately poor order: the huge ORD ⋈ ITEM first,
-// the selective region filter last. With collected statistics the two-phase
-// optimizer decomposes the chain into a join graph and enumerates a cheaper
-// order (filter REGION, shrink CUST, then touch ORD and ITEM); the baseline
-// arm (plan.Config.NoReorder) prices the same physical operators but keeps
-// the written order. Both arms must return the identical result set.
-type StarJoinArms struct {
-	Name  string
-	Store *storage.Store
-	// Query is the nested join chain in written (rewriter) order.
-	Query adl.Expr
-	// Parallelism feeds the planner's parallel candidates; <= 0 means NumCPU.
-	Parallelism int
-
-	stats *storage.DBStats
-}
-
-// starCatalog is the B10 schema: REGION ← CUST ← ORD → ITEM.
-func starCatalog() *schema.Catalog {
+// StarJoin is a four-extent star join — ORD(ordid, cust, item, qty) against
+// ITEM, CUST and a region-filtered REGION — written worst-first: the huge
+// ORD ⋈ ITEM innermost, the only selective predicate outermost. From the
+// same statistics the two-phase optimizer enumerates a cheaper order than
+// the written one (Config.NoReorder); the check is that the cost model
+// prices it cheaper.
+func StarJoin(orders, items, custs, regions int) Case {
 	c := schema.NewCatalog()
-	must := func(err error) {
-		if err != nil {
-			panic(err)
-		}
-	}
-	must(c.Define(&schema.Class{
-		Name: "Region", Extent: "REGION", IDField: "rid",
-		Attrs: []schema.Attr{
-			{Name: "rname", Kind: schema.Plain, Type: types.StringType},
-		},
-	}))
-	must(c.Define(&schema.Class{
-		Name: "Cust", Extent: "CUST", IDField: "cid",
-		Attrs: []schema.Attr{
-			{Name: "cname", Kind: schema.Plain, Type: types.StringType},
-			{Name: "region", Kind: schema.Ref, RefClass: "Region"},
-		},
-	}))
-	must(c.Define(&schema.Class{
-		Name: "Item", Extent: "ITEM", IDField: "iid",
-		Attrs: []schema.Attr{
-			{Name: "iname", Kind: schema.Plain, Type: types.StringType},
-			{Name: "weight", Kind: schema.Plain, Type: types.IntType},
-		},
-	}))
-	must(c.Define(&schema.Class{
-		Name: "Ord", Extent: "ORD", IDField: "ordid",
-		Attrs: []schema.Attr{
-			{Name: "cust", Kind: schema.Ref, RefClass: "Cust"},
+	must(c.Define(&schema.Class{Name: "Region", Extent: "REGION", IDField: "rid",
+		Attrs: []schema.Attr{{Name: "rname", Kind: schema.Plain, Type: types.StringType}}}))
+	must(c.Define(&schema.Class{Name: "Cust", Extent: "CUST", IDField: "cid",
+		Attrs: []schema.Attr{{Name: "cname", Kind: schema.Plain, Type: types.StringType},
+			{Name: "region", Kind: schema.Ref, RefClass: "Region"}}}))
+	must(c.Define(&schema.Class{Name: "Item", Extent: "ITEM", IDField: "iid",
+		Attrs: []schema.Attr{{Name: "iname", Kind: schema.Plain, Type: types.StringType},
+			{Name: "weight", Kind: schema.Plain, Type: types.IntType}}}))
+	must(c.Define(&schema.Class{Name: "Ord", Extent: "ORD", IDField: "ordid",
+		Attrs: []schema.Attr{{Name: "cust", Kind: schema.Ref, RefClass: "Cust"},
 			{Name: "item", Kind: schema.Ref, RefClass: "Item"},
-			{Name: "qty", Kind: schema.Plain, Type: types.IntType},
-		},
-	}))
-	return c
-}
-
-// NewStarJoin builds the B10 workload at the given extent sizes.
-func NewStarJoin(orders, items, custs, regions int, parallelism int, seed int64) *StarJoinArms {
-	rng := newRng(seed)
-	st := storage.New(starCatalog())
-	ins := func(extent string, t *value.Tuple) value.OID {
-		oid, err := st.Insert(extent, t)
-		if err != nil {
-			panic(err)
+			{Name: "qty", Kind: schema.Plain, Type: types.IntType}}}))
+	st := storage.New(c)
+	rng := rand.New(rand.NewSource(seed))
+	fill := func(extent string, n int, row func(i int) *value.Tuple) []value.OID {
+		oids := make([]value.OID, n)
+		for i := range oids {
+			oid, err := st.Insert(extent, row(i))
+			must(err)
+			oids[i] = oid
 		}
-		return oid
+		return oids
 	}
-	regionOIDs := make([]value.OID, regions)
-	for i := 0; i < regions; i++ {
-		regionOIDs[i] = ins("REGION", value.NewTuple(
-			"rname", value.String(fmt.Sprintf("region-%d", i))))
-	}
-	custOIDs := make([]value.OID, custs)
-	for i := 0; i < custs; i++ {
-		custOIDs[i] = ins("CUST", value.NewTuple(
-			"cname", value.String(fmt.Sprintf("cust-%d", i)),
-			"region", regionOIDs[rng.Intn(regions)]))
-	}
-	itemOIDs := make([]value.OID, items)
-	for i := 0; i < items; i++ {
-		itemOIDs[i] = ins("ITEM", value.NewTuple(
-			"iname", value.String(fmt.Sprintf("item-%d", i)),
-			"weight", value.Int(int64(rng.Intn(50)+1))))
-	}
-	for i := 0; i < orders; i++ {
-		ins("ORD", value.NewTuple(
-			"cust", custOIDs[rng.Intn(custs)],
-			"item", itemOIDs[rng.Intn(items)],
-			"qty", value.Int(int64(rng.Intn(20)+1))))
-	}
-
-	// ((ORD ⋈ ITEM) ⋈ CUST) ⋈ σ-REGION, worst-first: the biggest join is
-	// written innermost and the only selective predicate outermost.
-	j1 := adl.JoinE(adl.T("ORD"), "o", "i",
-		adl.EqE(adl.Dot(adl.V("o"), "item"), adl.Dot(adl.V("i"), "iid")),
-		adl.T("ITEM"))
-	j2 := adl.JoinE(j1, "oi", "c",
-		adl.EqE(adl.Dot(adl.V("oi"), "cust"), adl.Dot(adl.V("c"), "cid")),
-		adl.T("CUST"))
-	j3 := adl.JoinE(j2, "oic", "r",
-		adl.AndE(
-			adl.EqE(adl.Dot(adl.V("oic"), "region"), adl.Dot(adl.V("r"), "rid")),
-			adl.EqE(adl.Dot(adl.V("r"), "rname"), adl.CStr("region-0"))),
-		adl.T("REGION"))
-	name := fmt.Sprintf("star[%dx%dx%dx%d]", orders, items, custs, regions)
-	return &StarJoinArms{Name: name, Store: st, Query: j3, Parallelism: parallelism}
+	regionOIDs := fill("REGION", regions, func(i int) *value.Tuple {
+		return value.NewTuple("rname", value.String(fmt.Sprintf("region-%d", i)))
+	})
+	custOIDs := fill("CUST", custs, func(i int) *value.Tuple {
+		return value.NewTuple("cname", value.String(fmt.Sprintf("cust-%d", i)), "region", regionOIDs[rng.Intn(regions)])
+	})
+	itemOIDs := fill("ITEM", items, func(i int) *value.Tuple {
+		return value.NewTuple("iname", value.String(fmt.Sprintf("item-%d", i)), "weight", value.Int(int64(rng.Intn(50)+1)))
+	})
+	fill("ORD", orders, func(int) *value.Tuple {
+		return value.NewTuple("cust", custOIDs[rng.Intn(custs)], "item", itemOIDs[rng.Intn(items)],
+			"qty", value.Int(int64(rng.Intn(20)+1)))
+	})
+	j1 := adl.JoinE(adl.T("ORD"), "o", "i", adl.EqE(adl.Dot(adl.V("o"), "item"), adl.Dot(adl.V("i"), "iid")), adl.T("ITEM"))
+	j2 := adl.JoinE(j1, "oi", "c", adl.EqE(adl.Dot(adl.V("oi"), "cust"), adl.Dot(adl.V("c"), "cid")), adl.T("CUST"))
+	q := adl.JoinE(j2, "oic", "r", adl.AndE(
+		adl.EqE(adl.Dot(adl.V("oic"), "region"), adl.Dot(adl.V("r"), "rid")),
+		adl.EqE(adl.Dot(adl.V("r"), "rname"), adl.CStr("region-0"))), adl.T("REGION"))
+	return Case{Name: fmt.Sprintf("star[%dx%dx%dx%d]", orders, items, custs, regions), DB: st, Query: q, Analyze: true,
+		Arms: []Arm{
+			{Label: "reference (rule-based)", Op: plan.Compile(q)},
+			{Label: "rewriter order", Cfg: &plan.Config{NoReorder: true}},
+			{Label: "enumerated order", Cfg: &plan.Config{}},
+		}, Check: func(rs []Result) error {
+			written, wok := find(rs, "rewriter order").cost()
+			enumerated, eok := find(rs, "enumerated order").cost()
+			if !wok || !eok {
+				return fmt.Errorf("plans not annotated")
+			}
+			if enumerated >= written {
+				return fmt.Errorf("enumerated order (%.0f) is not cheaper than rewriter order (%.0f)", enumerated, written)
+			}
+			return nil
+		}}
 }
 
-// Statistics runs the ANALYZE pass on first use.
-func (a *StarJoinArms) Statistics() *storage.DBStats {
-	if a.stats == nil {
-		a.stats = a.Store.Analyze()
-	}
-	return a.stats
+// LookupJoin is a selective lookup join, σ(sname = "supplier-42")(SUPPLIER)
+// ⋈ DELIVERY on eid = supplier, over an ordered index on SUPPLIER.sname and
+// a hash index on DELIVERY.supplier. The filter keeps one supplier, so
+// probing the delivery index per outer row beats scanning and hashing the
+// extent: from statistics that record the indexes, the optimizer must choose
+// the index-nested-loop join and beat both forced hash joins on time and
+// page reads.
+func LookupJoin(suppliers, deliveries int) Case {
+	st := bench.Generate(bench.Config{Suppliers: suppliers, Parts: 10, Fanout: 2, Deliveries: deliveries})
+	must(st.CreateIndex("SUPPLIER", "sname", storage.OrderedIndex))
+	must(st.EnsureIndexes("DELIVERY", "supplier"))
+	target := adl.EqE(adl.Dot(adl.V("s"), "sname"), adl.CStr("supplier-42"))
+	q := adl.JoinE(adl.Sel("s", target, adl.T("SUPPLIER")), "s", "d",
+		adl.EqE(adl.Dot(adl.V("s"), "eid"), adl.Dot(adl.V("d"), "supplier")), adl.T("DELIVERY"))
+	lk, rk := exec.NewScalar(adl.Dot(adl.V("s"), "eid"), "s"), exec.NewScalar(adl.Dot(adl.V("d"), "supplier"), "d")
+	l := &exec.Filter{Child: &exec.Scan{Table: "SUPPLIER"}, Var: "s", Pred: exec.NewScalar(target, "s")}
+	r := &exec.Scan{Table: "DELIVERY"}
+	hashArms := []string{"hash (build DELIVERY)", "hash (build σSUPPLIER)"}
+	return Case{Name: fmt.Sprintf("lookup[%dx%d]", suppliers, deliveries), DB: st, Query: q, Analyze: true, Runs: 3,
+		Arms: []Arm{
+			{Label: hashArms[0], Op: &exec.HashJoin{Kind: adl.Inner, L: l, R: r, LVar: "s", RVar: "d", LKey: lk, RKey: rk}},
+			{Label: hashArms[1], Op: &exec.HashJoin{Kind: adl.Inner, L: r, R: l, LVar: "d", RVar: "s", LKey: rk, RKey: lk}},
+			{Label: "optimizer", Cfg: &plan.Config{}},
+			{Label: "optimizer, NoIndexes", Cfg: &plan.Config{NoIndexes: true}},
+		}, Check: func(rs []Result) error {
+			opt := find(rs, "optimizer")
+			if _, ok := opt.Plan.Root.(*exec.IndexNLJoin); !ok {
+				return fmt.Errorf("optimizer chose %s, want IndexNLJoin", opt.shape())
+			}
+			if x := find(rs, "optimizer, NoIndexes").Plan.Explain(); strings.Contains(x, "Index") {
+				return fmt.Errorf("NoIndexes plan uses an index:\n%s", x)
+			}
+			for _, label := range hashArms {
+				h := find(rs, label)
+				if opt.Time >= h.Time || opt.IO.PageReads >= h.IO.PageReads {
+					return fmt.Errorf("index plan (%v, %d page reads) not cheaper than %s (%v, %d)",
+						opt.Time, opt.IO.PageReads, label, h.Time, h.IO.PageReads)
+				}
+			}
+			return nil
+		}}
 }
 
-// Warm materializes every extent so no timed arm pays the one-off
-// extent-cache build.
-func (a *StarJoinArms) Warm() error {
-	for _, ext := range []string{"ORD", "ITEM", "CUST", "REGION"} {
-		if _, err := a.Store.Table(ext); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Plan compiles the query cost-based; reorder false keeps the written order
-// (the baseline arm), true enumerates.
-func (a *StarJoinArms) Plan(reorder bool) *plan.Plan {
-	cfg := plan.Config{Statistics: a.Statistics(), Parallelism: a.Parallelism,
-		NoReorder: !reorder}
-	return cfg.Plan(a.Query)
-}
-
-// Run executes one arm.
-func (a *StarJoinArms) Run(reorder bool) (*value.Set, *plan.Plan, error) {
-	pl := a.Plan(reorder)
-	set, err := exec.Collect(pl.Root, &exec.Ctx{DB: a.Store})
-	return set, pl, err
-}
-
-// RunReference executes the query rule-based (no statistics, serial) as the
-// independent correctness baseline.
-func (a *StarJoinArms) RunReference() (*value.Set, error) {
-	return plan.Run(a.Query, a.Store)
-}
-
-// LookupJoinArms is the B11 workload: a selective lookup join —
-// σ(sname = "supplier-42")(SUPPLIER) ⋈ DELIVERY on eid = supplier — where
-// the filter keeps a single supplier, so probing DELIVERY's secondary index
-// per outer row beats scanning and hashing the whole delivery extent. With
-// Indexed set, an ordered index on SUPPLIER.sname and a hash index on
-// DELIVERY.supplier are created, ANALYZE records them, and the cost model
-// should choose an IndexScan leaf feeding an IndexNLJoin; the forced hash
-// arms expose what the scan-based strategies cost on the same query.
-type LookupJoinArms struct {
-	Name  string
-	Store *storage.Store
-	// Query is the logical selective lookup join.
-	Query adl.Expr
-	// Parallelism feeds the planner's parallel candidates; <= 0 means NumCPU.
-	Parallelism int
-	// Indexed records whether the secondary indexes were created.
-	Indexed bool
-
-	stats *storage.DBStats
-}
-
-// NewLookupJoin builds the B11 workload; indexes toggles index creation (the
-// -indexes=false A/B arm plans the same query without them).
-func NewLookupJoin(suppliers, deliveries, parallelism int, indexes bool, seed int64) *LookupJoinArms {
-	st := bench.Generate(bench.Config{Suppliers: suppliers, Parts: 10, Fanout: 2,
-		Deliveries: deliveries, Seed: seed})
-	if indexes {
-		if err := st.CreateIndex("SUPPLIER", "sname", storage.OrderedIndex); err != nil {
-			panic(err)
-		}
-		if err := st.EnsureIndexes("DELIVERY", "supplier"); err != nil {
-			panic(err)
-		}
-	}
-	sel := adl.Sel("s",
-		adl.EqE(adl.Dot(adl.V("s"), "sname"), adl.CStr("supplier-42")),
-		adl.T("SUPPLIER"))
-	q := adl.JoinE(sel, "s", "d",
-		adl.EqE(adl.Dot(adl.V("s"), "eid"), adl.Dot(adl.V("d"), "supplier")),
-		adl.T("DELIVERY"))
-	name := fmt.Sprintf("lookup[%dx%d]", suppliers, deliveries)
-	return &LookupJoinArms{Name: name, Store: st, Query: q,
-		Parallelism: parallelism, Indexed: indexes}
-}
-
-// Statistics runs the ANALYZE pass on first use (recording the indexes).
-func (a *LookupJoinArms) Statistics() *storage.DBStats {
-	if a.stats == nil {
-		a.stats = a.Store.Analyze()
-	}
-	return a.stats
-}
-
-// Warm materializes both extents so no timed arm pays the one-off
-// extent-cache build.
-func (a *LookupJoinArms) Warm() error {
-	for _, ext := range []string{"SUPPLIER", "DELIVERY"} {
-		if _, err := a.Store.Table(ext); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// lookupJoinPieces builds the shared scalars of the forced arms.
-func (a *LookupJoinArms) lookupJoinPieces() (filter, lk, rk exec.Scalar) {
-	filter = exec.NewScalar(adl.EqE(adl.Dot(adl.V("s"), "sname"), adl.CStr("supplier-42")), "s")
-	lk = exec.NewScalar(adl.Dot(adl.V("s"), "eid"), "s")
-	rk = exec.NewScalar(adl.Dot(adl.V("d"), "supplier"), "d")
-	return
-}
-
-// RunForcedHash executes the forced scan-based baseline: filter SUPPLIER by
-// a full scan, hash join with DELIVERY. swap false builds on DELIVERY (the
-// rewriter orientation), true builds on the filtered supplier side — the
-// best plan available without indexes.
-func (a *LookupJoinArms) RunForcedHash(swap bool) (*value.Set, error) {
-	filter, lk, rk := a.lookupJoinPieces()
-	l := exec.Operator(&exec.Filter{Child: &exec.Scan{Table: "SUPPLIER"}, Var: "s", Pred: filter})
-	r := exec.Operator(&exec.Scan{Table: "DELIVERY"})
-	var op exec.Operator
-	if swap {
-		op = &exec.HashJoin{Kind: adl.Inner, L: r, R: l, LVar: "d", RVar: "s",
-			LKey: rk, RKey: lk}
-	} else {
-		op = &exec.HashJoin{Kind: adl.Inner, L: l, R: r, LVar: "s", RVar: "d",
-			LKey: lk, RKey: rk}
-	}
-	return exec.Collect(op, &exec.Ctx{DB: a.Store})
-}
-
-// PlanOptimizer compiles the optimizer arm from collected statistics; with
-// Indexed unset (or noIndexes forced) the planner sees no index entries and
-// stays with the scan-based family.
-func (a *LookupJoinArms) PlanOptimizer() *plan.Plan {
-	cfg := plan.Config{Statistics: a.Statistics(), Parallelism: a.Parallelism,
-		NoIndexes: !a.Indexed}
-	return cfg.Plan(a.Query)
-}
-
-// RunOptimizer executes the optimizer arm, returning the result and a label
-// for the chosen root operator.
-func (a *LookupJoinArms) RunOptimizer() (*value.Set, string, error) {
-	pl := a.PlanOptimizer()
-	label := strings.TrimPrefix(fmt.Sprintf("%T", pl.Root), "*exec.")
-	set, err := exec.Collect(pl.Root, &exec.Ctx{DB: a.Store})
-	return set, label, err
-}
-
-// SkewJoinArms is the B12 workload: a three-relation star join over
-// Zipf-skewed data. FACT references DIMA and DIMB uniformly; the query
-// filters DIMA to its heavy-hitter category (which truly keeps most of the
-// dimension, while the uniform 1/NDV rule estimates a sliver) and DIMB to
-// one uniform group (estimated correctly by both models). Hash indexes on
-// FACT.fa and FACT.fb let either dimension probe the bare FACT extent with
-// an index-nested-loop join, so the join-order choice decides how many
-// random FACT fetches the plan pays. With histograms the DP enumerator sees
-// the hot filter for what it is and joins the genuinely selective DIMB side
-// first; the NoHistograms arm is lured into probing with the "small" σDIMA
-// and drags a several-times-larger intermediate through the rest of the
-// plan — same result, strictly more pages and time.
-type SkewJoinArms struct {
-	Name  string
-	Store *storage.Store
-	// Query is the star join in written order (FACT ⋈ DIMA first).
-	Query adl.Expr
-	// HotCat is the skewed filter constant (the most frequent DIMA.cat).
-	HotCat value.Value
-	// Parallelism feeds the planner's parallel candidates; <= 0 means NumCPU.
-	Parallelism int
-
-	stats *storage.DBStats
-}
-
-// NewSkewJoin builds the B12 workload at the given scale.
-func NewSkewJoin(facts, dims, parallelism int, seed int64) *SkewJoinArms {
-	st := bench.GenerateSkew(bench.SkewConfig{
-		Facts: facts, DimA: dims, DimB: dims, Seed: seed})
-	if err := st.EnsureIndexes("FACT", "fa", "fb"); err != nil {
-		panic(err)
-	}
+// SkewJoin is a three-relation star join over Zipf-skewed data: FACT ⋈ DIMA
+// filtered to its heavy-hitter category (which keeps most of the dimension,
+// while the uniform 1/NDV rule estimates a sliver) ⋈ DIMB filtered to one
+// uniform group, with hash indexes on FACT.fa and FACT.fb so either
+// dimension can probe FACT. With histograms the optimizer joins the
+// genuinely selective DIMB first; under Config.NoHistograms it is lured into
+// probing with σDIMA. The check: the plans differ that way, and the
+// histogram plan reads fewer pages and runs faster.
+func SkewJoin(facts, dims int) Case {
+	st := bench.GenerateSkew(bench.SkewConfig{Facts: facts, DimA: dims, DimB: dims})
+	must(st.EnsureIndexes("FACT", "fa", "fb"))
 	hot, _ := bench.HotCategory(st)
-	j1 := adl.JoinE(adl.T("FACT"), "f", "a",
-		adl.AndE(
-			adl.EqE(adl.Dot(adl.V("f"), "fa"), adl.Dot(adl.V("a"), "aid")),
-			adl.EqE(adl.Dot(adl.V("a"), "cat"), adl.C(hot))),
-		adl.T("DIMA"))
-	q := adl.JoinE(j1, "fa2", "b",
-		adl.AndE(
-			adl.EqE(adl.Dot(adl.V("fa2"), "fb"), adl.Dot(adl.V("b"), "bid")),
-			adl.EqE(adl.Dot(adl.V("b"), "grp"), adl.CInt(3))),
-		adl.T("DIMB"))
-	name := fmt.Sprintf("skew[%dx%d]", facts, dims)
-	return &SkewJoinArms{Name: name, Store: st, Query: q, HotCat: hot,
-		Parallelism: parallelism}
+	j1 := adl.JoinE(adl.T("FACT"), "f", "a", adl.AndE(
+		adl.EqE(adl.Dot(adl.V("f"), "fa"), adl.Dot(adl.V("a"), "aid")),
+		adl.EqE(adl.Dot(adl.V("a"), "cat"), adl.C(hot))), adl.T("DIMA"))
+	q := adl.JoinE(j1, "fa2", "b", adl.AndE(
+		adl.EqE(adl.Dot(adl.V("fa2"), "fb"), adl.Dot(adl.V("b"), "bid")),
+		adl.EqE(adl.Dot(adl.V("b"), "grp"), adl.CInt(3))), adl.T("DIMB"))
+	return Case{Name: fmt.Sprintf("skew[%dx%d] DIMA.cat=%v", facts, dims, hot), DB: st, Query: q, Analyze: true, Runs: 3,
+		Arms: []Arm{
+			{Label: "reference (rule-based)", Op: plan.Compile(q)},
+			{Label: "ndv (NoHistograms)", Cfg: &plan.Config{NoHistograms: true}},
+			{Label: "histograms", Cfg: &plan.Config{}},
+		}, Check: func(rs []Result) error {
+			ndv, hist := find(rs, "ndv (NoHistograms)"), find(rs, "histograms")
+			if !strings.Contains(ndv.Plan.Explain(), "index probe into FACT.fa") {
+				return fmt.Errorf("NDV arm did not probe with σDIMA first:\n%s", ndv.Plan.Explain())
+			}
+			if !strings.Contains(hist.Plan.Explain(), "index probe into FACT.fb") {
+				return fmt.Errorf("histogram arm did not probe with σDIMB first:\n%s", hist.Plan.Explain())
+			}
+			if hist.IO.PageReads >= ndv.IO.PageReads || hist.Time >= ndv.Time {
+				return fmt.Errorf("histogram plan (%v, %d page reads) not cheaper than the NDV plan (%v, %d)",
+					hist.Time, hist.IO.PageReads, ndv.Time, ndv.IO.PageReads)
+			}
+			return nil
+		}}
 }
 
-// Statistics runs the ANALYZE pass (histograms included) on first use.
-func (a *SkewJoinArms) Statistics() *storage.DBStats {
-	if a.stats == nil {
-		a.stats = a.Store.Analyze()
-	}
-	return a.stats
-}
-
-// Warm materializes every extent so no timed arm pays the one-off
-// extent-cache build.
-func (a *SkewJoinArms) Warm() error {
-	for _, ext := range []string{"FACT", "DIMA", "DIMB"} {
-		if _, err := a.Store.Table(ext); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Plan compiles the query cost-based from the same collected statistics;
-// noHist true is the A/B control arm (plan.Config.NoHistograms).
-func (a *SkewJoinArms) Plan(noHist bool) *plan.Plan {
-	cfg := plan.Config{Statistics: a.Statistics(), Parallelism: a.Parallelism,
-		NoHistograms: noHist}
-	return cfg.Plan(a.Query)
-}
-
-// Run executes one arm.
-func (a *SkewJoinArms) Run(noHist bool) (*value.Set, *plan.Plan, error) {
-	pl := a.Plan(noHist)
-	set, err := exec.Collect(pl.Root, &exec.Ctx{DB: a.Store})
-	return set, pl, err
-}
-
-// RunReference executes the query rule-based (no statistics, serial) as the
-// independent correctness baseline.
-func (a *SkewJoinArms) RunReference() (*value.Set, error) {
-	return plan.Run(a.Query, a.Store)
-}
-
-// parallelJoinScalars builds the shared key and right-tuple scalars.
-func parallelJoinScalars() (lk, rk, rfun exec.Scalar) {
-	lk = exec.NewScalar(adl.Dot(adl.V("s"), "eid"), "s")
-	rk = exec.NewScalar(adl.Dot(adl.V("d"), "supplier"), "d")
-	rfun = exec.NewScalar(adl.SubT(adl.V("d"), "did"), "s", "d")
-	return
-}
-
-// SerialOp builds the serial arm's physical plan.
-func (p *ParallelJoinArms) SerialOp() exec.Operator {
-	lk, rk, rfun := parallelJoinScalars()
-	return &exec.HashJoin{Kind: adl.NestJ, LVar: "s", RVar: "d",
-		L: &exec.Scan{Table: "SUPPLIER"}, R: &exec.Scan{Table: "DELIVERY"},
-		LKey: lk, RKey: rk, As: "ds", RFun: &rfun}
-}
-
-// RunSerial executes the grouping join with the serial HashJoin.
-func (p *ParallelJoinArms) RunSerial() (*value.Set, error) {
-	return exec.Collect(p.SerialOp(), &exec.Ctx{DB: p.Store})
-}
-
-// ParallelOp builds the partitioned parallel arm's physical plan.
-func (p *ParallelJoinArms) ParallelOp() exec.Operator {
-	lk, rk, rfun := parallelJoinScalars()
-	return &exec.PartitionedHashJoin{Kind: adl.NestJ, LVar: "s", RVar: "d",
-		L: &exec.Scan{Table: "SUPPLIER"}, R: &exec.Scan{Table: "DELIVERY"},
-		LKey: lk, RKey: rk, As: "ds", RFun: &rfun,
-		Partitions: p.Parallelism}
-}
-
-// RunParallel executes the same join with the partitioned parallel variant,
-// or serially when Parallelism is 0 (the sweep's control point).
-func (p *ParallelJoinArms) RunParallel() (*value.Set, error) {
-	if p.Parallelism == 0 {
-		return p.RunSerial()
-	}
-	return exec.Collect(p.ParallelOp(), &exec.Ctx{DB: p.Store})
-}
-
-// VecJoinArms is the B13 workload: the large equi-join + filter pipeline
-// σ(date < cutoff)(DELIVERY) ⋉(d.supplier = s.eid) SUPPLIER, executed twice
-// from identical logical form — once by the scalar reference operators, once
-// by the vectorized batch pipeline (plan.Config.Vectorized). The cutoff
-// keeps ~1/28 of the deliveries, so the scalar arm's per-row predicate
-// interpretation dominates and the vectorized arm's typed kernels over the
-// columnar projection show their full margin.
-type VecJoinArms struct {
-	Name  string
-	Store *storage.Store
-	// Query is the logical semi-join pipeline both arms compile.
-	Query *adl.Join
-	// BatchSize overrides the vectorized arm's rows-per-batch; 0 means
-	// exec.DefaultBatchSize.
-	BatchSize int
-}
-
-// NewVecJoin builds the B13 workload at a scale.
-func NewVecJoin(suppliers, deliveries, batch int, seed int64) *VecJoinArms {
-	st := bench.Generate(bench.Config{Suppliers: suppliers, Parts: 10, Fanout: 2,
-		SupplySize: 1, Deliveries: deliveries, Seed: seed})
-	sel := adl.Sel("d",
-		adl.CmpE(adl.Lt, adl.Dot(adl.V("d"), "date"), adl.C(value.Date(940102))),
-		adl.T("DELIVERY"))
-	j := adl.JoinE(sel, "d", "s",
-		adl.EqE(adl.Dot(adl.V("d"), "supplier"), adl.Dot(adl.V("s"), "eid")),
-		adl.T("SUPPLIER"))
+// VecJoin is the large equi-join + filter pipeline σ(date < cutoff)(DELIVERY)
+// ⋉(d.supplier = s.eid) SUPPLIER, compiled four ways from one logical form:
+// the scalar operators, the vectorized batch kernels over the columnar
+// projection, and each with the parallel operators forced (threshold 1, one
+// worker per CPU) — for the batch pipeline a morsel-driven VecExchange
+// feeding the partitioned batch join. The cutoff keeps 1/28 of the
+// deliveries, so per-row predicate interpretation dominates the scalar arm.
+func VecJoin(suppliers, deliveries int) Case {
+	st := bench.Generate(bench.Config{Suppliers: suppliers, Parts: 10, Fanout: 2, SupplySize: 1, Deliveries: deliveries})
+	sel := adl.Sel("d", adl.CmpE(adl.Lt, adl.Dot(adl.V("d"), "date"), adl.C(value.Date(940102))), adl.T("DELIVERY"))
+	j := adl.JoinE(sel, "d", "s", adl.EqE(adl.Dot(adl.V("d"), "supplier"), adl.Dot(adl.V("s"), "eid")), adl.T("SUPPLIER"))
 	j.Kind = adl.Semi
-	return &VecJoinArms{
-		Name:      fmt.Sprintf("VecJoin[%dx%d]", suppliers, deliveries),
-		Store:     st,
-		Query:     j,
-		BatchSize: batch,
-	}
-}
-
-// Warm materializes both extents and the vectorized arm's columnar
-// projection so neither timed arm pays a one-off cache build.
-func (a *VecJoinArms) Warm() error {
-	for _, ext := range []string{"SUPPLIER", "DELIVERY"} {
-		if _, err := a.Store.Table(ext); err != nil {
-			return err
-		}
-	}
-	_, err := a.Store.ColProj("DELIVERY", []string{"date", "supplier"})
-	return err
-}
-
-// Plan compiles the query scalar or vectorized.
-func (a *VecJoinArms) Plan(vectorized bool) *plan.Plan {
-	cfg := plan.Config{}
-	if vectorized {
-		cfg.Vectorized = true
-		cfg.BatchSize = a.BatchSize
-	}
-	return cfg.Plan(a.Query)
-}
-
-// PlanArm compiles the query for one of B14's four arms: scalar reference,
-// parallel partitioned operators, vectorized batch kernels, or both
-// combined (morsel-driven VecExchange feeding the partitioned batch join).
-// The parallel arms are forced, not optimizer decisions: the threshold is
-// pinned to 1 so the A/B comparison holds at smoke scales too, mirroring
-// how -vectorized forces the batch pipeline.
-func (a *VecJoinArms) PlanArm(vectorized, parallel bool, workers int) *plan.Plan {
-	cfg := plan.Config{}
-	if vectorized {
-		cfg.Vectorized = true
-		cfg.BatchSize = a.BatchSize
-	}
-	if parallel {
-		cfg.Parallelism = workers
-		cfg.Stats = a.Store
-		cfg.ParallelThreshold = 1
-	}
-	return cfg.Plan(a.Query)
+	return Case{Name: fmt.Sprintf("VecJoin[%dx%d]", suppliers, deliveries), DB: st, Query: j, Runs: 3, Arms: []Arm{
+		{Label: "scalar", Cfg: &plan.Config{}},
+		{Label: "vectorized", Cfg: &plan.Config{Vectorized: true}},
+		{Label: "parallel", Cfg: &plan.Config{Stats: st, ParallelThreshold: 1}},
+		{Label: "parallel-vectorized", Cfg: &plan.Config{Stats: st, ParallelThreshold: 1, Vectorized: true}},
+	}}
 }

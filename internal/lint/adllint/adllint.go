@@ -25,7 +25,6 @@ import (
 	"repro/internal/lint/analyzers/atomicmeter"
 	"repro/internal/lint/analyzers/batchimmutable"
 	"repro/internal/lint/analyzers/closepropagate"
-	"repro/internal/lint/analyzers/fieldalign"
 	"repro/internal/lint/analyzers/snapshotdiscipline"
 )
 
@@ -44,11 +43,6 @@ func Suite() []*analysis.Analyzer {
 		closepropagate.Analyzer,
 		batchimmutable.Analyzer,
 	}
-}
-
-// Advisory returns the opt-in analyzers (cmd/adllint -fieldalign).
-func Advisory() []*analysis.Analyzer {
-	return []*analysis.Analyzer{fieldalign.Analyzer}
 }
 
 // finding is one rendered diagnostic.

@@ -155,7 +155,7 @@ func (d *DBStats) Size(extent string) int {
 }
 
 // String renders the collected statistics as a small report, one block per
-// extent, for cmd/adlbench -analyze and debugging.
+// extent, for inspection and debugging (fmt.Print(store.Analyze())).
 func (d *DBStats) String() string {
 	names := make([]string, 0, len(d.Tables))
 	for n := range d.Tables {
