@@ -142,17 +142,21 @@ lint: vet
 
 # The sizes ROADMAP tracks: lines (wc -l) of the Go files of each package
 # directory under internal/ and cmd/ that are neither tests nor testdata, the
-# total of the three trees direction 2 wants smaller, and the total of the
-# measurement harness direction 5 wants smaller (cmd/bench* counts any
-# command of that name, none today).
+# total of the three trees direction 2 wants smaller beside the number of
+# exec node types (exported types with an Open or OpenVec method) direction 4
+# wants fewer, and the total of the measurement harness direction 5 wants
+# smaller (cmd/bench* counts any command of that name, none today).
 loc:
-	@find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | sort | \
-		xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; \
+	@nodes=$$(find internal/exec -name '*.go' ! -name '*_test.go' | xargs grep -hoE \
+			'^func \([a-z]+ \*?[A-Z][A-Za-z0-9]*\) Open(Vec)?\(' | \
+			sed -E 's/^func \([a-z]+ \*?([A-Za-z0-9]+)\).*/\1/' | sort -u | wc -l); \
+	find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | sort | \
+		xargs wc -l | awk -v nodes=$$nodes '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; \
 			split(d, p, "/"); if (p[1] == "internal") t[p[2]] += $$1; \
 			if (d ~ /^(internal\/(experiments|bench)|cmd\/(adl)?bench[^\/]*)$$/) h += $$1 } \
 		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
-			printf "%6d internal/exec + internal/plan + internal/lint (%d + %d + %d)\n", \
-				t["exec"] + t["plan"] + t["lint"], t["exec"], t["plan"], t["lint"]; \
+			printf "%6d internal/exec + internal/plan + internal/lint (%d + %d + %d); %d exec node types\n", \
+				t["exec"] + t["plan"] + t["lint"], t["exec"], t["plan"], t["lint"], nodes; \
 			printf "%6d internal/experiments + internal/bench + cmd/adlbench + cmd/bench* (%d + %d + %d + %d)\n", \
 				h, n["internal/experiments"], n["internal/bench"], n["cmd/adlbench"], \
 				h - n["internal/experiments"] - n["internal/bench"] - n["cmd/adlbench"] }'

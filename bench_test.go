@@ -13,6 +13,7 @@ package repro
 import (
 	"fmt"
 	"math/bits"
+	"strings"
 	"testing"
 
 	"repro/internal/adl"
@@ -70,7 +71,8 @@ func BenchmarkB3(b *testing.B) {
 }
 
 // BenchmarkB4 — materializing a set-valued attribute: naive loop, set-probe
-// nestjoin, unnest-join-nest, and PNHL and VecPNHL across memory budgets.
+// nestjoin, unnest-join-nest, and PNHL over a scan and over a batch scan
+// across memory budgets.
 func BenchmarkB4(b *testing.B) {
 	benchArms(b, experiments.Materialize(400, 1000, 16, 0, 500, 125), "")
 }
@@ -93,8 +95,8 @@ func BenchmarkB7(b *testing.B) {
 	}
 }
 
-// BenchmarkB8 — the supplier-deliveries grouping join executed by the serial
-// HashJoin and by the Grace-style PartitionedHashJoin (one partition per CPU).
+// BenchmarkB8 — the supplier-deliveries grouping join executed by HashJoin
+// serially and Grace-style partitioned (one partition per CPU, at least two).
 func BenchmarkB8(b *testing.B) {
 	for _, sc := range [][2]int{{500, 5000}, {2000, 20000}} {
 		c := experiments.StrategyJoin("group", adl.NestJ, sc[0], sc[1]).Only("hash", "parallel")
@@ -137,7 +139,7 @@ func BenchmarkB12(b *testing.B) {
 // vectorized arm's allocations.
 func BenchmarkB13(b *testing.B) {
 	for _, sc := range [][2]int{{100, 10000}, {400, 40000}} {
-		c := experiments.VecJoin(sc[0], sc[1]).Only("scalar", "vectorized")
+		c := experiments.VecJoin(sc[0], sc[1], exec.Parallelism(0)).Only("scalar", "vectorized")
 		benchArms(b, c, fmt.Sprintf("/S%d_D%d", sc[0], sc[1]))
 	}
 }
@@ -147,7 +149,7 @@ func BenchmarkB13(b *testing.B) {
 // join.
 func BenchmarkB14(b *testing.B) {
 	for _, sc := range [][2]int{{100, 10000}, {400, 40000}} {
-		c := experiments.VecJoin(sc[0], sc[1]).Only("parallel", "parallel-vectorized")
+		c := experiments.VecJoin(sc[0], sc[1], max(2, exec.Parallelism(0))).Only("parallel", "parallel-vectorized")
 		benchArms(b, c, fmt.Sprintf("/S%d_D%d", sc[0], sc[1]))
 	}
 }
@@ -159,7 +161,7 @@ func BenchmarkB14(b *testing.B) {
 // and a couple of hundred with the exchange; one allocation per row would
 // be thousands.
 func TestBatchAllocations(t *testing.T) {
-	vec := experiments.VecJoin(400, 40000)
+	vec := experiments.VecJoin(400, 40000, 4)
 	for _, tc := range []struct {
 		c     experiments.Case
 		label string
@@ -168,10 +170,8 @@ func TestBatchAllocations(t *testing.T) {
 		{vec, "vectorized"},
 		{vec, "parallel-vectorized"},
 	} {
-		cfg := *tc.c.Only(tc.label).Arms[0].Cfg
-		cfg.Parallelism = 4
-		root, ctx := cfg.Plan(tc.c.Query).Root, &exec.Ctx{DB: tc.c.DB}
-		n := testing.AllocsPerRun(5, func() { _, _ = exec.Collect(root, ctx) })
+		_, run := tc.c.Exec(tc.c.Only(tc.label).Arms[0])
+		n := testing.AllocsPerRun(5, func() { _, _ = run() })
 		if n > 512 {
 			t.Errorf("%s %s: %.0f allocations per run, want at most 512", tc.c.Name, tc.label, n)
 		}
@@ -179,9 +179,10 @@ func TestBatchAllocations(t *testing.T) {
 	}
 }
 
-// BenchmarkParallelPlanner — the same optimized query compiled by the serial
-// planner and by the parallel configuration (stats-fed threshold), end to
-// end through plan.Config.Compile.
+// BenchmarkParallelPlanner — the same join compiled by the planner without
+// statistics (serial, by predicate shape) and by the cost model from the
+// store's statistics with the row counts inflated a thousandfold, so that it
+// prices the partitioned hash join cheaper on any host.
 func BenchmarkParallelPlanner(b *testing.B) {
 	st := bench.Generate(bench.Config{Suppliers: 3000, Parts: 10, Fanout: 2,
 		Deliveries: 30000, Seed: 94})
@@ -189,9 +190,9 @@ func BenchmarkParallelPlanner(b *testing.B) {
 		adl.EqE(adl.Dot(adl.V("d"), "supplier"), adl.Dot(adl.V("s"), "eid")),
 		adl.T("SUPPLIER"))
 	serial := plan.Compile(j)
-	parallel := plan.Config{Stats: st, ParallelThreshold: 1}.Compile(j)
-	if _, ok := parallel.(*exec.PartitionedHashJoin); !ok {
-		b.Fatalf("parallel config should plan PartitionedHashJoin, got %T", parallel)
+	parallel := plan.Config{Statistics: inflated{st.Analyze()}, Parallelism: 4}.Compile(j)
+	if x := plan.Explain(parallel); !strings.Contains(x, "PartitionedHashJoin") {
+		b.Fatalf("inflated statistics should plan a partitioned hash join, got\n%s", x)
 	}
 	ctx := &exec.Ctx{DB: st}
 	b.Run("serial", func(b *testing.B) {
@@ -200,6 +201,19 @@ func BenchmarkParallelPlanner(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) {
 		run(b, func() error { _, err := exec.Collect(parallel, ctx); return err })
 	})
+}
+
+// inflated reports a thousand times the row counts of the statistics it
+// wraps: enough for the cost model to price every operator that has a
+// parallel form above its serial one.
+type inflated struct{ *storage.DBStats }
+
+func (s inflated) RowCount(extent string) int {
+	n := s.DBStats.RowCount(extent)
+	if n > 0 {
+		n *= 1000
+	}
+	return n
 }
 
 // BenchmarkNestjoinAblation compares the three nestjoin implementations the
@@ -634,7 +648,8 @@ func BenchmarkParallelFilter(b *testing.B) {
 	pred := exec.NewScalar(adl.CmpE(adl.Lt, adl.Dot(adl.V("d"), "date"), adl.C(value.Date(940105))), "d")
 	b.Run("D20000", func(b *testing.B) {
 		run(b, func() error {
-			_, err := exec.Collect(&exec.ParallelFilter{Child: &exec.Scan{Table: "DELIVERY"}, Var: "d", Pred: pred}, ctx)
+			_, err := exec.Collect(&exec.Filter{Child: &exec.Scan{Table: "DELIVERY"}, Var: "d", Pred: pred,
+				Workers: max(2, exec.Parallelism(0))}, ctx)
 			return err
 		})
 	})

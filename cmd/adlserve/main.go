@@ -49,7 +49,7 @@ func main() {
 		parts       = flag.Int("parts", 800, "generated PART rows")
 		deliveries  = flag.Int("deliveries", 200, "generated DELIVERY rows")
 		seed        = flag.Int64("seed", 94, "generator seed")
-		parallelism = flag.Int("parallelism", 0, "planner parallelism (0 = NumCPU)")
+		parallelism = flag.Int("parallelism", 0, "workers a parallel operator may get (0 = GOMAXPROCS)")
 		noCache     = flag.Bool("no-plan-cache", false, "plan every query from scratch (A/B baseline)")
 		noFeedback  = flag.Bool("no-feedback", false, "disable runtime cardinality feedback eviction")
 		verifyAll   = flag.Bool("verify-all", false, "differentially verify every query against a serial re-execution")

@@ -288,7 +288,7 @@ func checkAgainstNaive(t *testing.T, q *Query, st *storage.Store) {
 func TestTemplateReuse(t *testing.T) {
 	st := liftStore()
 	tc := &mapTemplates{m: map[string]*rewrite.Result{}}
-	cfg := plan.Config{Statistics: st.Analyze(), Stats: st.Analyze(), Parallelism: 1}
+	cfg := plan.Config{Statistics: st.Analyze(), Parallelism: 1}
 	for round, ints := range [][]int64{{50, 10, 2}, {0, 0, 0}, {30, 99, 1}} {
 		for qi, text := range liftCorpus {
 			src := render(text, ints, []string{"red", "supplier-1", "part-3"}[round:])
@@ -325,7 +325,7 @@ func FuzzLift(f *testing.F) {
 	}
 	st := liftStore()
 	ctx := rewrite.NewContext(st.Catalog())
-	cfg := plan.Config{Statistics: st.Analyze(), Stats: st.Analyze(), Parallelism: 1}
+	cfg := plan.Config{Statistics: st.Analyze(), Parallelism: 1}
 	tc := &mapTemplates{m: map[string]*rewrite.Result{}}
 	f.Fuzz(func(t *testing.T, qi uint8, i, j int64, s, u string) {
 		if len(s)+len(u) > 1<<10 {

@@ -44,8 +44,9 @@ func settled(t *testing.T, what string, base int) {
 // short of a chunk, exactly one, one over, and many.
 var chunkSizes = []int{0, 1, chunkRows - 1, chunkRows, chunkRows + 1, 10 * chunkRows}
 
-// TestChunkedExchangeSizes runs every parallel operator at each size against
-// its serial twin and checks that it leaves no goroutine behind.
+// TestChunkedExchangeSizes runs every operator with a parallel count at each
+// size against the same operator serial, and checks that it leaves no
+// goroutine behind.
 func TestChunkedExchangeSizes(t *testing.T) {
 	pred := NewScalar(adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "b"), adl.C(value.Int(90))), "x")
 	body := NewScalar(adl.Tup("s", adl.Dot(adl.V("x"), "a")), "x")
@@ -58,12 +59,12 @@ func TestChunkedExchangeSizes(t *testing.T) {
 			name             string
 			parallel, serial Operator
 		}{
-			{"ParallelFilter",
-				&ParallelFilter{Child: scan("L"), Var: "x", Pred: pred, Workers: 3},
-				&Filter{Child: scan("L"), Var: "x", Pred: pred}},
-			{"ParallelMap",
-				&ParallelMap{Child: scan("L"), Var: "x", Body: body, Workers: 3},
-				&MapOp{Child: scan("L"), Var: "x", Body: body}},
+			{"Filter",
+				&Filter{Child: scan("L"), Var: "x", Pred: pred, Workers: 4},
+				&Filter{Child: scan("L"), Var: "x", Pred: pred, Workers: 1}},
+			{"MapOp",
+				&MapOp{Child: scan("L"), Var: "x", Body: body, Workers: 4},
+				&MapOp{Child: scan("L"), Var: "x", Body: body, Workers: 1}},
 		}
 		for _, k := range []adl.JoinKind{adl.Inner, adl.Semi, adl.Anti, adl.NestJ, adl.Outer} {
 			as := ""
@@ -73,8 +74,8 @@ func TestChunkedExchangeSizes(t *testing.T) {
 			pairs = append(pairs, struct {
 				name             string
 				parallel, serial Operator
-			}{fmt.Sprintf("PartitionedHashJoin %v", k),
-				&PartitionedHashJoin{Kind: k, L: scan("L"), R: scan("R"), LVar: "x", RVar: "y",
+			}{fmt.Sprintf("HashJoin %v", k),
+				&HashJoin{Kind: k, L: scan("L"), R: scan("R"), LVar: "x", RVar: "y",
 					LKey: lkey, RKey: rkey, As: as, Partitions: 3},
 				&HashJoin{Kind: k, L: scan("L"), R: scan("R"), LVar: "x", RVar: "y",
 					LKey: lkey, RKey: rkey, As: as}})
@@ -106,19 +107,19 @@ func TestChunkedExchangeLifecycle(t *testing.T) {
 		rows[i] = value.NewTuple("a", value.Int(int64(i)), "b", value.Int(1))
 	}
 	rows[100] = value.NewTuple("a", value.Int(100))
-	pf := &ParallelFilter{Child: &SetScan{Set: value.NewSet(rows...)}, Var: "x", Workers: 1,
+	pf := &Filter{Child: &SetScan{Set: value.NewSet(rows...)}, Var: "x", Workers: 2,
 		Pred: NewScalar(adl.EqE(adl.Dot(adl.V("x"), "b"), adl.C(value.Int(1))), "x")}
 	if _, err := Collect(pf, &Ctx{DB: d}); err == nil || !strings.Contains(err.Error(), `no attribute "b"`) {
 		t.Fatalf("worker error with a partly filled chunk: got %v", err)
 	}
-	settled(t, "failed ParallelFilter", base)
+	settled(t, "failed pooled Filter", base)
 
 	ops := map[string]Operator{
-		"ParallelFilter": &ParallelFilter{Child: &Scan{Table: "L"}, Var: "x", Workers: 3,
+		"Filter": &Filter{Child: &Scan{Table: "L"}, Var: "x", Workers: 3,
 			Pred: NewScalar(adl.CBool(true), "x")},
-		"ParallelMap": &ParallelMap{Child: &Scan{Table: "L"}, Var: "x", Workers: 3,
+		"MapOp": &MapOp{Child: &Scan{Table: "L"}, Var: "x", Workers: 3,
 			Body: NewScalar(adl.Dot(adl.V("x"), "a"), "x")},
-		"PartitionedHashJoin": &PartitionedHashJoin{Kind: adl.Outer,
+		"HashJoin": &HashJoin{Kind: adl.Outer,
 			L: &Scan{Table: "L"}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y", Partitions: 3,
 			LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
 			RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y")},

@@ -36,7 +36,7 @@ func vecFixtureTree(t *testing.T) Operator {
 	return &VecHashJoin{Kind: adl.Semi, Partitions: 3,
 		L: exchangeOf(t, &VecFilter{Src: &VecScan{Extent: "L", Attrs: []string{"b"}, Batch: 8},
 			Var: "x", Kernels: []VecCmp{k}}, 3),
-		R: &ParallelFilter{Child: &VecAdapter{Src: &VecScan{Extent: "R"}}, Var: "y", Workers: 2,
+		R: &Filter{Child: &VecAdapter{Src: &VecScan{Extent: "R"}}, Var: "y", Workers: 2,
 			Pred: NewScalar(adl.CBool(true), "y")},
 		LAttr: "b",
 		LKey:  NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
@@ -147,7 +147,7 @@ func TestNodesHoldNoRunState(t *testing.T) {
 			return true
 		})
 	}
-	if len(nodes) < 30 {
+	if len(nodes) < 27 {
 		t.Fatalf("found %d node types, want the whole operator set", len(nodes))
 	}
 	for name := range nodes {

@@ -32,7 +32,7 @@ type VecExchange struct {
 	Src *VecScan
 	// Kernels are the filter predicates, applied in order to each morsel.
 	Kernels []VecCmp
-	// Workers is the worker count; <=0 means NumCPU.
+	// Workers is the worker count; at most 1 is one worker.
 	Workers int
 	// Morsel is the rows claimed per cursor bump; <=0 uses the scan's
 	// batch size (or DefaultBatchSize).
@@ -62,7 +62,7 @@ func (e VecExchange) OpenVec(ctx *Ctx) (Batches, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := Parallelism(e.Workers)
+	w := max(e.Workers, 1)
 	morsel := e.Morsel
 	if morsel <= 0 {
 		morsel = e.Src.Batch

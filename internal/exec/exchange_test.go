@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/adl"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -115,33 +116,48 @@ func TestVecExchangeEarlyClose(t *testing.T) {
 	}
 }
 
-// TestVecPNHLAgainstScalar cross-validates the batch PNHL against the
-// scalar one across budgets, pins the segment count, and covers the member
-// function.
+// TestVecPNHLAgainstScalar cross-validates PNHL fed by a batch pipeline
+// through a VecAdapter against PNHL over the scan, across budgets — unlimited,
+// one row and several segments — with and without the member function, and
+// on failing inputs: both fail with one error for an element that is no tuple
+// and for a row missing the attribute.
 func TestVecPNHLAgainstScalar(t *testing.T) {
 	member := NewScalar(adl.Dot(adl.V("y"), "c"), "e", "y")
+	pnhl := func(l Operator, budget int, m *Scalar) *PNHL {
+		return &PNHL{L: l, R: &Scan{Table: "R"}, Attr: "parts",
+			ElemKey:    NewScalar(adl.Dot(adl.V("e"), "k"), "e"),
+			BuildKey:   NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
+			BudgetRows: budget, Member: m}
+	}
 	for seed := int64(1); seed <= 3; seed++ {
 		d := db(seed, 15, 12)
 		for _, m := range []*Scalar{nil, &member} {
-			ref := &PNHL{L: &Scan{Table: "N"}, R: &Scan{Table: "R"}, Attr: "parts",
-				ElemKey:  NewScalar(adl.Dot(adl.V("e"), "k"), "e"),
-				BuildKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
-				Member:   m}
-			want := collect(t, ref, d)
+			want := collect(t, pnhl(&Scan{Table: "N"}, 0, m), d)
 			for _, budget := range []int{0, 1, 3, 5, 100} {
-				vp := &VecPNHL{L: vecScan("N", []string{"parts"}, 4), R: &Scan{Table: "R"},
-					Attr:       "parts",
-					ElemKey:    NewScalar(adl.Dot(adl.V("e"), "k"), "e"),
-					BuildKey:   NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
-					BudgetRows: budget, Member: m}
-				got := collect(t, vp, d)
-				if !value.Equal(got, want) {
+				batched := pnhl(&VecAdapter{Src: vecScan("N", []string{"parts"}, 4)}, budget, m)
+				if got := collect(t, batched, d); !value.Equal(got, want) {
 					t.Errorf("seed %d budget %d member=%v: got %v want %v",
 						seed, budget, m != nil, got, want)
 				}
 				if n := Segments(12, budget); budget == 3 && n < 2 {
 					t.Errorf("budget 3 over 12 build rows should need ≥2 segments, used %d", n)
 				}
+			}
+		}
+	}
+
+	_, r, _ := randomTables(1, 0, 12)
+	elem := value.NewTuple("k", value.Int(1), "w", value.Int(0))
+	for name, rows := range map[string][]value.Value{
+		"non-tuple element": {value.NewTuple("a", value.Int(1), "parts", value.NewSet(elem, value.Int(3)))},
+		"missing attribute": {value.NewTuple("a", value.Int(1), "parts", value.NewSet(elem)), value.NewTuple("a", value.Int(2))},
+	} {
+		d := storage.NewMemDB("N", value.NewSet(rows...), "R", r)
+		for _, budget := range []int{0, 1, 5} {
+			_, want := Collect(pnhl(&Scan{Table: "N"}, budget, nil), &Ctx{DB: d})
+			_, got := Collect(pnhl(&VecAdapter{Src: vecScan("N", []string{"parts"}, 4)}, budget, nil), &Ctx{DB: d})
+			if want == nil || got == nil || got.Error() != want.Error() {
+				t.Errorf("%s, budget %d: over the adapter %v, over the scan %v", name, budget, got, want)
 			}
 		}
 	}

@@ -298,20 +298,26 @@ type Filter struct {
 	Child Operator
 	Var   string
 	Pred  Scalar
+	// Workers > 1 evaluates the predicate on a worker pool (parallel.go);
+	// row order is then not preserved.
+	Workers int
 }
 
 // Open streams the child's rows that satisfy the predicate.
-func (f Filter) Open(ctx *Ctx) (Rows, error) { return ctx.stream(f.Child, f.Pred.keep) }
+func (f Filter) Open(ctx *Ctx) (Rows, error) { return ctx.pool(f.Child, f.Workers, f.Pred.keep) }
 
 // MapOp implements α with a compiled body.
 type MapOp struct {
 	Child Operator
 	Var   string
 	Body  Scalar
+	// Workers > 1 evaluates the body on a worker pool (parallel.go); row
+	// order is then not preserved.
+	Workers int
 }
 
 // Open streams the image of the child's rows.
-func (m MapOp) Open(ctx *Ctx) (Rows, error) { return ctx.stream(m.Child, m.Body.image) }
+func (m MapOp) Open(ctx *Ctx) (Rows, error) { return ctx.pool(m.Child, m.Workers, m.Body.image) }
 
 // LetOp implements a with-binding: the (typically constant) value expression
 // is evaluated once at Open and bound into the environment the child's

@@ -63,6 +63,10 @@ func indexKeys(keys []value.Value) *value.Index {
 // applying an optional residual predicate. All join kinds are supported;
 // for the nestjoin this is the paper's "common join implementation methods
 // like the hash join can be adapted" (§6.1).
+//
+// With Partitions > 1 it is the Grace-style parallel form: both operands are
+// hash-partitioned on their keys, and each partition is built and probed on
+// its own goroutine, the results merged through a bounded channel (parallel.go).
 type HashJoin struct {
 	Kind       adl.JoinKind
 	L, R       Operator
@@ -72,50 +76,110 @@ type HashJoin struct {
 	Residual *Scalar
 	As       string
 	RFun     *Scalar
+	// Partitions is the partition and goroutine count; at most 1 builds and
+	// probes one table on the caller's goroutine.
+	Partitions int
 }
 
-// Open builds and probes. The hash table is a value.Index over the key
-// hashes with the keys in a flat side slice — the same layout the
-// partitioned variant uses per partition.
+// Open evaluates and hashes both sides' keys, then runs joinPartition once
+// over all rows, or once per partition on workers.
 func (j HashJoin) Open(ctx *Ctx) (Rows, error) {
+	p := max(j.Partitions, 1)
 	lkey, rkey := joinKeys(j.LKey, j.RKey)
-	right, err := drain(j.R, ctx)
+	rrows, err := drain(j.R, ctx)
 	if err != nil {
 		return nil, err
 	}
-	rkeys := make([]value.Value, len(right))
-	for i, rrow := range right {
-		if rkeys[i], err = rkey.Eval(ctx, rrow); err != nil {
-			return nil, err
-		}
+	r, err := evalKeys(ctx, rrows, rkey, p, "")
+	if err != nil {
+		return nil, err
 	}
-	table := indexKeys(rkeys) // hash(key) → indices into right
 	lrows, err := drain(j.L, ctx)
 	if err != nil {
 		return nil, err
 	}
-	em := newJoinEmit(ctx, j.Kind, "hash join", j.Residual, j.RFun, j.As, right)
-	for _, lrow := range lrows {
-		if err := em.begin(lrow); err != nil {
+	l, err := evalKeys(ctx, lrows, lkey, p, "hash join")
+	if err != nil {
+		return nil, err
+	}
+	if p == 1 {
+		em := newJoinEmit(ctx, j.Kind, "hash join", j.Residual, j.RFun, j.As, rrows)
+		if err := joinPartition(&em, l, nil, r, nil, nil); err != nil {
 			return nil, err
 		}
-		lk, err := lkey.Eval(ctx, lrow)
-		if err != nil {
-			return nil, err
-		}
-		for ri := table.First(value.Hash(lk)); ri >= 0; ri = table.Next(ri) {
-			if !value.Equal(rkeys[ri], lk) {
-				continue
+		return buffered(em.out)
+	}
+	rparts, lparts := partition(r.hashes, p), partition(l.hashes, p)
+	merge := newParMerge()
+	for i := range p {
+		merge.wg.Add(1)
+		go func(li, ri []int) {
+			defer merge.wg.Done()
+			em := newJoinEmit(ctx, j.Kind, "hash join", j.Residual, j.RFun, j.As, rrows)
+			out := chunkWriter{m: merge, ch: merge.out}
+			if err := joinPartition(&em, l, li, r, ri, &out); err != nil {
+				merge.fail(err)
+				return
 			}
-			if em.match(right[ri]) {
+			out.buf = em.out
+			out.flush()
+		}(lparts[i], rparts[i])
+	}
+	go func() {
+		merge.wg.Wait()
+		close(merge.out)
+	}()
+	return merge, nil
+}
+
+// joinPartition builds a value.Index over the key hashes of the right rows ri
+// and probes it with the left rows li — nil lists every row of its side —
+// handing each left row's candidates to em. With out, em's rows travel to the
+// merge a chunk at a time, and an aborting pipeline ends the probe early,
+// without error.
+func joinPartition(em *joinEmit, l keyedRows, li []int, r keyedRows, ri []int, out *chunkWriter) error {
+	hashes := r.hashes
+	if ri != nil {
+		hashes = make([]uint64, len(ri))
+		for i, x := range ri {
+			hashes[i] = r.hashes[x]
+		}
+	}
+	table := value.NewIndex(hashes)
+	n := len(l.rows)
+	if li != nil {
+		n = len(li)
+	}
+	for i := range n {
+		x := at(li, i)
+		if err := em.begin(l.rows[x]); err != nil {
+			return err
+		}
+		for m := table.First(l.hashes[x]); m >= 0; m = table.Next(m) {
+			y := at(ri, m)
+			if value.Equal(r.keys[y], l.keys[x]) && em.match(r.rows[y]) {
 				break
 			}
 		}
 		if err := em.end(); err != nil {
-			return nil, err
+			return err
+		}
+		if out != nil && len(em.out) >= chunkRows {
+			out.buf, em.out = em.out, nil
+			if !out.flush() {
+				return nil
+			}
 		}
 	}
-	return buffered(em.out)
+	return nil
+}
+
+// at is the i-th row of a partition's row list, nil listing every row.
+func at(rows []int, i int) int {
+	if rows == nil {
+		return i
+	}
+	return rows[i]
 }
 
 // SetProbeJoin is the set-oriented implementation of joins whose predicate

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -63,7 +64,8 @@ type arm struct {
 
 // textArms plans every text scalar and vectorized, as the serving engine
 // configures the planner (serial, and three workers priced on statistics)
-// and with the parallel operators forced, so that they appear at any scale.
+// and with the parallel operators forced by statistics a thousand times the
+// store's and no index access paths, so that they appear at any scale.
 func textArms(t *testing.T, st *storage.Store) [][]arm {
 	stats := st.Analyze()
 	var out [][]arm
@@ -71,13 +73,16 @@ func textArms(t *testing.T, st *storage.Store) [][]arm {
 		var arms []arm
 		for _, vec := range []bool{false, true} {
 			for name, cfg := range map[string]plan.Config{
-				"p1":        {Statistics: stats, Stats: stats, Parallelism: 1, Vectorized: vec},
-				"p3":        {Statistics: stats, Stats: stats, Parallelism: 3, Vectorized: vec},
-				"p3-forced": {Stats: st, Parallelism: 3, ParallelThreshold: 1, Vectorized: vec},
+				"p1":        {Statistics: stats, Parallelism: 1, Vectorized: vec},
+				"p3":        {Statistics: stats, Parallelism: 3, Vectorized: vec},
+				"p3-forced": {Statistics: inflated{stats}, Parallelism: 3, Vectorized: vec, NoIndexes: true},
 			} {
 				q, err := core.PrepareCfg(src, st.Catalog(), cfg)
 				if err != nil {
 					t.Fatalf("text %d: %v", i, err)
+				}
+				if x := plan.Explain(q.Plan); name == "p3-forced" && !strings.Contains(x, "-- parallel") {
+					t.Fatalf("text %d vec=%t: the forced plan is serial:\n%s", i, vec, x)
 				}
 				arms = append(arms, arm{fmt.Sprintf("text %d vec=%t %s", i, vec, name), q.Plan, st})
 			}
@@ -87,13 +92,26 @@ func textArms(t *testing.T, st *storage.Store) [][]arm {
 	return out
 }
 
-// experimentArms are the planned arms of B1, B8/B9's grouping join and
-// B13/B14 at smoke scale, with three workers and 16-row batches so that
-// parallel operators and multi-batch streams appear at any scale.
+// inflated reports a thousand times the row counts of the statistics it
+// wraps, so that the cost model prices the operators that have a parallel
+// form cheaper parallel.
+type inflated struct{ *storage.DBStats }
+
+func (s inflated) RowCount(extent string) int {
+	n := s.DBStats.RowCount(extent)
+	if n > 0 {
+		n *= 1000
+	}
+	return n
+}
+
+// experimentArms are the arms of B1, B8/B9's grouping join and B13/B14 at
+// smoke scale, with three workers and 16-row batches so that parallel
+// operators and multi-batch streams appear at any scale.
 func experimentArms() [][]arm {
 	var out [][]arm
 	for _, c := range []experiments.Case{experiments.EQ5(40, 80),
-		experiments.StrategyJoin("group", adl.NestJ, 60, 600), experiments.VecJoin(60, 600)} {
+		experiments.StrategyJoin("group", adl.NestJ, 60, 600), experiments.VecJoin(60, 600, 3)} {
 		var arms []arm
 		for _, a := range c.Arms {
 			root := a.Op

@@ -1,24 +1,25 @@
-// Parallel partitioned execution: a Grace-style partitioned hash join and
-// worker-pool wrappers for σ and α. The paper's argument is that rewriting
-// nested loops into explicit joins lets the optimizer pick efficient join
-// implementations (§5.1); on modern hardware "efficient" includes exploiting
-// every core. Hash partitioning both operands on the join key makes each
-// partition an independent join: equal keys hash equally, so a left row's
-// matches — and therefore its semi/anti/nest/outer verdict — are decided
-// entirely within its own partition.
+// Parallel execution: the plumbing of HashJoin with Partitions > 1 (Grace-
+// style: both operands hash-partitioned on the join key) and of Filter and
+// MapOp with Workers > 1 (a worker pool). The paper's argument is that
+// rewriting nested loops into explicit joins lets the optimizer pick
+// efficient join implementations (§5.1); on modern hardware "efficient"
+// includes exploiting every core. Hash partitioning makes each partition an
+// independent join: equal keys hash equally, so a left row's matches — and
+// therefore its semi/anti/nest/outer verdict — are decided entirely within
+// its own partition.
 //
-// All parallel operators keep the Operator contract: Open launches the
-// workers and returns the merge as the run's stream, whose Next hands up
-// merged results from a bounded channel and whose Close tears the pipeline
-// down. Result order is nondeterministic, which is harmless under the
-// algebra's set semantics.
+// The count is a field of the node, written by the planner; at most one runs
+// the operator on the caller's goroutine. A parallel run keeps the Operator
+// contract: Open launches the workers and returns the merge as the run's
+// stream, whose Next hands up merged results from a bounded channel and whose
+// Close tears the pipeline down. Result order is nondeterministic, which is
+// harmless under the algebra's set semantics.
 package exec
 
 import (
 	"runtime"
 	"sync"
 
-	"repro/internal/adl"
 	"repro/internal/value"
 )
 
@@ -36,14 +37,15 @@ const chunkRows = 256
 // rows in flight the per-row channels allowed.
 const mergeChunks = 1024 / chunkRows
 
-// Parallelism resolves a parallelism knob: n if positive, else NumCPU. It
-// is exported so Explain and benchmark harnesses can report the effective
-// partition/worker counts.
+// Parallelism resolves a parallelism knob: n if positive, else GOMAXPROCS —
+// the CPUs the scheduler actually runs goroutines on, which a process may
+// hold below NumCPU. The planner resolves it once per plan and writes the
+// count into every node; no operator consults it.
 func Parallelism(n int) int {
 	if n > 0 {
 		return n
 	}
-	return runtime.NumCPU()
+	return runtime.GOMAXPROCS(0)
 }
 
 // parMerge is the stream of a parallel operator, the shared fan-in plumbing:
@@ -150,16 +152,37 @@ type keyedRows struct {
 	hashes []uint64
 }
 
-// evalKeys computes key(row) and its value.Hash for every row with a pool of
-// workers, so that partitioning and the partition tables never hash a key
-// twice. The rows are split into contiguous chunks, one per worker, so no
-// locking is needed on the result slices.
-func evalKeys(ctx *Ctx, rows []value.Value, key Scalar, workers int) (keyedRows, error) {
+// evalKeys computes key(row) and its value.Hash for every row, so that
+// partitioning and the partition tables never hash a key twice: inline for
+// one worker, else on workers goroutines over contiguous chunks, one each, so
+// no locking is needed on the result slices. Either way the first failing row
+// decides the error. A non-empty op names the join whose probe rows these
+// are: a row that is no tuple fails as the join verdict's begin would fail
+// it, before its key is evaluated.
+func evalKeys(ctx *Ctx, rows []value.Value, key Scalar, workers int, op string) (keyedRows, error) {
 	k := keyedRows{rows: rows, keys: make([]value.Value, len(rows)), hashes: make([]uint64, len(rows))}
-	if len(rows) == 0 {
+	span := func(lo, hi int) error {
+		for r := lo; r < hi; r++ {
+			if op != "" {
+				if _, err := asTuple(rows[r], op); err != nil {
+					return err
+				}
+			}
+			v, err := key.Eval(ctx, rows[r])
+			if err != nil {
+				return err
+			}
+			k.keys[r], k.hashes[r] = v, value.Hash(v)
+		}
+		return nil
+	}
+	w := min(workers, len(rows))
+	if w <= 1 {
+		if err := span(0, len(rows)); err != nil {
+			return keyedRows{}, err
+		}
 		return k, nil
 	}
-	w := min(Parallelism(workers), len(rows))
 	chunk := (len(rows) + w - 1) / w
 	errs := make([]error, w)
 	var wg sync.WaitGroup
@@ -167,14 +190,7 @@ func evalKeys(ctx *Ctx, rows []value.Value, key Scalar, workers int) (keyedRows,
 		wg.Add(1)
 		go func(i, lo, hi int) {
 			defer wg.Done()
-			for r := lo; r < hi; r++ {
-				v, err := key.Eval(ctx, rows[r])
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				k.keys[r], k.hashes[r] = v, value.Hash(v)
-			}
+			errs[i] = span(lo, hi)
 		}(i, i*chunk, min((i+1)*chunk, len(rows)))
 	}
 	wg.Wait()
@@ -205,107 +221,7 @@ func partition(hashes []uint64, p int) [][]int {
 	return parts
 }
 
-// PartitionedHashJoin is the Grace-style parallel variant of HashJoin: both
-// operands are hash-partitioned on their join keys into Partitions buckets;
-// each bucket is then built and probed by its own goroutine, with results
-// merged through a bounded channel. All join kinds are supported with the
-// same semantics as the serial HashJoin, including the optional residual
-// predicate and the nestjoin's per-left-row grouping.
-type PartitionedHashJoin struct {
-	Kind       adl.JoinKind
-	L, R       Operator
-	LVar, RVar string
-	LKey, RKey Scalar
-	Residual   *Scalar
-	As         string
-	RFun       *Scalar
-	// Partitions is the partition/goroutine count; <=0 means NumCPU.
-	Partitions int
-}
-
-// Open drains and partitions both inputs, then launches one build+probe
-// worker per partition.
-func (j PartitionedHashJoin) Open(ctx *Ctx) (Rows, error) {
-	p := Parallelism(j.Partitions)
-	lkey, rkey := joinKeys(j.LKey, j.RKey)
-
-	rrows, err := drain(j.R, ctx)
-	if err != nil {
-		return nil, err
-	}
-	r, err := evalKeys(ctx, rrows, rkey, p)
-	if err != nil {
-		return nil, err
-	}
-	lrows, err := drain(j.L, ctx)
-	if err != nil {
-		return nil, err
-	}
-	l, err := evalKeys(ctx, lrows, lkey, p)
-	if err != nil {
-		return nil, err
-	}
-	rparts := partition(r.hashes, p)
-	lparts := partition(l.hashes, p)
-
-	merge := newParMerge()
-	for i := 0; i < p; i++ {
-		merge.wg.Add(1)
-		go func(li, ri []int) {
-			defer merge.wg.Done()
-			if err := j.joinPartition(ctx, merge, l, li, r, ri); err != nil {
-				merge.fail(err)
-			}
-		}(lparts[i], rparts[i])
-	}
-	go func() {
-		merge.wg.Wait()
-		close(merge.out)
-	}()
-	return merge, nil
-}
-
-// joinPartition builds a hash table over one right partition and probes it
-// with the matching left partition, sending result rows to the merge channel
-// a chunk at a time. It returns early, without error, once the pipeline
-// aborts.
-func (j PartitionedHashJoin) joinPartition(ctx *Ctx, merge *parMerge, lk keyedRows, li []int, rk keyedRows, ri []int) error {
-	out := chunkWriter{m: merge, ch: merge.out}
-	em := newJoinEmit(ctx, j.Kind, "partitioned hash join", j.Residual, j.RFun, j.As, rk.rows)
-	hashes := make([]uint64, len(ri))
-	for i, r := range ri {
-		hashes[i] = rk.hashes[r]
-	}
-	table := value.NewIndex(hashes)
-	for _, l := range li {
-		if err := em.begin(lk.rows[l]); err != nil {
-			return err
-		}
-		for i := table.First(lk.hashes[l]); i >= 0; i = table.Next(i) {
-			r := ri[i]
-			if !value.Equal(rk.keys[r], lk.keys[l]) {
-				continue
-			}
-			if em.match(rk.rows[r]) {
-				break
-			}
-		}
-		if err := em.end(); err != nil {
-			return err
-		}
-		if len(em.out) >= chunkRows {
-			out.buf, em.out = em.out, nil
-			if !out.flush() {
-				return nil
-			}
-		}
-	}
-	out.buf = em.out
-	out.flush()
-	return nil
-}
-
-// pooled is the stream of ParallelMap and ParallelFilter: the child's rows
+// pooled is the stream of Filter and MapOp with Workers > 1: the child's rows
 // fanned out to a worker pool applying a rowFn, merged through a bounded
 // channel. The child's stream is pulled from a single feeder goroutine,
 // respecting the single-threaded Rows contract.
@@ -314,9 +230,12 @@ type pooled struct {
 	src Rows
 }
 
-// pool runs child and applies fn to its rows on workers goroutines (<=0:
-// NumCPU); workers drop rows with keep=false.
+// pool runs child and applies fn to its rows on workers goroutines; workers
+// drop rows with keep=false. One worker or fewer is the serial stream.
 func (c *Ctx) pool(child Operator, workers int, fn rowFn) (Rows, error) {
+	if workers <= 1 {
+		return c.stream(child, fn)
+	}
 	src, err := c.open(child)
 	if err != nil {
 		return nil, err
@@ -342,9 +261,8 @@ func (c *Ctx) pool(child Operator, workers int, fn rowFn) (Rows, error) {
 		}
 	}()
 
-	w := Parallelism(workers)
 	var workerWG sync.WaitGroup
-	for i := 0; i < w; i++ {
+	for i := 0; i < workers; i++ {
 		merge.wg.Add(1)
 		workerWG.Add(1)
 		go func() {
@@ -377,34 +295,4 @@ func (c *Ctx) pool(child Operator, workers int, fn rowFn) (Rows, error) {
 func (p *pooled) Close() error {
 	p.teardown()
 	return p.src.Close()
-}
-
-// ParallelMap is α with the body evaluated by a worker pool; order is not
-// preserved.
-type ParallelMap struct {
-	Child Operator
-	Var   string
-	Body  Scalar
-	// Workers is the pool size; <=0 means NumCPU.
-	Workers int
-}
-
-// Open starts the pool over the child's rows.
-func (m ParallelMap) Open(ctx *Ctx) (Rows, error) {
-	return ctx.pool(m.Child, m.Workers, m.Body.image)
-}
-
-// ParallelFilter is σ with the predicate evaluated by a worker pool; order is
-// not preserved.
-type ParallelFilter struct {
-	Child Operator
-	Var   string
-	Pred  Scalar
-	// Workers is the pool size; <=0 means NumCPU.
-	Workers int
-}
-
-// Open starts the pool over the child's rows.
-func (f ParallelFilter) Open(ctx *Ctx) (Rows, error) {
-	return ctx.pool(f.Child, f.Workers, f.Pred.keep)
 }

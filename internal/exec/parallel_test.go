@@ -2,17 +2,17 @@ package exec
 
 import (
 	"errors"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/adl"
 	"repro/internal/value"
 )
 
-// TestPartitionedHashJoinAgainstSerial cross-validates the parallel
-// partitioned join against the serial HashJoin (and thereby the interpreter
-// oracle, via TestJoinOperatorsAgainstOracle) for every join kind over
-// randomized inputs and several partition counts, including more partitions
-// than rows.
+// TestPartitionedHashJoinAgainstSerial cross-validates HashJoin at several
+// partition counts — serial ones included, and more partitions than rows —
+// against the interpreter oracle for every join kind over randomized inputs.
 func TestPartitionedHashJoinAgainstSerial(t *testing.T) {
 	kinds := []struct {
 		kind adl.JoinKind
@@ -25,14 +25,14 @@ func TestPartitionedHashJoinAgainstSerial(t *testing.T) {
 		for _, k := range kinds {
 			want := evalRef(t, logicalJoin(k.kind, k.as, nil), d)
 			for _, parts := range []int{0, 1, 3, 64} {
-				pj := &PartitionedHashJoin{Kind: k.kind,
+				pj := &HashJoin{Kind: k.kind,
 					L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
 					LVar: "x", RVar: "y",
 					LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
 					RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
 					As:   k.as, Partitions: parts}
 				if got := collect(t, pj, d); !value.Equal(got, want) {
-					t.Errorf("seed %d PartitionedHashJoin(%d) %v: got %v want %v",
+					t.Errorf("seed %d HashJoin(%d partitions) %v: got %v want %v",
 						seed, parts, k.kind, got, want)
 				}
 			}
@@ -40,85 +40,116 @@ func TestPartitionedHashJoinAgainstSerial(t *testing.T) {
 	}
 }
 
-// TestPartitionedHashJoinResidualAndRFun checks the residual predicate and
-// the nestjoin right-tuple function in the parallel join.
+// TestPartitionedHashJoinResidualAndRFun is the differential of the one hash
+// join: at one and at four partitions it equals NLJoin on every kind, with a
+// residual predicate and, for the nestjoin, a right-tuple function; a key
+// that fails to evaluate fails it with one error at both counts; and at one
+// partition Open starts no goroutine.
 func TestPartitionedHashJoinResidualAndRFun(t *testing.T) {
 	d := db(7, 30, 25)
-
 	resExpr := adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "a"), adl.Dot(adl.V("y"), "c"))
-	logical := &adl.Join{Kind: adl.Inner, LVar: "x", RVar: "y",
-		On: adl.AndE(joinPred(), resExpr), L: adl.T("L"), R: adl.T("R")}
-	want := evalRef(t, logical, d)
 	res := NewScalar(resExpr, "x", "y")
-	pj := &PartitionedHashJoin{Kind: adl.Inner,
-		L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
-		LVar: "x", RVar: "y",
-		LKey:     NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-		RKey:     NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
-		Residual: &res, Partitions: 4}
-	if got := collect(t, pj, d); !value.Equal(got, want) {
-		t.Errorf("residual: got %v want %v", got, want)
+	pred := NewScalar(adl.AndE(joinPred(), resExpr), "x", "y")
+	rfun := NewScalar(adl.Dot(adl.V("y"), "c"), "x", "y")
+	lkey, rkey := NewScalar(adl.Dot(adl.V("x"), "b"), "x"), NewScalar(adl.Dot(adl.V("y"), "d"), "y")
+	for _, kind := range []adl.JoinKind{adl.Inner, adl.Semi, adl.Anti, adl.NestJ, adl.Outer} {
+		as, rf := "", (*Scalar)(nil)
+		if kind == adl.NestJ {
+			as, rf = "cs", &rfun
+		}
+		want := collect(t, &NLJoin{Kind: kind, L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
+			LVar: "x", RVar: "y", Pred: pred, As: as, RFun: rf}, d)
+		for _, parts := range []int{1, 4} {
+			hj := &HashJoin{Kind: kind, L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
+				LVar: "x", RVar: "y", LKey: lkey, RKey: rkey, Residual: &res, As: as, RFun: rf,
+				Partitions: parts}
+			if got := collect(t, hj, d); !value.Equal(got, want) {
+				t.Errorf("%v at %d partitions: got %v want %v", kind, parts, got, want)
+			}
+		}
 	}
 
-	rfunExpr := adl.Dot(adl.V("y"), "c")
-	want = evalRef(t, logicalJoin(adl.NestJ, "cs", rfunExpr), d)
-	rfun := NewScalar(rfunExpr, "x", "y")
-	pj = &PartitionedHashJoin{Kind: adl.NestJ,
-		L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
-		LVar: "x", RVar: "y",
-		LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-		RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
-		As:   "cs", RFun: &rfun, Partitions: 4}
-	if got := collect(t, pj, d); !value.Equal(got, want) {
-		t.Errorf("nestjoin rfun: got %v want %v", got, want)
+	for _, bad := range []struct{ l, r Scalar }{
+		{NewScalar(adl.Dot(adl.V("x"), "nope"), "x"), rkey},
+		{lkey, NewScalar(adl.Dot(adl.V("y"), "nope"), "y")},
+	} {
+		var errs []string
+		for _, parts := range []int{1, 4} {
+			_, err := Collect(&HashJoin{Kind: adl.Semi, L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
+				LVar: "x", RVar: "y", LKey: bad.l, RKey: bad.r, Partitions: parts}, &Ctx{DB: d})
+			if err == nil {
+				t.Fatalf("%d partitions: a failing key must fail the join", parts)
+			}
+			errs = append(errs, err.Error())
+		}
+		if errs[0] != errs[1] {
+			t.Errorf("key error differs by partition count: %q vs %q", errs[0], errs[1])
+		}
+	}
+
+	serial := &HashJoin{Kind: adl.Inner, L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
+		LVar: "x", RVar: "y", LKey: lkey, RKey: rkey, Partitions: 1}
+	before := runtime.NumGoroutine()
+	rows, err := serial.Open(&Ctx{DB: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("a one-partition Open went from %d goroutines to %d", before, after)
+	}
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestPartitionedHashJoinEmptyInputs exercises the degenerate shapes.
+// TestPartitionedHashJoinEmptyInputs exercises the degenerate shapes on
+// partitions.
 func TestPartitionedHashJoinEmptyInputs(t *testing.T) {
 	d := db(3, 10, 8)
 	empty := &SetScan{Set: value.EmptySet()}
-	pj := &PartitionedHashJoin{Kind: adl.Inner,
+	pj := &HashJoin{Kind: adl.Inner,
 		L: empty, R: &Scan{Table: "R"},
 		LVar: "x", RVar: "y",
-		LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-		RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y")}
+		LKey:       NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
+		RKey:       NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
+		Partitions: 3}
 	if got := collect(t, pj, d); got.Len() != 0 {
 		t.Errorf("empty left: got %v", got)
 	}
-	pj = &PartitionedHashJoin{Kind: adl.Anti,
+	pj = &HashJoin{Kind: adl.Anti,
 		L: &Scan{Table: "L"}, R: &SetScan{Set: value.EmptySet()},
 		LVar: "x", RVar: "y",
-		LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-		RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y")}
+		LKey:       NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
+		RKey:       NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
+		Partitions: 3}
 	lt, _ := d.Table("L")
 	if got := collect(t, pj, d); got.Len() != lt.Len() {
 		t.Errorf("anti join with empty right should keep all left rows, got %d", got.Len())
 	}
 }
 
-// TestParallelMapFilterAgainstSerial cross-validates the worker-pool σ/α
-// wrappers against their serial counterparts over randomized inputs.
+// TestParallelMapFilterAgainstSerial cross-validates Filter and MapOp on a
+// worker pool against the same operators serial, over randomized inputs.
 func TestParallelMapFilterAgainstSerial(t *testing.T) {
 	pred := adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "b"), adl.C(value.Int(4)))
 	body := adl.Tup("s", adl.Dot(adl.V("x"), "b"))
 	for seed := int64(1); seed <= 4; seed++ {
 		d := db(seed, 50, 10)
-		for _, workers := range []int{0, 1, 7} {
+		for _, workers := range []int{1, 4, 7} {
 			want := collect(t, &Filter{Child: &Scan{Table: "L"}, Var: "x",
 				Pred: NewScalar(pred, "x")}, d)
-			got := collect(t, &ParallelFilter{Child: &Scan{Table: "L"}, Var: "x",
+			got := collect(t, &Filter{Child: &Scan{Table: "L"}, Var: "x",
 				Pred: NewScalar(pred, "x"), Workers: workers}, d)
 			if !value.Equal(got, want) {
-				t.Errorf("seed %d ParallelFilter(%d): got %v want %v", seed, workers, got, want)
+				t.Errorf("seed %d Filter(%d workers): got %v want %v", seed, workers, got, want)
 			}
 
 			want = collect(t, &MapOp{Child: &Scan{Table: "L"}, Var: "x",
 				Body: NewScalar(body, "x")}, d)
-			got = collect(t, &ParallelMap{Child: &Scan{Table: "L"}, Var: "x",
+			got = collect(t, &MapOp{Child: &Scan{Table: "L"}, Var: "x",
 				Body: NewScalar(body, "x"), Workers: workers}, d)
 			if !value.Equal(got, want) {
-				t.Errorf("seed %d ParallelMap(%d): got %v want %v", seed, workers, got, want)
+				t.Errorf("seed %d MapOp(%d workers): got %v want %v", seed, workers, got, want)
 			}
 		}
 	}
@@ -146,28 +177,28 @@ func TestParallelErrorPropagation(t *testing.T) {
 	d := db(5, 20, 10)
 
 	// Child error in the feeder.
-	pf := &ParallelFilter{Child: &errAfter{n: 5}, Var: "x",
+	pf := &Filter{Child: &errAfter{n: 5}, Var: "x",
 		Pred: NewScalar(adl.CBool(true), "x"), Workers: 3}
 	if _, err := Collect(pf, &Ctx{DB: d}); err == nil {
-		t.Error("ParallelFilter should surface child error")
+		t.Error("a pooled Filter should surface child error")
 	}
 
 	// Predicate error in a worker (field access on missing attribute).
-	pf = &ParallelFilter{Child: &Scan{Table: "L"}, Var: "x",
+	pf = &Filter{Child: &Scan{Table: "L"}, Var: "x",
 		Pred:    NewScalar(adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "nope"), adl.C(value.Int(1))), "x"),
 		Workers: 3}
 	if _, err := Collect(pf, &Ctx{DB: d}); err == nil {
-		t.Error("ParallelFilter should surface predicate error")
+		t.Error("a pooled Filter should surface predicate error")
 	}
 
 	// Key error in the parallel join's partitioning phase.
-	pj := &PartitionedHashJoin{Kind: adl.Inner,
+	pj := &HashJoin{Kind: adl.Inner,
 		L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
 		LVar: "x", RVar: "y",
 		LKey: NewScalar(adl.Dot(adl.V("x"), "nope"), "x"),
 		RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"), Partitions: 4}
 	if _, err := Collect(pj, &Ctx{DB: d}); err == nil {
-		t.Error("PartitionedHashJoin should surface key error")
+		t.Error("a partitioned HashJoin should surface key error")
 	}
 }
 
@@ -176,7 +207,7 @@ func TestParallelErrorPropagation(t *testing.T) {
 func TestParallelEarlyClose(t *testing.T) {
 	d := db(11, 3000, 100)
 	ctx := &Ctx{DB: d}
-	pj := &PartitionedHashJoin{Kind: adl.Inner,
+	pj := &HashJoin{Kind: adl.Inner,
 		L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
 		LVar: "x", RVar: "y",
 		LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
@@ -195,7 +226,7 @@ func TestParallelEarlyClose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pm := &ParallelMap{Child: &Scan{Table: "L"}, Var: "x",
+	pm := &MapOp{Child: &Scan{Table: "L"}, Var: "x",
 		Body: NewScalar(adl.Dot(adl.V("x"), "b"), "x"), Workers: 4}
 	if rows, err = pm.Open(ctx); err != nil {
 		t.Fatal(err)
@@ -212,7 +243,7 @@ func TestParallelEarlyClose(t *testing.T) {
 // benchmark harness does via Collect per iteration.
 func TestParallelReopen(t *testing.T) {
 	d := db(13, 60, 40)
-	pj := &PartitionedHashJoin{Kind: adl.Semi,
+	pj := &HashJoin{Kind: adl.Semi,
 		L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
 		LVar: "x", RVar: "y",
 		LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
@@ -226,34 +257,34 @@ func TestParallelReopen(t *testing.T) {
 }
 
 // TestParallelismResolution pins the knob semantics: positive passes
-// through, zero and negative mean NumCPU.
+// through, zero and negative mean GOMAXPROCS.
 func TestParallelismResolution(t *testing.T) {
 	if got := Parallelism(5); got != 5 {
 		t.Errorf("Parallelism(5) = %d", got)
 	}
-	if got := Parallelism(0); got < 1 {
-		t.Errorf("Parallelism(0) = %d", got)
-	}
-	if got := Parallelism(-1); got < 1 {
-		t.Errorf("Parallelism(-1) = %d", got)
+	for _, n := range []int{0, -1} {
+		if got, want := Parallelism(n), runtime.GOMAXPROCS(0); got != want {
+			t.Errorf("Parallelism(%d) = %d, GOMAXPROCS is %d", n, got, want)
+		}
 	}
 }
 
-// TestEvalKeysChunking checks the parallel key evaluation helper across
-// worker counts and row counts, including workers > rows, and that the hashes
-// it computes in its workers are each key's value.Hash.
+// TestEvalKeysChunking checks the key evaluation helper across worker counts
+// and row counts, including workers > rows, that the hashes it computes in
+// its workers are each key's value.Hash, and that a probe side's non-tuple
+// row fails with the join's own error at any worker count.
 func TestEvalKeysChunking(t *testing.T) {
 	d := db(17, 33, 5)
 	ctx := &Ctx{DB: d}
 	lt, _ := d.Table("L")
 	rows := lt.Elems()
 	key := NewScalar(adl.Dot(adl.V("x"), "b"), "x")
-	want, err := evalKeys(ctx, rows, key, 1)
+	want, err := evalKeys(ctx, rows, key, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 7, 100} {
-		got, err := evalKeys(ctx, rows, key, w)
+		got, err := evalKeys(ctx, rows, key, w, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,8 +294,15 @@ func TestEvalKeysChunking(t *testing.T) {
 			}
 		}
 	}
-	if _, err := evalKeys(ctx, nil, key, 4); err != nil {
+	if _, err := evalKeys(ctx, nil, key, 4, ""); err != nil {
 		t.Fatal(err)
+	}
+	mixed := append(slices.Clone(rows), value.Int(7))
+	for _, w := range []int{1, 4} {
+		if _, err := evalKeys(ctx, mixed, key, w, "hash join"); err == nil ||
+			err.Error() != "exec: hash join over non-tuple row int" {
+			t.Errorf("workers=%d: non-tuple probe row: %v", w, err)
+		}
 	}
 }
 
@@ -281,10 +319,11 @@ func BenchmarkPartitionedVsSerialHashJoin(b *testing.B) {
 				RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y")}
 		},
 		"parallel": func() Operator {
-			return &PartitionedHashJoin{Kind: adl.Inner, L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
+			return &HashJoin{Kind: adl.Inner, L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
 				LVar: "x", RVar: "y",
-				LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-				RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y")}
+				LKey:       NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
+				RKey:       NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
+				Partitions: Parallelism(0)}
 		},
 	}
 	for _, name := range []string{"serial", "parallel"} {
@@ -324,7 +363,7 @@ func (e *closeErr) Close() error { return errTeardown }
 // fails the parallel map's Close.
 func TestParallelCloseErrorPropagation(t *testing.T) {
 	d := db(19, 20, 10)
-	pj := &PartitionedHashJoin{Kind: adl.Inner,
+	pj := &HashJoin{Kind: adl.Inner,
 		L: &Scan{Table: "L"}, R: &closeErr{n: 8},
 		LVar: "x", RVar: "y",
 		LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
@@ -333,16 +372,15 @@ func TestParallelCloseErrorPropagation(t *testing.T) {
 		t.Errorf("build-side Close error lost: got %v", err)
 	}
 
-	pm := &ParallelMap{Child: &closeErr{n: 8}, Var: "x",
+	pm := &MapOp{Child: &closeErr{n: 8}, Var: "x",
 		Body: NewScalar(adl.Dot(adl.V("x"), "c"), "x"), Workers: 3}
 	if _, err := Collect(pm, &Ctx{DB: d}); !errors.Is(err, errTeardown) {
-		t.Errorf("ParallelMap child Close error lost: got %v", err)
+		t.Errorf("pooled MapOp child Close error lost: got %v", err)
 	}
 }
 
-// TestPartitionedHashJoinSinglePartition pins the Partitions=1 degeneracy:
-// one worker, one partition, still identical to the serial join for every
-// kind.
+// TestPartitionedHashJoinSinglePartition pins the degeneracy: every count up
+// to one is the one serial path, identical to two partitions for every kind.
 func TestPartitionedHashJoinSinglePartition(t *testing.T) {
 	d := db(23, 50, 30)
 	for _, kind := range []adl.JoinKind{adl.Inner, adl.Semi, adl.Anti, adl.Outer, adl.NestJ} {
@@ -350,16 +388,17 @@ func TestPartitionedHashJoinSinglePartition(t *testing.T) {
 		if kind == adl.NestJ {
 			as = "ys"
 		}
-		want := collect(t, &HashJoin{Kind: kind,
-			L: &Scan{Table: "L"}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
-			LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-			RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"), As: as}, d)
-		got := collect(t, &PartitionedHashJoin{Kind: kind,
-			L: &Scan{Table: "L"}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
-			LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-			RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"), As: as, Partitions: 1}, d)
-		if !value.Equal(got, want) {
-			t.Errorf("%v: got %v want %v", kind, got, want)
+		join := func(parts int) *HashJoin {
+			return &HashJoin{Kind: kind,
+				L: &Scan{Table: "L"}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
+				LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
+				RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"), As: as, Partitions: parts}
+		}
+		want := collect(t, join(2), d)
+		for _, parts := range []int{-3, 0, 1} {
+			if got := collect(t, join(parts), d); !value.Equal(got, want) {
+				t.Errorf("%v at %d partitions: got %v want %v", kind, parts, got, want)
+			}
 		}
 	}
 }
@@ -371,7 +410,7 @@ func TestPartitionedHashJoinSinglePartition(t *testing.T) {
 func TestParallelCancelMidPartition(t *testing.T) {
 	d := db(29, 4000, 200)
 	ctx := &Ctx{DB: d}
-	pj := &PartitionedHashJoin{Kind: adl.Inner,
+	pj := &HashJoin{Kind: adl.Inner,
 		L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
 		LVar: "x", RVar: "y",
 		LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),

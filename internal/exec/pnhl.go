@@ -43,9 +43,9 @@ type PNHL struct {
 	Member *Scalar
 }
 
-// Segments is how many build segments PNHL and VecPNHL hash for a build
-// table of buildRows rows under a budget of budgetRows rows per segment: one
-// when the budget is unlimited (zero) or covers the table, which may be empty.
+// Segments is how many build segments PNHL hashes for a build table of
+// buildRows rows under a budget of budgetRows rows per segment: one when the
+// budget is unlimited (zero) or covers the table, which may be empty.
 func Segments(buildRows, budgetRows int) int {
 	if budgetRows <= 0 || budgetRows >= buildRows {
 		return 1
@@ -61,7 +61,9 @@ func segment(i, buildRows, budgetRows int) (lo, hi int) {
 	return i * budgetRows, min((i+1)*budgetRows, buildRows)
 }
 
-// Open runs both phases eagerly.
+// Open runs both phases eagerly. Whatever the number of segments, each
+// element's key is evaluated once and each build key once; a segment indexes
+// its slice of the build keys in a typed keyTable (vecjoin.go).
 func (p PNHL) Open(ctx *Ctx) (Rows, error) {
 	build, err := drain(p.R, ctx)
 	if err != nil {
@@ -72,74 +74,94 @@ func (p PNHL) Open(ctx *Ctx) (Rows, error) {
 		return nil, err
 	}
 
-	// Partial results: per left tuple, the accumulating set of e ∘ y pairs.
-	partial := make([]nestGroup, len(probe))
-
-	for i := 0; i < Segments(len(build), p.BudgetRows); i++ {
-		// Build phase: hash this segment of the flat table.
-		lo, hi := segment(i, len(build), p.BudgetRows)
-		seg := build[lo:hi]
-		keys := make([]value.Value, len(seg))
-		for i, brow := range seg {
-			if keys[i], err = p.BuildKey.Eval(ctx, brow); err != nil {
+	// The probe side: each row's tuple and set-valued attribute, and the key
+	// of every element — a v.attr key read straight off the element.
+	tuples := make([]*value.Tuple, len(probe))
+	sets := make([]*value.Set, len(probe))
+	elemKeys := make([][]value.Value, len(probe))
+	fattr := fieldKeyAttr(p.ElemKey)
+	for pi, lrow := range probe {
+		lt, err := asTuple(lrow, "PNHL")
+		if err != nil {
+			return nil, err
+		}
+		av, ok := lt.Get(p.Attr)
+		if !ok {
+			return nil, fmt.Errorf("exec: PNHL on missing attribute %q", p.Attr)
+		}
+		set, ok := av.(*value.Set)
+		if !ok {
+			return nil, fmt.Errorf("exec: PNHL on non-set attribute %q", p.Attr)
+		}
+		ks := make([]value.Value, set.Len())
+		for ei, elem := range set.Elems() {
+			et, ok := elem.(*value.Tuple)
+			if !ok {
+				return nil, fmt.Errorf("exec: PNHL element of %q is not a tuple", p.Attr)
+			}
+			if fattr != "" {
+				if k, ok := et.Get(fattr); ok {
+					ks[ei] = k
+					continue
+				}
+			}
+			if ks[ei], err = p.ElemKey.Eval(ctx, elem); err != nil {
 				return nil, err
 			}
 		}
-		table := indexKeys(keys)
-		// Probe phase: stream the nested operand against the segment.
-		for pi, lrow := range probe {
-			lt, err := asTuple(lrow, "PNHL")
-			if err != nil {
-				return nil, err
-			}
-			av, ok := lt.Get(p.Attr)
-			if !ok {
-				return nil, fmt.Errorf("exec: PNHL on missing attribute %q", p.Attr)
-			}
-			set, ok := av.(*value.Set)
-			if !ok {
-				return nil, fmt.Errorf("exec: PNHL on non-set attribute %q", p.Attr)
-			}
-			for _, elem := range set.Elems() {
-				et, ok := elem.(*value.Tuple)
-				if !ok {
-					return nil, fmt.Errorf("exec: PNHL element of %q is not a tuple", p.Attr)
-				}
-				k, err := p.ElemKey.Eval(ctx, elem)
+		tuples[pi], sets[pi], elemKeys[pi] = lt, set, ks
+	}
+	bkeys, err := buildKeys(ctx, build, p.BuildKey, 1)
+	if err != nil {
+		return nil, err
+	}
+
+	// Partial results: per left tuple, the accumulating set of e ∘ y pairs.
+	partial := make([]nestGroup, len(probe))
+	for i := 0; i < Segments(len(build), p.BudgetRows); i++ {
+		// Build phase: a table over this segment of the flat table's keys.
+		lo, hi := segment(i, len(build), p.BudgetRows)
+		seg := keyTable{keys: bkeys[lo:hi]}
+		seg.index()
+		// Probe phase: every element's key against the segment.
+		for pi, set := range sets {
+			for ei, elem := range set.Elems() {
+				var err error
+				seg.forEach(elemKeys[pi][ei], func(bi int) bool {
+					var m value.Value
+					if m, err = p.member(ctx, elem, build[lo+bi]); err == nil {
+						partial[pi].add(m)
+					}
+					return err != nil
+				})
 				if err != nil {
 					return nil, err
-				}
-				for bi := table.First(value.Hash(k)); bi >= 0; bi = table.Next(bi) {
-					if !value.Equal(keys[bi], k) {
-						continue
-					}
-					if p.Member != nil {
-						m, err := p.Member.Eval(ctx, elem, seg[bi])
-						if err != nil {
-							return nil, err
-						}
-						partial[pi].add(m)
-						continue
-					}
-					bt, err := asTuple(seg[bi], "PNHL")
-					if err != nil {
-						return nil, err
-					}
-					cat, err := et.Concat(bt)
-					if err != nil {
-						return nil, err
-					}
-					partial[pi].add(cat)
 				}
 			}
 		}
 	}
 
 	// Merge phase: replace the attribute with the accumulated join result.
-	out := make([]value.Value, len(probe))
-	for pi, lrow := range probe {
-		lt := lrow.(*value.Tuple)
+	out := make([]value.Value, len(tuples))
+	for pi, lt := range tuples {
 		out[pi] = lt.Except(value.NewTuple(p.Attr, partial[pi].set()))
 	}
 	return buffered(out)
+}
+
+// member is what a matching (element, build row) pair contributes: Member's
+// value, or the concatenation of the two tuples.
+func (p PNHL) member(ctx *Ctx, elem, brow value.Value) (value.Value, error) {
+	if p.Member != nil {
+		return p.Member.Eval(ctx, elem, brow)
+	}
+	bt, err := asTuple(brow, "PNHL")
+	if err != nil {
+		return nil, err
+	}
+	cat, err := elem.(*value.Tuple).Concat(bt)
+	if err != nil {
+		return nil, err
+	}
+	return cat, nil
 }

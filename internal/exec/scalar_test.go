@@ -295,7 +295,7 @@ func TestJoinKeysSingleAttribute(t *testing.T) {
 			for name, op := range map[string]Operator{
 				"HashJoin": &HashJoin{Kind: k, L: scan("L"), R: scan("R"), LVar: "x", RVar: "y", As: as,
 					LKey: NewScalar(lkey, "x"), RKey: NewScalar(rkey, "y")},
-				"PartitionedHashJoin": &PartitionedHashJoin{Kind: k, L: scan("L"), R: scan("R"), LVar: "x", RVar: "y", As: as,
+				"HashJoin on 3 partitions": &HashJoin{Kind: k, L: scan("L"), R: scan("R"), LVar: "x", RVar: "y", As: as,
 					LKey: NewScalar(lkey, "x"), RKey: NewScalar(rkey, "y"), Partitions: 3},
 			} {
 				if got := collect(t, op, d); !value.Equal(got, want) {

@@ -229,7 +229,7 @@ func buildKeys(ctx *Ctx, rows []value.Value, key Scalar, workers int) ([]value.V
 		return keys, nil
 	}
 	if workers > 1 {
-		k, err := evalKeys(ctx, rows, key, workers)
+		k, err := evalKeys(ctx, rows, key, workers, "")
 		return k.keys, err
 	}
 	keys := make([]value.Value, len(rows))
@@ -241,6 +241,20 @@ func buildKeys(ctx *Ctx, rows []value.Value, key Scalar, workers int) ([]value.V
 		keys[i] = k
 	}
 	return keys, nil
+}
+
+// fieldKeyAttr returns the attribute a v.attr-shaped key scalar reads, or
+// "" when the key has another shape.
+func fieldKeyAttr(key Scalar) string {
+	f, ok := key.Expr.(*adl.Field)
+	if !ok || len(key.Vars) != 1 {
+		return ""
+	}
+	v, ok := f.X.(*adl.Var)
+	if !ok || v.Name != key.Vars[0] {
+		return ""
+	}
+	return f.Name
 }
 
 // fieldKeys reads attr off every row; ok is false when attr is "" (the key is

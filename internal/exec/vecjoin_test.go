@@ -287,8 +287,8 @@ func TestAntiJoinStopsAtFirstMatch(t *testing.T) {
 			return Collect(&IndexNLJoin{Kind: adl.Anti, L: scan("L"), Table: "R", Attr: "rk",
 				LVar: "x", RVar: "y", LKey: lkey, Residual: &res}, &Ctx{DB: st})
 		}},
-		{"PartitionedHashJoin", func(st *storage.Store) (*value.Set, error) {
-			return Collect(&PartitionedHashJoin{Kind: adl.Anti, L: scan("L"), R: scan("R"), LVar: "x", RVar: "y",
+		{"HashJoin/partitions-3", func(st *storage.Store) (*value.Set, error) {
+			return Collect(&HashJoin{Kind: adl.Anti, L: scan("L"), R: scan("R"), LVar: "x", RVar: "y",
 				LKey: lkey, RKey: rkey, Residual: &res, Partitions: 3}, &Ctx{DB: st})
 		}},
 	}

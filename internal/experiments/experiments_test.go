@@ -23,7 +23,7 @@ func TestExperiments(t *testing.T) {
 		"B4":  {"unnest-join-nest", "PNHL budget unlimited (1 segments)", "VecPNHL budget 16 (13 segments)"},
 		"B5":  {"assembly", "object reads"},
 		"B7":  {"relational-join", "attribute-unnest", "nestjoin"},
-		"B8":  {"PartitionedHashJoin"},
+		"B8":  {"PartitionedHashJoin", "partitions"},
 		"B9":  {"inner_asym", "group_small", "group_big", "hash-swap", "build side swapped"},
 		"B10": {"rewriter order", "enumerated order", "order: dp over 4 relations", "rows≈"},
 		"B11": {"IndexNLJoin", "index probes", "page reads", "optimizer, NoIndexes"},
@@ -231,20 +231,22 @@ func TestB4BudgetsIncreaseSegments(t *testing.T) {
 }
 
 func TestB4VectorizedPNHLAgrees(t *testing.T) {
-	// Every PNHL arm has a batch-native VecPNHL twin; the runner diffs each
-	// against the nested-loop reference.
+	// Every PNHL arm has a twin fed by a batch scan through a VecAdapter;
+	// the runner diffs each against the nested-loop reference.
 	rs, _ := runOne(t, Materialize(100, 60, 4, 0, 10, 3))
 	twins := 0
 	for _, r := range rs {
-		if _, ok := r.Op.(*exec.VecPNHL); ok {
-			twins++
-			if !value.Equal(r.Set, rs[0].Set) {
-				t.Errorf("%s diverges from the nested loop", r.Label)
+		if p, ok := r.Op.(*exec.PNHL); ok {
+			if _, batched := p.L.(*exec.VecAdapter); batched {
+				twins++
+				if !value.Equal(r.Set, rs[0].Set) {
+					t.Errorf("%s diverges from the nested loop", r.Label)
+				}
 			}
 		}
 	}
 	if twins != 3 {
-		t.Errorf("VecPNHL arms = %d, want one per budget", twins)
+		t.Errorf("batch-fed PNHL arms = %d, want one per budget", twins)
 	}
 	if exec.Segments(60, 3) == 1 {
 		t.Errorf("tight budget should need multiple segments")
@@ -321,25 +323,14 @@ func TestB13ExplainShowsBothArms(t *testing.T) {
 	contains(t, out, "VecScan(DELIVERY", "VecHashJoin[semi", "HashJoin[⋉", "typed kernels")
 }
 
-// parallel4 returns the B14 smoke case with its parallel arms on four
-// workers, so the partitioned plans are forced on any host.
-func parallel4(t *testing.T) Case {
-	c := smoke(t, "B14")
-	c.Arms = slices.Clone(c.Arms)
-	for i, a := range c.Arms {
-		if a.Cfg != nil && a.Cfg.ParallelThreshold > 0 {
-			cfg := *a.Cfg
-			cfg.Parallelism = 4
-			c.Arms[i].Cfg = &cfg
-		}
-	}
-	return c
-}
+// parallel4 returns the B14 pipeline at smoke scale with its parallel arms on
+// four workers, so the partitioned plans run on any host.
+func parallel4() Case { return VecJoin(60, 1200, 4) }
 
 func TestB14FourArmsAgreeAtSmokeScale(t *testing.T) {
 	// The ≥2x gate is full-scale multi-core only, so a clean run asserts
 	// four-way result equality.
-	rs, out := runOne(t, parallel4(t))
+	rs, out := runOne(t, parallel4())
 	if len(rs) != 4 {
 		t.Fatalf("arms = %d, want 4", len(rs))
 	}
@@ -348,8 +339,10 @@ func TestB14FourArmsAgreeAtSmokeScale(t *testing.T) {
 }
 
 func TestB14ExplainShowsParallelVectorizedPlan(t *testing.T) {
-	rs, _ := runOne(t, parallel4(t))
-	contains(t, find(rs, "parallel-vectorized").Plan.Explain(), "VecExchange", "VecPartitionedHashJoin", "parallel vectorized")
+	rs, _ := runOne(t, parallel4())
+	contains(t, find(rs, "parallel-vectorized").Plan.Explain(), "VecExchange(workers 4", "VecPartitionedHashJoin",
+		"workers 4]  -- parallel vectorized")
+	contains(t, find(rs, "parallel").Plan.Explain(), "PartitionedHashJoin", "4 partitions", "ParallelFilter", "4 workers")
 }
 
 func TestExplainPlansCoversEveryExperiment(t *testing.T) {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 
 	"repro/internal/adl"
@@ -114,16 +113,17 @@ var Suite = []Experiment{
 		},
 		Notes: []string{"the optimized arm names the §4 options that fired; it is rewritten once and planned once, as a cached query is"}},
 
-	{ID: "B8", Title: "grouping join: serial HashJoin vs PartitionedHashJoin",
+	{ID: "B8", Title: "grouping join: HashJoin serial vs partitioned",
 		Cases: func(q bool) []func() Case {
 			return sized(q, [][4]int{{2000, 20000, 200, 2000}, {8000, 80000, 400, 4000}}, func(s, d int) Case {
 				c := StrategyJoin("group", adl.NestJ, s, d).Only("hash", "parallel")
 				c.Analyze = false
+				c.Check = func(rs []Result) error { return parallelArms(rs, "parallel") }
 				return c
 			})
 		},
-		Notes: []string{fmt.Sprintf("both operands are hash-partitioned on the join key, %d partitions (one per CPU), each built and probed on its own goroutine",
-			exec.Parallelism(0))}},
+		Notes: []string{fmt.Sprintf("both operands are hash-partitioned on the join key, %d partitions (one per CPU, at least two), each built and probed on its own goroutine",
+			workers())}},
 
 	{ID: "B9", Title: "forced join strategies vs the cost-based optimizer's choice",
 		Cases: func(q bool) []func() Case {
@@ -165,7 +165,7 @@ var Suite = []Experiment{
 	{ID: "B13", Title: "vectorized batch execution: scalar vs columnar kernels (semi-join pipeline)",
 		Cases: func(q bool) []func() Case {
 			return cases(func() Case {
-				c := VecJoin(pick(q, 400, 60), pick(q, 40000, 1200)).Only("scalar", "vectorized")
+				c := VecJoin(pick(q, 400, 60), pick(q, 40000, 1200), workers()).Only("scalar", "vectorized")
 				c.Check = func(rs []Result) error {
 					scalar, vec := find(rs, "scalar"), find(rs, "vectorized")
 					if vec.Allocs > batchAllocCeiling {
@@ -186,25 +186,24 @@ var Suite = []Experiment{
 	{ID: "B14", Title: "parallel vectorized execution: four-way A/B (semi-join pipeline)",
 		Cases: func(q bool) []func() Case {
 			return cases(func() Case {
-				c := VecJoin(pick(q, 400, 60), pick(q, 200000, 1200))
+				c := VecJoin(pick(q, 400, 60), pick(q, 200000, 1200), workers())
+				shape := c.Check
 				c.Check = func(rs []Result) error {
-					vec, parvec := find(rs, "vectorized"), find(rs, "parallel-vectorized")
-					if exec.Parallelism(0) >= 2 {
-						if x := parvec.Plan.Explain(); !strings.Contains(x, "VecPartitionedHashJoin") || !strings.Contains(x, "VecExchange") {
-							return fmt.Errorf("parallel-vectorized arm is not a partitioned batch join over a batch exchange:\n%s", x)
-						}
+					if err := shape(rs); err != nil {
+						return err
 					}
-					if !q && runtime.NumCPU() >= 4 && parvec.Time*2 > vec.Time {
-						return fmt.Errorf("parallel-vectorized (%v) not ≥2x faster than vectorized (%v) on %d cores",
-							parvec.Time, vec.Time, runtime.NumCPU())
+					vec, parvec := find(rs, "vectorized"), find(rs, "parallel-vectorized")
+					if cpus := exec.Parallelism(0); !q && cpus >= 4 && parvec.Time*2 > vec.Time {
+						return fmt.Errorf("parallel-vectorized (%v) not ≥2x faster than vectorized (%v) on %d CPUs",
+							parvec.Time, vec.Time, cpus)
 					}
 					return nil
 				}
 				return c
 			})
 		},
-		Notes: []string{fmt.Sprintf("parallel arms use %d workers (one per CPU); at full scale on ≥4 cores parallel-vectorized must halve vectorized",
-			exec.Parallelism(0)),
+		Notes: []string{fmt.Sprintf("parallel arms use %d workers (one per CPU, at least two); at full scale on ≥4 CPUs parallel-vectorized must halve vectorized",
+			workers()),
 			"the parallel-vectorized arm exchanges whole batches over bounded channels: no per-tuple sends"}},
 }
 
@@ -301,8 +300,8 @@ func grouping(c Case, emptyFrac float64) Case {
 
 // Materialize attaches to every supplier the set of PART objects it
 // references ([DeLa92], §6.2): the per-tuple loop, the set-probe nestjoin,
-// unnest–join–nest, and PNHL and its batch twin at each build-side budget
-// (rows per segment; 0 = unlimited).
+// unnest–join–nest, and at each build-side budget (rows per segment; 0 =
+// unlimited) PNHL over the scan and over a batch scan behind a VecAdapter.
 func Materialize(suppliers, parts, fanout int, budgets ...int) Case {
 	st := bench.Generate(bench.Config{Suppliers: suppliers, Parts: parts, Fanout: fanout, EmptyFrac: 0.05})
 	naive := adl.MapE("s",
@@ -336,7 +335,8 @@ func Materialize(suppliers, parts, fanout int, budgets ...int) Case {
 		arms = append(arms,
 			Arm{Label: label, Op: &exec.PNHL{L: &exec.Scan{Table: "SUPPLIER"}, R: &exec.Scan{Table: "PART"},
 				Attr: "parts", ElemKey: elemKey, BuildKey: buildKey, BudgetRows: b, Member: &member}},
-			Arm{Label: "Vec" + label, Op: &exec.VecPNHL{L: &exec.VecScan{Extent: "SUPPLIER", Attrs: []string{"parts"}},
+			Arm{Label: "Vec" + label, Op: &exec.PNHL{
+				L: &exec.VecAdapter{Src: &exec.VecScan{Extent: "SUPPLIER", Attrs: []string{"parts"}}},
 				R: &exec.Scan{Table: "PART"}, Attr: "parts", ElemKey: elemKey, BuildKey: buildKey, BudgetRows: b, Member: &member}})
 	}
 	return Case{Name: fmt.Sprintf("materialize[%dx%d,fanout %d]", suppliers, parts, fanout), DB: st, Arms: arms,
@@ -438,8 +438,8 @@ func StrategyJoin(name string, kind adl.JoinKind, suppliers, deliveries int) Cas
 	arms = append(arms,
 		Arm{Label: "sortmerge", Op: &exec.SortMergeJoin{Kind: kind, L: l, R: r, LVar: "s", RVar: "d",
 			LKey: lk, RKey: rk, As: j.As, RFun: rfun}},
-		Arm{Label: "parallel", Op: &exec.PartitionedHashJoin{Kind: kind, L: l, R: r, LVar: "s", RVar: "d",
-			LKey: lk, RKey: rk, As: j.As, RFun: rfun}})
+		Arm{Label: "parallel", Op: &exec.HashJoin{Kind: kind, L: l, R: r, LVar: "s", RVar: "d",
+			LKey: lk, RKey: rk, As: j.As, RFun: rfun, Partitions: workers()}})
 	if suppliers*deliveries <= 1_000_000 {
 		arms = append(arms, Arm{Label: "nl", Op: &exec.NLJoin{Kind: kind, L: l, R: r, LVar: "s", RVar: "d",
 			Pred: exec.NewScalar(j.On, "s", "d"), As: j.As, RFun: rfun}})
@@ -598,21 +598,52 @@ func SkewJoin(facts, dims int) Case {
 }
 
 // VecJoin is the large equi-join + filter pipeline σ(date < cutoff)(DELIVERY)
-// ⋉(d.supplier = s.eid) SUPPLIER, compiled four ways from one logical form:
-// the scalar operators, the vectorized batch kernels over the columnar
-// projection, and each with the parallel operators forced (threshold 1, one
-// worker per CPU) — for the batch pipeline a morsel-driven VecExchange
-// feeding the partitioned batch join. The cutoff keeps 1/28 of the
-// deliveries, so per-row predicate interpretation dominates the scalar arm.
-func VecJoin(suppliers, deliveries int) Case {
+// ⋉(d.supplier = s.eid) SUPPLIER four ways: planned onto the scalar
+// operators and onto the vectorized batch kernels over the columnar
+// projection, and each hand-built with its parallel operators on the given
+// workers — for the batch pipeline a morsel-driven VecExchange feeding the
+// partitioned batch join. The cutoff keeps 1/28 of the deliveries, so per-row
+// predicate interpretation dominates the scalar arm. The check is that both
+// parallel arms hold a parallel node: run serially, they would prove nothing.
+func VecJoin(suppliers, deliveries, workers int) Case {
 	st := bench.Generate(bench.Config{Suppliers: suppliers, Parts: 10, Fanout: 2, SupplySize: 1, Deliveries: deliveries})
-	sel := adl.Sel("d", adl.CmpE(adl.Lt, adl.Dot(adl.V("d"), "date"), adl.C(value.Date(940102))), adl.T("DELIVERY"))
-	j := adl.JoinE(sel, "d", "s", adl.EqE(adl.Dot(adl.V("d"), "supplier"), adl.Dot(adl.V("s"), "eid")), adl.T("SUPPLIER"))
+	cut := adl.CmpE(adl.Lt, adl.Dot(adl.V("d"), "date"), adl.C(value.Date(940102)))
+	j := adl.JoinE(adl.Sel("d", cut, adl.T("DELIVERY")), "d", "s",
+		adl.EqE(adl.Dot(adl.V("d"), "supplier"), adl.Dot(adl.V("s"), "eid")), adl.T("SUPPLIER"))
 	j.Kind = adl.Semi
+	pred := exec.NewScalar(cut, "d")
+	lk, rk := exec.NewScalar(adl.Dot(adl.V("d"), "supplier"), "d"), exec.NewScalar(adl.Dot(adl.V("s"), "eid"), "s")
+	scan := &exec.VecScan{Extent: "DELIVERY", Attrs: []string{"date", "supplier"}, Batch: exec.DefaultBatchSize}
 	return Case{Name: fmt.Sprintf("VecJoin[%dx%d]", suppliers, deliveries), DB: st, Query: j, Runs: 3, Arms: []Arm{
 		{Label: "scalar", Cfg: &plan.Config{}},
 		{Label: "vectorized", Cfg: &plan.Config{Vectorized: true}},
-		{Label: "parallel", Cfg: &plan.Config{Stats: st, ParallelThreshold: 1}},
-		{Label: "parallel-vectorized", Cfg: &plan.Config{Stats: st, ParallelThreshold: 1, Vectorized: true}},
+		{Label: "parallel", Op: &exec.HashJoin{Kind: adl.Semi, LVar: "d", RVar: "s", LKey: lk, RKey: rk,
+			L: &exec.Filter{Child: &exec.Scan{Table: "DELIVERY"}, Var: "d", Pred: pred, Workers: workers},
+			R: &exec.Scan{Table: "SUPPLIER"}, Partitions: workers}},
+		{Label: "parallel-vectorized", Op: &exec.VecHashJoin{Kind: adl.Semi, LAttr: "supplier", LKey: lk, RKey: rk,
+			L: &exec.VecExchange{Src: scan, Workers: workers, Morsel: scan.Batch,
+				Kernels: []exec.VecCmp{{Attr: "date", Op: adl.Lt, Const: value.Date(940102), Pred: pred}}},
+			R: &exec.Scan{Table: "SUPPLIER"}, Partitions: workers}},
+	}, Check: func(rs []Result) error {
+		if x := find(rs, "parallel-vectorized").Plan.Explain(); !strings.Contains(x, "VecPartitionedHashJoin") || !strings.Contains(x, "VecExchange") {
+			return fmt.Errorf("parallel-vectorized arm is not a partitioned batch join over a batch exchange:\n%s", x)
+		}
+		return parallelArms(rs, "parallel", "parallel-vectorized")
 	}}
+}
+
+// workers is the worker count of the suite's hand-built parallel arms: one
+// per CPU the scheduler runs goroutines on, and at least two, so that they
+// run the parallel code on any host.
+func workers() int { return max(2, exec.Parallelism(0)) }
+
+// parallelArms fails unless the plan of every labelled arm holds a node with
+// a worker or partition count above one — what Explain labels "parallel".
+func parallelArms(rs []Result, labels ...string) error {
+	for _, label := range labels {
+		if x := find(rs, label).Plan.Explain(); !strings.Contains(x, "-- parallel") {
+			return fmt.Errorf("%s arm runs serially:\n%s", label, x)
+		}
+	}
+	return nil
 }

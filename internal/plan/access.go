@@ -150,7 +150,7 @@ func (p *planner) tryIndexSelect(n *adl.Select) (exec.Operator, nodeEst, bool) {
 		idxCost += best.matches * cEval
 	}
 	scanCost := float64(rows)*cRow +
-		math.Min(float64(rows)*cEval, costParallelPool(float64(rows), exec.Parallelism(p.cfg.Parallelism)))
+		math.Min(float64(rows)*cEval, costParallelPool(float64(rows), p.workers))
 	if idxCost >= scanCost {
 		return nil, unknownEst, false
 	}
@@ -179,7 +179,7 @@ func (p *planner) tryIndexSelect(n *adl.Select) (exec.Operator, nodeEst, bool) {
 	}
 	outRows := best.matches * p.card.selectivity(adl.AndE(residual...), n.Var, tbl.Name)
 	op := &exec.Filter{Child: scan, Var: n.Var,
-		Pred: exec.NewScalar(adl.AndE(residual...), n.Var)}
+		Pred: exec.NewScalar(adl.AndE(residual...), n.Var), Workers: 1}
 	est := nodeEst{rows: outRows, known: true, extent: tbl.Name,
 		cost: scanEst.cost + best.matches*cEval + outRows*cRow}
 	p.record(op, est)

@@ -50,11 +50,8 @@ func TestIndexScanChosenForSelectiveEquality(t *testing.T) {
 }
 
 func isFilterish(op exec.Operator) bool {
-	switch op.(type) {
-	case *exec.Filter, *exec.ParallelFilter:
-		return true
-	}
-	return false
+	_, ok := op.(*exec.Filter)
+	return ok
 }
 
 func TestIndexScanRangeNeedsOrderedIndex(t *testing.T) {

@@ -47,7 +47,7 @@ func TestExplainGoldenBatch(t *testing.T) {
 		for _, par := range []int{1, 2} {
 			name := fmt.Sprintf("batch_%s_p%d", q[0], par)
 			t.Run(name, func(t *testing.T) {
-				cfg := Config{Statistics: stats, Stats: stats, Vectorized: true, Parallelism: par}
+				cfg := Config{Statistics: stats, Vectorized: true, Parallelism: par}
 				checkGolden(t, name, cfg.Plan(exprs[i]).Explain())
 			})
 		}
@@ -67,7 +67,7 @@ func TestExplainActualsGolden(t *testing.T) {
 			for _, par := range []int{1, 2} {
 				name := fmt.Sprintf("actuals_%s_vec%t_p%d", q[0], vec, par)
 				t.Run(name, func(t *testing.T) {
-					cfg := Config{Statistics: stats, Stats: stats, Vectorized: vec, Parallelism: par}
+					cfg := Config{Statistics: stats, Vectorized: vec, Parallelism: par}
 					p := cfg.Plan(exprs[i])
 					root, commit := p.Instrumented()
 					if _, err := exec.Collect(root, &exec.Ctx{DB: st}); err != nil {

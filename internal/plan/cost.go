@@ -1,10 +1,9 @@
 // Cost model for physical operator selection. The paper's §5.1 promise —
 // "the optimizer may choose from a number of different join processing
 // strategies" — needs a way to rank the choices; this file prices every
-// physical join operator (NLJoin, HashJoin with either build side,
-// SortMergeJoin, the set-probe/PNHL family, PartitionedHashJoin) from
-// collected statistics (storage.Analyze) and lets the planner pick the
-// cheapest.
+// physical join operator (NLJoin, HashJoin with either build side, serial or
+// partitioned, SortMergeJoin, the set-probe/PNHL family) from collected
+// statistics (storage.Analyze) and lets the planner pick the cheapest.
 //
 // Costs are abstract work units, calibrated so that one unit is roughly one
 // cheap per-row step of the Go execution engine. The constants matter only
@@ -80,12 +79,12 @@ const (
 
 	// cParallelStartup is the fixed price of spinning up a partitioned
 	// parallel pipeline (goroutines, channels, partition bookkeeping). It is
-	// calibrated against DefaultParallelThreshold: the parallel hash join
-	// becomes cheaper than the serial one at a combined input of roughly
-	// that many rows.
+	// hand-picked, not fitted: with the per-row terms below, the partitioned
+	// hash join on two workers overtakes the serial one at a combined input
+	// of a few thousand rows.
 	cParallelStartup = 12000.0
-	// cPoolStartup is the (smaller) fixed price of a ParallelMap/Filter
-	// worker pool.
+	// cPoolStartup is the (smaller) fixed price of the worker pool of a
+	// Filter or MapOp with Workers > 1.
 	cPoolStartup = 8000.0
 	// cChannelRow is the per-row price of moving results through the
 	// bounded merge channel.
@@ -207,7 +206,7 @@ func costSortMerge(l, r, out float64) float64 {
 	return (l+r)*cEval + (l*log2(l)+r*log2(r)+l+r)*cCmp + out*cRow
 }
 
-// costPartitionedHash prices the Grace-style parallel hash join: a fixed
+// costPartitionedHash prices the Grace-style partitioned hash join: a fixed
 // startup, one partitioning pass over both inputs, the per-partition
 // build+probe divided across p workers, and the merge channel.
 func costPartitionedHash(build, probe, out, residMatches float64, p int) float64 {
@@ -245,8 +244,8 @@ func costIndexNL(outer, matches, residMatches, out float64) float64 {
 	return outer*(cEval+cIndexProbe) + matches*cIndexFetch + residMatches*cEval + out*cRow
 }
 
-// costParallelPool prices a ParallelMap/Filter over n rows against its
-// serial counterpart's n*cEval.
+// costParallelPool prices a Filter or MapOp on a pool of p workers over n
+// rows against the serial form's n*cEval.
 func costParallelPool(n float64, p int) float64 {
 	w := math.Max(1, float64(p))
 	return cPoolStartup + n*cEval/w + n*cChannelRow

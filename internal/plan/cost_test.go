@@ -80,12 +80,12 @@ func TestCostBasedPicksParallelForLargeJoin(t *testing.T) {
 	stats := fakeStatistics{rows: map[string]int{"X": 50000, "Y": 50000}}
 	cfg := Config{Statistics: stats, Parallelism: 4}
 	op := cfg.Compile(equiJoin(adl.Inner))
-	if _, ok := op.(*exec.PartitionedHashJoin); !ok {
-		t.Fatalf("large equi join should cost out to PartitionedHashJoin, got %T", op)
+	if hj, ok := op.(*exec.HashJoin); !ok || hj.Partitions != 4 {
+		t.Fatalf("large equi join should cost out to a partitioned HashJoin, got\n%s", Explain(op))
 	}
 	small := fakeStatistics{rows: map[string]int{"X": 50, "Y": 50}}
 	op2 := Config{Statistics: small, Parallelism: 4}.Compile(equiJoin(adl.Inner))
-	if _, ok := op2.(*exec.PartitionedHashJoin); ok {
+	if parallel(op2) {
 		t.Fatalf("small equi join should not go parallel:\n%s", Explain(op2))
 	}
 }
@@ -124,8 +124,6 @@ func TestCostBasedNeverSwapsAsymmetricKinds(t *testing.T) {
 		case *exec.HashJoin:
 			probe = o.L
 		case *exec.SortMergeJoin:
-			probe = o.L
-		case *exec.PartitionedHashJoin:
 			probe = o.L
 		default:
 			t.Fatalf("kind %v: unexpected operator %T", kind, op)
@@ -284,11 +282,11 @@ func TestCostBasedFallsBackWithoutRowCounts(t *testing.T) {
 func TestCostBasedParallelFilter(t *testing.T) {
 	pred := adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "a"), adl.C(value.Int(3)))
 	big := Config{Statistics: fakeStatistics{rows: map[string]int{"X": 50000}}, Parallelism: 8}
-	if _, ok := big.Compile(adl.Sel("x", pred, adl.T("X"))).(*exec.ParallelFilter); !ok {
-		t.Errorf("large σ should cost out to ParallelFilter")
+	if f, ok := big.Compile(adl.Sel("x", pred, adl.T("X"))).(*exec.Filter); !ok || f.Workers != 8 {
+		t.Errorf("large σ should cost out to a Filter on 8 workers")
 	}
 	small := Config{Statistics: fakeStatistics{rows: map[string]int{"X": 100}}, Parallelism: 8}
-	if _, ok := small.Compile(adl.Sel("x", pred, adl.T("X"))).(*exec.Filter); !ok {
+	if f, ok := small.Compile(adl.Sel("x", pred, adl.T("X"))).(*exec.Filter); !ok || f.Workers > 1 {
 		t.Errorf("small σ should stay serial")
 	}
 }
@@ -334,22 +332,19 @@ func TestSelectivityBoundToIterationVariable(t *testing.T) {
 	}
 }
 
-// TestUnknownExtentSizeIsNotEmpty: DBStats.Size reports -1 for extents that
-// were never analyzed, sending the threshold fallback down its no-stats
-// (serial) path. The old 0 made an unknown extent look empty, and a join
-// pairing one huge analyzed extent with an unknown one crossed the parallel
-// threshold on fabricated numbers.
+// TestUnknownExtentSizeIsNotEmpty: DBStats.RowCount reports -1 for extents
+// that were never analyzed, and the cost model then does not price the join.
+// A 0 would make an unknown extent look empty, and a join pairing one huge
+// analyzed extent with an unknown one would be priced on fabricated numbers.
 func TestUnknownExtentSizeIsNotEmpty(t *testing.T) {
 	stats := &storage.DBStats{Tables: map[string]storage.TableStats{
 		"X": {Rows: 100000},
 	}}
-	if got := stats.Size("Y"); got != -1 {
-		t.Fatalf("Size of unanalyzed extent = %d, want -1", got)
+	if got := stats.RowCount("Y"); got != -1 {
+		t.Fatalf("RowCount of unanalyzed extent = %d, want -1", got)
 	}
-	// X analyzed huge, Y never analyzed: the threshold fallback must stay
-	// serial instead of planning the parallel variant from a made-up zero.
-	pl := Config{Stats: stats, Parallelism: 4}.Plan(equiJoin(adl.Inner))
-	if _, ok := pl.Root.(*exec.HashJoin); !ok {
-		t.Fatalf("join with an unknown extent should stay a serial HashJoin, got %T", pl.Root)
+	pl := Config{Statistics: stats, Parallelism: 4}.Plan(equiJoin(adl.Inner))
+	if hj, ok := pl.Root.(*exec.HashJoin); !ok || parallel(hj) {
+		t.Fatalf("join with an unknown extent should stay a serial HashJoin, got\n%s", pl.Explain())
 	}
 }

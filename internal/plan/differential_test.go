@@ -109,11 +109,7 @@ func TestDifferentialEquiJoinStrategies(t *testing.T) {
 				"hash": &exec.HashJoin{Kind: kind, L: scanX(), R: scanY(),
 					LVar: "x", RVar: "y", LKey: lk, RKey: rk,
 					Residual: res, As: j.As, RFun: rfun},
-				"partitioned1": &exec.PartitionedHashJoin{Kind: kind,
-					L: scanX(), R: scanY(), LVar: "x", RVar: "y",
-					LKey: lk, RKey: rk, Residual: res, As: j.As, RFun: rfun,
-					Partitions: 1},
-				"partitioned3": &exec.PartitionedHashJoin{Kind: kind,
+				"partitioned3": &exec.HashJoin{Kind: kind,
 					L: scanX(), R: scanY(), LVar: "x", RVar: "y",
 					LKey: lk, RKey: rk, Residual: res, As: j.As, RFun: rfun,
 					Partitions: 3},

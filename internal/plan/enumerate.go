@@ -164,10 +164,9 @@ func (p *planner) joinOwnCost(g *joinGraph, s1, s2 uint64) float64 {
 	if nResid > 0 {
 		residMatches = matches
 	}
-	par := exec.Parallelism(p.cfg.Parallelism)
 	own := math.Min(costHash(r, l, out, residMatches), costHash(l, r, out, residMatches))
-	own = math.Min(own, costPartitionedHash(r, l, out, residMatches, par))
-	own = math.Min(own, costPartitionedHash(l, r, out, residMatches, par))
+	own = math.Min(own, costPartitionedHash(r, l, out, residMatches, p.workers))
+	own = math.Min(own, costPartitionedHash(l, r, out, residMatches, p.workers))
 	own = math.Min(own, costNL(l, r, out))
 	if nResid == 0 {
 		own = math.Min(own, costSortMerge(l, r, out))

@@ -37,7 +37,7 @@ func TestInstrumentedExecutionFeedback(t *testing.T) {
 		t.Fatalf("translate: %v", err)
 	}
 	res := rewrite.Optimize(e, rewrite.NewContext(st.Catalog()))
-	p := Config{Statistics: stats, Stats: stats, Parallelism: 1}.Plan(res.Expr)
+	p := Config{Statistics: stats, Parallelism: 1}.Plan(res.Expr)
 
 	if _, ok := p.Feedback(1); ok {
 		t.Fatalf("feedback before any execution must report nothing")

@@ -9,13 +9,13 @@
 // fallback past Config.MaxDPRelations (enumerate.go). Each chosen edge is
 // handed to cost-based physical selection: every applicable physical join
 // operator is priced by the model in cost.go — including build/probe side
-// swapping for inner equi-joins — and the cheapest wins. Without statistics
-// the planner falls back to the original rule-based single-pass selection:
-// equi-predicates select hash joins, membership-in-attribute predicates
-// select the set-probe join (the single-segment PNHL core), materialize
-// becomes the pointer-based assembly, everything else nested loops — with a
-// size threshold toggling the parallel partitioned variants when base-table
-// cardinalities are known.
+// swapping for inner equi-joins, and the partitioned form against the serial
+// one — and the cheapest wins. The cost model is the only way the planner
+// chooses parallelism. Without statistics the planner selects by predicate
+// shape alone, serially: equi-predicates select hash joins, membership-in-
+// attribute predicates select the set-probe join (the single-segment PNHL
+// core), materialize becomes the pointer-based assembly, everything else
+// nested loops.
 package plan
 
 import (
@@ -29,40 +29,26 @@ import (
 	"repro/internal/value"
 )
 
-// Stats supplies base-table cardinalities to the planner's threshold
-// fallback. storage.Store satisfies it.
-type Stats interface {
-	Size(extent string) int
-}
-
-// DefaultParallelThreshold is the minimum combined input cardinality at
-// which the threshold fallback prefers the parallel partitioned operators.
-// Below it, goroutine and channel overhead dominates and the serial
-// operators win. The cost model's cParallelStartup is calibrated to the same
-// crossover.
-const DefaultParallelThreshold = 2048
-
-// Config parameterizes compilation. The zero Config plans exactly like the
-// serial planner. Set Statistics (collected by storage.Store.Analyze) for
-// cost-based operator selection; set only Stats for the legacy
-// size-threshold heuristic.
+// Config parameterizes compilation. The zero Config plans serially by
+// predicate shape; set Statistics (collected by storage.Store.Analyze) for
+// cost-based operator selection.
 type Config struct {
 	// Statistics enables cost-based physical selection: every applicable
 	// join strategy is priced and the cheapest chosen, and plans carry
 	// per-node cardinality/cost estimates (see Plan.Explain). nil disables
 	// the cost model.
 	Statistics Statistics
-	// Stats feeds table cardinalities to the size-threshold fallback used
-	// when Statistics is nil; nil disables parallel operator selection
-	// entirely in that mode.
-	Stats Stats
-	// Parallelism is the partition/worker count for parallel operators;
-	// 0 means runtime.NumCPU.
+	// Stats is ignored.
+	//
+	// Deprecated: it fed the size-threshold planner, which is gone — the
+	// cost model decides. It remains only because benchmark/trace.go, which
+	// the engine may not edit, still sets it. Remove it with the next change
+	// to benchmark/.
+	Stats any
+	// Parallelism is the worker count the cost model may give a parallel
+	// operator; 0 means exec.Parallelism's default, GOMAXPROCS. It is
+	// resolved once per plan and written into every node that has a count.
 	Parallelism int
-	// ParallelThreshold is the minimum combined input cardinality for a
-	// parallel plan under the threshold fallback; 0 means
-	// DefaultParallelThreshold.
-	ParallelThreshold int
 	// MaxDPRelations caps exhaustive DPsize join-order enumeration; graphs
 	// with more relations fall back to the greedy left-deep heuristic.
 	// 0 means DefaultMaxDPRelations.
@@ -114,14 +100,6 @@ func (c Config) batchSize() int {
 	return exec.DefaultBatchSize
 }
 
-// threshold resolves the effective parallel threshold.
-func (c Config) threshold() int {
-	if c.ParallelThreshold > 0 {
-		return c.ParallelThreshold
-	}
-	return DefaultParallelThreshold
-}
-
 // Plan is a compiled physical operator tree plus the optimizer's per-node
 // estimates (present when the Config carried Statistics), and — once an
 // instrumented execution has committed — the observed row counts runtime
@@ -155,7 +133,8 @@ func (c Config) Compile(e adl.Expr) exec.Operator { return c.Plan(e).Root }
 
 // Plan compiles a (set-valued) ADL expression into an annotated plan.
 func (c Config) Plan(e adl.Expr) *Plan {
-	p := &planner{cfg: c, card: newEstimator(c), est: map[exec.Operator]Estimate{}}
+	p := &planner{cfg: c, workers: exec.Parallelism(c.Parallelism), card: newEstimator(c),
+		est: map[exec.Operator]Estimate{}}
 	root, _ := p.compile(e)
 	return &Plan{Root: root, est: p.est}
 }
@@ -166,12 +145,13 @@ func Run(e adl.Expr, db eval.DB) (*value.Set, error) {
 	return exec.Collect(op, &exec.Ctx{DB: db})
 }
 
-// planner carries one compilation's state: the configuration, the shared
-// cardinality estimator (estimator.go), the estimates accumulated for the
-// annotated plan, and the sequence for intermediate join variables minted
-// during join-order recomposition.
+// planner carries one compilation's state: the configuration and its
+// resolved worker count, the shared cardinality estimator (estimator.go), the
+// estimates accumulated for the annotated plan, and the sequence for
+// intermediate join variables minted during join-order recomposition.
 type planner struct {
 	cfg        Config
+	workers    int
 	card       estimator
 	est        map[exec.Operator]Estimate
 	joinVarSeq int
@@ -213,41 +193,25 @@ func (p *planner) compile(e adl.Expr) (exec.Operator, nodeEst) {
 		}
 		child, ce := p.compile(n.Src)
 		pred := exec.NewScalar(n.Pred, n.Var)
+		filter := func(workers int) exec.Operator {
+			return &exec.Filter{Child: child, Var: n.Var, Pred: pred, Workers: workers}
+		}
 		if p.statsMode() && ce.known {
-			return p.chooseScalarOp(ce, ce.rows*p.card.selectivity(n.Pred, n.Var, ce.extent), ce.extent,
-				func() exec.Operator {
-					return &exec.Filter{Child: child, Var: n.Var, Pred: pred}
-				},
-				func() exec.Operator {
-					return &exec.ParallelFilter{Child: child, Var: n.Var, Pred: pred,
-						Workers: p.cfg.Parallelism}
-				})
+			return p.chooseScalarOp(ce, ce.rows*p.card.selectivity(n.Pred, n.Var, ce.extent), ce.extent, filter)
 		}
-		if p.cfg.parallelWorthwhile(p.cfg.card(n.Src)) {
-			return &exec.ParallelFilter{Child: child, Var: n.Var, Pred: pred,
-				Workers: p.cfg.Parallelism}, unknownEst
-		}
-		return &exec.Filter{Child: child, Var: n.Var, Pred: pred}, unknownEst
+		return filter(1), unknownEst
 
 	case *adl.Map:
 		child, ce := p.compile(n.Src)
 		body := exec.NewScalar(n.Body, n.Var)
+		mapOp := func(workers int) exec.Operator {
+			return &exec.MapOp{Child: child, Var: n.Var, Body: body, Workers: workers}
+		}
 		if p.statsMode() && ce.known {
 			// The body may reshape rows, so the origin extent is dropped.
-			return p.chooseScalarOp(ce, ce.rows, "",
-				func() exec.Operator {
-					return &exec.MapOp{Child: child, Var: n.Var, Body: body}
-				},
-				func() exec.Operator {
-					return &exec.ParallelMap{Child: child, Var: n.Var, Body: body,
-						Workers: p.cfg.Parallelism}
-				})
+			return p.chooseScalarOp(ce, ce.rows, "", mapOp)
 		}
-		if p.cfg.parallelWorthwhile(p.cfg.card(n.Src)) {
-			return &exec.ParallelMap{Child: child, Var: n.Var, Body: body,
-				Workers: p.cfg.Parallelism}, unknownEst
-		}
-		return &exec.MapOp{Child: child, Var: n.Var, Body: body}, unknownEst
+		return mapOp(1), unknownEst
 
 	case *adl.Project:
 		if op, est, ok := p.tryVecProject(n); ok {
@@ -324,16 +288,16 @@ func (p *planner) compile(e adl.Expr) (exec.Operator, nodeEst) {
 	return &exec.ExprScan{Expr: e}, unknownEst
 }
 
-// chooseScalarOp prices a σ/α over a known-size child serially versus with
-// its worker-pool variant, builds the cheaper one, and records its estimate
-// (outRows output rows, origin extent as given).
+// chooseScalarOp prices a σ/α over a known-size child serially versus on a
+// worker pool of the configured size, builds the cheaper with mk, and records
+// its estimate (outRows output rows, origin extent as given).
 func (p *planner) chooseScalarOp(ce nodeEst, outRows float64, extent string,
-	mkSerial, mkPool func() exec.Operator) (exec.Operator, nodeEst) {
-	own, mk := ce.rows*cEval, mkSerial
-	if pool := costParallelPool(ce.rows, exec.Parallelism(p.cfg.Parallelism)); pool < own {
-		own, mk = pool, mkPool
+	mk func(workers int) exec.Operator) (exec.Operator, nodeEst) {
+	own, workers := ce.rows*cEval, 1
+	if pool := costParallelPool(ce.rows, p.workers); p.workers > 1 && pool < own {
+		own, workers = pool, p.workers
 	}
-	op := mk()
+	op := mk(workers)
 	est := nodeEst{rows: outRows, known: true, extent: extent,
 		cost: ce.cost + own + outRows*cRow}
 	p.record(op, est)
@@ -347,48 +311,6 @@ func (e nodeEst) withOwn(rows, own float64) nodeEst {
 		return unknownEst
 	}
 	return nodeEst{rows: rows, known: true, extent: e.extent, cost: e.cost + own}
-}
-
-// parallelWorthwhile reports whether an operator over an estimated input
-// cardinality should use its parallel variant (threshold fallback).
-func (c Config) parallelWorthwhile(card int) bool {
-	return c.Stats != nil && card >= c.threshold()
-}
-
-// card estimates the cardinality of a set-valued expression from base-table
-// sizes for the threshold fallback. Row-preserving and row-filtering
-// operators inherit their source's estimate (an upper bound); shapes the
-// model cannot see through estimate -1, which never crosses the threshold —
-// unknown sizes stay serial.
-func (c Config) card(e adl.Expr) int {
-	if c.Stats == nil {
-		return -1
-	}
-	switch n := e.(type) {
-	case *adl.Table:
-		return c.Stats.Size(n.Name)
-	case *adl.Select:
-		return c.card(n.Src)
-	case *adl.Map:
-		return c.card(n.Src)
-	case *adl.Project:
-		return c.card(n.X)
-	case *adl.Rename:
-		return c.card(n.X)
-	case *adl.Materialize:
-		return c.card(n.X)
-	case *adl.Nest:
-		return c.card(n.X)
-	case *adl.Unnest:
-		return c.card(n.X)
-	case *adl.Let:
-		return c.card(n.Body)
-	case *adl.Join:
-		// Filtering kinds return a subset of the left operand; inner/outer
-		// and nestjoin are dominated by their probe side for thresholding.
-		return c.card(n.L)
-	}
-	return -1
 }
 
 // setProbeShape recognizes the membership-in-attribute predicate shape:
@@ -455,7 +377,7 @@ func joinExtent(kind adl.JoinKind, le nodeEst) string {
 }
 
 // compileJoin chooses a join implementation — cost-based under Statistics,
-// by predicate shape and the size threshold otherwise.
+// serially by predicate shape otherwise.
 func (p *planner) compileJoin(j *adl.Join) (exec.Operator, nodeEst) {
 	if op, est, ok := p.tryVecJoin(j); ok {
 		return op, est
@@ -509,21 +431,6 @@ func (p *planner) compileJoin(j *adl.Join) (exec.Operator, nodeEst) {
 		if costed {
 			return p.chooseEquiJoin(j, l, r, le, re, lkeys, rkeys, residual, res, rfun)
 		}
-		// Threshold fallback: large equi-key joins get the Grace-style
-		// parallel partitioned variant; small ones stay serial, where
-		// partitioning overhead would dominate.
-		if lc, rc := p.cfg.card(j.L), p.cfg.card(j.R); p.cfg.Stats != nil &&
-			lc >= 0 && rc >= 0 && lc+rc >= p.cfg.threshold() {
-			return &exec.PartitionedHashJoin{
-				Kind: j.Kind, L: l, R: r,
-				LVar: j.LVar, RVar: j.RVar,
-				LKey:     keyScalar(lkeys, j.LVar),
-				RKey:     keyScalar(rkeys, j.RVar),
-				Residual: res,
-				As:       j.As, RFun: rfun,
-				Partitions: p.cfg.Parallelism,
-			}, unknownEst
-		}
 		return &exec.HashJoin{
 			Kind: j.Kind, L: l, R: r,
 			LVar: j.LVar, RVar: j.RVar,
@@ -531,6 +438,7 @@ func (p *planner) compileJoin(j *adl.Join) (exec.Operator, nodeEst) {
 			RKey:     keyScalar(rkeys, j.RVar),
 			Residual: res,
 			As:       j.As, RFun: rfun,
+			Partitions: 1,
 		}, unknownEst
 	}
 
@@ -580,7 +488,6 @@ func (p *planner) chooseEquiJoin(j *adl.Join, l, r exec.Operator, le, re nodeEst
 	if len(residual) > 0 {
 		residMatches = matches
 	}
-	par := exec.Parallelism(p.cfg.Parallelism)
 	swappable := j.Kind == adl.Inner && j.RFun == nil
 
 	// A swapped residual binds the variables in exchanged positions.
@@ -600,26 +507,30 @@ func (p *planner) chooseEquiJoin(j *adl.Join, l, r exec.Operator, le, re nodeEst
 		note  string
 	}
 	bothChildren := le.cost + re.cost
+	// hash is the hash join on parts partitions, build side swapped or not.
+	hash := func(swapped bool, parts int) candidate {
+		build, probe, note := re.rows, le.rows, ""
+		if swapped {
+			build, probe, note = le.rows, re.rows, "build side swapped"
+		}
+		own := costHash(build, probe, out, residMatches)
+		if parts > 1 {
+			own = costPartitionedHash(build, probe, out, residMatches, parts)
+		}
+		return candidate{own: own, child: bothChildren, note: note, build: func() exec.Operator {
+			if swapped {
+				return &exec.HashJoin{Kind: j.Kind, L: r, R: l, LVar: j.RVar, RVar: j.LVar,
+					LKey: keyScalar(rkeys, j.RVar), RKey: keyScalar(lkeys, j.LVar),
+					Residual: resSwapped, As: j.As, Partitions: parts}
+			}
+			return &exec.HashJoin{Kind: j.Kind, L: l, R: r, LVar: j.LVar, RVar: j.RVar,
+				LKey: keyScalar(lkeys, j.LVar), RKey: keyScalar(rkeys, j.RVar),
+				Residual: res, As: j.As, RFun: rfun, Partitions: parts}
+		}}
+	}
 	cands := []candidate{
-		{
-			build: func() exec.Operator {
-				return &exec.HashJoin{Kind: j.Kind, L: l, R: r,
-					LVar: j.LVar, RVar: j.RVar,
-					LKey: keyScalar(lkeys, j.LVar), RKey: keyScalar(rkeys, j.RVar),
-					Residual: res, As: j.As, RFun: rfun}
-			},
-			own: costHash(re.rows, le.rows, out, residMatches), child: bothChildren,
-		},
-		{
-			build: func() exec.Operator {
-				return &exec.PartitionedHashJoin{Kind: j.Kind, L: l, R: r,
-					LVar: j.LVar, RVar: j.RVar,
-					LKey: keyScalar(lkeys, j.LVar), RKey: keyScalar(rkeys, j.RVar),
-					Residual: res, As: j.As, RFun: rfun,
-					Partitions: p.cfg.Parallelism}
-			},
-			own: costPartitionedHash(re.rows, le.rows, out, residMatches, par), child: bothChildren,
-		},
+		hash(false, 1),
+		hash(false, p.workers),
 		{
 			build: func() exec.Operator {
 				return &exec.NLJoin{Kind: j.Kind, L: l, R: r,
@@ -631,30 +542,7 @@ func (p *planner) chooseEquiJoin(j *adl.Join, l, r exec.Operator, le, re nodeEst
 		},
 	}
 	if swappable {
-		cands = append(cands,
-			candidate{
-				build: func() exec.Operator {
-					return &exec.HashJoin{Kind: j.Kind, L: r, R: l,
-						LVar: j.RVar, RVar: j.LVar,
-						LKey: keyScalar(rkeys, j.RVar), RKey: keyScalar(lkeys, j.LVar),
-						Residual: resSwapped, As: j.As}
-				},
-				own:   costHash(le.rows, re.rows, out, residMatches),
-				child: bothChildren,
-				note:  "build side swapped",
-			},
-			candidate{
-				build: func() exec.Operator {
-					return &exec.PartitionedHashJoin{Kind: j.Kind, L: r, R: l,
-						LVar: j.RVar, RVar: j.LVar,
-						LKey: keyScalar(rkeys, j.RVar), RKey: keyScalar(lkeys, j.LVar),
-						Residual: resSwapped, As: j.As,
-						Partitions: p.cfg.Parallelism}
-				},
-				own:   costPartitionedHash(le.rows, re.rows, out, residMatches, par),
-				child: bothChildren,
-				note:  "build side swapped",
-			})
+		cands = append(cands, hash(true, 1), hash(true, p.workers))
 	}
 	if (j.Kind == adl.Inner || j.Kind == adl.NestJ) && len(residual) == 0 {
 		cands = append(cands, candidate{
@@ -815,7 +703,7 @@ func describe(node any) (string, []any) {
 			o.Var, strings.Join(parts, " ∧ "), typed, len(o.Kernels)), []any{o.Src}
 	case *exec.VecExchange:
 		return fmt.Sprintf("VecExchange(workers %d | morsel %d)  -- parallel morsel scan",
-			exec.Parallelism(o.Workers), o.Morsel), []any{o.Src}
+			o.Workers, o.Morsel), []any{o.Src}
 	case *exec.VecHashJoin:
 		on := fmt.Sprintf("on .%s = %s%s", o.LAttr, o.RKey.Expr, residualNote(o.Residual))
 		switch {
@@ -833,9 +721,6 @@ func describe(node any) (string, []any) {
 		}
 		return fmt.Sprintf("VecSetProbeJoin[%s on %s ∈ .%s]  -- vectorized",
 			kindWord(o.Kind), o.RKey.Expr, o.Attr), []any{o.L, o.R}
-	case *exec.VecPNHL:
-		return fmt.Sprintf("VecPNHL[on .%s | budget %d rows]  -- vectorized segmented",
-			o.Attr, o.BudgetRows), []any{o.L, o.R}
 	}
 	switch o := node.(type) {
 	case *exec.Scan:
@@ -869,8 +754,16 @@ func describe(node any) (string, []any) {
 	case *exec.ExprScan:
 		return fmt.Sprintf("ExprScan(%s)  -- interpreter fallback", o.Expr), nil
 	case *exec.Filter:
+		if o.Workers > 1 {
+			return fmt.Sprintf("ParallelFilter[%s: %s | %d workers]  -- parallel",
+				o.Var, o.Pred.Expr, o.Workers), []any{o.Child}
+		}
 		return fmt.Sprintf("Filter[%s: %s]", o.Var, o.Pred.Expr), []any{o.Child}
 	case *exec.MapOp:
+		if o.Workers > 1 {
+			return fmt.Sprintf("ParallelMap[%s: %s | %d workers]  -- parallel",
+				o.Var, o.Body.Expr, o.Workers), []any{o.Child}
+		}
 		return fmt.Sprintf("Map[%s: %s]", o.Var, o.Body.Expr), []any{o.Child}
 	case *exec.ProjectOp:
 		return fmt.Sprintf("Project[%s]", strings.Join(o.Attrs, ", ")), []any{o.Child}
@@ -885,16 +778,11 @@ func describe(node any) (string, []any) {
 	case *exec.LetOp:
 		return fmt.Sprintf("Let[%s = %s]  -- constant, evaluated once", o.Var, o.Val), []any{o.Child}
 	case *exec.HashJoin:
+		if o.Partitions > 1 {
+			return fmt.Sprintf("PartitionedHashJoin[%v on %s = %s | %d partitions]  -- parallel",
+				o.Kind, o.LKey.Expr, o.RKey.Expr, o.Partitions), []any{o.L, o.R}
+		}
 		return fmt.Sprintf("HashJoin[%v on %s = %s]", o.Kind, o.LKey.Expr, o.RKey.Expr), []any{o.L, o.R}
-	case *exec.PartitionedHashJoin:
-		return fmt.Sprintf("PartitionedHashJoin[%v on %s = %s | %d partitions]  -- parallel",
-			o.Kind, o.LKey.Expr, o.RKey.Expr, exec.Parallelism(o.Partitions)), []any{o.L, o.R}
-	case *exec.ParallelFilter:
-		return fmt.Sprintf("ParallelFilter[%s: %s | %d workers]  -- parallel",
-			o.Var, o.Pred.Expr, exec.Parallelism(o.Workers)), []any{o.Child}
-	case *exec.ParallelMap:
-		return fmt.Sprintf("ParallelMap[%s: %s | %d workers]  -- parallel",
-			o.Var, o.Body.Expr, exec.Parallelism(o.Workers)), []any{o.Child}
 	case *exec.SetProbeJoin:
 		return fmt.Sprintf("SetProbeJoin[%v on %s ∈ .%s]", o.Kind, o.RKey.Expr, o.Attr), []any{o.L, o.R}
 	case *exec.SortMergeJoin:

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -207,59 +208,72 @@ func TestExplainRendersPlan(t *testing.T) {
 	}
 }
 
-// fakeStats is a planner cardinality feed for tests.
-type fakeStats map[string]int
+// parallel reports whether a plan holds a node with a worker or partition
+// count above one — what Explain labels "parallel". A test that forces
+// parallel plans asserts it, lest the planner silently go serial and the
+// test lose what it covers.
+func parallel(op exec.Operator) bool { return strings.Contains(Explain(op), "-- parallel") }
 
-func (f fakeStats) Size(extent string) int { return f[extent] }
+// inflated reports a thousand times the row counts of the statistics it
+// wraps, so that the cost model prices the operators that have a parallel
+// form cheaper parallel: the way a test forces them.
+type inflated struct{ Statistics }
+
+func (s inflated) RowCount(extent string) int {
+	n := s.Statistics.RowCount(extent)
+	if n > 0 {
+		n *= 1000
+	}
+	return n
+}
 
 // TestPlannerParallelThreshold pins the cost-based choice between the serial
-// and the parallel partitioned hash join.
+// and the partitioned hash join: large inputs cross the threshold the cost
+// model's startup price sets, small ones and unpriced ones do not, and the
+// default worker count is GOMAXPROCS, resolved when the plan is made.
 func TestPlannerParallelThreshold(t *testing.T) {
 	j := adl.JoinE(adl.T("X"), "x", "y",
 		adl.EqE(adl.Dot(adl.V("x"), "a"), adl.Dot(adl.V("y"), "d")), adl.T("Y"))
+	large := fakeStatistics{rows: map[string]int{"X": 50000, "Y": 50000}}
 
-	big := Config{Stats: fakeStats{"X": 5000, "Y": 5000}, Parallelism: 4}
-	op := big.Compile(j)
-	pj, ok := op.(*exec.PartitionedHashJoin)
-	if !ok {
-		t.Fatalf("large equi join with stats should plan PartitionedHashJoin, got %T", op)
+	op := Config{Statistics: large, Parallelism: 4}.Compile(j)
+	if hj, ok := op.(*exec.HashJoin); !ok || hj.Partitions != 4 {
+		t.Fatalf("large equi join should plan a HashJoin on 4 partitions, got\n%s", Explain(op))
 	}
-	if pj.Partitions != 4 {
-		t.Errorf("partitions not threaded through: %d", pj.Partitions)
+	small := Config{Statistics: fakeStatistics{rows: map[string]int{"X": 10, "Y": 10}}, Parallelism: 4}
+	if op := small.Compile(j); parallel(op) {
+		t.Errorf("small equi join should stay serial, got\n%s", Explain(op))
 	}
-
-	small := Config{Stats: fakeStats{"X": 10, "Y": 10}, Parallelism: 4}
-	if _, ok := small.Compile(j).(*exec.HashJoin); !ok {
-		t.Errorf("small equi join should stay a serial HashJoin")
-	}
-
-	// No stats: cardinalities are unknown, so the plan stays serial even
-	// with parallelism configured.
-	nostats := Config{Parallelism: 4}
-	if _, ok := nostats.Compile(j).(*exec.HashJoin); !ok {
-		t.Errorf("equi join without stats should stay a serial HashJoin")
+	// No statistics: the planner does not price, so the plan stays serial
+	// even with parallelism configured.
+	if op := (Config{Parallelism: 4}).Compile(j); parallel(op) {
+		t.Errorf("equi join without statistics should stay serial, got\n%s", Explain(op))
 	}
 
-	// A custom threshold flips the decision.
-	lowbar := Config{Stats: fakeStats{"X": 10, "Y": 10}, ParallelThreshold: 5}
-	if _, ok := lowbar.Compile(j).(*exec.PartitionedHashJoin); !ok {
-		t.Errorf("low threshold should plan PartitionedHashJoin")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(1)
+	if op := (Config{Statistics: large}).Compile(j); parallel(op) {
+		t.Errorf("under GOMAXPROCS(1) the default plan went parallel:\n%s", Explain(op))
+	}
+	runtime.GOMAXPROCS(4)
+	if hj, ok := (Config{Statistics: large}).Compile(j).(*exec.HashJoin); !ok || hj.Partitions != 4 {
+		t.Errorf("under GOMAXPROCS(4) the default plan should have 4 partitions, got %+v", hj)
 	}
 }
 
-// TestPlannerParallelMapFilter pins the worker-pool wrappers for large σ/α.
+// TestPlannerParallelMapFilter pins the worker pools of large σ/α.
 func TestPlannerParallelMapFilter(t *testing.T) {
-	cfg := Config{Stats: fakeStats{"X": 5000}, Parallelism: 8}
+	cfg := Config{Statistics: fakeStatistics{rows: map[string]int{"X": 50000}}, Parallelism: 8}
 	sel := adl.Sel("x", adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "a"), adl.C(value.Int(3))), adl.T("X"))
-	if _, ok := cfg.Compile(sel).(*exec.ParallelFilter); !ok {
-		t.Errorf("large σ should plan ParallelFilter")
+	if f, ok := cfg.Compile(sel).(*exec.Filter); !ok || f.Workers != 8 {
+		t.Errorf("large σ should plan a Filter on 8 workers, got\n%s", Explain(cfg.Compile(sel)))
 	}
 	m := adl.MapE("x", adl.Dot(adl.V("x"), "a"), adl.T("X"))
-	if _, ok := cfg.Compile(m).(*exec.ParallelMap); !ok {
-		t.Errorf("large α should plan ParallelMap")
+	if mo, ok := cfg.Compile(m).(*exec.MapOp); !ok || mo.Workers != 8 {
+		t.Errorf("large α should plan a MapOp on 8 workers, got\n%s", Explain(cfg.Compile(m)))
 	}
-	smallCfg := Config{Stats: fakeStats{"X": 10}, Parallelism: 8}
-	if _, ok := smallCfg.Compile(sel).(*exec.Filter); !ok {
+	smallCfg := Config{Statistics: fakeStatistics{rows: map[string]int{"X": 10}}, Parallelism: 8}
+	if f, ok := smallCfg.Compile(sel).(*exec.Filter); !ok || f.Workers > 1 {
 		t.Errorf("small σ should stay a serial Filter")
 	}
 }
@@ -267,7 +281,7 @@ func TestPlannerParallelMapFilter(t *testing.T) {
 // TestExplainShowsParallelOperators checks that the parallel choice is
 // visible in plans.
 func TestExplainShowsParallelOperators(t *testing.T) {
-	cfg := Config{Stats: fakeStats{"X": 5000, "Y": 5000}, Parallelism: 4}
+	cfg := Config{Statistics: fakeStatistics{rows: map[string]int{"X": 50000, "Y": 50000}}, Parallelism: 4}
 	j := adl.JoinE(
 		adl.Sel("x", adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "a"), adl.C(value.Int(3))), adl.T("X")),
 		"x", "y",
@@ -307,8 +321,8 @@ func TestPhysicalEquivalenceRandomized(t *testing.T) {
 
 // TestSerialParallelEquivalenceRandomized mirrors the randomized stress test
 // with the parallel planner: for every seed and query, the serial plan, the
-// parallel plan (threshold forced to 1 so every eligible operator goes
-// parallel) and the reference interpreter must agree. Run under -race this
+// parallel plan (priced on inflated statistics, so that it is parallel) and
+// the reference interpreter must agree. Run under -race this
 // also shakes out data races in the parallel operators.
 func TestSerialParallelEquivalenceRandomized(t *testing.T) {
 	srcs := []string{
@@ -340,8 +354,11 @@ func TestSerialParallelEquivalenceRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d query %d: serial exec: %v", seed, qi, err)
 			}
-			pcfg := Config{Stats: st, Parallelism: 4, ParallelThreshold: 1}
-			parallelGot, err := exec.Collect(pcfg.Compile(res.Expr), &exec.Ctx{DB: st})
+			pop := Config{Statistics: inflated{st.Analyze()}, Parallelism: 4}.Compile(res.Expr)
+			if !parallel(pop) {
+				t.Fatalf("seed %d query %d: the forced plan is serial:\n%s", seed, qi, Explain(pop))
+			}
+			parallelGot, err := exec.Collect(pop, &exec.Ctx{DB: st})
 			if err != nil {
 				t.Fatalf("seed %d query %d: parallel exec: %v", seed, qi, err)
 			}

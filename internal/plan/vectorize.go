@@ -5,13 +5,13 @@
 // batch join operators, each of every kind it has an output rule for:
 // single-key equi-joins (inner, semi, anti, outer, nestjoin — residual
 // conjuncts included) exec.VecHashJoin, set-probe joins (semi, anti,
-// nestjoin) exec.VecSetJoin. With workers available (Config.Parallelism) the
-// scan+filter pipeline additionally lowers to the morsel-driven VecExchange
-// and a semi/anti/inner/outer equi-join to a VecHashJoin with as many
-// Partitions — the batch-native parallel pair, priced in stats mode and
-// size-thresholded otherwise. Ineligible shapes — computed or composite keys,
-// non-extent sources — silently fall through to the scalar operators, which
-// remain the reference semantics.
+// nestjoin) exec.VecSetJoin. With workers available (Config.Parallelism) and
+// statistics to price them, the scan+filter pipeline additionally lowers to
+// the morsel-driven VecExchange and a semi/anti/inner/outer equi-join to a
+// VecHashJoin with as many Partitions — the batch-native parallel pair —
+// where the cost model finds them cheaper. Ineligible shapes — computed or
+// composite keys, non-extent sources — silently fall through to the scalar
+// operators, which remain the reference semantics.
 package plan
 
 import (
@@ -152,7 +152,7 @@ func (p *planner) tryVecSelect(n *adl.Select) (exec.Operator, nodeEst, bool) {
 	if !ok {
 		return nil, unknownEst, false
 	}
-	pipe, est = p.maybeExchange(pipe, n, est)
+	pipe, est = p.maybeExchange(pipe, est)
 	op := &exec.VecAdapter{Src: pipe}
 	p.record(op, est)
 	return op, est, true
@@ -169,7 +169,7 @@ func (p *planner) tryVecProject(n *adl.Project) (exec.Operator, nodeEst, bool) {
 	if !ok {
 		return nil, unknownEst, false
 	}
-	pipe, se = p.maybeExchange(pipe, n.X, se)
+	pipe, se = p.maybeExchange(pipe, se)
 	op := &exec.VecAdapter{Src: pipe, Project: n.Attrs}
 	est := se.withOwn(se.rows, se.rows*cRow)
 	p.record(op, est)
@@ -177,44 +177,35 @@ func (p *planner) tryVecProject(n *adl.Project) (exec.Operator, nodeEst, bool) {
 }
 
 // maybeExchange converts a serial scan+filter batch pipeline into the
-// morsel-driven parallel exchange when workers are available and it pays:
-// priced against the serial pipeline in stats mode, size-thresholded (the
-// scalar planner's PartitionedHashJoin rule) otherwise. Non-convertible
-// pipelines and single-worker configurations pass through unchanged.
-func (p *planner) maybeExchange(pipe exec.VecOp, src adl.Expr, est nodeEst) (exec.VecOp, nodeEst) {
-	w := exec.Parallelism(p.cfg.Parallelism)
-	if w < 2 {
+// morsel-driven parallel exchange when workers are available and the cost
+// model prices it below the serial pipeline. Non-convertible pipelines,
+// unpriced ones and single-worker configurations pass through unchanged.
+func (p *planner) maybeExchange(pipe exec.VecOp, est nodeEst) (exec.VecOp, nodeEst) {
+	if p.workers < 2 || !est.known {
 		return pipe, est
 	}
-	ex, ok := exec.Exchange(pipe, p.cfg.Parallelism)
+	ex, ok := exec.Exchange(pipe, p.workers)
 	if !ok {
 		return pipe, est
 	}
-	if p.statsMode() {
-		rows := p.cfg.Statistics.RowCount(ex.Src.Extent)
-		if rows < 0 || !est.known {
-			return pipe, est
-		}
-		parOwn := costVecExchange(float64(rows), float64(len(ex.Kernels)), p.cfg.batchSize(), w)
-		if parOwn >= est.cost {
-			return pipe, est
-		}
-		est.cost = parOwn
-		est.note = "parallel vectorized"
-		return ex, est
+	rows := p.cfg.Statistics.RowCount(ex.Src.Extent)
+	if rows < 0 {
+		return pipe, est
 	}
-	if c := p.cfg.card(src); p.cfg.Stats != nil && c >= 0 && c >= p.cfg.threshold() {
-		return ex, est
+	parOwn := costVecExchange(float64(rows), float64(len(ex.Kernels)), p.cfg.batchSize(), p.workers)
+	if parOwn >= est.cost {
+		return pipe, est
 	}
-	return pipe, est
+	est.cost = parOwn
+	return ex, est
 }
 
 // tryVecJoin compiles eligible joins to batch operators behind the
 // Vectorized flag: set-probe joins (semi, anti, nestjoin) and single-key
 // equi-joins of every kind, residual conjuncts included, whose left operand
-// is a vectorizable pipeline. Semi/anti/inner/outer equi-joins above the
-// parallel threshold (or priced cheaper in stats mode) are partitioned over
-// a morsel-exchanged probe pipeline.
+// is a vectorizable pipeline. Semi/anti/inner/outer equi-joins the cost model
+// prices cheaper partitioned are partitioned over a morsel-exchanged probe
+// pipeline.
 func (p *planner) tryVecJoin(j *adl.Join) (exec.Operator, nodeEst, bool) {
 	if !p.cfg.Vectorized {
 		return nil, unknownEst, false
@@ -245,8 +236,7 @@ func (p *planner) tryVecJoin(j *adl.Join) (exec.Operator, nodeEst, bool) {
 			inner := finite(le.rows * re.rows / maxf(1, maxf(le.rows, re.rows)))
 			out := joinOutRows(j.Kind, le.rows, re.rows, inner, le.rows, re.rows)
 			est = nodeEst{rows: out, known: true, extent: joinExtent(j.Kind, le),
-				cost: le.cost + re.cost + costVecSetProbe(le.rows, avg, re.rows, out, p.cfg.batchSize()),
-				note: "vectorized"}
+				cost: le.cost + re.cost + costVecSetProbe(le.rows, avg, re.rows, out, p.cfg.batchSize())}
 		}
 		p.record(op, est)
 		return op, est, true
@@ -289,21 +279,20 @@ func (p *planner) tryVecJoin(j *adl.Join) (exec.Operator, nodeEst, bool) {
 	}
 
 	op := &exec.VecHashJoin{Kind: j.Kind, L: pipe, R: r, LAttr: lattr, LKey: lkey,
-		RKey: rkey, Residual: res, As: j.As, RFun: rfunScalar(j)}
-	own, note := costVecHash(re.rows, le.rows, out, batch), "vectorized"
+		RKey: rkey, Residual: res, As: j.As, RFun: rfunScalar(j), Partitions: 1}
+	own := costVecHash(re.rows, le.rows, out, batch)
 	// The planner does not price a partitioned nestjoin: grouping stays serial.
-	if j.Kind != adl.NestJ && p.vecParallelJoin(j, le, re, out, known) {
+	if part := costVecPartHash(re.rows, le.rows, out, batch, float64(p.workers)); known &&
+		j.Kind != adl.NestJ && p.workers > 1 && part < own {
 		// Parallel-vectorized: morsel-exchange the probe pipeline and
 		// partition the build across the same worker count.
-		w := exec.Parallelism(p.cfg.Parallelism)
-		op.L, le = p.maybeExchange(pipe, j.L, le)
-		op.Partitions = w
-		own, note = costVecPartHash(re.rows, le.rows, out, batch, float64(w)), "parallel vectorized"
+		op.L, le = p.maybeExchange(pipe, le)
+		op.Partitions, own = p.workers, part
 	}
 	est := unknownEst
 	if known {
 		est = nodeEst{rows: out, known: true, extent: joinExtent(j.Kind, le),
-			cost: le.cost + re.cost + own, note: note}
+			cost: le.cost + re.cost + own}
 	}
 	p.record(op, est)
 	return op, est, true
@@ -316,25 +305,6 @@ func rfunScalar(j *adl.Join) *exec.Scalar {
 	}
 	s := exec.NewScalar(j.RFun, j.LVar, j.RVar)
 	return &s
-}
-
-// vecParallelJoin decides whether a semi/anti/inner/outer equi-join is
-// partitioned: in stats mode when the partitioned probe prices cheaper than
-// the serial one, otherwise by the same combined-size threshold the scalar
-// planner uses for PartitionedHashJoin. Single-worker configurations never
-// parallelize.
-func (p *planner) vecParallelJoin(j *adl.Join, le, re nodeEst, out float64, known bool) bool {
-	if exec.Parallelism(p.cfg.Parallelism) < 2 {
-		return false
-	}
-	if known {
-		batch := p.cfg.batchSize()
-		w := float64(exec.Parallelism(p.cfg.Parallelism))
-		return costVecPartHash(re.rows, le.rows, out, batch, w) <
-			costVecHash(re.rows, le.rows, out, batch)
-	}
-	lc, rc := p.cfg.card(j.L), p.cfg.card(j.R)
-	return p.cfg.Stats != nil && lc >= 0 && rc >= 0 && lc+rc >= p.cfg.threshold()
 }
 
 // maxf is math.Max without the import noise in this file's hot path.

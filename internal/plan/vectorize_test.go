@@ -109,10 +109,10 @@ func TestVectorizedPlanShapes(t *testing.T) {
 		}
 	}
 
-	// Above the parallel threshold the equi-join is partitioned over a
+	// Priced on large inputs the equi-join is partitioned over a
 	// morsel-exchanged probe pipeline.
 	par := Config{Vectorized: true, Parallelism: 4,
-		Stats: fakeStats{"X": 10000, "Y": 10000}}
+		Statistics: fakeStatistics{rows: map[string]int{"X": 100000, "Y": 100000}}}
 	pj := hashJoin(par, semi)
 	if pj.Partitions != 4 {
 		t.Fatalf("large semi join has %d partitions, want 4", pj.Partitions)
@@ -123,8 +123,9 @@ func TestVectorizedPlanShapes(t *testing.T) {
 	if hashJoin(par, nestj).Partitions > 1 {
 		t.Fatalf("nestjoin grouping must stay serial")
 	}
-	// Below the threshold the serial batch operators stay.
-	small := Config{Vectorized: true, Parallelism: 4, Stats: fakeStats{"X": 10, "Y": 10}}
+	// On small ones the serial batch operators stay.
+	small := Config{Vectorized: true, Parallelism: 4,
+		Statistics: fakeStatistics{rows: map[string]int{"X": 10, "Y": 10}}}
 	if hashJoin(small, semi).Partitions > 1 {
 		t.Fatalf("small semi join must stay serial")
 	}
@@ -220,7 +221,7 @@ func randVecQuery(rng *rand.Rand) adl.Expr {
 // and through the vectorized planner at several batch sizes, asserting
 // identical result sets. Run under -race in CI.
 func TestDifferentialScalarVsVectorized(t *testing.T) {
-	queries := 0
+	queries, parallelPlans := 0, 0
 	for seed := int64(1); seed <= 14; seed++ {
 		rng := rand.New(rand.NewSource(seed + 500))
 		x, y := genTables(rng)
@@ -234,11 +235,15 @@ func TestDifferentialScalarVsVectorized(t *testing.T) {
 				"vec-batch1": {Vectorized: true, BatchSize: 1},
 				"vec-batch7": {Vectorized: true, BatchSize: 7},
 				"vec-costed": {Vectorized: true, Statistics: tableStatistics(x, y)},
-				"vec-parallel": {Vectorized: true, Parallelism: 4, ParallelThreshold: 1,
-					Stats: fakeStats{"X": x.Len(), "Y": y.Len()}},
+				"vec-parallel": {Vectorized: true, Parallelism: 4,
+					Statistics: inflated{tableStatistics(x, y)}},
 			}
 			for name, cfg := range arms {
-				got := collect(t, cfg.Compile(q), db)
+				op := cfg.Compile(q)
+				if name == "vec-parallel" && parallel(op) {
+					parallelPlans++
+				}
+				got := collect(t, op, db)
 				if !value.Equal(got, ref) {
 					t.Fatalf("seed %d query %d (%v): %s diverges from scalar:\n got  %v\n want %v",
 						seed, i, q, name, got, ref)
@@ -249,6 +254,12 @@ func TestDifferentialScalarVsVectorized(t *testing.T) {
 	if queries < 25 {
 		t.Fatalf("differential harness ran %d queries, want ≥ 25", queries)
 	}
+	// Set-probe joins, the nestjoin and empty tables have no parallel form;
+	// the rest of the corpus must not have gone serial.
+	if parallelPlans < queries/2 {
+		t.Errorf("vec-parallel planned %d of %d queries parallel", parallelPlans, queries)
+	}
+	t.Logf("vec-parallel planned %d of %d queries parallel", parallelPlans, queries)
 }
 
 // TestDifferentialVectorizedMVCC runs scalar vs vectorized over pinned MVCC

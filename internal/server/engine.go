@@ -48,8 +48,8 @@ type Options struct {
 	// PlanCache disables the prepared-plan cache when false is explicitly
 	// requested via NoPlanCache; the zero Options enables it.
 	NoPlanCache bool
-	// Parallelism is passed through to the physical planner; 0 means
-	// runtime.NumCPU.
+	// Parallelism is the worker count the physical planner may give a
+	// parallel operator; 0 means GOMAXPROCS (exec.Parallelism).
 	Parallelism int
 	// NoFeedback disables runtime cardinality feedback. By default every
 	// cached execution runs instrumented (per-node row tallies) and a plan
@@ -160,7 +160,6 @@ func (e *Engine) plan(src string, epoch uint64, tc core.TemplateCache) (*cacheEn
 	stats := e.st.Analyze()
 	cfg := plan.Config{
 		Statistics:  stats,
-		Stats:       stats,
 		Parallelism: e.opts.Parallelism,
 		Vectorized:  e.opts.Vectorized,
 	}

@@ -143,17 +143,6 @@ func (d *DBStats) IndexKind(extent, attr string) string {
 	return d.Tables[extent].Indexes[attr]
 }
 
-// Size makes DBStats double as the planner's legacy cardinality feed
-// (plan.Stats), so one collected object can drive both the threshold
-// fallback and the cost model. An extent that was never analyzed reports -1
-// (unknown), not 0: reporting 0 made the threshold fallback treat unknown
-// extents as empty and lock in the serial operators no matter how large the
-// extent really was. A negative size sends the planner down its no-stats
-// path instead.
-func (d *DBStats) Size(extent string) int {
-	return d.RowCount(extent)
-}
-
 // String renders the collected statistics as a small report, one block per
 // extent, for inspection and debugging (fmt.Print(store.Analyze())).
 func (d *DBStats) String() string {

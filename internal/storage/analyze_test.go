@@ -84,15 +84,13 @@ func TestAnalyzeCollectsTableStats(t *testing.T) {
 		t.Errorf("AvgSetSize(SUPPLIER, sname) = %v, want 0", got)
 	}
 
-	// The legacy Size feed agrees with RowCount — including -1 (unknown) for
-	// extents that were never analyzed. Reporting 0 made the planner's
-	// threshold fallback treat unknown extents as empty (see
+	// An extent that was never analyzed is unknown (-1), not empty (see
 	// TestUnknownExtentSizeIsNotEmpty in internal/plan).
-	if got := stats.Size("SUPPLIER"); got != 4 {
-		t.Errorf("Size(SUPPLIER) = %d, want 4", got)
+	if got := stats.RowCount("SUPPLIER"); got != 4 {
+		t.Errorf("RowCount(SUPPLIER) = %d, want 4", got)
 	}
-	if got := stats.Size("NOPE"); got != -1 {
-		t.Errorf("Size(NOPE) = %d, want -1 (unknown, not empty)", got)
+	if got := stats.RowCount("NOPE"); got != -1 {
+		t.Errorf("RowCount(NOPE) = %d, want -1 (unknown, not empty)", got)
 	}
 }
 
