@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench profile bench-smoke serve-smoke ruler-smoke examples-smoke cover fuzz-smoke fmt fmt-check vet staticcheck lint loc ci
+.PHONY: build test race bench profile bench-smoke serve-smoke ruler-smoke examples-smoke cover fuzz-smoke fmt fmt-check vet lint loc ci
 
 build:
 	$(GO) build ./...
@@ -117,35 +117,15 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# Pinned so CI runs reproduce locally. Upgrade deliberately, not implicitly.
-STATICCHECK_VERSION ?= 2025.1.1
-
-# Uses a staticcheck binary from PATH when present (offline-friendly);
-# otherwise fetches the pinned version via go run (what CI does).
-staticcheck:
-	@if command -v staticcheck >/dev/null 2>&1; then \
-		staticcheck ./...; \
-	else \
-		$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...; \
-	fi
-
-# The project's custom analyzer suite (snapshotdiscipline, atomicmeter,
-# closepropagate, batchimmutable — see `adllint -list`). Fully
-# offline: the driver is in-tree and loads packages via `go list -export`.
-# Prefers an installed adllint binary, falls back to go run like staticcheck.
-lint: vet
-	@if command -v adllint >/dev/null 2>&1; then \
-		adllint ./...; \
-	else \
-		$(GO) run ./cmd/adllint ./...; \
-	fi
+# gofmt and go vet. The engine's own invariants are types and tests, which
+# `make test` and `make race` run (see README "Invariants").
+lint: fmt-check vet
 
 # The sizes ROADMAP tracks: lines (wc -l) of the Go files of each package
 # directory under internal/ and cmd/ that are neither tests nor testdata, the
-# total of the three trees direction 2 wants smaller beside the number of
-# exec node types (exported types with an Open or OpenVec method) direction 4
-# wants fewer, and the total of the measurement harness direction 5 wants
-# smaller (cmd/bench* counts any command of that name, none today).
+# exec + plan total beside the number of exec node types (exported types with
+# an Open or OpenVec method), and the total of the measurement harness
+# (cmd/bench* counts any command of that name, none today).
 loc:
 	@nodes=$$(find internal/exec -name '*.go' ! -name '*_test.go' | xargs grep -hoE \
 			'^func \([a-z]+ \*?[A-Z][A-Za-z0-9]*\) Open(Vec)?\(' | \
@@ -155,8 +135,8 @@ loc:
 			split(d, p, "/"); if (p[1] == "internal") t[p[2]] += $$1; \
 			if (d ~ /^(internal\/(experiments|bench)|cmd\/(adl)?bench[^\/]*)$$/) h += $$1 } \
 		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
-			printf "%6d internal/exec + internal/plan + internal/lint (%d + %d + %d); %d exec node types\n", \
-				t["exec"] + t["plan"] + t["lint"], t["exec"], t["plan"], t["lint"], nodes; \
+			printf "%6d internal/exec + internal/plan (%d + %d); %d exec node types\n", \
+				t["exec"] + t["plan"], t["exec"], t["plan"], nodes; \
 			printf "%6d internal/experiments + internal/bench + cmd/adlbench + cmd/bench* (%d + %d + %d + %d)\n", \
 				h, n["internal/experiments"], n["internal/bench"], n["cmd/adlbench"], \
 				h - n["internal/experiments"] - n["internal/bench"] - n["cmd/adlbench"] }'
@@ -171,6 +151,5 @@ ruler-smoke:
 	bash benchmark/run.sh --quick
 	bash benchmark/run.sh --quick --trace 1 --workload serve.point
 
-# Exactly what .github/workflows/ci.yml runs. staticcheck is separate from
-# `ci` so the aggregate target stays runnable offline; CI runs both.
-ci: fmt-check lint build race cover fuzz-smoke bench-smoke examples-smoke serve-smoke ruler-smoke
+# Exactly what .github/workflows/ci.yml runs.
+ci: lint build race cover fuzz-smoke bench-smoke examples-smoke serve-smoke ruler-smoke

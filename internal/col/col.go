@@ -8,7 +8,9 @@
 // they are the fallback for anything the columnar fast paths cannot type: an
 // attribute that is missing on some row, mixed-kind, or nested gets a Mixed
 // column, and the operator evaluates those rows through the reference
-// interpreter — same semantics, same errors, just slower.
+// interpreter — same semantics, same errors, just slower. A projection is
+// shared by every query that scans its extent, so no slice leaves this
+// package: readers get one element at a time, by an int32 row index.
 package col
 
 import "repro/internal/value"
@@ -31,23 +33,31 @@ const (
 )
 
 // Col is one decoded attribute across all rows of a projection. Exactly one
-// backing slice is populated, chosen by Kind: Ints carries Int values,
-// Date days, OID bits and Bool as 0/1; Floats, Strs and Sets carry their
-// namesakes. A Mixed column has no backing.
+// backing slice is populated, chosen by kind: ints carries the Bits of Int,
+// Date, OID and Bool values; floats, strs and sets their namesakes. A Mixed
+// column has no backing.
 type Col struct {
-	Kind   Kind
-	Ints   []int64
-	Floats []float64
-	Strs   []string
-	Sets   []*value.Set
+	kind   Kind
+	ints   []int64
+	floats []float64
+	strs   []string
+	sets   []*value.Set
 }
+
+// Kind reports the column's kind; Int (the Bits of an Int, Date, OID or Bool
+// column), Float, Str and Set return row i.
+func (c *Col) Kind() Kind             { return c.kind }
+func (c *Col) Int(i int32) int64      { return c.ints[i] }
+func (c *Col) Float(i int32) float64  { return c.floats[i] }
+func (c *Col) Str(i int32) string     { return c.strs[i] }
+func (c *Col) Set(i int32) *value.Set { return c.sets[i] }
 
 // Proj is a columnar projection of one extent: the original rows (tuples, in
 // extent order) plus the decoded columns for the attributes a pipeline
 // reads. A Proj is immutable once built and safe to share across queries.
 type Proj struct {
-	Extent string
-	Rows   []value.Value
+	extent string
+	rows   []value.Value
 	cols   map[string]*Col
 }
 
@@ -55,7 +65,7 @@ type Proj struct {
 // that cannot be uniformly typed decode to Mixed columns; rows is retained,
 // not copied.
 func New(extent string, rows []value.Value, attrs []string) *Proj {
-	p := &Proj{Extent: extent, Rows: rows, cols: make(map[string]*Col, len(attrs))}
+	p := &Proj{extent: extent, rows: rows, cols: make(map[string]*Col, len(attrs))}
 	for _, a := range attrs {
 		if _, dup := p.cols[a]; !dup {
 			p.cols[a] = decode(rows, a)
@@ -64,8 +74,11 @@ func New(extent string, rows []value.Value, attrs []string) *Proj {
 	return p
 }
 
-// Len reports the number of rows.
-func (p *Proj) Len() int { return len(p.Rows) }
+// Extent names the projected extent; Len counts its rows; Row returns row i,
+// the tuple as stored.
+func (p *Proj) Extent() string          { return p.extent }
+func (p *Proj) Len() int                { return len(p.rows) }
+func (p *Proj) Row(i int32) value.Value { return p.rows[i] }
 
 // Col returns the decoded column for attr, or nil when attr was not
 // requested at build time. Callers must treat a nil column like a Mixed one:
@@ -81,26 +94,30 @@ func (p *Proj) Attrs() []string {
 	return out
 }
 
-// kindOf maps a value kind to its column kind; tuples and nulls are not
-// columnar.
-func kindOf(v value.Value) Kind {
-	switch v.Kind() {
-	case value.KindBool:
-		return Bool
-	case value.KindInt:
-		return Int
-	case value.KindFloat:
-		return Float
-	case value.KindString:
-		return Str
-	case value.KindDate:
-		return Date
-	case value.KindOID:
-		return OID
-	case value.KindSet:
-		return Set
+// KindOf maps a value kind to the kind of column that stores its values;
+// tuples and nulls are not columnar (Mixed).
+func KindOf(k value.Kind) Kind { return kinds[k] }
+
+var kinds = [...]Kind{value.KindBool: Bool, value.KindInt: Int, value.KindFloat: Float,
+	value.KindString: Str, value.KindDate: Date, value.KindOID: OID, value.KindSet: Set}
+
+// Bits returns the int64 image an Int-backed column stores for an Int, Date,
+// OID or Bool value (false 0, true 1); ok is false for every other kind.
+func Bits(v value.Value) (int64, bool) {
+	switch cv := v.(type) {
+	case value.Int:
+		return int64(cv), true
+	case value.Date:
+		return int64(cv), true
+	case value.OID:
+		return int64(cv), true
+	case value.Bool:
+		if cv {
+			return 1, true
+		}
+		return 0, true
 	}
-	return Mixed
+	return 0, false
 }
 
 // decode types one attribute across all rows, bailing to Mixed on the first
@@ -110,50 +127,41 @@ func decode(rows []value.Value, attr string) *Col {
 	for i, r := range rows {
 		t, ok := r.(*value.Tuple)
 		if !ok {
-			return &Col{Kind: Mixed}
+			return &Col{kind: Mixed}
 		}
 		v, ok := t.Get(attr)
 		if !ok {
-			return &Col{Kind: Mixed}
+			return &Col{kind: Mixed}
 		}
-		k := kindOf(v)
+		k := KindOf(v.Kind())
 		if k == Mixed {
-			return &Col{Kind: Mixed}
+			return &Col{kind: Mixed}
 		}
 		if i == 0 {
-			c.Kind = k
+			c.kind = k
 			switch k {
 			case Int, Date, OID, Bool:
-				c.Ints = make([]int64, 0, len(rows))
+				c.ints = make([]int64, 0, len(rows))
 			case Float:
-				c.Floats = make([]float64, 0, len(rows))
+				c.floats = make([]float64, 0, len(rows))
 			case Str:
-				c.Strs = make([]string, 0, len(rows))
+				c.strs = make([]string, 0, len(rows))
 			case Set:
-				c.Sets = make([]*value.Set, 0, len(rows))
+				c.sets = make([]*value.Set, 0, len(rows))
 			}
-		} else if k != c.Kind {
-			return &Col{Kind: Mixed}
+		} else if k != c.kind {
+			return &Col{kind: Mixed}
 		}
 		switch k {
-		case Int:
-			c.Ints = append(c.Ints, int64(v.(value.Int)))
-		case Date:
-			c.Ints = append(c.Ints, int64(v.(value.Date)))
-		case OID:
-			c.Ints = append(c.Ints, int64(v.(value.OID)))
-		case Bool:
-			if v.(value.Bool) {
-				c.Ints = append(c.Ints, 1)
-			} else {
-				c.Ints = append(c.Ints, 0)
-			}
 		case Float:
-			c.Floats = append(c.Floats, float64(v.(value.Float)))
+			c.floats = append(c.floats, float64(v.(value.Float)))
 		case Str:
-			c.Strs = append(c.Strs, string(v.(value.String)))
+			c.strs = append(c.strs, string(v.(value.String)))
 		case Set:
-			c.Sets = append(c.Sets, v.(*value.Set))
+			c.sets = append(c.sets, v.(*value.Set))
+		default:
+			b, _ := Bits(v)
+			c.ints = append(c.ints, b)
 		}
 	}
 	return c

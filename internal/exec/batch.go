@@ -86,7 +86,7 @@ func (a VecAdapter) Open(ctx *Ctx) (_ Rows, err error) {
 			return buffered(rows)
 		}
 		for _, i := range b.Sel {
-			row := b.Proj.Rows[i]
+			row := b.Proj.Row(i)
 			if a.Project != nil {
 				t, err := asTuple(row, "π")
 				if err != nil {

@@ -11,12 +11,18 @@ import (
 // opens — after the row tally has had it, so counted streams are under watch
 // too — and records how often each is closed. The wrappers keep what the
 // engine asks of a stream beyond Rows and Batches: a blocking stream stays
-// blocking, a scan's stream keeps its projection.
+// blocking, a scan's stream keeps its projection. It also counts the Close
+// and CloseVec calls of the streams it watches, and can fail one of them.
 type Tracker struct {
 	tally *Tally
 
 	mu      sync.Mutex
 	streams []*opened
+	// closes counts stream closes since the last FailClose; the failAt-th
+	// (from 1; 0: none) returns closeErr.
+	closes   int64
+	failAt   int64
+	closeErr error
 }
 
 // opened is one stream a run opened.
@@ -41,10 +47,31 @@ func (t *Tracker) open(node, stream any) *opened {
 	return o
 }
 
-func (o *opened) close() {
-	o.tracker.mu.Lock()
+// FailClose restarts the close count and makes the n-th Close or CloseVec
+// from now on (0: none) return err once it has closed its stream.
+func (t *Tracker) FailClose(n int64, err error) {
+	t.mu.Lock()
+	t.closes, t.failAt, t.closeErr = 0, n, err
+	t.mu.Unlock()
+}
+
+// Closes reports the stream closes since the last FailClose.
+func (t *Tracker) Closes() int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.closes
+}
+
+// close counts one close of the stream, whose own result was err.
+func (o *opened) close(err error) error {
+	t := o.tracker
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	o.closed++
-	o.tracker.mu.Unlock()
+	if t.closes++; t.closes == t.failAt {
+		return t.closeErr
+	}
+	return err
 }
 
 func (t *Tracker) rows(op Operator, r Rows) Rows {
@@ -82,10 +109,10 @@ type (
 	}
 )
 
-func (s *trackedRows) Close() error       { s.o.close(); return s.Rows.Close() }
-func (s *trackedBuf) Close() error        { s.o.close(); return s.blocking.Close() }
-func (s *trackedBatches) CloseVec() error { s.o.close(); return s.Batches.CloseVec() }
-func (s *trackedScan) CloseVec() error    { s.o.close(); return s.projected.CloseVec() }
+func (s *trackedRows) Close() error       { return s.o.close(s.Rows.Close()) }
+func (s *trackedBuf) Close() error        { return s.o.close(s.blocking.Close()) }
+func (s *trackedBatches) CloseVec() error { return s.o.close(s.Batches.CloseVec()) }
+func (s *trackedScan) CloseVec() error    { return s.o.close(s.projected.CloseVec()) }
 
 // Check reports every stream opened since the last Check that was not closed
 // exactly once, forgets them, and returns the stream types it saw (a stream a

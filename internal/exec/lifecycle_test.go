@@ -143,8 +143,12 @@ func settle(t *testing.T, what string, base int) {
 	}
 }
 
-// errInjected is what a faultyDB fails with.
-var errInjected = errors.New("injected fault")
+// errInjected is what a faultyDB fails with, errClose what the Tracker fails
+// a Close with.
+var (
+	errInjected = errors.New("injected fault")
+	errClose    = errors.New("injected close fault")
+)
 
 // faultyDB passes every read through to a store and fails the failAt-th
 // (from 1; 0: none) with errInjected. calls counts them.
@@ -200,8 +204,10 @@ func (f *faultyDB) IndexRange(extent, attr string, lo, hi value.Value, loIncl, h
 // what no static rule can: each stream a run opens — wherever, through the
 // one place streams are opened — is closed exactly once, and no goroutine
 // outlives the run. On success, where additionally the arms of a query agree
-// on the result; and with a store that fails its n-th read, for every n the
-// clean run reached, where they agree on the error.
+// on the result; with a store that fails its n-th read, for every n the clean
+// run reached, where they agree on the error; and with the n-th stream Close
+// failing, for every n the clean run reached, where that error is what the
+// run returns.
 func TestEveryStreamClosedOnce(t *testing.T) {
 	base := runtime.NumGoroutine()
 	tr := exec.NewTracker()
@@ -264,4 +270,26 @@ func TestEveryStreamClosedOnce(t *testing.T) {
 		}
 	}
 	t.Logf("%d runs with a failing read", faults)
+
+	closeFaults := 0
+	for _, arms := range append(textArms(t, small), experimentArms()...) {
+		for _, a := range arms {
+			tr.FailClose(0, nil)
+			if _, err := exec.Collect(a.root, tr.Ctx(a.db)); err != nil {
+				t.Fatalf("%s: %v", a.name, err)
+			}
+			reached := tr.Closes()
+			check(a.name)
+			closeFaults += int(reached)
+			for n := int64(1); n <= reached; n++ {
+				tr.FailClose(n, errClose)
+				if _, err := exec.Collect(a.root, tr.Ctx(a.db)); !errors.Is(err, errClose) {
+					t.Errorf("%s, close %d of %d failing: got %v, want %v", a.name, n, reached, err, errClose)
+				}
+				check(fmt.Sprintf("%s, close %d of %d failing", a.name, n, reached))
+			}
+		}
+	}
+	tr.FailClose(0, nil)
+	t.Logf("%d runs with a failing close", closeFaults)
 }

@@ -90,46 +90,6 @@ func (t *strTable) head(k string) int32 {
 	return t.heads[(fnv64(k)*fibMix)>>t.shift]
 }
 
-// colValueKind maps a typed column kind to the value kind its entries carry
-// (KindNull for Mixed, which has no single kind).
-func colValueKind(k col.Kind) value.Kind {
-	switch k {
-	case col.Bool:
-		return value.KindBool
-	case col.Int:
-		return value.KindInt
-	case col.Float:
-		return value.KindFloat
-	case col.Str:
-		return value.KindString
-	case col.Date:
-		return value.KindDate
-	case col.OID:
-		return value.KindOID
-	case col.Set:
-		return value.KindSet
-	}
-	return value.KindNull
-}
-
-// valueBits extracts the int64 image of an int-backed scalar value.
-func valueBits(v value.Value) (int64, bool) {
-	switch cv := v.(type) {
-	case value.Int:
-		return int64(cv), true
-	case value.Date:
-		return int64(cv), true
-	case value.OID:
-		return int64(cv), true
-	case value.Bool:
-		if cv {
-			return 1, true
-		}
-		return 0, true
-	}
-	return 0, false
-}
-
 // routeMode is the shape of a join's build keys, chosen once from their
 // uniformity. It picks the table built over them and — in a partitioned
 // build — how keys are routed to partitions, which both sides must do alike:
@@ -169,7 +129,7 @@ func chooseRoute(keys []value.Value) (routeMode, value.Kind) {
 func routeHash(mode routeMode, k value.Value) uint64 {
 	switch mode {
 	case routeInt:
-		b, _ := valueBits(k)
+		b, _ := col.Bits(k)
 		return uint64(b) * fibMix
 	case routeStr:
 		return fnv64(string(k.(value.String))) * fibMix
@@ -205,7 +165,7 @@ func (t *keyTable) indexAs(mode routeMode, kind value.Kind) {
 	case routeInt:
 		bs := make([]int64, len(t.keys))
 		for i, k := range t.keys {
-			bs[i], _ = valueBits(k)
+			bs[i], _ = col.Bits(k)
 		}
 		t.i64 = newI64Table(bs)
 	case routeStr:
@@ -285,7 +245,7 @@ func (t *keyTable) forEach(k value.Value, fn func(ri int) (stop bool)) {
 		if k.Kind() != t.vkind {
 			return
 		}
-		b, _ := valueBits(k)
+		b, _ := col.Bits(k)
 		for s := t.i64.head(b); s != 0; s = t.i64.next[s-1] {
 			if t.i64.keys[s-1] == b && fn(int(s-1)) {
 				return
@@ -529,17 +489,17 @@ func (j VecHashJoin) probeParallel(ctx *Ctx, left Batches, bs *vecBuild, right [
 // through the interpreter, reference semantics and scalar errors included.
 func (j VecHashJoin) probeBatch(ctx *Ctx, b Batch, bs *vecBuild, em *joinEmit) error {
 	c := b.Proj.Col(j.LAttr)
-	typedCol := c != nil && c.Kind != col.Mixed
-	intCol := typedCol && bs.mode == routeInt && colValueKind(c.Kind) == bs.vkind
-	strCol := typedCol && bs.mode == routeStr && c.Kind == col.Str
+	typedCol := c != nil && c.Kind() != col.Mixed
+	intCol := typedCol && bs.mode == routeInt && c.Kind() == col.KindOf(bs.vkind)
+	strCol := typedCol && bs.mode == routeStr && c.Kind() == col.Str
 	for _, i := range b.Sel {
-		lrow := b.Proj.Rows[i]
+		lrow := b.Proj.Row(i)
 		if err := em.begin(lrow); err != nil {
 			return err
 		}
 		switch {
 		case intCol:
-			k := c.Ints[i]
+			k := c.Int(i)
 			pt := bs.part(uint64(k) * fibMix)
 			for t, s := pt.tab.i64, pt.tab.i64.head(k); s != 0; s = t.next[s-1] {
 				if t.keys[s-1] == k && em.match(pt.rows[s-1]) {
@@ -547,7 +507,7 @@ func (j VecHashJoin) probeBatch(ctx *Ctx, b Batch, bs *vecBuild, em *joinEmit) e
 				}
 			}
 		case strCol:
-			k := c.Strs[i]
+			k := c.Str(i)
 			pt := bs.part(fnv64(k) * fibMix)
 			for t, s := pt.tab.str, pt.tab.str.head(k); s != 0; s = t.next[s-1] {
 				if t.keys[s-1] == k && em.match(pt.rows[s-1]) {

@@ -60,14 +60,14 @@ func (j VecSetJoin) Open(ctx *Ctx) (_ Rows, err error) {
 		}
 		c := b.Proj.Col(j.Attr)
 		for _, i := range b.Sel {
-			if err := em.begin(b.Proj.Rows[i]); err != nil {
+			if err := em.begin(b.Proj.Row(i)); err != nil {
 				return nil, err
 			}
 			// The typed column when present, else the decoded tuple with the
 			// scalar SetProbeJoin's exact errors.
 			var as *value.Set
-			if c != nil && c.Kind == col.Set {
-				as = c.Sets[i]
+			if c != nil && c.Kind() == col.Set {
+				as = c.Set(i)
 			} else if as, err = setAttr(em.lt, j.Attr); err != nil {
 				return nil, err
 			}
@@ -141,7 +141,7 @@ func (t *setKeyTable) probe(as *value.Set, right []value.Value, em *joinEmit) {
 		if ev.Kind() != t.ukind {
 			continue
 		}
-		b, _ := valueBits(ev)
+		b, _ := col.Bits(ev)
 		for s := t.u.head(b); s != 0; s = t.u.next[s-1] {
 			if t.u.keys[s-1] == b && em.match(right[s-1]) {
 				return
@@ -184,7 +184,7 @@ func subscriptIntKeys(rows []value.Value, key Scalar) ([]int64, *value.Shape, va
 		} else if ev.Kind() != kind {
 			return nil, nil, value.KindNull, false
 		}
-		b, ok := valueBits(ev)
+		b, ok := col.Bits(ev)
 		if !ok {
 			return nil, nil, value.KindNull, false
 		}
@@ -211,7 +211,7 @@ func unaryIntKeys(keys []value.Value) ([]int64, *value.Shape, value.Kind, bool) 
 		if !ok || t.Shape != first.Shape || t.Vals()[0].Kind() != kind {
 			return nil, nil, value.KindNull, false
 		}
-		if bs[i], ok = valueBits(t.Vals()[0]); !ok {
+		if bs[i], ok = col.Bits(t.Vals()[0]); !ok {
 			return nil, nil, value.KindNull, false
 		}
 	}

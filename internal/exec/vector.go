@@ -147,14 +147,14 @@ func (f *filtered) CloseVec() error { return f.src.CloseVec() }
 // apply narrows sel to the rows satisfying the conjunct, writing in place.
 func (k *VecCmp) apply(ctx *Ctx, p *col.Proj, sel []int32) ([]int32, error) {
 	c := p.Col(k.Attr)
-	if c == nil || c.Kind == col.Mixed {
+	if c == nil || c.Kind() == col.Mixed {
 		return k.applyRows(ctx, p, sel)
 	}
 	if k.Const != nil {
 		return k.applyConst(ctx, p, c, sel)
 	}
 	rc := p.Col(k.RAttr)
-	if rc == nil || rc.Kind == col.Mixed {
+	if rc == nil || rc.Kind() == col.Mixed {
 		return k.applyRows(ctx, p, sel)
 	}
 	return k.applyCols(ctx, p, c, rc, sel)
@@ -165,7 +165,7 @@ func (k *VecCmp) apply(ctx *Ctx, p *col.Proj, sel []int32) ([]int32, error) {
 func (k *VecCmp) applyRows(ctx *Ctx, p *col.Proj, sel []int32) ([]int32, error) {
 	out := sel[:0]
 	for _, i := range sel {
-		keep, err := k.Pred.Bool(ctx, p.Rows[i])
+		keep, err := k.Pred.Bool(ctx, p.Row(i))
 		if err != nil {
 			return nil, err
 		}
@@ -176,53 +176,16 @@ func (k *VecCmp) applyRows(ctx *Ctx, p *col.Proj, sel []int32) ([]int32, error) 
 	return out, nil
 }
 
-// constKind maps a constant to the column kind it compares against natively.
-func constKind(v value.Value) col.Kind {
-	switch v.Kind() {
-	case value.KindBool:
-		return col.Bool
-	case value.KindInt:
-		return col.Int
-	case value.KindFloat:
-		return col.Float
-	case value.KindString:
-		return col.Str
-	case value.KindDate:
-		return col.Date
-	case value.KindOID:
-		return col.OID
-	}
-	return col.Mixed
-}
-
 // ordered reports whether a column kind supports the ordered comparisons
 // (mirrors eval's orderedKind: int, float, string, date).
 func ordered(k col.Kind) bool {
 	return k == col.Int || k == col.Float || k == col.Str || k == col.Date
 }
 
-// constBits extracts the int64 image of a constant for Ints-backed columns.
-func constBits(v value.Value) int64 {
-	switch cv := v.(type) {
-	case value.Int:
-		return int64(cv)
-	case value.Date:
-		return int64(cv)
-	case value.OID:
-		return int64(cv)
-	case value.Bool:
-		if cv {
-			return 1
-		}
-		return 0
-	}
-	return 0
-}
-
-// applyConst runs the column-vs-constant kernel.
+// applyConst runs the column-vs-constant kernel. A constant of the column's
+// kind but no kernel — a set — goes row-wise like an untyped column.
 func (k *VecCmp) applyConst(ctx *Ctx, p *col.Proj, c *col.Col, sel []int32) ([]int32, error) {
-	ck := constKind(k.Const)
-	if ck != c.Kind {
+	if col.KindOf(k.Const.Kind()) != c.Kind() {
 		// Cross-kind: Eq is uniformly false, Ne uniformly true
 		// (value.Equal never crosses kinds); ordered comparisons error in
 		// the interpreter — fall back so the error text matches.
@@ -234,29 +197,29 @@ func (k *VecCmp) applyConst(ctx *Ctx, p *col.Proj, c *col.Col, sel []int32) ([]i
 		}
 		return k.applyRows(ctx, p, sel)
 	}
-	if k.Op != adl.Eq && k.Op != adl.Ne && !ordered(c.Kind) {
+	if k.Op != adl.Eq && k.Op != adl.Ne && !ordered(c.Kind()) {
 		return k.applyRows(ctx, p, sel)
 	}
 	out := sel[:0]
-	switch c.Kind {
+	switch c.Kind() {
 	case col.Int, col.Date, col.OID, col.Bool:
-		cv := constBits(k.Const)
+		cv, _ := col.Bits(k.Const)
 		for _, i := range sel {
-			if cmpInt64(c.Ints[i], cv, k.Op) {
+			if cmpInt64(c.Int(i), cv, k.Op) {
 				out = append(out, i)
 			}
 		}
 	case col.Float:
 		cv := float64(k.Const.(value.Float))
 		for _, i := range sel {
-			if cmpFloat64(c.Floats[i], cv, k.Op) {
+			if cmpFloat64(c.Float(i), cv, k.Op) {
 				out = append(out, i)
 			}
 		}
 	case col.Str:
 		cv := string(k.Const.(value.String))
 		for _, i := range sel {
-			if cmpString(c.Strs[i], cv, k.Op) {
+			if cmpString(c.Str(i), cv, k.Op) {
 				out = append(out, i)
 			}
 		}
@@ -268,7 +231,7 @@ func (k *VecCmp) applyConst(ctx *Ctx, p *col.Proj, c *col.Col, sel []int32) ([]i
 
 // applyCols runs the column-vs-column kernel.
 func (k *VecCmp) applyCols(ctx *Ctx, p *col.Proj, l, r *col.Col, sel []int32) ([]int32, error) {
-	if l.Kind != r.Kind {
+	if l.Kind() != r.Kind() {
 		switch k.Op {
 		case adl.Eq:
 			return sel[:0], nil
@@ -277,26 +240,26 @@ func (k *VecCmp) applyCols(ctx *Ctx, p *col.Proj, l, r *col.Col, sel []int32) ([
 		}
 		return k.applyRows(ctx, p, sel)
 	}
-	if k.Op != adl.Eq && k.Op != adl.Ne && !ordered(l.Kind) {
+	if k.Op != adl.Eq && k.Op != adl.Ne && !ordered(l.Kind()) {
 		return k.applyRows(ctx, p, sel)
 	}
 	out := sel[:0]
-	switch l.Kind {
+	switch l.Kind() {
 	case col.Int, col.Date, col.OID, col.Bool:
 		for _, i := range sel {
-			if cmpInt64(l.Ints[i], r.Ints[i], k.Op) {
+			if cmpInt64(l.Int(i), r.Int(i), k.Op) {
 				out = append(out, i)
 			}
 		}
 	case col.Float:
 		for _, i := range sel {
-			if cmpFloat64(l.Floats[i], r.Floats[i], k.Op) {
+			if cmpFloat64(l.Float(i), r.Float(i), k.Op) {
 				out = append(out, i)
 			}
 		}
 	case col.Str:
 		for _, i := range sel {
-			if cmpString(l.Strs[i], r.Strs[i], k.Op) {
+			if cmpString(l.Str(i), r.Str(i), k.Op) {
 				out = append(out, i)
 			}
 		}

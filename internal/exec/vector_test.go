@@ -107,6 +107,17 @@ func TestVecFilterCrossKindAndFallback(t *testing.T) {
 		t.Errorf("error mismatch: vec=%v scalar=%v", vecErr, scalErr)
 	}
 
+	// A set-valued constant against a set column has no kernel: row-wise.
+	for _, op := range []adl.CmpOp{adl.Eq, adl.Ne} {
+		k := fieldKernel("parts", op, value.EmptySet())
+		vf = &VecFilter{Src: vecScan("N", []string{"parts"}, 4), Var: "x", Kernels: []VecCmp{k}}
+		got := collect(t, &VecAdapter{Src: vf}, d)
+		want := collect(t, &Filter{Child: &Scan{Table: "N"}, Var: "x", Pred: k.Pred}, d)
+		if !value.Equal(got, want) || want.Len() == 0 {
+			t.Errorf("set constant, op %v: got %v want %v", op, got, want)
+		}
+	}
+
 	// A column absent from the projection attrs is nil → row-wise fallback,
 	// still correct.
 	k := fieldKernel("b", adl.Lt, value.Int(4))

@@ -19,10 +19,10 @@ func TestColProjDecodesAndCaches(t *testing.T) {
 	if p1.Len() != 2 {
 		t.Fatalf("proj has %d rows, want 2", p1.Len())
 	}
-	if c := p1.Col("price"); c == nil || c.Kind != col.Int || c.Ints[0] != 10 || c.Ints[1] != 5 {
+	if c := p1.Col("price"); c == nil || c.Kind() != col.Int || c.Int(0) != 10 || c.Int(1) != 5 {
 		t.Fatalf("price column = %+v", c)
 	}
-	if c := p1.Col("color"); c == nil || c.Kind != col.Str || c.Strs[1] != "blue" {
+	if c := p1.Col("color"); c == nil || c.Kind() != col.Str || c.Str(1) != "blue" {
 		t.Fatalf("color column = %+v", c)
 	}
 
@@ -80,8 +80,8 @@ func TestColProjMVCCVisibility(t *testing.T) {
 	if pOld.Len() != 2 {
 		t.Fatalf("old proj has %d rows, want 2", pOld.Len())
 	}
-	if c := pOld.Col("price"); c.Ints[0] != 10 {
-		t.Fatalf("old proj sees updated price %d, want 10", c.Ints[0])
+	if c := pOld.Col("price"); c.Int(0) != 10 {
+		t.Fatalf("old proj sees updated price %d, want 10", c.Int(0))
 	}
 
 	// A fresh snapshot sees the update and not the deleted row.
@@ -94,9 +94,8 @@ func TestColProjMVCCVisibility(t *testing.T) {
 	if pNew.Len() != 2 {
 		t.Fatalf("fresh proj has %d rows, want 2", pNew.Len())
 	}
-	prices := pNew.Col("price").Ints
-	if prices[0] != 99 && prices[1] != 99 {
-		t.Fatalf("fresh proj misses the update: %v", prices)
+	if c := pNew.Col("price"); c.Int(0) != 99 && c.Int(1) != 99 {
+		t.Fatalf("fresh proj misses the update: %d, %d", c.Int(0), c.Int(1))
 	}
 
 	// Rows are identical (pointer-shared) with the snapshot's Table view.
@@ -104,8 +103,8 @@ func TestColProjMVCCVisibility(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Table: %v", err)
 	}
-	for i, r := range pNew.Rows {
-		if r != set.Elems()[i] {
+	for i, r := range set.Elems() {
+		if pNew.Row(int32(i)) != r {
 			t.Fatalf("proj row %d is not the Table row", i)
 		}
 	}

@@ -22,8 +22,9 @@ import (
 	"repro/internal/value"
 )
 
-// DefaultObjectsPerPage is the default clustering factor of the page model.
-const DefaultObjectsPerPage = 32
+// ObjectsPerPage is the clustering factor of the page model: oid o sits on
+// page o / ObjectsPerPage.
+const ObjectsPerPage = 32
 
 // DefaultGCEvery is the default auto-GC trigger: a garbage collection runs
 // after this many deletes/updates since the last one. See SetAutoGC.
@@ -70,7 +71,8 @@ type Store struct {
 	pinMu sync.Mutex
 	pins  map[uint64]int
 	// mutations counts deletes/updates since the last GC; gcEvery is the
-	// auto-GC trigger threshold (0 disables).
+	// auto-GC trigger threshold (0 disables). Both are written and read only
+	// under mu.
 	mutations int
 	gcEvery   int
 
@@ -102,12 +104,11 @@ type Store struct {
 	rowsAtEpoch map[string]int
 	statsEpoch  atomic.Uint64
 
-	objectsPerPage int
-	lastPage       atomic.Int64
-	objectReads    atomic.Int64
-	pageReads      atomic.Int64
-	extentScans    atomic.Int64
-	indexProbes    atomic.Int64
+	lastPage    atomic.Int64
+	objectReads atomic.Int64
+	pageReads   atomic.Int64
+	extentScans atomic.Int64
+	indexProbes atomic.Int64
 }
 
 // matEntry is one cached extent materialization: the set over exactly the
@@ -124,29 +125,17 @@ type matEntry struct {
 // New creates an empty store for the given catalog.
 func New(cat *schema.Catalog) *Store {
 	s := &Store{
-		cat:            cat,
-		mat:            map[string]matEntry{},
-		colProjs:       map[string]colEntry{},
-		pins:           map[uint64]int{},
-		gcEvery:        DefaultGCEvery,
-		sinceEpoch:     map[string]int{},
-		rowsAtEpoch:    map[string]int{},
-		objectsPerPage: DefaultObjectsPerPage,
+		cat:         cat,
+		mat:         map[string]matEntry{},
+		colProjs:    map[string]colEntry{},
+		pins:        map[uint64]int{},
+		gcEvery:     DefaultGCEvery,
+		sinceEpoch:  map[string]int{},
+		rowsAtEpoch: map[string]int{},
 	}
 	s.head.Store(&version{nextOID: 1, extents: map[string][]value.OID{}})
 	s.lastPage.Store(-1)
 	return s
-}
-
-// SetObjectsPerPage tunes the page model clustering factor. Taking the
-// writer lock makes late tuning safe too, not just setup-time calls.
-func (s *Store) SetObjectsPerPage(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.objectsPerPage = n
 }
 
 // Catalog returns the schema catalog the store was created with.
@@ -272,7 +261,7 @@ func (s *Store) aliveAt(extent string, oid value.OID, seq uint64) (*objVersion, 
 // mutated counts one delete/update toward the auto-GC trigger and runs a
 // collection when the threshold is reached. Caller holds the writer lock.
 func (s *Store) mutated() {
-	s.mutations++ //lint:adllint atomicmeter every caller already holds s.mu (Delete/Update write path)
+	s.mutations++
 	if s.gcEvery > 0 && s.mutations >= s.gcEvery {
 		s.gcLocked()
 	}
@@ -293,7 +282,7 @@ func (s *Store) lookupAt(oid value.OID, seq uint64) (*value.Tuple, bool) {
 	obj, ok := s.objectAt(oid, seq)
 	if ok {
 		s.objectReads.Add(1)
-		page := int64(uint64(oid)) / int64(s.objectsPerPage)
+		page := int64(uint64(oid) / ObjectsPerPage)
 		if s.lastPage.Load() != page {
 			s.pageReads.Add(1)
 			s.lastPage.Store(page)
@@ -392,7 +381,7 @@ func (s *Store) materialize(name string, oids []value.OID, seq uint64) *value.Se
 func (s *Store) meterScan(rows int) {
 	s.extentScans.Add(1)
 	if rows > 0 {
-		s.pageReads.Add(int64((rows + s.objectsPerPage - 1) / s.objectsPerPage))
+		s.pageReads.Add(int64((rows + ObjectsPerPage - 1) / ObjectsPerPage))
 	}
 	s.lastPage.Store(-1)
 }

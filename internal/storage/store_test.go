@@ -91,9 +91,9 @@ func TestDanglingOID(t *testing.T) {
 
 func TestPageMetering(t *testing.T) {
 	s := newStore(t)
-	s.SetObjectsPerPage(4)
+	const n = 4 * ObjectsPerPage
 	var oids []value.OID
-	for i := 0; i < 16; i++ {
+	for i := 0; i < n; i++ {
 		oid, err := s.Insert("PART", value.NewTuple(
 			"pname", value.String("p"), "price", value.Int(int64(i)), "color", value.String("red")))
 		if err != nil {
@@ -103,14 +103,14 @@ func TestPageMetering(t *testing.T) {
 	}
 	s.ResetStats()
 	// Sequential scan through oids touches each of the 4+1 boundary pages once
-	// (oids start at 1, so they straddle 5 pages of 4 objects each).
+	// (oids start at 1, so they straddle 5 pages of ObjectsPerPage objects).
 	for _, oid := range oids {
 		if _, ok := s.Lookup(oid); !ok {
 			t.Fatalf("missing object %v", oid)
 		}
 	}
 	st := s.Stats()
-	if st.ObjectReads != 16 {
+	if st.ObjectReads != n {
 		t.Fatalf("ObjectReads = %d", st.ObjectReads)
 	}
 	if st.PageReads != 5 {
@@ -120,7 +120,7 @@ func TestPageMetering(t *testing.T) {
 	s.ResetStats()
 	for i := 0; i < 8; i++ {
 		s.Lookup(oids[0])
-		s.Lookup(oids[15])
+		s.Lookup(oids[n-1])
 	}
 	if got := s.Stats().PageReads; got != 16 {
 		t.Fatalf("alternating PageReads = %d, want 16", got)

@@ -43,7 +43,7 @@ type objVersion struct {
 
 // objPageBits sizes the object table's pages at 1<<objPageBits oids (a unit
 // of the in-memory oid index, unrelated to the I/O page model's
-// objectsPerPage).
+// ObjectsPerPage).
 const objPageBits = 10
 
 // maxOID bounds the oids LoadJSON accepts, and so the directory (one pointer
