@@ -29,10 +29,11 @@ bench-smoke:
 # CPU and allocation profiles of the four benchmarks ROADMAP direction 1
 # names — the semijoin of B1, the scalar/vectorized pipeline of B13, PNHL under
 # B4's budget sweep and the cached serving path — of the template path (a
-# never-seen text of a seen shape) and of analytic-cycle (the six query texts
-# of benchmark/spec.go's analytic.default on its 4000/8000/20000 store, one
-# after the other), written with the test binary
-# into PROFILE_DIR (git-ignored) and summarized on stdout. Inspect further with
+# never-seen text of a seen shape) and of analytic-cycle and analytic-cycle-vec
+# (the six query texts of benchmark/spec.go's analytic.default and
+# analytic.vectorized on their 4000/8000/20000 store, one after the other),
+# written with the test binary into PROFILE_DIR (git-ignored) and summarized
+# on stdout. Inspect further with
 # `go tool pprof -list <regexp> profiles/repro.test profiles/B1.cpu.prof`.
 PROFILE_DIR ?= profiles
 PROFILE_BENCHTIME ?= 2s
@@ -41,7 +42,8 @@ profile:
 	@set -e; for spec in 'B1=BenchmarkB1/optimized/S400' 'B13=BenchmarkB13/' \
 			'B4-PNHL=BenchmarkB4/^PNHL' 'ServeQuery=BenchmarkServeQuery/plancache' \
 			'ServeTemplate=BenchmarkServeQuery/template' \
-			'analytic-cycle=BenchmarkAnalyticCycle/cycle'; do \
+			'analytic-cycle=BenchmarkAnalyticCycle/scalar/cycle' \
+			'analytic-cycle-vec=BenchmarkAnalyticCycle/vectorized/cycle'; do \
 		name=$${spec%%=*}; \
 		$(GO) test -run='^$$' -bench="$${spec#*=}" -benchmem -benchtime=$(PROFILE_BENCHTIME) \
 			-o $(PROFILE_DIR)/repro.test -cpuprofile $(PROFILE_DIR)/$$name.cpu.prof \

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/adl"
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/plan"
@@ -176,6 +177,41 @@ func TestBatchAllocations(t *testing.T) {
 			t.Errorf("%s %s: %.0f allocations per run, want at most 512", tc.c.Name, tc.label, n)
 		}
 		t.Logf("%s %s: %.0f allocations per run", tc.c.Name, tc.label, n)
+	}
+}
+
+// TestUnnestAntijoinAllocations pins Example Query 4's plan, the antijoin
+// that expands μ inside its probe: it builds no row it drops, so a run's
+// allocations do not grow with the number of set elements. At 400 and 4 000
+// suppliers (≈ 3 000 and 30 000 elements) they differ by fewer than 16,
+// serial and on two partitions.
+func TestUnnestAntijoinAllocations(t *testing.T) {
+	const eq4 = `select s.eid from s in SUPPLIER
+ where exists z in s.parts_supplied : not exists p in PART : z = p`
+	for _, par := range []int{1, 2} {
+		var allocs [2]float64
+		for i, n := range []int{400, 4000} {
+			st := bench.Generate(bench.Config{Suppliers: n, Parts: 2 * n, Fanout: 8, EmptyFrac: 0.05, Seed: 94})
+			// Inflated statistics price the partitioned join cheaper at both
+			// scales; at one worker there is no partitioned candidate.
+			q, err := core.PrepareCfg(eq4, st.Catalog(), plan.Config{Statistics: inflated{st.Analyze()}, Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if x := plan.Explain(q.Plan); !strings.Contains(x, "| μ parts") || (par > 1) != strings.Contains(x, "-- parallel") {
+				t.Fatalf("%d suppliers, parallelism %d: want the antijoin expanding μ parts, got\n%s", n, par, x)
+			}
+			ctx := &exec.Ctx{DB: st}
+			allocs[i] = testing.AllocsPerRun(5, func() {
+				if _, err := exec.Collect(q.Plan, ctx); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if allocs[1]-allocs[0] >= 16 || allocs[0]-allocs[1] >= 16 {
+			t.Errorf("parallelism %d: %.0f allocations per run at 400 suppliers, %.0f at 4 000", par, allocs[0], allocs[1])
+		}
+		t.Logf("parallelism %d: %.0f allocations per run at 400 suppliers, %.0f at 4 000", par, allocs[0], allocs[1])
 	}
 }
 
@@ -590,10 +626,10 @@ func TestRowAllocations(t *testing.T) {
 	}
 }
 
-// analyticEngine is the analytic.default workload of benchmark/: its store
-// (4000 suppliers, 8000 parts, 20000 deliveries, both PART indexes) behind an
-// engine with default options, and its six query texts.
-func analyticEngine(tb testing.TB) (*server.Engine, [][2]string) {
+// analyticWorkload is the analytic.* workloads of benchmark/: their store
+// (4000 suppliers, 8000 parts, 20000 deliveries, both PART indexes) and their
+// six query texts.
+func analyticWorkload(tb testing.TB) (*storage.Store, [][2]string) {
 	st := bench.Generate(bench.Config{Suppliers: 4000, Parts: 8000, Deliveries: 20000,
 		Fanout: 8, EmptyFrac: 0.05, Seed: 94})
 	for attr, kind := range map[string]storage.IndexKind{"color": storage.HashIndex, "price": storage.OrderedIndex} {
@@ -601,7 +637,7 @@ func analyticEngine(tb testing.TB) (*server.Engine, [][2]string) {
 			tb.Fatal(err)
 		}
 	}
-	return server.New(st, server.Options{}), [][2]string{
+	return st, [][2]string{
 		{"eq5-semijoin", eq5Query},
 		{"eq4-antijoin", `select s.eid from s in SUPPLIER
  where exists z in s.parts_supplied : not exists p in PART : z = p`},
@@ -616,27 +652,36 @@ func analyticEngine(tb testing.TB) (*server.Engine, [][2]string) {
 	}
 }
 
-// BenchmarkAnalyticCycle — each query of analytic.default as a plan-cache
-// hit, and the six in a row; `make profile` profiles the latter.
+// BenchmarkAnalyticCycle — each query of analytic.default (scalar/) and of
+// analytic.vectorized (vectorized/) as a plan-cache hit, and the six in a row
+// (<engine>/cycle); `make profile` profiles the two cycles.
 func BenchmarkAnalyticCycle(b *testing.B) {
-	eng, queries := analyticEngine(b)
-	all := func() error {
-		for _, q := range queries {
-			if _, err := eng.Query(q[1]); err != nil {
-				return err
+	st, queries := analyticWorkload(b)
+	for _, e := range []struct {
+		name string
+		opts server.Options
+	}{{"scalar", server.Options{}}, {"vectorized", server.Options{Vectorized: true}}} {
+		b.Run(e.name, func(b *testing.B) {
+			eng := server.New(st, e.opts)
+			all := func() error {
+				for _, q := range queries {
+					if _, err := eng.Query(q[1]); err != nil {
+						return err
+					}
+				}
+				return nil
 			}
-		}
-		return nil
-	}
-	if err := all(); err != nil { // warm the plan cache
-		b.Fatal(err)
-	}
-	for _, q := range queries {
-		b.Run(q[0], func(b *testing.B) {
-			run(b, func() error { _, err := eng.Query(q[1]); return err })
+			if err := all(); err != nil { // warm the plan cache
+				b.Fatal(err)
+			}
+			for _, q := range queries {
+				b.Run(q[0], func(b *testing.B) {
+					run(b, func() error { _, err := eng.Query(q[1]); return err })
+				})
+			}
+			b.Run("cycle", func(b *testing.B) { run(b, all) })
 		})
 	}
-	b.Run("cycle", func(b *testing.B) { run(b, all) })
 }
 
 // BenchmarkParallelFilter — the exchange alone: σ[d.date < c] over the 20000

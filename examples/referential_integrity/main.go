@@ -2,7 +2,9 @@
 // holding references to parts that do not exist. The nested form needs a
 // scan of PART per element of every supplier's parts set; the optimizer's
 // attribute-unnest option (μ) plus Rule 1 turns it into a single hash
-// antijoin. Both plans are run and timed, and their results compared.
+// antijoin, which the cost-based planner runs with μ expanded inside its
+// probe: no unnested row is built for a reference that resolves. Both plans
+// are run and timed, and their results compared.
 package main
 
 import (
@@ -12,6 +14,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/value"
 )
 
@@ -21,16 +24,17 @@ func main() {
 		Suppliers: 2000, Parts: 4000, Fanout: 8, DanglingFrac: 0.02, Seed: 7,
 	})
 
-	q, err := core.Prepare(`
+	q, err := core.PrepareCfg(`
 		select s.eid from s in SUPPLIER
 		where exists z in s.parts_supplied :
-		      not exists p in PART : z = p`, st.Catalog())
+		      not exists p in PART : z = p`, st.Catalog(), plan.Config{Statistics: st.Analyze()})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("nested form:   ", q.ADL)
 	fmt.Println("optimized form:", q.Rewritten.Expr)
+	fmt.Print("physical plan:  ", plan.Explain(q.Plan))
 	fmt.Println()
 
 	start := time.Now()

@@ -166,7 +166,11 @@ func (b *rowBuf) set() *value.Set {
 // drain runs an operator and returns its rows, propagating Close errors like
 // Collect. A blocking stream hands its buffer over as it is; the caller must
 // not write into the slice.
-func drain(op Operator, ctx *Ctx) (_ []value.Value, err error) {
+func drain(op Operator, ctx *Ctx) ([]value.Value, error) { return drainEach(op, ctx, nil) }
+
+// drainEach is drain handing every row to each, if not nil, as it arrives: an
+// error of a row comes before any the stream raises after it.
+func drainEach(op Operator, ctx *Ctx, each func(value.Value) error) (_ []value.Value, err error) {
 	rows, err := ctx.open(op)
 	if err != nil {
 		return nil, err
@@ -177,7 +181,13 @@ func drain(op Operator, ctx *Ctx) (_ []value.Value, err error) {
 		}
 	}()
 	if b, ok := rows.(blocking); ok {
-		return b.buf().rest(), nil
+		out := b.buf().rest()
+		for i := 0; each != nil && i < len(out); i++ {
+			if err := each(out[i]); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
 	}
 	var out []value.Value
 	for {
@@ -187,6 +197,11 @@ func drain(op Operator, ctx *Ctx) (_ []value.Value, err error) {
 		}
 		if !ok {
 			return out, nil
+		}
+		if each != nil {
+			if err := each(row); err != nil {
+				return nil, err
+			}
 		}
 		if len(out) == cap(out) {
 			// A streaming operand's size is not known: double, where append

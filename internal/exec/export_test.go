@@ -7,6 +7,10 @@ import (
 	"repro/internal/eval"
 )
 
+// ProbeAttr is the attribute the join reads its left key off when it expands
+// Unnest inside its probe, "" when it builds the unnested rows first.
+func (j HashJoin) ProbeAttr() string { return j.probeAttr() }
+
 // Tracker is the openHook of the lifecycle tests: it wraps every stream a run
 // opens — after the row tally has had it, so counted streams are under watch
 // too — and records how often each is closed. The wrappers keep what the

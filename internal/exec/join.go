@@ -79,10 +79,19 @@ type HashJoin struct {
 	// Partitions is the partition and goroutine count; at most 1 builds and
 	// probes one table on the caller's goroutine.
 	Partitions int
+	// Unnest, when set, is μ applied to L: the join runs on L's rows unnested
+	// on this attribute. A residual-free semi- or antijoin whose left key is
+	// an attribute of the unnested row expands each row inside its probe and
+	// builds an unnested row only for an element it emits; partitioned, it
+	// builds every partition's table first and each worker probes them with a
+	// contiguous share of L's rows, every element the table its key hashes
+	// to. Any other join builds all the unnested rows first.
+	Unnest string
 }
 
-// Open evaluates and hashes both sides' keys, then runs joinPartition once
-// over all rows, or once per partition on workers.
+// Open evaluates and hashes both sides' keys, then runs joinPartition (or,
+// expanding μ in the probe, unnestProbe.probe) once over all rows, or once
+// per partition on workers.
 func (j HashJoin) Open(ctx *Ctx) (Rows, error) {
 	p := max(j.Partitions, 1)
 	lkey, rkey := joinKeys(j.LKey, j.RKey)
@@ -94,36 +103,59 @@ func (j HashJoin) Open(ctx *Ctx) (Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	lrows, err := drain(j.L, ctx)
-	if err != nil {
-		return nil, err
-	}
-	l, err := evalKeys(ctx, lrows, lkey, p, "hash join")
-	if err != nil {
-		return nil, err
+	rparts := partition(r.hashes, p)
+	// probe is the work of worker part of p.
+	var probe func(part int, em *joinEmit, out *chunkWriter) error
+	if attr := j.probeAttr(); attr != "" {
+		l, err := j.unnestLeft(ctx, attr, lkey)
+		if err != nil {
+			return nil, err
+		}
+		tables := make([]*value.Index, p)
+		for i, ri := range rparts {
+			tables[i] = r.table(ri)
+		}
+		n := len(l.rows)
+		share := (n + p - 1) / p
+		probe = func(part int, em *joinEmit, out *chunkWriter) error {
+			rows := l.rows[min(part*share, n):min((part+1)*share, n)]
+			return l.probe(em, rows, r, rparts, tables, out)
+		}
+	} else {
+		lrows, err := j.left(ctx)
+		if err != nil {
+			return nil, err
+		}
+		l, err := evalKeys(ctx, lrows, lkey, p, "hash join")
+		if err != nil {
+			return nil, err
+		}
+		lparts := partition(l.hashes, p)
+		probe = func(part int, em *joinEmit, out *chunkWriter) error {
+			return joinPartition(em, l, lparts[part], r, rparts[part], out)
+		}
 	}
 	if p == 1 {
 		em := newJoinEmit(ctx, j.Kind, "hash join", j.Residual, j.RFun, j.As, rrows)
-		if err := joinPartition(&em, l, nil, r, nil, nil); err != nil {
+		if err := probe(0, &em, nil); err != nil {
 			return nil, err
 		}
 		return buffered(em.out)
 	}
-	rparts, lparts := partition(r.hashes, p), partition(l.hashes, p)
 	merge := newParMerge()
 	for i := range p {
 		merge.wg.Add(1)
-		go func(li, ri []int) {
+		go func(part int) {
 			defer merge.wg.Done()
 			em := newJoinEmit(ctx, j.Kind, "hash join", j.Residual, j.RFun, j.As, rrows)
 			out := chunkWriter{m: merge, ch: merge.out}
-			if err := joinPartition(&em, l, li, r, ri, &out); err != nil {
+			if err := probe(part, &em, &out); err != nil {
 				merge.fail(err)
 				return
 			}
 			out.buf = em.out
 			out.flush()
-		}(lparts[i], rparts[i])
+		}(i)
 	}
 	go func() {
 		merge.wg.Wait()
@@ -132,20 +164,129 @@ func (j HashJoin) Open(ctx *Ctx) (Rows, error) {
 	return merge, nil
 }
 
+// left drains L, unnested on Unnest if that is set.
+func (j HashJoin) left(ctx *Ctx) ([]value.Value, error) {
+	if j.Unnest == "" {
+		return drain(j.L, ctx)
+	}
+	un := unnester{attr: j.Unnest}
+	var out []value.Value
+	_, err := drainEach(j.L, ctx, func(row value.Value) (err error) {
+		out, err = un.expand(out, row)
+		return err
+	})
+	return out, err
+}
+
+// probeAttr is the attribute of the unnested row that is the left key, when
+// the join expands Unnest inside its probe: a residual-free semi- or
+// antijoin, the kinds whose output is a subset of the left rows, on a key
+// that reads one attribute of the row. It is "" for every other join.
+func (j HashJoin) probeAttr() string {
+	if j.Unnest == "" || j.Residual != nil || (j.Kind != adl.Semi && j.Kind != adl.Anti) {
+		return ""
+	}
+	return keyAttr(j.LKey, j.RKey)
+}
+
+// unnestProbe is the left side of a hash join that expands μ inside its
+// probe: L's rows, on which every check of μ has passed, and the left key,
+// which is the unnested row's attribute attr.
+type unnestProbe struct {
+	rows []value.Value
+	attr string
+	key  Scalar
+	un   unnester // the value receiver gives each worker its own
+}
+
+// unnestLeft drains L for a join that expands μ inside its probe. Each row
+// gets μ's checks as it arrives, and each element's key is read: where its
+// attribute is missing, the key is evaluated as written on the built row,
+// and the first such error is returned only once L is drained without one,
+// as the unfused join evaluates its keys after the whole of μ.
+func (j HashJoin) unnestLeft(ctx *Ctx, attr string, lkey Scalar) (unnestProbe, error) {
+	l := unnestProbe{attr: attr, key: lkey, un: unnester{attr: j.Unnest}}
+	var keyErr error
+	rows, err := drainEach(j.L, ctx, func(row value.Value) error {
+		return l.un.each(row, func(et *value.Tuple) error {
+			if _, ok := l.un.get(et, attr); !ok && keyErr == nil {
+				_, keyErr = lkey.Eval(ctx, l.un.build(et))
+			}
+			return nil
+		})
+	})
+	if err == nil {
+		err = keyErr
+	}
+	l.rows = rows
+	return l, err
+}
+
+// probe is joinPartition for an unnested left side: it walks the elements
+// of rows, reads each one's key off the element or the rest of its row, and
+// probes the table of the right rows' partition the key hashes to (rparts
+// and tables, one each per partition). The unnested row is built only for
+// an element the verdict emits.
+func (l unnestProbe) probe(em *joinEmit, rows []value.Value, r keyedRows, rparts [][]int, tables []*value.Index, out *chunkWriter) error {
+	// No residual: an equal key is a match; a semijoin emits the matched
+	// elements, an antijoin the unmatched ones.
+	emitMatched := em.kind == adl.Semi
+	probeElem := func(et *value.Tuple) error {
+		key, ok := l.un.get(et, l.attr)
+		if !ok {
+			var err error
+			if key, err = l.key.Eval(em.ctx, l.un.build(et)); err != nil {
+				return err
+			}
+		}
+		h := value.Hash(key)
+		part := 0
+		if len(tables) > 1 {
+			part = int(h % uint64(len(tables)))
+		}
+		table, ri := tables[part], rparts[part]
+		matched := false
+		for m := table.First(h); m >= 0 && !matched; m = table.Next(m) {
+			matched = value.Equal(r.keys[at(ri, m)], key)
+		}
+		if matched == emitMatched {
+			em.emit(l.un.build(et))
+		}
+		return nil
+	}
+	for _, row := range rows {
+		if err := l.un.each(row, probeElem); err != nil {
+			return err
+		}
+		if out != nil && len(em.out) >= chunkRows {
+			out.buf, em.out = em.out, nil
+			if !out.flush() {
+				return nil
+			}
+		}
+	}
+	return nil
+}
+
+// table is a value.Index over the key hashes of the rows ri (nil: every row).
+func (k keyedRows) table(ri []int) *value.Index {
+	hashes := k.hashes
+	if ri != nil {
+		hashes = make([]uint64, len(ri))
+		for i, x := range ri {
+			hashes[i] = k.hashes[x]
+		}
+	}
+	return value.NewIndex(hashes)
+}
+
 // joinPartition builds a value.Index over the key hashes of the right rows ri
 // and probes it with the left rows li — nil lists every row of its side —
 // handing each left row's candidates to em. With out, em's rows travel to the
 // merge a chunk at a time, and an aborting pipeline ends the probe early,
 // without error.
 func joinPartition(em *joinEmit, l keyedRows, li []int, r keyedRows, ri []int, out *chunkWriter) error {
-	hashes := r.hashes
-	if ri != nil {
-		hashes = make([]uint64, len(ri))
-		for i, x := range ri {
-			hashes[i] = r.hashes[x]
-		}
-	}
-	table := value.NewIndex(hashes)
+	table := r.table(ri)
 	n := len(l.rows)
 	if li != nil {
 		n = len(li)

@@ -202,9 +202,16 @@ func evalKeys(ctx *Ctx, rows []value.Value, key Scalar, workers int, op string) 
 	return k, nil
 }
 
+// wholeSide is the one partition of a serial join: nil lists every row.
+var wholeSide = [][]int{nil}
+
 // partition groups row indices by key hash mod p, in row order, carving the
-// partitions out of one array sized by a counting pass.
+// partitions out of one array sized by a counting pass. At p ≤ 1 it is
+// wholeSide.
 func partition(hashes []uint64, p int) [][]int {
+	if p <= 1 {
+		return wholeSide
+	}
 	var small [16]int // p is a core count: the counters stay on the stack
 	sizes := append(small[:0], make([]int, p)...)
 	for _, h := range hashes {

@@ -50,44 +50,112 @@ func (u UnnestOp) Open(ctx *Ctx) (Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	var (
-		buf []value.Value
-		// out is elem ∘ rest, derived when an element or its row changes layout.
-		elem, rest, out *value.Shape
-	)
-	return &fanned{src: src, fn: func(row value.Value) ([]value.Value, error) {
-		t, err := asTuple(row, "μ")
+	un := unnester{attr: u.Attr}
+	var buf []value.Value
+	return &fanned{src: src, fn: func(row value.Value) (_ []value.Value, err error) {
+		buf, err = un.expand(buf[:0], row)
+		return buf, err
+	}}, nil
+}
+
+// unnester is the one definition of μ_attr, shared by UnnestOp and the hash
+// join that expands its left rows inside the probe (HashJoin.Unnest): the
+// checks μ makes of a row and of each element of its set, with their error
+// texts, and the unnested row elem ∘ rest, where rest is the row without
+// attr. The layouts are memoized — rest's per row shape, elem ∘ rest's per
+// (element, rest) shape pair — so checking an element allocates nothing and
+// a row is built only when asked for. It is per-run state: each goroutine
+// owns its own.
+type unnester struct {
+	attr string
+
+	t    *value.Tuple // the current row, set by set
+	slot int          // attr's position in t
+
+	row, rest           *value.Shape // rest is row without attr
+	elemOf, restOf, cat *value.Shape // cat is elemOf ∘ restOf
+}
+
+// set checks a row and returns the set it unnests; the row becomes current.
+func (u *unnester) set(row value.Value) (*value.Set, error) {
+	t, err := asTuple(row, "μ")
+	if err != nil {
+		return nil, err
+	}
+	slot, ok := t.Slot(u.attr)
+	if !ok {
+		return nil, fmt.Errorf("exec: μ on missing attribute %q", u.attr)
+	}
+	set, ok := t.Vals()[slot].(*value.Set)
+	if !ok {
+		return nil, fmt.Errorf("exec: μ on non-set attribute %q", u.attr)
+	}
+	if t.Shape != u.row {
+		u.row, u.rest = t.Shape, t.Shape.Drop([]string{u.attr})
+	}
+	u.t, u.slot = t, slot
+	return set, nil
+}
+
+// elem checks an element of the current row's set: a tuple whose attributes
+// do not collide with the rest of the row.
+func (u *unnester) elem(el value.Value) (*value.Tuple, error) {
+	et, ok := el.(*value.Tuple)
+	if !ok {
+		return nil, fmt.Errorf("exec: μ element of %q is not a tuple", u.attr)
+	}
+	if et.Shape != u.elemOf || u.rest != u.restOf {
+		cat, err := et.Shape.Concat(u.rest)
 		if err != nil {
 			return nil, err
 		}
-		av, ok := t.Get(u.Attr)
-		if !ok {
-			return nil, fmt.Errorf("exec: μ on missing attribute %q", u.Attr)
+		u.elemOf, u.restOf, u.cat = et.Shape, u.rest, cat
+	}
+	return et, nil
+}
+
+// get reads an attribute of the unnested row of et, the element elem last
+// checked, without building it.
+func (u *unnester) get(et *value.Tuple, name string) (value.Value, bool) {
+	if v, ok := et.Get(name); ok || name == u.attr {
+		return v, ok
+	}
+	return u.t.Get(name)
+}
+
+// build is the unnested row of et, the element elem last checked.
+func (u *unnester) build(et *value.Tuple) *value.Tuple {
+	rest := u.t.Vals()
+	vals := make([]value.Value, 0, u.cat.Len())
+	vals = append(append(append(vals, et.Vals()...), rest[:u.slot]...), rest[u.slot+1:]...)
+	return u.cat.New(vals)
+}
+
+// each checks row and hands every element of its set, once checked, to fn.
+func (u *unnester) each(row value.Value, fn func(et *value.Tuple) error) error {
+	set, err := u.set(row)
+	if err != nil {
+		return err
+	}
+	for _, el := range set.Elems() {
+		et, err := u.elem(el)
+		if err != nil {
+			return err
 		}
-		set, ok := av.(*value.Set)
-		if !ok {
-			return nil, fmt.Errorf("exec: μ on non-set attribute %q", u.Attr)
+		if err := fn(et); err != nil {
+			return err
 		}
-		others := t.Drop([]string{u.Attr})
-		buf = buf[:0]
-		for _, el := range set.Elems() {
-			et, ok := el.(*value.Tuple)
-			if !ok {
-				return nil, fmt.Errorf("exec: μ element of %q is not a tuple", u.Attr)
-			}
-			if et.Shape != elem || others.Shape != rest {
-				cat, err := et.Shape.Concat(others.Shape)
-				if err != nil {
-					return nil, err
-				}
-				elem, rest, out = et.Shape, others.Shape, cat
-			}
-			vals := make([]value.Value, 0, out.Len())
-			vals = append(append(vals, et.Vals()...), others.Vals()...)
-			buf = append(buf, out.New(vals))
-		}
-		return buf, nil
-	}}, nil
+	}
+	return nil
+}
+
+// expand appends the unnested rows of row to buf.
+func (u *unnester) expand(buf []value.Value, row value.Value) ([]value.Value, error) {
+	err := u.each(row, func(et *value.Tuple) error {
+		buf = append(buf, u.build(et))
+		return nil
+	})
+	return buf, err
 }
 
 // NestOp implements ν_{Attrs→As} by hash grouping: rows are grouped by all

@@ -89,12 +89,39 @@ func (s Scalar) image(ctx *Ctx, row value.Value) (value.Value, bool, error) {
 // of a stands for the one-field tuple — same verdicts, no key tuple per row.
 // A row without the attribute is left to the full scalar to report.
 func joinKeys(l, r Scalar) (Scalar, Scalar) {
-	ls, lok := l.Expr.(*adl.Subscript)
-	rs, rok := r.Expr.(*adl.Subscript)
-	if !lok || !rok || len(ls.Attrs) != 1 || !slices.Equal(ls.Attrs, rs.Attrs) {
+	ls, rs, ok := subscriptPair(l, r)
+	if !ok {
 		return l, r
 	}
 	return attrKey(l, ls), attrKey(r, rs)
+}
+
+// subscriptPair reports keys x[a] = y[a] on one attribute, whose value
+// joinKeys lets stand for the key tuple.
+func subscriptPair(l, r Scalar) (ls, rs *adl.Subscript, ok bool) {
+	ls, lok := l.Expr.(*adl.Subscript)
+	rs, rok := r.Expr.(*adl.Subscript)
+	return ls, rs, lok && rok && len(ls.Attrs) == 1 && slices.Equal(ls.Attrs, rs.Attrs)
+}
+
+// keyAttr is the attribute of the row whose value is the left key of the
+// pair joinKeys evaluates — x.a, or x[a] paired with y[a], x being the key's
+// variable — or "" for a key that computes anything more.
+func keyAttr(l, r Scalar) string {
+	var x adl.Expr
+	attr := ""
+	switch e := l.Expr.(type) {
+	case *adl.Field:
+		x, attr = e.X, e.Name
+	case *adl.Subscript:
+		if _, _, ok := subscriptPair(l, r); ok {
+			x, attr = e.X, e.Attrs[0]
+		}
+	}
+	if v, ok := x.(*adl.Var); ok && slot(l.Vars, v.Name) == 0 {
+		return attr
+	}
+	return ""
 }
 
 func attrKey(s Scalar, n *adl.Subscript) Scalar {

@@ -57,8 +57,9 @@ func TestExplainGoldenBatch(t *testing.T) {
 // TestExplainActualsGolden pins the row tally of every plan node: Explain
 // after one committed instrumented run of the analytic texts, scalar and
 // batch, serial and with two workers. The files were generated at the commit
-// before rows were counted where a child is opened and must not change: a
-// node that loses its (actual=N) is a failure, not a golden update.
+// before rows were counted where a child is opened and change only with the
+// plan (Example Query 4's μ folded into its antijoin's probe): a node that
+// loses its (actual=N) is a failure, not a golden update.
 func TestExplainActualsGolden(t *testing.T) {
 	st, exprs := analyticStore(t)
 	stats := st.Analyze()

@@ -541,6 +541,25 @@ func (p *planner) chooseEquiJoin(j *adl.Join, l, r exec.Operator, le, re nodeEst
 			own: costNL(le.rows, re.rows, out), child: bothChildren,
 		},
 	}
+	// A residual-free semi- or antijoin on one key over μ has a twin of each
+	// hash candidate that expands μ inside its probe and builds only the rows
+	// it emits: it pays μ's child, not μ.
+	if u, ok := l.(*exec.UnnestOp); ok && (j.Kind == adl.Semi || j.Kind == adl.Anti) &&
+		len(lkeys) == 1 && len(residual) == 0 {
+		if ue, ok := p.est[u.Child]; ok {
+			for _, c := range cands[:2] {
+				build := c.build
+				c.child = ue.Cost + re.cost
+				c.build = func() exec.Operator {
+					hj := build().(*exec.HashJoin)
+					hj.L, hj.Unnest = u.Child, u.Attr
+					delete(p.est, u) // μ is no node of the plan
+					return hj
+				}
+				cands = append(cands, c)
+			}
+		}
+	}
 	if swappable {
 		cands = append(cands, hash(true, 1), hash(true, p.workers))
 	}
@@ -778,11 +797,14 @@ func describe(node any) (string, []any) {
 	case *exec.LetOp:
 		return fmt.Sprintf("Let[%s = %s]  -- constant, evaluated once", o.Var, o.Val), []any{o.Child}
 	case *exec.HashJoin:
-		if o.Partitions > 1 {
-			return fmt.Sprintf("PartitionedHashJoin[%v on %s = %s | %d partitions]  -- parallel",
-				o.Kind, o.LKey.Expr, o.RKey.Expr, o.Partitions), []any{o.L, o.R}
+		on := fmt.Sprintf("%v on %s = %s", o.Kind, o.LKey.Expr, o.RKey.Expr)
+		if o.Unnest != "" {
+			on += " | μ " + o.Unnest
 		}
-		return fmt.Sprintf("HashJoin[%v on %s = %s]", o.Kind, o.LKey.Expr, o.RKey.Expr), []any{o.L, o.R}
+		if o.Partitions > 1 {
+			return fmt.Sprintf("PartitionedHashJoin[%s | %d partitions]  -- parallel", on, o.Partitions), []any{o.L, o.R}
+		}
+		return fmt.Sprintf("HashJoin[%s]", on), []any{o.L, o.R}
 	case *exec.SetProbeJoin:
 		return fmt.Sprintf("SetProbeJoin[%v on %s ∈ .%s]", o.Kind, o.RKey.Expr, o.Attr), []any{o.L, o.R}
 	case *exec.SortMergeJoin:

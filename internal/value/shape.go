@@ -142,6 +142,14 @@ func (s *Shape) Concat(u *Shape) (*Shape, error) {
 	return d.to, nil
 }
 
+// Drop returns the shape of a tuple of this shape without the named
+// attributes (absent ones are ignored): the layout of Tuple.Drop, derived
+// without building the tuple. Its attributes keep their order.
+func (s *Shape) Drop(attrs []string) *Shape {
+	d, _ := s.derive(dropOf, nil, attrs) // a drop cannot fail
+	return d.to
+}
+
 func (s *Shape) derived() *derivations {
 	if d := s.memo.Load(); d != nil {
 		return d

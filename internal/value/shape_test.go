@@ -198,6 +198,9 @@ func TestTupleModel(t *testing.T) {
 			case 4:
 				attrs := someNames()
 				want, got = m.drop(attrs), tu.Drop(attrs)
+				if s := tu.Shape.Drop(attrs); s != got.Shape {
+					t.Fatalf("%s: Shape.Drop(%v) of %v is %v, Tuple.Drop's shape %v", label, attrs, tu, s.Names(), got.Names())
+				}
 			case 5:
 				want, got = m.except(models[j]), tu.Except(tuples[j])
 			}
