@@ -33,21 +33,26 @@ bench-smoke:
 # (the six query texts of benchmark/spec.go's analytic.default and
 # analytic.vectorized on their 4000/8000/20000 store, one after the other),
 # written with the test binary into PROFILE_DIR (git-ignored) and summarized
-# on stdout. Inspect further with
+# on stdout. Each benchmark runs twice, once per profile: with the memory
+# profile's sampling on, its stack unwinding (runtime.tracebackPCs) would show
+# up in the CPU profile. Inspect further with
 # `go tool pprof -list <regexp> profiles/repro.test profiles/B1.cpu.prof`.
 PROFILE_DIR ?= profiles
 PROFILE_BENCHTIME ?= 2s
 profile:
 	@mkdir -p $(PROFILE_DIR)
+	@$(GO) test -c -o $(PROFILE_DIR)/repro.test .
 	@set -e; for spec in 'B1=BenchmarkB1/optimized/S400' 'B13=BenchmarkB13/' \
 			'B4-PNHL=BenchmarkB4/^PNHL' 'ServeQuery=BenchmarkServeQuery/plancache' \
 			'ServeTemplate=BenchmarkServeQuery/template' \
 			'analytic-cycle=BenchmarkAnalyticCycle/scalar/cycle' \
 			'analytic-cycle-vec=BenchmarkAnalyticCycle/vectorized/cycle'; do \
 		name=$${spec%%=*}; \
-		$(GO) test -run='^$$' -bench="$${spec#*=}" -benchmem -benchtime=$(PROFILE_BENCHTIME) \
-			-o $(PROFILE_DIR)/repro.test -cpuprofile $(PROFILE_DIR)/$$name.cpu.prof \
-			-memprofile $(PROFILE_DIR)/$$name.mem.prof -memprofilerate 4096 .; \
+		$(PROFILE_DIR)/repro.test -test.run='^$$' -test.bench="$${spec#*=}" -test.benchmem \
+			-test.benchtime=$(PROFILE_BENCHTIME) -test.cpuprofile $(PROFILE_DIR)/$$name.cpu.prof; \
+		$(PROFILE_DIR)/repro.test -test.run='^$$' -test.bench="$${spec#*=}" \
+			-test.benchtime=$(PROFILE_BENCHTIME) -test.memprofile $(PROFILE_DIR)/$$name.mem.prof \
+			-test.memprofilerate 4096 >/dev/null; \
 		$(GO) tool pprof -top -nodecount=12 $(PROFILE_DIR)/repro.test $(PROFILE_DIR)/$$name.cpu.prof 2>/dev/null | tail -n +4; \
 		$(GO) tool pprof -sample_index=alloc_space -top -nodecount=8 $(PROFILE_DIR)/repro.test $(PROFILE_DIR)/$$name.mem.prof 2>/dev/null | tail -n +4; \
 	done

@@ -521,12 +521,14 @@ func BenchmarkNestJoinMaterialize(b *testing.B) {
 
 // TestSetAllocations pins the allocation shape of the flat set: building by
 // Add costs the growth of three slices and nothing per element, a nest-sized
-// set is the struct and two arrays, Clone is the struct and three copies, and
-// a stored row is never hashed twice.
+// set built from empty is the struct and one block holding both arrays, a
+// set of at most eight elements sized up front (NewSetCap) or compacted is
+// one allocation, Clone is the struct and three copies, and a stored row is
+// never hashed twice.
 func TestSetAllocations(t *testing.T) {
 	for _, n := range []int{8, 200, 8000} {
 		rows := stored(n)
-		bound := 4.0 // the set, elems, hashes, and room for one more
+		bound := 2.0 // the set, and elems and hashes together
 		if n > 8 {
 			// elems, hashes and the table each grow geometrically from 8 up
 			// to n: doubling at first, by append's smaller steps later.
@@ -534,6 +536,22 @@ func TestSetAllocations(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(10, func() { setOf(rows) }); got > bound {
 			t.Errorf("building a %d-element set by Add: %.0f allocations, want at most %.0f", n, got, bound)
+		}
+	}
+	for n := 1; n <= 8; n++ {
+		rows := stored(n)
+		if got := testing.AllocsPerRun(10, func() {
+			s := value.NewSetCap(n)
+			for _, r := range rows {
+				s.Add(r)
+			}
+			setSink = s
+		}); got != 1 {
+			t.Errorf("NewSetCap(%d) and %d Adds: %.0f allocations, want 1", n, n, got)
+		}
+		s := setOf(rows)
+		if got := testing.AllocsPerRun(10, func() { setSink = s.Compact() }); got != 1 {
+			t.Errorf("compacting a %d-element set: %.0f allocations, want 1", n, got)
 		}
 	}
 	s := setOf(stored(800))
@@ -559,7 +577,7 @@ func tupleOps() (with, concat, subscript func() error) {
 }
 
 // BenchmarkTupleOps — a derived row once its derivation is warm: one shape
-// lookup and one vals copy.
+// lookup and one allocation.
 func BenchmarkTupleOps(b *testing.B) {
 	with, concat, subscript := tupleOps()
 	b.Run("with", func(b *testing.B) { run(b, with) })
@@ -600,28 +618,105 @@ func BenchmarkScalarEval(b *testing.B) {
 	})
 }
 
+// Sinks keep the values the allocation tests build on the heap.
+var (
+	tupleSink *value.Tuple
+	setSink   *value.Set
+)
+
+// wideTuple is ⟨a0 = 0, …, a(n-1) = n-1⟩ and the pairs NewTuple builds it
+// from.
+func wideTuple(n int) (*value.Tuple, []any) {
+	pairs := make([]any, 0, 2*n)
+	for i := range n {
+		pairs = append(pairs, fmt.Sprintf("a%d", i), value.Value(value.Int(i)))
+	}
+	return value.NewTuple(pairs...), pairs
+}
+
 // TestRowAllocations pins the per-row fixed costs: a derived row on a seen
-// layout is the tuple and its vals, and a compiled field access or comparison
+// layout is one allocation up to eight attributes and two beyond (the slots
+// share the tuple's allocation), and a compiled field access or comparison
 // allocates nothing — no environment frame, no argument slice.
 func TestRowAllocations(t *testing.T) {
 	with, concat, subscript := tupleOps()
 	ctx, d, s, cmp, field, _ := scalarFixtures(t)
-	for _, c := range []struct {
+	type rowCase struct {
 		name string
 		want float64
 		f    func() error
-	}{
-		{"With", 2, with},
-		{"Concat", 2, concat},
-		{"Subscript", 2, subscript},
+	}
+	cases := []rowCase{
+		{"With", 1, with},
+		{"Concat", 1, concat},
+		{"Subscript", 1, subscript},
 		{"Scalar.Bool of d.date < c", 0, func() error { _, err := cmp.Bool(ctx, d); return err }},
 		{"Scalar.Eval of s.eid", 0, func() error { _, err := field.Eval(ctx, s); return err }},
-	} {
+	}
+	for _, n := range []int{1, 8, 9} {
+		want := 1.0
+		if n > 8 {
+			want = 2
+		}
+		row, pairs := wideTuple(n)
+		wider, _ := wideTuple(n + 1)
+		last := []string{fmt.Sprintf("a%d", n)}
+		upd := value.NewTuple("a0", value.Value(value.Int(-1)))
+		cases = append(cases,
+			rowCase{fmt.Sprintf("NewTuple/%d", n), want, func() error { tupleSink = value.NewTuple(pairs...); return nil }},
+			rowCase{fmt.Sprintf("Except/%d", n), want, func() error { tupleSink = row.Except(upd); return nil }},
+			rowCase{fmt.Sprintf("Drop/%d", n), want, func() error { tupleSink = wider.Drop(last); return nil }},
+			rowCase{fmt.Sprintf("NullTuple/%d", n), want, func() error { tupleSink = value.NullTuple(row.Shape); return nil }},
+			rowCase{fmt.Sprintf("Shape.Alloc/%d", n), want, func() error { tupleSink, _ = row.Shape.Alloc(); return nil }},
+		)
+	}
+	for _, c := range cases {
 		if err := c.f(); err != nil { // also derives the shape
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if got := testing.AllocsPerRun(100, func() { _ = c.f() }); got != c.want {
 			t.Errorf("%s: %.0f allocations, want %.0f", c.name, got, c.want)
+		}
+	}
+}
+
+// TestNestJoinAllocations pins the nestjoin's per-row cost on Example Query 6
+// and the materialize query (two nestjoins), scalar and vectorized: a left
+// row is its extended tuple and at most one right-sized group (the matches
+// are collected in one scratch set per run), so the whole query stays within
+// 3 allocations per supplier for eq6 and 5 for materialize (two nestjoins,
+// then the result row), at 400 and 4 000 suppliers.
+func TestNestJoinAllocations(t *testing.T) {
+	const eq6 = `select (sname = s.sname,
+        pnames = select p.pname from p in PART where p in s.parts_supplied and p.color = "red")
+ from s in SUPPLIER`
+	for _, n := range []int{400, 4000} {
+		st := bench.Generate(bench.Config{Suppliers: n, Parts: 2 * n, Fanout: 8, EmptyFrac: 0.05, Seed: 94})
+		for _, q := range []struct {
+			name, src string
+			perRow    float64
+		}{{"eq6", eq6, 3}, {"materialize", materializeQuery, 5}} {
+			for _, vec := range []bool{false, true} {
+				cfg := plan.Config{Statistics: st.Analyze(), Parallelism: 1, Vectorized: vec}
+				p, err := core.PrepareCfg(q.src, st.Catalog(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if x := plan.Explain(p.Plan); !strings.Contains(x, "p[pid] ∈ .parts") {
+					t.Fatalf("%s, vectorized %v: want a set-probe nestjoin, got\n%s", q.name, vec, x)
+				}
+				ctx := &exec.Ctx{DB: st}
+				allocs := testing.AllocsPerRun(5, func() {
+					if _, err := exec.Collect(p.Plan, ctx); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if perRow := allocs / float64(n); perRow > q.perRow {
+					t.Errorf("%s, vectorized %v, %d suppliers: %.2f allocations per supplier, want at most %.0f",
+						q.name, vec, n, perRow, q.perRow)
+				}
+				t.Logf("%s, vectorized %v, %d suppliers: %.0f allocations, %.2f per supplier", q.name, vec, n, allocs, allocs/float64(n))
+			}
 		}
 	}
 }

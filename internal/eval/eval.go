@@ -366,13 +366,15 @@ func Field(x value.Value, name string, db DB) (value.Value, error) {
 	return v, nil
 }
 
-// Tuple is the tuple constructor ⟨names[i] = vals[i]⟩; it retains vals.
+// Tuple is the tuple constructor ⟨names[i] = vals[i]⟩.
 func Tuple(names []string, vals []value.Value) (*value.Tuple, error) {
 	shape, err := value.ShapeOf(names)
 	if err != nil {
 		return nil, err
 	}
-	return shape.New(vals), nil
+	t, slots := shape.Alloc()
+	copy(slots, vals)
+	return t, nil
 }
 
 // Cmp applies a comparison operator.

@@ -15,6 +15,8 @@
 package exec
 
 import (
+	"slices"
+
 	"repro/internal/col"
 	"repro/internal/value"
 )
@@ -85,6 +87,7 @@ func (a VecAdapter) Open(ctx *Ctx) (_ Rows, err error) {
 		if !ok {
 			return buffered(rows)
 		}
+		rows = slices.Grow(rows, len(b.Sel))
 		for _, i := range b.Sel {
 			row := b.Proj.Row(i)
 			if a.Project != nil {

@@ -90,7 +90,9 @@ func (c *Ctx) openVec(op VecOp) (Batches, error) {
 // Collect runs an operator and gathers its rows into a set (deduplicating,
 // per set semantics). A Close error surfaces unless iteration already failed —
 // streams release pipelines (goroutines, channels) in Close, and swallowing
-// their errors would hide a failed teardown.
+// their errors would hide a failed teardown. A streamed result is gathered
+// like a drained operand and then built in one pass, so the set is allocated
+// once at its size rather than regrown as rows arrive.
 func Collect(op Operator, ctx *Ctx) (_ *value.Set, err error) {
 	rows, err := ctx.open(op)
 	if err != nil {
@@ -104,17 +106,11 @@ func Collect(op Operator, ctx *Ctx) (_ *value.Set, err error) {
 	if b, ok := rows.(blocking); ok {
 		return b.buf().set(), nil
 	}
-	out := value.EmptySet()
-	for {
-		row, ok, err := rows.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out.Add(row)
+	out, err := readAll(rows, nil)
+	if err != nil {
+		return nil, err
 	}
+	return value.NewSetFromSlice(out), nil
 }
 
 // blocking is the stream of an operator whose Open has already computed every
@@ -189,6 +185,12 @@ func drainEach(op Operator, ctx *Ctx, each func(value.Value) error) (_ []value.V
 		}
 		return out, nil
 	}
+	return readAll(rows, each)
+}
+
+// readAll reads a stream to its end, handing every row to each, if not nil,
+// as it arrives.
+func readAll(rows Rows, each func(value.Value) error) ([]value.Value, error) {
 	var out []value.Value
 	for {
 		row, ok, err := rows.Next()

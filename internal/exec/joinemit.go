@@ -23,7 +23,9 @@ import (
 // matched row.
 //
 // It is plain per-run state: an operator owns one per Open, each worker of a
-// parallel probe owns its own, and the owner takes the rows from out.
+// parallel probe owns its own, and the owner takes the rows from out. A
+// nestjoin builds every group of the run in one scratch set and emits an
+// exact-size copy of it (nestGroup).
 type joinEmit struct {
 	kind     adl.JoinKind
 	op       string // names the operator in a non-tuple row's error
@@ -77,7 +79,8 @@ func (e *joinEmit) emit(row value.Value) {
 
 // begin starts a left row.
 func (e *joinEmit) begin(lrow value.Value) (err error) {
-	e.lrow, e.matched, e.nest, e.err = lrow, false, nestGroup{}, nil
+	e.lrow, e.matched, e.err = lrow, false, nil
+	e.nest.reset()
 	e.lt, err = asTuple(lrow, e.op)
 	return err
 }
@@ -128,7 +131,7 @@ func (e *joinEmit) end() error {
 			e.emit(e.lrow)
 		}
 	case adl.NestJ:
-		e.emit(e.lt.With(e.as, e.nest.set()))
+		e.emit(e.lt.With(e.as, e.nest.compact()))
 	case adl.Outer:
 		if !e.matched {
 			cat, err := e.lt.Concat(e.nullPad)
@@ -143,7 +146,11 @@ func (e *joinEmit) end() error {
 
 // nestGroup collects the members a nestjoin or PNHL finds for one left row.
 // The set is created by the first member; left rows without a partner all
-// carry noMatches.
+// carry noMatches. PNHL keeps one group per left row across its segments and
+// emits it as built (set). The join verdict keeps one group for the whole
+// run: reset empties it for the next row and compact emits a copy, so a
+// group costs one right-sized allocation and the scratch set's arrays are
+// allocated once while no group outgrows value.SmallSet (Set.Reset).
 type nestGroup struct{ members *value.Set }
 
 // noMatches is shared by every unmatched left row of every query, which the
@@ -162,4 +169,17 @@ func (g *nestGroup) set() *value.Set {
 		return noMatches
 	}
 	return g.members
+}
+
+func (g *nestGroup) reset() {
+	if g.members != nil {
+		g.members.Reset()
+	}
+}
+
+func (g *nestGroup) compact() *value.Set {
+	if g.members == nil || g.members.Len() == 0 {
+		return noMatches
+	}
+	return g.members.Compact()
 }

@@ -126,9 +126,11 @@ func (u *unnester) get(et *value.Tuple, name string) (value.Value, bool) {
 // build is the unnested row of et, the element elem last checked.
 func (u *unnester) build(et *value.Tuple) *value.Tuple {
 	rest := u.t.Vals()
-	vals := make([]value.Value, 0, u.cat.Len())
-	vals = append(append(append(vals, et.Vals()...), rest[:u.slot]...), rest[u.slot+1:]...)
-	return u.cat.New(vals)
+	row, vals := u.cat.Alloc()
+	n := copy(vals, et.Vals())
+	n += copy(vals[n:], rest[:u.slot])
+	copy(vals[n:], rest[u.slot+1:])
+	return row
 }
 
 // each checks row and hands every element of its set, once checked, to fn.

@@ -329,7 +329,7 @@ func compileConnective(l, r adl.Expr, vars []string, op string, decided bool) pr
 }
 
 // compileTupleExpr compiles ⟨names[i] = elems[i]⟩ against its shape, derived
-// here once: a row is one vals slice. It returns nil for a repeated name,
+// here once: a row is one Shape.Alloc. It returns nil for a repeated name,
 // which is left to the interpreter to report.
 func compileTupleExpr(names []string, elems []adl.Expr, vars []string) tupleProg {
 	shape, err := value.ShapeOf(names)
@@ -341,7 +341,7 @@ func compileTupleExpr(names []string, elems []adl.Expr, vars []string) tupleProg
 		progs[i] = compile(el, vars)
 	}
 	return func(ctx *Ctx, a, b value.Value) (*value.Tuple, error) {
-		vals := make([]value.Value, len(progs))
+		row, vals := shape.Alloc()
 		for i, p := range progs {
 			v, err := p(ctx, a, b)
 			if err != nil {
@@ -349,6 +349,6 @@ func compileTupleExpr(names []string, elems []adl.Expr, vars []string) tupleProg
 			}
 			vals[i] = v
 		}
-		return shape.New(vals), nil
+		return row, nil
 	}
 }

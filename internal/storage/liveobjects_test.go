@@ -10,10 +10,12 @@ import (
 )
 
 // liveObjectsPerRowMax is the live-heap ceiling TestStoreLiveObjects holds a
-// stored row to: the measured 15.9 objects per row of the page-indexed object
-// table and the flat distinct counters, plus 10 %. The concurrent-map object
-// table and per-value counter entries they replaced measured 20.8.
-const liveObjectsPerRowMax = 17.5
+// stored row to: the measured 10.0 objects per row, plus 10 %, of tuples that
+// carry their slots and stored sets compacted to one allocation each. With a
+// tuple's values and a set's two arrays allocated apart it measured 15.9
+// (ceiling 17.5), and before the page-indexed object table and the flat
+// distinct counters, 20.8.
+const liveObjectsPerRowMax = 11.0
 
 // TestStoreLiveObjects gates the heap objects a stored row keeps alive once
 // the store is populated, indexed and analyzed — the objects every GC cycle

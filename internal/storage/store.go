@@ -163,7 +163,7 @@ func (s *Store) Insert(extent string, t *value.Tuple) (value.OID, error) {
 	defer s.mu.Unlock()
 	v := s.head.Load()
 	oid := v.nextOID
-	obj := value.NewTuple(cl.IDField, oid).Except(t)
+	obj := stored(cl.IDField, oid, t)
 	s.objects.store(oid, &objVersion{extent: extent, obj: obj, born: v.seq + 1})
 	s.absorbIndexes(extent, oid, obj)
 	s.absorbStats(extent, obj, len(v.extents[extent])+1)
@@ -225,7 +225,7 @@ func (s *Store) Update(extent string, oid value.OID, t *value.Tuple) error {
 	if err != nil {
 		return fmt.Errorf("storage: update: %w", err)
 	}
-	obj := value.NewTuple(cl.IDField, oid).Except(t)
+	obj := stored(cl.IDField, oid, t)
 	s.objects.store(oid, &objVersion{extent: extent, obj: obj, born: v.seq + 1, prev: cur})
 	s.absorbIndexes(extent, oid, obj)
 	s.unabsorbStats(extent, cur.obj)
@@ -239,6 +239,26 @@ func (s *Store) Update(extent string, oid value.OID, t *value.Tuple) error {
 	})
 	s.mutated()
 	return nil
+}
+
+// stored is the row the store keeps for t under oid: the id field, then t's
+// attributes, each set-valued attribute of at most value.SmallSet elements
+// compacted (value.Set.Compact), so such a set is kept as one allocation
+// however the caller built it. Larger sets, and sets nested inside elements
+// or attributes, are kept as the caller built them. t must not have the id
+// field.
+func stored(idField string, oid value.OID, t *value.Tuple) *value.Tuple {
+	id, _ := value.ShapeOf([]string{idField})
+	shape, _ := id.Concat(t.Shape) // t has no idField
+	obj, vals := shape.Alloc()
+	vals[0] = oid
+	for i, v := range t.Vals() {
+		if set, ok := v.(*value.Set); ok && set.Len() <= value.SmallSet {
+			v = set.Compact()
+		}
+		vals[i+1] = v
+	}
+	return obj
 }
 
 // aliveAt resolves the object's chain at seq and verifies it is alive and

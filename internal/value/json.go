@@ -151,7 +151,9 @@ func fromTagged(raw map[string]json.RawMessage) (Value, error) {
 				}
 				vals = append(vals, fv)
 			}
-			return shape.New(vals), nil
+			t, slots := shape.Alloc()
+			copy(slots, vals)
+			return t, nil
 		case "set":
 			var elems []map[string]json.RawMessage
 			if err := json.Unmarshal(body, &elems); err != nil {

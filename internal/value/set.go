@@ -8,9 +8,11 @@ package value
 // Hash beside it, and the int32 chain table that finds a hash's positions
 // (absent while the set has at most smallTable elements — see hashTable).
 // Every probe compares stored hashes before it calls Equal and no element is
-// ever hashed twice. A Set must not be mutated after it has been shared; it
-// carries no lazily filled state, so a shared set is safe for concurrent
-// readers. The int32 positions cap a set at 2³¹−1 elements; Add panics beyond.
+// ever hashed twice. A set sized for at most smallTable elements (NewSetCap)
+// is one allocation: the header, the elements and the hashes together. A Set
+// must not be mutated after it has been shared; it carries no lazily filled
+// state, so a shared set is safe for concurrent readers. The int32 positions
+// cap a set at 2³¹−1 elements; Add panics beyond.
 type Set struct {
 	elems []Value
 	idx   hashTable
@@ -22,16 +24,56 @@ func (*Set) Kind() Kind { return KindSet }
 // NewSet builds a set from the given elements, eliminating duplicates.
 func NewSet(elems ...Value) *Set { return NewSetFromSlice(elems) }
 
-// NewSetCap returns an empty set with capacity for n elements.
+// EmptySet returns a new empty set.
+func EmptySet() *Set { return &Set{} }
+
+// setBox is a set allocated together with its element array E and hash
+// array H.
+type setBox[E, H any] struct {
+	s Set
+	e E
+	h H
+}
+
+func (b *setBox[E, H]) with(elems []Value, hashes []uint64) *Set {
+	b.s.elems, b.s.idx.hashes = elems, hashes
+	return &b.s
+}
+
+// NewSetCap returns an empty set with capacity for n elements. Up to
+// smallTable elements the header and both arrays are one allocation; a larger
+// set has three.
 func NewSetCap(n int) *Set {
-	if n == 0 {
+	switch n {
+	case 0:
 		return &Set{}
+	case 1:
+		b := new(setBox[[1]Value, [1]uint64])
+		return b.with(b.e[:0], b.h[:0])
+	case 2:
+		b := new(setBox[[2]Value, [2]uint64])
+		return b.with(b.e[:0], b.h[:0])
+	case 3:
+		b := new(setBox[[3]Value, [3]uint64])
+		return b.with(b.e[:0], b.h[:0])
+	case 4:
+		b := new(setBox[[4]Value, [4]uint64])
+		return b.with(b.e[:0], b.h[:0])
+	case 5:
+		b := new(setBox[[5]Value, [5]uint64])
+		return b.with(b.e[:0], b.h[:0])
+	case 6:
+		b := new(setBox[[6]Value, [6]uint64])
+		return b.with(b.e[:0], b.h[:0])
+	case 7:
+		b := new(setBox[[7]Value, [7]uint64])
+		return b.with(b.e[:0], b.h[:0])
+	case smallTable:
+		b := new(setBox[[smallTable]Value, [smallTable]uint64])
+		return b.with(b.e[:0], b.h[:0])
 	}
 	return &Set{elems: make([]Value, 0, n), idx: hashTable{hashes: make([]uint64, 0, n)}}
 }
-
-// EmptySet returns a new empty set.
-func EmptySet() *Set { return &Set{} }
 
 // NewSetFromSlice builds a set from elems with full duplicate elimination —
 // repeated Add into a pre-sized set. elems is not retained.
@@ -73,10 +115,14 @@ func (s *Set) add(v Value, h uint64) bool {
 // push appends v, whose hash is h and which the caller knows to be absent.
 func (s *Set) push(v Value, h uint64) {
 	if cap(s.elems) == 0 {
-		// The first element sizes both arrays for a small set at once
-		// instead of growing them through capacities 1, 2, 4, 8.
-		s.elems = make([]Value, 0, smallTable)
-		s.idx.hashes = make([]uint64, 0, smallTable)
+		// The first element sizes both arrays for a small set at once, in
+		// one allocation, instead of growing them through capacities 1, 2,
+		// 4, 8.
+		a := new(struct {
+			e [smallTable]Value
+			h [smallTable]uint64
+		})
+		s.elems, s.idx.hashes = a.e[:0], a.h[:0]
 	}
 	s.elems = append(s.elems, v)
 	s.idx.push(h)
@@ -102,6 +148,38 @@ func (s *Set) Clone() *Set {
 	c := &Set{elems: make([]Value, len(s.elems)), idx: s.idx.clone()}
 	copy(c.elems, s.elems)
 	return c
+}
+
+// SmallSet is the largest set NewSetCap and Compact make as one allocation;
+// such a set has no chain table.
+const SmallSet = smallTable
+
+// Compact returns an exact-size copy of s: arrays of capacity Len, and above
+// SmallSet a chain table built for Len entries. The copy shares no array with
+// s, so s may go on being built or be Reset — the nestjoin builds every group
+// in one scratch set and emits its Compact — and extending either never
+// writes into the other.
+func (s *Set) Compact() *Set {
+	n := len(s.elems)
+	c := NewSetCap(n)
+	c.elems = append(c.elems, s.elems...)
+	c.idx.hashes = append(c.idx.hashes, s.idx.hashes...)
+	if n > smallTable {
+		c.idx.rehash(n)
+	}
+	return c
+}
+
+// Reset empties s for the next elements. Arrays sized for at most SmallSet
+// elements are kept; larger ones are dropped, so the next elements are
+// sized by their own count and not by the largest set s ever held. Like Add,
+// it is for a set that has not been shared.
+func (s *Set) Reset() {
+	if cap(s.elems) > smallTable {
+		*s = Set{}
+		return
+	}
+	s.elems, s.idx.hashes = s.elems[:0], s.idx.hashes[:0]
 }
 
 // AddAll inserts every element of t into s.

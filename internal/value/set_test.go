@@ -3,6 +3,7 @@ package value
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -266,6 +267,105 @@ func TestIndexAscending(t *testing.T) {
 			if i := ix.First(distinct + 1); i >= 0 {
 				t.Fatalf("n=%d: absent hash has candidate %d", n, i)
 			}
+		}
+	}
+}
+
+// TestCompactSharesNothing: a compacted set is exact-size and shares no array
+// with the set it was copied from, in either direction. Extending the copy —
+// by AddAll, or a Clone or Union of it — leaves the source untouched, spare
+// capacity included; building on in the source, or resetting it and building
+// other elements, leaves the copy untouched.
+func TestCompactSharesNothing(t *testing.T) {
+	more := NewSet(Int(100), Int(101), Int(102))
+	for n := 0; n <= 2*smallTable; n++ {
+		src := NewSetCap(3 * smallTable) // spare capacity a shared array would write into
+		for i := range n {
+			src.Add(Int(int64(i)))
+		}
+		c := src.Compact()
+		if cap(c.Elems()) != n || cap(c.Hashes()) != n || !Equal(c, src) {
+			t.Fatalf("Compact of %d: cap %d/%d, equal %v", n, cap(c.Elems()), cap(c.Hashes()), Equal(c, src))
+		}
+		if wantLinks := tableSize(n); cap(c.idx.links) != wantLinks || len(c.idx.links) != wantLinks {
+			t.Fatalf("Compact of %d: links len %d cap %d, want %d", n, len(c.idx.links), cap(c.idx.links), wantLinks)
+		}
+		spare := func() bool {
+			for _, e := range src.Elems()[n:cap(src.Elems())] {
+				if e != nil {
+					return false
+				}
+			}
+			return slices.Equal(src.Hashes()[n:cap(src.Hashes())], make([]uint64, cap(src.Hashes())-n))
+		}
+		clone := c.Clone()
+		clone.AddAll(more)
+		u := c.Union(more)
+		c.AddAll(more)
+		if src.Len() != n || !spare() || clone.Len() != n+3 || u.Len() != n+3 || c.Len() != n+3 {
+			t.Fatalf("extending the compact of %d: source has %d elements, spare capacity clean %v", n, src.Len(), spare())
+		}
+		frozen := src.Compact()
+		src.Add(Int(-1))
+		if frozen.Len() != n || frozen.Contains(Int(-1)) {
+			t.Fatalf("building on after Compact of %d reached the copy", n)
+		}
+		src.Reset()
+		for i := range n {
+			src.Add(Int(int64(1000 + i)))
+		}
+		for i := range n {
+			if !frozen.Contains(Int(int64(i))) || frozen.Contains(Int(int64(1000+i))) {
+				t.Fatalf("Reset and rebuild after Compact of %d reached the copy", n)
+			}
+		}
+	}
+}
+
+// tableSize is the length of the chain table of an exact-size set of n
+// elements: none up to smallTable, else the bucket heads rehash picks for n
+// (the least power of two ≥ 16 and ≥ 2n) and one link per element.
+func tableSize(n int) int {
+	if n <= smallTable {
+		return 0
+	}
+	nb := 16
+	for nb < 2*n {
+		nb *= 2
+	}
+	return nb + n
+}
+
+// TestSetReset reuses one set as a scratch for groups of changing size, past
+// the point where the hash table exists and back: after each Reset it must
+// hold exactly the group's elements, as a set built fresh does, with arrays
+// sized by that group and not by a larger one before it (a 9-member group
+// follows a 10 000-member one), and its Compact must be exact-size, chain
+// table included.
+func TestSetReset(t *testing.T) {
+	scratch := EmptySet()
+	for round, n := range []int{0, 3, 40, 5, smallTable, smallTable + 1, 200, 1, 60, 10000, smallTable + 1} {
+		scratch.Reset()
+		var elems []Value
+		for i := range 2 * n { // every element twice
+			elems = append(elems, Int(int64(round*100000+i/2)))
+			scratch.Add(elems[i])
+		}
+		if want := NewSetFromSlice(elems); scratch.Len() != n || !Equal(scratch, want) {
+			t.Fatalf("round %d: %d elements after Reset, want %d", round, scratch.Len(), n)
+		}
+		for i := range n {
+			if !scratch.Contains(Int(int64(round*100000+i))) || scratch.Contains(Int(int64((round+1)*100000+i))) {
+				t.Fatalf("round %d: membership of %d wrong after Reset", round, i)
+			}
+		}
+		if limit := max(smallTable, 2*n); cap(scratch.Elems()) > limit || cap(scratch.idx.links) > tableSize(2*limit) {
+			t.Fatalf("round %d: scratch of %d has elems cap %d, links cap %d", round, n, cap(scratch.Elems()), cap(scratch.idx.links))
+		}
+		c := scratch.Compact()
+		if !Equal(c, scratch) || cap(c.Elems()) != n || len(c.idx.links) != tableSize(n) || cap(c.idx.links) != tableSize(n) {
+			t.Fatalf("round %d: Compact of %d has elems cap %d, links len %d cap %d, want %d",
+				round, n, cap(c.Elems()), len(c.idx.links), cap(c.idx.links), tableSize(n))
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 // per-name constants of Hash and the name-sorted slot order canonical
 // comparison walks. Shapes are immutable and canonical: there is one Shape
 // per distinct name list, so rows of one layout share it by pointer and a
-// row itself is a shape pointer and one vals slice.
+// row itself is a shape pointer and its values.
 //
 // Canonicity is structural. Every shape is a node of one trie rooted at the
 // empty shape whose edges are "with name"; a name list is reached by exactly
@@ -20,7 +20,7 @@ import (
 // through the trie once and are memoized on the shape they start from, with
 // their duplicate/conflict/missing-attribute checks done at that time, so
 // With/Concat/Subscript/Drop/Except on a seen layout are one lookup and one
-// vals allocation. The memo is copy-on-write behind an atomic pointer: hits
+// allocation (newTuple). The memo is copy-on-write behind an atomic pointer: hits
 // take no lock and allocate nothing; misses serialize on shapeMu. Shapes are
 // never freed (see ShapeCount).
 type Shape struct {
@@ -122,13 +122,13 @@ func (s *Shape) Slot(name string) (int, bool) {
 	return 0, false
 }
 
-// New builds the tuple of this shape over vals, which it retains. It panics
-// if vals does not have one value per attribute.
-func (s *Shape) New(vals []Value) *Tuple {
-	if len(vals) != len(s.names) {
-		panic(fmt.Sprintf("value: %d values for a tuple of %d attributes", len(vals), len(s.names)))
-	}
-	return &Tuple{Shape: s, vals: vals}
+// Alloc allocates a tuple of this shape and returns it with its slots, one
+// per attribute in declaration order, all nil. The caller fills every slot
+// before the tuple is shared; from then on the tuple is immutable. Up to
+// eight slots are one allocation with the tuple.
+func (s *Shape) Alloc() (*Tuple, []Value) {
+	t := newTuple(s)
+	return t, t.vals
 }
 
 // Concat returns the shape of s's attributes followed by u's, or an error if

@@ -288,3 +288,47 @@ func TestShapeDerivationConcurrent(t *testing.T) {
 		t.Fatalf("re-deriving warm transitions minted %d shapes", ShapeCount()-before)
 	}
 }
+
+// TestDerivedTuplesShareNoSlots: With, Except, Concat, Subscript and Drop
+// build their result in slots of its own, never in the source's — a tuple
+// allocated with its slots is still one value per allocation — and
+// Shape.Alloc hands out exactly the slots of the tuple it returns.
+func TestDerivedTuplesShareNoSlots(t *testing.T) {
+	for _, n := range []int{1, 7, 8, 9, 12} {
+		pairs := make([]any, 0, 2*n)
+		for i := range n {
+			pairs = append(pairs, fmt.Sprintf("a%d", i), Int(int64(i)))
+		}
+		src := NewTuple(pairs...)
+		cat, err := src.Concat(NewTuple("z", Int(-2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := src.Subscript([]string{"a0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, d := range map[string]*Tuple{
+			"With":      src.With("z", Int(-1)),
+			"Except":    src.Except(NewTuple("a0", Int(-1))),
+			"Concat":    cat,
+			"Subscript": sub,
+			"Drop":      src.Drop([]string{"a0"}),
+		} {
+			for i := range d.Vals() {
+				for j := range src.Vals() {
+					if &d.Vals()[i] == &src.Vals()[j] {
+						t.Fatalf("%s of a %d-attribute tuple: slot %d is the source's slot %d", name, n, i, j)
+					}
+				}
+			}
+		}
+		if v := src.MustGet("a0"); !Equal(v, Int(0)) {
+			t.Fatalf("deriving from a %d-attribute tuple changed a0 to %v", n, v)
+		}
+		tu, slots := src.Shape.Alloc()
+		if len(slots) != n || &slots[0] != &tu.Vals()[0] || tu.Shape != src.Shape {
+			t.Fatalf("Shape.Alloc of %d attributes: %d slots, not the tuple's", n, len(slots))
+		}
+	}
+}

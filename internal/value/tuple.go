@@ -12,7 +12,9 @@ import (
 //
 // A tuple is its layout — the embedded canonical *Shape, shared by every
 // tuple with the same attribute list, which also supplies Len, Names, Has and
-// Slot — and one slice of values; the names live in the shape only.
+// Slot — and one slice of values; the names live in the shape only. Up to
+// eight values sit in the same allocation as the tuple (newTuple), so a row
+// is one object and reading a slot touches the memory the header is in.
 //
 // A Tuple is immutable once its constructor returns: every "update" builds a
 // new tuple. The one word that changes afterwards is hash, the memo of the
@@ -29,6 +31,57 @@ type Tuple struct {
 // Kind reports KindTuple.
 func (*Tuple) Kind() Kind { return KindTuple }
 
+// box is a tuple allocated together with its slots, the array A.
+type box[A any] struct {
+	t Tuple
+	a A
+}
+
+func (b *box[A]) with(vals []Value) *Tuple {
+	b.t.vals = vals
+	return &b.t
+}
+
+// newTuple allocates a tuple of shape s with one nil slot per attribute,
+// which the caller fills before the tuple is shared: every constructor ends
+// here. Up to eight slots are one allocation with the header; a wider tuple
+// keeps a separate array.
+func newTuple(s *Shape) *Tuple {
+	var t *Tuple
+	switch n := len(s.names); n {
+	case 0:
+		t = new(Tuple)
+	case 1:
+		b := new(box[[1]Value])
+		t = b.with(b.a[:])
+	case 2:
+		b := new(box[[2]Value])
+		t = b.with(b.a[:])
+	case 3:
+		b := new(box[[3]Value])
+		t = b.with(b.a[:])
+	case 4:
+		b := new(box[[4]Value])
+		t = b.with(b.a[:])
+	case 5:
+		b := new(box[[5]Value])
+		t = b.with(b.a[:])
+	case 6:
+		b := new(box[[6]Value])
+		t = b.with(b.a[:])
+	case 7:
+		b := new(box[[7]Value])
+		t = b.with(b.a[:])
+	case 8:
+		b := new(box[[8]Value])
+		t = b.with(b.a[:])
+	default:
+		t = &Tuple{vals: make([]Value, n)}
+	}
+	t.Shape = s
+	return t
+}
+
 // NewTuple constructs a tuple from alternating name/value pairs. It panics on
 // duplicate attribute names: the algebra's well-formedness conditions ("it is
 // assumed no attribute naming conflicts occur", §3) are enforced at
@@ -37,35 +90,37 @@ func NewTuple(pairs ...any) *Tuple {
 	if len(pairs)%2 != 0 {
 		panic("value.NewTuple: odd number of arguments")
 	}
-	t := &Tuple{Shape: emptyShape, vals: make([]Value, len(pairs)/2)}
+	s := emptyShape
 	for i := 0; i < len(pairs); i += 2 {
 		name, ok := pairs[i].(string)
 		if !ok {
 			panic(fmt.Sprintf("value.NewTuple: argument %d is not a field name", i))
 		}
-		v, ok := pairs[i+1].(Value)
-		if !ok {
+		if _, ok := pairs[i+1].(Value); !ok {
 			panic(fmt.Sprintf("value.NewTuple: field %q is not a Value", name))
 		}
-		if t.Shape = t.Shape.with(name); t.Shape == nil {
+		if s = s.with(name); s == nil {
 			panic(fmt.Sprintf("value: duplicate attribute %q in tuple", name))
 		}
-		t.vals[i/2] = v
+	}
+	t := newTuple(s)
+	for i := range t.vals {
+		t.vals[i] = pairs[2*i+1].(Value)
 	}
 	return t
 }
 
 // EmptyTuple returns the tuple with no attributes, the unit of concatenation.
-func EmptyTuple() *Tuple { return &Tuple{Shape: emptyShape} }
+func EmptyTuple() *Tuple { return newTuple(emptyShape) }
 
 // NullTuple returns the tuple of shape s whose every attribute is Null — the
 // padding an outer join gives a row without a partner.
 func NullTuple(s *Shape) *Tuple {
-	vals := make([]Value, len(s.names))
-	for i := range vals {
-		vals[i] = Null{}
+	t := newTuple(s)
+	for i := range t.vals {
+		t.vals[i] = Null{}
 	}
-	return &Tuple{Shape: s, vals: vals}
+	return t
 }
 
 // With returns a copy of t extended with the field name=v. It panics if the
@@ -75,10 +130,9 @@ func (t *Tuple) With(name string, v Value) *Tuple {
 	if to == nil {
 		panic(fmt.Sprintf("value: duplicate attribute %q in tuple", name))
 	}
-	vals := make([]Value, len(t.vals)+1)
-	copy(vals, t.vals)
-	vals[len(t.vals)] = v
-	return &Tuple{Shape: to, vals: vals}
+	w := newTuple(to)
+	w.vals[copy(w.vals, t.vals)] = v
+	return w
 }
 
 // Get returns the value of the named attribute.
@@ -114,9 +168,9 @@ func (t *Tuple) Concat(u *Tuple) (*Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	vals := make([]Value, len(t.vals)+len(u.vals))
-	copy(vals[copy(vals, t.vals):], u.vals)
-	return &Tuple{Shape: to, vals: vals}, nil
+	c := newTuple(to)
+	copy(c.vals[copy(c.vals, t.vals):], u.vals)
+	return c, nil
 }
 
 // Subscript implements the paper's tuple subscription e[a1, ..., an]
@@ -139,11 +193,11 @@ func (t *Tuple) Drop(attrs []string) *Tuple {
 
 // gather builds the tuple of shape d.to from t's values at d.slots.
 func (t *Tuple) gather(d *derivation) *Tuple {
-	vals := make([]Value, len(d.slots))
+	g := newTuple(d.to)
 	for i, slot := range d.slots {
-		vals[i] = t.vals[slot]
+		g.vals[i] = t.vals[slot]
 	}
-	return &Tuple{Shape: d.to, vals: vals}
+	return g
 }
 
 // Except implements the paper's tuple "update" (semantics rule 3): existing
@@ -151,12 +205,12 @@ func (t *Tuple) gather(d *derivation) *Tuple {
 // their values, and new attributes are appended.
 func (t *Tuple) Except(updates *Tuple) *Tuple {
 	d, _ := t.derive(exceptOf, updates.Shape, nil) // an except cannot fail
-	vals := make([]Value, len(d.to.names))
-	copy(vals, t.vals)
+	e := newTuple(d.to)
+	copy(e.vals, t.vals)
 	for i, slot := range d.slots {
-		vals[slot] = updates.vals[i]
+		e.vals[slot] = updates.vals[i]
 	}
-	return &Tuple{Shape: d.to, vals: vals}
+	return e
 }
 
 func (t *Tuple) String() string { return text(t) }
