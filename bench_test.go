@@ -97,7 +97,7 @@ func BenchmarkB7(b *testing.B) {
 }
 
 // BenchmarkB8 — the supplier-deliveries grouping join executed by HashJoin
-// serially and Grace-style partitioned (one partition per CPU, at least two).
+// serially and partitioned (one partition per CPU, at least two).
 func BenchmarkB8(b *testing.B) {
 	for _, sc := range [][2]int{{500, 5000}, {2000, 20000}} {
 		c := experiments.StrategyJoin("group", adl.NestJ, sc[0], sc[1]).Only("hash", "parallel")

@@ -28,7 +28,8 @@
 // (internal/value JSON codec); an update's object must not carry the id
 // field. With -verify-all every query is differentially checked against a
 // serial re-execution of the untransformed nested form on the same pinned
-// snapshot; -vectorized (with -batch n) plans onto the batch pipeline. POST
+// snapshot; -vectorized (with -batch n) plans selections and projections of
+// an extent onto the batch pipeline, under the row joins. POST
 // bodies are capped at 1 MiB and the listener has read and idle timeouts.
 package main
 
@@ -54,7 +55,7 @@ func main() {
 		noFeedback  = flag.Bool("no-feedback", false, "disable runtime cardinality feedback eviction")
 		verifyAll   = flag.Bool("verify-all", false, "differentially verify every query against a serial re-execution")
 		indexes     = flag.Bool("indexes", true, "create hash indexes on PART.color and PART.price")
-		vectorized  = flag.Bool("vectorized", false, "plan eligible queries onto the batch execution pipeline")
+		vectorized  = flag.Bool("vectorized", false, "plan selections and projections of an extent onto the batch pipeline; joins stay row operators")
 		batch       = flag.Int("batch", 0, "rows per batch under -vectorized (0 = planner default)")
 	)
 	flag.Parse()

@@ -1,17 +1,19 @@
 // Batch execution mode. The scalar operators in this package hand rows up
 // one value.Value at a time, paying an environment binding and an
-// interpreter dispatch per row; the vectorized operators below move batches:
-// a columnar projection of an extent (col.Proj — each referenced attribute
-// decoded once into a typed slice) plus a selection vector of row indices.
-// Filters narrow the selection in place, joins probe flat hash tables of
-// typed keys, and the buffers (selection vectors, key slices, hash tables)
-// are reused across batches, so steady-state execution allocates near zero.
+// interpreter dispatch per row; the batch layer moves batches: a columnar
+// projection of an extent (col.Proj — each referenced attribute decoded once
+// into a typed slice) plus a selection vector of row indices. It is four
+// operators, VecScan → VecFilter → VecExchange → VecAdapter: filters narrow
+// the selection in place and reuse it across batches, so steady-state
+// execution allocates near zero, and the adapter hands the surviving rows to
+// the row operators above — the joins included, one operator per algorithm
+// whichever way their rows arrive.
 //
-// The scalar operators remain the reference semantics: every vectorized
-// fast path either reproduces the scalar result exactly or falls back to
-// row-wise evaluation through the same interpreter (Mixed columns,
-// untypeable keys), and the differential harness asserts scalar ≡
-// vectorized on randomized queries.
+// The scalar operators remain the reference semantics: every typed kernel
+// either reproduces the scalar result exactly or falls back to row-wise
+// evaluation through the same interpreter (Mixed columns, kernel-less
+// shapes), and the differential harness asserts scalar ≡ vectorized on
+// randomized queries.
 package exec
 
 import (

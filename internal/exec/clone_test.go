@@ -29,18 +29,18 @@ func cloneFixtureTree() Operator {
 	}
 }
 
-// vecFixtureTree is a partitioned batch join over an exchange and a filter:
-// every operator that starts goroutines of its own.
+// vecFixtureTree is a partitioned hash join over a batch exchange and a
+// filter: every operator that starts goroutines of its own.
 func vecFixtureTree(t *testing.T) Operator {
 	k := fieldKernel("b", adl.Lt, value.Int(5))
-	return &VecHashJoin{Kind: adl.Semi, Partitions: 3,
-		L: exchangeOf(t, &VecFilter{Src: &VecScan{Extent: "L", Attrs: []string{"b"}, Batch: 8},
-			Var: "x", Kernels: []VecCmp{k}}, 3),
+	return &HashJoin{Kind: adl.Semi, Partitions: 3,
+		L: &VecAdapter{Src: exchangeOf(t, &VecFilter{Src: &VecScan{Extent: "L", Attrs: []string{"b"}, Batch: 8},
+			Var: "x", Kernels: []VecCmp{k}}, 3)},
 		R: &Filter{Child: &VecAdapter{Src: &VecScan{Extent: "R"}}, Var: "y", Workers: 2,
 			Pred: NewScalar(adl.CBool(true), "y")},
-		LAttr: "b",
-		LKey:  NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-		RKey:  NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
+		LVar: "x", RVar: "y",
+		LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
+		RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
 	}
 }
 
@@ -147,7 +147,7 @@ func TestNodesHoldNoRunState(t *testing.T) {
 			return true
 		})
 	}
-	if len(nodes) < 27 {
+	if len(nodes) < 25 {
 		t.Fatalf("found %d node types, want the whole operator set", len(nodes))
 	}
 	for name := range nodes {

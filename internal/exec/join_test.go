@@ -60,11 +60,30 @@ func keyShapeDB() *storage.MemDB {
 	return storage.NewMemDB("L", l, "R", r, "M", mixed, "E", value.EmptySet())
 }
 
-// TestVecHashJoinAgainstScalar cross-validates the batch hash join against
-// the scalar HashJoin on the same rows: every kind × every key column shape
-// (each table and each arm of the probe's dispatch) × residual × serial and
-// partitioned × small and default batches.
-func TestVecHashJoinAgainstScalar(t *testing.T) {
+// leftArms are the two ways a join's left rows arrive, over table: a Scan,
+// and a batch scan (batches of batch rows) behind a VecAdapter.
+func leftArms(table string, batch int) map[string]Operator {
+	return map[string]Operator{"scan": &Scan{Table: table},
+		"batch": &VecAdapter{Src: vecScan(table, nil, batch)}}
+}
+
+// equiOracle is the oracle of the hash join: NLJoin over lkey = rkey and the
+// residual, which shares no code with the hash tables.
+func equiOracle(kind adl.JoinKind, l Operator, right string, lkey, rkey adl.Expr, res *Scalar, rfun *Scalar) *NLJoin {
+	var pred adl.Expr = adl.EqE(lkey, rkey)
+	if res != nil {
+		pred = adl.AndE(pred, res.Expr)
+	}
+	return &NLJoin{Kind: kind, L: l, R: &Scan{Table: right}, LVar: "x", RVar: "y",
+		Pred: NewScalar(pred, "x", "y"), As: "ys", RFun: rfun}
+}
+
+// TestHashJoinKeyShapes cross-validates the hash join against NLJoin on every
+// kind × every key column shape (int, date, oid, bool, string, float, a
+// column mixing kinds, build keys of two kinds, keys of two kinds that never
+// meet, an empty build side) × residual × left rows from a scan and from a
+// batch pipeline × serial and partitioned.
+func TestHashJoinKeyShapes(t *testing.T) {
 	d := keyShapeDB()
 	residual := NewScalar(adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "a"), adl.Dot(adl.V("y"), "c")), "x", "y")
 	shapes := []struct {
@@ -76,33 +95,31 @@ func TestVecHashJoinAgainstScalar(t *testing.T) {
 		{"oid", "o", "R", "ro", true},
 		{"bool", "bo", "R", "rbo", true},
 		{"string", "s", "R", "rs", true},
-		{"float-generic-table", "f", "R", "rf", true},
-		{"mixed-column-int-table", "m", "R", "ri", true},
-		{"mixed-column-string-table", "m", "R", "rs", true},
-		{"mixed-column-generic-table", "m", "M", "rm", true},
-		{"string-column-generic-table", "s", "M", "rm", true},
-		{"int-column-string-table", "i", "R", "rs", false},
-		{"string-column-int-table", "s", "R", "ri", false},
+		{"float", "f", "R", "rf", true},
+		{"mixed-column-int-keys", "m", "R", "ri", true},
+		{"mixed-column-string-keys", "m", "R", "rs", true},
+		{"mixed-column-mixed-keys", "m", "M", "rm", true},
+		{"string-column-mixed-keys", "s", "M", "rm", true},
+		{"int-column-string-keys", "i", "R", "rs", false},
+		{"string-column-int-keys", "s", "R", "ri", false},
 		{"empty-build", "s", "E", "rs", false},
 	}
 	for _, sh := range shapes {
-		lkey := NewScalar(adl.Dot(adl.V("x"), sh.lattr), "x")
-		rkey := NewScalar(adl.Dot(adl.V("y"), sh.rattr), "y")
+		lx, ry := adl.Dot(adl.V("x"), sh.lattr), adl.Dot(adl.V("y"), sh.rattr)
+		lkey, rkey := NewScalar(lx, "x"), NewScalar(ry, "y")
 		for _, kc := range joinKindCases() {
 			for _, res := range []*Scalar{nil, &residual} {
-				want := collect(t, &HashJoin{Kind: kc.kind, L: &Scan{Table: "L"}, R: &Scan{Table: sh.table},
-					LVar: "x", RVar: "y", LKey: lkey, RKey: rkey, Residual: res, As: "ys", RFun: kc.rfun}, d)
+				want := collect(t, equiOracle(kc.kind, &Scan{Table: "L"}, sh.table, lx, ry, res, kc.rfun), d)
 				if sh.matches && res == nil && want.Len() == 0 {
 					t.Errorf("%s %s: empty reference result, the case checks nothing", sh.name, kc.name)
 				}
-				for _, parts := range []int{1, 3} {
-					for _, batch := range []int{3, 0} {
-						vj := &VecHashJoin{Kind: kc.kind, L: vecScan("L", []string{sh.lattr}, batch),
-							R: &Scan{Table: sh.table}, LAttr: sh.lattr, LKey: lkey, RKey: rkey,
-							Residual: res, As: "ys", RFun: kc.rfun, Partitions: parts}
-						if got := collect(t, vj, d); !value.Equal(got, want) {
-							t.Errorf("%s %s residual=%v partitions %d batch %d: got %v want %v",
-								sh.name, kc.name, res != nil, parts, batch, got, want)
+				for arm, l := range leftArms("L", 3) {
+					for _, parts := range []int{1, 3} {
+						hj := &HashJoin{Kind: kc.kind, L: l, R: &Scan{Table: sh.table}, LVar: "x", RVar: "y",
+							LKey: lkey, RKey: rkey, Residual: res, As: "ys", RFun: kc.rfun, Partitions: parts}
+						if got := collect(t, hj, d); !value.Equal(got, want) {
+							t.Errorf("%s %s residual=%v %s partitions %d: got %v want %v",
+								sh.name, kc.name, res != nil, arm, parts, got, want)
 						}
 					}
 				}
@@ -111,13 +128,12 @@ func TestVecHashJoinAgainstScalar(t *testing.T) {
 	}
 }
 
-// TestVecHashJoinRandomized repeats the comparison on the random tables the
-// scalar operators are tested on (duplicate keys on both sides), with a
+// TestHashJoinRandomized repeats the comparison on the random tables the
+// other operators are tested on (duplicate keys on both sides), with a
 // filtered build side under a VecAdapter.
-func TestVecHashJoinRandomized(t *testing.T) {
+func TestHashJoinRandomized(t *testing.T) {
 	residual := NewScalar(adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "a"), adl.Dot(adl.V("y"), "c")), "x", "y")
-	lkey := NewScalar(adl.Dot(adl.V("x"), "b"), "x")
-	rkey := NewScalar(adl.Dot(adl.V("y"), "d"), "y")
+	lx, ry := adl.Dot(adl.V("x"), "b"), adl.Dot(adl.V("y"), "d")
 	build := func() Operator {
 		return &VecAdapter{Src: &VecFilter{Src: vecScan("R", []string{"c"}, 4), Var: "x",
 			Kernels: []VecCmp{fieldKernel("c", adl.Ge, value.Int(3))}}}
@@ -126,14 +142,18 @@ func TestVecHashJoinRandomized(t *testing.T) {
 		d := db(seed, 60, 40)
 		for _, kc := range joinKindCases() {
 			for _, res := range []*Scalar{nil, &residual} {
-				want := collect(t, &HashJoin{Kind: kc.kind, L: &Scan{Table: "L"}, R: build(),
-					LVar: "x", RVar: "y", LKey: lkey, RKey: rkey, Residual: res, As: "ys", RFun: kc.rfun}, d)
-				for _, parts := range []int{1, 4} {
-					vj := &VecHashJoin{Kind: kc.kind, L: vecScan("L", []string{"b"}, 6), R: build(),
-						LAttr: "b", LKey: lkey, RKey: rkey, Residual: res, As: "ys", RFun: kc.rfun, Partitions: parts}
-					if got := collect(t, vj, d); !value.Equal(got, want) {
-						t.Errorf("seed %d %s residual=%v partitions %d: got %v want %v",
-							seed, kc.name, res != nil, parts, got, want)
+				oracle := equiOracle(kc.kind, &Scan{Table: "L"}, "R", lx, ry, res, kc.rfun)
+				oracle.R = build()
+				want := collect(t, oracle, d)
+				for arm, l := range leftArms("L", 6) {
+					for _, parts := range []int{1, 4} {
+						hj := &HashJoin{Kind: kc.kind, L: l, R: build(), LVar: "x", RVar: "y",
+							LKey: NewScalar(lx, "x"), RKey: NewScalar(ry, "y"), Residual: res,
+							As: "ys", RFun: kc.rfun, Partitions: parts}
+						if got := collect(t, hj, d); !value.Equal(got, want) {
+							t.Errorf("seed %d %s residual=%v %s partitions %d: got %v want %v",
+								seed, kc.name, res != nil, arm, parts, got, want)
+						}
 					}
 				}
 			}
@@ -151,12 +171,11 @@ func goroutinesSettle(want int) int {
 	return n
 }
 
-// TestVecHashJoinErrors checks that the batch join fails where the scalar
-// HashJoin fails, with its text — on the caller's goroutine and from a probe
-// worker, which must not leave a goroutine behind — and that a failed join
-// runs again after Close. Each case has one failing row: which of two a
-// parallel probe reports is not defined.
-func TestVecHashJoinErrors(t *testing.T) {
+// TestHashJoinErrors checks that the hash join fails where NLJoin fails, with
+// one text whichever way its left rows arrive — on the caller's goroutine and
+// from a probe worker, which must not leave a goroutine behind — and that a
+// failed join runs again after Close.
+func TestHashJoinErrors(t *testing.T) {
 	good := value.NewTuple("a", value.Int(1), "b", value.Int(1))
 	rows := func(vs ...value.Value) *value.Set { return value.NewSet(vs...) }
 	d := storage.NewMemDB(
@@ -171,33 +190,36 @@ func TestVecHashJoinErrors(t *testing.T) {
 	one := adl.CInt(1)
 	inv := func(e adl.Expr) adl.Expr { return &adl.Arith{Op: adl.Div, L: one, R: e} }
 	cases := []struct {
-		name, ltable, rtable, lattr string
-		lkey, rkey                  adl.Expr
-		kind                        adl.JoinKind
+		name, ltable, rtable string
+		lkey, rkey           adl.Expr
+		kind                 adl.JoinKind
 	}{
-		{"non-tuple left row", "NT", "R", "b", b, dd, adl.Semi},
-		{"non-tuple right row", "L", "RNT", "b", b, dd, adl.Inner},
-		{"missing left attribute", "LN", "R", "n", adl.Dot(adl.V("x"), "n"), dd, adl.Inner},
-		{"missing right attribute", "L", "R", "b", b, adl.Dot(adl.V("y"), "nope"), adl.Anti},
-		{"failing key scalar", "L", "R", "b", b, inv(dd), adl.Outer},
+		{"non-tuple left row", "NT", "R", b, dd, adl.Semi},
+		{"non-tuple right row", "L", "RNT", b, dd, adl.Inner},
+		{"missing left attribute", "LN", "R", adl.Dot(adl.V("x"), "n"), dd, adl.Inner},
+		{"missing right attribute", "L", "R", b, adl.Dot(adl.V("y"), "nope"), adl.Anti},
+		{"failing key scalar", "L", "R", b, inv(dd), adl.Outer},
 	}
 	for _, tc := range cases {
 		lkey, rkey := NewScalar(tc.lkey, "x"), NewScalar(tc.rkey, "y")
-		_, werr := Collect(&HashJoin{Kind: tc.kind, L: &Scan{Table: tc.ltable}, R: &Scan{Table: tc.rtable},
-			LVar: "x", RVar: "y", LKey: lkey, RKey: rkey, As: "ys"}, &Ctx{DB: d})
-		if werr == nil {
-			t.Fatalf("%s: the scalar join must fail", tc.name)
+		if _, err := Collect(equiOracle(tc.kind, &Scan{Table: tc.ltable}, tc.rtable, tc.lkey, tc.rkey, nil, nil), &Ctx{DB: d}); err == nil {
+			t.Fatalf("%s: NLJoin must fail", tc.name)
 		}
-		for _, parts := range []int{1, 3} {
-			before := runtime.NumGoroutine()
-			vj := &VecHashJoin{Kind: tc.kind, L: vecScan(tc.ltable, []string{tc.lattr}, 1), R: &Scan{Table: tc.rtable},
-				LAttr: tc.lattr, LKey: lkey, RKey: rkey, As: "ys", Partitions: parts}
-			_, gerr := Collect(vj, &Ctx{DB: d})
-			if gerr == nil || gerr.Error() != werr.Error() {
-				t.Errorf("%s partitions %d: vec=%v scalar=%v", tc.name, parts, gerr, werr)
-			}
-			if after := goroutinesSettle(before); after > before {
-				t.Errorf("%s partitions %d: %d goroutines before, %d after", tc.name, parts, before, after)
+		var text string
+		for arm, l := range leftArms(tc.ltable, 1) {
+			for _, parts := range []int{1, 3} {
+				before := runtime.NumGoroutine()
+				_, err := Collect(&HashJoin{Kind: tc.kind, L: l, R: &Scan{Table: tc.rtable}, LVar: "x", RVar: "y",
+					LKey: lkey, RKey: rkey, As: "ys", Partitions: parts}, &Ctx{DB: d})
+				if text == "" && err != nil {
+					text = err.Error()
+				}
+				if err == nil || err.Error() != text {
+					t.Errorf("%s %s partitions %d: %v, the others %q", tc.name, arm, parts, err, text)
+				}
+				if after := goroutinesSettle(before); after > before {
+					t.Errorf("%s %s partitions %d: %d goroutines before, %d after", tc.name, arm, parts, before, after)
+				}
 			}
 		}
 	}
@@ -205,16 +227,15 @@ func TestVecHashJoinErrors(t *testing.T) {
 	// Re-Open after Close: one instance, failing run first.
 	for _, parts := range []int{1, 3} {
 		scan := vecScan("NT", []string{"b"}, 1)
-		vj := &VecHashJoin{Kind: adl.Semi, L: scan, R: &Scan{Table: "R"}, LAttr: "b",
+		hj := &HashJoin{Kind: adl.Semi, L: &VecAdapter{Src: scan}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
 			LKey: NewScalar(b, "x"), RKey: NewScalar(dd, "y"), Partitions: parts}
-		if _, err := Collect(vj, &Ctx{DB: d}); err == nil {
+		if _, err := Collect(hj, &Ctx{DB: d}); err == nil {
 			t.Fatalf("partitions %d: non-tuple probe row must fail", parts)
 		}
 		scan.Extent = "L"
-		want := collect(t, &HashJoin{Kind: adl.Semi, L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
-			LVar: "x", RVar: "y", LKey: NewScalar(b, "x"), RKey: NewScalar(dd, "y")}, d)
+		want := collect(t, equiOracle(adl.Semi, &Scan{Table: "L"}, "R", b, dd, nil, nil), d)
 		for run := 0; run < 2; run++ {
-			if got := rowFacade(t, vj, d); !value.Equal(got, want) {
+			if got := rowFacade(t, hj, d); !value.Equal(got, want) {
 				t.Errorf("partitions %d run %d after Close: got %v want %v", parts, run, got, want)
 			}
 		}
@@ -293,9 +314,9 @@ func TestAntiJoinStopsAtFirstMatch(t *testing.T) {
 		}},
 	}
 	for _, parts := range []int{1, 3} {
-		arms = append(arms, arm{fmt.Sprintf("VecHashJoin/partitions-%d", parts), func(st *storage.Store) (*value.Set, error) {
-			return Collect(&VecHashJoin{Kind: adl.Anti, L: vecScan("L", []string{"k"}, 1), R: scan("R"),
-				LAttr: "k", LKey: lkey, RKey: rkey, Residual: &res, Partitions: parts}, &Ctx{DB: st})
+		arms = append(arms, arm{fmt.Sprintf("HashJoin/batch/partitions-%d", parts), func(st *storage.Store) (*value.Set, error) {
+			return Collect(&HashJoin{Kind: adl.Anti, L: &VecAdapter{Src: vecScan("L", nil, 1)}, R: scan("R"),
+				LVar: "x", RVar: "y", LKey: lkey, RKey: rkey, Residual: &res, Partitions: parts}, &Ctx{DB: st})
 		}})
 	}
 
@@ -332,25 +353,24 @@ func TestAntiJoinStopsAtFirstMatch(t *testing.T) {
 	}
 }
 
-// setMember is the oracle of both set-probe joins: NLJoin over the
-// membership predicate key(y) ∈ x.attr, which shares no code with the
-// setKeyTable they build and probe.
+// setMember is the oracle of the set-probe join: NLJoin over the membership
+// predicate key(y) ∈ x.attr, which shares no code with the setKeyTable it
+// builds and probes.
 func setMember(kind adl.JoinKind, left, right, attr string, rkey adl.Expr, rfun *Scalar) *NLJoin {
 	pred := adl.CmpE(adl.In, rkey, adl.Dot(adl.V("x"), attr))
 	return &NLJoin{Kind: kind, L: &Scan{Table: left}, R: &Scan{Table: right}, LVar: "x", RVar: "y",
 		Pred: NewScalar(pred, "x", "y"), As: "ys", RFun: rfun}
 }
 
-// TestVecSetJoinAgainstScalar checks the scalar SetProbeJoin and the batch
-// VecSetJoin — which share one setKeyTable — against the NLJoin oracle:
-// semi, anti and the nestjoin with and without its right-tuple function ×
-// the generic table (whole-element keys, plain int elements under an atomic
-// key, unary tuples over a string, unary tuples over mixed Int/OID keys) and
-// the unary-int fast path (computed and subscript-read keys) × elements the
-// fast path must decline although their bits equal a key's (another
-// attribute name, another kind, non-tuples), dangling oids and empty sets ×
-// the typed Set column and the decoded tuple.
-func TestVecSetJoinAgainstScalar(t *testing.T) {
+// TestSetProbeJoinAgainstNLJoin checks SetProbeJoin against the NLJoin
+// oracle: semi, anti and the nestjoin with and without its right-tuple
+// function × the generic table (whole-element keys, plain int elements under
+// an atomic key, unary tuples over a string, unary tuples over mixed Int/OID
+// keys) and the unary-int fast path (computed and subscript-read keys) ×
+// elements the fast path must decline although their bits equal a key's
+// (another attribute name, another kind, non-tuples), dangling oids and
+// empty sets × left rows from a scan and from a batch pipeline.
+func TestSetProbeJoinAgainstNLJoin(t *testing.T) {
 	// Owners hold sets of ⟨k:int⟩ refs, of plain ints, of ⟨t:string⟩ refs and
 	// of decoys that only some owners pair with a real match; items carry
 	// even keys only, so some owners hit and some miss. Owner 4's sets are
@@ -445,16 +465,11 @@ func TestVecSetJoinAgainstScalar(t *testing.T) {
 			if kc.kind == adl.Semi {
 				sawHit, sawMiss = want.Len() > 0, want.Len() < collect(t, &Scan{Table: tc.left}, tc.d).Len()
 			}
-			sj := &SetProbeJoin{Kind: kc.kind, L: &Scan{Table: tc.left}, R: &Scan{Table: tc.right},
-				Attr: tc.attr, RKey: rkey, As: "ys", RFun: kc.rfun}
-			if got := collect(t, sj, tc.d); !value.Equal(got, want) {
-				t.Errorf("%s %s scalar: got %v want %v", tc.name, kc.name, got, want)
-			}
-			for _, attrs := range [][]string{{tc.attr}, nil} {
-				vj := &VecSetJoin{Kind: kc.kind, L: vecScan(tc.left, attrs, 3), R: &Scan{Table: tc.right},
+			for arm, l := range leftArms(tc.left, 3) {
+				sj := &SetProbeJoin{Kind: kc.kind, L: l, R: &Scan{Table: tc.right},
 					Attr: tc.attr, RKey: rkey, As: "ys", RFun: kc.rfun}
-				if got := collect(t, vj, tc.d); !value.Equal(got, want) {
-					t.Errorf("%s %s typed-column=%v: got %v want %v", tc.name, kc.name, attrs != nil, got, want)
+				if got := collect(t, sj, tc.d); !value.Equal(got, want) {
+					t.Errorf("%s %s %s: got %v want %v", tc.name, kc.name, arm, got, want)
 				}
 			}
 		}
@@ -463,9 +478,9 @@ func TestVecSetJoinAgainstScalar(t *testing.T) {
 		}
 	}
 
-	// Error parity between the two operators, which the oracle fails on too
-	// (it has a rule for every kind, so not the unsupported one), then a
-	// second run of the failed instance after Close.
+	// Error parity between the two ways left rows arrive, where the oracle
+	// fails too (it has a rule for every kind, so not the unsupported one),
+	// then a second run of the failed instance after Close.
 	subKey := NewScalar(adl.SubT(y, "k"), "y")
 	bad := value.NewSet(value.NewTuple("a", value.Int(1), "parts", value.EmptySet()), value.Int(7))
 	ed := storage.NewMemDB("O", owners, "I", items, "NT", bad)
@@ -482,11 +497,11 @@ func TestVecSetJoinAgainstScalar(t *testing.T) {
 	} {
 		_, werr := Collect(&SetProbeJoin{Kind: tc.kind, L: &Scan{Table: tc.left}, R: &Scan{Table: "I"},
 			Attr: tc.attr, RKey: tc.rkey, As: "ys"}, &Ctx{DB: ed})
-		scan := vecScan(tc.left, []string{tc.attr}, 2)
-		vj := &VecSetJoin{Kind: tc.kind, L: scan, R: &Scan{Table: "I"}, Attr: tc.attr, RKey: tc.rkey, As: "ys"}
+		scan := vecScan(tc.left, nil, 2)
+		vj := &SetProbeJoin{Kind: tc.kind, L: &VecAdapter{Src: scan}, R: &Scan{Table: "I"}, Attr: tc.attr, RKey: tc.rkey, As: "ys"}
 		_, gerr := Collect(vj, &Ctx{DB: ed})
 		if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
-			t.Errorf("%s: vec=%v scalar=%v", tc.name, gerr, werr)
+			t.Errorf("%s: batch=%v scan=%v", tc.name, gerr, werr)
 		}
 		if tc.kind != adl.Inner {
 			if _, oerr := Collect(setMember(tc.kind, tc.left, "I", tc.attr, tc.rkey.Expr, nil), &Ctx{DB: ed}); oerr == nil {

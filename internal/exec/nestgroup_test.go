@@ -14,7 +14,7 @@ import (
 // Left rows whose groups have 3, then 1, then 0 members, thirty rows in all,
 // must each keep exactly their own members once the later rows have been
 // grouped — on every nestjoin operator that runs the join verdict, serially
-// and on three partitions. Emitting the scratch set itself would leave every
+// and on three partitions, over a scan and over a batch pipeline. Emitting the scratch set itself would leave every
 // group of a run holding the members of the run's last row.
 func TestNestGroupsKeepTheirMembers(t *testing.T) {
 	// R's rows 0-2 are group 0, row 3 is group 1; no row is group 2. A left
@@ -47,19 +47,15 @@ func TestNestGroupsKeepTheirMembers(t *testing.T) {
 	x, y := adl.V("x"), adl.V("y")
 	pid := NewScalar(adl.SubT(y, "pid"), "y")
 	lkey, rkey := NewScalar(adl.Dot(x, "g"), "x"), NewScalar(adl.Dot(y, "g"), "y")
-	ops := map[string]Operator{
-		"SetProbeJoin": &SetProbeJoin{Kind: adl.NestJ, L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
-			Attr: "parts", RKey: pid, As: "ys"},
-		"VecSetJoin": &VecSetJoin{Kind: adl.NestJ, L: vecScan("L", []string{"parts"}, 4), R: &Scan{Table: "R"},
-			Attr: "parts", RKey: pid, As: "ys"},
-	}
-	for _, p := range []int{1, 3} {
-		ops[fmt.Sprintf("HashJoin on %d partitions", p)] = &HashJoin{Kind: adl.NestJ,
-			L: &Scan{Table: "L"}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y", LKey: lkey, RKey: rkey,
-			As: "ys", Partitions: p}
-		ops[fmt.Sprintf("VecHashJoin on %d partitions", p)] = &VecHashJoin{Kind: adl.NestJ,
-			L: vecScan("L", []string{"g"}, 4), R: &Scan{Table: "R"}, LAttr: "g", LKey: lkey, RKey: rkey,
-			As: "ys", Partitions: p}
+	ops := map[string]Operator{}
+	for arm, l := range leftArms("L", 4) {
+		ops["SetProbeJoin over "+arm] = &SetProbeJoin{Kind: adl.NestJ, L: l, R: &Scan{Table: "R"},
+			Attr: "parts", RKey: pid, As: "ys"}
+		for _, p := range []int{1, 3} {
+			ops[fmt.Sprintf("HashJoin over %s on %d partitions", arm, p)] = &HashJoin{Kind: adl.NestJ,
+				L: l, R: &Scan{Table: "R"}, LVar: "x", RVar: "y", LKey: lkey, RKey: rkey,
+				As: "ys", Partitions: p}
+		}
 	}
 	for name, op := range ops {
 		got := collect(t, op, d)

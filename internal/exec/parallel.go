@@ -1,12 +1,12 @@
-// Parallel execution: the plumbing of HashJoin with Partitions > 1 (Grace-
-// style: both operands hash-partitioned on the join key) and of Filter and
+// Parallel execution: the plumbing of HashJoin with Partitions > 1 (the
+// right operand split by key hash into that many tables, probed by as many
+// workers with a contiguous share of the left rows each) and of Filter and
 // MapOp with Workers > 1 (a worker pool). The paper's argument is that
 // rewriting nested loops into explicit joins lets the optimizer pick
 // efficient join implementations (§5.1); on modern hardware "efficient"
-// includes exploiting every core. Hash partitioning makes each partition an
-// independent join: equal keys hash equally, so a left row's matches — and
-// therefore its semi/anti/nest/outer verdict — are decided entirely within
-// its own partition.
+// includes exploiting every core. A left row's matches — and therefore its
+// semi/anti/nest/outer verdict — are decided by the one worker that probes
+// it, so the workers need not coordinate beyond the merge.
 //
 // The count is a field of the node, written by the planner; at most one runs
 // the operator on the caller's goroutine. A parallel run keeps the Operator
@@ -144,8 +144,8 @@ func (m *parMerge) teardown() {
 // Close tears the pipeline down.
 func (m *parMerge) Close() error { m.teardown(); return nil }
 
-// keyedRows are one side of a join: its rows, their evaluated join keys and
-// the keys' value.Hash.
+// keyedRows are the build side of a join: its rows, their evaluated join keys
+// and the keys' value.Hash.
 type keyedRows struct {
 	rows   []value.Value
 	keys   []value.Value
@@ -153,21 +153,14 @@ type keyedRows struct {
 }
 
 // evalKeys computes key(row) and its value.Hash for every row, so that
-// partitioning and the partition tables never hash a key twice: inline for
-// one worker, else on workers goroutines over contiguous chunks, one each, so
-// no locking is needed on the result slices. Either way the first failing row
-// decides the error. A non-empty op names the join whose probe rows these
-// are: a row that is no tuple fails as the join verdict's begin would fail
-// it, before its key is evaluated.
-func evalKeys(ctx *Ctx, rows []value.Value, key Scalar, workers int, op string) (keyedRows, error) {
+// partitioning and the tables never hash a key twice: inline for one worker,
+// else on workers goroutines over contiguous chunks, one each, so no locking
+// is needed on the result slices. Either way the first failing row decides
+// the error.
+func evalKeys(ctx *Ctx, rows []value.Value, key Scalar, workers int) (keyedRows, error) {
 	k := keyedRows{rows: rows, keys: make([]value.Value, len(rows)), hashes: make([]uint64, len(rows))}
 	span := func(lo, hi int) error {
 		for r := lo; r < hi; r++ {
-			if op != "" {
-				if _, err := asTuple(rows[r], op); err != nil {
-					return err
-				}
-			}
 			v, err := key.Eval(ctx, rows[r])
 			if err != nil {
 				return err
@@ -200,32 +193,6 @@ func evalKeys(ctx *Ctx, rows []value.Value, key Scalar, workers int, op string) 
 		}
 	}
 	return k, nil
-}
-
-// wholeSide is the one partition of a serial join: nil lists every row.
-var wholeSide = [][]int{nil}
-
-// partition groups row indices by key hash mod p, in row order, carving the
-// partitions out of one array sized by a counting pass. At p ≤ 1 it is
-// wholeSide.
-func partition(hashes []uint64, p int) [][]int {
-	if p <= 1 {
-		return wholeSide
-	}
-	var small [16]int // p is a core count: the counters stay on the stack
-	sizes := append(small[:0], make([]int, p)...)
-	for _, h := range hashes {
-		sizes[h%uint64(p)]++
-	}
-	flat := make([]int, len(hashes))
-	parts := make([][]int, p)
-	for i, n := range sizes {
-		parts[i], flat = flat[:0:n], flat[n:]
-	}
-	for i, h := range hashes {
-		parts[h%uint64(p)] = append(parts[h%uint64(p)], i)
-	}
-	return parts
 }
 
 // pooled is the stream of Filter and MapOp with Workers > 1: the child's rows

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 
+	"repro/internal/adl"
 	"repro/internal/value"
 )
 
@@ -62,8 +63,9 @@ func segment(i, buildRows, budgetRows int) (lo, hi int) {
 }
 
 // Open runs both phases eagerly. Whatever the number of segments, each
-// element's key is evaluated once and each build key once; a segment indexes
-// its slice of the build keys in a typed keyTable (vecjoin.go).
+// element's key is evaluated and hashed once and each build key once; a
+// segment indexes its contiguous slice of the build-key hashes in a
+// value.Index, the table HashJoin builds.
 func (p PNHL) Open(ctx *Ctx) (Rows, error) {
 	build, err := drain(p.R, ctx)
 	if err != nil {
@@ -75,10 +77,12 @@ func (p PNHL) Open(ctx *Ctx) (Rows, error) {
 	}
 
 	// The probe side: each row's tuple and set-valued attribute, and the key
-	// of every element — a v.attr key read straight off the element.
+	// of every element — a v.attr key read straight off the element — with
+	// its hash, row after row.
 	tuples := make([]*value.Tuple, len(probe))
 	sets := make([]*value.Set, len(probe))
-	elemKeys := make([][]value.Value, len(probe))
+	var ekeys []value.Value
+	var ehashes []uint64
 	fattr := fieldKeyAttr(p.ElemKey)
 	for pi, lrow := range probe {
 		lt, err := asTuple(lrow, "PNHL")
@@ -93,25 +97,22 @@ func (p PNHL) Open(ctx *Ctx) (Rows, error) {
 		if !ok {
 			return nil, fmt.Errorf("exec: PNHL on non-set attribute %q", p.Attr)
 		}
-		ks := make([]value.Value, set.Len())
-		for ei, elem := range set.Elems() {
+		for _, elem := range set.Elems() {
 			et, ok := elem.(*value.Tuple)
 			if !ok {
 				return nil, fmt.Errorf("exec: PNHL element of %q is not a tuple", p.Attr)
 			}
-			if fattr != "" {
-				if k, ok := et.Get(fattr); ok {
-					ks[ei] = k
-					continue
+			k, ok := et.Get(fattr)
+			if fattr == "" || !ok {
+				if k, err = p.ElemKey.Eval(ctx, elem); err != nil {
+					return nil, err
 				}
 			}
-			if ks[ei], err = p.ElemKey.Eval(ctx, elem); err != nil {
-				return nil, err
-			}
+			ekeys, ehashes = append(ekeys, k), append(ehashes, value.Hash(k))
 		}
-		tuples[pi], sets[pi], elemKeys[pi] = lt, set, ks
+		tuples[pi], sets[pi] = lt, set
 	}
-	bkeys, err := buildKeys(ctx, build, p.BuildKey, 1)
+	bk, err := evalKeys(ctx, build, p.BuildKey, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -121,21 +122,22 @@ func (p PNHL) Open(ctx *Ctx) (Rows, error) {
 	for i := 0; i < Segments(len(build), p.BudgetRows); i++ {
 		// Build phase: a table over this segment of the flat table's keys.
 		lo, hi := segment(i, len(build), p.BudgetRows)
-		seg := keyTable{keys: bkeys[lo:hi]}
-		seg.index()
+		seg := value.NewIndex(bk.hashes[lo:hi])
 		// Probe phase: every element's key against the segment.
+		e := 0
 		for pi, set := range sets {
-			for ei, elem := range set.Elems() {
-				var err error
-				seg.forEach(elemKeys[pi][ei], func(bi int) bool {
-					var m value.Value
-					if m, err = p.member(ctx, elem, build[lo+bi]); err == nil {
-						partial[pi].add(m)
+			for _, elem := range set.Elems() {
+				k, h := ekeys[e], ehashes[e]
+				e++
+				for bi := seg.First(h); bi >= 0; bi = seg.Next(bi) {
+					if !value.Equal(bk.keys[lo+bi], k) {
+						continue
 					}
-					return err != nil
-				})
-				if err != nil {
-					return nil, err
+					m, err := p.member(ctx, elem, build[lo+bi])
+					if err != nil {
+						return nil, err
+					}
+					partial[pi].add(m)
 				}
 			}
 		}
@@ -147,6 +149,20 @@ func (p PNHL) Open(ctx *Ctx) (Rows, error) {
 		out[pi] = lt.Except(value.NewTuple(p.Attr, partial[pi].set()))
 	}
 	return buffered(out)
+}
+
+// fieldKeyAttr returns the attribute a v.attr-shaped key scalar reads, or
+// "" when the key has another shape.
+func fieldKeyAttr(key Scalar) string {
+	f, ok := key.Expr.(*adl.Field)
+	if !ok || len(key.Vars) != 1 {
+		return ""
+	}
+	v, ok := f.X.(*adl.Var)
+	if !ok || v.Name != key.Vars[0] {
+		return ""
+	}
+	return f.Name
 }
 
 // member is what a matching (element, build row) pair contributes: Member's

@@ -1,89 +1,99 @@
 package exec
 
 import (
+	"fmt"
+	"math/bits"
+
 	"repro/internal/adl"
 	"repro/internal/col"
 	"repro/internal/value"
 )
 
-// VecSetJoin is the batch form of the set-probe join: left rows carry a
-// set-valued attribute whose elements probe a table built over the right
-// operand's key (key(y) ∈ x.attr), and what a left row emits is the shared
-// join verdict — it passes or not (semi, anti), or gains an attribute
-// collecting the right rows, or their RFun images, its elements found
-// (nestjoin: the single-segment PNHL shape with grouping output). It sinks
-// the batch pipeline like VecHashJoin.
+// SetProbeJoin is the set-oriented implementation of joins whose predicate
+// is a membership test against a set-valued attribute of the left operand:
 //
-// Its build side is the setKeyTable the scalar SetProbeJoin builds too, so
-// the two differ only in how left rows arrive.
-type VecSetJoin struct {
-	Kind adl.JoinKind // Semi, Anti or NestJ
-	L    VecOp
-	R    Operator
+//	L ⋉/▷/⊣ (x,y : key(y) ∈ x.attr) R
+//
+// — exactly the predicate shape the paper's Example Queries 5 and 6 reach
+// after rewriting (p[pid] ∈ s.parts). The right operand is hashed once by
+// key into a setKeyTable (a typed table over raw ints for the p[pid] shape);
+// each left tuple probes with the elements of its set-valued attribute. This
+// is the single-segment core of the PNHL idea: the flat table is the build
+// input, the nested operand probes.
+type SetProbeJoin struct {
+	Kind adl.JoinKind
+	L, R Operator
+	// Attr is the set-valued attribute of left tuples whose elements are
+	// probe keys.
 	Attr string
+	// RKey computes the build key of right rows (e.g. p[pid]).
 	RKey Scalar
 	As   string
 	RFun *Scalar
 }
 
-// Open builds the table from the right operand and computes the join
-// eagerly.
-func (j VecSetJoin) Open(ctx *Ctx) (_ Rows, err error) {
+// Open builds and probes.
+func (j SetProbeJoin) Open(ctx *Ctx) (Rows, error) {
 	if err := setJoinKind(j.Kind); err != nil {
 		return nil, err
 	}
-	right, err := drain(j.R, ctx)
+	rrows, err := drain(j.R, ctx)
 	if err != nil {
 		return nil, err
 	}
 	var tab setKeyTable
-	if err := tab.build(ctx, right, j.RKey); err != nil {
+	if err := tab.build(ctx, rrows, j.RKey); err != nil {
 		return nil, err
 	}
-	left, err := ctx.openVec(j.L)
+	lrows, err := drain(j.L, ctx)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		if cerr := left.CloseVec(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
 	em := newJoinEmit(ctx, j.Kind, "set-probe join", nil, j.RFun, j.As, nil)
-	for {
-		b, ok, err := left.NextBatch()
+	for _, lrow := range lrows {
+		if err := em.begin(lrow); err != nil {
+			return nil, err
+		}
+		as, err := setAttr(em.lt, j.Attr)
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			return buffered(em.out)
-		}
-		c := b.Proj.Col(j.Attr)
-		for _, i := range b.Sel {
-			if err := em.begin(b.Proj.Row(i)); err != nil {
-				return nil, err
-			}
-			// The typed column when present, else the decoded tuple with the
-			// scalar SetProbeJoin's exact errors.
-			var as *value.Set
-			if c != nil && c.Kind() == col.Set {
-				as = c.Set(i)
-			} else if as, err = setAttr(em.lt, j.Attr); err != nil {
-				return nil, err
-			}
-			tab.probe(as, right, &em)
-			if err := em.end(); err != nil {
-				return nil, err
-			}
+		tab.probe(as, rrows, &em)
+		if err := em.end(); err != nil {
+			return nil, err
 		}
 	}
+	return buffered(em.out)
 }
 
-// setKeyTable is the build side of both set-probe joins, the scalar
-// SetProbeJoin and the batch VecSetJoin: the right operand's evaluated keys
-// under either the unary-tuple int fast path (a flat i64Table over the raw
-// bits) or the generic hash/Equal structure (a value.Index probed with the
-// set's stored element hashes).
+// setJoinKind rejects the kinds a set-probe join has no output rule for: the
+// membership predicate pairs a left row with right rows, never concatenates
+// them.
+func setJoinKind(kind adl.JoinKind) error {
+	switch kind {
+	case adl.Semi, adl.Anti, adl.NestJ:
+		return nil
+	}
+	return fmt.Errorf("exec: set-probe join does not support kind %v", kind)
+}
+
+// setAttr reads the set-valued probe attribute of a left tuple.
+func setAttr(lt *value.Tuple, attr string) (*value.Set, error) {
+	av, ok := lt.Get(attr)
+	if !ok {
+		return nil, fmt.Errorf("exec: set-probe join on missing attribute %q", attr)
+	}
+	as, ok := av.(*value.Set)
+	if !ok {
+		return nil, fmt.Errorf("exec: set-probe join on non-set attribute %q", attr)
+	}
+	return as, nil
+}
+
+// setKeyTable is the build side of the set-probe join: the right operand's
+// evaluated keys under either the unary-tuple int fast path (a flat i64Table
+// over the raw bits) or the generic hash/Equal structure (a value.Index
+// probed with the set's stored element hashes).
 type setKeyTable struct {
 	keys []value.Value
 	gen  *value.Index
@@ -100,18 +110,15 @@ func (t *setKeyTable) build(ctx *Ctx, rrows []value.Value, key Scalar) error {
 		t.u, t.ushape, t.ukind = newI64Table(bs), shape, kind
 		return nil
 	}
-	t.keys = make([]value.Value, len(rrows))
-	for i, rrow := range rrows {
-		k, err := key.Eval(ctx, rrow)
-		if err != nil {
-			return err
-		}
-		t.keys[i] = k
+	r, err := evalKeys(ctx, rrows, key, 1)
+	if err != nil {
+		return err
 	}
+	t.keys = r.keys
 	if bs, shape, kind, ok := unaryIntKeys(t.keys); ok {
 		t.u, t.ushape, t.ukind = newI64Table(bs), shape, kind
 	} else {
-		t.gen = indexKeys(t.keys)
+		t.gen = value.NewIndex(r.hashes)
 	}
 	return nil
 }
@@ -216,4 +223,45 @@ func unaryIntKeys(keys []value.Value) ([]int64, *value.Shape, value.Kind, bool) 
 		}
 	}
 	return bs, first.Shape, kind, true
+}
+
+// fibMix scatters int64 keys across power-of-two bucket arrays
+// (Fibonacci hashing: multiply by 2^64/φ, keep the high bits).
+const fibMix uint64 = 0x9E3779B97F4A7C15
+
+// i64Table is a chained flat hash table over int64 keys: heads holds
+// 1-based slot numbers (0 = empty bucket), next chains slots, and slot i is
+// build row i. Two slices and no boxing — the set-probe join's table for
+// unary int-backed keys (p[pid]).
+type i64Table struct {
+	heads []int32
+	next  []int32
+	keys  []int64
+	shift uint
+}
+
+func newI64Table(keys []int64) *i64Table {
+	nb := 8
+	for nb < 2*len(keys) {
+		nb <<= 1
+	}
+	t := &i64Table{
+		heads: make([]int32, nb),
+		next:  make([]int32, len(keys)),
+		keys:  keys,
+		shift: uint(64 - bits.Len(uint(nb-1))),
+	}
+	// Back to front, so that a chain walks its slots in build order like
+	// value.Index: every join then offers a left row's matches in one order.
+	for i := len(keys) - 1; i >= 0; i-- {
+		h := (uint64(keys[i]) * fibMix) >> t.shift
+		t.next[i] = t.heads[h]
+		t.heads[h] = int32(i + 1)
+	}
+	return t
+}
+
+// head returns the first slot of k's bucket (0 = empty).
+func (t *i64Table) head(k int64) int32 {
+	return t.heads[(uint64(k)*fibMix)>>t.shift]
 }

@@ -324,18 +324,3 @@ func cmpString(a, b string, op adl.CmpOp) bool {
 	}
 	return false
 }
-
-// VecScanOf walks a batch pipeline to its scan leaf (used by the planner to
-// accumulate required attributes while wrapping fragments).
-func VecScanOf(op VecOp) *VecScan {
-	for {
-		switch v := op.(type) {
-		case *VecScan:
-			return v
-		case *VecFilter:
-			op = v.Src
-		default:
-			return nil
-		}
-	}
-}

@@ -167,8 +167,9 @@ func rowFacade(t *testing.T, op Operator, d eval.DB) *value.Set {
 	return got
 }
 
-// TestRowFacadesMatchBulkCollect checks that each vectorized operator's
-// stream yields row by row exactly what Collect's bulk set build yields.
+// TestRowFacadesMatchBulkCollect checks that the stream of a batch pipeline,
+// and of the joins over one, yields row by row exactly what Collect's bulk
+// set build yields.
 func TestRowFacadesMatchBulkCollect(t *testing.T) {
 	d := db(11, 20, 14)
 	lkey := NewScalar(adl.Dot(adl.V("x"), "b"), "x")
@@ -180,15 +181,15 @@ func TestRowFacadesMatchBulkCollect(t *testing.T) {
 			return &VecAdapter{Src: vf, Project: []string{"b"}}
 		},
 		"inner": func() Operator {
-			return &VecHashJoin{Kind: adl.Inner, L: vecScan("L", []string{"b"}, 5), R: &Scan{Table: "R"},
-				LAttr: "b", LKey: lkey, RKey: rkey}
+			return &HashJoin{Kind: adl.Inner, L: &VecAdapter{Src: vecScan("L", nil, 5)}, R: &Scan{Table: "R"},
+				LVar: "x", RVar: "y", LKey: lkey, RKey: rkey}
 		},
 		"semi-partitioned": func() Operator {
-			return &VecHashJoin{Kind: adl.Semi, L: vecScan("L", []string{"b"}, 5), R: &Scan{Table: "R"},
-				LAttr: "b", LKey: lkey, RKey: rkey, Partitions: 3}
+			return &HashJoin{Kind: adl.Semi, L: &VecAdapter{Src: vecScan("L", nil, 5)}, R: &Scan{Table: "R"},
+				LVar: "x", RVar: "y", LKey: lkey, RKey: rkey, Partitions: 3}
 		},
 		"set-anti": func() Operator {
-			return &VecSetJoin{Kind: adl.Anti, L: vecScan("N", []string{"parts"}, 5), R: &Scan{Table: "R"},
+			return &SetProbeJoin{Kind: adl.Anti, L: &VecAdapter{Src: vecScan("N", nil, 5)}, R: &Scan{Table: "R"},
 				Attr: "parts", RKey: NewScalar(adl.Tup("k", adl.Dot(adl.V("y"), "d"), "w", adl.Dot(adl.V("y"), "c")), "y")}
 		},
 	}
@@ -233,17 +234,5 @@ func TestVecFilterFloatAndStringKernels(t *testing.T) {
 				t.Errorf("op %v attr %s/%s: got %v want %v", op, k.Attr, k.RAttr, got, want)
 			}
 		}
-	}
-}
-
-// TestVecScanOfWalksToTheLeaf checks the planner's pipeline-leaf walk.
-func TestVecScanOfWalksToTheLeaf(t *testing.T) {
-	scan := vecScan("L", []string{"b"}, 4)
-	chain := &VecFilter{Src: &VecFilter{Src: scan}}
-	if got := VecScanOf(chain); got != scan {
-		t.Errorf("VecScanOf(filter chain) = %v, want the scan leaf", got)
-	}
-	if got := VecScanOf(&VecExchange{Src: scan}); got != nil {
-		t.Errorf("VecScanOf(exchange) = %v, want nil", got)
 	}
 }

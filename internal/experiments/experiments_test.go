@@ -28,7 +28,7 @@ func TestExperiments(t *testing.T) {
 		"B10": {"rewriter order", "enumerated order", "order: dp over 4 relations", "rows≈"},
 		"B11": {"IndexNLJoin", "index probes", "page reads", "optimizer, NoIndexes"},
 		"B12": {"ndv (NoHistograms)", "histograms", "DIMA.cat", "index probe into FACT.fb"},
-		"B13": {"VecScan(DELIVERY", "VecHashJoin[semi", "HashJoin[⋉", "typed kernels"},
+		"B13": {"VecScan(DELIVERY", "VecAdapter", "HashJoin[⋉", "typed kernels"},
 		"B14": {"scalar", "parallel", "vectorized", "parallel-vectorized", "no per-tuple sends"},
 	}
 	ids := map[string]bool{}
@@ -320,7 +320,7 @@ func TestB13VectorizedAgreesAtSmokeScale(t *testing.T) {
 
 func TestB13ExplainShowsBothArms(t *testing.T) {
 	_, out := runOne(t, smoke(t, "B13"))
-	contains(t, out, "VecScan(DELIVERY", "VecHashJoin[semi", "HashJoin[⋉", "typed kernels")
+	contains(t, out, "VecScan(DELIVERY", "VecAdapter", "HashJoin[⋉", "typed kernels")
 }
 
 // parallel4 returns the B14 pipeline at smoke scale with its parallel arms on
@@ -340,8 +340,8 @@ func TestB14FourArmsAgreeAtSmokeScale(t *testing.T) {
 
 func TestB14ExplainShowsParallelVectorizedPlan(t *testing.T) {
 	rs, _ := runOne(t, parallel4())
-	contains(t, find(rs, "parallel-vectorized").Plan.Explain(), "VecExchange(workers 4", "VecPartitionedHashJoin",
-		"workers 4]  -- parallel vectorized")
+	contains(t, find(rs, "parallel-vectorized").Plan.Explain(), "VecExchange(workers 4", "PartitionedHashJoin",
+		"4 partitions]  -- parallel", "VecAdapter")
 	contains(t, find(rs, "parallel").Plan.Explain(), "PartitionedHashJoin", "4 partitions", "ParallelFilter", "4 workers")
 }
 

@@ -122,7 +122,7 @@ var Suite = []Experiment{
 				return c
 			})
 		},
-		Notes: []string{fmt.Sprintf("both operands are hash-partitioned on the join key, %d partitions (one per CPU, at least two), each built and probed on its own goroutine",
+		Notes: []string{fmt.Sprintf("the build side is split by key hash into %d tables (one per CPU, at least two), which as many goroutines probe with a share of the probe side each",
 			workers())}},
 
 	{ID: "B9", Title: "forced join strategies vs the cost-based optimizer's choice",
@@ -180,7 +180,7 @@ var Suite = []Experiment{
 				return c
 			})
 		},
-		Notes: []string{"the vectorized arm reads the snapshot-pinned columnar projection and probes a flat int64 table",
+		Notes: []string{"the vectorized arm filters the snapshot-pinned columnar projection with a typed kernel and hash-joins the rows that pass",
 			fmt.Sprintf("vectorized must allocate at most %d times per run, and at full scale be ≥3x faster", batchAllocCeiling)}},
 
 	{ID: "B14", Title: "parallel vectorized execution: four-way A/B (semi-join pipeline)",
@@ -202,9 +202,9 @@ var Suite = []Experiment{
 				return c
 			})
 		},
-		Notes: []string{fmt.Sprintf("parallel arms use %d workers (one per CPU, at least two); at full scale on ≥4 CPUs parallel-vectorized must halve vectorized",
+		Notes: []string{fmt.Sprintf("parallel arms use %d workers (one per CPU, at least two); at full scale on ≥4 CPUs parallel-vectorized must halve vectorized (not checked on fewer CPUs)",
 			workers()),
-			"the parallel-vectorized arm exchanges whole batches over bounded channels: no per-tuple sends"}},
+			"the parallel-vectorized arm's exchange moves whole batches over bounded channels: no per-tuple sends"}},
 }
 
 // nested is a case of the §4 strategy on a generated supplier-part store:
@@ -602,7 +602,7 @@ func SkewJoin(facts, dims int) Case {
 // operators and onto the vectorized batch kernels over the columnar
 // projection, and each hand-built with its parallel operators on the given
 // workers — for the batch pipeline a morsel-driven VecExchange feeding the
-// partitioned batch join. The cutoff keeps 1/28 of the deliveries, so per-row
+// partitioned hash join. The cutoff keeps 1/28 of the deliveries, so per-row
 // predicate interpretation dominates the scalar arm. The check is that both
 // parallel arms hold a parallel node: run serially, they would prove nothing.
 func VecJoin(suppliers, deliveries, workers int) Case {
@@ -620,13 +620,13 @@ func VecJoin(suppliers, deliveries, workers int) Case {
 		{Label: "parallel", Op: &exec.HashJoin{Kind: adl.Semi, LVar: "d", RVar: "s", LKey: lk, RKey: rk,
 			L: &exec.Filter{Child: &exec.Scan{Table: "DELIVERY"}, Var: "d", Pred: pred, Workers: workers},
 			R: &exec.Scan{Table: "SUPPLIER"}, Partitions: workers}},
-		{Label: "parallel-vectorized", Op: &exec.VecHashJoin{Kind: adl.Semi, LAttr: "supplier", LKey: lk, RKey: rk,
-			L: &exec.VecExchange{Src: scan, Workers: workers, Morsel: scan.Batch,
-				Kernels: []exec.VecCmp{{Attr: "date", Op: adl.Lt, Const: value.Date(940102), Pred: pred}}},
+		{Label: "parallel-vectorized", Op: &exec.HashJoin{Kind: adl.Semi, LVar: "d", RVar: "s", LKey: lk, RKey: rk,
+			L: &exec.VecAdapter{Src: &exec.VecExchange{Src: scan, Workers: workers, Morsel: scan.Batch,
+				Kernels: []exec.VecCmp{{Attr: "date", Op: adl.Lt, Const: value.Date(940102), Pred: pred}}}},
 			R: &exec.Scan{Table: "SUPPLIER"}, Partitions: workers}},
 	}, Check: func(rs []Result) error {
-		if x := find(rs, "parallel-vectorized").Plan.Explain(); !strings.Contains(x, "VecPartitionedHashJoin") || !strings.Contains(x, "VecExchange") {
-			return fmt.Errorf("parallel-vectorized arm is not a partitioned batch join over a batch exchange:\n%s", x)
+		if x := find(rs, "parallel-vectorized").Plan.Explain(); !strings.Contains(x, "PartitionedHashJoin") || !strings.Contains(x, "VecExchange") {
+			return fmt.Errorf("parallel-vectorized arm is not a partitioned hash join over a batch exchange:\n%s", x)
 		}
 		return parallelArms(rs, "parallel", "parallel-vectorized")
 	}}

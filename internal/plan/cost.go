@@ -206,9 +206,10 @@ func costSortMerge(l, r, out float64) float64 {
 	return (l+r)*cEval + (l*log2(l)+r*log2(r)+l+r)*cCmp + out*cRow
 }
 
-// costPartitionedHash prices the Grace-style partitioned hash join: a fixed
-// startup, one partitioning pass over both inputs, the per-partition
-// build+probe divided across p workers, and the merge channel.
+// costPartitionedHash prices the partitioned hash join: a fixed startup, one
+// pass handing every row of both inputs to its table or its probe worker, the
+// key evaluation, build and probe divided across p workers, and the merge
+// channel.
 func costPartitionedHash(build, probe, out, residMatches float64, p int) float64 {
 	w := math.Max(1, float64(p))
 	work := build*(cEval+cHashBuild) + probe*(cEval+cHashProbe) + residMatches*cEval
@@ -289,23 +290,8 @@ func costVecFilter(n, kernels float64, batch int) float64 {
 	return pages(n, batch)*cBatchDispatch + n*math.Max(1, kernels)*cVecRow
 }
 
-// costVecHash prices the batch hash join: the build side is evaluated and
-// hashed row-wise (same as the scalar build), the probe side streams in
-// batches through a flat typed table, and the output rows are emitted.
-func costVecHash(build, probe, out float64, batch int) float64 {
-	return build*(cEval+cHashBuild) + pages(probe, batch)*cBatchDispatch +
-		probe*cVecRow + out*cRow
-}
-
-// costVecSetProbe prices the batch set-probe join: the right keys build a
-// flat table, and each left row probes it once per set element.
-func costVecSetProbe(l, avgSet, r, out float64, batch int) float64 {
-	return r*(cEval+cHashBuild) + pages(l, batch)*cBatchDispatch +
-		l*avgSet*cVecRow + out*cRow
-}
-
-// Parallel-vectorized constants. Exchanging whole batches over bounded
-// channels needs orders of magnitude fewer channel operations than the
+// Batch exchange constants. Exchanging whole batches over bounded channels
+// needs orders of magnitude fewer channel operations than the
 // tuple-at-a-time pool, so the startup hurdle is well below cPoolStartup
 // and the per-transfer cost is paid per batch, not per row.
 const (
@@ -322,15 +308,4 @@ func costVecExchange(n, kernels float64, batch, w int) float64 {
 	return cVecParallelStartup +
 		(pages(n, batch)*cBatchDispatch+n*math.Max(1, kernels)*cVecRow)/ww +
 		pages(n, batch)*cChannelBatch
-}
-
-// costVecPartHash prices the partitioned batch hash join: the build side is
-// evaluated and routed serially, then indexed and probed by w workers with
-// whole batches exchanged over one bounded channel. Build indexing, probe
-// kernels and output emission divide by the worker count.
-func costVecPartHash(build, probe, out float64, batch int, w float64) float64 {
-	ww := math.Max(1, w)
-	return cVecParallelStartup + build*cRow +
-		pages(probe, batch)*(cBatchDispatch+cChannelBatch) +
-		(build*(cEval+cHashBuild)+probe*cVecRow+out*cRow)/ww
 }

@@ -126,6 +126,15 @@ func goldenCases() map[string]*Plan {
 		adl.CmpE(adl.Ge, adl.Dot(adl.V("e"), "qty"), adl.CInt(20)),
 		adl.CmpE(adl.Lt, adl.Dot(adl.V("e"), "qty"), adl.CInt(30))), adl.T("EVT"))
 
+	// The residual cases are semijoins whose second conjunct is no equi key:
+	// once probing DELIVERY's index, once hashing it.
+	residualSemi := func(l adl.Expr) *adl.Join {
+		return adl.SemiJoin(l, "s", "d", adl.AndE(
+			adl.EqE(adl.Dot(adl.V("s"), "eid"), adl.Dot(adl.V("d"), "supplier")),
+			adl.CmpE(adl.Lt, adl.Dot(adl.V("d"), "date"), adl.Dot(adl.V("s"), "since"))),
+			adl.T("DELIVERY"))
+	}
+
 	costed := Config{Statistics: goldenStats, Parallelism: 4}
 	bare := Config{}
 	return map[string]*Plan{
@@ -135,6 +144,8 @@ func goldenCases() map[string]*Plan {
 		"stats_nohist_range_probe": Config{Statistics: histStats, Parallelism: 4, NoHistograms: true}.Plan(qtyRange),
 		"stats_index_lookup":       Config{Statistics: indexStats}.Plan(lookupJoin),
 		"stats_index_range":        Config{Statistics: indexStats}.Plan(rangeSel),
+		"stats_residual_index":     Config{Statistics: indexStats}.Plan(residualSemi(lookupJoin.L)),
+		"stats_residual_hash":      Config{Statistics: goldenStats, Parallelism: 1}.Plan(residualSemi(adl.T("SUPPLIER"))),
 		"stats_reorder_chain3":     Config{Statistics: reorderStats, Parallelism: 4}.Plan(chain3),
 		"stats_noreorder_chain3":   Config{Statistics: reorderStats, Parallelism: 4, NoReorder: true}.Plan(chain3),
 		"stats_reorder_bushy4":     Config{Statistics: bushyStats, Parallelism: 4}.Plan(chain4),

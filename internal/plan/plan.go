@@ -68,12 +68,12 @@ type Config struct {
 	// ranges, min-NDV join keys). It exists for A/B comparisons
 	// (experiments.B12) and differential tests.
 	NoHistograms bool
-	// Vectorized enables batch execution: eligible fragments — extent
-	// scans, conjunctive selections, single-key equi-joins and set-probe
-	// joins of every kind — compile to batch-at-a-time operators over
-	// columnar extent projections with selection vectors (vectorize.go).
-	// Default off: the scalar operators are the reference semantics the
-	// differential harness compares against.
+	// Vectorized enables batch execution: σ and π over a base extent
+	// compile to a batch pipeline over a columnar extent projection with
+	// selection vectors, which a VecAdapter hands to the row operators above
+	// it (vectorize.go). Joins keep their row algorithms. Default off: the
+	// scalar operators are the reference semantics the differential harness
+	// compares against.
 	Vectorized bool
 	// BatchSize is the rows-per-batch of vectorized pipelines; 0 means
 	// exec.DefaultBatchSize. Use SetBatchSize to validate externally
@@ -379,9 +379,6 @@ func joinExtent(kind adl.JoinKind, le nodeEst) string {
 // compileJoin chooses a join implementation — cost-based under Statistics,
 // serially by predicate shape otherwise.
 func (p *planner) compileJoin(j *adl.Join) (exec.Operator, nodeEst) {
-	if op, est, ok := p.tryVecJoin(j); ok {
-		return op, est
-	}
 	l, le := p.compile(j.L)
 	r, re := p.compile(j.R)
 	rfun := rfunScalar(j)
@@ -642,6 +639,15 @@ func (p *planner) chooseEquiJoin(j *adl.Join, l, r exec.Operator, le, re nodeEst
 	return op, est
 }
 
+// rfunScalar compiles a nestjoin's right-tuple function, if it has one.
+func rfunScalar(j *adl.Join) *exec.Scalar {
+	if j.RFun == nil {
+		return nil
+	}
+	s := exec.NewScalar(j.RFun, j.LVar, j.RVar)
+	return &s
+}
+
 // keyScalar packs key expressions into a composite tuple key.
 func keyScalar(keys []adl.Expr, v string) exec.Scalar {
 	if len(keys) == 1 {
@@ -723,23 +729,6 @@ func describe(node any) (string, []any) {
 	case *exec.VecExchange:
 		return fmt.Sprintf("VecExchange(workers %d | morsel %d)  -- parallel morsel scan",
 			o.Workers, o.Morsel), []any{o.Src}
-	case *exec.VecHashJoin:
-		on := fmt.Sprintf("on .%s = %s%s", o.LAttr, o.RKey.Expr, residualNote(o.Residual))
-		switch {
-		case o.Partitions > 1:
-			return fmt.Sprintf("VecPartitionedHashJoin[%v %s | workers %d]  -- parallel vectorized",
-				o.Kind, on, o.Partitions), []any{o.L, o.R}
-		case o.Kind == adl.NestJ:
-			return fmt.Sprintf("VecHashGroupJoin[nestjoin as %s %s]  -- vectorized", o.As, on), []any{o.L, o.R}
-		}
-		return fmt.Sprintf("VecHashJoin[%s %s]  -- vectorized", kindWord(o.Kind), on), []any{o.L, o.R}
-	case *exec.VecSetJoin:
-		if o.Kind == adl.NestJ {
-			return fmt.Sprintf("VecSetGroupJoin[nestjoin as %s on %s ∈ .%s]  -- vectorized",
-				o.As, o.RKey.Expr, o.Attr), []any{o.L, o.R}
-		}
-		return fmt.Sprintf("VecSetProbeJoin[%s on %s ∈ .%s]  -- vectorized",
-			kindWord(o.Kind), o.RKey.Expr, o.Attr), []any{o.L, o.R}
 	}
 	switch o := node.(type) {
 	case *exec.Scan:
@@ -766,8 +755,8 @@ func describe(node any) (string, []any) {
 		return fmt.Sprintf("IndexScan(%s.%s in %s%s, %s%s)  -- ordered index range",
 			o.Table, o.Attr, lob, lo, hi, hib), nil
 	case *exec.IndexNLJoin:
-		return fmt.Sprintf("IndexNLJoin[%v on %s -> %s.%s]  -- index nested loop",
-			o.Kind, o.LKey.Expr, o.Table, o.Attr), []any{o.L}
+		return fmt.Sprintf("IndexNLJoin[%v on %s -> %s.%s%s]  -- index nested loop",
+			o.Kind, o.LKey.Expr, o.Table, o.Attr, residualNote(o.Residual)), []any{o.L}
 	case *exec.SetScan:
 		return fmt.Sprintf("SetScan(%d elems)", o.Set.Len()), nil
 	case *exec.ExprScan:
@@ -797,7 +786,7 @@ func describe(node any) (string, []any) {
 	case *exec.LetOp:
 		return fmt.Sprintf("Let[%s = %s]  -- constant, evaluated once", o.Var, o.Val), []any{o.Child}
 	case *exec.HashJoin:
-		on := fmt.Sprintf("%v on %s = %s", o.Kind, o.LKey.Expr, o.RKey.Expr)
+		on := fmt.Sprintf("%v on %s = %s%s", o.Kind, o.LKey.Expr, o.RKey.Expr, residualNote(o.Residual))
 		if o.Unnest != "" {
 			on += " | μ " + o.Unnest
 		}
@@ -815,16 +804,6 @@ func describe(node any) (string, []any) {
 		return fmt.Sprintf("PNHL[.%s with budget %d rows]", o.Attr, o.BudgetRows), []any{o.L, o.R}
 	}
 	return fmt.Sprintf("%T", node), nil
-}
-
-// kindWord names a join kind in a batch join's line.
-func kindWord(k adl.JoinKind) string {
-	words := [...]string{adl.Inner: "inner", adl.Semi: "semi", adl.Anti: "anti",
-		adl.NestJ: "nestjoin", adl.Outer: "outer"}
-	if int(k) < len(words) {
-		return words[k]
-	}
-	return k.String()
 }
 
 // residualNote renders an optional residual predicate for a join line.

@@ -1,17 +1,14 @@
 // Vectorized physical selection. Behind Config.Vectorized the planner
-// compiles eligible fragments to batch-at-a-time operators: extent scans
-// become columnar-projection scans, conjunctive selections become selection-
-// vector filters with typed comparison kernels, and the joins become the two
-// batch join operators, each of every kind it has an output rule for:
-// single-key equi-joins (inner, semi, anti, outer, nestjoin — residual
-// conjuncts included) exec.VecHashJoin, set-probe joins (semi, anti,
-// nestjoin) exec.VecSetJoin. With workers available (Config.Parallelism) and
-// statistics to price them, the scan+filter pipeline additionally lowers to
-// the morsel-driven VecExchange and a semi/anti/inner/outer equi-join to a
-// VecHashJoin with as many Partitions — the batch-native parallel pair —
-// where the cost model finds them cheaper. Ineligible shapes — computed or
-// composite keys, non-extent sources — silently fall through to the scalar
-// operators, which remain the reference semantics.
+// compiles σ and π over a base extent to a batch pipeline: the extent scan
+// becomes a columnar-projection scan and conjunctive selections become
+// selection-vector filters with typed comparison kernels. With workers
+// available (Config.Parallelism) and statistics to price it, the scan+filter
+// pipeline lowers to the morsel-driven VecExchange where the cost model finds
+// it cheaper. A pipeline always ends at a VecAdapter, which hands its rows to
+// the row operators above — the joins included, which price and pick their
+// algorithm as they do without the flag. Other shapes — computed sources,
+// non-extent operands — compile to the row operators, which remain the
+// reference semantics.
 package plan
 
 import (
@@ -21,12 +18,12 @@ import (
 
 // vecSource compiles an expression into a batch pipeline when it has a
 // vectorizable shape: a base extent, possibly under conjunctive selections.
-// It returns the pipeline, its scan leaf (so callers can accumulate the
-// attributes they read columnar), and the source's estimate.
-func (p *planner) vecSource(e adl.Expr) (exec.VecOp, *exec.VecScan, nodeEst, bool) {
+// The scan projects attrs, the columns the filters above it read; it returns
+// the pipeline and the source's estimate.
+func (p *planner) vecSource(e adl.Expr, attrs []string) (exec.VecOp, nodeEst, bool) {
 	switch n := e.(type) {
 	case *adl.Table:
-		scan := &exec.VecScan{Extent: n.Name, Batch: p.cfg.batchSize()}
+		scan := &exec.VecScan{Extent: n.Name, Attrs: attrs, Batch: p.cfg.batchSize()}
 		est := unknownEst
 		if p.statsMode() {
 			if rows := p.cfg.Statistics.RowCount(n.Name); rows >= 0 {
@@ -34,15 +31,15 @@ func (p *planner) vecSource(e adl.Expr) (exec.VecOp, *exec.VecScan, nodeEst, boo
 					cost: costVecScan(float64(rows), p.cfg.batchSize())}
 			}
 		}
-		return scan, scan, est, true
+		return scan, est, true
 
 	case *adl.Select:
-		src, scan, se, ok := p.vecSource(n.Src)
+		// An inner selection's columns come first in the projection.
+		kernels, own := p.kernelsFor(n)
+		src, se, ok := p.vecSource(n.Src, addAttrs(addAttrs(nil, own), attrs))
 		if !ok {
-			return nil, nil, unknownEst, false
+			return nil, unknownEst, false
 		}
-		kernels, attrs := p.kernelsFor(n)
-		scan.Attrs = addAttrs(scan.Attrs, attrs)
 		f := &exec.VecFilter{Src: src, Var: n.Var, Kernels: kernels}
 		est := unknownEst
 		if se.known {
@@ -50,9 +47,9 @@ func (p *planner) vecSource(e adl.Expr) (exec.VecOp, *exec.VecScan, nodeEst, boo
 			est = nodeEst{rows: out, known: true, extent: se.extent,
 				cost: se.cost + costVecFilter(se.rows, float64(len(kernels)), p.cfg.batchSize())}
 		}
-		return f, scan, est, true
+		return f, est, true
 	}
-	return nil, nil, unknownEst, false
+	return nil, unknownEst, false
 }
 
 // kernelsFor compiles a selection's conjuncts into filter kernels, one per
@@ -148,7 +145,7 @@ func (p *planner) tryVecSelect(n *adl.Select) (exec.Operator, nodeEst, bool) {
 	if !p.cfg.Vectorized {
 		return nil, unknownEst, false
 	}
-	pipe, _, est, ok := p.vecSource(n)
+	pipe, est, ok := p.vecSource(n, nil)
 	if !ok {
 		return nil, unknownEst, false
 	}
@@ -165,7 +162,7 @@ func (p *planner) tryVecProject(n *adl.Project) (exec.Operator, nodeEst, bool) {
 	if !p.cfg.Vectorized {
 		return nil, unknownEst, false
 	}
-	pipe, _, se, ok := p.vecSource(n.X)
+	pipe, se, ok := p.vecSource(n.X, nil)
 	if !ok {
 		return nil, unknownEst, false
 	}
@@ -198,119 +195,4 @@ func (p *planner) maybeExchange(pipe exec.VecOp, est nodeEst) (exec.VecOp, nodeE
 	}
 	est.cost = parOwn
 	return ex, est
-}
-
-// tryVecJoin compiles eligible joins to batch operators behind the
-// Vectorized flag: set-probe joins (semi, anti, nestjoin) and single-key
-// equi-joins of every kind, residual conjuncts included, whose left operand
-// is a vectorizable pipeline. Semi/anti/inner/outer equi-joins the cost model
-// prices cheaper partitioned are partitioned over a morsel-exchanged probe
-// pipeline.
-func (p *planner) tryVecJoin(j *adl.Join) (exec.Operator, nodeEst, bool) {
-	if !p.cfg.Vectorized {
-		return nil, unknownEst, false
-	}
-	cs := conjuncts(j.On)
-
-	if attr, rkeyExpr, ok := setProbeShape(j, cs); ok {
-		if j.RFun != nil && j.Kind != adl.NestJ {
-			return nil, unknownEst, false
-		}
-		switch j.Kind {
-		case adl.Semi, adl.Anti, adl.NestJ:
-		default:
-			return nil, unknownEst, false
-		}
-		pipe, scan, le, ok := p.vecSource(j.L)
-		if !ok {
-			return nil, unknownEst, false
-		}
-		r, re := p.compile(j.R)
-		scan.Attrs = addAttrs(scan.Attrs, []string{attr})
-		rkey := exec.NewScalar(rkeyExpr, j.RVar)
-		op := &exec.VecSetJoin{Kind: j.Kind, L: pipe, R: r, Attr: attr, RKey: rkey,
-			As: j.As, RFun: rfunScalar(j)}
-		est := unknownEst
-		if p.statsMode() && le.known && re.known {
-			avg := p.card.avgSetSize(le, attr)
-			inner := finite(le.rows * re.rows / maxf(1, maxf(le.rows, re.rows)))
-			out := joinOutRows(j.Kind, le.rows, re.rows, inner, le.rows, re.rows)
-			est = nodeEst{rows: out, known: true, extent: joinExtent(j.Kind, le),
-				cost: le.cost + re.cost + costVecSetProbe(le.rows, avg, re.rows, out, p.cfg.batchSize())}
-		}
-		p.record(op, est)
-		return op, est, true
-	}
-
-	lkeys, rkeys, residual := splitEquiKeys(cs, j)
-	if len(lkeys) != 1 {
-		return nil, unknownEst, false
-	}
-	if j.RFun != nil && j.Kind != adl.NestJ {
-		return nil, unknownEst, false
-	}
-	lattr := fieldAttr(lkeys[0], j.LVar)
-	if lattr == "" {
-		return nil, unknownEst, false
-	}
-	pipe, scan, le, ok := p.vecSource(j.L)
-	if !ok {
-		return nil, unknownEst, false
-	}
-	r, re := p.compile(j.R)
-	scan.Attrs = addAttrs(scan.Attrs, []string{lattr})
-	lkey := exec.NewScalar(lkeys[0], j.LVar)
-	rkey := exec.NewScalar(rkeys[0], j.RVar)
-	var res *exec.Scalar
-	if len(residual) > 0 {
-		s := exec.NewScalar(adl.AndE(residual...), j.LVar, j.RVar)
-		res = &s
-	}
-
-	batch := p.cfg.batchSize()
-	known := p.statsMode() && le.known && re.known
-	var out float64
-	if known {
-		ndvL := p.card.keyNDV(le, lkeys, j.LVar)
-		ndvR := p.card.keyNDV(re, rkeys, j.RVar)
-		eqSel := p.card.joinEqSelectivity(le, lkeys[0], j.LVar, re, rkeys[0], j.RVar)
-		inner := finite(le.rows * re.rows * eqSel)
-		out = joinOutRows(j.Kind, le.rows, re.rows, inner, ndvL, ndvR)
-	}
-
-	op := &exec.VecHashJoin{Kind: j.Kind, L: pipe, R: r, LAttr: lattr, LKey: lkey,
-		RKey: rkey, Residual: res, As: j.As, RFun: rfunScalar(j), Partitions: 1}
-	own := costVecHash(re.rows, le.rows, out, batch)
-	// The planner does not price a partitioned nestjoin: grouping stays serial.
-	if part := costVecPartHash(re.rows, le.rows, out, batch, float64(p.workers)); known &&
-		j.Kind != adl.NestJ && p.workers > 1 && part < own {
-		// Parallel-vectorized: morsel-exchange the probe pipeline and
-		// partition the build across the same worker count.
-		op.L, le = p.maybeExchange(pipe, le)
-		op.Partitions, own = p.workers, part
-	}
-	est := unknownEst
-	if known {
-		est = nodeEst{rows: out, known: true, extent: joinExtent(j.Kind, le),
-			cost: le.cost + re.cost + own}
-	}
-	p.record(op, est)
-	return op, est, true
-}
-
-// rfunScalar compiles a nestjoin's right-tuple function, if it has one.
-func rfunScalar(j *adl.Join) *exec.Scalar {
-	if j.RFun == nil {
-		return nil
-	}
-	s := exec.NewScalar(j.RFun, j.LVar, j.RVar)
-	return &s
-}
-
-// maxf is math.Max without the import noise in this file's hot path.
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

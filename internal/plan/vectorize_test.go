@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -34,8 +35,8 @@ func TestSetBatchSize(t *testing.T) {
 }
 
 // TestVectorizedPlanShapes pins which logical shapes compile to batch
-// operators under the flag, which fall back to scalar, and that the flag off
-// never produces a vectorized node.
+// operators under the flag — σ and π over an extent, never a join — and that
+// the flag off never produces a vectorized node.
 func TestVectorizedPlanShapes(t *testing.T) {
 	sel := adl.Sel("x",
 		adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "b"), adl.C(value.Int(10))), adl.T("X"))
@@ -80,54 +81,59 @@ func TestVectorizedPlanShapes(t *testing.T) {
 		t.Fatalf("π compiled to %T (project %v), want VecAdapter[π a]", ad, ad.Project)
 	}
 
-	// Every kind of the single-key equi-join is the one batch hash join —
-	// residual conjuncts ride along as a scalar predicate — and every kind
-	// of the set-probe join the one batch set join; both sink the pipeline.
-	hashJoin := func(cfg Config, q *adl.Join) *exec.VecHashJoin {
-		t.Helper()
-		hj, ok := cfg.Compile(q).(*exec.VecHashJoin)
-		if !ok || hj.Kind != q.Kind {
-			t.Fatalf("%v equi-join compiled to %T, want *exec.VecHashJoin of that kind", q.Kind, cfg.Compile(q))
+	// A join is never a batch operator: each kind of equi-join is a row join
+	// whose σ operand is the batch pipeline ending at a VecAdapter, residual
+	// conjuncts included, and each set-probe join the set-probe join.
+	over := func(q *adl.Join) *adl.Join {
+		j := *q
+		j.L = sel
+		return &j
+	}
+	for _, q := range []*adl.Join{semi, inner, outer, nestj, residual} {
+		hj, ok := vec.Compile(over(q)).(*exec.HashJoin)
+		if !ok || hj.Kind != q.Kind || hj.Partitions > 1 {
+			t.Fatalf("%v equi-join compiled to %T, want a serial *exec.HashJoin of that kind", q.Kind, vec.Compile(over(q)))
 		}
-		return hj
-	}
-	for _, q := range []*adl.Join{semi, inner, outer, nestj} {
-		if hj := hashJoin(vec, q); hj.Partitions > 1 || hj.Residual != nil {
-			t.Fatalf("%v equi-join: partitions %d, residual %v; want serial, none", q.Kind, hj.Partitions, hj.Residual)
+		if _, ok := hj.L.(*exec.VecAdapter); !ok {
+			t.Fatalf("%v equi-join probes %T, want the batch pipeline's *exec.VecAdapter", q.Kind, hj.L)
 		}
-	}
-	if hashJoin(vec, residual).Residual == nil {
-		t.Fatalf("residual conjunct dropped from the batch join")
-	}
-	if hashJoin(vec, nestj).As != "g" {
-		t.Fatalf("nestjoin attribute dropped from the batch join")
+		if (hj.Residual != nil) != (q == residual) || hj.As != q.As {
+			t.Fatalf("%v equi-join: residual %v, as %q", q.Kind, hj.Residual, hj.As)
+		}
 	}
 	for _, q := range []*adl.Join{setprobe, setnest} {
-		sj, ok := vec.Compile(q).(*exec.VecSetJoin)
+		sj, ok := vec.Compile(over(q)).(*exec.SetProbeJoin)
 		if !ok || sj.Kind != q.Kind || sj.As != q.As {
-			t.Fatalf("%v set-probe join compiled to %T, want *exec.VecSetJoin of that kind", q.Kind, vec.Compile(q))
+			t.Fatalf("%v set-probe join compiled to %T, want *exec.SetProbeJoin of that kind", q.Kind, vec.Compile(over(q)))
+		}
+		if _, ok := sj.L.(*exec.VecAdapter); !ok {
+			t.Fatalf("%v set-probe join probes %T, want the batch pipeline's *exec.VecAdapter", q.Kind, sj.L)
 		}
 	}
 
-	// Priced on large inputs the equi-join is partitioned over a
-	// morsel-exchanged probe pipeline.
+	// Priced on large inputs the equi-join is the partitioned hash join over a
+	// morsel-exchanged pipeline; on small ones both stay serial.
 	par := Config{Vectorized: true, Parallelism: 4,
 		Statistics: fakeStatistics{rows: map[string]int{"X": 100000, "Y": 100000}}}
-	pj := hashJoin(par, semi)
-	if pj.Partitions != 4 {
-		t.Fatalf("large semi join has %d partitions, want 4", pj.Partitions)
+	pj, ok := par.Compile(over(semi)).(*exec.HashJoin)
+	if !ok || pj.Partitions != 4 {
+		t.Fatalf("large semi join is %s, want 4 partitions", Explain(par.Compile(over(semi))))
 	}
-	if _, ok := pj.L.(*exec.VecExchange); !ok {
-		t.Fatalf("partitioned join probe pipeline is %T, want *exec.VecExchange", pj.L)
+	if ad, ok := pj.L.(*exec.VecAdapter); !ok {
+		t.Fatalf("partitioned join probes %T, want *exec.VecAdapter", pj.L)
+	} else if _, ok := ad.Src.(*exec.VecExchange); !ok {
+		t.Fatalf("partitioned join's pipeline is %T, want *exec.VecExchange", ad.Src)
 	}
-	if hashJoin(par, nestj).Partitions > 1 {
-		t.Fatalf("nestjoin grouping must stay serial")
-	}
-	// On small ones the serial batch operators stay.
 	small := Config{Vectorized: true, Parallelism: 4,
 		Statistics: fakeStatistics{rows: map[string]int{"X": 10, "Y": 10}}}
-	if hashJoin(small, semi).Partitions > 1 {
-		t.Fatalf("small semi join must stay serial")
+	if parallel(small.Compile(over(semi))) {
+		t.Fatalf("small semi join must stay serial:\n%s", Explain(small.Compile(over(semi))))
+	}
+	for _, cfg := range []Config{vec, par, small} {
+		for _, q := range []*adl.Join{semi, inner, outer, nestj, residual, setprobe, setnest} {
+			noBatchJoin(t, cfg.Compile(q))
+			noBatchJoin(t, cfg.Compile(over(q)))
+		}
 	}
 
 	// The flag off must never emit a batch operator.
@@ -140,9 +146,30 @@ func TestVectorizedPlanShapes(t *testing.T) {
 	// Costed vectorized plans carry the annotation.
 	x, y := genTables(rand.New(rand.NewSource(1)))
 	costed := Config{Vectorized: true, Statistics: tableStatistics(x, y)}
-	if out := costed.Plan(semi).Explain(); !strings.Contains(out, "-- vectorized") {
+	if out := costed.Plan(over(semi)).Explain(); !strings.Contains(out, "-- vectorized") {
 		t.Fatalf("costed vectorized plan misses the annotation:\n%s", out)
 	}
+}
+
+// noBatchJoin fails unless every batch node of the plan is one of the batch
+// layer's: scan, filter, exchange, and the adapter that ends the pipeline.
+func noBatchJoin(t *testing.T, op exec.Operator) {
+	t.Helper()
+	var walk func(node any)
+	walk = func(node any) {
+		switch node.(type) {
+		case *exec.VecScan, *exec.VecFilter, *exec.VecExchange, *exec.VecAdapter:
+		default:
+			if strings.HasPrefix(fmt.Sprintf("%T", node), "*exec.Vec") {
+				t.Fatalf("batch operator %T outside the batch layer:\n%s", node, Explain(op))
+			}
+		}
+		_, children := describe(node)
+		for _, c := range children {
+			walk(c)
+		}
+	}
+	walk(op)
 }
 
 // randVecQuery draws one logical query over the X/Y differential schema,
@@ -188,7 +215,7 @@ func randVecQuery(rng *rand.Rand) adl.Expr {
 			adl.EqE(xa(), adl.Dot(adl.V("y"), "d")), adl.T("Y"))
 		j.Kind = []adl.JoinKind{adl.Inner, adl.Semi, adl.Anti}[rng.Intn(3)]
 		return j
-	case 4: // residual conjunct rides along on the batch join
+	case 4: // residual conjunct rides along on the hash join
 		j := adl.JoinE(src(), "x", "y",
 			adl.AndE(adl.EqE(xa(), adl.Dot(adl.V("y"), "d")),
 				adl.CmpE(adl.Lt, xb(), adl.Dot(adl.V("y"), "e"))), adl.T("Y"))
@@ -240,6 +267,7 @@ func TestDifferentialScalarVsVectorized(t *testing.T) {
 			}
 			for name, cfg := range arms {
 				op := cfg.Compile(q)
+				noBatchJoin(t, op)
 				if name == "vec-parallel" && parallel(op) {
 					parallelPlans++
 				}

@@ -63,11 +63,11 @@ type Options struct {
 	// FeedbackMinRows ignores drift where both estimate and observation
 	// stay under this row count; 0 means plan.DefaultFeedbackMinRows.
 	FeedbackMinRows int64
-	// Vectorized routes eligible plans through the batch execution pipeline
-	// (plan.Config.Vectorized); plans keep the scalar operators where no
-	// vectorized shape applies. BatchSize tunes rows per batch — 0 keeps the
-	// planner default, negative values surface plan.Config.SetBatchSize's
-	// error at planning time.
+	// Vectorized plans σ and π over an extent onto the batch pipeline
+	// (plan.Config.Vectorized), whose rows the row operators above it — the
+	// joins included — take through a VecAdapter. BatchSize tunes rows per
+	// batch — 0 keeps the planner default, negative values surface
+	// plan.Config.SetBatchSize's error at planning time.
 	Vectorized bool
 	BatchSize  int
 }
