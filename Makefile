@@ -32,6 +32,8 @@ bench-smoke:
 # never-seen text of a seen shape) and of analytic-cycle and analytic-cycle-vec
 # (the six query texts of benchmark/spec.go's analytic.default and
 # analytic.vectorized on their 4000/8000/20000 store, one after the other),
+# and of two of those texts alone: analytic-eq4 (Example Query 4's μ-fused
+# antijoin) and analytic-materialize (two set-probe nestjoins),
 # written with the test binary into PROFILE_DIR (git-ignored) and summarized
 # on stdout. Each benchmark runs twice, once per profile: with the memory
 # profile's sampling on, its stack unwinding (runtime.tracebackPCs) would show
@@ -46,7 +48,9 @@ profile:
 			'B4-PNHL=BenchmarkB4/^PNHL' 'ServeQuery=BenchmarkServeQuery/plancache' \
 			'ServeTemplate=BenchmarkServeQuery/template' \
 			'analytic-cycle=BenchmarkAnalyticCycle/scalar/cycle' \
-			'analytic-cycle-vec=BenchmarkAnalyticCycle/vectorized/cycle'; do \
+			'analytic-cycle-vec=BenchmarkAnalyticCycle/vectorized/cycle' \
+			'analytic-eq4=BenchmarkAnalyticCycle/scalar/eq4-antijoin' \
+			'analytic-materialize=BenchmarkAnalyticCycle/scalar/materialize'; do \
 		name=$${spec%%=*}; \
 		$(PROFILE_DIR)/repro.test -test.run='^$$' -test.bench="$${spec#*=}" -test.benchmem \
 			-test.benchtime=$(PROFILE_BENCHTIME) -test.cpuprofile $(PROFILE_DIR)/$$name.cpu.prof; \

@@ -680,6 +680,34 @@ func TestRowAllocations(t *testing.T) {
 	}
 }
 
+// TestFilterMapAllocations pins what opening a cached σ/α plan allocates
+// beyond opening its scan: σ's stream and α's stream, one allocation each.
+// The compiled scalar travels in the stream, not in a bound method value,
+// which was one more allocation per operator.
+func TestFilterMapAllocations(t *testing.T) {
+	st := bench.Generate(bench.Config{Suppliers: 20, Parts: 40, Deliveries: 10, Seed: 94})
+	p, err := core.PrepareCfg(`select p.pname from p in PART where p.price < 50`, st.Catalog(), plan.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x := plan.Explain(p.Plan); !strings.Contains(x, "Map") || !strings.Contains(x, "Filter") {
+		t.Fatalf("want a Map over a Filter, got\n%s", x)
+	}
+	ctx := &exec.Ctx{DB: st}
+	open := func(op exec.Operator) float64 {
+		return testing.AllocsPerRun(20, func() {
+			rows, err := op.Open(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows.Close()
+		})
+	}
+	if got := open(p.Plan) - open(&exec.Scan{Table: "PART"}); got != 2 {
+		t.Errorf("opening σ and α over a scan: %.0f allocations beyond the scan's, want 2", got)
+	}
+}
+
 // TestNestJoinAllocations pins the nestjoin's per-row cost on Example Query 6
 // and the materialize query (two nestjoins), scalar and vectorized: a left
 // row is its extended tuple and at most one right-sized group (the matches

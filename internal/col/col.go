@@ -33,7 +33,7 @@ const (
 )
 
 // Col is one decoded attribute across all rows of a projection. Exactly one
-// backing slice is populated, chosen by kind: ints carries the Bits of Int,
+// backing slice is populated, chosen by kind: ints carries the IntBits of Int,
 // Date, OID and Bool values; floats, strs and sets their namesakes. A Mixed
 // column has no backing.
 type Col struct {
@@ -44,7 +44,7 @@ type Col struct {
 	sets   []*value.Set
 }
 
-// Kind reports the column's kind; Int (the Bits of an Int, Date, OID or Bool
+// Kind reports the column's kind; Int (the IntBits of an Int, Date, OID or Bool
 // column), Float, Str and Set return row i.
 func (c *Col) Kind() Kind             { return c.kind }
 func (c *Col) Int(i int32) int64      { return c.ints[i] }
@@ -101,25 +101,6 @@ func KindOf(k value.Kind) Kind { return kinds[k] }
 var kinds = [...]Kind{value.KindBool: Bool, value.KindInt: Int, value.KindFloat: Float,
 	value.KindString: Str, value.KindDate: Date, value.KindOID: OID, value.KindSet: Set}
 
-// Bits returns the int64 image an Int-backed column stores for an Int, Date,
-// OID or Bool value (false 0, true 1); ok is false for every other kind.
-func Bits(v value.Value) (int64, bool) {
-	switch cv := v.(type) {
-	case value.Int:
-		return int64(cv), true
-	case value.Date:
-		return int64(cv), true
-	case value.OID:
-		return int64(cv), true
-	case value.Bool:
-		if cv {
-			return 1, true
-		}
-		return 0, true
-	}
-	return 0, false
-}
-
 // decode types one attribute across all rows, bailing to Mixed on the first
 // row that breaks uniformity.
 func decode(rows []value.Value, attr string) *Col {
@@ -160,7 +141,7 @@ func decode(rows []value.Value, attr string) *Col {
 		case Set:
 			c.sets = append(c.sets, v.(*value.Set))
 		default:
-			b, _ := Bits(v)
+			b, _ := value.IntBits(v)
 			c.ints = append(c.ints, b)
 		}
 	}

@@ -116,8 +116,8 @@ func TestKindOfAndBits(t *testing.T) {
 		if k := KindOf(c.v.Kind()); k != c.kind {
 			t.Errorf("KindOf(%v) = %d, want %d", c.v, k, c.kind)
 		}
-		if b, ok := Bits(c.v); b != c.bits || ok != c.ok {
-			t.Errorf("Bits(%v) = %d, %t, want %d, %t", c.v, b, ok, c.bits, c.ok)
+		if b, ok := value.IntBits(c.v); b != c.bits || ok != c.ok {
+			t.Errorf("IntBits(%v) = %d, %t, want %d, %t", c.v, b, ok, c.bits, c.ok)
 		}
 	}
 }

@@ -270,24 +270,28 @@ func (s ExprScan) Open(ctx *Ctx) (Rows, error) {
 // ---------------------------------------------------------------------------
 
 // rowFn is the work a 1:≤1 operator does per input row: the row it emits and
-// whether it emits one. The serial stream (mapped) and the worker pool
-// (pooled) both run on it.
-type rowFn func(ctx *Ctx, row value.Value) (out value.Value, keep bool, err error)
+// whether it emits one. s is the operator's scalar, which the stream keeps a
+// copy of (the zero Scalar for an operator without one): σ and α pass a
+// method expression of Scalar, so opening them allocates only their stream.
+// The serial stream (mapped) and the worker pool (pooled) both run on it.
+type rowFn func(s *Scalar, ctx *Ctx, row value.Value) (out value.Value, keep bool, err error)
 
-// mapped is the stream of the serial 1:≤1 operators: fn over the rows of src.
+// mapped is the stream of the serial 1:≤1 operators: fn of s over the rows
+// of src.
 type mapped struct {
 	ctx *Ctx
 	src Rows
 	fn  rowFn
+	s   Scalar
 }
 
-// stream runs child and applies fn to each of its rows.
-func (c *Ctx) stream(child Operator, fn rowFn) (Rows, error) {
+// stream runs child and applies fn of s to each of its rows.
+func (c *Ctx) stream(child Operator, s Scalar, fn rowFn) (Rows, error) {
 	src, err := c.open(child)
 	if err != nil {
 		return nil, err
 	}
-	return &mapped{ctx: c, src: src, fn: fn}, nil
+	return &mapped{ctx: c, src: src, fn: fn, s: s}, nil
 }
 
 // Next yields the image of the next row fn keeps.
@@ -297,7 +301,7 @@ func (m *mapped) Next() (value.Value, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		out, keep, err := m.fn(m.ctx, row)
+		out, keep, err := m.fn(&m.s, m.ctx, row)
 		if err != nil {
 			return nil, false, err
 		}
@@ -321,7 +325,9 @@ type Filter struct {
 }
 
 // Open streams the child's rows that satisfy the predicate.
-func (f Filter) Open(ctx *Ctx) (Rows, error) { return ctx.pool(f.Child, f.Workers, f.Pred.keep) }
+func (f Filter) Open(ctx *Ctx) (Rows, error) {
+	return ctx.pool(f.Child, f.Workers, f.Pred, (*Scalar).keep)
+}
 
 // MapOp implements α with a compiled body.
 type MapOp struct {
@@ -334,7 +340,9 @@ type MapOp struct {
 }
 
 // Open streams the image of the child's rows.
-func (m MapOp) Open(ctx *Ctx) (Rows, error) { return ctx.pool(m.Child, m.Workers, m.Body.image) }
+func (m MapOp) Open(ctx *Ctx) (Rows, error) {
+	return ctx.pool(m.Child, m.Workers, m.Body, (*Scalar).image)
+}
 
 // LetOp implements a with-binding: the (typically constant) value expression
 // is evaluated once at Open and bound into the environment the child's
@@ -365,9 +373,9 @@ type ProjectOp struct {
 }
 
 // Open streams the projection of the child's rows.
-func (p ProjectOp) Open(ctx *Ctx) (Rows, error) { return ctx.stream(p.Child, p.row) }
+func (p ProjectOp) Open(ctx *Ctx) (Rows, error) { return ctx.stream(p.Child, Scalar{}, p.row) }
 
-func (p ProjectOp) row(_ *Ctx, row value.Value) (value.Value, bool, error) {
+func (p ProjectOp) row(_ *Scalar, _ *Ctx, row value.Value) (value.Value, bool, error) {
 	t, err := asTuple(row, "π")
 	if err != nil {
 		return nil, false, err

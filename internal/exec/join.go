@@ -226,7 +226,9 @@ func at(rows []int, i int) int {
 // key and, when the key reads one attribute of the row, that attribute, read
 // straight off the row wherever it has it. Expanding μ inside the probe, un
 // is the unnester (the value receiver of probe gives each worker its own);
-// otherwise its attr is "".
+// otherwise its attr is "". A set μ expands whose reference column
+// (value.Set.Column) is the key attribute is probed by the column's bits: no
+// element is read unless its unnested row is emitted.
 type hashProbe struct {
 	tabs *hashTables
 	key  Scalar
@@ -235,14 +237,22 @@ type hashProbe struct {
 }
 
 // unnestLeft drains L for a join that expands μ inside its probe. Each row
-// gets μ's checks as it arrives, and each element's key is read: where its
-// attribute is missing, the key is evaluated as written on the built row,
-// and the first such error is returned only once L is drained without one,
-// as the unfused join evaluates its keys after the whole of μ.
+// gets μ's checks as it arrives, and each element's key is read (unless the
+// set's reference column is the key, which every element then has): where
+// its attribute is missing, the key is evaluated as written on the built
+// row, and the first such error is returned only once L is drained without
+// one, as the unfused join evaluates its keys after the whole of μ.
 func (l *hashProbe) unnestLeft(ctx *Ctx, op Operator) ([]value.Value, error) {
 	var keyErr error
 	rows, err := drainEach(op, ctx, func(row value.Value) error {
-		return l.un.each(row, func(et *value.Tuple) error {
+		set, err := l.un.set(row)
+		if err != nil {
+			return err
+		}
+		if _, _, ok, err := l.column(set); ok || err != nil {
+			return err // every element has the key
+		}
+		return l.un.eachOf(set, func(et *value.Tuple) error {
 			if _, ok := l.un.get(et, l.attr); !ok && keyErr == nil {
 				_, keyErr = l.key.Eval(ctx, l.un.build(et))
 			}
@@ -255,6 +265,18 @@ func (l *hashProbe) unnestLeft(ctx *Ctx, op Operator) ([]value.Value, error) {
 	return rows, err
 }
 
+// column returns the bits and kind of the key of each element of set, the
+// current row's, when the set's reference column is the key attribute. Its
+// elements then share one shape, so μ's check of the first stands for all.
+func (l *hashProbe) column(set *value.Set) (value.Kind, []int64, bool, error) {
+	shape, kind, bits := set.Column()
+	if shape == nil || shape.Names()[0] != l.attr {
+		return value.KindNull, nil, false, nil
+	}
+	_, err := l.un.elem(set.Elems()[0])
+	return kind, bits, true, err
+}
+
 // probe joins rows, a share of L, against the tables: each row, or —
 // expanding μ — each element of its set, whose unnested row is built only if
 // the verdict emits it. With out, em's rows travel to the merge a chunk at a
@@ -262,6 +284,7 @@ func (l *hashProbe) unnestLeft(ctx *Ctx, op Operator) ([]value.Value, error) {
 func (l hashProbe) probe(em *joinEmit, rows []value.Value, out *chunkWriter) error {
 	// Expanding μ there is no residual: an equal key is a match; a semijoin
 	// emits the matched elements, an antijoin the unmatched ones.
+	semi := em.kind == adl.Semi
 	probeElem := func(et *value.Tuple) error {
 		key, ok := l.un.get(et, l.attr)
 		if !ok {
@@ -270,15 +293,34 @@ func (l hashProbe) probe(em *joinEmit, rows []value.Value, out *chunkWriter) err
 				return err
 			}
 		}
-		if l.find(key, nil) == (em.kind == adl.Semi) {
+		if l.find(key, nil) == semi {
 			em.emit(l.un.build(et))
+		}
+		return nil
+	}
+	probeSet := func(row value.Value) error {
+		set, err := l.un.set(row)
+		if err != nil {
+			return err
+		}
+		kind, bits, ok, err := l.column(set)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return l.un.eachOf(set, probeElem)
+		}
+		for i, b := range bits {
+			if l.findBits(kind, b) == semi {
+				em.emit(l.un.build(set.Elems()[i].(*value.Tuple)))
+			}
 		}
 		return nil
 	}
 	for _, row := range rows {
 		var err error
 		if l.un.attr != "" {
-			err = l.un.each(row, probeElem)
+			err = probeSet(row)
 		} else {
 			err = l.probeRow(em, row)
 		}
@@ -331,4 +373,17 @@ func (l *hashProbe) find(key value.Value, em *joinEmit) (found bool) {
 		}
 	}
 	return found
+}
+
+// findBits reports whether a build row's key is the value of kind whose
+// value.IntBits are b.
+func (l *hashProbe) findBits(kind value.Kind, b int64) bool {
+	h := value.HashBits(kind, b)
+	tab, ri := l.tabs.lookup(h)
+	for m := tab.First(h); m >= 0; m = tab.Next(m) {
+		if value.EqualBits(l.tabs.keys[at(ri, m)], kind, b) {
+			return true
+		}
+	}
+	return false
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -184,6 +185,7 @@ func TestHashJoinErrors(t *testing.T) {
 		"LN", rows(value.NewTuple("a", value.Int(1), "b", value.Int(1), "n", value.Int(1)), value.NewTuple("a", value.Int(2), "b", value.Int(0))),
 		"R", rows(value.NewTuple("c", value.Int(1), "d", value.Int(1)), value.NewTuple("c", value.Int(2), "d", value.Int(0))),
 		"RNT", rows(value.NewTuple("c", value.Int(1), "d", value.Int(1)), value.Int(7)),
+		"LYS", rows(value.NewTuple("a", value.Int(1), "b", value.Int(1), "ys", value.Int(1))),
 	)
 	b := adl.Dot(adl.V("x"), "b")
 	dd := adl.Dot(adl.V("y"), "d")
@@ -199,6 +201,7 @@ func TestHashJoinErrors(t *testing.T) {
 		{"missing left attribute", "LN", "R", adl.Dot(adl.V("x"), "n"), dd, adl.Inner},
 		{"missing right attribute", "L", "R", b, adl.Dot(adl.V("y"), "nope"), adl.Anti},
 		{"failing key scalar", "L", "R", b, inv(dd), adl.Outer},
+		{"group attribute on the left row", "LYS", "R", b, dd, adl.NestJ},
 	}
 	for _, tc := range cases {
 		lkey, rkey := NewScalar(tc.lkey, "x"), NewScalar(tc.rkey, "y")
@@ -221,6 +224,9 @@ func TestHashJoinErrors(t *testing.T) {
 					t.Errorf("%s %s partitions %d: %d goroutines before, %d after", tc.name, arm, parts, before, after)
 				}
 			}
+		}
+		if tc.kind == adl.NestJ && !strings.Contains(text, `duplicate attribute "ys"`) {
+			t.Errorf("%s: %q", tc.name, text)
 		}
 	}
 
@@ -483,7 +489,8 @@ func TestSetProbeJoinAgainstNLJoin(t *testing.T) {
 	// then a second run of the failed instance after Close.
 	subKey := NewScalar(adl.SubT(y, "k"), "y")
 	bad := value.NewSet(value.NewTuple("a", value.Int(1), "parts", value.EmptySet()), value.Int(7))
-	ed := storage.NewMemDB("O", owners, "I", items, "NT", bad)
+	dup := value.NewSet(value.NewTuple("ys", value.Int(1), "parts", value.EmptySet()))
+	ed := storage.NewMemDB("O", owners, "I", items, "NT", bad, "DUP", dup)
 	for _, tc := range []struct {
 		name, left, attr string
 		kind             adl.JoinKind
@@ -492,6 +499,7 @@ func TestSetProbeJoinAgainstNLJoin(t *testing.T) {
 		{"non-set attribute", "O", "a", adl.Semi, subKey},
 		{"missing attribute", "O", "nope", adl.Anti, subKey},
 		{"non-tuple row", "NT", "parts", adl.NestJ, subKey},
+		{"group attribute on the left row", "DUP", "parts", adl.NestJ, subKey},
 		{"failing key scalar", "O", "parts", adl.Semi, NewScalar(adl.Dot(y, "nope"), "y")},
 		{"unsupported kind", "O", "parts", adl.Inner, subKey},
 	} {
@@ -502,6 +510,9 @@ func TestSetProbeJoinAgainstNLJoin(t *testing.T) {
 		_, gerr := Collect(vj, &Ctx{DB: ed})
 		if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
 			t.Errorf("%s: batch=%v scan=%v", tc.name, gerr, werr)
+		}
+		if tc.left == "DUP" && (werr == nil || !strings.Contains(werr.Error(), `duplicate attribute "ys"`)) {
+			t.Errorf("%s: %v", tc.name, werr)
 		}
 		if tc.kind != adl.Inner {
 			if _, oerr := Collect(setMember(tc.kind, tc.left, "I", tc.attr, tc.rkey.Expr, nil), &Ctx{DB: ed}); oerr == nil {

@@ -25,7 +25,8 @@ import (
 // It is plain per-run state: an operator owns one per Open, each worker of a
 // parallel probe owns its own, and the owner takes the rows from out. A
 // nestjoin builds every group of the run in one scratch set and emits an
-// exact-size copy of it (nestGroup).
+// exact-size copy of it (nestGroup), and derives the layout of the rows it
+// emits once per left-row layout.
 type joinEmit struct {
 	kind     adl.JoinKind
 	op       string // names the operator in a non-tuple row's error
@@ -34,6 +35,10 @@ type joinEmit struct {
 	rfun     *Scalar // nestjoin: maps a matched pair to the group member
 	as       string  // nestjoin: the group attribute
 	nullPad  *value.Tuple
+	// right is the materialized right operand matchAt indexes; rhashes, if
+	// not nil, the Hash of each of its rows (memberHashes).
+	right   []value.Value
+	rhashes []uint64
 
 	out []value.Value
 
@@ -43,14 +48,33 @@ type joinEmit struct {
 	matched bool
 	nest    nestGroup
 	err     error // of a match; end returns it
+
+	// from is the last left-row layout a nestjoin extended, to its layout
+	// with the group attribute.
+	from, to *value.Shape
 }
 
 // newJoinEmit prepares the verdict of one run. right is the materialized
-// right operand, which an outer join pads unmatched rows from; operators
-// that cannot run one (no right schema) pass nil.
+// right operand, which matchAt indexes and an outer join pads unmatched rows
+// from; operators that neither call matchAt nor run an outer join may pass
+// nil.
 func newJoinEmit(ctx *Ctx, kind adl.JoinKind, op string, residual, rfun *Scalar, as string, right []value.Value) joinEmit {
 	return joinEmit{kind: kind, op: op, ctx: ctx, residual: residual, rfun: rfun, as: as,
-		nullPad: outerNullPad(kind, right)}
+		nullPad: outerNullPad(kind, right), right: right}
+}
+
+// memberHashes is each of rows' Hash when they are themselves the members of
+// a nestjoin's groups (no RFun), so that a group adds a build row without
+// reading the row; it is nil for every other join.
+func memberHashes(kind adl.JoinKind, rfun *Scalar, rows []value.Value) []uint64 {
+	if kind != adl.NestJ || rfun != nil {
+		return nil
+	}
+	hs := make([]uint64, len(rows))
+	for i, r := range rows {
+		hs[i] = value.Hash(r)
+	}
+	return hs
 }
 
 // outerNullPad builds the null tuple over the right schema for outer joins;
@@ -87,7 +111,13 @@ func (e *joinEmit) begin(lrow value.Value) (err error) {
 
 // match offers a candidate right row. It reports whether to stop: further
 // candidates cannot change what the left row emits, or the pair failed.
-func (e *joinEmit) match(rrow value.Value) (stop bool) {
+func (e *joinEmit) match(rrow value.Value) (stop bool) { return e.offer(rrow, -1) }
+
+// matchAt is match of right row i.
+func (e *joinEmit) matchAt(i int) (stop bool) { return e.offer(e.right[i], i) }
+
+// offer is match of rrow, which is right row i, or i < 0.
+func (e *joinEmit) offer(rrow value.Value, i int) (stop bool) {
 	if e.residual != nil {
 		ok, err := e.residual.Bool(e.ctx, e.lrow, rrow)
 		if err != nil || !ok {
@@ -100,13 +130,17 @@ func (e *joinEmit) match(rrow value.Value) (stop bool) {
 	case adl.Semi, adl.Anti:
 		return true
 	case adl.NestJ:
-		member := rrow
 		if e.rfun != nil {
+			var member value.Value
 			if member, e.err = e.rfun.Eval(e.ctx, e.lrow, rrow); e.err != nil {
 				return true
 			}
+			e.nest.add(member, value.Hash(member))
+		} else if i >= 0 && e.rhashes != nil {
+			e.nest.add(rrow, e.rhashes[i])
+		} else {
+			e.nest.add(rrow, value.Hash(rrow))
 		}
-		e.nest.add(member)
 	default:
 		var rt, cat *value.Tuple
 		if rt, e.err = asTuple(rrow, e.op); e.err != nil {
@@ -131,7 +165,16 @@ func (e *joinEmit) end() error {
 			e.emit(e.lrow)
 		}
 	case adl.NestJ:
-		e.emit(e.lt.With(e.as, e.nest.compact()))
+		if e.lt.Shape != e.from {
+			to, err := e.lt.Shape.With(e.as)
+			if err != nil {
+				return err
+			}
+			e.from, e.to = e.lt.Shape, to
+		}
+		row, vals := e.to.Alloc()
+		vals[copy(vals, e.lt.Vals())] = e.nest.compact()
+		e.emit(row)
 	case adl.Outer:
 		if !e.matched {
 			cat, err := e.lt.Concat(e.nullPad)
@@ -157,11 +200,12 @@ type nestGroup struct{ members *value.Set }
 // Set contract allows: a set is never mutated once it is shared.
 var noMatches = value.EmptySet()
 
-func (g *nestGroup) add(member value.Value) {
+// add adds member, whose Hash is h.
+func (g *nestGroup) add(member value.Value, h uint64) {
 	if g.members == nil {
 		g.members = value.EmptySet()
 	}
-	g.members.Add(member)
+	g.members.AddHashed(member, h)
 }
 
 func (g *nestGroup) set() *value.Set {

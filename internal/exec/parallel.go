@@ -204,11 +204,12 @@ type pooled struct {
 	src Rows
 }
 
-// pool runs child and applies fn to its rows on workers goroutines; workers
-// drop rows with keep=false. One worker or fewer is the serial stream.
-func (c *Ctx) pool(child Operator, workers int, fn rowFn) (Rows, error) {
+// pool runs child and applies fn of s to its rows on workers goroutines;
+// workers drop rows with keep=false. One worker or fewer is the serial
+// stream.
+func (c *Ctx) pool(child Operator, workers int, s Scalar, fn rowFn) (Rows, error) {
 	if workers <= 1 {
-		return c.stream(child, fn)
+		return c.stream(child, s, fn)
 	}
 	src, err := c.open(child)
 	if err != nil {
@@ -216,6 +217,7 @@ func (c *Ctx) pool(child Operator, workers int, fn rowFn) (Rows, error) {
 	}
 	merge := newParMerge()
 	in := make(chan []value.Value, mergeChunks)
+	shared := s // the workers' copy: s itself stays off the heap when serial
 
 	merge.wg.Add(1)
 	go func() { // feeder: sole caller of src.Next
@@ -246,7 +248,7 @@ func (c *Ctx) pool(child Operator, workers int, fn rowFn) (Rows, error) {
 			defer out.flush()
 			for chunk := range in {
 				for _, row := range chunk {
-					res, keep, err := fn(c, row)
+					res, keep, err := fn(&shared, c, row)
 					if err != nil {
 						merge.fail(err)
 						return

@@ -137,7 +137,7 @@ func (p PNHL) Open(ctx *Ctx) (Rows, error) {
 					if err != nil {
 						return nil, err
 					}
-					partial[pi].add(m)
+					partial[pi].add(m, value.Hash(m))
 				}
 			}
 		}

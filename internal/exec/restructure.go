@@ -139,6 +139,11 @@ func (u *unnester) each(row value.Value, fn func(et *value.Tuple) error) error {
 	if err != nil {
 		return err
 	}
+	return u.eachOf(set, fn)
+}
+
+// eachOf hands every element of set, the current row's, once checked, to fn.
+func (u *unnester) eachOf(set *value.Set, fn func(et *value.Tuple) error) error {
 	for _, el := range set.Elems() {
 		et, err := u.elem(el)
 		if err != nil {
@@ -313,9 +318,9 @@ type RenameOp struct {
 }
 
 // Open streams the child's rows renamed.
-func (r RenameOp) Open(ctx *Ctx) (Rows, error) { return ctx.stream(r.Child, r.row) }
+func (r RenameOp) Open(ctx *Ctx) (Rows, error) { return ctx.stream(r.Child, Scalar{}, r.row) }
 
-func (r RenameOp) row(_ *Ctx, row value.Value) (value.Value, bool, error) {
+func (r RenameOp) row(_ *Scalar, _ *Ctx, row value.Value) (value.Value, bool, error) {
 	t, err := asTuple(row, "ρ")
 	if err != nil {
 		return nil, false, err
@@ -343,9 +348,9 @@ type Assembly struct {
 }
 
 // Open streams the child's rows assembled.
-func (a Assembly) Open(ctx *Ctx) (Rows, error) { return ctx.stream(a.Child, a.row) }
+func (a Assembly) Open(ctx *Ctx) (Rows, error) { return ctx.stream(a.Child, Scalar{}, a.row) }
 
-func (a Assembly) row(ctx *Ctx, row value.Value) (value.Value, bool, error) {
+func (a Assembly) row(_ *Scalar, ctx *Ctx, row value.Value) (value.Value, bool, error) {
 	t, err := asTuple(row, "assembly")
 	if err != nil {
 		return nil, false, err

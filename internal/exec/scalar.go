@@ -73,13 +73,13 @@ func (s Scalar) Bool(ctx *Ctx, vals ...value.Value) (bool, error) {
 }
 
 // keep is the rowFn of σ: a row passes when the predicate holds of it.
-func (s Scalar) keep(ctx *Ctx, row value.Value) (value.Value, bool, error) {
+func (s *Scalar) keep(ctx *Ctx, row value.Value) (value.Value, bool, error) {
 	ok, err := s.Bool(ctx, row)
 	return row, ok, err
 }
 
 // image is the rowFn of α: every row maps to the scalar's value of it.
-func (s Scalar) image(ctx *Ctx, row value.Value) (value.Value, bool, error) {
+func (s *Scalar) image(ctx *Ctx, row value.Value) (value.Value, bool, error) {
 	v, err := s.Eval(ctx, row)
 	return v, true, err
 }

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"repro/internal/adl"
-	"repro/internal/col"
 	"repro/internal/value"
 )
 
@@ -17,9 +16,13 @@ import (
 // — exactly the predicate shape the paper's Example Queries 5 and 6 reach
 // after rewriting (p[pid] ∈ s.parts). The right operand is hashed once by
 // key into a setKeyTable (a typed table over raw ints for the p[pid] shape);
-// each left tuple probes with the elements of its set-valued attribute. This
-// is the single-segment core of the PNHL idea: the flat table is the build
-// input, the nested operand probes.
+// each left tuple probes with the elements of its set-valued attribute, or,
+// when the store keeps that set with its reference column
+// (value.Set.Column), with the column's bits, never touching an element. A
+// nestjoin whose group members are the build rows themselves (no RFun) adds
+// each with the hash the build side kept beside it. This is the
+// single-segment core of the PNHL idea: the flat table is the build input,
+// the nested operand probes.
 type SetProbeJoin struct {
 	Kind adl.JoinKind
 	L, R Operator
@@ -49,7 +52,8 @@ func (j SetProbeJoin) Open(ctx *Ctx) (Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	em := newJoinEmit(ctx, j.Kind, "set-probe join", nil, j.RFun, j.As, nil)
+	em := newJoinEmit(ctx, j.Kind, "set-probe join", nil, j.RFun, j.As, rrows)
+	em.rhashes = memberHashes(j.Kind, j.RFun, rrows)
 	for _, lrow := range lrows {
 		if err := em.begin(lrow); err != nil {
 			return nil, err
@@ -58,7 +62,7 @@ func (j SetProbeJoin) Open(ctx *Ctx) (Rows, error) {
 		if err != nil {
 			return nil, err
 		}
-		tab.probe(as, rrows, &em)
+		tab.probe(as, &em)
 		if err := em.end(); err != nil {
 			return nil, err
 		}
@@ -126,13 +130,25 @@ func (t *setKeyTable) build(ctx *Ctx, rrows []value.Value, key Scalar) error {
 // probe offers em every (set element, matching build row) pair in element
 // order until em asks to stop. On the fast path an element matches when it
 // has the unary shape, the kind and the bits of a key — exactly value.Equal
-// on that shape.
-func (t *setKeyTable) probe(as *value.Set, right []value.Value, em *joinEmit) {
+// on that shape — and a set with a reference column is probed by the
+// column's bits: its elements all have the column's shape and kind, so they
+// match the table's, or none does.
+func (t *setKeyTable) probe(as *value.Set, em *joinEmit) {
 	if t.u == nil {
 		hs := as.Hashes()
 		for ei, elem := range as.Elems() {
 			for ri := t.gen.First(hs[ei]); ri >= 0; ri = t.gen.Next(ri) {
-				if value.Equal(t.keys[ri], elem) && em.match(right[ri]) {
+				if value.Equal(t.keys[ri], elem) && em.matchAt(ri) {
+					return
+				}
+			}
+		}
+		return
+	}
+	if shape, kind, bits := as.Column(); shape != nil {
+		if shape == t.ushape && kind == t.ukind {
+			for _, b := range bits {
+				if t.u.find(b, em) {
 					return
 				}
 			}
@@ -148,11 +164,9 @@ func (t *setKeyTable) probe(as *value.Set, right []value.Value, em *joinEmit) {
 		if ev.Kind() != t.ukind {
 			continue
 		}
-		b, _ := col.Bits(ev)
-		for s := t.u.head(b); s != 0; s = t.u.next[s-1] {
-			if t.u.keys[s-1] == b && em.match(right[s-1]) {
-				return
-			}
+		b, _ := value.IntBits(ev)
+		if t.u.find(b, em) {
+			return
 		}
 	}
 }
@@ -191,7 +205,7 @@ func subscriptIntKeys(rows []value.Value, key Scalar) ([]int64, *value.Shape, va
 		} else if ev.Kind() != kind {
 			return nil, nil, value.KindNull, false
 		}
-		b, ok := col.Bits(ev)
+		b, ok := value.IntBits(ev)
 		if !ok {
 			return nil, nil, value.KindNull, false
 		}
@@ -202,27 +216,17 @@ func subscriptIntKeys(rows []value.Value, key Scalar) ([]int64, *value.Shape, va
 }
 
 // unaryIntKeys recognizes a uniform build-key shape of unary tuples over one
-// int-backed attribute, returning the raw key bits.
+// int-backed attribute (value.UnaryInts), returning the raw key bits.
 func unaryIntKeys(keys []value.Value) ([]int64, *value.Shape, value.Kind, bool) {
-	if len(keys) == 0 {
+	shape, kind, ok := value.UnaryInts(keys)
+	if !ok {
 		return nil, nil, value.KindNull, false
 	}
-	first, ok := keys[0].(*value.Tuple)
-	if !ok || first.Len() != 1 {
-		return nil, nil, value.KindNull, false
-	}
-	kind := first.Vals()[0].Kind()
 	bs := make([]int64, len(keys))
 	for i, k := range keys {
-		t, ok := k.(*value.Tuple)
-		if !ok || t.Shape != first.Shape || t.Vals()[0].Kind() != kind {
-			return nil, nil, value.KindNull, false
-		}
-		if bs[i], ok = col.Bits(t.Vals()[0]); !ok {
-			return nil, nil, value.KindNull, false
-		}
+		bs[i], _ = value.IntBits(k.(*value.Tuple).Vals()[0])
 	}
-	return bs, first.Shape, kind, true
+	return bs, shape, kind, true
 }
 
 // fibMix scatters int64 keys across power-of-two bucket arrays
@@ -261,7 +265,13 @@ func newI64Table(keys []int64) *i64Table {
 	return t
 }
 
-// head returns the first slot of k's bucket (0 = empty).
-func (t *i64Table) head(k int64) int32 {
-	return t.heads[(uint64(k)*fibMix)>>t.shift]
+// find offers em the build rows whose key is k, in build order, until em
+// asks to stop; it reports whether em did.
+func (t *i64Table) find(k int64, em *joinEmit) (stop bool) {
+	for s := t.heads[(uint64(k)*fibMix)>>t.shift]; s != 0; s = t.next[s-1] {
+		if t.keys[s-1] == k && em.matchAt(int(s-1)) {
+			return true
+		}
+	}
+	return false
 }

@@ -203,7 +203,7 @@ func (k *VecCmp) applyConst(ctx *Ctx, p *col.Proj, c *col.Col, sel []int32) ([]i
 	out := sel[:0]
 	switch c.Kind() {
 	case col.Int, col.Date, col.OID, col.Bool:
-		cv, _ := col.Bits(k.Const)
+		cv, _ := value.IntBits(k.Const)
 		for _, i := range sel {
 			if cmpInt64(c.Int(i), cv, k.Op) {
 				out = append(out, i)

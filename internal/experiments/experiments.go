@@ -14,6 +14,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -63,6 +64,13 @@ type Case struct {
 	// Check asserts the claim on the results, given in arm order.
 	Check func(rs []Result) error
 }
+
+// Skipped is what a Check returns for a claim this run cannot check, at this
+// scale or on this host: the case passes, and the table says why in a note,
+// so a gate that did not run is never mistaken for one that passed.
+type Skipped string
+
+func (s Skipped) Error() string { return string(s) }
 
 // Result is the measurement of one arm.
 type Result struct {
@@ -145,12 +153,15 @@ var cols = []string{"case", "arm", "plan", "time", "speedup", "allocs/run", "row
 // Run executes every case of e and renders its table. explain, when not
 // nil, receives each planned arm's Explain before the arm runs.
 func (e Experiment) Run(quick bool, explain io.Writer) (*bench.Table, error) {
-	t := &bench.Table{Title: e.ID + " — " + e.Title, Cols: slices.Clone(cols), Notes: e.Notes}
+	t := &bench.Table{Title: e.ID + " — " + e.Title, Cols: slices.Clone(cols), Notes: slices.Clone(e.Notes)}
 	for _, build := range e.Cases(quick) {
 		c := build()
 		rs, err := c.run(t, explain)
 		if err == nil && c.Check != nil {
 			err = c.Check(rs)
+		}
+		if skip := Skipped(""); errors.As(err, &skip) {
+			t.Notes, err = append(t.Notes, string(skip)), nil
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%s %s: %w", e.ID, c.Name, err)

@@ -29,7 +29,9 @@ func TestExperiments(t *testing.T) {
 		"B11": {"IndexNLJoin", "index probes", "page reads", "optimizer, NoIndexes"},
 		"B12": {"ndv (NoHistograms)", "histograms", "DIMA.cat", "index probe into FACT.fb"},
 		"B13": {"VecScan(DELIVERY", "VecAdapter", "HashJoin[⋉", "typed kernels"},
-		"B14": {"scalar", "parallel", "vectorized", "parallel-vectorized", "no per-tuple sends"},
+		// At smoke scale the ≥2x gate never runs, and the table says so.
+		"B14": {"scalar", "parallel", "vectorized", "parallel-vectorized", "no per-tuple sends",
+			"note: B14 ≥2x gate: skipped ("},
 	}
 	ids := map[string]bool{}
 	for _, e := range Suite {

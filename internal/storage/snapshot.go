@@ -75,6 +75,7 @@ func (s *Store) SaveJSON(w io.Writer) error {
 // dead oid. The loaded state is published as a single version, so the store
 // serves reads (and accepts concurrent writes) the moment LoadJSON returns.
 // Oids may be sparse but not above maxOID, which bounds the object table.
+// Set-valued attributes are kept as Insert keeps them (kept).
 func LoadJSON(cat *schema.Catalog, r io.Reader) (*Store, error) {
 	var snap persisted
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
@@ -109,9 +110,13 @@ func LoadJSON(cat *schema.Catalog, r io.Reader) (*Store, error) {
 			if err != nil {
 				return nil, fmt.Errorf("storage: load %s: %w", ext, err)
 			}
-			obj, ok := v.(*value.Tuple)
+			decoded, ok := v.(*value.Tuple)
 			if !ok {
 				return nil, fmt.Errorf("storage: load %s: object is %s, not a tuple", ext, v.Kind())
+			}
+			obj, vals := decoded.Shape.Alloc()
+			for i, a := range decoded.Vals() {
+				vals[i] = kept(a)
 			}
 			idv, ok := obj.Get(cl.IDField)
 			if !ok {

@@ -242,23 +242,35 @@ func (s *Store) Update(extent string, oid value.OID, t *value.Tuple) error {
 }
 
 // stored is the row the store keeps for t under oid: the id field, then t's
-// attributes, each set-valued attribute of at most value.SmallSet elements
-// compacted (value.Set.Compact), so such a set is kept as one allocation
-// however the caller built it. Larger sets, and sets nested inside elements
-// or attributes, are kept as the caller built them. t must not have the id
-// field.
+// attributes, each as kept. t must not have the id field.
 func stored(idField string, oid value.OID, t *value.Tuple) *value.Tuple {
 	id, _ := value.ShapeOf([]string{idField})
 	shape, _ := id.Concat(t.Shape) // t has no idField
 	obj, vals := shape.Alloc()
 	vals[0] = oid
 	for i, v := range t.Vals() {
-		if set, ok := v.(*value.Set); ok && set.Len() <= value.SmallSet {
-			v = set.Compact()
-		}
-		vals[i+1] = v
+		vals[i+1] = kept(v)
 	}
 	return obj
+}
+
+// kept is what the store keeps of an attribute value v. A set of at most
+// value.SmallSet elements, or one of references ({⟨pid⟩}: value.UnaryInts),
+// is kept as a copy the store owns (value.Set.CompactColumn): one allocation
+// up to SmallSet elements, and carrying its reference column, which the
+// set-probe and μ-fused joins probe. The caller's set is never modified.
+// Other values, including larger sets and sets nested inside elements or
+// attributes, are kept as the caller built them.
+func kept(v value.Value) value.Value {
+	if set, ok := v.(*value.Set); ok {
+		if c := set.CompactColumn(); c != nil {
+			return c
+		}
+		if set.Len() <= value.SmallSet {
+			return set.Compact()
+		}
+	}
+	return v
 }
 
 // aliveAt resolves the object's chain at seq and verifies it is alive and

@@ -85,10 +85,7 @@ func Hash(v Value) uint64 {
 	case Null:
 		return 0x9e3779b97f4a7c15
 	case Bool:
-		if av {
-			return 0xff51afd7ed558ccd
-		}
-		return 0xc4ceb9fe1a85ec53
+		return hashBool(bool(av))
 	case Int:
 		return hashScalar(byte(KindInt), uint64(av))
 	case Float:
@@ -118,6 +115,13 @@ func Hash(v Value) uint64 {
 		return sum ^ 0x5a5a5a5a5a5a5a5a
 	}
 	panic("value.Hash: unknown kind")
+}
+
+func hashBool(b bool) uint64 {
+	if b {
+		return 0xff51afd7ed558ccd
+	}
+	return 0xc4ceb9fe1a85ec53
 }
 
 // FNV-1a, hand-rolled so hashing never allocates: hash/fnv's New64a boxes

@@ -8,7 +8,9 @@ package value
 // Hash beside it, and the int32 chain table that finds a hash's positions
 // (absent while the set has at most smallTable elements — see hashTable).
 // Every probe compares stored hashes before it calls Equal and no element is
-// ever hashed twice. A set sized for at most smallTable elements (NewSetCap)
+// ever hashed twice. A set the store keeps of unary int-backed references
+// ({⟨pid⟩}) has a fourth: each element's value as int64 bits (Column, built
+// by CompactColumn), which joins probe instead of the elements. A set sized for at most smallTable elements (NewSetCap)
 // is one allocation: the header, the elements and the hashes together. A Set
 // must not be mutated after it has been shared; it carries no lazily filled
 // state, so a shared set is safe for concurrent readers. The int32 positions
@@ -16,6 +18,7 @@ package value
 type Set struct {
 	elems []Value
 	idx   hashTable
+	col   *refColumn // nil but on a stored reference set
 }
 
 // Kind reports KindSet.
@@ -102,8 +105,10 @@ func NewSetFromSliceHashed(elems []Value, hashes []uint64) *Set {
 // built, before it is shared.
 func (s *Set) Add(v Value) bool { return s.add(v, Hash(v)) }
 
-// add is Add with v's hash supplied, so elements moving between sets are
-// never hashed again.
+// AddHashed is Add for a caller that holds v's Hash h, so that a value moving
+// into a set is never hashed again.
+func (s *Set) AddHashed(v Value, h uint64) bool { return s.add(v, h) }
+
 func (s *Set) add(v Value, h uint64) bool {
 	if s.find(v, h) {
 		return false
@@ -139,7 +144,8 @@ func (s *Set) find(v Value, h uint64) bool {
 }
 
 // Clone returns an independent copy of the set sharing only the (immutable)
-// element values: three exactly allocated array copies, no element rehashed.
+// element values: three exactly allocated array copies, no element rehashed,
+// and no reference column, since the clone is there to be grown.
 // Growing the clone therefore never writes into storage shared with the
 // original — the original may keep being read concurrently while the clone
 // is extended. This is what the storage layer's copy-on-write extent
@@ -158,13 +164,15 @@ const SmallSet = smallTable
 // SmallSet a chain table built for Len entries. The copy shares no array with
 // s, so s may go on being built or be Reset — the nestjoin builds every group
 // in one scratch set and emits its Compact — and extending either never
-// writes into the other.
-func (s *Set) Compact() *Set {
-	n := len(s.elems)
-	c := NewSetCap(n)
+// writes into the other. It has no reference column (see CompactColumn).
+func (s *Set) Compact() *Set { return s.compactInto(NewSetCap(len(s.elems))) }
+
+// compactInto copies s's elements and hashes into c, an empty set with
+// capacity for them, and returns it.
+func (s *Set) compactInto(c *Set) *Set {
 	c.elems = append(c.elems, s.elems...)
 	c.idx.hashes = append(c.idx.hashes, s.idx.hashes...)
-	if n > smallTable {
+	if n := len(s.elems); n > smallTable {
 		c.idx.rehash(n)
 	}
 	return c

@@ -142,6 +142,15 @@ func (s *Shape) Concat(u *Shape) (*Shape, error) {
 	return d.to, nil
 }
 
+// With returns the shape of s's attributes followed by name, or an error if
+// s has it: the layout of Tuple.With, derived without building the tuple.
+func (s *Shape) With(name string) (*Shape, error) {
+	if to := s.with(name); to != nil {
+		return to, nil
+	}
+	return nil, fmt.Errorf("value: duplicate attribute %q in tuple", name)
+}
+
 // Drop returns the shape of a tuple of this shape without the named
 // attributes (absent ones are ignored): the layout of Tuple.Drop, derived
 // without building the tuple. Its attributes keep their order.
