@@ -135,8 +135,10 @@ lint: fmt-check vet
 # The sizes ROADMAP tracks: lines (wc -l) of the Go files of each package
 # directory under internal/ and cmd/ that are neither tests nor testdata, the
 # exec + plan total beside the number of exec node types (exported types with
-# an Open or OpenVec method), and the total of the measurement harness
-# (cmd/bench* counts any command of that name, none today).
+# an Open or OpenVec method), the total of the measurement harness
+# (cmd/bench* counts any command of that name, none today), and the option
+# count: the exported fields of plan.Config and server.Options, the knobs a
+# caller can turn.
 loc:
 	@nodes=$$(find internal/exec -name '*.go' ! -name '*_test.go' | xargs grep -hoE \
 			'^func \([a-z]+ \*?[A-Z][A-Za-z0-9]*\) Open(Vec)?\(' | \
@@ -151,6 +153,10 @@ loc:
 			printf "%6d internal/experiments + internal/bench + cmd/adlbench + cmd/bench* (%d + %d + %d + %d)\n", \
 				h, n["internal/experiments"], n["internal/bench"], n["cmd/adlbench"], \
 				h - n["internal/experiments"] - n["internal/bench"] - n["cmd/adlbench"] }'
+	@fields() { awk -v t="$$2" '$$0 ~ "^type " t " struct" { s = 1; next } s && /^}/ { s = 0 } \
+			s && /^\t[A-Z]/ { n++; for (i = 1; $$i ~ /,$$/; i++) n++ } END { print n + 0 }' $$1; }; \
+	cfg=$$(fields internal/plan/plan.go Config); opts=$$(fields internal/server/engine.go Options); \
+	printf "%6d options: plan.Config + server.Options exported fields (%d + %d)\n" $$((cfg + opts)) $$cfg $$opts
 
 # Compiles and smoke-runs the fixed ruler. benchmark/ is its own module,
 # outside ./..., so nothing else notices an engine API change that breaks it

@@ -44,8 +44,9 @@ type Query struct {
 	// Plan is the physical operator tree for the rewritten form.
 	Plan exec.Operator
 	// Planned is the annotated plan behind Plan: per-node cost estimates
-	// (when planned with statistics) and the runtime-feedback surface
-	// (instrumented execution, observed row counts, q-error drift).
+	// (from the default statistics when planned without any) and the
+	// runtime-feedback surface (instrumented execution, observed row counts,
+	// q-error drift).
 	Planned *plan.Plan
 
 	cat  *schema.Catalog

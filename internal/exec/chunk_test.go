@@ -107,7 +107,8 @@ func TestChunkedExchangeLifecycle(t *testing.T) {
 		rows[i] = value.NewTuple("a", value.Int(int64(i)), "b", value.Int(1))
 	}
 	rows[100] = value.NewTuple("a", value.Int(100))
-	pf := &Filter{Child: &SetScan{Set: value.NewSet(rows...)}, Var: "x", Workers: 2,
+	d.Tables["BAD"] = value.NewSet(rows...)
+	pf := &Filter{Child: &Scan{Table: "BAD"}, Var: "x", Workers: 2,
 		Pred: NewScalar(adl.EqE(adl.Dot(adl.V("x"), "b"), adl.C(value.Int(1))), "x")}
 	if _, err := Collect(pf, &Ctx{DB: d}); err == nil || !strings.Contains(err.Error(), `no attribute "b"`) {
 		t.Fatalf("worker error with a partly filled chunk: got %v", err)

@@ -147,7 +147,7 @@ func TestNodesHoldNoRunState(t *testing.T) {
 			return true
 		})
 	}
-	if len(nodes) < 25 {
+	if len(nodes) < 23 {
 		t.Fatalf("found %d node types, want the whole operator set", len(nodes))
 	}
 	for name := range nodes {

@@ -1,8 +1,8 @@
 // Package exec implements the physical algebra: Volcano-style iterator
 // operators realizing the logical ADL operators. It contains the set-
 // oriented implementations whose availability is the whole point of the
-// paper's rewriting — hash joins, hash semijoins/antijoins, the hash and
-// sort-merge nestjoin (grouping during join, §6.1), the PNHL algorithm of
+// paper's rewriting — hash joins, hash semijoins/antijoins, the hash
+// nestjoin (grouping during join, §6.1), the PNHL algorithm of
 // [DeLa92] for joining a set-valued attribute with a base table (§6.2), and
 // the assembly operator implementing materialize via oid pointers
 // ([BlMG93], §6.2) — alongside naive nested-loop counterparts used as
@@ -240,14 +240,6 @@ func (s Scan) Open(ctx *Ctx) (Rows, error) {
 	}
 	return buffered(set.Elems())
 }
-
-// SetScan iterates an in-memory set.
-type SetScan struct {
-	Set *value.Set
-}
-
-// Open hands up the set's elements.
-func (s SetScan) Open(*Ctx) (Rows, error) { return buffered(s.Set.Elems()) }
 
 // ExprScan evaluates an arbitrary ADL expression to a set with the
 // reference interpreter and iterates it — the nested-loop fallback for plan

@@ -68,9 +68,8 @@ func logicalJoin(kind adl.JoinKind, as string, rfun adl.Expr) *adl.Join {
 		As: as, RFun: rfun, L: adl.T("L"), R: adl.T("R")}
 }
 
-// TestJoinOperatorsAgainstOracle cross-validates NLJoin, HashJoin and
-// SortMergeJoin for every applicable kind against the reference interpreter
-// on randomized inputs.
+// TestJoinOperatorsAgainstOracle cross-validates NLJoin and HashJoin for
+// every kind against the reference interpreter on randomized inputs.
 func TestJoinOperatorsAgainstOracle(t *testing.T) {
 	kinds := []struct {
 		kind adl.JoinKind
@@ -95,16 +94,6 @@ func TestJoinOperatorsAgainstOracle(t *testing.T) {
 				RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"), As: k.as}
 			if got := collect(t, hj, d); !value.Equal(got, want) {
 				t.Errorf("seed %d HashJoin %v: got %v want %v", seed, k.kind, got, want)
-			}
-
-			if k.kind == adl.Inner || k.kind == adl.NestJ {
-				sm := &SortMergeJoin{Kind: k.kind, L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
-					LVar: "x", RVar: "y",
-					LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-					RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"), As: k.as}
-				if got := collect(t, sm, d); !value.Equal(got, want) {
-					t.Errorf("seed %d SortMergeJoin %v: got %v want %v", seed, k.kind, got, want)
-				}
 			}
 		}
 	}

@@ -3,7 +3,7 @@
 // equality or range probe with constant bounds — and IndexNLJoin is the
 // index-nested-loop join: the outer operand streams and every row probes the
 // inner extent's index, the classic Selinger-era alternative the cost model
-// weighs against the hash and sort-merge family.
+// weighs against the hash joins and the nested loop.
 package exec
 
 import (

@@ -10,7 +10,7 @@ import (
 // joinEmit is the output rule of the join: what one left row emits once its
 // matches are known. The algebra's ⋈, ⋉, ▷, outer join and nestjoin differ in
 // nothing else, so every join operator — nested-loop, hash (serial or
-// partitioned), set-probe, index, sort-merge — finds the candidate right rows
+// partitioned), set-probe, index — finds the candidate right rows
 // its own way and hands them to this one verdict:
 //
 //	begin(lrow); for each candidate { if match(rrow) { break } }; end()

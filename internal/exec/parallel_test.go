@@ -106,9 +106,9 @@ func TestPartitionedHashJoinResidualAndRFun(t *testing.T) {
 // partitions.
 func TestPartitionedHashJoinEmptyInputs(t *testing.T) {
 	d := db(3, 10, 8)
-	empty := &SetScan{Set: value.EmptySet()}
+	d.Tables["E"] = value.EmptySet()
 	pj := &HashJoin{Kind: adl.Inner,
-		L: empty, R: &Scan{Table: "R"},
+		L: &Scan{Table: "E"}, R: &Scan{Table: "R"},
 		LVar: "x", RVar: "y",
 		LKey:       NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
 		RKey:       NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
@@ -117,7 +117,7 @@ func TestPartitionedHashJoinEmptyInputs(t *testing.T) {
 		t.Errorf("empty left: got %v", got)
 	}
 	pj = &HashJoin{Kind: adl.Anti,
-		L: &Scan{Table: "L"}, R: &SetScan{Set: value.EmptySet()},
+		L: &Scan{Table: "L"}, R: &Scan{Table: "E"},
 		LVar: "x", RVar: "y",
 		LKey:       NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
 		RKey:       NewScalar(adl.Dot(adl.V("y"), "d"), "y"),

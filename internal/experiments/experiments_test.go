@@ -25,9 +25,9 @@ func TestExperiments(t *testing.T) {
 		"B7":  {"relational-join", "attribute-unnest", "nestjoin"},
 		"B8":  {"PartitionedHashJoin", "partitions"},
 		"B9":  {"inner_asym", "group_small", "group_big", "hash-swap", "build side swapped"},
-		"B10": {"rewriter order", "enumerated order", "order: dp over 4 relations", "rows≈"},
+		"B10": {"reference (no statistics)", "rewriter order", "enumerated order", "order: dp over 4 relations", "rows≈"},
 		"B11": {"IndexNLJoin", "index probes", "page reads", "optimizer, NoIndexes"},
-		"B12": {"ndv (NoHistograms)", "histograms", "DIMA.cat", "index probe into FACT.fb"},
+		"B12": {"reference (no statistics)", "ndv (NoHistograms)", "histograms", "DIMA.cat", "index probe into FACT.fb"},
 		"B13": {"VecScan(DELIVERY", "VecAdapter", "HashJoin[⋉", "typed kernels"},
 		// At smoke scale the ≥2x gate never runs, and the table says so.
 		"B14": {"scalar", "parallel", "vectorized", "parallel-vectorized", "no per-tuple sends",
@@ -181,8 +181,8 @@ func TestB9OptimizerAgreesWithForcedArms(t *testing.T) {
 		out.WriteString(s)
 	}
 	contains(t, out.String(), "inner_asym", "group_small", "group_big", "optimizer")
-	// The asymmetric inner join must show a non-default optimizer choice (the
-	// rule-based planner never swaps the build side).
+	// The asymmetric inner join must show a non-default optimizer choice: a
+	// swapped build side, which only the statistics reveal.
 	contains(t, out.String(), "build side swapped")
 }
 
@@ -258,7 +258,8 @@ func TestB4VectorizedPNHLAgrees(t *testing.T) {
 func TestB10EnumeratedOrderWinsAndAgrees(t *testing.T) {
 	// The check fails the run when the enumerated order does not price below
 	// the rewriter order, and the runner when any arm diverges from the
-	// rule-based reference, so a clean run already is the claim.
+	// reference planned without statistics, so a clean run already is the
+	// claim.
 	rs, out := runOne(t, StarJoin(1200, 200, 60, 6))
 	contains(t, out, "rewriter order", "enumerated order", "order: dp over 4 relations")
 	written, _ := find(rs, "rewriter order").cost()

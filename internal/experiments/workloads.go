@@ -440,11 +440,8 @@ func StrategyJoin(name string, kind adl.JoinKind, suppliers, deliveries int) Cas
 		arms = append(arms, Arm{Label: "hash-swap", Op: &exec.HashJoin{Kind: adl.Inner, L: r, R: l, LVar: "d", RVar: "s",
 			LKey: rk, RKey: lk}})
 	}
-	arms = append(arms,
-		Arm{Label: "sortmerge", Op: &exec.SortMergeJoin{Kind: kind, L: l, R: r, LVar: "s", RVar: "d",
-			LKey: lk, RKey: rk, As: j.As, RFun: rfun}},
-		Arm{Label: "parallel", Op: &exec.HashJoin{Kind: kind, L: l, R: r, LVar: "s", RVar: "d",
-			LKey: lk, RKey: rk, As: j.As, RFun: rfun, Partitions: workers()}})
+	arms = append(arms, Arm{Label: "parallel", Op: &exec.HashJoin{Kind: kind, L: l, R: r, LVar: "s", RVar: "d",
+		LKey: lk, RKey: rk, As: j.As, RFun: rfun, Partitions: workers()}})
 	if suppliers*deliveries <= 1_000_000 {
 		arms = append(arms, Arm{Label: "nl", Op: &exec.NLJoin{Kind: kind, L: l, R: r, LVar: "s", RVar: "d",
 			Pred: exec.NewScalar(j.On, "s", "d"), As: j.As, RFun: rfun}})
@@ -504,7 +501,7 @@ func StarJoin(orders, items, custs, regions int) Case {
 		adl.EqE(adl.Dot(adl.V("r"), "rname"), adl.CStr("region-0"))), adl.T("REGION"))
 	return Case{Name: fmt.Sprintf("star[%dx%dx%dx%d]", orders, items, custs, regions), DB: st, Query: q, Analyze: true,
 		Arms: []Arm{
-			{Label: "reference (rule-based)", Op: plan.Compile(q)},
+			{Label: "reference (no statistics)", Op: plan.Compile(q)},
 			{Label: "rewriter order", Cfg: &plan.Config{NoReorder: true}},
 			{Label: "enumerated order", Cfg: &plan.Config{}},
 		}, Check: func(rs []Result) error {
@@ -583,7 +580,7 @@ func SkewJoin(facts, dims int) Case {
 		adl.EqE(adl.Dot(adl.V("b"), "grp"), adl.CInt(3))), adl.T("DIMB"))
 	return Case{Name: fmt.Sprintf("skew[%dx%d] DIMA.cat=%v", facts, dims, hot), DB: st, Query: q, Analyze: true, Runs: 3,
 		Arms: []Arm{
-			{Label: "reference (rule-based)", Op: plan.Compile(q)},
+			{Label: "reference (no statistics)", Op: plan.Compile(q)},
 			{Label: "ndv (NoHistograms)", Cfg: &plan.Config{NoHistograms: true}},
 			{Label: "histograms", Cfg: &plan.Config{}},
 		}, Check: func(rs []Result) error {

@@ -80,21 +80,18 @@ func (p *planner) indexableConjunct(c adl.Expr, v, extent string, rows float64) 
 // indexable conjunct becomes the IndexScan; the remaining conjuncts stay as
 // a residual Filter on top.
 func (p *planner) tryIndexSelect(n *adl.Select) (exec.Operator, nodeEst, bool) {
-	if !p.statsMode() || p.cfg.NoIndexes {
-		return nil, unknownEst, false
+	if p.cfg.NoIndexes {
+		return nil, nodeEst{}, false
 	}
 	tbl, ok := n.Src.(*adl.Table)
 	if !ok {
-		return nil, unknownEst, false
+		return nil, nodeEst{}, false
 	}
-	rows := p.cfg.Statistics.RowCount(tbl.Name)
-	if rows < 0 {
-		return nil, unknownEst, false
-	}
+	rows := p.rows(tbl.Name)
 	cs := conjuncts(n.Pred)
 	best, bestIdx := indexAccess{}, -1
 	for i, c := range cs {
-		a, ok := p.indexableConjunct(c, n.Var, tbl.Name, float64(rows))
+		a, ok := p.indexableConjunct(c, n.Var, tbl.Name, rows)
 		if !ok {
 			continue
 		}
@@ -103,7 +100,7 @@ func (p *planner) tryIndexSelect(n *adl.Select) (exec.Operator, nodeEst, bool) {
 		}
 	}
 	if bestIdx < 0 {
-		return nil, unknownEst, false
+		return nil, nodeEst{}, false
 	}
 	used := map[int]bool{bestIdx: true}
 	if best.eq == nil {
@@ -116,7 +113,7 @@ func (p *planner) tryIndexSelect(n *adl.Select) (exec.Operator, nodeEst, bool) {
 			if used[i] {
 				continue
 			}
-			a, ok := p.indexableConjunct(c, n.Var, tbl.Name, float64(rows))
+			a, ok := p.indexableConjunct(c, n.Var, tbl.Name, rows)
 			if !ok || a.eq != nil || a.attr != best.attr {
 				continue
 			}
@@ -133,7 +130,7 @@ func (p *planner) tryIndexSelect(n *adl.Select) (exec.Operator, nodeEst, bool) {
 			// Re-price the probe for the merged two-sided range: it returns
 			// the rows between both bounds, not the one-sided (or flat
 			// defaultSelectivity) guess either conjunct priced alone.
-			best.matches = float64(rows) * p.card.boundsSelectivity(
+			best.matches = rows * p.card.boundsSelectivity(
 				tbl.Name, best.attr, best.lo, best.hi, best.loIncl, best.hiIncl)
 		}
 	}
@@ -149,10 +146,10 @@ func (p *planner) tryIndexSelect(n *adl.Select) (exec.Operator, nodeEst, bool) {
 	if len(residual) > 0 {
 		idxCost += best.matches * cEval
 	}
-	scanCost := float64(rows)*cRow +
-		math.Min(float64(rows)*cEval, costParallelPool(float64(rows), p.workers))
+	scanCost := rows*cRow +
+		math.Min(rows*cEval, costParallelPool(rows, p.workers))
 	if idxCost >= scanCost {
-		return nil, unknownEst, false
+		return nil, nodeEst{}, false
 	}
 
 	scan := &exec.IndexScan{Table: tbl.Name, Attr: best.attr}
@@ -171,7 +168,7 @@ func (p *planner) tryIndexSelect(n *adl.Select) (exec.Operator, nodeEst, bool) {
 		}
 		note += " (range)"
 	}
-	scanEst := nodeEst{rows: best.matches, known: true, extent: tbl.Name,
+	scanEst := nodeEst{rows: best.matches, extent: tbl.Name,
 		cost: costIndexScan(best.matches), note: note}
 	p.record(scan, scanEst)
 	if len(residual) == 0 {
@@ -180,7 +177,7 @@ func (p *planner) tryIndexSelect(n *adl.Select) (exec.Operator, nodeEst, bool) {
 	outRows := best.matches * p.card.selectivity(adl.AndE(residual...), n.Var, tbl.Name)
 	op := &exec.Filter{Child: scan, Var: n.Var,
 		Pred: exec.NewScalar(adl.AndE(residual...), n.Var), Workers: 1}
-	est := nodeEst{rows: outRows, known: true, extent: tbl.Name,
+	est := nodeEst{rows: outRows, extent: tbl.Name,
 		cost: scanEst.cost + best.matches*cEval + outRows*cRow}
 	p.record(op, est)
 	return op, est, true

@@ -2,8 +2,9 @@
 // "the optimizer may choose from a number of different join processing
 // strategies" — needs a way to rank the choices; this file prices every
 // physical join operator (NLJoin, HashJoin with either build side, serial or
-// partitioned, SortMergeJoin, the set-probe/PNHL family) from collected
-// statistics (storage.Analyze) and lets the planner pick the cheapest.
+// partitioned, the set-probe/PNHL family, IndexNLJoin) from collected
+// statistics (storage.Analyze), or from the default statistics when none were
+// collected, and lets the planner pick the cheapest.
 //
 // Costs are abstract work units, calibrated so that one unit is roughly one
 // cheap per-row step of the Go execution engine. The constants matter only
@@ -48,6 +49,24 @@ type Statistics interface {
 	Histogram(extent, attr string) *stats.Histogram
 }
 
+// defaultRows is the cardinality the cost model prices an extent at when the
+// statistics have no row count for it: every extent of a plan made without
+// Config.Statistics, and an extent the collected statistics do not know.
+const defaultRows = 1000
+
+// defaultStatistics stands in for a nil Config.Statistics: every extent is of
+// unknown size (so priced at defaultRows), with no distinct counts, set
+// sizes, attribute lists, indexes or histograms, so every estimate falls to
+// its default rule.
+type defaultStatistics struct{}
+
+func (defaultStatistics) RowCount(string) int                       { return -1 }
+func (defaultStatistics) DistinctValues(string, string) int         { return 0 }
+func (defaultStatistics) AvgSetSize(string, string) float64         { return 0 }
+func (defaultStatistics) Attributes(string) []string                { return nil }
+func (defaultStatistics) IndexKind(string, string) string           { return "" }
+func (defaultStatistics) Histogram(string, string) *stats.Histogram { return nil }
+
 // Estimate annotates a physical operator with the optimizer's prediction.
 type Estimate struct {
 	// Rows is the estimated output cardinality.
@@ -68,7 +87,6 @@ const (
 	cEval      = 4.0 // evaluate one compiled scalar expression
 	cHashBuild = 3.5 // insert one row into a hash table
 	cHashProbe = 2.0 // probe one key against a hash table
-	cCmp       = 3.0 // one comparison while sorting or merging
 
 	// cIndexProbe is one key probe against a secondary index (hash bucket
 	// walk or ordered binary search); cIndexFetch is fetching one matching
@@ -100,17 +118,13 @@ const (
 
 // nodeEst is the planner's internal estimate for one compiled subtree.
 type nodeEst struct {
-	rows  float64
-	known bool
+	rows float64
 	// extent is the base table this subtree's rows (still) originate from,
 	// when attribute statistics remain applicable ("" otherwise).
 	extent string
 	cost   float64
 	note   string
 }
-
-// unknownEst is the estimate for shapes the model cannot see through.
-var unknownEst = nodeEst{}
 
 // estimate converts a nodeEst to the exported annotation. Row estimates
 // beyond int64 saturate instead of wrapping negative in the conversion.
@@ -200,12 +214,6 @@ func costHash(build, probe, out, residMatches float64) float64 {
 		residMatches*cEval + out*cRow
 }
 
-// costSortMerge prices the sort-merge join: key extraction, two sorts, one
-// merge pass.
-func costSortMerge(l, r, out float64) float64 {
-	return (l+r)*cEval + (l*log2(l)+r*log2(r)+l+r)*cCmp + out*cRow
-}
-
 // costPartitionedHash prices the partitioned hash join: a fixed startup, one
 // pass handing every row of both inputs to its table or its probe worker, the
 // key evaluation, build and probe divided across p workers, and the merge
@@ -250,13 +258,6 @@ func costIndexNL(outer, matches, residMatches, out float64) float64 {
 func costParallelPool(n float64, p int) float64 {
 	w := math.Max(1, float64(p))
 	return cPoolStartup + n*cEval/w + n*cChannelRow
-}
-
-func log2(x float64) float64 {
-	if x < 2 {
-		return 1
-	}
-	return math.Log2(x)
 }
 
 // Vectorized execution constants. A batch pipeline pays a fixed dispatch

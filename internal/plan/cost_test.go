@@ -92,7 +92,7 @@ func TestCostBasedPicksParallelForLargeJoin(t *testing.T) {
 
 // TestCostBasedSwapsBuildSide: an inner equi-join with a small left and a
 // large right operand builds the hash table on the smaller (left) side by
-// swapping the operands — a plan the rule-based planner never produces.
+// swapping the operands — a choice only the row counts can justify.
 func TestCostBasedSwapsBuildSide(t *testing.T) {
 	stats := fakeStatistics{rows: map[string]int{"X": 50, "Y": 2000}}
 	pl := Config{Statistics: stats, Parallelism: 4}.Plan(equiJoin(adl.Inner))
@@ -119,17 +119,12 @@ func TestCostBasedNeverSwapsAsymmetricKinds(t *testing.T) {
 	stats := fakeStatistics{rows: map[string]int{"X": 50, "Y": 2000}}
 	for _, kind := range []adl.JoinKind{adl.Semi, adl.Anti, adl.NestJ} {
 		op := Config{Statistics: stats, Parallelism: 4}.Compile(equiJoin(kind))
-		var probe exec.Operator
-		switch o := op.(type) {
-		case *exec.HashJoin:
-			probe = o.L
-		case *exec.SortMergeJoin:
-			probe = o.L
-		default:
+		hj, ok := op.(*exec.HashJoin)
+		if !ok {
 			t.Fatalf("kind %v: unexpected operator %T", kind, op)
 		}
-		if scan, ok := probe.(*exec.Scan); !ok || scan.Table != "X" {
-			t.Errorf("kind %v: left operand swapped to %v", kind, probe)
+		if scan, ok := hj.L.(*exec.Scan); !ok || scan.Table != "X" {
+			t.Errorf("kind %v: left operand swapped to %v", kind, hj.L)
 		}
 	}
 }
@@ -144,11 +139,13 @@ func TestCostBasedSwapCorrectness(t *testing.T) {
 		adl.EqE(adl.Dot(adl.V("s"), "eid"), adl.Dot(adl.V("d"), "supplier")),
 		adl.T("DELIVERY"))
 
+	// Without statistics both extents price at defaultRows: no side is
+	// smaller, so the plan keeps the written orientation.
 	defaultOp := Compile(j)
 	if hj, ok := defaultOp.(*exec.HashJoin); !ok {
-		t.Fatalf("rule-based plan should be HashJoin, got %T", defaultOp)
+		t.Fatalf("plan without statistics should be HashJoin, got %T", defaultOp)
 	} else if scan, ok := hj.L.(*exec.Scan); !ok || scan.Table != "SUPPLIER" {
-		t.Fatalf("rule-based plan unexpectedly swapped")
+		t.Fatalf("plan without statistics unexpectedly swapped")
 	}
 
 	stats := st.Analyze()
@@ -219,9 +216,8 @@ func TestCostBasedMembershipShape(t *testing.T) {
 	}
 }
 
-// TestPlanExplainAnnotations: with statistics every costed node renders rows
-// and cost; without, the rendering is annotation-free and identical to the
-// legacy Explain.
+// TestPlanExplainAnnotations: every planned node renders rows and cost, and
+// the package-level Explain renders the same tree without them.
 func TestPlanExplainAnnotations(t *testing.T) {
 	stats := fakeStatistics{rows: map[string]int{"X": 100, "Y": 100},
 		ndv: map[string]int{"X.a": 50, "Y.d": 50}}
@@ -233,12 +229,8 @@ func TestPlanExplainAnnotations(t *testing.T) {
 			t.Errorf("annotated Explain missing %q:\n%s", want, out)
 		}
 	}
-	bare := Config{}.Plan(j)
-	if s := bare.Explain(); strings.Contains(s, "rows≈") {
-		t.Errorf("un-costed plan should have no annotations:\n%s", s)
-	}
-	if got, want := bare.Explain(), Explain(bare.Root); got != want {
-		t.Errorf("Plan.Explain without stats diverges from Explain:\n%s\nvs\n%s", got, want)
+	if s := Explain(costed.Root); strings.Contains(s, "rows≈") || !strings.Contains(s, "Scan(X)") {
+		t.Errorf("Explain should render the bare tree:\n%s", s)
 	}
 }
 
@@ -264,16 +256,27 @@ func TestCostBasedUsesNDVForJoinEstimates(t *testing.T) {
 	}
 }
 
-// TestCostBasedFallsBackWithoutRowCounts: unknown extents keep the legacy
-// rule-based plan and produce no annotations.
+// TestCostBasedFallsBackWithoutRowCounts: an extent the statistics have no
+// row count for prices at defaultRows, and the plan over it is annotated like
+// any other.
 func TestCostBasedFallsBackWithoutRowCounts(t *testing.T) {
 	stats := fakeStatistics{rows: map[string]int{"X": 100}} // Y unknown
 	pl := Config{Statistics: stats, Parallelism: 4}.Plan(equiJoin(adl.Inner))
-	if _, ok := pl.Root.(*exec.HashJoin); !ok {
-		t.Fatalf("unknown cardinality should fall back to rule-based HashJoin, got %T", pl.Root)
+	hj, ok := pl.Root.(*exec.HashJoin)
+	if !ok {
+		t.Fatalf("equi join over an unknown extent should plan a HashJoin, got %T", pl.Root)
 	}
-	if _, ok := pl.Estimate(pl.Root); ok {
-		t.Errorf("fallback plan should not be annotated")
+	// Y (1000 rows) is the larger side: the build swaps onto X.
+	if scan, ok := hj.L.(*exec.Scan); !ok || scan.Table != "Y" {
+		t.Errorf("build side not swapped onto the 100-row X:\n%s", pl.Explain())
+	}
+	for _, op := range []exec.Operator{hj.L, pl.Root} {
+		if _, ok := pl.Estimate(op); !ok {
+			t.Errorf("node %T not annotated:\n%s", op, pl.Explain())
+		}
+	}
+	if e, _ := pl.Estimate(hj.L); e.Rows != defaultRows {
+		t.Errorf("unknown extent estimated at %d rows, want defaultRows (%d)", e.Rows, defaultRows)
 	}
 }
 
@@ -333,9 +336,10 @@ func TestSelectivityBoundToIterationVariable(t *testing.T) {
 }
 
 // TestUnknownExtentSizeIsNotEmpty: DBStats.RowCount reports -1 for extents
-// that were never analyzed, and the cost model then does not price the join.
-// A 0 would make an unknown extent look empty, and a join pairing one huge
-// analyzed extent with an unknown one would be priced on fabricated numbers.
+// that were never analyzed, and the cost model then prices them at
+// defaultRows. A 0 would make an unknown extent look empty, and a join pairing
+// one huge analyzed extent with an unknown one would be priced as if it
+// emitted nothing.
 func TestUnknownExtentSizeIsNotEmpty(t *testing.T) {
 	stats := &storage.DBStats{Tables: map[string]storage.TableStats{
 		"X": {Rows: 100000},
@@ -344,7 +348,15 @@ func TestUnknownExtentSizeIsNotEmpty(t *testing.T) {
 		t.Fatalf("RowCount of unanalyzed extent = %d, want -1", got)
 	}
 	pl := Config{Statistics: stats, Parallelism: 4}.Plan(equiJoin(adl.Inner))
-	if hj, ok := pl.Root.(*exec.HashJoin); !ok || parallel(hj) {
-		t.Fatalf("join with an unknown extent should stay a serial HashJoin, got\n%s", pl.Explain())
+	hj, ok := pl.Root.(*exec.HashJoin)
+	if !ok {
+		t.Fatalf("join with an unknown extent should plan a HashJoin, got\n%s", pl.Explain())
+	}
+	scanY, _ := hj.R.(*exec.Scan)
+	if scanY == nil || scanY.Table != "Y" {
+		t.Fatalf("the unknown extent should be the build side:\n%s", pl.Explain())
+	}
+	if e, ok := pl.Estimate(scanY); !ok || e.Rows != defaultRows {
+		t.Errorf("unknown extent estimated at %+v, want %d rows", e, defaultRows)
 	}
 }

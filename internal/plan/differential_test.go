@@ -114,11 +114,6 @@ func TestDifferentialEquiJoinStrategies(t *testing.T) {
 					LKey: lk, RKey: rk, Residual: res, As: j.As, RFun: rfun,
 					Partitions: 3},
 			}
-			if (kind == adl.Inner || kind == adl.NestJ) && !withResidual {
-				strategies["sortmerge"] = &exec.SortMergeJoin{Kind: kind,
-					L: scanX(), R: scanY(), LVar: "x", RVar: "y",
-					LKey: lk, RKey: rk, As: j.As, RFun: rfun}
-			}
 			if kind == adl.Inner && rfun == nil {
 				var resSwap *exec.Scalar
 				if withResidual {
@@ -131,7 +126,7 @@ func TestDifferentialEquiJoinStrategies(t *testing.T) {
 					L: scanY(), R: scanX(), LVar: "y", RVar: "x",
 					LKey: rk, RKey: lk, Residual: resSwap}
 			}
-			// The planner's own picks: rule-based and cost-based.
+			// The planner's own picks: without statistics and with them.
 			strategies["planner"] = Compile(j)
 			strategies["planner-costed"] = Config{Statistics: tableStatistics(x, y),
 				Parallelism: 2}.Compile(j)

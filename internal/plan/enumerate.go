@@ -6,8 +6,8 @@
 // intermediate cardinalities. Above the cap it falls back to a greedy
 // left-deep heuristic. The winning order is then rebuilt as adl.Join nodes
 // (adl.ComposeConjunct re-binds the decomposed conjuncts) and every edge is
-// handed to the existing physical operator selection — hash/sort-merge/
-// nested-loop/partitioned, build-side swap included.
+// handed to the existing physical operator selection — hash/nested-loop/
+// partitioned/index, build-side swap included.
 package plan
 
 import (
@@ -168,9 +168,6 @@ func (p *planner) joinOwnCost(g *joinGraph, s1, s2 uint64) float64 {
 	own = math.Min(own, costPartitionedHash(r, l, out, residMatches, p.workers))
 	own = math.Min(own, costPartitionedHash(l, r, out, residMatches, p.workers))
 	own = math.Min(own, costNL(l, r, out))
-	if nResid == 0 {
-		own = math.Min(own, costSortMerge(l, r, out))
-	}
 	if !p.cfg.NoIndexes {
 		// Index-nested-loop candidates, so the order search sees the same
 		// access paths physical selection will admit: when one side of the
@@ -292,7 +289,7 @@ func (p *planner) buildDPNode(g *joinGraph, e *dpEntry) (exec.Operator, nodeEst,
 	// No usable key: theta (or cross) edge, nested loop.
 	nl := &exec.NLJoin{Kind: adl.Inner, L: lop, R: rop, LVar: lv, RVar: rv,
 		Pred: exec.NewScalar(j.On, lv, rv)}
-	est := nodeEst{rows: e.rows, known: true,
+	est := nodeEst{rows: e.rows,
 		cost: le.cost + re.cost + costNL(le.rows, re.rows, e.rows)}
 	p.record(nl, est)
 	return nl, est, allVars, ""

@@ -8,10 +8,11 @@
 // over a collected attribute prices by equi-depth bucket density (exact for
 // heavy hitters), one- and two-sided ranges by bucket interpolation, and
 // join-key overlap by histogram intersection. When no histogram exists —
-// the attribute was not collected, the extent is unknown, or
-// Config.NoHistograms forces the A/B control arm — each estimate falls back
-// to the pre-histogram model: the 1/NDV equality rule, defaultSelectivity
-// for ranges, and the min-NDV containment rule for join keys.
+// the attribute was not collected, the extent is unknown, the plan has no
+// Config.Statistics, or Config.NoHistograms forces the A/B control arm —
+// each estimate falls back to the pre-histogram model: the 1/NDV equality
+// rule, defaultSelectivity for ranges, and the min-NDV containment rule for
+// join keys; without a distinct count, to the default guesses.
 package plan
 
 import (
@@ -23,9 +24,9 @@ import (
 	"repro/internal/value"
 )
 
-// estimator answers the planner's cardinality questions from collected
-// statistics. The zero estimator (no Statistics) answers every question with
-// the default guesses, which no costed path ever consults.
+// estimator answers the planner's cardinality questions from the plan's
+// statistics: collected ones, or the default statistics, under which every
+// question gets its default guess.
 type estimator struct {
 	stats  Statistics
 	noHist bool
@@ -38,7 +39,7 @@ func newEstimator(cfg Config) estimator {
 // hist resolves the histogram for extent.attr, nil when unavailable or when
 // histogram use is disabled for A/B comparison.
 func (e estimator) hist(extent, attr string) *stats.Histogram {
-	if e.noHist || e.stats == nil || extent == "" || attr == "" {
+	if e.noHist || extent == "" || attr == "" {
 		return nil
 	}
 	return e.stats.Histogram(extent, attr)
@@ -110,7 +111,7 @@ func (e estimator) eqSelectivity(extent, attr string, other adl.Expr) float64 {
 			return h.EqFraction(c.Val)
 		}
 	}
-	if e.stats != nil && extent != "" {
+	if extent != "" {
 		if d := e.stats.DistinctValues(extent, attr); d > 0 {
 			return clamp(1/float64(d), 0, 1)
 		}
@@ -253,25 +254,16 @@ func rangeSlot[T any](m map[string]*T, attr string) *T {
 // duplication" guess).
 func (e estimator) keyNDV(n nodeEst, keys []adl.Expr, v string) float64 {
 	ndv := 1.0
-	resolved := false
-	if e.stats != nil && n.extent != "" {
-		ndv, resolved = 1.0, true
-		for _, k := range keys {
-			attr := attrOf(k, v)
-			if attr == "" {
-				resolved = false
-				break
-			}
-			d := e.stats.DistinctValues(n.extent, attr)
-			if d <= 0 {
-				resolved = false
-				break
-			}
-			ndv *= float64(d)
+	for _, k := range keys {
+		d := 0
+		if attr := attrOf(k, v); attr != "" && n.extent != "" {
+			d = e.stats.DistinctValues(n.extent, attr)
 		}
-	}
-	if !resolved {
-		ndv = n.rows / 10
+		if d <= 0 {
+			ndv = n.rows / 10
+			break
+		}
+		ndv *= float64(d)
 	}
 	return clamp(finite(ndv), 1, math.Max(1, finite(n.rows)))
 }
@@ -334,7 +326,7 @@ func (e estimator) joinPredSelectivity(cs []adl.Expr, lvar string, le nodeEst,
 // avgSetSize estimates the mean cardinality of a set-valued attribute of the
 // given subtree's rows.
 func (e estimator) avgSetSize(n nodeEst, attr string) float64 {
-	if e.stats != nil && n.extent != "" {
+	if n.extent != "" {
 		if s := e.stats.AvgSetSize(n.extent, attr); s > 0 {
 			return s
 		}

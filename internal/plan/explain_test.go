@@ -28,7 +28,8 @@ func TestRunEndToEnd(t *testing.T) {
 }
 
 // TestExplainCoversEveryOperator drives Explain over one instance of each
-// physical operator and checks each renders a recognizable line.
+// physical operator and checks each renders a recognizable line, with every
+// child rendered beneath it, indented.
 func TestExplainCoversEveryOperator(t *testing.T) {
 	key := exec.NewScalar(adl.Dot(adl.V("x"), "a"), "x")
 	rkey := exec.NewScalar(adl.Dot(adl.V("y"), "d"), "y")
@@ -38,36 +39,34 @@ func TestExplainCoversEveryOperator(t *testing.T) {
 	cases := []struct {
 		op   exec.Operator
 		want string
+		leaf bool
 	}{
-		{scanL(), "Scan(L)"},
-		{&exec.SetScan{Set: value.NewSet(value.Int(1))}, "SetScan(1 elems)"},
-		{&exec.ExprScan{Expr: adl.T("L")}, "interpreter fallback"},
-		{&exec.Filter{Child: scanL(), Var: "x", Pred: exec.NewScalar(adl.CBool(true), "x")}, "Filter[x"},
-		{&exec.MapOp{Child: scanL(), Var: "x", Body: key}, "Map[x"},
-		{&exec.ProjectOp{Child: scanL(), Attrs: []string{"a"}}, "Project[a]"},
-		{&exec.UnnestOp{Child: scanL(), Attr: "c"}, "Unnest[c]"},
-		{&exec.NestOp{Child: scanL(), Attrs: []string{"a"}, As: "g"}, "Nest[{a} -> g]"},
-		{&exec.FlattenOp{Child: scanL()}, "Flatten"},
-		{&exec.Assembly{Child: scanL(), Attr: "r", As: "o"}, "Assembly[r -> o]"},
-		{&exec.RenameOp{Child: scanL(), From: "a", To: "b"}, "RenameOp"},
-		{&exec.LetOp{Var: "v", Val: adl.T("R"), Child: scanL()}, "Let[v = R]"},
-		{&exec.HashJoin{Kind: adl.Inner, L: scanL(), R: scanR(), LKey: key, RKey: rkey}, "HashJoin[⋈"},
-		{&exec.SetProbeJoin{Kind: adl.Semi, L: scanL(), R: scanR(), Attr: "c", RKey: rkey}, "SetProbeJoin[⋉"},
-		{&exec.SortMergeJoin{Kind: adl.Inner, L: scanL(), R: scanR(), LKey: key, RKey: rkey}, "SortMergeJoin[⋈"},
-		{&exec.NLJoin{Kind: adl.Anti, L: scanL(), R: scanR(), Pred: pred}, "NLJoin[▷"},
-		{&exec.PNHL{L: scanL(), R: scanR(), Attr: "c", ElemKey: key, BuildKey: rkey, BudgetRows: 7}, "PNHL[.c with budget 7"},
-		{&exec.DivideOp{L: scanL(), R: scanR()}, "DivideOp"},
+		{scanL(), "Scan(L)", true},
+		{&exec.ExprScan{Expr: adl.T("L")}, "interpreter fallback", true},
+		{&exec.IndexScan{Table: "L", Attr: "a", Eq: &key}, "IndexScan(L.a = x.a)", true},
+		{&exec.Filter{Child: scanL(), Var: "x", Pred: exec.NewScalar(adl.CBool(true), "x")}, "Filter[x", false},
+		{&exec.MapOp{Child: scanL(), Var: "x", Body: key}, "Map[x", false},
+		{&exec.ProjectOp{Child: scanL(), Attrs: []string{"a"}}, "Project[a]", false},
+		{&exec.UnnestOp{Child: scanL(), Attr: "c"}, "Unnest[c]", false},
+		{&exec.NestOp{Child: scanL(), Attrs: []string{"a"}, As: "g"}, "Nest[{a} -> g]", false},
+		{&exec.FlattenOp{Child: scanL()}, "Flatten", false},
+		{&exec.Assembly{Child: scanL(), Attr: "r", As: "o"}, "Assembly[r -> o]", false},
+		{&exec.RenameOp{Child: scanL(), From: "a", To: "b"}, "Rename[a -> b]", false},
+		{&exec.LetOp{Var: "v", Val: adl.T("R"), Child: scanL()}, "Let[v = R]", false},
+		{&exec.HashJoin{Kind: adl.Inner, L: scanL(), R: scanR(), LKey: key, RKey: rkey}, "HashJoin[⋈", false},
+		{&exec.SetProbeJoin{Kind: adl.Semi, L: scanL(), R: scanR(), Attr: "c", RKey: rkey}, "SetProbeJoin[⋉", false},
+		{&exec.IndexNLJoin{Kind: adl.Semi, L: scanL(), Table: "R", Attr: "d", LKey: key}, "IndexNLJoin[⋉", false},
+		{&exec.NLJoin{Kind: adl.Anti, L: scanL(), R: scanR(), Pred: pred}, "NLJoin[▷", false},
+		{&exec.PNHL{L: scanL(), R: scanR(), Attr: "c", ElemKey: key, BuildKey: rkey, BudgetRows: 7}, "PNHL[.c with budget 7", false},
+		{&exec.DivideOp{L: scanL(), R: scanR()}, "Divide", false},
 	}
 	for _, c := range cases {
 		out := Explain(c.op)
 		if !strings.Contains(out, c.want) {
 			t.Errorf("Explain(%T) = %q, want contains %q", c.op, out, c.want)
 		}
-	}
-	// Children are rendered, indented.
-	nested := Explain(&exec.Filter{Child: &exec.Scan{Table: "L"}, Var: "x",
-		Pred: exec.NewScalar(adl.CBool(true), "x")})
-	if !strings.Contains(nested, "  Scan(L)") {
-		t.Errorf("child not indented:\n%s", nested)
+		if hasChild := strings.Contains(out, "\n  Scan(L)\n"); hasChild == c.leaf {
+			t.Errorf("Explain(%T) renders its child Scan(L) indented: %v, want %v:\n%s", c.op, hasChild, !c.leaf, out)
+		}
 	}
 }

@@ -91,8 +91,8 @@ func (p *Plan) Actual(op exec.Operator) (int64, bool) {
 // Feedback returns the worst drift between the optimizer's estimates and
 // the last committed execution's row counts, considering only nodes where
 // either side reaches minRows (<= 0 means DefaultFeedbackMinRows). ok is
-// false when nothing qualifies — no committed execution, no estimates
-// (planned without statistics), or every qualifying node agrees.
+// false when nothing qualifies — no committed execution, or every qualifying
+// node agrees.
 func (p *Plan) Feedback(minRows int64) (Drift, bool) {
 	if minRows <= 0 {
 		minRows = DefaultFeedbackMinRows

@@ -27,9 +27,16 @@ var goldenStats = fakeStatistics{
 	avg: map[string]float64{"SUPPLIER.parts": 6},
 }
 
+// goldenCase is one change-reviewed plan: an expression and the
+// configuration it is planned under.
+type goldenCase struct {
+	cfg  Config
+	expr adl.Expr
+}
+
 // goldenCases are the plan shapes whose Explain output is change-reviewed:
 // every cost annotation or plan-shape change must show up in a golden diff.
-func goldenCases() map[string]*Plan {
+func goldenCases() map[string]goldenCase {
 	semiMembership := adl.SemiJoin(adl.T("SUPPLIER"), "s", "p",
 		adl.CmpE(adl.In, adl.SubT(adl.V("p"), "pid"), adl.Dot(adl.V("s"), "parts")),
 		adl.Sel("p", adl.EqE(adl.Dot(adl.V("p"), "color"), adl.CStr("red")), adl.T("PART")))
@@ -136,37 +143,35 @@ func goldenCases() map[string]*Plan {
 	}
 
 	costed := Config{Statistics: goldenStats, Parallelism: 4}
-	bare := Config{}
-	return map[string]*Plan{
-		"stats_hist_hot_eq":        Config{Statistics: histStats, Parallelism: 4}.Plan(hotEq),
-		"stats_nohist_hot_eq":      Config{Statistics: histStats, Parallelism: 4, NoHistograms: true}.Plan(hotEq),
-		"stats_hist_range_probe":   Config{Statistics: histStats, Parallelism: 4}.Plan(qtyRange),
-		"stats_nohist_range_probe": Config{Statistics: histStats, Parallelism: 4, NoHistograms: true}.Plan(qtyRange),
-		"stats_index_lookup":       Config{Statistics: indexStats}.Plan(lookupJoin),
-		"stats_index_range":        Config{Statistics: indexStats}.Plan(rangeSel),
-		"stats_residual_index":     Config{Statistics: indexStats}.Plan(residualSemi(lookupJoin.L)),
-		"stats_residual_hash":      Config{Statistics: goldenStats, Parallelism: 1}.Plan(residualSemi(adl.T("SUPPLIER"))),
-		"stats_reorder_chain3":     Config{Statistics: reorderStats, Parallelism: 4}.Plan(chain3),
-		"stats_noreorder_chain3":   Config{Statistics: reorderStats, Parallelism: 4, NoReorder: true}.Plan(chain3),
-		"stats_reorder_bushy4":     Config{Statistics: bushyStats, Parallelism: 4}.Plan(chain4),
-		"stats_reorder_greedy4":    Config{Statistics: bushyStats, Parallelism: 4, MaxDPRelations: 3}.Plan(chain4),
-		"nostats_semijoin":         bare.Plan(semiMembership),
-		"nostats_equijoin":         bare.Plan(innerSwap),
-		"stats_semijoin":           costed.Plan(semiMembership),
-		"stats_inner_swap":         costed.Plan(innerSwap),
-		"stats_group_par":          costed.Plan(groupBig),
-		"stats_theta_nl":           costed.Plan(theta),
-		"stats_filter_serial":      costed.Plan(adl.Sel("p", adl.EqE(adl.Dot(adl.V("p"), "color"), adl.CStr("red")), adl.T("PART"))),
-		"stats_map_parallel": costed.Plan(adl.MapE("d", adl.Dot(adl.V("d"), "date"),
-			adl.T("DELIVERY"))),
-		"stats_project_unnest": costed.Plan(adl.Proj(adl.Mu("parts", adl.T("SUPPLIER")), "pid")),
+	return map[string]goldenCase{
+		"stats_hist_hot_eq":        {Config{Statistics: histStats, Parallelism: 4}, hotEq},
+		"stats_nohist_hot_eq":      {Config{Statistics: histStats, Parallelism: 4, NoHistograms: true}, hotEq},
+		"stats_hist_range_probe":   {Config{Statistics: histStats, Parallelism: 4}, qtyRange},
+		"stats_nohist_range_probe": {Config{Statistics: histStats, Parallelism: 4, NoHistograms: true}, qtyRange},
+		"stats_index_lookup":       {Config{Statistics: indexStats}, lookupJoin},
+		"stats_index_range":        {Config{Statistics: indexStats}, rangeSel},
+		"stats_residual_index":     {Config{Statistics: indexStats}, residualSemi(lookupJoin.L)},
+		"stats_residual_hash":      {Config{Statistics: goldenStats, Parallelism: 1}, residualSemi(adl.T("SUPPLIER"))},
+		"stats_reorder_chain3":     {Config{Statistics: reorderStats, Parallelism: 4}, chain3},
+		"stats_noreorder_chain3":   {Config{Statistics: reorderStats, Parallelism: 4, NoReorder: true}, chain3},
+		"stats_reorder_bushy4":     {Config{Statistics: bushyStats, Parallelism: 4}, chain4},
+		"stats_reorder_greedy4":    {Config{Statistics: bushyStats, Parallelism: 4, MaxDPRelations: 3}, chain4},
+		"nostats_semijoin":         {Config{}, semiMembership},
+		"nostats_equijoin":         {Config{}, innerSwap},
+		"stats_semijoin":           {costed, semiMembership},
+		"stats_inner_swap":         {costed, innerSwap},
+		"stats_group_par":          {costed, groupBig},
+		"stats_theta_nl":           {costed, theta},
+		"stats_filter_serial":      {costed, adl.Sel("p", adl.EqE(adl.Dot(adl.V("p"), "color"), adl.CStr("red")), adl.T("PART"))},
+		"stats_map_parallel":       {costed, adl.MapE("d", adl.Dot(adl.V("d"), "date"), adl.T("DELIVERY"))},
+		"stats_project_unnest":     {costed, adl.Proj(adl.Mu("parts", adl.T("SUPPLIER")), "pid")},
 	}
 }
 
 func TestExplainGolden(t *testing.T) {
-	for name, pl := range goldenCases() {
+	for name, c := range goldenCases() {
 		t.Run(name, func(t *testing.T) {
-			got := pl.Explain()
+			got := c.cfg.Plan(c.expr).Explain()
 			path := filepath.Join("testdata", name+".golden")
 			if *update {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {

@@ -12,7 +12,8 @@ import (
 // shape where histogram estimates and the NDV rules genuinely diverge — are
 // planned with histograms on (default), off (Config.NoHistograms), with
 // parallel operators, and without reordering. Every plan must return the
-// rule-based serial reference's exact result set. CI runs this under -race.
+// exact result set of the serial reference planned without statistics. CI
+// runs this under -race.
 func TestDifferentialHistogramEquivalence(t *testing.T) {
 	histDiffers := 0
 	for seed := int64(1); seed <= 25; seed++ {
@@ -38,7 +39,7 @@ func TestDifferentialHistogramEquivalence(t *testing.T) {
 			pl := cfg.Plan(expr)
 			got := collect(t, pl.Root, st)
 			if !value.Equal(got, ref) {
-				t.Fatalf("seed %d arm %s diverges from rule-based reference:\nquery: %s\nplan:\n%s\n got  %v\n want %v",
+				t.Fatalf("seed %d arm %s diverges from the no-statistics reference:\nquery: %s\nplan:\n%s\n got  %v\n want %v",
 					seed, name, expr, pl.Explain(), got, ref)
 			}
 			switch name {

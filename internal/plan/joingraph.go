@@ -99,8 +99,7 @@ func (p *planner) leafAttrs(e adl.Expr) []string {
 // buildJoinGraph decomposes the inner-join chain rooted at j and classifies
 // its conjuncts. It fails (ok == false) when the chain does not decompose,
 // has fewer than three relations (nothing to reorder) or more than the
-// bitmask width, when a leaf's cardinality is unknown to the cost model, or
-// when a conjunct references no relation at all.
+// bitmask width, or when a conjunct references no relation at all.
 func (p *planner) buildJoinGraph(j *adl.Join) (*joinGraph, bool) {
 	tree, ok := adl.DecomposeJoinTree(j, p.leafAttrs)
 	if !ok || len(tree.Leaves) < 3 || len(tree.Leaves) > maxGraphRels {
@@ -147,7 +146,7 @@ func (p *planner) buildJoinGraph(j *adl.Join) (*joinGraph, bool) {
 		}
 	}
 
-	// Compile the (filtered) leaves; the enumerator needs every cardinality.
+	// Compile the (filtered) leaves; the enumerator prices their estimates.
 	g.rels = make([]graphRel, len(tree.Leaves))
 	for i, lf := range tree.Leaves {
 		expr := lf.Expr
@@ -155,9 +154,6 @@ func (p *planner) buildJoinGraph(j *adl.Join) (*joinGraph, bool) {
 			expr = adl.Sel(lf.Var, adl.AndE(filters[i]...), expr)
 		}
 		op, est := p.compile(expr)
-		if !est.known {
-			return nil, false
-		}
 		g.rels[i] = graphRel{leafVar: lf.Var, op: op, est: est}
 	}
 
@@ -254,21 +250,21 @@ func (g *joinGraph) connected(s1, s2 uint64) bool {
 // the shape is not eligible (or the graph degenerate) and the caller should
 // compile in rewriter order.
 func (p *planner) tryReorder(j *adl.Join) (exec.Operator, nodeEst, bool) {
-	if !p.statsMode() || p.cfg.NoReorder || !adl.Reorderable(j) {
-		return nil, unknownEst, false
+	if p.cfg.NoReorder || !adl.Reorderable(j) {
+		return nil, nodeEst{}, false
 	}
 	// A graph needs at least three relations: one operand must itself be a
 	// flattenable join.
 	if !isReorderableJoin(j.L) && !isReorderableJoin(j.R) {
-		return nil, unknownEst, false
+		return nil, nodeEst{}, false
 	}
 	g, built := p.buildJoinGraph(j)
 	if !built {
-		return nil, unknownEst, false
+		return nil, nodeEst{}, false
 	}
 	entry := p.enumerateJoinOrder(g)
 	if entry == nil {
-		return nil, unknownEst, false
+		return nil, nodeEst{}, false
 	}
 	op, est := p.buildJoinOrder(g, entry)
 	return op, est, true

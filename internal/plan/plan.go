@@ -1,21 +1,19 @@
 // Package plan lowers logical ADL expressions to physical operator trees.
 // The planner realizes the paper's motivation: once the rewriter has
 // produced join operators, "the optimizer may choose from a number of
-// different join processing strategies" (§5.1). With collected statistics
-// (storage.Analyze → Config.Statistics) the planner is a two-phase
-// optimizer: phase 1 decomposes chains of inner joins into a join-graph IR
-// (joingraph.go) and phase 2 enumerates join orders over it — DPsize over
-// connected subgraphs, bushy trees included, with a greedy left-deep
-// fallback past Config.MaxDPRelations (enumerate.go). Each chosen edge is
-// handed to cost-based physical selection: every applicable physical join
-// operator is priced by the model in cost.go — including build/probe side
-// swapping for inner equi-joins, and the partitioned form against the serial
-// one — and the cheapest wins. The cost model is the only way the planner
-// chooses parallelism. Without statistics the planner selects by predicate
-// shape alone, serially: equi-predicates select hash joins, membership-in-
-// attribute predicates select the set-probe join (the single-segment PNHL
-// core), materialize becomes the pointer-based assembly, everything else
-// nested loops.
+// different join processing strategies" (§5.1). The planner is a two-phase
+// cost-based optimizer over collected statistics (storage.Analyze →
+// Config.Statistics), or over default statistics when none are given: phase
+// 1 decomposes chains of inner joins into a join-graph IR (joingraph.go) and
+// phase 2 enumerates join orders over it — DPsize over connected subgraphs,
+// bushy trees included, with a greedy left-deep fallback past
+// Config.MaxDPRelations (enumerate.go). Each chosen edge is handed to
+// cost-based physical selection: every applicable physical join operator is
+// priced by the model in cost.go — including build/probe side swapping for
+// inner equi-joins, and the partitioned form against the serial one — and
+// the cheapest wins. The cost model is the only way the planner chooses an
+// operator and the only way it chooses parallelism; without statistics it
+// plans on one worker.
 package plan
 
 import (
@@ -29,14 +27,15 @@ import (
 	"repro/internal/value"
 )
 
-// Config parameterizes compilation. The zero Config plans serially by
-// predicate shape; set Statistics (collected by storage.Store.Analyze) for
-// cost-based operator selection.
+// Config parameterizes compilation. The zero Config plans serially on the
+// default statistics; set Statistics (collected by storage.Store.Analyze) to
+// price the plan on the data.
 type Config struct {
-	// Statistics enables cost-based physical selection: every applicable
-	// join strategy is priced and the cheapest chosen, and plans carry
-	// per-node cardinality/cost estimates (see Plan.Explain). nil disables
-	// the cost model.
+	// Statistics feeds the cost model: every applicable strategy is priced
+	// and the cheapest chosen, and every plan node carries its
+	// cardinality/cost estimate (see Plan.Explain). nil prices every extent at
+	// defaultRows rows with no distinct counts, histograms or indexes, and
+	// plans on one worker.
 	Statistics Statistics
 	// Stats is ignored.
 	//
@@ -48,6 +47,7 @@ type Config struct {
 	// Parallelism is the worker count the cost model may give a parallel
 	// operator; 0 means exec.Parallelism's default, GOMAXPROCS. It is
 	// resolved once per plan and written into every node that has a count.
+	// Without Statistics it resolves to 1.
 	Parallelism int
 	// MaxDPRelations caps exhaustive DPsize join-order enumeration; graphs
 	// with more relations fall back to the greedy left-deep heuristic.
@@ -101,10 +101,9 @@ func (c Config) batchSize() int {
 }
 
 // Plan is a compiled physical operator tree plus the optimizer's per-node
-// estimates (present when the Config carried Statistics), and — once an
-// instrumented execution has committed — the observed row counts runtime
-// feedback compares them against (feedback.go). A Plan is safe for concurrent
-// execution.
+// estimates, and — once an instrumented execution has committed — the
+// observed row counts runtime feedback compares them against (feedback.go).
+// A Plan is safe for concurrent execution.
 type Plan struct {
 	// Root is the plan itself: immutable nodes whose Open returns the state
 	// of a run, so any number of goroutines may exec.Collect it at once.
@@ -120,8 +119,8 @@ func (p *Plan) Estimate(op exec.Operator) (Estimate, bool) {
 	return e, ok
 }
 
-// Explain renders the plan tree with cost annotations where available, and
-// observed per-execution row counts once instrumented executions have run.
+// Explain renders the plan tree with its cost annotations, and observed
+// per-execution row counts once instrumented executions have run.
 func (p *Plan) Explain() string { return explainTree(p.Root, p.est, p.Actual) }
 
 // Compile builds a physical operator tree with the default (serial)
@@ -133,7 +132,11 @@ func (c Config) Compile(e adl.Expr) exec.Operator { return c.Plan(e).Root }
 
 // Plan compiles a (set-valued) ADL expression into an annotated plan.
 func (c Config) Plan(e adl.Expr) *Plan {
-	p := &planner{cfg: c, workers: exec.Parallelism(c.Parallelism), card: newEstimator(c),
+	workers := exec.Parallelism(c.Parallelism)
+	if c.Statistics == nil {
+		c.Statistics, workers = defaultStatistics{}, 1
+	}
+	p := &planner{cfg: c, workers: workers, card: newEstimator(c),
 		est: map[exec.Operator]Estimate{}}
 	root, _ := p.compile(e)
 	return &Plan{Root: root, est: p.est}
@@ -157,32 +160,27 @@ type planner struct {
 	joinVarSeq int
 }
 
-// statsMode reports whether cost-based selection is active.
-func (p *planner) statsMode() bool { return p.cfg.Statistics != nil }
+// record stores a node's annotation.
+func (p *planner) record(op exec.Operator, e nodeEst) { p.est[op] = e.estimate() }
 
-// record stores a node's annotation when the model produced one.
-func (p *planner) record(op exec.Operator, e nodeEst) {
-	if e.known {
-		p.est[op] = e.estimate()
+// rows is an extent's cardinality for pricing: its row count, or defaultRows
+// when the statistics have none.
+func (p *planner) rows(extent string) float64 {
+	if n := p.cfg.Statistics.RowCount(extent); n >= 0 {
+		return float64(n)
 	}
+	return defaultRows
 }
 
-// compile lowers one expression, returning the operator and its estimate
-// (unknownEst outside stats mode or for shapes the model cannot see
-// through).
+// compile lowers one expression, returning the operator and its estimate.
 func (p *planner) compile(e adl.Expr) (exec.Operator, nodeEst) {
 	switch n := e.(type) {
 	case *adl.Table:
 		op := &exec.Scan{Table: n.Name}
-		if p.statsMode() {
-			if rows := p.cfg.Statistics.RowCount(n.Name); rows >= 0 {
-				est := nodeEst{rows: float64(rows), known: true,
-					extent: n.Name, cost: float64(rows) * cRow}
-				p.record(op, est)
-				return op, est
-			}
-		}
-		return op, unknownEst
+		rows := p.rows(n.Name)
+		est := nodeEst{rows: rows, extent: n.Name, cost: rows * cRow}
+		p.record(op, est)
+		return op, est
 
 	case *adl.Select:
 		if op, est, ok := p.tryVecSelect(n); ok {
@@ -193,25 +191,18 @@ func (p *planner) compile(e adl.Expr) (exec.Operator, nodeEst) {
 		}
 		child, ce := p.compile(n.Src)
 		pred := exec.NewScalar(n.Pred, n.Var)
-		filter := func(workers int) exec.Operator {
-			return &exec.Filter{Child: child, Var: n.Var, Pred: pred, Workers: workers}
-		}
-		if p.statsMode() && ce.known {
-			return p.chooseScalarOp(ce, ce.rows*p.card.selectivity(n.Pred, n.Var, ce.extent), ce.extent, filter)
-		}
-		return filter(1), unknownEst
+		return p.chooseScalarOp(ce, ce.rows*p.card.selectivity(n.Pred, n.Var, ce.extent), ce.extent,
+			func(workers int) exec.Operator {
+				return &exec.Filter{Child: child, Var: n.Var, Pred: pred, Workers: workers}
+			})
 
 	case *adl.Map:
 		child, ce := p.compile(n.Src)
 		body := exec.NewScalar(n.Body, n.Var)
-		mapOp := func(workers int) exec.Operator {
+		// The body may reshape rows, so the origin extent is dropped.
+		return p.chooseScalarOp(ce, ce.rows, "", func(workers int) exec.Operator {
 			return &exec.MapOp{Child: child, Var: n.Var, Body: body, Workers: workers}
-		}
-		if p.statsMode() && ce.known {
-			// The body may reshape rows, so the origin extent is dropped.
-			return p.chooseScalarOp(ce, ce.rows, "", mapOp)
-		}
-		return mapOp(1), unknownEst
+		})
 
 	case *adl.Project:
 		if op, est, ok := p.tryVecProject(n); ok {
@@ -264,9 +255,16 @@ func (p *planner) compile(e adl.Expr) (exec.Operator, nodeEst) {
 		return op, est
 
 	case *adl.Divide:
-		l, _ := p.compile(n.L)
-		r, _ := p.compile(n.R)
-		return &exec.DivideOp{L: l, R: r}, unknownEst
+		// A quotient row stands for as many dividend rows as the divisor
+		// has; the division hashes both operands once.
+		l, le := p.compile(n.L)
+		r, re := p.compile(n.R)
+		op := &exec.DivideOp{L: l, R: r}
+		rows := le.rows / math.Max(1, re.rows)
+		est := nodeEst{rows: rows,
+			cost: le.cost + re.cost + (le.rows+re.rows)*cHashBuild + rows*cRow}
+		p.record(op, est)
+		return op, est
 
 	case *adl.Let:
 		child, ce := p.compile(n.Body)
@@ -275,20 +273,23 @@ func (p *planner) compile(e adl.Expr) (exec.Operator, nodeEst) {
 		return op, ce
 
 	case *adl.Join:
-		// Multi-join chains go through the two-phase optimizer when
-		// statistics are available: decompose to a join graph, enumerate
-		// orders, rebuild the cheapest. Ineligible shapes (and planning
-		// without statistics) keep the rewriter's order.
+		// Multi-join chains go through the two-phase optimizer: decompose to
+		// a join graph, enumerate orders, rebuild the cheapest. Ineligible
+		// shapes keep the rewriter's order.
 		if op, est, ok := p.tryReorder(n); ok {
 			return op, est
 		}
 		return p.compileJoin(n)
 	}
-	// Fallback: evaluate the fragment with the reference interpreter.
-	return &exec.ExprScan{Expr: e}, unknownEst
+	// Fallback: evaluate the fragment with the reference interpreter, priced
+	// as one expression evaluation per row of an extent of unknown size.
+	op := &exec.ExprScan{Expr: e}
+	est := nodeEst{rows: defaultRows, cost: defaultRows * cEval}
+	p.record(op, est)
+	return op, est
 }
 
-// chooseScalarOp prices a σ/α over a known-size child serially versus on a
+// chooseScalarOp prices a σ/α over its child serially versus on a
 // worker pool of the configured size, builds the cheaper with mk, and records
 // its estimate (outRows output rows, origin extent as given).
 func (p *planner) chooseScalarOp(ce nodeEst, outRows float64, extent string,
@@ -298,19 +299,15 @@ func (p *planner) chooseScalarOp(ce nodeEst, outRows float64, extent string,
 		own, workers = pool, p.workers
 	}
 	op := mk(workers)
-	est := nodeEst{rows: outRows, known: true, extent: extent,
-		cost: ce.cost + own + outRows*cRow}
+	est := nodeEst{rows: outRows, extent: extent, cost: ce.cost + own + outRows*cRow}
 	p.record(op, est)
 	return op, est
 }
 
 // withOwn derives a child's estimate for a row-transforming parent: new row
-// count, extent preserved, own cost added. Unknown stays unknown.
+// count, extent preserved, own cost added.
 func (e nodeEst) withOwn(rows, own float64) nodeEst {
-	if !e.known {
-		return unknownEst
-	}
-	return nodeEst{rows: rows, known: true, extent: e.extent, cost: e.cost + own}
+	return nodeEst{rows: rows, extent: e.extent, cost: e.cost + own}
 }
 
 // setProbeShape recognizes the membership-in-attribute predicate shape:
@@ -376,89 +373,57 @@ func joinExtent(kind adl.JoinKind, le nodeEst) string {
 	return ""
 }
 
-// compileJoin chooses a join implementation — cost-based under Statistics,
-// serially by predicate shape otherwise.
+// compileJoin prices the join implementations the predicate's shape admits
+// and returns the cheapest.
 func (p *planner) compileJoin(j *adl.Join) (exec.Operator, nodeEst) {
 	l, le := p.compile(j.L)
 	r, re := p.compile(j.R)
 	rfun := rfunScalar(j)
 
 	cs := conjuncts(j.On)
-	costed := p.statsMode() && le.known && re.known
+	nl := func() exec.Operator {
+		return &exec.NLJoin{Kind: j.Kind, L: l, R: r, LVar: j.LVar, RVar: j.RVar,
+			Pred: exec.NewScalar(j.On, j.LVar, j.RVar), As: j.As, RFun: rfun}
+	}
 
 	if attr, rkeyExpr, ok := setProbeShape(j, cs); ok {
-		sp := &exec.SetProbeJoin{
-			Kind: j.Kind, L: l, R: r,
-			Attr: attr,
-			RKey: exec.NewScalar(rkeyExpr, j.RVar),
-			As:   j.As, RFun: rfun,
-		}
-		if !costed {
-			return sp, unknownEst
-		}
 		// Price the single-segment PNHL core against the nested loop.
 		avg := p.card.avgSetSize(le, attr)
 		inner := finite(le.rows * re.rows / math.Max(1, math.Max(le.rows, re.rows)))
 		out := joinOutRows(j.Kind, le.rows, re.rows, inner, le.rows, re.rows)
 		spOwn := costPNHL(le.rows, avg, re.rows, out, 1)
-		nlOwn := costNL(le.rows, re.rows, out)
-		child := le.cost + re.cost
-		if nlOwn < spOwn {
-			op := &exec.NLJoin{Kind: j.Kind, L: l, R: r, LVar: j.LVar, RVar: j.RVar,
-				Pred: exec.NewScalar(j.On, j.LVar, j.RVar), As: j.As, RFun: rfun}
-			est := nodeEst{rows: out, known: true, extent: joinExtent(j.Kind, le),
-				cost: child + nlOwn, note: "nested loop priced cheaper"}
-			p.record(op, est)
-			return op, est
+		est := nodeEst{rows: out, extent: joinExtent(j.Kind, le), cost: le.cost + re.cost + spOwn}
+		var op exec.Operator = &exec.SetProbeJoin{Kind: j.Kind, L: l, R: r, Attr: attr,
+			RKey: exec.NewScalar(rkeyExpr, j.RVar), As: j.As, RFun: rfun}
+		if nlOwn := costNL(le.rows, re.rows, out); nlOwn < spOwn {
+			op, est.cost, est.note = nl(), le.cost+re.cost+nlOwn, "nested loop priced cheaper"
 		}
-		est := nodeEst{rows: out, known: true, extent: joinExtent(j.Kind, le),
-			cost: child + spOwn}
-		p.record(sp, est)
-		return sp, est
+		p.record(op, est)
+		return op, est
 	}
 
 	lkeys, rkeys, residual := splitEquiKeys(cs, j)
-
 	if len(lkeys) > 0 {
 		var res *exec.Scalar
 		if len(residual) > 0 {
 			s := exec.NewScalar(adl.AndE(residual...), j.LVar, j.RVar)
 			res = &s
 		}
-		if costed {
-			return p.chooseEquiJoin(j, l, r, le, re, lkeys, rkeys, residual, res, rfun)
-		}
-		return &exec.HashJoin{
-			Kind: j.Kind, L: l, R: r,
-			LVar: j.LVar, RVar: j.RVar,
-			LKey:     keyScalar(lkeys, j.LVar),
-			RKey:     keyScalar(rkeys, j.RVar),
-			Residual: res,
-			As:       j.As, RFun: rfun,
-			Partitions: 1,
-		}, unknownEst
+		return p.chooseEquiJoin(j, l, r, le, re, lkeys, rkeys, residual, res, rfun)
 	}
 
-	nl := &exec.NLJoin{
-		Kind: j.Kind, L: l, R: r,
-		LVar: j.LVar, RVar: j.RVar,
-		Pred: exec.NewScalar(j.On, j.LVar, j.RVar),
-		As:   j.As, RFun: rfun,
+	// No usable equi key: the estimator prices the theta predicate conjunct
+	// by conjunct.
+	sel := p.card.joinPredSelectivity(cs, j.LVar, le, j.RVar, re)
+	out := le.rows * re.rows * sel
+	if j.Kind == adl.Semi || j.Kind == adl.Anti || j.Kind == adl.NestJ {
+		out = joinOutRows(j.Kind, le.rows, re.rows, out, le.rows, re.rows)
 	}
-	if costed {
-		// No usable equi key: the estimator prices the theta predicate
-		// conjunct by conjunct (formerly a flat cross-product ·1/3 guess).
-		sel := p.card.joinPredSelectivity(cs, j.LVar, le, j.RVar, re)
-		out := le.rows * re.rows * sel
-		if j.Kind == adl.Semi || j.Kind == adl.Anti || j.Kind == adl.NestJ {
-			out = joinOutRows(j.Kind, le.rows, re.rows, out, le.rows, re.rows)
-		}
-		est := nodeEst{rows: out, known: true, extent: joinExtent(j.Kind, le),
-			cost: le.cost + re.cost + costNL(le.rows, re.rows, out)}
-		p.record(nl, est)
-		return nl, est
-	}
-	return nl, unknownEst
+	op := nl()
+	est := nodeEst{rows: out, extent: joinExtent(j.Kind, le),
+		cost: le.cost + re.cost + costNL(le.rows, re.rows, out)}
+	p.record(op, est)
+	return op, est
 }
 
 // chooseEquiJoin prices every applicable physical implementation of an
@@ -543,33 +508,20 @@ func (p *planner) chooseEquiJoin(j *adl.Join, l, r exec.Operator, le, re nodeEst
 	// it emits: it pays μ's child, not μ.
 	if u, ok := l.(*exec.UnnestOp); ok && (j.Kind == adl.Semi || j.Kind == adl.Anti) &&
 		len(lkeys) == 1 && len(residual) == 0 {
-		if ue, ok := p.est[u.Child]; ok {
-			for _, c := range cands[:2] {
-				build := c.build
-				c.child = ue.Cost + re.cost
-				c.build = func() exec.Operator {
-					hj := build().(*exec.HashJoin)
-					hj.L, hj.Unnest = u.Child, u.Attr
-					delete(p.est, u) // μ is no node of the plan
-					return hj
-				}
-				cands = append(cands, c)
+		for _, c := range cands[:2] {
+			build := c.build
+			c.child = p.est[u.Child].Cost + re.cost
+			c.build = func() exec.Operator {
+				hj := build().(*exec.HashJoin)
+				hj.L, hj.Unnest = u.Child, u.Attr
+				delete(p.est, u) // μ is no node of the plan
+				return hj
 			}
+			cands = append(cands, c)
 		}
 	}
 	if swappable {
 		cands = append(cands, hash(true, 1), hash(true, p.workers))
-	}
-	if (j.Kind == adl.Inner || j.Kind == adl.NestJ) && len(residual) == 0 {
-		cands = append(cands, candidate{
-			build: func() exec.Operator {
-				return &exec.SortMergeJoin{Kind: j.Kind, L: l, R: r,
-					LVar: j.LVar, RVar: j.RVar,
-					LKey: keyScalar(lkeys, j.LVar), RKey: keyScalar(rkeys, j.RVar),
-					As: j.As, RFun: rfun}
-			},
-			own: costSortMerge(le.rows, re.rows, out), child: bothChildren,
-		})
 	}
 
 	// Index-nested-loop candidates: probe the inner extent's secondary index
@@ -633,7 +585,7 @@ func (p *planner) chooseEquiJoin(j *adl.Join, l, r exec.Operator, le, re nodeEst
 		}
 	}
 	op := cands[best].build()
-	est := nodeEst{rows: out, known: true, extent: joinExtent(j.Kind, le),
+	est := nodeEst{rows: out, extent: joinExtent(j.Kind, le),
 		cost: cands[best].child + cands[best].own, note: cands[best].note}
 	p.record(op, est)
 	return op, est
@@ -757,8 +709,6 @@ func describe(node any) (string, []any) {
 	case *exec.IndexNLJoin:
 		return fmt.Sprintf("IndexNLJoin[%v on %s -> %s.%s%s]  -- index nested loop",
 			o.Kind, o.LKey.Expr, o.Table, o.Attr, residualNote(o.Residual)), []any{o.L}
-	case *exec.SetScan:
-		return fmt.Sprintf("SetScan(%d elems)", o.Set.Len()), nil
 	case *exec.ExprScan:
 		return fmt.Sprintf("ExprScan(%s)  -- interpreter fallback", o.Expr), nil
 	case *exec.Filter:
@@ -783,6 +733,10 @@ func describe(node any) (string, []any) {
 		return "Flatten", []any{o.Child}
 	case *exec.Assembly:
 		return fmt.Sprintf("Assembly[%s -> %s]  -- pointer-based materialize", o.Attr, o.As), []any{o.Child}
+	case *exec.RenameOp:
+		return fmt.Sprintf("Rename[%s -> %s]", o.From, o.To), []any{o.Child}
+	case *exec.DivideOp:
+		return "Divide", []any{o.L, o.R}
 	case *exec.LetOp:
 		return fmt.Sprintf("Let[%s = %s]  -- constant, evaluated once", o.Var, o.Val), []any{o.Child}
 	case *exec.HashJoin:
@@ -796,8 +750,6 @@ func describe(node any) (string, []any) {
 		return fmt.Sprintf("HashJoin[%s]", on), []any{o.L, o.R}
 	case *exec.SetProbeJoin:
 		return fmt.Sprintf("SetProbeJoin[%v on %s ∈ .%s]", o.Kind, o.RKey.Expr, o.Attr), []any{o.L, o.R}
-	case *exec.SortMergeJoin:
-		return fmt.Sprintf("SortMergeJoin[%v on %s = %s]", o.Kind, o.LKey.Expr, o.RKey.Expr), []any{o.L, o.R}
 	case *exec.NLJoin:
 		return fmt.Sprintf("NLJoin[%v on %s]", o.Kind, o.Pred.Expr), []any{o.L, o.R}
 	case *exec.PNHL:

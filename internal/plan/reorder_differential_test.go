@@ -17,9 +17,10 @@ import (
 // queries (3–4 relations, random tree shapes, equi and theta conjuncts,
 // occasional empty tables) are planned four ways — rewriter order, the
 // enumerated order, the enumerated order with parallel operators, and the
-// greedy left-deep fallback — and every plan must return the rule-based
-// serial reference's exact result set. CI runs this under -race, which also
-// shakes the parallel operators reached through reordered plans.
+// greedy left-deep fallback — and every plan must return the exact result
+// set of the serial reference planned without statistics. CI runs this under
+// -race, which also shakes the parallel operators reached through reordered
+// plans.
 
 // randRelations builds nt random tables T0..T{nt-1}, each with a key
 // attribute t{i}k (small domain), a second key t{i}j, and a value t{i}v,
@@ -151,7 +152,7 @@ func TestDifferentialReorderedEquivalence(t *testing.T) {
 			pl := cfg.Plan(expr)
 			got := collect(t, pl.Root, db)
 			if !value.Equal(got, ref) {
-				t.Fatalf("seed %d arm %s diverges from rule-based reference:\nquery: %s\nplan:\n%s\n got  %v\n want %v",
+				t.Fatalf("seed %d arm %s diverges from the no-statistics reference:\nquery: %s\nplan:\n%s\n got  %v\n want %v",
 					seed, name, expr, pl.Explain(), got, ref)
 			}
 			if name == "reordered" {
@@ -226,7 +227,7 @@ func storeRelations(t *testing.T, rng *rand.Rand, nt int, skewed bool) *storage.
 
 // TestDifferentialIndexedEquivalence is the indexed arm of the harness:
 // seeded random multi-join queries over a real store with secondary indexes
-// must return the rule-based reference's exact result set with indexes on,
+// must return the no-statistics reference's exact result set with indexes on,
 // off, and under parallel operators — race-clean under -race.
 func TestDifferentialIndexedEquivalence(t *testing.T) {
 	idxEngaged := 0
@@ -251,7 +252,7 @@ func TestDifferentialIndexedEquivalence(t *testing.T) {
 			pl := cfg.Plan(expr)
 			got := collect(t, pl.Root, st)
 			if !value.Equal(got, ref) {
-				t.Fatalf("seed %d arm %s diverges from rule-based reference:\nquery: %s\nplan:\n%s\n got  %v\n want %v",
+				t.Fatalf("seed %d arm %s diverges from the no-statistics reference:\nquery: %s\nplan:\n%s\n got  %v\n want %v",
 					seed, name, expr, pl.Explain(), got, ref)
 			}
 			if name == "indexed" && strings.Contains(pl.Explain(), "Index") {

@@ -2,7 +2,7 @@
 // compiles σ and π over a base extent to a batch pipeline: the extent scan
 // becomes a columnar-projection scan and conjunctive selections become
 // selection-vector filters with typed comparison kernels. With workers
-// available (Config.Parallelism) and statistics to price it, the scan+filter
+// available (Config.Parallelism, under Config.Statistics), the scan+filter
 // pipeline lowers to the morsel-driven VecExchange where the cost model finds
 // it cheaper. A pipeline always ends at a VecAdapter, which hands its rows to
 // the row operators above — the joins included, which price and pick their
@@ -24,32 +24,23 @@ func (p *planner) vecSource(e adl.Expr, attrs []string) (exec.VecOp, nodeEst, bo
 	switch n := e.(type) {
 	case *adl.Table:
 		scan := &exec.VecScan{Extent: n.Name, Attrs: attrs, Batch: p.cfg.batchSize()}
-		est := unknownEst
-		if p.statsMode() {
-			if rows := p.cfg.Statistics.RowCount(n.Name); rows >= 0 {
-				est = nodeEst{rows: float64(rows), known: true, extent: n.Name,
-					cost: costVecScan(float64(rows), p.cfg.batchSize())}
-			}
-		}
-		return scan, est, true
+		rows := p.rows(n.Name)
+		return scan, nodeEst{rows: rows, extent: n.Name,
+			cost: costVecScan(rows, p.cfg.batchSize())}, true
 
 	case *adl.Select:
 		// An inner selection's columns come first in the projection.
 		kernels, own := p.kernelsFor(n)
 		src, se, ok := p.vecSource(n.Src, addAttrs(addAttrs(nil, own), attrs))
 		if !ok {
-			return nil, unknownEst, false
+			return nil, nodeEst{}, false
 		}
 		f := &exec.VecFilter{Src: src, Var: n.Var, Kernels: kernels}
-		est := unknownEst
-		if se.known {
-			out := se.rows * p.card.selectivity(n.Pred, n.Var, se.extent)
-			est = nodeEst{rows: out, known: true, extent: se.extent,
-				cost: se.cost + costVecFilter(se.rows, float64(len(kernels)), p.cfg.batchSize())}
-		}
-		return f, est, true
+		out := se.rows * p.card.selectivity(n.Pred, n.Var, se.extent)
+		return f, nodeEst{rows: out, extent: se.extent,
+			cost: se.cost + costVecFilter(se.rows, float64(len(kernels)), p.cfg.batchSize())}, true
 	}
-	return nil, unknownEst, false
+	return nil, nodeEst{}, false
 }
 
 // kernelsFor compiles a selection's conjuncts into filter kernels, one per
@@ -143,11 +134,11 @@ func addAttrs(have []string, add []string) []string {
 // tryVecSelect compiles σ into a batch pipeline behind the Vectorized flag.
 func (p *planner) tryVecSelect(n *adl.Select) (exec.Operator, nodeEst, bool) {
 	if !p.cfg.Vectorized {
-		return nil, unknownEst, false
+		return nil, nodeEst{}, false
 	}
 	pipe, est, ok := p.vecSource(n, nil)
 	if !ok {
-		return nil, unknownEst, false
+		return nil, nodeEst{}, false
 	}
 	pipe, est = p.maybeExchange(pipe, est)
 	op := &exec.VecAdapter{Src: pipe}
@@ -160,11 +151,11 @@ func (p *planner) tryVecSelect(n *adl.Select) (exec.Operator, nodeEst, bool) {
 // materializing.
 func (p *planner) tryVecProject(n *adl.Project) (exec.Operator, nodeEst, bool) {
 	if !p.cfg.Vectorized {
-		return nil, unknownEst, false
+		return nil, nodeEst{}, false
 	}
 	pipe, se, ok := p.vecSource(n.X, nil)
 	if !ok {
-		return nil, unknownEst, false
+		return nil, nodeEst{}, false
 	}
 	pipe, se = p.maybeExchange(pipe, se)
 	op := &exec.VecAdapter{Src: pipe, Project: n.Attrs}
@@ -175,21 +166,17 @@ func (p *planner) tryVecProject(n *adl.Project) (exec.Operator, nodeEst, bool) {
 
 // maybeExchange converts a serial scan+filter batch pipeline into the
 // morsel-driven parallel exchange when workers are available and the cost
-// model prices it below the serial pipeline. Non-convertible pipelines,
-// unpriced ones and single-worker configurations pass through unchanged.
+// model prices it below the serial pipeline. Non-convertible pipelines and
+// single-worker configurations pass through unchanged.
 func (p *planner) maybeExchange(pipe exec.VecOp, est nodeEst) (exec.VecOp, nodeEst) {
-	if p.workers < 2 || !est.known {
+	if p.workers < 2 {
 		return pipe, est
 	}
 	ex, ok := exec.Exchange(pipe, p.workers)
 	if !ok {
 		return pipe, est
 	}
-	rows := p.cfg.Statistics.RowCount(ex.Src.Extent)
-	if rows < 0 {
-		return pipe, est
-	}
-	parOwn := costVecExchange(float64(rows), float64(len(ex.Kernels)), p.cfg.batchSize(), p.workers)
+	parOwn := costVecExchange(p.rows(ex.Src.Extent), float64(len(ex.Kernels)), p.cfg.batchSize(), p.workers)
 	if parOwn >= est.cost {
 		return pipe, est
 	}

@@ -83,7 +83,8 @@ func TestVectorizedPlanShapes(t *testing.T) {
 
 	// A join is never a batch operator: each kind of equi-join is a row join
 	// whose σ operand is the batch pipeline ending at a VecAdapter, residual
-	// conjuncts included, and each set-probe join the set-probe join.
+	// conjuncts included, and each set-probe join the set-probe join. An
+	// inner join builds on the σ operand, a third of the default extent size.
 	over := func(q *adl.Join) *adl.Join {
 		j := *q
 		j.L = sel
@@ -94,8 +95,12 @@ func TestVectorizedPlanShapes(t *testing.T) {
 		if !ok || hj.Kind != q.Kind || hj.Partitions > 1 {
 			t.Fatalf("%v equi-join compiled to %T, want a serial *exec.HashJoin of that kind", q.Kind, vec.Compile(over(q)))
 		}
-		if _, ok := hj.L.(*exec.VecAdapter); !ok {
-			t.Fatalf("%v equi-join probes %T, want the batch pipeline's *exec.VecAdapter", q.Kind, hj.L)
+		sigma := hj.L
+		if q.Kind == adl.Inner {
+			sigma = hj.R
+		}
+		if _, ok := sigma.(*exec.VecAdapter); !ok {
+			t.Fatalf("%v equi-join's σ operand is %T, want the batch pipeline's *exec.VecAdapter", q.Kind, sigma)
 		}
 		if (hj.Residual != nil) != (q == residual) || hj.As != q.As {
 			t.Fatalf("%v equi-join: residual %v, as %q", q.Kind, hj.Residual, hj.As)
