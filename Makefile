@@ -27,13 +27,13 @@ bench-smoke:
 	$(GO) run -race ./cmd/adlbench -quick -exp B14
 
 # CPU and allocation profiles of the four benchmarks ROADMAP direction 1
-# names — the semijoin of B1, the scalar/vectorized pipeline of B13, PNHL under
-# B4's budget sweep and the cached serving path — of the template path (a
-# never-seen text of a seen shape) and of analytic-cycle and analytic-cycle-vec
-# (the six query texts of benchmark/spec.go's analytic.default and
-# analytic.vectorized on their 4000/8000/20000 store, one after the other),
-# and of two of those texts alone: analytic-eq4 (Example Query 4's μ-fused
-# antijoin) and analytic-materialize (two set-probe nestjoins),
+# names — the semijoin of B1, B13's row pipeline against the batch pipeline
+# the planner picks, PNHL under B4's budget sweep and the cached serving
+# path — of the template path (a never-seen text of a seen shape) and of
+# analytic-cycle (the six query texts of benchmark/spec.go's analytic.default
+# on their 4000/8000/20000 store, one after the other), and of two of those
+# texts alone: analytic-eq4 (Example Query 4's μ-fused antijoin) and
+# analytic-materialize (two set-probe nestjoins),
 # written with the test binary into PROFILE_DIR (git-ignored) and summarized
 # on stdout. Each benchmark runs twice, once per profile: with the memory
 # profile's sampling on, its stack unwinding (runtime.tracebackPCs) would show
@@ -47,10 +47,9 @@ profile:
 	@set -e; for spec in 'B1=BenchmarkB1/optimized/S400' 'B13=BenchmarkB13/' \
 			'B4-PNHL=BenchmarkB4/^PNHL' 'ServeQuery=BenchmarkServeQuery/plancache' \
 			'ServeTemplate=BenchmarkServeQuery/template' \
-			'analytic-cycle=BenchmarkAnalyticCycle/scalar/cycle' \
-			'analytic-cycle-vec=BenchmarkAnalyticCycle/vectorized/cycle' \
-			'analytic-eq4=BenchmarkAnalyticCycle/scalar/eq4-antijoin' \
-			'analytic-materialize=BenchmarkAnalyticCycle/scalar/materialize'; do \
+			'analytic-cycle=BenchmarkAnalyticCycle/cycle' \
+			'analytic-eq4=BenchmarkAnalyticCycle/eq4-antijoin' \
+			'analytic-materialize=BenchmarkAnalyticCycle/materialize'; do \
 		name=$${spec%%=*}; \
 		$(PROFILE_DIR)/repro.test -test.run='^$$' -test.bench="$${spec#*=}" -test.benchmem \
 			-test.benchtime=$(PROFILE_BENCHTIME) -test.cpuprofile $(PROFILE_DIR)/$$name.cpu.prof; \
@@ -61,10 +60,11 @@ profile:
 		$(GO) tool pprof -sample_index=alloc_space -top -nodecount=8 $(PROFILE_DIR)/repro.test $(PROFILE_DIR)/$$name.mem.prof 2>/dev/null | tail -n +4; \
 	done
 
-# Serving-layer smoke: boots the OOSQL server binary — once on the scalar
-# operators, once with -vectorized on the batch pipeline — and drives it over
-# HTTP with the closed-loop load generator, then repeats the workload
-# in-process under the race detector with 256 clients on a small dataset (the
+# Serving-layer smoke: boots the OOSQL server binary, whose planner puts σ
+# over an extent on the batch pipeline where the cost model prices it
+# cheapest, drives it over HTTP with the closed-loop load generator, then
+# repeats the workload in-process under the race detector with 256 clients
+# on a small dataset (the
 # differential verification arm re-executes the untransformed nested form —
 # the paper's quadratic baseline — so the extent must stay small to bound
 # -race runtime). The driver exits non-zero on any request error or any
@@ -73,16 +73,14 @@ SERVE_ADDR ?= 127.0.0.1:18094
 serve-smoke:
 	$(GO) build -o adlserve.smoke ./cmd/adlserve
 	$(GO) build -o adlload.smoke ./cmd/adlload
-	@set -e; for mode in "" "-vectorized -batch 64"; do \
-		echo "== adlserve $$mode"; \
-		./adlserve.smoke -addr $(SERVE_ADDR) -suppliers 100 -parts 200 -deliveries 50 $$mode & \
-		srv=$$!; trap 'kill $$srv 2>/dev/null || true' EXIT; \
-		for i in $$(seq 1 50); do \
-			curl -sf http://$(SERVE_ADDR)/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
-		./adlload.smoke -addr http://$(SERVE_ADDR) -clients 64 -duration 2s \
-			-insert-frac 0.2 -delete-frac 0.05 -update-frac 0.05 -verify-frac 0.05; \
-		kill $$srv; wait $$srv 2>/dev/null || true; \
-	done
+	@set -e; \
+	./adlserve.smoke -addr $(SERVE_ADDR) -suppliers 100 -parts 200 -deliveries 50 & \
+	srv=$$!; trap 'kill $$srv 2>/dev/null || true' EXIT; \
+	for i in $$(seq 1 50); do \
+		curl -sf http://$(SERVE_ADDR)/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
+	./adlload.smoke -addr http://$(SERVE_ADDR) -clients 64 -duration 2s \
+		-insert-frac 0.2 -delete-frac 0.05 -update-frac 0.05 -verify-frac 0.05; \
+	kill $$srv; wait $$srv 2>/dev/null || true
 	@rm -f adlserve.smoke adlload.smoke
 	$(GO) run -race ./cmd/adlload -clients 256 -duration 2s -insert-frac 0.2 \
 		-delete-frac 0.05 -update-frac 0.05 \

@@ -51,7 +51,7 @@ func benchArms(b *testing.B, c experiments.Case, scale string) {
 }
 
 // BenchmarkB1 — EQ5 (existential nesting over a base table): nested loop vs
-// the Rule 1 semijoin, scalar and vectorized.
+// the Rule 1 semijoin.
 func BenchmarkB1(b *testing.B) {
 	for _, sc := range [][2]int{{100, 200}, {400, 800}} {
 		benchArms(b, experiments.EQ5(sc[0], sc[1]), fmt.Sprintf("/S%d_P%d", sc[0], sc[1]))
@@ -156,27 +156,30 @@ func BenchmarkB14(b *testing.B) {
 }
 
 // TestBatchAllocations pins the batch pipeline's claim: nothing is allocated
-// per row. A run of B1's vectorized arm (1 200 input rows) and of the B13/B14
-// pipeline's vectorized and parallel-vectorized arms (40 400 rows, 4
-// workers) stays at or under 512 allocations. They take a few dozen serial
-// and a couple of hundred with the exchange; one allocation per row would
-// be thousands.
+// per row. A run of B1's planned arm (1 200 input rows, σ on the batch
+// pipeline) and of the B13/B14 pipeline's vectorized and parallel-vectorized
+// arms (40 400 rows, 4 workers) stays at or under 512 allocations. They take
+// a few dozen serial and a couple of hundred with the exchange; one
+// allocation per row would be thousands.
 func TestBatchAllocations(t *testing.T) {
-	vec := experiments.VecJoin(400, 40000, 4)
+	eq5, vec := experiments.EQ5(400, 800), experiments.VecJoin(400, 40000, 4)
 	for _, tc := range []struct {
-		c     experiments.Case
-		label string
+		c   experiments.Case
+		arm experiments.Arm
 	}{
-		{experiments.EQ5(400, 800), "vectorized"},
-		{vec, "vectorized"},
-		{vec, "parallel-vectorized"},
+		{eq5, eq5.Arms[1]},
+		{vec, vec.Only("vectorized").Arms[0]},
+		{vec, vec.Only("parallel-vectorized").Arms[0]},
 	} {
-		_, run := tc.c.Exec(tc.c.Only(tc.label).Arms[0])
+		pl, run := tc.c.Exec(tc.arm)
+		if x := pl.Explain(); !strings.Contains(x, "VecScan") {
+			t.Fatalf("%s %s: no batch pipeline in\n%s", tc.c.Name, tc.arm.Label, x)
+		}
 		n := testing.AllocsPerRun(5, func() { _, _ = run() })
 		if n > 512 {
-			t.Errorf("%s %s: %.0f allocations per run, want at most 512", tc.c.Name, tc.label, n)
+			t.Errorf("%s %s: %.0f allocations per run, want at most 512", tc.c.Name, tc.arm.Label, n)
 		}
-		t.Logf("%s %s: %.0f allocations per run", tc.c.Name, tc.label, n)
+		t.Logf("%s %s: %.0f allocations per run", tc.c.Name, tc.arm.Label, n)
 	}
 }
 
@@ -680,19 +683,17 @@ func TestRowAllocations(t *testing.T) {
 	}
 }
 
-// TestFilterMapAllocations pins what opening a cached σ/α plan allocates
+// TestFilterMapAllocations pins what opening a row σ/α pipeline allocates
 // beyond opening its scan: σ's stream and α's stream, one allocation each.
 // The compiled scalar travels in the stream, not in a bound method value,
-// which was one more allocation per operator.
+// which was one more allocation per operator. The pipeline is built by hand:
+// for σ over an extent the planner prices the batch pipeline cheaper.
 func TestFilterMapAllocations(t *testing.T) {
 	st := bench.Generate(bench.Config{Suppliers: 20, Parts: 40, Deliveries: 10, Seed: 94})
-	p, err := core.PrepareCfg(`select p.pname from p in PART where p.price < 50`, st.Catalog(), plan.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x := plan.Explain(p.Plan); !strings.Contains(x, "Map") || !strings.Contains(x, "Filter") {
-		t.Fatalf("want a Map over a Filter, got\n%s", x)
-	}
+	p := adl.V("p")
+	mapFilter := &exec.MapOp{Var: "p", Body: exec.NewScalar(adl.Dot(p, "pname"), "p"), Workers: 1,
+		Child: &exec.Filter{Child: &exec.Scan{Table: "PART"}, Var: "p", Workers: 1,
+			Pred: exec.NewScalar(adl.CmpE(adl.Lt, adl.Dot(p, "price"), adl.CInt(50)), "p")}}
 	ctx := &exec.Ctx{DB: st}
 	open := func(op exec.Operator) float64 {
 		return testing.AllocsPerRun(20, func() {
@@ -703,13 +704,13 @@ func TestFilterMapAllocations(t *testing.T) {
 			rows.Close()
 		})
 	}
-	if got := open(p.Plan) - open(&exec.Scan{Table: "PART"}); got != 2 {
+	if got := open(mapFilter) - open(&exec.Scan{Table: "PART"}); got != 2 {
 		t.Errorf("opening σ and α over a scan: %.0f allocations beyond the scan's, want 2", got)
 	}
 }
 
 // TestNestJoinAllocations pins the nestjoin's per-row cost on Example Query 6
-// and the materialize query (two nestjoins), scalar and vectorized: a left
+// and the materialize query (two nestjoins): a left
 // row is its extended tuple and at most one right-sized group (the matches
 // are collected in one scratch set per run), so the whole query stays within
 // 3 allocations per supplier for eq6 and 5 for materialize (two nestjoins,
@@ -724,27 +725,25 @@ func TestNestJoinAllocations(t *testing.T) {
 			name, src string
 			perRow    float64
 		}{{"eq6", eq6, 3}, {"materialize", materializeQuery, 5}} {
-			for _, vec := range []bool{false, true} {
-				cfg := plan.Config{Statistics: st.Analyze(), Parallelism: 1, Vectorized: vec}
-				p, err := core.PrepareCfg(q.src, st.Catalog(), cfg)
-				if err != nil {
+			cfg := plan.Config{Statistics: st.Analyze(), Parallelism: 1}
+			p, err := core.PrepareCfg(q.src, st.Catalog(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if x := plan.Explain(p.Plan); !strings.Contains(x, "p[pid] ∈ .parts") {
+				t.Fatalf("%s: want a set-probe nestjoin, got\n%s", q.name, x)
+			}
+			ctx := &exec.Ctx{DB: st}
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := exec.Collect(p.Plan, ctx); err != nil {
 					t.Fatal(err)
 				}
-				if x := plan.Explain(p.Plan); !strings.Contains(x, "p[pid] ∈ .parts") {
-					t.Fatalf("%s, vectorized %v: want a set-probe nestjoin, got\n%s", q.name, vec, x)
-				}
-				ctx := &exec.Ctx{DB: st}
-				allocs := testing.AllocsPerRun(5, func() {
-					if _, err := exec.Collect(p.Plan, ctx); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if perRow := allocs / float64(n); perRow > q.perRow {
-					t.Errorf("%s, vectorized %v, %d suppliers: %.2f allocations per supplier, want at most %.0f",
-						q.name, vec, n, perRow, q.perRow)
-				}
-				t.Logf("%s, vectorized %v, %d suppliers: %.0f allocations, %.2f per supplier", q.name, vec, n, allocs, allocs/float64(n))
+			})
+			if perRow := allocs / float64(n); perRow > q.perRow {
+				t.Errorf("%s, %d suppliers: %.2f allocations per supplier, want at most %.0f",
+					q.name, n, perRow, q.perRow)
 			}
+			t.Logf("%s, %d suppliers: %.0f allocations, %.2f per supplier", q.name, n, allocs, allocs/float64(n))
 		}
 	}
 }
@@ -775,36 +774,29 @@ func analyticWorkload(tb testing.TB) (*storage.Store, [][2]string) {
 	}
 }
 
-// BenchmarkAnalyticCycle — each query of analytic.default (scalar/) and of
-// analytic.vectorized (vectorized/) as a plan-cache hit, and the six in a row
-// (<engine>/cycle); `make profile` profiles the two cycles.
+// BenchmarkAnalyticCycle — each query of analytic.default as a plan-cache
+// hit (<query>), and the six in a row (cycle); `make profile` profiles the
+// cycle and two of the queries.
 func BenchmarkAnalyticCycle(b *testing.B) {
 	st, queries := analyticWorkload(b)
-	for _, e := range []struct {
-		name string
-		opts server.Options
-	}{{"scalar", server.Options{}}, {"vectorized", server.Options{Vectorized: true}}} {
-		b.Run(e.name, func(b *testing.B) {
-			eng := server.New(st, e.opts)
-			all := func() error {
-				for _, q := range queries {
-					if _, err := eng.Query(q[1]); err != nil {
-						return err
-					}
-				}
-				return nil
+	eng := server.New(st, server.Options{})
+	all := func() error {
+		for _, q := range queries {
+			if _, err := eng.Query(q[1]); err != nil {
+				return err
 			}
-			if err := all(); err != nil { // warm the plan cache
-				b.Fatal(err)
-			}
-			for _, q := range queries {
-				b.Run(q[0], func(b *testing.B) {
-					run(b, func() error { _, err := eng.Query(q[1]); return err })
-				})
-			}
-			b.Run("cycle", func(b *testing.B) { run(b, all) })
+		}
+		return nil
+	}
+	if err := all(); err != nil { // warm the plan cache
+		b.Fatal(err)
+	}
+	for _, q := range queries {
+		b.Run(q[0], func(b *testing.B) {
+			run(b, func() error { _, err := eng.Query(q[1]); return err })
 		})
 	}
+	b.Run("cycle", func(b *testing.B) { run(b, all) })
 }
 
 // BenchmarkParallelFilter — the exchange alone: σ[d.date < c] over the 20000

@@ -28,9 +28,8 @@
 // (internal/value JSON codec); an update's object must not carry the id
 // field. With -verify-all every query is differentially checked against a
 // serial re-execution of the untransformed nested form on the same pinned
-// snapshot; -vectorized (with -batch n) plans selections and projections of
-// an extent onto the batch pipeline, under the row joins. POST
-// bodies are capped at 1 MiB and the listener has read and idle timeouts.
+// snapshot. POST bodies are capped at 1 MiB and the listener has read and
+// idle timeouts.
 package main
 
 import (
@@ -55,8 +54,6 @@ func main() {
 		noFeedback  = flag.Bool("no-feedback", false, "disable runtime cardinality feedback eviction")
 		verifyAll   = flag.Bool("verify-all", false, "differentially verify every query against a serial re-execution")
 		indexes     = flag.Bool("indexes", true, "create hash indexes on PART.color and PART.price")
-		vectorized  = flag.Bool("vectorized", false, "plan selections and projections of an extent onto the batch pipeline; joins stay row operators")
-		batch       = flag.Int("batch", 0, "rows per batch under -vectorized (0 = planner default)")
 	)
 	flag.Parse()
 
@@ -74,11 +71,10 @@ func main() {
 	st.Analyze()
 	eng := server.New(st, server.Options{
 		NoPlanCache: *noCache, NoFeedback: *noFeedback, Parallelism: *parallelism,
-		Vectorized: *vectorized, BatchSize: *batch,
 	})
 
-	log.Printf("adlserve: listening on %s (%d suppliers, %d parts, %d deliveries, plan cache %v, feedback %v, vectorized %v)",
-		*addr, *suppliers, *parts, *deliveries, !*noCache, !*noFeedback, *vectorized)
+	log.Printf("adlserve: listening on %s (%d suppliers, %d parts, %d deliveries, plan cache %v, feedback %v)",
+		*addr, *suppliers, *parts, *deliveries, !*noCache, !*noFeedback)
 	if err := newServer(*addr, newMux(eng, *verifyAll)).ListenAndServe(); err != nil {
 		log.Println(err)
 		os.Exit(1)

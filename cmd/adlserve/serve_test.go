@@ -291,32 +291,6 @@ func TestServeOversizedBody(t *testing.T) {
 	}
 }
 
-// TestServeVectorizedFlagged drives the handler over a vectorized engine, the
-// configuration -vectorized/-batch select: same replies as the scalar one.
-func TestServeVectorizedFlagged(t *testing.T) {
-	scalar := newDefaultEngine(t)
-	vec := server.New(scalar.Store(), server.Options{Parallelism: 1, Vectorized: true, BatchSize: 64})
-	srvS := httptest.NewServer(newMux(scalar, false))
-	t.Cleanup(srvS.Close)
-	srvV := httptest.NewServer(newMux(vec, false))
-	t.Cleanup(srvV.Close)
-	for _, q := range servePointQueries {
-		var s, v struct {
-			Rows   int    `json:"rows"`
-			Result string `json:"result"`
-		}
-		if err := json.Unmarshal(postQuery(t, srvS.URL, q, true), &s); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(postQuery(t, srvV.URL, q, true), &v); err != nil {
-			t.Fatal(err)
-		}
-		if s != v || s.Rows == 0 {
-			t.Errorf("%q: scalar %d rows, vectorized %d rows, texts equal: %v", q, s.Rows, v.Rows, s.Result == v.Result)
-		}
-	}
-}
-
 // BenchmarkServeHTTPQuery — one /query round trip through the handler with
 // the result text requested, per serve.point query: execution, canonical
 // printing, the JSON reply and net/http on loopback.

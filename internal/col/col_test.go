@@ -1,6 +1,7 @@
 package col
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/value"
@@ -119,5 +120,97 @@ func TestKindOfAndBits(t *testing.T) {
 		if b, ok := value.IntBits(c.v); b != c.bits || ok != c.ok {
 			t.Errorf("IntBits(%v) = %d, %t, want %d, %t", c.v, b, ok, c.bits, c.ok)
 		}
+	}
+}
+
+// patch is Patch over a row list; kept[i] says prev holds rows[i] at i.
+func patch(prev *Proj, rows []value.Value, kept []bool, attrs []string) *Proj {
+	return Patch(prev, len(rows), func(i int) (value.Value, bool) { return rows[i], kept[i] }, attrs)
+}
+
+// sameCol reports whether two columns over n rows have one kind and equal
+// values.
+func sameCol(a, b *Col, n int) bool {
+	if a.kind != b.kind {
+		return false
+	}
+	for i := range int32(n) {
+		switch {
+		case a.kind == Mixed:
+			return true
+		case a.kind == Float && a.Float(i) != b.Float(i),
+			a.kind == Str && a.Str(i) != b.Str(i),
+			a.kind == Set && a.Set(i) != b.Set(i),
+			a.kind != Float && a.kind != Str && a.kind != Set && a.Int(i) != b.Int(i):
+			return false
+		}
+	}
+	return true
+}
+
+// TestPatchEqualsNew: a projection patched from a cached one is the
+// projection New decodes from scratch, whether a write replaced a row in
+// place, dropped one (shifting the rest) or appended one, or replaced a row
+// with one that breaks a column's kind; a Mixed column of the cached
+// projection types again once its odd row left. A chunk whose rows did not
+// move is shared, not copied.
+func TestPatchEqualsNew(t *testing.T) {
+	row := func(i int64, m value.Value) *value.Tuple {
+		return value.NewTuple("i", value.Int(i), "s", value.String(string(rune('a'+i%26))),
+			"f", value.Float(float64(i)/2), "set", value.NewSet(value.Int(i)), "m", m)
+	}
+	const n = 3*chunkLen + 5
+	r := make([]value.Value, n)
+	for i := range r {
+		r[i] = row(int64(i), value.Int(int64(i)))
+	}
+	r[2] = row(2, value.Float(2))
+	attrs := []string{"i", "s", "f", "set", "m"}
+	prev := New("E", r, attrs)
+	if prev.Col("m").Kind() != Mixed {
+		t.Fatalf("m = %+v, want Mixed", prev.Col("m"))
+	}
+	// keep marks the rows of rows that prev holds at the same index.
+	keep := func(rows []value.Value) []bool {
+		kept := make([]bool, len(rows))
+		for i := range rows {
+			kept[i] = i < prev.Len() && prev.Row(int32(i)) == rows[i]
+		}
+		return kept
+	}
+	breaking := value.NewTuple("i", value.String("x"), "s", value.String("x"),
+		"f", value.Float(9), "set", value.EmptySet(), "m", value.Int(9))
+	updated := slices.Clone(r)
+	updated[300] = row(3000, value.Int(1))
+	dropped := append(slices.Clone(r[:2]), r[3:]...)
+	for name, rows := range map[string][]value.Value{
+		"update in place": updated,
+		"drop":            dropped,
+		"append":          append(slices.Clone(r), row(2000, value.Int(7))),
+		"kind-breaking":   {r[0], breaking, r[4]},
+		"empty":           nil,
+	} {
+		got, want := patch(prev, rows, keep(rows), attrs), New("E", rows, attrs)
+		if got.Len() != want.Len() || got.Extent() != "E" {
+			t.Fatalf("%s: %d rows of %q, want %d", name, got.Len(), got.Extent(), want.Len())
+		}
+		for i := range int32(got.Len()) {
+			if got.Row(i) != want.Row(i) {
+				t.Fatalf("%s: row %d = %v, want %v", name, i, got.Row(i), want.Row(i))
+			}
+		}
+		for _, a := range attrs {
+			if !sameCol(got.Col(a), want.Col(a), got.Len()) {
+				t.Errorf("%s: column %s = %+v, want %+v", name, a, got.Col(a), want.Col(a))
+			}
+		}
+	}
+	up := patch(prev, updated, keep(updated), attrs)
+	if &up.rows[0][0] != &prev.rows[0][0] || &up.rows[2][0] != &prev.rows[2][0] ||
+		&up.Col("s").strs[2][0] != &prev.Col("s").strs[2][0] {
+		t.Error("an update in chunk 1 copied chunks 0 and 2")
+	}
+	if &up.rows[1][0] == &prev.rows[1][0] || &up.Col("i").ints[1][0] == &prev.Col("i").ints[1][0] {
+		t.Error("an update in chunk 1 shared chunk 1")
 	}
 }

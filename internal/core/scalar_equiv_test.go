@@ -65,16 +65,15 @@ func (s inflated) RowCount(extent string) int {
 }
 
 // TestCompiledScalarsMatchInterpretedPlans runs every corpus query's plan —
-// serial, tuple-parallel and vectorized — as planned and with every scalar
+// serial and tuple-parallel — as planned and with every scalar
 // interpreted: the two must return the same set, so each compiled scalar
 // agrees with eval.Eval on every row its operator fed it.
 func TestCompiledScalarsMatchInterpretedPlans(t *testing.T) {
 	st := liftStore()
 	stats := st.Analyze()
 	configs := map[string]plan.Config{
-		"serial":     {Statistics: stats, Parallelism: 1},
-		"parallel":   {Statistics: inflated{stats}, Parallelism: 3},
-		"vectorized": {Statistics: stats, Parallelism: 1, Vectorized: true},
+		"serial":   {Statistics: stats, Parallelism: 1},
+		"parallel": {Statistics: inflated{stats}, Parallelism: 3},
 	}
 	total := 0
 	for qi, text := range liftCorpus {

@@ -1,19 +1,20 @@
-// Batch execution mode. The scalar operators in this package hand rows up
-// one value.Value at a time, paying an environment binding and an
-// interpreter dispatch per row; the batch layer moves batches: a columnar
-// projection of an extent (col.Proj — each referenced attribute decoded once
-// into a typed slice) plus a selection vector of row indices. It is four
-// operators, VecScan → VecFilter → VecExchange → VecAdapter: filters narrow
-// the selection in place and reuse it across batches, so steady-state
+// Batch execution. The scalar operators in this package hand rows up one
+// value.Value at a time, paying an environment binding and an interpreter
+// dispatch per row; the batch layer moves batches: a columnar projection of
+// an extent (col.Proj — each referenced attribute decoded once into a typed
+// slice) plus a selection vector of row indices. It is four operators,
+// VecScan → VecFilter (or the parallel VecExchange) → VecAdapter: filters
+// narrow the selection in place and reuse it across batches, so steady-state
 // execution allocates near zero, and the adapter hands the surviving rows to
 // the row operators above — the joins included, one operator per algorithm
-// whichever way their rows arrive.
+// whichever way their rows arrive. The planner prices this pipeline as one
+// way to run σ over an extent, beside Filter and IndexScan.
 //
-// The scalar operators remain the reference semantics: every typed kernel
-// either reproduces the scalar result exactly or falls back to row-wise
-// evaluation through the same interpreter (Mixed columns, kernel-less
-// shapes), and the differential harness asserts scalar ≡ vectorized on
-// randomized queries.
+// Every typed kernel either reproduces the interpreter's result exactly or
+// falls back to row-wise evaluation through the same interpreter (Mixed
+// columns, kernel-less shapes), so a batch plan returns what a row plan
+// returns; the planner's differential tests check its batch plans against
+// the reference interpreter on randomized queries.
 package exec
 
 import (
@@ -23,8 +24,8 @@ import (
 	"repro/internal/value"
 )
 
-// DefaultBatchSize is the fallback batch size when an operator was built
-// without one; the planner normally derives it from plan.Config.
+// DefaultBatchSize is the rows per batch the planner writes, and the
+// fallback when an operator was built without one.
 const DefaultBatchSize = 1024
 
 // Batch is a view over a columnar projection: Sel lists the visible row
@@ -62,14 +63,12 @@ type ColumnarDB interface {
 // VecAdapter bridges a batch pipeline into the row-at-a-time Operator tree:
 // it drains the batches eagerly (results are bounded by the inputs, like the
 // eager scalar joins) and hands the underlying tuples up as a blocking
-// stream. Project, when set, applies π over the named attributes during
-// materialization (the batch pipeline itself never rewrites tuples).
+// stream.
 type VecAdapter struct {
-	Src     VecOp
-	Project []string
+	Src VecOp
 }
 
-// Open materializes the pipeline's rows, applying the projection.
+// Open materializes the pipeline's rows.
 func (a VecAdapter) Open(ctx *Ctx) (_ Rows, err error) {
 	src, err := ctx.openVec(a.Src)
 	if err != nil {
@@ -91,17 +90,7 @@ func (a VecAdapter) Open(ctx *Ctx) (_ Rows, err error) {
 		}
 		rows = slices.Grow(rows, len(b.Sel))
 		for _, i := range b.Sel {
-			row := b.Proj.Row(i)
-			if a.Project != nil {
-				t, err := asTuple(row, "π")
-				if err != nil {
-					return nil, err
-				}
-				if row, err = t.Subscript(a.Project); err != nil {
-					return nil, err
-				}
-			}
-			rows = append(rows, row)
+			rows = append(rows, b.Proj.Row(i))
 		}
 	}
 }

@@ -31,11 +31,11 @@ func cloneFixtureTree() Operator {
 
 // vecFixtureTree is a partitioned hash join over a batch exchange and a
 // filter: every operator that starts goroutines of its own.
-func vecFixtureTree(t *testing.T) Operator {
+func vecFixtureTree() Operator {
 	k := fieldKernel("b", adl.Lt, value.Int(5))
 	return &HashJoin{Kind: adl.Semi, Partitions: 3,
-		L: &VecAdapter{Src: exchangeOf(t, &VecFilter{Src: &VecScan{Extent: "L", Attrs: []string{"b"}, Batch: 8},
-			Var: "x", Kernels: []VecCmp{k}}, 3)},
+		L: &VecAdapter{Src: &VecExchange{Src: &VecScan{Extent: "L", Attrs: []string{"b"}, Batch: 8},
+			Kernels: []VecCmp{k}, Workers: 3}},
 		R: &Filter{Child: &VecAdapter{Src: &VecScan{Extent: "R"}}, Var: "y", Workers: 2,
 			Pred: NewScalar(adl.CBool(true), "y")},
 		LVar: "x", RVar: "y",
@@ -49,7 +49,7 @@ func vecFixtureTree(t *testing.T) Operator {
 func TestConcurrentExecutions(t *testing.T) {
 	l, r, _ := randomTables(7, 64, 32)
 	db := storage.NewMemDB("L", l, "R", r)
-	for name, cached := range map[string]Operator{"scalar": cloneFixtureTree(), "vectorized": vecFixtureTree(t)} {
+	for name, cached := range map[string]Operator{"scalar": cloneFixtureTree(), "vectorized": vecFixtureTree()} {
 		want, err := Collect(cached, &Ctx{DB: db})
 		if err != nil {
 			t.Fatalf("%s: reference run: %v", name, err)

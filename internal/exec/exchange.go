@@ -196,23 +196,3 @@ func (e *exchanged) stop() {
 	}
 	e.mu.Unlock()
 }
-
-// Exchange converts a serial scan+filter batch pipeline into a VecExchange
-// over the same projection and kernels, flattened in application order.
-// ok=false means the pipeline has a different shape (the exchange covers
-// exactly the scan+filter fragment the vectorized planner emits).
-func Exchange(op VecOp, workers int) (*VecExchange, bool) {
-	var kernels []VecCmp
-	for {
-		switch v := op.(type) {
-		case *VecScan:
-			return &VecExchange{Src: v, Kernels: kernels, Workers: workers, Morsel: v.Batch}, true
-		case *VecFilter:
-			// Walking outside-in: inner filters run first, so prepend.
-			kernels = append(append([]VecCmp{}, v.Kernels...), kernels...)
-			op = v.Src
-		default:
-			return nil, false
-		}
-	}
-}

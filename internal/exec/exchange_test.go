@@ -8,17 +8,6 @@ import (
 	"repro/internal/value"
 )
 
-// exchangeOf converts a scan+filter pipeline and fails the test when the
-// shape is not convertible.
-func exchangeOf(t *testing.T, op VecOp, workers int) *VecExchange {
-	t.Helper()
-	ex, ok := Exchange(op, workers)
-	if !ok {
-		t.Fatalf("Exchange rejected a scan+filter pipeline: %T", op)
-	}
-	return ex
-}
-
 // TestVecExchangeAgainstSerial checks the morsel-driven exchange produces
 // exactly the serial pipeline's rows across worker counts (including the
 // single-worker degeneracy) and morsel sizes.
@@ -33,9 +22,8 @@ func TestVecExchangeAgainstSerial(t *testing.T) {
 		want := collect(t, &VecAdapter{Src: serial}, d)
 		for _, workers := range []int{1, 2, 5} {
 			for _, morsel := range []int{1, 7, 0} { // 0 → the scan's batch size
-				pipe := &VecFilter{Src: vecScan("L", []string{"a", "b"}, 8), Var: "x", Kernels: ks}
-				ex := exchangeOf(t, pipe, workers)
-				ex.Morsel = morsel
+				ex := &VecExchange{Src: vecScan("L", []string{"a", "b"}, 8), Kernels: ks,
+					Workers: workers, Morsel: morsel}
 				got := collect(t, &VecAdapter{Src: ex}, d)
 				if !value.Equal(got, want) {
 					t.Errorf("seed %d workers %d morsel %d: got %v want %v",
@@ -46,23 +34,41 @@ func TestVecExchangeAgainstSerial(t *testing.T) {
 	}
 }
 
-// TestExchangeShape pins the pipeline walk: kernels from nested filters
-// flatten in application order (inner first), the morsel defaults to the
-// scan's batch size, and non-scan-leaf pipelines are rejected.
+// TestExchangeShape pins the morsel size: an unset Morsel claims the scan's
+// batch size, and with neither set DefaultBatchSize rows. Without kernels
+// every claimed morsel is one batch.
 func TestExchangeShape(t *testing.T) {
-	k1 := fieldKernel("b", adl.Lt, value.Int(6))
-	k2 := fieldKernel("a", adl.Ge, value.Int(3))
-	inner := &VecFilter{Src: vecScan("L", []string{"a", "b"}, 16), Var: "x", Kernels: []VecCmp{k1}}
-	outer := &VecFilter{Src: inner, Var: "x", Kernels: []VecCmp{k2}}
-	ex := exchangeOf(t, outer, 2)
-	if len(ex.Kernels) != 2 || ex.Kernels[0].Attr != "b" || ex.Kernels[1].Attr != "a" {
-		t.Errorf("kernels out of application order: %+v", ex.Kernels)
-	}
-	if ex.Morsel != 16 {
-		t.Errorf("morsel = %d, want the scan batch 16", ex.Morsel)
-	}
-	if _, ok := Exchange(&VecExchange{Src: vecScan("L", nil, 0)}, 2); ok {
-		t.Error("Exchange must reject a pipeline that is not scan+filter")
+	const n = 2*DefaultBatchSize + 5
+	d := db(3, n, 1)
+	for _, tc := range []struct {
+		ex      *VecExchange
+		batches int
+	}{
+		{&VecExchange{Src: vecScan("L", []string{"b"}, 16), Workers: 2}, (n + 15) / 16},
+		{&VecExchange{Src: vecScan("L", []string{"b"}, 0), Workers: 2}, 3},
+		{&VecExchange{Src: vecScan("L", []string{"b"}, 16), Workers: 2, Morsel: 1000}, 3},
+	} {
+		bs, err := tc.ex.OpenVec(&Ctx{DB: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches := 0
+		for {
+			_, ok, err := bs.NextBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			batches++
+		}
+		if err := bs.CloseVec(); err != nil {
+			t.Fatal(err)
+		}
+		if batches != tc.batches {
+			t.Errorf("scan batch %d, morsel %d: %d batches, want %d", tc.ex.Src.Batch, tc.ex.Morsel, batches, tc.batches)
+		}
 	}
 }
 
@@ -75,16 +81,14 @@ func TestVecExchangeErrorAndReopen(t *testing.T) {
 	bad := fieldKernel("b", adl.Lt, value.String("x"))
 	pipe := &VecFilter{Src: vecScan("L", []string{"b"}, 8), Var: "x", Kernels: []VecCmp{bad}}
 	_, serialErr := Collect(&VecAdapter{Src: pipe}, &Ctx{DB: d})
-	ex := exchangeOf(t, &VecFilter{Src: vecScan("L", []string{"b"}, 8), Var: "x",
-		Kernels: []VecCmp{bad}}, 3)
+	ex := &VecExchange{Src: vecScan("L", []string{"b"}, 8), Kernels: []VecCmp{bad}, Workers: 3}
 	_, exErr := Collect(&VecAdapter{Src: ex}, &Ctx{DB: d})
 	if serialErr == nil || exErr == nil || exErr.Error() != serialErr.Error() {
 		t.Errorf("error mismatch: exchange=%v serial=%v", exErr, serialErr)
 	}
 
 	good := fieldKernel("b", adl.Lt, value.Int(5))
-	ex = exchangeOf(t, &VecFilter{Src: vecScan("L", []string{"b"}, 8), Var: "x",
-		Kernels: []VecCmp{good}}, 3)
+	ex = &VecExchange{Src: vecScan("L", []string{"b"}, 8), Kernels: []VecCmp{good}, Workers: 3}
 	want := collect(t, &VecAdapter{Src: ex}, d)
 	for i := 0; i < 3; i++ {
 		if got := collect(t, &VecAdapter{Src: ex}, d); !value.Equal(got, want) {
@@ -100,7 +104,7 @@ func TestVecExchangeErrorAndReopen(t *testing.T) {
 func TestVecExchangeEarlyClose(t *testing.T) {
 	d := db(7, 5000, 10)
 	ctx := &Ctx{DB: d}
-	ex := exchangeOf(t, vecScan("L", []string{"b"}, 4), 4)
+	ex := &VecExchange{Src: vecScan("L", []string{"b"}, 4), Workers: 4}
 	bs, err := ex.OpenVec(ctx)
 	if err != nil {
 		t.Fatal(err)

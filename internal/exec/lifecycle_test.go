@@ -70,30 +70,28 @@ type arm struct {
 	db   eval.DB
 }
 
-// textArms plans every text scalar and vectorized, as the serving engine
-// configures the planner (serial, and three workers priced on statistics)
-// and with the parallel operators forced by statistics a thousand times the
-// store's and no index access paths, so that they appear at any scale.
+// textArms plans every text as the serving engine configures the planner
+// (serial, and three workers priced on statistics) and with the parallel
+// operators forced by statistics a thousand times the store's and no index
+// access paths, so that they appear at any scale.
 func textArms(t *testing.T, st *storage.Store) [][]arm {
 	stats := st.Analyze()
 	var out [][]arm
 	for i, src := range lifecycleTexts {
 		var arms []arm
-		for _, vec := range []bool{false, true} {
-			for name, cfg := range map[string]plan.Config{
-				"p1":        {Statistics: stats, Parallelism: 1, Vectorized: vec},
-				"p3":        {Statistics: stats, Parallelism: 3, Vectorized: vec},
-				"p3-forced": {Statistics: inflated{stats}, Parallelism: 3, Vectorized: vec, NoIndexes: true},
-			} {
-				q, err := core.PrepareCfg(src, st.Catalog(), cfg)
-				if err != nil {
-					t.Fatalf("text %d: %v", i, err)
-				}
-				if x := plan.Explain(q.Plan); name == "p3-forced" && !strings.Contains(x, "-- parallel") {
-					t.Fatalf("text %d vec=%t: the forced plan is serial:\n%s", i, vec, x)
-				}
-				arms = append(arms, arm{fmt.Sprintf("text %d vec=%t %s", i, vec, name), q.Plan, st})
+		for name, cfg := range map[string]plan.Config{
+			"p1":        {Statistics: stats, Parallelism: 1},
+			"p3":        {Statistics: stats, Parallelism: 3},
+			"p3-forced": {Statistics: inflated{stats}, Parallelism: 3, NoIndexes: true},
+		} {
+			q, err := core.PrepareCfg(src, st.Catalog(), cfg)
+			if err != nil {
+				t.Fatalf("text %d: %v", i, err)
 			}
+			if x := plan.Explain(q.Plan); name == "p3-forced" && !strings.Contains(x, "-- parallel") {
+				t.Fatalf("text %d: the forced plan is serial:\n%s", i, x)
+			}
+			arms = append(arms, arm{fmt.Sprintf("text %d %s", i, name), q.Plan, st})
 		}
 		out = append(out, arms)
 	}
@@ -114,18 +112,19 @@ func (s inflated) RowCount(extent string) int {
 }
 
 // experimentArms are the arms of B1, B8/B9's grouping join and B13/B14 at
-// smoke scale, with three workers and 16-row batches so that parallel
-// operators and multi-batch streams appear at any scale.
+// smoke scale, with three workers so that parallel operators appear at any
+// scale, and with 2 100 deliveries so that B13/B14's batch streams span
+// three batches.
 func experimentArms() [][]arm {
 	var out [][]arm
 	for _, c := range []experiments.Case{experiments.EQ5(40, 80),
-		experiments.StrategyJoin("group", adl.NestJ, 60, 600), experiments.VecJoin(60, 600, 3)} {
+		experiments.StrategyJoin("group", adl.NestJ, 60, 600), experiments.VecJoin(60, 2100, 3)} {
 		var arms []arm
 		for _, a := range c.Arms {
 			root := a.Op
 			if a.Cfg != nil {
 				cfg := *a.Cfg
-				cfg.Parallelism, cfg.BatchSize = 3, 16
+				cfg.Parallelism = 3
 				if c.Analyze {
 					cfg.Statistics = c.DB.(*storage.Store).Analyze()
 				}

@@ -14,8 +14,9 @@ type VecScan struct {
 	// Attrs are the attributes the pipeline above reads columnar; the
 	// planner accumulates them while building the pipeline.
 	Attrs []string
-	// Batch is the number of rows per batch (plan.Config.BatchSize);
-	// non-positive falls back to DefaultBatchSize.
+	// Batch is the number of rows per batch; non-positive falls back to
+	// DefaultBatchSize, which the planner writes. Tests set small sizes to
+	// cross batch boundaries.
 	Batch int
 }
 

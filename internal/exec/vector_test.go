@@ -129,17 +129,6 @@ func TestVecFilterCrossKindAndFallback(t *testing.T) {
 	}
 }
 
-// TestVecAdapterProject checks the π applied during materialization.
-func TestVecAdapterProject(t *testing.T) {
-	d := db(3, 12, 5)
-	va := &VecAdapter{Src: vecScan("L", []string{"b"}, 5), Project: []string{"b"}}
-	got := collect(t, va, d)
-	want := evalRef(t, adl.Proj(adl.T("L"), "b"), d)
-	if !value.Equal(got, want) {
-		t.Errorf("got %v want %v", got, want)
-	}
-}
-
 // rowFacade drives op through the plain Open/Next/Close contract. Collect and
 // drain take a blocking stream's buffer whole, so without this loop its
 // row-at-a-time side would go untested.
@@ -178,7 +167,7 @@ func TestRowFacadesMatchBulkCollect(t *testing.T) {
 		"adapter": func() Operator {
 			vf := &VecFilter{Src: vecScan("L", []string{"a", "b"}, 6), Var: "x",
 				Kernels: []VecCmp{fieldKernel("b", adl.Ge, value.Int(2))}}
-			return &VecAdapter{Src: vf, Project: []string{"b"}}
+			return &VecAdapter{Src: vf}
 		},
 		"inner": func() Operator {
 			return &HashJoin{Kind: adl.Inner, L: &VecAdapter{Src: vecScan("L", nil, 5)}, R: &Scan{Table: "R"},

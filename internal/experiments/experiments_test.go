@@ -18,7 +18,7 @@ import (
 // or its plans must show beyond that.
 func TestExperiments(t *testing.T) {
 	shows := map[string][]string{
-		"B1":  {"semijoin(NL)", "vectorized", "SetProbeJoin"},
+		"B1":  {"semijoin(NL)", "optimized", "SetProbeJoin", "VecFilter"},
 		"B3":  {"join+nest", "outerjoin", "lost"},
 		"B4":  {"unnest-join-nest", "PNHL budget unlimited (1 segments)", "VecPNHL budget 16 (13 segments)"},
 		"B5":  {"assembly", "object reads"},
@@ -130,24 +130,24 @@ func sameSize(t *testing.T, rs []Result) {
 func TestB1(t *testing.T) {
 	c := smoke(t, "B1")
 	rs, out := runOne(t, c)
-	if len(rs) != 4 {
-		t.Fatalf("arms = %d, want nested-loop, optimized, vectorized and semijoin(NL)", len(rs))
+	if len(rs) != 3 {
+		t.Fatalf("arms = %d, want nested-loop, optimized and semijoin(NL)", len(rs))
 	}
-	contains(t, out, "semijoin", "nested-loop", "vectorized")
+	contains(t, out, "semijoin", "nested-loop", "optimized")
 }
 
 func TestWorkloadArmsAgree(t *testing.T) {
 	rs, _ := runOne(t, EQ5(15, 20))
-	if len(rs) != 3 {
-		t.Fatalf("arms = %d, want 3", len(rs))
+	if len(rs) != 2 {
+		t.Fatalf("arms = %d, want 2", len(rs))
 	}
 	sameSize(t, rs)
 }
 
 func TestB2(t *testing.T) {
 	rs, _ := runOne(t, EQ4(20, 30))
-	if len(rs) != 3 {
-		t.Fatalf("arms = %d, want 3", len(rs))
+	if len(rs) != 2 {
+		t.Fatalf("arms = %d, want 2", len(rs))
 	}
 	sameSize(t, rs)
 }

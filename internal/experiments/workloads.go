@@ -167,6 +167,9 @@ var Suite = []Experiment{
 			return cases(func() Case {
 				c := VecJoin(pick(q, 400, 60), pick(q, 40000, 1200), workers()).Only("scalar", "vectorized")
 				c.Check = func(rs []Result) error {
+					if err := plannedBatch(rs); err != nil {
+						return err
+					}
 					scalar, vec := find(rs, "scalar"), find(rs, "vectorized")
 					if vec.Allocs > batchAllocCeiling {
 						return fmt.Errorf("vectorized run allocates %d times, more than %d: something is allocated per row",
@@ -180,7 +183,8 @@ var Suite = []Experiment{
 				return c
 			})
 		},
-		Notes: []string{"the vectorized arm filters the snapshot-pinned columnar projection with a typed kernel and hash-joins the rows that pass",
+		Notes: []string{"the scalar arm is the row pipeline (Filter over Scan) built by hand; the vectorized arm is the planner's own pick, which must be the batch pipeline",
+			"the vectorized arm filters the snapshot-pinned columnar projection with a typed kernel and hash-joins the rows that pass",
 			fmt.Sprintf("vectorized must allocate at most %d times per run, and at full scale be ≥3x faster", batchAllocCeiling)}},
 
 	{ID: "B14", Title: "parallel vectorized execution: four-way A/B (semi-join pipeline)",
@@ -213,15 +217,13 @@ var Suite = []Experiment{
 }
 
 // nested is a case of the §4 strategy on a generated supplier-part store:
-// the nested-loop reference arm, and the rewritten query planned scalar and
-// vectorized.
+// the nested-loop reference arm, and the rewritten query as planned.
 func nested(name string, cfg bench.Config, naive adl.Expr) Case {
 	st := bench.Generate(cfg)
 	res := rewrite.Optimize(naive, rewrite.NewContext(st.Catalog()))
 	return Case{Name: name, DB: st, Query: res.Expr, Arms: []Arm{
 		{Label: "nested-loop", Expr: naive},
 		{Label: "optimized " + strings.Join(res.OptionsUsed, "+"), Cfg: &plan.Config{}},
-		{Label: "vectorized", Cfg: &plan.Config{Vectorized: true}},
 	}}
 }
 
@@ -600,13 +602,15 @@ func SkewJoin(facts, dims int) Case {
 }
 
 // VecJoin is the large equi-join + filter pipeline σ(date < cutoff)(DELIVERY)
-// ⋉(d.supplier = s.eid) SUPPLIER four ways: planned onto the scalar
-// operators and onto the vectorized batch kernels over the columnar
-// projection, and each hand-built with its parallel operators on the given
-// workers — for the batch pipeline a morsel-driven VecExchange feeding the
-// partitioned hash join. The cutoff keeps 1/28 of the deliveries, so per-row
-// predicate interpretation dominates the scalar arm. The check is that both
-// parallel arms hold a parallel node: run serially, they would prove nothing.
+// ⋉(d.supplier = s.eid) SUPPLIER four ways: the row pipeline (Filter over
+// Scan) under the hash join, built by hand; the query as planned, where the
+// cost model puts σ on the batch kernels over the columnar projection; and
+// each hand-built with its parallel operators on the given workers — for the
+// batch pipeline a morsel-driven VecExchange feeding the partitioned hash
+// join. The cutoff keeps 1/28 of the deliveries, so per-row predicate
+// interpretation dominates the scalar arm. The check is that the planned arm
+// runs a VecFilter and that both parallel arms hold a parallel node: run
+// serially, they would prove nothing.
 func VecJoin(suppliers, deliveries, workers int) Case {
 	st := bench.Generate(bench.Config{Suppliers: suppliers, Parts: 10, Fanout: 2, SupplySize: 1, Deliveries: deliveries})
 	cut := adl.CmpE(adl.Lt, adl.Dot(adl.V("d"), "date"), adl.C(value.Date(940102)))
@@ -617,8 +621,10 @@ func VecJoin(suppliers, deliveries, workers int) Case {
 	lk, rk := exec.NewScalar(adl.Dot(adl.V("d"), "supplier"), "d"), exec.NewScalar(adl.Dot(adl.V("s"), "eid"), "s")
 	scan := &exec.VecScan{Extent: "DELIVERY", Attrs: []string{"date", "supplier"}, Batch: exec.DefaultBatchSize}
 	return Case{Name: fmt.Sprintf("VecJoin[%dx%d]", suppliers, deliveries), DB: st, Query: j, Runs: 3, Arms: []Arm{
-		{Label: "scalar", Cfg: &plan.Config{}},
-		{Label: "vectorized", Cfg: &plan.Config{Vectorized: true}},
+		{Label: "scalar", Op: &exec.HashJoin{Kind: adl.Semi, LVar: "d", RVar: "s", LKey: lk, RKey: rk,
+			L: &exec.Filter{Child: &exec.Scan{Table: "DELIVERY"}, Var: "d", Pred: pred, Workers: 1},
+			R: &exec.Scan{Table: "SUPPLIER"}}},
+		{Label: "vectorized", Cfg: &plan.Config{}},
 		{Label: "parallel", Op: &exec.HashJoin{Kind: adl.Semi, LVar: "d", RVar: "s", LKey: lk, RKey: rk,
 			L: &exec.Filter{Child: &exec.Scan{Table: "DELIVERY"}, Var: "d", Pred: pred, Workers: workers},
 			R: &exec.Scan{Table: "SUPPLIER"}, Partitions: workers}},
@@ -627,11 +633,23 @@ func VecJoin(suppliers, deliveries, workers int) Case {
 				Kernels: []exec.VecCmp{{Attr: "date", Op: adl.Lt, Const: value.Date(940102), Pred: pred}}}},
 			R: &exec.Scan{Table: "SUPPLIER"}, Partitions: workers}},
 	}, Check: func(rs []Result) error {
+		if err := plannedBatch(rs); err != nil {
+			return err
+		}
 		if x := find(rs, "parallel-vectorized").Plan.Explain(); !strings.Contains(x, "PartitionedHashJoin") || !strings.Contains(x, "VecExchange") {
 			return fmt.Errorf("parallel-vectorized arm is not a partitioned hash join over a batch exchange:\n%s", x)
 		}
 		return parallelArms(rs, "parallel", "parallel-vectorized")
 	}}
+}
+
+// plannedBatch fails unless VecJoin's planned arm runs σ on the batch
+// pipeline: the cost model, not a flag, chose it.
+func plannedBatch(rs []Result) error {
+	if x := find(rs, "vectorized").Plan.Explain(); !strings.Contains(x, "VecFilter") {
+		return fmt.Errorf("the planned arm does not run the batch filter:\n%s", x)
+	}
+	return nil
 }
 
 // workers is the worker count of the suite's hand-built parallel arms: one

@@ -1,16 +1,15 @@
-// Index access-path selection: the planner-side half of the secondary-index
-// subsystem (storage/index.go holds the structures, exec/index.go the
-// operators). tryIndexSelect replaces a σ over a base extent with an
-// IndexScan leaf when an indexed conjunct is selective enough to beat the
-// sequential sweep, and indexNLCandidate admits the index-nested-loop join
-// into chooseEquiJoin's candidate set when the inner side of an equi-join is
-// a bare extent with an index on a join-key attribute — the access-path
-// choice Selinger-style optimizers price against the scan-based strategies.
+// Access-path selection. chooseSelect prices the ways to run σ over a base
+// extent in one candidate list — Filter over the Scan (serial or on the
+// worker pool), an IndexScan leaf with a residual Filter, and the batch
+// pipeline (vectorize.go) — and indexNLCandidate admits the
+// index-nested-loop join into chooseEquiJoin's candidate set when the inner
+// side of an equi-join is a bare extent with an index on a join-key
+// attribute: the access-path choice Selinger-style optimizers price against
+// the scan-based strategies. storage/index.go holds the index structures,
+// exec/index.go the index operators.
 package plan
 
 import (
-	"math"
-
 	"repro/internal/adl"
 	"repro/internal/exec"
 )
@@ -75,23 +74,59 @@ func (p *planner) indexableConjunct(c adl.Expr, v, extent string, rows float64) 
 	return indexAccess{}, false
 }
 
-// tryIndexSelect plans a σ directly over a base extent through a secondary
-// index when that prices below the full scan + filter. The most selective
-// indexable conjunct becomes the IndexScan; the remaining conjuncts stay as
-// a residual Filter on top.
-func (p *planner) tryIndexSelect(n *adl.Select) (exec.Operator, nodeEst, bool) {
+// selectCand is one way to run σ over a base extent: its estimate, and the
+// builder that compiles it. Only the winner is built, so planning compiles
+// each σ's scalars once.
+type selectCand struct {
+	est   nodeEst
+	build func() exec.Operator
+}
+
+// chooseSelect prices every way to run σ over a base extent — Filter over
+// the Scan, serially and on the worker pool, an IndexScan with the other
+// conjuncts as a residual Filter, the serial batch pipeline and the morsel
+// exchange (vectorize.go) — and builds the cheapest.
+func (p *planner) chooseSelect(n *adl.Select, extent string) (exec.Operator, nodeEst) {
+	rows := p.rows(extent)
+	out := rows * p.card.selectivity(n.Pred, n.Var, extent)
+	filter := func(own float64, workers int) selectCand {
+		return selectCand{nodeEst{rows: out, extent: extent, cost: rows*cRow + own + out*cRow},
+			func() exec.Operator {
+				scan := &exec.Scan{Table: extent}
+				p.record(scan, nodeEst{rows: rows, extent: extent, cost: rows * cRow})
+				return &exec.Filter{Child: scan, Var: n.Var, Pred: exec.NewScalar(n.Pred, n.Var), Workers: workers}
+			}}
+	}
+	cands := []selectCand{filter(rows*cEval, 1)}
+	if p.workers > 1 {
+		cands = append(cands, filter(costParallelPool(rows, p.workers), p.workers))
+	}
+	if c, ok := p.indexSelect(n, extent, rows); ok {
+		cands = append(cands, c)
+	}
+	cands = append(cands, p.batchSelects(n, extent, rows, out)...)
+	best := cands[0]
+	for _, c := range cands[1:] {
+		if c.est.cost < best.est.cost {
+			best = c
+		}
+	}
+	op := best.build()
+	p.record(op, best.est)
+	return op, best.est
+}
+
+// indexSelect is chooseSelect's index candidate: the most selective indexable
+// conjunct becomes the IndexScan, and the remaining conjuncts stay as a
+// residual Filter on top.
+func (p *planner) indexSelect(n *adl.Select, extent string, rows float64) (selectCand, bool) {
 	if p.cfg.NoIndexes {
-		return nil, nodeEst{}, false
+		return selectCand{}, false
 	}
-	tbl, ok := n.Src.(*adl.Table)
-	if !ok {
-		return nil, nodeEst{}, false
-	}
-	rows := p.rows(tbl.Name)
 	cs := conjuncts(n.Pred)
 	best, bestIdx := indexAccess{}, -1
 	for i, c := range cs {
-		a, ok := p.indexableConjunct(c, n.Var, tbl.Name, rows)
+		a, ok := p.indexableConjunct(c, n.Var, extent, rows)
 		if !ok {
 			continue
 		}
@@ -100,7 +135,7 @@ func (p *planner) tryIndexSelect(n *adl.Select) (exec.Operator, nodeEst, bool) {
 		}
 	}
 	if bestIdx < 0 {
-		return nil, nodeEst{}, false
+		return selectCand{}, false
 	}
 	used := map[int]bool{bestIdx: true}
 	if best.eq == nil {
@@ -113,7 +148,7 @@ func (p *planner) tryIndexSelect(n *adl.Select) (exec.Operator, nodeEst, bool) {
 			if used[i] {
 				continue
 			}
-			a, ok := p.indexableConjunct(c, n.Var, tbl.Name, rows)
+			a, ok := p.indexableConjunct(c, n.Var, extent, rows)
 			if !ok || a.eq != nil || a.attr != best.attr {
 				continue
 			}
@@ -131,7 +166,7 @@ func (p *planner) tryIndexSelect(n *adl.Select) (exec.Operator, nodeEst, bool) {
 			// the rows between both bounds, not the one-sided (or flat
 			// defaultSelectivity) guess either conjunct priced alone.
 			best.matches = rows * p.card.boundsSelectivity(
-				tbl.Name, best.attr, best.lo, best.hi, best.loIncl, best.hiIncl)
+				extent, best.attr, best.lo, best.hi, best.loIncl, best.hiIncl)
 		}
 	}
 	var residual []adl.Expr
@@ -141,23 +176,17 @@ func (p *planner) tryIndexSelect(n *adl.Select) (exec.Operator, nodeEst, bool) {
 		}
 	}
 
-	// Price the index path against the scan + filter the normal path builds.
-	idxCost := costIndexScan(best.matches)
-	if len(residual) > 0 {
-		idxCost += best.matches * cEval
+	note := "index scan on " + extent + "." + best.attr
+	if best.eq == nil {
+		note += " (range)"
 	}
-	scanCost := rows*cRow +
-		math.Min(rows*cEval, costParallelPool(rows, p.workers))
-	if idxCost >= scanCost {
-		return nil, nodeEst{}, false
-	}
-
-	scan := &exec.IndexScan{Table: tbl.Name, Attr: best.attr}
-	note := "index scan on " + tbl.Name + "." + best.attr
-	if best.eq != nil {
-		s := exec.NewScalar(best.eq)
-		scan.Eq = &s
-	} else {
+	scanEst := nodeEst{rows: best.matches, extent: extent, cost: costIndexScan(best.matches), note: note}
+	scan := func() *exec.IndexScan {
+		scan := &exec.IndexScan{Table: extent, Attr: best.attr}
+		if best.eq != nil {
+			s := exec.NewScalar(best.eq)
+			scan.Eq = &s
+		}
 		if best.lo != nil {
 			s := exec.NewScalar(best.lo)
 			scan.Lo, scan.LoIncl = &s, best.loIncl
@@ -166,21 +195,19 @@ func (p *planner) tryIndexSelect(n *adl.Select) (exec.Operator, nodeEst, bool) {
 			s := exec.NewScalar(best.hi)
 			scan.Hi, scan.HiIncl = &s, best.hiIncl
 		}
-		note += " (range)"
+		return scan
 	}
-	scanEst := nodeEst{rows: best.matches, extent: tbl.Name,
-		cost: costIndexScan(best.matches), note: note}
-	p.record(scan, scanEst)
 	if len(residual) == 0 {
-		return scan, scanEst, true
+		return selectCand{scanEst, func() exec.Operator { return scan() }}, true
 	}
-	outRows := best.matches * p.card.selectivity(adl.AndE(residual...), n.Var, tbl.Name)
-	op := &exec.Filter{Child: scan, Var: n.Var,
-		Pred: exec.NewScalar(adl.AndE(residual...), n.Var), Workers: 1}
-	est := nodeEst{rows: outRows, extent: tbl.Name,
-		cost: scanEst.cost + best.matches*cEval + outRows*cRow}
-	p.record(op, est)
-	return op, est, true
+	rest := adl.AndE(residual...)
+	outRows := best.matches * p.card.selectivity(rest, n.Var, extent)
+	est := nodeEst{rows: outRows, extent: extent, cost: scanEst.cost + best.matches*cEval + outRows*cRow}
+	return selectCand{est, func() exec.Operator {
+		child := scan()
+		p.record(child, scanEst)
+		return &exec.Filter{Child: child, Var: n.Var, Pred: exec.NewScalar(rest, n.Var), Workers: 1}
+	}}, true
 }
 
 // indexNLCandidate checks whether the inner side of an equi-key join admits

@@ -35,11 +35,12 @@ var analyticTexts = [][2]string{
  from d in DELIVERY where d.date < 940105`},
 }
 
-// TestExplainGoldenBatch pins the batch plans of the analytic query texts as
-// the serving engine configures the planner for Options.Vectorized (collected
-// statistics as both Statistics and Stats), serial and with two workers, on
-// the store of those workloads: at a tenth of it the two-worker plans are the
-// serial ones and no golden would show the partitioned join or the exchange.
+// TestExplainGoldenBatch pins the plans of the analytic query texts as the
+// serving engine plans them (collected statistics), serial and with two
+// workers, on the store of those workloads: at a tenth of it the two-worker
+// plans are the serial ones and no golden would show the partitioned join or
+// the exchange. Each σ over an extent shows the cost model's pick among
+// Filter, IndexScan and the batch pipeline.
 func TestExplainGoldenBatch(t *testing.T) {
 	st, exprs := analyticStore(t)
 	stats := st.Analyze()
@@ -47,7 +48,7 @@ func TestExplainGoldenBatch(t *testing.T) {
 		for _, par := range []int{1, 2} {
 			name := fmt.Sprintf("batch_%s_p%d", q[0], par)
 			t.Run(name, func(t *testing.T) {
-				cfg := Config{Statistics: stats, Vectorized: true, Parallelism: par}
+				cfg := Config{Statistics: stats, Parallelism: par}
 				checkGolden(t, name, cfg.Plan(exprs[i]).Explain())
 			})
 		}
@@ -55,19 +56,18 @@ func TestExplainGoldenBatch(t *testing.T) {
 }
 
 // TestExplainActualsGolden pins the row tally of every plan node: Explain
-// after one committed instrumented run of the analytic texts, scalar and
-// batch, serial and with two workers. The files were generated at the commit
-// before rows were counted where a child is opened and change only with the
-// plan (Example Query 4's μ folded into its antijoin's probe): a node that
-// loses its (actual=N) is a failure, not a golden update.
+// after one committed instrumented run of the analytic texts, serial and
+// with two workers. The files were generated at the commit before rows were
+// counted where a child is opened and change only with the plan: a node that
+// loses its (actual=N) is a failure, not a golden update. Config.Vectorized
+// is ignored, so both of its settings read one file.
 func TestExplainActualsGolden(t *testing.T) {
 	st, exprs := analyticStore(t)
 	stats := st.Analyze()
 	for i, q := range analyticTexts {
 		for _, vec := range []bool{false, true} {
 			for _, par := range []int{1, 2} {
-				name := fmt.Sprintf("actuals_%s_vec%t_p%d", q[0], vec, par)
-				t.Run(name, func(t *testing.T) {
+				t.Run(fmt.Sprintf("actuals_%s_vec%t_p%d", q[0], vec, par), func(t *testing.T) {
 					cfg := Config{Statistics: stats, Vectorized: vec, Parallelism: par}
 					p := cfg.Plan(exprs[i])
 					root, commit := p.Instrumented()
@@ -75,7 +75,7 @@ func TestExplainActualsGolden(t *testing.T) {
 						t.Fatal(err)
 					}
 					commit()
-					checkGolden(t, name, p.Explain())
+					checkGolden(t, fmt.Sprintf("actuals_%s_p%d", q[0], par), p.Explain())
 				})
 			}
 		}

@@ -2,9 +2,11 @@
 // "the optimizer may choose from a number of different join processing
 // strategies" — needs a way to rank the choices; this file prices every
 // physical join operator (NLJoin, HashJoin with either build side, serial or
-// partitioned, the set-probe/PNHL family, IndexNLJoin) from collected
-// statistics (storage.Analyze), or from the default statistics when none were
-// collected, and lets the planner pick the cheapest.
+// partitioned, the set-probe/PNHL family, IndexNLJoin) and every way to run
+// σ over an extent (Filter serial or pooled, IndexScan, the batch pipeline
+// serial or exchanged) from collected statistics (storage.Analyze), or from
+// the default statistics when none were collected, and lets the planner pick
+// the cheapest.
 //
 // Costs are abstract work units, calibrated so that one unit is roughly one
 // cheap per-row step of the Go execution engine. The constants matter only
@@ -16,6 +18,7 @@ import (
 	"math"
 
 	"repro/internal/adl"
+	"repro/internal/exec"
 	"repro/internal/stats"
 )
 
@@ -260,35 +263,32 @@ func costParallelPool(n float64, p int) float64 {
 	return cPoolStartup + n*cEval/w + n*cChannelRow
 }
 
-// Vectorized execution constants. A batch pipeline pays a fixed dispatch
-// cost per batch (virtual call, selection-vector reset) and a much smaller
-// per-row cost than the interpreter: typed kernels compare decoded column
-// slices without env binding or value boxing.
+// Batch pipeline constants. A batch pipeline pays a fixed dispatch cost per
+// batch (virtual call, selection-vector reset) and a much smaller per-row
+// cost than the interpreter where a typed kernel runs: it compares decoded
+// column slices without env binding or value boxing. A conjunct without a
+// typed kernel runs the interpreter row by row, at cEval.
 const (
-	pageRows       = 1024.0 // default batch granularity for page-unit costing
-	cBatchDispatch = 16.0   // fixed cost of dispatching one batch
-	cVecRow        = 0.25   // per-row cost inside a typed kernel
+	cBatchDispatch = 16.0 // fixed cost of dispatching one batch
+	cVecRow        = 0.25 // per-row cost inside a typed kernel
 )
 
-// pages is the number of batches n rows occupy at the given batch size.
-func pages(n float64, batch int) float64 {
-	b := pageRows
-	if batch > 0 {
-		b = float64(batch)
-	}
-	return math.Ceil(math.Max(0, n) / b)
+// pages is the number of batches n rows occupy.
+func pages(n float64) float64 {
+	return math.Ceil(math.Max(0, n) / exec.DefaultBatchSize)
 }
 
 // costVecScan prices a columnar extent scan emitting n rows in batches.
-func costVecScan(n float64, batch int) float64 {
-	return pages(n, batch)*cBatchDispatch + n*cVecRow
+func costVecScan(n float64) float64 {
+	return pages(n)*cBatchDispatch + n*cVecRow
 }
 
-// costVecFilter prices a selection-vector filter: every input row passes
-// through each kernel (no short-circuit across rows, only across kernels as
-// the selection narrows — priced pessimistically at full width).
-func costVecFilter(n, kernels float64, batch int) float64 {
-	return pages(n, batch)*cBatchDispatch + n*math.Max(1, kernels)*cVecRow
+// costVecFilter prices a selection-vector filter whose conjuncts cost
+// perRow per input row together: every input row passes through each
+// kernel (no short-circuit across rows, only across kernels as the selection
+// narrows — priced pessimistically at full width).
+func costVecFilter(n, perRow float64) float64 {
+	return pages(n)*cBatchDispatch + n*perRow
 }
 
 // Batch exchange constants. Exchanging whole batches over bounded channels
@@ -304,9 +304,9 @@ const (
 // workers claim morsels from a shared cursor, run the filter kernels, and
 // send surviving batches over one bounded channel. Kernel work divides by
 // the worker count; the batch sends and the startup hurdle do not.
-func costVecExchange(n, kernels float64, batch, w int) float64 {
+func costVecExchange(n, perRow float64, w int) float64 {
 	ww := math.Max(1, float64(w))
 	return cVecParallelStartup +
-		(pages(n, batch)*cBatchDispatch+n*math.Max(1, kernels)*cVecRow)/ww +
-		pages(n, batch)*cChannelBatch
+		(pages(n)*cBatchDispatch+n*perRow)/ww +
+		pages(n)*cChannelBatch
 }

@@ -280,17 +280,61 @@ func TestCostBasedFallsBackWithoutRowCounts(t *testing.T) {
 	}
 }
 
-// TestCostBasedParallelFilter: σ over a large extent goes to the worker pool
-// under the cost model, σ over a small one stays serial.
+// TestCostBasedParallelFilter: σ over a large computed input (μ of an
+// extent) goes to the worker pool under the cost model, over a small one it
+// stays serial; σ over a large extent goes to the batch exchange, over a
+// small one to the serial batch pipeline.
 func TestCostBasedParallelFilter(t *testing.T) {
-	pred := adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "a"), adl.C(value.Int(3)))
+	overMu := adl.Sel("u", adl.CmpE(adl.Lt, adl.Dot(adl.V("u"), "k"), adl.C(value.Int(3))), adl.Mu("c", adl.T("X")))
+	overX := adl.Sel("x", adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "a"), adl.C(value.Int(3))), adl.T("X"))
 	big := Config{Statistics: fakeStatistics{rows: map[string]int{"X": 50000}}, Parallelism: 8}
-	if f, ok := big.Compile(adl.Sel("x", pred, adl.T("X"))).(*exec.Filter); !ok || f.Workers != 8 {
-		t.Errorf("large σ should cost out to a Filter on 8 workers")
+	if f, ok := big.Compile(overMu).(*exec.Filter); !ok || f.Workers != 8 {
+		t.Errorf("large σ over μ should cost out to a Filter on 8 workers, got\n%s", Explain(big.Compile(overMu)))
+	}
+	if a, ok := big.Compile(overX).(*exec.VecAdapter); !ok {
+		t.Errorf("large σ over an extent should cost out to the batch exchange, got\n%s", Explain(big.Compile(overX)))
+	} else if ex, ok := a.Src.(*exec.VecExchange); !ok || ex.Workers != 8 {
+		t.Errorf("large σ over an extent should run on an exchange of 8 workers, got\n%s", Explain(a))
 	}
 	small := Config{Statistics: fakeStatistics{rows: map[string]int{"X": 100}}, Parallelism: 8}
-	if f, ok := small.Compile(adl.Sel("x", pred, adl.T("X"))).(*exec.Filter); !ok || f.Workers > 1 {
-		t.Errorf("small σ should stay serial")
+	if f, ok := small.Compile(overMu).(*exec.Filter); !ok || f.Workers > 1 {
+		t.Errorf("small σ over μ should stay serial, got\n%s", Explain(small.Compile(overMu)))
+	}
+	if a, ok := small.Compile(overX).(*exec.VecAdapter); !ok {
+		t.Errorf("small σ over an extent should cost out to the batch pipeline, got\n%s", Explain(small.Compile(overX)))
+	} else if _, ok := a.Src.(*exec.VecFilter); !ok {
+		t.Errorf("small σ over an extent should stay serial, got\n%s", Explain(a))
+	}
+}
+
+// TestBatchFallbackPricedAsInterpreter: a conjunct with no typed kernel
+// runs the interpreter row by row inside the batch filter, so the batch
+// pipeline's estimate carries rows·cEval for it, as Filter's does.
+func TestBatchFallbackPricedAsInterpreter(t *testing.T) {
+	const rows = 4000
+	// x[a] is a unary tuple, not the attribute's value: no typed kernel.
+	fallback := adl.Sel("x", adl.EqE(adl.SubT(adl.V("x"), "a"), adl.Tup("a", adl.CInt(3))), adl.T("X"))
+	p := Config{Statistics: fakeStatistics{rows: map[string]int{"X": rows}}, Parallelism: 1, Vectorized: true}.Plan(fallback)
+	var adapter exec.Operator
+	var walk func(node any)
+	walk = func(node any) {
+		if a, ok := node.(*exec.VecAdapter); ok {
+			adapter = a
+		}
+		_, children := describe(node)
+		for _, c := range children {
+			walk(c)
+		}
+	}
+	walk(p.Root)
+	if adapter == nil {
+		t.Fatalf("want the batch pipeline, got\n%s", p.Explain())
+	}
+	if !strings.Contains(p.Explain(), "0/1 typed kernels") {
+		t.Fatalf("want one fallback kernel, got\n%s", p.Explain())
+	}
+	if est, _ := p.Estimate(adapter); est.Cost < rows*cEval {
+		t.Errorf("batch estimate %.0f leaves out the interpreter's rows·cEval = %.0f:\n%s", est.Cost, rows*cEval, p.Explain())
 	}
 }
 

@@ -73,17 +73,7 @@ func combineConj(sels []float64) float64 {
 func orientCmp(cmp *adl.Cmp, v string) (attr string, other adl.Expr, op adl.CmpOp) {
 	attr, other, op = attrOf(cmp.L, v), cmp.R, cmp.Op
 	if attr == "" {
-		attr, other = attrOf(cmp.R, v), cmp.L
-		switch cmp.Op {
-		case adl.Lt:
-			op = adl.Gt
-		case adl.Le:
-			op = adl.Ge
-		case adl.Gt:
-			op = adl.Lt
-		case adl.Ge:
-			op = adl.Le
-		}
+		attr, other, op = attrOf(cmp.R, v), cmp.L, mirrorCmp(cmp.Op)
 	}
 	return attr, other, op
 }

@@ -60,8 +60,8 @@ func execNodeTypes(t *testing.T) []string {
 
 // TestEveryNodeIsPlanned: every exec node type is one the planner builds —
 // it appears in a plan of the golden corpus or of one expression per shape
-// the goldens lack, planned with and without statistics, with Vectorized on
-// and off, on one worker and on four — unless unplannedNodes says why not.
+// the goldens lack, planned with and without statistics, on one worker and
+// on four — unless unplannedNodes says why not.
 // An operator the planner cannot pick is dead code.
 func TestEveryNodeIsPlanned(t *testing.T) {
 	pred := func(v, attr string, op adl.CmpOp, c int64) adl.Expr {
@@ -76,6 +76,7 @@ func TestEveryNodeIsPlanned(t *testing.T) {
 	}
 	shapes := map[string]adl.Expr{
 		"index":    adl.Sel("x", pred("x", "a", adl.Eq, 7), adl.T("X")),
+		"filter":   adl.Sel("u", pred("u", "k", adl.Lt, 3), adl.Mu("c", adl.T("X"))),
 		"exchange": adl.Sel("x", pred("x", "b", adl.Lt, 10), adl.T("X")),
 		"divide":   adl.DivE(adl.T("X"), adl.T("Y")),
 		"unnest":   adl.Mu("c", adl.T("X")),
@@ -109,12 +110,10 @@ func TestEveryNodeIsPlanned(t *testing.T) {
 			withStats = goldenStats
 		}
 		for _, stats := range []Statistics{withStats, nil} {
-			for _, vec := range []bool{false, true} {
-				for _, par := range []int{1, 4} {
-					cfg := c.cfg
-					cfg.Statistics, cfg.Vectorized, cfg.Parallelism = stats, vec, par
-					walk(cfg.Plan(c.expr).Root)
-				}
+			for _, par := range []int{1, 4} {
+				cfg := c.cfg
+				cfg.Statistics, cfg.Parallelism = stats, par
+				walk(cfg.Plan(c.expr).Root)
 			}
 		}
 	}

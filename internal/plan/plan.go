@@ -68,36 +68,14 @@ type Config struct {
 	// ranges, min-NDV join keys). It exists for A/B comparisons
 	// (experiments.B12) and differential tests.
 	NoHistograms bool
-	// Vectorized enables batch execution: σ and π over a base extent
-	// compile to a batch pipeline over a columnar extent projection with
-	// selection vectors, which a VecAdapter hands to the row operators above
-	// it (vectorize.go). Joins keep their row algorithms. Default off: the
-	// scalar operators are the reference semantics the differential harness
-	// compares against.
+	// Vectorized is ignored.
+	//
+	// Deprecated: it switched σ over an extent onto the batch pipeline; the
+	// cost model now prices that pipeline beside Filter and IndexScan and
+	// picks it where it is cheaper. It remains only because benchmark/, which
+	// the engine may not edit, still sets it. Remove it with the next change
+	// to benchmark/.
 	Vectorized bool
-	// BatchSize is the rows-per-batch of vectorized pipelines; 0 means
-	// exec.DefaultBatchSize. Use SetBatchSize to validate externally
-	// supplied values.
-	BatchSize int
-}
-
-// SetBatchSize sets an explicit vectorized batch size, rejecting
-// non-positive values — the validation entry point for externally supplied
-// sizes (serving engine options, adlbench flags).
-func (c *Config) SetBatchSize(n int) error {
-	if n <= 0 {
-		return fmt.Errorf("plan: batch size must be positive, got %d", n)
-	}
-	c.BatchSize = n
-	return nil
-}
-
-// batchSize resolves the effective rows-per-batch.
-func (c Config) batchSize() int {
-	if c.BatchSize > 0 {
-		return c.BatchSize
-	}
-	return exec.DefaultBatchSize
 }
 
 // Plan is a compiled physical operator tree plus the optimizer's per-node
@@ -183,11 +161,8 @@ func (p *planner) compile(e adl.Expr) (exec.Operator, nodeEst) {
 		return op, est
 
 	case *adl.Select:
-		if op, est, ok := p.tryVecSelect(n); ok {
-			return op, est
-		}
-		if op, est, ok := p.tryIndexSelect(n); ok {
-			return op, est
+		if tbl, ok := n.Src.(*adl.Table); ok {
+			return p.chooseSelect(n, tbl.Name)
 		}
 		child, ce := p.compile(n.Src)
 		pred := exec.NewScalar(n.Pred, n.Var)
@@ -205,9 +180,6 @@ func (p *planner) compile(e adl.Expr) (exec.Operator, nodeEst) {
 		})
 
 	case *adl.Project:
-		if op, est, ok := p.tryVecProject(n); ok {
-			return op, est
-		}
 		child, ce := p.compile(n.X)
 		op := &exec.ProjectOp{Child: child, Attrs: n.Attrs}
 		est := ce.withOwn(ce.rows, ce.rows*cRow)
@@ -651,10 +623,6 @@ func explain(b *strings.Builder, node any, depth int, est map[exec.Operator]Esti
 func describe(node any) (string, []any) {
 	switch o := node.(type) {
 	case *exec.VecAdapter:
-		if len(o.Project) > 0 {
-			return fmt.Sprintf("VecAdapter[π %s]  -- vectorized→scalar bridge",
-				strings.Join(o.Project, ", ")), []any{o.Src}
-		}
 		return "VecAdapter  -- vectorized→scalar bridge", []any{o.Src}
 	case *exec.VecScan:
 		batch := o.Batch

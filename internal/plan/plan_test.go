@@ -261,10 +261,11 @@ func TestPlannerParallelThreshold(t *testing.T) {
 	}
 }
 
-// TestPlannerParallelMapFilter pins the worker pools of large σ/α.
+// TestPlannerParallelMapFilter pins the worker pools of large σ/α. σ over
+// an extent prices the batch pipeline cheaper, so σ runs over μ here.
 func TestPlannerParallelMapFilter(t *testing.T) {
 	cfg := Config{Statistics: fakeStatistics{rows: map[string]int{"X": 50000}}, Parallelism: 8}
-	sel := adl.Sel("x", adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "a"), adl.C(value.Int(3))), adl.T("X"))
+	sel := adl.Sel("u", adl.CmpE(adl.Lt, adl.Dot(adl.V("u"), "k"), adl.C(value.Int(3))), adl.Mu("c", adl.T("X")))
 	if f, ok := cfg.Compile(sel).(*exec.Filter); !ok || f.Workers != 8 {
 		t.Errorf("large σ should plan a Filter on 8 workers, got\n%s", Explain(cfg.Compile(sel)))
 	}
@@ -283,9 +284,9 @@ func TestPlannerParallelMapFilter(t *testing.T) {
 func TestExplainShowsParallelOperators(t *testing.T) {
 	cfg := Config{Statistics: fakeStatistics{rows: map[string]int{"X": 50000, "Y": 50000}}, Parallelism: 4}
 	j := adl.JoinE(
-		adl.Sel("x", adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "a"), adl.C(value.Int(3))), adl.T("X")),
-		"x", "y",
-		adl.EqE(adl.Dot(adl.V("x"), "a"), adl.Dot(adl.V("y"), "d")), adl.T("Y"))
+		adl.Sel("u", adl.CmpE(adl.Lt, adl.Dot(adl.V("u"), "k"), adl.C(value.Int(3))), adl.Mu("c", adl.T("X"))),
+		"u", "y",
+		adl.EqE(adl.Dot(adl.V("u"), "a"), adl.Dot(adl.V("y"), "d")), adl.T("Y"))
 	out := Explain(cfg.Compile(j))
 	for _, want := range []string{"PartitionedHashJoin", "4 partitions", "ParallelFilter", "4 workers"} {
 		if !strings.Contains(out, want) {

@@ -9,25 +9,23 @@ import (
 )
 
 // TestPlannerExpandsUnnestInProbe pins where μ folds into the hash join's
-// probe: Example Query 4's antijoin does at every parallelism, scalar and
-// vectorized, on the store of the analytic workloads — serial and
+// probe: Example Query 4's antijoin does at every parallelism on the store
+// of the analytic workloads — serial and
 // partitioned alike, with no Unnest node left — and of the joins over μ with
 // one key pair only the residual-free semijoin and antijoin do.
 func TestPlannerExpandsUnnestInProbe(t *testing.T) {
 	st, exprs := analyticStore(t)
 	stats := st.Analyze()
-	for _, vec := range []bool{false, true} {
-		for _, par := range []int{1, 2, 3} {
-			p := Config{Statistics: stats, Vectorized: vec, Parallelism: par}.Plan(exprs[1])
-			x := p.Explain()
-			m, ok := p.Root.(*exec.MapOp)
-			if !ok {
-				t.Fatalf("vec=%t p%d: Example Query 4 plans\n%s", vec, par, x)
-			}
-			hj, ok := m.Child.(*exec.HashJoin)
-			if !ok || hj.Unnest != "parts" || hj.Partitions != par || strings.Contains(x, "Unnest[") {
-				t.Errorf("vec=%t p%d: want the antijoin expanding μ parts on %d partitions, got\n%s", vec, par, par, x)
-			}
+	for _, par := range []int{1, 2, 3} {
+		p := Config{Statistics: stats, Parallelism: par}.Plan(exprs[1])
+		x := p.Explain()
+		m, ok := p.Root.(*exec.MapOp)
+		if !ok {
+			t.Fatalf("p%d: Example Query 4 plans\n%s", par, x)
+		}
+		hj, ok := m.Child.(*exec.HashJoin)
+		if !ok || hj.Unnest != "parts" || hj.Partitions != par || strings.Contains(x, "Unnest[") {
+			t.Errorf("p%d: want the antijoin expanding μ parts on %d partitions, got\n%s", par, par, x)
 		}
 	}
 

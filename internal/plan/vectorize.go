@@ -1,79 +1,90 @@
-// Vectorized physical selection. Behind Config.Vectorized the planner
-// compiles σ and π over a base extent to a batch pipeline: the extent scan
-// becomes a columnar-projection scan and conjunctive selections become
-// selection-vector filters with typed comparison kernels. With workers
-// available (Config.Parallelism, under Config.Statistics), the scan+filter
-// pipeline lowers to the morsel-driven VecExchange where the cost model finds
-// it cheaper. A pipeline always ends at a VecAdapter, which hands its rows to
+// The batch candidates of σ over a base extent. chooseSelect (access.go)
+// prices them beside Filter and IndexScan and keeps the cheapest: the serial
+// batch pipeline VecScan → VecFilter → VecAdapter, where the scan serves a
+// columnar projection of the extent and the filter narrows a selection
+// vector with typed comparison kernels, and its morsel-driven parallel form
+// VecScan → VecExchange → VecAdapter. The adapter hands the surviving rows to
 // the row operators above — the joins included, which price and pick their
-// algorithm as they do without the flag. Other shapes — computed sources,
-// non-extent operands — compile to the row operators, which remain the
-// reference semantics.
+// algorithm whichever way their rows arrive.
 package plan
 
 import (
+	"slices"
+
 	"repro/internal/adl"
 	"repro/internal/exec"
 )
 
-// vecSource compiles an expression into a batch pipeline when it has a
-// vectorizable shape: a base extent, possibly under conjunctive selections.
-// The scan projects attrs, the columns the filters above it read; it returns
-// the pipeline and the source's estimate.
-func (p *planner) vecSource(e adl.Expr, attrs []string) (exec.VecOp, nodeEst, bool) {
-	switch n := e.(type) {
-	case *adl.Table:
-		scan := &exec.VecScan{Extent: n.Name, Attrs: attrs, Batch: p.cfg.batchSize()}
-		rows := p.rows(n.Name)
-		return scan, nodeEst{rows: rows, extent: n.Name,
-			cost: costVecScan(rows, p.cfg.batchSize())}, true
-
-	case *adl.Select:
-		// An inner selection's columns come first in the projection.
-		kernels, own := p.kernelsFor(n)
-		src, se, ok := p.vecSource(n.Src, addAttrs(addAttrs(nil, own), attrs))
-		if !ok {
-			return nil, nodeEst{}, false
-		}
-		f := &exec.VecFilter{Src: src, Var: n.Var, Kernels: kernels}
-		out := se.rows * p.card.selectivity(n.Pred, n.Var, se.extent)
-		return f, nodeEst{rows: out, extent: se.extent,
-			cost: se.cost + costVecFilter(se.rows, float64(len(kernels)), p.cfg.batchSize())}, true
-	}
-	return nil, nodeEst{}, false
-}
-
-// kernelsFor compiles a selection's conjuncts into filter kernels, one per
-// conjunct in And order (matching the scalar short-circuit). Conjuncts of
-// the shape x.a <op> const, const <op> x.a (mirrored) or x.a <op> x.b get a
-// typed kernel over the named columns; everything else keeps only the
-// row-wise fallback. The second result lists the columns typed kernels
-// read.
-func (p *planner) kernelsFor(n *adl.Select) ([]exec.VecCmp, []string) {
+// batchSelects prices σ over extent (rows in, out estimated out) as the
+// serial batch pipeline and, with workers available, as the morsel exchange.
+// A conjunct with a typed kernel costs cVecRow per input row; one without
+// runs the interpreter row by row at cEval, as Filter does.
+func (p *planner) batchSelects(n *adl.Select, extent string, rows, out float64) []selectCand {
 	cs := conjuncts(n.Pred)
-	ks := make([]exec.VecCmp, 0, len(cs))
-	var attrs []string
+	perRow := 0.0
 	for _, c := range cs {
-		pred := exec.NewScalar(c, n.Var)
-		k := exec.VecCmp{Pred: pred}
-		if cmp, ok := c.(*adl.Cmp); ok && kernelOp(cmp.Op) {
-			l, r, op := cmp.L, cmp.R, cmp.Op
-			if fieldAttr(l, n.Var) == "" && fieldAttr(r, n.Var) != "" {
-				l, r, op = r, l, mirrorCmp(op)
-			}
-			if a := fieldAttr(l, n.Var); a != "" {
-				if cv, isConst := r.(*adl.Const); isConst {
-					k = exec.VecCmp{Attr: a, Op: op, Const: cv.Val, Pred: pred}
+		if kernel(c, n.Var).Attr != "" {
+			perRow += cVecRow
+		} else {
+			perRow += cEval
+		}
+	}
+	// pipeline compiles the conjuncts into kernels, in And order (matching
+	// the scalar short-circuit), over a scan of the columns they read.
+	pipeline := func() (*exec.VecScan, []exec.VecCmp) {
+		ks := make([]exec.VecCmp, len(cs))
+		var attrs []string
+		for i, c := range cs {
+			ks[i] = kernel(c, n.Var)
+			ks[i].Pred = exec.NewScalar(c, n.Var)
+			for _, a := range []string{ks[i].Attr, ks[i].RAttr} {
+				if a != "" && !slices.Contains(attrs, a) {
 					attrs = append(attrs, a)
-				} else if ra := fieldAttr(r, n.Var); ra != "" {
-					k = exec.VecCmp{Attr: a, Op: op, RAttr: ra, Pred: pred}
-					attrs = append(attrs, a, ra)
 				}
 			}
 		}
-		ks = append(ks, k)
+		return &exec.VecScan{Extent: extent, Attrs: attrs, Batch: exec.DefaultBatchSize}, ks
 	}
-	return ks, attrs
+	cands := []selectCand{{nodeEst{rows: out, extent: extent, cost: costVecScan(rows) + costVecFilter(rows, perRow)},
+		func() exec.Operator {
+			scan, ks := pipeline()
+			return &exec.VecAdapter{Src: &exec.VecFilter{Src: scan, Var: n.Var, Kernels: ks}}
+		}}}
+	if p.workers > 1 {
+		cands = append(cands, selectCand{nodeEst{rows: out, extent: extent, cost: costVecExchange(rows, perRow, p.workers)},
+			func() exec.Operator {
+				scan, ks := pipeline()
+				return &exec.VecAdapter{Src: &exec.VecExchange{Src: scan, Kernels: ks,
+					Workers: p.workers, Morsel: exec.DefaultBatchSize}}
+			}})
+	}
+	return cands
+}
+
+// kernel classifies one conjunct of a σ over v. The shapes v.a <op> const,
+// const <op> v.a (mirrored) and v.a <op> v.b get a typed kernel over the
+// named columns; anything else has Attr "" and runs the row-wise fallback.
+// Pred is left for the caller to compile.
+func kernel(c adl.Expr, v string) exec.VecCmp {
+	cmp, ok := c.(*adl.Cmp)
+	if !ok || !kernelOp(cmp.Op) {
+		return exec.VecCmp{}
+	}
+	l, r, op := cmp.L, cmp.R, cmp.Op
+	if fieldAttr(l, v) == "" && fieldAttr(r, v) != "" {
+		l, r, op = r, l, mirrorCmp(op)
+	}
+	a := fieldAttr(l, v)
+	if a == "" {
+		return exec.VecCmp{}
+	}
+	if cv, isConst := r.(*adl.Const); isConst {
+		return exec.VecCmp{Attr: a, Op: op, Const: cv.Val}
+	}
+	if ra := fieldAttr(r, v); ra != "" {
+		return exec.VecCmp{Attr: a, Op: op, RAttr: ra}
+	}
+	return exec.VecCmp{}
 }
 
 // kernelOp reports whether a comparison operator has a typed kernel.
@@ -112,74 +123,4 @@ func fieldAttr(e adl.Expr, v string) string {
 		return f.Name
 	}
 	return ""
-}
-
-// addAttrs appends the new attributes not already present.
-func addAttrs(have []string, add []string) []string {
-	for _, a := range add {
-		dup := false
-		for _, h := range have {
-			if h == a {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			have = append(have, a)
-		}
-	}
-	return have
-}
-
-// tryVecSelect compiles σ into a batch pipeline behind the Vectorized flag.
-func (p *planner) tryVecSelect(n *adl.Select) (exec.Operator, nodeEst, bool) {
-	if !p.cfg.Vectorized {
-		return nil, nodeEst{}, false
-	}
-	pipe, est, ok := p.vecSource(n, nil)
-	if !ok {
-		return nil, nodeEst{}, false
-	}
-	pipe, est = p.maybeExchange(pipe, est)
-	op := &exec.VecAdapter{Src: pipe}
-	p.record(op, est)
-	return op, est, true
-}
-
-// tryVecProject compiles π over a vectorizable source: the batch pipeline
-// runs untouched and the adapter applies the projection while
-// materializing.
-func (p *planner) tryVecProject(n *adl.Project) (exec.Operator, nodeEst, bool) {
-	if !p.cfg.Vectorized {
-		return nil, nodeEst{}, false
-	}
-	pipe, se, ok := p.vecSource(n.X, nil)
-	if !ok {
-		return nil, nodeEst{}, false
-	}
-	pipe, se = p.maybeExchange(pipe, se)
-	op := &exec.VecAdapter{Src: pipe, Project: n.Attrs}
-	est := se.withOwn(se.rows, se.rows*cRow)
-	p.record(op, est)
-	return op, est, true
-}
-
-// maybeExchange converts a serial scan+filter batch pipeline into the
-// morsel-driven parallel exchange when workers are available and the cost
-// model prices it below the serial pipeline. Non-convertible pipelines and
-// single-worker configurations pass through unchanged.
-func (p *planner) maybeExchange(pipe exec.VecOp, est nodeEst) (exec.VecOp, nodeEst) {
-	if p.workers < 2 {
-		return pipe, est
-	}
-	ex, ok := exec.Exchange(pipe, p.workers)
-	if !ok {
-		return pipe, est
-	}
-	parOwn := costVecExchange(p.rows(ex.Src.Extent), float64(len(ex.Kernels)), p.cfg.batchSize(), p.workers)
-	if parOwn >= est.cost {
-		return pipe, est
-	}
-	est.cost = parOwn
-	return ex, est
 }

@@ -8,35 +8,16 @@ import (
 
 	"repro/internal/adl"
 	"repro/internal/bench"
+	"repro/internal/eval"
 	"repro/internal/exec"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
 
-func TestSetBatchSize(t *testing.T) {
-	var c Config
-	for _, bad := range []int{0, -1, -1024} {
-		if err := c.SetBatchSize(bad); err == nil {
-			t.Fatalf("SetBatchSize(%d) must fail", bad)
-		}
-	}
-	if c.BatchSize != 0 {
-		t.Fatalf("rejected sizes must not stick, got %d", c.BatchSize)
-	}
-	if got := c.batchSize(); got != exec.DefaultBatchSize {
-		t.Fatalf("default batch size = %d, want %d", got, exec.DefaultBatchSize)
-	}
-	if err := c.SetBatchSize(256); err != nil {
-		t.Fatalf("SetBatchSize(256): %v", err)
-	}
-	if got := c.batchSize(); got != 256 {
-		t.Fatalf("batch size = %d, want 256", got)
-	}
-}
-
-// TestVectorizedPlanShapes pins which logical shapes compile to batch
-// operators under the flag — σ and π over an extent, never a join — and that
-// the flag off never produces a vectorized node.
+// TestVectorizedPlanShapes pins which logical shapes the cost model plans
+// onto batch operators: σ over an extent where the batch pipeline prices
+// cheapest, never a join, never π — π over a σ pipeline is a ProjectOp over
+// the VecAdapter.
 func TestVectorizedPlanShapes(t *testing.T) {
 	sel := adl.Sel("x",
 		adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "b"), adl.C(value.Int(10))), adl.T("X"))
@@ -58,9 +39,9 @@ func TestVectorizedPlanShapes(t *testing.T) {
 		adl.CmpE(adl.In, adl.SubT(adl.V("y"), "k"), adl.Dot(adl.V("x"), "c")), adl.T("Y"))
 	setnest.Kind, setnest.As = adl.NestJ, "g"
 
-	vec := Config{Vectorized: true}
+	var def Config
 
-	op := vec.Compile(sel)
+	op := def.Compile(sel)
 	ad, ok := op.(*exec.VecAdapter)
 	if !ok {
 		t.Fatalf("σ compiled to %T, want *exec.VecAdapter", op)
@@ -76,9 +57,22 @@ func TestVectorizedPlanShapes(t *testing.T) {
 	}
 
 	proj := adl.Proj(sel, "a")
-	ad, ok = vec.Compile(proj).(*exec.VecAdapter)
-	if !ok || len(ad.Project) != 1 {
-		t.Fatalf("π compiled to %T (project %v), want VecAdapter[π a]", ad, ad.Project)
+	po, ok := def.Compile(proj).(*exec.ProjectOp)
+	if !ok {
+		t.Fatalf("π over σ compiled to %T, want *exec.ProjectOp", def.Compile(proj))
+	}
+	if _, ok := po.Child.(*exec.VecAdapter); !ok {
+		t.Fatalf("π's child is %T, want the batch pipeline's *exec.VecAdapter", po.Child)
+	}
+	if po, ok := def.Compile(adl.Proj(adl.T("X"), "a")).(*exec.ProjectOp); !ok {
+		t.Fatalf("π over an extent compiled to %T, want *exec.ProjectOp", po)
+	} else if _, ok := po.Child.(*exec.Scan); !ok {
+		t.Fatalf("π over an extent reads %T, want *exec.Scan", po.Child)
+	}
+	// σ over anything but an extent keeps the row Filter.
+	if op := def.Compile(adl.Sel("u", adl.CmpE(adl.Lt, adl.Dot(adl.V("u"), "k"), adl.CInt(3)),
+		adl.Mu("c", adl.T("X")))); !isSweep(op) || strings.Contains(Explain(op), "Vec") {
+		t.Fatalf("σ over μ planned\n%s", Explain(op))
 	}
 
 	// A join is never a batch operator: each kind of equi-join is a row join
@@ -91,9 +85,9 @@ func TestVectorizedPlanShapes(t *testing.T) {
 		return &j
 	}
 	for _, q := range []*adl.Join{semi, inner, outer, nestj, residual} {
-		hj, ok := vec.Compile(over(q)).(*exec.HashJoin)
+		hj, ok := def.Compile(over(q)).(*exec.HashJoin)
 		if !ok || hj.Kind != q.Kind || hj.Partitions > 1 {
-			t.Fatalf("%v equi-join compiled to %T, want a serial *exec.HashJoin of that kind", q.Kind, vec.Compile(over(q)))
+			t.Fatalf("%v equi-join compiled to %T, want a serial *exec.HashJoin of that kind", q.Kind, def.Compile(over(q)))
 		}
 		sigma := hj.L
 		if q.Kind == adl.Inner {
@@ -107,9 +101,9 @@ func TestVectorizedPlanShapes(t *testing.T) {
 		}
 	}
 	for _, q := range []*adl.Join{setprobe, setnest} {
-		sj, ok := vec.Compile(over(q)).(*exec.SetProbeJoin)
+		sj, ok := def.Compile(over(q)).(*exec.SetProbeJoin)
 		if !ok || sj.Kind != q.Kind || sj.As != q.As {
-			t.Fatalf("%v set-probe join compiled to %T, want *exec.SetProbeJoin of that kind", q.Kind, vec.Compile(over(q)))
+			t.Fatalf("%v set-probe join compiled to %T, want *exec.SetProbeJoin of that kind", q.Kind, def.Compile(over(q)))
 		}
 		if _, ok := sj.L.(*exec.VecAdapter); !ok {
 			t.Fatalf("%v set-probe join probes %T, want the batch pipeline's *exec.VecAdapter", q.Kind, sj.L)
@@ -118,7 +112,7 @@ func TestVectorizedPlanShapes(t *testing.T) {
 
 	// Priced on large inputs the equi-join is the partitioned hash join over a
 	// morsel-exchanged pipeline; on small ones both stay serial.
-	par := Config{Vectorized: true, Parallelism: 4,
+	par := Config{Parallelism: 4,
 		Statistics: fakeStatistics{rows: map[string]int{"X": 100000, "Y": 100000}}}
 	pj, ok := par.Compile(over(semi)).(*exec.HashJoin)
 	if !ok || pj.Partitions != 4 {
@@ -129,31 +123,79 @@ func TestVectorizedPlanShapes(t *testing.T) {
 	} else if _, ok := ad.Src.(*exec.VecExchange); !ok {
 		t.Fatalf("partitioned join's pipeline is %T, want *exec.VecExchange", ad.Src)
 	}
-	small := Config{Vectorized: true, Parallelism: 4,
+	small := Config{Parallelism: 4,
 		Statistics: fakeStatistics{rows: map[string]int{"X": 10, "Y": 10}}}
 	if parallel(small.Compile(over(semi))) {
 		t.Fatalf("small semi join must stay serial:\n%s", Explain(small.Compile(over(semi))))
 	}
-	for _, cfg := range []Config{vec, par, small} {
+	for _, cfg := range []Config{def, par, small} {
 		for _, q := range []*adl.Join{semi, inner, outer, nestj, residual, setprobe, setnest} {
 			noBatchJoin(t, cfg.Compile(q))
 			noBatchJoin(t, cfg.Compile(over(q)))
 		}
 	}
 
-	// The flag off must never emit a batch operator.
-	for _, q := range []adl.Expr{sel, proj, semi, inner, setprobe, residual, outer, nestj, setnest} {
-		if out := Explain(Compile(q)); strings.Contains(out, "Vec") {
-			t.Fatalf("vectorized node without the flag:\n%s", out)
+	// Costed batch plans carry the annotation.
+	x, y := genTables(rand.New(rand.NewSource(1)))
+	costed := Config{Statistics: tableStatistics(x, y)}
+	if out := costed.Plan(over(semi)).Explain(); !strings.Contains(out, "-- vectorized") {
+		t.Fatalf("costed batch plan misses the annotation:\n%s", out)
+	}
+}
+
+// TestVectorizedFieldIsInert: Config.Vectorized changes no plan. Every
+// golden-corpus expression and analytic text explains byte for byte the same
+// with it set and unset — serial and on two workers, with and without
+// statistics — and a selective indexed equality plans its IndexScan either
+// way, where the flag once forced a full batch scan past it.
+func TestVectorizedFieldIsInert(t *testing.T) {
+	type planCase struct {
+		cfg  Config
+		expr adl.Expr
+	}
+	cases := map[string]planCase{}
+	for name, c := range goldenCases() {
+		cases[name] = planCase{c.cfg, c.expr}
+	}
+	st, exprs := analyticStore(t)
+	stats := st.Analyze()
+	for i, q := range analyticTexts {
+		cases[q[0]] = planCase{Config{Statistics: stats}, exprs[i]}
+	}
+	for name, c := range cases {
+		for _, s := range []Statistics{c.cfg.Statistics, nil} {
+			for _, par := range []int{1, 2} {
+				cfg := c.cfg
+				cfg.Statistics, cfg.Parallelism = s, par
+				cfg.Vectorized = false
+				off := cfg.Plan(c.expr).Explain()
+				cfg.Vectorized = true
+				if on := cfg.Plan(c.expr).Explain(); on != off {
+					t.Errorf("%s (statistics %v, p%d): Vectorized changes the plan:\n--- on ---\n%s--- off ---\n%s",
+						name, s != nil, par, on, off)
+				}
+			}
 		}
 	}
 
-	// Costed vectorized plans carry the annotation.
-	x, y := genTables(rand.New(rand.NewSource(1)))
-	costed := Config{Vectorized: true, Statistics: tableStatistics(x, y)}
-	if out := costed.Plan(over(semi)).Explain(); !strings.Contains(out, "-- vectorized") {
-		t.Fatalf("costed vectorized plan misses the annotation:\n%s", out)
+	sel := adl.Sel("x", adl.EqE(adl.Dot(adl.V("x"), "a"), adl.CInt(7)), adl.T("X"))
+	for _, vec := range []bool{false, true} {
+		if pl := (Config{Statistics: lookupStats(), Vectorized: vec}).Plan(sel); !isIndexScan(pl.Root) {
+			t.Errorf("Vectorized %v: the selective indexed equality plans\n%s", vec, pl.Explain())
+		}
 	}
+}
+
+func isIndexScan(op exec.Operator) bool {
+	_, ok := op.(*exec.IndexScan)
+	return ok
+}
+
+// holdsVecFilter reports whether a plan runs a batch filter: a VecFilter, or
+// the exchange's kernels.
+func holdsVecFilter(op exec.Operator) bool {
+	x := Explain(op)
+	return strings.Contains(x, "VecFilter") || strings.Contains(x, "VecExchange")
 }
 
 // noBatchJoin fails unless every batch node of the plan is one of the batch
@@ -248,12 +290,14 @@ func randVecQuery(rng *rand.Rand) adl.Expr {
 	}
 }
 
-// TestDifferentialScalarVsVectorized is the vectorized arm of the
-// differential harness: randomized queries run through the scalar planner
-// and through the vectorized planner at several batch sizes, asserting
-// identical result sets. Run under -race in CI.
+// TestDifferentialScalarVsVectorized is the batch arm of the differential
+// harness: randomized queries, planned without statistics, on their row
+// counts and on two workers over inflated statistics, return what the
+// reference interpreter returns. The cost model picks the batch pipeline for
+// some of them, and the test fails if it picks it for none. Run under -race
+// in CI.
 func TestDifferentialScalarVsVectorized(t *testing.T) {
-	queries, parallelPlans := 0, 0
+	queries, parallelPlans, batchPlans := 0, 0, 0
 	for seed := int64(1); seed <= 14; seed++ {
 		rng := rand.New(rand.NewSource(seed + 500))
 		x, y := genTables(rng)
@@ -261,24 +305,28 @@ func TestDifferentialScalarVsVectorized(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			q := randVecQuery(rng)
 			queries++
-			ref := collect(t, Compile(q), db)
+			ref, err := eval.EvalSet(q, nil, db)
+			if err != nil {
+				t.Fatal(err)
+			}
 			arms := map[string]Config{
-				"vec":        {Vectorized: true},
-				"vec-batch1": {Vectorized: true, BatchSize: 1},
-				"vec-batch7": {Vectorized: true, BatchSize: 7},
-				"vec-costed": {Vectorized: true, Statistics: tableStatistics(x, y)},
-				"vec-parallel": {Vectorized: true, Parallelism: 4,
+				"default": {},
+				"costed":  {Statistics: tableStatistics(x, y)},
+				"parallel": {Parallelism: 4,
 					Statistics: inflated{tableStatistics(x, y)}},
 			}
 			for name, cfg := range arms {
 				op := cfg.Compile(q)
 				noBatchJoin(t, op)
-				if name == "vec-parallel" && parallel(op) {
+				if name == "parallel" && parallel(op) {
 					parallelPlans++
+				}
+				if holdsVecFilter(op) {
+					batchPlans++
 				}
 				got := collect(t, op, db)
 				if !value.Equal(got, ref) {
-					t.Fatalf("seed %d query %d (%v): %s diverges from scalar:\n got  %v\n want %v",
+					t.Fatalf("seed %d query %d (%v): %s diverges from eval:\n got  %v\n want %v",
 						seed, i, q, name, got, ref)
 				}
 			}
@@ -290,15 +338,19 @@ func TestDifferentialScalarVsVectorized(t *testing.T) {
 	// Set-probe joins, the nestjoin and empty tables have no parallel form;
 	// the rest of the corpus must not have gone serial.
 	if parallelPlans < queries/2 {
-		t.Errorf("vec-parallel planned %d of %d queries parallel", parallelPlans, queries)
+		t.Errorf("parallel arm planned %d of %d queries parallel", parallelPlans, queries)
 	}
-	t.Logf("vec-parallel planned %d of %d queries parallel", parallelPlans, queries)
+	if batchPlans == 0 {
+		t.Errorf("no plan of %d queries × 3 arms runs a batch filter", queries)
+	}
+	t.Logf("parallel arm planned %d of %d queries parallel; %d plans run a batch filter", parallelPlans, queries, batchPlans)
 }
 
-// TestDifferentialVectorizedMVCC runs scalar vs vectorized over pinned MVCC
-// snapshots while the store keeps mutating: the columnar projection reader
-// must respect each snapshot's visibility, including deletes and updates
-// pending after the pin.
+// TestDifferentialVectorizedMVCC runs the planned queries against the
+// reference interpreter over pinned MVCC snapshots while the store keeps
+// mutating: the columnar projection reader, which the plans of the σ over
+// DELIVERY read, must respect each snapshot's visibility, including deletes
+// and updates pending after the pin.
 func TestDifferentialVectorizedMVCC(t *testing.T) {
 	st := bench.Generate(bench.Config{Suppliers: 12, Parts: 30, Deliveries: 90, Seed: 7})
 
@@ -325,14 +377,29 @@ func TestDifferentialVectorizedMVCC(t *testing.T) {
 		return qs
 	}()
 
+	cfgs := []Config{{}, {Statistics: st.Analyze()}}
+	batchPlans := 0
+	for _, cfg := range cfgs {
+		for _, q := range queries {
+			if holdsVecFilter(cfg.Compile(q)) {
+				batchPlans++
+			}
+		}
+	}
+	if batchPlans == 0 {
+		t.Fatal("no plan runs a batch filter: the columnar reader goes untested")
+	}
 	check := func(label string, sn *storage.Snapshot) {
 		for qi, q := range queries {
-			ref := collect(t, Compile(q), sn)
-			for _, cfg := range []Config{{Vectorized: true}, {Vectorized: true, BatchSize: 3}} {
+			ref, err := eval.EvalSet(q, nil, sn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ci, cfg := range cfgs {
 				got := collect(t, cfg.Compile(q), sn)
 				if !value.Equal(got, ref) {
-					t.Fatalf("%s query %d: vectorized(batch %d) diverges: got %d rows, want %d",
-						label, qi, cfg.BatchSize, got.Len(), ref.Len())
+					t.Fatalf("%s query %d: plan %d diverges from eval: got %d rows, want %d",
+						label, qi, ci, got.Len(), ref.Len())
 				}
 			}
 		}
@@ -344,7 +411,7 @@ func TestDifferentialVectorizedMVCC(t *testing.T) {
 
 	// Delete a third of the deliveries, update the dates of another third,
 	// and add fresh rows: sn0 must keep answering as before, a fresh pin
-	// must see the new state, and both must agree scalar vs vectorized.
+	// must see the new state, and both must agree with the interpreter.
 	oids := st.OIDs("DELIVERY")
 	for i, oid := range oids {
 		switch i % 3 {

@@ -63,13 +63,13 @@ type Options struct {
 	// FeedbackMinRows ignores drift where both estimate and observation
 	// stay under this row count; 0 means plan.DefaultFeedbackMinRows.
 	FeedbackMinRows int64
-	// Vectorized plans σ and π over an extent onto the batch pipeline
-	// (plan.Config.Vectorized), whose rows the row operators above it — the
-	// joins included — take through a VecAdapter. BatchSize tunes rows per
-	// batch — 0 keeps the planner default, negative values surface
-	// plan.Config.SetBatchSize's error at planning time.
+	// Vectorized is ignored.
+	//
+	// Deprecated: it switched σ over an extent onto the batch pipeline; the
+	// planner now prices that pipeline as one candidate among the others. It
+	// remains only because benchmark/, which the engine may not edit, still
+	// sets it. Remove it with the next change to benchmark/.
 	Vectorized bool
-	BatchSize  int
 }
 
 // Engine serves OOSQL queries and inserts over one store.
@@ -158,16 +158,7 @@ func (e *Engine) prepare(src string, epoch uint64) (*cacheEntry, bool, bool, err
 // plan prepares a query against freshly published statistics.
 func (e *Engine) plan(src string, epoch uint64, tc core.TemplateCache) (*cacheEntry, error) {
 	stats := e.st.Analyze()
-	cfg := plan.Config{
-		Statistics:  stats,
-		Parallelism: e.opts.Parallelism,
-		Vectorized:  e.opts.Vectorized,
-	}
-	if e.opts.BatchSize != 0 {
-		if err := cfg.SetBatchSize(e.opts.BatchSize); err != nil {
-			return nil, err
-		}
-	}
+	cfg := plan.Config{Statistics: stats, Parallelism: e.opts.Parallelism}
 	q, err := core.PrepareCached(src, e.st.Catalog(), cfg, tc)
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -304,51 +305,50 @@ func TestNoFeedbackOption(t *testing.T) {
 	}
 }
 
+// cachedPlanHoldsVecFilter fails unless the engine's cached plan of src runs
+// a batch filter: the cost model picked the batch pipeline for its σ.
+func cachedPlanHoldsVecFilter(t *testing.T, eng *Engine, src string) {
+	t.Helper()
+	ent, ok := eng.plans.get(src)
+	if !ok {
+		t.Fatalf("%q is not cached", src)
+	}
+	if x := plan.Explain(ent.q.Plan); !strings.Contains(x, "VecFilter") {
+		t.Fatalf("%q: want the batch pipeline, planned\n%s", src, x)
+	}
+}
+
+// TestVectorizedEngine: the default engine plans red-parts onto the batch
+// pipeline and answers what the nested form answers, and a mutation stays
+// visible through it (the columnar projection is snapshot-pinned, not a
+// stale cache).
 func TestVectorizedEngine(t *testing.T) {
-	scalar := newEngine(t, Options{Parallelism: 1})
-	vec := New(scalar.Store(), Options{Parallelism: 1, Vectorized: true, BatchSize: 16})
-
-	rs, err := scalar.Query(redParts)
+	eng := newEngine(t, Options{Parallelism: 1})
+	rv, err := eng.QueryVerified(redParts)
 	if err != nil {
-		t.Fatalf("scalar Query: %v", err)
+		t.Fatalf("Query: %v", err)
 	}
-	rv, err := vec.Query(redParts)
-	if err != nil {
-		t.Fatalf("vectorized Query: %v", err)
-	}
-	if !value.Equal(rs.Set, rv.Set) {
-		t.Fatalf("vectorized engine diverges:\n scalar %v\n vec    %v", rs.Set, rv.Set)
-	}
+	cachedPlanHoldsVecFilter(t, eng, redParts)
 
-	// Mutations stay visible through the vectorized path (the columnar
-	// projection is snapshot-pinned, not a stale cache).
-	if _, err := vec.Insert("PART", newPart(900, "red")); err != nil {
+	if _, err := eng.Insert("PART", newPart(900, "red")); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
-	rv2, err := vec.Query(redParts)
+	rv2, err := eng.QueryVerified(redParts)
 	if err != nil {
-		t.Fatalf("vectorized Query after insert: %v", err)
+		t.Fatalf("Query after insert: %v", err)
 	}
 	if rv2.Set.Len() != rv.Set.Len()+1 {
-		t.Fatalf("insert not visible vectorized: %d → %d rows", rv.Set.Len(), rv2.Set.Len())
+		t.Fatalf("insert not visible: %d → %d rows", rv.Set.Len(), rv2.Set.Len())
 	}
 }
 
-func TestEngineRejectsNonPositiveBatchSize(t *testing.T) {
-	eng := newEngine(t, Options{Vectorized: true, BatchSize: -3})
-	_, err := eng.Query(redParts)
-	if err == nil || !strings.Contains(err.Error(), "batch size must be positive") {
-		t.Fatalf("want batch-size error, got %v", err)
-	}
-}
-
-// TestEngineConcurrentVectorizedInstrumented runs cached vectorized plans
-// from many goroutines with feedback on: every execution instruments and
-// runs the one cached tree, no copy made. Under -race this fails when a
-// node, row or batch, keeps anything of a run.
+// TestEngineConcurrentVectorizedInstrumented runs cached plans whose σ the
+// cost model put on the batch pipeline from many goroutines with feedback
+// on: every execution instruments and runs the one cached tree, no copy
+// made. Under -race this fails when a node, row or batch, keeps anything of
+// a run.
 func TestEngineConcurrentVectorizedInstrumented(t *testing.T) {
-	scalar := newEngine(t, Options{Parallelism: 1})
-	vec := New(scalar.Store(), Options{Parallelism: 1, Vectorized: true})
+	eng := newEngine(t, Options{Parallelism: 1})
 	queries := []string{
 		redParts,
 		`select p.pname from p in PART where p.price < 10`,
@@ -357,15 +357,13 @@ func TestEngineConcurrentVectorizedInstrumented(t *testing.T) {
 	}
 	want := make([]*value.Set, len(queries))
 	for i, q := range queries {
-		rs, err := scalar.Query(q)
+		r, err := eng.QueryVerified(q) // cache the plan
 		if err != nil {
-			t.Fatalf("scalar Query: %v", err)
+			t.Fatalf("Query: %v", err)
 		}
-		want[i] = rs.Set
-		if _, err := vec.Query(q); err != nil { // cache the vectorized plan
-			t.Fatalf("vectorized Query: %v", err)
-		}
+		want[i] = r.Set
 	}
+	cachedPlanHoldsVecFilter(t, eng, redParts)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -374,14 +372,14 @@ func TestEngineConcurrentVectorizedInstrumented(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 20; round++ {
 				for i, q := range queries {
-					rv, err := vec.Query(q)
+					r, err := eng.Query(q)
 					if err != nil {
-						t.Errorf("vectorized Query: %v", err)
+						t.Errorf("Query: %v", err)
 						return
 					}
-					if !value.Equal(rv.Set, want[i]) {
-						t.Errorf("%q: vectorized engine diverges from scalar under concurrency: %d rows, want %d",
-							q, rv.Set.Len(), want[i].Len())
+					if !value.Equal(r.Set, want[i]) {
+						t.Errorf("%q: diverges from the nested form under concurrency: %d rows, want %d",
+							q, r.Set.Len(), want[i].Len())
 						return
 					}
 				}

@@ -6,9 +6,11 @@
 //
 // Projections are cached per extent like materializations (store.mat): an
 // exact hit (same length, same backing oid array, attributes already
-// decoded) is served as-is; anything else rebuilds, decoding the union of
-// the requested and previously decoded attributes so pipelines alternating
-// attribute sets converge on one cached projection instead of thrashing.
+// decoded) is served as-is; anything else is rebuilt from the cached one,
+// decoding only the rows a write replaced and the attributes it lacked. The
+// rebuild keeps the union of the requested and previously decoded
+// attributes, so pipelines alternating attribute sets converge on one cached
+// projection instead of thrashing.
 package storage
 
 import (
@@ -49,25 +51,45 @@ func (s *Store) ColProj(extent string, attrs []string) (*col.Proj, error) {
 	return sn.ColProj(extent, attrs)
 }
 
-// colProj serves the per-extent projection cache. The rows come from
-// materialize, so visibility and row identity match Table exactly.
+// colProj serves the per-extent projection cache. The rows are the
+// snapshot's objects in extent order, the tuples Table returns. A miss
+// patches the cached projection: each chunk of rows a write left alone is
+// shared, so a write costs the next reader the chunks it touched (an insert
+// or an update one chunk, a delete the chunks from its row on). The cache
+// lock is not held while a projection is built.
 func (s *Store) colProj(name string, oids []value.OID, seq uint64, attrs []string) *col.Proj {
-	set := s.materialize(name, oids, seq)
 	s.colMu.Lock()
-	defer s.colMu.Unlock()
 	e := s.colProjs[name]
+	s.colMu.Unlock()
 	if e.proj != nil && len(e.oids) == len(oids) && sharesPrefix(e.oids, oids) &&
 		hasAttrs(e.proj, attrs) {
 		return e.proj
 	}
-	union := attrs
-	if e.proj != nil {
-		union = unionAttrs(e.proj.Attrs(), attrs)
+	prev, union := e.proj, attrs
+	if prev == nil {
+		prev = col.New(name, nil, nil)
+	} else {
+		union = unionAttrs(prev.Attrs(), attrs)
 	}
-	proj := col.New(name, set.Elems(), union)
-	if seq >= e.seq || e.proj == nil {
+	// Every oid of a version's extent is live at that version; should one
+	// not be, the projection is built from the live rows alone.
+	dead := false
+	proj := col.Patch(prev, len(oids), func(i int) (value.Value, bool) {
+		obj, ok := s.objectAt(oids[i], seq)
+		dead = dead || !ok
+		if !ok {
+			return value.Null{}, false
+		}
+		return obj, i < prev.Len() && prev.Row(int32(i)) == value.Value(obj)
+	}, union)
+	if dead {
+		proj = col.New(name, s.materialize(name, oids, seq).Elems(), union)
+	}
+	s.colMu.Lock()
+	if cur := s.colProjs[name]; seq >= cur.seq || cur.proj == nil {
 		s.colProjs[name] = colEntry{seq: seq, oids: oids, proj: proj}
 	}
+	s.colMu.Unlock()
 	return proj
 }
 
