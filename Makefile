@@ -133,13 +133,13 @@ lint: fmt-check vet
 # The sizes ROADMAP tracks: lines (wc -l) of the Go files of each package
 # directory under internal/ and cmd/ that are neither tests nor testdata, the
 # exec + plan total beside the number of exec node types (exported types with
-# an Open or OpenVec method), the total of the measurement harness
+# an Open method), the total of the measurement harness
 # (cmd/bench* counts any command of that name, none today), and the option
 # count: the exported fields of plan.Config and server.Options, the knobs a
 # caller can turn.
 loc:
 	@nodes=$$(find internal/exec -name '*.go' ! -name '*_test.go' | xargs grep -hoE \
-			'^func \([a-z]+ \*?[A-Z][A-Za-z0-9]*\) Open(Vec)?\(' | \
+			'^func \([a-z]+ \*?[A-Z][A-Za-z0-9]*\) Open\(' | \
 			sed -E 's/^func \([a-z]+ \*?([A-Za-z0-9]+)\).*/\1/' | sort -u | wc -l); \
 	find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | sort | \
 		xargs wc -l | awk -v nodes=$$nodes '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; \

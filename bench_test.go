@@ -146,8 +146,7 @@ func BenchmarkB13(b *testing.B) {
 }
 
 // BenchmarkB14 — the parallel arms of the B13 pipeline: partitioned scalar
-// operators, and the morsel-driven exchange feeding the partitioned batch
-// join.
+// operators, and a parallel ColumnScan feeding the partitioned join.
 func BenchmarkB14(b *testing.B) {
 	for _, sc := range [][2]int{{100, 10000}, {400, 40000}} {
 		c := experiments.VecJoin(sc[0], sc[1], max(2, exec.Parallelism(0))).Only("parallel", "parallel-vectorized")
@@ -155,11 +154,10 @@ func BenchmarkB14(b *testing.B) {
 	}
 }
 
-// TestBatchAllocations pins the batch pipeline's claim: nothing is allocated
-// per row. A run of B1's planned arm (1 200 input rows, σ on the batch
-// pipeline) and of the B13/B14 pipeline's vectorized and parallel-vectorized
-// arms (40 400 rows, 4 workers) stays at or under 512 allocations. They take
-// a few dozen serial and a couple of hundred with the exchange; one
+// TestBatchAllocations pins ColumnScan's claim: nothing is allocated per row.
+// A run of B1's planned arm (1 200 input rows, σ on a ColumnScan) and of the
+// B13/B14 pipeline's vectorized and parallel-vectorized arms (40 400 rows, 4
+// workers) stays at or under 512 allocations. They take a few dozen; one
 // allocation per row would be thousands.
 func TestBatchAllocations(t *testing.T) {
 	eq5, vec := experiments.EQ5(400, 800), experiments.VecJoin(400, 40000, 4)
@@ -172,8 +170,8 @@ func TestBatchAllocations(t *testing.T) {
 		{vec, vec.Only("parallel-vectorized").Arms[0]},
 	} {
 		pl, run := tc.c.Exec(tc.arm)
-		if x := pl.Explain(); !strings.Contains(x, "VecScan") {
-			t.Fatalf("%s %s: no batch pipeline in\n%s", tc.c.Name, tc.arm.Label, x)
+		if x := pl.Explain(); !strings.Contains(x, "ColumnScan(") {
+			t.Fatalf("%s %s: no ColumnScan in\n%s", tc.c.Name, tc.arm.Label, x)
 		}
 		n := testing.AllocsPerRun(5, func() { _, _ = run() })
 		if n > 512 {
@@ -686,8 +684,9 @@ func TestRowAllocations(t *testing.T) {
 // TestFilterMapAllocations pins what opening a row σ/α pipeline allocates
 // beyond opening its scan: σ's stream and α's stream, one allocation each.
 // The compiled scalar travels in the stream, not in a bound method value,
-// which was one more allocation per operator. The pipeline is built by hand:
-// for σ over an extent the planner prices the batch pipeline cheaper.
+// which was one more allocation per operator; π, ρ and Assembly carry their
+// node in the stream the same way, one allocation each. The pipeline is built
+// by hand: for σ over an extent the planner prices a ColumnScan cheaper.
 func TestFilterMapAllocations(t *testing.T) {
 	st := bench.Generate(bench.Config{Suppliers: 20, Parts: 40, Deliveries: 10, Seed: 94})
 	p := adl.V("p")
@@ -704,8 +703,22 @@ func TestFilterMapAllocations(t *testing.T) {
 			rows.Close()
 		})
 	}
-	if got := open(mapFilter) - open(&exec.Scan{Table: "PART"}); got != 2 {
+	parts, deliveries := open(&exec.Scan{Table: "PART"}), open(&exec.Scan{Table: "DELIVERY"})
+	if got := open(mapFilter) - parts; got != 2 {
 		t.Errorf("opening σ and α over a scan: %.0f allocations beyond the scan's, want 2", got)
+	}
+	for _, c := range []struct {
+		name string
+		op   exec.Operator
+		scan float64
+	}{
+		{"π", &exec.ProjectOp{Child: &exec.Scan{Table: "PART"}, Attrs: []string{"pname"}}, parts},
+		{"ρ", &exec.RenameOp{Child: &exec.Scan{Table: "PART"}, From: "pname", To: "name"}, parts},
+		{"Assembly", &exec.Assembly{Child: &exec.Scan{Table: "DELIVERY"}, Attr: "supplier", As: "s"}, deliveries},
+	} {
+		if got := open(c.op) - c.scan; got != 1 {
+			t.Errorf("opening %s over a scan: %.0f allocations beyond the scan's, want 1", c.name, got)
+		}
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 // TestQueryExecuteConcurrent executes one prepared query from several
 // goroutines at once — a plan made without statistics, and one priced on
-// statistics for two workers, whose σ runs on the batch pipeline. A *Query
+// statistics for two workers, whose σ runs on a ColumnScan. A *Query
 // holds no state of a run, so every result equals the serial one; under
 // -race this fails as soon as a plan node keeps iterator state.
 func TestQueryExecuteConcurrent(t *testing.T) {

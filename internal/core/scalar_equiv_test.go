@@ -42,7 +42,7 @@ func interpreted(op exec.Operator) (exec.Operator, int) {
 					s := viaEval(*x)
 					f.Set(reflect.ValueOf(&s))
 				}
-			case exec.Operator, exec.VecOp:
+			case exec.Operator:
 				walk(x)
 			}
 		}

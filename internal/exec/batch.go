@@ -1,20 +1,19 @@
 // Batch execution. The scalar operators in this package hand rows up one
 // value.Value at a time, paying an environment binding and an interpreter
-// dispatch per row; the batch layer moves batches: a columnar projection of
-// an extent (col.Proj — each referenced attribute decoded once into a typed
-// slice) plus a selection vector of row indices. It is four operators,
-// VecScan → VecFilter (or the parallel VecExchange) → VecAdapter: filters
-// narrow the selection in place and reuse it across batches, so steady-state
-// execution allocates near zero, and the adapter hands the surviving rows to
-// the row operators above — the joins included, one operator per algorithm
-// whichever way their rows arrive. The planner prices this pipeline as one
-// way to run σ over an extent, beside Filter and IndexScan.
+// dispatch per row; ColumnScan runs σ over an extent on flat arrays instead:
+// a columnar projection of the extent (col.Proj — each referenced attribute
+// decoded once into a typed slice) plus a selection vector of row indices.
+// The typed kernels narrow one reused selection vector per DefaultBatchSize
+// rows in place, so steady-state execution allocates near zero, and the
+// surviving rows go up as an ordinary row stream — the joins included, one
+// operator per algorithm whichever way their rows arrive. The planner prices
+// ColumnScan as one way to run σ over an extent, beside Filter and IndexScan.
 //
 // Every typed kernel either reproduces the interpreter's result exactly or
 // falls back to row-wise evaluation through the same interpreter (Mixed
-// columns, kernel-less shapes), so a batch plan returns what a row plan
-// returns; the planner's differential tests check its batch plans against
-// the reference interpreter on randomized queries.
+// columns, kernel-less shapes), so a ColumnScan returns what a Filter over a
+// Scan returns, errors included; the planner's differential tests check its
+// plans against the reference interpreter on randomized queries.
 package exec
 
 import (
@@ -24,35 +23,11 @@ import (
 	"repro/internal/value"
 )
 
-// DefaultBatchSize is the rows per batch the planner writes, and the
-// fallback when an operator was built without one.
+// DefaultBatchSize is the rows the kernels narrow at a time: one selection
+// vector's length.
 const DefaultBatchSize = 1024
 
-// Batch is a view over a columnar projection: Sel lists the visible row
-// indices, in order. A batch is only valid until the producer's next
-// NextBatch call — consumers must not retain Sel.
-type Batch struct {
-	Proj *col.Proj
-	Sel  []int32
-}
-
-// VecOp is a node of a batch pipeline — the Operator contract over batches:
-// immutable configuration whose OpenVec, on the value receiver, returns the
-// run's state as a stream of its own.
-type VecOp interface {
-	// OpenVec starts a run of the pipeline and returns its batches.
-	OpenVec(ctx *Ctx) (Batches, error)
-}
-
-// Batches is the batch stream of one run of a VecOp, used by one goroutine.
-type Batches interface {
-	// NextBatch returns the next batch; ok is false at end of stream.
-	NextBatch() (b Batch, ok bool, err error)
-	// CloseVec releases buffers and the streams below. Idempotent.
-	CloseVec() error
-}
-
-// ColumnarDB is the optional storage capability the batch scan prefers: a
+// ColumnarDB is the optional storage capability ColumnScan prefers: a
 // provider that serves snapshot-pinned columnar projections directly
 // (storage.Store and storage.Snapshot implement it). Providers without it
 // fall back to Table plus an in-executor decode.
@@ -60,37 +35,80 @@ type ColumnarDB interface {
 	ColProj(extent string, attrs []string) (*col.Proj, error)
 }
 
-// VecAdapter bridges a batch pipeline into the row-at-a-time Operator tree:
-// it drains the batches eagerly (results are bounded by the inputs, like the
-// eager scalar joins) and hands the underlying tuples up as a blocking
-// stream.
-type VecAdapter struct {
-	Src VecOp
+// ColumnScan is σ over an extent run on the extent's columnar projection:
+// Kernels, the predicate's conjuncts in And order, narrow a selection vector
+// batch by batch, and the rows left are the stream. Conjunct order matches the
+// scalar And's left-to-right short-circuit, so rows are eliminated (and errors
+// surface) in the same order as a Filter's.
+type ColumnScan struct {
+	Extent string
+	// Attrs are the attributes the kernels read columnar.
+	Attrs   []string
+	Var     string
+	Kernels []VecCmp
+	// Workers > 1 splits the projection into that many contiguous shares of
+	// whole batches, one goroutine each; the rows, their order and the error
+	// are still the serial run's.
+	Workers int
 }
 
-// Open materializes the pipeline's rows.
-func (a VecAdapter) Open(ctx *Ctx) (_ Rows, err error) {
-	src, err := ctx.openVec(a.Src)
+// Open computes the rows: the stream is blocking, like the joins'.
+func (s ColumnScan) Open(ctx *Ctx) (Rows, error) {
+	proj, err := s.projection(ctx)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		if cerr := src.CloseVec(); cerr != nil && err == nil {
-			err = cerr
+	n := proj.Len()
+	batches := (n + DefaultBatchSize - 1) / DefaultBatchSize
+	outs := make([][]value.Value, max(s.Workers, 1))
+	err = inShares(batches, s.Workers, func(i, lo, hi int) error {
+		sel := make([]int32, min(n, DefaultBatchSize))
+		for b := lo; b < hi; b++ {
+			first := b * DefaultBatchSize
+			var err error
+			if outs[i], err = s.batch(ctx, proj, first, min(n, first+DefaultBatchSize), sel, outs[i]); err != nil {
+				return err
+			}
 		}
-	}()
-	var rows []value.Value
-	for {
-		b, ok, err := src.NextBatch()
-		if err != nil {
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(outs) == 1 {
+		return buffered(outs[0])
+	}
+	return buffered(slices.Concat(outs...))
+}
+
+// projection obtains the projection of the extent's Attrs.
+func (s ColumnScan) projection(ctx *Ctx) (*col.Proj, error) {
+	if cdb, ok := ctx.DB.(ColumnarDB); ok {
+		return cdb.ColProj(s.Extent, s.Attrs)
+	}
+	set, err := ctx.DB.Table(s.Extent)
+	if err != nil {
+		return nil, err
+	}
+	return col.New(s.Extent, set.Elems(), s.Attrs), nil
+}
+
+// batch narrows rows [lo, hi) of p through the kernels, in buf, and appends
+// the survivors to out.
+func (s ColumnScan) batch(ctx *Ctx, p *col.Proj, lo, hi int, buf []int32, out []value.Value) ([]value.Value, error) {
+	sel := buf[:hi-lo]
+	for i := range sel {
+		sel[i] = int32(lo + i)
+	}
+	for ki := 0; ki < len(s.Kernels) && len(sel) > 0; ki++ {
+		var err error
+		if sel, err = s.Kernels[ki].apply(ctx, p, sel); err != nil {
 			return nil, err
 		}
-		if !ok {
-			return buffered(rows)
-		}
-		rows = slices.Grow(rows, len(b.Sel))
-		for _, i := range b.Sel {
-			rows = append(rows, b.Proj.Row(i))
-		}
 	}
+	out = slices.Grow(out, len(sel))
+	for _, i := range sel {
+		out = append(out, p.Row(i))
+	}
+	return out, nil
 }

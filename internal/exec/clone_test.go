@@ -29,14 +29,13 @@ func cloneFixtureTree() Operator {
 	}
 }
 
-// vecFixtureTree is a partitioned hash join over a batch exchange and a
+// vecFixtureTree is a partitioned hash join over a parallel ColumnScan and a
 // filter: every operator that starts goroutines of its own.
 func vecFixtureTree() Operator {
 	k := fieldKernel("b", adl.Lt, value.Int(5))
 	return &HashJoin{Kind: adl.Semi, Partitions: 3,
-		L: &VecAdapter{Src: &VecExchange{Src: &VecScan{Extent: "L", Attrs: []string{"b"}, Batch: 8},
-			Kernels: []VecCmp{k}, Workers: 3}},
-		R: &Filter{Child: &VecAdapter{Src: &VecScan{Extent: "R"}}, Var: "y", Workers: 2,
+		L: &ColumnScan{Extent: "L", Attrs: []string{"b"}, Var: "x", Kernels: []VecCmp{k}, Workers: 3},
+		R: &Filter{Child: &ColumnScan{Extent: "R"}, Var: "y", Workers: 2,
 			Pred: NewScalar(adl.CBool(true), "y")},
 		LVar: "x", RVar: "y",
 		LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
@@ -88,9 +87,8 @@ type mismatchError struct{}
 
 func (*mismatchError) Error() string { return "concurrent execution of one tree diverged" }
 
-// TestInstrumentCountsEveryNode checks the tally of one run: every row
-// operator of the tree, blocking or streaming, is counted under its own node;
-// batch operators are not.
+// TestInstrumentCountsEveryNode checks the tally of one run: every operator
+// of the tree, blocking or streaming, is counted under its own node.
 func TestInstrumentCountsEveryNode(t *testing.T) {
 	l, r, _ := randomTables(7, 64, 32)
 	db := storage.NewMemDB("L", l, "R", r)
@@ -114,7 +112,7 @@ func TestInstrumentCountsEveryNode(t *testing.T) {
 }
 
 // TestNodesHoldNoRunState checks the shape that makes a plan shareable: every
-// type with an Open(*Ctx) or OpenVec(*Ctx) method declares it on the value
+// type with an Open(*Ctx) method declares it on the value
 // receiver — Open works on a copy — and has no unexported field to hide run
 // state in.
 func TestNodesHoldNoRunState(t *testing.T) {
@@ -134,7 +132,7 @@ func TestNodesHoldNoRunState(t *testing.T) {
 					structs[d.Name.Name] = st
 				}
 			case *ast.FuncDecl:
-				if d.Recv == nil || d.Name.Name != "Open" && d.Name.Name != "OpenVec" {
+				if d.Recv == nil || d.Name.Name != "Open" {
 					break
 				}
 				recv, ok := d.Recv.List[0].Type.(*ast.Ident)
@@ -147,7 +145,7 @@ func TestNodesHoldNoRunState(t *testing.T) {
 			return true
 		})
 	}
-	if len(nodes) < 23 {
+	if len(nodes) < 20 {
 		t.Fatalf("found %d node types, want the whole operator set", len(nodes))
 	}
 	for name := range nodes {

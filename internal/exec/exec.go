@@ -65,26 +65,15 @@ type Rows interface {
 // lifecycle tests.
 type openHook interface {
 	rows(op Operator, r Rows) Rows
-	batches(op VecOp, b Batches) Batches
 }
 
-// open starts a run of a child. It and openVec are the only callers of an
-// operator's Open and OpenVec.
+// open starts a run of a child. It is the only caller of an operator's Open.
 func (c *Ctx) open(op Operator) (Rows, error) {
 	rows, err := op.Open(c)
 	if err != nil || c.hook == nil {
 		return rows, err
 	}
 	return c.hook.rows(op, rows), nil
-}
-
-// openVec starts a run of a batch child.
-func (c *Ctx) openVec(op VecOp) (Batches, error) {
-	bs, err := op.OpenVec(c)
-	if err != nil || c.hook == nil {
-		return bs, err
-	}
-	return c.hook.batches(op, bs), nil
 }
 
 // Collect runs an operator and gathers its rows into a set (deduplicating,
@@ -262,38 +251,38 @@ func (s ExprScan) Open(ctx *Ctx) (Rows, error) {
 // ---------------------------------------------------------------------------
 
 // rowFn is the work a 1:≤1 operator does per input row: the row it emits and
-// whether it emits one. s is the operator's scalar, which the stream keeps a
-// copy of (the zero Scalar for an operator without one): σ and α pass a
-// method expression of Scalar, so opening them allocates only their stream.
-// The serial stream (mapped) and the worker pool (pooled) both run on it.
-type rowFn func(s *Scalar, ctx *Ctx, row value.Value) (out value.Value, keep bool, err error)
+// whether it emits one. n is what the stream keeps a copy of for it: σ and α
+// pass a method expression of their Scalar, π, ρ and Assembly one of the
+// node itself, so opening them allocates only their stream. The serial stream
+// (mapped) and the worker pool (pooled) both run on it.
+type rowFn[N any] func(n *N, ctx *Ctx, row value.Value) (out value.Value, keep bool, err error)
 
-// mapped is the stream of the serial 1:≤1 operators: fn of s over the rows
-// of src.
-type mapped struct {
+// mapped is the stream of the serial 1:≤1 operators: fn of n over the rows of
+// src.
+type mapped[N any] struct {
 	ctx *Ctx
 	src Rows
-	fn  rowFn
-	s   Scalar
+	fn  rowFn[N]
+	n   N
 }
 
-// stream runs child and applies fn of s to each of its rows.
-func (c *Ctx) stream(child Operator, s Scalar, fn rowFn) (Rows, error) {
+// stream runs child and applies fn of n to each of its rows.
+func stream[N any](c *Ctx, child Operator, n N, fn rowFn[N]) (Rows, error) {
 	src, err := c.open(child)
 	if err != nil {
 		return nil, err
 	}
-	return &mapped{ctx: c, src: src, fn: fn, s: s}, nil
+	return &mapped[N]{ctx: c, src: src, fn: fn, n: n}, nil
 }
 
 // Next yields the image of the next row fn keeps.
-func (m *mapped) Next() (value.Value, bool, error) {
+func (m *mapped[N]) Next() (value.Value, bool, error) {
 	for {
 		row, ok, err := m.src.Next()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		out, keep, err := m.fn(&m.s, m.ctx, row)
+		out, keep, err := m.fn(&m.n, m.ctx, row)
 		if err != nil {
 			return nil, false, err
 		}
@@ -304,7 +293,7 @@ func (m *mapped) Next() (value.Value, bool, error) {
 }
 
 // Close closes the child's stream.
-func (m *mapped) Close() error { return m.src.Close() }
+func (m *mapped[N]) Close() error { return m.src.Close() }
 
 // Filter implements σ with a compiled predicate.
 type Filter struct {
@@ -365,9 +354,9 @@ type ProjectOp struct {
 }
 
 // Open streams the projection of the child's rows.
-func (p ProjectOp) Open(ctx *Ctx) (Rows, error) { return ctx.stream(p.Child, Scalar{}, p.row) }
+func (p ProjectOp) Open(ctx *Ctx) (Rows, error) { return stream(ctx, p.Child, p, (*ProjectOp).row) }
 
-func (p ProjectOp) row(_ *Scalar, _ *Ctx, row value.Value) (value.Value, bool, error) {
+func (p *ProjectOp) row(_ *Ctx, row value.Value) (value.Value, bool, error) {
 	t, err := asTuple(row, "π")
 	if err != nil {
 		return nil, false, err

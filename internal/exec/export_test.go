@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/eval"
@@ -13,10 +14,10 @@ func (j HashJoin) ProbeAttr() string { return j.probeAttr() }
 
 // Tracker is the openHook of the lifecycle tests: it wraps every stream a run
 // opens — after the row tally has had it, so counted streams are under watch
-// too — and records how often each is closed. The wrappers keep what the
-// engine asks of a stream beyond Rows and Batches: a blocking stream stays
-// blocking, a scan's stream keeps its projection. It also counts the Close
-// and CloseVec calls of the streams it watches, and can fail one of them.
+// too — and records how often each is closed. The wrapper keeps what the
+// engine asks of a stream beyond Rows: a blocking stream stays blocking. It
+// also counts the Close calls of the streams it watches, and can fail one of
+// them.
 type Tracker struct {
 	tally *Tally
 
@@ -32,8 +33,8 @@ type Tracker struct {
 // opened is one stream a run opened.
 type opened struct {
 	tracker *Tracker
-	node    any    // the Operator or VecOp
-	kind    string // the stream's type, e.g. "*exec.mapped"
+	node    Operator
+	kind    string // the stream's type without type arguments, e.g. "*exec.mapped"
 	closed  int
 }
 
@@ -43,16 +44,17 @@ func NewTracker() *Tracker { return &Tracker{tally: &Tally{n: map[Operator]int64
 // Ctx returns a context over db whose runs the tracker watches.
 func (t *Tracker) Ctx(db eval.DB) *Ctx { return &Ctx{DB: db, hook: t} }
 
-func (t *Tracker) open(node, stream any) *opened {
-	o := &opened{tracker: t, node: node, kind: fmt.Sprintf("%T", stream)}
+func (t *Tracker) open(node Operator, stream Rows) *opened {
+	kind, _, _ := strings.Cut(fmt.Sprintf("%T", stream), "[")
+	o := &opened{tracker: t, node: node, kind: kind}
 	t.mu.Lock()
 	t.streams = append(t.streams, o)
 	t.mu.Unlock()
 	return o
 }
 
-// FailClose restarts the close count and makes the n-th Close or CloseVec
-// from now on (0: none) return err once it has closed its stream.
+// FailClose restarts the close count and makes the n-th Close from now on
+// (0: none) return err once it has closed its stream.
 func (t *Tracker) FailClose(n int64, err error) {
 	t.mu.Lock()
 	t.closes, t.failAt, t.closeErr = 0, n, err
@@ -87,13 +89,6 @@ func (t *Tracker) rows(op Operator, r Rows) Rows {
 	return &trackedRows{Rows: r, o: o}
 }
 
-func (t *Tracker) batches(op VecOp, b Batches) Batches {
-	if p, ok := b.(projected); ok {
-		return &trackedScan{projected: p, o: t.open(op, b)}
-	}
-	return &trackedBatches{Batches: b, o: t.open(op, b)}
-}
-
 type (
 	trackedRows struct {
 		Rows
@@ -103,20 +98,10 @@ type (
 		blocking
 		o *opened
 	}
-	trackedBatches struct {
-		Batches
-		o *opened
-	}
-	trackedScan struct {
-		projected
-		o *opened
-	}
 )
 
-func (s *trackedRows) Close() error       { return s.o.close(s.Rows.Close()) }
-func (s *trackedBuf) Close() error        { return s.o.close(s.blocking.Close()) }
-func (s *trackedBatches) CloseVec() error { return s.o.close(s.Batches.CloseVec()) }
-func (s *trackedScan) CloseVec() error    { return s.o.close(s.projected.CloseVec()) }
+func (s *trackedRows) Close() error { return s.o.close(s.Rows.Close()) }
+func (s *trackedBuf) Close() error  { return s.o.close(s.blocking.Close()) }
 
 // Check reports every stream opened since the last Check that was not closed
 // exactly once, forgets them, and returns the stream types it saw (a stream a

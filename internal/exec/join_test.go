@@ -62,10 +62,9 @@ func keyShapeDB() *storage.MemDB {
 }
 
 // leftArms are the two ways a join's left rows arrive, over table: a Scan,
-// and a batch scan (batches of batch rows) behind a VecAdapter.
-func leftArms(table string, batch int) map[string]Operator {
-	return map[string]Operator{"scan": &Scan{Table: table},
-		"batch": &VecAdapter{Src: vecScan(table, nil, batch)}}
+// and a ColumnScan without kernels.
+func leftArms(table string) map[string]Operator {
+	return map[string]Operator{"scan": &Scan{Table: table}, "columns": colScan(table, nil)}
 }
 
 // equiOracle is the oracle of the hash join: NLJoin over lkey = rkey and the
@@ -82,8 +81,8 @@ func equiOracle(kind adl.JoinKind, l Operator, right string, lkey, rkey adl.Expr
 // TestHashJoinKeyShapes cross-validates the hash join against NLJoin on every
 // kind × every key column shape (int, date, oid, bool, string, float, a
 // column mixing kinds, build keys of two kinds, keys of two kinds that never
-// meet, an empty build side) × residual × left rows from a scan and from a
-// batch pipeline × serial and partitioned.
+// meet, an empty build side) × residual × left rows from a Scan and from a
+// ColumnScan × serial and partitioned.
 func TestHashJoinKeyShapes(t *testing.T) {
 	d := keyShapeDB()
 	residual := NewScalar(adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "a"), adl.Dot(adl.V("y"), "c")), "x", "y")
@@ -114,7 +113,7 @@ func TestHashJoinKeyShapes(t *testing.T) {
 				if sh.matches && res == nil && want.Len() == 0 {
 					t.Errorf("%s %s: empty reference result, the case checks nothing", sh.name, kc.name)
 				}
-				for arm, l := range leftArms("L", 3) {
+				for arm, l := range leftArms("L") {
 					for _, parts := range []int{1, 3} {
 						hj := &HashJoin{Kind: kc.kind, L: l, R: &Scan{Table: sh.table}, LVar: "x", RVar: "y",
 							LKey: lkey, RKey: rkey, Residual: res, As: "ys", RFun: kc.rfun, Partitions: parts}
@@ -131,13 +130,12 @@ func TestHashJoinKeyShapes(t *testing.T) {
 
 // TestHashJoinRandomized repeats the comparison on the random tables the
 // other operators are tested on (duplicate keys on both sides), with a
-// filtered build side under a VecAdapter.
+// filtered build side on a ColumnScan.
 func TestHashJoinRandomized(t *testing.T) {
 	residual := NewScalar(adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "a"), adl.Dot(adl.V("y"), "c")), "x", "y")
 	lx, ry := adl.Dot(adl.V("x"), "b"), adl.Dot(adl.V("y"), "d")
 	build := func() Operator {
-		return &VecAdapter{Src: &VecFilter{Src: vecScan("R", []string{"c"}, 4), Var: "x",
-			Kernels: []VecCmp{fieldKernel("c", adl.Ge, value.Int(3))}}}
+		return colScan("R", []string{"c"}, fieldKernel("c", adl.Ge, value.Int(3)))
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		d := db(seed, 60, 40)
@@ -146,7 +144,7 @@ func TestHashJoinRandomized(t *testing.T) {
 				oracle := equiOracle(kc.kind, &Scan{Table: "L"}, "R", lx, ry, res, kc.rfun)
 				oracle.R = build()
 				want := collect(t, oracle, d)
-				for arm, l := range leftArms("L", 6) {
+				for arm, l := range leftArms("L") {
 					for _, parts := range []int{1, 4} {
 						hj := &HashJoin{Kind: kc.kind, L: l, R: build(), LVar: "x", RVar: "y",
 							LKey: NewScalar(lx, "x"), RKey: NewScalar(ry, "y"), Residual: res,
@@ -209,7 +207,7 @@ func TestHashJoinErrors(t *testing.T) {
 			t.Fatalf("%s: NLJoin must fail", tc.name)
 		}
 		var text string
-		for arm, l := range leftArms(tc.ltable, 1) {
+		for arm, l := range leftArms(tc.ltable) {
 			for _, parts := range []int{1, 3} {
 				before := runtime.NumGoroutine()
 				_, err := Collect(&HashJoin{Kind: tc.kind, L: l, R: &Scan{Table: tc.rtable}, LVar: "x", RVar: "y",
@@ -232,8 +230,8 @@ func TestHashJoinErrors(t *testing.T) {
 
 	// Re-Open after Close: one instance, failing run first.
 	for _, parts := range []int{1, 3} {
-		scan := vecScan("NT", []string{"b"}, 1)
-		hj := &HashJoin{Kind: adl.Semi, L: &VecAdapter{Src: scan}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
+		scan := colScan("NT", []string{"b"})
+		hj := &HashJoin{Kind: adl.Semi, L: scan, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
 			LKey: NewScalar(b, "x"), RKey: NewScalar(dd, "y"), Partitions: parts}
 		if _, err := Collect(hj, &Ctx{DB: d}); err == nil {
 			t.Fatalf("partitions %d: non-tuple probe row must fail", parts)
@@ -321,7 +319,7 @@ func TestAntiJoinStopsAtFirstMatch(t *testing.T) {
 	}
 	for _, parts := range []int{1, 3} {
 		arms = append(arms, arm{fmt.Sprintf("HashJoin/batch/partitions-%d", parts), func(st *storage.Store) (*value.Set, error) {
-			return Collect(&HashJoin{Kind: adl.Anti, L: &VecAdapter{Src: vecScan("L", nil, 1)}, R: scan("R"),
+			return Collect(&HashJoin{Kind: adl.Anti, L: colScan("L", nil), R: scan("R"),
 				LVar: "x", RVar: "y", LKey: lkey, RKey: rkey, Residual: &res, Partitions: parts}, &Ctx{DB: st})
 		}})
 	}
@@ -375,7 +373,7 @@ func setMember(kind adl.JoinKind, left, right, attr string, rkey adl.Expr, rfun 
 // keys) and the unary-int fast path (computed and subscript-read keys) ×
 // elements the fast path must decline although their bits equal a key's
 // (another attribute name, another kind, non-tuples), dangling oids and
-// empty sets × left rows from a scan and from a batch pipeline.
+// empty sets × left rows from a Scan and from a ColumnScan.
 func TestSetProbeJoinAgainstNLJoin(t *testing.T) {
 	// Owners hold sets of ⟨k:int⟩ refs, of plain ints, of ⟨t:string⟩ refs and
 	// of decoys that only some owners pair with a real match; items carry
@@ -471,7 +469,7 @@ func TestSetProbeJoinAgainstNLJoin(t *testing.T) {
 			if kc.kind == adl.Semi {
 				sawHit, sawMiss = want.Len() > 0, want.Len() < collect(t, &Scan{Table: tc.left}, tc.d).Len()
 			}
-			for arm, l := range leftArms(tc.left, 3) {
+			for arm, l := range leftArms(tc.left) {
 				sj := &SetProbeJoin{Kind: kc.kind, L: l, R: &Scan{Table: tc.right},
 					Attr: tc.attr, RKey: rkey, As: "ys", RFun: kc.rfun}
 				if got := collect(t, sj, tc.d); !value.Equal(got, want) {
@@ -505,11 +503,11 @@ func TestSetProbeJoinAgainstNLJoin(t *testing.T) {
 	} {
 		_, werr := Collect(&SetProbeJoin{Kind: tc.kind, L: &Scan{Table: tc.left}, R: &Scan{Table: "I"},
 			Attr: tc.attr, RKey: tc.rkey, As: "ys"}, &Ctx{DB: ed})
-		scan := vecScan(tc.left, nil, 2)
-		vj := &SetProbeJoin{Kind: tc.kind, L: &VecAdapter{Src: scan}, R: &Scan{Table: "I"}, Attr: tc.attr, RKey: tc.rkey, As: "ys"}
+		scan := colScan(tc.left, nil)
+		vj := &SetProbeJoin{Kind: tc.kind, L: scan, R: &Scan{Table: "I"}, Attr: tc.attr, RKey: tc.rkey, As: "ys"}
 		_, gerr := Collect(vj, &Ctx{DB: ed})
 		if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
-			t.Errorf("%s: batch=%v scan=%v", tc.name, gerr, werr)
+			t.Errorf("%s: ColumnScan=%v Scan=%v", tc.name, gerr, werr)
 		}
 		if tc.left == "DUP" && (werr == nil || !strings.Contains(werr.Error(), `duplicate attribute "ys"`)) {
 			t.Errorf("%s: %v", tc.name, werr)

@@ -113,8 +113,8 @@ func (s inflated) RowCount(extent string) int {
 
 // experimentArms are the arms of B1, B8/B9's grouping join and B13/B14 at
 // smoke scale, with three workers so that parallel operators appear at any
-// scale, and with 2 100 deliveries so that B13/B14's batch streams span
-// three batches.
+// scale, and with 2 100 deliveries so that B13/B14's ColumnScans span three
+// batches.
 func experimentArms() [][]arm {
 	var out [][]arm
 	for _, c := range []experiments.Case{experiments.EQ5(40, 80),
@@ -253,7 +253,7 @@ func TestEveryStreamClosedOnce(t *testing.T) {
 	}
 	// Every kind of stream the engine has must have been under watch.
 	for _, k := range []string{"*exec.rowBuf", "*exec.mapped", "*exec.fanned", "*exec.parMerge",
-		"*exec.pooled", "*exec.scanned", "*exec.filtered", "*exec.exchanged"} {
+		"*exec.pooled"} {
 		if !seen[k] {
 			t.Errorf("the corpus opened no %s", k)
 		}

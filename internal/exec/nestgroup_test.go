@@ -14,7 +14,7 @@ import (
 // Left rows whose groups have 3, then 1, then 0 members, thirty rows in all,
 // must each keep exactly their own members once the later rows have been
 // grouped — on every nestjoin operator that runs the join verdict, serially
-// and on three partitions, over a scan and over a batch pipeline. Emitting the scratch set itself would leave every
+// and on three partitions, over a Scan and over a ColumnScan. Emitting the scratch set itself would leave every
 // group of a run holding the members of the run's last row.
 func TestNestGroupsKeepTheirMembers(t *testing.T) {
 	// R's rows 0-2 are group 0, row 3 is group 1; no row is group 2. A left
@@ -48,7 +48,7 @@ func TestNestGroupsKeepTheirMembers(t *testing.T) {
 	pid := NewScalar(adl.SubT(y, "pid"), "y")
 	lkey, rkey := NewScalar(adl.Dot(x, "g"), "x"), NewScalar(adl.Dot(y, "g"), "y")
 	ops := map[string]Operator{}
-	for arm, l := range leftArms("L", 4) {
+	for arm, l := range leftArms("L") {
 		ops["SetProbeJoin over "+arm] = &SetProbeJoin{Kind: adl.NestJ, L: l, R: &Scan{Table: "R"},
 			Attr: "parts", RKey: pid, As: "ys"}
 		for _, p := range []int{1, 3} {

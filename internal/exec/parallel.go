@@ -153,13 +153,12 @@ type keyedRows struct {
 }
 
 // evalKeys computes key(row) and its value.Hash for every row, so that
-// partitioning and the tables never hash a key twice: inline for one worker,
-// else on workers goroutines over contiguous chunks, one each, so no locking
-// is needed on the result slices. Either way the first failing row decides
-// the error.
+// partitioning and the tables never hash a key twice, on up to workers
+// goroutines (inShares): each writes its own range of the result slices, so
+// none needs a lock, and the first failing row decides the error.
 func evalKeys(ctx *Ctx, rows []value.Value, key Scalar, workers int) (keyedRows, error) {
 	k := keyedRows{rows: rows, keys: make([]value.Value, len(rows)), hashes: make([]uint64, len(rows))}
-	span := func(lo, hi int) error {
+	err := inShares(len(rows), workers, func(_, lo, hi int) error {
 		for r := lo; r < hi; r++ {
 			v, err := key.Eval(ctx, rows[r])
 			if err != nil {
@@ -168,31 +167,40 @@ func evalKeys(ctx *Ctx, rows []value.Value, key Scalar, workers int) (keyedRows,
 			k.keys[r], k.hashes[r] = v, value.Hash(v)
 		}
 		return nil
+	})
+	if err != nil {
+		return keyedRows{}, err
 	}
-	w := min(workers, len(rows))
+	return k, nil
+}
+
+// inShares runs span over [0, n) in contiguous shares, the i-th share
+// [lo, hi) in order: inline for one worker, else on min(workers, n)
+// goroutines, one share each. The error is the first failing share's, so
+// where span stops at its first failure it is the one a serial run over
+// [0, n) meets first.
+func inShares(n, workers int, span func(i, lo, hi int) error) error {
+	w := min(workers, n)
 	if w <= 1 {
-		if err := span(0, len(rows)); err != nil {
-			return keyedRows{}, err
-		}
-		return k, nil
+		return span(0, 0, n)
 	}
-	chunk := (len(rows) + w - 1) / w
+	share := (n + w - 1) / w
 	errs := make([]error, w)
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
 		wg.Add(1)
 		go func(i, lo, hi int) {
 			defer wg.Done()
-			errs[i] = span(lo, hi)
-		}(i, i*chunk, min((i+1)*chunk, len(rows)))
+			errs[i] = span(i, lo, hi)
+		}(i, min(i*share, n), min((i+1)*share, n))
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return keyedRows{}, err
+			return err
 		}
 	}
-	return k, nil
+	return nil
 }
 
 // pooled is the stream of Filter and MapOp with Workers > 1: the child's rows
@@ -207,9 +215,9 @@ type pooled struct {
 // pool runs child and applies fn of s to its rows on workers goroutines;
 // workers drop rows with keep=false. One worker or fewer is the serial
 // stream.
-func (c *Ctx) pool(child Operator, workers int, s Scalar, fn rowFn) (Rows, error) {
+func (c *Ctx) pool(child Operator, workers int, s Scalar, fn rowFn[Scalar]) (Rows, error) {
 	if workers <= 1 {
-		return c.stream(child, s, fn)
+		return stream(c, child, s, fn)
 	}
 	src, err := c.open(child)
 	if err != nil {

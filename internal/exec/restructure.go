@@ -318,9 +318,9 @@ type RenameOp struct {
 }
 
 // Open streams the child's rows renamed.
-func (r RenameOp) Open(ctx *Ctx) (Rows, error) { return ctx.stream(r.Child, Scalar{}, r.row) }
+func (r RenameOp) Open(ctx *Ctx) (Rows, error) { return stream(ctx, r.Child, r, (*RenameOp).row) }
 
-func (r RenameOp) row(_ *Scalar, _ *Ctx, row value.Value) (value.Value, bool, error) {
+func (r *RenameOp) row(_ *Ctx, row value.Value) (value.Value, bool, error) {
 	t, err := asTuple(row, "ρ")
 	if err != nil {
 		return nil, false, err
@@ -348,9 +348,9 @@ type Assembly struct {
 }
 
 // Open streams the child's rows assembled.
-func (a Assembly) Open(ctx *Ctx) (Rows, error) { return ctx.stream(a.Child, Scalar{}, a.row) }
+func (a Assembly) Open(ctx *Ctx) (Rows, error) { return stream(ctx, a.Child, a, (*Assembly).row) }
 
-func (a Assembly) row(_ *Scalar, ctx *Ctx, row value.Value) (value.Value, bool, error) {
+func (a *Assembly) row(ctx *Ctx, row value.Value) (value.Value, bool, error) {
 	t, err := asTuple(row, "assembly")
 	if err != nil {
 		return nil, false, err

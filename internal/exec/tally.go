@@ -20,7 +20,7 @@ type Tally struct {
 // Instrument returns a node that runs op with a fresh tally installed and
 // that tally, complete once the node's stream is closed. op is not touched:
 // rows are counted where a run opens each child (Ctx.open), so there is no
-// copy of the tree and batch operators, which have no row stream, go uncounted.
+// copy of the tree.
 func Instrument(op Operator) (Operator, *Tally) {
 	t := &Tally{n: map[Operator]int64{}}
 	return tallied{Root: op, Tally: t}, t
@@ -48,8 +48,6 @@ func (t *Tally) rows(op Operator, r Rows) Rows {
 	}
 	return &counted{Rows: r, op: op, tally: t}
 }
-
-func (t *Tally) batches(_ VecOp, b Batches) Batches { return b }
 
 // tallied is the root Instrument puts over a plan.
 type tallied struct {

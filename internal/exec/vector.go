@@ -6,78 +6,6 @@ import (
 	"repro/internal/value"
 )
 
-// VecScan produces an extent in batches over a columnar projection. Against
-// a ColumnarDB provider the projection is served snapshot-pinned and cached
-// by the store; otherwise the extent is fetched with Table and decoded here.
-type VecScan struct {
-	Extent string
-	// Attrs are the attributes the pipeline above reads columnar; the
-	// planner accumulates them while building the pipeline.
-	Attrs []string
-	// Batch is the number of rows per batch; non-positive falls back to
-	// DefaultBatchSize, which the planner writes. Tests set small sizes to
-	// cross batch boundaries.
-	Batch int
-}
-
-// OpenVec obtains the projection.
-func (s VecScan) OpenVec(ctx *Ctx) (Batches, error) {
-	size := s.Batch
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
-	if cdb, ok := ctx.DB.(ColumnarDB); ok {
-		proj, err := cdb.ColProj(s.Extent, s.Attrs)
-		if err != nil {
-			return nil, err
-		}
-		return &scanned{proj: proj, size: size}, nil
-	}
-	set, err := ctx.DB.Table(s.Extent)
-	if err != nil {
-		return nil, err
-	}
-	return &scanned{proj: col.New(s.Extent, set.Elems(), s.Attrs), size: size}, nil
-}
-
-// scanned is the stream of a VecScan: the projection in runs of size rows.
-// The selection vector is one reused buffer.
-type scanned struct {
-	proj *col.Proj
-	size int
-	pos  int
-	sel  []int32
-}
-
-// NextBatch yields the next run of rows with a dense selection vector.
-func (s *scanned) NextBatch() (Batch, bool, error) {
-	n := min(s.proj.Len()-s.pos, s.size)
-	if n <= 0 {
-		return Batch{}, false, nil
-	}
-	if cap(s.sel) < n {
-		s.sel = make([]int32, n)
-	}
-	sel := s.sel[:n]
-	for i := range sel {
-		sel[i] = int32(s.pos + i)
-	}
-	s.pos += n
-	return Batch{Proj: s.proj, Sel: sel}, true, nil
-}
-
-// CloseVec has nothing to release (the store keeps the projection cached).
-func (s *scanned) CloseVec() error { return nil }
-
-// projected is the stream of a VecScan as the exchange sees it: the exchange
-// claims row ranges from the projection directly instead of calling NextBatch.
-type projected interface {
-	Batches
-	projection() *col.Proj
-}
-
-func (s *scanned) projection() *col.Proj { return s.proj }
-
 // VecCmp is one compiled filter conjunct: column-versus-constant or
 // column-versus-column comparison. The typed kernels run only when the
 // column kinds line up exactly with the reference semantics (evalCmp); any
@@ -94,56 +22,6 @@ type VecCmp struct {
 	// row-wise fallback.
 	Pred Scalar
 }
-
-// VecFilter narrows each batch's selection vector in place, one conjunct at
-// a time — conjunct order matches the scalar And's left-to-right
-// short-circuit, so rows are eliminated (and errors surface) in the same
-// order as the reference arm.
-type VecFilter struct {
-	Src     VecOp
-	Var     string
-	Kernels []VecCmp
-}
-
-// OpenVec opens the source.
-func (f VecFilter) OpenVec(ctx *Ctx) (Batches, error) {
-	src, err := ctx.openVec(f.Src)
-	if err != nil {
-		return nil, err
-	}
-	return &filtered{ctx: ctx, src: src, kernels: f.Kernels}, nil
-}
-
-// filtered is the stream of a VecFilter.
-type filtered struct {
-	ctx     *Ctx
-	src     Batches
-	kernels []VecCmp
-}
-
-// NextBatch yields the source's next batch with the selection narrowed.
-func (f *filtered) NextBatch() (Batch, bool, error) {
-	for {
-		b, ok, err := f.src.NextBatch()
-		if err != nil || !ok {
-			return Batch{}, false, err
-		}
-		for ki := range f.kernels {
-			if b.Sel, err = f.kernels[ki].apply(f.ctx, b.Proj, b.Sel); err != nil {
-				return Batch{}, false, err
-			}
-			if len(b.Sel) == 0 {
-				break
-			}
-		}
-		if len(b.Sel) > 0 {
-			return b, true, nil
-		}
-	}
-}
-
-// CloseVec closes the source.
-func (f *filtered) CloseVec() error { return f.src.CloseVec() }
 
 // apply narrows sel to the rows satisfying the conjunct, writing in place.
 func (k *VecCmp) apply(ctx *Ctx, p *col.Proj, sel []int32) ([]int32, error) {

@@ -18,7 +18,7 @@ import (
 // or its plans must show beyond that.
 func TestExperiments(t *testing.T) {
 	shows := map[string][]string{
-		"B1":  {"semijoin(NL)", "optimized", "SetProbeJoin", "VecFilter"},
+		"B1":  {"semijoin(NL)", "optimized", "SetProbeJoin", "ColumnScan("},
 		"B3":  {"join+nest", "outerjoin", "lost"},
 		"B4":  {"unnest-join-nest", "PNHL budget unlimited (1 segments)", "VecPNHL budget 16 (13 segments)"},
 		"B5":  {"assembly", "object reads"},
@@ -28,7 +28,7 @@ func TestExperiments(t *testing.T) {
 		"B10": {"reference (no statistics)", "rewriter order", "enumerated order", "order: dp over 4 relations", "rows≈"},
 		"B11": {"IndexNLJoin", "index probes", "page reads", "optimizer, NoIndexes"},
 		"B12": {"reference (no statistics)", "ndv (NoHistograms)", "histograms", "DIMA.cat", "index probe into FACT.fb"},
-		"B13": {"VecScan(DELIVERY", "VecAdapter", "HashJoin[⋉", "typed kernels"},
+		"B13": {"ColumnScan(DELIVERY", "HashJoin[⋉", "typed kernels"},
 		// At smoke scale the ≥2x gate never runs, and the table says so.
 		"B14": {"scalar", "parallel", "vectorized", "parallel-vectorized", "no per-tuple sends",
 			"note: B14 ≥2x gate: skipped ("},
@@ -233,13 +233,13 @@ func TestB4BudgetsIncreaseSegments(t *testing.T) {
 }
 
 func TestB4VectorizedPNHLAgrees(t *testing.T) {
-	// Every PNHL arm has a twin fed by a batch scan through a VecAdapter;
-	// the runner diffs each against the nested-loop reference.
+	// Every PNHL arm has a twin fed by a ColumnScan; the runner diffs each
+	// against the nested-loop reference.
 	rs, _ := runOne(t, Materialize(100, 60, 4, 0, 10, 3))
 	twins := 0
 	for _, r := range rs {
 		if p, ok := r.Op.(*exec.PNHL); ok {
-			if _, batched := p.L.(*exec.VecAdapter); batched {
+			if _, batched := p.L.(*exec.ColumnScan); batched {
 				twins++
 				if !value.Equal(r.Set, rs[0].Set) {
 					t.Errorf("%s diverges from the nested loop", r.Label)
@@ -323,7 +323,7 @@ func TestB13VectorizedAgreesAtSmokeScale(t *testing.T) {
 
 func TestB13ExplainShowsBothArms(t *testing.T) {
 	_, out := runOne(t, smoke(t, "B13"))
-	contains(t, out, "VecScan(DELIVERY", "VecAdapter", "HashJoin[⋉", "typed kernels")
+	contains(t, out, "ColumnScan(DELIVERY", "HashJoin[⋉", "typed kernels")
 }
 
 // parallel4 returns the B14 pipeline at smoke scale with its parallel arms on
@@ -343,8 +343,8 @@ func TestB14FourArmsAgreeAtSmokeScale(t *testing.T) {
 
 func TestB14ExplainShowsParallelVectorizedPlan(t *testing.T) {
 	rs, _ := runOne(t, parallel4())
-	contains(t, find(rs, "parallel-vectorized").Plan.Explain(), "VecExchange(workers 4", "PartitionedHashJoin",
-		"4 partitions]  -- parallel", "VecAdapter")
+	contains(t, find(rs, "parallel-vectorized").Plan.Explain(), "ColumnScan(DELIVERY | d: d.date < ", "PartitionedHashJoin",
+		"4 partitions]  -- parallel", "1/1 typed kernels | 4 workers)  -- parallel")
 	contains(t, find(rs, "parallel").Plan.Explain(), "PartitionedHashJoin", "4 partitions", "ParallelFilter", "4 workers")
 }
 

@@ -20,7 +20,7 @@ import (
 const seed = 94
 
 // batchAllocCeiling is the most allocations a vectorized run over thousands
-// of rows may make: a few dozen serial, a few hundred with the exchange, so
+// of rows may make: a few dozen serial, about a hundred on four workers, so
 // anything allocated per row lands far above it.
 const batchAllocCeiling = 512
 
@@ -183,7 +183,7 @@ var Suite = []Experiment{
 				return c
 			})
 		},
-		Notes: []string{"the scalar arm is the row pipeline (Filter over Scan) built by hand; the vectorized arm is the planner's own pick, which must be the batch pipeline",
+		Notes: []string{"the scalar arm is the row pipeline (Filter over Scan) built by hand; the vectorized arm is the planner's own pick, which must be a ColumnScan",
 			"the vectorized arm filters the snapshot-pinned columnar projection with a typed kernel and hash-joins the rows that pass",
 			fmt.Sprintf("vectorized must allocate at most %d times per run, and at full scale be ≥3x faster", batchAllocCeiling)}},
 
@@ -213,7 +213,7 @@ var Suite = []Experiment{
 		},
 		Notes: []string{fmt.Sprintf("parallel arms use %d workers (one per CPU, at least two); at full scale on ≥4 CPUs parallel-vectorized must halve vectorized (a note says when this gate is skipped)",
 			workers()),
-			"the parallel-vectorized arm's exchange moves whole batches over bounded channels: no per-tuple sends"}},
+			"the parallel-vectorized arm's ColumnScan runs one contiguous share of the projection per worker and joins their rows in order: no per-tuple sends"}},
 }
 
 // nested is a case of the §4 strategy on a generated supplier-part store:
@@ -308,7 +308,7 @@ func grouping(c Case, emptyFrac float64) Case {
 // Materialize attaches to every supplier the set of PART objects it
 // references ([DeLa92], §6.2): the per-tuple loop, the set-probe nestjoin,
 // unnest–join–nest, and at each build-side budget (rows per segment; 0 =
-// unlimited) PNHL over the scan and over a batch scan behind a VecAdapter.
+// unlimited) PNHL over the scan and over a ColumnScan without kernels.
 func Materialize(suppliers, parts, fanout int, budgets ...int) Case {
 	st := bench.Generate(bench.Config{Suppliers: suppliers, Parts: parts, Fanout: fanout, EmptyFrac: 0.05})
 	naive := adl.MapE("s",
@@ -343,7 +343,7 @@ func Materialize(suppliers, parts, fanout int, budgets ...int) Case {
 			Arm{Label: label, Op: &exec.PNHL{L: &exec.Scan{Table: "SUPPLIER"}, R: &exec.Scan{Table: "PART"},
 				Attr: "parts", ElemKey: elemKey, BuildKey: buildKey, BudgetRows: b, Member: &member}},
 			Arm{Label: "Vec" + label, Op: &exec.PNHL{
-				L: &exec.VecAdapter{Src: &exec.VecScan{Extent: "SUPPLIER", Attrs: []string{"parts"}}},
+				L: &exec.ColumnScan{Extent: "SUPPLIER", Attrs: []string{"parts"}},
 				R: &exec.Scan{Table: "PART"}, Attr: "parts", ElemKey: elemKey, BuildKey: buildKey, BudgetRows: b, Member: &member}})
 	}
 	return Case{Name: fmt.Sprintf("materialize[%dx%d,fanout %d]", suppliers, parts, fanout), DB: st, Arms: arms,
@@ -606,11 +606,11 @@ func SkewJoin(facts, dims int) Case {
 // Scan) under the hash join, built by hand; the query as planned, where the
 // cost model puts σ on the batch kernels over the columnar projection; and
 // each hand-built with its parallel operators on the given workers — for the
-// batch pipeline a morsel-driven VecExchange feeding the partitioned hash
-// join. The cutoff keeps 1/28 of the deliveries, so per-row predicate
-// interpretation dominates the scalar arm. The check is that the planned arm
-// runs a VecFilter and that both parallel arms hold a parallel node: run
-// serially, they would prove nothing.
+// batch arm a parallel ColumnScan feeding the partitioned hash join. The
+// cutoff keeps 1/28 of the deliveries, so per-row predicate interpretation
+// dominates the scalar arm. The check is that the planned arm runs a
+// ColumnScan and that both parallel arms hold a parallel node: run serially,
+// they would prove nothing.
 func VecJoin(suppliers, deliveries, workers int) Case {
 	st := bench.Generate(bench.Config{Suppliers: suppliers, Parts: 10, Fanout: 2, SupplySize: 1, Deliveries: deliveries})
 	cut := adl.CmpE(adl.Lt, adl.Dot(adl.V("d"), "date"), adl.C(value.Date(940102)))
@@ -619,7 +619,6 @@ func VecJoin(suppliers, deliveries, workers int) Case {
 	j.Kind = adl.Semi
 	pred := exec.NewScalar(cut, "d")
 	lk, rk := exec.NewScalar(adl.Dot(adl.V("d"), "supplier"), "d"), exec.NewScalar(adl.Dot(adl.V("s"), "eid"), "s")
-	scan := &exec.VecScan{Extent: "DELIVERY", Attrs: []string{"date", "supplier"}, Batch: exec.DefaultBatchSize}
 	return Case{Name: fmt.Sprintf("VecJoin[%dx%d]", suppliers, deliveries), DB: st, Query: j, Runs: 3, Arms: []Arm{
 		{Label: "scalar", Op: &exec.HashJoin{Kind: adl.Semi, LVar: "d", RVar: "s", LKey: lk, RKey: rk,
 			L: &exec.Filter{Child: &exec.Scan{Table: "DELIVERY"}, Var: "d", Pred: pred, Workers: 1},
@@ -629,25 +628,25 @@ func VecJoin(suppliers, deliveries, workers int) Case {
 			L: &exec.Filter{Child: &exec.Scan{Table: "DELIVERY"}, Var: "d", Pred: pred, Workers: workers},
 			R: &exec.Scan{Table: "SUPPLIER"}, Partitions: workers}},
 		{Label: "parallel-vectorized", Op: &exec.HashJoin{Kind: adl.Semi, LVar: "d", RVar: "s", LKey: lk, RKey: rk,
-			L: &exec.VecAdapter{Src: &exec.VecExchange{Src: scan, Workers: workers, Morsel: scan.Batch,
-				Kernels: []exec.VecCmp{{Attr: "date", Op: adl.Lt, Const: value.Date(940102), Pred: pred}}}},
+			L: &exec.ColumnScan{Extent: "DELIVERY", Attrs: []string{"date"}, Var: "d", Workers: workers,
+				Kernels: []exec.VecCmp{{Attr: "date", Op: adl.Lt, Const: value.Date(940102), Pred: pred}}},
 			R: &exec.Scan{Table: "SUPPLIER"}, Partitions: workers}},
 	}, Check: func(rs []Result) error {
 		if err := plannedBatch(rs); err != nil {
 			return err
 		}
-		if x := find(rs, "parallel-vectorized").Plan.Explain(); !strings.Contains(x, "PartitionedHashJoin") || !strings.Contains(x, "VecExchange") {
-			return fmt.Errorf("parallel-vectorized arm is not a partitioned hash join over a batch exchange:\n%s", x)
+		if x := find(rs, "parallel-vectorized").Plan.Explain(); !strings.Contains(x, "PartitionedHashJoin") || !strings.Contains(x, "ColumnScan(") {
+			return fmt.Errorf("parallel-vectorized arm is not a partitioned hash join over a ColumnScan:\n%s", x)
 		}
 		return parallelArms(rs, "parallel", "parallel-vectorized")
 	}}
 }
 
-// plannedBatch fails unless VecJoin's planned arm runs σ on the batch
-// pipeline: the cost model, not a flag, chose it.
+// plannedBatch fails unless VecJoin's planned arm runs σ on a ColumnScan: the
+// cost model, not a flag, chose it.
 func plannedBatch(rs []Result) error {
-	if x := find(rs, "vectorized").Plan.Explain(); !strings.Contains(x, "VecFilter") {
-		return fmt.Errorf("the planned arm does not run the batch filter:\n%s", x)
+	if x := find(rs, "vectorized").Plan.Explain(); !strings.Contains(x, "ColumnScan(") {
+		return fmt.Errorf("the planned arm does not run σ on a ColumnScan:\n%s", x)
 	}
 	return nil
 }

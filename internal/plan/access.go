@@ -84,8 +84,8 @@ type selectCand struct {
 
 // chooseSelect prices every way to run σ over a base extent — Filter over
 // the Scan, serially and on the worker pool, an IndexScan with the other
-// conjuncts as a residual Filter, the serial batch pipeline and the morsel
-// exchange (vectorize.go) — and builds the cheapest.
+// conjuncts as a residual Filter, and a ColumnScan, serially and on
+// contiguous shares (vectorize.go) — and builds the cheapest.
 func (p *planner) chooseSelect(n *adl.Select, extent string) (exec.Operator, nodeEst) {
 	rows := p.rows(extent)
 	out := rows * p.card.selectivity(n.Pred, n.Var, extent)

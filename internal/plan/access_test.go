@@ -49,11 +49,11 @@ func TestIndexScanChosenForSelectiveEquality(t *testing.T) {
 	}
 }
 
-// isSweep reports whether a σ reads its whole input: a Filter, or the batch
-// pipeline's adapter.
+// isSweep reports whether a σ reads its whole input: a Filter or a
+// ColumnScan.
 func isSweep(op exec.Operator) bool {
 	switch op.(type) {
-	case *exec.Filter, *exec.VecAdapter:
+	case *exec.Filter, *exec.ColumnScan:
 		return true
 	}
 	return false

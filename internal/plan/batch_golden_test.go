@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/adl"
@@ -39,20 +40,62 @@ var analyticTexts = [][2]string{
 // serving engine plans them (collected statistics), serial and with two
 // workers, on the store of those workloads: at a tenth of it the two-worker
 // plans are the serial ones and no golden would show the partitioned join or
-// the exchange. Each σ over an extent shows the cost model's pick among
-// Filter, IndexScan and the batch pipeline.
+// the parallel ColumnScan. Each σ over an extent shows the cost model's pick
+// among Filter, IndexScan and ColumnScan, and every ColumnScan line of a
+// two-worker golden shows its predicate.
 func TestExplainGoldenBatch(t *testing.T) {
 	st, exprs := analyticStore(t)
 	stats := st.Analyze()
+	parallelScans := 0
 	for i, q := range analyticTexts {
 		for _, par := range []int{1, 2} {
 			name := fmt.Sprintf("batch_%s_p%d", q[0], par)
 			t.Run(name, func(t *testing.T) {
 				cfg := Config{Statistics: stats, Parallelism: par}
-				checkGolden(t, name, cfg.Plan(exprs[i]).Explain())
+				p := cfg.Plan(exprs[i])
+				checkGolden(t, name, p.Explain())
+				if par == 2 {
+					parallelScans += goldenShowsPredicates(t, name, p.Root)
+				}
 			})
 		}
 	}
+	if parallelScans == 0 {
+		t.Error("no two-worker golden holds a parallel ColumnScan")
+	}
+}
+
+// goldenShowsPredicates fails unless testdata/name.golden renders every
+// ColumnScan of root on a line with its extent and its predicate, and returns
+// how many of them run on more than one worker.
+func goldenShowsPredicates(t *testing.T, name string, root exec.Operator) (parallel int) {
+	t.Helper()
+	golden, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walk func(op exec.Operator)
+	walk = func(op exec.Operator) {
+		if cs, ok := op.(*exec.ColumnScan); ok {
+			preds := make([]string, len(cs.Kernels))
+			for i, k := range cs.Kernels {
+				preds[i] = fmt.Sprint(k.Pred.Expr)
+			}
+			line := fmt.Sprintf("ColumnScan(%s | %s: %s |", cs.Extent, cs.Var, strings.Join(preds, " ∧ "))
+			if !strings.Contains(string(golden), line) {
+				t.Errorf("%s shows no line %q:\n%s", name, line, golden)
+			}
+			if cs.Workers > 1 {
+				parallel++
+			}
+		}
+		_, children := describe(op)
+		for _, c := range children {
+			walk(c)
+		}
+	}
+	walk(root)
+	return parallel
 }
 
 // TestExplainActualsGolden pins the row tally of every plan node: Explain
@@ -75,7 +118,11 @@ func TestExplainActualsGolden(t *testing.T) {
 						t.Fatal(err)
 					}
 					commit()
-					checkGolden(t, fmt.Sprintf("actuals_%s_p%d", q[0], par), p.Explain())
+					name := fmt.Sprintf("actuals_%s_p%d", q[0], par)
+					checkGolden(t, name, p.Explain())
+					if par == 2 {
+						goldenShowsPredicates(t, name, p.Root)
+					}
 				})
 			}
 		}

@@ -3,8 +3,8 @@
 // strategies" — needs a way to rank the choices; this file prices every
 // physical join operator (NLJoin, HashJoin with either build side, serial or
 // partitioned, the set-probe/PNHL family, IndexNLJoin) and every way to run
-// σ over an extent (Filter serial or pooled, IndexScan, the batch pipeline
-// serial or exchanged) from collected statistics (storage.Analyze), or from
+// σ over an extent (Filter serial or pooled, IndexScan, ColumnScan serial or
+// parallel) from collected statistics (storage.Analyze), or from
 // the default statistics when none were collected, and lets the planner pick
 // the cheapest.
 //
@@ -263,11 +263,11 @@ func costParallelPool(n float64, p int) float64 {
 	return cPoolStartup + n*cEval/w + n*cChannelRow
 }
 
-// Batch pipeline constants. A batch pipeline pays a fixed dispatch cost per
-// batch (virtual call, selection-vector reset) and a much smaller per-row
-// cost than the interpreter where a typed kernel runs: it compares decoded
-// column slices without env binding or value boxing. A conjunct without a
-// typed kernel runs the interpreter row by row, at cEval.
+// ColumnScan constants. ColumnScan pays a fixed dispatch cost per batch
+// (selection-vector reset, kernel calls) and a much smaller per-row cost
+// than the interpreter where a typed kernel runs: it compares decoded column
+// slices without env binding or value boxing. A conjunct without a typed
+// kernel runs the interpreter row by row, at cEval.
 const (
 	cBatchDispatch = 16.0 // fixed cost of dispatching one batch
 	cVecRow        = 0.25 // per-row cost inside a typed kernel
@@ -278,35 +278,26 @@ func pages(n float64) float64 {
 	return math.Ceil(math.Max(0, n) / exec.DefaultBatchSize)
 }
 
-// costVecScan prices a columnar extent scan emitting n rows in batches.
-func costVecScan(n float64) float64 {
-	return pages(n)*cBatchDispatch + n*cVecRow
-}
-
-// costVecFilter prices a selection-vector filter whose conjuncts cost
-// perRow per input row together: every input row passes through each
-// kernel (no short-circuit across rows, only across kernels as the selection
-// narrows — priced pessimistically at full width).
-func costVecFilter(n, perRow float64) float64 {
-	return pages(n)*cBatchDispatch + n*perRow
-}
-
-// Batch exchange constants. Exchanging whole batches over bounded channels
-// needs orders of magnitude fewer channel operations than the
-// tuple-at-a-time pool, so the startup hurdle is well below cPoolStartup
-// and the per-transfer cost is paid per batch, not per row.
+// ColumnScan's parallel constants. Its workers split the projection into
+// contiguous shares of whole batches and share nothing but the result, so
+// the startup hurdle is well below cPoolStartup, and joining their rows in
+// share order is paid per batch, not per row.
 const (
-	cChannelBatch       = 4.0    // send one Batch over a bounded channel
-	cVecParallelStartup = 4000.0 // spawn workers, allocate pools and channels
+	cBatchMerge         = 4.0    // hand one batch's rows to the joined result
+	cVecParallelStartup = 4000.0 // spawn the workers, one selection vector each
 )
 
-// costVecExchange prices the morsel-driven parallel scan+filter pipeline:
-// workers claim morsels from a shared cursor, run the filter kernels, and
-// send surviving batches over one bounded channel. Kernel work divides by
-// the worker count; the batch sends and the startup hurdle do not.
-func costVecExchange(n, perRow float64, w int) float64 {
-	ww := math.Max(1, float64(w))
+// costColumnScan prices σ over n rows on the columnar projection, its
+// conjuncts costing perRow per input row together, on w workers: the
+// projection is read at cVecRow per row, and every row passes through each
+// kernel (no short-circuit across rows, only across kernels as the selection
+// narrows — priced pessimistically at full width). In parallel the kernel
+// work divides by the worker count; the merge and the startup hurdle do not.
+func costColumnScan(n, perRow float64, w int) float64 {
+	if w <= 1 {
+		return pages(n)*cBatchDispatch + n*cVecRow + (pages(n)*cBatchDispatch + n*perRow)
+	}
 	return cVecParallelStartup +
-		(pages(n)*cBatchDispatch+n*perRow)/ww +
-		pages(n)*cChannelBatch
+		(pages(n)*cBatchDispatch+n*perRow)/float64(w) +
+		pages(n)*cBatchMerge
 }

@@ -282,8 +282,8 @@ func TestCostBasedFallsBackWithoutRowCounts(t *testing.T) {
 
 // TestCostBasedParallelFilter: σ over a large computed input (μ of an
 // extent) goes to the worker pool under the cost model, over a small one it
-// stays serial; σ over a large extent goes to the batch exchange, over a
-// small one to the serial batch pipeline.
+// stays serial; σ over a large extent goes to a parallel ColumnScan, over a
+// small one to a serial one.
 func TestCostBasedParallelFilter(t *testing.T) {
 	overMu := adl.Sel("u", adl.CmpE(adl.Lt, adl.Dot(adl.V("u"), "k"), adl.C(value.Int(3))), adl.Mu("c", adl.T("X")))
 	overX := adl.Sel("x", adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "a"), adl.C(value.Int(3))), adl.T("X"))
@@ -291,50 +291,46 @@ func TestCostBasedParallelFilter(t *testing.T) {
 	if f, ok := big.Compile(overMu).(*exec.Filter); !ok || f.Workers != 8 {
 		t.Errorf("large σ over μ should cost out to a Filter on 8 workers, got\n%s", Explain(big.Compile(overMu)))
 	}
-	if a, ok := big.Compile(overX).(*exec.VecAdapter); !ok {
-		t.Errorf("large σ over an extent should cost out to the batch exchange, got\n%s", Explain(big.Compile(overX)))
-	} else if ex, ok := a.Src.(*exec.VecExchange); !ok || ex.Workers != 8 {
-		t.Errorf("large σ over an extent should run on an exchange of 8 workers, got\n%s", Explain(a))
+	if cs, ok := big.Compile(overX).(*exec.ColumnScan); !ok || cs.Workers != 8 {
+		t.Errorf("large σ over an extent should cost out to a ColumnScan on 8 workers, got\n%s", Explain(big.Compile(overX)))
 	}
 	small := Config{Statistics: fakeStatistics{rows: map[string]int{"X": 100}}, Parallelism: 8}
 	if f, ok := small.Compile(overMu).(*exec.Filter); !ok || f.Workers > 1 {
 		t.Errorf("small σ over μ should stay serial, got\n%s", Explain(small.Compile(overMu)))
 	}
-	if a, ok := small.Compile(overX).(*exec.VecAdapter); !ok {
-		t.Errorf("small σ over an extent should cost out to the batch pipeline, got\n%s", Explain(small.Compile(overX)))
-	} else if _, ok := a.Src.(*exec.VecFilter); !ok {
-		t.Errorf("small σ over an extent should stay serial, got\n%s", Explain(a))
+	if cs, ok := small.Compile(overX).(*exec.ColumnScan); !ok || cs.Workers > 1 {
+		t.Errorf("small σ over an extent should cost out to a serial ColumnScan, got\n%s", Explain(small.Compile(overX)))
 	}
 }
 
 // TestBatchFallbackPricedAsInterpreter: a conjunct with no typed kernel
-// runs the interpreter row by row inside the batch filter, so the batch
-// pipeline's estimate carries rows·cEval for it, as Filter's does.
+// runs the interpreter row by row inside ColumnScan, so its estimate carries
+// rows·cEval for it, as Filter's does.
 func TestBatchFallbackPricedAsInterpreter(t *testing.T) {
 	const rows = 4000
 	// x[a] is a unary tuple, not the attribute's value: no typed kernel.
 	fallback := adl.Sel("x", adl.EqE(adl.SubT(adl.V("x"), "a"), adl.Tup("a", adl.CInt(3))), adl.T("X"))
 	p := Config{Statistics: fakeStatistics{rows: map[string]int{"X": rows}}, Parallelism: 1, Vectorized: true}.Plan(fallback)
-	var adapter exec.Operator
-	var walk func(node any)
-	walk = func(node any) {
-		if a, ok := node.(*exec.VecAdapter); ok {
-			adapter = a
+	var scan exec.Operator
+	var walk func(op exec.Operator)
+	walk = func(op exec.Operator) {
+		if cs, ok := op.(*exec.ColumnScan); ok {
+			scan = cs
 		}
-		_, children := describe(node)
+		_, children := describe(op)
 		for _, c := range children {
 			walk(c)
 		}
 	}
 	walk(p.Root)
-	if adapter == nil {
-		t.Fatalf("want the batch pipeline, got\n%s", p.Explain())
+	if scan == nil {
+		t.Fatalf("want a ColumnScan, got\n%s", p.Explain())
 	}
 	if !strings.Contains(p.Explain(), "0/1 typed kernels") {
 		t.Fatalf("want one fallback kernel, got\n%s", p.Explain())
 	}
-	if est, _ := p.Estimate(adapter); est.Cost < rows*cEval {
-		t.Errorf("batch estimate %.0f leaves out the interpreter's rows·cEval = %.0f:\n%s", est.Cost, rows*cEval, p.Explain())
+	if est, _ := p.Estimate(scan); est.Cost < rows*cEval {
+		t.Errorf("ColumnScan estimate %.0f leaves out the interpreter's rows·cEval = %.0f:\n%s", est.Cost, rows*cEval, p.Explain())
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/adl"
+	"repro/internal/exec"
 	"repro/internal/value"
 )
 
@@ -24,8 +25,7 @@ var unplannedNodes = map[string]string{
 }
 
 // execNodeTypes lists the exec node types the way make loc counts them: the
-// exported types of internal/exec's non-test files with an Open or OpenVec
-// method.
+// exported types of internal/exec's non-test files with an Open method.
 func execNodeTypes(t *testing.T) []string {
 	t.Helper()
 	pkgs, err := parser.ParseDir(token.NewFileSet(), "../exec", func(fi fs.FileInfo) bool {
@@ -38,7 +38,7 @@ func execNodeTypes(t *testing.T) []string {
 	for _, f := range pkgs["exec"].Files {
 		for _, d := range f.Decls {
 			fn, ok := d.(*ast.FuncDecl)
-			if !ok || fn.Recv == nil || fn.Name.Name != "Open" && fn.Name.Name != "OpenVec" {
+			if !ok || fn.Recv == nil || fn.Name.Name != "Open" {
 				continue
 			}
 			recv := fn.Recv.List[0].Type
@@ -77,7 +77,7 @@ func TestEveryNodeIsPlanned(t *testing.T) {
 	shapes := map[string]adl.Expr{
 		"index":    adl.Sel("x", pred("x", "a", adl.Eq, 7), adl.T("X")),
 		"filter":   adl.Sel("u", pred("u", "k", adl.Lt, 3), adl.Mu("c", adl.T("X"))),
-		"exchange": adl.Sel("x", pred("x", "b", adl.Lt, 10), adl.T("X")),
+		"columns":  adl.Sel("x", pred("x", "b", adl.Lt, 10), adl.T("X")),
 		"divide":   adl.DivE(adl.T("X"), adl.T("Y")),
 		"unnest":   adl.Mu("c", adl.T("X")),
 		"nest":     adl.Nu(adl.T("X"), "g", "b"),
@@ -96,10 +96,10 @@ func TestEveryNodeIsPlanned(t *testing.T) {
 	}
 
 	planned := map[string]bool{}
-	var walk func(node any)
-	walk = func(node any) {
-		planned[strings.TrimPrefix(fmt.Sprintf("%T", node), "*exec.")] = true
-		_, children := describe(node)
+	var walk func(op exec.Operator)
+	walk = func(op exec.Operator) {
+		planned[strings.TrimPrefix(fmt.Sprintf("%T", op), "*exec.")] = true
+		_, children := describe(op)
 		for _, c := range children {
 			walk(c)
 		}
@@ -119,7 +119,7 @@ func TestEveryNodeIsPlanned(t *testing.T) {
 	}
 
 	types := execNodeTypes(t)
-	if len(types) < 20 {
+	if len(types) < 19 {
 		t.Fatalf("found %d exec node types, want the whole operator set", len(types))
 	}
 	for _, name := range types {

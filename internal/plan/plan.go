@@ -71,7 +71,7 @@ type Config struct {
 	// Vectorized is ignored.
 	//
 	// Deprecated: it switched σ over an extent onto the batch pipeline; the
-	// cost model now prices that pipeline beside Filter and IndexScan and
+	// cost model now prices a ColumnScan beside Filter and IndexScan and
 	// picks it where it is cheaper. It remains only because benchmark/, which
 	// the engine may not edit, still sets it. Remove it with the next change
 	// to benchmark/.
@@ -596,19 +596,17 @@ func explainTree(op exec.Operator, est map[exec.Operator]Estimate, act func(exec
 	return b.String()
 }
 
-func explain(b *strings.Builder, node any, depth int, est map[exec.Operator]Estimate, act func(exec.Operator) (int64, bool)) {
-	line, children := describe(node)
-	if op, isOp := node.(exec.Operator); isOp {
-		if e, ok := est[op]; ok {
-			line += fmt.Sprintf("  (rows≈%d cost≈%d)", e.Rows, int64(e.Cost+0.5))
-			if act != nil {
-				if a, ok := act(op); ok {
-					line += fmt.Sprintf(" (actual=%d)", a)
-				}
+func explain(b *strings.Builder, op exec.Operator, depth int, est map[exec.Operator]Estimate, act func(exec.Operator) (int64, bool)) {
+	line, children := describe(op)
+	if e, ok := est[op]; ok {
+		line += fmt.Sprintf("  (rows≈%d cost≈%d)", e.Rows, int64(e.Cost+0.5))
+		if act != nil {
+			if a, ok := act(op); ok {
+				line += fmt.Sprintf(" (actual=%d)", a)
 			}
-			if e.Note != "" {
-				line += "  -- " + e.Note
-			}
+		}
+		if e.Note != "" {
+			line += "  -- " + e.Note
 		}
 	}
 	fmt.Fprintf(b, "%s%s\n", strings.Repeat("  ", depth), line)
@@ -618,39 +616,9 @@ func explain(b *strings.Builder, node any, depth int, est map[exec.Operator]Esti
 }
 
 // describe renders one node's line (sans indentation) and lists its
-// children. Nodes are either scalar Operators or batch VecOps — the
-// vectorized pipeline hangs under a VecAdapter bridge.
-func describe(node any) (string, []any) {
-	switch o := node.(type) {
-	case *exec.VecAdapter:
-		return "VecAdapter  -- vectorized→scalar bridge", []any{o.Src}
-	case *exec.VecScan:
-		batch := o.Batch
-		if batch <= 0 {
-			batch = exec.DefaultBatchSize
-		}
-		cols := "∅"
-		if len(o.Attrs) > 0 {
-			cols = strings.Join(o.Attrs, ", ")
-		}
-		return fmt.Sprintf("VecScan(%s | batch %d | cols %s)  -- columnar projection",
-			o.Extent, batch, cols), nil
-	case *exec.VecFilter:
-		typed := 0
-		parts := make([]string, len(o.Kernels))
-		for i, k := range o.Kernels {
-			parts[i] = fmt.Sprint(k.Pred.Expr)
-			if k.Attr != "" {
-				typed++
-			}
-		}
-		return fmt.Sprintf("VecFilter[%s: %s | %d/%d typed kernels]  -- selection vector",
-			o.Var, strings.Join(parts, " ∧ "), typed, len(o.Kernels)), []any{o.Src}
-	case *exec.VecExchange:
-		return fmt.Sprintf("VecExchange(workers %d | morsel %d)  -- parallel morsel scan",
-			o.Workers, o.Morsel), []any{o.Src}
-	}
-	switch o := node.(type) {
+// children.
+func describe(op exec.Operator) (string, []exec.Operator) {
+	switch o := op.(type) {
 	case *exec.Scan:
 		return fmt.Sprintf("Scan(%s)", o.Table), nil
 	case *exec.IndexScan:
@@ -676,54 +644,76 @@ func describe(node any) (string, []any) {
 			o.Table, o.Attr, lob, lo, hi, hib), nil
 	case *exec.IndexNLJoin:
 		return fmt.Sprintf("IndexNLJoin[%v on %s -> %s.%s%s]  -- index nested loop",
-			o.Kind, o.LKey.Expr, o.Table, o.Attr, residualNote(o.Residual)), []any{o.L}
+			o.Kind, o.LKey.Expr, o.Table, o.Attr, residualNote(o.Residual)), []exec.Operator{o.L}
+	case *exec.ColumnScan:
+		cols := "∅"
+		if len(o.Attrs) > 0 {
+			cols = strings.Join(o.Attrs, ", ")
+		}
+		line := fmt.Sprintf("ColumnScan(%s | cols %s", o.Extent, cols)
+		if len(o.Kernels) > 0 {
+			typed := 0
+			parts := make([]string, len(o.Kernels))
+			for i, k := range o.Kernels {
+				parts[i] = fmt.Sprint(k.Pred.Expr)
+				if k.Attr != "" {
+					typed++
+				}
+			}
+			line = fmt.Sprintf("ColumnScan(%s | %s: %s | cols %s | %d/%d typed kernels",
+				o.Extent, o.Var, strings.Join(parts, " ∧ "), cols, typed, len(o.Kernels))
+		}
+		if o.Workers > 1 {
+			return fmt.Sprintf("%s | %d workers)  -- parallel", line, o.Workers), nil
+		}
+		return line + ")  -- columnar projection", nil
 	case *exec.ExprScan:
 		return fmt.Sprintf("ExprScan(%s)  -- interpreter fallback", o.Expr), nil
 	case *exec.Filter:
 		if o.Workers > 1 {
 			return fmt.Sprintf("ParallelFilter[%s: %s | %d workers]  -- parallel",
-				o.Var, o.Pred.Expr, o.Workers), []any{o.Child}
+				o.Var, o.Pred.Expr, o.Workers), []exec.Operator{o.Child}
 		}
-		return fmt.Sprintf("Filter[%s: %s]", o.Var, o.Pred.Expr), []any{o.Child}
+		return fmt.Sprintf("Filter[%s: %s]", o.Var, o.Pred.Expr), []exec.Operator{o.Child}
 	case *exec.MapOp:
 		if o.Workers > 1 {
 			return fmt.Sprintf("ParallelMap[%s: %s | %d workers]  -- parallel",
-				o.Var, o.Body.Expr, o.Workers), []any{o.Child}
+				o.Var, o.Body.Expr, o.Workers), []exec.Operator{o.Child}
 		}
-		return fmt.Sprintf("Map[%s: %s]", o.Var, o.Body.Expr), []any{o.Child}
+		return fmt.Sprintf("Map[%s: %s]", o.Var, o.Body.Expr), []exec.Operator{o.Child}
 	case *exec.ProjectOp:
-		return fmt.Sprintf("Project[%s]", strings.Join(o.Attrs, ", ")), []any{o.Child}
+		return fmt.Sprintf("Project[%s]", strings.Join(o.Attrs, ", ")), []exec.Operator{o.Child}
 	case *exec.UnnestOp:
-		return fmt.Sprintf("Unnest[%s]", o.Attr), []any{o.Child}
+		return fmt.Sprintf("Unnest[%s]", o.Attr), []exec.Operator{o.Child}
 	case *exec.NestOp:
-		return fmt.Sprintf("Nest[{%s} -> %s]", strings.Join(o.Attrs, ", "), o.As), []any{o.Child}
+		return fmt.Sprintf("Nest[{%s} -> %s]", strings.Join(o.Attrs, ", "), o.As), []exec.Operator{o.Child}
 	case *exec.FlattenOp:
-		return "Flatten", []any{o.Child}
+		return "Flatten", []exec.Operator{o.Child}
 	case *exec.Assembly:
-		return fmt.Sprintf("Assembly[%s -> %s]  -- pointer-based materialize", o.Attr, o.As), []any{o.Child}
+		return fmt.Sprintf("Assembly[%s -> %s]  -- pointer-based materialize", o.Attr, o.As), []exec.Operator{o.Child}
 	case *exec.RenameOp:
-		return fmt.Sprintf("Rename[%s -> %s]", o.From, o.To), []any{o.Child}
+		return fmt.Sprintf("Rename[%s -> %s]", o.From, o.To), []exec.Operator{o.Child}
 	case *exec.DivideOp:
-		return "Divide", []any{o.L, o.R}
+		return "Divide", []exec.Operator{o.L, o.R}
 	case *exec.LetOp:
-		return fmt.Sprintf("Let[%s = %s]  -- constant, evaluated once", o.Var, o.Val), []any{o.Child}
+		return fmt.Sprintf("Let[%s = %s]  -- constant, evaluated once", o.Var, o.Val), []exec.Operator{o.Child}
 	case *exec.HashJoin:
 		on := fmt.Sprintf("%v on %s = %s%s", o.Kind, o.LKey.Expr, o.RKey.Expr, residualNote(o.Residual))
 		if o.Unnest != "" {
 			on += " | μ " + o.Unnest
 		}
 		if o.Partitions > 1 {
-			return fmt.Sprintf("PartitionedHashJoin[%s | %d partitions]  -- parallel", on, o.Partitions), []any{o.L, o.R}
+			return fmt.Sprintf("PartitionedHashJoin[%s | %d partitions]  -- parallel", on, o.Partitions), []exec.Operator{o.L, o.R}
 		}
-		return fmt.Sprintf("HashJoin[%s]", on), []any{o.L, o.R}
+		return fmt.Sprintf("HashJoin[%s]", on), []exec.Operator{o.L, o.R}
 	case *exec.SetProbeJoin:
-		return fmt.Sprintf("SetProbeJoin[%v on %s ∈ .%s]", o.Kind, o.RKey.Expr, o.Attr), []any{o.L, o.R}
+		return fmt.Sprintf("SetProbeJoin[%v on %s ∈ .%s]", o.Kind, o.RKey.Expr, o.Attr), []exec.Operator{o.L, o.R}
 	case *exec.NLJoin:
-		return fmt.Sprintf("NLJoin[%v on %s]", o.Kind, o.Pred.Expr), []any{o.L, o.R}
+		return fmt.Sprintf("NLJoin[%v on %s]", o.Kind, o.Pred.Expr), []exec.Operator{o.L, o.R}
 	case *exec.PNHL:
-		return fmt.Sprintf("PNHL[.%s with budget %d rows]", o.Attr, o.BudgetRows), []any{o.L, o.R}
+		return fmt.Sprintf("PNHL[.%s with budget %d rows]", o.Attr, o.BudgetRows), []exec.Operator{o.L, o.R}
 	}
-	return fmt.Sprintf("%T", node), nil
+	return fmt.Sprintf("%T", op), nil
 }
 
 // residualNote renders an optional residual predicate for a join line.

@@ -262,7 +262,7 @@ func TestPlannerParallelThreshold(t *testing.T) {
 }
 
 // TestPlannerParallelMapFilter pins the worker pools of large σ/α. σ over
-// an extent prices the batch pipeline cheaper, so σ runs over μ here.
+// an extent prices a ColumnScan cheaper, so σ runs over μ here.
 func TestPlannerParallelMapFilter(t *testing.T) {
 	cfg := Config{Statistics: fakeStatistics{rows: map[string]int{"X": 50000}}, Parallelism: 8}
 	sel := adl.Sel("u", adl.CmpE(adl.Lt, adl.Dot(adl.V("u"), "k"), adl.C(value.Int(3))), adl.Mu("c", adl.T("X")))

@@ -301,8 +301,8 @@ func TestReorderPushesSingleRelationFilter(t *testing.T) {
 	if note := rootNote(t, pl); !strings.Contains(note, "order:") {
 		t.Fatalf("filter chain should enumerate, note %q", note)
 	}
-	if !strings.Contains(pl.Explain(), "Filter[") {
-		t.Fatalf("single-relation conjunct was not pushed down to a Filter:\n%s", pl.Explain())
+	if x := pl.Explain(); !strings.Contains(x, "Filter[") && !strings.Contains(x, "ColumnScan(C") {
+		t.Fatalf("single-relation conjunct was not pushed down to a Filter or ColumnScan:\n%s", x)
 	}
 	want := collect(t, Compile(j), db)
 	if got := collect(t, pl.Root, db); !value.Equal(got, want) {

@@ -1,11 +1,10 @@
-// The batch candidates of σ over a base extent. chooseSelect (access.go)
-// prices them beside Filter and IndexScan and keeps the cheapest: the serial
-// batch pipeline VecScan → VecFilter → VecAdapter, where the scan serves a
-// columnar projection of the extent and the filter narrows a selection
-// vector with typed comparison kernels, and its morsel-driven parallel form
-// VecScan → VecExchange → VecAdapter. The adapter hands the surviving rows to
-// the row operators above — the joins included, which price and pick their
-// algorithm whichever way their rows arrive.
+// The ColumnScan candidates of σ over a base extent. chooseSelect
+// (access.go) prices them beside Filter and IndexScan and keeps the cheapest:
+// ColumnScan reads a columnar projection of the extent and narrows a
+// selection vector with typed comparison kernels, serially or, with workers
+// available, on contiguous shares of the projection. Its rows go to the row
+// operators above — the joins included, which price and pick their algorithm
+// whichever way their rows arrive.
 package plan
 
 import (
@@ -15,10 +14,10 @@ import (
 	"repro/internal/exec"
 )
 
-// batchSelects prices σ over extent (rows in, out estimated out) as the
-// serial batch pipeline and, with workers available, as the morsel exchange.
-// A conjunct with a typed kernel costs cVecRow per input row; one without
-// runs the interpreter row by row at cEval, as Filter does.
+// batchSelects prices σ over extent (rows in, out estimated out) as a serial
+// ColumnScan and, with workers available, as a parallel one. A conjunct with
+// a typed kernel costs cVecRow per input row; one without runs the
+// interpreter row by row at cEval, as Filter does.
 func (p *planner) batchSelects(n *adl.Select, extent string, rows, out float64) []selectCand {
 	cs := conjuncts(n.Pred)
 	perRow := 0.0
@@ -29,34 +28,28 @@ func (p *planner) batchSelects(n *adl.Select, extent string, rows, out float64) 
 			perRow += cEval
 		}
 	}
-	// pipeline compiles the conjuncts into kernels, in And order (matching
-	// the scalar short-circuit), over a scan of the columns they read.
-	pipeline := func() (*exec.VecScan, []exec.VecCmp) {
-		ks := make([]exec.VecCmp, len(cs))
-		var attrs []string
-		for i, c := range cs {
-			ks[i] = kernel(c, n.Var)
-			ks[i].Pred = exec.NewScalar(c, n.Var)
-			for _, a := range []string{ks[i].Attr, ks[i].RAttr} {
-				if a != "" && !slices.Contains(attrs, a) {
-					attrs = append(attrs, a)
-				}
-			}
-		}
-		return &exec.VecScan{Extent: extent, Attrs: attrs, Batch: exec.DefaultBatchSize}, ks
-	}
-	cands := []selectCand{{nodeEst{rows: out, extent: extent, cost: costVecScan(rows) + costVecFilter(rows, perRow)},
-		func() exec.Operator {
-			scan, ks := pipeline()
-			return &exec.VecAdapter{Src: &exec.VecFilter{Src: scan, Var: n.Var, Kernels: ks}}
-		}}}
-	if p.workers > 1 {
-		cands = append(cands, selectCand{nodeEst{rows: out, extent: extent, cost: costVecExchange(rows, perRow, p.workers)},
+	// scan compiles the conjuncts into kernels, in And order (matching the
+	// scalar short-circuit), over a projection of the columns they read.
+	scan := func(workers int) selectCand {
+		return selectCand{nodeEst{rows: out, extent: extent, cost: costColumnScan(rows, perRow, workers)},
 			func() exec.Operator {
-				scan, ks := pipeline()
-				return &exec.VecAdapter{Src: &exec.VecExchange{Src: scan, Kernels: ks,
-					Workers: p.workers, Morsel: exec.DefaultBatchSize}}
-			}})
+				ks := make([]exec.VecCmp, len(cs))
+				var attrs []string
+				for i, c := range cs {
+					ks[i] = kernel(c, n.Var)
+					ks[i].Pred = exec.NewScalar(c, n.Var)
+					for _, a := range []string{ks[i].Attr, ks[i].RAttr} {
+						if a != "" && !slices.Contains(attrs, a) {
+							attrs = append(attrs, a)
+						}
+					}
+				}
+				return &exec.ColumnScan{Extent: extent, Attrs: attrs, Var: n.Var, Kernels: ks, Workers: workers}
+			}}
+	}
+	cands := []selectCand{scan(1)}
+	if p.workers > 1 {
+		cands = append(cands, scan(p.workers))
 	}
 	return cands
 }

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -15,9 +14,8 @@ import (
 )
 
 // TestVectorizedPlanShapes pins which logical shapes the cost model plans
-// onto batch operators: σ over an extent where the batch pipeline prices
-// cheapest, never a join, never π — π over a σ pipeline is a ProjectOp over
-// the VecAdapter.
+// onto ColumnScan: σ over an extent where it prices cheapest, never a join,
+// never π — π over such a σ is a ProjectOp over the ColumnScan.
 func TestVectorizedPlanShapes(t *testing.T) {
 	sel := adl.Sel("x",
 		adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "b"), adl.C(value.Int(10))), adl.T("X"))
@@ -42,15 +40,11 @@ func TestVectorizedPlanShapes(t *testing.T) {
 	var def Config
 
 	op := def.Compile(sel)
-	ad, ok := op.(*exec.VecAdapter)
-	if !ok {
-		t.Fatalf("σ compiled to %T, want *exec.VecAdapter", op)
-	}
-	if _, ok := ad.Src.(*exec.VecFilter); !ok {
-		t.Fatalf("σ pipeline is %T, want *exec.VecFilter", ad.Src)
+	if cs, ok := op.(*exec.ColumnScan); !ok || cs.Workers > 1 {
+		t.Fatalf("σ compiled to %T, want a serial *exec.ColumnScan", op)
 	}
 	out := Explain(op)
-	for _, want := range []string{"VecScan(X", "typed kernels", "columnar projection"} {
+	for _, want := range []string{"ColumnScan(X | x: x.b < 10 | cols b", "1/1 typed kernels", "columnar projection"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Explain misses %q:\n%s", want, out)
 		}
@@ -61,8 +55,8 @@ func TestVectorizedPlanShapes(t *testing.T) {
 	if !ok {
 		t.Fatalf("π over σ compiled to %T, want *exec.ProjectOp", def.Compile(proj))
 	}
-	if _, ok := po.Child.(*exec.VecAdapter); !ok {
-		t.Fatalf("π's child is %T, want the batch pipeline's *exec.VecAdapter", po.Child)
+	if _, ok := po.Child.(*exec.ColumnScan); !ok {
+		t.Fatalf("π's child is %T, want *exec.ColumnScan", po.Child)
 	}
 	if po, ok := def.Compile(adl.Proj(adl.T("X"), "a")).(*exec.ProjectOp); !ok {
 		t.Fatalf("π over an extent compiled to %T, want *exec.ProjectOp", po)
@@ -71,14 +65,14 @@ func TestVectorizedPlanShapes(t *testing.T) {
 	}
 	// σ over anything but an extent keeps the row Filter.
 	if op := def.Compile(adl.Sel("u", adl.CmpE(adl.Lt, adl.Dot(adl.V("u"), "k"), adl.CInt(3)),
-		adl.Mu("c", adl.T("X")))); !isSweep(op) || strings.Contains(Explain(op), "Vec") {
+		adl.Mu("c", adl.T("X")))); !isSweep(op) || strings.Contains(Explain(op), "ColumnScan") {
 		t.Fatalf("σ over μ planned\n%s", Explain(op))
 	}
 
 	// A join is never a batch operator: each kind of equi-join is a row join
-	// whose σ operand is the batch pipeline ending at a VecAdapter, residual
-	// conjuncts included, and each set-probe join the set-probe join. An
-	// inner join builds on the σ operand, a third of the default extent size.
+	// whose σ operand is the ColumnScan, residual conjuncts included, and each
+	// set-probe join the set-probe join. An inner join builds on the σ
+	// operand, a third of the default extent size.
 	over := func(q *adl.Join) *adl.Join {
 		j := *q
 		j.L = sel
@@ -93,8 +87,8 @@ func TestVectorizedPlanShapes(t *testing.T) {
 		if q.Kind == adl.Inner {
 			sigma = hj.R
 		}
-		if _, ok := sigma.(*exec.VecAdapter); !ok {
-			t.Fatalf("%v equi-join's σ operand is %T, want the batch pipeline's *exec.VecAdapter", q.Kind, sigma)
+		if _, ok := sigma.(*exec.ColumnScan); !ok {
+			t.Fatalf("%v equi-join's σ operand is %T, want *exec.ColumnScan", q.Kind, sigma)
 		}
 		if (hj.Residual != nil) != (q == residual) || hj.As != q.As {
 			t.Fatalf("%v equi-join: residual %v, as %q", q.Kind, hj.Residual, hj.As)
@@ -105,23 +99,21 @@ func TestVectorizedPlanShapes(t *testing.T) {
 		if !ok || sj.Kind != q.Kind || sj.As != q.As {
 			t.Fatalf("%v set-probe join compiled to %T, want *exec.SetProbeJoin of that kind", q.Kind, def.Compile(over(q)))
 		}
-		if _, ok := sj.L.(*exec.VecAdapter); !ok {
-			t.Fatalf("%v set-probe join probes %T, want the batch pipeline's *exec.VecAdapter", q.Kind, sj.L)
+		if _, ok := sj.L.(*exec.ColumnScan); !ok {
+			t.Fatalf("%v set-probe join probes %T, want *exec.ColumnScan", q.Kind, sj.L)
 		}
 	}
 
 	// Priced on large inputs the equi-join is the partitioned hash join over a
-	// morsel-exchanged pipeline; on small ones both stay serial.
+	// parallel ColumnScan; on small ones both stay serial.
 	par := Config{Parallelism: 4,
 		Statistics: fakeStatistics{rows: map[string]int{"X": 100000, "Y": 100000}}}
 	pj, ok := par.Compile(over(semi)).(*exec.HashJoin)
 	if !ok || pj.Partitions != 4 {
 		t.Fatalf("large semi join is %s, want 4 partitions", Explain(par.Compile(over(semi))))
 	}
-	if ad, ok := pj.L.(*exec.VecAdapter); !ok {
-		t.Fatalf("partitioned join probes %T, want *exec.VecAdapter", pj.L)
-	} else if _, ok := ad.Src.(*exec.VecExchange); !ok {
-		t.Fatalf("partitioned join's pipeline is %T, want *exec.VecExchange", ad.Src)
+	if cs, ok := pj.L.(*exec.ColumnScan); !ok || cs.Workers != 4 {
+		t.Fatalf("partitioned join probes %s, want a ColumnScan on 4 workers", Explain(pj.L))
 	}
 	small := Config{Parallelism: 4,
 		Statistics: fakeStatistics{rows: map[string]int{"X": 10, "Y": 10}}}
@@ -130,16 +122,16 @@ func TestVectorizedPlanShapes(t *testing.T) {
 	}
 	for _, cfg := range []Config{def, par, small} {
 		for _, q := range []*adl.Join{semi, inner, outer, nestj, residual, setprobe, setnest} {
-			noBatchJoin(t, cfg.Compile(q))
-			noBatchJoin(t, cfg.Compile(over(q)))
+			columnScansRunSigma(t, cfg.Compile(q))
+			columnScansRunSigma(t, cfg.Compile(over(q)))
 		}
 	}
 
-	// Costed batch plans carry the annotation.
+	// Costed ColumnScan plans carry the annotation.
 	x, y := genTables(rand.New(rand.NewSource(1)))
 	costed := Config{Statistics: tableStatistics(x, y)}
-	if out := costed.Plan(over(semi)).Explain(); !strings.Contains(out, "-- vectorized") {
-		t.Fatalf("costed batch plan misses the annotation:\n%s", out)
+	if out := costed.Plan(over(semi)).Explain(); !strings.Contains(out, "-- columnar projection  (rows≈") {
+		t.Fatalf("costed ColumnScan plan misses the annotation:\n%s", out)
 	}
 }
 
@@ -191,25 +183,19 @@ func isIndexScan(op exec.Operator) bool {
 	return ok
 }
 
-// holdsVecFilter reports whether a plan runs a batch filter: a VecFilter, or
-// the exchange's kernels.
-func holdsVecFilter(op exec.Operator) bool {
-	x := Explain(op)
-	return strings.Contains(x, "VecFilter") || strings.Contains(x, "VecExchange")
+// holdsColumnScan reports whether a plan runs σ on a ColumnScan.
+func holdsColumnScan(op exec.Operator) bool {
+	return strings.Contains(Explain(op), "ColumnScan(")
 }
 
-// noBatchJoin fails unless every batch node of the plan is one of the batch
-// layer's: scan, filter, exchange, and the adapter that ends the pipeline.
-func noBatchJoin(t *testing.T, op exec.Operator) {
+// columnScansRunSigma fails unless every ColumnScan of the plan is a σ: the
+// planner builds one only for σ over an extent, with a kernel per conjunct.
+func columnScansRunSigma(t *testing.T, op exec.Operator) {
 	t.Helper()
-	var walk func(node any)
-	walk = func(node any) {
-		switch node.(type) {
-		case *exec.VecScan, *exec.VecFilter, *exec.VecExchange, *exec.VecAdapter:
-		default:
-			if strings.HasPrefix(fmt.Sprintf("%T", node), "*exec.Vec") {
-				t.Fatalf("batch operator %T outside the batch layer:\n%s", node, Explain(op))
-			}
+	var walk func(node exec.Operator)
+	walk = func(node exec.Operator) {
+		if cs, ok := node.(*exec.ColumnScan); ok && (cs.Var == "" || len(cs.Kernels) == 0) {
+			t.Fatalf("ColumnScan without a predicate:\n%s", Explain(op))
 		}
 		_, children := describe(node)
 		for _, c := range children {
@@ -293,8 +279,8 @@ func randVecQuery(rng *rand.Rand) adl.Expr {
 // TestDifferentialScalarVsVectorized is the batch arm of the differential
 // harness: randomized queries, planned without statistics, on their row
 // counts and on two workers over inflated statistics, return what the
-// reference interpreter returns. The cost model picks the batch pipeline for
-// some of them, and the test fails if it picks it for none. Run under -race
+// reference interpreter returns. The cost model picks a ColumnScan for some
+// of them, and the test fails if it picks it for none. Run under -race
 // in CI.
 func TestDifferentialScalarVsVectorized(t *testing.T) {
 	queries, parallelPlans, batchPlans := 0, 0, 0
@@ -317,11 +303,11 @@ func TestDifferentialScalarVsVectorized(t *testing.T) {
 			}
 			for name, cfg := range arms {
 				op := cfg.Compile(q)
-				noBatchJoin(t, op)
+				columnScansRunSigma(t, op)
 				if name == "parallel" && parallel(op) {
 					parallelPlans++
 				}
-				if holdsVecFilter(op) {
+				if holdsColumnScan(op) {
 					batchPlans++
 				}
 				got := collect(t, op, db)
@@ -341,9 +327,9 @@ func TestDifferentialScalarVsVectorized(t *testing.T) {
 		t.Errorf("parallel arm planned %d of %d queries parallel", parallelPlans, queries)
 	}
 	if batchPlans == 0 {
-		t.Errorf("no plan of %d queries × 3 arms runs a batch filter", queries)
+		t.Errorf("no plan of %d queries × 3 arms runs a ColumnScan", queries)
 	}
-	t.Logf("parallel arm planned %d of %d queries parallel; %d plans run a batch filter", parallelPlans, queries, batchPlans)
+	t.Logf("parallel arm planned %d of %d queries parallel; %d plans run a ColumnScan", parallelPlans, queries, batchPlans)
 }
 
 // TestDifferentialVectorizedMVCC runs the planned queries against the
@@ -381,13 +367,13 @@ func TestDifferentialVectorizedMVCC(t *testing.T) {
 	batchPlans := 0
 	for _, cfg := range cfgs {
 		for _, q := range queries {
-			if holdsVecFilter(cfg.Compile(q)) {
+			if holdsColumnScan(cfg.Compile(q)) {
 				batchPlans++
 			}
 		}
 	}
 	if batchPlans == 0 {
-		t.Fatal("no plan runs a batch filter: the columnar reader goes untested")
+		t.Fatal("no plan runs a ColumnScan: the columnar reader goes untested")
 	}
 	check := func(label string, sn *storage.Snapshot) {
 		for qi, q := range queries {

@@ -66,7 +66,7 @@ type Options struct {
 	// Vectorized is ignored.
 	//
 	// Deprecated: it switched σ over an extent onto the batch pipeline; the
-	// planner now prices that pipeline as one candidate among the others. It
+	// planner now prices a ColumnScan as one candidate among the others. It
 	// remains only because benchmark/, which the engine may not edit, still
 	// sets it. Remove it with the next change to benchmark/.
 	Vectorized bool

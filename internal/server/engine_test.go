@@ -305,21 +305,21 @@ func TestNoFeedbackOption(t *testing.T) {
 	}
 }
 
-// cachedPlanHoldsVecFilter fails unless the engine's cached plan of src runs
-// a batch filter: the cost model picked the batch pipeline for its σ.
-func cachedPlanHoldsVecFilter(t *testing.T, eng *Engine, src string) {
+// cachedPlanHoldsColumnScan fails unless the engine's cached plan of src
+// runs σ on a ColumnScan: the cost model picked it.
+func cachedPlanHoldsColumnScan(t *testing.T, eng *Engine, src string) {
 	t.Helper()
 	ent, ok := eng.plans.get(src)
 	if !ok {
 		t.Fatalf("%q is not cached", src)
 	}
-	if x := plan.Explain(ent.q.Plan); !strings.Contains(x, "VecFilter") {
-		t.Fatalf("%q: want the batch pipeline, planned\n%s", src, x)
+	if x := plan.Explain(ent.q.Plan); !strings.Contains(x, "ColumnScan(") {
+		t.Fatalf("%q: want a ColumnScan, planned\n%s", src, x)
 	}
 }
 
-// TestVectorizedEngine: the default engine plans red-parts onto the batch
-// pipeline and answers what the nested form answers, and a mutation stays
+// TestVectorizedEngine: the default engine plans red-parts onto a ColumnScan
+// and answers what the nested form answers, and a mutation stays
 // visible through it (the columnar projection is snapshot-pinned, not a
 // stale cache).
 func TestVectorizedEngine(t *testing.T) {
@@ -328,7 +328,7 @@ func TestVectorizedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
-	cachedPlanHoldsVecFilter(t, eng, redParts)
+	cachedPlanHoldsColumnScan(t, eng, redParts)
 
 	if _, err := eng.Insert("PART", newPart(900, "red")); err != nil {
 		t.Fatalf("Insert: %v", err)
@@ -343,10 +343,9 @@ func TestVectorizedEngine(t *testing.T) {
 }
 
 // TestEngineConcurrentVectorizedInstrumented runs cached plans whose σ the
-// cost model put on the batch pipeline from many goroutines with feedback
-// on: every execution instruments and runs the one cached tree, no copy
-// made. Under -race this fails when a node, row or batch, keeps anything of
-// a run.
+// cost model put on a ColumnScan from many goroutines with feedback on:
+// every execution instruments and runs the one cached tree, no copy made.
+// Under -race this fails when a node keeps anything of a run.
 func TestEngineConcurrentVectorizedInstrumented(t *testing.T) {
 	eng := newEngine(t, Options{Parallelism: 1})
 	queries := []string{
@@ -363,7 +362,7 @@ func TestEngineConcurrentVectorizedInstrumented(t *testing.T) {
 		}
 		want[i] = r.Set
 	}
-	cachedPlanHoldsVecFilter(t, eng, redParts)
+	cachedPlanHoldsColumnScan(t, eng, redParts)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
