@@ -812,9 +812,9 @@ func BenchmarkAnalyticCycle(b *testing.B) {
 	b.Run("cycle", func(b *testing.B) { run(b, all) })
 }
 
-// BenchmarkParallelFilter — the exchange alone: σ[d.date < c] over the 20000
-// deliveries of the analytic store on the worker pool, a seventh of the rows
-// passing. The chunk size of internal/exec/parallel.go was swept on it.
+// BenchmarkParallelFilter — the parallel σ alone: σ[d.date < c] over the
+// 20000 deliveries of the analytic store in contiguous shares, one per worker
+// and at least two, a seventh of the rows passing.
 func BenchmarkParallelFilter(b *testing.B) {
 	st := bench.Generate(bench.Config{Suppliers: 40, Parts: 80, Deliveries: 20000, Seed: 94})
 	ctx := &exec.Ctx{DB: st}

@@ -60,25 +60,16 @@ func (s ColumnScan) Open(ctx *Ctx) (Rows, error) {
 	}
 	n := proj.Len()
 	batches := (n + DefaultBatchSize - 1) / DefaultBatchSize
-	outs := make([][]value.Value, max(s.Workers, 1))
-	err = inShares(batches, s.Workers, func(i, lo, hi int) error {
+	return inShareRows(batches, s.Workers, func(lo, hi int) (out []value.Value, err error) {
 		sel := make([]int32, min(n, DefaultBatchSize))
 		for b := lo; b < hi; b++ {
 			first := b * DefaultBatchSize
-			var err error
-			if outs[i], err = s.batch(ctx, proj, first, min(n, first+DefaultBatchSize), sel, outs[i]); err != nil {
-				return err
+			if out, err = s.batch(ctx, proj, first, min(n, first+DefaultBatchSize), sel, out); err != nil {
+				return nil, err
 			}
 		}
-		return nil
+		return out, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	if len(outs) == 1 {
-		return buffered(outs[0])
-	}
-	return buffered(slices.Concat(outs...))
 }
 
 // projection obtains the projection of the extent's Attrs.

@@ -26,9 +26,9 @@ func chunkDB(n int) *storage.MemDB {
 	return storage.NewMemDB("L", l, "R", r)
 }
 
-// settled waits for the goroutine count to come back to base: Close has
-// waited for every worker, but the goroutine that closes the merge channel
-// behind them may still be returning.
+// settled waits for the goroutine count to come back to base: every share
+// has finished before Open returns, but its goroutine may still be exiting
+// after it signalled its WaitGroup.
 func settled(t *testing.T, what string, base int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -40,80 +40,105 @@ func settled(t *testing.T, what string, base int) {
 	}
 }
 
-// chunkSizes straddle the chunk boundary: nothing to flush, one row, one row
-// short of a chunk, exactly one, one over, and many.
-var chunkSizes = []int{0, 1, chunkRows - 1, chunkRows, chunkRows + 1, 10 * chunkRows}
+// manyRows is the row count of the inputs large enough that every share of
+// a parallel operator holds hundreds of rows.
+const manyRows = 2560
+
+// shareSizes straddle the share boundaries of inShares at w workers: no row,
+// one, fewer rows than workers, one share of one row each, one share of two
+// rows, and many.
+func shareSizes(w int) []int { return []int{0, 1, w - 1, w, w + 1, manyRows} }
 
 // TestChunkedExchangeSizes runs every operator with a parallel count at each
-// size against the same operator serial, and checks that it leaves no
-// goroutine behind.
+// share boundary against the same operator serial: the streams must hand up
+// the same rows in the same order. It also checks that no goroutine is left
+// behind.
 func TestChunkedExchangeSizes(t *testing.T) {
 	pred := NewScalar(adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "b"), adl.C(value.Int(90))), "x")
 	body := NewScalar(adl.Tup("s", adl.Dot(adl.V("x"), "a")), "x")
 	lkey := NewScalar(adl.Dot(adl.V("x"), "b"), "x")
 	rkey := NewScalar(adl.Dot(adl.V("y"), "d"), "y")
-	for _, n := range chunkSizes {
-		d := chunkDB(n)
-		scan := func(table string) Operator { return &Scan{Table: table} }
-		pairs := []struct {
-			name             string
-			parallel, serial Operator
-		}{
+	scan := func(table string) Operator { return &Scan{Table: table} }
+	type pair struct {
+		name             string
+		parallel, serial Operator
+	}
+	for _, w := range []int{2, 3, 5, 8} {
+		pairs := []pair{
 			{"Filter",
-				&Filter{Child: scan("L"), Var: "x", Pred: pred, Workers: 4},
+				&Filter{Child: scan("L"), Var: "x", Pred: pred, Workers: w},
 				&Filter{Child: scan("L"), Var: "x", Pred: pred, Workers: 1}},
 			{"MapOp",
-				&MapOp{Child: scan("L"), Var: "x", Body: body, Workers: 4},
+				&MapOp{Child: scan("L"), Var: "x", Body: body, Workers: w},
 				&MapOp{Child: scan("L"), Var: "x", Body: body, Workers: 1}},
 		}
 		for _, k := range []adl.JoinKind{adl.Inner, adl.Semi, adl.Anti, adl.NestJ, adl.Outer} {
+			if w > 5 {
+				break
+			}
 			as := ""
 			if k == adl.NestJ {
 				as = "ys"
 			}
-			pairs = append(pairs, struct {
-				name             string
-				parallel, serial Operator
-			}{fmt.Sprintf("HashJoin %v", k),
+			pairs = append(pairs, pair{fmt.Sprintf("HashJoin %v", k),
 				&HashJoin{Kind: k, L: scan("L"), R: scan("R"), LVar: "x", RVar: "y",
-					LKey: lkey, RKey: rkey, As: as, Partitions: 3},
+					LKey: lkey, RKey: rkey, As: as, Partitions: w},
 				&HashJoin{Kind: k, L: scan("L"), R: scan("R"), LVar: "x", RVar: "y",
 					LKey: lkey, RKey: rkey, As: as}})
 		}
-		for _, p := range pairs {
-			what := fmt.Sprintf("%s over %d rows", p.name, n)
-			base := runtime.NumGoroutine()
-			want := collect(t, p.serial, d)
-			if got := collect(t, p.parallel, d); !value.Equal(got, want) {
-				t.Errorf("%s: %d rows, serial twin %d", what, got.Len(), want.Len())
+		for _, n := range shareSizes(w) {
+			d := chunkDB(n)
+			for _, p := range pairs {
+				what := fmt.Sprintf("%s at %d over %d rows", p.name, w, n)
+				base := runtime.NumGoroutine()
+				want := streamed(t, p.serial, d)
+				got := streamed(t, p.parallel, d)
+				if len(got) != len(want) {
+					t.Errorf("%s: %d rows, serial twin %d", what, len(got), len(want))
+				}
+				for i := range min(len(got), len(want)) {
+					if !value.Equal(got[i], want[i]) {
+						t.Errorf("%s: row %d is %v, serial twin's %v", what, i, got[i], want[i])
+						break
+					}
+				}
+				settled(t, what, base)
 			}
-			settled(t, what, base)
 		}
 	}
 }
 
-// TestChunkedExchangeLifecycle covers the exits that leave a chunk behind: a
-// worker failing with its chunk partly filled, Close after a single Next, and
-// re-Open of the same instance after that Close.
+// TestChunkedExchangeLifecycle covers a parallel operator's exits: a share
+// failing while others emit — the first failing row decides the error, as in
+// a serial run — Close after a single Next, and re-Open of the same instance
+// after that Close.
 func TestChunkedExchangeLifecycle(t *testing.T) {
-	n := 4*chunkRows + chunkRows/2
-	d := chunkDB(n)
+	d := chunkDB(manyRows)
 	base := runtime.NumGoroutine()
 
-	// Row 100 of the worker's first chunk has no attribute b: the error must
-	// win over the 100 rows already emitted into the partly filled chunk.
-	rows := make([]value.Value, n)
+	// Row 300 has no attribute b and row 2000 is no tuple: every run must
+	// fail with row 300's error, whichever share fails first.
+	rows := make([]value.Value, manyRows)
 	for i := range rows {
 		rows[i] = value.NewTuple("a", value.Int(int64(i)), "b", value.Int(1))
 	}
-	rows[100] = value.NewTuple("a", value.Int(100))
+	rows[300] = value.NewTuple("a", value.Int(300))
+	rows[2000] = value.Int(2000)
 	d.Tables["BAD"] = value.NewSet(rows...)
-	pf := &Filter{Child: &Scan{Table: "BAD"}, Var: "x", Workers: 2,
-		Pred: NewScalar(adl.EqE(adl.Dot(adl.V("x"), "b"), adl.C(value.Int(1))), "x")}
-	if _, err := Collect(pf, &Ctx{DB: d}); err == nil || !strings.Contains(err.Error(), `no attribute "b"`) {
-		t.Fatalf("worker error with a partly filled chunk: got %v", err)
+	pred := NewScalar(adl.EqE(adl.Dot(adl.V("x"), "b"), adl.C(value.Int(1))), "x")
+	_, want := Collect(&Filter{Child: &Scan{Table: "BAD"}, Var: "x", Pred: pred}, &Ctx{DB: d})
+	if want == nil || !strings.Contains(want.Error(), `no attribute "b"`) {
+		t.Fatalf("serial Filter over BAD: got %v, want row 300's error", want)
 	}
-	settled(t, "failed pooled Filter", base)
+	for _, w := range []int{2, 3, 5} {
+		pf := &Filter{Child: &Scan{Table: "BAD"}, Var: "x", Pred: pred, Workers: w}
+		for range 10 {
+			if _, err := Collect(pf, &Ctx{DB: d}); err == nil || err.Error() != want.Error() {
+				t.Fatalf("Filter at %d workers: got %v, want the serial %v", w, err, want)
+			}
+		}
+		settled(t, "failed parallel Filter", base)
+	}
 
 	ops := map[string]Operator{
 		"Filter": &Filter{Child: &Scan{Table: "L"}, Var: "x", Workers: 3,
@@ -139,7 +164,7 @@ func TestChunkedExchangeLifecycle(t *testing.T) {
 		}
 		settled(t, name+" closed after one Next", base)
 		full := collect(t, op, d) // re-Open of the same instance
-		if again := collect(t, op, d); full.Len() < n || !value.Equal(again, full) {
+		if again := collect(t, op, d); full.Len() < manyRows || !value.Equal(again, full) {
 			t.Errorf("%s: re-Open after Close returned %d rows, then %d", name, full.Len(), again.Len())
 		}
 		settled(t, name+" re-opened", base)

@@ -161,3 +161,38 @@ func TestNodesHoldNoRunState(t *testing.T) {
 		}
 	}
 }
+
+// TestOneGoStatement checks the shape that keeps every parallel run inside
+// its Open: non-test code of the package starts goroutines in one place,
+// inShares, which waits for them, and declares no channel to hand rows or
+// signals past Open.
+func TestOneGoStatement(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var goIn []string
+	for name, f := range pkgs["exec"].Files {
+		for _, d := range f.Decls {
+			fn, _ := d.(*ast.FuncDecl)
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n.(type) {
+				case *ast.GoStmt:
+					if fn == nil {
+						goIn = append(goIn, name)
+					} else {
+						goIn = append(goIn, fn.Name.Name)
+					}
+				case *ast.ChanType:
+					t.Errorf("%s declares a channel type", name)
+				}
+				return true
+			})
+		}
+	}
+	if len(goIn) != 1 || goIn[0] != "inShares" {
+		t.Errorf("go statements in %v, want one, in inShares", goIn)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/adl"
 	"repro/internal/storage"
@@ -83,17 +82,8 @@ func TestColumnScanLeavesNoGoroutines(t *testing.T) {
 	scan := colScan("L", []string{"b"})
 	scan.Workers = 4
 	base := runtime.NumGoroutine()
-	settled := func(what string) {
-		t.Helper()
-		for i := 0; runtime.NumGoroutine() > base; i++ {
-			if i == 200 {
-				t.Fatalf("%s: %d goroutines, %d before", what, runtime.NumGoroutine(), base)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
 	collect(t, scan, d)
-	settled("after Collect")
+	settled(t, "after Collect", base)
 	rows, err := scan.Open(&Ctx{DB: d})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +94,7 @@ func TestColumnScanLeavesNoGoroutines(t *testing.T) {
 	if err := rows.Close(); err != nil {
 		t.Fatal(err)
 	}
-	settled("after Close on a partly read stream")
+	settled(t, "after Close on a partly read stream", base)
 }
 
 // TestVecPNHLAgainstScalar cross-validates PNHL fed by a ColumnScan against

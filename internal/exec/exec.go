@@ -55,8 +55,8 @@ func CloneTree(op Operator) Operator { return op }
 type Rows interface {
 	// Next returns the next row; ok is false at end of stream.
 	Next() (row value.Value, ok bool, err error)
-	// Close releases the run's resources (goroutines, channels, the streams
-	// of its children). Close is idempotent.
+	// Close releases the run's resources: the streams of its children. Close
+	// is idempotent.
 	Close() error
 }
 
@@ -78,8 +78,8 @@ func (c *Ctx) open(op Operator) (Rows, error) {
 
 // Collect runs an operator and gathers its rows into a set (deduplicating,
 // per set semantics). A Close error surfaces unless iteration already failed —
-// streams release pipelines (goroutines, channels) in Close, and swallowing
-// their errors would hide a failed teardown. A streamed result is gathered
+// streams close their children's in Close, and swallowing their errors would
+// hide a failed teardown. A streamed result is gathered
 // like a drained operand and then built in one pass, so the set is allocated
 // once at its size rather than regrown as rows arrive.
 func Collect(op Operator, ctx *Ctx) (_ *value.Set, err error) {
@@ -177,6 +177,10 @@ func drainEach(op Operator, ctx *Ctx, each func(value.Value) error) (_ []value.V
 	return readAll(rows, each)
 }
 
+// minGrow is the capacity a growing result of unknown size starts at (readAll,
+// joinEmit), where append would reach it through nine reallocations.
+const minGrow = 256
+
 // readAll reads a stream to its end, handing every row to each, if not nil,
 // as it arrives.
 func readAll(rows Rows, each func(value.Value) error) ([]value.Value, error) {
@@ -197,7 +201,7 @@ func readAll(rows Rows, each func(value.Value) error) ([]value.Value, error) {
 		if len(out) == cap(out) {
 			// A streaming operand's size is not known: double, where append
 			// would grow a long slice by a quarter and copy it five times over.
-			out = slices.Grow(out, max(len(out), chunkRows))
+			out = slices.Grow(out, max(len(out), minGrow))
 		}
 		out = append(out, row)
 	}
@@ -254,7 +258,8 @@ func (s ExprScan) Open(ctx *Ctx) (Rows, error) {
 // whether it emits one. n is what the stream keeps a copy of for it: σ and α
 // pass a method expression of their Scalar, π, ρ and Assembly one of the
 // node itself, so opening them allocates only their stream. The serial stream
-// (mapped) and the worker pool (pooled) both run on it.
+// (mapped) and the shares of Filter's and MapOp's Workers (pool) both run on
+// it.
 type rowFn[N any] func(n *N, ctx *Ctx, row value.Value) (out value.Value, keep bool, err error)
 
 // mapped is the stream of the serial 1:≤1 operators: fn of n over the rows of
@@ -300,8 +305,9 @@ type Filter struct {
 	Child Operator
 	Var   string
 	Pred  Scalar
-	// Workers > 1 evaluates the predicate on a worker pool (parallel.go);
-	// row order is then not preserved.
+	// Workers > 1 drains the child and evaluates the predicate in that many
+	// contiguous shares of its rows (parallel.go); the rows, their order and
+	// the error are still the serial run's.
 	Workers int
 }
 
@@ -315,8 +321,9 @@ type MapOp struct {
 	Child Operator
 	Var   string
 	Body  Scalar
-	// Workers > 1 evaluates the body on a worker pool (parallel.go); row
-	// order is then not preserved.
+	// Workers > 1 drains the child and evaluates the body in that many
+	// contiguous shares of its rows (parallel.go); the rows, their order and
+	// the error are still the serial run's.
 	Workers int
 }
 

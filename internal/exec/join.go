@@ -54,8 +54,9 @@ func (j NLJoin) Open(ctx *Ctx) (Rows, error) {
 //
 // With Partitions > 1 it is the parallel form: the right operand is split by
 // key hash into that many tables, all built before any probe, and as many
-// workers each probe a contiguous share of the left rows against them, the
-// results merged through a bounded channel (parallel.go).
+// goroutines each probe a contiguous share of the left rows against them,
+// their results joined in share order (parallel.go): the serial join's rows,
+// in its order, and its first error.
 type HashJoin struct {
 	Kind       adl.JoinKind
 	L, R       Operator
@@ -77,8 +78,8 @@ type HashJoin struct {
 }
 
 // Open evaluates the build keys into the partition tables, drains L, and
-// probes: on the caller's goroutine, or on one worker per partition, each
-// with a contiguous share of L's rows.
+// probes: on the caller's goroutine, or in one contiguous share of L's rows
+// per partition.
 func (j HashJoin) Open(ctx *Ctx) (Rows, error) {
 	p := max(j.Partitions, 1)
 	lkey, rkey := joinKeys(j.LKey, j.RKey)
@@ -101,42 +102,11 @@ func (j HashJoin) Open(ctx *Ctx) (Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p == 1 {
+	return inShareRows(len(lrows), p, func(lo, hi int) ([]value.Value, error) {
 		em := newJoinEmit(ctx, j.Kind, "hash join", j.Residual, j.RFun, j.As, rrows)
-		if err := l.probe(&em, lrows, nil); err != nil {
-			return nil, err
-		}
-		return buffered(em.out)
-	}
-	merge := newParMerge()
-	errs := make([]error, p)
-	n := len(lrows)
-	share := (n + p - 1) / p
-	for i := range p {
-		merge.wg.Add(1)
-		go func(i int, rows []value.Value) {
-			defer merge.wg.Done()
-			em := newJoinEmit(ctx, j.Kind, "hash join", j.Residual, j.RFun, j.As, rrows)
-			out := chunkWriter{m: merge, ch: merge.out}
-			if errs[i] = l.probe(&em, rows, &out); errs[i] == nil {
-				out.buf = em.out
-				out.flush()
-			}
-		}(i, lrows[min(i*share, n):min((i+1)*share, n)])
-	}
-	go func() {
-		merge.wg.Wait()
-		// The shares are in L's order and each worker stops at its first
-		// failing row, so the first error is the serial probe's.
-		for _, err := range errs {
-			if err != nil {
-				merge.fail(err)
-				break
-			}
-		}
-		close(merge.out)
-	}()
-	return merge, nil
+		err := l.probe(&em, lrows[lo:hi])
+		return em.out, err
+	})
 }
 
 // left drains L, unnested on Unnest if that is set.
@@ -279,9 +249,8 @@ func (l *hashProbe) column(set *value.Set) (value.Kind, []int64, bool, error) {
 
 // probe joins rows, a share of L, against the tables: each row, or —
 // expanding μ — each element of its set, whose unnested row is built only if
-// the verdict emits it. With out, em's rows travel to the merge a chunk at a
-// time, and an aborting pipeline ends the probe early, without error.
-func (l hashProbe) probe(em *joinEmit, rows []value.Value, out *chunkWriter) error {
+// the verdict emits it.
+func (l hashProbe) probe(em *joinEmit, rows []value.Value) error {
 	// Expanding μ there is no residual: an equal key is a match; a semijoin
 	// emits the matched elements, an antijoin the unmatched ones.
 	semi := em.kind == adl.Semi
@@ -326,12 +295,6 @@ func (l hashProbe) probe(em *joinEmit, rows []value.Value, out *chunkWriter) err
 		}
 		if err != nil {
 			return err
-		}
-		if out != nil && len(em.out) >= chunkRows {
-			out.buf, em.out = em.out, nil
-			if !out.flush() {
-				return nil
-			}
 		}
 	}
 	return nil

@@ -91,12 +91,11 @@ func outerNullPad(kind adl.JoinKind, right []value.Value) *value.Tuple {
 	return value.EmptyTuple()
 }
 
-// emit appends a result row. A full buffer doubles, and starts at a chunk:
-// append would reach a chunk through nine reallocations and grow a long
-// result by a quarter at a time.
+// emit appends a result row. A full buffer doubles, from minGrow on, where
+// append would grow a long result by a quarter at a time.
 func (e *joinEmit) emit(row value.Value) {
 	if len(e.out) == cap(e.out) {
-		e.out = slices.Grow(e.out, max(len(e.out), chunkRows))
+		e.out = slices.Grow(e.out, max(len(e.out), minGrow))
 	}
 	e.out = append(e.out, row)
 }

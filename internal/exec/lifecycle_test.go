@@ -252,8 +252,7 @@ func TestEveryStreamClosedOnce(t *testing.T) {
 		}
 	}
 	// Every kind of stream the engine has must have been under watch.
-	for _, k := range []string{"*exec.rowBuf", "*exec.mapped", "*exec.fanned", "*exec.parMerge",
-		"*exec.pooled"} {
+	for _, k := range []string{"*exec.rowBuf", "*exec.mapped", "*exec.fanned"} {
 		if !seen[k] {
 			t.Errorf("the corpus opened no %s", k)
 		}

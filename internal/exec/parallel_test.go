@@ -171,24 +171,24 @@ func (e *errAfter) Next() (value.Value, bool, error) {
 }
 func (e *errAfter) Close() error { return nil }
 
-// TestParallelErrorPropagation checks that errors from children and from
-// scalar evaluation surface through Next and that Close does not hang.
+// TestParallelErrorPropagation checks that errors from children, from scalar
+// evaluation and from join keys fail a parallel run.
 func TestParallelErrorPropagation(t *testing.T) {
 	d := db(5, 20, 10)
 
-	// Child error in the feeder.
+	// Child error while the child is drained.
 	pf := &Filter{Child: &errAfter{n: 5}, Var: "x",
 		Pred: NewScalar(adl.CBool(true), "x"), Workers: 3}
 	if _, err := Collect(pf, &Ctx{DB: d}); err == nil {
-		t.Error("a pooled Filter should surface child error")
+		t.Error("a parallel Filter should surface child error")
 	}
 
-	// Predicate error in a worker (field access on missing attribute).
+	// Predicate error in a share (field access on missing attribute).
 	pf = &Filter{Child: &Scan{Table: "L"}, Var: "x",
 		Pred:    NewScalar(adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "nope"), adl.C(value.Int(1))), "x"),
 		Workers: 3}
 	if _, err := Collect(pf, &Ctx{DB: d}); err == nil {
-		t.Error("a pooled Filter should surface predicate error")
+		t.Error("a parallel Filter should surface predicate error")
 	}
 
 	// Key error in the parallel join's partitioning phase.
@@ -202,8 +202,8 @@ func TestParallelErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestParallelEarlyClose closes parallel operators mid-stream; the workers
-// must unwind without deadlocking (the test would time out otherwise).
+// TestParallelEarlyClose closes parallel operators' streams after one row,
+// twice: Close is idempotent.
 func TestParallelEarlyClose(t *testing.T) {
 	d := db(11, 3000, 100)
 	ctx := &Ctx{DB: d}
@@ -358,9 +358,8 @@ func (e *closeErr) Next() (value.Value, bool, error) {
 func (e *closeErr) Close() error { return errTeardown }
 
 // TestParallelCloseErrorPropagation checks Close errors surface instead of
-// vanishing into the merge machinery: a build side failing on teardown
-// fails the join's Open (drain semantics), and a child failing on teardown
-// fails the parallel map's Close.
+// vanishing: a build side failing on teardown fails the join's Open, and a
+// child failing on teardown the parallel map's, both drain semantics.
 func TestParallelCloseErrorPropagation(t *testing.T) {
 	d := db(19, 20, 10)
 	pj := &HashJoin{Kind: adl.Inner,
@@ -375,7 +374,7 @@ func TestParallelCloseErrorPropagation(t *testing.T) {
 	pm := &MapOp{Child: &closeErr{n: 8}, Var: "x",
 		Body: NewScalar(adl.Dot(adl.V("x"), "c"), "x"), Workers: 3}
 	if _, err := Collect(pm, &Ctx{DB: d}); !errors.Is(err, errTeardown) {
-		t.Errorf("pooled MapOp child Close error lost: got %v", err)
+		t.Errorf("parallel MapOp child Close error lost: got %v", err)
 	}
 }
 
@@ -403,10 +402,9 @@ func TestPartitionedHashJoinSinglePartition(t *testing.T) {
 	}
 }
 
-// TestParallelCancelMidPartition opens a join whose output far exceeds the
-// merge buffer, closes it while workers are parked on the full channel,
-// then reopens the same instance and checks full equivalence — cancellation
-// must not corrupt operator state.
+// TestParallelCancelMidPartition opens a join with a large output, closes it
+// before reading a row, then reopens the same instance and checks full
+// equivalence — an abandoned run must not corrupt operator state.
 func TestParallelCancelMidPartition(t *testing.T) {
 	d := db(29, 4000, 200)
 	ctx := &Ctx{DB: d}
@@ -419,7 +417,7 @@ func TestParallelCancelMidPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No Next at all: every worker still mid-partition when Close lands.
+	// No Next at all.
 	if err := rows.Close(); err != nil {
 		t.Fatal(err)
 	}

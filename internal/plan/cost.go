@@ -3,8 +3,8 @@
 // strategies" — needs a way to rank the choices; this file prices every
 // physical join operator (NLJoin, HashJoin with either build side, serial or
 // partitioned, the set-probe/PNHL family, IndexNLJoin) and every way to run
-// σ over an extent (Filter serial or pooled, IndexScan, ColumnScan serial or
-// parallel) from collected statistics (storage.Analyze), or from
+// σ over an extent (Filter serial or on a worker pool, IndexScan, ColumnScan
+// serial or parallel) from collected statistics (storage.Analyze), or from
 // the default statistics when none were collected, and lets the planner pick
 // the cheapest.
 //
@@ -98,18 +98,20 @@ const (
 	cIndexProbe = 2.5
 	cIndexFetch = 1.5
 
-	// cParallelStartup is the fixed price of spinning up a partitioned
-	// parallel pipeline (goroutines, channels, partition bookkeeping). It is
+	// cParallelStartup is the fixed price of a partitioned hash join's
+	// parallel run (a goroutine per share, partition bookkeeping). It is
 	// hand-picked, not fitted: with the per-row terms below, the partitioned
 	// hash join on two workers overtakes the serial one at a combined input
 	// of a few thousand rows.
 	cParallelStartup = 12000.0
 	// cPoolStartup is the (smaller) fixed price of the worker pool of a
-	// Filter or MapOp with Workers > 1.
+	// Filter or MapOp with Workers > 1: draining the child, a goroutine per
+	// share.
 	cPoolStartup = 8000.0
-	// cChannelRow is the per-row price of moving results through the
-	// bounded merge channel.
-	cChannelRow = 1.0
+	// cJoinedRow is the per-row price of handing a row a share emits to the
+	// joined output: appended to its share's rows, then copied into the
+	// result in share order.
+	cJoinedRow = 1.0
 
 	// defaultSelectivity is the guess for predicates the model cannot see
 	// through.
@@ -218,13 +220,13 @@ func costHash(build, probe, out, residMatches float64) float64 {
 }
 
 // costPartitionedHash prices the partitioned hash join: a fixed startup, one
-// pass handing every row of both inputs to its table or its probe worker, the
-// key evaluation, build and probe divided across p workers, and the merge
-// channel.
+// pass handing every row of both inputs to its table or its probe share, the
+// key evaluation, build and probe divided across p workers, and handing the
+// output to the joined result.
 func costPartitionedHash(build, probe, out, residMatches float64, p int) float64 {
 	w := math.Max(1, float64(p))
 	work := build*(cEval+cHashBuild) + probe*(cEval+cHashProbe) + residMatches*cEval
-	return cParallelStartup + (build+probe)*cRow + work/w + out*cChannelRow
+	return cParallelStartup + (build+probe)*cRow + work/w + out*cJoinedRow
 }
 
 // costPNHL prices the Partitioned Nested-Hashed-Loops family for joining a
@@ -257,10 +259,11 @@ func costIndexNL(outer, matches, residMatches, out float64) float64 {
 }
 
 // costParallelPool prices a Filter or MapOp on a pool of p workers over n
-// rows against the serial form's n*cEval.
+// rows against the serial form's n*cEval, every row priced as handed to the
+// joined output.
 func costParallelPool(n float64, p int) float64 {
 	w := math.Max(1, float64(p))
-	return cPoolStartup + n*cEval/w + n*cChannelRow
+	return cPoolStartup + n*cEval/w + n*cJoinedRow
 }
 
 // ColumnScan constants. ColumnScan pays a fixed dispatch cost per batch
