@@ -337,13 +337,31 @@ func exec_compile(e adl.Expr) exec.Operator {
 	return &exec.ExprScan{Expr: e}
 }
 
+// missCycle is benchmark/spec.go's plan.miss cycle: four query shapes, one
+// twice, each text with a price literal no earlier text used.
+var missCycle = []string{
+	`select p.pname from p in PART where p.price < %d`,
+	`select s from s in SUPPLIER
+ where exists x in s.parts_supplied : exists p in PART : x = p and p.price = %d`,
+	`select (sname = s.sname,
+        pnames = select p.pname from p in PART where p in s.parts_supplied and p.price = %d)
+ from s in SUPPLIER`,
+	`select s from s in SUPPLIER
+ where exists x in s.parts_supplied : exists p in PART : x = p and p.price = %d`,
+	`select s.sname from s in SUPPLIER
+ where exists d in DELIVERY : d.supplier = s and
+       exists y in d.supply : exists p in PART : y.part = p and p.price = %d`,
+}
+
 // BenchmarkServeQuery — the serving layer's plan cache: repeated execution
 // of one query through the server engine with the cache on (plan once,
 // execute the cached plan per run) vs off (full parse/typecheck/rewrite/plan every
 // time). The template arm sends a never-seen text of a seen shape each
-// iteration: a level-1 miss that finds its rewritten template at level 2. The
-// replan arm measures the cost of one epoch-drift re-plan per iteration, the
-// upper bound a client sees right after bulk inserts.
+// iteration: a level-1 miss that finds its template at level 2 by the text's
+// token fingerprint. The miss arm does the same with the plan.miss cycle of
+// benchmark/spec.go on its 100/200/50 store. The replan arm measures the cost
+// of one epoch-drift re-plan per iteration, the upper bound a client sees
+// right after bulk inserts.
 func BenchmarkServeQuery(b *testing.B) {
 	const q = `select p.pname from p in PART where p.color = "red"`
 	mk := func(noCache bool) *server.Engine {
@@ -370,6 +388,17 @@ func BenchmarkServeQuery(b *testing.B) {
 		run(b, func() error {
 			k++
 			_, err := eng.Query(fmt.Sprintf(`select p.pname from p in PART where p.color = "c%d"`, k))
+			return err
+		})
+	})
+	b.Run("miss", func(b *testing.B) {
+		st := bench.Generate(bench.Config{Suppliers: 100, Parts: 200, Deliveries: 50, Seed: 94})
+		st.Analyze()
+		eng := server.New(st, server.Options{Parallelism: 1})
+		k := 1000 // above every PART.price
+		run(b, func() error {
+			k++
+			_, err := eng.Query(fmt.Sprintf(missCycle[k%len(missCycle)], k))
 			return err
 		})
 	})

@@ -151,7 +151,8 @@ func TestServeMetricsAndHealthz(t *testing.T) {
 	if eng["queries"].(float64) < 1 {
 		t.Fatalf("query counter did not move: %v", eng)
 	}
-	for _, k := range []string{"deletes", "updates", "feedback_evictions", "template_hits", "cache_entries", "tuple_shapes"} {
+	for _, k := range []string{"deletes", "updates", "feedback_evictions", "template_hits",
+		"fingerprint_hits", "fingerprint_fallbacks", "cache_entries", "tuple_shapes"} {
 		if _, ok := eng[k]; !ok {
 			t.Errorf("metrics lack %q: %v", k, eng)
 		}

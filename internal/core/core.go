@@ -25,13 +25,12 @@ import (
 	"repro/internal/value"
 )
 
-// Query is a prepared OOSQL query: every pipeline stage is retained for
-// inspection.
+// Query is a prepared OOSQL query: its text, its translation, its rewrite and
+// its physical plan. There is no syntax tree; a prepare by token fingerprint
+// never builds one.
 type Query struct {
 	// Source is the OOSQL text.
 	Source string
-	// AST is the parsed syntax tree.
-	AST oosql.Expr
 	// ADL is the §3 translation (nested algebraic form, the nested-loop
 	// execution model).
 	ADL adl.Expr
@@ -48,22 +47,63 @@ type Query struct {
 	// runtime-feedback surface (instrumented execution, observed row counts,
 	// q-error drift).
 	Planned *plan.Plan
+	// Reuse says what the prepare took from its TemplateCache.
+	Reuse Reuse
 
-	cat  *schema.Catalog
 	args []value.Value // the literals adl.Lift took out of ADL
 }
 
-// TemplateCache remembers rewritten templates across queries. A prepare is
-// parse → translate → lift → rewrite → bind → plan, and the rewrite depends
-// on the lifted template alone: with a cache it runs once per query shape.
-type TemplateCache interface {
-	// Template returns what is cached under key, or else build's result,
-	// cached. key is valid during the call only; the result is shared.
-	Template(key []byte, build func() *rewrite.Result) *rewrite.Result
+// Reuse is a set of flags: what a prepare took from its TemplateCache.
+type Reuse uint8
+
+const (
+	// FromTemplate: the rewritten template came from the cache.
+	FromTemplate Reuse = 1 << iota
+	// FromFingerprint: the template came by the text's token fingerprint,
+	// with the recipe that makes the text's literals its arguments; the
+	// prepare was lex → bind → plan. Set with FromTemplate.
+	FromFingerprint
+	// Fallback: the text's fingerprint was cached, but the text took the
+	// full path.
+	Fallback
+)
+
+// Template is what the queries of one shape share: the translation with its
+// literals lifted (adl.Lift), the result type and the rewrite of the lifted
+// form. Under a text's token fingerprint it also holds the recipe that makes
+// the literals of a text with that fingerprint the template's arguments.
+type Template struct {
+	lifted    adl.Expr
+	typ       types.Type
+	rewritten *rewrite.Result
+	recipe    *recipe // nil: none, or not valid for the fingerprint
 }
 
-// keyBufs holds the buffers template keys are built in.
-var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+// TemplateCache remembers templates across queries. A template is cached
+// under two keys: its lifted key (adl.Lift), which the rewrite depends on
+// alone, and the token fingerprint (oosql.LexText) of each text prepared from
+// it, which finds it without a parse. A prepare is lex → parse → translate →
+// lift → rewrite → bind → plan; with a cache the rewrite runs once per query
+// shape, and a text whose fingerprint was seen is lex → bind → plan.
+type TemplateCache interface {
+	// Template returns the template cached under key, or nil. key is valid
+	// during the call only.
+	Template(key []byte) *Template
+	// Put caches t under key. key is valid during the call only.
+	Put(key []byte, t *Template)
+}
+
+// The first byte of a key says its kind, so a lifted key and a fingerprint
+// are never equal.
+const (
+	liftedKey      = 'L'
+	fingerprintKey = 'F'
+)
+
+// keyBuf holds the buffers a prepare builds its two keys in.
+type keyBuf struct{ fp, lifted []byte }
+
+var keyBufs = sync.Pool{New: func() any { return new(keyBuf) }}
 
 // Prepare parses, typechecks, translates, optimizes and plans an OOSQL
 // query against a catalog.
@@ -78,43 +118,186 @@ func PrepareCfg(src string, cat *schema.Catalog, cfg plan.Config) (*Query, error
 	return PrepareCached(src, cat, cfg, nil)
 }
 
-// PrepareCached is PrepareCfg taking the rewritten template from tc (nil:
-// rewrite it here). The planner gets it with the literals bound back in, so
-// index ranges, selectivities and operators are those of the query as written.
+// PrepareCached is PrepareCfg taking the template from tc (nil: rewrite it
+// here). A text whose token fingerprint tc holds with a recipe that accepts
+// its literals is lex → bind → plan; any other takes the full path, which
+// caches the template under the text's fingerprint with the recipe derived
+// from it. The planner gets the rewritten template with the literals bound
+// back in, so index ranges, selectivities and operators are those of the
+// query as written.
 func PrepareCached(src string, cat *schema.Catalog, cfg plan.Config, tc TemplateCache) (*Query, error) {
-	ast, err := oosql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	e, t, err := translate.Translate(ast, cat)
-	if err != nil {
-		return nil, err
-	}
-	buf := keyBufs.Get().(*[]byte)
-	tmpl, args, key := adl.Lift(e, (*buf)[:0])
-	build := func() *rewrite.Result { return rewrite.Optimize(tmpl, rewrite.NewContext(cat)) }
-	var res *rewrite.Result
+	buf := keyBufs.Get().(*keyBuf)
+	defer keyBufs.Put(buf)
+	var fp []byte
 	if tc != nil {
-		res = tc.Template(key, build)
-	} else {
-		res = build()
+		fp = append(buf.fp[:0], fingerprintKey)
 	}
-	*buf = key
-	keyBufs.Put(buf)
-	bound := *res
-	bound.Expr = adl.Bind(res.Expr, args)
+	text, err := oosql.LexText(src, fp)
+	if err != nil {
+		return nil, err
+	}
+	var reuse Reuse
+	if fp = text.Fingerprint; fp != nil {
+		buf.fp = fp
+		if t := tc.Template(fp); t != nil {
+			if args, ok := t.recipe.args(text.Classes); ok {
+				return t.bind(src, adl.Bind(t.lifted, args), t.typ, args, cfg, FromTemplate|FromFingerprint), nil
+			}
+			reuse, fp = Fallback, nil
+		}
+	}
+	ast, err := oosql.ParseTokens(text.Tokens)
+	if err != nil {
+		return nil, err
+	}
+	e, typ, err := translate.Translate(ast, cat)
+	if err != nil {
+		return nil, err
+	}
+	tmpl, args, key := adl.Lift(e, append(buf.lifted[:0], liftedKey))
+	buf.lifted = key
+	var t *Template
+	if tc != nil {
+		t = tc.Template(key)
+	}
+	if t != nil {
+		reuse |= FromTemplate
+	} else {
+		t = &Template{lifted: tmpl, typ: typ, rewritten: rewrite.Optimize(tmpl, rewrite.NewContext(cat))}
+		if tc != nil {
+			tc.Put(key, t)
+		}
+	}
+	if fp != nil {
+		shape := *t
+		shape.recipe = newRecipe(text, e, tmpl, args)
+		tc.Put(fp, &shape)
+	}
+	return t.bind(src, e, typ, args, cfg, reuse), nil
+}
+
+// bind finishes a prepare: the template's rewrite with args bound back in,
+// planned.
+func (t *Template) bind(src string, e adl.Expr, typ types.Type, args []value.Value, cfg plan.Config, reuse Reuse) *Query {
+	bound := *t.rewritten
+	bound.Expr = adl.Bind(t.rewritten.Expr, args)
 	pl := cfg.Plan(bound.Expr)
 	return &Query{
 		Source:    src,
-		AST:       ast,
 		ADL:       e,
-		Type:      t,
+		Type:      typ,
 		Rewritten: &bound,
 		Plan:      pl.Root,
 		Planned:   pl,
-		cat:       cat,
+		Reuse:     reuse,
 		args:      args,
-	}, nil
+	}
+}
+
+// A recipe makes the literal classes of a text (oosql.Text.Classes) the
+// arguments of its template: uses[i] says what class i becomes.
+type recipe struct {
+	uses  []classUse
+	slots int
+}
+
+type classUse struct {
+	slot int         // the argument the class is; -1: structural
+	date bool        // the argument is the class's integer as a date
+	val  value.Value // structural: the value the template holds
+}
+
+// newRecipe derives the recipe of a text from its translation e, e's lift
+// tmpl and the lifted args. It returns nil unless
+//   - each slot's value is exactly one class's, unchanged or as a date
+//     (translate.DateOf, translate's one value coercion);
+//   - the slot is lifted from as many literals of e as the class has: no
+//     literal of the class was left in the template, and no constant the
+//     translator made shares the slot (a subtree the translator uses twice
+//     is one literal);
+//   - every other class is structural: left in the template, so a text of
+//     the fingerprint must have the value this one has.
+func newRecipe(text oosql.Text, e, tmpl adl.Expr, args []value.Value) *recipe {
+	r := &recipe{uses: make([]classUse, len(text.Classes)), slots: len(args)}
+	for i, v := range text.Classes {
+		r.uses[i] = classUse{slot: -1, val: v}
+	}
+	lifted := make([]int, len(args))
+	countLifted(e, tmpl, map[adl.Expr]bool{}, lifted)
+	for s, a := range args {
+		c := -1
+		for i, v := range text.Classes {
+			date := false
+			if !value.Equal(a, v) {
+				n, isInt := v.(value.Int)
+				d, ok := translate.DateOf(n)
+				if !isInt || !ok || !value.Equal(a, d) {
+					continue
+				}
+				date = true
+			}
+			if c >= 0 || r.uses[i].slot >= 0 {
+				return nil
+			}
+			c, r.uses[i] = i, classUse{slot: s, date: date}
+		}
+		if c < 0 || lifted[s] != text.Counts[c] {
+			return nil
+		}
+	}
+	return r
+}
+
+// countLifted adds to n, per slot of tmpl (e's lift), the number of distinct
+// literals of e lifted into it.
+func countLifted(e, tmpl adl.Expr, seen map[adl.Expr]bool, n []int) {
+	if p, ok := tmpl.(*adl.Param); ok {
+		if !seen[e] {
+			seen[e] = true
+			n[p.Slot]++
+		}
+		return
+	}
+	ec := adl.Children(e)
+	for i, c := range adl.Children(tmpl) {
+		countLifted(ec[i], c, seen, n)
+	}
+}
+
+// args converts a text's classes into the template's arguments. It fails
+// when there is no recipe, a class does not convert, a structural class has
+// another value than the recipe's text had, or two arguments are equal:
+// Lift would have put them in one slot, whatever value.Equal makes of the
+// kinds the conversions yield.
+func (r *recipe) args(classes []value.Value) ([]value.Value, bool) {
+	if r == nil {
+		return nil, false
+	}
+	args := make([]value.Value, r.slots)
+	for i, u := range r.uses {
+		v := classes[i]
+		switch {
+		case u.slot < 0:
+			if !value.Equal(v, u.val) {
+				return nil, false
+			}
+			continue
+		case u.date:
+			n, _ := v.(value.Int)
+			d, ok := translate.DateOf(n)
+			if !ok {
+				return nil, false
+			}
+			v = d
+		}
+		for _, a := range args {
+			if a != nil && value.Equal(a, v) {
+				return nil, false
+			}
+		}
+		args[u.slot] = v
+	}
+	return args, true
 }
 
 // Execute runs the optimized physical plan.

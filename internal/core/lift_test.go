@@ -85,6 +85,21 @@ var liftCorpus = []string{
 	 where exists y in d.supply : y.quantity > ?i and y.part.price < ?i`,
 	`select s.sname from s in SUPPLIER
 	 where forall x in s.parts_supplied : exists p in PART : x = p and p.price >= ?i`,
+	// One shape per rule of a fingerprint's recipe (newRecipe): a literal
+	// written twice, in one slot; a value both lifted and next to an
+	// aggregate; a negative literal, which is 0 - n and left in place; a value
+	// that is a date in one place and an integer in another; 1 beside 1.0;
+	// two dates; string escapes (the rounds' strings have more).
+	`select p.pname from p in PART where p.price >= ?i and p.price <> ?i and p.price <= ?i or p.price = ?i`,
+	`select s.sname from s in SUPPLIER
+	 where exists p in PART : p in s.parts_supplied and p.price = ?i and
+	       count(select c from c in PART where c in s.parts_supplied and c.price > ?i and c.price < ?i) = ?i`,
+	`select p.pname from p in PART where p.price > -?i and p.price < ?i`,
+	`select d from d in DELIVERY
+	 where d.date >= ?i and exists y in d.supply : y.quantity <> ?i and y.quantity <> ?i and y.quantity <> ?i`,
+	`select p.pname from p in PART where p.price > ?i and p.price <> 1 and exists f in {0.5, 2.5} : f > 1.0`,
+	`select d.date from d in DELIVERY where d.date >= ?i and d.date < ?i`,
+	`select p.pname from p in PART where p.pname = ?s or p.color = ?s or p.color = "r\"e\\d"`,
 }
 
 // render fills the placeholders of a corpus text, the n-th ?i with
@@ -122,21 +137,35 @@ var liftStore = sync.OnceValue(func() *storage.Store {
 
 // mapTemplates is the plainest TemplateCache.
 type mapTemplates struct {
-	mu   sync.Mutex
-	m    map[string]*rewrite.Result
-	hits int
+	mu sync.Mutex
+	m  map[string]*Template
 }
 
-func (c *mapTemplates) Template(key []byte, build func() *rewrite.Result) *rewrite.Result {
+func newMapTemplates() *mapTemplates { return &mapTemplates{m: map[string]*Template{}} }
+
+func (c *mapTemplates) Template(key []byte) *Template {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if res, ok := c.m[string(key)]; ok {
-		c.hits++
-		return res
+	return c.m[string(key)]
+}
+
+func (c *mapTemplates) Put(key []byte, t *Template) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m[string(key)] = t
+}
+
+// templates counts the rewritten templates cached, one per lifted key.
+func (c *mapTemplates) templates() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for k := range c.m {
+		if k[0] == liftedKey {
+			n++
+		}
 	}
-	res := build()
-	c.m[string(key)] = res
-	return res
+	return n
 }
 
 // checkIdentity fails unless rewriting e's template and binding e's literals
@@ -225,12 +254,16 @@ func TestUnliftedLiteralsKeepTheirRules(t *testing.T) {
 		{`select p.pname from p in PART where true`, `select p.pname from p in PART where false`, "bool-simplify"},
 		{`select p.pname from p in PART where p.price < 9 and true`, `select p.pname from p in PART where p.price < 9 and false`, "bool-simplify"},
 	}
-	tc := &mapTemplates{m: map[string]*rewrite.Result{}}
+	tc := newMapTemplates()
+	hits := 0
 	for _, c := range cases {
 		fired := func(src string) bool {
 			q, err := PrepareCached(src, st.Catalog(), plan.Config{}, tc)
 			if err != nil {
 				t.Fatalf("%s: %v", src, err)
+			}
+			if q.Reuse&FromTemplate != 0 {
+				hits++
 			}
 			checkAgainstNaive(t, q, st)
 			for _, s := range q.Rewritten.Trace {
@@ -247,8 +280,8 @@ func TestUnliftedLiteralsKeepTheirRules(t *testing.T) {
 			t.Errorf("%s: %s fired", c.b, c.rule)
 		}
 	}
-	if tc.hits != 0 || len(tc.m) != 2*len(cases) {
-		t.Errorf("%d templates, %d hits; want %d distinct templates", len(tc.m), tc.hits, 2*len(cases))
+	if hits != 0 || tc.templates() != 2*len(cases) {
+		t.Errorf("%d templates, %d hits; want %d distinct templates", tc.templates(), hits, 2*len(cases))
 	}
 	// 1 = 1 stays a constant comparison, and 1 = 2 is another template.
 	for _, src := range []string{
@@ -260,8 +293,11 @@ func TestUnliftedLiteralsKeepTheirRules(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkAgainstNaive(t, q, st)
+		if q.Reuse&FromTemplate != 0 {
+			hits++
+		}
 	}
-	if tc.hits != 0 {
+	if hits != 0 {
 		t.Errorf("1 = 1 and 1 = 2 shared a template")
 	}
 }
@@ -283,38 +319,142 @@ func checkAgainstNaive(t *testing.T, q *Query, st *storage.Store) {
 	}
 }
 
+// checkAgainstPrepare fails unless src prepares through tc as PrepareCfg
+// prepares it — the same Explain, or the same error — and the plan returns
+// what nested loops return. It returns the query, nil on an error.
+func checkAgainstPrepare(t *testing.T, src string, st *storage.Store, cfg plan.Config, tc TemplateCache) *Query {
+	t.Helper()
+	q, err := PrepareCached(src, st.Catalog(), cfg, tc)
+	direct, derr := PrepareCfg(src, st.Catalog(), cfg)
+	if err != nil || derr != nil {
+		if fmt.Sprint(err) != fmt.Sprint(derr) {
+			t.Fatalf("%s: prepared with the cache: %v, without: %v", src, err, derr)
+		}
+		return nil
+	}
+	if !adl.Equal(q.Rewritten.Expr, direct.Rewritten.Expr) || q.Explain() != direct.Explain() {
+		t.Fatalf("reuse %03b: prepared with the cache, %s\nexplains as\n%s\nwant\n%s", q.Reuse, src, q.Explain(), direct.Explain())
+	}
+	checkAgainstNaive(t, q, st)
+	return q
+}
+
 // TestTemplateReuse: the second query of a shape takes the first one's
-// rewritten template, whatever its literals, and is planned with its own.
+// rewritten template, whatever its literals, and is planned with its own; a
+// text whose fingerprint was seen takes it without a parse. Rounds 0 and 2
+// write every corpus text with distinct literals, rounds 1 and 3 with equal
+// ones, so the later round of each pair has the earlier one's fingerprints.
 func TestTemplateReuse(t *testing.T) {
 	st := liftStore()
-	tc := &mapTemplates{m: map[string]*rewrite.Result{}}
+	tc := newMapTemplates()
 	cfg := plan.Config{Statistics: st.Analyze(), Parallelism: 1}
-	for round, ints := range [][]int64{{50, 10, 2}, {0, 0, 0}, {30, 99, 1}} {
+	rounds := []struct {
+		ints []int64
+		strs []string
+	}{
+		{[]int64{50, 10, 2}, []string{"red", "supplier-1", "part-3"}},
+		{[]int64{0, 0, 0}, []string{"supplier-1"}},
+		{[]int64{30, 99, 1}, []string{"part-3", "a\"b\\c\n", "red"}},
+		{[]int64{7, 7, 7}, []string{"blue"}},
+	}
+	hits, fpHits := 0, 0
+	for _, r := range rounds {
 		for qi, text := range liftCorpus {
-			src := render(text, ints, []string{"red", "supplier-1", "part-3"}[round:])
-			q, err := PrepareCached(src, st.Catalog(), cfg, tc)
-			if err != nil {
-				t.Fatalf("corpus %d: %v", qi, err)
+			q := checkAgainstPrepare(t, render(text, r.ints, r.strs), st, cfg, tc)
+			if q == nil {
+				t.Fatalf("corpus %d does not prepare", qi)
 			}
-			checkAgainstNaive(t, q, st)
-			direct, err := PrepareCfg(src, st.Catalog(), cfg)
-			if err != nil {
-				t.Fatal(err)
+			if q.Reuse&FromTemplate != 0 {
+				hits++
 			}
-			if !adl.Equal(q.Rewritten.Expr, direct.Rewritten.Expr) || q.Explain() != direct.Explain() {
-				t.Fatalf("corpus %d round %d: cached template explains as\n%s\nwant\n%s", qi, round, q.Explain(), direct.Explain())
+			if q.Reuse&FromFingerprint != 0 {
+				fpHits++
 			}
 		}
 	}
-	if tc.hits < len(liftCorpus) {
-		t.Errorf("%d template hits over three rounds of %d queries", tc.hits, len(liftCorpus))
+	t.Logf("%d template hits, %d of them by fingerprint, over four rounds of %d queries", hits, fpHits, len(liftCorpus))
+	if fpHits < 2*len(liftCorpus) {
+		t.Errorf("%d template hits, %d of them by fingerprint, over four rounds of %d queries", hits, fpHits, len(liftCorpus))
+	}
+}
+
+// TestFingerprintRecipes: one case per rule of newRecipe and per reason a
+// text of a cached fingerprint takes the full path. Each case prepares its
+// texts in order through one cache; every text prepares as PrepareCfg does.
+func TestFingerprintRecipes(t *testing.T) {
+	st := liftStore()
+	cfg := plan.Config{Statistics: st.Analyze(), Parallelism: 1}
+	const (
+		parsed  = Reuse(0)
+		lexed   = FromTemplate | FromFingerprint
+		failed  = Reuse(0xff) // the text is an error
+		cheap   = `select p.pname from p in PART where `
+		deliver = `select d.date from d in DELIVERY where `
+	)
+	for _, c := range []struct {
+		name  string
+		texts []string
+		want  []Reuse
+	}{
+		{"whitespace and comments drop out",
+			[]string{cheap + `p.price < 5`, "select p.pname\n from p in PART -- cheap\n where p.price<7"},
+			[]Reuse{parsed, lexed}},
+		{"a literal written twice is one slot",
+			[]string{cheap + `p.price >= 5 and p.price <> 5 and p.price <= 9`, cheap + `p.price >= 7 and p.price <> 7 and p.price <= 12`},
+			[]Reuse{parsed, lexed}},
+		{"a value lifted and next to an aggregate has no recipe",
+			[]string{
+				cheap + `p.price = 0 and count(select c from c in PART where c.price < p.price) = 0`,
+				cheap + `p.price = 3 and count(select c from c in PART where c.price < p.price) = 3`,
+				cheap + `p.price = 1 and count(select c from c in PART where c.price < p.price) = 0`,
+				cheap + `p.price = 3 and count(select c from c in PART where c.price < p.price) = 3`,
+			},
+			[]Reuse{parsed, Fallback, FromTemplate, Fallback | FromTemplate}},
+		{"a negative literal is structural",
+			[]string{cheap + `p.price > -5 and p.price < 40`, cheap + `p.price > -5 and p.price < 50`, cheap + `p.price > -6 and p.price < 40`},
+			[]Reuse{parsed, lexed, Fallback}},
+		{"an integer is a date where a date is expected, in range",
+			[]string{deliver + `d.date < 940105`, deliver + `d.date < 940102`, deliver + `d.date < 4294967296`, deliver + `d.date < 2147483647`},
+			[]Reuse{parsed, lexed, failed, lexed}},
+		{"a value that is a date and an integer has no recipe",
+			[]string{
+				deliver + `d.date > 3 and exists y in d.supply : y.quantity > 3`,
+				deliver + `d.date > 4 and exists y in d.supply : y.quantity > 4`,
+			},
+			[]Reuse{parsed, Fallback | FromTemplate}},
+		{"1 and 1.0 are two classes",
+			[]string{
+				cheap + `p.price > 1 and exists f in {0.5, 2.5} : f > 1.0`,
+				cheap + `p.price > 2 and exists f in {0.5, 2.5} : f > 2.0`,
+				cheap + `p.price > 2 and exists f in {0.5, 2.5} : f > 0.5`,
+			},
+			[]Reuse{parsed, lexed, FromTemplate}},
+		{"string escapes",
+			[]string{cheap + `p.color = "r\"ed" or p.pname = "\\"`, cheap + `p.color = "bl\\ue\n" or p.pname = "\""`},
+			[]Reuse{parsed, lexed}},
+		{"a literal out of range",
+			[]string{cheap + `p.price < 5`, cheap + `p.price < 99999999999999999999`},
+			[]Reuse{parsed, failed}},
+	} {
+		tc := newMapTemplates()
+		for i, src := range c.texts {
+			q := checkAgainstPrepare(t, src, st, cfg, tc)
+			switch {
+			case q == nil && c.want[i] != failed:
+				t.Errorf("%s: %s does not prepare", c.name, src)
+			case q != nil && q.Reuse != c.want[i]:
+				t.Errorf("%s: %s prepared with reuse %03b, want %03b", c.name, src, q.Reuse, c.want[i])
+			}
+		}
 	}
 }
 
 // FuzzLift prepares a corpus query written with fuzzed literals through a
 // template cache shared by all inputs of the process — so most inputs bind
-// their literals into a template rewritten for other literals — and compares
-// the planned result with nested-loop evaluation of the untransformed query.
+// their literals into a template rewritten for other literals, or into one
+// found by the text's fingerprint — and checks it against the prepare
+// without a cache and the planned result against nested-loop evaluation of
+// the untransformed query.
 //
 //	go test ./internal/core -run '^$' -fuzz FuzzLift -fuzztime 30s
 func FuzzLift(f *testing.F) {
@@ -322,21 +462,22 @@ func FuzzLift(f *testing.F) {
 		f.Add(uint8(qi), int64(50), int64(10), "red", "supplier-1")
 		f.Add(uint8(qi), int64(0), int64(0), "", "")
 		f.Add(uint8(qi), int64(-7), int64(1<<40), "a\"b\\c", "red")
+		f.Add(uint8(qi), int64(30), int64(99), "part-3", "a\"b\\c")
+		f.Add(uint8(qi), int64(7), int64(7), "blue", "blue")
 	}
 	st := liftStore()
 	ctx := rewrite.NewContext(st.Catalog())
 	cfg := plan.Config{Statistics: st.Analyze(), Parallelism: 1}
-	tc := &mapTemplates{m: map[string]*rewrite.Result{}}
+	tc := newMapTemplates()
 	f.Fuzz(func(t *testing.T, qi uint8, i, j int64, s, u string) {
 		if len(s)+len(u) > 1<<10 {
 			t.Skip("oversized literal")
 		}
 		src := render(liftCorpus[int(qi)%len(liftCorpus)], []int64{i, j, i}, []string{s, u})
-		q, err := PrepareCached(src, st.Catalog(), cfg, tc)
-		if err != nil {
-			t.Skip(err) // a literal the lexer rejects
+		q := checkAgainstPrepare(t, src, st, cfg, tc)
+		if q == nil {
+			t.Skip("a literal the front end rejects")
 		}
 		checkIdentity(t, q.ADL, ctx)
-		checkAgainstNaive(t, q, st)
 	})
 }

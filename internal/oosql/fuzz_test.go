@@ -40,6 +40,8 @@ var fuzzSeeds = []string{
 	`select`,
 	`exists x in`,
 	`flatten(select t.parts_supplied from t in SUPPLIER where t.sname = "s")`,
+	`select é from é in PART`,
+	`select ª from ª in PART`,
 }
 
 // FuzzParse feeds arbitrary source through the lexer and parser: neither may

@@ -1,54 +1,102 @@
 package oosql
 
 import (
+	"encoding/binary"
+	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
+
+	"repro/internal/value"
 )
 
-// Lexer turns OOSQL source text into tokens.
-type Lexer struct {
+// Text is a query text as one lexer pass leaves it.
+type Text struct {
+	// Tokens end in a TokEOF token. A literal's token carries its value.
+	Tokens []Token
+	// Fingerprint, when LexText is given a buffer for it, is the token
+	// stream with each literal replaced by its token kind and the number of
+	// its equality class; whitespace and comments drop out. Two texts with
+	// equal fingerprints parse into one tree but for the values of their
+	// classes. It is nil when a literal does not convert: the parser reports
+	// that literal.
+	Fingerprint []byte
+	// Classes are the literals' equality classes, in order of first
+	// occurrence: literals of one token kind and one value are one class.
+	// Classes[i] is class i's value and Counts[i] its number of literals.
+	// Both are set with the fingerprint only.
+	Classes []value.Value
+	Counts  []int
+}
+
+// Lex tokenizes the whole input.
+func Lex(src string) ([]Token, error) {
+	t, err := LexText(src, nil)
+	return t.Tokens, err
+}
+
+// LexText tokenizes the whole input and, when fp is not nil, appends the
+// text's fingerprint to it.
+func LexText(src string, fp []byte) (Text, error) {
+	lx := lexer{src: src, line: 1, col: 1}
+	t := Text{Tokens: make([]Token, 0, len(src)/3+2)}
+	for {
+		tok, err := lx.next()
+		if err != nil {
+			return Text{}, err
+		}
+		t.Tokens = append(t.Tokens, tok)
+		if fp != nil {
+			fp = t.key(fp, tok)
+		}
+		if tok.Kind == TokEOF {
+			t.Fingerprint = fp
+			return t, nil
+		}
+	}
+}
+
+// key appends tok to the fingerprint fp, or returns nil if fp is nil or tok
+// is a literal that did not convert.
+func (t *Text) key(fp []byte, tok Token) []byte {
+	fp = append(fp, byte(tok.Kind))
+	switch tok.Kind {
+	case TokEOF:
+		return fp
+	case TokIdent, TokKeyword, TokSym:
+		return append(binary.AppendUvarint(fp, uint64(len(tok.Text))), tok.Text...)
+	}
+	if tok.Val == nil {
+		return nil
+	}
+	c := 0
+	for c < len(t.Classes) && !value.Equal(t.Classes[c], tok.Val) {
+		c++
+	}
+	if c == len(t.Classes) {
+		t.Classes = append(t.Classes, tok.Val)
+		t.Counts = append(t.Counts, 0)
+	}
+	t.Counts[c]++
+	return binary.AppendUvarint(fp, uint64(c))
+}
+
+// lexer is the state of one pass over a text.
+type lexer struct {
 	src  string
 	off  int
 	line int
 	col  int
 }
 
-// NewLexer returns a lexer over src.
-func NewLexer(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
-}
-
-// Lex tokenizes the whole input.
-func Lex(src string) ([]Token, error) {
-	lx := NewLexer(src)
-	var toks []Token
-	for {
-		t, err := lx.Next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.Kind == TokEOF {
-			return toks, nil
-		}
-	}
-}
-
-func (lx *Lexer) peek() byte {
-	if lx.off >= len(lx.src) {
-		return 0
-	}
-	return lx.src[lx.off]
-}
-
-func (lx *Lexer) peek2() byte {
+func (lx *lexer) peek2() byte {
 	if lx.off+1 >= len(lx.src) {
 		return 0
 	}
 	return lx.src[lx.off+1]
 }
 
-func (lx *Lexer) advance() byte {
+func (lx *lexer) advance() byte {
 	c := lx.src[lx.off]
 	lx.off++
 	if c == '\n' {
@@ -60,45 +108,69 @@ func (lx *Lexer) advance() byte {
 	return c
 }
 
-func (lx *Lexer) pos() Pos { return Pos{Line: lx.line, Col: lx.col} }
+// skip moves past n bytes of one line.
+func (lx *lexer) skip(n int) {
+	lx.off += n
+	lx.col += n
+}
 
-// Next returns the next token.
-func (lx *Lexer) Next() (Token, error) {
+// next returns the next token.
+func (lx *lexer) next() (Token, error) {
 	lx.skipSpaceAndComments()
-	start := lx.pos()
+	start := Pos{Line: lx.line, Col: lx.col}
 	if lx.off >= len(lx.src) {
 		return Token{Kind: TokEOF, Pos: start}, nil
 	}
-	c := lx.peek()
+	c := lx.src[lx.off]
 	switch {
-	case isIdentStart(c):
-		return lx.lexIdent(start), nil
 	case c >= '0' && c <= '9':
-		return lx.lexNumber(start)
+		return lx.lexNumber(start), nil
 	case c == '"':
 		return lx.lexString(start)
+	case isIdentStart(lx.rune()):
+		return lx.lexIdent(start), nil
 	}
-	// Symbols, longest match first.
-	for _, sym := range []string{"<=", ">=", "<>", "(", ")", "{", "}", ",", ".", "=", "<", ">", "+", "-", "*", "/", ":"} {
-		if strings.HasPrefix(lx.src[lx.off:], sym) {
-			for range sym {
-				lx.advance()
-			}
-			return Token{Kind: TokSym, Text: sym, Pos: start}, nil
+	n := 1
+	switch c {
+	case '<':
+		if d := lx.peek2(); d == '=' || d == '>' {
+			n = 2
 		}
+	case '>':
+		if lx.peek2() == '=' {
+			n = 2
+		}
+	case '(', ')', '{', '}', ',', '.', '=', '+', '-', '*', '/', ':':
+	default:
+		_, size := utf8.DecodeRuneInString(lx.src[lx.off:])
+		return Token{}, errf(start, "unexpected character %q", lx.src[lx.off:lx.off+size])
 	}
-	return Token{}, errf(start, "unexpected character %q", string(c))
+	text := lx.src[lx.off : lx.off+n]
+	lx.skip(n)
+	return Token{Kind: TokSym, Text: text, Pos: start}, nil
 }
 
-func (lx *Lexer) skipSpaceAndComments() {
+// rune returns the character at the offset, utf8.RuneError past the end or
+// at a byte that starts none.
+func (lx *lexer) rune() rune {
+	if lx.off >= len(lx.src) {
+		return utf8.RuneError
+	}
+	if c := lx.src[lx.off]; c < utf8.RuneSelf {
+		return rune(c)
+	}
+	r, _ := utf8.DecodeRuneInString(lx.src[lx.off:])
+	return r
+}
+
+func (lx *lexer) skipSpaceAndComments() {
 	for lx.off < len(lx.src) {
-		c := lx.peek()
-		switch {
+		switch c := lx.src[lx.off]; {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			lx.advance()
 		case c == '-' && lx.peek2() == '-':
 			// SQL-style line comment.
-			for lx.off < len(lx.src) && lx.peek() != '\n' {
+			for lx.off < len(lx.src) && lx.src[lx.off] != '\n' {
 				lx.advance()
 			}
 		default:
@@ -107,20 +179,20 @@ func (lx *Lexer) skipSpaceAndComments() {
 	}
 }
 
-func isIdentStart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c))
+func isIdentStart(r rune) bool {
+	return r == '_' || unicode.IsLetter(r)
 }
 
-func isIdentPart(c byte) bool {
-	return c == '_' || c == '\'' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
+func isIdentPart(r rune) bool {
+	return r == '_' || r == '\'' || unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
 // lexIdent scans an identifier or keyword. Trailing primes are allowed so
 // the paper's subquery names (Y′ written Y') work verbatim.
-func (lx *Lexer) lexIdent(start Pos) Token {
+func (lx *lexer) lexIdent(start Pos) Token {
 	from := lx.off
-	for lx.off < len(lx.src) && isIdentPart(lx.peek()) {
-		lx.advance()
+	for r := lx.rune(); isIdentPart(r); r = lx.rune() {
+		lx.skip(utf8.RuneLen(r))
 	}
 	text := lx.src[from:lx.off]
 	if keywords[text] {
@@ -129,27 +201,36 @@ func (lx *Lexer) lexIdent(start Pos) Token {
 	return Token{Kind: TokIdent, Text: text, Pos: start}
 }
 
-func (lx *Lexer) lexNumber(start Pos) (Token, error) {
+// lexNumber scans an integer or a float and converts it; a literal out of
+// range keeps no value, and the parser reports it.
+func (lx *lexer) lexNumber(start Pos) Token {
 	from := lx.off
-	for lx.off < len(lx.src) && lx.peek() >= '0' && lx.peek() <= '9' {
-		lx.advance()
-	}
-	isFloat := false
-	if lx.peek() == '.' && lx.peek2() >= '0' && lx.peek2() <= '9' {
-		isFloat = true
-		lx.advance()
-		for lx.off < len(lx.src) && lx.peek() >= '0' && lx.peek() <= '9' {
-			lx.advance()
+	lx.skipDigits()
+	if lx.off < len(lx.src) && lx.src[lx.off] == '.' && lx.peek2() >= '0' && lx.peek2() <= '9' {
+		lx.skip(1)
+		lx.skipDigits()
+		text := lx.src[from:lx.off]
+		tok := Token{Kind: TokFloat, Text: text, Pos: start}
+		if f, err := strconv.ParseFloat(text, 64); err == nil {
+			tok.Val = value.Float(f)
 		}
+		return tok
 	}
 	text := lx.src[from:lx.off]
-	if isFloat {
-		return Token{Kind: TokFloat, Text: text, Pos: start}, nil
+	tok := Token{Kind: TokInt, Text: text, Pos: start}
+	if n, err := strconv.ParseInt(text, 10, 64); err == nil {
+		tok.Val = value.Int(n)
 	}
-	return Token{Kind: TokInt, Text: text, Pos: start}, nil
+	return tok
 }
 
-func (lx *Lexer) lexString(start Pos) (Token, error) {
+func (lx *lexer) skipDigits() {
+	for lx.off < len(lx.src) && lx.src[lx.off] >= '0' && lx.src[lx.off] <= '9' {
+		lx.skip(1)
+	}
+}
+
+func (lx *lexer) lexString(start Pos) (Token, error) {
 	lx.advance() // opening quote
 	var b strings.Builder
 	for {
@@ -158,7 +239,8 @@ func (lx *Lexer) lexString(start Pos) (Token, error) {
 		}
 		c := lx.advance()
 		if c == '"' {
-			return Token{Kind: TokString, Text: b.String(), Pos: start}, nil
+			text := b.String()
+			return Token{Kind: TokString, Text: text, Val: value.String(text), Pos: start}, nil
 		}
 		if c == '\\' {
 			if lx.off >= len(lx.src) {

@@ -1,10 +1,6 @@
 package oosql
 
-import (
-	"strconv"
-
-	"repro/internal/value"
-)
+import "repro/internal/value"
 
 // Parser is a recursive-descent parser for OOSQL.
 type Parser struct {
@@ -18,6 +14,12 @@ func Parse(src string) (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	return ParseTokens(toks)
+}
+
+// ParseTokens parses the tokens of a complete query, as Lex and LexText
+// return them.
+func ParseTokens(toks []Token) (Expr, error) {
 	p := &Parser{toks: toks}
 	e, err := p.parseExpr()
 	if err != nil {
@@ -243,23 +245,16 @@ func (p *Parser) parsePostfix() (Expr, error) {
 func (p *Parser) parsePrimary() (Expr, error) {
 	t := p.cur()
 	switch t.Kind {
-	case TokInt:
+	case TokInt, TokFloat, TokString:
 		p.pos++
-		n, err := strconv.ParseInt(t.Text, 10, 64)
-		if err != nil {
+		switch {
+		case t.Val != nil:
+		case t.Kind == TokInt:
 			return nil, errf(t.Pos, "bad integer literal %q", t.Text)
-		}
-		return &Lit{Val: value.Int(n), At: t.Pos}, nil
-	case TokFloat:
-		p.pos++
-		f, err := strconv.ParseFloat(t.Text, 64)
-		if err != nil {
+		default:
 			return nil, errf(t.Pos, "bad float literal %q", t.Text)
 		}
-		return &Lit{Val: value.Float(f), At: t.Pos}, nil
-	case TokString:
-		p.pos++
-		return &Lit{Val: value.String(t.Text), At: t.Pos}, nil
+		return &Lit{Val: t.Val, At: t.Pos}, nil
 	case TokIdent:
 		p.pos++
 		return &Ident{Name: t.Text, At: t.Pos}, nil

@@ -1,6 +1,8 @@
 package oosql
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -72,6 +74,73 @@ func TestLexErrors(t *testing.T) {
 	}
 	if _, err := Lex(`"bad \q escape"`); err == nil {
 		t.Errorf("unknown escape must fail")
+	}
+}
+
+// TestLexUnicode: identifier letters are classified by character, not by
+// byte, and an error names the character it stopped at.
+func TestLexUnicode(t *testing.T) {
+	for _, name := range []string{"é", "ª", "Straße", "x٣", "π2", "日付"} {
+		e, err := Parse("select " + name + " from " + name + " in PART")
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if sfw := e.(*SFW); sfw.Var != name {
+			t.Errorf("%s lexed as %q", name, sfw.Var)
+		}
+	}
+	for src, want := range map[string]string{
+		"select € from x in PART":  `1:8: unexpected character "€"`,
+		"select a\xff from x in X": `1:9: unexpected character "\xff"`,
+	} {
+		if _, err := Lex(src); err == nil || !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("%q: %v, want %s", src, err, want)
+		}
+	}
+}
+
+// TestLexFingerprint: the fingerprint is the token stream without whitespace
+// and comments, each literal its kind and its class: literals of one kind
+// and value are one class, whatever their spelling.
+func TestLexFingerprint(t *testing.T) {
+	fp := func(src string) Text {
+		t.Helper()
+		text, err := LexText(src, []byte{})
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		return text
+	}
+	a := fp(`select p from p in PART where p.price < 5 and p.w = 5 and p.c = "5" and p.f = 5.0 or p.g = 05 -- five`)
+	if len(a.Classes) != 3 || fmt.Sprint(a.Counts) != "[3 1 1]" {
+		t.Errorf("classes %v counted %v, want 5, \"5\", 5.0 counted [3 1 1]", a.Classes, a.Counts)
+	}
+	same := []string{
+		"select p from p in PART where p.price<7 and p.w=7 and p.c=\"x\" and p.f=1.5 or p.g=7",
+		"select p\n\tfrom p in PART -- comment\n where p.price < 9 and p.w = 9 and p.c = \"\\n\" and p.f = 0.0 or p.g = 9",
+	}
+	other := []string{
+		`select p from p in PART where p.price < 7 and p.w = 8 and p.c = "x" and p.f = 1.5 or p.g = 7`,
+		`select p from p in PART where p.price < 7 and p.w = 7 and p.c = "x" and p.f = 1.5 or p.g = 7.0`,
+		`select p from p in PART where p.price < 7 and p.w = 7 and p.c = "x" and p.f = 1.5 or p.h = 7`,
+		`select p from p in PART where p.price <= 7 and p.w = 7 and p.c = "x" and p.f = 1.5 or p.g = 7`,
+	}
+	for _, src := range same {
+		if !bytes.Equal(fp(src).Fingerprint, a.Fingerprint) {
+			t.Errorf("%s: another fingerprint", src)
+		}
+	}
+	for _, src := range other {
+		if bytes.Equal(fp(src).Fingerprint, a.Fingerprint) {
+			t.Errorf("%s: the same fingerprint", src)
+		}
+	}
+	if text := fp(`p.price < 99999999999999999999`); text.Fingerprint != nil {
+		t.Errorf("a literal out of range has a fingerprint")
+	}
+	if text, _ := LexText(`p.price < 5`, nil); text.Fingerprint != nil || text.Classes != nil {
+		t.Errorf("no buffer, but a fingerprint")
 	}
 }
 

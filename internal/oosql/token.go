@@ -35,7 +35,11 @@
 // "with A = (select ...) with B = (select ... A ...)".
 package oosql
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/value"
+)
 
 // TokKind enumerates lexical token kinds.
 type TokKind uint8
@@ -56,10 +60,12 @@ type Pos struct{ Line, Col int }
 
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
-// Token is a lexical token.
+// Token is a lexical token. A literal's Val is its value, nil when it is out
+// of range.
 type Token struct {
 	Kind TokKind
 	Text string
+	Val  value.Value
 	Pos  Pos
 }
 

@@ -4,14 +4,17 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/rewrite"
+	"repro/internal/core"
 )
 
 // Capacities of the two cache levels: a plan entry retains a whole
-// core.Query, and an application has far fewer query shapes than texts.
+// core.Query, and an application has far fewer query shapes than texts. A
+// shape takes two level-2 entries, its lifted key and the fingerprint of its
+// texts (one, unless they differ in more than literal values), so level 2
+// holds 256 shapes.
 const (
 	planCacheCap     = 1024
-	templateCacheCap = 256
+	templateCacheCap = 512
 )
 
 // clock is a string-keyed cache of fixed capacity with second-chance
@@ -93,19 +96,33 @@ func (c *clock[V]) len() int {
 	return len(c.slots)
 }
 
-// templates is cache level 2, the core.TemplateCache of an engine.
+// templates is cache level 2, the core.TemplateCache of an engine: each
+// template under its lifted key and under the fingerprints of the texts
+// prepared from it.
 type templates struct {
-	cache *clock[*rewrite.Result]
-	hits  atomic.Int64
+	cache *clock[*core.Template]
+	// hits counts prepares that took a cached rewritten template, fpHits
+	// those of them that took it by fingerprint, fpFallbacks those whose
+	// fingerprint was cached but that took the full path.
+	hits, fpHits, fpFallbacks atomic.Int64
 }
 
-func (t *templates) Template(key []byte, build func() *rewrite.Result) *rewrite.Result {
-	k := string(key)
-	if res, ok := t.cache.get(k); ok {
+func (t *templates) Template(key []byte) *core.Template {
+	v, _ := t.cache.get(string(key))
+	return v
+}
+
+func (t *templates) Put(key []byte, v *core.Template) { t.cache.put(string(key), v) }
+
+// count adds a prepare's reuse to the counters.
+func (t *templates) count(r core.Reuse) {
+	if r&core.FromTemplate != 0 {
 		t.hits.Add(1)
-		return res
 	}
-	res := build()
-	t.cache.put(k, res)
-	return res
+	if r&core.FromFingerprint != 0 {
+		t.fpHits.Add(1)
+	}
+	if r&core.Fallback != 0 {
+		t.fpFallbacks.Add(1)
+	}
 }

@@ -12,7 +12,8 @@ import (
 const cheapParts = `select p.pname from p in PART where p.price < %d`
 
 // TestTemplateHit: a never-seen text of a seen shape is a cache miss — its
-// plan is built, from its own literals — that skipped the rewriter.
+// plan is built, from its own literals — that skipped the rewriter, and with
+// a seen token fingerprint the parse as well.
 func TestTemplateHit(t *testing.T) {
 	eng := newEngine(t, Options{Parallelism: 1})
 	rows := map[int]int{}
@@ -29,8 +30,9 @@ func TestTemplateHit(t *testing.T) {
 	if !(rows[10] < rows[40] && rows[40] < rows[10_000]) {
 		t.Fatalf("rows by literal %v: the template's first literal leaked into later plans", rows)
 	}
-	if m := eng.Metrics(); m.CacheMiss != 3 || m.CacheHits != 0 || m.TemplateHits != 2 || m.CacheEntries != 3 {
-		t.Fatalf("metrics %+v, want 3 misses, 2 of them template hits, 3 entries", m)
+	if m := eng.Metrics(); m.CacheMiss != 3 || m.CacheHits != 0 || m.TemplateHits != 2 || m.FingerprintHits != 2 ||
+		m.FingerprintFallbacks != 0 || m.CacheEntries != 3 {
+		t.Fatalf("metrics %+v, want 3 misses, 2 of them template hits by fingerprint, 3 entries", m)
 	}
 	// An epoch re-plan of a cached text takes its template too.
 	if err := eng.Store().CreateIndex("PART", "price", storage.OrderedIndex); err != nil {
@@ -40,8 +42,20 @@ func TestTemplateHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := eng.Metrics(); !r.Replanned || m.Replans != 1 || m.TemplateHits != 3 {
-		t.Fatalf("replanned=%v, metrics %+v; want a re-plan from the template", r.Replanned, m)
+	if m := eng.Metrics(); !r.Replanned || m.Replans != 1 || m.TemplateHits != 3 || m.FingerprintHits != 3 {
+		t.Fatalf("replanned=%v, metrics %+v; want a re-plan from the template by fingerprint", r.Replanned, m)
+	}
+	// A text of a seen fingerprint whose value left in the template (the
+	// 30 under the unary minus) differs takes the full path, and its own
+	// template; the next text with the first one's value takes the
+	// fingerprint again.
+	for i, k := range []int{30, 31, 30} {
+		if _, err := eng.QueryVerified(fmt.Sprintf(`select p.pname from p in PART where p.price > -%d and p.price < %d`, k, 100+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := eng.Metrics(); m.TemplateHits != 4 || m.FingerprintHits != 4 || m.FingerprintFallbacks != 1 {
+		t.Fatalf("metrics %+v, want one fingerprint fallback and one more fingerprint hit", m)
 	}
 	// NoPlanCache means neither level.
 	bare := New(eng.Store(), Options{NoPlanCache: true})
@@ -50,7 +64,7 @@ func TestTemplateHit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m := bare.Metrics(); m.TemplateHits != 0 || m.CacheEntries != 0 {
+	if m := bare.Metrics(); m.TemplateHits != 0 || m.FingerprintHits != 0 || m.CacheEntries != 0 {
 		t.Fatalf("NoPlanCache engine cached: %+v", m)
 	}
 }
@@ -93,7 +107,8 @@ func TestConcurrentTemplateBinding(t *testing.T) {
 }
 
 // TestPlanCacheIsBounded: ten capacities of texts that never repeat leave at
-// most one capacity of entries, and a text in use survives the sweep.
+// most one capacity of entries, and a text in use survives the sweep; level 2
+// holds the two shapes, each under its lifted key and its one fingerprint.
 func TestPlanCacheIsBounded(t *testing.T) {
 	eng := newEngine(t, Options{Parallelism: 1, NoFeedback: true})
 	if _, err := eng.Query(redParts); err != nil {
@@ -113,8 +128,8 @@ func TestPlanCacheIsBounded(t *testing.T) {
 	if m.CacheEntries != planCacheCap {
 		t.Fatalf("%d entries after %d distinct texts, want the capacity %d", m.CacheEntries, m.CacheMiss, planCacheCap)
 	}
-	if got := eng.tmpl.cache.len(); got != 2 {
-		t.Fatalf("%d templates for two shapes", got)
+	if got := eng.tmpl.cache.len(); got != 4 {
+		t.Fatalf("%d level-2 entries for two shapes, want each under its lifted key and its fingerprint", got)
 	}
 }
 

@@ -16,12 +16,17 @@
 // the rewritten form of its structure. adl.Lift takes the atomic literals out
 // of comparisons (`p.price < 1001` becomes `p.price < $0`) and encodes the rest
 // as the key; the paper's rewrite — most of the cost of a prepare — runs once
-// per such template, and a later query of the shape parses, translates, binds
-// its literals into the rewritten template and plans, so the planner prices
-// the query as written. Literals a rewrite rule reads (booleans, sets, 1 = 1,
-// the 0 of count(…) = 0) stay in the template and its key. A template hit
-// rebuilds the plan: it counts as a miss or a replan, and in TemplateHits.
-// Both levels hold a fixed number of entries (cache.go).
+// per such template. Literals a rewrite rule reads (booleans, sets, 1 = 1,
+// the 0 of count(…) = 0) stay in the template and its key. The text's token
+// fingerprint (oosql.LexText: the tokens, each literal as its kind and the
+// class of literals equal to it) is a second key to the same template, with
+// the recipe that makes the classes of a text the template's arguments: a
+// later text of the fingerprint is lexed, its literals bound into the
+// rewritten template and planned, so the planner prices the query as
+// written. A text whose recipe does not take its literals, or whose
+// fingerprint is unseen, parses, translates and lifts to find the template.
+// A template hit rebuilds the plan: it counts as a miss or a replan, and in
+// TemplateHits. Both levels hold a fixed number of entries (cache.go).
 //
 // Inserts advance the epoch through the store's mutation counter; deletes
 // and updates deliberately do not — their drift is caught from the other
@@ -38,7 +43,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/plan"
-	"repro/internal/rewrite"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -78,7 +82,7 @@ type Engine struct {
 	opts Options
 
 	plans *clock[*cacheEntry] // level 1: query text → physical plan
-	tmpl  templates           // level 2: lifted structure → rewritten template
+	tmpl  templates           // level 2: lifted structure or fingerprint → template
 
 	queries   atomic.Int64
 	inserts   atomic.Int64
@@ -104,7 +108,7 @@ type cacheEntry struct {
 // New builds an engine over a populated store.
 func New(st *storage.Store, opts Options) *Engine {
 	return &Engine{st: st, opts: opts, plans: newClock[*cacheEntry](planCacheCap),
-		tmpl: templates{cache: newClock[*rewrite.Result](templateCacheCap)}}
+		tmpl: templates{cache: newClock[*core.Template](templateCacheCap)}}
 }
 
 // Store exposes the underlying store (for diagnostics and direct loading).
@@ -146,6 +150,7 @@ func (e *Engine) prepare(src string, epoch uint64) (*cacheEntry, bool, bool, err
 	if err != nil {
 		return nil, false, false, err
 	}
+	e.tmpl.count(ent.q.Reuse)
 	if cached {
 		e.replans.Add(1)
 	} else {
@@ -285,24 +290,28 @@ func (e *Engine) Update(extent string, oid value.OID, t *value.Tuple) error {
 
 // Metrics is a point-in-time counter snapshot. TemplateHits counts plans
 // built from a cached rewritten template (each also a CacheMiss or a Replan),
-// CacheEntries the texts holding a plan. TupleShapes is the process-wide
-// value.ShapeCount: shapes are never freed and a `select (x = …)` with a novel
-// attribute list mints one, so it should stop growing once the query mix has
-// been seen.
+// FingerprintHits those of them prepared by token fingerprint (lex → bind →
+// plan), FingerprintFallbacks the plans whose text's fingerprint was cached
+// but that took the full path, CacheEntries the texts holding a plan.
+// TupleShapes is the process-wide value.ShapeCount: shapes are never freed
+// and a `select (x = …)` with a novel attribute list mints one, so it should
+// stop growing once the query mix has been seen.
 type Metrics struct {
-	Queries           int64  `json:"queries"`
-	Inserts           int64  `json:"inserts"`
-	Deletes           int64  `json:"deletes"`
-	Updates           int64  `json:"updates"`
-	CacheHits         int64  `json:"cache_hits"`
-	CacheMiss         int64  `json:"cache_misses"`
-	Replans           int64  `json:"replans"`
-	FeedbackEvictions int64  `json:"feedback_evictions"`
-	TemplateHits      int64  `json:"template_hits"`
-	CacheEntries      int64  `json:"cache_entries"`
-	TupleShapes       int64  `json:"tuple_shapes"`
-	StatsEpoch        uint64 `json:"stats_epoch"`
-	Seq               uint64 `json:"seq"`
+	Queries              int64  `json:"queries"`
+	Inserts              int64  `json:"inserts"`
+	Deletes              int64  `json:"deletes"`
+	Updates              int64  `json:"updates"`
+	CacheHits            int64  `json:"cache_hits"`
+	CacheMiss            int64  `json:"cache_misses"`
+	Replans              int64  `json:"replans"`
+	FeedbackEvictions    int64  `json:"feedback_evictions"`
+	TemplateHits         int64  `json:"template_hits"`
+	FingerprintHits      int64  `json:"fingerprint_hits"`
+	FingerprintFallbacks int64  `json:"fingerprint_fallbacks"`
+	CacheEntries         int64  `json:"cache_entries"`
+	TupleShapes          int64  `json:"tuple_shapes"`
+	StatsEpoch           uint64 `json:"stats_epoch"`
+	Seq                  uint64 `json:"seq"`
 }
 
 // Metrics reports the engine counters and current store position.
@@ -310,18 +319,20 @@ func (e *Engine) Metrics() Metrics {
 	sn := e.st.Snapshot()
 	defer sn.Release()
 	return Metrics{
-		Queries:           e.queries.Load(),
-		Inserts:           e.inserts.Load(),
-		Deletes:           e.deletes.Load(),
-		Updates:           e.updates.Load(),
-		CacheHits:         e.hits.Load(),
-		CacheMiss:         e.misses.Load(),
-		Replans:           e.replans.Load(),
-		FeedbackEvictions: e.evictions.Load(),
-		TemplateHits:      e.tmpl.hits.Load(),
-		CacheEntries:      int64(e.plans.len()),
-		TupleShapes:       value.ShapeCount(),
-		StatsEpoch:        sn.StatsEpoch(),
-		Seq:               sn.Seq(),
+		Queries:              e.queries.Load(),
+		Inserts:              e.inserts.Load(),
+		Deletes:              e.deletes.Load(),
+		Updates:              e.updates.Load(),
+		CacheHits:            e.hits.Load(),
+		CacheMiss:            e.misses.Load(),
+		Replans:              e.replans.Load(),
+		FeedbackEvictions:    e.evictions.Load(),
+		TemplateHits:         e.tmpl.hits.Load(),
+		FingerprintHits:      e.tmpl.fpHits.Load(),
+		FingerprintFallbacks: e.tmpl.fpFallbacks.Load(),
+		CacheEntries:         int64(e.plans.len()),
+		TupleShapes:          value.ShapeCount(),
+		StatsEpoch:           sn.StatsEpoch(),
+		Seq:                  sn.Seq(),
 	}
 }

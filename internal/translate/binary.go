@@ -154,7 +154,12 @@ func (tr *translator) ordered(n *oosql.Binary, sc *scope) (adl.Expr, types.Type,
 	if err != nil {
 		return nil, nil, err
 	}
-	le, lt, re, rt = coerceDate(le, lt, re, rt)
+	if re, rt, err = coerceDate(n, re, rt, lt); err != nil {
+		return nil, nil, err
+	}
+	if le, lt, err = coerceDate(n, le, lt, rt); err != nil {
+		return nil, nil, err
+	}
 	if !types.Equal(lt, rt) || !orderedType(lt) {
 		return nil, nil, errAt(n.Pos(), "ordered comparison %s on %s and %s", n.Op, lt, rt)
 	}
@@ -164,24 +169,26 @@ func (tr *translator) ordered(n *oosql.Binary, sc *scope) (adl.Expr, types.Type,
 	return adl.CmpE(op, le, re), types.BoolType, nil
 }
 
-// coerceDate turns an integer literal into a date when compared against a
-// date-typed expression: the paper writes d.date = 940101.
-func coerceDate(le adl.Expr, lt types.Type, re adl.Expr, rt types.Type) (adl.Expr, types.Type, adl.Expr, types.Type) {
-	if types.Equal(lt, types.DateType) && types.Equal(rt, types.IntType) {
-		if c, ok := re.(*adl.Const); ok {
-			if i, isInt := c.Val.(value.Int); isInt {
-				return le, lt, adl.C(value.Date(int32(i))), types.DateType
-			}
-		}
+// coerceDate turns x, an integer literal compared against the date-typed
+// other, into that date: the paper writes d.date = 940101.
+func coerceDate(n *oosql.Binary, x adl.Expr, xt, other types.Type) (adl.Expr, types.Type, error) {
+	c, ok := x.(*adl.Const)
+	if !ok || !types.Equal(xt, types.IntType) || !types.Equal(other, types.DateType) {
+		return x, xt, nil
 	}
-	if types.Equal(rt, types.DateType) && types.Equal(lt, types.IntType) {
-		if c, ok := le.(*adl.Const); ok {
-			if i, isInt := c.Val.(value.Int); isInt {
-				return adl.C(value.Date(int32(i))), types.DateType, re, rt
-			}
-		}
+	i, _ := c.Val.(value.Int)
+	d, ok := DateOf(i)
+	if !ok {
+		return nil, nil, errAt(n.Pos(), "integer %d is out of range for a date", i)
 	}
-	return le, lt, re, rt
+	return adl.C(d), types.DateType, nil
+}
+
+// DateOf is the date an integer literal stands for where a date is expected,
+// false when it is outside a date's range.
+func DateOf(i value.Int) (value.Date, bool) {
+	d := value.Date(i)
+	return d, value.Int(d) == i
 }
 
 // coerceEqual lowers equality between possibly reference-shaped operands to
@@ -196,7 +203,13 @@ func (tr *translator) coerceEqual(n *oosql.Binary, le adl.Expr, lt types.Type, r
 	ls, lc := classify(lt)
 	rs, rc := classify(rt)
 	if ls == shapePlain && rs == shapePlain {
-		le, lt, re, rt = coerceDate(le, lt, re, rt)
+		var err error
+		if re, rt, err = coerceDate(n, re, rt, lt); err != nil {
+			return nil, err
+		}
+		if le, lt, err = coerceDate(n, le, lt, rt); err != nil {
+			return nil, err
+		}
 		if _, ok := types.Unify(lt, rt); !ok {
 			return nil, errAt(n.Pos(), "cannot compare %s with %s", lt, rt)
 		}

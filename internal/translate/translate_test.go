@@ -283,6 +283,22 @@ func TestDateCoercion(t *testing.T) {
 	if got2.Len() != 1 {
 		t.Errorf("date range query = %v", got2)
 	}
+	// The largest date and one past it, on either side of either comparison:
+	// an integer out of a date's range is an error, not a wrapped date.
+	if got, _ := run(t, `select d from d in DELIVERY where d.date < 2147483647`); got.Len() != 2 {
+		t.Errorf("d.date < 2147483647 = %v, want both deliveries", got)
+	}
+	for _, src := range []string{
+		`select d from d in DELIVERY where d.date < 4295907401`,
+		`select d from d in DELIVERY where d.date < 4294967296`,
+		`select d from d in DELIVERY where 2147483648 > d.date`,
+		`select d from d in DELIVERY where d.date = 2147483648`,
+		`select d from d in DELIVERY where 4294967296 = d.date`,
+	} {
+		if err := xlateErr(t, src); !strings.Contains(err.Error(), "out of range for a date") {
+			t.Errorf("%s: %v", src, err)
+		}
+	}
 }
 
 func TestIdentityComparisonShapes(t *testing.T) {
