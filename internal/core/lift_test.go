@@ -462,6 +462,8 @@ func FuzzLift(f *testing.F) {
 		f.Add(uint8(qi), int64(50), int64(10), "red", "supplier-1")
 		f.Add(uint8(qi), int64(0), int64(0), "", "")
 		f.Add(uint8(qi), int64(-7), int64(1<<40), "a\"b\\c", "red")
+	}
+	for qi := range liftCorpus {
 		f.Add(uint8(qi), int64(30), int64(99), "part-3", "a\"b\\c")
 		f.Add(uint8(qi), int64(7), int64(7), "blue", "blue")
 	}
