@@ -13,6 +13,7 @@ package repro
 import (
 	"fmt"
 	"math/bits"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -418,6 +419,49 @@ func BenchmarkServeQuery(b *testing.B) {
 			return err
 		})
 	})
+}
+
+// TestPlanReuseAllocations pins the allocations of BenchmarkServeQuery/miss
+// once every shape of the plan.miss cycle has its plan: a never-seen text
+// whose fingerprint and estimates were seen is lexed, its literals made the
+// template's arguments, and the template's plan run with them, so all that
+// allocates is the lexer, the cache entries, the instrumented run and its
+// rows. Planning took 62 of the 134 allocations a text cost before. Under
+// the race detector sync.Pool drops buffers at random, so the gate is
+// skipped there.
+func TestPlanReuseAllocations(t *testing.T) {
+	const ceiling = 74
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts differ under the race detector")
+			}
+		}
+	}
+	st := bench.Generate(bench.Config{Suppliers: 100, Parts: 200, Deliveries: 50, Seed: 94})
+	st.Analyze()
+	eng := server.New(st, server.Options{Parallelism: 1})
+	k := 1000 // above every PART.price
+	query := func() {
+		k++
+		if _, err := eng.Query(fmt.Sprintf(missCycle[k%len(missCycle)], k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range missCycle {
+		query()
+	}
+	runs := 20 * len(missCycle)
+	before := eng.Metrics()
+	allocs := testing.AllocsPerRun(runs, query)
+	after := eng.Metrics()
+	if reuses := after.PlanReuses - before.PlanReuses; reuses != int64(runs+1) || after.CacheMiss-before.CacheMiss != int64(runs+1) {
+		t.Fatalf("%d plan reuses in %d never-seen texts, want every text to take its template's plan", reuses, runs+1)
+	}
+	t.Logf("%.0f allocations per text", allocs)
+	if allocs > ceiling {
+		t.Errorf("%.0f allocations per text, want at most %d", allocs, ceiling)
+	}
 }
 
 // serveResults runs queries against adlserve's default store (the benchmark

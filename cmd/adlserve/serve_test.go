@@ -152,7 +152,7 @@ func TestServeMetricsAndHealthz(t *testing.T) {
 		t.Fatalf("query counter did not move: %v", eng)
 	}
 	for _, k := range []string{"deletes", "updates", "feedback_evictions", "template_hits",
-		"fingerprint_hits", "fingerprint_fallbacks", "cache_entries", "tuple_shapes"} {
+		"fingerprint_hits", "plan_reuses", "fingerprint_fallbacks", "cache_entries", "tuple_shapes"} {
 		if _, ok := eng[k]; !ok {
 			t.Errorf("metrics lack %q: %v", k, eng)
 		}

@@ -32,8 +32,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Println("nested form:   ", q.ADL)
-	fmt.Println("optimized form:", q.Rewritten.Expr)
+	fmt.Println("nested form:   ", q.ADL())
+	fmt.Println("optimized form:", q.Rewritten().Expr)
 	fmt.Print("physical plan:  ", plan.Explain(q.Plan))
 	fmt.Println()
 

@@ -33,8 +33,8 @@ func main() {
 	}
 
 	fmt.Println("optimized form:")
-	fmt.Println(" ", q.Rewritten.Expr)
-	fmt.Println("options used:", q.Rewritten.OptionsUsed)
+	fmt.Println(" ", q.Rewritten().Expr)
+	fmt.Println("options used:", q.Rewritten().OptionsUsed)
 	fmt.Println()
 
 	res, err := q.Execute(st)

@@ -11,8 +11,10 @@ import (
 
 // Param is a lifted literal: slot Slot of a template's arguments, of atomic
 // type Type. To the rewriter it is an opaque leaf equal only to a Param of
-// the same slot, as two occurrences of one Const are. It exists between Lift
-// and Bind only; the planner and the evaluators never see one.
+// the same slot, as two occurrences of one Const are. The planner reads it as
+// the argument it is planned with, and it stays in the physical plan: a run
+// takes the arguments in exec.Ctx.Args, the reference interpreter in its
+// eval.Env. Bind makes a template a query with literals again.
 type Param struct {
 	Slot int
 	Type types.Type

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/adl"
 	"repro/internal/eval"
@@ -27,30 +28,46 @@ import (
 
 // Query is a prepared OOSQL query: its text, its translation, its rewrite and
 // its physical plan. There is no syntax tree; a prepare by token fingerprint
-// never builds one.
+// never builds one, and binds the query's literals into its translation and
+// its rewrite only when ADL or Rewritten is called.
 type Query struct {
 	// Source is the OOSQL text.
 	Source string
-	// ADL is the §3 translation (nested algebraic form, the nested-loop
-	// execution model).
-	ADL adl.Expr
 	// Type is the reference-annotated result type.
 	Type types.Type
-	// Rewritten is the result of the §4 optimization strategy. Its Expr has
-	// the query's literals; its Trace is the template's, shared by every
-	// query of the shape and rendered with them by Explain.
-	Rewritten *rewrite.Result
-	// Plan is the physical operator tree for the rewritten form.
+	// Plan is the physical operator tree for the rewritten form. Prepared
+	// through a TemplateCache it is the template's, holding parameters
+	// (adl.Param) that a run reads from Planned.Args().
 	Plan exec.Operator
 	// Planned is the annotated plan behind Plan: per-node cost estimates
-	// (from the default statistics when planned without any) and the
-	// runtime-feedback surface (instrumented execution, observed row counts,
-	// q-error drift).
+	// (from the default statistics when planned without any), the arguments
+	// of its parameters, and the runtime-feedback surface (instrumented
+	// execution, observed row counts, q-error drift).
 	Planned *plan.Plan
 	// Reuse says what the prepare took from its TemplateCache.
 	Reuse Reuse
 
-	args []value.Value // the literals adl.Lift took out of ADL
+	translation adl.Expr      // the §3 translation; nil: the template's, bound on demand
+	tmpl        *Template     // the template of the query's shape
+	args        []value.Value // the literals adl.Lift took out of the translation
+}
+
+// ADL returns the §3 translation (nested algebraic form, the nested-loop
+// execution model).
+func (q *Query) ADL() adl.Expr {
+	if q.translation != nil {
+		return q.translation
+	}
+	return adl.Bind(q.tmpl.lifted, q.args)
+}
+
+// Rewritten returns the result of the §4 optimization strategy. Its Expr has
+// the query's literals; its Trace is the template's, shared by every query of
+// the shape and rendered with them by Explain.
+func (q *Query) Rewritten() *rewrite.Result {
+	r := *q.tmpl.rewritten
+	r.Expr = adl.Bind(r.Expr, q.args)
+	return &r
 }
 
 // Reuse is a set of flags: what a prepare took from its TemplateCache.
@@ -61,30 +78,95 @@ const (
 	FromTemplate Reuse = 1 << iota
 	// FromFingerprint: the template came by the text's token fingerprint,
 	// with the recipe that makes the text's literals its arguments; the
-	// prepare was lex → bind → plan. Set with FromTemplate.
+	// prepare was lex → args → plan, or lex → args with FromPlan. Set with
+	// FromTemplate.
 	FromFingerprint
 	// Fallback: the text's fingerprint was cached, but the text took the
 	// full path.
 	Fallback
+	// FromPlan: the plan came from the template too. It was planned for
+	// other literals, and every estimate that read one is the same with this
+	// query's, so the planner would build it again. Set with FromTemplate.
+	FromPlan
 )
 
 // Template is what the queries of one shape share: the translation with its
-// literals lifted (adl.Lift), the result type and the rewrite of the lifted
-// form. Under a text's token fingerprint it also holds the recipe that makes
-// the literals of a text with that fingerprint the template's arguments.
+// literals lifted (adl.Lift), the result type, the rewrite of the lifted form
+// and, in a cache, the plans of the rewrite its queries got. Under a text's
+// token fingerprint it also holds the recipe that makes the literals of a
+// text with that fingerprint the template's arguments.
 type Template struct {
 	lifted    adl.Expr
 	typ       types.Type
 	rewritten *rewrite.Result
 	recipe    *recipe // nil: none, or not valid for the fingerprint
+	plans     *plans  // nil: not cached; shared with the fingerprint entries
+}
+
+// Plans reports how many plans the template holds.
+func (t *Template) Plans() int {
+	if t.plans == nil {
+		return 0
+	}
+	if l := t.plans.list.Load(); l != nil {
+		return len(*l)
+	}
+	return 0
+}
+
+// MaxPlans bounds the plans a template holds: one per estimate signature its
+// queries met under the configuration of the newest, the newest kept.
+const MaxPlans = 4
+
+// plans are the plans a template's queries got, newest first, replaced whole
+// (copy on write).
+type plans struct{ list atomic.Pointer[[]*plan.Plan] }
+
+// rebind returns the plan cfg would build for the template with args, if one
+// of the list is it (plan.Plan.Rebind), or nil.
+func (ps *plans) rebind(cfg plan.Config, args []value.Value) *plan.Plan {
+	if l := ps.list.Load(); l != nil {
+		for _, p := range *l {
+			if r := p.Rebind(cfg, args); r != nil {
+				return r
+			}
+		}
+	}
+	return nil
+}
+
+// add puts p, planned under cfg, first, unless the list holds it already (a
+// concurrent prepare planned it too). A plan of another configuration — of
+// the statistics before a write, say — goes, and so does the oldest past
+// MaxPlans.
+func (ps *plans) add(cfg plan.Config, p *plan.Plan) {
+	for {
+		old := ps.list.Load()
+		l := append(make([]*plan.Plan, 0, MaxPlans), p)
+		if old != nil {
+			for _, o := range *old {
+				switch {
+				case !o.Under(cfg):
+				case o.Rebind(cfg, p.Args()) != nil:
+					return
+				case len(l) < MaxPlans:
+					l = append(l, o)
+				}
+			}
+		}
+		if ps.list.CompareAndSwap(old, &l) {
+			return
+		}
+	}
 }
 
 // TemplateCache remembers templates across queries. A template is cached
 // under two keys: its lifted key (adl.Lift), which the rewrite depends on
 // alone, and the token fingerprint (oosql.LexText) of each text prepared from
 // it, which finds it without a parse. A prepare is lex → parse → translate →
-// lift → rewrite → bind → plan; with a cache the rewrite runs once per query
-// shape, and a text whose fingerprint was seen is lex → bind → plan.
+// lift → rewrite → plan; with a cache the rewrite runs once per query shape, a
+// text whose fingerprint was seen is lex → args → plan, and the plan too is
+// the template's when the text's literals leave every estimate as it was.
 type TemplateCache interface {
 	// Template returns the template cached under key, or nil. key is valid
 	// during the call only.
@@ -120,11 +202,13 @@ func PrepareCfg(src string, cat *schema.Catalog, cfg plan.Config) (*Query, error
 
 // PrepareCached is PrepareCfg taking the template from tc (nil: rewrite it
 // here). A text whose token fingerprint tc holds with a recipe that accepts
-// its literals is lex → bind → plan; any other takes the full path, which
+// its literals is lex → args → plan; any other takes the full path, which
 // caches the template under the text's fingerprint with the recipe derived
-// from it. The planner gets the rewritten template with the literals bound
-// back in, so index ranges, selectivities and operators are those of the
-// query as written.
+// from it. Without a cache the planner gets the rewrite with the literals
+// bound back in. With one it plans the template, the literals its arguments,
+// so index ranges, selectivities and operators are still those of the query
+// as written; and a plan the template holds is the query's when its
+// estimates are (plan.Plan.Rebind), which makes the prepare lex → args.
 func PrepareCached(src string, cat *schema.Catalog, cfg plan.Config, tc TemplateCache) (*Query, error) {
 	buf := keyBufs.Get().(*keyBuf)
 	defer keyBufs.Put(buf)
@@ -141,7 +225,7 @@ func PrepareCached(src string, cat *schema.Catalog, cfg plan.Config, tc Template
 		buf.fp = fp
 		if t := tc.Template(fp); t != nil {
 			if args, ok := t.recipe.args(text.Classes); ok {
-				return t.bind(src, adl.Bind(t.lifted, args), t.typ, args, cfg, FromTemplate|FromFingerprint), nil
+				return t.query(src, nil, args, cfg, FromTemplate|FromFingerprint), nil
 			}
 			reuse, fp = Fallback, nil
 		}
@@ -165,6 +249,7 @@ func PrepareCached(src string, cat *schema.Catalog, cfg plan.Config, tc Template
 	} else {
 		t = &Template{lifted: tmpl, typ: typ, rewritten: rewrite.Optimize(tmpl, rewrite.NewContext(cat))}
 		if tc != nil {
+			t.plans = new(plans)
 			tc.Put(key, t)
 		}
 	}
@@ -173,25 +258,28 @@ func PrepareCached(src string, cat *schema.Catalog, cfg plan.Config, tc Template
 		shape.recipe = newRecipe(text, e, tmpl, args)
 		tc.Put(fp, &shape)
 	}
-	return t.bind(src, e, typ, args, cfg, reuse), nil
+	return t.query(src, e, args, cfg, reuse), nil
 }
 
-// bind finishes a prepare: the template's rewrite with args bound back in,
-// planned.
-func (t *Template) bind(src string, e adl.Expr, typ types.Type, args []value.Value, cfg plan.Config, reuse Reuse) *Query {
-	bound := *t.rewritten
-	bound.Expr = adl.Bind(t.rewritten.Expr, args)
-	pl := cfg.Plan(bound.Expr)
-	return &Query{
-		Source:    src,
-		ADL:       e,
-		Type:      typ,
-		Rewritten: &bound,
-		Plan:      pl.Root,
-		Planned:   pl,
-		Reuse:     reuse,
-		args:      args,
+// query finishes a prepare of the translation e (nil: the template's with
+// args bound in): the template's rewrite planned with args as the values of
+// its parameters — a plan the template holds for them, or a new one it keeps
+// — or, not cached, planned with args bound in.
+func (t *Template) query(src string, e adl.Expr, args []value.Value, cfg plan.Config, reuse Reuse) *Query {
+	var pl *plan.Plan
+	switch {
+	case t.plans == nil:
+		pl = cfg.Plan(adl.Bind(t.rewritten.Expr, args))
+	default:
+		if pl = t.plans.rebind(cfg, args); pl != nil {
+			reuse |= FromPlan
+		} else {
+			pl = cfg.PlanWith(t.rewritten.Expr, args)
+			t.plans.add(cfg, pl)
+		}
 	}
+	return &Query{Source: src, Type: t.typ, Plan: pl.Root, Planned: pl, Reuse: reuse,
+		translation: e, tmpl: t, args: args}
 }
 
 // A recipe makes the literal classes of a text (oosql.Text.Classes) the
@@ -302,36 +390,37 @@ func (r *recipe) args(classes []value.Value) ([]value.Value, bool) {
 
 // Execute runs the optimized physical plan.
 func (q *Query) Execute(db eval.DB) (*value.Set, error) {
-	return exec.Collect(q.Plan, &exec.Ctx{DB: db})
+	return exec.Collect(q.Plan, &exec.Ctx{DB: db, Args: q.Planned.Args()})
 }
 
 // ExecuteNaive runs the untransformed nested form tuple-at-a-time — the
 // baseline the paper's optimizations are measured against.
 func (q *Query) ExecuteNaive(db eval.DB) (*value.Set, error) {
-	return eval.EvalSet(q.ADL, nil, db)
+	return eval.EvalSet(q.ADL(), nil, db)
 }
 
 // Explain renders every pipeline stage: the translation, the rewrite trace
 // with the §4 options used, and the physical plan.
 func (q *Query) Explain() string {
 	var b strings.Builder
+	rw := q.Rewritten()
 	fmt.Fprintf(&b, "OOSQL:\n  %s\n\n", strings.Join(strings.Fields(q.Source), " "))
-	fmt.Fprintf(&b, "ADL (§3 translation):\n  %s\n\n", q.ADL)
-	if len(q.Rewritten.Trace) > 0 {
+	fmt.Fprintf(&b, "ADL (§3 translation):\n  %s\n\n", q.ADL())
+	if len(rw.Trace) > 0 {
 		b.WriteString("rewrite steps:\n")
-		for _, s := range q.Rewritten.Trace {
+		for _, s := range rw.Trace {
 			fmt.Fprintf(&b, "  [%s]\n    %s\n", s.Rule, adl.Bind(s.After, q.args))
 		}
 		b.WriteString("\n")
 	}
 	opts := "none — executed by nested loops"
-	if len(q.Rewritten.OptionsUsed) > 0 {
-		opts = strings.Join(q.Rewritten.OptionsUsed, ", ")
+	if len(rw.OptionsUsed) > 0 {
+		opts = strings.Join(rw.OptionsUsed, ", ")
 	}
 	fmt.Fprintf(&b, "options used (§4 strategy): %s\n", opts)
-	fmt.Fprintf(&b, "nested base tables: %d → %d\n\n", q.Rewritten.NestedBefore, q.Rewritten.NestedAfter)
-	fmt.Fprintf(&b, "optimized ADL:\n  %s\n\n", q.Rewritten.Expr)
-	fmt.Fprintf(&b, "physical plan:\n%s", indent(plan.Explain(q.Plan), "  "))
+	fmt.Fprintf(&b, "nested base tables: %d → %d\n\n", rw.NestedBefore, rw.NestedAfter)
+	fmt.Fprintf(&b, "optimized ADL:\n  %s\n\n", rw.Expr)
+	fmt.Fprintf(&b, "physical plan:\n%s", indent(plan.Explain(q.Plan, q.Planned.Args()...), "  "))
 	return b.String()
 }
 

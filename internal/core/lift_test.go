@@ -168,6 +168,19 @@ func (c *mapTemplates) templates() int {
 	return n
 }
 
+// plans counts the plans the cached templates hold.
+func (c *mapTemplates) plans() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for k, t := range c.m {
+		if k[0] == liftedKey {
+			n += t.Plans()
+		}
+	}
+	return n
+}
+
 // checkIdentity fails unless rewriting e's template and binding e's literals
 // is rewriting e.
 func checkIdentity(t *testing.T, e adl.Expr, ctx *rewrite.Context) {
@@ -266,7 +279,7 @@ func TestUnliftedLiteralsKeepTheirRules(t *testing.T) {
 				hits++
 			}
 			checkAgainstNaive(t, q, st)
-			for _, s := range q.Rewritten.Trace {
+			for _, s := range q.Rewritten().Trace {
 				if s.Rule == c.rule {
 					return true
 				}
@@ -320,8 +333,9 @@ func checkAgainstNaive(t *testing.T, q *Query, st *storage.Store) {
 }
 
 // checkAgainstPrepare fails unless src prepares through tc as PrepareCfg
-// prepares it — the same Explain, or the same error — and the plan returns
-// what nested loops return. It returns the query, nil on an error.
+// prepares it — the same Explain and the same estimates, or the same error —
+// and the plan returns what nested loops return. It returns the query, nil on
+// an error.
 func checkAgainstPrepare(t *testing.T, src string, st *storage.Store, cfg plan.Config, tc TemplateCache) *Query {
 	t.Helper()
 	q, err := PrepareCached(src, st.Catalog(), cfg, tc)
@@ -332,8 +346,10 @@ func checkAgainstPrepare(t *testing.T, src string, st *storage.Store, cfg plan.C
 		}
 		return nil
 	}
-	if !adl.Equal(q.Rewritten.Expr, direct.Rewritten.Expr) || q.Explain() != direct.Explain() {
-		t.Fatalf("reuse %03b: prepared with the cache, %s\nexplains as\n%s\nwant\n%s", q.Reuse, src, q.Explain(), direct.Explain())
+	if !adl.Equal(q.Rewritten().Expr, direct.Rewritten().Expr) || q.Explain() != direct.Explain() ||
+		q.Planned.Explain() != direct.Planned.Explain() {
+		t.Fatalf("reuse %04b: prepared with the cache, %s\nexplains as\n%s%s\nwant\n%s%s",
+			q.Reuse, src, q.Explain(), q.Planned.Explain(), direct.Explain(), direct.Planned.Explain())
 	}
 	checkAgainstNaive(t, q, st)
 	return q
@@ -357,7 +373,11 @@ func TestTemplateReuse(t *testing.T) {
 		{[]int64{30, 99, 1}, []string{"part-3", "a\"b\\c\n", "red"}},
 		{[]int64{7, 7, 7}, []string{"blue"}},
 	}
-	hits, fpHits := 0, 0
+	// minPlanHits is a floor under the plans the rounds reuse: the equal
+	// literals of rounds 1 and 3 give most texts the estimates they had in
+	// the round before.
+	const minPlanHits = 40
+	hits, fpHits, planHits := 0, 0, 0
 	for _, r := range rounds {
 		for qi, text := range liftCorpus {
 			q := checkAgainstPrepare(t, render(text, r.ints, r.strs), st, cfg, tc)
@@ -370,23 +390,28 @@ func TestTemplateReuse(t *testing.T) {
 			if q.Reuse&FromFingerprint != 0 {
 				fpHits++
 			}
+			if q.Reuse&FromPlan != 0 {
+				planHits++
+			}
 		}
 	}
-	t.Logf("%d template hits, %d of them by fingerprint, over four rounds of %d queries", hits, fpHits, len(liftCorpus))
-	if fpHits < 2*len(liftCorpus) {
-		t.Errorf("%d template hits, %d of them by fingerprint, over four rounds of %d queries", hits, fpHits, len(liftCorpus))
+	t.Logf("%d template hits, %d of them by fingerprint and %d with the plan, over four rounds of %d queries",
+		hits, fpHits, planHits, len(liftCorpus))
+	if fpHits < 2*len(liftCorpus) || planHits < minPlanHits {
+		t.Errorf("%d template hits, %d of them by fingerprint and %d with the plan, over four rounds of %d queries; want %d by fingerprint and %d with the plan",
+			hits, fpHits, planHits, len(liftCorpus), 2*len(liftCorpus), minPlanHits)
 	}
 }
 
-// TestFingerprintRecipes: one case per rule of newRecipe and per reason a
-// text of a cached fingerprint takes the full path. Each case prepares its
-// texts in order through one cache; every text prepares as PrepareCfg does.
+// TestFingerprintRecipes: one case per rule of newRecipe, per reason a text
+// of a cached fingerprint takes the full path, and per reason a text does or
+// does not take a plan its template holds. Each case prepares its texts in
+// order through one cache; every text prepares as PrepareCfg does.
 func TestFingerprintRecipes(t *testing.T) {
-	st := liftStore()
-	cfg := plan.Config{Statistics: st.Analyze(), Parallelism: 1}
 	const (
 		parsed  = Reuse(0)
 		lexed   = FromTemplate | FromFingerprint
+		reused  = lexed | FromPlan
 		failed  = Reuse(0xff) // the text is an error
 		cheap   = `select p.pname from p in PART where `
 		deliver = `select d.date from d in DELIVERY where `
@@ -395,47 +420,73 @@ func TestFingerprintRecipes(t *testing.T) {
 		name  string
 		texts []string
 		want  []Reuse
+		shows []string       // if given, what the physical plan of each text shows
+		st    *storage.Store // nil: liftStore
+		plans int            // if not 0, the plans the template holds after the texts
 	}{
-		{"whitespace and comments drop out",
-			[]string{cheap + `p.price < 5`, "select p.pname\n from p in PART -- cheap\n where p.price<7"},
-			[]Reuse{parsed, lexed}},
-		{"a literal written twice is one slot",
-			[]string{cheap + `p.price >= 5 and p.price <> 5 and p.price <= 9`, cheap + `p.price >= 7 and p.price <> 7 and p.price <= 12`},
-			[]Reuse{parsed, lexed}},
-		{"a value lifted and next to an aggregate has no recipe",
-			[]string{
+		{name: "whitespace and comments drop out",
+			texts: []string{cheap + `p.price < 5`, "select p.pname\n from p in PART -- cheap\n where p.price<7"},
+			want:  []Reuse{parsed, lexed}},
+		{name: "a literal written twice is one slot",
+			texts: []string{cheap + `p.price >= 5 and p.price <> 5 and p.price <= 9`, cheap + `p.price >= 7 and p.price <> 7 and p.price <= 12`},
+			want:  []Reuse{parsed, lexed}},
+		{name: "a value lifted and next to an aggregate has no recipe",
+			texts: []string{
 				cheap + `p.price = 0 and count(select c from c in PART where c.price < p.price) = 0`,
 				cheap + `p.price = 3 and count(select c from c in PART where c.price < p.price) = 3`,
 				cheap + `p.price = 1 and count(select c from c in PART where c.price < p.price) = 0`,
 				cheap + `p.price = 3 and count(select c from c in PART where c.price < p.price) = 3`,
 			},
-			[]Reuse{parsed, Fallback, FromTemplate, Fallback | FromTemplate}},
-		{"a negative literal is structural",
-			[]string{cheap + `p.price > -5 and p.price < 40`, cheap + `p.price > -5 and p.price < 50`, cheap + `p.price > -6 and p.price < 40`},
-			[]Reuse{parsed, lexed, Fallback}},
-		{"an integer is a date where a date is expected, in range",
-			[]string{deliver + `d.date < 940105`, deliver + `d.date < 940102`, deliver + `d.date < 4294967296`, deliver + `d.date < 2147483647`},
-			[]Reuse{parsed, lexed, failed, lexed}},
-		{"a value that is a date and an integer has no recipe",
-			[]string{
+			want: []Reuse{parsed, Fallback, FromTemplate, Fallback | FromTemplate | FromPlan}},
+		{name: "a negative literal is structural",
+			texts: []string{cheap + `p.price > -5 and p.price < 40`, cheap + `p.price > -5 and p.price < 50`, cheap + `p.price > -6 and p.price < 40`},
+			want:  []Reuse{parsed, lexed | FromPlan, Fallback}},
+		{name: "an integer is a date where a date is expected, in range",
+			texts: []string{deliver + `d.date < 940105`, deliver + `d.date < 940102`, deliver + `d.date < 4294967296`, deliver + `d.date < 2147483647`},
+			want:  []Reuse{parsed, lexed, failed, lexed}},
+		{name: "a value that is a date and an integer has no recipe",
+			texts: []string{
 				deliver + `d.date > 3 and exists y in d.supply : y.quantity > 3`,
 				deliver + `d.date > 4 and exists y in d.supply : y.quantity > 4`,
 			},
-			[]Reuse{parsed, Fallback | FromTemplate}},
-		{"1 and 1.0 are two classes",
-			[]string{
+			want: []Reuse{parsed, Fallback | FromTemplate | FromPlan}},
+		{name: "1 and 1.0 are two classes",
+			texts: []string{
 				cheap + `p.price > 1 and exists f in {0.5, 2.5} : f > 1.0`,
 				cheap + `p.price > 2 and exists f in {0.5, 2.5} : f > 2.0`,
 				cheap + `p.price > 2 and exists f in {0.5, 2.5} : f > 0.5`,
 			},
-			[]Reuse{parsed, lexed, FromTemplate}},
-		{"string escapes",
-			[]string{cheap + `p.color = "r\"ed" or p.pname = "\\"`, cheap + `p.color = "bl\\ue\n" or p.pname = "\""`},
-			[]Reuse{parsed, lexed}},
-		{"a literal out of range",
-			[]string{cheap + `p.price < 5`, cheap + `p.price < 99999999999999999999`},
-			[]Reuse{parsed, failed}},
+			want: []Reuse{parsed, lexed, FromTemplate | FromPlan}},
+		{name: "string escapes",
+			texts: []string{cheap + `p.color = "r\"ed" or p.pname = "\\"`, cheap + `p.color = "bl\\ue\n" or p.pname = "\""`},
+			want:  []Reuse{parsed, lexed | FromPlan}},
+		{name: "a literal out of range",
+			texts: []string{cheap + `p.price < 5`, cheap + `p.price < 99999999999999999999`},
+			want:  []Reuse{parsed, failed}},
+		// PART.price has the buckets 25..29 (4 values, 4 rows) and 46 (5
+		// rows) on liftStore.
+		{name: "a literal in the bucket of the plan's takes it; in another, or above every value, it does not",
+			texts: []string{cheap + `p.price = 25`, cheap + `p.price = 29`, cheap + `p.price = 46`,
+				cheap + `p.price = 1000`, cheap + `p.price = 2000`, cheap + `p.price = 27`},
+			want:  []Reuse{parsed, reused, lexed, lexed, reused, reused},
+			plans: 3},
+		{name: "equal estimates, and only those, take a plan",
+			texts: []string{cheap + `p.price < 1000`, cheap + `p.price < 2000`, cheap + `p.price < 10`, cheap + `p.price < 900`},
+			want:  []Reuse{parsed, reused, lexed, reused},
+			plans: 2},
+		{name: "an index range and a scan of one fingerprint keep their plans",
+			texts: []string{cheap + `p.price < 10`, cheap + `p.price < 900`, cheap + `p.price < 11`, cheap + `p.price < 2000`},
+			want:  []Reuse{parsed, lexed, reused, reused},
+			shows: []string{"IndexScan(PART.price in (-∞, 10))", "ColumnScan(PART | p: p.price < 900 ",
+				"IndexScan(PART.price in (-∞, 11))", "ColumnScan(PART | p: p.price < 2000 "},
+			st:    indexedStore(),
+			plans: 2},
 	} {
+		st := c.st
+		if st == nil {
+			st = liftStore()
+		}
+		cfg := plan.Config{Statistics: st.Analyze(), Parallelism: 1}
 		tc := newMapTemplates()
 		for i, src := range c.texts {
 			q := checkAgainstPrepare(t, src, st, cfg, tc)
@@ -443,18 +494,35 @@ func TestFingerprintRecipes(t *testing.T) {
 			case q == nil && c.want[i] != failed:
 				t.Errorf("%s: %s does not prepare", c.name, src)
 			case q != nil && q.Reuse != c.want[i]:
-				t.Errorf("%s: %s prepared with reuse %03b, want %03b", c.name, src, q.Reuse, c.want[i])
+				t.Errorf("%s: %s prepared with reuse %04b, want %04b", c.name, src, q.Reuse, c.want[i])
+			case c.shows != nil && !strings.Contains(q.Explain(), c.shows[i]):
+				t.Errorf("%s: %s does not plan %s:\n%s", c.name, src, c.shows[i], q.Explain())
 			}
+		}
+		if got := tc.plans(); c.plans != 0 && got != c.plans {
+			t.Errorf("%s: the template holds %d plans, want %d", c.name, got, c.plans)
 		}
 	}
 }
 
+// indexedStore is liftStore's data with an ordered index on PART.price.
+var indexedStore = sync.OnceValue(func() *storage.Store {
+	st := bench.Generate(bench.Config{Suppliers: 60, Parts: 120, Deliveries: 40,
+		Fanout: 4, EmptyFrac: 0.1, DanglingFrac: 0.1, Seed: 94})
+	if err := st.CreateIndex("PART", "price", storage.OrderedIndex); err != nil {
+		panic(err)
+	}
+	st.Analyze()
+	return st
+})
+
 // FuzzLift prepares a corpus query written with fuzzed literals through a
-// template cache shared by all inputs of the process — so most inputs bind
-// their literals into a template rewritten for other literals, or into one
-// found by the text's fingerprint — and checks it against the prepare
-// without a cache and the planned result against nested-loop evaluation of
-// the untransformed query.
+// template cache shared by all inputs of the process — so most inputs plan
+// their literals with a template rewritten for other literals, or found by
+// the text's fingerprint, or run a plan the template got for other literals —
+// and checks it against the prepare without a cache (the same Explain) and
+// the planned result against nested-loop evaluation of the untransformed
+// query.
 //
 //	go test ./internal/core -run '^$' -fuzz FuzzLift -fuzztime 30s
 func FuzzLift(f *testing.F) {
@@ -480,6 +548,6 @@ func FuzzLift(f *testing.F) {
 		if q == nil {
 			t.Skip("a literal the front end rejects")
 		}
-		checkIdentity(t, q.ADL, ctx)
+		checkIdentity(t, q.ADL(), ctx)
 	})
 }

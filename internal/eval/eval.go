@@ -20,16 +20,40 @@ type DB interface {
 	Deref(oid value.OID) (*value.Tuple, error)
 }
 
-// Env is an immutable environment binding iteration variables to values.
+// Env is an immutable environment binding iteration variables to values. It
+// also holds the arguments of a template's parameters (adl.Param), which every
+// binding inherits from its parent.
 type Env struct {
 	name   string
 	val    value.Value
 	parent *Env
+	args   *[]value.Value
 }
 
 // Bind returns a new environment extending e with name = v.
 func (e *Env) Bind(name string, v value.Value) *Env {
-	return &Env{name: name, val: v, parent: e}
+	n := &Env{name: name, val: v, parent: e}
+	if e != nil {
+		n.args = e.args
+	}
+	return n
+}
+
+// WithArgs returns e with args as the arguments of its parameters: adl.Param
+// slot i evaluates to args[i]. It returns e itself when e holds them already.
+func (e *Env) WithArgs(args []value.Value) *Env {
+	if len(args) == 0 {
+		return e
+	}
+	var n Env
+	if e != nil {
+		if e.args != nil && len(*e.args) == len(args) && &(*e.args)[0] == &args[0] {
+			return e
+		}
+		n = *e
+	}
+	n.args = &args
+	return &n
 }
 
 // Lookup resolves a variable.
@@ -54,6 +78,13 @@ func Eval(e adl.Expr, env *Env, db DB) (value.Value, error) {
 			return nil, fmt.Errorf("eval: unbound variable %q", n.Name)
 		}
 		return v, nil
+
+	case *adl.Param:
+		var args []value.Value
+		if env != nil && env.args != nil {
+			args = *env.args
+		}
+		return Arg(n, args)
 
 	case *adl.Table:
 		return db.Table(n.Name)
@@ -344,6 +375,14 @@ func EvalSet(e adl.Expr, env *Env, db DB) (*value.Set, error) {
 // The functions from here to Agg are the value-level semantics of the scalar
 // operators: one definition, with its error text, shared by Eval above and by
 // the compiled scalars of package exec.
+
+// Arg is the value of parameter p in a run with the arguments args.
+func Arg(p *adl.Param, args []value.Value) (value.Value, error) {
+	if p.Slot < len(args) {
+		return args[p.Slot], nil
+	}
+	return nil, fmt.Errorf("eval: no argument for parameter %s", p)
+}
 
 // Field is x.name, following x through the object store if it is an oid
 // (implicit pointer navigation along path expressions).

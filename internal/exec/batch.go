@@ -54,6 +54,11 @@ type ColumnScan struct {
 
 // Open computes the rows: the stream is blocking, like the joins'.
 func (s ColumnScan) Open(ctx *Ctx) (Rows, error) {
+	ks, err := withArgs(s.Kernels, ctx.Args)
+	if err != nil {
+		return nil, err
+	}
+	s.Kernels = ks
 	proj, err := s.projection(ctx)
 	if err != nil {
 		return nil, err

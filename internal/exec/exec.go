@@ -22,11 +22,14 @@ import (
 	"repro/internal/value"
 )
 
-// Ctx is the runtime context of a run: the database and the environment of
-// outer (correlated) variable bindings.
+// Ctx is the runtime context of a run: the database, the environment of
+// outer (correlated) variable bindings, and the arguments of the plan's
+// parameters (adl.Param slot i is Args[i]; a plan planned with its literals
+// has none).
 type Ctx struct {
-	DB  eval.DB
-	Env *eval.Env
+	DB   eval.DB
+	Env  *eval.Env
+	Args []value.Value
 
 	// hook is handed every stream the run opens; nil in a plain run.
 	hook openHook
@@ -66,6 +69,10 @@ type Rows interface {
 type openHook interface {
 	rows(op Operator, r Rows) Rows
 }
+
+// env is the environment the reference interpreter runs under: the outer
+// bindings and the run's arguments.
+func (c *Ctx) env() *eval.Env { return c.Env.WithArgs(c.Args) }
 
 // open starts a run of a child. It is the only caller of an operator's Open.
 func (c *Ctx) open(op Operator) (Rows, error) {
@@ -243,7 +250,7 @@ type ExprScan struct {
 
 // Open evaluates the expression.
 func (s ExprScan) Open(ctx *Ctx) (Rows, error) {
-	set, err := eval.EvalSet(s.Expr, ctx.Env, ctx.DB)
+	set, err := eval.EvalSet(s.Expr, ctx.env(), ctx.DB)
 	if err != nil {
 		return nil, err
 	}
@@ -345,7 +352,7 @@ type LetOp struct {
 // Open evaluates the binding and runs the child under the extended
 // environment; its rows are the child's.
 func (l LetOp) Open(ctx *Ctx) (Rows, error) {
-	v, err := eval.Eval(l.Val, ctx.Env, ctx.DB)
+	v, err := eval.Eval(l.Val, ctx.env(), ctx.DB)
 	if err != nil {
 		return nil, err
 	}

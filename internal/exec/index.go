@@ -39,7 +39,8 @@ func indexedDB(ctx *Ctx, op string) (IndexedDB, error) {
 // IndexScan reads one extent through a secondary index on Attr: either the
 // equality probe Eq (any index kind) or the range [Lo, Hi] (ordered indexes
 // only). The bound scalars are constants — they close over no operator row —
-// and are evaluated once at Open against the plan's outer environment.
+// and are evaluated once at Open against the plan's outer environment and the
+// run's arguments.
 type IndexScan struct {
 	Table, Attr string
 	// Eq is the equality key; nil selects the range form.

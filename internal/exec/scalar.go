@@ -16,10 +16,11 @@ import (
 //
 // NewScalar is the only constructor. It compiles Expr once, at plan time,
 // into prog: a tree of closures in which a variable is a positional slot, a
-// constant is captured, a tuple constructor's shape is already derived, and
-// no eval.Env exists. The tree is immutable — closures capture plan-time
-// values only, never anything a run produced — so concurrent runs of a plan
-// and the workers of a parallel operator share one Scalar.
+// constant is captured, a parameter (adl.Param) is read from the run's
+// Ctx.Args, a tuple constructor's shape is already derived, and no eval.Env
+// exists. The tree is immutable — closures capture plan-time values only,
+// never anything a run produced — so concurrent runs of a plan and the
+// workers of a parallel operator share one Scalar.
 type Scalar struct {
 	Vars []string
 	Expr adl.Expr
@@ -150,6 +151,9 @@ func compile(e adl.Expr, vars []string) prog {
 		v := n.Val
 		return func(*Ctx, value.Value, value.Value) (value.Value, error) { return v, nil }
 
+	case *adl.Param:
+		return func(ctx *Ctx, _, _ value.Value) (value.Value, error) { return eval.Arg(n, ctx.Args) }
+
 	case *adl.Var:
 		switch slot(vars, n.Name) {
 		case 0:
@@ -255,7 +259,7 @@ func compile(e adl.Expr, vars []string) prog {
 		}
 	}
 	return func(ctx *Ctx, a, b value.Value) (value.Value, error) {
-		env := ctx.Env
+		env := ctx.env()
 		for i, name := range vars {
 			env = env.Bind(name, [2]value.Value{a, b}[i])
 		}

@@ -1,8 +1,11 @@
 package exec
 
 import (
+	"slices"
+
 	"repro/internal/adl"
 	"repro/internal/col"
+	"repro/internal/eval"
 	"repro/internal/value"
 )
 
@@ -17,10 +20,33 @@ type VecCmp struct {
 	// Const is the right operand for column-vs-constant kernels; when nil,
 	// RAttr names the right column.
 	Const value.Value
+	// Param, if not nil, is the parameter whose argument is Const in a run:
+	// ColumnScan.Open sets it from the run's Ctx.Args.
+	Param *adl.Param
 	RAttr string
 	// Pred is the conjunct's scalar form (over the filter's Var), the
 	// row-wise fallback.
 	Pred Scalar
+}
+
+// withArgs returns ks with each parameter's argument as its Const: ks itself
+// when no kernel has a parameter.
+func withArgs(ks []VecCmp, args []value.Value) ([]VecCmp, error) {
+	out := ks
+	for i, k := range ks {
+		if k.Param == nil {
+			continue
+		}
+		v, err := eval.Arg(k.Param, args)
+		if err != nil {
+			return nil, err
+		}
+		if &out[0] == &ks[0] {
+			out = slices.Clone(ks)
+		}
+		out[i].Const = v
+	}
+	return out, nil
 }
 
 // apply narrows sel to the rows satisfying the conjunct, writing in place.

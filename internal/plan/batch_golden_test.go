@@ -89,7 +89,7 @@ func goldenShowsPredicates(t *testing.T, name string, root exec.Operator) (paral
 				parallel++
 			}
 		}
-		_, children := describe(op)
+		_, children := describe(op, nil)
 		for _, c := range children {
 			walk(c)
 		}

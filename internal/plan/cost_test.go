@@ -317,7 +317,7 @@ func TestBatchFallbackPricedAsInterpreter(t *testing.T) {
 		if cs, ok := op.(*exec.ColumnScan); ok {
 			scan = cs
 		}
-		_, children := describe(op)
+		_, children := describe(op, nil)
 		for _, c := range children {
 			walk(c)
 		}

@@ -26,14 +26,72 @@ import (
 
 // estimator answers the planner's cardinality questions from the plan's
 // statistics: collected ones, or the default statistics, under which every
-// question gets its default guess.
+// question gets its default guess. A parameter (adl.Param) of the plan is
+// read as the literal args holds for it, and every histogram estimate that
+// read one is appended to reads: the plan's signature (Plan.Rebind).
 type estimator struct {
 	stats  Statistics
 	noHist bool
+	args   []value.Value
+	reads  *[]histRead
 }
 
-func newEstimator(cfg Config) estimator {
-	return estimator{stats: cfg.Statistics, noHist: cfg.NoHistograms}
+func newEstimator(cfg Config, args []value.Value, reads *[]histRead) estimator {
+	return estimator{stats: cfg.Statistics, noHist: cfg.NoHistograms, args: args, reads: reads}
+}
+
+// histRead is one histogram estimate over literal operands: the fraction of
+// rows equal to lo (op Eq), on one side of lo (Lt, Le, Gt, Ge), or, if rng,
+// between lo and hi (a nil bound is an open end). These are the only places
+// the planner reads the value of a literal. result is the estimate's value
+// when the plan was built.
+type histRead struct {
+	h              *stats.Histogram
+	op             adl.CmpOp
+	rng            bool
+	lo, hi         adl.Expr
+	loIncl, hiIncl bool
+	result         float64
+}
+
+// fraction computes r with args as the parameters' values; false when an
+// operand is no literal.
+func (r histRead) fraction(args []value.Value) (float64, bool) {
+	lo, loOK := literal(r.lo, args)
+	hi, hiOK := literal(r.hi, args)
+	switch {
+	case !loOK || !hiOK:
+		return 0, false
+	case r.rng:
+		return r.h.RangeFraction(lo, hi, r.loIncl, r.hiIncl), true
+	case lo == nil:
+		return 0, false
+	}
+	switch r.op {
+	case adl.Eq:
+		return r.h.EqFraction(lo), true
+	case adl.Lt:
+		return r.h.LessFraction(lo, false), true
+	case adl.Le:
+		return r.h.LessFraction(lo, true), true
+	case adl.Gt:
+		return clamp(1-r.h.LessFraction(lo, true), 0, 1), true
+	case adl.Ge:
+		return clamp(1-r.h.LessFraction(lo, false), 0, 1), true
+	}
+	return 0, false
+}
+
+// read computes r and, when an operand is a parameter, records it.
+func (e estimator) read(r histRead) (float64, bool) {
+	f, ok := r.fraction(e.args)
+	_, loParam := r.lo.(*adl.Param)
+	_, hiParam := r.hi.(*adl.Param)
+	if ok && (loParam || hiParam) {
+		r.result = f
+		*e.reads = append(*e.reads, r)
+	}
+	return f, ok
 }
 
 // hist resolves the histogram for extent.attr, nil when unavailable or when
@@ -79,15 +137,19 @@ func orientCmp(cmp *adl.Cmp, v string) (attr string, other adl.Expr, op adl.CmpO
 }
 
 // literal resolves an optional bound expression to its literal value: a nil
-// bound is an open end (ok with a nil value), a non-literal bound reports
-// not-ok — the histogram cannot be consulted for a value only known at run
-// time.
-func literal(e adl.Expr) (value.Value, bool) {
-	if e == nil {
+// bound is an open end (ok with a nil value), a parameter is its argument, and
+// any other bound reports not-ok — the histogram cannot be consulted for a
+// value only known at run time.
+func literal(e adl.Expr, args []value.Value) (value.Value, bool) {
+	switch n := e.(type) {
+	case nil:
 		return nil, true
-	}
-	if c, ok := e.(*adl.Const); ok && c.Val != nil {
-		return c.Val, true
+	case *adl.Const:
+		return n.Val, n.Val != nil
+	case *adl.Param:
+		if n.Slot < len(args) {
+			return args[n.Slot], true
+		}
 	}
 	return nil, false
 }
@@ -97,8 +159,8 @@ func literal(e adl.Expr) (value.Value, bool) {
 // 1/NDV uniform rule otherwise.
 func (e estimator) eqSelectivity(extent, attr string, other adl.Expr) float64 {
 	if h := e.hist(extent, attr); h != nil {
-		if c, ok := other.(*adl.Const); ok && c.Val != nil {
-			return h.EqFraction(c.Val)
+		if f, ok := e.read(histRead{h: h, op: adl.Eq, lo: other}); ok {
+			return f
 		}
 	}
 	if extent != "" {
@@ -113,20 +175,10 @@ func (e estimator) eqSelectivity(extent, attr string, other adl.Expr) float64 {
 // histogram interpolation when other is a literal, the default guess
 // otherwise. op must be one of Lt/Le/Gt/Ge.
 func (e estimator) cmpSelectivity(op adl.CmpOp, extent, attr string, other adl.Expr) float64 {
-	h := e.hist(extent, attr)
-	c, isConst := other.(*adl.Const)
-	if h == nil || !isConst || c.Val == nil {
-		return defaultSelectivity
-	}
-	switch op {
-	case adl.Lt:
-		return h.LessFraction(c.Val, false)
-	case adl.Le:
-		return h.LessFraction(c.Val, true)
-	case adl.Gt:
-		return clamp(1-h.LessFraction(c.Val, true), 0, 1)
-	case adl.Ge:
-		return clamp(1-h.LessFraction(c.Val, false), 0, 1)
+	if h := e.hist(extent, attr); h != nil {
+		if f, ok := e.read(histRead{h: h, op: op, lo: other}); ok {
+			return f
+		}
 	}
 	return defaultSelectivity
 }
@@ -139,10 +191,8 @@ func (e estimator) cmpSelectivity(op adl.CmpOp, extent, attr string, other adl.E
 // instead of identically to it.
 func (e estimator) boundsSelectivity(extent, attr string, lo, hi adl.Expr, loIncl, hiIncl bool) float64 {
 	if h := e.hist(extent, attr); h != nil {
-		loV, loOK := literal(lo)
-		hiV, hiOK := literal(hi)
-		if loOK && hiOK {
-			return h.RangeFraction(loV, hiV, loIncl, hiIncl)
+		if f, ok := e.read(histRead{h: h, rng: true, lo: lo, hi: hi, loIncl: loIncl, hiIncl: hiIncl}); ok {
+			return f
 		}
 	}
 	var sels []float64

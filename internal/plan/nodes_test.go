@@ -99,7 +99,7 @@ func TestEveryNodeIsPlanned(t *testing.T) {
 	var walk func(op exec.Operator)
 	walk = func(op exec.Operator) {
 		planned[strings.TrimPrefix(fmt.Sprintf("%T", op), "*exec.")] = true
-		_, children := describe(op)
+		_, children := describe(op, nil)
 		for _, c := range children {
 			walk(c)
 		}

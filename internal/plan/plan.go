@@ -19,6 +19,7 @@ package plan
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 
 	"repro/internal/adl"
@@ -89,6 +90,54 @@ type Plan struct {
 
 	est map[exec.Operator]Estimate
 	feedbackState
+
+	// cfg is the configuration the plan was built under, args the values of
+	// its parameters, and reads its signature: the histogram estimates that
+	// read a parameter.
+	cfg   Config
+	args  []value.Value
+	reads []histRead
+}
+
+// Args returns the values of the plan's parameters (adl.Param), which a run
+// takes as exec.Ctx.Args; nil when the plan was planned with its literals.
+func (p *Plan) Args() []value.Value { return p.args }
+
+// Rebind returns the plan c.PlanWith builds for this plan's template with the
+// arguments args, if it is this plan, and nil otherwise. It is when c plans as
+// the configuration of this plan did and every estimate of its signature,
+// replayed with args, is bit-equal to what it was: those estimates are the
+// planner's only reads of a parameter, so the planner would make every choice
+// as it did. The plan returned shares this one's tree and estimates, runs
+// with args, and keeps feedback of its own.
+func (p *Plan) Rebind(c Config, args []value.Value) *Plan {
+	if !p.Under(c) || len(args) != len(p.args) {
+		return nil
+	}
+	for _, r := range p.reads {
+		if f, ok := r.fraction(args); !ok || math.Float64bits(f) != math.Float64bits(r.result) {
+			return nil
+		}
+	}
+	return &Plan{Root: p.Root, est: p.est, cfg: p.cfg, args: args, reads: p.reads}
+}
+
+// Under reports whether p was planned under a configuration that plans as c
+// does.
+func (p *Plan) Under(c Config) bool { return c.plansAs(p.cfg) }
+
+// plansAs reports whether c reads as the same configuration to the planner as
+// d, whose Parallelism is resolved: the planner ignores Stats and Vectorized.
+// Statistics compare with ==, a pointer by identity; a configuration whose
+// Statistics == cannot compare matches none.
+func (c Config) plansAs(d Config) bool {
+	if c.Statistics != nil && !reflect.TypeOf(c.Statistics).Comparable() {
+		return false
+	}
+	c.Parallelism = exec.Parallelism(c.Parallelism)
+	c.Stats, c.Vectorized = nil, false
+	d.Stats, d.Vectorized = nil, false
+	return c == d
 }
 
 // Estimate returns the optimizer's annotation for a node of this plan.
@@ -98,8 +147,9 @@ func (p *Plan) Estimate(op exec.Operator) (Estimate, bool) {
 }
 
 // Explain renders the plan tree with its cost annotations, and observed
-// per-execution row counts once instrumented executions have run.
-func (p *Plan) Explain() string { return explainTree(p.Root, p.est, p.Actual) }
+// per-execution row counts once instrumented executions have run. A
+// parameter is rendered as its argument.
+func (p *Plan) Explain() string { return explainTree(p.Root, p.args, p.est, p.Actual) }
 
 // Compile builds a physical operator tree with the default (serial)
 // configuration.
@@ -109,15 +159,26 @@ func Compile(e adl.Expr) exec.Operator { return Config{}.Compile(e) }
 func (c Config) Compile(e adl.Expr) exec.Operator { return c.Plan(e).Root }
 
 // Plan compiles a (set-valued) ADL expression into an annotated plan.
-func (c Config) Plan(e adl.Expr) *Plan {
-	workers := exec.Parallelism(c.Parallelism)
+func (c Config) Plan(e adl.Expr) *Plan { return c.PlanWith(e, nil) }
+
+// PlanWith plans a template: e, whose parameters (adl.Param) take the values
+// args. The parameters stay in the plan, whose runs take args as
+// exec.Ctx.Args; every estimate reads a parameter as the literal it stands
+// for, so the plan is the one e with its literals bound in would get, and the
+// histogram estimates that read one are kept as the plan's signature
+// (Rebind).
+func (c Config) PlanWith(e adl.Expr, args []value.Value) *Plan {
+	c.Parallelism = exec.Parallelism(c.Parallelism)
+	pl := &Plan{cfg: c, args: args}
+	workers := c.Parallelism
 	if c.Statistics == nil {
 		c.Statistics, workers = defaultStatistics{}, 1
 	}
-	p := &planner{cfg: c, workers: workers, card: newEstimator(c),
+	p := &planner{cfg: c, workers: workers, card: newEstimator(c, args, &pl.reads),
 		est: map[exec.Operator]Estimate{}}
-	root, _ := p.compile(e)
-	return &Plan{Root: root, est: p.est}
+	pl.Root, _ = p.compile(e)
+	pl.est = p.est
+	return pl
 }
 
 // Run compiles and executes a set-valued expression.
@@ -587,17 +648,18 @@ func keyScalar(keys []adl.Expr, v string) exec.Scalar {
 
 func conjuncts(e adl.Expr) []adl.Expr { return adl.Conjuncts(e) }
 
-// Explain renders a physical plan tree without annotations.
-func Explain(op exec.Operator) string { return explainTree(op, nil, nil) }
+// Explain renders a physical plan tree without annotations, each parameter
+// (adl.Param) as its argument in args.
+func Explain(op exec.Operator, args ...value.Value) string { return explainTree(op, args, nil, nil) }
 
-func explainTree(op exec.Operator, est map[exec.Operator]Estimate, act func(exec.Operator) (int64, bool)) string {
+func explainTree(op exec.Operator, args []value.Value, est map[exec.Operator]Estimate, act func(exec.Operator) (int64, bool)) string {
 	var b strings.Builder
-	explain(&b, op, 0, est, act)
+	explain(&b, op, 0, args, est, act)
 	return b.String()
 }
 
-func explain(b *strings.Builder, op exec.Operator, depth int, est map[exec.Operator]Estimate, act func(exec.Operator) (int64, bool)) {
-	line, children := describe(op)
+func explain(b *strings.Builder, op exec.Operator, depth int, args []value.Value, est map[exec.Operator]Estimate, act func(exec.Operator) (int64, bool)) {
+	line, children := describe(op, args)
 	if e, ok := est[op]; ok {
 		line += fmt.Sprintf("  (rows≈%d cost≈%d)", e.Rows, int64(e.Cost+0.5))
 		if act != nil {
@@ -611,31 +673,32 @@ func explain(b *strings.Builder, op exec.Operator, depth int, est map[exec.Opera
 	}
 	fmt.Fprintf(b, "%s%s\n", strings.Repeat("  ", depth), line)
 	for _, c := range children {
-		explain(b, c, depth+1, est, act)
+		explain(b, c, depth+1, args, est, act)
 	}
 }
 
-// describe renders one node's line (sans indentation) and lists its
-// children.
-func describe(op exec.Operator) (string, []exec.Operator) {
+// describe renders one node's line (sans indentation), each parameter as its
+// argument in args, and lists its children.
+func describe(op exec.Operator, args []value.Value) (string, []exec.Operator) {
+	x := func(e adl.Expr) adl.Expr { return adl.Bind(e, args) }
 	switch o := op.(type) {
 	case *exec.Scan:
 		return fmt.Sprintf("Scan(%s)", o.Table), nil
 	case *exec.IndexScan:
 		if o.Eq != nil {
 			return fmt.Sprintf("IndexScan(%s.%s = %s)  -- index access path",
-				o.Table, o.Attr, o.Eq.Expr), nil
+				o.Table, o.Attr, x(o.Eq.Expr)), nil
 		}
 		lo, hi := "-∞", "+∞"
 		lob, hib := "(", ")"
 		if o.Lo != nil {
-			lo = fmt.Sprint(o.Lo.Expr)
+			lo = fmt.Sprint(x(o.Lo.Expr))
 			if o.LoIncl {
 				lob = "["
 			}
 		}
 		if o.Hi != nil {
-			hi = fmt.Sprint(o.Hi.Expr)
+			hi = fmt.Sprint(x(o.Hi.Expr))
 			if o.HiIncl {
 				hib = "]"
 			}
@@ -644,7 +707,7 @@ func describe(op exec.Operator) (string, []exec.Operator) {
 			o.Table, o.Attr, lob, lo, hi, hib), nil
 	case *exec.IndexNLJoin:
 		return fmt.Sprintf("IndexNLJoin[%v on %s -> %s.%s%s]  -- index nested loop",
-			o.Kind, o.LKey.Expr, o.Table, o.Attr, residualNote(o.Residual)), []exec.Operator{o.L}
+			o.Kind, x(o.LKey.Expr), o.Table, o.Attr, residualNote(o.Residual, args)), []exec.Operator{o.L}
 	case *exec.ColumnScan:
 		cols := "∅"
 		if len(o.Attrs) > 0 {
@@ -655,7 +718,7 @@ func describe(op exec.Operator) (string, []exec.Operator) {
 			typed := 0
 			parts := make([]string, len(o.Kernels))
 			for i, k := range o.Kernels {
-				parts[i] = fmt.Sprint(k.Pred.Expr)
+				parts[i] = fmt.Sprint(x(k.Pred.Expr))
 				if k.Attr != "" {
 					typed++
 				}
@@ -668,19 +731,19 @@ func describe(op exec.Operator) (string, []exec.Operator) {
 		}
 		return line + ")  -- columnar projection", nil
 	case *exec.ExprScan:
-		return fmt.Sprintf("ExprScan(%s)  -- interpreter fallback", o.Expr), nil
+		return fmt.Sprintf("ExprScan(%s)  -- interpreter fallback", x(o.Expr)), nil
 	case *exec.Filter:
 		if o.Workers > 1 {
 			return fmt.Sprintf("ParallelFilter[%s: %s | %d workers]  -- parallel",
-				o.Var, o.Pred.Expr, o.Workers), []exec.Operator{o.Child}
+				o.Var, x(o.Pred.Expr), o.Workers), []exec.Operator{o.Child}
 		}
-		return fmt.Sprintf("Filter[%s: %s]", o.Var, o.Pred.Expr), []exec.Operator{o.Child}
+		return fmt.Sprintf("Filter[%s: %s]", o.Var, x(o.Pred.Expr)), []exec.Operator{o.Child}
 	case *exec.MapOp:
 		if o.Workers > 1 {
 			return fmt.Sprintf("ParallelMap[%s: %s | %d workers]  -- parallel",
-				o.Var, o.Body.Expr, o.Workers), []exec.Operator{o.Child}
+				o.Var, x(o.Body.Expr), o.Workers), []exec.Operator{o.Child}
 		}
-		return fmt.Sprintf("Map[%s: %s]", o.Var, o.Body.Expr), []exec.Operator{o.Child}
+		return fmt.Sprintf("Map[%s: %s]", o.Var, x(o.Body.Expr)), []exec.Operator{o.Child}
 	case *exec.ProjectOp:
 		return fmt.Sprintf("Project[%s]", strings.Join(o.Attrs, ", ")), []exec.Operator{o.Child}
 	case *exec.UnnestOp:
@@ -696,9 +759,9 @@ func describe(op exec.Operator) (string, []exec.Operator) {
 	case *exec.DivideOp:
 		return "Divide", []exec.Operator{o.L, o.R}
 	case *exec.LetOp:
-		return fmt.Sprintf("Let[%s = %s]  -- constant, evaluated once", o.Var, o.Val), []exec.Operator{o.Child}
+		return fmt.Sprintf("Let[%s = %s]  -- constant, evaluated once", o.Var, x(o.Val)), []exec.Operator{o.Child}
 	case *exec.HashJoin:
-		on := fmt.Sprintf("%v on %s = %s%s", o.Kind, o.LKey.Expr, o.RKey.Expr, residualNote(o.Residual))
+		on := fmt.Sprintf("%v on %s = %s%s", o.Kind, x(o.LKey.Expr), x(o.RKey.Expr), residualNote(o.Residual, args))
 		if o.Unnest != "" {
 			on += " | μ " + o.Unnest
 		}
@@ -707,9 +770,9 @@ func describe(op exec.Operator) (string, []exec.Operator) {
 		}
 		return fmt.Sprintf("HashJoin[%s]", on), []exec.Operator{o.L, o.R}
 	case *exec.SetProbeJoin:
-		return fmt.Sprintf("SetProbeJoin[%v on %s ∈ .%s]", o.Kind, o.RKey.Expr, o.Attr), []exec.Operator{o.L, o.R}
+		return fmt.Sprintf("SetProbeJoin[%v on %s ∈ .%s]", o.Kind, x(o.RKey.Expr), o.Attr), []exec.Operator{o.L, o.R}
 	case *exec.NLJoin:
-		return fmt.Sprintf("NLJoin[%v on %s]", o.Kind, o.Pred.Expr), []exec.Operator{o.L, o.R}
+		return fmt.Sprintf("NLJoin[%v on %s]", o.Kind, x(o.Pred.Expr)), []exec.Operator{o.L, o.R}
 	case *exec.PNHL:
 		return fmt.Sprintf("PNHL[.%s with budget %d rows]", o.Attr, o.BudgetRows), []exec.Operator{o.L, o.R}
 	}
@@ -717,9 +780,9 @@ func describe(op exec.Operator) (string, []exec.Operator) {
 }
 
 // residualNote renders an optional residual predicate for a join line.
-func residualNote(res *exec.Scalar) string {
+func residualNote(res *exec.Scalar, args []value.Value) string {
 	if res == nil {
 		return ""
 	}
-	return fmt.Sprintf(" if %s", res.Expr)
+	return fmt.Sprintf(" if %s", adl.Bind(res.Expr, args))
 }

@@ -56,7 +56,8 @@ func (p *planner) batchSelects(n *adl.Select, extent string, rows, out float64) 
 
 // kernel classifies one conjunct of a σ over v. The shapes v.a <op> const,
 // const <op> v.a (mirrored) and v.a <op> v.b get a typed kernel over the
-// named columns; anything else has Attr "" and runs the row-wise fallback.
+// named columns, a parameter standing for a constant the run supplies;
+// anything else has Attr "" and runs the row-wise fallback.
 // Pred is left for the caller to compile.
 func kernel(c adl.Expr, v string) exec.VecCmp {
 	cmp, ok := c.(*adl.Cmp)
@@ -71,8 +72,11 @@ func kernel(c adl.Expr, v string) exec.VecCmp {
 	if a == "" {
 		return exec.VecCmp{}
 	}
-	if cv, isConst := r.(*adl.Const); isConst {
-		return exec.VecCmp{Attr: a, Op: op, Const: cv.Val}
+	switch r := r.(type) {
+	case *adl.Const:
+		return exec.VecCmp{Attr: a, Op: op, Const: r.Val}
+	case *adl.Param:
+		return exec.VecCmp{Attr: a, Op: op, Param: r}
 	}
 	if ra := fieldAttr(r, v); ra != "" {
 		return exec.VecCmp{Attr: a, Op: op, RAttr: ra}

@@ -197,7 +197,7 @@ func columnScansRunSigma(t *testing.T, op exec.Operator) {
 		if cs, ok := node.(*exec.ColumnScan); ok && (cs.Var == "" || len(cs.Kernels) == 0) {
 			t.Fatalf("ColumnScan without a predicate:\n%s", Explain(op))
 		}
-		_, children := describe(node)
+		_, children := describe(node, nil)
 		for _, c := range children {
 			walk(c)
 		}

@@ -91,7 +91,7 @@ type Rule struct {
 // Step records one rule firing for explanation output: the rule and the node
 // it produced. After is kept as an expression and printed by whoever shows
 // the trace — most traces are never shown — and, when Optimize ran on a
-// lifted template, holds adl.Param leaves until adl.Bind fills them in.
+// lifted template, holds adl.Param leaves, which whoever shows it binds.
 type Step struct {
 	Rule  string
 	After adl.Expr

@@ -102,9 +102,10 @@ func (c *clock[V]) len() int {
 type templates struct {
 	cache *clock[*core.Template]
 	// hits counts prepares that took a cached rewritten template, fpHits
-	// those of them that took it by fingerprint, fpFallbacks those whose
-	// fingerprint was cached but that took the full path.
-	hits, fpHits, fpFallbacks atomic.Int64
+	// those of them that took it by fingerprint, planReuses those that took
+	// its plan, fpFallbacks those whose fingerprint was cached but that took
+	// the full path.
+	hits, fpHits, planReuses, fpFallbacks atomic.Int64
 }
 
 func (t *templates) Template(key []byte) *core.Template {
@@ -121,6 +122,9 @@ func (t *templates) count(r core.Reuse) {
 	}
 	if r&core.FromFingerprint != 0 {
 		t.fpHits.Add(1)
+	}
+	if r&core.FromPlan != 0 {
+		t.planReuses.Add(1)
 	}
 	if r&core.Fallback != 0 {
 		t.fpFallbacks.Add(1)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/storage"
 )
 
@@ -13,11 +14,12 @@ const cheapParts = `select p.pname from p in PART where p.price < %d`
 
 // TestTemplateHit: a never-seen text of a seen shape is a cache miss — its
 // plan is built, from its own literals — that skipped the rewriter, and with
-// a seen token fingerprint the parse as well.
+// a seen token fingerprint the parse as well; when its literals leave every
+// estimate as the template's plan for other literals had it, it is that plan.
 func TestTemplateHit(t *testing.T) {
 	eng := newEngine(t, Options{Parallelism: 1})
 	rows := map[int]int{}
-	for _, k := range []int{10, 40, 10_000} {
+	for _, k := range []int{10, 40, 10_000, 20_000} {
 		r, err := eng.QueryVerified(fmt.Sprintf(cheapParts, k))
 		if err != nil {
 			t.Fatal(err)
@@ -27,14 +29,16 @@ func TestTemplateHit(t *testing.T) {
 		}
 		rows[k] = r.Set.Len()
 	}
-	if !(rows[10] < rows[40] && rows[40] < rows[10_000]) {
+	if !(rows[10] < rows[40] && rows[40] < rows[10_000] && rows[10_000] == rows[20_000]) {
 		t.Fatalf("rows by literal %v: the template's first literal leaked into later plans", rows)
 	}
-	if m := eng.Metrics(); m.CacheMiss != 3 || m.CacheHits != 0 || m.TemplateHits != 2 || m.FingerprintHits != 2 ||
-		m.FingerprintFallbacks != 0 || m.CacheEntries != 3 {
-		t.Fatalf("metrics %+v, want 3 misses, 2 of them template hits by fingerprint, 3 entries", m)
+	// Every price is under 10 000 and 20 000: the two texts estimate alike.
+	if m := eng.Metrics(); m.CacheMiss != 4 || m.CacheHits != 0 || m.TemplateHits != 3 || m.FingerprintHits != 3 ||
+		m.PlanReuses != 1 || m.FingerprintFallbacks != 0 || m.CacheEntries != 4 {
+		t.Fatalf("metrics %+v, want 4 misses, 3 of them template hits by fingerprint, 1 with the template's plan, 4 entries", m)
 	}
-	// An epoch re-plan of a cached text takes its template too.
+	// An epoch re-plan of a cached text takes its template too, but no plan
+	// priced on the statistics before the index.
 	if err := eng.Store().CreateIndex("PART", "price", storage.OrderedIndex); err != nil {
 		t.Fatal(err)
 	}
@@ -42,20 +46,21 @@ func TestTemplateHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := eng.Metrics(); !r.Replanned || m.Replans != 1 || m.TemplateHits != 3 || m.FingerprintHits != 3 {
+	if m := eng.Metrics(); !r.Replanned || m.Replans != 1 || m.TemplateHits != 4 || m.FingerprintHits != 4 || m.PlanReuses != 1 {
 		t.Fatalf("replanned=%v, metrics %+v; want a re-plan from the template by fingerprint", r.Replanned, m)
 	}
 	// A text of a seen fingerprint whose value left in the template (the
 	// 30 under the unary minus) differs takes the full path, and its own
 	// template; the next text with the first one's value takes the
-	// fingerprint again.
+	// fingerprint again, and the plan: no estimate reads its literal, as the
+	// range it bounds has a lower end no histogram can price.
 	for i, k := range []int{30, 31, 30} {
 		if _, err := eng.QueryVerified(fmt.Sprintf(`select p.pname from p in PART where p.price > -%d and p.price < %d`, k, 100+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if m := eng.Metrics(); m.TemplateHits != 4 || m.FingerprintHits != 4 || m.FingerprintFallbacks != 1 {
-		t.Fatalf("metrics %+v, want one fingerprint fallback and one more fingerprint hit", m)
+	if m := eng.Metrics(); m.TemplateHits != 5 || m.FingerprintHits != 5 || m.FingerprintFallbacks != 1 || m.PlanReuses != 2 {
+		t.Fatalf("metrics %+v, want one fingerprint fallback and one more fingerprint hit, with the plan", m)
 	}
 	// NoPlanCache means neither level.
 	bare := New(eng.Store(), Options{NoPlanCache: true})
@@ -64,15 +69,16 @@ func TestTemplateHit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m := bare.Metrics(); m.TemplateHits != 0 || m.FingerprintHits != 0 || m.CacheEntries != 0 {
+	if m := bare.Metrics(); m.TemplateHits != 0 || m.FingerprintHits != 0 || m.PlanReuses != 0 || m.CacheEntries != 0 {
 		t.Fatalf("NoPlanCache engine cached: %+v", m)
 	}
 }
 
 // TestConcurrentTemplateBinding: eight goroutines prepare queries of one
-// shape with literals of their own while the shared template is being put
-// and read, each result verified against nested-loop evaluation of its own
-// text. Under -race this fails if Bind or the planner writes to a template.
+// shape with literals of their own while the shared template, and the plans
+// it keeps, are being put and read, each result verified against nested-loop
+// evaluation of its own text. Under -race this fails if planning or a plan's
+// reuse writes to a template or to a plan another text runs.
 func TestConcurrentTemplateBinding(t *testing.T) {
 	eng := newEngine(t, Options{Parallelism: 1})
 	shapes := []string{
@@ -104,11 +110,17 @@ func TestConcurrentTemplateBinding(t *testing.T) {
 	if built := m.CacheMiss - m.TemplateHits; m.CacheMiss < 60 || built < int64(len(shapes)) || built > goroutines*int64(len(shapes)) {
 		t.Fatalf("metrics %+v: want every miss but the first of a shape (per racing goroutine) served from a template", m)
 	}
+	if m.PlanReuses == 0 || eng.tmpl.mostPlans() > core.MaxPlans {
+		t.Fatalf("metrics %+v, a template with %d plans: want texts taking the plans of others, at most %d a template",
+			m, eng.tmpl.mostPlans(), core.MaxPlans)
+	}
 }
 
 // TestPlanCacheIsBounded: ten capacities of texts that never repeat leave at
 // most one capacity of entries, and a text in use survives the sweep; level 2
-// holds the two shapes, each under its lifted key and its one fingerprint.
+// holds the two shapes, each under its lifted key and its one fingerprint,
+// and a template at most core.MaxPlans plans, all priced on the statistics
+// of the newest.
 func TestPlanCacheIsBounded(t *testing.T) {
 	eng := newEngine(t, Options{Parallelism: 1, NoFeedback: true})
 	if _, err := eng.Query(redParts); err != nil {
@@ -131,6 +143,37 @@ func TestPlanCacheIsBounded(t *testing.T) {
 	if got := eng.tmpl.cache.len(); got != 4 {
 		t.Fatalf("%d level-2 entries for two shapes, want each under its lifted key and its fingerprint", got)
 	}
+	// The texts met a hundred estimates; a template keeps the newest few.
+	if n := eng.tmpl.mostPlans(); n > core.MaxPlans || m.PlanReuses < 9*planCacheCap {
+		t.Fatalf("a template holds %d plans, want at most %d; %d plan reuses", n, core.MaxPlans, m.PlanReuses)
+	}
+	// Once inserts move the stats epoch, no plan priced before them serves a
+	// text, though its estimates be the same: the template keeps only the
+	// plan priced after them.
+	epoch := eng.Store().StatsEpoch()
+	for i := 0; eng.Store().StatsEpoch() == epoch; i++ {
+		if _, err := eng.Insert("PART", newPart(i, "teal")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := eng.Query(fmt.Sprintf(cheapParts, 20*planCacheCap)); err != nil {
+		t.Fatal(err)
+	}
+	if after := eng.Metrics(); after.PlanReuses != m.PlanReuses || eng.tmpl.mostPlans() != 1 {
+		t.Fatalf("after the epoch moved: %d plan reuses, was %d; a template holds %d plans, want 1",
+			after.PlanReuses, m.PlanReuses, eng.tmpl.mostPlans())
+	}
+}
+
+// mostPlans is the most plans a cached template holds.
+func (t *templates) mostPlans() int {
+	t.cache.mu.Lock()
+	defer t.cache.mu.Unlock()
+	n := 0
+	for _, s := range t.cache.slots {
+		n = max(n, s.val.Plans())
+	}
+	return n
 }
 
 func TestClock(t *testing.T) {

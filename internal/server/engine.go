@@ -21,12 +21,18 @@
 // fingerprint (oosql.LexText: the tokens, each literal as its kind and the
 // class of literals equal to it) is a second key to the same template, with
 // the recipe that makes the classes of a text the template's arguments: a
-// later text of the fingerprint is lexed, its literals bound into the
-// rewritten template and planned, so the planner prices the query as
-// written. A text whose recipe does not take its literals, or whose
+// later text of the fingerprint is lexed and its literals made the
+// arguments. A text whose recipe does not take its literals, or whose
 // fingerprint is unseen, parses, translates and lifts to find the template.
-// A template hit rebuilds the plan: it counts as a miss or a replan, and in
-// TemplateHits. Both levels hold a fixed number of entries (cache.go).
+// The rewritten template is planned with the arguments, which the estimates
+// read as the literals they are, so the planner prices the query as written;
+// the parameters stay in the plan and a run reads them from exec.Ctx.Args.
+// The template keeps a few such plans, each with its signature: the
+// histogram estimates that read an argument. A text whose arguments give
+// every one of them bit-equal is planned no more — the planner would build
+// the same tree — but runs that plan with its own arguments (PlanReuses). A
+// template hit counts as a miss or a replan, and in TemplateHits. Both levels
+// hold a fixed number of entries (cache.go).
 //
 // Inserts advance the epoch through the store's mutation counter; deletes
 // and updates deliberately do not — their drift is caught from the other
@@ -195,12 +201,13 @@ func (e *Engine) Query(src string) (*Result, error) {
 // when feedback is on — and applies the post-execution drift check.
 func (e *Engine) run(src string, ent *cacheEntry, sn *storage.Snapshot) (*value.Set, bool, error) {
 	q := ent.q
-	if e.opts.NoPlanCache || e.opts.NoFeedback || q.Planned == nil || ent.ackSeq.Load() == sn.Seq()+1 {
-		set, err := exec.Collect(q.Plan, &exec.Ctx{DB: sn})
+	ctx := &exec.Ctx{DB: sn, Args: q.Planned.Args()}
+	if e.opts.NoPlanCache || e.opts.NoFeedback || ent.ackSeq.Load() == sn.Seq()+1 {
+		set, err := exec.Collect(q.Plan, ctx)
 		return set, false, err
 	}
 	root, commit := q.Planned.Instrumented()
-	set, err := exec.Collect(root, &exec.Ctx{DB: sn})
+	set, err := exec.Collect(root, ctx)
 	if err != nil {
 		return nil, false, err
 	}
@@ -289,10 +296,11 @@ func (e *Engine) Update(extent string, oid value.OID, t *value.Tuple) error {
 }
 
 // Metrics is a point-in-time counter snapshot. TemplateHits counts plans
-// built from a cached rewritten template (each also a CacheMiss or a Replan),
-// FingerprintHits those of them prepared by token fingerprint (lex → bind →
-// plan), FingerprintFallbacks the plans whose text's fingerprint was cached
-// but that took the full path, CacheEntries the texts holding a plan.
+// prepared from a cached rewritten template (each also a CacheMiss or a
+// Replan), FingerprintHits those of them prepared by token fingerprint (lex →
+// args → plan), PlanReuses those whose plan too was the template's (no
+// planning), FingerprintFallbacks the plans whose text's fingerprint was
+// cached but that took the full path, CacheEntries the texts holding a plan.
 // TupleShapes is the process-wide value.ShapeCount: shapes are never freed
 // and a `select (x = …)` with a novel attribute list mints one, so it should
 // stop growing once the query mix has been seen.
@@ -307,6 +315,7 @@ type Metrics struct {
 	FeedbackEvictions    int64  `json:"feedback_evictions"`
 	TemplateHits         int64  `json:"template_hits"`
 	FingerprintHits      int64  `json:"fingerprint_hits"`
+	PlanReuses           int64  `json:"plan_reuses"`
 	FingerprintFallbacks int64  `json:"fingerprint_fallbacks"`
 	CacheEntries         int64  `json:"cache_entries"`
 	TupleShapes          int64  `json:"tuple_shapes"`
@@ -329,6 +338,7 @@ func (e *Engine) Metrics() Metrics {
 		FeedbackEvictions:    e.evictions.Load(),
 		TemplateHits:         e.tmpl.hits.Load(),
 		FingerprintHits:      e.tmpl.fpHits.Load(),
+		PlanReuses:           e.tmpl.planReuses.Load(),
 		FingerprintFallbacks: e.tmpl.fpFallbacks.Load(),
 		CacheEntries:         int64(e.plans.len()),
 		TupleShapes:          value.ShapeCount(),
