@@ -36,7 +36,10 @@ bench-smoke:
 # analytic.default on their 4000/8000/20000 store, one after the other),
 # and of two of those
 # texts alone: analytic-eq4 (Example Query 4's μ-fused antijoin) and
-# analytic-materialize (two set-probe nestjoins),
+# analytic-materialize (two set-probe nestjoins), and of analyze (the first
+# Analyze of that store: one sort per attribute, its histogram and distinct
+# counter read off the sorted runs; its CPU profile also holds the untimed
+# store generation, which `go tool pprof -focus 'Store..Analyze'` leaves out),
 # written with the test binary into PROFILE_DIR (git-ignored) and summarized
 # on stdout. Each benchmark runs twice, once per profile: with the memory
 # profile's sampling on, its stack unwinding (runtime.tracebackPCs) would show
@@ -53,7 +56,8 @@ profile:
 			'plan-miss=BenchmarkServeQuery/miss' \
 			'analytic-cycle=BenchmarkAnalyticCycle/cycle' \
 			'analytic-eq4=BenchmarkAnalyticCycle/eq4-antijoin' \
-			'analytic-materialize=BenchmarkAnalyticCycle/materialize'; do \
+			'analytic-materialize=BenchmarkAnalyticCycle/materialize' \
+			'analyze=BenchmarkAnalyze'; do \
 		name=$${spec%%=*}; \
 		$(PROFILE_DIR)/repro.test -test.run='^$$' -test.bench="$${spec#*=}" -test.benchmem \
 			-test.benchtime=$(PROFILE_BENCHTIME) -test.cpuprofile $(PROFILE_DIR)/$$name.cpu.prof; \

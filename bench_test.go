@@ -885,6 +885,20 @@ func BenchmarkAnalyticCycle(b *testing.B) {
 	b.Run("cycle", func(b *testing.B) { run(b, all) })
 }
 
+// BenchmarkAnalyze — the first Analyze of the analytic store: every
+// extent's collection pass, its histograms and its distinct counters. Each
+// iteration generates the store and creates its two indexes outside the
+// timer; `make profile` profiles it as analyze.
+func BenchmarkAnalyze(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st, _ := analyticWorkload(b)
+		b.StartTimer()
+		st.Analyze()
+	}
+}
+
 // BenchmarkParallelFilter — the parallel σ alone: σ[d.date < c] over the
 // 20000 deliveries of the analytic store in contiguous shares, one per worker
 // and at least two, a seventh of the rows passing.

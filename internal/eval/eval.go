@@ -427,6 +427,10 @@ func Cmp(op adl.CmpOp, l, r value.Value) (value.Value, error) {
 		if l.Kind() != r.Kind() || !orderedKind(l.Kind()) {
 			return nil, fmt.Errorf("eval: ordered comparison %s on %s and %s", op, l.Kind(), r.Kind())
 		}
+		if value.IsNaN(l) || value.IsNaN(r) {
+			// IEEE order, as the column kernels compare: NaN is unordered.
+			return value.Bool(false), nil
+		}
 		c := value.Compare(l, r)
 		switch op {
 		case adl.Lt:

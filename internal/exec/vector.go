@@ -193,8 +193,8 @@ func cmpInt64(a, b int64, op adl.CmpOp) bool {
 }
 
 func cmpFloat64(a, b float64, op adl.CmpOp) bool {
-	// Matches evalCmp: Eq/Ne via Go == (NaN ≠ NaN), ordered via
-	// value.Compare's natural float order.
+	// Matches eval.Cmp: Eq/Ne via Go == (NaN ≠ NaN), ordered via the IEEE
+	// operators (a NaN operand makes every ordered comparison false).
 	switch op {
 	case adl.Eq:
 		return a == b

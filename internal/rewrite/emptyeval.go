@@ -162,6 +162,9 @@ func reduceCmp(n *adl.Cmp) TV {
 		// x.c ∋ ∅ is run-time dependent (Table 3).
 	case adl.Lt, adl.Le, adl.Gt, adl.Ge:
 		if lIsConst && rIsConst && lc.Val.Kind() == rc.Val.Kind() {
+			if value.IsNaN(lc.Val) || value.IsNaN(rc.Val) {
+				return TVFalse // IEEE order, as eval.Cmp: NaN is unordered
+			}
 			c := value.Compare(lc.Val, rc.Val)
 			switch n.Op {
 			case adl.Lt:

@@ -3,7 +3,11 @@
 // consumes them for cardinality estimation). It sits below both so neither
 // has to import the other.
 //
-// The only type today is the equi-depth histogram. The paper's cost
+// The only type today is the equi-depth histogram. ANALYZE builds one from
+// an attribute's values sorted once (value.SortRuns) and the ends of their
+// runs of equal values (FromRuns), the same runs it seeds the attribute's
+// distinct counter from; writes then maintain it in place (Absorb,
+// Unabsorb). The paper's cost
 // arguments (§5.1) assume the optimizer knows enough to rank join
 // strategies; a fixed 1/NDV equality rule assumes every value is equally
 // frequent, which skewed data — the common case for foreign keys and
@@ -46,37 +50,40 @@ type Histogram struct {
 // NewEquiDepth builds an equi-depth histogram over vals with at most
 // maxBuckets buckets (DefaultBuckets when <= 0). It returns nil when there
 // are no values — "no histogram" and "no data" are the same to a consumer.
-// vals is sorted in place.
+// vals is put into canonical order in place (value.Sort).
 func NewEquiDepth(vals []value.Value, maxBuckets int) *Histogram {
+	return FromRuns(vals, value.SortRuns(nil, vals), maxBuckets)
+}
+
+// FromRuns is NewEquiDepth over vals already in canonical order, whose runs
+// of equal values end at ends (value.SortRuns). It only reads vals and ends,
+// so ANALYZE seeds an attribute's distinct counter from the same runs.
+func FromRuns(vals []value.Value, ends []int, maxBuckets int) *Histogram {
 	if len(vals) == 0 {
 		return nil
 	}
 	if maxBuckets <= 0 {
 		maxBuckets = DefaultBuckets
 	}
-	sort.Slice(vals, func(i, j int) bool { return value.Compare(vals[i], vals[j]) < 0 })
 	depth := (len(vals) + maxBuckets - 1) / maxBuckets
 	h := &Histogram{Rows: len(vals)}
 	var cur *Bucket
-	for i := 0; i < len(vals); {
+	start := 0
+	for _, end := range ends {
 		// One run of equal values at a time, kept whole.
-		j := i + 1
-		for j < len(vals) && value.Compare(vals[j], vals[i]) == 0 {
-			j++
-		}
-		run := j - i
+		run := end - start
 		// Start a new bucket when the current one is full — and also when
 		// the incoming run is itself bucket-sized: appending a heavy hitter
 		// to a partially-filled bucket would dilute its exact frequency by
 		// the bucket's other values.
 		if cur == nil || cur.Rows >= depth || (cur.Rows > 0 && run >= depth) {
-			h.Buckets = append(h.Buckets, Bucket{Lo: vals[i], Hi: vals[i]})
+			h.Buckets = append(h.Buckets, Bucket{Lo: vals[start], Hi: vals[start]})
 			cur = &h.Buckets[len(h.Buckets)-1]
 		}
-		cur.Hi = vals[i]
+		cur.Hi = vals[start]
 		cur.Rows += run
 		cur.NDV++
-		i = j
+		start = end
 	}
 	return h
 }

@@ -4,14 +4,21 @@
 // The first Analyze scans every extent once and records, per base table, the
 // row count, per-attribute distinct-value counts, equi-depth histograms of
 // the scalar attribute values (and of set-element values), and the average
-// cardinality of set-valued attributes. From then on the store maintains
-// that state incrementally: every Insert absorbs the new row into the live
-// counters and histograms in place, so a long-lived server never re-scans an
-// extent to keep its planner fed. Analyze publishes an immutable DBStats
-// copy of the live state, memoized until the next mutation; the per-store
-// stats epoch (StatsEpoch) advances only on material drift — an index
-// change, or enough rows since the last bump to matter — and is what the
-// serving layer's plan cache keys on.
+// cardinality of set-valued attributes. It is one typed pass per attribute:
+// the scan resolves each row shape's attributes once and gathers every
+// attribute's values into a slice sized from a counting pass; each slice is
+// sorted once (value.SortRuns), and the histogram and the exact distinct
+// counter are both read off its runs of equal values — the counter seeded
+// with one slot per run, the run's length as its reference count. From then
+// on the store maintains that state incrementally: every Insert absorbs the
+// new row into the live counters and histograms in place (Delete and Update
+// unabsorb the old row), exactly as if the counters had been fed row by
+// row, so a long-lived server never re-scans an extent to keep its planner
+// fed. Analyze publishes an immutable DBStats copy of the live state,
+// memoized until the next mutation; the per-store stats epoch (StatsEpoch)
+// advances only on material drift — an index change, or enough rows since
+// the last bump to matter — and is what the serving layer's plan cache keys
+// on.
 package storage
 
 import (
@@ -203,6 +210,33 @@ type distinctCounter struct {
 	n     int
 }
 
+// newCounter returns the counter of vals, which are in canonical order with
+// their runs of Compare-equal values ending at ends (value.SortRuns): one slot
+// per run, holding the run's length as its reference count — the state
+// adding the values one by one reaches, with the slots in another order.
+// A run of a kind whose Compare-equal values may differ under Equal or Hash
+// (floats, tuples) is added value by value, so that still holds.
+func newCounter(vals []value.Value, ends []int) *distinctCounter {
+	c := &distinctCounter{
+		heads: make(map[uint64]int32, len(ends)),
+		vals:  make([]value.Value, 0, len(ends)),
+		refs:  make([]int32, 0, len(ends)),
+		next:  make([]int32, 0, len(ends)),
+	}
+	start := 0
+	for _, end := range ends {
+		if v := vals[start]; value.ExactKind(v.Kind()) {
+			c.insert(v, value.Hash(v), int32(end-start))
+		} else {
+			for _, v := range vals[start:end] {
+				c.add(v)
+			}
+		}
+		start = end
+	}
+	return c
+}
+
 func (c *distinctCounter) add(v value.Value) {
 	h := value.Hash(v)
 	for s := c.heads[h]; s != 0; s = c.next[s-1] {
@@ -211,12 +245,17 @@ func (c *distinctCounter) add(v value.Value) {
 			return
 		}
 	}
+	c.insert(v, h, 1)
+}
+
+// insert gives v, which no slot holds, a slot with refs references.
+func (c *distinctCounter) insert(v value.Value, h uint64, refs int32) {
 	s := c.free
 	if s != 0 {
 		c.free = c.next[s-1]
-		c.vals[s-1], c.refs[s-1] = v, 1
+		c.vals[s-1], c.refs[s-1] = v, refs
 	} else {
-		c.vals, c.refs, c.next = append(c.vals, v), append(c.refs, 1), append(c.next, 0)
+		c.vals, c.refs, c.next = append(c.vals, v), append(c.refs, refs), append(c.next, 0)
 		s = int32(len(c.vals))
 	}
 	c.next[s-1], c.heads[h] = c.heads[h], s
@@ -402,48 +441,103 @@ func (s *Store) StatsEpoch() uint64 { return s.statsEpoch.Load() }
 func (s *Store) buildLive() {
 	v := s.head.Load()
 	live := map[string]*liveTableStats{}
+	var ends []int
 	for _, ext := range s.cat.Extents() {
 		lt := newLiveTableStats()
-		vals := map[string][]value.Value{}  // scalar values per attr, all rows
-		elems := map[string][]value.Value{} // pooled set elements per attr
-		for _, oid := range v.extents[ext] {
-			obj, ok := s.objectAt(oid, v.seq)
-			if !ok {
-				continue
+		attrs := s.scanExtent(v.extents[ext], v.seq, lt)
+		// Each attribute is sorted once; its histogram and its distinct
+		// counter are both read off the same runs of equal values. Later
+		// rows are absorbed incrementally.
+		for _, a := range attrs {
+			if len(a.vals) > 0 {
+				ends = value.SortRuns(ends[:0], a.vals)
+				lt.hist[a.name] = stats.FromRuns(a.vals, ends, stats.DefaultBuckets)
+				lt.counters[a.name] = newCounter(a.vals, ends)
 			}
-			lt.rows++
-			for i := 0; i < obj.Len(); i++ {
-				name, av := obj.At(i)
-				if set, ok := av.(*value.Set); ok {
-					lt.setRows[name]++
-					lt.elems[name] += set.Len()
-					elems[name] = append(elems[name], set.Elems()...)
-					continue
-				}
-				c := lt.counters[name]
-				if c == nil {
-					c = &distinctCounter{heads: map[uint64]int32{}}
-					lt.counters[name] = c
-				}
-				c.add(av)
-				vals[name] = append(vals[name], av)
-			}
-		}
-		// The initial histograms come from the batch equi-depth builder (best
-		// bucket boundaries); later rows are absorbed incrementally.
-		for name, vs := range vals {
-			if h := stats.NewEquiDepth(vs, stats.DefaultBuckets); h != nil {
-				lt.hist[name] = h
-			}
-		}
-		for name, vs := range elems {
-			if h := stats.NewEquiDepth(vs, stats.DefaultBuckets); h != nil {
-				lt.elemHist[name] = h
+			if len(a.elems) > 0 {
+				ends = value.SortRuns(ends[:0], a.elems)
+				lt.elemHist[a.name] = stats.FromRuns(a.elems, ends, stats.DefaultBuckets)
 			}
 		}
 		live[ext] = lt
 	}
 	s.live = live
+}
+
+// attrScan is one attribute's share of an extent's collection scan: its
+// scalar values across the rows, the elements of its sets pooled, and the
+// counts they are allocated at.
+type attrScan struct {
+	name                  string
+	vals, elems           []value.Value
+	scalars, sets, nelems int
+}
+
+// scanExtent reads the rows oids name at seq, sets lt's row and set-shape
+// tallies, and returns every attribute's values. A row's attributes are
+// matched to their attrScan once per row shape, and the value slices are
+// allocated at their final size from a first pass that counts them.
+func (s *Store) scanExtent(oids []value.OID, seq uint64, lt *liveTableStats) []*attrScan {
+	var attrs []*attrScan
+	slotsOf := map[*value.Shape][]*attrScan{}
+	resolve := func(shape *value.Shape) []*attrScan {
+		sl := make([]*attrScan, shape.Len())
+		for i, name := range shape.Names() {
+			for _, a := range attrs {
+				if a.name == name {
+					sl[i] = a
+				}
+			}
+			if sl[i] == nil {
+				sl[i] = &attrScan{name: name}
+				attrs = append(attrs, sl[i])
+			}
+		}
+		slotsOf[shape] = sl
+		return sl
+	}
+	type row struct {
+		obj   *value.Tuple
+		slots []*attrScan
+	}
+	rows := make([]row, 0, len(oids))
+	for _, oid := range oids {
+		obj, ok := s.objectAt(oid, seq)
+		if !ok {
+			continue
+		}
+		sl, ok := slotsOf[obj.Shape]
+		if !ok {
+			sl = resolve(obj.Shape)
+		}
+		rows = append(rows, row{obj, sl})
+		for i, a := range sl {
+			if _, av := obj.At(i); av.Kind() == value.KindSet {
+				a.sets++
+				a.nelems += av.(*value.Set).Len()
+			} else {
+				a.scalars++
+			}
+		}
+	}
+	lt.rows = len(rows)
+	for _, a := range attrs {
+		a.vals = make([]value.Value, 0, a.scalars)
+		a.elems = make([]value.Value, 0, a.nelems)
+		if a.sets > 0 {
+			lt.setRows[a.name], lt.elems[a.name] = a.sets, a.nelems
+		}
+	}
+	for _, r := range rows {
+		for i, a := range r.slots {
+			if _, av := r.obj.At(i); av.Kind() == value.KindSet {
+				a.elems = append(a.elems, av.(*value.Set).Elems()...)
+			} else {
+				a.vals = append(a.vals, av)
+			}
+		}
+	}
+	return attrs
 }
 
 // publishStats derives an immutable DBStats from the live state: attributes

@@ -29,7 +29,8 @@ const (
 	// HashIndex buckets oids by key hash; it answers equality probes only.
 	HashIndex IndexKind = iota + 1
 	// OrderedIndex keeps (key, oids) entries sorted by value.Compare; it
-	// answers both equality and range probes.
+	// answers both equality and range probes. It holds no NaN key, which
+	// neither probe could match.
 	OrderedIndex
 )
 
@@ -187,13 +188,35 @@ func (s *Store) build(idx *extIndex) {
 		e.oids = append(e.oids, st.oid)
 	}
 	if idx.kind == OrderedIndex {
-		sort.Slice(entries, func(i, j int) bool {
-			return value.Compare(entries[i].key, entries[j].key) < 0
-		})
-		idx.entries = entries
+		idx.entries = sortEntries(buckets, entries)
 	} else {
 		idx.buckets = buckets
 	}
+}
+
+// sortEntries returns the entries of an ordered index in canonical key
+// order: their keys are sorted (value.Sort) and each key's entry is read back
+// from its hash bucket, in which no other key is Equal to it. NaN keys are
+// left out, here and in absorb: a NaN is Equal to nothing and unordered to
+// everything, so neither probe could return it.
+func sortEntries(buckets map[uint64][]*indexEntry, entries []*indexEntry) []*indexEntry {
+	keys := make([]value.Value, 0, len(entries))
+	for _, e := range entries {
+		if !value.IsNaN(e.key) {
+			keys = append(keys, e.key)
+		}
+	}
+	value.Sort(keys)
+	sorted := make([]*indexEntry, len(keys))
+	for i, k := range keys {
+		for _, e := range buckets[value.Hash(k)] {
+			if value.Equal(e.key, k) {
+				sorted[i] = e
+				break
+			}
+		}
+	}
+	return sorted
 }
 
 // absorbIndexes folds one new object state into every index of its extent —
@@ -235,6 +258,9 @@ func (idx *extIndex) absorb(v value.Value, oid value.OID) {
 			idx.buckets = map[uint64][]*indexEntry{}
 		}
 		idx.buckets[h] = append(idx.buckets[h], &indexEntry{key: v, oids: []value.OID{oid}})
+		return
+	}
+	if value.IsNaN(v) {
 		return
 	}
 	i := sort.Search(len(idx.entries), func(i int) bool {
@@ -343,6 +369,10 @@ func (s *Store) indexLookup(extent, attr string, key value.Value, bound value.OI
 // at (bound, seq).
 func (s *Store) indexRange(extent, attr string, lo, hi value.Value, loIncl, hiIncl bool, bound value.OID, seq uint64) ([]value.Value, error) {
 	match := func(v value.Value) bool {
+		// IEEE order: a NaN, stored or bound, satisfies no range.
+		if value.IsNaN(v) || value.IsNaN(lo) || value.IsNaN(hi) {
+			return false
+		}
 		if lo != nil {
 			c := value.Compare(v, lo)
 			if c < 0 || (c == 0 && !loIncl) {

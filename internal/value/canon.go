@@ -1,6 +1,7 @@
 package value
 
 import (
+	"cmp"
 	"slices"
 	"strconv"
 	"sync"
@@ -43,23 +44,23 @@ func (c *canon) compare(a, b Value) int {
 		}
 	case Int:
 		if bv, ok := b.(Int); ok {
-			return cmpOrdered(av, bv)
+			return cmp.Compare(av, bv)
 		}
 	case Float:
 		if bv, ok := b.(Float); ok {
-			return cmpOrdered(av, bv)
+			return cmp.Compare(av, bv)
 		}
 	case String:
 		if bv, ok := b.(String); ok {
-			return cmpOrdered(av, bv)
+			return cmp.Compare(av, bv)
 		}
 	case Date:
 		if bv, ok := b.(Date); ok {
-			return cmpOrdered(av, bv)
+			return cmp.Compare(av, bv)
 		}
 	case OID:
 		if bv, ok := b.(OID); ok {
-			return cmpOrdered(av, bv)
+			return cmp.Compare(av, bv)
 		}
 	case *Tuple:
 		if bt, ok := b.(*Tuple); ok {
@@ -126,93 +127,13 @@ func (c *canon) sorted(s *Set) []Value {
 	seq, ok := c.seqs[s]
 	if !ok {
 		seq = slices.Clone(s.elems)
-		c.sort(seq)
+		c.sort(seq, nil)
 		if c.seqs == nil {
 			c.seqs = make(map[*Set][]Value)
 		}
 		c.seqs[s] = seq
 	}
 	return seq
-}
-
-// sort puts the elements of one set into canonical order in place. The two
-// common shapes skip the generic comparison: atoms of one kind (oids, names,
-// prices) are compared on the concrete type, and tuples of one layout (the
-// rows of a result) share one attribute permutation resolved up front.
-func (c *canon) sort(vs []Value) {
-	if len(vs) < 2 {
-		return
-	}
-	if kind, ok := uniformKind(vs); ok {
-		switch kind {
-		case KindInt:
-			sortAtoms[Int](vs)
-			return
-		case KindFloat:
-			sortAtoms[Float](vs)
-			return
-		case KindString:
-			sortAtoms[String](vs)
-			return
-		case KindDate:
-			sortAtoms[Date](vs)
-			return
-		case KindOID:
-			sortAtoms[OID](vs)
-			return
-		case KindTuple:
-			if sameLayout(vs) {
-				order := vs[0].(*Tuple).order
-				slices.SortFunc(vs, func(a, b Value) int {
-					return c.compareAligned(a.(*Tuple), b.(*Tuple), order)
-				})
-				return
-			}
-		}
-	}
-	slices.SortFunc(vs, c.compare)
-}
-
-// uniformKind reports the kind every element of vs has, if there is one.
-func uniformKind(vs []Value) (Kind, bool) {
-	kind := vs[0].Kind()
-	for _, v := range vs[1:] {
-		if v.Kind() != kind {
-			return 0, false
-		}
-	}
-	return kind, true
-}
-
-// sameLayout reports whether the tuples vs all have one shape.
-func sameLayout(vs []Value) bool {
-	shape := vs[0].(*Tuple).Shape
-	for _, v := range vs[1:] {
-		if v.(*Tuple).Shape != shape {
-			return false
-		}
-	}
-	return true
-}
-
-func sortAtoms[T interface {
-	Value
-	~int32 | ~int64 | ~uint64 | ~float64 | ~string
-}](vs []Value) {
-	slices.SortFunc(vs, func(a, b Value) int { return cmpOrdered(a.(T), b.(T)) })
-}
-
-func cmpOrdered[T interface {
-	~int32 | ~int64 | ~uint64 | ~float64 | ~string
-}](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
 }
 
 // appendText appends the canonical text of v to dst: the paper's surface
@@ -263,7 +184,7 @@ func (c *canon) appendText(dst []byte, v Value) []byte {
 		if !ordered {
 			c.stack = append(c.stack, vv.elems...)
 			seq = c.stack[mark:]
-			c.sort(seq)
+			c.sort(seq, nil)
 		}
 		dst = append(dst, '{')
 		for i, e := range seq {

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -48,15 +49,15 @@ func refCompare(a, b Value) int {
 			return 1
 		}
 	case Int:
-		return cmpOrdered(av, b.(Int))
+		return cmp.Compare(av, b.(Int))
 	case Float:
-		return cmpOrdered(av, b.(Float))
+		return cmp.Compare(av, b.(Float))
 	case String:
-		return cmpOrdered(av, b.(String))
+		return cmp.Compare(av, b.(String))
 	case Date:
-		return cmpOrdered(av, b.(Date))
+		return cmp.Compare(av, b.(Date))
 	case OID:
-		return cmpOrdered(av, b.(OID))
+		return cmp.Compare(av, b.(OID))
 	case *Tuple:
 		bt := b.(*Tuple)
 		ai, bi := refSortedIdx(av), refSortedIdx(bt)

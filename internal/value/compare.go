@@ -66,14 +66,24 @@ func Equal(a, b Value) bool {
 }
 
 // Compare imposes a deterministic total order on all values: first by kind,
-// then by the natural order within the kind. Tuples compare by sorted
-// attribute name then value; sets compare by cardinality then by their
-// canonically sorted element sequences. The order is used for canonical
-// printing and by sort-based physical operators; it has no semantic role in
-// the algebra beyond the ordered atomic comparisons (<, ≤, >, ≥).
+// then by the natural order within the kind. Floats order as cmp.Compare
+// orders them: NaN before every other float and equal to every NaN, -0 equal
+// to +0. Tuples compare by sorted attribute name then value; sets compare by
+// cardinality then by their canonically sorted element sequences. The order
+// is used for canonical printing, sorting and ordered indexes; it has no
+// semantic role in the algebra (the ordered comparisons <, ≤, >, ≥ on two
+// floats are IEEE's, under which NaN is unordered).
 func Compare(a, b Value) int {
 	var c canon
 	return c.compare(a, b)
+}
+
+// IsNaN reports whether v is a float NaN, which no ordered comparison
+// admits: under IEEE order, the one the algebra's <, ≤, >, ≥ use, every
+// comparison with a NaN is false.
+func IsNaN(v Value) bool {
+	f, ok := v.(Float)
+	return ok && f != f
 }
 
 // Hash returns a 64-bit hash consistent with Equal: equal values hash

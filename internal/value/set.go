@@ -284,7 +284,7 @@ func (s *Set) Flatten() (*Set, error) {
 func (s *Set) Sorted() []Value {
 	out := append(make([]Value, 0, len(s.elems)), s.elems...)
 	var c canon
-	c.sort(out)
+	c.sort(out, nil)
 	return out
 }
 
