@@ -36,6 +36,29 @@ var analyticTexts = [][2]string{
  from d in DELIVERY where d.date < 940105`},
 }
 
+// pointTexts are the distinct texts of benchmark/spec.go's serve.* cycle,
+// planned on its 400/800/200 store with PART.color and PART.price indexed.
+var pointTexts = [][2]string{
+	{"red_parts", `select p.pname from p in PART where p.color = "red"`},
+	{"cheap_parts", `select p.pname from p in PART where p.price < 10`},
+	{"all_suppliers", `select s.sname from s in SUPPLIER`},
+	{"eq5_semijoin", analyticTexts[0][1]},
+}
+
+// missTexts are benchmark/spec.go's four plan.miss templates, planned on its
+// unindexed 100/200/50 store with 1001, a literal above every PART.price.
+var missTexts = [][2]string{
+	{"sel_k", `select p.pname from p in PART where p.price < 1001`},
+	{"eq5_k", `select s from s in SUPPLIER
+ where exists x in s.parts_supplied : exists p in PART : x = p and p.price = 1001`},
+	{"eq6_k", `select (sname = s.sname,
+        pnames = select p.pname from p in PART where p in s.parts_supplied and p.price = 1001)
+ from s in SUPPLIER`},
+	{"nested3_k", `select s.sname from s in SUPPLIER
+ where exists d in DELIVERY : d.supplier = s and
+       exists y in d.supply : exists p in PART : y.part = p and p.price = 1001`},
+}
+
 // TestExplainGoldenBatch pins the plans of the analytic query texts as the
 // serving engine plans them (collected statistics), serial and with two
 // workers, on the store of those workloads: at a tenth of it the two-worker
@@ -98,6 +121,33 @@ func goldenShowsPredicates(t *testing.T, name string, root exec.Operator) (paral
 	return parallel
 }
 
+// TestExplainGoldenRuler pins the plans of the serve.* and plan.miss texts
+// as TestExplainGoldenBatch pins the analytic ones, serial and with two
+// workers, each on its workload's store: a change that moves one of them
+// shows in the diff of its testdata/ruler_*.golden.
+func TestExplainGoldenRuler(t *testing.T) {
+	for _, w := range []struct {
+		name    string
+		store   bench.Config
+		indexed bool
+		texts   [][2]string
+	}{
+		{"point", bench.Config{Suppliers: 400, Parts: 800, Deliveries: 200}, true, pointTexts},
+		{"miss", bench.Config{Suppliers: 100, Parts: 200, Deliveries: 50}, false, missTexts},
+	} {
+		st, exprs := textStore(t, w.store, w.indexed, w.texts)
+		stats := st.Analyze()
+		for i, q := range w.texts {
+			for _, par := range []int{1, 2} {
+				name := fmt.Sprintf("ruler_%s_%s_p%d", w.name, q[0], par)
+				t.Run(name, func(t *testing.T) {
+					checkGolden(t, name, Config{Statistics: stats, Parallelism: par}.Plan(exprs[i]).Explain())
+				})
+			}
+		}
+	}
+}
+
 // TestExplainActualsGolden pins the row tally of every plan node: Explain
 // after one committed instrumented run of the analytic texts, serial and
 // with two workers. The files were generated at the commit before rows were
@@ -132,15 +182,24 @@ func TestExplainActualsGolden(t *testing.T) {
 // analyticStore generates the store of the analytic.* workloads and rewrites
 // the six texts against it.
 func analyticStore(t *testing.T) (*storage.Store, []adl.Expr) {
-	st := bench.Generate(bench.Config{Suppliers: 4000, Parts: 8000, Deliveries: 20000,
-		Fanout: 8, EmptyFrac: 0.05, Seed: 94})
+	return textStore(t, bench.Config{Suppliers: 4000, Parts: 8000, Deliveries: 20000,
+		Fanout: 8, EmptyFrac: 0.05, Seed: 94}, true, analyticTexts)
+}
+
+// textStore generates a store, indexed on PART.color and PART.price if asked,
+// and rewrites texts against it.
+func textStore(t *testing.T, cfg bench.Config, indexed bool, texts [][2]string) (*storage.Store, []adl.Expr) {
+	st := bench.Generate(cfg)
 	for attr, kind := range map[string]storage.IndexKind{"color": storage.HashIndex, "price": storage.OrderedIndex} {
+		if !indexed {
+			break
+		}
 		if err := st.CreateIndex("PART", attr, kind); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var exprs []adl.Expr
-	for _, q := range analyticTexts {
+	for _, q := range texts {
 		ast, err := oosql.Parse(q[1])
 		if err != nil {
 			t.Fatal(err)
