@@ -98,7 +98,7 @@ func BenchmarkB7(b *testing.B) {
 }
 
 // BenchmarkB8 — the supplier-deliveries grouping join executed by HashJoin
-// serially and partitioned (one partition per CPU, at least two).
+// serially and in parallel (one worker per CPU, at least two).
 func BenchmarkB8(b *testing.B) {
 	for _, sc := range [][2]int{{500, 5000}, {2000, 20000}} {
 		c := experiments.StrategyJoin("group", adl.NestJ, sc[0], sc[1]).Only("hash", "parallel")
@@ -146,8 +146,8 @@ func BenchmarkB13(b *testing.B) {
 	}
 }
 
-// BenchmarkB14 — the parallel arms of the B13 pipeline: partitioned scalar
-// operators, and a parallel ColumnScan feeding the partitioned join.
+// BenchmarkB14 — the parallel arms of the B13 pipeline: parallel scalar
+// operators, and a parallel ColumnScan feeding the parallel join.
 func BenchmarkB14(b *testing.B) {
 	for _, sc := range [][2]int{{100, 10000}, {400, 40000}} {
 		c := experiments.VecJoin(sc[0], sc[1], max(2, exec.Parallelism(0))).Only("parallel", "parallel-vectorized")
@@ -186,7 +186,7 @@ func TestBatchAllocations(t *testing.T) {
 // that expands μ inside its probe: it builds no row it drops, so a run's
 // allocations do not grow with the number of set elements. At 400 and 4 000
 // suppliers (≈ 3 000 and 30 000 elements) they differ by fewer than 16,
-// serial and on two partitions.
+// serial and on two workers.
 func TestUnnestAntijoinAllocations(t *testing.T) {
 	const eq4 = `select s.eid from s in SUPPLIER
  where exists z in s.parts_supplied : not exists p in PART : z = p`
@@ -194,8 +194,8 @@ func TestUnnestAntijoinAllocations(t *testing.T) {
 		var allocs [2]float64
 		for i, n := range []int{400, 4000} {
 			st := bench.Generate(bench.Config{Suppliers: n, Parts: 2 * n, Fanout: 8, EmptyFrac: 0.05, Seed: 94})
-			// Inflated statistics price the partitioned join cheaper at both
-			// scales; at one worker there is no partitioned candidate.
+			// Inflated statistics price the parallel join cheaper at both
+			// scales; at one worker there is no parallel candidate.
 			q, err := core.PrepareCfg(eq4, st.Catalog(), plan.Config{Statistics: inflated{st.Analyze()}, Parallelism: par})
 			if err != nil {
 				t.Fatal(err)
@@ -220,7 +220,7 @@ func TestUnnestAntijoinAllocations(t *testing.T) {
 // BenchmarkParallelPlanner — the same join compiled by the planner without
 // statistics (priced on the default statistics, on one worker) and by the
 // cost model from the store's statistics with the row counts inflated a
-// thousandfold, so that it prices the partitioned hash join cheaper on any
+// thousandfold, so that it prices the parallel hash join cheaper on any
 // host.
 func BenchmarkParallelPlanner(b *testing.B) {
 	st := bench.Generate(bench.Config{Suppliers: 3000, Parts: 10, Fanout: 2,
@@ -230,8 +230,8 @@ func BenchmarkParallelPlanner(b *testing.B) {
 		adl.T("SUPPLIER"))
 	serial := plan.Compile(j)
 	parallel := plan.Config{Statistics: inflated{st.Analyze()}, Parallelism: 4}.Compile(j)
-	if x := plan.Explain(parallel); !strings.Contains(x, "PartitionedHashJoin") {
-		b.Fatalf("inflated statistics should plan a partitioned hash join, got\n%s", x)
+	if x := plan.Explain(parallel); !strings.Contains(x, "workers]  -- parallel") {
+		b.Fatalf("inflated statistics should plan a parallel hash join, got\n%s", x)
 	}
 	ctx := &exec.Ctx{DB: st}
 	b.Run("serial", func(b *testing.B) {

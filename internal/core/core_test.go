@@ -29,7 +29,7 @@ func TestPrepareExecuteExplain(t *testing.T) {
 		t.Fatalf("physical and naive execution diverge")
 	}
 	exp := q.Explain()
-	for _, s := range []string{"OOSQL:", "ADL (§3 translation):", "⋉", "SetProbeJoin", "options used"} {
+	for _, s := range []string{"OOSQL:", "ADL (§3 translation):", "⋉", "HashJoin[⋉ on p[pid] ∈ .parts]", "options used"} {
 		if !strings.Contains(exp, s) {
 			t.Errorf("explain missing %q:\n%s", s, exp)
 		}

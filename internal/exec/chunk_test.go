@@ -82,7 +82,7 @@ func TestChunkedExchangeSizes(t *testing.T) {
 			}
 			pairs = append(pairs, pair{fmt.Sprintf("HashJoin %v", k),
 				&HashJoin{Kind: k, L: scan("L"), R: scan("R"), LVar: "x", RVar: "y",
-					LKey: lkey, RKey: rkey, As: as, Partitions: w},
+					LKey: lkey, RKey: rkey, As: as, Workers: w},
 				&HashJoin{Kind: k, L: scan("L"), R: scan("R"), LVar: "x", RVar: "y",
 					LKey: lkey, RKey: rkey, As: as}})
 		}
@@ -146,7 +146,7 @@ func TestChunkedExchangeLifecycle(t *testing.T) {
 		"MapOp": &MapOp{Child: &Scan{Table: "L"}, Var: "x", Workers: 3,
 			Body: NewScalar(adl.Dot(adl.V("x"), "a"), "x")},
 		"HashJoin": &HashJoin{Kind: adl.Outer,
-			L: &Scan{Table: "L"}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y", Partitions: 3,
+			L: &Scan{Table: "L"}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y", Workers: 3,
 			LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
 			RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y")},
 	}

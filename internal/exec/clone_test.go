@@ -29,11 +29,11 @@ func cloneFixtureTree() Operator {
 	}
 }
 
-// vecFixtureTree is a partitioned hash join over a parallel ColumnScan and a
+// vecFixtureTree is a parallel hash join over a parallel ColumnScan and a
 // filter: every operator that starts goroutines of its own.
 func vecFixtureTree() Operator {
 	k := fieldKernel("b", adl.Lt, value.Int(5))
-	return &HashJoin{Kind: adl.Semi, Partitions: 3,
+	return &HashJoin{Kind: adl.Semi, Workers: 3,
 		L: &ColumnScan{Extent: "L", Attrs: []string{"b"}, Var: "x", Kernels: []VecCmp{k}, Workers: 3},
 		R: &Filter{Child: &ColumnScan{Extent: "R"}, Var: "y", Workers: 2,
 			Pred: NewScalar(adl.CBool(true), "y")},
@@ -145,7 +145,7 @@ func TestNodesHoldNoRunState(t *testing.T) {
 			return true
 		})
 	}
-	if len(nodes) < 20 {
+	if len(nodes) < 19 { // the 18 exported node types and tallied
 		t.Fatalf("found %d node types, want the whole operator set", len(nodes))
 	}
 	for name := range nodes {

@@ -106,10 +106,10 @@ func columnDBs(t *testing.T) (*storage.Store, *storage.MemDB) {
 
 // TestReferenceColumnDifferential runs the joins that read a reference set's
 // column over the store, where the sets have one, and over the MemDB, where
-// they do not, and checks both against NLJoin: SetProbeJoin (semi, anti,
+// they do not, and checks both against NLJoin: HashJoin on membership (semi, anti,
 // nest with and without RFun) on OID and Int build keys and on keys of
 // another shape, and HashJoin expanding μ in its probe (semi, anti; 1 and 3
-// partitions) on OID and Int keys. The cases hold empty sets, dangling references, Ints whose bits
+// workers) on OID and Int keys. The cases hold empty sets, dangling references, Ints whose bits
 // equal an OID key's (which must not match it), a set above value.SmallSet,
 // and sets of two kinds or two shapes, which have no column.
 func TestReferenceColumnDifferential(t *testing.T) {
@@ -139,10 +139,10 @@ func TestReferenceColumnDifferential(t *testing.T) {
 				if kc.kind == adl.Inner || kc.kind == adl.Outer {
 					continue
 				}
-				sp := &SetProbeJoin{Kind: kc.kind, L: &Scan{Table: left}, R: &Scan{Table: "R"},
-					Attr: "parts", RKey: NewScalar(rk.key, "y"), As: "ys", RFun: kc.rfun}
+				sp := &HashJoin{Kind: kc.kind, L: &Scan{Table: left}, R: &Scan{Table: "R"},
+					In: "parts", RKey: NewScalar(rk.key, "y"), As: "ys", RFun: kc.rfun}
 				oracle := setMember(kc.kind, left, "R", "parts", rk.key, kc.rfun)
-				check(fmt.Sprintf("SetProbeJoin %s %s keys, %s", kc.name, rk.name, left), sp, oracle)
+				check(fmt.Sprintf("HashJoin ∈ %s %s keys, %s", kc.name, rk.name, left), sp, oracle)
 				if kc.kind == adl.Semi {
 					hits += collect(t, oracle, mem).Len()
 				}
@@ -159,13 +159,13 @@ func TestReferenceColumnDifferential(t *testing.T) {
 		for _, kind := range []adl.JoinKind{adl.Semi, adl.Anti} {
 			for _, parts := range []int{1, 3} {
 				hj := &HashJoin{Kind: kind, L: &Scan{Table: "L"}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
-					LKey: NewScalar(keys.lkey, "x"), RKey: NewScalar(keys.rkey, "y"), Unnest: "parts", Partitions: parts}
+					LKey: NewScalar(keys.lkey, "x"), RKey: NewScalar(keys.rkey, "y"), Unnest: "parts", Workers: parts}
 				if hj.probeAttr() != "pid" {
 					t.Fatalf("%s keys: the join would not expand μ in its probe", keys.name)
 				}
 				oracle := &NLJoin{Kind: kind, L: &UnnestOp{Child: &Scan{Table: "L"}, Attr: "parts"}, R: &Scan{Table: "R"},
 					LVar: "x", RVar: "y", Pred: NewScalar(adl.EqE(keys.lkey, keys.rkey), "x", "y")}
-				check(fmt.Sprintf("HashJoin{μ} %v %s keys, %d partitions", kind, keys.name, parts), hj, oracle)
+				check(fmt.Sprintf("HashJoin{μ} %v %s keys, %d workers", kind, keys.name, parts), hj, oracle)
 			}
 		}
 	}

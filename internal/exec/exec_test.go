@@ -132,7 +132,7 @@ func TestNestJoinRFun(t *testing.T) {
 	}
 }
 
-// TestSetProbeJoin validates the membership-probe join against the logical
+// TestSetProbeJoin validates the hash join on membership (HashJoin.In) against the logical
 // semantics of key(y) ∈ x.parts for semi, anti and nest kinds.
 func TestSetProbeJoin(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
@@ -154,10 +154,10 @@ func TestSetProbeJoin(t *testing.T) {
 			logical := &adl.Join{Kind: kind, LVar: "x", RVar: "y", On: on, As: as,
 				L: adl.T("N"), R: adl.T("R")}
 			want := evalRef(t, logical, d)
-			sp := &SetProbeJoin{Kind: kind, L: &Scan{Table: "N"}, R: &Scan{Table: "R"},
-				Attr: "parts", RKey: NewScalar(rk, "y"), As: as}
+			sp := &HashJoin{Kind: kind, L: &Scan{Table: "N"}, R: &Scan{Table: "R"},
+				In: "parts", RKey: NewScalar(rk, "y"), As: as}
 			if got := collect(t, sp, d); !value.Equal(got, want) {
-				t.Errorf("seed %d SetProbeJoin %v: got %v want %v", seed, kind, got, want)
+				t.Errorf("seed %d HashJoin ∈ %v: got %v want %v", seed, kind, got, want)
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+
 	"repro/internal/adl"
 	"repro/internal/value"
 )
@@ -46,17 +48,16 @@ func (j NLJoin) Open(ctx *Ctx) (Rows, error) {
 	return buffered(em.out)
 }
 
-// HashJoin is the set-oriented join family on equi-keys: it builds a hash
-// table on the right operand keyed by RKey and probes it with LKey,
-// applying an optional residual predicate. All join kinds are supported;
-// for the nestjoin this is the paper's "common join implementation methods
-// like the hash join can be adapted" (§6.1).
+// HashJoin is the set-oriented join family on equi-keys: it builds one hash
+// table (joinTable) on the right operand keyed by RKey and probes it with
+// LKey, applying an optional residual predicate. All join kinds are
+// supported; for the nestjoin this is the paper's "common join
+// implementation methods like the hash join can be adapted" (§6.1).
 //
-// With Partitions > 1 it is the parallel form: the right operand is split by
-// key hash into that many tables, all built before any probe, and as many
-// goroutines each probe a contiguous share of the left rows against them,
-// their results joined in share order (parallel.go): the serial join's rows,
-// in its order, and its first error.
+// With Workers > 1 it is the parallel form: the build keys are evaluated and
+// the left rows probed in that many contiguous shares, every share reading
+// the one table, their results joined in share order (parallel.go): the
+// serial join's rows, in its order, and its first error.
 type HashJoin struct {
 	Kind       adl.JoinKind
 	L, R       Operator
@@ -66,32 +67,44 @@ type HashJoin struct {
 	Residual *Scalar
 	As       string
 	RFun     *Scalar
-	// Partitions is the table and probe-worker count; at most 1 builds and
-	// probes one table on the caller's goroutine.
-	Partitions int
+	// Workers is the share count of key evaluation and probe; at most 1 runs
+	// the join on the caller's goroutine.
+	Workers int
 	// Unnest, when set, is μ applied to L: the join runs on L's rows unnested
 	// on this attribute. A residual-free semi- or antijoin whose left key is
 	// an attribute of the unnested row expands each row inside its probe and
 	// builds an unnested row only for an element it emits. Any other join
 	// builds all the unnested rows first.
 	Unnest string
+	// In, when set, names a set-valued attribute of the left rows, and the
+	// predicate is membership, RKey(y) ∈ x.In, in place of LKey = RKey (the
+	// paper's p[pid] ∈ s.parts, Example Queries 5 and 6): each element of a
+	// row's set probes the table, or, when the store keeps the set with its
+	// reference column (value.Set.Column), each of the column's bits, never
+	// touching an element. The pairs are the left row's candidates, so the
+	// join is a semi-, anti- or nestjoin; this is the single-segment core of
+	// PNHL, the flat table the build input and the nested operand probing.
+	In string
 }
 
-// Open evaluates the build keys into the partition tables, drains L, and
-// probes: on the caller's goroutine, or in one contiguous share of L's rows
-// per partition.
+// Open builds the table, drains L, and probes: on the caller's goroutine, or
+// in Workers contiguous shares of L's rows.
 func (j HashJoin) Open(ctx *Ctx) (Rows, error) {
-	p := max(j.Partitions, 1)
+	if j.In != "" && j.Kind != adl.Semi && j.Kind != adl.Anti && j.Kind != adl.NestJ {
+		return nil, fmt.Errorf("exec: hash join on membership in %q does not support kind %v", j.In, j.Kind)
+	}
 	lkey, rkey := joinKeys(j.LKey, j.RKey)
 	rrows, err := drain(j.R, ctx)
 	if err != nil {
 		return nil, err
 	}
-	r, err := evalKeys(ctx, rrows, rkey, p)
+	tab, err := newJoinTable(ctx, rrows, rkey, j.Workers)
 	if err != nil {
 		return nil, err
 	}
-	l := hashProbe{tabs: newHashTables(r, p), key: lkey, attr: keyAttr(j.LKey, j.RKey)}
+	l := hashProbe{tab: tab, key: lkey, attr: keyAttr(j.LKey, j.RKey), in: j.In,
+		em: newJoinEmit(ctx, j.Kind, "hash join", j.Residual, j.RFun, j.As, rrows)}
+	l.em.rhashes = memberHashes(j.Kind, j.RFun, rrows)
 	var lrows []value.Value
 	if j.probeAttr() != "" {
 		l.un = unnester{attr: j.Unnest}
@@ -102,10 +115,16 @@ func (j HashJoin) Open(ctx *Ctx) (Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	return inShareRows(len(lrows), p, func(lo, hi int) ([]value.Value, error) {
-		em := newJoinEmit(ctx, j.Kind, "hash join", j.Residual, j.RFun, j.As, rrows)
-		err := l.probe(&em, lrows[lo:hi])
-		return em.out, err
+	if j.Workers <= 1 {
+		out, err := l.probe(lrows)
+		if err != nil {
+			return nil, err
+		}
+		return buffered(out)
+	}
+	shared, rows := l, lrows // the shares' copies: l and lrows stay off the heap when serial
+	return inShareRows(len(rows), j.Workers, func(lo, hi int) ([]value.Value, error) {
+		return shared.probe(rows[lo:hi])
 	})
 }
 
@@ -134,76 +153,22 @@ func (j HashJoin) probeAttr() string {
 	return keyAttr(j.LKey, j.RKey)
 }
 
-// hashTables is the build side of a hash join: the right rows and their
-// keys, split by key hash over the partitions, each indexed by a value.Index
-// over its rows' key hashes. Built before any probe and read-only after, it
-// is shared by every probe worker.
-type hashTables struct {
-	keyedRows
-	parts  [][]int // each partition's rows; a single partition lists none
-	tables []*value.Index
-}
-
-// newHashTables splits r over p partitions, carving the row lists and the
-// hashes each table retains out of one array apiece sized by a counting pass.
-func newHashTables(r keyedRows, p int) *hashTables {
-	t := &hashTables{keyedRows: r, parts: make([][]int, p), tables: make([]*value.Index, p)}
-	if p == 1 {
-		t.tables[0] = value.NewIndex(r.hashes)
-		return t
-	}
-	var small [16]int // p is a core count: the counters stay on the stack
-	sizes := append(small[:0], make([]int, p)...)
-	for _, h := range r.hashes {
-		sizes[h%uint64(p)]++
-	}
-	rows, hashes := make([]int, len(r.hashes)), make([]uint64, len(r.hashes))
-	phashes := make([][]uint64, p)
-	for i, n := range sizes {
-		t.parts[i], rows = rows[:0:n], rows[n:]
-		phashes[i], hashes = hashes[:0:n], hashes[n:]
-	}
-	for i, h := range r.hashes {
-		pi := h % uint64(p)
-		t.parts[pi] = append(t.parts[pi], i)
-		phashes[pi] = append(phashes[pi], h)
-	}
-	for i, hs := range phashes {
-		t.tables[i] = value.NewIndex(hs)
-	}
-	return t
-}
-
-// lookup returns the table of the partition a key hash belongs to and that
-// partition's rows (nil: every row).
-func (t *hashTables) lookup(h uint64) (*value.Index, []int) {
-	if len(t.tables) == 1 {
-		return t.tables[0], nil
-	}
-	pi := h % uint64(len(t.tables))
-	return t.tables[pi], t.parts[pi]
-}
-
-// at is the i-th row of a partition's row list, nil listing every row.
-func at(rows []int, i int) int {
-	if rows == nil {
-		return i
-	}
-	return rows[i]
-}
-
-// hashProbe is the probe side of a hash join: the tables it probes, the left
+// hashProbe is the probe side of a hash join: the table it probes, the left
 // key and, when the key reads one attribute of the row, that attribute, read
-// straight off the row wherever it has it. Expanding μ inside the probe, un
-// is the unnester (the value receiver of probe gives each worker its own);
-// otherwise its attr is "". A set μ expands whose reference column
-// (value.Set.Column) is the key attribute is probed by the column's bits: no
-// element is read unless its unnested row is emitted.
+// straight off the row wherever it has it; or, probing membership, the set
+// attribute in; and the verdict each probe starts from. Expanding μ inside
+// the probe, un is the unnester; otherwise its attr is "". The value
+// receiver of probe gives each share its own verdict and unnester. A set μ
+// expands whose reference column (value.Set.Column) is the key attribute is
+// probed by the column's bits: no element is read unless its unnested row is
+// emitted.
 type hashProbe struct {
-	tabs *hashTables
+	tab  joinTable
 	key  Scalar
 	attr string
+	in   string
 	un   unnester
+	em   joinEmit
 }
 
 // unnestLeft drains L for a join that expands μ inside its probe. Each row
@@ -247,10 +212,11 @@ func (l *hashProbe) column(set *value.Set) (value.Kind, []int64, bool, error) {
 	return kind, bits, true, err
 }
 
-// probe joins rows, a share of L, against the tables: each row, or —
-// expanding μ — each element of its set, whose unnested row is built only if
-// the verdict emits it.
-func (l hashProbe) probe(em *joinEmit, rows []value.Value) error {
+// probe joins rows, a share of L, against the table and returns the rows
+// the verdict emits: each row's, or — expanding μ — each element's of its
+// set, whose unnested row is built only if the verdict emits it.
+func (l hashProbe) probe(rows []value.Value) ([]value.Value, error) {
+	em := &l.em
 	// Expanding μ there is no residual: an equal key is a match; a semijoin
 	// emits the matched elements, an antijoin the unmatched ones.
 	semi := em.kind == adl.Semi
@@ -262,7 +228,7 @@ func (l hashProbe) probe(em *joinEmit, rows []value.Value) error {
 				return err
 			}
 		}
-		if l.find(key, nil) == semi {
+		if (l.tab.find(key) >= 0) == semi {
 			em.emit(l.un.build(et))
 		}
 		return nil
@@ -280,7 +246,7 @@ func (l hashProbe) probe(em *joinEmit, rows []value.Value) error {
 			return l.un.eachOf(set, probeElem)
 		}
 		for i, b := range bits {
-			if l.findBits(kind, b) == semi {
+			if (l.tab.findBits(kind, b) >= 0) == semi {
 				em.emit(l.un.build(set.Elems()[i].(*value.Tuple)))
 			}
 		}
@@ -288,16 +254,19 @@ func (l hashProbe) probe(em *joinEmit, rows []value.Value) error {
 	}
 	for _, row := range rows {
 		var err error
-		if l.un.attr != "" {
+		switch {
+		case l.un.attr != "":
 			err = probeSet(row)
-		} else {
+		case l.in != "":
+			err = l.probeIn(em, row)
+		default:
 			err = l.probeRow(em, row)
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return em.out, nil
 }
 
 // probeRow hands the build rows whose key equals row's to the verdict.
@@ -316,37 +285,28 @@ func (l *hashProbe) probeRow(em *joinEmit, row value.Value) error {
 			return err
 		}
 	}
-	l.find(key, em)
+	l.tab.offer(l.tab.find(key), em)
 	return em.end()
 }
 
-// find walks the build rows whose key equals key, offering each to em, if
-// not nil, until it asks to stop. It reports whether there was one.
-func (l *hashProbe) find(key value.Value, em *joinEmit) (found bool) {
-	h := value.Hash(key)
-	tab, ri := l.tabs.lookup(h)
-	for m := tab.First(h); m >= 0; m = tab.Next(m) {
-		y := at(ri, m)
-		if !value.Equal(l.tabs.keys[y], key) {
-			continue
-		}
-		found = true
-		if em == nil || em.match(l.tabs.rows[y]) {
+// probeIn hands the verdict the build rows whose key is an element of row's
+// set attribute in, element after element, until it asks to stop.
+func (l *hashProbe) probeIn(em *joinEmit, row value.Value) error {
+	if err := em.begin(row); err != nil {
+		return err
+	}
+	av, ok := em.lt.Get(l.in)
+	if !ok {
+		return fmt.Errorf("exec: hash join on missing attribute %q", l.in)
+	}
+	set, ok := av.(*value.Set)
+	if !ok {
+		return fmt.Errorf("exec: hash join on non-set attribute %q", l.in)
+	}
+	for i := range set.Len() {
+		if l.tab.offer(l.tab.findElem(set, i), em) {
 			break
 		}
 	}
-	return found
-}
-
-// findBits reports whether a build row's key is the value of kind whose
-// value.IntBits are b.
-func (l *hashProbe) findBits(kind value.Kind, b int64) bool {
-	h := value.HashBits(kind, b)
-	tab, ri := l.tabs.lookup(h)
-	for m := tab.First(h); m >= 0; m = tab.Next(m) {
-		if value.EqualBits(l.tabs.keys[at(ri, m)], kind, b) {
-			return true
-		}
-	}
-	return false
+	return em.end()
 }

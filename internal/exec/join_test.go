@@ -82,7 +82,7 @@ func equiOracle(kind adl.JoinKind, l Operator, right string, lkey, rkey adl.Expr
 // kind × every key column shape (int, date, oid, bool, string, float, a
 // column mixing kinds, build keys of two kinds, keys of two kinds that never
 // meet, an empty build side) × residual × left rows from a Scan and from a
-// ColumnScan × serial and partitioned.
+// ColumnScan × serial and parallel.
 func TestHashJoinKeyShapes(t *testing.T) {
 	d := keyShapeDB()
 	residual := NewScalar(adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "a"), adl.Dot(adl.V("y"), "c")), "x", "y")
@@ -116,9 +116,9 @@ func TestHashJoinKeyShapes(t *testing.T) {
 				for arm, l := range leftArms("L") {
 					for _, parts := range []int{1, 3} {
 						hj := &HashJoin{Kind: kc.kind, L: l, R: &Scan{Table: sh.table}, LVar: "x", RVar: "y",
-							LKey: lkey, RKey: rkey, Residual: res, As: "ys", RFun: kc.rfun, Partitions: parts}
+							LKey: lkey, RKey: rkey, Residual: res, As: "ys", RFun: kc.rfun, Workers: parts}
 						if got := collect(t, hj, d); !value.Equal(got, want) {
-							t.Errorf("%s %s residual=%v %s partitions %d: got %v want %v",
+							t.Errorf("%s %s residual=%v %s workers %d: got %v want %v",
 								sh.name, kc.name, res != nil, arm, parts, got, want)
 						}
 					}
@@ -148,9 +148,9 @@ func TestHashJoinRandomized(t *testing.T) {
 					for _, parts := range []int{1, 4} {
 						hj := &HashJoin{Kind: kc.kind, L: l, R: build(), LVar: "x", RVar: "y",
 							LKey: NewScalar(lx, "x"), RKey: NewScalar(ry, "y"), Residual: res,
-							As: "ys", RFun: kc.rfun, Partitions: parts}
+							As: "ys", RFun: kc.rfun, Workers: parts}
 						if got := collect(t, hj, d); !value.Equal(got, want) {
-							t.Errorf("seed %d %s residual=%v %s partitions %d: got %v want %v",
+							t.Errorf("seed %d %s residual=%v %s workers %d: got %v want %v",
 								seed, kc.name, res != nil, arm, parts, got, want)
 						}
 					}
@@ -211,15 +211,15 @@ func TestHashJoinErrors(t *testing.T) {
 			for _, parts := range []int{1, 3} {
 				before := runtime.NumGoroutine()
 				_, err := Collect(&HashJoin{Kind: tc.kind, L: l, R: &Scan{Table: tc.rtable}, LVar: "x", RVar: "y",
-					LKey: lkey, RKey: rkey, As: "ys", Partitions: parts}, &Ctx{DB: d})
+					LKey: lkey, RKey: rkey, As: "ys", Workers: parts}, &Ctx{DB: d})
 				if text == "" && err != nil {
 					text = err.Error()
 				}
 				if err == nil || err.Error() != text {
-					t.Errorf("%s %s partitions %d: %v, the others %q", tc.name, arm, parts, err, text)
+					t.Errorf("%s %s workers %d: %v, the others %q", tc.name, arm, parts, err, text)
 				}
 				if after := goroutinesSettle(before); after > before {
-					t.Errorf("%s %s partitions %d: %d goroutines before, %d after", tc.name, arm, parts, before, after)
+					t.Errorf("%s %s workers %d: %d goroutines before, %d after", tc.name, arm, parts, before, after)
 				}
 			}
 		}
@@ -232,15 +232,15 @@ func TestHashJoinErrors(t *testing.T) {
 	for _, parts := range []int{1, 3} {
 		scan := colScan("NT", []string{"b"})
 		hj := &HashJoin{Kind: adl.Semi, L: scan, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
-			LKey: NewScalar(b, "x"), RKey: NewScalar(dd, "y"), Partitions: parts}
+			LKey: NewScalar(b, "x"), RKey: NewScalar(dd, "y"), Workers: parts}
 		if _, err := Collect(hj, &Ctx{DB: d}); err == nil {
-			t.Fatalf("partitions %d: non-tuple probe row must fail", parts)
+			t.Fatalf("workers %d: non-tuple probe row must fail", parts)
 		}
 		scan.Extent = "L"
 		want := collect(t, equiOracle(adl.Semi, &Scan{Table: "L"}, "R", b, dd, nil, nil), d)
 		for run := 0; run < 2; run++ {
 			if got := rowFacade(t, hj, d); !value.Equal(got, want) {
-				t.Errorf("partitions %d run %d after Close: got %v want %v", parts, run, got, want)
+				t.Errorf("workers %d run %d after Close: got %v want %v", parts, run, got, want)
 			}
 		}
 	}
@@ -312,15 +312,15 @@ func TestAntiJoinStopsAtFirstMatch(t *testing.T) {
 			return Collect(&IndexNLJoin{Kind: adl.Anti, L: scan("L"), Table: "R", Attr: "rk",
 				LVar: "x", RVar: "y", LKey: lkey, Residual: &res}, &Ctx{DB: st})
 		}},
-		{"HashJoin/partitions-3", func(st *storage.Store) (*value.Set, error) {
+		{"HashJoin/workers-3", func(st *storage.Store) (*value.Set, error) {
 			return Collect(&HashJoin{Kind: adl.Anti, L: scan("L"), R: scan("R"), LVar: "x", RVar: "y",
-				LKey: lkey, RKey: rkey, Residual: &res, Partitions: 3}, &Ctx{DB: st})
+				LKey: lkey, RKey: rkey, Residual: &res, Workers: 3}, &Ctx{DB: st})
 		}},
 	}
 	for _, parts := range []int{1, 3} {
-		arms = append(arms, arm{fmt.Sprintf("HashJoin/batch/partitions-%d", parts), func(st *storage.Store) (*value.Set, error) {
+		arms = append(arms, arm{fmt.Sprintf("HashJoin/batch/workers-%d", parts), func(st *storage.Store) (*value.Set, error) {
 			return Collect(&HashJoin{Kind: adl.Anti, L: colScan("L", nil), R: scan("R"),
-				LVar: "x", RVar: "y", LKey: lkey, RKey: rkey, Residual: &res, Partitions: parts}, &Ctx{DB: st})
+				LVar: "x", RVar: "y", LKey: lkey, RKey: rkey, Residual: &res, Workers: parts}, &Ctx{DB: st})
 		}})
 	}
 
@@ -357,16 +357,16 @@ func TestAntiJoinStopsAtFirstMatch(t *testing.T) {
 	}
 }
 
-// setMember is the oracle of the set-probe join: NLJoin over the membership
-// predicate key(y) ∈ x.attr, which shares no code with the setKeyTable it
-// builds and probes.
+// setMember is the oracle of the hash join on membership (HashJoin.In):
+// NLJoin over the predicate key(y) ∈ x.attr, which shares no code with the
+// joinTable it builds and probes.
 func setMember(kind adl.JoinKind, left, right, attr string, rkey adl.Expr, rfun *Scalar) *NLJoin {
 	pred := adl.CmpE(adl.In, rkey, adl.Dot(adl.V("x"), attr))
 	return &NLJoin{Kind: kind, L: &Scan{Table: left}, R: &Scan{Table: right}, LVar: "x", RVar: "y",
 		Pred: NewScalar(pred, "x", "y"), As: "ys", RFun: rfun}
 }
 
-// TestSetProbeJoinAgainstNLJoin checks SetProbeJoin against the NLJoin
+// TestSetProbeJoinAgainstNLJoin checks the hash join on membership against the NLJoin
 // oracle: semi, anti and the nestjoin with and without its right-tuple
 // function × the generic table (whole-element keys, plain int elements under
 // an atomic key, unary tuples over a string, unary tuples over mixed Int/OID
@@ -470,8 +470,8 @@ func TestSetProbeJoinAgainstNLJoin(t *testing.T) {
 				sawHit, sawMiss = want.Len() > 0, want.Len() < collect(t, &Scan{Table: tc.left}, tc.d).Len()
 			}
 			for arm, l := range leftArms(tc.left) {
-				sj := &SetProbeJoin{Kind: kc.kind, L: l, R: &Scan{Table: tc.right},
-					Attr: tc.attr, RKey: rkey, As: "ys", RFun: kc.rfun}
+				sj := &HashJoin{Kind: kc.kind, L: l, R: &Scan{Table: tc.right},
+					In: tc.attr, RKey: rkey, As: "ys", RFun: kc.rfun}
 				if got := collect(t, sj, tc.d); !value.Equal(got, want) {
 					t.Errorf("%s %s %s: got %v want %v", tc.name, kc.name, arm, got, want)
 				}
@@ -501,10 +501,10 @@ func TestSetProbeJoinAgainstNLJoin(t *testing.T) {
 		{"failing key scalar", "O", "parts", adl.Semi, NewScalar(adl.Dot(y, "nope"), "y")},
 		{"unsupported kind", "O", "parts", adl.Inner, subKey},
 	} {
-		_, werr := Collect(&SetProbeJoin{Kind: tc.kind, L: &Scan{Table: tc.left}, R: &Scan{Table: "I"},
-			Attr: tc.attr, RKey: tc.rkey, As: "ys"}, &Ctx{DB: ed})
+		_, werr := Collect(&HashJoin{Kind: tc.kind, L: &Scan{Table: tc.left}, R: &Scan{Table: "I"},
+			In: tc.attr, RKey: tc.rkey, As: "ys"}, &Ctx{DB: ed})
 		scan := colScan(tc.left, nil)
-		vj := &SetProbeJoin{Kind: tc.kind, L: scan, R: &Scan{Table: "I"}, Attr: tc.attr, RKey: tc.rkey, As: "ys"}
+		vj := &HashJoin{Kind: tc.kind, L: scan, R: &Scan{Table: "I"}, In: tc.attr, RKey: tc.rkey, As: "ys"}
 		_, gerr := Collect(vj, &Ctx{DB: ed})
 		if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
 			t.Errorf("%s: ColumnScan=%v Scan=%v", tc.name, gerr, werr)
@@ -514,7 +514,7 @@ func TestSetProbeJoinAgainstNLJoin(t *testing.T) {
 		}
 		if tc.kind != adl.Inner {
 			if _, oerr := Collect(setMember(tc.kind, tc.left, "I", tc.attr, tc.rkey.Expr, nil), &Ctx{DB: ed}); oerr == nil {
-				t.Errorf("%s: the oracle succeeded where the set-probe joins fail", tc.name)
+				t.Errorf("%s: the oracle succeeded where the membership joins fail", tc.name)
 			}
 		}
 		if tc.name != "non-tuple row" {

@@ -10,8 +10,8 @@ import (
 // joinEmit is the output rule of the join: what one left row emits once its
 // matches are known. The algebra's ⋈, ⋉, ▷, outer join and nestjoin differ in
 // nothing else, so every join operator — nested-loop, hash (serial or
-// partitioned), set-probe, index — finds the candidate right rows
-// its own way and hands them to this one verdict:
+// parallel, on equal keys or on membership), index — finds the candidate
+// right rows its own way and hands them to this one verdict:
 //
 //	begin(lrow); for each candidate { if match(rrow) { break } }; end()
 //
@@ -22,7 +22,7 @@ import (
 // end reports it, or else emits what the kind owes an unmatched or fully
 // matched row.
 //
-// It is plain per-run state: an operator owns one per Open, each worker of a
+// It is plain per-run state: an operator owns one per Open, each share of a
 // parallel probe owns its own, and the owner takes the rows from out. A
 // nestjoin builds every group of the run in one scratch set and emits an
 // exact-size copy of it (nestGroup), and derives the layout of the rows it

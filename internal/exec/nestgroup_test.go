@@ -14,7 +14,7 @@ import (
 // Left rows whose groups have 3, then 1, then 0 members, thirty rows in all,
 // must each keep exactly their own members once the later rows have been
 // grouped — on every nestjoin operator that runs the join verdict, serially
-// and on three partitions, over a Scan and over a ColumnScan. Emitting the scratch set itself would leave every
+// and on three workers, over a Scan and over a ColumnScan. Emitting the scratch set itself would leave every
 // group of a run holding the members of the run's last row.
 func TestNestGroupsKeepTheirMembers(t *testing.T) {
 	// R's rows 0-2 are group 0, row 3 is group 1; no row is group 2. A left
@@ -49,12 +49,12 @@ func TestNestGroupsKeepTheirMembers(t *testing.T) {
 	lkey, rkey := NewScalar(adl.Dot(x, "g"), "x"), NewScalar(adl.Dot(y, "g"), "y")
 	ops := map[string]Operator{}
 	for arm, l := range leftArms("L") {
-		ops["SetProbeJoin over "+arm] = &SetProbeJoin{Kind: adl.NestJ, L: l, R: &Scan{Table: "R"},
-			Attr: "parts", RKey: pid, As: "ys"}
+		ops["HashJoin ∈ over "+arm] = &HashJoin{Kind: adl.NestJ, L: l, R: &Scan{Table: "R"},
+			In: "parts", RKey: pid, As: "ys"}
 		for _, p := range []int{1, 3} {
-			ops[fmt.Sprintf("HashJoin over %s on %d partitions", arm, p)] = &HashJoin{Kind: adl.NestJ,
+			ops[fmt.Sprintf("HashJoin over %s on %d workers", arm, p)] = &HashJoin{Kind: adl.NestJ,
 				L: l, R: &Scan{Table: "R"}, LVar: "x", RVar: "y", LKey: lkey, RKey: rkey,
-				As: "ys", Partitions: p}
+				As: "ys", Workers: p}
 		}
 	}
 	for name, op := range ops {

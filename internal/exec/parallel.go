@@ -1,13 +1,13 @@
-// Parallel execution: HashJoin with Partitions > 1 (the right operand split
-// by key hash into that many tables, the left rows probed in as many
-// contiguous shares), Filter and MapOp with Workers > 1 (the child's rows
-// evaluated in that many shares) and ColumnScan with Workers > 1 (the
-// projection's batches in that many shares). The paper's argument is that
-// rewriting nested loops into explicit joins lets the optimizer pick
-// efficient join implementations (§5.1); on modern hardware "efficient"
-// includes exploiting every core. A left row's matches — and therefore its
-// semi/anti/nest/outer verdict — are decided by the one share that probes
-// it, so the shares need not coordinate at all.
+// Parallel execution: HashJoin with Workers > 1 (its build keys evaluated and
+// its left rows probed against the one table in that many contiguous
+// shares), Filter and MapOp with Workers > 1 (the child's rows evaluated in
+// that many shares) and ColumnScan with Workers > 1 (the projection's batches
+// in that many shares). The paper's argument is that rewriting nested loops
+// into explicit joins lets the optimizer pick efficient join implementations
+// (§5.1); on modern hardware "efficient" includes exploiting every core. A
+// left row's matches — and therefore its semi/anti/nest/outer verdict — are
+// decided by the one share that probes it, so the shares need not coordinate
+// at all.
 //
 // The count is a field of the node, written by the planner; at most one runs
 // the operator on the caller's goroutine. Every parallel operator runs on one
@@ -34,36 +34,6 @@ func Parallelism(n int) int {
 		return n
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// keyedRows are the build side of a join: its rows, their evaluated join keys
-// and the keys' value.Hash.
-type keyedRows struct {
-	rows   []value.Value
-	keys   []value.Value
-	hashes []uint64
-}
-
-// evalKeys computes key(row) and its value.Hash for every row, so that
-// partitioning and the tables never hash a key twice, on up to workers
-// goroutines (inShares): each writes its own range of the result slices, so
-// none needs a lock, and the first failing row decides the error.
-func evalKeys(ctx *Ctx, rows []value.Value, key Scalar, workers int) (keyedRows, error) {
-	k := keyedRows{rows: rows, keys: make([]value.Value, len(rows)), hashes: make([]uint64, len(rows))}
-	_, err := inShares(len(rows), workers, func(lo, hi int) (struct{}, error) {
-		for r := lo; r < hi; r++ {
-			v, err := key.Eval(ctx, rows[r])
-			if err != nil {
-				return struct{}{}, err
-			}
-			k.keys[r], k.hashes[r] = v, value.Hash(v)
-		}
-		return struct{}{}, nil
-	})
-	if err != nil {
-		return keyedRows{}, err
-	}
-	return k, nil
 }
 
 // inShares runs span over [0, n) in contiguous shares, the i-th share

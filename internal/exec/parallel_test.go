@@ -11,7 +11,7 @@ import (
 )
 
 // TestPartitionedHashJoinAgainstSerial cross-validates HashJoin at several
-// partition counts — serial ones included, and more partitions than rows —
+// worker counts — serial ones included, and more workers than rows —
 // against the interpreter oracle for every join kind over randomized inputs.
 func TestPartitionedHashJoinAgainstSerial(t *testing.T) {
 	kinds := []struct {
@@ -30,9 +30,9 @@ func TestPartitionedHashJoinAgainstSerial(t *testing.T) {
 					LVar: "x", RVar: "y",
 					LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
 					RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
-					As:   k.as, Partitions: parts}
+					As:   k.as, Workers: parts}
 				if got := collect(t, pj, d); !value.Equal(got, want) {
-					t.Errorf("seed %d HashJoin(%d partitions) %v: got %v want %v",
+					t.Errorf("seed %d HashJoin(%d workers) %v: got %v want %v",
 						seed, parts, k.kind, got, want)
 				}
 			}
@@ -41,10 +41,10 @@ func TestPartitionedHashJoinAgainstSerial(t *testing.T) {
 }
 
 // TestPartitionedHashJoinResidualAndRFun is the differential of the one hash
-// join: at one and at four partitions it equals NLJoin on every kind, with a
+// join: at one and at four workers it equals NLJoin on every kind, with a
 // residual predicate and, for the nestjoin, a right-tuple function; a key
 // that fails to evaluate fails it with one error at both counts; and at one
-// partition Open starts no goroutine.
+// worker Open starts no goroutine.
 func TestPartitionedHashJoinResidualAndRFun(t *testing.T) {
 	d := db(7, 30, 25)
 	resExpr := adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "a"), adl.Dot(adl.V("y"), "c"))
@@ -62,9 +62,9 @@ func TestPartitionedHashJoinResidualAndRFun(t *testing.T) {
 		for _, parts := range []int{1, 4} {
 			hj := &HashJoin{Kind: kind, L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
 				LVar: "x", RVar: "y", LKey: lkey, RKey: rkey, Residual: &res, As: as, RFun: rf,
-				Partitions: parts}
+				Workers: parts}
 			if got := collect(t, hj, d); !value.Equal(got, want) {
-				t.Errorf("%v at %d partitions: got %v want %v", kind, parts, got, want)
+				t.Errorf("%v at %d workers: got %v want %v", kind, parts, got, want)
 			}
 		}
 	}
@@ -76,26 +76,26 @@ func TestPartitionedHashJoinResidualAndRFun(t *testing.T) {
 		var errs []string
 		for _, parts := range []int{1, 4} {
 			_, err := Collect(&HashJoin{Kind: adl.Semi, L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
-				LVar: "x", RVar: "y", LKey: bad.l, RKey: bad.r, Partitions: parts}, &Ctx{DB: d})
+				LVar: "x", RVar: "y", LKey: bad.l, RKey: bad.r, Workers: parts}, &Ctx{DB: d})
 			if err == nil {
-				t.Fatalf("%d partitions: a failing key must fail the join", parts)
+				t.Fatalf("%d workers: a failing key must fail the join", parts)
 			}
 			errs = append(errs, err.Error())
 		}
 		if errs[0] != errs[1] {
-			t.Errorf("key error differs by partition count: %q vs %q", errs[0], errs[1])
+			t.Errorf("key error differs by worker count: %q vs %q", errs[0], errs[1])
 		}
 	}
 
 	serial := &HashJoin{Kind: adl.Inner, L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
-		LVar: "x", RVar: "y", LKey: lkey, RKey: rkey, Partitions: 1}
+		LVar: "x", RVar: "y", LKey: lkey, RKey: rkey, Workers: 1}
 	before := runtime.NumGoroutine()
 	rows, err := serial.Open(&Ctx{DB: d})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if after := runtime.NumGoroutine(); after != before {
-		t.Errorf("a one-partition Open went from %d goroutines to %d", before, after)
+		t.Errorf("a one-worker Open went from %d goroutines to %d", before, after)
 	}
 	if err := rows.Close(); err != nil {
 		t.Fatal(err)
@@ -103,25 +103,25 @@ func TestPartitionedHashJoinResidualAndRFun(t *testing.T) {
 }
 
 // TestPartitionedHashJoinEmptyInputs exercises the degenerate shapes on
-// partitions.
+// workers.
 func TestPartitionedHashJoinEmptyInputs(t *testing.T) {
 	d := db(3, 10, 8)
 	d.Tables["E"] = value.EmptySet()
 	pj := &HashJoin{Kind: adl.Inner,
 		L: &Scan{Table: "E"}, R: &Scan{Table: "R"},
 		LVar: "x", RVar: "y",
-		LKey:       NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-		RKey:       NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
-		Partitions: 3}
+		LKey:    NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
+		RKey:    NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
+		Workers: 3}
 	if got := collect(t, pj, d); got.Len() != 0 {
 		t.Errorf("empty left: got %v", got)
 	}
 	pj = &HashJoin{Kind: adl.Anti,
 		L: &Scan{Table: "L"}, R: &Scan{Table: "E"},
 		LVar: "x", RVar: "y",
-		LKey:       NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-		RKey:       NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
-		Partitions: 3}
+		LKey:    NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
+		RKey:    NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
+		Workers: 3}
 	lt, _ := d.Table("L")
 	if got := collect(t, pj, d); got.Len() != lt.Len() {
 		t.Errorf("anti join with empty right should keep all left rows, got %d", got.Len())
@@ -191,14 +191,14 @@ func TestParallelErrorPropagation(t *testing.T) {
 		t.Error("a parallel Filter should surface predicate error")
 	}
 
-	// Key error in the parallel join's partitioning phase.
+	// Key error in the parallel join's key evaluation.
 	pj := &HashJoin{Kind: adl.Inner,
 		L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
 		LVar: "x", RVar: "y",
 		LKey: NewScalar(adl.Dot(adl.V("x"), "nope"), "x"),
-		RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"), Partitions: 4}
+		RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"), Workers: 4}
 	if _, err := Collect(pj, &Ctx{DB: d}); err == nil {
-		t.Error("a partitioned HashJoin should surface key error")
+		t.Error("a parallel HashJoin should surface key error")
 	}
 }
 
@@ -211,7 +211,7 @@ func TestParallelEarlyClose(t *testing.T) {
 		L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
 		LVar: "x", RVar: "y",
 		LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-		RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"), Partitions: 8}
+		RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"), Workers: 8}
 	rows, err := pj.Open(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func TestParallelReopen(t *testing.T) {
 		L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
 		LVar: "x", RVar: "y",
 		LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-		RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"), Partitions: 4}
+		RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"), Workers: 4}
 	want := collect(t, pj, d)
 	for i := 0; i < 3; i++ {
 		if got := collect(t, pj, d); !value.Equal(got, want) {
@@ -321,9 +321,9 @@ func BenchmarkPartitionedVsSerialHashJoin(b *testing.B) {
 		"parallel": func() Operator {
 			return &HashJoin{Kind: adl.Inner, L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
 				LVar: "x", RVar: "y",
-				LKey:       NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-				RKey:       NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
-				Partitions: Parallelism(0)}
+				LKey:    NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
+				RKey:    NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
+				Workers: Parallelism(0)}
 		},
 	}
 	for _, name := range []string{"serial", "parallel"} {
@@ -366,7 +366,7 @@ func TestParallelCloseErrorPropagation(t *testing.T) {
 		L: &Scan{Table: "L"}, R: &closeErr{n: 8},
 		LVar: "x", RVar: "y",
 		LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-		RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"), Partitions: 3}
+		RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"), Workers: 3}
 	if _, err := Collect(pj, &Ctx{DB: d}); !errors.Is(err, errTeardown) {
 		t.Errorf("build-side Close error lost: got %v", err)
 	}
@@ -379,7 +379,7 @@ func TestParallelCloseErrorPropagation(t *testing.T) {
 }
 
 // TestPartitionedHashJoinSinglePartition pins the degeneracy: every count up
-// to one is the one serial path, identical to two partitions for every kind.
+// to one is the one serial path, identical to two workers for every kind.
 func TestPartitionedHashJoinSinglePartition(t *testing.T) {
 	d := db(23, 50, 30)
 	for _, kind := range []adl.JoinKind{adl.Inner, adl.Semi, adl.Anti, adl.Outer, adl.NestJ} {
@@ -391,12 +391,12 @@ func TestPartitionedHashJoinSinglePartition(t *testing.T) {
 			return &HashJoin{Kind: kind,
 				L: &Scan{Table: "L"}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
 				LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-				RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"), As: as, Partitions: parts}
+				RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"), As: as, Workers: parts}
 		}
 		want := collect(t, join(2), d)
 		for _, parts := range []int{-3, 0, 1} {
 			if got := collect(t, join(parts), d); !value.Equal(got, want) {
-				t.Errorf("%v at %d partitions: got %v want %v", kind, parts, got, want)
+				t.Errorf("%v at %d workers: got %v want %v", kind, parts, got, want)
 			}
 		}
 	}
@@ -412,7 +412,7 @@ func TestParallelCancelMidPartition(t *testing.T) {
 		L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
 		LVar: "x", RVar: "y",
 		LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-		RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"), Partitions: 4}
+		RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"), Workers: 4}
 	rows, err := pj.Open(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -63,9 +63,8 @@ func segment(i, buildRows, budgetRows int) (lo, hi int) {
 }
 
 // Open runs both phases eagerly. Whatever the number of segments, each
-// element's key is evaluated and hashed once and each build key once; a
-// segment indexes its contiguous slice of the build-key hashes in a
-// value.Index, the table HashJoin builds.
+// element's key is evaluated once and each build key once: a segment is
+// the joinTable HashJoin builds, over its contiguous slice of the build rows.
 func (p PNHL) Open(ctx *Ctx) (Rows, error) {
 	build, err := drain(p.R, ctx)
 	if err != nil {
@@ -77,12 +76,11 @@ func (p PNHL) Open(ctx *Ctx) (Rows, error) {
 	}
 
 	// The probe side: each row's tuple and set-valued attribute, and the key
-	// of every element — a v.attr key read straight off the element — with
-	// its hash, row after row.
+	// of every element — a v.attr key read straight off the element — row
+	// after row.
 	tuples := make([]*value.Tuple, len(probe))
 	sets := make([]*value.Set, len(probe))
 	var ekeys []value.Value
-	var ehashes []uint64
 	fattr := fieldKeyAttr(p.ElemKey)
 	for pi, lrow := range probe {
 		lt, err := asTuple(lrow, "PNHL")
@@ -108,37 +106,32 @@ func (p PNHL) Open(ctx *Ctx) (Rows, error) {
 					return nil, err
 				}
 			}
-			ekeys, ehashes = append(ekeys, k), append(ehashes, value.Hash(k))
+			ekeys = append(ekeys, k)
 		}
 		tuples[pi], sets[pi] = lt, set
-	}
-	bk, err := evalKeys(ctx, build, p.BuildKey, 1)
-	if err != nil {
-		return nil, err
 	}
 
 	// Partial results: per left tuple, the accumulating set of e ∘ y pairs.
 	partial := make([]nestGroup, len(probe))
 	for i := 0; i < Segments(len(build), p.BudgetRows); i++ {
-		// Build phase: a table over this segment of the flat table's keys.
+		// Build phase: a table over this segment of the flat table.
 		lo, hi := segment(i, len(build), p.BudgetRows)
-		seg := value.NewIndex(bk.hashes[lo:hi])
+		seg, err := newJoinTable(ctx, build[lo:hi], p.BuildKey, 1)
+		if err != nil {
+			return nil, err
+		}
 		// Probe phase: every element's key against the segment.
 		e := 0
 		for pi, set := range sets {
 			for _, elem := range set.Elems() {
-				k, h := ekeys[e], ehashes[e]
-				e++
-				for bi := seg.First(h); bi >= 0; bi = seg.Next(bi) {
-					if !value.Equal(bk.keys[lo+bi], k) {
-						continue
-					}
-					m, err := p.member(ctx, elem, build[lo+bi])
+				for bi := seg.find(ekeys[e]); bi >= 0; bi = seg.next(bi) {
+					m, err := p.member(ctx, elem, seg.rows[bi])
 					if err != nil {
 						return nil, err
 					}
 					partial[pi].add(m, value.Hash(m))
 				}
+				e++
 			}
 		}
 	}

@@ -127,6 +127,7 @@ func keyAttr(l, r Scalar) string {
 
 func attrKey(s Scalar, n *adl.Subscript) Scalar {
 	x, attr, full := compileTuple(n.X, s.Vars, "subscript"), n.Attrs[0], s.prog
+	s.Expr = adl.Dot(n.X, attr) // what prog computes wherever the row has attr
 	s.prog = func(ctx *Ctx, a, b value.Value) (value.Value, error) {
 		t, err := x(ctx, a, b)
 		if err != nil {

@@ -295,8 +295,8 @@ func TestJoinKeysSingleAttribute(t *testing.T) {
 			for name, op := range map[string]Operator{
 				"HashJoin": &HashJoin{Kind: k, L: scan("L"), R: scan("R"), LVar: "x", RVar: "y", As: as,
 					LKey: NewScalar(lkey, "x"), RKey: NewScalar(rkey, "y")},
-				"HashJoin on 3 partitions": &HashJoin{Kind: k, L: scan("L"), R: scan("R"), LVar: "x", RVar: "y", As: as,
-					LKey: NewScalar(lkey, "x"), RKey: NewScalar(rkey, "y"), Partitions: 3},
+				"HashJoin on 3 workers": &HashJoin{Kind: k, L: scan("L"), R: scan("R"), LVar: "x", RVar: "y", As: as,
+					LKey: NewScalar(lkey, "x"), RKey: NewScalar(rkey, "y"), Workers: 3},
 			} {
 				if got := collect(t, op, d); !value.Equal(got, want) {
 					t.Errorf("%s %v on x[b] = y[%s]: %d rows, nested loop %d", name, k, attr, got.Len(), want.Len())

@@ -20,7 +20,7 @@ func unnestJoins(kind adl.JoinKind, l exec.Operator, attr string, r exec.Operato
 	hj := func(l exec.Operator, unnest string) *exec.HashJoin {
 		return &exec.HashJoin{Kind: kind, L: l, R: r, LVar: "x", RVar: "y",
 			LKey: exec.NewScalar(lkey, "x"), RKey: exec.NewScalar(rkey, "y"),
-			Partitions: parts, Unnest: unnest}
+			Workers: parts, Unnest: unnest}
 	}
 	return hj(l, attr), hj(mu, ""), &exec.NLJoin{Kind: kind, L: mu, R: r, LVar: "x", RVar: "y",
 		Pred: exec.NewScalar(adl.EqE(lkey, rkey), "x", "y")}
@@ -72,7 +72,7 @@ func TestHashJoinUnnestAgainstUnnestOp(t *testing.T) {
 					if got := fused.(*exec.HashJoin).ProbeAttr(); got != c.probeAttr {
 						t.Fatalf("%s: the join reads its key off %q, want %q", c.name, got, c.probeAttr)
 					}
-					name := fmt.Sprintf("seed %d %s %v partitions %d", seed, c.name, kind, parts)
+					name := fmt.Sprintf("seed %d %s %v workers %d", seed, c.name, kind, parts)
 					got, err := exec.Collect(fused, ctx)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
@@ -137,7 +137,7 @@ func TestHashJoinUnnestAgainstUnnestOp(t *testing.T) {
 			for _, parts := range []int{1, 3} {
 				fused, unfused, nl := unnestJoins(kind, l, f.attr, &exec.Scan{Table: "R"},
 					adl.SubT(x, "pid"), adl.SubT(y, "pid"), parts)
-				name := fmt.Sprintf("%s %v partitions %d", f.name, kind, parts)
+				name := fmt.Sprintf("%s %v workers %d", f.name, kind, parts)
 				want := collectErr(t, name, unfused, db)
 				if got := collectErr(t, name, fused, db); got != want {
 					t.Errorf("%s: the fused join fails with %q, over UnnestOp with %q", name, got, want)

@@ -166,13 +166,13 @@ func TestRowFacadesMatchBulkCollect(t *testing.T) {
 			return &HashJoin{Kind: adl.Inner, L: colScan("L", nil), R: &Scan{Table: "R"},
 				LVar: "x", RVar: "y", LKey: lkey, RKey: rkey}
 		},
-		"semi-partitioned": func() Operator {
+		"semi-parallel": func() Operator {
 			return &HashJoin{Kind: adl.Semi, L: colScan("L", nil), R: &Scan{Table: "R"},
-				LVar: "x", RVar: "y", LKey: lkey, RKey: rkey, Partitions: 3}
+				LVar: "x", RVar: "y", LKey: lkey, RKey: rkey, Workers: 3}
 		},
 		"set-anti": func() Operator {
-			return &SetProbeJoin{Kind: adl.Anti, L: colScan("N", nil), R: &Scan{Table: "R"},
-				Attr: "parts", RKey: NewScalar(adl.Tup("k", adl.Dot(adl.V("y"), "d"), "w", adl.Dot(adl.V("y"), "c")), "y")}
+			return &HashJoin{Kind: adl.Anti, L: colScan("N", nil), R: &Scan{Table: "R"},
+				In: "parts", RKey: NewScalar(adl.Tup("k", adl.Dot(adl.V("y"), "d"), "w", adl.Dot(adl.V("y"), "c")), "y")}
 		},
 	}
 	for name, mk := range makers {

@@ -18,12 +18,12 @@ import (
 // or its plans must show beyond that.
 func TestExperiments(t *testing.T) {
 	shows := map[string][]string{
-		"B1":  {"semijoin(NL)", "optimized", "SetProbeJoin", "ColumnScan("},
+		"B1":  {"semijoin(NL)", "optimized", "∈ .parts]", "ColumnScan("},
 		"B3":  {"join+nest", "outerjoin", "lost"},
 		"B4":  {"unnest-join-nest", "PNHL budget unlimited (1 segments)", "VecPNHL budget 16 (13 segments)"},
 		"B5":  {"assembly", "object reads"},
 		"B7":  {"relational-join", "attribute-unnest", "nestjoin"},
-		"B8":  {"PartitionedHashJoin", "partitions"},
+		"B8":  {"HashJoin[", "workers]  -- parallel"},
 		"B9":  {"inner_asym", "group_small", "group_big", "hash-swap", "build side swapped"},
 		"B10": {"reference (no statistics)", "rewriter order", "enumerated order", "order: dp over 4 relations", "rows≈"},
 		"B11": {"IndexNLJoin", "index probes", "page reads", "optimizer, NoIndexes"},
@@ -327,7 +327,7 @@ func TestB13ExplainShowsBothArms(t *testing.T) {
 }
 
 // parallel4 returns the B14 pipeline at smoke scale with its parallel arms on
-// four workers, so the partitioned plans run on any host.
+// four workers, so the parallel plans run on any host.
 func parallel4() Case { return VecJoin(60, 1200, 4) }
 
 func TestB14FourArmsAgreeAtSmokeScale(t *testing.T) {
@@ -343,9 +343,9 @@ func TestB14FourArmsAgreeAtSmokeScale(t *testing.T) {
 
 func TestB14ExplainShowsParallelVectorizedPlan(t *testing.T) {
 	rs, _ := runOne(t, parallel4())
-	contains(t, find(rs, "parallel-vectorized").Plan.Explain(), "ColumnScan(DELIVERY | d: d.date < ", "PartitionedHashJoin",
-		"4 partitions]  -- parallel", "1/1 typed kernels | 4 workers)  -- parallel")
-	contains(t, find(rs, "parallel").Plan.Explain(), "PartitionedHashJoin", "4 partitions", "ParallelFilter", "4 workers")
+	contains(t, find(rs, "parallel-vectorized").Plan.Explain(), "ColumnScan(DELIVERY | d: d.date < ", "HashJoin[",
+		"4 workers]  -- parallel", "1/1 typed kernels | 4 workers)  -- parallel")
+	contains(t, find(rs, "parallel").Plan.Explain(), "HashJoin[", "4 workers]  -- parallel", "ParallelFilter")
 }
 
 func TestExplainPlansCoversEveryExperiment(t *testing.T) {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"regexp"
 	"strings"
 
 	"repro/internal/adl"
@@ -113,7 +114,7 @@ var Suite = []Experiment{
 		},
 		Notes: []string{"the optimized arm names the §4 options that fired; it is rewritten once and planned once, as a cached query is"}},
 
-	{ID: "B8", Title: "grouping join: HashJoin serial vs partitioned",
+	{ID: "B8", Title: "grouping join: HashJoin serial vs parallel",
 		Cases: func(q bool) []func() Case {
 			return sized(q, [][4]int{{2000, 20000, 200, 2000}, {8000, 80000, 400, 4000}}, func(s, d int) Case {
 				c := StrategyJoin("group", adl.NestJ, s, d).Only("hash", "parallel")
@@ -317,8 +318,8 @@ func Materialize(suppliers, parts, fanout int, budgets ...int) Case {
 		adl.T("SUPPLIER"))
 	// The nestjoin yields (eid, sname, parts, ys); the map reshapes it to parts := ys.
 	nestjoin := &exec.MapOp{Var: "z",
-		Child: &exec.SetProbeJoin{Kind: adl.NestJ, L: &exec.Scan{Table: "SUPPLIER"}, R: &exec.Scan{Table: "PART"},
-			Attr: "parts", RKey: exec.NewScalar(adl.SubT(adl.V("p"), "pid"), "p"), As: "ys"},
+		Child: &exec.HashJoin{Kind: adl.NestJ, L: &exec.Scan{Table: "SUPPLIER"}, R: &exec.Scan{Table: "PART"},
+			In: "parts", RKey: exec.NewScalar(adl.SubT(adl.V("p"), "pid"), "p"), As: "ys"},
 		Body: exec.NewScalar(adl.Exc(adl.SubT(adl.V("z"), "eid", "sname"), "parts", adl.Dot(adl.V("z"), "ys")), "z")}
 	// μ_parts(SUPPLIER) ⋈ PART wrapped as (pobj = p, jpid = p.pid) to avoid
 	// the pid conflict, then ν: suppliers with no parts are lost by μ.
@@ -443,7 +444,7 @@ func StrategyJoin(name string, kind adl.JoinKind, suppliers, deliveries int) Cas
 			LKey: rk, RKey: lk}})
 	}
 	arms = append(arms, Arm{Label: "parallel", Op: &exec.HashJoin{Kind: kind, L: l, R: r, LVar: "s", RVar: "d",
-		LKey: lk, RKey: rk, As: j.As, RFun: rfun, Partitions: workers()}})
+		LKey: lk, RKey: rk, As: j.As, RFun: rfun, Workers: workers()}})
 	if suppliers*deliveries <= 1_000_000 {
 		arms = append(arms, Arm{Label: "nl", Op: &exec.NLJoin{Kind: kind, L: l, R: r, LVar: "s", RVar: "d",
 			Pred: exec.NewScalar(j.On, "s", "d"), As: j.As, RFun: rfun}})
@@ -606,7 +607,7 @@ func SkewJoin(facts, dims int) Case {
 // Scan) under the hash join, built by hand; the query as planned, where the
 // cost model puts σ on the batch kernels over the columnar projection; and
 // each hand-built with its parallel operators on the given workers — for the
-// batch arm a parallel ColumnScan feeding the partitioned hash join. The
+// batch arm a parallel ColumnScan feeding the parallel hash join. The
 // cutoff keeps 1/28 of the deliveries, so per-row predicate interpretation
 // dominates the scalar arm. The check is that the planned arm runs a
 // ColumnScan and that both parallel arms hold a parallel node: run serially,
@@ -626,21 +627,25 @@ func VecJoin(suppliers, deliveries, workers int) Case {
 		{Label: "vectorized", Cfg: &plan.Config{}},
 		{Label: "parallel", Op: &exec.HashJoin{Kind: adl.Semi, LVar: "d", RVar: "s", LKey: lk, RKey: rk,
 			L: &exec.Filter{Child: &exec.Scan{Table: "DELIVERY"}, Var: "d", Pred: pred, Workers: workers},
-			R: &exec.Scan{Table: "SUPPLIER"}, Partitions: workers}},
+			R: &exec.Scan{Table: "SUPPLIER"}, Workers: workers}},
 		{Label: "parallel-vectorized", Op: &exec.HashJoin{Kind: adl.Semi, LVar: "d", RVar: "s", LKey: lk, RKey: rk,
 			L: &exec.ColumnScan{Extent: "DELIVERY", Attrs: []string{"date"}, Var: "d", Workers: workers,
 				Kernels: []exec.VecCmp{{Attr: "date", Op: adl.Lt, Const: value.Date(940102), Pred: pred}}},
-			R: &exec.Scan{Table: "SUPPLIER"}, Partitions: workers}},
+			R: &exec.Scan{Table: "SUPPLIER"}, Workers: workers}},
 	}, Check: func(rs []Result) error {
 		if err := plannedBatch(rs); err != nil {
 			return err
 		}
-		if x := find(rs, "parallel-vectorized").Plan.Explain(); !strings.Contains(x, "PartitionedHashJoin") || !strings.Contains(x, "ColumnScan(") {
-			return fmt.Errorf("parallel-vectorized arm is not a partitioned hash join over a ColumnScan:\n%s", x)
+		if x := find(rs, "parallel-vectorized").Plan.Explain(); !parallelHashJoin.MatchString(x) || !strings.Contains(x, "ColumnScan(") {
+			return fmt.Errorf("parallel-vectorized arm is not a parallel hash join over a ColumnScan:\n%s", x)
 		}
 		return parallelArms(rs, "parallel", "parallel-vectorized")
 	}}
 }
+
+// parallelHashJoin matches the Explain line of a HashJoin on more than one
+// worker.
+var parallelHashJoin = regexp.MustCompile(`HashJoin\[.* workers\]  -- parallel`)
 
 // plannedBatch fails unless VecJoin's planned arm runs σ on a ColumnScan: the
 // cost model, not a flag, chose it.
@@ -657,7 +662,7 @@ func plannedBatch(rs []Result) error {
 func workers() int { return max(2, exec.Parallelism(0)) }
 
 // parallelArms fails unless the plan of every labelled arm holds a node with
-// a worker or partition count above one — what Explain labels "parallel".
+// a worker count above one — what Explain labels "parallel".
 func parallelArms(rs []Result, labels ...string) error {
 	for _, label := range labels {
 		if x := find(rs, label).Plan.Explain(); !strings.Contains(x, "-- parallel") {

@@ -62,7 +62,7 @@ var missTexts = [][2]string{
 // TestExplainGoldenBatch pins the plans of the analytic query texts as the
 // serving engine plans them (collected statistics), serial and with two
 // workers, on the store of those workloads: at a tenth of it the two-worker
-// plans are the serial ones and no golden would show the partitioned join or
+// plans are the serial ones and no golden would show the parallel join or
 // the parallel ColumnScan. Each σ over an extent shows the cost model's pick
 // among Filter, IndexScan and ColumnScan, and every ColumnScan line of a
 // two-worker golden shows its predicate.

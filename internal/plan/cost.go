@@ -2,7 +2,7 @@
 // "the optimizer may choose from a number of different join processing
 // strategies" — needs a way to rank the choices; this file prices every
 // physical join operator (NLJoin, HashJoin with either build side, serial or
-// partitioned, the set-probe/PNHL family, IndexNLJoin) and every way to run
+// parallel, its membership probe and PNHL, IndexNLJoin) and every way to run
 // σ over an extent (Filter serial or on a worker pool, IndexScan, ColumnScan
 // serial or parallel) from collected statistics (storage.Analyze), or from
 // the default statistics when none were collected, and lets the planner pick
@@ -98,11 +98,10 @@ const (
 	cIndexProbe = 2.5
 	cIndexFetch = 1.5
 
-	// cParallelStartup is the fixed price of a partitioned hash join's
-	// parallel run (a goroutine per share, partition bookkeeping). It is
-	// hand-picked, not fitted: with the per-row terms below, the partitioned
-	// hash join on two workers overtakes the serial one at a combined input
-	// of a few thousand rows.
+	// cParallelStartup is the fixed price of a parallel hash join's run (a
+	// goroutine per share, the shares' bookkeeping). It is hand-picked, not
+	// fitted: with the per-row terms below, the hash join on two workers
+	// overtakes the serial one at a combined input of a few thousand rows.
 	cParallelStartup = 12000.0
 	// cPoolStartup is the (smaller) fixed price of the worker pool of a
 	// Filter or MapOp with Workers > 1: draining the child, a goroutine per
@@ -219,11 +218,11 @@ func costHash(build, probe, out, residMatches float64) float64 {
 		residMatches*cEval + out*cRow
 }
 
-// costPartitionedHash prices the partitioned hash join: a fixed startup, one
-// pass handing every row of both inputs to its table or its probe share, the
-// key evaluation, build and probe divided across p workers, and handing the
+// costParallelHash prices the hash join on p workers: a fixed startup, one
+// pass handing every row of both inputs to its key or probe share, the key
+// evaluation, build and probe divided across the workers, and handing the
 // output to the joined result.
-func costPartitionedHash(build, probe, out, residMatches float64, p int) float64 {
+func costParallelHash(build, probe, out, residMatches float64, p int) float64 {
 	w := math.Max(1, float64(p))
 	work := build*(cEval+cHashBuild) + probe*(cEval+cHashProbe) + residMatches*cEval
 	return cParallelStartup + (build+probe)*cRow + work/w + out*cJoinedRow
@@ -233,8 +232,8 @@ func costPartitionedHash(build, probe, out, residMatches float64, p int) float64
 // set-valued attribute (l rows, avgSet elements each) with a flat build
 // table of r rows, split into `segments` memory-bounded segments: the build
 // table is hashed once in total, but the probe side is rescanned per
-// segment. The single-segment case (segments=1) is the set-probe join the
-// planner emits for membership predicates.
+// segment. The single-segment case (segments=1) prices the hash join's
+// membership probe (HashJoin.In) the planner emits for key(y) ∈ x.attr.
 func costPNHL(l, avgSet, r, out float64, segments int) float64 {
 	s := math.Max(1, float64(segments))
 	return r*(cEval+cHashBuild) + s*l*avgSet*cHashProbe + out*cRow

@@ -74,14 +74,14 @@ func equiJoin(kind adl.JoinKind) *adl.Join {
 }
 
 // TestCostBasedPicksParallelForLargeJoin: with collected statistics the
-// optimizer prices the partitioned hash join below the serial one for large
+// optimizer prices the parallel hash join below the serial one for large
 // inputs — no size threshold involved.
 func TestCostBasedPicksParallelForLargeJoin(t *testing.T) {
 	stats := fakeStatistics{rows: map[string]int{"X": 50000, "Y": 50000}}
 	cfg := Config{Statistics: stats, Parallelism: 4}
 	op := cfg.Compile(equiJoin(adl.Inner))
-	if hj, ok := op.(*exec.HashJoin); !ok || hj.Partitions != 4 {
-		t.Fatalf("large equi join should cost out to a partitioned HashJoin, got\n%s", Explain(op))
+	if hj, ok := op.(*exec.HashJoin); !ok || hj.Workers != 4 {
+		t.Fatalf("large equi join should cost out to a parallel HashJoin, got\n%s", Explain(op))
 	}
 	small := fakeStatistics{rows: map[string]int{"X": 50, "Y": 50}}
 	op2 := Config{Statistics: small, Parallelism: 4}.Compile(equiJoin(adl.Inner))
@@ -207,8 +207,8 @@ func TestCostBasedMembershipShape(t *testing.T) {
 		adl.CmpE(adl.In, adl.SubT(adl.V("p"), "pid"), adl.Dot(adl.V("s"), "parts")),
 		adl.T("PART"))
 	pl := Config{Statistics: st.Analyze()}.Plan(j)
-	if _, ok := pl.Root.(*exec.SetProbeJoin); !ok {
-		t.Fatalf("membership shape should plan SetProbeJoin, got %T", pl.Root)
+	if hj, ok := pl.Root.(*exec.HashJoin); !ok || hj.In != "parts" {
+		t.Fatalf("membership shape should plan a HashJoin on membership in .parts, got\n%s", pl.Explain())
 	}
 	e, ok := pl.Estimate(pl.Root)
 	if !ok || e.Rows <= 0 || e.Cost <= 0 {

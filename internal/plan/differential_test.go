@@ -109,10 +109,10 @@ func TestDifferentialEquiJoinStrategies(t *testing.T) {
 				"hash": &exec.HashJoin{Kind: kind, L: scanX(), R: scanY(),
 					LVar: "x", RVar: "y", LKey: lk, RKey: rk,
 					Residual: res, As: j.As, RFun: rfun},
-				"partitioned3": &exec.HashJoin{Kind: kind,
+				"parallel3": &exec.HashJoin{Kind: kind,
 					L: scanX(), R: scanY(), LVar: "x", RVar: "y",
 					LKey: lk, RKey: rk, Residual: res, As: j.As, RFun: rfun,
-					Partitions: 3},
+					Workers: 3},
 			}
 			if kind == adl.Inner && rfun == nil {
 				var resSwap *exec.Scalar
@@ -165,8 +165,8 @@ func TestDifferentialMembershipStrategies(t *testing.T) {
 				"nl": &exec.NLJoin{Kind: kind, L: &exec.Scan{Table: "X"},
 					R: &exec.Scan{Table: "Y"}, LVar: "x", RVar: "y",
 					Pred: exec.NewScalar(on, "x", "y"), As: j.As, RFun: rfun},
-				"setprobe": &exec.SetProbeJoin{Kind: kind, L: &exec.Scan{Table: "X"},
-					R: &exec.Scan{Table: "Y"}, Attr: "c",
+				"setprobe": &exec.HashJoin{Kind: kind, L: &exec.Scan{Table: "X"},
+					R: &exec.Scan{Table: "Y"}, In: "c",
 					RKey: exec.NewScalar(adl.SubT(adl.V("y"), "k"), "y"),
 					As:   j.As},
 				"planner": Compile(j),

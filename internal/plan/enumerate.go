@@ -6,8 +6,8 @@
 // intermediate cardinalities. Above the cap it falls back to a greedy
 // left-deep heuristic. The winning order is then rebuilt as adl.Join nodes
 // (adl.ComposeConjunct re-binds the decomposed conjuncts) and every edge is
-// handed to the existing physical operator selection — hash/nested-loop/
-// partitioned/index, build-side swap included.
+// handed to the existing physical operator selection — hash (serial or
+// parallel)/nested-loop/index, build-side swap included.
 package plan
 
 import (
@@ -165,8 +165,8 @@ func (p *planner) joinOwnCost(g *joinGraph, s1, s2 uint64) float64 {
 		residMatches = matches
 	}
 	own := math.Min(costHash(r, l, out, residMatches), costHash(l, r, out, residMatches))
-	own = math.Min(own, costPartitionedHash(r, l, out, residMatches, p.workers))
-	own = math.Min(own, costPartitionedHash(l, r, out, residMatches, p.workers))
+	own = math.Min(own, costParallelHash(r, l, out, residMatches, p.workers))
+	own = math.Min(own, costParallelHash(l, r, out, residMatches, p.workers))
 	own = math.Min(own, costNL(l, r, out))
 	if !p.cfg.NoIndexes {
 		// Index-nested-loop candidates, so the order search sees the same

@@ -54,7 +54,7 @@ func TestExplainCoversEveryOperator(t *testing.T) {
 		{&exec.RenameOp{Child: scanL(), From: "a", To: "b"}, "Rename[a -> b]", false},
 		{&exec.LetOp{Var: "v", Val: adl.T("R"), Child: scanL()}, "Let[v = R]", false},
 		{&exec.HashJoin{Kind: adl.Inner, L: scanL(), R: scanR(), LKey: key, RKey: rkey}, "HashJoin[⋈", false},
-		{&exec.SetProbeJoin{Kind: adl.Semi, L: scanL(), R: scanR(), Attr: "c", RKey: rkey}, "SetProbeJoin[⋉", false},
+		{&exec.HashJoin{Kind: adl.Semi, L: scanL(), R: scanR(), In: "c", RKey: rkey}, "HashJoin[⋉ on y.d ∈ .c]", false},
 		{&exec.IndexNLJoin{Kind: adl.Semi, L: scanL(), Table: "R", Attr: "d", LKey: key}, "IndexNLJoin[⋉", false},
 		{&exec.NLJoin{Kind: adl.Anti, L: scanL(), R: scanR(), Pred: pred}, "NLJoin[▷", false},
 		{&exec.PNHL{L: scanL(), R: scanR(), Attr: "c", ElemKey: key, BuildKey: rkey, BudgetRows: 7}, "PNHL[.c with budget 7", false},

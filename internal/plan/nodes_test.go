@@ -24,8 +24,9 @@ var unplannedNodes = map[string]string{
 	"PNHL": "built by experiment B4 only",
 }
 
-// execNodeTypes lists the exec node types the way make loc counts them: the
-// exported types of internal/exec's non-test files with an Open method.
+// execNodeTypes lists the exec node types the way make loc counts them, 18
+// of them: the exported types of internal/exec's non-test files with an Open
+// method.
 func execNodeTypes(t *testing.T) []string {
 	t.Helper()
 	pkgs, err := parser.ParseDir(token.NewFileSet(), "../exec", func(fi fs.FileInfo) bool {
@@ -119,7 +120,7 @@ func TestEveryNodeIsPlanned(t *testing.T) {
 	}
 
 	types := execNodeTypes(t)
-	if len(types) < 19 {
+	if len(types) < 18 { // the 18 node types make loc counts
 		t.Fatalf("found %d exec node types, want the whole operator set", len(types))
 	}
 	for _, name := range types {

@@ -10,7 +10,7 @@
 // Config.MaxDPRelations (enumerate.go). Each chosen edge is handed to
 // cost-based physical selection: every applicable physical join operator is
 // priced by the model in cost.go — including build/probe side swapping for
-// inner equi-joins, and the partitioned form against the serial one — and
+// inner equi-joins, and the parallel form against the serial one — and
 // the cheapest wins. The cost model is the only way the planner chooses an
 // operator and the only way it chooses parallelism; without statistics it
 // plans on one worker.
@@ -426,8 +426,8 @@ func (p *planner) compileJoin(j *adl.Join) (exec.Operator, nodeEst) {
 		out := joinOutRows(j.Kind, le.rows, re.rows, inner, le.rows, re.rows)
 		spOwn := costPNHL(le.rows, avg, re.rows, out, 1)
 		est := nodeEst{rows: out, extent: joinExtent(j.Kind, le), cost: le.cost + re.cost + spOwn}
-		var op exec.Operator = &exec.SetProbeJoin{Kind: j.Kind, L: l, R: r, Attr: attr,
-			RKey: exec.NewScalar(rkeyExpr, j.RVar), As: j.As, RFun: rfun}
+		var op exec.Operator = &exec.HashJoin{Kind: j.Kind, L: l, R: r, LVar: j.LVar, RVar: j.RVar,
+			RKey: exec.NewScalar(rkeyExpr, j.RVar), As: j.As, RFun: rfun, In: attr}
 		if nlOwn := costNL(le.rows, re.rows, out); nlOwn < spOwn {
 			op, est.cost, est.note = nl(), le.cost+re.cost+nlOwn, "nested loop priced cheaper"
 		}
@@ -502,25 +502,25 @@ func (p *planner) chooseEquiJoin(j *adl.Join, l, r exec.Operator, le, re nodeEst
 		note  string
 	}
 	bothChildren := le.cost + re.cost
-	// hash is the hash join on parts partitions, build side swapped or not.
-	hash := func(swapped bool, parts int) candidate {
+	// hash is the hash join on workers shares, build side swapped or not.
+	hash := func(swapped bool, workers int) candidate {
 		build, probe, note := re.rows, le.rows, ""
 		if swapped {
 			build, probe, note = le.rows, re.rows, "build side swapped"
 		}
 		own := costHash(build, probe, out, residMatches)
-		if parts > 1 {
-			own = costPartitionedHash(build, probe, out, residMatches, parts)
+		if workers > 1 {
+			own = costParallelHash(build, probe, out, residMatches, workers)
 		}
 		return candidate{own: own, child: bothChildren, note: note, build: func() exec.Operator {
 			if swapped {
 				return &exec.HashJoin{Kind: j.Kind, L: r, R: l, LVar: j.RVar, RVar: j.LVar,
 					LKey: keyScalar(rkeys, j.RVar), RKey: keyScalar(lkeys, j.LVar),
-					Residual: resSwapped, As: j.As, Partitions: parts}
+					Residual: resSwapped, As: j.As, Workers: workers}
 			}
 			return &exec.HashJoin{Kind: j.Kind, L: l, R: r, LVar: j.LVar, RVar: j.RVar,
 				LKey: keyScalar(lkeys, j.LVar), RKey: keyScalar(rkeys, j.RVar),
-				Residual: res, As: j.As, RFun: rfun, Partitions: parts}
+				Residual: res, As: j.As, RFun: rfun, Workers: workers}
 		}}
 	}
 	cands := []candidate{
@@ -761,16 +761,17 @@ func describe(op exec.Operator, args []value.Value) (string, []exec.Operator) {
 	case *exec.LetOp:
 		return fmt.Sprintf("Let[%s = %s]  -- constant, evaluated once", o.Var, x(o.Val)), []exec.Operator{o.Child}
 	case *exec.HashJoin:
-		on := fmt.Sprintf("%v on %s = %s%s", o.Kind, x(o.LKey.Expr), x(o.RKey.Expr), residualNote(o.Residual, args))
-		if o.Unnest != "" {
+		on := fmt.Sprintf("%s ∈ .%s", x(o.RKey.Expr), o.In)
+		if o.In == "" {
+			on = fmt.Sprintf("%s = %s", x(o.LKey.Expr), x(o.RKey.Expr))
+		}
+		if on = fmt.Sprintf("%v on %s%s", o.Kind, on, residualNote(o.Residual, args)); o.Unnest != "" {
 			on += " | μ " + o.Unnest
 		}
-		if o.Partitions > 1 {
-			return fmt.Sprintf("PartitionedHashJoin[%s | %d partitions]  -- parallel", on, o.Partitions), []exec.Operator{o.L, o.R}
+		if o.Workers > 1 {
+			return fmt.Sprintf("HashJoin[%s | %d workers]  -- parallel", on, o.Workers), []exec.Operator{o.L, o.R}
 		}
 		return fmt.Sprintf("HashJoin[%s]", on), []exec.Operator{o.L, o.R}
-	case *exec.SetProbeJoin:
-		return fmt.Sprintf("SetProbeJoin[%v on %s ∈ .%s]", o.Kind, x(o.RKey.Expr), o.Attr), []exec.Operator{o.L, o.R}
 	case *exec.NLJoin:
 		return fmt.Sprintf("NLJoin[%v on %s]", o.Kind, x(o.Pred.Expr)), []exec.Operator{o.L, o.R}
 	case *exec.PNHL:

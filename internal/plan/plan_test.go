@@ -87,8 +87,8 @@ func TestPlannerChoosesSetProbeForEQ5(t *testing.T) {
 	}
 	res := rewrite.Optimize(e, rewrite.NewContext(st.Catalog()))
 	op := Compile(res.Expr)
-	if _, ok := op.(*exec.SetProbeJoin); !ok {
-		t.Errorf("EQ5 should plan a SetProbeJoin, got:\n%s", Explain(op))
+	if hj, ok := op.(*exec.HashJoin); !ok || hj.In != "parts" {
+		t.Errorf("EQ5 should plan a HashJoin on membership in .parts, got:\n%s", Explain(op))
 	}
 }
 
@@ -201,14 +201,14 @@ func TestExplainRendersPlan(t *testing.T) {
 	}
 	res := rewrite.Optimize(e, rewrite.NewContext(st.Catalog()))
 	out := Explain(Compile(res.Expr))
-	for _, want := range []string{"SetProbeJoin", "Scan(SUPPLIER)", "Scan(PART)"} {
+	for _, want := range []string{"HashJoin[⋉ on p[pid] ∈ .parts]", "Scan(SUPPLIER)", "Scan(PART)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
 		}
 	}
 }
 
-// parallel reports whether a plan holds a node with a worker or partition
+// parallel reports whether a plan holds a node with a worker
 // count above one — what Explain labels "parallel". A test that forces
 // parallel plans asserts it, lest the planner silently go serial and the
 // test lose what it covers.
@@ -228,7 +228,7 @@ func (s inflated) RowCount(extent string) int {
 }
 
 // TestPlannerParallelThreshold pins the cost-based choice between the serial
-// and the partitioned hash join: large inputs cross the threshold the cost
+// and the parallel hash join: large inputs cross the threshold the cost
 // model's startup price sets, small ones and unpriced ones do not, and the
 // default worker count is GOMAXPROCS, resolved when the plan is made.
 func TestPlannerParallelThreshold(t *testing.T) {
@@ -237,8 +237,8 @@ func TestPlannerParallelThreshold(t *testing.T) {
 	large := fakeStatistics{rows: map[string]int{"X": 50000, "Y": 50000}}
 
 	op := Config{Statistics: large, Parallelism: 4}.Compile(j)
-	if hj, ok := op.(*exec.HashJoin); !ok || hj.Partitions != 4 {
-		t.Fatalf("large equi join should plan a HashJoin on 4 partitions, got\n%s", Explain(op))
+	if hj, ok := op.(*exec.HashJoin); !ok || hj.Workers != 4 {
+		t.Fatalf("large equi join should plan a HashJoin on 4 workers, got\n%s", Explain(op))
 	}
 	small := Config{Statistics: fakeStatistics{rows: map[string]int{"X": 10, "Y": 10}}, Parallelism: 4}
 	if op := small.Compile(j); parallel(op) {
@@ -256,8 +256,8 @@ func TestPlannerParallelThreshold(t *testing.T) {
 		t.Errorf("under GOMAXPROCS(1) the default plan went parallel:\n%s", Explain(op))
 	}
 	runtime.GOMAXPROCS(4)
-	if hj, ok := (Config{Statistics: large}).Compile(j).(*exec.HashJoin); !ok || hj.Partitions != 4 {
-		t.Errorf("under GOMAXPROCS(4) the default plan should have 4 partitions, got %+v", hj)
+	if hj, ok := (Config{Statistics: large}).Compile(j).(*exec.HashJoin); !ok || hj.Workers != 4 {
+		t.Errorf("under GOMAXPROCS(4) the default plan should have 4 workers, got %+v", hj)
 	}
 }
 
@@ -288,7 +288,7 @@ func TestExplainShowsParallelOperators(t *testing.T) {
 		"u", "y",
 		adl.EqE(adl.Dot(adl.V("u"), "a"), adl.Dot(adl.V("y"), "d")), adl.T("Y"))
 	out := Explain(cfg.Compile(j))
-	for _, want := range []string{"PartitionedHashJoin", "4 partitions", "ParallelFilter", "4 workers"} {
+	for _, want := range []string{"HashJoin[", "4 workers]  -- parallel", "ParallelFilter"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
 		}

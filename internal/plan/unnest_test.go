@@ -11,7 +11,7 @@ import (
 // TestPlannerExpandsUnnestInProbe pins where μ folds into the hash join's
 // probe: Example Query 4's antijoin does at every parallelism on the store
 // of the analytic workloads — serial and
-// partitioned alike, with no Unnest node left — and of the joins over μ with
+// parallel alike, with no Unnest node left — and of the joins over μ with
 // one key pair only the residual-free semijoin and antijoin do.
 func TestPlannerExpandsUnnestInProbe(t *testing.T) {
 	st, exprs := analyticStore(t)
@@ -24,8 +24,8 @@ func TestPlannerExpandsUnnestInProbe(t *testing.T) {
 			t.Fatalf("p%d: Example Query 4 plans\n%s", par, x)
 		}
 		hj, ok := m.Child.(*exec.HashJoin)
-		if !ok || hj.Unnest != "parts" || hj.Partitions != par || strings.Contains(x, "Unnest[") {
-			t.Errorf("p%d: want the antijoin expanding μ parts on %d partitions, got\n%s", par, par, x)
+		if !ok || hj.Unnest != "parts" || hj.Workers != par || strings.Contains(x, "Unnest[") {
+			t.Errorf("p%d: want the antijoin expanding μ parts on %d workers, got\n%s", par, par, x)
 		}
 	}
 

@@ -80,7 +80,7 @@ func TestVectorizedPlanShapes(t *testing.T) {
 	}
 	for _, q := range []*adl.Join{semi, inner, outer, nestj, residual} {
 		hj, ok := def.Compile(over(q)).(*exec.HashJoin)
-		if !ok || hj.Kind != q.Kind || hj.Partitions > 1 {
+		if !ok || hj.Kind != q.Kind || hj.Workers > 1 {
 			t.Fatalf("%v equi-join compiled to %T, want a serial *exec.HashJoin of that kind", q.Kind, def.Compile(over(q)))
 		}
 		sigma := hj.L
@@ -95,25 +95,25 @@ func TestVectorizedPlanShapes(t *testing.T) {
 		}
 	}
 	for _, q := range []*adl.Join{setprobe, setnest} {
-		sj, ok := def.Compile(over(q)).(*exec.SetProbeJoin)
-		if !ok || sj.Kind != q.Kind || sj.As != q.As {
-			t.Fatalf("%v set-probe join compiled to %T, want *exec.SetProbeJoin of that kind", q.Kind, def.Compile(over(q)))
+		sj, ok := def.Compile(over(q)).(*exec.HashJoin)
+		if !ok || sj.In == "" || sj.Kind != q.Kind || sj.As != q.As {
+			t.Fatalf("%v set-probe join compiled to %s, want a HashJoin on membership of that kind", q.Kind, Explain(def.Compile(over(q))))
 		}
 		if _, ok := sj.L.(*exec.ColumnScan); !ok {
 			t.Fatalf("%v set-probe join probes %T, want *exec.ColumnScan", q.Kind, sj.L)
 		}
 	}
 
-	// Priced on large inputs the equi-join is the partitioned hash join over a
+	// Priced on large inputs the equi-join is the parallel hash join over a
 	// parallel ColumnScan; on small ones both stay serial.
 	par := Config{Parallelism: 4,
 		Statistics: fakeStatistics{rows: map[string]int{"X": 100000, "Y": 100000}}}
 	pj, ok := par.Compile(over(semi)).(*exec.HashJoin)
-	if !ok || pj.Partitions != 4 {
-		t.Fatalf("large semi join is %s, want 4 partitions", Explain(par.Compile(over(semi))))
+	if !ok || pj.Workers != 4 {
+		t.Fatalf("large semi join is %s, want 4 workers", Explain(par.Compile(over(semi))))
 	}
 	if cs, ok := pj.L.(*exec.ColumnScan); !ok || cs.Workers != 4 {
-		t.Fatalf("partitioned join probes %s, want a ColumnScan on 4 workers", Explain(pj.L))
+		t.Fatalf("parallel join probes %s, want a ColumnScan on 4 workers", Explain(pj.L))
 	}
 	small := Config{Parallelism: 4,
 		Statistics: fakeStatistics{rows: map[string]int{"X": 10, "Y": 10}}}

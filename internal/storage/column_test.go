@@ -140,8 +140,8 @@ func TestPinnedSnapshotProbesItsColumn(t *testing.T) {
 		}
 		suppliers = append(suppliers, oid)
 	}
-	semi := &exec.SetProbeJoin{Kind: adl.Semi, L: &exec.Scan{Table: "SUPPLIER"}, R: &exec.Scan{Table: "PART"},
-		Attr: "parts", RKey: exec.NewScalar(adl.SubT(adl.V("y"), "pid"), "y"), As: "ys"}
+	semi := &exec.HashJoin{Kind: adl.Semi, L: &exec.Scan{Table: "SUPPLIER"}, R: &exec.Scan{Table: "PART"},
+		In: "parts", RKey: exec.NewScalar(adl.SubT(adl.V("y"), "pid"), "y"), As: "ys"}
 	run := func(db *storage.Snapshot) *value.Set {
 		got, err := exec.Collect(semi, &exec.Ctx{DB: db})
 		if err != nil {

@@ -258,7 +258,7 @@ func stored(idField string, oid value.OID, t *value.Tuple) *value.Tuple {
 // value.SmallSet elements, or one of references ({⟨pid⟩}: value.UnaryInts),
 // is kept as a copy the store owns (value.Set.CompactColumn): one allocation
 // up to SmallSet elements, and carrying its reference column, which the
-// set-probe and μ-fused joins probe. The caller's set is never modified.
+// membership and μ-fused hash joins probe. The caller's set is never modified.
 // Other values, including larger sets and sets nested inside elements or
 // attributes, are kept as the caller built them.
 func kept(v value.Value) value.Value {

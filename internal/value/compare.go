@@ -87,7 +87,7 @@ func IsNaN(v Value) bool {
 }
 
 // Hash returns a 64-bit hash consistent with Equal: equal values hash
-// equally. Tuple and set hashes combine member hashes commutatively so that
+// equally, -0 and +0 included. Tuple and set hashes combine member hashes commutatively so that
 // attribute order and element order do not matter. A tuple computes its hash
 // once and keeps it (see Tuple); a set sums the element hashes it stores.
 func Hash(v Value) uint64 {
@@ -99,6 +99,9 @@ func Hash(v Value) uint64 {
 	case Int:
 		return hashScalar(byte(KindInt), uint64(av))
 	case Float:
+		if av == 0 {
+			av = 0 // -0 equals +0, so it hashes as +0
+		}
 		return hashScalar(byte(KindFloat), math.Float64bits(float64(av)))
 	case String:
 		return fnvString(fnvByte(fnvOffset64, byte(KindString)), string(av))

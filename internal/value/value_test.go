@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -262,6 +263,51 @@ func TestEqualityPropertiesQuick(t *testing.T) {
 		return Compare(a, b) == -Compare(b, a)
 	}, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHashHonoursEqual checks Hash's contract, that equal values hash
+// equally, on the floats where Equal is not bit equality: -0 equals +0, and
+// NaN equals nothing. Values are drawn from a small domain of such atoms and
+// of tuples and sets over them, so that many pairs are equal.
+func TestHashHonoursEqual(t *testing.T) {
+	atoms := []Value{Float(0), Float(math.Copysign(0, -1)), Float(math.Inf(1)),
+		Float(math.Inf(-1)), Float(math.NaN()), Float(1.5), Int(0), Null{}}
+	var gen func(r *rand.Rand, depth int) Value
+	gen = func(r *rand.Rand, depth int) Value {
+		switch r.Intn(3) {
+		case 1:
+			if depth > 0 {
+				return NewTuple("a", gen(r, depth-1), "b", gen(r, depth-1))
+			}
+		case 2:
+			if depth > 0 {
+				s := EmptySet()
+				for n := r.Intn(4); n > 0; n-- {
+					s.Add(gen(r, depth-1))
+				}
+				return s
+			}
+		}
+		return atoms[r.Intn(len(atoms))]
+	}
+	r := rand.New(rand.NewSource(94))
+	equal := 0
+	for i := 0; i < 20000; i++ {
+		a, b := gen(r, 2), gen(r, 2)
+		if Equal(a, b) {
+			equal++
+			if Hash(a) != Hash(b) {
+				t.Fatalf("%v = %v, but their hashes %#x and %#x differ", a, b, Hash(a), Hash(b))
+			}
+		}
+	}
+	if equal < 200 {
+		t.Fatalf("only %d of the pairs were equal", equal)
+	}
+	zeros := NewSet(Float(0), Float(math.Copysign(0, -1)))
+	if zeros.Len() != 1 || !NewSet(Float(0)).Contains(Float(math.Copysign(0, -1))) {
+		t.Errorf("a set holds -0 beside its equal +0: %v", zeros)
 	}
 }
 
