@@ -108,8 +108,9 @@ func columnDBs(t *testing.T) (*storage.Store, *storage.MemDB) {
 // column over the store, where the sets have one, and over the MemDB, where
 // they do not, and checks both against NLJoin: HashJoin on membership (semi, anti,
 // nest with and without RFun) on OID and Int build keys and on keys of
-// another shape, and HashJoin expanding μ in its probe (semi, anti; 1 and 3
-// workers) on OID and Int keys. The cases hold empty sets, dangling references, Ints whose bits
+// another shape, and HashJoin expanding μ in its probe (semi, anti; 1, 2 and
+// 5 workers) on OID, Int and unary tuple keys. The cases hold empty sets,
+// dangling references, Ints whose bits
 // equal an OID key's (which must not match it), a set above value.SmallSet,
 // and sets of two kinds or two shapes, which have no column.
 func TestReferenceColumnDifferential(t *testing.T) {
@@ -155,9 +156,10 @@ func TestReferenceColumnDifferential(t *testing.T) {
 	}{
 		{"oid", adl.SubT(x, "pid"), adl.SubT(y, "pid")},
 		{"int", adl.Dot(x, "pid"), adl.Dot(y, "ik")},
+		{"tuple", adl.Dot(x, "pid"), adl.Tup("pid", adl.Dot(y, "pid"))}, // an oid never equals ⟨pid⟩
 	} {
 		for _, kind := range []adl.JoinKind{adl.Semi, adl.Anti} {
-			for _, parts := range []int{1, 3} {
+			for _, parts := range []int{1, 2, 5} {
 				hj := &HashJoin{Kind: kind, L: &Scan{Table: "L"}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
 					LKey: NewScalar(keys.lkey, "x"), RKey: NewScalar(keys.rkey, "y"), Unnest: "parts", Workers: parts}
 				if hj.probeAttr() != "pid" {

@@ -2,7 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -32,11 +34,20 @@ func joinKindCases() []joinKindCase {
 }
 
 // keyShapeDB holds a probe table L and build tables whose key attributes
-// cover every column kind: L(a, i, dt, o, bo, s, f, m) with m an int on even
-// rows and a string on odd ones (a Mixed column), R(c, ri, rdt, ro, rbo, rs,
-// rf) with duplicate keys, M(c, rm) with build keys of two kinds, and the
-// empty E.
+// cover every column kind: L(a, i, dt, o, bo, s, f, m, bits, z, u) with m an
+// int on even rows and a string on odd ones (a Mixed column), bits an Int,
+// OID, Date or Bool of bits 1 or an Int 0, z a float +0, -0 or 0.5 and u a
+// unary tuple ⟨k⟩ or ⟨j⟩; R(c, ri, rdt, ro, rbo, rs, rf, rbits, rz, ru) with
+// duplicate keys, rbits OIDs, rz a float -0, +0 or 1 and ru ⟨k⟩ tuples
+// only; M(c, rm, mbits, mu) with build keys of two kinds or more: rm an Int
+// or a String, mbits an Int, OID, Date or Bool of bits 1, mu ⟨k⟩ or ⟨j⟩; and
+// the empty E.
 func keyShapeDB() *storage.MemDB {
+	bits := []value.Value{value.Int(1), value.OID(1), value.Date(1), value.Bool(true), value.Int(0)}
+	zeros := []value.Value{value.Float(0), value.Float(math.Copysign(0, -1)), value.Float(0.5)}
+	unary := func(i int, names ...string) value.Value {
+		return value.NewTuple(names[i%len(names)], value.Int(int64(i%4)))
+	}
 	l := value.EmptySet()
 	for i := 0; i < 23; i++ {
 		var m value.Value = value.Int(int64(i % 5))
@@ -45,18 +56,21 @@ func keyShapeDB() *storage.MemDB {
 		}
 		l.Add(value.NewTuple("a", value.Int(int64(i)), "i", value.Int(int64(i%7)),
 			"dt", value.Date(940100+int64(i%6)), "o", value.OID(int64(100+i%5)), "bo", value.Bool(i%3 == 0),
-			"s", value.String(fmt.Sprintf("k%d", i%5)), "f", value.Float(float64(i%4)/2), "m", m))
+			"s", value.String(fmt.Sprintf("k%d", i%5)), "f", value.Float(float64(i%4)/2), "m", m,
+			"bits", bits[i%5], "z", zeros[i%3], "u", unary(i, "k", "j", "k")))
 	}
 	r, mixed := value.EmptySet(), value.EmptySet()
 	for i := 0; i < 17; i++ {
 		r.Add(value.NewTuple("c", value.Int(int64(i)), "ri", value.Int(int64(i%5)),
 			"rdt", value.Date(940100+int64(i%4)), "ro", value.OID(int64(100+i%3)), "rbo", value.Bool(true),
-			"rs", value.String(fmt.Sprintf("k%d", i%4)), "rf", value.Float(float64(i%3)/2)))
+			"rs", value.String(fmt.Sprintf("k%d", i%4)), "rf", value.Float(float64(i%3)/2),
+			"rbits", value.OID(int64(i%3)), "rz", []value.Value{zeros[1], zeros[0], value.Float(1)}[i%3],
+			"ru", unary(i, "k")))
 		var m value.Value = value.Int(int64(i % 3))
 		if i%3 == 1 {
 			m = value.String(fmt.Sprintf("k%d", i%4))
 		}
-		mixed.Add(value.NewTuple("c", value.Int(int64(i)), "rm", m))
+		mixed.Add(value.NewTuple("c", value.Int(int64(i)), "rm", m, "mbits", bits[i%4], "mu", unary(i, "j", "k")))
 	}
 	return storage.NewMemDB("L", l, "R", r, "M", mixed, "E", value.EmptySet())
 }
@@ -78,54 +92,82 @@ func equiOracle(kind adl.JoinKind, l Operator, right string, lkey, rkey adl.Expr
 		Pred: NewScalar(pred, "x", "y"), As: "ys", RFun: rfun}
 }
 
-// TestHashJoinKeyShapes cross-validates the hash join against NLJoin on every
-// kind × every key column shape (int, date, oid, bool, string, float, a
-// column mixing kinds, build keys of two kinds, keys of two kinds that never
-// meet, an empty build side) × residual × left rows from a Scan and from a
-// ColumnScan × serial and parallel.
+// TestHashJoinKeyShapes cross-validates the hash join against NLJoin, and
+// NLJoin against the reference interpreter, on every kind × every key column
+// shape (int, date, oid, bool, string, float, a column mixing kinds, build
+// keys of two kinds, keys of two kinds that never meet, keys of four kinds
+// that share their bits, signed zeros, unary tuples of one shape and of two,
+// an empty build side) × residual × left rows from a Scan and from a
+// ColumnScan × 1, 2 and 5 workers: the same rows in the same order. Each
+// shape's build keys make the table it names: the int table or the
+// value.Index.
 func TestHashJoinKeyShapes(t *testing.T) {
 	d := keyShapeDB()
 	residual := NewScalar(adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "a"), adl.Dot(adl.V("y"), "c")), "x", "y")
 	shapes := []struct {
 		name, lattr, table, rattr string
 		matches                   bool // some left row has a partner
+		ints                      bool // the build keys make the int table
 	}{
-		{"int", "i", "R", "ri", true},
-		{"date", "dt", "R", "rdt", true},
-		{"oid", "o", "R", "ro", true},
-		{"bool", "bo", "R", "rbo", true},
-		{"string", "s", "R", "rs", true},
-		{"float", "f", "R", "rf", true},
-		{"mixed-column-int-keys", "m", "R", "ri", true},
-		{"mixed-column-string-keys", "m", "R", "rs", true},
-		{"mixed-column-mixed-keys", "m", "M", "rm", true},
-		{"string-column-mixed-keys", "s", "M", "rm", true},
-		{"int-column-string-keys", "i", "R", "rs", false},
-		{"string-column-int-keys", "s", "R", "ri", false},
-		{"empty-build", "s", "E", "rs", false},
+		{"int", "i", "R", "ri", true, true},
+		{"date", "dt", "R", "rdt", true, true},
+		{"oid", "o", "R", "ro", true, true},
+		{"bool", "bo", "R", "rbo", true, true},
+		{"string", "s", "R", "rs", true, false},
+		{"float", "f", "R", "rf", true, false},
+		{"mixed-column-int-keys", "m", "R", "ri", true, true},
+		{"mixed-column-string-keys", "m", "R", "rs", true, false},
+		{"mixed-column-mixed-keys", "m", "M", "rm", true, false},
+		{"string-column-mixed-keys", "s", "M", "rm", true, false},
+		{"int-column-string-keys", "i", "R", "rs", false, false},
+		{"string-column-int-keys", "s", "R", "ri", false, true},
+		{"shared-bits-oid-keys", "bits", "R", "rbits", true, true},
+		{"shared-bits-four-kinds", "bits", "M", "mbits", true, false},
+		{"signed-zero", "z", "R", "rz", true, false},
+		{"unary-one-shape", "u", "R", "ru", true, true},
+		{"unary-two-shapes", "u", "M", "mu", true, false},
+		{"empty-build", "s", "E", "rs", false, false},
 	}
 	for _, sh := range shapes {
 		lx, ry := adl.Dot(adl.V("x"), sh.lattr), adl.Dot(adl.V("y"), sh.rattr)
 		lkey, rkey := NewScalar(lx, "x"), NewScalar(ry, "y")
+		build, _ := d.Table(sh.table)
+		if tab, err := newJoinTable(&Ctx{DB: d}, build.Elems(), rkey, 1); err != nil || (tab.ints != nil) != sh.ints {
+			t.Errorf("%s: int table %v (%v), want %v", sh.name, tab.ints != nil, err, sh.ints)
+		}
 		for _, kc := range joinKindCases() {
 			for _, res := range []*Scalar{nil, &residual} {
-				want := collect(t, equiOracle(kc.kind, &Scan{Table: "L"}, sh.table, lx, ry, res, kc.rfun), d)
-				if sh.matches && res == nil && want.Len() == 0 {
+				oracle := equiOracle(kc.kind, &Scan{Table: "L"}, sh.table, lx, ry, res, kc.rfun)
+				want := streamed(t, oracle, d)
+				if sh.matches && res == nil && len(want) == 0 {
 					t.Errorf("%s %s: empty reference result, the case checks nothing", sh.name, kc.name)
 				}
+				logical := &adl.Join{Kind: kc.kind, LVar: "x", RVar: "y", On: oracle.Pred.Expr, As: "ys",
+					L: adl.T("L"), R: adl.T(sh.table)}
+				if kc.rfun != nil {
+					logical.RFun = kc.rfun.Expr
+				}
+				if ref := evalRef(t, logical, d); !value.Equal(ref, value.NewSetFromSlice(want)) {
+					t.Errorf("%s %s residual=%v: NLJoin %v, the interpreter %v", sh.name, kc.name, res != nil, want, ref)
+				}
 				for arm, l := range leftArms("L") {
-					for _, parts := range []int{1, 3} {
+					for _, w := range []int{1, 2, 5} {
 						hj := &HashJoin{Kind: kc.kind, L: l, R: &Scan{Table: sh.table}, LVar: "x", RVar: "y",
-							LKey: lkey, RKey: rkey, Residual: res, As: "ys", RFun: kc.rfun, Workers: parts}
-						if got := collect(t, hj, d); !value.Equal(got, want) {
+							LKey: lkey, RKey: rkey, Residual: res, As: "ys", RFun: kc.rfun, Workers: w}
+						if got := streamed(t, hj, d); !sameRows(got, want) {
 							t.Errorf("%s %s residual=%v %s workers %d: got %v want %v",
-								sh.name, kc.name, res != nil, arm, parts, got, want)
+								sh.name, kc.name, res != nil, arm, w, got, want)
 						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// sameRows reports whether got and want hold equal rows in one order.
+func sameRows(got, want []value.Value) bool {
+	return slices.EqualFunc(got, want, value.Equal)
 }
 
 // TestHashJoinRandomized repeats the comparison on the random tables the
@@ -357,6 +399,17 @@ func TestAntiJoinStopsAtFirstMatch(t *testing.T) {
 	}
 }
 
+// refColumn is the set of elems with its reference column, as the store
+// keeps a set of references (value.Set.CompactColumn).
+func refColumn(t *testing.T, elems ...value.Value) *value.Set {
+	t.Helper()
+	s := value.NewSet(elems...).CompactColumn()
+	if s == nil {
+		t.Fatalf("%v form no reference column", elems)
+	}
+	return s
+}
+
 // setMember is the oracle of the hash join on membership (HashJoin.In):
 // NLJoin over the predicate key(y) ∈ x.attr, which shares no code with the
 // joinTable it builds and probes.
@@ -370,10 +423,13 @@ func setMember(kind adl.JoinKind, left, right, attr string, rkey adl.Expr, rfun 
 // oracle: semi, anti and the nestjoin with and without its right-tuple
 // function × the generic table (whole-element keys, plain int elements under
 // an atomic key, unary tuples over a string, unary tuples over mixed Int/OID
-// keys) and the unary-int fast path (computed and subscript-read keys) ×
-// elements the fast path must decline although their bits equal a key's
-// (another attribute name, another kind, non-tuples), dangling oids and
-// empty sets × left rows from a Scan and from a ColumnScan.
+// keys) and the int table (computed and subscript-read keys) × elements
+// it must decline although their bits equal a key's (another attribute name,
+// another kind, non-tuples), elements of four layouts, sets with a reference
+// column of the key's shape, of another shape or kind, against atomic keys
+// and against a value.Index table, dangling oids, empty sets and an empty
+// build side × left rows from a Scan and from a ColumnScan × 1, 2 and 5
+// workers: the same rows in the same order.
 func TestSetProbeJoinAgainstNLJoin(t *testing.T) {
 	// Owners hold sets of ⟨k:int⟩ refs, of plain ints, of ⟨t:string⟩ refs and
 	// of decoys that only some owners pair with a real match; items carry
@@ -383,6 +439,8 @@ func TestSetProbeJoinAgainstNLJoin(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		parts, refs, tags := value.EmptySet(), value.EmptySet(), value.EmptySet()
 		names, kinds, plain, danglers, mixed := value.EmptySet(), value.EmptySet(), value.EmptySet(), value.EmptySet(), value.EmptySet()
+		var layouts, cols, jcols, ocols, acols, mcols value.Value = value.EmptySet(), value.EmptySet(),
+			value.EmptySet(), value.EmptySet(), value.EmptySet(), value.EmptySet()
 		for j := 0; j <= i%4; j++ {
 			refs.Add(value.Int(int64(3*i + j)))
 		}
@@ -414,9 +472,26 @@ func TestSetProbeJoinAgainstNLJoin(t *testing.T) {
 			if i%3 == 0 {
 				mixed.Add(value.NewTuple("m", value.OID(int64(i))))
 			}
+			// Elements of four layouts, of which only ⟨k⟩ meets a key.
+			l := value.NewSet(value.NewTuple("k", value.Int(key), "w", value.Int(1)),
+				value.NewTuple("j", value.Int(key)), value.Int(key))
+			// Sets with a reference column (as the store keeps them): even
+			// owners' columns hold a hit's bits under another shape (jcols),
+			// kind (ocols) or as a tuple against atomic keys (acols), odd
+			// owners' a hit; mcols probes a value.Index table.
+			k, j, o := value.NewTuple("k", value.Int(key)), value.NewTuple("j", value.Int(key)), value.NewTuple("k", value.OID(key))
+			cols, jcols, ocols, acols = refColumn(t, k), refColumn(t, k), refColumn(t, k), value.NewSet(value.Int(key))
+			if i%2 == 0 {
+				l.Add(k)
+				cols, jcols, ocols, acols = refColumn(t, k, value.NewTuple("k", value.Int(key+1))), refColumn(t, j), refColumn(t, o), refColumn(t, k)
+			} else {
+				cols = refColumn(t, value.NewTuple("k", value.Int(key+1)))
+			}
+			layouts, mcols = l, refColumn(t, value.NewTuple("m", value.Int(int64(i))))
 		}
 		owners.Add(value.NewTuple("a", value.Int(int64(i)), "parts", parts, "refs", refs, "tags", tags,
-			"names", names, "kinds", kinds, "plain", plain, "danglers", danglers, "mixed", mixed))
+			"names", names, "kinds", kinds, "plain", plain, "danglers", danglers, "mixed", mixed,
+			"layouts", layouts, "cols", cols, "jcols", jcols, "ocols", ocols, "acols", acols, "mcols", mcols))
 	}
 	items := value.EmptySet()
 	for i := 0; i < 7; i++ {
@@ -452,6 +527,12 @@ func TestSetProbeJoinAgainstNLJoin(t *testing.T) {
 		{"mixed-int-oid-keys", fixed, "O", "I", "mixed", adl.SubT(y, "m")},
 		{"mixed-int-oid-keys-computed", fixed, "O", "I", "mixed", adl.Tup("m", adl.Dot(y, "m"))},
 		{"unary-keys-two-names", fixed, "O", "U", "names", y},
+		{"mixed-layouts", fixed, "O", "I", "layouts", adl.SubT(y, "k")},
+		{"column", fixed, "O", "I", "cols", adl.SubT(y, "k")},
+		{"column-other-shape", fixed, "O", "I", "jcols", adl.SubT(y, "k")},
+		{"column-other-kind", fixed, "O", "I", "ocols", adl.SubT(y, "k")},
+		{"column-atomic-keys", fixed, "O", "I", "acols", adl.Dot(y, "k")},
+		{"column-generic-table", fixed, "O", "I", "mcols", adl.SubT(y, "m")},
 		{"empty-build", fixed, "O", "E", "parts", adl.SubT(y, "k")},
 	}
 	wholeKey := adl.Tup("k", adl.Dot(y, "d"), "w", adl.Dot(y, "c"))
@@ -465,15 +546,17 @@ func TestSetProbeJoinAgainstNLJoin(t *testing.T) {
 			if kc.kind == adl.Inner || kc.kind == adl.Outer || (kc.rfun != nil && tc.right == "U") {
 				continue // U's rows have no y.c
 			}
-			want := collect(t, setMember(kc.kind, tc.left, tc.right, tc.attr, tc.rkey, kc.rfun), tc.d)
+			want := streamed(t, setMember(kc.kind, tc.left, tc.right, tc.attr, tc.rkey, kc.rfun), tc.d)
 			if kc.kind == adl.Semi {
-				sawHit, sawMiss = want.Len() > 0, want.Len() < collect(t, &Scan{Table: tc.left}, tc.d).Len()
+				sawHit, sawMiss = len(want) > 0, len(want) < collect(t, &Scan{Table: tc.left}, tc.d).Len()
 			}
 			for arm, l := range leftArms(tc.left) {
-				sj := &HashJoin{Kind: kc.kind, L: l, R: &Scan{Table: tc.right},
-					In: tc.attr, RKey: rkey, As: "ys", RFun: kc.rfun}
-				if got := collect(t, sj, tc.d); !value.Equal(got, want) {
-					t.Errorf("%s %s %s: got %v want %v", tc.name, kc.name, arm, got, want)
+				for _, w := range []int{1, 2, 5} {
+					sj := &HashJoin{Kind: kc.kind, L: l, R: &Scan{Table: tc.right},
+						In: tc.attr, RKey: rkey, As: "ys", RFun: kc.rfun, Workers: w}
+					if got := streamed(t, sj, tc.d); !sameRows(got, want) {
+						t.Errorf("%s %s %s workers %d: got %v want %v", tc.name, kc.name, arm, w, got, want)
+					}
 				}
 			}
 		}
@@ -482,9 +565,10 @@ func TestSetProbeJoinAgainstNLJoin(t *testing.T) {
 		}
 	}
 
-	// Error parity between the two ways left rows arrive, where the oracle
-	// fails too (it has a rule for every kind, so not the unsupported one),
-	// then a second run of the failed instance after Close.
+	// Error parity between the two ways left rows arrive and across 1, 2 and
+	// 5 workers, where the oracle fails too (it has a rule for every kind, so
+	// not the unsupported one), then a second run of the failed instance
+	// after Close.
 	subKey := NewScalar(adl.SubT(y, "k"), "y")
 	bad := value.NewSet(value.NewTuple("a", value.Int(1), "parts", value.EmptySet()), value.Int(7))
 	dup := value.NewSet(value.NewTuple("ys", value.Int(1), "parts", value.EmptySet()))
@@ -505,9 +589,14 @@ func TestSetProbeJoinAgainstNLJoin(t *testing.T) {
 			In: tc.attr, RKey: tc.rkey, As: "ys"}, &Ctx{DB: ed})
 		scan := colScan(tc.left, nil)
 		vj := &HashJoin{Kind: tc.kind, L: scan, R: &Scan{Table: "I"}, In: tc.attr, RKey: tc.rkey, As: "ys"}
-		_, gerr := Collect(vj, &Ctx{DB: ed})
-		if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
-			t.Errorf("%s: ColumnScan=%v Scan=%v", tc.name, gerr, werr)
+		for _, w := range []int{1, 2, 5} {
+			for arm, l := range map[string]Operator{"Scan": &Scan{Table: tc.left}, "ColumnScan": scan} {
+				_, gerr := Collect(&HashJoin{Kind: tc.kind, L: l, R: &Scan{Table: "I"}, In: tc.attr, RKey: tc.rkey,
+					As: "ys", Workers: w}, &Ctx{DB: ed})
+				if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
+					t.Errorf("%s: %s on %d workers %v, Scan on one %v", tc.name, arm, w, gerr, werr)
+				}
+			}
 		}
 		if tc.left == "DUP" && (werr == nil || !strings.Contains(werr.Error(), `duplicate attribute "ys"`)) {
 			t.Errorf("%s: %v", tc.name, werr)

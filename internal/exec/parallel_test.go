@@ -12,7 +12,10 @@ import (
 
 // TestPartitionedHashJoinAgainstSerial cross-validates HashJoin at several
 // worker counts — serial ones included, and more workers than rows —
-// against the interpreter oracle for every join kind over randomized inputs.
+// against the interpreter oracle and NLJoin's rows in their order, for every
+// join kind over randomized inputs, on keys that make each table: atomic
+// ints and unary tuples over them (the int table) and pairs (the
+// value.Index).
 func TestPartitionedHashJoinAgainstSerial(t *testing.T) {
 	kinds := []struct {
 		kind adl.JoinKind
@@ -20,20 +23,33 @@ func TestPartitionedHashJoinAgainstSerial(t *testing.T) {
 	}{
 		{adl.Inner, ""}, {adl.Semi, ""}, {adl.Anti, ""}, {adl.NestJ, "ys"}, {adl.Outer, ""},
 	}
+	x, y := adl.V("x"), adl.V("y")
 	for seed := int64(1); seed <= 4; seed++ {
 		d := db(seed, 40, 30)
-		for _, k := range kinds {
-			want := evalRef(t, logicalJoin(k.kind, k.as, nil), d)
-			for _, parts := range []int{0, 1, 3, 64} {
-				pj := &HashJoin{Kind: k.kind,
-					L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
-					LVar: "x", RVar: "y",
-					LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
-					RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"),
-					As:   k.as, Workers: parts}
-				if got := collect(t, pj, d); !value.Equal(got, want) {
-					t.Errorf("seed %d HashJoin(%d workers) %v: got %v want %v",
-						seed, parts, k.kind, got, want)
+		for _, k := range []struct {
+			name       string
+			lkey, rkey adl.Expr
+		}{
+			{"int", adl.Dot(x, "b"), adl.Dot(y, "d")},
+			{"unary", adl.Tup("k", adl.Dot(x, "b")), adl.Tup("k", adl.Dot(y, "d"))},
+			{"pair", adl.Tup("k", adl.Dot(x, "b"), "w", adl.CInt(1)), adl.Tup("k", adl.Dot(y, "d"), "w", adl.CInt(1))},
+		} {
+			for _, kc := range kinds {
+				logical := logicalJoin(kc.kind, kc.as, nil)
+				logical.On = adl.EqE(k.lkey, k.rkey)
+				want := evalRef(t, logical, d)
+				rows := streamed(t, &NLJoin{Kind: kc.kind, L: &Scan{Table: "L"}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
+					Pred: NewScalar(logical.On, "x", "y"), As: kc.as}, d)
+				if !value.Equal(value.NewSetFromSlice(rows), want) {
+					t.Fatalf("seed %d %s keys %v: NLJoin %v, the interpreter %v", seed, k.name, kc.kind, rows, want)
+				}
+				for _, w := range []int{0, 1, 2, 3, 5, 64} {
+					pj := &HashJoin{Kind: kc.kind, L: &Scan{Table: "L"}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
+						LKey: NewScalar(k.lkey, "x"), RKey: NewScalar(k.rkey, "y"), As: kc.as, Workers: w}
+					if got := streamed(t, pj, d); !sameRows(got, rows) {
+						t.Errorf("seed %d %s keys HashJoin(%d workers) %v: got %v want %v",
+							seed, k.name, w, kc.kind, got, rows)
+					}
 				}
 			}
 		}
