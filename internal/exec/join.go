@@ -303,10 +303,6 @@ func (l *hashProbe) probeIn(em *joinEmit, row value.Value) error {
 	if !ok {
 		return fmt.Errorf("exec: hash join on non-set attribute %q", l.in)
 	}
-	for i := range set.Len() {
-		if l.tab.offer(l.tab.findElem(set, i), em) {
-			break
-		}
-	}
+	l.tab.offerElems(set, em)
 	return em.end()
 }

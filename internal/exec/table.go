@@ -15,9 +15,9 @@ import (
 // It is a flat i64Table over the keys' raw bits (value.IntBits) when every key
 // is an int-backed value of one kind, or a unary tuple of one shape over
 // such a value (p[pid]); otherwise a value.Index over the keys' hashes. Its
-// three lookups — by key value (find), by set element (findElem) and by
-// reference-column bits (findBits) — each return the first build row whose
-// key is value.Equal to theirs, and next walks the others in build order.
+// three lookups — by key value (find), by set element (offerElems) and by
+// reference-column bits (findBits) — each find the build rows whose key is
+// value.Equal to theirs, in build order (next).
 type joinTable struct {
 	rows []value.Value
 	// The value.Index table: each build row's key, indexed by its hash.
@@ -70,22 +70,35 @@ func (t *joinTable) find(key value.Value) int {
 	return -1
 }
 
-// findElem is find of element i of set, read off the set's reference column
-// into the int table and looked up by the hash the set stores beside it in
-// the value.Index: the column's elements all have its shape and kind, so
-// they match the table's keys, or none does.
-func (t *joinTable) findElem(set *value.Set, i int) int {
-	if t.ints == nil {
-		return t.first(set.Elems()[i], set.Hashes()[i])
-	}
+// offerElems hands em, element after element of set, the build rows whose
+// key equals the element (offer), until em asks to stop. The value.Index is
+// probed with the hashes the set stores beside its elements, and the int
+// table with the bits of the set's reference column where it has one: the
+// column's elements all have its shape and kind, so they match the table's
+// keys, or none does.
+func (t *joinTable) offerElems(set *value.Set, em *joinEmit) {
 	shape, kind, bits := set.Column()
-	if shape == nil {
-		return t.find(set.Elems()[i])
+	switch {
+	case t.ints == nil:
+		hs := set.Hashes()
+		for i, el := range set.Elems() {
+			if t.offer(t.first(el, hs[i]), em) {
+				return
+			}
+		}
+	case shape == nil:
+		for _, el := range set.Elems() {
+			if t.offer(t.find(el), em) {
+				return
+			}
+		}
+	case shape == t.shape && kind == t.kind:
+		for _, b := range bits {
+			if t.offer(t.ints.first(b), em) {
+				return
+			}
+		}
 	}
-	if shape != t.shape || kind != t.kind {
-		return -1
-	}
-	return t.ints.first(bits[i])
 }
 
 // findBits is find of the value of kind whose value.IntBits are b, the key
@@ -131,9 +144,12 @@ func (t *joinTable) next(i int) int {
 	return -1
 }
 
-// offer hands em build row i, a lookup's result, and each later row whose
-// key equals its until em asks to stop; it reports whether em did.
-func (t *joinTable) offer(i int, em *joinEmit) (stop bool) {
+// offer hands em build row i, a lookup's result (-1: none), and each later
+// row whose key equals its until em asks to stop; it reports whether em did.
+// It inlines to the check of i, the walk a call made only on a match.
+func (t *joinTable) offer(i int, em *joinEmit) (stop bool) { return i >= 0 && t.walk(i, em) }
+
+func (t *joinTable) walk(i int, em *joinEmit) (stop bool) {
 	for ; i >= 0; i = t.next(i) {
 		if em.matchAt(i) {
 			return true
