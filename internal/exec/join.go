@@ -77,13 +77,10 @@ type HashJoin struct {
 	// builds all the unnested rows first.
 	Unnest string
 	// In, when set, names a set-valued attribute of the left rows, and the
-	// predicate is membership, RKey(y) ∈ x.In, in place of LKey = RKey (the
-	// paper's p[pid] ∈ s.parts, Example Queries 5 and 6): each element of a
-	// row's set probes the table, or, when the store keeps the set with its
-	// reference column (value.Set.Column), each of the column's bits, never
-	// touching an element. The pairs are the left row's candidates, so the
-	// join is a semi-, anti- or nestjoin; this is the single-segment core of
-	// PNHL, the flat table the build input and the nested operand probing.
+	// predicate is RKey(y) ∈ x.In in place of LKey = RKey (p[pid] ∈ s.parts,
+	// Example Queries 5 and 6): each element of a row's set probes the
+	// table, or each bit of its reference column (value.Set.Column). Only a
+	// semi-, anti- or nestjoin; this is PNHL's single-segment core.
 	In string
 }
 

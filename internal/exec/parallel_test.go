@@ -295,28 +295,28 @@ func TestEvalKeysChunking(t *testing.T) {
 	lt, _ := d.Table("L")
 	rows := lt.Elems()
 	key := NewScalar(adl.Dot(adl.V("x"), "b"), "x")
-	want, err := evalKeys(ctx, rows, key, 1)
+	want, _, err := evalKeys(ctx, rows, key, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 7, 100} {
-		got, err := evalKeys(ctx, rows, key, w)
+		got, hashes, err := evalKeys(ctx, rows, key, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, k := range want.keys {
-			if !value.Equal(got.keys[i], k) || got.hashes[i] != value.Hash(k) {
-				t.Fatalf("workers=%d key %d: %v != %v or hash %x", w, i, got.keys[i], k, got.hashes[i])
+		for i, k := range want {
+			if !value.Equal(got[i], k) || hashes[i] != value.Hash(k) {
+				t.Fatalf("workers=%d key %d: %v != %v or hash %x", w, i, got[i], k, hashes[i])
 			}
 		}
 	}
-	if _, err := evalKeys(ctx, nil, key, 4); err != nil {
+	if _, _, err := evalKeys(ctx, nil, key, 4); err != nil {
 		t.Fatal(err)
 	}
 	mixed := append(slices.Clone(rows), value.Int(7))
 	_, serr := key.Eval(ctx, value.Int(7))
 	for _, w := range []int{1, 4} {
-		if _, err := evalKeys(ctx, mixed, key, w); err == nil || serr == nil || err.Error() != serr.Error() {
+		if _, _, err := evalKeys(ctx, mixed, key, w); err == nil || serr == nil || err.Error() != serr.Error() {
 			t.Errorf("workers=%d: non-tuple row: %v, the key alone: %v", w, err, serr)
 		}
 	}

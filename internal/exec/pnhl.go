@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 
-	"repro/internal/adl"
 	"repro/internal/value"
 )
 
@@ -76,12 +75,12 @@ func (p PNHL) Open(ctx *Ctx) (Rows, error) {
 	}
 
 	// The probe side: each row's tuple and set-valued attribute, and the key
-	// of every element — a v.attr key read straight off the element — row
-	// after row.
+	// of every element — a v.attr key read straight off the element
+	// (keyAttr) — row after row.
 	tuples := make([]*value.Tuple, len(probe))
 	sets := make([]*value.Set, len(probe))
 	var ekeys []value.Value
-	fattr := fieldKeyAttr(p.ElemKey)
+	fattr := keyAttr(p.ElemKey, Scalar{})
 	for pi, lrow := range probe {
 		lt, err := asTuple(lrow, "PNHL")
 		if err != nil {
@@ -142,20 +141,6 @@ func (p PNHL) Open(ctx *Ctx) (Rows, error) {
 		out[pi] = lt.Except(value.NewTuple(p.Attr, partial[pi].set()))
 	}
 	return buffered(out)
-}
-
-// fieldKeyAttr returns the attribute a v.attr-shaped key scalar reads, or
-// "" when the key has another shape.
-func fieldKeyAttr(key Scalar) string {
-	f, ok := key.Expr.(*adl.Field)
-	if !ok || len(key.Vars) != 1 {
-		return ""
-	}
-	v, ok := f.X.(*adl.Var)
-	if !ok || v.Name != key.Vars[0] {
-		return ""
-	}
-	return f.Name
 }
 
 // member is what a matching (element, build row) pair contributes: Member's

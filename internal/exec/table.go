@@ -38,12 +38,12 @@ func newJoinTable(ctx *Ctx, rows []value.Value, key Scalar, workers int) (joinTa
 	t := joinTable{rows: rows}
 	bs, shape, kind, ok := attrIntKeys(rows, key)
 	if !ok {
-		k, err := evalKeys(ctx, rows, key, workers)
+		keys, hashes, err := evalKeys(ctx, rows, key, workers)
 		if err != nil {
 			return t, err
 		}
-		if bs, shape, kind, ok = intKeys(k.keys); !ok {
-			t.keys, t.ix = k.keys, value.NewIndex(k.hashes)
+		if bs, shape, kind, ok = intKeys(keys); !ok {
+			t.keys, t.ix = keys, value.NewIndex(hashes)
 			return t, nil
 		}
 	}
@@ -56,15 +56,14 @@ func (t *joinTable) find(key value.Value) int {
 	if t.ints == nil {
 		return t.first(key, value.Hash(key))
 	}
-	v := key
 	if t.shape != nil {
 		kt, ok := key.(*value.Tuple)
 		if !ok || kt.Shape != t.shape {
 			return -1
 		}
-		v = kt.Vals()[0]
+		key = kt.Vals()[0]
 	}
-	if b, ok := value.IntBits(v); ok && v.Kind() == t.kind {
+	if b, ok := value.IntBits(key); ok && key.Kind() == t.kind {
 		return t.ints.first(b)
 	}
 	return -1
@@ -158,31 +157,25 @@ func (t *joinTable) walk(i int, em *joinEmit) (stop bool) {
 	return false
 }
 
-// keyedRows are the evaluated keys of a build side and their value.Hash.
-type keyedRows struct {
-	keys   []value.Value
-	hashes []uint64
-}
-
 // evalKeys computes key(row) and its value.Hash for every row, on up to
 // workers goroutines (inShares): each writes its own range of the result
 // slices, so none needs a lock, and the first failing row decides the error.
-func evalKeys(ctx *Ctx, rows []value.Value, key Scalar, workers int) (keyedRows, error) {
-	k := keyedRows{keys: make([]value.Value, len(rows)), hashes: make([]uint64, len(rows))}
+func evalKeys(ctx *Ctx, rows []value.Value, key Scalar, workers int) ([]value.Value, []uint64, error) {
+	keys, hashes := make([]value.Value, len(rows)), make([]uint64, len(rows))
 	_, err := inShares(len(rows), workers, func(lo, hi int) (struct{}, error) {
 		for r := lo; r < hi; r++ {
 			v, err := key.Eval(ctx, rows[r])
 			if err != nil {
 				return struct{}{}, err
 			}
-			k.keys[r], k.hashes[r] = v, value.Hash(v)
+			keys[r], hashes[r] = v, value.Hash(v)
 		}
 		return struct{}{}, nil
 	})
 	if err != nil {
-		return keyedRows{}, err
+		return nil, nil, err
 	}
-	return k, nil
+	return keys, hashes, nil
 }
 
 // attrIntKeys reads a key y.a or y[a] straight off the rows when every row
