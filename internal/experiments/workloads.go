@@ -123,7 +123,7 @@ var Suite = []Experiment{
 				return c
 			})
 		},
-		Notes: []string{fmt.Sprintf("the build side is split by key hash into %d tables (one per CPU, at least two), which as many goroutines probe with a share of the probe side each",
+		Notes: []string{fmt.Sprintf("the build keys are evaluated and the one table probed in %d shares (one per CPU, at least two), a goroutine each",
 			workers())}},
 
 	{ID: "B9", Title: "forced join strategies vs the cost-based optimizer's choice",

@@ -257,8 +257,8 @@ func stored(idField string, oid value.OID, t *value.Tuple) *value.Tuple {
 // kept is what the store keeps of an attribute value v. A set of at most
 // value.SmallSet elements, or one of references ({⟨pid⟩}: value.UnaryInts),
 // is kept as a copy the store owns (value.Set.CompactColumn): one allocation
-// up to SmallSet elements, and carrying its reference column, which the
-// membership and μ-fused hash joins probe. The caller's set is never modified.
+// up to SmallSet elements, and carrying its reference column, which the hash
+// join's membership and μ probes read. The caller's set is never modified.
 // Other values, including larger sets and sets nested inside elements or
 // attributes, are kept as the caller built them.
 func kept(v value.Value) value.Value {

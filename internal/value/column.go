@@ -59,8 +59,8 @@ func EqualBits(v Value, k Kind, b int64) bool {
 
 // UnaryInts reports whether vals are unary tuples of one shape whose one
 // value is of one kind IntBits maps, and returns that shape and kind: the
-// elements of a reference set, or the p[pid] keys of a membership join's build
-// side. It allocates nothing.
+// elements of a reference set, or the p[pid] keys of a hash join's build side.
+// It allocates nothing.
 func UnaryInts(vals []Value) (*Shape, Kind, bool) {
 	if len(vals) == 0 {
 		return nil, KindNull, false

@@ -87,9 +87,10 @@ func IsNaN(v Value) bool {
 }
 
 // Hash returns a 64-bit hash consistent with Equal: equal values hash
-// equally, -0 and +0 included. Tuple and set hashes combine member hashes commutatively so that
-// attribute order and element order do not matter. A tuple computes its hash
-// once and keeps it (see Tuple); a set sums the element hashes it stores.
+// equally, -0 and +0 included. Tuple and set hashes combine member hashes
+// commutatively so that attribute order and element order do not matter. A
+// tuple computes its hash once and keeps it (see Tuple); a set sums the
+// element hashes it stores.
 func Hash(v Value) uint64 {
 	switch av := v.(type) {
 	case Null:
