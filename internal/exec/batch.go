@@ -38,8 +38,9 @@ type ColumnarDB interface {
 // ColumnScan is σ over an extent run on the extent's columnar projection:
 // Kernels, the predicate's conjuncts in And order, narrow a selection vector
 // batch by batch, and the rows left are the stream. Conjunct order matches the
-// scalar And's left-to-right short-circuit, so rows are eliminated (and errors
-// surface) in the same order as a Filter's.
+// scalar And's left-to-right short-circuit, so rows are eliminated in the
+// same order as a Filter's; a failing batch is rerun row by row, so the error
+// is the one a Filter meets first.
 type ColumnScan struct {
 	Extent string
 	// Attrs are the attributes the kernels read columnar.
@@ -99,7 +100,7 @@ func (s ColumnScan) batch(ctx *Ctx, p *col.Proj, lo, hi int, buf []int32, out []
 	for ki := 0; ki < len(s.Kernels) && len(sel) > 0; ki++ {
 		var err error
 		if sel, err = s.Kernels[ki].apply(ctx, p, sel); err != nil {
-			return nil, err
+			return nil, s.firstError(ctx, p, lo, hi, err)
 		}
 	}
 	out = slices.Grow(out, len(sel))
@@ -107,4 +108,23 @@ func (s ColumnScan) batch(ctx *Ctx, p *col.Proj, lo, hi int, buf []int32, out []
 		out = append(out, p.Row(i))
 	}
 	return out, nil
+}
+
+// firstError is the error a Filter meets first in rows [lo, hi) of p, where
+// a kernel failed with err. A kernel runs over the whole batch before the
+// next one does, so err may be a later row's; the batch runs again row by
+// row, each row through the kernels' Preds in And order.
+func (s ColumnScan) firstError(ctx *Ctx, p *col.Proj, lo, hi int, err error) error {
+	for i := lo; i < hi; i++ {
+		for k := range s.Kernels {
+			keep, rerr := s.Kernels[k].Pred.Bool(ctx, p.Row(int32(i)))
+			if rerr != nil {
+				return rerr
+			}
+			if !keep {
+				break
+			}
+		}
+	}
+	return err
 }

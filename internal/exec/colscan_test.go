@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/adl"
+	"repro/internal/eval"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -38,7 +39,8 @@ func TestColumnScanWorkersAgainstSerial(t *testing.T) {
 
 // TestColumnScanErrorAndReopen checks that a parallel ColumnScan fails with
 // the serial run's error — with two rows failing differently in different
-// batches, the earlier row's — and reruns the same node.
+// batches, the earlier row's; with two rows of one batch failing different
+// conjuncts, a Filter's and the interpreter's — and reruns the same node.
 func TestColumnScanErrorAndReopen(t *testing.T) {
 	const n = 5 * DefaultBatchSize
 	rows := make([]value.Value, n)
@@ -60,6 +62,35 @@ func TestColumnScanErrorAndReopen(t *testing.T) {
 		par.Workers = workers
 		if _, err := Collect(par, &Ctx{DB: d}); err == nil || err.Error() != serialErr.Error() {
 			t.Errorf("workers %d: error %v, want the serial %v", workers, err, serialErr)
+		}
+	}
+
+	// The second batch opens with (a=1, b=0), which passes x.a = 1 and has no
+	// c, then (b=0, c=1), which has no a. Run conjunct by conjunct over the
+	// batch, the second row fails x.a = 1 before the first reaches x.c = 1.
+	rows = make([]value.Value, 3*DefaultBatchSize)
+	for i := range rows {
+		rows[i] = value.NewTuple("a", value.Int(int64(i+2)), "b", value.Int(0), "c", value.Int(0))
+	}
+	rows[DefaultBatchSize] = value.NewTuple("a", value.Int(1), "b", value.Int(0))
+	rows[DefaultBatchSize+1] = value.NewTuple("b", value.Int(0), "c", value.Int(1))
+	d = storage.NewMemDB("L", value.NewSet(rows...))
+	ca, cc := adl.EqE(adl.Dot(adl.V("x"), "a"), adl.CInt(1)), adl.EqE(adl.Dot(adl.V("x"), "c"), adl.CInt(1))
+	pred := adl.AndE(ca, cc)
+	_, evalErr := eval.EvalSet(adl.Sel("x", pred, adl.T("L")), nil, d)
+	_, filterErr := Collect(&Filter{Child: &Scan{Table: "L"}, Var: "x", Pred: NewScalar(pred, "x")}, &Ctx{DB: d})
+	if evalErr == nil || !strings.Contains(evalErr.Error(), `"c"`) || filterErr == nil || filterErr.Error() != evalErr.Error() {
+		t.Fatalf("Filter error %v, interpreter error %v: want both the row without c's", filterErr, evalErr)
+	}
+	typed := []VecCmp{fieldKernel("a", adl.Eq, value.Int(1)), fieldKernel("c", adl.Eq, value.Int(1))}
+	rowWise := []VecCmp{{Pred: NewScalar(ca, "x")}, {Pred: NewScalar(cc, "x")}}
+	for name, ks := range map[string][]VecCmp{"typed": typed, "row-wise": rowWise} {
+		for _, workers := range []int{1, 2, 3, 5} {
+			scan := colScan("L", []string{"a", "c"}, ks...)
+			scan.Workers = workers
+			if _, err := Collect(scan, &Ctx{DB: d}); err == nil || err.Error() != evalErr.Error() {
+				t.Errorf("%s kernels, workers %d: error %v, want %v", name, workers, err, evalErr)
+			}
 		}
 	}
 
