@@ -63,13 +63,10 @@ type Options struct {
 	Parallelism int
 	// NoFeedback disables runtime cardinality feedback. By default every
 	// cached execution runs instrumented (per-node row tallies) and a plan
-	// whose estimates drift past FeedbackThreshold is evicted and the stats
-	// epoch advanced, forcing re-planning against fresh statistics.
+	// whose q-error (max ratio between estimated and observed rows at any
+	// plan node) passes plan.DefaultFeedbackThreshold is evicted and the
+	// stats epoch advanced, forcing re-planning against fresh statistics.
 	NoFeedback bool
-	// FeedbackThreshold is the q-error (max ratio between estimated and
-	// observed rows at any plan node) past which a cached plan is evicted;
-	// 0 means plan.DefaultFeedbackThreshold.
-	FeedbackThreshold float64
 	// FeedbackMinRows ignores drift where both estimate and observation
 	// stay under this row count; 0 means plan.DefaultFeedbackMinRows.
 	FeedbackMinRows int64
@@ -227,12 +224,8 @@ func (e *Engine) run(src string, ent *cacheEntry, sn *storage.Snapshot) (*value.
 // this is purely a plan-quality repair loop closing the estimate → execute →
 // observe → re-plan cycle.
 func (e *Engine) feedback(src string, ent *cacheEntry, seq uint64) bool {
-	thr := e.opts.FeedbackThreshold
-	if thr <= 0 {
-		thr = plan.DefaultFeedbackThreshold
-	}
 	d, ok := ent.q.Planned.Feedback(e.opts.FeedbackMinRows)
-	if !ok || d.Q <= thr {
+	if !ok || d.Q <= plan.DefaultFeedbackThreshold {
 		return false
 	}
 	if e.st.Analyze() == ent.stats {
