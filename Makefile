@@ -94,11 +94,11 @@ serve-smoke:
 		-delete-frac 0.05 -update-frac 0.05 \
 		-verify-frac 0.05 -suppliers 100 -parts 200 -deliveries 50
 
-# Total-statement-coverage floor enforced by make cover. 81.8% was measured
-# after the serving-layer phase-2 test sweep; the floor sits just under it to
-# absorb the scheduling jitter of the parallel operators' branch coverage.
-# Raise it as coverage grows, never lower it.
-COVER_FLOOR ?= 81.0
+# Total-statement-coverage floor enforced by make cover: the total measured
+# when the σ/α worker pool was deleted (85.4%) minus half a point, rounded
+# down to a tenth, to absorb the scheduling jitter of the parallel
+# operators' branch coverage. Raise it as coverage grows, never lower it.
+COVER_FLOOR ?= 84.9
 
 # Per-package coverage plus a total floor: prints every package's percentage
 # and fails when the total drops below COVER_FLOOR.

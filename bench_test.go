@@ -763,8 +763,8 @@ func TestRowAllocations(t *testing.T) {
 func TestFilterMapAllocations(t *testing.T) {
 	st := bench.Generate(bench.Config{Suppliers: 20, Parts: 40, Deliveries: 10, Seed: 94})
 	p := adl.V("p")
-	mapFilter := &exec.MapOp{Var: "p", Body: exec.NewScalar(adl.Dot(p, "pname"), "p"), Workers: 1,
-		Child: &exec.Filter{Child: &exec.Scan{Table: "PART"}, Var: "p", Workers: 1,
+	mapFilter := &exec.MapOp{Var: "p", Body: exec.NewScalar(adl.Dot(p, "pname"), "p"),
+		Child: &exec.Filter{Child: &exec.Scan{Table: "PART"}, Var: "p",
 			Pred: exec.NewScalar(adl.CmpE(adl.Lt, adl.Dot(p, "price"), adl.CInt(50)), "p")}}
 	ctx := &exec.Ctx{DB: st}
 	open := func(op exec.Operator) float64 {
@@ -897,20 +897,4 @@ func BenchmarkAnalyze(b *testing.B) {
 		b.StartTimer()
 		st.Analyze()
 	}
-}
-
-// BenchmarkParallelFilter — the parallel σ alone: σ[d.date < c] over the
-// 20000 deliveries of the analytic store in contiguous shares, one per worker
-// and at least two, a seventh of the rows passing.
-func BenchmarkParallelFilter(b *testing.B) {
-	st := bench.Generate(bench.Config{Suppliers: 40, Parts: 80, Deliveries: 20000, Seed: 94})
-	ctx := &exec.Ctx{DB: st}
-	pred := exec.NewScalar(adl.CmpE(adl.Lt, adl.Dot(adl.V("d"), "date"), adl.C(value.Date(940105))), "d")
-	b.Run("D20000", func(b *testing.B) {
-		run(b, func() error {
-			_, err := exec.Collect(&exec.Filter{Child: &exec.Scan{Table: "DELIVERY"}, Var: "d", Pred: pred,
-				Workers: max(2, exec.Parallelism(0))}, ctx)
-			return err
-		})
-	})
 }

@@ -6,8 +6,9 @@
 // The typed kernels narrow one reused selection vector per DefaultBatchSize
 // rows in place, so steady-state execution allocates near zero, and the
 // surviving rows go up as an ordinary row stream — the joins included, one
-// operator per algorithm whichever way their rows arrive. The planner prices
-// ColumnScan as one way to run σ over an extent, beside Filter and IndexScan.
+// operator per algorithm whichever way their rows arrive. The planner runs σ
+// over an extent as a ColumnScan or as an IndexScan, whichever it prices
+// cheaper.
 //
 // Every typed kernel either reproduces the interpreter's result exactly or
 // falls back to row-wise evaluation through the same interpreter (Mixed

@@ -30,12 +30,13 @@ func cloneFixtureTree() Operator {
 }
 
 // vecFixtureTree is a parallel hash join over a parallel ColumnScan and a
-// filter: every operator that starts goroutines of its own.
+// Filter: the two operators that start goroutines of their own, one above
+// the other.
 func vecFixtureTree() Operator {
 	k := fieldKernel("b", adl.Lt, value.Int(5))
 	return &HashJoin{Kind: adl.Semi, Workers: 3,
 		L: &ColumnScan{Extent: "L", Attrs: []string{"b"}, Var: "x", Kernels: []VecCmp{k}, Workers: 3},
-		R: &Filter{Child: &ColumnScan{Extent: "R"}, Var: "y", Workers: 2,
+		R: &Filter{Child: &ColumnScan{Extent: "R"}, Var: "y",
 			Pred: NewScalar(adl.CBool(true), "y")},
 		LVar: "x", RVar: "y",
 		LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),

@@ -264,13 +264,10 @@ func (s ExprScan) Open(ctx *Ctx) (Rows, error) {
 // rowFn is the work a 1:≤1 operator does per input row: the row it emits and
 // whether it emits one. n is what the stream keeps a copy of for it: σ and α
 // pass a method expression of their Scalar, π, ρ and Assembly one of the
-// node itself, so opening them allocates only their stream. The serial stream
-// (mapped) and the shares of Filter's and MapOp's Workers (pool) both run on
-// it.
+// node itself, so opening them allocates only their stream.
 type rowFn[N any] func(n *N, ctx *Ctx, row value.Value) (out value.Value, keep bool, err error)
 
-// mapped is the stream of the serial 1:≤1 operators: fn of n over the rows of
-// src.
+// mapped is the stream of the 1:≤1 operators: fn of n over the rows of src.
 type mapped[N any] struct {
 	ctx *Ctx
 	src Rows
@@ -312,32 +309,20 @@ type Filter struct {
 	Child Operator
 	Var   string
 	Pred  Scalar
-	// Workers > 1 drains the child and evaluates the predicate in that many
-	// contiguous shares of its rows (parallel.go); the rows, their order and
-	// the error are still the serial run's.
-	Workers int
 }
 
 // Open streams the child's rows that satisfy the predicate.
-func (f Filter) Open(ctx *Ctx) (Rows, error) {
-	return ctx.pool(f.Child, f.Workers, f.Pred, (*Scalar).keep)
-}
+func (f Filter) Open(ctx *Ctx) (Rows, error) { return stream(ctx, f.Child, f.Pred, (*Scalar).keep) }
 
 // MapOp implements α with a compiled body.
 type MapOp struct {
 	Child Operator
 	Var   string
 	Body  Scalar
-	// Workers > 1 drains the child and evaluates the body in that many
-	// contiguous shares of its rows (parallel.go); the rows, their order and
-	// the error are still the serial run's.
-	Workers int
 }
 
 // Open streams the image of the child's rows.
-func (m MapOp) Open(ctx *Ctx) (Rows, error) {
-	return ctx.pool(m.Child, m.Workers, m.Body, (*Scalar).image)
-}
+func (m MapOp) Open(ctx *Ctx) (Rows, error) { return stream(ctx, m.Child, m.Body, (*Scalar).image) }
 
 // LetOp implements a with-binding: the (typically constant) value expression
 // is evaluated once at Open and bound into the environment the child's

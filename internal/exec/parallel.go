@@ -1,16 +1,15 @@
 // Parallel execution: HashJoin with Workers > 1 (its build keys evaluated and
-// its left rows probed against the one table in that many contiguous
-// shares), Filter and MapOp with Workers > 1 (the child's rows evaluated in
-// that many shares) and ColumnScan with Workers > 1 (the projection's batches
-// in that many shares). The paper's argument is that rewriting nested loops
-// into explicit joins lets the optimizer pick efficient join implementations
-// (§5.1); on modern hardware "efficient" includes exploiting every core. A
-// left row's matches — and therefore its semi/anti/nest/outer verdict — are
-// decided by the one share that probes it, so the shares need not coordinate
-// at all.
+// its left rows probed against the one table in that many contiguous shares)
+// and ColumnScan with Workers > 1 (the projection's batches in that many
+// shares). Every other operator is serial. The paper's argument is that
+// rewriting nested loops into explicit joins lets the optimizer pick
+// efficient join implementations (§5.1); on modern hardware "efficient"
+// includes exploiting every core. A left row's matches — and therefore its
+// semi/anti/nest/outer verdict — are decided by the one share that probes
+// it, so the shares need not coordinate at all.
 //
 // The count is a field of the node, written by the planner; at most one runs
-// the operator on the caller's goroutine. Every parallel operator runs on one
+// the operator on the caller's goroutine. Both parallel operators run on one
 // primitive, inShares: each goroutine writes only its own share's slots, Open
 // waits for all of them, and the shares' rows are joined in share order. A
 // parallel run is therefore a blocking one whose rows, their order and its
@@ -81,30 +80,4 @@ func inShareRows(n, workers int, span func(lo, hi int) ([]value.Value, error)) (
 		return buffered(outs[0])
 	}
 	return buffered(slices.Concat(outs...))
-}
-
-// pool runs child and applies fn of s to its rows, dropping those with
-// keep=false: streamed for one worker or fewer, else drained and evaluated
-// in shares.
-func (c *Ctx) pool(child Operator, workers int, s Scalar, fn rowFn[Scalar]) (Rows, error) {
-	if workers <= 1 {
-		return stream(c, child, s, fn)
-	}
-	rows, err := drain(child, c)
-	if err != nil {
-		return nil, err
-	}
-	shared := s // the shares' copy: s itself stays off the heap when serial
-	return inShareRows(len(rows), workers, func(lo, hi int) (out []value.Value, _ error) {
-		for _, row := range rows[lo:hi] {
-			res, keep, err := fn(&shared, c, row)
-			if err != nil {
-				return nil, err
-			}
-			if keep {
-				out = append(out, res)
-			}
-		}
-		return out, nil
-	})
 }

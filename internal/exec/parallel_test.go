@@ -144,33 +144,6 @@ func TestPartitionedHashJoinEmptyInputs(t *testing.T) {
 	}
 }
 
-// TestParallelMapFilterAgainstSerial cross-validates Filter and MapOp on a
-// worker pool against the same operators serial, over randomized inputs.
-func TestParallelMapFilterAgainstSerial(t *testing.T) {
-	pred := adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "b"), adl.C(value.Int(4)))
-	body := adl.Tup("s", adl.Dot(adl.V("x"), "b"))
-	for seed := int64(1); seed <= 4; seed++ {
-		d := db(seed, 50, 10)
-		for _, workers := range []int{1, 4, 7} {
-			want := collect(t, &Filter{Child: &Scan{Table: "L"}, Var: "x",
-				Pred: NewScalar(pred, "x")}, d)
-			got := collect(t, &Filter{Child: &Scan{Table: "L"}, Var: "x",
-				Pred: NewScalar(pred, "x"), Workers: workers}, d)
-			if !value.Equal(got, want) {
-				t.Errorf("seed %d Filter(%d workers): got %v want %v", seed, workers, got, want)
-			}
-
-			want = collect(t, &MapOp{Child: &Scan{Table: "L"}, Var: "x",
-				Body: NewScalar(body, "x")}, d)
-			got = collect(t, &MapOp{Child: &Scan{Table: "L"}, Var: "x",
-				Body: NewScalar(body, "x"), Workers: workers}, d)
-			if !value.Equal(got, want) {
-				t.Errorf("seed %d MapOp(%d workers): got %v want %v", seed, workers, got, want)
-			}
-		}
-	}
-}
-
 // errAfter yields n rows and then fails, for error-propagation tests.
 type errAfter struct {
 	n   int
@@ -192,23 +165,25 @@ func (e *errAfter) Close() error { return nil }
 func TestParallelErrorPropagation(t *testing.T) {
 	d := db(5, 20, 10)
 
-	// Child error while the child is drained.
-	pf := &Filter{Child: &errAfter{n: 5}, Var: "x",
-		Pred: NewScalar(adl.CBool(true), "x"), Workers: 3}
-	if _, err := Collect(pf, &Ctx{DB: d}); err == nil {
-		t.Error("a parallel Filter should surface child error")
+	// Child error while the probe side is drained.
+	pj := &HashJoin{Kind: adl.Inner,
+		L: &errAfter{n: 5}, R: &Scan{Table: "R"},
+		LVar: "x", RVar: "y",
+		LKey: NewScalar(adl.Dot(adl.V("x"), "b"), "x"),
+		RKey: NewScalar(adl.Dot(adl.V("y"), "d"), "y"), Workers: 3}
+	if _, err := Collect(pj, &Ctx{DB: d}); err == nil {
+		t.Error("a parallel HashJoin should surface child error")
 	}
 
 	// Predicate error in a share (field access on missing attribute).
-	pf = &Filter{Child: &Scan{Table: "L"}, Var: "x",
-		Pred:    NewScalar(adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "nope"), adl.C(value.Int(1))), "x"),
-		Workers: 3}
-	if _, err := Collect(pf, &Ctx{DB: d}); err == nil {
-		t.Error("a parallel Filter should surface predicate error")
+	ps := colScan("L", []string{"nope"}, fieldKernel("nope", adl.Lt, value.Int(1)))
+	ps.Workers = 3
+	if _, err := Collect(ps, &Ctx{DB: d}); err == nil {
+		t.Error("a parallel ColumnScan should surface predicate error")
 	}
 
 	// Key error in the parallel join's key evaluation.
-	pj := &HashJoin{Kind: adl.Inner,
+	pj = &HashJoin{Kind: adl.Inner,
 		L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
 		LVar: "x", RVar: "y",
 		LKey: NewScalar(adl.Dot(adl.V("x"), "nope"), "x"),
@@ -239,18 +214,6 @@ func TestParallelEarlyClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := rows.Close(); err != nil { // Close is idempotent
-		t.Fatal(err)
-	}
-
-	pm := &MapOp{Child: &Scan{Table: "L"}, Var: "x",
-		Body: NewScalar(adl.Dot(adl.V("x"), "b"), "x"), Workers: 4}
-	if rows, err = pm.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := rows.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rows.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -374,8 +337,8 @@ func (e *closeErr) Next() (value.Value, bool, error) {
 func (e *closeErr) Close() error { return errTeardown }
 
 // TestParallelCloseErrorPropagation checks Close errors surface instead of
-// vanishing: a build side failing on teardown fails the join's Open, and a
-// child failing on teardown the parallel map's, both drain semantics.
+// vanishing: a build side failing on teardown fails the parallel join's Open
+// (drain semantics), and a child failing on teardown the map's Collect.
 func TestParallelCloseErrorPropagation(t *testing.T) {
 	d := db(19, 20, 10)
 	pj := &HashJoin{Kind: adl.Inner,
@@ -388,9 +351,9 @@ func TestParallelCloseErrorPropagation(t *testing.T) {
 	}
 
 	pm := &MapOp{Child: &closeErr{n: 8}, Var: "x",
-		Body: NewScalar(adl.Dot(adl.V("x"), "c"), "x"), Workers: 3}
+		Body: NewScalar(adl.Dot(adl.V("x"), "c"), "x")}
 	if _, err := Collect(pm, &Ctx{DB: d}); !errors.Is(err, errTeardown) {
-		t.Errorf("parallel MapOp child Close error lost: got %v", err)
+		t.Errorf("MapOp child Close error lost: got %v", err)
 	}
 }
 

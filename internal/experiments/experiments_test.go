@@ -345,7 +345,7 @@ func TestB14ExplainShowsParallelVectorizedPlan(t *testing.T) {
 	rs, _ := runOne(t, parallel4())
 	contains(t, find(rs, "parallel-vectorized").Plan.Explain(), "ColumnScan(DELIVERY | d: d.date < ", "HashJoin[",
 		"4 workers]  -- parallel", "1/1 typed kernels | 4 workers)  -- parallel")
-	contains(t, find(rs, "parallel").Plan.Explain(), "HashJoin[", "4 workers]  -- parallel", "ParallelFilter")
+	contains(t, find(rs, "parallel").Plan.Explain(), "HashJoin[", "4 workers]  -- parallel", "Filter[d: d.date < ")
 }
 
 func TestExplainPlansCoversEveryExperiment(t *testing.T) {

@@ -212,7 +212,7 @@ var Suite = []Experiment{
 				return c
 			})
 		},
-		Notes: []string{fmt.Sprintf("parallel arms use %d workers (one per CPU, at least two); at full scale on ≥4 CPUs parallel-vectorized must halve vectorized (a note says when this gate is skipped)",
+		Notes: []string{fmt.Sprintf("parallel arms run the hash join on %d workers (one per CPU, at least two), over the serial Filter and over a parallel ColumnScan; at full scale on ≥4 CPUs parallel-vectorized must halve vectorized (a note says when this gate is skipped)",
 			workers()),
 			"the parallel-vectorized arm's ColumnScan runs one contiguous share of the projection per worker and joins their rows in order: no per-tuple sends"}},
 }
@@ -606,12 +606,11 @@ func SkewJoin(facts, dims int) Case {
 // ⋉(d.supplier = s.eid) SUPPLIER four ways: the row pipeline (Filter over
 // Scan) under the hash join, built by hand; the query as planned, where the
 // cost model puts σ on the batch kernels over the columnar projection; and
-// each hand-built with its parallel operators on the given workers — for the
-// batch arm a parallel ColumnScan feeding the parallel hash join. The
-// cutoff keeps 1/28 of the deliveries, so per-row predicate interpretation
-// dominates the scalar arm. The check is that the planned arm runs a
-// ColumnScan and that both parallel arms hold a parallel node: run serially,
-// they would prove nothing.
+// each hand-built with the hash join on the given workers — over the serial
+// Filter, and over a parallel ColumnScan. The cutoff keeps 1/28 of the
+// deliveries, so per-row predicate interpretation dominates the scalar arm.
+// The check is that the planned arm runs a ColumnScan and that both parallel
+// arms hold a parallel node: run serially, they would prove nothing.
 func VecJoin(suppliers, deliveries, workers int) Case {
 	st := bench.Generate(bench.Config{Suppliers: suppliers, Parts: 10, Fanout: 2, SupplySize: 1, Deliveries: deliveries})
 	cut := adl.CmpE(adl.Lt, adl.Dot(adl.V("d"), "date"), adl.C(value.Date(940102)))
@@ -622,11 +621,11 @@ func VecJoin(suppliers, deliveries, workers int) Case {
 	lk, rk := exec.NewScalar(adl.Dot(adl.V("d"), "supplier"), "d"), exec.NewScalar(adl.Dot(adl.V("s"), "eid"), "s")
 	return Case{Name: fmt.Sprintf("VecJoin[%dx%d]", suppliers, deliveries), DB: st, Query: j, Runs: 3, Arms: []Arm{
 		{Label: "scalar", Op: &exec.HashJoin{Kind: adl.Semi, LVar: "d", RVar: "s", LKey: lk, RKey: rk,
-			L: &exec.Filter{Child: &exec.Scan{Table: "DELIVERY"}, Var: "d", Pred: pred, Workers: 1},
+			L: &exec.Filter{Child: &exec.Scan{Table: "DELIVERY"}, Var: "d", Pred: pred},
 			R: &exec.Scan{Table: "SUPPLIER"}}},
 		{Label: "vectorized", Cfg: &plan.Config{}},
 		{Label: "parallel", Op: &exec.HashJoin{Kind: adl.Semi, LVar: "d", RVar: "s", LKey: lk, RKey: rk,
-			L: &exec.Filter{Child: &exec.Scan{Table: "DELIVERY"}, Var: "d", Pred: pred, Workers: workers},
+			L: &exec.Filter{Child: &exec.Scan{Table: "DELIVERY"}, Var: "d", Pred: pred},
 			R: &exec.Scan{Table: "SUPPLIER"}, Workers: workers}},
 		{Label: "parallel-vectorized", Op: &exec.HashJoin{Kind: adl.Semi, LVar: "d", RVar: "s", LKey: lk, RKey: rk,
 			L: &exec.ColumnScan{Extent: "DELIVERY", Attrs: []string{"date"}, Var: "d", Workers: workers,

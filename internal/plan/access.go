@@ -1,12 +1,11 @@
 // Access-path selection. chooseSelect prices the ways to run σ over a base
-// extent in one candidate list — Filter over the Scan (serial or on the
-// worker pool), an IndexScan leaf with a residual Filter, and the batch
-// pipeline (vectorize.go) — and indexNLCandidate admits the
-// index-nested-loop join into chooseEquiJoin's candidate set when the inner
-// side of an equi-join is a bare extent with an index on a join-key
-// attribute: the access-path choice Selinger-style optimizers price against
-// the scan-based strategies. storage/index.go holds the index structures,
-// exec/index.go the index operators.
+// extent in one candidate list — an IndexScan leaf with a residual Filter,
+// and the ColumnScan over the extent's columns (vectorize.go) — and
+// indexNLCandidate admits the index-nested-loop join into chooseEquiJoin's
+// candidate set when the inner side of an equi-join is a bare extent with an
+// index on a join-key attribute: the access-path choice Selinger-style
+// optimizers price against the scan-based strategies. storage/index.go holds
+// the index structures, exec/index.go the index operators.
 package plan
 
 import (
@@ -82,29 +81,16 @@ type selectCand struct {
 	build func() exec.Operator
 }
 
-// chooseSelect prices every way to run σ over a base extent — Filter over
-// the Scan, serially and on the worker pool, an IndexScan with the other
-// conjuncts as a residual Filter, and a ColumnScan, serially and on
-// contiguous shares (vectorize.go) — and builds the cheapest.
+// chooseSelect prices every way to run σ over a base extent — an IndexScan
+// with the other conjuncts as a residual Filter, and a ColumnScan, serially
+// and on contiguous shares (vectorize.go) — and builds the cheapest.
 func (p *planner) chooseSelect(n *adl.Select, extent string) (exec.Operator, nodeEst) {
 	rows := p.rows(extent)
-	out := rows * p.card.selectivity(n.Pred, n.Var, extent)
-	filter := func(own float64, workers int) selectCand {
-		return selectCand{nodeEst{rows: out, extent: extent, cost: rows*cRow + own + out*cRow},
-			func() exec.Operator {
-				scan := &exec.Scan{Table: extent}
-				p.record(scan, nodeEst{rows: rows, extent: extent, cost: rows * cRow})
-				return &exec.Filter{Child: scan, Var: n.Var, Pred: exec.NewScalar(n.Pred, n.Var), Workers: workers}
-			}}
-	}
-	cands := []selectCand{filter(rows*cEval, 1)}
-	if p.workers > 1 {
-		cands = append(cands, filter(costParallelPool(rows, p.workers), p.workers))
-	}
+	var cands []selectCand
 	if c, ok := p.indexSelect(n, extent, rows); ok {
 		cands = append(cands, c)
 	}
-	cands = append(cands, p.batchSelects(n, extent, rows, out)...)
+	cands = append(cands, p.batchSelects(n, extent, rows, rows*p.card.selectivity(n.Pred, n.Var, extent))...)
 	best := cands[0]
 	for _, c := range cands[1:] {
 		if c.est.cost < best.est.cost {
@@ -206,7 +192,7 @@ func (p *planner) indexSelect(n *adl.Select, extent string, rows float64) (selec
 	return selectCand{est, func() exec.Operator {
 		child := scan()
 		p.record(child, scanEst)
-		return &exec.Filter{Child: child, Var: n.Var, Pred: exec.NewScalar(rest, n.Var), Workers: 1}
+		return &exec.Filter{Child: child, Var: n.Var, Pred: exec.NewScalar(rest, n.Var)}
 	}}, true
 }
 

@@ -3,10 +3,9 @@
 // strategies" — needs a way to rank the choices; this file prices every
 // physical join operator (NLJoin, HashJoin with either build side, serial or
 // parallel, its membership probe and PNHL, IndexNLJoin) and every way to run
-// σ over an extent (Filter serial or on a worker pool, IndexScan, ColumnScan
-// serial or parallel) from collected statistics (storage.Analyze), or from
-// the default statistics when none were collected, and lets the planner pick
-// the cheapest.
+// σ over an extent (IndexScan, ColumnScan serial or parallel) from collected
+// statistics (storage.Analyze), or from the default statistics when none
+// were collected, and lets the planner pick the cheapest.
 //
 // Costs are abstract work units, calibrated so that one unit is roughly one
 // cheap per-row step of the Go execution engine. The constants matter only
@@ -103,10 +102,6 @@ const (
 	// fitted: with the per-row terms below, the hash join on two workers
 	// overtakes the serial one at a combined input of a few thousand rows.
 	cParallelStartup = 12000.0
-	// cPoolStartup is the (smaller) fixed price of the worker pool of a
-	// Filter or MapOp with Workers > 1: draining the child, a goroutine per
-	// share.
-	cPoolStartup = 8000.0
 	// cJoinedRow is the per-row price of handing a row a share emits to the
 	// joined output: appended to its share's rows, then copied into the
 	// result in share order.
@@ -257,14 +252,6 @@ func costIndexNL(outer, matches, residMatches, out float64) float64 {
 	return outer*(cEval+cIndexProbe) + matches*cIndexFetch + residMatches*cEval + out*cRow
 }
 
-// costParallelPool prices a Filter or MapOp on a pool of p workers over n
-// rows against the serial form's n*cEval, every row priced as handed to the
-// joined output.
-func costParallelPool(n float64, p int) float64 {
-	w := math.Max(1, float64(p))
-	return cPoolStartup + n*cEval/w + n*cJoinedRow
-}
-
 // ColumnScan constants. ColumnScan pays a fixed dispatch cost per batch
 // (selection-vector reset, kernel calls) and a much smaller per-row cost
 // than the interpreter where a typed kernel runs: it compares decoded column
@@ -282,8 +269,8 @@ func pages(n float64) float64 {
 
 // ColumnScan's parallel constants. Its workers split the projection into
 // contiguous shares of whole batches and share nothing but the result, so
-// the startup hurdle is well below cPoolStartup, and joining their rows in
-// share order is paid per batch, not per row.
+// the startup hurdle is a third of the hash join's cParallelStartup, and
+// joining their rows in share order is paid per batch, not per row.
 const (
 	cBatchMerge         = 4.0    // hand one batch's rows to the joined result
 	cVecParallelStartup = 4000.0 // spawn the workers, one selection vector each

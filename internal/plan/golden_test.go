@@ -162,8 +162,8 @@ func goldenCases() map[string]goldenCase {
 		"stats_inner_swap":         {costed, innerSwap},
 		"stats_group_par":          {costed, groupBig},
 		"stats_theta_nl":           {costed, theta},
-		"stats_filter_serial":      {costed, adl.Sel("p", adl.EqE(adl.Dot(adl.V("p"), "color"), adl.CStr("red")), adl.T("PART"))},
-		"stats_map_parallel":       {costed, adl.MapE("d", adl.Dot(adl.V("d"), "date"), adl.T("DELIVERY"))},
+		"stats_filter_column":      {costed, adl.Sel("p", adl.EqE(adl.Dot(adl.V("p"), "color"), adl.CStr("red")), adl.T("PART"))},
+		"stats_map_serial":         {costed, adl.MapE("d", adl.Dot(adl.V("d"), "date"), adl.T("DELIVERY"))},
 		"stats_project_unnest":     {costed, adl.Proj(adl.Mu("parts", adl.T("SUPPLIER")), "pid")},
 	}
 }

@@ -72,10 +72,10 @@ type Config struct {
 	// Vectorized is ignored.
 	//
 	// Deprecated: it switched σ over an extent onto the batch pipeline; the
-	// cost model now prices a ColumnScan beside Filter and IndexScan and
-	// picks it where it is cheaper. It remains only because benchmark/, which
-	// the engine may not edit, still sets it. Remove it with the next change
-	// to benchmark/.
+	// cost model now prices a ColumnScan beside IndexScan and picks it where
+	// it is cheaper. It remains only because benchmark/, which the engine
+	// may not edit, still sets it. Remove it with the next change to
+	// benchmark/.
 	Vectorized bool
 }
 
@@ -226,19 +226,19 @@ func (p *planner) compile(e adl.Expr) (exec.Operator, nodeEst) {
 			return p.chooseSelect(n, tbl.Name)
 		}
 		child, ce := p.compile(n.Src)
-		pred := exec.NewScalar(n.Pred, n.Var)
-		return p.chooseScalarOp(ce, ce.rows*p.card.selectivity(n.Pred, n.Var, ce.extent), ce.extent,
-			func(workers int) exec.Operator {
-				return &exec.Filter{Child: child, Var: n.Var, Pred: pred, Workers: workers}
-			})
+		op := &exec.Filter{Child: child, Var: n.Var, Pred: exec.NewScalar(n.Pred, n.Var)}
+		out := ce.rows * p.card.selectivity(n.Pred, n.Var, ce.extent)
+		est := nodeEst{rows: out, extent: ce.extent, cost: ce.cost + ce.rows*cEval + out*cRow}
+		p.record(op, est)
+		return op, est
 
 	case *adl.Map:
 		child, ce := p.compile(n.Src)
-		body := exec.NewScalar(n.Body, n.Var)
+		op := &exec.MapOp{Child: child, Var: n.Var, Body: exec.NewScalar(n.Body, n.Var)}
 		// The body may reshape rows, so the origin extent is dropped.
-		return p.chooseScalarOp(ce, ce.rows, "", func(workers int) exec.Operator {
-			return &exec.MapOp{Child: child, Var: n.Var, Body: body, Workers: workers}
-		})
+		est := nodeEst{rows: ce.rows, cost: ce.cost + ce.rows*cEval + ce.rows*cRow}
+		p.record(op, est)
+		return op, est
 
 	case *adl.Project:
 		child, ce := p.compile(n.X)
@@ -318,21 +318,6 @@ func (p *planner) compile(e adl.Expr) (exec.Operator, nodeEst) {
 	// as one expression evaluation per row of an extent of unknown size.
 	op := &exec.ExprScan{Expr: e}
 	est := nodeEst{rows: defaultRows, cost: defaultRows * cEval}
-	p.record(op, est)
-	return op, est
-}
-
-// chooseScalarOp prices a σ/α over its child serially versus on a
-// worker pool of the configured size, builds the cheaper with mk, and records
-// its estimate (outRows output rows, origin extent as given).
-func (p *planner) chooseScalarOp(ce nodeEst, outRows float64, extent string,
-	mk func(workers int) exec.Operator) (exec.Operator, nodeEst) {
-	own, workers := ce.rows*cEval, 1
-	if pool := costParallelPool(ce.rows, p.workers); p.workers > 1 && pool < own {
-		own, workers = pool, p.workers
-	}
-	op := mk(workers)
-	est := nodeEst{rows: outRows, extent: extent, cost: ce.cost + own + outRows*cRow}
 	p.record(op, est)
 	return op, est
 }
@@ -733,16 +718,8 @@ func describe(op exec.Operator, args []value.Value) (string, []exec.Operator) {
 	case *exec.ExprScan:
 		return fmt.Sprintf("ExprScan(%s)  -- interpreter fallback", x(o.Expr)), nil
 	case *exec.Filter:
-		if o.Workers > 1 {
-			return fmt.Sprintf("ParallelFilter[%s: %s | %d workers]  -- parallel",
-				o.Var, x(o.Pred.Expr), o.Workers), []exec.Operator{o.Child}
-		}
 		return fmt.Sprintf("Filter[%s: %s]", o.Var, x(o.Pred.Expr)), []exec.Operator{o.Child}
 	case *exec.MapOp:
-		if o.Workers > 1 {
-			return fmt.Sprintf("ParallelMap[%s: %s | %d workers]  -- parallel",
-				o.Var, x(o.Body.Expr), o.Workers), []exec.Operator{o.Child}
-		}
 		return fmt.Sprintf("Map[%s: %s]", o.Var, x(o.Body.Expr)), []exec.Operator{o.Child}
 	case *exec.ProjectOp:
 		return fmt.Sprintf("Project[%s]", strings.Join(o.Attrs, ", ")), []exec.Operator{o.Child}

@@ -261,26 +261,8 @@ func TestPlannerParallelThreshold(t *testing.T) {
 	}
 }
 
-// TestPlannerParallelMapFilter pins the worker pools of large σ/α. σ over
-// an extent prices a ColumnScan cheaper, so σ runs over μ here.
-func TestPlannerParallelMapFilter(t *testing.T) {
-	cfg := Config{Statistics: fakeStatistics{rows: map[string]int{"X": 50000}}, Parallelism: 8}
-	sel := adl.Sel("u", adl.CmpE(adl.Lt, adl.Dot(adl.V("u"), "k"), adl.C(value.Int(3))), adl.Mu("c", adl.T("X")))
-	if f, ok := cfg.Compile(sel).(*exec.Filter); !ok || f.Workers != 8 {
-		t.Errorf("large σ should plan a Filter on 8 workers, got\n%s", Explain(cfg.Compile(sel)))
-	}
-	m := adl.MapE("x", adl.Dot(adl.V("x"), "a"), adl.T("X"))
-	if mo, ok := cfg.Compile(m).(*exec.MapOp); !ok || mo.Workers != 8 {
-		t.Errorf("large α should plan a MapOp on 8 workers, got\n%s", Explain(cfg.Compile(m)))
-	}
-	smallCfg := Config{Statistics: fakeStatistics{rows: map[string]int{"X": 10}}, Parallelism: 8}
-	if f, ok := smallCfg.Compile(sel).(*exec.Filter); !ok || f.Workers > 1 {
-		t.Errorf("small σ should stay a serial Filter")
-	}
-}
-
 // TestExplainShowsParallelOperators checks that the parallel choice is
-// visible in plans.
+// visible in plans: the hash join on 4 workers over the serial σ of μ.
 func TestExplainShowsParallelOperators(t *testing.T) {
 	cfg := Config{Statistics: fakeStatistics{rows: map[string]int{"X": 50000, "Y": 50000}}, Parallelism: 4}
 	j := adl.JoinE(
@@ -288,7 +270,7 @@ func TestExplainShowsParallelOperators(t *testing.T) {
 		"u", "y",
 		adl.EqE(adl.Dot(adl.V("u"), "a"), adl.Dot(adl.V("y"), "d")), adl.T("Y"))
 	out := Explain(cfg.Compile(j))
-	for _, want := range []string{"HashJoin[", "4 workers]  -- parallel", "ParallelFilter"} {
+	for _, want := range []string{"HashJoin[", "4 workers]  -- parallel", "Filter[u: u.k < 3]"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
 		}

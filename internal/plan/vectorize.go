@@ -1,5 +1,5 @@
 // The ColumnScan candidates of σ over a base extent. chooseSelect
-// (access.go) prices them beside Filter and IndexScan and keeps the cheapest:
+// (access.go) prices them beside IndexScan and keeps the cheapest:
 // ColumnScan reads a columnar projection of the extent and narrows a
 // selection vector with typed comparison kernels, serially or, with workers
 // available, on contiguous shares of the projection. Its rows go to the row
@@ -17,7 +17,7 @@ import (
 // batchSelects prices σ over extent (rows in, out estimated out) as a serial
 // ColumnScan and, with workers available, as a parallel one. A conjunct with
 // a typed kernel costs cVecRow per input row; one without runs the
-// interpreter row by row at cEval, as Filter does.
+// interpreter row by row at cEval, as a Filter's predicate does.
 func (p *planner) batchSelects(n *adl.Select, extent string, rows, out float64) []selectCand {
 	cs := conjuncts(n.Pred)
 	perRow := 0.0
