@@ -105,9 +105,9 @@ func TestCompiledScalarsMatchInterpretedPlans(t *testing.T) {
 			want, wantErr := exec.Collect(ref, &exec.Ctx{DB: st})
 			switch {
 			case gotErr != nil || wantErr != nil:
-				// A dangling reference fails the query either way. Serial
-				// operators meet the same row first; parallel ones any.
-				if gotErr == nil || wantErr == nil || name == "serial" && gotErr.Error() != wantErr.Error() {
+				// A dangling reference fails the query either way, on the
+				// same row: a parallel run returns the serial run's error.
+				if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
 					t.Errorf("corpus %d (%s): compiled scalars fail with %v, interpreted with %v", qi, name, gotErr, wantErr)
 				}
 			case !value.Equal(got, want):
