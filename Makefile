@@ -117,11 +117,13 @@ examples-smoke:
 	@set -e; for d in examples/*/; do \
 		echo "== $$d"; $(GO) run ./$$d > /dev/null; done
 
-# Short go test -fuzz runs of the OOSQL parser target and of the template
-# cache's differential target — CI's "the fuzzers still run and find nothing
-# in ten seconds each" check.
+# Short go test -fuzz runs of the OOSQL parser target, of the lexer's
+# token-free fingerprint pass against LexText, and of the template cache's
+# differential target — CI's "the fuzzers still run and find nothing in ten
+# seconds each" check.
 fuzz-smoke:
 	$(GO) test ./internal/oosql -run '^$$' -fuzz FuzzParse -fuzztime 10s
+	$(GO) test ./internal/oosql -run '^$$' -fuzz FuzzFingerprint -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLift -fuzztime 10s
 
 fmt:

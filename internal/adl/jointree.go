@@ -100,7 +100,7 @@ func (d *treeDecomposer) rebase(c Expr, v string, leaves []JoinLeaf) (Expr, bool
 	}
 	// A conjunct that rebinds v in a nested iterator would make the textual
 	// rewrite below unsound; such shapes do not occur in rewriter output.
-	if bindsVar(c, v) {
+	if BindsVar(c, v) {
 		return nil, false
 	}
 	if len(leaves) == 1 {
@@ -184,8 +184,8 @@ func sameOwner(owner map[string]string, attrs []string) (string, bool) {
 	return lf, true
 }
 
-// bindsVar reports whether any iterator inside e binds the variable name.
-func bindsVar(e Expr, name string) bool {
+// BindsVar reports whether any iterator inside e binds the variable name.
+func BindsVar(e Expr, name string) bool {
 	found := false
 	Walk(e, func(x Expr) bool {
 		switch n := x.(type) {

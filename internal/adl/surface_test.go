@@ -331,13 +331,13 @@ func TestDecomposeHelpers(t *testing.T) {
 	if _, ok := sameOwner(owner, nil); ok {
 		t.Errorf("empty subscript must fail")
 	}
-	if bindsVar(Sel("v", CBool(true), T("X")), "v") != true {
-		t.Errorf("bindsVar must see the select binder")
+	if BindsVar(Sel("v", CBool(true), T("X")), "v") != true {
+		t.Errorf("BindsVar must see the select binder")
 	}
-	if bindsVar(NestJoin(T("A"), "x", "y", CBool(true), "as", T("B")), "y") != true {
-		t.Errorf("bindsVar must see join binders")
+	if BindsVar(NestJoin(T("A"), "x", "y", CBool(true), "as", T("B")), "y") != true {
+		t.Errorf("BindsVar must see join binders")
 	}
-	if bindsVar(Dot(V("v"), "a"), "v") {
+	if BindsVar(Dot(V("v"), "a"), "v") {
 		t.Errorf("a reference is not a binding")
 	}
 }

@@ -162,7 +162,7 @@ func (ps *plans) add(cfg plan.Config, p *plan.Plan) {
 
 // TemplateCache remembers templates across queries. A template is cached
 // under two keys: its lifted key (adl.Lift), which the rewrite depends on
-// alone, and the token fingerprint (oosql.LexText) of each text prepared from
+// alone, and the token fingerprint (oosql.Fingerprint) of each text prepared from
 // it, which finds it without a parse. A prepare is lex → parse → translate →
 // lift → rewrite → plan; with a cache the rewrite runs once per query shape, a
 // text whose fingerprint was seen is lex → args → plan, and the plan too is
@@ -202,9 +202,10 @@ func PrepareCfg(src string, cat *schema.Catalog, cfg plan.Config) (*Query, error
 
 // PrepareCached is PrepareCfg taking the template from tc (nil: rewrite it
 // here). A text whose token fingerprint tc holds with a recipe that accepts
-// its literals is lex → args → plan; any other takes the full path, which
-// caches the template under the text's fingerprint with the recipe derived
-// from it. Without a cache the planner gets the rewrite with the literals
+// its literals is lex → args → plan, and its lexer pass (oosql.Fingerprint)
+// builds no tokens; any other is lexed again for the parser and takes the
+// full path, which caches the template under the text's fingerprint with the
+// recipe derived from it. Without a cache the planner gets the rewrite with the literals
 // bound back in. With one it plans the template, the literals its arguments,
 // so index ranges, selectivities and operators are still those of the query
 // as written; and a plan the template holds is the query's when its
@@ -212,25 +213,31 @@ func PrepareCfg(src string, cat *schema.Catalog, cfg plan.Config) (*Query, error
 func PrepareCached(src string, cat *schema.Catalog, cfg plan.Config, tc TemplateCache) (*Query, error) {
 	buf := keyBufs.Get().(*keyBuf)
 	defer keyBufs.Put(buf)
+	var text oosql.Text
 	var fp []byte
+	var reuse Reuse
 	if tc != nil {
-		fp = append(buf.fp[:0], fingerprintKey)
+		var err error
+		if text, err = oosql.Fingerprint(src, append(buf.fp[:0], fingerprintKey)); err != nil {
+			return nil, err
+		}
+		if fp = text.Fingerprint; fp != nil {
+			buf.fp = fp
+			if t := tc.Template(fp); t != nil {
+				if args, ok := t.recipe.args(text.Classes); ok {
+					return t.query(src, nil, args, cfg, FromTemplate|FromFingerprint), nil
+				}
+				reuse, fp = Fallback, nil
+			}
+		}
 	}
-	text, err := oosql.LexText(src, fp)
+	// The parser needs the tokens: a second pass, on a miss or a Fallback
+	// only, whose fingerprint, classes and error are the first's.
+	toks, err := oosql.Lex(src)
 	if err != nil {
 		return nil, err
 	}
-	var reuse Reuse
-	if fp = text.Fingerprint; fp != nil {
-		buf.fp = fp
-		if t := tc.Template(fp); t != nil {
-			if args, ok := t.recipe.args(text.Classes); ok {
-				return t.query(src, nil, args, cfg, FromTemplate|FromFingerprint), nil
-			}
-			reuse, fp = Fallback, nil
-		}
-	}
-	ast, err := oosql.ParseTokens(text.Tokens)
+	ast, err := oosql.ParseTokens(toks)
 	if err != nil {
 		return nil, err
 	}

@@ -67,16 +67,21 @@ func (s ColumnScan) Open(ctx *Ctx) (Rows, error) {
 	}
 	n := proj.Len()
 	batches := (n + DefaultBatchSize - 1) / DefaultBatchSize
-	return inShareRows(batches, s.Workers, func(lo, hi int) (out []value.Value, err error) {
+	shares, err := inShares(batches, s.Workers, func(lo, hi int) (out *rowBuf, err error) {
 		sel := make([]int32, min(n, DefaultBatchSize))
+		out = new(rowBuf)
 		for b := lo; b < hi; b++ {
 			first := b * DefaultBatchSize
-			if out, err = s.batch(ctx, proj, first, min(n, first+DefaultBatchSize), sel, out); err != nil {
+			if out.out, err = s.batch(ctx, proj, first, min(n, first+DefaultBatchSize), sel, out.out); err != nil {
 				return nil, err
 			}
 		}
 		return out, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return joined(shares)
 }
 
 // projection obtains the projection of the extent's Attrs.

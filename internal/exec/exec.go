@@ -86,9 +86,8 @@ func (c *Ctx) open(op Operator) (Rows, error) {
 // Collect runs an operator and gathers its rows into a set (deduplicating,
 // per set semantics). A Close error surfaces unless iteration already failed —
 // streams close their children's in Close, and swallowing their errors would
-// hide a failed teardown. A streamed result is gathered
-// like a drained operand and then built in one pass, so the set is allocated
-// once at its size rather than regrown as rows arrive.
+// hide a failed teardown. The set is allocated once, at the size of a stream
+// that knows it (sized); any other stream is gathered first.
 func Collect(op Operator, ctx *Ctx) (_ *value.Set, err error) {
 	rows, err := ctx.open(op)
 	if err != nil {
@@ -99,14 +98,36 @@ func Collect(op Operator, ctx *Ctx) (_ *value.Set, err error) {
 			err = cerr
 		}
 	}()
-	if b, ok := rows.(blocking); ok {
+	if b, ok := rows.(blocking); ok && b.buf().err == nil {
 		return b.buf().set(), nil
+	}
+	if n := size(rows); n >= 0 {
+		set := value.NewSetCap(n)
+		for row, ok, err := rows.Next(); ok || err != nil; row, ok, err = rows.Next() {
+			if err != nil {
+				return nil, err
+			}
+			set.Add(row)
+		}
+		return set, nil
 	}
 	out, err := readAll(rows, nil)
 	if err != nil {
 		return nil, err
 	}
 	return value.NewSetFromSlice(out), nil
+}
+
+// sized is a stream that may know how many rows it has left (size ≥ 0): a
+// blocking one, and a 1:1 operator's over one (through the tally's counting).
+type sized interface{ size() int }
+
+// size returns the rows r has left, or -1 if it cannot tell.
+func size(r Rows) int {
+	if s, ok := r.(sized); ok {
+		return s.size()
+	}
+	return -1
 }
 
 // blocking is the stream of an operator whose Open has already computed every
@@ -118,11 +139,12 @@ type blocking interface {
 
 // rowBuf is the stream of a blocking operator and of a leaf scan: Open
 // computes every row into out (or points out at the extent) and returns it.
-// Nobody writes into out: it may be an extent's own slice.
+// err, if not nil, follows the rows (a fused nestjoin's, joinEmit). Nobody
+// writes into out: it may be an extent's own slice.
 type rowBuf struct {
-	out    []value.Value
-	hashes []uint64 // value.Hash of each row of out, where Open computed them
-	pos    int
+	out []value.Value
+	err error
+	pos int
 }
 
 // buffered is the stream over rows.
@@ -131,7 +153,7 @@ func buffered(rows []value.Value) (Rows, error) { return &rowBuf{out: rows}, nil
 // Next yields the next buffered row.
 func (b *rowBuf) Next() (value.Value, bool, error) {
 	if b.pos >= len(b.out) {
-		return nil, false, nil
+		return nil, false, b.err
 	}
 	row := b.out[b.pos]
 	b.pos++
@@ -146,18 +168,14 @@ func (b *rowBuf) buf() *rowBuf { return b }
 // rest is the rows not yet handed up.
 func (b *rowBuf) rest() []value.Value { return b.out[b.pos:] }
 
-// set builds the set of the remaining rows in one bulk pass, reusing their
-// hashes where Open computed them.
-func (b *rowBuf) set() *value.Set {
-	if b.hashes != nil {
-		return value.NewSetFromSliceHashed(b.rest(), b.hashes[b.pos:])
-	}
-	return value.NewSetFromSlice(b.rest())
-}
+func (b *rowBuf) size() int { return len(b.rest()) }
+
+// set builds the set of the remaining rows in one bulk pass.
+func (b *rowBuf) set() *value.Set { return value.NewSetFromSlice(b.rest()) }
 
 // drain runs an operator and returns its rows, propagating Close errors like
-// Collect. A blocking stream hands its buffer over as it is; the caller must
-// not write into the slice.
+// Collect. A blocking stream hands its buffer over as it is, unless an error
+// follows its rows; the caller must not write into the slice.
 func drain(op Operator, ctx *Ctx) ([]value.Value, error) { return drainEach(op, ctx, nil) }
 
 // drainEach is drain handing every row to each, if not nil, as it arrives: an
@@ -172,7 +190,7 @@ func drainEach(op Operator, ctx *Ctx, each func(value.Value) error) (_ []value.V
 			err = cerr
 		}
 	}()
-	if b, ok := rows.(blocking); ok {
+	if b, ok := rows.(blocking); ok && b.buf().err == nil {
 		out := b.buf().rest()
 		for i := 0; each != nil && i < len(out); i++ {
 			if err := each(out[i]); err != nil {
@@ -185,7 +203,9 @@ func drainEach(op Operator, ctx *Ctx, each func(value.Value) error) (_ []value.V
 }
 
 // minGrow is the capacity a growing result of unknown size starts at (readAll,
-// joinEmit), where append would reach it through nine reallocations.
+// joinEmit but for a nestjoin), where append would reach it through nine
+// reallocations. A result of known size is allocated at it: a nestjoin's
+// (joinEmit.reserve), Collect's over a 1:1 stream.
 const minGrow = 256
 
 // readAll reads a stream to its end, handing every row to each, if not nil,
@@ -267,21 +287,31 @@ func (s ExprScan) Open(ctx *Ctx) (Rows, error) {
 // node itself, so opening them allocates only their stream.
 type rowFn[N any] func(n *N, ctx *Ctx, row value.Value) (out value.Value, keep bool, err error)
 
-// mapped is the stream of the 1:≤1 operators: fn of n over the rows of src.
+// mapped is the stream of the 1:≤1 operators: fn of n over the rows of src;
+// all: fn keeps every row (every operator but σ).
 type mapped[N any] struct {
 	ctx *Ctx
 	src Rows
 	fn  rowFn[N]
 	n   N
+	all bool
 }
 
 // stream runs child and applies fn of n to each of its rows.
-func stream[N any](c *Ctx, child Operator, n N, fn rowFn[N]) (Rows, error) {
+func stream[N any](c *Ctx, child Operator, n N, fn rowFn[N], all bool) (Rows, error) {
 	src, err := c.open(child)
 	if err != nil {
 		return nil, err
 	}
-	return &mapped[N]{ctx: c, src: src, fn: fn, n: n}, nil
+	return &mapped[N]{ctx: c, src: src, fn: fn, n: n, all: all}, nil
+}
+
+// size is src's for a 1:1 operator; σ's, an upper bound, would over-allocate.
+func (m *mapped[N]) size() int {
+	if !m.all {
+		return -1
+	}
+	return size(m.src)
 }
 
 // Next yields the image of the next row fn keeps.
@@ -312,7 +342,7 @@ type Filter struct {
 }
 
 // Open streams the child's rows that satisfy the predicate.
-func (f Filter) Open(ctx *Ctx) (Rows, error) { return stream(ctx, f.Child, f.Pred, (*Scalar).keep) }
+func (f Filter) Open(c *Ctx) (Rows, error) { return stream(c, f.Child, f.Pred, (*Scalar).keep, false) }
 
 // MapOp implements α with a compiled body.
 type MapOp struct {
@@ -322,7 +352,7 @@ type MapOp struct {
 }
 
 // Open streams the image of the child's rows.
-func (m MapOp) Open(ctx *Ctx) (Rows, error) { return stream(ctx, m.Child, m.Body, (*Scalar).image) }
+func (m MapOp) Open(c *Ctx) (Rows, error) { return stream(c, m.Child, m.Body, (*Scalar).image, true) }
 
 // LetOp implements a with-binding: the (typically constant) value expression
 // is evaluated once at Open and bound into the environment the child's
@@ -353,7 +383,7 @@ type ProjectOp struct {
 }
 
 // Open streams the projection of the child's rows.
-func (p ProjectOp) Open(ctx *Ctx) (Rows, error) { return stream(ctx, p.Child, p, (*ProjectOp).row) }
+func (p ProjectOp) Open(c *Ctx) (Rows, error) { return stream(c, p.Child, p, (*ProjectOp).row, true) }
 
 func (p *ProjectOp) row(_ *Ctx, row value.Value) (value.Value, bool, error) {
 	t, err := asTuple(row, "π")

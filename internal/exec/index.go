@@ -111,6 +111,8 @@ type IndexNLJoin struct {
 	Residual *Scalar
 	As       string
 	RFun     *Scalar
+	// Sel is NLJoin.Sel.
+	Sel *Scalar
 }
 
 // Open drains the outer side and probes per row.
@@ -126,7 +128,8 @@ func (j IndexNLJoin) Open(ctx *Ctx) (Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	em := newJoinEmit(ctx, j.Kind, "index join", j.Residual, j.RFun, j.As, nil)
+	em := newJoinEmit(ctx, j.Kind, "index join", j.Residual, j.RFun, j.Sel, j.As, nil)
+	em.reserve(len(lrows))
 	for _, lrow := range lrows {
 		if err := em.begin(lrow); err != nil {
 			return nil, err
@@ -148,5 +151,5 @@ func (j IndexNLJoin) Open(ctx *Ctx) (Rows, error) {
 			return nil, err
 		}
 	}
-	return buffered(em.out)
+	return em.result(), nil
 }

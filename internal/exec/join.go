@@ -17,6 +17,10 @@ type NLJoin struct {
 	Pred       Scalar
 	As         string // nestjoin result attribute
 	RFun       *Scalar
+	// Sel, on a nestjoin, is α's body fused into the join: the row it emits,
+	// over the left row and its group (Vars: α's variable, As). nil: the left
+	// row extended by As.
+	Sel *Scalar
 }
 
 // Open materializes the right operand and computes the join eagerly (the
@@ -31,13 +35,14 @@ func (j NLJoin) Open(ctx *Ctx) (Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	em := newJoinEmit(ctx, j.Kind, "join", &j.Pred, j.RFun, j.As, right)
+	em := newJoinEmit(ctx, j.Kind, "join", &j.Pred, j.RFun, j.Sel, j.As, right)
+	em.reserve(len(lrows))
 	for _, lrow := range lrows {
 		if err := em.begin(lrow); err != nil {
 			return nil, err
 		}
-		for _, rrow := range right {
-			if em.match(rrow) {
+		for i := range right {
+			if em.matchAt(i) {
 				break
 			}
 		}
@@ -45,7 +50,7 @@ func (j NLJoin) Open(ctx *Ctx) (Rows, error) {
 			return nil, err
 		}
 	}
-	return buffered(em.out)
+	return em.result(), nil
 }
 
 // HashJoin is the set-oriented join family on equi-keys: it builds one hash
@@ -67,6 +72,8 @@ type HashJoin struct {
 	Residual *Scalar
 	As       string
 	RFun     *Scalar
+	// Sel is NLJoin.Sel.
+	Sel *Scalar
 	// Workers is the share count of key evaluation and probe; at most 1 runs
 	// the join on the caller's goroutine.
 	Workers int
@@ -100,8 +107,7 @@ func (j HashJoin) Open(ctx *Ctx) (Rows, error) {
 		return nil, err
 	}
 	l := hashProbe{tab: tab, key: lkey, attr: keyAttr(j.LKey, j.RKey), in: j.In,
-		em: newJoinEmit(ctx, j.Kind, "hash join", j.Residual, j.RFun, j.As, rrows)}
-	l.em.rhashes = memberHashes(j.Kind, j.RFun, rrows)
+		em: newJoinEmit(ctx, j.Kind, "hash join", j.Residual, j.RFun, j.Sel, j.As, rrows)}
 	var lrows []value.Value
 	if j.probeAttr() != "" {
 		l.un = unnester{attr: j.Unnest}
@@ -117,12 +123,16 @@ func (j HashJoin) Open(ctx *Ctx) (Rows, error) {
 		if err != nil {
 			return nil, err
 		}
-		return buffered(out)
+		return out, nil
 	}
 	shared, rows := l, lrows // the shares' copies: l and lrows stay off the heap when serial
-	return inShareRows(len(rows), j.Workers, func(lo, hi int) ([]value.Value, error) {
+	shares, err := inShares(len(rows), j.Workers, func(lo, hi int) (*rowBuf, error) {
 		return shared.probe(rows[lo:hi])
 	})
+	if err != nil {
+		return nil, err
+	}
+	return joined(shares)
 }
 
 // left drains L, unnested on Unnest if that is set.
@@ -209,11 +219,12 @@ func (l *hashProbe) column(set *value.Set) (value.Kind, []int64, bool, error) {
 	return kind, bits, true, err
 }
 
-// probe joins rows, a share of L, against the table and returns the rows
-// the verdict emits: each row's, or — expanding μ — each element's of its
+// probe joins rows, a share of L, against the table and returns what the
+// verdict emits: each row's rows, or — expanding μ — each element's of its
 // set, whose unnested row is built only if the verdict emits it.
-func (l hashProbe) probe(rows []value.Value) ([]value.Value, error) {
+func (l hashProbe) probe(rows []value.Value) (*rowBuf, error) {
 	em := &l.em
+	em.reserve(len(rows))
 	// Expanding μ there is no residual: an equal key is a match; a semijoin
 	// emits the matched elements, an antijoin the unmatched ones.
 	semi := em.kind == adl.Semi
@@ -263,7 +274,7 @@ func (l hashProbe) probe(rows []value.Value) ([]value.Value, error) {
 			return nil, err
 		}
 	}
-	return em.out, nil
+	return em.result(), nil
 }
 
 // probeRow hands the build rows whose key equals row's to the verdict.

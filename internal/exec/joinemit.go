@@ -13,7 +13,7 @@ import (
 // parallel, on equal keys or on membership), index — finds the candidate
 // right rows its own way and hands them to this one verdict:
 //
-//	begin(lrow); for each candidate { if match(rrow) { break } }; end()
+//	reserve(len(lrows)); for each left row { begin(lrow); for each candidate { if match(rrow) { break } }; end() }
 //
 // match applies the residual predicate, then concatenates (inner, outer),
 // groups (nestjoin) or just notes the hit (semi, anti) — and for those two
@@ -22,11 +22,17 @@ import (
 // end reports it, or else emits what the kind owes an unmatched or fully
 // matched row.
 //
+// A nestjoin emits one row per left row, sized once (reserve) and from one
+// value.Block: the left row extended by its group, or α's row of the two
+// where α is fused into the join (Sel). Sel's first error ends the rows and
+// follows them (result), where α would have met it, so a join error of a
+// later left row still wins.
+//
 // It is plain per-run state: an operator owns one per Open, each share of a
-// parallel probe owns its own, and the owner takes the rows from out. A
+// parallel probe owns its own, and the owner takes the rows from result. A
 // nestjoin builds every group of the run in one scratch set and emits an
-// exact-size copy of it (nestGroup), and derives the layout of the rows it
-// emits once per left-row layout.
+// exact-size copy of it (nestGroup), and checks the layout of the rows it
+// extends once per left-row layout.
 type joinEmit struct {
 	kind     adl.JoinKind
 	op       string // names the operator in a non-tuple row's error
@@ -34,13 +40,17 @@ type joinEmit struct {
 	residual *Scalar // nil: every candidate is a match
 	rfun     *Scalar // nestjoin: maps a matched pair to the group member
 	as       string  // nestjoin: the group attribute
+	sel      *Scalar // nestjoin: the row it emits for (left row, group); nil: the extended row
 	nullPad  *value.Tuple
-	// right is the materialized right operand matchAt indexes; rhashes, if
-	// not nil, the Hash of each of its rows (memberHashes).
+	// right is the materialized right operand matchAt indexes; members and
+	// mhashes its rows' group members and their Hash (member).
 	right   []value.Value
-	rhashes []uint64
+	members []value.Value
+	mhashes []uint64
 
-	out []value.Value
+	out  []value.Value
+	rows value.Block // a nestjoin's rows; the zero Block until the first
+	tail error       // sel's first error: the rows stop there
 
 	// The left row between begin and end.
 	lrow    value.Value
@@ -58,23 +68,9 @@ type joinEmit struct {
 // right operand, which matchAt indexes and an outer join pads unmatched rows
 // from; operators that neither call matchAt nor run an outer join may pass
 // nil.
-func newJoinEmit(ctx *Ctx, kind adl.JoinKind, op string, residual, rfun *Scalar, as string, right []value.Value) joinEmit {
-	return joinEmit{kind: kind, op: op, ctx: ctx, residual: residual, rfun: rfun, as: as,
+func newJoinEmit(ctx *Ctx, kind adl.JoinKind, op string, residual, rfun, sel *Scalar, as string, right []value.Value) joinEmit {
+	return joinEmit{kind: kind, op: op, ctx: ctx, residual: residual, rfun: rfun, sel: sel, as: as,
 		nullPad: outerNullPad(kind, right), right: right}
-}
-
-// memberHashes is each of rows' Hash when they are themselves the members of
-// a nestjoin's groups (no RFun), so that a group adds a build row without
-// reading the row; it is nil for every other join.
-func memberHashes(kind adl.JoinKind, rfun *Scalar, rows []value.Value) []uint64 {
-	if kind != adl.NestJ || rfun != nil {
-		return nil
-	}
-	hs := make([]uint64, len(rows))
-	for i, r := range rows {
-		hs[i] = value.Hash(r)
-	}
-	return hs
 }
 
 // outerNullPad builds the null tuple over the right schema for outer joins;
@@ -89,6 +85,14 @@ func outerNullPad(kind adl.JoinKind, right []value.Value) *value.Tuple {
 		}
 	}
 	return value.EmptyTuple()
+}
+
+// reserve sizes a nestjoin's result for its n left rows, one row each; the
+// other kinds emit any number and grow it in emit.
+func (e *joinEmit) reserve(n int) {
+	if e.kind == adl.NestJ {
+		e.out = make([]value.Value, 0, n)
+	}
 }
 
 // emit appends a result row. A full buffer doubles, from minGrow on, where
@@ -129,17 +133,11 @@ func (e *joinEmit) offer(rrow value.Value, i int) (stop bool) {
 	case adl.Semi, adl.Anti:
 		return true
 	case adl.NestJ:
-		if e.rfun != nil {
-			var member value.Value
-			if member, e.err = e.rfun.Eval(e.ctx, e.lrow, rrow); e.err != nil {
-				return true
-			}
-			e.nest.add(member, value.Hash(member))
-		} else if i >= 0 && e.rhashes != nil {
-			e.nest.add(rrow, e.rhashes[i])
-		} else {
-			e.nest.add(rrow, value.Hash(rrow))
+		member, h, err := e.member(rrow, i)
+		if e.err = err; err != nil {
+			return true
 		}
+		e.nest.add(member, h)
 	default:
 		var rt, cat *value.Tuple
 		if rt, e.err = asTuple(rrow, e.op); e.err != nil {
@@ -151,6 +149,36 @@ func (e *joinEmit) offer(rrow value.Value, i int) (stop bool) {
 		e.emit(cat)
 	}
 	return false
+}
+
+// member is the group member of the left row and rrow, which is right row i
+// (or i < 0), and its Hash: rrow, or RFun of the pair. One that depends on
+// the right row alone (an RFun like p.pname) is computed on the row's first
+// match and kept for the run; a Hash of 0 reads as not yet computed.
+func (e *joinEmit) member(rrow value.Value, i int) (value.Value, uint64, error) {
+	if i >= 0 && e.mhashes != nil && e.mhashes[i] != 0 {
+		return e.members[i], e.mhashes[i], nil
+	}
+	m := rrow
+	if e.rfun != nil {
+		var err error
+		if m, err = e.rfun.Eval(e.ctx, e.lrow, rrow); err != nil {
+			return nil, 0, err
+		}
+	}
+	h := value.Hash(m)
+	if i >= 0 && (e.rfun == nil || e.rfun.rightOnly) {
+		if e.mhashes == nil {
+			e.members, e.mhashes = e.right, make([]uint64, len(e.right))
+			if e.rfun != nil {
+				e.members = make([]value.Value, len(e.right))
+			}
+		}
+		if e.mhashes[i] = h; e.rfun != nil {
+			e.members[i] = m
+		}
+	}
+	return m, h, nil
 }
 
 // end finishes the left row.
@@ -171,7 +199,11 @@ func (e *joinEmit) end() error {
 			}
 			e.from, e.to = e.lt.Shape, to
 		}
-		row, vals := e.to.Alloc()
+		if e.sel != nil {
+			e.project()
+			return nil
+		}
+		row, vals := e.alloc(e.to)
 		vals[copy(vals, e.lt.Vals())] = e.nest.compact()
 		e.emit(row)
 	case adl.Outer:
@@ -185,6 +217,49 @@ func (e *joinEmit) end() error {
 	}
 	return nil
 }
+
+// project emits sel's row of the left row and its group, unless an earlier
+// one failed. Its error is the one α meets on the extended row, whose text
+// an error may print.
+func (e *joinEmit) project() {
+	if e.tail != nil {
+		return
+	}
+	group := e.nest.compact()
+	var row value.Value
+	var err error
+	if c := e.sel.row; c != nil {
+		t, vals := e.alloc(c.shape)
+		row, err = t, c.fill(e.ctx, e.lrow, group, vals)
+	} else {
+		row, err = e.sel.prog(e.ctx, e.lrow, group)
+	}
+	if err == nil {
+		e.emit(row)
+		return
+	}
+	ext, vals := e.to.Alloc()
+	vals[copy(vals, e.lt.Vals())] = group
+	if _, e.tail = e.sel.prog(e.ctx, ext, group); e.tail == nil {
+		e.tail = err
+	}
+}
+
+// alloc returns a new row of shape sh: from the block sized at the first row
+// for the rows still to come, while the rows keep its shape.
+func (e *joinEmit) alloc(sh *value.Shape) (*value.Tuple, []value.Value) {
+	if e.rows.Shape() == nil {
+		e.rows = sh.Block(cap(e.out) - len(e.out))
+	}
+	if e.rows.Shape() != sh {
+		return sh.Alloc()
+	}
+	return e.rows.Alloc()
+}
+
+// result is the stream of what the verdict emitted: its rows, then a fused
+// nestjoin's tail.
+func (e *joinEmit) result() *rowBuf { return &rowBuf{out: e.out, err: e.tail} }
 
 // nestGroup collects the members a nestjoin or PNHL finds for one left row.
 // The set is created by the first member; left rows without a partner all

@@ -24,8 +24,9 @@ import (
 
 // lifecycleTexts are the query texts of benchmark/spec.go's analytic.* and
 // serve.* cycles (benchmark/ is its own module, so they are repeated here),
-// and Example Query 4 with a residual over both variables, whose μ the
-// antijoin cannot expand inside its probe: the one plain μ of the corpus.
+// Example Query 4 with a residual over both variables, whose μ the antijoin
+// cannot expand inside its probe: the one plain μ of the corpus, and a
+// nestjoin whose fused select row is a value, not a tuple.
 var lifecycleTexts = []string{
 	`select s from s in SUPPLIER
  where exists x in s.parts_supplied : exists p in PART : x = p and p.color = "red"`,
@@ -47,7 +48,14 @@ var lifecycleTexts = []string{
 	`select s.sname from s in SUPPLIER`,
 	`select s.eid from s in SUPPLIER
  where exists z in s.parts_supplied : not exists p in PART : z = p and p.pname < s.sname`,
+	`select count(select p.pname from p in PART where p in s.parts_supplied and p.price < 50)
+ from s in SUPPLIER`,
 }
+
+// fusedTexts are the lifecycleTexts whose every plan is a nestjoin that
+// builds its select row (exec.HashJoin.Sel): a tuple (Example Query 6, the
+// materialize query) or a value.
+var fusedTexts = []int{2, 3, 10}
 
 // eq4Text is Example Query 4 in lifecycleTexts: every plan of it expands μ
 // inside the antijoin's probe, so none opens μ's stream.
@@ -96,6 +104,9 @@ func textArms(t *testing.T, st *storage.Store) [][]arm {
 				t.Fatalf("text %d: %v", i, err)
 			}
 			x := plan.Explain(q.Plan)
+			if fused := strings.Contains(x, " ⇒ "); fused != slices.Contains(fusedTexts, i) {
+				t.Fatalf("text %d: the plan fuses α into its nestjoin=%v, want %v:\n%s", i, fused, !fused, x)
+			}
 			if par, serial := strings.Contains(x, "-- parallel"), slices.Contains(serialTexts, i); name == "p3-forced" && par == serial {
 				t.Fatalf("text %d: the forced plan is parallel=%v, want %v:\n%s", i, par, !serial, x)
 			}

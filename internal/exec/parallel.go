@@ -67,17 +67,23 @@ func inShares[T any](n, workers int, span func(lo, hi int) (T, error)) ([]T, err
 	return outs, nil
 }
 
-// inShareRows runs span as inShares does, each share returning the rows it
-// emits, and streams the shares' rows joined in share order: where span
-// emits in order and stops at its first failure, the rows and the error of a
-// serial run over [0, n).
-func inShareRows(n, workers int, span func(lo, hi int) ([]value.Value, error)) (Rows, error) {
-	outs, err := inShares(n, workers, span)
-	if err != nil {
-		return nil, err
+// joined is the stream of the shares' rows in share order up to the first
+// share whose rows end in an error (rowBuf.err), then that error: where each
+// share stops at its first error, the serial run's rows and error.
+func joined(shares []*rowBuf) (Rows, error) {
+	last := len(shares) - 1
+	for i, s := range shares {
+		if s.err != nil {
+			last = i
+			break
+		}
 	}
-	if len(outs) == 1 {
-		return buffered(outs[0])
+	if last == 0 {
+		return shares[0], nil
 	}
-	return buffered(slices.Concat(outs...))
+	rows := make([][]value.Value, last+1)
+	for i := range rows {
+		rows[i] = shares[i].out
+	}
+	return &rowBuf{out: slices.Concat(rows...), err: shares[last].err}, nil
 }

@@ -318,7 +318,7 @@ type RenameOp struct {
 }
 
 // Open streams the child's rows renamed.
-func (r RenameOp) Open(ctx *Ctx) (Rows, error) { return stream(ctx, r.Child, r, (*RenameOp).row) }
+func (r RenameOp) Open(ctx *Ctx) (Rows, error) { return stream(ctx, r.Child, r, (*RenameOp).row, true) }
 
 func (r *RenameOp) row(_ *Ctx, row value.Value) (value.Value, bool, error) {
 	t, err := asTuple(row, "ρ")
@@ -348,7 +348,7 @@ type Assembly struct {
 }
 
 // Open streams the child's rows assembled.
-func (a Assembly) Open(ctx *Ctx) (Rows, error) { return stream(ctx, a.Child, a, (*Assembly).row) }
+func (a Assembly) Open(ctx *Ctx) (Rows, error) { return stream(ctx, a.Child, a, (*Assembly).row, true) }
 
 func (a *Assembly) row(ctx *Ctx, row value.Value) (value.Value, bool, error) {
 	t, err := asTuple(row, "assembly")

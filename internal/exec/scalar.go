@@ -26,6 +26,10 @@ type Scalar struct {
 	Expr adl.Expr
 
 	prog prog
+	// row, for a tuple constructor, lets a caller fill rows it allocated.
+	row *tupleCons
+	// rightOnly: over two variables, the scalar reads only the second.
+	rightOnly bool
 }
 
 // prog evaluates one compiled node; a and b are the values of Vars[0] and
@@ -47,7 +51,11 @@ func NewScalar(e adl.Expr, vars ...string) Scalar {
 	if len(vars) > 2 {
 		panic(fmt.Sprintf("exec: scalar over %d variables; operators bind at most two", len(vars)))
 	}
-	return Scalar{Vars: vars, Expr: e, prog: compile(e, vars)}
+	s := Scalar{Vars: vars, Expr: e, prog: compile(e, vars), rightOnly: len(vars) == 2 && !adl.HasFree(e, vars[0])}
+	if n, ok := e.(*adl.TupleExpr); ok {
+		s.row = newTupleCons(n.Names, n.Elems, vars)
+	}
+	return s
 }
 
 // Eval evaluates the scalar with the given variable values.
@@ -192,19 +200,19 @@ func compile(e adl.Expr, vars []string) prog {
 		}
 
 	case *adl.TupleExpr:
-		if build := compileTupleExpr(n.Names, n.Elems, vars); build != nil {
-			return func(ctx *Ctx, a, b value.Value) (value.Value, error) { return build(ctx, a, b) }
+		if c := newTupleCons(n.Names, n.Elems, vars); c != nil {
+			return func(ctx *Ctx, a, b value.Value) (value.Value, error) { return c.build(ctx, a, b) }
 		}
 
 	case *adl.ExceptExpr:
 		x := compileTuple(n.X, vars, "except")
-		if build := compileTupleExpr(n.Names, n.Elems, vars); build != nil {
+		if c := newTupleCons(n.Names, n.Elems, vars); c != nil {
 			return func(ctx *Ctx, a, b value.Value) (value.Value, error) {
 				t, err := x(ctx, a, b)
 				if err != nil {
 					return nil, err
 				}
-				upd, err := build(ctx, a, b)
+				upd, err := c.build(ctx, a, b)
 				if err != nil {
 					return nil, err
 				}
@@ -333,27 +341,44 @@ func compileConnective(l, r adl.Expr, vars []string, op string, decided bool) pr
 	}
 }
 
-// compileTupleExpr compiles ⟨names[i] = elems[i]⟩ against its shape, derived
-// here once: a row is one Shape.Alloc. It returns nil for a repeated name,
-// which is left to the interpreter to report.
-func compileTupleExpr(names []string, elems []adl.Expr, vars []string) tupleProg {
+// tupleCons is a compiled tuple constructor ⟨names[i] = elems[i]⟩: its
+// shape, derived once, and a program per attribute.
+type tupleCons struct {
+	shape *value.Shape
+	elems []prog
+}
+
+// newTupleCons compiles ⟨names[i] = elems[i]⟩. It returns nil for a repeated
+// name, which is left to the interpreter to report.
+func newTupleCons(names []string, elems []adl.Expr, vars []string) *tupleCons {
 	shape, err := value.ShapeOf(names)
 	if err != nil {
 		return nil
 	}
-	progs := make([]prog, len(elems))
+	c := &tupleCons{shape: shape, elems: make([]prog, len(elems))}
 	for i, el := range elems {
-		progs[i] = compile(el, vars)
+		c.elems[i] = compile(el, vars)
 	}
-	return func(ctx *Ctx, a, b value.Value) (*value.Tuple, error) {
-		row, vals := shape.Alloc()
-		for i, p := range progs {
-			v, err := p(ctx, a, b)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
+	return c
+}
+
+// build evaluates the constructor into a row of its own: one Shape.Alloc.
+func (c *tupleCons) build(ctx *Ctx, a, b value.Value) (*value.Tuple, error) {
+	row, vals := c.shape.Alloc()
+	if err := c.fill(ctx, a, b, vals); err != nil {
+		return nil, err
+	}
+	return row, nil
+}
+
+// fill evaluates the attributes into vals, the slots of a row of c.shape.
+func (c *tupleCons) fill(ctx *Ctx, a, b value.Value, vals []value.Value) error {
+	for i, p := range c.elems {
+		v, err := p(ctx, a, b)
+		if err != nil {
+			return err
 		}
-		return row, nil
+		vals[i] = v
 	}
+	return nil
 }

@@ -79,6 +79,9 @@ func (c *counted) Next() (value.Value, bool, error) {
 	return row, ok, err
 }
 
+// size is the counted stream's: counting drops no row.
+func (c *counted) size() int { return size(c.Rows) }
+
 func (c *counted) Close() error {
 	c.tally.add(c.op, c.n)
 	c.n = 0

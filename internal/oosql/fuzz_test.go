@@ -1,8 +1,12 @@
 package oosql
 
 import (
+	"bytes"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/value"
 )
 
 // fuzzSeeds is the seed corpus: every query shape the parser tests exercise,
@@ -71,5 +75,57 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("nil AST without error for %q", src)
 		}
 		_ = e.String()
+	})
+}
+
+// fingerprintSeeds add to fuzzSeeds the literals the two lexer passes must
+// agree on: escaped strings, a string whose escape comes after plain text,
+// non-ASCII identifiers and strings, unterminated strings and escapes, equal
+// literals of one kind and of two, and an integer out of range.
+var fingerprintSeeds = []string{
+	`select p from p in PART where p.color = "r\"e\\d" and p.pname = "a\tb\n"`,
+	`select p from p in PART where p.pname = "plain then \"quoted\""`,
+	`select ü from ü in PART where ü.pname = "grün" and ü.price = 3`,
+	`p.color = "red`,
+	`p.color = "red\`,
+	`p.price = 1001 and p.price < 1001 and p.weight = 1001.0 and p.pname = "1001"`,
+	`p.price = 99999999999999999999 and p.price = 3`,
+}
+
+// FuzzFingerprint holds oosql.Fingerprint, the pass a prepare runs before it
+// knows whether it needs tokens, to LexText on every input: the same
+// fingerprint, literal classes, counts and error, and no tokens. Run the
+// fuzzer with
+//
+//	go test ./internal/oosql -run '^$' -fuzz FuzzFingerprint -fuzztime 30s
+//
+// (CI runs a short smoke; see make fuzz-smoke.)
+func FuzzFingerprint(f *testing.F) {
+	for _, s := range append(fuzzSeeds, fingerprintSeeds...) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 1<<14 {
+			t.Skip("oversized input")
+		}
+		want, werr := LexText(src, []byte{'F'})
+		got, gerr := Fingerprint(src, []byte{'F'})
+		if (werr == nil) != (gerr == nil) || werr != nil && werr.Error() != gerr.Error() {
+			t.Fatalf("%q: Fingerprint error %v, LexText error %v", src, gerr, werr)
+		}
+		if got.Tokens != nil {
+			t.Fatalf("%q: Fingerprint built %d tokens", src, len(got.Tokens))
+		}
+		if !bytes.Equal(got.Fingerprint, want.Fingerprint) || (got.Fingerprint == nil) != (want.Fingerprint == nil) {
+			t.Fatalf("%q: fingerprint %q, LexText's %q", src, got.Fingerprint, want.Fingerprint)
+		}
+		if !slices.Equal(got.Counts, want.Counts) || len(got.Classes) != len(want.Classes) {
+			t.Fatalf("%q: classes %v counts %v, LexText's %v %v", src, got.Classes, got.Counts, want.Classes, want.Counts)
+		}
+		for i, c := range want.Classes {
+			if got.Classes[i].Kind() != c.Kind() || !value.Equal(got.Classes[i], c) {
+				t.Fatalf("%q: class %d is %v, LexText's %v", src, i, got.Classes[i], c)
+			}
+		}
 	})
 }

@@ -37,15 +37,31 @@ func Lex(src string) ([]Token, error) {
 
 // LexText tokenizes the whole input and, when fp is not nil, appends the
 // text's fingerprint to it.
-func LexText(src string, fp []byte) (Text, error) {
+func LexText(src string, fp []byte) (Text, error) { return lex(src, fp, true) }
+
+// Fingerprint is LexText without the tokens: it appends the text's
+// fingerprint to fp, which must not be nil, and returns the fingerprint, the
+// classes and their counts, or LexText's error. A prepare that finds the
+// fingerprint cached needs nothing more, and only a text that goes on to the
+// parser pays for its tokens.
+func Fingerprint(src string, fp []byte) (Text, error) { return lex(src, fp, false) }
+
+// lex is the one pass of LexText and Fingerprint over the tokens of src,
+// keeping them when tokens is set.
+func lex(src string, fp []byte, tokens bool) (Text, error) {
 	lx := lexer{src: src, line: 1, col: 1}
-	t := Text{Tokens: make([]Token, 0, len(src)/3+2)}
+	var t Text
+	if tokens {
+		t.Tokens = make([]Token, 0, len(src)/3+2)
+	}
 	for {
 		tok, err := lx.next()
 		if err != nil {
 			return Text{}, err
 		}
-		t.Tokens = append(t.Tokens, tok)
+		if tokens {
+			t.Tokens = append(t.Tokens, tok)
+		}
 		if fp != nil {
 			fp = t.key(fp, tok)
 		}
@@ -230,19 +246,30 @@ func (lx *lexer) skipDigits() {
 	}
 }
 
+// lexString scans a string literal. Its text is a substring of the source
+// unless it holds an escape; only then is it built anew.
 func (lx *lexer) lexString(start Pos) (Token, error) {
 	lx.advance() // opening quote
+	from := lx.off
 	var b strings.Builder
+	escaped := false
 	for {
 		if lx.off >= len(lx.src) {
 			return Token{}, errf(start, "unterminated string literal")
 		}
 		c := lx.advance()
 		if c == '"' {
-			text := b.String()
+			text := lx.src[from : lx.off-1]
+			if escaped {
+				text = b.String()
+			}
 			return Token{Kind: TokString, Text: text, Val: value.String(text), Pos: start}, nil
 		}
 		if c == '\\' {
+			if !escaped {
+				b.WriteString(lx.src[from : lx.off-1])
+				escaped = true
+			}
 			if lx.off >= len(lx.src) {
 				return Token{}, errf(start, "unterminated string escape")
 			}
@@ -259,6 +286,8 @@ func (lx *lexer) lexString(start Pos) (Token, error) {
 			}
 			continue
 		}
-		b.WriteByte(c)
+		if escaped {
+			b.WriteByte(c)
+		}
 	}
 }

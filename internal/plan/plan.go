@@ -234,9 +234,14 @@ func (p *planner) compile(e adl.Expr) (exec.Operator, nodeEst) {
 
 	case *adl.Map:
 		child, ce := p.compile(n.Src)
-		op := &exec.MapOp{Child: child, Var: n.Var, Body: exec.NewScalar(n.Body, n.Var)}
 		// The body may reshape rows, so the origin extent is dropped.
 		est := nodeEst{rows: ce.rows, cost: ce.cost + ce.rows*cEval + ce.rows*cRow}
+		if fuseSelect(child, n) { // α's estimate, the join's note
+			est.note = ce.note
+			p.record(child, est)
+			return child, est
+		}
+		op := &exec.MapOp{Child: child, Var: n.Var, Body: exec.NewScalar(n.Body, n.Var)}
 		p.record(op, est)
 		return op, est
 
@@ -320,6 +325,40 @@ func (p *planner) compile(e adl.Expr) (exec.Operator, nodeEst) {
 	est := nodeEst{rows: defaultRows, cost: defaultRows * cEval}
 	p.record(op, est)
 	return op, est
+}
+
+// fuseSelect compiles α[v: body] over op, a nestjoin just built, into its
+// select row (Sel), if body reads v only as v.a and neither binds v nor binds
+// or reads as, the group attribute: with v.as read as the group, a variable
+// named as, body computes from the left row and the group α's value.
+func fuseSelect(op exec.Operator, m *adl.Map) bool {
+	var kind adl.JoinKind
+	var as string
+	var sel **exec.Scalar
+	switch j := op.(type) {
+	case *exec.HashJoin:
+		kind, as, sel = j.Kind, j.As, &j.Sel
+	case *exec.NLJoin:
+		kind, as, sel = j.Kind, j.As, &j.Sel
+	case *exec.IndexNLJoin:
+		kind, as, sel = j.Kind, j.As, &j.Sel
+	}
+	v := m.Var
+	isV := func(x adl.Expr) bool { y, ok := x.(*adl.Var); return ok && y.Name == v }
+	field := func(x adl.Expr) bool { f, ok := x.(*adl.Field); return ok && isV(f.X) }
+	if kind != adl.NestJ || v == as || adl.HasFree(m.Body, as) || adl.BindsVar(m.Body, v) ||
+		adl.BindsVar(m.Body, as) || adl.CountNodes(m.Body, isV) != adl.CountNodes(m.Body, field) {
+		return false
+	}
+	body := adl.Transform(m.Body, func(x adl.Expr) adl.Expr {
+		if field(x) && x.(*adl.Field).Name == as {
+			return adl.V(as)
+		}
+		return x
+	})
+	s := exec.NewScalar(body, v, as)
+	*sel = &s
+	return true
 }
 
 // withOwn derives a child's estimate for a row-transforming parent: new row
@@ -691,8 +730,8 @@ func describe(op exec.Operator, args []value.Value) (string, []exec.Operator) {
 		return fmt.Sprintf("IndexScan(%s.%s in %s%s, %s%s)  -- ordered index range",
 			o.Table, o.Attr, lob, lo, hi, hib), nil
 	case *exec.IndexNLJoin:
-		return fmt.Sprintf("IndexNLJoin[%v on %s -> %s.%s%s]  -- index nested loop",
-			o.Kind, x(o.LKey.Expr), o.Table, o.Attr, residualNote(o.Residual, args)), []exec.Operator{o.L}
+		return fmt.Sprintf("IndexNLJoin[%v on %s -> %s.%s%s%s]  -- index nested loop",
+			o.Kind, x(o.LKey.Expr), o.Table, o.Attr, scalarNote("if", o.Residual, args), scalarNote("⇒", o.Sel, args)), []exec.Operator{o.L}
 	case *exec.ColumnScan:
 		cols := "∅"
 		if len(o.Attrs) > 0 {
@@ -742,7 +781,7 @@ func describe(op exec.Operator, args []value.Value) (string, []exec.Operator) {
 		if o.In == "" {
 			on = fmt.Sprintf("%s = %s", x(o.LKey.Expr), x(o.RKey.Expr))
 		}
-		if on = fmt.Sprintf("%v on %s%s", o.Kind, on, residualNote(o.Residual, args)); o.Unnest != "" {
+		if on = fmt.Sprintf("%v on %s%s%s", o.Kind, on, scalarNote("if", o.Residual, args), scalarNote("⇒", o.Sel, args)); o.Unnest != "" {
 			on += " | μ " + o.Unnest
 		}
 		if o.Workers > 1 {
@@ -750,17 +789,18 @@ func describe(op exec.Operator, args []value.Value) (string, []exec.Operator) {
 		}
 		return fmt.Sprintf("HashJoin[%s]", on), []exec.Operator{o.L, o.R}
 	case *exec.NLJoin:
-		return fmt.Sprintf("NLJoin[%v on %s]", o.Kind, x(o.Pred.Expr)), []exec.Operator{o.L, o.R}
+		return fmt.Sprintf("NLJoin[%v on %s%s]", o.Kind, x(o.Pred.Expr), scalarNote("⇒", o.Sel, args)), []exec.Operator{o.L, o.R}
 	case *exec.PNHL:
 		return fmt.Sprintf("PNHL[.%s with budget %d rows]", o.Attr, o.BudgetRows), []exec.Operator{o.L, o.R}
 	}
 	return fmt.Sprintf("%T", op), nil
 }
 
-// residualNote renders an optional residual predicate for a join line.
-func residualNote(res *exec.Scalar, args []value.Value) string {
-	if res == nil {
+// scalarNote renders an optional scalar of a join line after its sign: a
+// residual predicate ("if") or a nestjoin's fused select row ("⇒").
+func scalarNote(sign string, s *exec.Scalar, args []value.Value) string {
+	if s == nil {
 		return ""
 	}
-	return fmt.Sprintf(" if %s", adl.Bind(res.Expr, args))
+	return fmt.Sprintf(" %s %s", sign, adl.Bind(s.Expr, args))
 }

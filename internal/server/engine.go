@@ -18,11 +18,11 @@
 // as the key; the paper's rewrite — most of the cost of a prepare — runs once
 // per such template. Literals a rewrite rule reads (booleans, sets, 1 = 1,
 // the 0 of count(…) = 0) stay in the template and its key. The text's token
-// fingerprint (oosql.LexText: the tokens, each literal as its kind and the
-// class of literals equal to it) is a second key to the same template, with
-// the recipe that makes the classes of a text the template's arguments: a
-// later text of the fingerprint is lexed and its literals made the
-// arguments. A text whose recipe does not take its literals, or whose
+// fingerprint (oosql.Fingerprint: the tokens, each literal as its kind and
+// the class of literals equal to it) is a second key to the same template,
+// with the recipe that makes the classes of a text the template's arguments:
+// a later text of the fingerprint is lexed, without building its tokens, and
+// its literals made the arguments. A text whose recipe does not take its literals, or whose
 // fingerprint is unseen, parses, translates and lifts to find the template.
 // The rewritten template is planned with the arguments, which the estimates
 // read as the literals they are, so the planner prices the query as written;

@@ -88,18 +88,6 @@ func NewSetFromSlice(elems []Value) *Set {
 	return s
 }
 
-// NewSetFromSliceHashed is NewSetFromSlice for callers that already hold
-// each element's Hash — the parallel batch operators compute hashes inside
-// their workers so the serial set build no longer pays the deep-hash pass.
-// hashes[i] must equal Hash(elems[i]); neither slice is retained.
-func NewSetFromSliceHashed(elems []Value, hashes []uint64) *Set {
-	s := NewSetCap(len(elems))
-	for i, e := range elems {
-		s.add(e, hashes[i])
-	}
-	return s
-}
-
 // Add inserts v unless an equal element is already present. It reports
 // whether the set grew. Add must only be called while the set is being
 // built, before it is shared.

@@ -131,6 +131,39 @@ func (s *Shape) Alloc() (*Tuple, []Value) {
 	return t, t.vals
 }
 
+// Block is room for a number of tuples of one shape, allocated at once: an
+// operator that knows how many rows it will build (a nestjoin builds one per
+// left row) makes two allocations for all of them instead of one per row. Its
+// tuples are handed out by Alloc. They share the block's two arrays, so one
+// live tuple keeps all of them alive.
+type Block struct {
+	shape  *Shape
+	tuples []Tuple
+	vals   []Value
+}
+
+// Block returns room for n tuples of this shape.
+func (s *Shape) Block(n int) Block {
+	return Block{shape: s, tuples: make([]Tuple, n), vals: make([]Value, n*len(s.names))}
+}
+
+// Shape returns the shape of the block's tuples; nil for the zero Block.
+func (b *Block) Shape() *Shape { return b.shape }
+
+// Alloc is Shape.Alloc from the block: its next tuple, or a tuple of its own
+// once the block is used up. The caller fills every slot before the tuple is
+// shared.
+func (b *Block) Alloc() (*Tuple, []Value) {
+	if len(b.tuples) == 0 {
+		return b.shape.Alloc()
+	}
+	n := len(b.shape.names)
+	t := &b.tuples[0]
+	t.Shape, t.vals = b.shape, b.vals[:n:n]
+	b.tuples, b.vals = b.tuples[1:], b.vals[n:]
+	return t, t.vals
+}
+
 // Concat returns the shape of s's attributes followed by u's, or an error if
 // the two share a name. An operator whose operands keep their layouts derives
 // its output shape with it once instead of once per row.

@@ -332,3 +332,54 @@ func TestDerivedTuplesShareNoSlots(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockAlloc: a Block of n tuples hands out n tuples of its shape in two
+// allocations for all of them, each with slots of its own that a write to its
+// neighbour never reaches (capacity capped at the shape's width), and a
+// tuple of its own once it is used up. Its tuples hash and compare like
+// tuples built one at a time.
+func TestBlockAlloc(t *testing.T) {
+	for _, width := range []int{0, 1, 3, 9} {
+		names := make([]string, width)
+		for i := range names {
+			names[i] = fmt.Sprintf("a%d", i)
+		}
+		shape, err := ShapeOf(names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 5
+		var got []*Tuple
+		if allocs := testing.AllocsPerRun(10, func() {
+			b := shape.Block(n)
+			got = got[:0]
+			for range n {
+				tu, _ := b.Alloc()
+				got = append(got, tu)
+			}
+		}); width > 0 && allocs > 2 {
+			t.Errorf("a block of %d tuples of width %d: %.0f allocations, want 2", n, width, allocs)
+		}
+		b := shape.Block(n)
+		var rows []*Tuple
+		for i := range n + 2 {
+			tu, slots := b.Alloc()
+			if tu.Shape != shape || len(slots) != width || cap(slots) != width {
+				t.Fatalf("width %d, tuple %d: shape %v, %d slots of capacity %d", width, i, tu.Shape.Names(), len(slots), cap(slots))
+			}
+			for j := range slots {
+				slots[j] = Int(int64(100*i + j))
+			}
+			rows = append(rows, tu)
+		}
+		for i, tu := range rows {
+			one, slots := shape.Alloc()
+			for j := range slots {
+				slots[j] = Int(int64(100*i + j))
+			}
+			if !Equal(tu, one) || Hash(tu) != Hash(one) {
+				t.Fatalf("width %d, tuple %d: %v from the block, %v built alone", width, i, tu, one)
+			}
+		}
+	}
+}
