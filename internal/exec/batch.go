@@ -68,11 +68,11 @@ func (s ColumnScan) Open(ctx *Ctx) (Rows, error) {
 	n := proj.Len()
 	batches := (n + DefaultBatchSize - 1) / DefaultBatchSize
 	shares, err := inShares(batches, s.Workers, func(lo, hi int) (out *rowBuf, err error) {
-		sel := make([]int32, min(n, DefaultBatchSize))
+		var sel [DefaultBatchSize]int32 // on the stack: batch keeps none of it
 		out = new(rowBuf)
 		for b := lo; b < hi; b++ {
 			first := b * DefaultBatchSize
-			if out.out, err = s.batch(ctx, proj, first, min(n, first+DefaultBatchSize), sel, out.out); err != nil {
+			if out.out, err = s.batch(ctx, proj, first, min(n, first+DefaultBatchSize), sel[:], out.out); err != nil {
 				return nil, err
 			}
 		}
