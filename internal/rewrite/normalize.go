@@ -201,8 +201,6 @@ func boolSimplify(e adl.Expr, _ *Context) (adl.Expr, bool) {
 // turns into an antijoin (Rewriting Example 2 uses exactly this chain).
 func NegationRules() []Rule {
 	return []Rule{
-		{Name: "not-not", Apply: notNot},
-		{Name: "bool-simplify", Apply: boolSimplify},
 		{Name: "demorgan-or", Apply: deMorganOr},
 		{Name: "demorgan-and", Apply: deMorganAnd},
 		{Name: "forall-to-notexists", Apply: forallToNotExists},

@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/adl"
 	"repro/internal/schema"
@@ -15,7 +16,7 @@ type Result struct {
 	// Trace lists every rule firing in order.
 	Trace []Step
 	// OptionsUsed names the §4 options that fired, in priority order, among
-	// "relational-join", "attribute-unnest", "nestjoin".
+	// "relational-join", "attribute-unnest", "nestjoin" and "constant-hoist".
 	OptionsUsed []string
 	// NestedBefore/NestedAfter are the optimization objective (base tables
 	// nested in iterator parameters) before and after.
@@ -35,103 +36,96 @@ func relationalRules() []Rule {
 	return rules
 }
 
-// Optimize applies the paper's §4 rewrite strategy:
-//
-//  1. try to rewrite to the relational join operators (join, semijoin,
-//     antijoin);
-//  2. if nesting over base tables remains, try to flatten set-valued
-//     attributes (when the nesting phase can be skipped);
-//  3. if nesting still remains, rewrite to the nestjoin operator, which was
-//     introduced to beat nested-loop processing;
-//  4. whatever remains is left as is — executed by nested loops.
-//
-// The options are tried as alternatives starting from the normalized input,
-// in priority order (relational transformations can dissolve the query-block
-// structure the nestjoin needs, so the nestjoin option is attempted both on
-// the relational residue and on the normalized original). The first
-// candidate that removes all nested base tables wins; otherwise the
-// candidate with the fewest remaining nested tables, earliest option first.
-func Optimize(e adl.Expr, ctx *Context) *Result {
-	res := &Result{NestedBefore: NestedTableCount(e)}
+// candidate is what one option produced: its expression, the steps of its
+// engine runs, and the options it reports (none when no rule fired).
+type candidate struct {
+	expr    adl.Expr
+	trace   []Step
+	options []string
+}
 
+func newCandidate(expr adl.Expr, trace []Step, options ...string) candidate {
+	if len(trace) == 0 {
+		options = nil
+	}
+	return candidate{expr, trace, options}
+}
+
+// Optimize applies the paper's §4 rewrite strategy to the normalized input,
+// as one ordered list of options:
+//
+//  1. rewrite to the relational join operators (join, semijoin, antijoin);
+//  2. flatten set-valued attributes (when the nesting phase can be
+//     skipped), then the relational rules again, from the normalized input;
+//  3. rewrite to the nestjoin operator, which was introduced to beat
+//     nested-loop processing, then the relational rules, on option 1's
+//     result (subquery shapes that survived expansion, e.g. aggregates
+//     between blocks);
+//  4. the same from the normalized input, for queries whose block structure
+//     the expansion rules would dissolve (set comparisons between blocks,
+//     §5.2.2);
+//  5. hoist uncorrelated subqueries, which are constants, into with-bindings
+//     evaluated once (§3), on the best result so far.
+//
+// An option runs only while the best result still nests a base table, so
+// the list stops at the first option that removes them all, and it replaces
+// the best only when it leaves strictly fewer. Whatever remains is executed
+// by nested loops.
+func Optimize(e adl.Expr, ctx *Context) *Result {
 	norm := NewEngine(NormalizeRules())
 	base := norm.Run(e, ctx)
-	normTrace := norm.Trace
-
-	type candidate struct {
-		expr    adl.Expr
-		trace   []Step
-		options []string
+	var relational candidate
+	options := []func(best candidate) (candidate, bool){
+		func(candidate) (candidate, bool) {
+			en := NewEngine(relationalRules())
+			relational = newCandidate(en.Run(base, ctx), en.Trace, "relational-join")
+			return relational, true
+		},
+		func(candidate) (candidate, bool) {
+			en := NewEngine(append(AttrUnnestRules(), relationalRules()...))
+			return newCandidate(en.Run(base, ctx), en.Trace, "attribute-unnest", "relational-join"), true
+		},
+		func(candidate) (candidate, bool) {
+			x, trace, ok := nestjoin(relational.expr, ctx)
+			trace = append(append([]Step{}, relational.trace...), trace...)
+			return newCandidate(x, trace, "relational-join", "nestjoin"), ok
+		},
+		func(candidate) (candidate, bool) {
+			x, trace, ok := nestjoin(base, ctx)
+			return newCandidate(x, trace, "nestjoin", "relational-join"), ok
+		},
+		func(best candidate) (candidate, bool) {
+			en := NewEngine([]Rule{{Name: "hoist-constant", Apply: hoistConstant}})
+			x := en.Run(best.expr, ctx)
+			trace := append(append([]Step{}, best.trace...), en.Trace...)
+			return candidate{x, trace, append(append([]string{}, best.options...), "constant-hoist")}, true
+		},
 	}
-	var cands []candidate
+	best, bestCount := candidate{}, math.MaxInt
+	for _, option := range options {
+		if bestCount == 0 {
+			break
+		}
+		if c, ok := option(best); ok {
+			if n := NestedTableCount(c.expr); n < bestCount {
+				best, bestCount = c, n
+			}
+		}
+	}
+	return &Result{Expr: best.expr, Trace: append(norm.Trace, best.trace...),
+		OptionsUsed: best.options, NestedBefore: NestedTableCount(e), NestedAfter: bestCount}
+}
 
-	// Option 1: relational join rewriting.
+// nestjoin runs the nestjoin rules on e and then the relational rules on
+// their result, or reports false when no nestjoin rule fires.
+func nestjoin(e adl.Expr, ctx *Context) (adl.Expr, []Step, bool) {
+	nj := NewEngine(NestjoinRules())
+	x := nj.Run(e, ctx)
+	if adl.Equal(x, e) {
+		return nil, nil, false
+	}
 	rel := NewEngine(relationalRules())
-	c1 := rel.Run(base, ctx)
-	cands = append(cands, candidate{c1, rel.Trace, []string{"relational-join"}})
-
-	if NestedTableCount(c1) > 0 {
-		// Option 2: attribute unnesting (then relational rules again to
-		// consume the exposed quantifiers).
-		au := NewEngine(append(AttrUnnestRules(), relationalRules()...))
-		c2 := au.Run(base, ctx)
-		if NestedTableCount(c2) < NestedTableCount(c1) {
-			cands = append(cands, candidate{c2, au.Trace, []string{"attribute-unnest", "relational-join"}})
-		}
-
-		// Option 3a: nestjoin on the relational residue (subquery shapes
-		// that survived expansion, e.g. aggregates between blocks).
-		nj1 := NewEngine(NestjoinRules())
-		c3 := nj1.Run(c1, ctx)
-		if !adl.Equal(c3, c1) {
-			rel3 := NewEngine(relationalRules())
-			c3 = rel3.Run(c3, ctx)
-			tr := append(append([]Step{}, rel.Trace...), nj1.Trace...)
-			tr = append(tr, rel3.Trace...)
-			cands = append(cands, candidate{c3, tr, []string{"relational-join", "nestjoin"}})
-		}
-
-		// Option 3b: nestjoin first, on the normalized original — for
-		// queries whose block structure the expansion rules would dissolve
-		// (set comparisons between blocks, §5.2.2).
-		nj2 := NewEngine(NestjoinRules())
-		c4 := nj2.Run(base, ctx)
-		if !adl.Equal(c4, base) {
-			rel4 := NewEngine(relationalRules())
-			c4 = rel4.Run(c4, ctx)
-			tr := append(append([]Step{}, nj2.Trace...), rel4.Trace...)
-			cands = append(cands, candidate{c4, tr, []string{"nestjoin", "relational-join"}})
-		}
-	}
-
-	best := cands[0]
-	bestCount := NestedTableCount(best.expr)
-	for _, c := range cands[1:] {
-		if n := NestedTableCount(c.expr); n < bestCount {
-			best, bestCount = c, n
-		}
-	}
-
-	res.Expr = best.expr
-	res.Trace = append(normTrace, best.trace...)
-	if len(best.trace) > 0 {
-		res.OptionsUsed = best.options
-	}
-
-	// Last resort before nested loops: uncorrelated subqueries are
-	// constants — hoist them into with-bindings evaluated once (§3).
-	if bestCount > 0 {
-		hoist := NewEngine([]Rule{{Name: "hoist-constant", Apply: hoistConstant}})
-		hoisted := hoist.Run(res.Expr, ctx)
-		if NestedTableCount(hoisted) < bestCount {
-			res.Expr = hoisted
-			res.Trace = append(res.Trace, hoist.Trace...)
-			res.OptionsUsed = append(res.OptionsUsed, "constant-hoist")
-		}
-	}
-
-	res.NestedAfter = NestedTableCount(res.Expr)
-	return res
+	return rel.Run(x, ctx), append(nj.Trace, rel.Trace...), true
 }
 
 // CatalogResolver adapts a schema catalog to the adl.TypeResolver interface
