@@ -237,84 +237,3 @@ func ComposeConjunct(c Expr, lvars []string, lv string, rvars []string, rv strin
 	}
 	return c
 }
-
-// ComposeJoin builds the inner join of two recomposed operands over the given
-// conjuncts (leaf-variable form): the conjuncts are re-bound via
-// ComposeConjunct and folded with AndE.
-func ComposeJoin(l Expr, lvars []string, lv string, r Expr, rvars []string, rv string, conjs []Expr) *Join {
-	on := make([]Expr, len(conjs))
-	for i, c := range conjs {
-		on[i] = ComposeConjunct(c, lvars, lv, rvars, rv)
-	}
-	return &Join{Kind: Inner, LVar: lv, RVar: rv, On: AndE(on...), L: l, R: r}
-}
-
-// RecomposeJoinTree rebuilds a left-deep inner-join chain from a JoinTree in
-// leaf order — the identity recomposition used to round-trip decomposition in
-// tests and as the rewriter-order reference. Conjuncts are attached to the
-// first join at which every leaf they reference is available; conjuncts
-// referencing a single leaf are attached at that leaf's join (or wrapped as a
-// selection when they touch only the first leaf).
-func RecomposeJoinTree(t *JoinTree) (Expr, bool) {
-	if len(t.Leaves) == 0 {
-		return nil, false
-	}
-	all := map[string]bool{}
-	for _, lf := range t.Leaves {
-		all[lf.Var] = true
-	}
-	used := make([]bool, len(t.Conjs))
-	cur := t.Leaves[0].Expr
-	curVars := []string{t.Leaves[0].Var}
-	// Single-leaf conjuncts on the first leaf become a selection.
-	var first []Expr
-	for i, c := range t.Conjs {
-		if coveredBy(c, curVars, all) {
-			first = append(first, c)
-			used[i] = true
-		}
-	}
-	if len(first) > 0 {
-		cur = &Select{Var: t.Leaves[0].Var, Pred: AndE(first...), Src: cur}
-	}
-	avoid := make([]Expr, 0, len(t.Leaves)+len(t.Conjs))
-	for _, lf := range t.Leaves {
-		avoid = append(avoid, lf.Expr)
-	}
-	avoid = append(avoid, t.Conjs...)
-	lv := Fresh("jl", avoid...)
-	for _, lf := range t.Leaves[1:] {
-		nextVars := append(append([]string{}, curVars...), lf.Var)
-		var here []Expr
-		for i, c := range t.Conjs {
-			if !used[i] && coveredBy(c, nextVars, all) {
-				here = append(here, c)
-				used[i] = true
-			}
-		}
-		cur = ComposeJoin(cur, curVars, lv, lf.Expr, []string{lf.Var}, lf.Var, here)
-		curVars = nextVars
-	}
-	for _, u := range used {
-		if !u {
-			return nil, false
-		}
-	}
-	return cur, true
-}
-
-// coveredBy reports whether every leaf variable free in c is in vars. Free
-// variables that are not leaf variables at all (correlated outer variables)
-// do not count against coverage.
-func coveredBy(c Expr, vars []string, leafVars map[string]bool) bool {
-	have := map[string]bool{}
-	for _, v := range vars {
-		have[v] = true
-	}
-	for v := range FreeVars(c) {
-		if leafVars[v] && !have[v] {
-			return false
-		}
-	}
-	return true
-}

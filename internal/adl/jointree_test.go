@@ -157,27 +157,6 @@ func TestDecomposeJoinTreeOpaqueKinds(t *testing.T) {
 	}
 }
 
-func TestRecomposeJoinTreeRoundTrip(t *testing.T) {
-	tree, ok := DecomposeJoinTree(chain3(), chainAttrs)
-	if !ok {
-		t.Fatal("chain should decompose")
-	}
-	e, ok := RecomposeJoinTree(tree)
-	if !ok {
-		t.Fatal("recompose failed")
-	}
-	// The recomposition must be a two-join chain over the same three tables
-	// with both conjuncts placed.
-	joins := CountNodes(e, func(x Expr) bool { _, isJ := x.(*Join); return isJ })
-	if joins != 2 {
-		t.Fatalf("recomposed tree has %d joins, want 2:\n%s", joins, e)
-	}
-	tables := CountNodes(e, func(x Expr) bool { _, isT := x.(*Table); return isT })
-	if tables != 3 {
-		t.Fatalf("recomposed tree has %d tables, want 3:\n%s", tables, e)
-	}
-}
-
 func TestComposeConjunctRebinds(t *testing.T) {
 	c := EqE(Dot(V("r0"), "b_c"), Dot(V("r1"), "c_id"))
 	got := ComposeConjunct(c, []string{"r0", "rX"}, "L", []string{"r1"}, "r1")

@@ -277,13 +277,6 @@ func TestDecomposeMultiLeafOperand(t *testing.T) {
 			t.Errorf("conjunct still references the operand tuple: %s", c)
 		}
 	}
-	re, ok := RecomposeJoinTree(tree)
-	if !ok {
-		t.Fatalf("recomposition failed")
-	}
-	if CountNodes(re, func(e Expr) bool { j, isJ := e.(*Join); return isJ && j.Kind == Inner }) != 2 {
-		t.Fatalf("recomposition is not a two-join chain: %s", re)
-	}
 }
 
 func TestDecomposeFailureModes(t *testing.T) {
@@ -339,24 +332,5 @@ func TestDecomposeHelpers(t *testing.T) {
 	}
 	if BindsVar(Dot(V("v"), "a"), "v") {
 		t.Errorf("a reference is not a binding")
-	}
-}
-
-func TestRecomposeDegenerate(t *testing.T) {
-	if _, ok := RecomposeJoinTree(&JoinTree{}); ok {
-		t.Errorf("empty tree must not recompose")
-	}
-	// Single leaf with a local conjunct becomes a selection over the leaf.
-	tree := &JoinTree{
-		Leaves: []JoinLeaf{{Var: "r0", Expr: T("A")}},
-		Conjs:  []Expr{EqE(Dot(V("r0"), "x"), CInt(1))},
-	}
-	re, ok := RecomposeJoinTree(tree)
-	if !ok {
-		t.Fatalf("single-leaf recomposition failed")
-	}
-	sel, isSel := re.(*Select)
-	if !isSel || sel.Var != "r0" {
-		t.Fatalf("want a selection over the leaf, got %s", re)
 	}
 }

@@ -109,7 +109,7 @@ func (p *planner) indexSelect(n *adl.Select, extent string, rows float64) (selec
 	if p.cfg.NoIndexes {
 		return selectCand{}, false
 	}
-	cs := conjuncts(n.Pred)
+	cs := adl.Conjuncts(n.Pred)
 	best, bestIdx := indexAccess{}, -1
 	for i, c := range cs {
 		a, ok := p.indexableConjunct(c, n.Var, extent, rows)

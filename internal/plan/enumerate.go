@@ -275,7 +275,7 @@ func (p *planner) buildDPNode(g *joinGraph, e *dpEntry) (exec.Operator, nodeEst,
 	j := &adl.Join{Kind: adl.Inner, LVar: lv, RVar: rv, On: adl.AndE(on...)}
 	allVars := append(append([]string{}, lvars...), rvars...)
 
-	cs := conjuncts(j.On)
+	cs := adl.Conjuncts(j.On)
 	lkeys, rkeys, residual := splitEquiKeys(cs, j)
 	if len(lkeys) > 0 {
 		var res *exec.Scalar

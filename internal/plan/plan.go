@@ -437,7 +437,7 @@ func (p *planner) compileJoin(j *adl.Join) (exec.Operator, nodeEst) {
 	r, re := p.compile(j.R)
 	rfun := rfunScalar(j)
 
-	cs := conjuncts(j.On)
+	cs := adl.Conjuncts(j.On)
 	nl := func() exec.Operator {
 		return &exec.NLJoin{Kind: j.Kind, L: l, R: r, LVar: j.LVar, RVar: j.RVar,
 			Pred: exec.NewScalar(j.On, j.LVar, j.RVar), As: j.As, RFun: rfun}
@@ -669,8 +669,6 @@ func keyScalar(keys []adl.Expr, v string) exec.Scalar {
 	}
 	return exec.NewScalar(t, v)
 }
-
-func conjuncts(e adl.Expr) []adl.Expr { return adl.Conjuncts(e) }
 
 // Explain renders a physical plan tree without annotations, each parameter
 // (adl.Param) as its argument in args.

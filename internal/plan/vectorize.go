@@ -19,7 +19,7 @@ import (
 // a typed kernel costs cVecRow per input row; one without runs the
 // interpreter row by row at cEval, as a Filter's predicate does.
 func (p *planner) batchSelects(n *adl.Select, extent string, rows, out float64) []selectCand {
-	cs := conjuncts(n.Pred)
+	cs := adl.Conjuncts(n.Pred)
 	perRow := 0.0
 	for _, c := range cs {
 		if kernel(c, n.Var).Attr != "" {

@@ -76,16 +76,6 @@ func UnnestByGrouping(e adl.Expr, ctx *Context, force bool) (adl.Expr, bool) {
 	return adl.Proj(adl.Sel(sel.Var, p, nest), schX...), true
 }
 
-// GroupingRule wraps UnnestByGrouping as an engine rule (guarded form).
-func GroupingRule() Rule {
-	return Rule{
-		Name: "gawo87-grouping",
-		Apply: func(e adl.Expr, ctx *Context) (adl.Expr, bool) {
-			return UnnestByGrouping(e, ctx, false)
-		},
-	}
-}
-
 // UnnestByGroupingOuter is the [GaWo87] outer-join repair of the bug,
 // adapted to complex objects as the paper sketches in §5.2.2 ("in using the
 // outerjoin, NULL values are used to represent the empty set"):

@@ -13,11 +13,6 @@ func conjuncts(e adl.Expr) []adl.Expr {
 	return []adl.Expr{e}
 }
 
-// andOf rebuilds a conjunction from a list; an empty list is true.
-func andOf(cs []adl.Expr) adl.Expr {
-	return adl.AndE(cs...)
-}
-
 // isTrue reports whether e is the literal true.
 func isTrue(e adl.Expr) bool {
 	c, ok := e.(*adl.Const)

@@ -50,12 +50,12 @@ func joinPushdown(e adl.Expr, _ *Context) (adl.Expr, bool) {
 	// Keep at least the constant-true predicate on the join.
 	l, r := j.L, j.R
 	if len(toL) > 0 {
-		l = adl.Sel(j.LVar, andOf(toL), l)
+		l = adl.Sel(j.LVar, adl.AndE(toL...), l)
 	}
 	if len(toR) > 0 {
-		r = adl.Sel(j.RVar, andOf(toR), r)
+		r = adl.Sel(j.RVar, adl.AndE(toR...), r)
 	}
-	return &adl.Join{Kind: j.Kind, LVar: j.LVar, RVar: j.RVar, On: andOf(keep),
+	return &adl.Join{Kind: j.Kind, LVar: j.LVar, RVar: j.RVar, On: adl.AndE(keep...),
 		As: j.As, RFun: j.RFun, L: l, R: r}, true
 }
 
@@ -113,7 +113,7 @@ func rule1(e adl.Expr, negated bool) (adl.Expr, bool) {
 		if len(rest) == 0 {
 			return join, true
 		}
-		return adl.Sel(sel.Var, andOf(rest), join), true
+		return adl.Sel(sel.Var, adl.AndE(rest...), join), true
 	}
 	return e, false
 }
@@ -148,15 +148,9 @@ func rule2Join(e adl.Expr, _ *Context) (adl.Expr, bool) {
 	if !lok || !rok {
 		return e, false
 	}
-	swapped := false
-	switch {
-	case lv.Name == outer.Var && rv.Name == inner.Var:
-	case lv.Name == inner.Var && rv.Name == outer.Var:
-		swapped = true
-	default:
+	if (lv.Name != outer.Var || rv.Name != inner.Var) && (lv.Name != inner.Var || rv.Name != outer.Var) {
 		return e, false
 	}
-	_ = swapped
 	// Peel an optional selection off the inner source.
 	src := inner.Src
 	pred := adl.Expr(adl.CBool(true))

@@ -205,7 +205,6 @@ func NegationRules() []Rule {
 		{Name: "demorgan-and", Apply: deMorganAnd},
 		{Name: "forall-to-notexists", Apply: forallToNotExists},
 		{Name: "notforall-to-exists", Apply: notForallToExists},
-		{Name: "negate-comparison", Apply: negateComparison},
 	}
 }
 
@@ -261,17 +260,4 @@ func forallToNotExists(e adl.Expr, _ *Context) (adl.Expr, bool) {
 		return e, false
 	}
 	return adl.NotE(adl.Ex(n.Var, n.Src, adl.NotE(n.Pred))), true
-}
-
-// negateComparison folds negations of atomic comparisons: ¬(a = b) stays (no
-// ≠ gain), but ¬(a ≠ b) ⇒ a = b keeps predicates tidy after De Morgan.
-func negateComparison(e adl.Expr, _ *Context) (adl.Expr, bool) {
-	n, ok := e.(*adl.Not)
-	if !ok {
-		return e, false
-	}
-	if cmp, ok := n.X.(*adl.Cmp); ok && cmp.Op == adl.Ne {
-		return adl.EqE(cmp.L, cmp.R), true
-	}
-	return e, false
 }

@@ -107,7 +107,7 @@ func existsHoist(e adl.Expr, _ *Context) (adl.Expr, bool) {
 	if len(out) == 0 || len(in) == 0 {
 		return e, false
 	}
-	return adl.AndE(andOf(out), adl.Ex(n.Var, n.Src, andOf(in))), true
+	return adl.AndE(adl.AndE(out...), adl.Ex(n.Var, n.Src, adl.AndE(in...))), true
 }
 
 // contractIn is the inverse of the Table 1 membership expansion, applied to

@@ -91,51 +91,16 @@ func TestRangeIntersectForall(t *testing.T) {
 	mustEq(t, db, q, got)
 }
 
-// TestUnnestAttrProjectForm covers the π form of the attribute-unnest rule
-// (the paper's EQ4 written with π instead of α).
-func TestUnnestAttrProjectForm(t *testing.T) {
-	st := bench.Generate(bench.Config{Suppliers: 20, Parts: 15, DanglingFrac: 0.2, Seed: 3})
-	ctx := NewContext(st.Catalog())
-	q := adl.Proj(
-		adl.Sel("s",
-			adl.Ex("z", adl.Dot(adl.V("s"), "parts"),
-				adl.NotE(adl.Ex("p", adl.T("PART"),
-					adl.EqE(adl.V("z"), adl.SubT(adl.V("p"), "pid"))))),
-			adl.T("SUPPLIER")),
-		"eid", "sname")
-	en := NewEngine(append(AttrUnnestRules(), relationalRules()...))
-	got := en.Run(q, ctx)
-	if NestedTableCount(got) != 0 {
-		t.Fatalf("π-form EQ4 not unnested: %s", got)
-	}
-	mustEq(t, st, q, got)
-	// The projection keeping the unnested attribute must NOT fire.
-	q2 := adl.Proj(
-		adl.Sel("s",
-			adl.Ex("z", adl.Dot(adl.V("s"), "parts"),
-				adl.NotE(adl.Ex("p", adl.T("PART"),
-					adl.EqE(adl.V("z"), adl.SubT(adl.V("p"), "pid"))))),
-			adl.T("SUPPLIER")),
-		"eid", "parts")
-	en2 := NewEngine(AttrUnnestRules())
-	got2 := en2.Run(q2, ctx)
-	if !adl.Equal(got2, q2) {
-		t.Errorf("projection keeping the attribute must block the rule: %s", got2)
-	}
-}
-
-// TestGroupingRuleWrapper covers the engine-rule form of the guarded
-// grouping rewrite.
-func TestGroupingRuleWrapper(t *testing.T) {
+// TestUnnestByGroupingSubset: the guarded grouping rewrite fires on ⊂.
+func TestUnnestByGroupingSubset(t *testing.T) {
 	db := bench.Figure2DB()
 	ctx := figureCtx()
 	sub := adl.Sel("y", adl.EqE(adl.Dot(adl.V("x"), "a"), adl.Dot(adl.V("y"), "d")), adl.T("Y"))
 	// ⊂ has P(x,∅) ≡ false: the guarded rule fires.
 	q := adl.Sel("x", adl.CmpE(adl.Sub, adl.Dot(adl.V("x"), "c"), sub), adl.T("X"))
-	en := NewEngine([]Rule{GroupingRule()})
-	got := en.Run(q, ctx)
-	if adl.Equal(got, q) {
-		t.Fatalf("guarded grouping rule did not fire on ⊂")
+	got, ok := UnnestByGrouping(q, ctx, false)
+	if !ok {
+		t.Fatalf("guarded grouping rewrite did not fire on ⊂")
 	}
 	mustEq(t, db, q, got)
 }

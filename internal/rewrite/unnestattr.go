@@ -13,22 +13,21 @@ import (
 // matches
 //
 //	α[x : B](σ[x : ∃z ∈ x.c • p](X))        (B independent of c)
-//	π_A(σ[x : ∃z ∈ x.c • p](X))             (c ∉ A)
 //
 // and rewrites to
 //
-//	α[x : B](σ[x : p′](μ_c(X)))   /   π_A(σ[x : p′](μ_c(X)))
+//	α[x : B](σ[x : p′](μ_c(X)))
 //
 // with p′ = p[z := x[SCH(c)]]. Because the quantifier is existential,
 // tuples with empty c — dropped by μ — would fail the predicate anyway, and
 // because the result drops c (and set semantics collapse duplicate images),
 // no nest operation is needed afterwards. Example Query 4 is the paper's
 // use case: the inner ¬∃ over PART subsequently becomes an antijoin via
-// Rule 1.
+// Rule 1. (The translation emits no π, so the π_A form of the same match
+// never arises.)
 func AttrUnnestRules() []Rule {
 	return []Rule{
 		{Name: "unnest-attr-map", Apply: unnestAttrMap},
-		{Name: "unnest-attr-project", Apply: unnestAttrProject},
 	}
 }
 
@@ -49,92 +48,55 @@ func unnestAttrMap(e adl.Expr, ctx *Context) (adl.Expr, bool) {
 		}
 		body = adl.Subst(body, m.Var, adl.V(sel.Var))
 	}
-	out, _, ok := unnestAttrSelect(sel, ctx, body)
-	if !ok {
-		return e, false
-	}
-	return out, true
-}
-
-func unnestAttrProject(e adl.Expr, ctx *Context) (adl.Expr, bool) {
-	pr, ok := e.(*adl.Project)
-	if !ok {
-		return e, false
-	}
-	sel, ok := pr.X.(*adl.Select)
-	if !ok {
-		return e, false
-	}
-	out, attr, ok := unnestAttrSelect(sel, ctx, nil)
-	if !ok {
-		return e, false
-	}
-	// The projection must drop the unnested attribute.
-	for _, a := range pr.Attrs {
-		if a == attr {
-			return e, false
-		}
-	}
-	return adl.Proj(out, pr.Attrs...), true
-}
-
-// unnestAttrSelect does the common work: match σ[x : ∃z ∈ x.c • p](X),
-// validate the conditions, and build σ[x : p′](μ_c(X)). For the map form it
-// returns the rewritten α as well. It reports the unnested attribute name.
-func unnestAttrSelect(sel *adl.Select, ctx *Context, mapBody adl.Expr) (adl.Expr, string, bool) {
 	q, ok := sel.Pred.(*adl.Quant)
 	if !ok || q.Kind != adl.Exists {
-		return nil, "", false
+		return e, false
 	}
 	fa, ok := q.Src.(*adl.Field)
 	if !ok {
-		return nil, "", false
+		return e, false
 	}
 	v, ok := fa.X.(*adl.Var)
 	if !ok || v.Name != sel.Var {
-		return nil, "", false
+		return e, false
 	}
 	attr := fa.Name
 	// Only worthwhile when the predicate still nests a base table — the
 	// whole point is to expose it to Rule 1 afterwards.
 	if !ContainsTable(q.Pred) {
-		return nil, "", false
+		return e, false
 	}
 	// Static schema checks: c is a set of tuples on X, no field conflicts.
 	elemT, ok := ctx.elemOf(sel.Src)
 	if !ok {
-		return nil, "", false
+		return e, false
 	}
 	et, ok := types.Erase(elemT).(*types.Tuple)
 	if !ok {
-		return nil, "", false
+		return e, false
 	}
 	ct, ok := et.Field(attr)
 	if !ok {
-		return nil, "", false
+		return e, false
 	}
 	cset, ok := ct.(*types.Set)
 	if !ok {
-		return nil, "", false
+		return e, false
 	}
 	ctup, ok := cset.Elem.(*types.Tuple)
 	if !ok {
-		return nil, "", false
+		return e, false
 	}
 	for _, f := range ctup.Fields {
 		if _, clash := et.Field(f.Name); clash {
-			return nil, "", false
+			return e, false
 		}
 	}
 	// The inner predicate may use z and x's other attributes, but not x.c
-	// (gone after μ) and not x as a whole tuple.
-	if containsField(q.Pred, sel.Var, attr) || usesWholeVar(q.Pred, sel.Var) {
-		return nil, "", false
-	}
-	// The outer consumer must not need c either.
-	if mapBody != nil {
-		if containsField(mapBody, sel.Var, attr) || usesWholeVar(mapBody, sel.Var) {
-			return nil, "", false
+	// (gone after μ) and not x as a whole tuple; nor may the map body.
+	for _, x := range []adl.Expr{q.Pred, body} {
+		if containsField(x, sel.Var, attr) || usesWholeVar(x, sel.Var) {
+			return e, false
 		}
 	}
 
@@ -144,11 +106,6 @@ func unnestAttrSelect(sel *adl.Select, ctx *Context, mapBody adl.Expr) (adl.Expr
 	for i, f := range ctup.Fields {
 		elemAttrs[i] = f.Name
 	}
-	zRepl := adl.SubT(adl.V(sel.Var), elemAttrs...)
-	p := adl.Subst(q.Pred, q.Var, zRepl)
-	inner := adl.Sel(sel.Var, p, adl.Mu(attr, sel.Src))
-	if mapBody != nil {
-		return adl.MapE(sel.Var, mapBody, inner), attr, true
-	}
-	return inner, attr, true
+	p := adl.Subst(q.Pred, q.Var, adl.SubT(adl.V(sel.Var), elemAttrs...))
+	return adl.MapE(sel.Var, body, adl.Sel(sel.Var, p, adl.Mu(attr, sel.Src))), true
 }

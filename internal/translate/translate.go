@@ -57,15 +57,6 @@ func Translate(q oosql.Expr, cat *schema.Catalog) (adl.Expr, types.Type, error) 
 	return tr.expr(q, nil)
 }
 
-// MustTranslate is Translate for fixtures and examples with known-good input.
-func MustTranslate(q oosql.Expr, cat *schema.Catalog) adl.Expr {
-	e, _, err := Translate(q, cat)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // Parse translates OOSQL source text end to end.
 func Parse(src string, cat *schema.Catalog) (adl.Expr, types.Type, error) {
 	q, err := oosql.Parse(src)
