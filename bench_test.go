@@ -685,7 +685,7 @@ func tupleOps() (with, concat, subscript func() error) {
 	other := value.NewTuple("sname", value.String("s"), "city", value.String("c"))
 	attrs := []string{"pid", "price"}
 	set := value.EmptySet()
-	return func() error { row.With("ys", set); return nil },
+	return func() error { _, err := row.With("ys", set); return err },
 		func() error { _, err := row.Concat(other); return err },
 		func() error { _, err := row.Subscript(attrs); return err }
 }

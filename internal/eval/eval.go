@@ -338,11 +338,11 @@ func Eval(e adl.Expr, env *Env, db DB) (value.Value, error) {
 			if !ok {
 				return nil, fmt.Errorf("eval: ρ on missing attribute %q", n.From)
 			}
-			renamed := t.Drop([]string{n.From})
-			if renamed.Has(n.To) {
-				return nil, fmt.Errorf("eval: ρ target attribute %q already exists", n.To)
+			w, err := t.Drop([]string{n.From}).With(n.To, v)
+			if err != nil {
+				return nil, err
 			}
-			out.Add(renamed.With(n.To, v))
+			out.Add(w)
 		}
 		return out, nil
 
@@ -587,9 +587,6 @@ func evalNest(n *adl.Nest, env *Env, db DB) (value.Value, error) {
 			return nil, err
 		}
 		key := x.Drop(n.Attrs)
-		if key.Has(n.As) {
-			return nil, fmt.Errorf("eval: ν result attribute %q already exists", n.As)
-		}
 		h := value.Hash(key)
 		found := false
 		for _, gi := range index[h] {
@@ -606,7 +603,11 @@ func evalNest(n *adl.Nest, env *Env, db DB) (value.Value, error) {
 	}
 	out := value.NewSetCap(len(groups))
 	for _, g := range groups {
-		out.Add(g.key.With(n.As, g.members))
+		w, err := g.key.With(n.As, g.members)
+		if err != nil {
+			return nil, err
+		}
+		out.Add(w)
 	}
 	return out, nil
 }
@@ -718,7 +719,11 @@ func evalJoin(n *adl.Join, env *Env, db DB) (value.Value, error) {
 		case adl.NestJ:
 			// Dangling left tuples are preserved with an empty set — exactly
 			// what distinguishes the nestjoin from join-then-nest.
-			out.Add(lt.With(n.As, nestSet))
+			w, err := lt.With(n.As, nestSet)
+			if err != nil {
+				return nil, err
+			}
+			out.Add(w)
 		case adl.Outer:
 			if !matched {
 				cat, err := lt.Concat(nullPad)
@@ -873,7 +878,11 @@ func evalMaterialize(n *adl.Materialize, env *Env, db DB) (value.Value, error) {
 			if err != nil {
 				return nil, err
 			}
-			out.Add(x.With(n.As, obj))
+			w, err := x.With(n.As, obj)
+			if err != nil {
+				return nil, err
+			}
+			out.Add(w)
 		case *value.Set:
 			objs := value.NewSetCap(ref.Len())
 			for _, el := range ref.Elems() {
@@ -887,7 +896,11 @@ func evalMaterialize(n *adl.Materialize, env *Env, db DB) (value.Value, error) {
 				}
 				objs.Add(obj)
 			}
-			out.Add(x.With(n.As, objs))
+			w, err := x.With(n.As, objs)
+			if err != nil {
+				return nil, err
+			}
+			out.Add(w)
 		default:
 			return nil, fmt.Errorf("eval: materialize on non-reference attribute %q (%s)", n.Attr, av.Kind())
 		}

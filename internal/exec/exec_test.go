@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/adl"
@@ -238,6 +239,40 @@ func TestAssembly(t *testing.T) {
 	a3 := &Assembly{Child: &Scan{Table: "S"}, Attr: "ref", As: "obj"}
 	if _, err := Collect(a3, &Ctx{DB: d}); err == nil {
 		t.Errorf("Assembly must fail on dangling oid")
+	}
+}
+
+// TestDuplicateAttributeIsAnError: an operator that extends a row by an
+// attribute the row already holds — materialize, the nestjoin, ν and ρ —
+// fails with the interpreter's error, not a panic.
+func TestDuplicateAttributeIsAnError(t *testing.T) {
+	d := db(3, 6, 4)
+	d.Objs[10] = value.NewTuple("pid", value.OID(10), "v", value.Int(1))
+	d.Tables["S"] = value.NewSet(value.NewTuple("sid", value.OID(1), "ref", value.OID(10)))
+	for _, c := range []struct {
+		name string
+		op   Operator
+		expr adl.Expr
+	}{
+		{"materialize",
+			&Assembly{Child: &Assembly{Child: &Scan{Table: "S"}, Attr: "ref", As: "obj"}, Attr: "ref", As: "obj"},
+			adl.Mat(adl.Mat(adl.T("S"), "ref", "obj"), "ref", "obj")},
+		{"nestjoin",
+			&NLJoin{Kind: adl.NestJ, L: &Scan{Table: "L"}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
+				Pred: NewScalar(joinPred(), "x", "y"), As: "a"},
+			adl.NestJoin(adl.T("L"), "x", "y", joinPred(), "a", adl.T("R"))},
+		{"nest",
+			&NestOp{Child: &Scan{Table: "L"}, Attrs: []string{"b"}, As: "a"},
+			adl.Nu(adl.T("L"), "a", "b")},
+		{"rename",
+			&RenameOp{Child: &Scan{Table: "L"}, From: "a", To: "b"},
+			adl.Rho(adl.T("L"), "a", "b")},
+	} {
+		_, err := Collect(c.op, &Ctx{DB: d})
+		_, rerr := eval.EvalSet(c.expr, nil, d)
+		if err == nil || rerr == nil || err.Error() != rerr.Error() || !strings.Contains(err.Error(), "duplicate attribute") {
+			t.Errorf("%s: exec %v, the interpreter %v; want the same duplicate-attribute error", c.name, err, rerr)
+		}
 	}
 }
 

@@ -212,7 +212,9 @@ func (n NestOp) Open(ctx *Ctx) (Rows, error) {
 	}
 	out := make([]value.Value, len(groups))
 	for i, g := range groups {
-		out[i] = g.key.With(n.As, g.members)
+		if out[i], err = g.key.With(n.As, g.members); err != nil {
+			return nil, err
+		}
 	}
 	return buffered(out)
 }
@@ -329,11 +331,8 @@ func (r *RenameOp) row(_ *Ctx, row value.Value) (value.Value, bool, error) {
 	if !ok {
 		return nil, false, fmt.Errorf("exec: ρ on missing attribute %q", r.From)
 	}
-	renamed := t.Drop([]string{r.From})
-	if renamed.Has(r.To) {
-		return nil, false, fmt.Errorf("exec: ρ target attribute %q already exists", r.To)
-	}
-	return renamed.With(r.To, v), true, nil
+	w, err := t.Drop([]string{r.From}).With(r.To, v)
+	return w, err == nil, err
 }
 
 // Assembly is the physical counterpart of the materialize operator
@@ -365,7 +364,8 @@ func (a *Assembly) row(ctx *Ctx, row value.Value) (value.Value, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		return t.With(a.As, obj), true, nil
+		w, err := t.With(a.As, obj)
+		return w, err == nil, err
 	case *value.Set:
 		objs := value.NewSetCap(ref.Len())
 		for _, el := range ref.Elems() {
@@ -379,7 +379,8 @@ func (a *Assembly) row(ctx *Ctx, row value.Value) (value.Value, bool, error) {
 			}
 			objs.Add(obj)
 		}
-		return t.With(a.As, objs), true, nil
+		w, err := t.With(a.As, objs)
+		return w, err == nil, err
 	}
 	return nil, false, fmt.Errorf("exec: assembly on non-reference attribute %q", a.Attr)
 }

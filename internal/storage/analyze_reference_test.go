@@ -59,7 +59,11 @@ func edgeStore(t *testing.T) *storage.Store {
 			"t", value.NewTuple("p", value.Int(int64(i%2)), "q", value.String("x")),
 		)
 		if i%3 == 0 {
-			row = row.With("partial", value.NewSet(value.Int(int64(i))))
+			with, err := row.With("partial", value.NewSet(value.Int(int64(i))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			row = with
 		}
 		insert("E9", row)
 	}

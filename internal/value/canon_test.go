@@ -146,7 +146,7 @@ func genValue(r *rand.Rand, depth int) Value {
 		r.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
 		t := EmptyTuple()
 		for _, n := range names[:r.Intn(4)] {
-			t = t.With(n, genValue(r, depth-1))
+			t, _ = t.With(n, genValue(r, depth-1)) // the names are distinct
 		}
 		return t
 	case 1: // set of one atom kind: the typed sort

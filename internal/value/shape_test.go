@@ -169,18 +169,11 @@ func TestTupleModel(t *testing.T) {
 				}
 				got = want.build()
 			case 1:
+				var err error
 				n, v := names[r.Intn(len(names))], genValue(r, 2)
-				if want, ok = m.with(n, v); ok {
-					got = tu.With(n, v)
-				} else {
-					func() {
-						defer func() {
-							if recover() == nil {
-								t.Fatalf("%s: With(%q) on %v did not panic", label, n, tu)
-							}
-						}()
-						tu.With(n, v)
-					}()
+				want, ok = m.with(n, v)
+				if got, err = tu.With(n, v); (err == nil) != ok {
+					t.Fatalf("%s: With(%q) on %v: err %v, model ok %v", label, n, tu, err, ok)
 				}
 			case 2:
 				var err error
@@ -248,7 +241,11 @@ func TestShapeDerivationConcurrent(t *testing.T) {
 		base := NewTuple(prefix+"k", Int(1))
 		for i := 0; i < 20; i++ {
 			n := fmt.Sprintf("%s%d", prefix, i%5)
-			w := base.With(n, Int(2))
+			w, err := base.With(n, Int(2))
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
 			c, err := w.Concat(NewTuple(prefix+"x", Int(3), prefix+"y", Int(4)))
 			if err != nil {
 				t.Error(err)
@@ -308,8 +305,12 @@ func TestDerivedTuplesShareNoSlots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		with, err := src.With("z", Int(-1))
+		if err != nil {
+			t.Fatal(err)
+		}
 		for name, d := range map[string]*Tuple{
-			"With":      src.With("z", Int(-1)),
+			"With":      with,
 			"Except":    src.Except(NewTuple("a0", Int(-1))),
 			"Concat":    cat,
 			"Subscript": sub,

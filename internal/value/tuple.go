@@ -123,16 +123,16 @@ func NullTuple(s *Shape) *Tuple {
 	return t
 }
 
-// With returns a copy of t extended with the field name=v. It panics if the
-// name is already present; use Except for updates.
-func (t *Tuple) With(name string, v Value) *Tuple {
-	to := t.Shape.with(name)
-	if to == nil {
-		panic(fmt.Sprintf("value: duplicate attribute %q in tuple", name))
+// With returns a copy of t extended with the field name=v, or an error if
+// the name is already present; use Except for updates.
+func (t *Tuple) With(name string, v Value) (*Tuple, error) {
+	to, err := t.Shape.With(name)
+	if err != nil {
+		return nil, err
 	}
 	w := newTuple(to)
 	w.vals[copy(w.vals, t.vals)] = v
-	return w
+	return w, nil
 }
 
 // Get returns the value of the named attribute.

@@ -230,9 +230,8 @@ func randomValue(r *rand.Rand, depth int) Value {
 		return s
 	case 1:
 		t := EmptyTuple()
-		for i, name := range []string{"a", "b", "c"}[:r.Intn(3)+1] {
-			_ = i
-			t = t.With(name, randomValue(r, depth-1))
+		for _, name := range []string{"a", "b", "c"}[:r.Intn(3)+1] {
+			t, _ = t.With(name, randomValue(r, depth-1)) // the names are distinct
 		}
 		return t
 	default:
