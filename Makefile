@@ -146,7 +146,7 @@ lint: fmt-check vet
 # an Open method), the total of the measurement harness
 # (cmd/bench* counts any command of that name, none today), and the option
 # count: the exported fields of plan.Config and server.Options, the knobs a
-# caller can turn.
+# caller can turn, and the number of distinct named rewrite rules.
 loc:
 	@nodes=$$(find internal/exec -name '*.go' ! -name '*_test.go' | xargs grep -hoE \
 			'^func \([a-z]+ \*?[A-Z][A-Za-z0-9]*\) Open\(' | \
@@ -165,6 +165,9 @@ loc:
 			s && /^\t[A-Z]/ { n++; for (i = 1; $$i ~ /,$$/; i++) n++ } END { print n + 0 }' $$1; }; \
 	cfg=$$(fields internal/plan/plan.go Config); opts=$$(fields internal/server/engine.go Options); \
 	printf "%6d options: plan.Config + server.Options exported fields (%d + %d)\n" $$((cfg + opts)) $$cfg $$opts
+	@rules=$$(find internal/rewrite -name '*.go' ! -name '*_test.go' | xargs grep -hoE 'Name: +"[^"]+"' | \
+		sort -u | wc -l); \
+	printf "%6d named rewrite rules (distinct Rule names in internal/rewrite)\n" $$rules
 
 # Compiles and smoke-runs the fixed ruler. benchmark/ is its own module,
 # outside ./..., so nothing else notices an engine API change that breaks it

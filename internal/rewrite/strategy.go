@@ -74,39 +74,39 @@ func newCandidate(expr adl.Expr, trace []Step, options ...string) candidate {
 func Optimize(e adl.Expr, ctx *Context) *Result {
 	norm := NewEngine(NormalizeRules())
 	base := norm.Run(e, ctx)
-	var relational candidate
-	options := []func(best candidate) (candidate, bool){
-		func(candidate) (candidate, bool) {
+	var relational candidate                    // option 1's result, which option 3 starts from
+	best, bestCount := candidate{}, math.MaxInt // option 1 is always the first best
+	options := []func() (candidate, bool){
+		func() (candidate, bool) {
 			en := NewEngine(relationalRules())
 			relational = newCandidate(en.Run(base, ctx), en.Trace, "relational-join")
 			return relational, true
 		},
-		func(candidate) (candidate, bool) {
+		func() (candidate, bool) {
 			en := NewEngine(append(AttrUnnestRules(), relationalRules()...))
 			return newCandidate(en.Run(base, ctx), en.Trace, "attribute-unnest", "relational-join"), true
 		},
-		func(candidate) (candidate, bool) {
+		func() (candidate, bool) {
 			x, trace, ok := nestjoin(relational.expr, ctx)
 			trace = append(append([]Step{}, relational.trace...), trace...)
 			return newCandidate(x, trace, "relational-join", "nestjoin"), ok
 		},
-		func(candidate) (candidate, bool) {
+		func() (candidate, bool) {
 			x, trace, ok := nestjoin(base, ctx)
 			return newCandidate(x, trace, "nestjoin", "relational-join"), ok
 		},
-		func(best candidate) (candidate, bool) {
+		func() (candidate, bool) {
 			en := NewEngine([]Rule{{Name: "hoist-constant", Apply: hoistConstant}})
 			x := en.Run(best.expr, ctx)
 			trace := append(append([]Step{}, best.trace...), en.Trace...)
 			return candidate{x, trace, append(append([]string{}, best.options...), "constant-hoist")}, true
 		},
 	}
-	best, bestCount := candidate{}, math.MaxInt
 	for _, option := range options {
 		if bestCount == 0 {
 			break
 		}
-		if c, ok := option(best); ok {
+		if c, ok := option(); ok {
 			if n := NestedTableCount(c.expr); n < bestCount {
 				best, bestCount = c, n
 			}
