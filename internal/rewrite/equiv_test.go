@@ -71,6 +71,12 @@ func queryTemplates() map[string]adl.Expr {
 			adl.MapE("p", adl.Cat(adl.SubT(s, "eid", "sname"), adl.V("p")),
 				adl.Sel("p", inParts, adl.T("PART"))),
 			adl.T("SUPPLIER"))),
+		// Rule 2 itself: its head concatenates the two bare variables (the
+		// projected form above is taken by the nestjoin instead).
+		"rule2bare": adl.Flat(adl.MapE("s",
+			adl.MapE("p", adl.Cat(s, adl.V("p")),
+				adl.Sel("p", inParts, adl.T("PART"))),
+			adl.T("SUPPLIER"))),
 		// Uncorrelated subquery: treated as a constant, left alone but must
 		// stay correct.
 		"uncorrelated": adl.Sel("s",
@@ -129,7 +135,7 @@ func TestOptimizePreservesSemantics(t *testing.T) {
 // template that can be unnested: no base table remains inside an iterator
 // parameter. The uncorrelated template unnests by constant hoisting.
 func TestOptimizeUnnestsAllTemplates(t *testing.T) {
-	unnestable := []string{"eq5", "eq4", "eq6", "supeq", "count2", "count0", "isect", "rule2", "uncorrelated", "threeblock"}
+	unnestable := []string{"eq5", "eq4", "eq6", "supeq", "count2", "count0", "isect", "rule2", "rule2bare", "uncorrelated", "threeblock"}
 	st := bench.Generate(bench.Config{Suppliers: 5, Parts: 5, Seed: 9})
 	ctx := NewContext(st.Catalog())
 	qs := queryTemplates()
