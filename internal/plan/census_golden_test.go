@@ -7,10 +7,13 @@ import (
 	"testing"
 
 	"repro/internal/adl"
+	"repro/internal/bench"
+	"repro/internal/eval"
 	"repro/internal/rewrite"
 	"repro/internal/schema"
 	"repro/internal/translate"
 	"repro/internal/types"
+	"repro/internal/value"
 )
 
 // paperTexts are the paper's Example Queries 1–6 as experiments.ExampleQueries
@@ -118,10 +121,13 @@ func censusRule2() adl.Expr {
 // each rule of every rule list contributes over the corpus, 0 included. A
 // rule that starts or stops firing, or a strategy change that moves one
 // result, shows in the diff of testdata/census_rules.golden. Each rewritten
-// expression must also type as its translation does.
+// expression must also type as its translation does and, on a store with
+// empty part sets, evaluate to its result.
 func TestRewriteCensusGolden(t *testing.T) {
 	cat := schema.SupplierPart()
 	resolver := rewrite.CatalogResolver{Cat: cat}
+	st := bench.Generate(bench.Config{Suppliers: 30, Parts: 40, Fanout: 4, EmptyFrac: 0.2,
+		Deliveries: 20, Seed: 7})
 	var b strings.Builder
 	steps := map[string]int{}
 	census := func(name string, e adl.Expr) {
@@ -142,6 +148,11 @@ func TestRewriteCensusGolden(t *testing.T) {
 		got, err := adl.Infer(res.Expr, adl.TypeEnv{}, resolver)
 		if err != nil || !types.Equal(got, want) {
 			t.Errorf("%s: rewritten to %s, typed %v (%v), want %s", name, res.Expr, got, err, want)
+		}
+		wantSet, werr := eval.Eval(e, nil, st)
+		gotSet, gerr := eval.Eval(res.Expr, nil, st)
+		if werr != nil || gerr != nil || !value.Equal(gotSet, wantSet) {
+			t.Errorf("%s: the interpreter reads %v (%v) before the rewrite, %v (%v) after", name, wantSet, werr, gotSet, gerr)
 		}
 	}
 	for _, list := range []struct {
