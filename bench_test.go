@@ -2,7 +2,7 @@
 //
 //	go test -bench=. -benchmem
 //
-// BenchmarkB1–B14 time the arms of the experiment suite
+// BenchmarkB1–B9, B11, B13 and B14 time the arms of the experiment suite
 // (internal/experiments) on its case constructors; cmd/adlbench runs the
 // same arms as paper-style tables with their result and claim checks. The
 // remaining benchmarks and the allocation tests cover the serving path and
@@ -118,22 +118,10 @@ func BenchmarkB9(b *testing.B) {
 	}
 }
 
-// BenchmarkB10 — join-order enumeration: the four-extent star join written
-// worst-first, in the written order and in the order the DP enumerator picks.
-func BenchmarkB10(b *testing.B) {
-	benchArms(b, experiments.StarJoin(20000, 2000, 400, 8), "")
-}
-
 // BenchmarkB11 — index-aware planning: the selective lookup join by forced
 // hash joins and by the optimizer's index-nested-loop plan.
 func BenchmarkB11(b *testing.B) {
 	benchArms(b, experiments.LookupJoin(2000, 50000), "")
-}
-
-// BenchmarkB12 — histogram-based cardinality estimation: the Zipf-skewed
-// star join planned with and without histograms.
-func BenchmarkB12(b *testing.B) {
-	benchArms(b, experiments.SkewJoin(20000, 400), "")
 }
 
 // BenchmarkB13 — vectorized batch execution against the scalar operators on

@@ -1,5 +1,6 @@
-// Command adlbench runs the experiment suite B1–B14 — the paper's claims as
-// checked demonstrations — and prints one paper-style table per experiment.
+// Command adlbench runs the experiment suite — B1–B9, B11, B13 and B14, the
+// paper's claims as checked demonstrations — and prints one paper-style
+// table per experiment.
 // Every arm's result is verified against its case's reference arm, and every
 // experiment checks its claim (plan choice, page reads, lost tuples, the
 // orderings it names), so a table that prints at all has passed.
@@ -24,7 +25,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "", "experiment to run (B1..B14); empty = all")
+	exp := flag.String("exp", "", "experiment to run (B1..B9, B11, B13, B14); empty = all")
 	quick := flag.Bool("quick", false, "smoke scales")
 	explain := flag.Bool("explain", false, "print every planned arm's Plan.Explain() before it runs")
 	flag.Parse()

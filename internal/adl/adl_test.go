@@ -279,3 +279,11 @@ func TestStringsAreStable(t *testing.T) {
 		t.Fatal("sanity")
 	}
 }
+
+func TestConjunctsDropsTrue(t *testing.T) {
+	e := AndE(CBool(true), EqE(V("a"), V("b")), CBool(true))
+	cs := Conjuncts(e)
+	if len(cs) != 1 {
+		t.Fatalf("got %d conjuncts, want 1", len(cs))
+	}
+}

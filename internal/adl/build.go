@@ -83,6 +83,20 @@ func AndE(xs ...Expr) Expr {
 	return out
 }
 
+// Conjuncts splits a predicate into its conjunct list, dropping literal
+// trues. It is the predicate-level inverse of AndE.
+func Conjuncts(e Expr) []Expr {
+	if a, ok := e.(*And); ok {
+		return append(Conjuncts(a.L), Conjuncts(a.R)...)
+	}
+	if c, ok := e.(*Const); ok {
+		if b, isB := c.Val.(value.Bool); isB && bool(b) {
+			return nil
+		}
+	}
+	return []Expr{e}
+}
+
 // OrE folds expressions with disjunction; OrE() is false.
 func OrE(xs ...Expr) Expr {
 	if len(xs) == 0 {

@@ -243,87 +243,8 @@ func TestSubstJoinCaptureBothSides(t *testing.T) {
 	}
 }
 
-// supplierAttrs is a leaf-attribute oracle for the decomposition tests.
-func attrsOracle(m map[string][]string) func(Expr) []string {
-	return func(e Expr) []string {
-		if tb, ok := e.(*Table); ok {
-			return m[tb.Name]
-		}
-		return nil
-	}
-}
-
-func TestDecomposeMultiLeafOperand(t *testing.T) {
-	attrs := attrsOracle(map[string][]string{
-		"A": {"x"}, "B": {"y"}, "C": {"z"},
-	})
-	// ((A ⋈ B) ⋈[ab,c : ab.x = c.z ∧ ab[y] = c.z] C): both the field and the
-	// subscript through the two-leaf operand variable must re-point at the
-	// owning leaf.
-	inner := JoinE(T("A"), "a", "b", EqE(Dot(V("a"), "x"), Dot(V("b"), "y")), T("B"))
-	outer := JoinE(inner, "ab", "c",
-		AndE(EqE(Dot(V("ab"), "x"), Dot(V("c"), "z")),
-			EqE(SubT(V("ab"), "y"), Dot(V("c"), "z"))),
-		T("C"))
-	tree, ok := DecomposeJoinTree(outer, attrs)
-	if !ok {
-		t.Fatalf("decomposition failed")
-	}
-	if len(tree.Leaves) != 3 || len(tree.Conjs) != 3 {
-		t.Fatalf("got %d leaves, %d conjuncts; want 3, 3", len(tree.Leaves), len(tree.Conjs))
-	}
-	for _, c := range tree.Conjs {
-		if HasFree(c, "ab") {
-			t.Errorf("conjunct still references the operand tuple: %s", c)
-		}
-	}
-}
-
-func TestDecomposeFailureModes(t *testing.T) {
-	ab := func(on Expr) *Join {
-		inner := JoinE(T("A"), "a", "b", CBool(true), T("B"))
-		return JoinE(inner, "ab", "c", on, T("C"))
-	}
-	cases := []struct {
-		name  string
-		j     *Join
-		attrs func(Expr) []string
-	}{
-		{"ambiguous attribute", ab(EqE(Dot(V("ab"), "x"), Dot(V("c"), "z"))),
-			attrsOracle(map[string][]string{"A": {"x"}, "B": {"x"}, "C": {"z"}})},
-		{"unresolvable attribute", ab(EqE(Dot(V("ab"), "w"), Dot(V("c"), "z"))),
-			attrsOracle(map[string][]string{"A": {"x"}, "B": {"y"}, "C": {"z"}})},
-		{"bare operand tuple", ab(CmpE(In, V("ab"), Dot(V("c"), "z"))),
-			attrsOracle(map[string][]string{"A": {"x"}, "B": {"y"}, "C": {"z"}})},
-		{"subscript spans leaves", ab(EqE(SubT(V("ab"), "x", "y"), Dot(V("c"), "z"))),
-			attrsOracle(map[string][]string{"A": {"x"}, "B": {"y"}, "C": {"z"}})},
-		{"no attribute oracle", ab(EqE(Dot(V("ab"), "x"), Dot(V("c"), "z"))), nil},
-		{"conjunct rebinds operand var",
-			JoinE(T("A"), "a", "b",
-				EqE(AggE(Count, MapE("a", V("a"), T("Z"))), Dot(V("a"), "x")), T("B")),
-			attrsOracle(map[string][]string{"A": {"x"}, "B": {"y"}})},
-	}
-	for _, c := range cases {
-		if _, ok := DecomposeJoinTree(c.j, c.attrs); ok {
-			t.Errorf("%s: decomposition must fail", c.name)
-		}
-	}
-}
-
-func TestDecomposeHelpers(t *testing.T) {
-	owner := map[string]string{"x": "a", "y": "a", "z": "b"}
-	if lf, ok := sameOwner(owner, []string{"x", "y"}); !ok || lf != "a" {
-		t.Errorf("sameOwner(x,y) = %q, %v", lf, ok)
-	}
-	if _, ok := sameOwner(owner, []string{"x", "z"}); ok {
-		t.Errorf("subscript across owners must fail")
-	}
-	if _, ok := sameOwner(owner, []string{"w"}); ok {
-		t.Errorf("unknown attribute must fail")
-	}
-	if _, ok := sameOwner(owner, nil); ok {
-		t.Errorf("empty subscript must fail")
-	}
+// TestBindsVar: every iterator's binder counts, a reference does not.
+func TestBindsVar(t *testing.T) {
 	if BindsVar(Sel("v", CBool(true), T("X")), "v") != true {
 		t.Errorf("BindsVar must see the select binder")
 	}

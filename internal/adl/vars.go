@@ -66,6 +66,27 @@ func withBound(bound map[string]bool, name string, f func()) {
 // HasFree reports whether name occurs free in e.
 func HasFree(e Expr, name string) bool { return FreeVars(e)[name] }
 
+// BindsVar reports whether any iterator inside e binds the variable name.
+func BindsVar(e Expr, name string) bool {
+	found := false
+	Walk(e, func(x Expr) bool {
+		switch n := x.(type) {
+		case *Map:
+			found = found || n.Var == name
+		case *Select:
+			found = found || n.Var == name
+		case *Quant:
+			found = found || n.Var == name
+		case *Let:
+			found = found || n.Var == name
+		case *Join:
+			found = found || n.LVar == name || n.RVar == name
+		}
+		return !found
+	})
+	return found
+}
+
 // Fresh returns a variable name based on base that is free in none of the
 // given expressions. It is deterministic.
 func Fresh(base string, avoid ...Expr) string {

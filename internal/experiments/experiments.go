@@ -1,8 +1,8 @@
 // Package experiments checks the paper's claims by running them. The suite
-// B1–B14 (Suite, behind cmd/adlbench) pits the naive nested-loop execution
-// against the set-oriented plans the rewriter enables and the physical
-// strategies the planner chooses between; artifacts.go regenerates the
-// paper's tables, figures and example queries.
+// B1–B9, B11, B13 and B14 (Suite, behind cmd/adlbench) pits the naive
+// nested-loop execution against the set-oriented plans the rewriter enables
+// and the physical strategies the planner chooses between; artifacts.go
+// regenerates the paper's tables, figures and example queries.
 //
 // An experiment is a list of cases. A case is one store, the arms that
 // compute one result on it, and a check of the claim they illustrate. One

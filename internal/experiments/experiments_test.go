@@ -25,9 +25,7 @@ func TestExperiments(t *testing.T) {
 		"B7":  {"relational-join", "attribute-unnest", "nestjoin"},
 		"B8":  {"HashJoin[", "workers]  -- parallel"},
 		"B9":  {"inner_asym", "group_small", "group_big", "hash-swap", "build side swapped"},
-		"B10": {"reference (no statistics)", "rewriter order", "enumerated order", "order: dp over 4 relations", "rows≈"},
 		"B11": {"IndexNLJoin", "index probes", "page reads", "optimizer, NoIndexes"},
-		"B12": {"reference (no statistics)", "ndv (NoHistograms)", "histograms", "DIMA.cat", "index probe into FACT.fb"},
 		"B13": {"ColumnScan(DELIVERY", "HashJoin[⋉", "typed kernels"},
 		// At smoke scale the ≥2x gate never runs, and the table says so.
 		"B14": {"scalar", "parallel", "vectorized", "parallel-vectorized", "no per-tuple sends",
@@ -50,7 +48,7 @@ func TestExperiments(t *testing.T) {
 			}
 		})
 	}
-	for _, id := range []string{"B1", "B2", "B3", "B4", "B5", "B6", "B7", "B8", "B9", "B10", "B11", "B12", "B13", "B14"} {
+	for _, id := range []string{"B1", "B2", "B3", "B4", "B5", "B6", "B7", "B8", "B9", "B11", "B13", "B14"} {
 		if !ids[id] {
 			t.Errorf("the suite has no %s", id)
 		}
@@ -255,27 +253,6 @@ func TestB4VectorizedPNHLAgrees(t *testing.T) {
 	}
 }
 
-func TestB10EnumeratedOrderWinsAndAgrees(t *testing.T) {
-	// The check fails the run when the enumerated order does not price below
-	// the rewriter order, and the runner when any arm diverges from the
-	// reference planned without statistics, so a clean run already is the
-	// claim.
-	rs, out := runOne(t, StarJoin(1200, 200, 60, 6))
-	contains(t, out, "rewriter order", "enumerated order", "order: dp over 4 relations")
-	written, _ := find(rs, "rewriter order").cost()
-	enumerated, _ := find(rs, "enumerated order").cost()
-	if enumerated >= written {
-		t.Errorf("enumerated order (%.0f) is not cheaper than rewriter order (%.0f)", enumerated, written)
-	}
-}
-
-func TestStarJoinArmsAgree(t *testing.T) {
-	c := StarJoin(300, 40, 20, 4)
-	c.Check = nil
-	rs, _ := runOne(t, c)
-	sameSize(t, rs)
-}
-
 func TestB11IndexPlanWinsAndAgrees(t *testing.T) {
 	// The check fails the run when the optimizer does not choose the
 	// index-nested-loop join, or when the index plan is not strictly cheaper
@@ -295,21 +272,6 @@ func TestB11WithoutIndexesIsInformational(t *testing.T) {
 	if x := find(rs, "optimizer, NoIndexes").Plan.Explain(); strings.Contains(x, "IndexNLJoin") {
 		t.Errorf("B11 without indexes must not plan index operators:\n%s", x)
 	}
-	sameSize(t, rs)
-}
-
-func TestB12HistogramPlanWinsAndAgrees(t *testing.T) {
-	// The check fails the run when the two arms agree on a join order, or
-	// when the histogram plan is not strictly cheaper in wall time and page
-	// reads, and the runner when either arm diverges from the reference.
-	_, out := runOne(t, SkewJoin(5000, 200))
-	contains(t, out, "ndv (NoHistograms)", "histograms", "index probe into FACT.fa", "index probe into FACT.fb", "page reads")
-}
-
-func TestSkewJoinArmsAgree(t *testing.T) {
-	c := SkewJoin(2000, 100)
-	c.Check = nil
-	rs, _ := runOne(t, c)
 	sameSize(t, rs)
 }
 
@@ -358,9 +320,9 @@ func TestExplainPlansCoversEveryExperiment(t *testing.T) {
 		if e.ID != "B6" && !strings.Contains(plans.String(), "Scan(") {
 			t.Errorf("%s explain shows no plan:\n%s", e.ID, plans.String())
 		}
-		// The annotated experiments carry estimates; B10 shows both orders.
-		if e.ID == "B10" {
-			contains(t, plans.String(), "rewriter order", "enumerated order", "rows≈", "order: dp over 4 relations")
+		// The annotated experiments carry estimates; B11 shows both arms.
+		if e.ID == "B11" {
+			contains(t, plans.String(), "optimizer", "optimizer, NoIndexes", "rows≈")
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/rewrite"
-	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/types"
 	"repro/internal/value"
@@ -52,7 +51,8 @@ func must(err error) {
 	}
 }
 
-// Suite is the experiment suite B1–B14 in presentation order.
+// Suite is the experiment suite in presentation order: B1–B9, B11, B13 and
+// B14.
 var Suite = []Experiment{
 	{ID: "B1", Title: "EQ5: suppliers supplying red parts (σ[∃∃] vs semijoin)",
 		Cases: func(q bool) []func() Case {
@@ -143,25 +143,12 @@ var Suite = []Experiment{
 		},
 		Notes: []string{"every forced arm and the optimizer's plan return the hash arm's result; the nested loop runs only up to a million pairs"}},
 
-	{ID: "B10", Title: "star join: enumerated join order vs rewriter order",
-		Cases: func(q bool) []func() Case {
-			return cases(func() Case { return StarJoin(pick(q, 20000, 2000), pick(q, 2000, 200), pick(q, 400, 80), 8) })
-		},
-		Notes: []string{"both orders plan from the same ANALYZE pass with the same physical operators; only Config.NoReorder differs"}},
-
 	{ID: "B11", Title: "selective lookup join: forced hash vs index-nested-loop",
 		Cases: func(q bool) []func() Case {
 			return cases(func() Case { return LookupJoin(pick(q, 2000, 200), pick(q, 50000, 5000)) })
 		},
 		Notes: []string{"the index plan never scans DELIVERY: per-probe index lookups replace the full hash build",
 			"Config.NoIndexes plans the same query from the same statistics as if the indexes did not exist"}},
-
-	{ID: "B12", Title: "skewed star join: histogram estimates vs the NDV-only model",
-		Cases: func(q bool) []func() Case {
-			return cases(func() Case { return SkewJoin(pick(q, 20000, 5000), pick(q, 400, 200)) })
-		},
-		Notes: []string{"both arms plan from the same ANALYZE pass; only Config.NoHistograms differs",
-			"the NDV arm under-estimates the hot-category filter and probes FACT with the wrong dimension first"}},
 
 	{ID: "B13", Title: "vectorized batch execution: scalar vs columnar kernels (semi-join pipeline)",
 		Cases: func(q bool) []func() Case {
@@ -453,73 +440,6 @@ func StrategyJoin(name string, kind adl.JoinKind, suppliers, deliveries int) Cas
 	return Case{Name: fmt.Sprintf("%s[%dx%d]", name, suppliers, deliveries), DB: st, Query: j, Arms: arms, Analyze: true}
 }
 
-// StarJoin is a four-extent star join — ORD(ordid, cust, item, qty) against
-// ITEM, CUST and a region-filtered REGION — written worst-first: the huge
-// ORD ⋈ ITEM innermost, the only selective predicate outermost. From the
-// same statistics the two-phase optimizer enumerates a cheaper order than
-// the written one (Config.NoReorder); the check is that the cost model
-// prices it cheaper.
-func StarJoin(orders, items, custs, regions int) Case {
-	c := schema.NewCatalog()
-	must(c.Define(&schema.Class{Name: "Region", Extent: "REGION", IDField: "rid",
-		Attrs: []schema.Attr{{Name: "rname", Kind: schema.Plain, Type: types.StringType}}}))
-	must(c.Define(&schema.Class{Name: "Cust", Extent: "CUST", IDField: "cid",
-		Attrs: []schema.Attr{{Name: "cname", Kind: schema.Plain, Type: types.StringType},
-			{Name: "region", Kind: schema.Ref, RefClass: "Region"}}}))
-	must(c.Define(&schema.Class{Name: "Item", Extent: "ITEM", IDField: "iid",
-		Attrs: []schema.Attr{{Name: "iname", Kind: schema.Plain, Type: types.StringType},
-			{Name: "weight", Kind: schema.Plain, Type: types.IntType}}}))
-	must(c.Define(&schema.Class{Name: "Ord", Extent: "ORD", IDField: "ordid",
-		Attrs: []schema.Attr{{Name: "cust", Kind: schema.Ref, RefClass: "Cust"},
-			{Name: "item", Kind: schema.Ref, RefClass: "Item"},
-			{Name: "qty", Kind: schema.Plain, Type: types.IntType}}}))
-	st := storage.New(c)
-	rng := rand.New(rand.NewSource(seed))
-	fill := func(extent string, n int, row func(i int) *value.Tuple) []value.OID {
-		oids := make([]value.OID, n)
-		for i := range oids {
-			oid, err := st.Insert(extent, row(i))
-			must(err)
-			oids[i] = oid
-		}
-		return oids
-	}
-	regionOIDs := fill("REGION", regions, func(i int) *value.Tuple {
-		return value.NewTuple("rname", value.String(fmt.Sprintf("region-%d", i)))
-	})
-	custOIDs := fill("CUST", custs, func(i int) *value.Tuple {
-		return value.NewTuple("cname", value.String(fmt.Sprintf("cust-%d", i)), "region", regionOIDs[rng.Intn(regions)])
-	})
-	itemOIDs := fill("ITEM", items, func(i int) *value.Tuple {
-		return value.NewTuple("iname", value.String(fmt.Sprintf("item-%d", i)), "weight", value.Int(int64(rng.Intn(50)+1)))
-	})
-	fill("ORD", orders, func(int) *value.Tuple {
-		return value.NewTuple("cust", custOIDs[rng.Intn(custs)], "item", itemOIDs[rng.Intn(items)],
-			"qty", value.Int(int64(rng.Intn(20)+1)))
-	})
-	j1 := adl.JoinE(adl.T("ORD"), "o", "i", adl.EqE(adl.Dot(adl.V("o"), "item"), adl.Dot(adl.V("i"), "iid")), adl.T("ITEM"))
-	j2 := adl.JoinE(j1, "oi", "c", adl.EqE(adl.Dot(adl.V("oi"), "cust"), adl.Dot(adl.V("c"), "cid")), adl.T("CUST"))
-	q := adl.JoinE(j2, "oic", "r", adl.AndE(
-		adl.EqE(adl.Dot(adl.V("oic"), "region"), adl.Dot(adl.V("r"), "rid")),
-		adl.EqE(adl.Dot(adl.V("r"), "rname"), adl.CStr("region-0"))), adl.T("REGION"))
-	return Case{Name: fmt.Sprintf("star[%dx%dx%dx%d]", orders, items, custs, regions), DB: st, Query: q, Analyze: true,
-		Arms: []Arm{
-			{Label: "reference (no statistics)", Op: plan.Compile(q)},
-			{Label: "rewriter order", Cfg: &plan.Config{NoReorder: true}},
-			{Label: "enumerated order", Cfg: &plan.Config{}},
-		}, Check: func(rs []Result) error {
-			written, wok := find(rs, "rewriter order").cost()
-			enumerated, eok := find(rs, "enumerated order").cost()
-			if !wok || !eok {
-				return fmt.Errorf("plans not annotated")
-			}
-			if enumerated >= written {
-				return fmt.Errorf("enumerated order (%.0f) is not cheaper than rewriter order (%.0f)", enumerated, written)
-			}
-			return nil
-		}}
-}
-
 // LookupJoin is a selective lookup join, σ(sname = "supplier-42")(SUPPLIER)
 // ⋈ DELIVERY on eid = supplier, over an ordered index on SUPPLIER.sname and
 // a hash index on DELIVERY.supplier. The filter keeps one supplier, so
@@ -558,45 +478,6 @@ func LookupJoin(suppliers, deliveries int) Case {
 					return fmt.Errorf("index plan (%v, %d page reads) not cheaper than %s (%v, %d)",
 						opt.Time, opt.IO.PageReads, label, h.Time, h.IO.PageReads)
 				}
-			}
-			return nil
-		}}
-}
-
-// SkewJoin is a three-relation star join over Zipf-skewed data: FACT ⋈ DIMA
-// filtered to its heavy-hitter category (which keeps most of the dimension,
-// while the uniform 1/NDV rule estimates a sliver) ⋈ DIMB filtered to one
-// uniform group, with hash indexes on FACT.fa and FACT.fb so either
-// dimension can probe FACT. With histograms the optimizer joins the
-// genuinely selective DIMB first; under Config.NoHistograms it is lured into
-// probing with σDIMA. The check: the plans differ that way, and the
-// histogram plan reads fewer pages and runs faster.
-func SkewJoin(facts, dims int) Case {
-	st := bench.GenerateSkew(bench.SkewConfig{Facts: facts, DimA: dims, DimB: dims})
-	must(st.EnsureIndexes("FACT", "fa", "fb"))
-	hot, _ := bench.HotCategory(st)
-	j1 := adl.JoinE(adl.T("FACT"), "f", "a", adl.AndE(
-		adl.EqE(adl.Dot(adl.V("f"), "fa"), adl.Dot(adl.V("a"), "aid")),
-		adl.EqE(adl.Dot(adl.V("a"), "cat"), adl.C(hot))), adl.T("DIMA"))
-	q := adl.JoinE(j1, "fa2", "b", adl.AndE(
-		adl.EqE(adl.Dot(adl.V("fa2"), "fb"), adl.Dot(adl.V("b"), "bid")),
-		adl.EqE(adl.Dot(adl.V("b"), "grp"), adl.CInt(3))), adl.T("DIMB"))
-	return Case{Name: fmt.Sprintf("skew[%dx%d] DIMA.cat=%v", facts, dims, hot), DB: st, Query: q, Analyze: true, Runs: 3,
-		Arms: []Arm{
-			{Label: "reference (no statistics)", Op: plan.Compile(q)},
-			{Label: "ndv (NoHistograms)", Cfg: &plan.Config{NoHistograms: true}},
-			{Label: "histograms", Cfg: &plan.Config{}},
-		}, Check: func(rs []Result) error {
-			ndv, hist := find(rs, "ndv (NoHistograms)"), find(rs, "histograms")
-			if !strings.Contains(ndv.Plan.Explain(), "index probe into FACT.fa") {
-				return fmt.Errorf("NDV arm did not probe with σDIMA first:\n%s", ndv.Plan.Explain())
-			}
-			if !strings.Contains(hist.Plan.Explain(), "index probe into FACT.fb") {
-				return fmt.Errorf("histogram arm did not probe with σDIMB first:\n%s", hist.Plan.Explain())
-			}
-			if hist.IO.PageReads >= ndv.IO.PageReads || hist.Time >= ndv.Time {
-				return fmt.Errorf("histogram plan (%v, %d page reads) not cheaper than the NDV plan (%v, %d)",
-					hist.Time, hist.IO.PageReads, ndv.Time, ndv.IO.PageReads)
 			}
 			return nil
 		}}

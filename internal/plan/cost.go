@@ -32,11 +32,6 @@ type Statistics interface {
 	// AvgSetSize reports the mean cardinality of a set-valued attribute,
 	// 0 if unknown or not set-valued.
 	AvgSetSize(extent, attr string) float64
-	// Attributes lists an extent's collected top-level attribute names
-	// (nil if the extent is unknown). The join-order enumerator uses it to
-	// attribute predicates over concatenated join tuples to the base
-	// relation owning the accessed attribute.
-	Attributes(extent string) []string
 	// IndexKind reports the secondary index on extent.attr: "hash"
 	// (equality probes), "ordered" (equality and range probes), or "" when
 	// the attribute is not indexed. It gates the index access paths —
@@ -58,14 +53,13 @@ const defaultRows = 1000
 
 // defaultStatistics stands in for a nil Config.Statistics: every extent is of
 // unknown size (so priced at defaultRows), with no distinct counts, set
-// sizes, attribute lists, indexes or histograms, so every estimate falls to
-// its default rule.
+// sizes, indexes or histograms, so every estimate falls to its default
+// rule.
 type defaultStatistics struct{}
 
 func (defaultStatistics) RowCount(string) int                       { return -1 }
 func (defaultStatistics) DistinctValues(string, string) int         { return 0 }
 func (defaultStatistics) AvgSetSize(string, string) float64         { return 0 }
-func (defaultStatistics) Attributes(string) []string                { return nil }
 func (defaultStatistics) IndexKind(string, string) string           { return "" }
 func (defaultStatistics) Histogram(string, string) *stats.Histogram { return nil }
 

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"sort"
 	"strings"
 	"testing"
 
@@ -21,27 +20,6 @@ type fakeStatistics struct {
 	avg  map[string]float64
 	idx  map[string]string           // keyed "EXTENT.attr" → "hash"/"ordered"
 	hist map[string]*stats.Histogram // keyed "EXTENT.attr"
-}
-
-// Attributes derives the attribute list from the ndv/avg keys, mirroring how
-// storage.DBStats reports collected attributes.
-func (f fakeStatistics) Attributes(extent string) []string {
-	var attrs []string
-	seen := map[string]bool{}
-	add := func(key string) {
-		if rest, ok := strings.CutPrefix(key, extent+"."); ok && !seen[rest] {
-			seen[rest] = true
-			attrs = append(attrs, rest)
-		}
-	}
-	for k := range f.ndv {
-		add(k)
-	}
-	for k := range f.avg {
-		add(k)
-	}
-	sort.Strings(attrs)
-	return attrs
 }
 
 func (f fakeStatistics) RowCount(extent string) int {

@@ -12,7 +12,7 @@ import (
 // Regression coverage for the zero-row guards: planning against an empty
 // store (or statistics reporting empty extents) must never produce NaN or
 // infinite cost estimates — a poisoned float comparison would silently
-// derail every strategy and join-order choice above it.
+// derail every strategy choice above it.
 
 // assertFiniteEstimates walks a plan's annotations.
 func assertFiniteEstimates(t *testing.T, pl *Plan) {
@@ -31,7 +31,7 @@ func assertFiniteEstimates(t *testing.T, pl *Plan) {
 }
 
 // zeroQueries is the plan-shape gauntlet: every join kind, the membership
-// shape, scalar operators over joins, and a reorderable chain.
+// shape, scalar operators over joins, and an inner-join chain.
 func zeroQueries() []adl.Expr {
 	equi := func(kind adl.JoinKind) adl.Expr {
 		j := adl.JoinE(adl.T("SUPPLIER"), "s", "d",
@@ -78,10 +78,9 @@ func TestZeroRowPlansStayFinite(t *testing.T) {
 	}
 }
 
-// TestZeroRowReorderStaysFinite drives the join-order enumerator itself with
-// zero-row relations: statistics that list attributes (so decomposition
-// succeeds) but report empty extents.
-func TestZeroRowReorderStaysFinite(t *testing.T) {
+// TestZeroRowChainStaysFinite plans an inner-join chain over zero-row
+// relations: statistics that know every attribute but report empty extents.
+func TestZeroRowChainStaysFinite(t *testing.T) {
 	stats := fakeStatistics{
 		rows: map[string]int{"A": 0, "B": 0, "C": 0},
 		ndv: map[string]int{
@@ -90,7 +89,7 @@ func TestZeroRowReorderStaysFinite(t *testing.T) {
 			"C.c_id": 0, "C.c_v": 0,
 		},
 	}
-	pl := Config{Statistics: stats, Parallelism: 4}.Plan(reorderChain())
+	pl := Config{Statistics: stats, Parallelism: 4}.Plan(chain3())
 	assertFiniteEstimates(t, pl)
 	e, ok := pl.Estimate(pl.Root)
 	if !ok {

@@ -1,18 +1,18 @@
 // The cardinality estimator: every selectivity, distinct-count and set-size
 // estimate the planner makes goes through the one estimator type in this
-// file, so the two-phase optimizer's order enumeration (joingraph.go), the
-// physical operator selection (plan.go, cost.go) and the index access-path
-// pricing (access.go) can never disagree about what a predicate keeps.
+// file, so the physical operator selection (plan.go, cost.go) and the index
+// access-path pricing (access.go) can never disagree about what a predicate
+// keeps.
 //
 // The estimator is histogram-first with graceful degradation: an equality
 // over a collected attribute prices by equi-depth bucket density (exact for
 // heavy hitters), one- and two-sided ranges by bucket interpolation, and
 // join-key overlap by histogram intersection. When no histogram exists —
-// the attribute was not collected, the extent is unknown, the plan has no
-// Config.Statistics, or Config.NoHistograms forces the A/B control arm —
-// each estimate falls back to the pre-histogram model: the 1/NDV equality
-// rule, defaultSelectivity for ranges, and the min-NDV containment rule for
-// join keys; without a distinct count, to the default guesses.
+// the attribute was not collected, the extent is unknown, or the plan has
+// no Config.Statistics — each estimate falls back to the pre-histogram
+// model: the 1/NDV equality rule, defaultSelectivity for ranges, and the
+// min-NDV containment rule for join keys; without a distinct count, to the
+// default guesses.
 package plan
 
 import (
@@ -30,14 +30,13 @@ import (
 // read as the literal args holds for it, and every histogram estimate that
 // read one is appended to reads: the plan's signature (Plan.Rebind).
 type estimator struct {
-	stats  Statistics
-	noHist bool
-	args   []value.Value
-	reads  *[]histRead
+	stats Statistics
+	args  []value.Value
+	reads *[]histRead
 }
 
 func newEstimator(cfg Config, args []value.Value, reads *[]histRead) estimator {
-	return estimator{stats: cfg.Statistics, noHist: cfg.NoHistograms, args: args, reads: reads}
+	return estimator{stats: cfg.Statistics, args: args, reads: reads}
 }
 
 // histRead is one histogram estimate over literal operands: the fraction of
@@ -94,10 +93,9 @@ func (e estimator) read(r histRead) (float64, bool) {
 	return f, ok
 }
 
-// hist resolves the histogram for extent.attr, nil when unavailable or when
-// histogram use is disabled for A/B comparison.
+// hist resolves the histogram for extent.attr, nil when unavailable.
 func (e estimator) hist(extent, attr string) *stats.Histogram {
-	if e.noHist || extent == "" || attr == "" {
+	if extent == "" || attr == "" {
 		return nil
 	}
 	return e.stats.Histogram(extent, attr)

@@ -55,23 +55,20 @@ func goldenCases() map[string]goldenCase {
 		adl.CmpE(adl.Lt, adl.Dot(adl.V("s"), "eid"), adl.Dot(adl.V("d"), "supplier")),
 		adl.T("DELIVERY"))
 
-	// reorderStats drive the two-phase optimizer cases: a 3-relation chain
-	// written huge-join-first (A ⋈ B explodes, C is selective), and a
-	// 4-relation chain whose cheapest shape is bushy — the A–B and C–D edges
-	// are selective, the B–C edge connecting the two pairs is weak, so
-	// (A ⋈ B) ⋈ (C ⋈ D) avoids every 100k-row left-deep intermediate.
-	reorderStats := fakeStatistics{
-		rows: map[string]int{"A": 2000, "B": 2000, "C": 20, "D": 1000},
+	// The chain cases plan inner-join chains in the order they are written:
+	// a 3-relation chain written huge-join-first (A ⋈ B explodes, C is
+	// selective), and a 4-relation chain whose A–B and C–D edges are
+	// selective and whose B–C edge is weak.
+	chain3Stats := fakeStatistics{
+		rows: map[string]int{"A": 2000, "B": 2000, "C": 20},
 		ndv: map[string]int{
 			"A.a_id": 10, "A.a_v": 20,
 			"B.b_a": 10, "B.b_c": 2000, "B.b_v": 20,
 			"C.c_id": 20, "C.c_v": 20,
-			"D.d_id": 1000,
 		},
 	}
-	chain3 := reorderChain()
 
-	bushyStats := fakeStatistics{
+	chain4Stats := fakeStatistics{
 		rows: map[string]int{"A": 1000, "B": 1000, "C": 1000, "D": 1000},
 		ndv: map[string]int{
 			"A.a_id": 1000,
@@ -80,11 +77,7 @@ func goldenCases() map[string]goldenCase {
 			"D.d_id": 1000,
 		},
 	}
-	b1 := adl.JoinE(adl.T("A"), "x", "y",
-		adl.EqE(adl.Dot(adl.V("x"), "a_id"), adl.Dot(adl.V("y"), "b_a")), adl.T("B"))
-	b2 := adl.JoinE(b1, "xy", "z",
-		adl.EqE(adl.Dot(adl.V("xy"), "b_c"), adl.Dot(adl.V("z"), "c_id")), adl.T("C"))
-	chain4 := adl.JoinE(b2, "xyz", "w",
+	chain4 := adl.JoinE(chain3(), "xyz", "w",
 		adl.EqE(adl.Dot(adl.V("xyz"), "c_d"), adl.Dot(adl.V("w"), "d_id")), adl.T("D"))
 
 	// indexStats mirror goldenStats plus secondary indexes, kept separate so
@@ -110,7 +103,7 @@ func goldenCases() map[string]goldenCase {
 	// holds 70% of the rows), EVT.qty uniform over [0,100). The histogram
 	// cases show estimates the NDV rules cannot produce — the exact heavy-
 	// hitter equality, the interpolated two-sided range — and the nohist
-	// control renders the same queries under Config.NoHistograms.
+	// control renders the same queries with the histograms hidden.
 	sevVals := make([]int64, 0, 2000)
 	for i := 0; i < 2000; i++ {
 		v := int64(1 + i%40)
@@ -145,17 +138,15 @@ func goldenCases() map[string]goldenCase {
 	costed := Config{Statistics: goldenStats, Parallelism: 4}
 	return map[string]goldenCase{
 		"stats_hist_hot_eq":        {Config{Statistics: histStats, Parallelism: 4}, hotEq},
-		"stats_nohist_hot_eq":      {Config{Statistics: histStats, Parallelism: 4, NoHistograms: true}, hotEq},
+		"stats_nohist_hot_eq":      {Config{Statistics: noHistograms{histStats}, Parallelism: 4}, hotEq},
 		"stats_hist_range_probe":   {Config{Statistics: histStats, Parallelism: 4}, qtyRange},
-		"stats_nohist_range_probe": {Config{Statistics: histStats, Parallelism: 4, NoHistograms: true}, qtyRange},
+		"stats_nohist_range_probe": {Config{Statistics: noHistograms{histStats}, Parallelism: 4}, qtyRange},
 		"stats_index_lookup":       {Config{Statistics: indexStats}, lookupJoin},
 		"stats_index_range":        {Config{Statistics: indexStats}, rangeSel},
 		"stats_residual_index":     {Config{Statistics: indexStats}, residualSemi(lookupJoin.L)},
 		"stats_residual_hash":      {Config{Statistics: goldenStats, Parallelism: 1}, residualSemi(adl.T("SUPPLIER"))},
-		"stats_reorder_chain3":     {Config{Statistics: reorderStats, Parallelism: 4}, chain3},
-		"stats_noreorder_chain3":   {Config{Statistics: reorderStats, Parallelism: 4, NoReorder: true}, chain3},
-		"stats_reorder_bushy4":     {Config{Statistics: bushyStats, Parallelism: 4}, chain4},
-		"stats_reorder_greedy4":    {Config{Statistics: bushyStats, Parallelism: 4, MaxDPRelations: 3}, chain4},
+		"stats_chain3":             {Config{Statistics: chain3Stats, Parallelism: 4}, chain3()},
+		"stats_chain4":             {Config{Statistics: chain4Stats, Parallelism: 4}, chain4},
 		"nostats_semijoin":         {Config{}, semiMembership},
 		"nostats_equijoin":         {Config{}, innerSwap},
 		"stats_semijoin":           {costed, semiMembership},
@@ -166,6 +157,15 @@ func goldenCases() map[string]goldenCase {
 		"stats_map_serial":         {costed, adl.MapE("d", adl.Dot(adl.V("d"), "date"), adl.T("DELIVERY"))},
 		"stats_project_unnest":     {costed, adl.Proj(adl.Mu("parts", adl.T("SUPPLIER")), "pid")},
 	}
+}
+
+// chain3 is ((A ⋈ B) ⋈ C), its outer predicate reading the concatenated left
+// tuple.
+func chain3() *adl.Join {
+	inner := adl.JoinE(adl.T("A"), "x", "y",
+		adl.EqE(adl.Dot(adl.V("x"), "a_id"), adl.Dot(adl.V("y"), "b_a")), adl.T("B"))
+	return adl.JoinE(inner, "xy", "z",
+		adl.EqE(adl.Dot(adl.V("xy"), "b_c"), adl.Dot(adl.V("z"), "c_id")), adl.T("C"))
 }
 
 func TestExplainGolden(t *testing.T) {

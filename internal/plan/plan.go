@@ -1,17 +1,16 @@
 // Package plan lowers logical ADL expressions to physical operator trees.
 // The planner realizes the paper's motivation: once the rewriter has
 // produced join operators, "the optimizer may choose from a number of
-// different join processing strategies" (§5.1). The planner is a two-phase
-// cost-based optimizer over collected statistics (storage.Analyze →
-// Config.Statistics), or over default statistics when none are given: phase
-// 1 decomposes chains of inner joins into a join-graph IR (joingraph.go) and
-// phase 2 enumerates join orders over it — DPsize over connected subgraphs,
-// bushy trees included, with a greedy left-deep fallback past
-// Config.MaxDPRelations (enumerate.go). Each chosen edge is handed to
-// cost-based physical selection: every applicable physical join operator is
-// priced by the model in cost.go — including build/probe side swapping for
-// inner equi-joins, and the parallel form against the serial one — and
-// the cheapest wins. The cost model is the only way the planner chooses an
+// different join processing strategies" (§5.1). It plans in one phase and
+// keeps the join order the rewriter emitted: OOSQL's select-from-where binds
+// one extent, so the §4 rules produce semi-, anti- and nestjoins (⋉, ▷, ⊣)
+// on one left operand, not chains of inner joins to reorder. Each join is
+// handed to cost-based physical selection over collected statistics
+// (storage.Analyze → Config.Statistics), or over default statistics when
+// none are given: every applicable physical join operator is priced by the
+// model in cost.go — including build/probe side swapping for inner
+// equi-joins, and the parallel form against the serial one — and the
+// cheapest wins. The cost model is the only way the planner chooses an
 // operator and the only way it chooses parallelism; without statistics it
 // plans on one worker.
 package plan
@@ -50,25 +49,11 @@ type Config struct {
 	// resolved once per plan and written into every node that has a count.
 	// Without Statistics it resolves to 1.
 	Parallelism int
-	// MaxDPRelations caps exhaustive DPsize join-order enumeration; graphs
-	// with more relations fall back to the greedy left-deep heuristic.
-	// 0 means DefaultMaxDPRelations.
-	MaxDPRelations int
-	// NoReorder disables phase-2 join-order enumeration: multi-join queries
-	// compile in the order the rewriter emitted them, with cost-based
-	// physical selection still applied per node. It exists for A/B
-	// comparisons (experiments.B10) and differential tests.
-	NoReorder bool
 	// NoIndexes disables index-aware planning — IndexScan leaves and the
 	// index-nested-loop join — even when the statistics report secondary
 	// indexes. It exists for A/B comparisons (experiments.B11) and
 	// differential tests.
 	NoIndexes bool
-	// NoHistograms makes the estimator ignore collected histograms and fall
-	// back to the pre-histogram model (1/NDV equality, defaultSelectivity
-	// ranges, min-NDV join keys). It exists for A/B comparisons
-	// (experiments.B12) and differential tests.
-	NoHistograms bool
 	// Vectorized is ignored.
 	//
 	// Deprecated: it switched σ over an extent onto the batch pipeline; the
@@ -188,15 +173,13 @@ func Run(e adl.Expr, db eval.DB) (*value.Set, error) {
 }
 
 // planner carries one compilation's state: the configuration and its
-// resolved worker count, the shared cardinality estimator (estimator.go), the
-// estimates accumulated for the annotated plan, and the sequence for
-// intermediate join variables minted during join-order recomposition.
+// resolved worker count, the shared cardinality estimator (estimator.go) and
+// the estimates accumulated for the annotated plan.
 type planner struct {
-	cfg        Config
-	workers    int
-	card       estimator
-	est        map[exec.Operator]Estimate
-	joinVarSeq int
+	cfg     Config
+	workers int
+	card    estimator
+	est     map[exec.Operator]Estimate
 }
 
 // record stores a node's annotation.
@@ -311,12 +294,6 @@ func (p *planner) compile(e adl.Expr) (exec.Operator, nodeEst) {
 		return op, ce
 
 	case *adl.Join:
-		// Multi-join chains go through the two-phase optimizer: decompose to
-		// a join graph, enumerate orders, rebuild the cheapest. Ineligible
-		// shapes keep the rewriter's order.
-		if op, est, ok := p.tryReorder(n); ok {
-			return op, est
-		}
 		return p.compileJoin(n)
 	}
 	// Fallback: evaluate the fragment with the reference interpreter, priced

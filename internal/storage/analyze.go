@@ -107,10 +107,8 @@ func (d *DBStats) AvgSetSize(extent, attr string) float64 {
 }
 
 // Attributes lists an extent's collected top-level attribute names (scalar,
-// set-valued, and mixed), sorted, or nil if the extent was not analyzed. The
-// planner's join-order enumerator uses it to resolve which base relation a
-// predicate over concatenated join tuples refers to, so mixed attributes are
-// listed even though their statistics are unknown.
+// set-valued, and mixed), sorted, or nil if the extent was not analyzed.
+// Mixed attributes are listed even though their statistics are unknown.
 func (d *DBStats) Attributes(extent string) []string {
 	t, ok := d.Tables[extent]
 	if !ok {

@@ -128,8 +128,7 @@ func TestAnalyzeMixedScalarSetAttribute(t *testing.T) {
 	if len(ts.Mixed) != 1 || ts.Mixed[0] != "parts" {
 		t.Errorf("Mixed = %v, want [parts]", ts.Mixed)
 	}
-	// Mixed attributes still appear in the attribute listing (the join-order
-	// enumerator resolves predicates through it).
+	// Mixed attributes still appear in the attribute listing.
 	found := false
 	for _, a := range stats.Attributes("SUPPLIER") {
 		if a == "parts" {
