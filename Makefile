@@ -143,7 +143,8 @@ lint: fmt-check vet
 # The sizes ROADMAP tracks: lines (wc -l) of the Go files of each package
 # directory under internal/ and cmd/ that are neither tests nor testdata, the
 # exec + plan total beside the number of exec node types (exported types with
-# an Open method), the total of the measurement harness
+# an Open method) and of ADL node kinds (types of internal/adl with an
+# exprNode method), the total of the measurement harness
 # (cmd/bench* counts any command of that name, none today), and the option
 # count: the exported fields of plan.Config and server.Options, the knobs a
 # caller can turn, and the number of distinct named rewrite rules.
@@ -151,13 +152,15 @@ loc:
 	@nodes=$$(find internal/exec -name '*.go' ! -name '*_test.go' | xargs grep -hoE \
 			'^func \([a-z]+ \*?[A-Z][A-Za-z0-9]*\) Open\(' | \
 			sed -E 's/^func \([a-z]+ \*?([A-Za-z0-9]+)\).*/\1/' | sort -u | wc -l); \
+	kinds=$$(find internal/adl -name '*.go' ! -name '*_test.go' | xargs grep -hoE \
+			'^func \(([a-z]+ )?\*?[A-Z][A-Za-z0-9]*\) exprNode\(' | sort -u | wc -l); \
 	find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | sort | \
-		xargs wc -l | awk -v nodes=$$nodes '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; \
+		xargs wc -l | awk -v nodes=$$nodes -v kinds=$$kinds '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; \
 			split(d, p, "/"); if (p[1] == "internal") t[p[2]] += $$1; \
 			if (d ~ /^(internal\/(experiments|bench)|cmd\/(adl)?bench[^\/]*)$$/) h += $$1 } \
 		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
-			printf "%6d internal/exec + internal/plan (%d + %d); %d exec node types\n", \
-				t["exec"] + t["plan"], t["exec"], t["plan"], nodes; \
+			printf "%6d internal/exec + internal/plan (%d + %d); %d exec node types, %d ADL node kinds\n", \
+				t["exec"] + t["plan"], t["exec"], t["plan"], nodes, kinds; \
 			printf "%6d internal/experiments + internal/bench + cmd/adlbench + cmd/bench* (%d + %d + %d + %d)\n", \
 				h, n["internal/experiments"], n["internal/bench"], n["cmd/adlbench"], \
 				h - n["internal/experiments"] - n["internal/bench"] - n["cmd/adlbench"] }'

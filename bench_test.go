@@ -785,7 +785,7 @@ func TestRowAllocations(t *testing.T) {
 // TestFilterMapAllocations pins what opening a row σ/α pipeline allocates
 // beyond opening its scan: σ's stream and α's stream, one allocation each.
 // The compiled scalar travels in the stream, not in a bound method value,
-// which was one more allocation per operator; π, ρ and Assembly carry their
+// which was one more allocation per operator; π and Assembly carry their
 // node in the stream the same way, one allocation each. The pipeline is built
 // by hand: for σ over an extent the planner prices a ColumnScan cheaper.
 func TestFilterMapAllocations(t *testing.T) {
@@ -814,7 +814,6 @@ func TestFilterMapAllocations(t *testing.T) {
 		scan float64
 	}{
 		{"π", &exec.ProjectOp{Child: &exec.Scan{Table: "PART"}, Attrs: []string{"pname"}}, parts},
-		{"ρ", &exec.RenameOp{Child: &exec.Scan{Table: "PART"}, From: "pname", To: "name"}, parts},
 		{"Assembly", &exec.Assembly{Child: &exec.Scan{Table: "DELIVERY"}, Attr: "supplier", As: "s"}, deliveries},
 	} {
 		if got := open(c.op) - c.scan; got != 1 {

@@ -2,13 +2,20 @@
 // (VLDB 1994, §3): a typed algebra in the style of the NF² algebra of
 // [ScSc86] with the tuple ⟨ ⟩ and set { } constructors and the basic type
 // oid. The operators are the standard set (comparison) operators, multiple
-// union (flatten), extended Cartesian product, division, the map operator α,
-// selection σ, projection π, restructuring operators nest ν and unnest μ,
-// the join family — regular join ⋈, semijoin ⋉, antijoin ▷, and the paper's
-// new nestjoin ⊣ — plus quantifiers and aggregate functions. Iterators (map,
-// select, joins, quantifiers) take lambda-style parameter expressions in
-// which arbitrary nesting may occur; that nesting is exactly what the
-// rewrite package removes.
+// union (flatten), the map operator α, selection σ, projection π,
+// restructuring operators nest ν and unnest μ, the join family — regular
+// join ⋈, semijoin ⋉, antijoin ▷, and the paper's new nestjoin ⊣ — plus
+// quantifiers and aggregate functions. Iterators (map, select, joins,
+// quantifiers) take lambda-style parameter expressions in which arbitrary
+// nesting may occur; that nesting is exactly what the rewrite package
+// removes.
+//
+// The paper's §3 also lists the extended Cartesian product ×, division ÷
+// and renaming ρ. They are absent here because neither the OOSQL translation
+// nor any rewrite rule builds them: a product is a join on true, universal
+// quantification stays a ∀ that the rules turn into an antijoin rather than
+// a division, and a rule that adds an attribute picks a fresh name for it,
+// so nothing needs renaming.
 package adl
 
 import "repro/internal/value"
@@ -199,10 +206,6 @@ type Nest struct {
 	X     Expr
 }
 
-// Product is the extended Cartesian product (semantics rule 9), in which
-// operand tuples are concatenated.
-type Product struct{ L, R Expr }
-
 // JoinKind enumerates the join family.
 type JoinKind uint8
 
@@ -230,12 +233,6 @@ type Join struct {
 	RFun       Expr   // NestJ only; function of LVar and RVar
 	L, R       Expr
 }
-
-// Divide is relational division e1 ÷ e2 [Codd72]: with SCH(e1) = A ∪ B and
-// SCH(e2) = B, it yields the A-subtuples of e1 paired with every e2 tuple.
-// The paper lists division among ADL's operators as the classical way to
-// handle universal quantification.
-type Divide struct{ L, R Expr }
 
 // QuantKind enumerates quantifiers.
 type QuantKind uint8
@@ -272,14 +269,6 @@ const (
 type Agg struct {
 	Op AggOp
 	X  Expr
-}
-
-// Rename is the renaming operator ρ_{from→to}(e) (§3 lists ρ among ADL's
-// operators): each tuple's attribute From is renamed To. It is used to
-// repair attribute naming conflicts before concatenating operators.
-type Rename struct {
-	From, To string
-	X        Expr
 }
 
 // Materialize is the logical materialize operator of [BlMG93]: it makes the
@@ -322,11 +311,8 @@ func (*Select) exprNode()      {}
 func (*Project) exprNode()     {}
 func (*Unnest) exprNode()      {}
 func (*Nest) exprNode()        {}
-func (*Product) exprNode()     {}
 func (*Join) exprNode()        {}
-func (*Divide) exprNode()      {}
 func (*Quant) exprNode()       {}
 func (*Agg) exprNode()         {}
-func (*Rename) exprNode()      {}
 func (*Materialize) exprNode() {}
 func (*Let) exprNode()         {}

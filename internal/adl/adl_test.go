@@ -208,13 +208,11 @@ func TestPrintNotation(t *testing.T) {
 		{Exc(V("z"), "parts", CInt(1)), "(z except (parts = 1))"},
 		{SubT(V("z"), "a", "b"), "z[a, b]"},
 		{Cat(V("x"), V("y")), "(x ∘ y)"},
-		{DivE(T("X"), T("Y")), "(X ÷ Y)"},
 		{Mat(T("D"), "supplier", "sup"), "mat[supplier→sup](D)"},
 		{LetE("Y1", T("Y"), V("Y1")), "(Y1 with Y1 = Y)"},
 		{Tup("sname", Dot(V("s"), "sname")), "(sname = s.sname)"},
 		{AndE(CBool(true), CBool(false)), "(true ∧ false)"},
 		{OrE(CBool(true), CBool(false)), "(true ∨ false)"},
-		{Prod(T("X"), T("Y")), "(X × Y)"},
 		{OuterJoin(T("X"), "x", "y", CBool(true), T("Y")), "(X ⟕[x,y : true] Y)"},
 		{&Arith{Op: Add, L: CInt(1), R: CInt(2)}, "(1 + 2)"},
 		{&SetOp{Op: Union, L: T("X"), R: T("Y")}, "(X ∪ Y)"},

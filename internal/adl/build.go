@@ -127,9 +127,6 @@ func Nu(x Expr, as string, attrs ...string) *Nest { return &Nest{Attrs: attrs, A
 // Flat is ∪(x), multiple union.
 func Flat(x Expr) *Flatten { return &Flatten{X: x} }
 
-// Prod is the extended Cartesian product.
-func Prod(l, r Expr) *Product { return &Product{L: l, R: r} }
-
 // JoinE is the regular join L ⋈(lv,rv : on) R.
 func JoinE(l Expr, lv, rv string, on, r Expr) *Join {
 	return &Join{Kind: Inner, LVar: lv, RVar: rv, On: on, L: l, R: r}
@@ -177,11 +174,5 @@ func AggE(op AggOp, x Expr) *Agg { return &Agg{Op: op, X: x} }
 // LetE binds v to val in body (the with-construct).
 func LetE(v string, val, body Expr) *Let { return &Let{Var: v, Val: val, Body: body} }
 
-// Rho is the renaming operator ρ[from→to](x).
-func Rho(x Expr, from, to string) *Rename { return &Rename{From: from, To: to, X: x} }
-
 // Mat is the materialize operator.
 func Mat(x Expr, attr, as string) *Materialize { return &Materialize{X: x, Attr: attr, As: as} }
-
-// DivE is relational division.
-func DivE(l, r Expr) *Divide { return &Divide{L: l, R: r} }

@@ -348,36 +348,8 @@ func Infer(e Expr, env TypeEnv, r TypeResolver) (types.Type, error) {
 		rest.Fields = append(rest.Fields, types.Field{Name: n.As, Type: types.NewSet(grouped)})
 		return types.NewSet(rest), nil
 
-	case *Product:
-		return inferJoinLike(&Join{Kind: Inner, LVar: "_l", RVar: "_r", On: CBool(true), L: n.L, R: n.R}, env, r)
-
 	case *Join:
 		return inferJoinLike(n, env, r)
-
-	case *Divide:
-		lt, err := Infer(n.L, env, r)
-		if err != nil {
-			return nil, err
-		}
-		rt, err := Infer(n.R, env, r)
-		if err != nil {
-			return nil, err
-		}
-		ltt, err := tableElem(lt)
-		if err != nil {
-			return nil, fmt.Errorf("adl: divide: %w", err)
-		}
-		rtt, err := tableElem(rt)
-		if err != nil {
-			return nil, fmt.Errorf("adl: divide: %w", err)
-		}
-		out := &types.Tuple{}
-		for _, f := range ltt.Fields {
-			if _, inR := rtt.Field(f.Name); !inR {
-				out.Fields = append(out.Fields, f)
-			}
-		}
-		return types.NewSet(out), nil
 
 	case *Agg:
 		xt, err := Infer(n.X, env, r)
@@ -396,33 +368,6 @@ func Infer(e Expr, env TypeEnv, r TypeResolver) (types.Type, error) {
 		default:
 			return st.Elem, nil
 		}
-
-	case *Rename:
-		xt, err := Infer(n.X, env, r)
-		if err != nil {
-			return nil, err
-		}
-		tt, err := tableElem(xt)
-		if err != nil {
-			return nil, fmt.Errorf("adl: rename: %w", err)
-		}
-		if _, dup := tt.Field(n.To); dup {
-			return nil, fmt.Errorf("adl: rename target %q already exists", n.To)
-		}
-		out := &types.Tuple{}
-		renamed := false
-		for _, f := range tt.Fields {
-			if f.Name == n.From {
-				out.Fields = append(out.Fields, types.Field{Name: n.To, Type: f.Type})
-				renamed = true
-			} else {
-				out.Fields = append(out.Fields, f)
-			}
-		}
-		if !renamed {
-			return nil, fmt.Errorf("adl: rename of missing attribute %q", n.From)
-		}
-		return types.NewSet(out), nil
 
 	case *Materialize:
 		xt, err := Infer(n.X, env, r)

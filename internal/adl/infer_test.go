@@ -149,13 +149,6 @@ func TestInferPointerNavigation(t *testing.T) {
 	inferErr(t, Mat(T("S"), "sid", "o")) // non-reference attribute
 }
 
-func TestInferDivide(t *testing.T) {
-	ty := infer(t, DivE(T("Y"), Proj(T("Y"), "e")))
-	if ty.String() != "{(d: int)}" {
-		t.Errorf("÷ type = %s", ty)
-	}
-}
-
 func TestInferLetAndFreeVars(t *testing.T) {
 	ty := infer(t, LetE("v", T("Y"), V("v")))
 	if ty.String() != "{(d: int, e: int)}" {

@@ -148,22 +148,16 @@ func (l *lifter) head(e Expr) {
 		l.node('U', 0, n.Attr)
 	case *Nest:
 		l.node('N', 0, append([]string{n.As}, n.Attrs...)...)
-	case *Product:
-		l.node('*', 0)
 	case *Join:
 		rfun := uint8(0)
 		if n.RFun != nil {
 			rfun = 1
 		}
 		l.node('j', uint8(n.Kind)<<1|rfun, n.LVar, n.RVar, n.As)
-	case *Divide:
-		l.node('/', 0)
 	case *Quant:
 		l.node('q', uint8(n.Kind), n.Var)
 	case *Agg:
 		l.node('a', uint8(n.Op))
-	case *Rename:
-		l.node('r', 0, n.From, n.To)
 	case *Materialize:
 		l.node('M', 0, n.Attr, n.As)
 	case *Let:

@@ -128,9 +128,8 @@ func TestLiftKeyCoversEveryNode(t *testing.T) {
 		NotE(x), &And{L: x, R: y}, &Or{L: x, R: y}, &SetOp{Op: Union, L: x, R: y}, &SetOp{Op: Diff, L: x, R: y},
 		&Flatten{X: x}, MapE("x", x, y), MapE("y", x, y), Sel("x", x, y), &Project{Attrs: []string{"a"}, X: x},
 		&Unnest{Attr: "a", X: x}, &Nest{Attrs: []string{"a"}, As: "g", X: x}, &Nest{Attrs: []string{"g"}, As: "a", X: x},
-		&Product{L: x, R: y}, JoinE(x, "x", "y", x, y), &Join{Kind: Semi, LVar: "x", RVar: "y", On: x, L: x, R: y},
-		&Divide{L: x, R: y}, Ex("x", x, y), All("x", x, y), &Agg{Op: Count, X: x}, &Agg{Op: Sum, X: x},
-		&Rename{From: "a", To: "b", X: x}, &Rename{From: "b", To: "a", X: x},
+		JoinE(x, "x", "y", x, y), &Join{Kind: Semi, LVar: "x", RVar: "y", On: x, L: x, R: y},
+		Ex("x", x, y), All("x", x, y), &Agg{Op: Count, X: x}, &Agg{Op: Sum, X: x},
 		&Materialize{X: x, Attr: "a", As: "b"}, &Materialize{X: x, Attr: "b", As: "a"}, LetE("x", x, y),
 	}
 	seen := map[string]Expr{}

@@ -129,8 +129,6 @@ func (e *Nest) String() string {
 	return fmt.Sprintf("ν[{%s}→%s](%s)", strings.Join(e.Attrs, ", "), e.As, e.X)
 }
 
-func (e *Product) String() string { return fmt.Sprintf("(%s × %s)", e.L, e.R) }
-
 func (k JoinKind) String() string {
 	switch k {
 	case Inner:
@@ -161,8 +159,6 @@ func (e *Join) String() string {
 	}
 }
 
-func (e *Divide) String() string { return fmt.Sprintf("(%s ÷ %s)", e.L, e.R) }
-
 func (k QuantKind) String() string {
 	if k == Exists {
 		return "∃"
@@ -191,10 +187,6 @@ func (op AggOp) String() string {
 }
 
 func (e *Agg) String() string { return fmt.Sprintf("%s(%s)", e.Op, e.X) }
-
-func (e *Rename) String() string {
-	return fmt.Sprintf("ρ[%s→%s](%s)", e.From, e.To, e.X)
-}
 
 func (e *Materialize) String() string {
 	return fmt.Sprintf("mat[%s→%s](%s)", e.Attr, e.As, e.X)

@@ -35,18 +35,15 @@ func everyNode() []Expr {
 		Proj(T("P"), "a", "b"),
 		Mu("kids", T("U")),
 		Nu(T("N"), "grp", "a"),
-		Prod(T("A"), T("C")),
 		JoinE(T("A"), "x", "y", EqE(Dot(V("x"), "a"), Dot(V("y"), "b")), T("B")),
 		SemiJoin(T("A"), "x", "y", CBool(true), T("B")),
 		AntiJoin(T("A"), "x", "y", CBool(true), T("B")),
 		NestJoin(T("A"), "x", "y", CBool(true), "as", T("B")),
 		NestJoinF(T("A"), "x", "y", CBool(true), Dot(V("y"), "f"), "as", T("B")),
 		OuterJoin(T("A"), "x", "y", CBool(true), T("B")),
-		DivE(T("A"), T("D")),
 		Ex("e", T("E"), CBool(true)),
 		All("e", T("E"), CBool(true)),
 		AggE(Sum, T("A")),
-		Rho(T("R"), "from", "to"),
 		Mat(T("M2"), "attr", "as"),
 		LetE("w", CInt(1), V("w")),
 	}
@@ -149,9 +146,7 @@ func TestOperatorSymbols(t *testing.T) {
 
 func TestPrinterNotation(t *testing.T) {
 	cases := []struct{ got, want string }{
-		{Rho(T("X"), "a", "b").String(), "ρ[a→b](X)"},
 		{Mat(T("X"), "a", "m").String(), "mat[a→m](X)"},
-		{DivE(T("A"), T("B")).String(), "(A ÷ B)"},
 		{Cat(V("l"), V("r")).String(), "(l ∘ r)"},
 		{Exc(V("t"), "a", CInt(1)).String(), "(t except (a = 1))"},
 		{Nu(T("X"), "g", "a", "b").String(), "ν[{a, b}→g](X)"},

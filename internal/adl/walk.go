@@ -46,8 +46,6 @@ func Rebuild(e Expr, f func(Expr) Expr) Expr {
 		return &Unnest{Attr: n.Attr, X: f(n.X)}
 	case *Nest:
 		return &Nest{Attrs: n.Attrs, As: n.As, X: f(n.X)}
-	case *Product:
-		return &Product{L: f(n.L), R: f(n.R)}
 	case *Join:
 		j := &Join{Kind: n.Kind, LVar: n.LVar, RVar: n.RVar, On: f(n.On),
 			As: n.As, L: f(n.L), R: f(n.R)}
@@ -55,14 +53,10 @@ func Rebuild(e Expr, f func(Expr) Expr) Expr {
 			j.RFun = f(n.RFun)
 		}
 		return j
-	case *Divide:
-		return &Divide{L: f(n.L), R: f(n.R)}
 	case *Quant:
 		return &Quant{Kind: n.Kind, Var: n.Var, Src: f(n.Src), Pred: f(n.Pred)}
 	case *Agg:
 		return &Agg{Op: n.Op, X: f(n.X)}
-	case *Rename:
-		return &Rename{From: n.From, To: n.To, X: f(n.X)}
 	case *Materialize:
 		return &Materialize{X: f(n.X), Attr: n.Attr, As: n.As}
 	case *Let:
@@ -190,9 +184,6 @@ func Equal(a, b Expr) bool {
 	case *Nest:
 		bn, ok := b.(*Nest)
 		return ok && eqNames(an.Attrs, bn.Attrs) && an.As == bn.As && Equal(an.X, bn.X)
-	case *Product:
-		bn, ok := b.(*Product)
-		return ok && Equal(an.L, bn.L) && Equal(an.R, bn.R)
 	case *Join:
 		bn, ok := b.(*Join)
 		if !ok || an.Kind != bn.Kind || an.LVar != bn.LVar || an.RVar != bn.RVar || an.As != bn.As {
@@ -205,18 +196,12 @@ func Equal(a, b Expr) bool {
 			return false
 		}
 		return Equal(an.On, bn.On) && Equal(an.L, bn.L) && Equal(an.R, bn.R)
-	case *Divide:
-		bn, ok := b.(*Divide)
-		return ok && Equal(an.L, bn.L) && Equal(an.R, bn.R)
 	case *Quant:
 		bn, ok := b.(*Quant)
 		return ok && an.Kind == bn.Kind && an.Var == bn.Var && Equal(an.Src, bn.Src) && Equal(an.Pred, bn.Pred)
 	case *Agg:
 		bn, ok := b.(*Agg)
 		return ok && an.Op == bn.Op && Equal(an.X, bn.X)
-	case *Rename:
-		bn, ok := b.(*Rename)
-		return ok && an.From == bn.From && an.To == bn.To && Equal(an.X, bn.X)
 	case *Materialize:
 		bn, ok := b.(*Materialize)
 		return ok && an.Attr == bn.Attr && an.As == bn.As && Equal(an.X, bn.X)

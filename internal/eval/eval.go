@@ -287,14 +287,8 @@ func Eval(e adl.Expr, env *Env, db DB) (value.Value, error) {
 	case *adl.Nest:
 		return evalNest(n, env, db)
 
-	case *adl.Product:
-		return evalProduct(n, env, db)
-
 	case *adl.Join:
 		return evalJoin(n, env, db)
-
-	case *adl.Divide:
-		return evalDivide(n, env, db)
 
 	case *adl.Quant:
 		src, err := evalSet(n.Src, env, db, n.Kind.String())
@@ -322,29 +316,6 @@ func Eval(e adl.Expr, env *Env, db DB) (value.Value, error) {
 			return nil, err
 		}
 		return Agg(n.Op, s)
-
-	case *adl.Rename:
-		src, err := evalSet(n.X, env, db, "ρ")
-		if err != nil {
-			return nil, err
-		}
-		out := value.NewSetCap(src.Len())
-		for _, xv := range src.Elems() {
-			t, ok := xv.(*value.Tuple)
-			if !ok {
-				return nil, fmt.Errorf("eval: ρ over non-tuple element %v", xv)
-			}
-			v, ok := t.Get(n.From)
-			if !ok {
-				return nil, fmt.Errorf("eval: ρ on missing attribute %q", n.From)
-			}
-			w, err := t.Drop([]string{n.From}).With(n.To, v)
-			if err != nil {
-				return nil, err
-			}
-			out.Add(w)
-		}
-		return out, nil
 
 	case *adl.Materialize:
 		return evalMaterialize(n, env, db)
@@ -612,36 +583,6 @@ func evalNest(n *adl.Nest, env *Env, db DB) (value.Value, error) {
 	return out, nil
 }
 
-func evalProduct(n *adl.Product, env *Env, db DB) (value.Value, error) {
-	l, err := evalSet(n.L, env, db, "×")
-	if err != nil {
-		return nil, err
-	}
-	r, err := evalSet(n.R, env, db, "×")
-	if err != nil {
-		return nil, err
-	}
-	out := value.NewSetCap(l.Len() * r.Len())
-	for _, lv := range l.Elems() {
-		lt, ok := lv.(*value.Tuple)
-		if !ok {
-			return nil, fmt.Errorf("eval: × over non-tuple element %v", lv)
-		}
-		for _, rv := range r.Elems() {
-			rt, ok := rv.(*value.Tuple)
-			if !ok {
-				return nil, fmt.Errorf("eval: × over non-tuple element %v", rv)
-			}
-			cat, err := lt.Concat(rt)
-			if err != nil {
-				return nil, err
-			}
-			out.Add(cat)
-		}
-	}
-	return out, nil
-}
-
 // evalJoin implements semantics rules 10–12, Definition 1 (nestjoin) and the
 // left outer join, all by nested loops.
 func evalJoin(n *adl.Join, env *Env, db DB) (value.Value, error) {
@@ -732,59 +673,6 @@ func evalJoin(n *adl.Join, env *Env, db DB) (value.Value, error) {
 				}
 				out.Add(cat)
 			}
-		}
-	}
-	return out, nil
-}
-
-// evalDivide implements relational division: with SCH(l) = A ∪ B and
-// SCH(r) = B, l ÷ r = {x[A] | x ∈ l ∧ ∀y ∈ r • x[A] ∘ y ∈ l}.
-func evalDivide(n *adl.Divide, env *Env, db DB) (value.Value, error) {
-	l, err := evalSet(n.L, env, db, "÷")
-	if err != nil {
-		return nil, err
-	}
-	r, err := evalSet(n.R, env, db, "÷")
-	if err != nil {
-		return nil, err
-	}
-	out := value.EmptySet()
-	if l.Len() == 0 {
-		return out, nil
-	}
-	lt0, ok := l.Elems()[0].(*value.Tuple)
-	if !ok {
-		return nil, fmt.Errorf("eval: ÷ over non-tuple elements")
-	}
-	var bNames []string
-	if r.Len() > 0 {
-		rt0, ok := r.Elems()[0].(*value.Tuple)
-		if !ok {
-			return nil, fmt.Errorf("eval: ÷ divisor of non-tuples")
-		}
-		bNames = rt0.Names()
-	}
-	aNames := lt0.Drop(bNames).Names()
-	for _, lv := range l.Elems() {
-		lt := lv.(*value.Tuple)
-		a, err := lt.Subscript(aNames)
-		if err != nil {
-			return nil, err
-		}
-		all := true
-		for _, rv := range r.Elems() {
-			rt := rv.(*value.Tuple)
-			cat, err := a.Concat(rt)
-			if err != nil {
-				return nil, err
-			}
-			if !l.Contains(cat) {
-				all = false
-				break
-			}
-		}
-		if all {
-			out.Add(a)
 		}
 	}
 	return out, nil

@@ -216,24 +216,6 @@ func TestNestGroupsByRemainingAttributes(t *testing.T) {
 	}
 }
 
-// TestProduct exercises semantics rule 9.
-func TestProduct(t *testing.T) {
-	db := storage.NewMemDB(
-		"A", value.NewSet(value.NewTuple("a", value.Int(1)), value.NewTuple("a", value.Int(2))),
-		"B", value.NewSet(value.NewTuple("b", value.Int(10))),
-	)
-	got := mustEval(t, adl.Prod(adl.T("A"), adl.T("B")), db)
-	want := value.NewSet(
-		value.NewTuple("a", value.Int(1), "b", value.Int(10)),
-		value.NewTuple("a", value.Int(2), "b", value.Int(10)),
-	)
-	if !value.Equal(got, want) {
-		t.Errorf("product = %v", got)
-	}
-	// Name conflicts are well-formedness errors.
-	evalErr(t, adl.Prod(adl.T("A"), adl.T("A")), db)
-}
-
 // TestJoins exercises semantics rules 10-12.
 func TestJoins(t *testing.T) {
 	db := figure2DB()
@@ -350,32 +332,6 @@ func TestOuterJoinPadsWithNull(t *testing.T) {
 	}
 	if !foundNull {
 		t.Errorf("outer join lost the dangling tuple")
-	}
-}
-
-func TestDivide(t *testing.T) {
-	// Classic division: which a's are paired with all b's in R?
-	l := value.NewSet(
-		value.NewTuple("a", value.Int(1), "b", value.Int(10)),
-		value.NewTuple("a", value.Int(1), "b", value.Int(20)),
-		value.NewTuple("a", value.Int(2), "b", value.Int(10)),
-	)
-	r := value.NewSet(
-		value.NewTuple("b", value.Int(10)),
-		value.NewTuple("b", value.Int(20)),
-	)
-	db := storage.NewMemDB("L", l, "R", r)
-	got := mustEval(t, adl.DivE(adl.T("L"), adl.T("R")), db)
-	want := value.NewSet(value.NewTuple("a", value.Int(1)))
-	if !value.Equal(got, want) {
-		t.Errorf("divide = %v, want %v", got, want)
-	}
-	// Empty divisor: ∀ over ∅ holds for every left tuple. At runtime the
-	// divisor schema B is unknown when the divisor is empty, so A defaults
-	// to all of SCH(l) and the result is l itself.
-	got2 := mustEval(t, adl.DivE(adl.T("L"), adl.SetOf()), db)
-	if got2.(*value.Set).Len() != 3 {
-		t.Errorf("divide by ∅ = %v", got2)
 	}
 }
 

@@ -10,29 +10,6 @@ import (
 	"repro/internal/value"
 )
 
-func TestRename(t *testing.T) {
-	db := figure2DB()
-	got := mustEval(t, adl.Rho(adl.T("Y"), "d", "k"), db).(*value.Set)
-	if got.Len() != 4 {
-		t.Fatalf("ρ size = %d", got.Len())
-	}
-	for _, el := range got.Elems() {
-		tup := el.(*value.Tuple)
-		if tup.Has("d") || !tup.Has("k") || !tup.Has("e") {
-			t.Errorf("ρ tuple = %v", tup)
-		}
-	}
-	// ρ then ρ back is the identity.
-	back := mustEval(t, adl.Rho(adl.Rho(adl.T("Y"), "d", "k"), "k", "d"), db)
-	y, _ := db.Table("Y")
-	if !value.Equal(back, y) {
-		t.Errorf("ρ∘ρ⁻¹ ≠ id: %v", back)
-	}
-	// Errors: missing source attribute, clashing target.
-	evalErr(t, adl.Rho(adl.T("Y"), "zz", "k"), db)
-	evalErr(t, adl.Rho(adl.T("Y"), "d", "e"), db)
-}
-
 // TestNestUnnestPNFProperty checks the [RoKS88] result the paper leans on in
 // §4: nest and unnest are each other's inverse exactly for PNF relations
 // with no empty set-valued attributes. Random nested relations whose atomic

@@ -146,7 +146,7 @@ func TestNodesHoldNoRunState(t *testing.T) {
 			return true
 		})
 	}
-	if len(nodes) < 19 { // the 18 exported node types and tallied
+	if len(nodes) < 17 { // the 16 exported node types and tallied
 		t.Fatalf("found %d node types, want the whole operator set", len(nodes))
 	}
 	for name := range nodes {

@@ -283,8 +283,8 @@ func (s ExprScan) Open(ctx *Ctx) (Rows, error) {
 
 // rowFn is the work a 1:≤1 operator does per input row: the row it emits and
 // whether it emits one. n is what the stream keeps a copy of for it: σ and α
-// pass a method expression of their Scalar, π, ρ and Assembly one of the
-// node itself, so opening them allocates only their stream.
+// pass a method expression of their Scalar, π and Assembly one of the node
+// itself, so opening them allocates only their stream.
 type rowFn[N any] func(n *N, ctx *Ctx, row value.Value) (out value.Value, keep bool, err error)
 
 // mapped is the stream of the 1:≤1 operators: fn of n over the rows of src;

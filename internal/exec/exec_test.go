@@ -243,7 +243,7 @@ func TestAssembly(t *testing.T) {
 }
 
 // TestDuplicateAttributeIsAnError: an operator that extends a row by an
-// attribute the row already holds — materialize, the nestjoin, ν and ρ —
+// attribute the row already holds — materialize, the nestjoin and ν —
 // fails with the interpreter's error, not a panic.
 func TestDuplicateAttributeIsAnError(t *testing.T) {
 	d := db(3, 6, 4)
@@ -264,9 +264,6 @@ func TestDuplicateAttributeIsAnError(t *testing.T) {
 		{"nest",
 			&NestOp{Child: &Scan{Table: "L"}, Attrs: []string{"b"}, As: "a"},
 			adl.Nu(adl.T("L"), "a", "b")},
-		{"rename",
-			&RenameOp{Child: &Scan{Table: "L"}, From: "a", To: "b"},
-			adl.Rho(adl.T("L"), "a", "b")},
 	} {
 		_, err := Collect(c.op, &Ctx{DB: d})
 		_, rerr := eval.EvalSet(c.expr, nil, d)

@@ -239,102 +239,6 @@ func (f FlattenOp) Open(ctx *Ctx) (Rows, error) {
 	}}, nil
 }
 
-// DivideOp implements relational division [Codd72], the classical operator
-// for universal quantification (§3): with SCH(L) = A ∪ B and SCH(R) = B,
-// it returns the A-subtuples of L paired with every R tuple. The
-// implementation hash-groups L by its A-part and checks each group for
-// coverage of R.
-type DivideOp struct {
-	L, R Operator
-}
-
-// Open computes the division eagerly.
-func (d DivideOp) Open(ctx *Ctx) (Rows, error) {
-	lrows, err := drain(d.L, ctx)
-	if err != nil {
-		return nil, err
-	}
-	rrows, err := drain(d.R, ctx)
-	if err != nil {
-		return nil, err
-	}
-	if len(lrows) == 0 {
-		return buffered(nil)
-	}
-	var bNames []string
-	if len(rrows) > 0 {
-		rt, err := asTuple(rrows[0], "÷")
-		if err != nil {
-			return nil, err
-		}
-		bNames = rt.Names()
-	}
-	divisor := value.NewSetCap(len(rrows))
-	for _, r := range rrows {
-		divisor.Add(r)
-	}
-	// Group L rows by their A-part, collecting the B-parts.
-	type group struct {
-		key   *value.Tuple
-		bPart *value.Set
-	}
-	var groups []*group
-	index := map[uint64][]int{}
-	for _, lrow := range lrows {
-		lt, err := asTuple(lrow, "÷")
-		if err != nil {
-			return nil, err
-		}
-		key := lt.Drop(bNames)
-		b, err := lt.Subscript(bNames)
-		if err != nil {
-			return nil, err
-		}
-		h := value.Hash(key)
-		found := false
-		for _, gi := range index[h] {
-			if value.Equal(groups[gi].key, key) {
-				groups[gi].bPart.Add(b)
-				found = true
-				break
-			}
-		}
-		if !found {
-			index[h] = append(index[h], len(groups))
-			groups = append(groups, &group{key: key, bPart: value.NewSet(b)})
-		}
-	}
-	var out []value.Value
-	for _, g := range groups {
-		if divisor.SubsetOf(g.bPart) {
-			out = append(out, g.key)
-		}
-	}
-	return buffered(out)
-}
-
-// RenameOp implements ρ_{from→to}.
-type RenameOp struct {
-	Child    Operator
-	From, To string
-}
-
-// Open streams the child's rows renamed.
-func (r RenameOp) Open(ctx *Ctx) (Rows, error) { return stream(ctx, r.Child, r, (*RenameOp).row, true) }
-
-func (r *RenameOp) row(_ *Ctx, row value.Value) (value.Value, bool, error) {
-	t, err := asTuple(row, "ρ")
-	if err != nil {
-		return nil, false, err
-	}
-	v, ok := t.Get(r.From)
-	if !ok {
-		return nil, false, fmt.Errorf("exec: ρ on missing attribute %q", r.From)
-	}
-	w, err := t.Drop([]string{r.From}).With(r.To, v)
-	return w, err == nil, err
-}
-
 // Assembly is the physical counterpart of the materialize operator
 // ([BlMG93]): it dereferences an oid-valued attribute (or a set of unary
 // oid-reference tuples) through the object store and extends each tuple with

@@ -4,59 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/adl"
-	"repro/internal/storage"
 	"repro/internal/value"
 )
-
-func TestRenameOp(t *testing.T) {
-	d := db(21, 6, 4)
-	want := evalRef(t, adl.Rho(adl.T("L"), "a", "k"), d)
-	op := &RenameOp{Child: &Scan{Table: "L"}, From: "a", To: "k"}
-	if got := collect(t, op, d); !value.Equal(got, want) {
-		t.Errorf("RenameOp = %v, want %v", got, want)
-	}
-	bad := &RenameOp{Child: &Scan{Table: "L"}, From: "zz", To: "k"}
-	if _, err := Collect(bad, &Ctx{DB: d}); err == nil {
-		t.Errorf("missing source attribute must fail")
-	}
-	clash := &RenameOp{Child: &Scan{Table: "L"}, From: "a", To: "b"}
-	if _, err := Collect(clash, &Ctx{DB: d}); err == nil {
-		t.Errorf("clashing target attribute must fail")
-	}
-}
-
-func TestDivideOp(t *testing.T) {
-	// Which a-values are paired with ALL b-values of R?
-	l := value.NewSet(
-		value.NewTuple("a", value.Int(1), "b", value.Int(10)),
-		value.NewTuple("a", value.Int(1), "b", value.Int(20)),
-		value.NewTuple("a", value.Int(2), "b", value.Int(10)),
-		value.NewTuple("a", value.Int(3), "b", value.Int(10)),
-		value.NewTuple("a", value.Int(3), "b", value.Int(20)),
-		value.NewTuple("a", value.Int(3), "b", value.Int(30)),
-	)
-	r := value.NewSet(
-		value.NewTuple("b", value.Int(10)),
-		value.NewTuple("b", value.Int(20)),
-	)
-	d := storage.NewMemDB("L", l, "R", r)
-	want := evalRef(t, adl.DivE(adl.T("L"), adl.T("R")), d)
-	op := &DivideOp{L: &Scan{Table: "L"}, R: &Scan{Table: "R"}}
-	got := collect(t, op, d)
-	if !value.Equal(got, want) {
-		t.Errorf("DivideOp = %v, want %v", got, want)
-	}
-	if !value.Equal(got, value.NewSet(
-		value.NewTuple("a", value.Int(1)), value.NewTuple("a", value.Int(3)))) {
-		t.Errorf("division content = %v", got)
-	}
-	// Empty dividend.
-	d2 := storage.NewMemDB("L", value.EmptySet(), "R", r)
-	op2 := &DivideOp{L: &Scan{Table: "L"}, R: &Scan{Table: "R"}}
-	if got := collect(t, op2, d2); got.Len() != 0 {
-		t.Errorf("∅ ÷ R = %v", got)
-	}
-}
 
 func TestLetOpBindsOnce(t *testing.T) {
 	d := db(23, 5, 5)

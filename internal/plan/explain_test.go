@@ -51,14 +51,12 @@ func TestExplainCoversEveryOperator(t *testing.T) {
 		{&exec.NestOp{Child: scanL(), Attrs: []string{"a"}, As: "g"}, "Nest[{a} -> g]", false},
 		{&exec.FlattenOp{Child: scanL()}, "Flatten", false},
 		{&exec.Assembly{Child: scanL(), Attr: "r", As: "o"}, "Assembly[r -> o]", false},
-		{&exec.RenameOp{Child: scanL(), From: "a", To: "b"}, "Rename[a -> b]", false},
 		{&exec.LetOp{Var: "v", Val: adl.T("R"), Child: scanL()}, "Let[v = R]", false},
 		{&exec.HashJoin{Kind: adl.Inner, L: scanL(), R: scanR(), LKey: key, RKey: rkey}, "HashJoin[⋈", false},
 		{&exec.HashJoin{Kind: adl.Semi, L: scanL(), R: scanR(), In: "c", RKey: rkey}, "HashJoin[⋉ on y.d ∈ .c]", false},
 		{&exec.IndexNLJoin{Kind: adl.Semi, L: scanL(), Table: "R", Attr: "d", LKey: key}, "IndexNLJoin[⋉", false},
 		{&exec.NLJoin{Kind: adl.Anti, L: scanL(), R: scanR(), Pred: pred}, "NLJoin[▷", false},
 		{&exec.PNHL{L: scanL(), R: scanR(), Attr: "c", ElemKey: key, BuildKey: rkey, BudgetRows: 7}, "PNHL[.c with budget 7", false},
-		{&exec.DivideOp{L: scanL(), R: scanR()}, "Divide", false},
 	}
 	for _, c := range cases {
 		out := Explain(c.op)

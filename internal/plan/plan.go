@@ -267,26 +267,6 @@ func (p *planner) compile(e adl.Expr) (exec.Operator, nodeEst) {
 		p.record(op, est)
 		return op, est
 
-	case *adl.Rename:
-		child, ce := p.compile(n.X)
-		op := &exec.RenameOp{Child: child, From: n.From, To: n.To}
-		est := ce.withOwn(ce.rows, ce.rows*cRow)
-		est.extent = ""
-		p.record(op, est)
-		return op, est
-
-	case *adl.Divide:
-		// A quotient row stands for as many dividend rows as the divisor
-		// has; the division hashes both operands once.
-		l, le := p.compile(n.L)
-		r, re := p.compile(n.R)
-		op := &exec.DivideOp{L: l, R: r}
-		rows := le.rows / math.Max(1, re.rows)
-		est := nodeEst{rows: rows,
-			cost: le.cost + re.cost + (le.rows+re.rows)*cHashBuild + rows*cRow}
-		p.record(op, est)
-		return op, est
-
 	case *adl.Let:
 		child, ce := p.compile(n.Body)
 		op := &exec.LetOp{Var: n.Var, Val: n.Val, Child: child}
@@ -562,54 +542,46 @@ func (p *planner) chooseEquiJoin(j *adl.Join, l, r exec.Operator, le, re nodeEst
 	// per outer row instead of scanning and hashing the whole inner side.
 	// The outer join needs the inner schema for null padding, which a probe
 	// cannot supply, so it stays with the scan-based family.
-	idxMatches := func(extent, attr string) float64 {
-		ndv := float64(p.cfg.Statistics.DistinctValues(extent, attr))
-		return finite(le.rows * re.rows / clamp(ndv, 1, 1e18))
+	type side struct {
+		op   exec.Operator
+		est  nodeEst
+		v    string
+		keys []adl.Expr
 	}
-	if j.Kind != adl.Outer {
-		if attr, lkey, residExprs, ok := p.indexNLCandidate(r, re.extent, j.RVar, rkeys, lkeys, residual); ok {
-			m := idxMatches(re.extent, attr)
-			residM := 0.0
-			var res2 *exec.Scalar
-			if len(residExprs) > 0 {
-				s := exec.NewScalar(adl.AndE(residExprs...), j.LVar, j.RVar)
-				res2, residM = &s, m
-			}
-			cands = append(cands, candidate{
-				build: func() exec.Operator {
-					return &exec.IndexNLJoin{Kind: j.Kind, L: l,
-						Table: re.extent, Attr: attr,
-						LVar: j.LVar, RVar: j.RVar,
-						LKey: exec.NewScalar(lkey, j.LVar), Residual: res2,
-						As: j.As, RFun: rfun}
-				},
-				own:   costIndexNL(le.rows, m, residM, out),
-				child: le.cost,
-				note:  "index probe into " + re.extent + "." + attr,
-			})
+	// indexNL probes inner's index once per outer row. Swapped, the outer
+	// side is the right operand: a swappable join has no As or RFun.
+	indexNL := func(outer, inner side, note string) {
+		attr, okey, residExprs, ok := p.indexNLCandidate(inner.op, inner.est.extent, inner.v, inner.keys, outer.keys, residual)
+		if !ok {
+			return
 		}
+		ndv := float64(p.cfg.Statistics.DistinctValues(inner.est.extent, attr))
+		m := finite(le.rows * re.rows / clamp(ndv, 1, 1e18))
+		residM := 0.0
+		var resid *exec.Scalar
+		if len(residExprs) > 0 {
+			s := exec.NewScalar(adl.AndE(residExprs...), outer.v, inner.v)
+			resid, residM = &s, m
+		}
+		cands = append(cands, candidate{
+			build: func() exec.Operator {
+				return &exec.IndexNLJoin{Kind: j.Kind, L: outer.op,
+					Table: inner.est.extent, Attr: attr,
+					LVar: outer.v, RVar: inner.v,
+					LKey: exec.NewScalar(okey, outer.v), Residual: resid,
+					As: j.As, RFun: rfun}
+			},
+			own:   costIndexNL(outer.est.rows, m, residM, out),
+			child: outer.est.cost,
+			note:  "index probe into " + inner.est.extent + "." + attr + note,
+		})
+	}
+	left, right := side{l, le, j.LVar, lkeys}, side{r, re, j.RVar, rkeys}
+	if j.Kind != adl.Outer {
+		indexNL(left, right, "")
 	}
 	if swappable {
-		if attr, rkey, residExprs, ok := p.indexNLCandidate(l, le.extent, j.LVar, lkeys, rkeys, residual); ok {
-			m := idxMatches(le.extent, attr)
-			residM := 0.0
-			var res2 *exec.Scalar
-			if len(residExprs) > 0 {
-				s := exec.NewScalar(adl.AndE(residExprs...), j.RVar, j.LVar)
-				res2, residM = &s, m
-			}
-			cands = append(cands, candidate{
-				build: func() exec.Operator {
-					return &exec.IndexNLJoin{Kind: j.Kind, L: r,
-						Table: le.extent, Attr: attr,
-						LVar: j.RVar, RVar: j.LVar,
-						LKey: exec.NewScalar(rkey, j.RVar), Residual: res2}
-				},
-				own:   costIndexNL(re.rows, m, residM, out),
-				child: re.cost,
-				note:  "index probe into " + le.extent + "." + attr + ", outer side swapped",
-			})
-		}
+		indexNL(right, left, ", outer side swapped")
 	}
 
 	best := 0
@@ -745,10 +717,6 @@ func describe(op exec.Operator, args []value.Value) (string, []exec.Operator) {
 		return "Flatten", []exec.Operator{o.Child}
 	case *exec.Assembly:
 		return fmt.Sprintf("Assembly[%s -> %s]  -- pointer-based materialize", o.Attr, o.As), []exec.Operator{o.Child}
-	case *exec.RenameOp:
-		return fmt.Sprintf("Rename[%s -> %s]", o.From, o.To), []exec.Operator{o.Child}
-	case *exec.DivideOp:
-		return "Divide", []exec.Operator{o.L, o.R}
 	case *exec.LetOp:
 		return fmt.Sprintf("Let[%s = %s]  -- constant, evaluated once", o.Var, x(o.Val)), []exec.Operator{o.Child}
 	case *exec.HashJoin:

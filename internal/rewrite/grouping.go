@@ -39,8 +39,8 @@ func UnnestByGrouping(e adl.Expr, ctx *Context, force bool) (adl.Expr, bool) {
 	if !ok {
 		return e, false
 	}
-	// The extended Cartesian product concatenates operand tuples; attribute
-	// names must not clash (the paper assumes no naming conflicts occur).
+	// The join ⋈ concatenates operand tuples; attribute names must not
+	// clash (the paper assumes no naming conflicts occur).
 	for _, a := range schX {
 		for _, b := range schY {
 			if a == b {

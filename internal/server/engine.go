@@ -55,8 +55,9 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// PlanCache disables the prepared-plan cache when false is explicitly
-	// requested via NoPlanCache; the zero Options enables it.
+	// NoPlanCache disables both plan-cache levels, the text → plan cache
+	// and the template cache, and with them runtime feedback: every query is
+	// prepared from scratch. The zero Options enables them.
 	NoPlanCache bool
 	// Parallelism is the worker count the physical planner may give a
 	// parallel operator; 0 means GOMAXPROCS (exec.Parallelism).
@@ -178,7 +179,18 @@ func (e *Engine) plan(src string, epoch uint64, tc core.TemplateCache) (*cacheEn
 // the result reflects exactly the mutations published before the pin, no
 // matter how many land while the query runs. The snapshot is released when
 // the query returns, so it never holds the GC horizon back.
-func (e *Engine) Query(src string) (*Result, error) {
+func (e *Engine) Query(src string) (*Result, error) { return e.query(src, false) }
+
+// QueryVerified executes like Query, then re-executes the untransformed
+// nested form tuple-at-a-time against the same pinned snapshot and fails if
+// the two result sets differ — the reads-under-writes differential arm: a
+// mismatch means either the rewrite/planner broke result equivalence or the
+// snapshot was not actually immutable under concurrent inserts.
+func (e *Engine) QueryVerified(src string) (*Result, error) { return e.query(src, true) }
+
+// query is Query, and with verify QueryVerified: one counted query on one
+// pinned snapshot.
+func (e *Engine) query(src string, verify bool) (*Result, error) {
 	e.queries.Add(1)
 	sn := e.st.Snapshot()
 	defer sn.Release()
@@ -189,6 +201,16 @@ func (e *Engine) Query(src string) (*Result, error) {
 	set, evicted, err := e.run(src, ent, sn)
 	if err != nil {
 		return nil, err
+	}
+	if verify {
+		want, err := ent.q.ExecuteNaive(sn)
+		if err != nil {
+			return nil, fmt.Errorf("server: serial re-execution failed: %w", err)
+		}
+		if set.Len() != want.Len() || !set.SubsetOf(want) {
+			return nil, fmt.Errorf("server: non-linearizable read at seq %d: plan returned %d rows, serial re-execution %d",
+				sn.Seq(), set.Len(), want.Len())
+		}
 	}
 	return &Result{Set: set, Seq: sn.Seq(), Epoch: sn.StatsEpoch(),
 		CacheHit: hit, Replanned: replanned, Evicted: evicted}, nil
@@ -236,35 +258,6 @@ func (e *Engine) feedback(src string, ent *cacheEntry, seq uint64) bool {
 	e.evictions.Add(1)
 	e.st.AdvanceStatsEpoch()
 	return true
-}
-
-// QueryVerified executes like Query, then re-executes the untransformed
-// nested form tuple-at-a-time against the same pinned snapshot and fails if
-// the two result sets differ — the reads-under-writes differential arm: a
-// mismatch means either the rewrite/planner broke result equivalence or the
-// snapshot was not actually immutable under concurrent inserts.
-func (e *Engine) QueryVerified(src string) (*Result, error) {
-	e.queries.Add(1)
-	sn := e.st.Snapshot()
-	defer sn.Release()
-	ent, hit, replanned, err := e.prepare(src, sn.StatsEpoch())
-	if err != nil {
-		return nil, err
-	}
-	set, evicted, err := e.run(src, ent, sn)
-	if err != nil {
-		return nil, err
-	}
-	want, err := ent.q.ExecuteNaive(sn)
-	if err != nil {
-		return nil, fmt.Errorf("server: serial re-execution failed: %w", err)
-	}
-	if set.Len() != want.Len() || !set.SubsetOf(want) {
-		return nil, fmt.Errorf("server: non-linearizable read at seq %d: plan returned %d rows, serial re-execution %d",
-			sn.Seq(), set.Len(), want.Len())
-	}
-	return &Result{Set: set, Seq: sn.Seq(), Epoch: sn.StatsEpoch(),
-		CacheHit: hit, Replanned: replanned, Evicted: evicted}, nil
 }
 
 // Insert stores an object in the named extent, visible to every snapshot
