@@ -49,14 +49,15 @@ var fuzzSeeds = []string{
 }
 
 // FuzzParse feeds arbitrary source through the lexer and parser: neither may
-// panic, and whatever parses must print without panicking. Run the fuzzer
-// with
+// panic, and whatever parses must print without panicking. Its seeds are the
+// inputs of testdata/tokens.golden: the seeds here and every census, ruler
+// and paper text. Run the fuzzer with
 //
 //	go test ./internal/oosql -run '^$' -fuzz FuzzParse -fuzztime 30s
 //
 // (CI runs a short smoke; see make fuzz-smoke.)
 func FuzzParse(f *testing.F) {
-	for _, s := range fuzzSeeds {
+	for _, s := range goldenInputs(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -81,7 +82,11 @@ func FuzzParse(f *testing.F) {
 // fingerprintSeeds add to fuzzSeeds the literals the two lexer passes must
 // agree on: escaped strings, a string whose escape comes after plain text,
 // non-ASCII identifiers and strings, unterminated strings and escapes, equal
-// literals of one kind and of two, and an integer out of range.
+// literals of one kind and of two, and an integer out of range; and the
+// positions after CR/LF, tabs, a comment at the end of the input and a string
+// that spans lines, keywords' prefixes and extensions, floats, symbols of two
+// bytes, a non-ASCII digit inside and at the start of an identifier, a
+// non-ASCII character that is no letter, and a byte that starts no character.
 var fingerprintSeeds = []string{
 	`select p from p in PART where p.color = "r\"e\\d" and p.pname = "a\tb\n"`,
 	`select p from p in PART where p.pname = "plain then \"quoted\""`,
@@ -90,18 +95,30 @@ var fingerprintSeeds = []string{
 	`p.color = "red\`,
 	`p.price = 1001 and p.price < 1001 and p.weight = 1001.0 and p.pname = "1001"`,
 	`p.price = 99999999999999999999 and p.price = 3`,
+	"select p from p in PART\r\n\twhere p.price < 2.5 -- trailing comment",
+	"a\r\nb\n\n  c -- no newline",
+	`selected Select in_ in ins fromage x' x'' _ _1`,
+	"p.w = 1.25 and p.w < 1. and p.w >= 10.0e3 or a <> b or a <= -1 or a > 2",
+	"\"spans\nlines\" x\n\t\"esc\\n\" y",
+	"a\n \"bad \\\n escape\"",
+	`x٣ = 1`,
+	`٣x = 1`,
+	"select\n  p €",
+	"a = \xff",
+	"a -",
+	"--",
 }
 
 // FuzzFingerprint holds oosql.Fingerprint, the pass a prepare runs before it
 // knows whether it needs tokens, to LexText on every input: the same
-// fingerprint, literal classes, counts and error, and no tokens. Run the
-// fuzzer with
+// fingerprint, literal classes, counts and error, and no tokens. Its seeds
+// are FuzzParse's. Run the fuzzer with
 //
 //	go test ./internal/oosql -run '^$' -fuzz FuzzFingerprint -fuzztime 30s
 //
 // (CI runs a short smoke; see make fuzz-smoke.)
 func FuzzFingerprint(f *testing.F) {
-	for _, s := range append(fuzzSeeds, fingerprintSeeds...) {
+	for _, s := range goldenInputs(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
