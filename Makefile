@@ -31,8 +31,9 @@ bench-smoke:
 # the planner picks, PNHL under B4's budget sweep and the cached serving
 # path — of the template path (a never-seen text of a seen shape), of
 # plan-miss (benchmark/spec.go's plan.miss cycle with fresh literals on its
-# 100/200/50 store: lex, bind and plan by token fingerprint, then execute)
-# and of analytic-cycle (the six query texts of benchmark/spec.go's
+# 100/200/50 store: lex and bind by token fingerprint, reuse the template's
+# plan, then execute; the spec is anchored, so BenchmarkServeQuery's
+# per-template miss-<template> arms stay out of it) and of analytic-cycle (the six query texts of benchmark/spec.go's
 # analytic.default on their 4000/8000/20000 store, one after the other),
 # and of two of those
 # texts alone: analytic-eq4 (Example Query 4's μ-fused antijoin) and
@@ -53,7 +54,7 @@ profile:
 	@set -e; for spec in 'B1=BenchmarkB1/optimized/S400' 'B13=BenchmarkB13/' \
 			'B4-PNHL=BenchmarkB4/^PNHL' 'ServeQuery=BenchmarkServeQuery/plancache' \
 			'ServeTemplate=BenchmarkServeQuery/template' \
-			'plan-miss=BenchmarkServeQuery/miss' \
+			'plan-miss=BenchmarkServeQuery/miss$$' \
 			'analytic-cycle=BenchmarkAnalyticCycle/cycle' \
 			'analytic-eq4=BenchmarkAnalyticCycle/eq4-antijoin' \
 			'analytic-materialize=BenchmarkAnalyticCycle/materialize' \

@@ -30,6 +30,11 @@ func (d scanIndexDB) IndexLookup(extent, attr string, key value.Value) ([]value.
 	return out, nil
 }
 
+func (d scanIndexDB) IndexExists(extent, attr string, key value.Value) (bool, error) {
+	rows, err := d.IndexLookup(extent, attr, key)
+	return len(rows) > 0, err
+}
+
 func (d scanIndexDB) IndexRange(string, string, value.Value, value.Value, bool, bool) ([]value.Value, error) {
 	return nil, fmt.Errorf("no ordered index")
 }

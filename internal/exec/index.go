@@ -21,6 +21,9 @@ type IndexedDB interface {
 	// IndexLookup returns the extent's objects whose indexed attribute
 	// equals key.
 	IndexLookup(extent, attr string, key value.Value) ([]value.Value, error)
+	// IndexExists reports whether IndexLookup would return an object; it
+	// reads none past the first it finds.
+	IndexExists(extent, attr string, key value.Value) (bool, error)
 	// IndexRange returns the objects whose indexed attribute falls within
 	// [lo, hi]; a nil bound is unbounded, the Incl flags select closed ends.
 	// It requires an ordered index.
@@ -115,7 +118,9 @@ type IndexNLJoin struct {
 	Sel *Scalar
 }
 
-// Open drains the outer side and probes per row.
+// Open drains the outer side and probes per row. A semi- or antijoin without
+// a residual asks only whether the key has an object (IndexExists): its
+// verdict needs no more than the first.
 func (j IndexNLJoin) Open(ctx *Ctx) (Rows, error) {
 	idb, err := indexedDB(ctx, "index-nested-loop join")
 	if err != nil {
@@ -130,6 +135,7 @@ func (j IndexNLJoin) Open(ctx *Ctx) (Rows, error) {
 	}
 	em := newJoinEmit(ctx, j.Kind, "index join", j.Residual, j.RFun, j.Sel, j.As, nil)
 	em.reserve(len(lrows))
+	exists := j.Residual == nil && (j.Kind == adl.Semi || j.Kind == adl.Anti)
 	for _, lrow := range lrows {
 		if err := em.begin(lrow); err != nil {
 			return nil, err
@@ -138,13 +144,19 @@ func (j IndexNLJoin) Open(ctx *Ctx) (Rows, error) {
 		if err != nil {
 			return nil, err
 		}
-		matches, err := idb.IndexLookup(j.Table, j.Attr, lk)
-		if err != nil {
-			return nil, err
-		}
-		for _, rrow := range matches {
-			if em.match(rrow) {
-				break
+		if exists {
+			if em.matched, err = idb.IndexExists(j.Table, j.Attr, lk); err != nil {
+				return nil, err
+			}
+		} else {
+			matches, err := idb.IndexLookup(j.Table, j.Attr, lk)
+			if err != nil {
+				return nil, err
+			}
+			for _, rrow := range matches {
+				if em.match(rrow) {
+					break
+				}
 			}
 		}
 		if err := em.end(); err != nil {

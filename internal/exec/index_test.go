@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/adl"
 	"repro/internal/bench"
+	"repro/internal/eval"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -155,4 +156,51 @@ func TestIndexOperatorsRequireIndexedDB(t *testing.T) {
 		LKey: lk}).Open(&Ctx{DB: st}); err == nil {
 		t.Error("IndexNLJoin must refuse the outer kind")
 	}
+}
+
+// TestIndexNLJoinExistenceProbe: a residual-free semi- or antijoin through
+// the index reads at most one inner object per outer row on a hot key (300
+// inner rows share k = 5) and returns the nested loop's and the
+// interpreter's rows — on the fresh store, after the key's first inner row
+// is deleted and its second moved off it, and on a snapshot pinned before.
+func TestIndexNLJoinExistenceProbe(t *testing.T) {
+	st := antiResidualStore(t, make([]int64, 300)...)
+	for i := int64(0); i < 20; i++ {
+		if _, err := st.Insert("L", value.NewTuple("a", value.Int(10+i), "k", value.Int(5+i%2))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x, y := adl.V("x"), adl.V("y")
+	on := adl.EqE(adl.Dot(x, "k"), adl.Dot(y, "rk"))
+	check := func(what string, db eval.DB) {
+		for _, kind := range []adl.JoinKind{adl.Semi, adl.Anti} {
+			st.ResetStats()
+			got, err := Collect(&IndexNLJoin{Kind: kind, L: &Scan{Table: "L"}, Table: "R", Attr: "rk",
+				LVar: "x", RVar: "y", LKey: NewScalar(adl.Dot(x, "k"), "x")}, &Ctx{DB: db})
+			if err != nil {
+				t.Fatalf("%v %s: %v", kind, what, err)
+			}
+			if reads, outer := st.Stats().ObjectReads, len(st.OIDs("L")); what == "fresh" && reads > outer {
+				t.Errorf("%v %s: %d object reads for %d outer rows", kind, what, reads, outer)
+			}
+			nl := collect(t, &NLJoin{Kind: kind, L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
+				LVar: "x", RVar: "y", Pred: NewScalar(on, "x", "y")}, db)
+			ref := evalRef(t, &adl.Join{Kind: kind, L: adl.T("L"), R: adl.T("R"), LVar: "x", RVar: "y", On: on}, db)
+			if !value.Equal(got, nl) || !value.Equal(got, ref) || got.Len() == 0 {
+				t.Errorf("%v %s: IndexNLJoin %v, NLJoin %v, the interpreter %v", kind, what, got, nl, ref)
+			}
+		}
+	}
+	check("fresh", st)
+	pinned := st.Snapshot()
+	defer pinned.Release()
+	rids := st.OIDs("R")
+	if err := st.Delete("R", rids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Update("R", rids[1], value.NewTuple("c", value.Int(1), "rk", value.Int(7), "d", value.Int(0))); err != nil {
+		t.Fatal(err)
+	}
+	check("after a delete and an update", st)
+	check("pinned before them", pinned)
 }

@@ -25,7 +25,8 @@ type NLJoin struct {
 
 // Open materializes the right operand and computes the join eagerly (the
 // result is bounded by the inputs; eager evaluation keeps Next trivial and
-// the timing honest for benchmarks).
+// the timing honest for benchmarks). A semi- or antijoin over an empty right
+// operand evaluates no predicate (emptyRight).
 func (j NLJoin) Open(ctx *Ctx) (Rows, error) {
 	right, err := drain(j.R, ctx)
 	if err != nil {
@@ -34,6 +35,9 @@ func (j NLJoin) Open(ctx *Ctx) (Rows, error) {
 	lrows, err := drain(j.L, ctx)
 	if err != nil {
 		return nil, err
+	}
+	if len(right) == 0 && (j.Kind == adl.Semi || j.Kind == adl.Anti) {
+		return emptyRight(j.Kind, "join", lrows)
 	}
 	em := newJoinEmit(ctx, j.Kind, "join", &j.Pred, j.RFun, j.Sel, j.As, right)
 	em.reserve(len(lrows))
@@ -92,7 +96,8 @@ type HashJoin struct {
 }
 
 // Open builds the table, drains L, and probes: on the caller's goroutine, or
-// in Workers contiguous shares of L's rows.
+// in Workers contiguous shares of L's rows. A semi- or antijoin over an empty
+// right operand builds no table and probes nothing (emptyRight).
 func (j HashJoin) Open(ctx *Ctx) (Rows, error) {
 	if j.In != "" && j.Kind != adl.Semi && j.Kind != adl.Anti && j.Kind != adl.NestJ {
 		return nil, fmt.Errorf("exec: hash join on membership in %q does not support kind %v", j.In, j.Kind)
@@ -101,6 +106,13 @@ func (j HashJoin) Open(ctx *Ctx) (Rows, error) {
 	rrows, err := drain(j.R, ctx)
 	if err != nil {
 		return nil, err
+	}
+	if len(rrows) == 0 && (j.Kind == adl.Semi || j.Kind == adl.Anti) {
+		lrows, err := j.left(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return emptyRight(j.Kind, "hash join", lrows)
 	}
 	tab, err := newJoinTable(ctx, rrows, rkey, j.Workers)
 	if err != nil {

@@ -165,6 +165,96 @@ func TestHashJoinKeyShapes(t *testing.T) {
 	}
 }
 
+// TestEmptyRightOperand: a semi- or antijoin over an empty right operand
+// keeps no left row (⋉) or every one in order (▷) — μ-fused, every unnested
+// row — and evaluates neither a key nor the predicate, as the interpreter
+// does not: L's rows fail the key 1 / x.b (b = 0, or no b) and the fused
+// join's key x.k (an element without k), and membership in x.ps (no ps). A
+// left row that is no tuple fails every arm and the interpreter, and so does
+// μ over a row without ps. NLJoin, HashJoin on the key and on membership at
+// 1, 2 and 5 workers, and HashJoin expanding μ, over an empty extent and
+// over a Filter that keeps no row, each against eval.
+func TestEmptyRightOperand(t *testing.T) {
+	x, y := adl.V("x"), adl.V("y")
+	set := func(vs ...value.Value) *value.Set { return value.NewSet(vs...) }
+	k := func(i int64) value.Value { return value.NewTuple("k", value.Int(i)) }
+	d := storage.NewMemDB(
+		"L", set(value.NewTuple("a", value.Int(1), "b", value.Int(0), "ps", set(k(1), k(2))),
+			value.NewTuple("a", value.Int(2), "b", value.Int(2), "ps", set(value.NewTuple("z", value.Int(3)), k(4))),
+			value.NewTuple("a", value.Int(3), "ps", set())),
+		"NP", set(value.NewTuple("a", value.Int(1), "b", value.Int(1)), value.NewTuple("a", value.Int(2), "b", value.Int(0))),
+		"NT", set(value.NewTuple("a", value.Int(1), "b", value.Int(1), "ps", set()), value.Int(7)),
+		"R", set(value.NewTuple("c", value.Int(1), "d", value.Int(1))),
+		"E", value.EmptySet(),
+	)
+	inv := &adl.Arith{Op: adl.Div, L: adl.CInt(1), R: adl.Dot(x, "b")}
+	dd := adl.Dot(y, "d")
+	never := adl.CmpE(adl.Lt, adl.Dot(y, "c"), adl.CInt(0))
+	rights := []struct {
+		name string
+		op   func() Operator
+		expr adl.Expr
+	}{
+		{"empty extent", func() Operator { return &Scan{Table: "E"} }, adl.T("E")},
+		{"empty filter", func() Operator {
+			return &Filter{Child: &Scan{Table: "R"}, Var: "y", Pred: NewScalar(never, "y")}
+		}, adl.Sel("y", never, adl.T("R"))},
+	}
+	if _, err := Collect(&HashJoin{Kind: adl.Semi, L: &Scan{Table: "L"}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
+		LKey: NewScalar(inv, "x"), RKey: NewScalar(dd, "y")}, &Ctx{DB: d}); err == nil {
+		t.Fatal("L's keys must fail a join whose right operand has rows")
+	}
+	for _, r := range rights {
+		for _, kind := range []adl.JoinKind{adl.Semi, adl.Anti} {
+			for _, table := range []string{"L", "NP", "NT"} {
+				type arm struct {
+					name    string
+					op      Operator
+					logical adl.Expr
+					left    Operator // the rows a ▷ keeps, in order
+				}
+				join := func(l adl.Expr, on adl.Expr) adl.Expr {
+					return &adl.Join{Kind: kind, L: l, R: r.expr, LVar: "x", RVar: "y", On: on}
+				}
+				scan := &Scan{Table: table}
+				arms := []arm{{"NLJoin", &NLJoin{Kind: kind, L: scan, R: r.op(), LVar: "x", RVar: "y",
+					Pred: NewScalar(adl.EqE(inv, dd), "x", "y")}, join(adl.T(table), adl.EqE(inv, dd)), scan}}
+				for _, w := range []int{1, 2, 5} {
+					arms = append(arms,
+						arm{fmt.Sprintf("HashJoin workers %d", w), &HashJoin{Kind: kind, L: scan, R: r.op(),
+							LVar: "x", RVar: "y", LKey: NewScalar(inv, "x"), RKey: NewScalar(dd, "y"), Workers: w},
+							join(adl.T(table), adl.EqE(inv, dd)), scan},
+						arm{fmt.Sprintf("HashJoin.In workers %d", w), &HashJoin{Kind: kind, L: scan, R: r.op(),
+							LVar: "x", RVar: "y", RKey: NewScalar(adl.SubT(y, "c"), "y"), In: "ps", Workers: w},
+							join(adl.T(table), adl.CmpE(adl.In, adl.SubT(y, "c"), adl.Dot(x, "ps"))), scan},
+						arm{fmt.Sprintf("HashJoin μ workers %d", w), &HashJoin{Kind: kind, L: scan, R: r.op(),
+							LVar: "x", RVar: "y", LKey: NewScalar(adl.Dot(x, "k"), "x"), RKey: NewScalar(dd, "y"),
+							Unnest: "ps", Workers: w},
+							join(adl.Mu("ps", adl.T(table)), adl.EqE(adl.Dot(x, "k"), dd)), &UnnestOp{Child: scan, Attr: "ps"}})
+				}
+				for _, a := range arms {
+					name := fmt.Sprintf("%s %v over %s, %s", a.name, kind, table, r.name)
+					if a.name == "HashJoin μ workers 1" && a.op.(*HashJoin).ProbeAttr() != "k" {
+						t.Fatalf("%s: the join does not expand μ inside its probe", name)
+					}
+					ref, rerr := eval.EvalSet(a.logical, nil, d)
+					got, err := Collect(a.op, &Ctx{DB: d})
+					if (err == nil) != (rerr == nil) || err == nil && !value.Equal(got, ref) {
+						t.Errorf("%s: %v (%v), the interpreter %v (%v)", name, got, err, ref, rerr)
+					}
+					if err != nil || kind != adl.Anti {
+						continue
+					}
+					left, lerr := drain(a.left, &Ctx{DB: d})
+					if rows := streamed(t, a.op, d); lerr != nil || !sameRows(rows, left) {
+						t.Errorf("%s: rows %v, want L's %v (%v)", name, rows, left, lerr)
+					}
+				}
+			}
+		}
+	}
+}
+
 // sameRows reports whether got and want hold equal rows in one order.
 func sameRows(got, want []value.Value) bool {
 	return slices.EqualFunc(got, want, value.Equal)

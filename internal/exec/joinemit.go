@@ -73,6 +73,23 @@ func newJoinEmit(ctx *Ctx, kind adl.JoinKind, op string, residual, rfun, sel *Sc
 		nullPad: outerNullPad(kind, right), right: right}
 }
 
+// emptyRight is the verdict of a semi- or antijoin over an empty right
+// operand, P(x, ∅) of §5.2.2: ∃y ∈ ∅ is false, so ⋉ keeps no left row and ▷
+// keeps every one, in order, and no key or predicate is evaluated. Each left
+// row must still be a tuple, as begin checks.
+func emptyRight(kind adl.JoinKind, op string, lrows []value.Value) (Rows, error) {
+	for _, row := range lrows {
+		if _, ok := row.(*value.Tuple); !ok {
+			_, err := asTuple(row, op)
+			return nil, err
+		}
+	}
+	if kind == adl.Semi {
+		lrows = nil
+	}
+	return buffered(lrows)
+}
+
 // outerNullPad builds the null tuple over the right schema for outer joins;
 // the other kinds pad nothing.
 func outerNullPad(kind adl.JoinKind, right []value.Value) *value.Tuple {

@@ -25,8 +25,9 @@ import (
 // lifecycleTexts are the query texts of benchmark/spec.go's analytic.* and
 // serve.* cycles (benchmark/ is its own module, so they are repeated here),
 // Example Query 4 with a residual over both variables, whose μ the antijoin
-// cannot expand inside its probe: the one plain μ of the corpus, and a
-// nestjoin whose fused select row is a value, not a tuple.
+// cannot expand inside its probe: the one plain μ of the corpus, a nestjoin
+// whose fused select row is a value, not a tuple, and two texts whose
+// semi- and antijoins have an empty right operand.
 var lifecycleTexts = []string{
 	`select s from s in SUPPLIER
  where exists x in s.parts_supplied : exists p in PART : x = p and p.color = "red"`,
@@ -50,7 +51,17 @@ var lifecycleTexts = []string{
  where exists z in s.parts_supplied : not exists p in PART : z = p and p.pname < s.sname`,
 	`select count(select p.pname from p in PART where p in s.parts_supplied and p.price < 50)
  from s in SUPPLIER`,
+	`select s.sname from s in SUPPLIER
+ where exists d in DELIVERY : d.supplier = s and
+       exists y in d.supply : exists p in PART : y.part = p and p.price = 1001`,
+	`select s.eid from s in SUPPLIER
+ where exists z in s.parts_supplied : not exists p in PART : z = p and p.price = 1001`,
 }
+
+// emptyRightTexts are the lifecycleTexts whose joins meet an empty right
+// operand (no part costs 1001): semijoins in a chain, and Example Query 4's
+// antijoin, which keeps every unnested row.
+var emptyRightTexts = []int{11, 12}
 
 // fusedTexts are the lifecycleTexts whose every plan is a nestjoin that
 // builds its select row (exec.HashJoin.Sel): a tuple (Example Query 6, the
@@ -219,6 +230,13 @@ func (f *faultyDB) IndexLookup(extent, attr string, key value.Value) ([]value.Va
 	return f.st.IndexLookup(extent, attr, key)
 }
 
+func (f *faultyDB) IndexExists(extent, attr string, key value.Value) (bool, error) {
+	if err := f.hit(); err != nil {
+		return false, err
+	}
+	return f.st.IndexExists(extent, attr, key)
+}
+
 func (f *faultyDB) IndexRange(extent, attr string, lo, hi value.Value, loIncl, hiIncl bool) ([]value.Value, error) {
 	if err := f.hit(); err != nil {
 		return nil, err
@@ -264,6 +282,9 @@ func TestEveryStreamClosedOnce(t *testing.T) {
 				want = got
 			} else if !value.Equal(got, want) {
 				t.Errorf("%s returns %d rows, %s %d", a.name, got.Len(), arms[0].name, want.Len())
+			}
+			if slices.Contains(emptyRightTexts, i) && (got.Len() == 0) != (i == emptyRightTexts[0]) {
+				t.Errorf("%s returns %d rows: ⋉ over ∅ keeps none, ▷ over ∅ every one", a.name, got.Len())
 			}
 			if check(a.name)["*exec.fanned"] && i == eq4Text {
 				t.Errorf("%s opens μ's stream:\n%s", a.name, plan.Explain(a.root))

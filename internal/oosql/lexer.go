@@ -47,62 +47,79 @@ func LexText(src string, fp []byte) (Text, error) { return lex(src, fp, true) }
 func Fingerprint(src string, fp []byte) (Text, error) { return lex(src, fp, false) }
 
 // lex is the one pass of LexText and Fingerprint over the tokens of src,
-// keeping them when tokens is set.
+// keeping them when tokens is set. Only a kept token or an error asks for
+// its position.
 func lex(src string, fp []byte, tokens bool) (Text, error) {
-	lx := lexer{src: src, line: 1, col: 1}
+	lx := lexer{src: src, line: 1}
 	var t Text
 	if tokens {
 		t.Tokens = make([]Token, 0, len(src)/3+2)
 	}
 	for {
-		tok, err := lx.next()
+		kind, text, val, err := lx.next()
 		if err != nil {
 			return Text{}, err
 		}
 		if tokens {
-			t.Tokens = append(t.Tokens, tok)
+			t.Tokens = append(t.Tokens, Token{Kind: kind, Text: text, Val: val, Pos: lx.pos(lx.start)})
 		}
 		if fp != nil {
-			fp = t.key(fp, tok)
+			fp = t.key(fp, kind, text, val)
 		}
-		if tok.Kind == TokEOF {
+		if kind == TokEOF {
 			t.Fingerprint = fp
 			return t, nil
 		}
 	}
 }
 
-// key appends tok to the fingerprint fp, or returns nil if fp is nil or tok
-// is a literal that did not convert.
-func (t *Text) key(fp []byte, tok Token) []byte {
-	fp = append(fp, byte(tok.Kind))
-	switch tok.Kind {
+// key appends a token to the fingerprint fp, or returns nil if fp is nil or
+// the token is a literal that did not convert.
+func (t *Text) key(fp []byte, kind TokKind, text string, val value.Value) []byte {
+	fp = append(fp, byte(kind))
+	switch kind {
 	case TokEOF:
 		return fp
 	case TokIdent, TokKeyword, TokSym:
-		return append(binary.AppendUvarint(fp, uint64(len(tok.Text))), tok.Text...)
+		return append(binary.AppendUvarint(fp, uint64(len(text))), text...)
 	}
-	if tok.Val == nil {
+	if val == nil {
 		return nil
 	}
 	c := 0
-	for c < len(t.Classes) && !value.Equal(t.Classes[c], tok.Val) {
+	for c < len(t.Classes) && !value.Equal(t.Classes[c], val) {
 		c++
 	}
 	if c == len(t.Classes) {
-		t.Classes = append(t.Classes, tok.Val)
+		t.Classes = append(t.Classes, val)
 		t.Counts = append(t.Counts, 0)
 	}
 	t.Counts[c]++
 	return binary.AppendUvarint(fp, uint64(c))
 }
 
-// lexer is the state of one pass over a text.
+// lexer is the state of one pass over a text: the offset of the scan and of
+// the current token's first byte, and the line of offset seen, the last one
+// whose position was asked for, with the offset of that line's first byte.
 type lexer struct {
-	src  string
-	off  int
-	line int
-	col  int
+	src                   string
+	off, start            int
+	line, lineStart, seen int
+}
+
+// pos is the position of offset off, at or after the last one asked for: its
+// line and its byte's offset from the line's start, both 1-based.
+func (lx *lexer) pos(off int) Pos {
+	for {
+		i := strings.IndexByte(lx.src[lx.seen:off], '\n')
+		if i < 0 {
+			break
+		}
+		lx.seen += i + 1
+		lx.line, lx.lineStart = lx.line+1, lx.seen
+	}
+	lx.seen = off
+	return Pos{Line: lx.line, Col: off - lx.lineStart + 1}
 }
 
 func (lx *lexer) peek2() byte {
@@ -112,168 +129,166 @@ func (lx *lexer) peek2() byte {
 	return lx.src[lx.off+1]
 }
 
-func (lx *lexer) advance() byte {
-	c := lx.src[lx.off]
-	lx.off++
-	if c == '\n' {
-		lx.line++
-		lx.col = 1
-	} else {
-		lx.col++
+// Byte classes: ASCII bytes are classified by the table, and a byte ≥
+// utf8.RuneSelf (nonASCII) starts a character the unicode tables classify.
+const (
+	space      = 1 << iota // ' ', '\t', '\n', '\r'
+	identStart             // A–Z, a–z, '_'
+	identPart              // identStart, a digit or the prime '\''
+	digit                  // 0–9
+	symbol                 // a symbol's first byte
+	nonASCII
+)
+
+var class = func() (t [256]uint8) {
+	for _, c := range " \t\n\r" {
+		t[c] = space
 	}
-	return c
-}
+	for c := 'a'; c <= 'z'; c++ {
+		t[c], t[c-'a'+'A'] = identStart|identPart, identStart|identPart
+	}
+	t['_'], t['\''] = identStart|identPart, identPart
+	for c := '0'; c <= '9'; c++ {
+		t[c] = identPart | digit
+	}
+	for _, c := range "(){},.=+-*/:<>" {
+		t[c] = symbol
+	}
+	for c := utf8.RuneSelf; c < len(t); c++ {
+		t[c] = nonASCII
+	}
+	return t
+}()
 
-// skip moves past n bytes of one line.
-func (lx *lexer) skip(n int) {
-	lx.off += n
-	lx.col += n
-}
-
-// next returns the next token.
-func (lx *lexer) next() (Token, error) {
+// next scans the next token: its kind, text and, a literal's, value.
+func (lx *lexer) next() (TokKind, string, value.Value, error) {
 	lx.skipSpaceAndComments()
-	start := Pos{Line: lx.line, Col: lx.col}
-	if lx.off >= len(lx.src) {
-		return Token{Kind: TokEOF, Pos: start}, nil
+	from := lx.off
+	if lx.start = from; from >= len(lx.src) {
+		return TokEOF, "", nil, nil
 	}
-	c := lx.src[lx.off]
-	switch {
-	case c >= '0' && c <= '9':
-		return lx.lexNumber(start), nil
+	c := lx.src[from]
+	switch k := class[c]; {
+	case k&digit != 0:
+		return lx.lexNumber()
 	case c == '"':
-		return lx.lexString(start)
-	case isIdentStart(lx.rune()):
-		return lx.lexIdent(start), nil
-	}
-	n := 1
-	switch c {
-	case '<':
-		if d := lx.peek2(); d == '=' || d == '>' {
-			n = 2
+		return lx.lexString()
+	case k&identStart != 0:
+		return lx.lexIdent(), lx.src[from:lx.off], nil, nil
+	case k&symbol != 0:
+		if d := lx.peek2(); c == '<' && (d == '=' || d == '>') || c == '>' && d == '=' {
+			lx.off++
 		}
-	case '>':
-		if lx.peek2() == '=' {
-			n = 2
+		lx.off++
+		return TokSym, lx.src[from:lx.off], nil, nil
+	case k&nonASCII != 0:
+		if r, _ := utf8.DecodeRuneInString(lx.src[from:]); unicode.IsLetter(r) {
+			return lx.lexIdent(), lx.src[from:lx.off], nil, nil
 		}
-	case '(', ')', '{', '}', ',', '.', '=', '+', '-', '*', '/', ':':
-	default:
-		_, size := utf8.DecodeRuneInString(lx.src[lx.off:])
-		return Token{}, errf(start, "unexpected character %q", lx.src[lx.off:lx.off+size])
 	}
-	text := lx.src[lx.off : lx.off+n]
-	lx.skip(n)
-	return Token{Kind: TokSym, Text: text, Pos: start}, nil
-}
-
-// rune returns the character at the offset, utf8.RuneError past the end or
-// at a byte that starts none.
-func (lx *lexer) rune() rune {
-	if lx.off >= len(lx.src) {
-		return utf8.RuneError
-	}
-	if c := lx.src[lx.off]; c < utf8.RuneSelf {
-		return rune(c)
-	}
-	r, _ := utf8.DecodeRuneInString(lx.src[lx.off:])
-	return r
+	_, size := utf8.DecodeRuneInString(lx.src[from:])
+	return 0, "", nil, errf(lx.pos(lx.start), "unexpected character %q", lx.src[from:from+size])
 }
 
 func (lx *lexer) skipSpaceAndComments() {
-	for lx.off < len(lx.src) {
-		switch c := lx.src[lx.off]; {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			lx.advance()
-		case c == '-' && lx.peek2() == '-':
-			// SQL-style line comment.
-			for lx.off < len(lx.src) && lx.src[lx.off] != '\n' {
-				lx.advance()
-			}
-		default:
-			return
+	src, off := lx.src, lx.off
+	for off < len(src) {
+		if c := src[off]; class[c]&space != 0 {
+			off++
+		} else if c != '-' || off+1 == len(src) || src[off+1] != '-' {
+			break
+		} else if i := strings.IndexByte(src[off:], '\n'); i >= 0 { // an SQL-style line comment
+			off += i
+		} else {
+			off = len(src)
 		}
 	}
-}
-
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
-}
-
-func isIdentPart(r rune) bool {
-	return r == '_' || r == '\'' || unicode.IsLetter(r) || unicode.IsDigit(r)
+	lx.off = off
 }
 
 // lexIdent scans an identifier or keyword. Trailing primes are allowed so
 // the paper's subquery names (Y′ written Y') work verbatim.
-func (lx *lexer) lexIdent(start Pos) Token {
-	from := lx.off
-	for r := lx.rune(); isIdentPart(r); r = lx.rune() {
-		lx.skip(utf8.RuneLen(r))
+func (lx *lexer) lexIdent() TokKind {
+	src, from, off := lx.src, lx.off, lx.off
+	for off < len(src) {
+		k := class[src[off]]
+		if k&identPart != 0 {
+			off++
+			continue
+		}
+		if k&nonASCII == 0 {
+			break
+		}
+		r, size := utf8.DecodeRuneInString(src[off:])
+		if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+			break
+		}
+		off += size
 	}
-	text := lx.src[from:lx.off]
-	if keywords[text] {
-		return Token{Kind: TokKeyword, Text: text, Pos: start}
+	lx.off = off
+	if isKeyword(src[from:off]) {
+		return TokKeyword
 	}
-	return Token{Kind: TokIdent, Text: text, Pos: start}
+	return TokIdent
 }
 
 // lexNumber scans an integer or a float and converts it; a literal out of
 // range keeps no value, and the parser reports it.
-func (lx *lexer) lexNumber(start Pos) Token {
+func (lx *lexer) lexNumber() (TokKind, string, value.Value, error) {
 	from := lx.off
 	lx.skipDigits()
-	if lx.off < len(lx.src) && lx.src[lx.off] == '.' && lx.peek2() >= '0' && lx.peek2() <= '9' {
-		lx.skip(1)
+	if lx.off < len(lx.src) && lx.src[lx.off] == '.' && class[lx.peek2()]&digit != 0 {
+		lx.off++
 		lx.skipDigits()
 		text := lx.src[from:lx.off]
-		tok := Token{Kind: TokFloat, Text: text, Pos: start}
 		if f, err := strconv.ParseFloat(text, 64); err == nil {
-			tok.Val = value.Float(f)
+			return TokFloat, text, value.Float(f), nil
 		}
-		return tok
+		return TokFloat, text, nil, nil
 	}
 	text := lx.src[from:lx.off]
-	tok := Token{Kind: TokInt, Text: text, Pos: start}
 	if n, err := strconv.ParseInt(text, 10, 64); err == nil {
-		tok.Val = value.Int(n)
+		return TokInt, text, value.Int(n), nil
 	}
-	return tok
+	return TokInt, text, nil, nil
 }
 
 func (lx *lexer) skipDigits() {
-	for lx.off < len(lx.src) && lx.src[lx.off] >= '0' && lx.src[lx.off] <= '9' {
-		lx.skip(1)
+	for lx.off < len(lx.src) && class[lx.src[lx.off]]&digit != 0 {
+		lx.off++
 	}
 }
 
 // lexString scans a string literal. Its text is a substring of the source
 // unless it holds an escape; only then is it built anew.
-func (lx *lexer) lexString(start Pos) (Token, error) {
-	lx.advance() // opening quote
+func (lx *lexer) lexString() (TokKind, string, value.Value, error) {
+	lx.off++ // opening quote
 	from := lx.off
 	var b strings.Builder
 	escaped := false
 	for {
 		if lx.off >= len(lx.src) {
-			return Token{}, errf(start, "unterminated string literal")
+			return 0, "", nil, errf(lx.pos(lx.start), "unterminated string literal")
 		}
-		c := lx.advance()
-		if c == '"' {
+		c := lx.src[lx.off]
+		lx.off++
+		switch c {
+		case '"':
 			text := lx.src[from : lx.off-1]
 			if escaped {
 				text = b.String()
 			}
-			return Token{Kind: TokString, Text: text, Val: value.String(text), Pos: start}, nil
-		}
-		if c == '\\' {
+			return TokString, text, value.String(text), nil
+		case '\\':
 			if !escaped {
 				b.WriteString(lx.src[from : lx.off-1])
 				escaped = true
 			}
 			if lx.off >= len(lx.src) {
-				return Token{}, errf(start, "unterminated string escape")
+				return 0, "", nil, errf(lx.pos(lx.start), "unterminated string escape")
 			}
-			esc := lx.advance()
+			esc := lx.src[lx.off]
+			lx.off++
 			switch esc {
 			case 'n':
 				b.WriteByte('\n')
@@ -282,7 +297,7 @@ func (lx *lexer) lexString(start Pos) (Token, error) {
 			case '"', '\\':
 				b.WriteByte(esc)
 			default:
-				return Token{}, errf(start, "unknown string escape \\%s", string(esc))
+				return 0, "", nil, errf(lx.pos(lx.start), "unknown string escape \\%s", string(esc))
 			}
 			continue
 		}

@@ -76,18 +76,23 @@ func (t Token) String() string {
 	return fmt.Sprintf("%q", t.Text)
 }
 
-// keywords of the language. Identifiers are case-sensitive; keywords are
-// recognized in lower case only, matching the paper's examples.
-var keywords = map[string]bool{
-	"select": true, "from": true, "where": true, "in": true, "with": true,
-	"exists": true, "forall": true,
-	"and": true, "or": true, "not": true,
-	"union": true, "intersect": true, "minus": true,
-	"subset": true, "psubset": true, "superset": true, "psuperset": true,
-	"contains": true,
-	"count":    true, "sum": true, "min": true, "max": true, "avg": true,
-	"flatten": true,
-	"true":    true, "false": true,
+// isKeyword reports whether an identifier is a keyword of the language.
+// Identifiers are case-sensitive; keywords are recognized in lower case only,
+// matching the paper's examples.
+func isKeyword(s string) bool {
+	switch s {
+	case "select", "from", "where", "in", "with",
+		"exists", "forall",
+		"and", "or", "not",
+		"union", "intersect", "minus",
+		"subset", "psubset", "superset", "psuperset",
+		"contains",
+		"count", "sum", "min", "max", "avg",
+		"flatten",
+		"true", "false":
+		return true
+	}
+	return false
 }
 
 // Error is a front-end error carrying a source position.

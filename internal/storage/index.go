@@ -285,8 +285,9 @@ func (idx *extIndex) absorb(v value.Value, oid value.OID) {
 // point at a row state the probing snapshot cannot see (deleted, or
 // rewritten by an update), and the chain-resolved state either fails the
 // match or resolves to nothing. Candidates are deduplicated — an updated
-// row can appear under several keys of one range.
-func (s *Store) probe(extent, attr string, seq uint64, match func(value.Value) bool, f func(*extIndex) ([]value.OID, error)) ([]value.Value, error) {
+// row can appear under several keys of one range. A limit above 0 stops the
+// probe at that many rows, reading no object after the last.
+func (s *Store) probe(extent, attr string, seq uint64, limit int, match func(value.Value) bool, f func(*extIndex) ([]value.OID, error)) ([]value.Value, error) {
 	s.idxMu.RLock()
 	idx := s.indexes[extent][attr]
 	if idx == nil {
@@ -304,9 +305,12 @@ func (s *Store) probe(extent, attr string, seq uint64, match func(value.Value) b
 		return nil, err
 	}
 	s.indexProbes.Add(1)
-	out := make([]value.Value, 0, len(oids))
+	if limit <= 0 || limit > len(oids) {
+		limit = len(oids)
+	}
+	out := make([]value.Value, 0, limit)
 	var seen map[value.OID]bool
-	if len(oids) > 1 {
+	if limit > 1 {
 		seen = make(map[value.OID]bool, len(oids))
 	}
 	for _, oid := range oids {
@@ -324,7 +328,9 @@ func (s *Store) probe(extent, attr string, seq uint64, match func(value.Value) b
 		if !ok || !match(v) {
 			continue // the entry indexed a different state of this row
 		}
-		out = append(out, obj)
+		if out = append(out, obj); len(out) == limit {
+			break
+		}
 	}
 	return out, nil
 }
@@ -341,10 +347,11 @@ func visibleOIDs(dst []value.OID, e *indexEntry, bound value.OID) []value.OID {
 	return dst
 }
 
-// indexLookup answers an equality probe with rows visible at (bound, seq).
-func (s *Store) indexLookup(extent, attr string, key value.Value, bound value.OID, seq uint64) ([]value.Value, error) {
+// indexLookup answers an equality probe with rows visible at (bound, seq),
+// at most limit of them if limit > 0.
+func (s *Store) indexLookup(extent, attr string, key value.Value, bound value.OID, seq uint64, limit int) ([]value.Value, error) {
 	match := func(v value.Value) bool { return value.Equal(v, key) }
-	return s.probe(extent, attr, seq, match, func(idx *extIndex) ([]value.OID, error) {
+	return s.probe(extent, attr, seq, limit, match, func(idx *extIndex) ([]value.OID, error) {
 		switch idx.kind {
 		case HashIndex:
 			for _, e := range idx.buckets[value.Hash(key)] {
@@ -387,7 +394,7 @@ func (s *Store) indexRange(extent, attr string, lo, hi value.Value, loIncl, hiIn
 		}
 		return true
 	}
-	return s.probe(extent, attr, seq, match, func(idx *extIndex) ([]value.OID, error) {
+	return s.probe(extent, attr, seq, 0, match, func(idx *extIndex) ([]value.OID, error) {
 		if idx.kind != OrderedIndex {
 			return nil, fmt.Errorf("storage: range probe needs an ordered index on %s.%s (have %s)",
 				extent, attr, idx.kind)
@@ -427,6 +434,14 @@ func (s *Store) IndexLookup(extent, attr string, key value.Value) ([]value.Value
 	sn := s.Snapshot()
 	defer sn.Release()
 	return sn.IndexLookup(extent, attr, key)
+}
+
+// IndexExists reports whether the extent holds an object whose indexed
+// attribute equals key, as of the latest version.
+func (s *Store) IndexExists(extent, attr string, key value.Value) (bool, error) {
+	sn := s.Snapshot()
+	defer sn.Release()
+	return sn.IndexExists(extent, attr, key)
 }
 
 // IndexRange returns the objects whose indexed attribute falls in the range
