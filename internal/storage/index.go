@@ -285,9 +285,9 @@ func (idx *extIndex) absorb(v value.Value, oid value.OID) {
 // point at a row state the probing snapshot cannot see (deleted, or
 // rewritten by an update), and the chain-resolved state either fails the
 // match or resolves to nothing. Candidates are deduplicated — an updated
-// row can appear under several keys of one range. A limit above 0 stops the
-// probe at that many rows, reading no object after the last.
-func (s *Store) probe(extent, attr string, seq uint64, limit int, match func(value.Value) bool, f func(*extIndex) ([]value.OID, error)) ([]value.Value, error) {
+// row can appear under several keys of one range. With first set the probe
+// stops at its first row, reading no object after it.
+func (s *Store) probe(extent, attr string, seq uint64, first bool, match func(value.Value) bool, f func(*extIndex) ([]value.OID, error)) ([]value.Value, error) {
 	s.idxMu.RLock()
 	idx := s.indexes[extent][attr]
 	if idx == nil {
@@ -305,12 +305,13 @@ func (s *Store) probe(extent, attr string, seq uint64, limit int, match func(val
 		return nil, err
 	}
 	s.indexProbes.Add(1)
-	if limit <= 0 || limit > len(oids) {
-		limit = len(oids)
+	n := len(oids)
+	if first {
+		n = min(n, 1)
 	}
-	out := make([]value.Value, 0, limit)
+	out := make([]value.Value, 0, n)
 	var seen map[value.OID]bool
-	if limit > 1 {
+	if n > 1 {
 		seen = make(map[value.OID]bool, len(oids))
 	}
 	for _, oid := range oids {
@@ -328,7 +329,7 @@ func (s *Store) probe(extent, attr string, seq uint64, limit int, match func(val
 		if !ok || !match(v) {
 			continue // the entry indexed a different state of this row
 		}
-		if out = append(out, obj); len(out) == limit {
+		if out = append(out, obj); first {
 			break
 		}
 	}
@@ -348,10 +349,10 @@ func visibleOIDs(dst []value.OID, e *indexEntry, bound value.OID) []value.OID {
 }
 
 // indexLookup answers an equality probe with rows visible at (bound, seq),
-// at most limit of them if limit > 0.
-func (s *Store) indexLookup(extent, attr string, key value.Value, bound value.OID, seq uint64, limit int) ([]value.Value, error) {
+// or with the first of them if first is set.
+func (s *Store) indexLookup(extent, attr string, key value.Value, bound value.OID, seq uint64, first bool) ([]value.Value, error) {
 	match := func(v value.Value) bool { return value.Equal(v, key) }
-	return s.probe(extent, attr, seq, limit, match, func(idx *extIndex) ([]value.OID, error) {
+	return s.probe(extent, attr, seq, first, match, func(idx *extIndex) ([]value.OID, error) {
 		switch idx.kind {
 		case HashIndex:
 			for _, e := range idx.buckets[value.Hash(key)] {
@@ -394,7 +395,7 @@ func (s *Store) indexRange(extent, attr string, lo, hi value.Value, loIncl, hiIn
 		}
 		return true
 	}
-	return s.probe(extent, attr, seq, 0, match, func(idx *extIndex) ([]value.OID, error) {
+	return s.probe(extent, attr, seq, false, match, func(idx *extIndex) ([]value.OID, error) {
 		if idx.kind != OrderedIndex {
 			return nil, fmt.Errorf("storage: range probe needs an ordered index on %s.%s (have %s)",
 				extent, attr, idx.kind)

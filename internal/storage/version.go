@@ -257,14 +257,14 @@ func (sn *Snapshot) OIDs(extent string) []value.OID {
 // re-verified against the key, so a pinned reader never observes a row a
 // concurrent writer added, removed, or rewrote.
 func (sn *Snapshot) IndexLookup(extent, attr string, key value.Value) ([]value.Value, error) {
-	return sn.st.indexLookup(extent, attr, key, sn.v.nextOID, sn.v.seq, 0)
+	return sn.st.indexLookup(extent, attr, key, sn.v.nextOID, sn.v.seq, false)
 }
 
 // IndexExists answers whether IndexLookup would return a row, reading the
 // candidates only up to the first that is visible at the snapshot and still
 // holds key: a semi- or antijoin's verdict needs no more.
 func (sn *Snapshot) IndexExists(extent, attr string, key value.Value) (bool, error) {
-	rows, err := sn.st.indexLookup(extent, attr, key, sn.v.nextOID, sn.v.seq, 1)
+	rows, err := sn.st.indexLookup(extent, attr, key, sn.v.nextOID, sn.v.seq, true)
 	return len(rows) > 0, err
 }
 
