@@ -393,9 +393,9 @@ func missEngine() (*server.Engine, int) {
 // iteration: a level-1 miss that finds its template at level 2 by the text's
 // token fingerprint. The miss arm does the same with the plan.miss cycle of
 // benchmark/spec.go on its 100/200/50 store, and miss-<template> with one of
-// its templates, planned before the timer starts. The replan arm measures the cost
-// of one epoch-drift re-plan per iteration, the upper bound a client sees
-// right after bulk inserts.
+// its templates, planned before the timer starts. The replan arm measures
+// the cost of one epoch-drift re-plan per iteration, the upper bound a
+// client sees right after bulk inserts.
 func BenchmarkServeQuery(b *testing.B) {
 	const q = `select p.pname from p in PART where p.color = "red"`
 	mk := func(noCache bool) *server.Engine {
