@@ -107,6 +107,16 @@ func (j HashJoin) Open(ctx *Ctx) (Rows, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(rrows) == 0 && j.Kind == adl.Semi && j.Unnest != "" {
+		// μ's checks of every row and element, and no unnested row built.
+		un := unnester{attr: j.Unnest}
+		if _, err := drainEach(j.L, ctx, func(row value.Value) error {
+			return un.each(row, func(*value.Tuple) error { return nil })
+		}); err != nil {
+			return nil, err
+		}
+		return buffered(nil)
+	}
 	if len(rrows) == 0 && (j.Kind == adl.Semi || j.Kind == adl.Anti) {
 		lrows, err := j.left(ctx)
 		if err != nil {

@@ -1,30 +1,30 @@
 package oosql
 
 import (
-	"fmt"
+	"strings"
 	"testing"
 )
 
-// missTemplates are the four query shapes of benchmark/spec.go's plan.miss
-// cycle; each op fills its %d with a never-seen price.
-var missTemplates = [][2]string{
-	{"sel-k", `select p.pname from p in PART where p.price < %d`},
-	{"eq5-k", `select s from s in SUPPLIER
- where exists x in s.parts_supplied : exists p in PART : x = p and p.price = %d`},
-	{"eq6-k", `select (sname = s.sname,
-        pnames = select p.pname from p in PART where p in s.parts_supplied and p.price = %d)
- from s in SUPPLIER`},
-	{"nested3-k", `select s.sname from s in SUPPLIER
- where exists d in DELIVERY : d.supplier = s and
-       exists y in d.supply : exists p in PART : y.part = p and p.price = %d`},
-}
+// missNames are the four query shapes of benchmark/spec.go's plan.miss
+// cycle, in the order testdata/tokens.golden lists them at price 1001
+// (internal/plan's missTexts): its only inputs that are a select holding
+// that literal.
+var missNames = []string{"sel-k", "eq5-k", "eq6-k", "nested3-k"}
 
 // BenchmarkFingerprint — the token-free lexer pass a plan.miss op runs on
 // its text before it finds the template's plan, per template.
 func BenchmarkFingerprint(b *testing.B) {
-	for _, q := range missTemplates {
-		src := fmt.Sprintf(q[1], 1001)
-		b.Run(q[0], func(b *testing.B) {
+	var texts []string
+	for _, s := range goldenInputs(b) {
+		if strings.HasPrefix(s, "select") && strings.Contains(s, "1001") {
+			texts = append(texts, s)
+		}
+	}
+	if len(texts) != len(missNames) {
+		b.Fatalf("%s lists %d plan.miss texts, want %d", tokensGolden, len(texts), len(missNames))
+	}
+	for i, src := range texts {
+		b.Run(missNames[i], func(b *testing.B) {
 			b.ReportAllocs()
 			buf := make([]byte, 0, 256)
 			for i := 0; i < b.N; i++ {

@@ -81,9 +81,6 @@ func (t *Text) key(fp []byte, kind TokKind, text string, val value.Value) []byte
 	case TokEOF:
 		return fp
 	case TokIdent, TokKeyword, TokSym:
-		if len(text) < 0x80 { // its uvarint is one byte
-			return append(append(fp, byte(len(text))), text...)
-		}
 		return append(binary.AppendUvarint(fp, uint64(len(text))), text...)
 	}
 	if val == nil {
