@@ -29,7 +29,8 @@ bench-smoke:
 # CPU and allocation profiles of the four benchmarks ROADMAP direction 1
 # names — the semijoin of B1, B13's row pipeline against the batch pipeline
 # the planner picks, PNHL under B4's budget sweep and the cached serving
-# path — of the template path (a never-seen text of a seen shape), of
+# path (ServeQuery: serve.point's red-parts on that workload's 400/800/200
+# store, a ColumnScan that emits the PART.pname column) — of the template path (a never-seen text of a seen shape), of
 # plan-miss (benchmark/spec.go's plan.miss cycle with fresh literals on its
 # 100/200/50 store: lex and bind by token fingerprint, reuse the template's
 # plan, then execute; the spec is anchored, so BenchmarkServeQuery's
@@ -52,7 +53,7 @@ profile:
 	@mkdir -p $(PROFILE_DIR)
 	@$(GO) test -c -o $(PROFILE_DIR)/repro.test .
 	@set -e; for spec in 'B1=BenchmarkB1/optimized/S400' 'B13=BenchmarkB13/' \
-			'B4-PNHL=BenchmarkB4/^PNHL' 'ServeQuery=BenchmarkServeQuery/plancache' \
+			'B4-PNHL=BenchmarkB4/^PNHL' 'ServeQuery=BenchmarkServeQuery/point-red-parts' \
 			'ServeTemplate=BenchmarkServeQuery/template' \
 			'plan-miss=BenchmarkServeQuery/miss$$' \
 			'analytic-cycle=BenchmarkAnalyticCycle/cycle' \

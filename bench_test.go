@@ -13,6 +13,7 @@ package repro
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -168,6 +169,62 @@ func TestBatchAllocations(t *testing.T) {
 		}
 		t.Logf("%s %s: %.0f allocations per run", tc.c.Name, tc.arm.Label, n)
 	}
+}
+
+// TestPointAllocations pins the serve.point reads that α fused into their
+// scan serves off the column: red-parts, α over a ColumnScan, and
+// all-suppliers, α over a Scan, each a plan-cache hit on the serve.point
+// store. Unfused they took 19 and 15 allocations and 12 832 and 16 664 bytes
+// per query: the Map's stream, its tally wrapper, the result set's arrays
+// and the hashes computed per row. Fused, the scan hands up the column's
+// stored values and hashes and the set adopts both arrays; a serial
+// ColumnScan keeps no copy of its node. Under the race detector sync.Pool
+// drops buffers at random, so the gate is skipped there.
+func TestPointAllocations(t *testing.T) {
+	if raceBuild() {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	eng := pointEngine(t)
+	for _, tc := range []struct {
+		name, query   string
+		allocs, bytes float64
+	}{
+		{"red-parts", pointCycle[0][1], 14, 12832},
+		{"all-suppliers", allSuppliersQuery, 13, 16664},
+	} {
+		query := func() {
+			if _, err := eng.Query(tc.query); err != nil {
+				t.Fatal(err)
+			}
+		}
+		query() // plan and cache; the ruler goldens pin the fused plans
+		const runs = 200
+		allocs := testing.AllocsPerRun(runs, query)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			query()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("%s: %.0f allocations, %.0f bytes per query", tc.name, allocs, bytes)
+		if allocs > tc.allocs || bytes > tc.bytes {
+			t.Errorf("%s: %.0f allocations and %.0f bytes per query, want at most %.0f and %.0f",
+				tc.name, allocs, bytes, tc.allocs, tc.bytes)
+		}
+	}
+}
+
+// raceBuild reports whether the test binary runs under the race detector.
+func raceBuild() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestUnnestAntijoinAllocations pins Example Query 4's plan, the antijoin
@@ -386,6 +443,30 @@ func missEngine() (*server.Engine, int) {
 	return server.New(st, server.Options{Parallelism: 1}), 1000
 }
 
+// pointCycle is benchmark/spec.go's serve.point cycle, each text once.
+var pointCycle = [][2]string{
+	{"red-parts", `select p.pname from p in PART where p.color = "red"`},
+	{"cheap-parts", `select p.pname from p in PART where p.price < 10`},
+	{"all-suppliers", allSuppliersQuery},
+	{"eq5-semijoin", eq5Query},
+}
+
+// pointEngine is the serve.point store, adlserve's default 400/800/200 with a
+// hash index on PART.color and an ordered one on PART.price, analyzed,
+// behind an engine.
+func pointEngine(tb testing.TB) *server.Engine {
+	tb.Helper()
+	st := bench.Generate(bench.Config{Suppliers: 400, Parts: 800, Deliveries: 200, Seed: 94})
+	if err := st.CreateIndex("PART", "color", storage.HashIndex); err != nil {
+		tb.Fatal(err)
+	}
+	if err := st.CreateIndex("PART", "price", storage.OrderedIndex); err != nil {
+		tb.Fatal(err)
+	}
+	st.Analyze()
+	return server.New(st, server.Options{Parallelism: 1})
+}
+
 // BenchmarkServeQuery — the serving layer's plan cache: repeated execution
 // of one query through the server engine with the cache on (plan once,
 // execute the cached plan per run) vs off (full parse/typecheck/rewrite/plan every
@@ -393,7 +474,10 @@ func missEngine() (*server.Engine, int) {
 // iteration: a level-1 miss that finds its template at level 2 by the text's
 // token fingerprint. The miss arm does the same with the plan.miss cycle of
 // benchmark/spec.go on its 100/200/50 store, and miss-<template> with one of
-// its templates, planned before the timer starts. The replan arm measures
+// its templates, planned before the timer starts. point-<text> runs one text
+// of the serve.point cycle as a plan-cache hit on that workload's store,
+// where red-parts plans a ColumnScan (plancache's store has no price index
+// and plans an IndexScan). The replan arm measures
 // the cost of one epoch-drift re-plan per iteration, the upper bound a
 // client sees right after bulk inserts.
 func BenchmarkServeQuery(b *testing.B) {
@@ -440,6 +524,15 @@ func BenchmarkServeQuery(b *testing.B) {
 			b.Run("miss-"+q[0], func(b *testing.B) { benchMissTemplate(b, q[1]) })
 		}
 	}
+	for _, q := range pointCycle {
+		b.Run("point-"+q[0], func(b *testing.B) {
+			eng := pointEngine(b)
+			if _, err := eng.Query(q[1]); err != nil { // warm the cache
+				b.Fatal(err)
+			}
+			run(b, func() error { _, err := eng.Query(q[1]); return err })
+		})
+	}
 	b.Run("no_cache", func(b *testing.B) {
 		eng := mk(true)
 		run(b, func() error { _, err := eng.Query(q); return err })
@@ -480,18 +573,14 @@ func benchMissTemplate(b *testing.B, template string) {
 // entries, the instrumented run and its rows. Planning took 62 of the 134
 // allocations a text cost before; the token slice, eq6's extended and select
 // rows, one per supplier, the row buffers of the α results and the
-// ColumnScan's selection vector took 43 of the 72 left after that; the
-// ceiling is the 29 left. Under the
-// race detector sync.Pool drops buffers at random, so the gate is skipped
-// there.
+// ColumnScan's selection vector took 43 of the 72 left after that; sel-k's α
+// fused into its ColumnScan took 2 of the 29 left then; the ceiling is the
+// 27 left. Under the race detector sync.Pool drops buffers at random, so the
+// gate is skipped there.
 func TestPlanReuseAllocations(t *testing.T) {
-	const ceiling = 29
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("allocation counts differ under the race detector")
-			}
-		}
+	const ceiling = 27
+	if raceBuild() {
+		t.Skip("allocation counts differ under the race detector")
 	}
 	eng, k := missEngine()
 	query := func() {

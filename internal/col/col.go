@@ -3,7 +3,11 @@
 // typed slice (int64/float64/string/oid/set), so vectorized operators scan
 // flat arrays instead of probing tuple attribute maps row by row.
 //
-// A projection keeps the original tuple rows alongside the decoded columns.
+// A projection keeps the original tuple rows alongside the decoded columns,
+// and every typed column keeps each row's value as stored and its
+// value.Hash beside its typed slice, so an operator that emits the
+// attribute (a ColumnScan with Out) hands up values a set adopts without
+// hashing them again.
 // The rows are what operators emit (results are always value.Value), and
 // they are the fallback for anything the columnar fast paths cannot type: an
 // attribute that is missing on some row, mixed-kind, or nested gets a Mixed
@@ -45,25 +49,31 @@ const (
 	chunkMask = chunkLen - 1
 )
 
-// Col is one decoded attribute across all rows of a projection. Exactly one
-// backing is populated, chosen by kind: ints carries the IntBits of Int,
-// Date, OID and Bool values; floats, strs and sets their namesakes. A Mixed
-// column has no backing.
+// Col is one decoded attribute across all rows of a projection. A typed
+// column holds every row's value as stored (vals) and its value.Hash
+// (hashes), and at most one typed backing, chosen by kind: ints carries the
+// IntBits of Int, Date, OID and Bool values; floats and strs their
+// namesakes. A Set column reads its sets from vals. A Mixed column has no
+// backing at all.
 type Col struct {
 	kind   Kind
+	vals   [][]value.Value
+	hashes [][]uint64
 	ints   [][]int64
 	floats [][]float64
 	strs   [][]string
-	sets   [][]*value.Set
 }
 
-// Kind reports the column's kind; Int (the IntBits of an Int, Date, OID or Bool
-// column), Float, Str and Set return row i.
-func (c *Col) Kind() Kind             { return c.kind }
-func (c *Col) Int(i int32) int64      { return c.ints[i>>chunkBits][i&chunkMask] }
-func (c *Col) Float(i int32) float64  { return c.floats[i>>chunkBits][i&chunkMask] }
-func (c *Col) Str(i int32) string     { return c.strs[i>>chunkBits][i&chunkMask] }
-func (c *Col) Set(i int32) *value.Set { return c.sets[i>>chunkBits][i&chunkMask] }
+// Kind reports the column's kind; Int (the IntBits of an Int, Date, OID or
+// Bool column), Float, Str, Set, Value (the value as stored) and Hash (its
+// value.Hash) return row i of a typed column.
+func (c *Col) Kind() Kind                { return c.kind }
+func (c *Col) Int(i int32) int64         { return c.ints[i>>chunkBits][i&chunkMask] }
+func (c *Col) Float(i int32) float64     { return c.floats[i>>chunkBits][i&chunkMask] }
+func (c *Col) Str(i int32) string        { return c.strs[i>>chunkBits][i&chunkMask] }
+func (c *Col) Set(i int32) *value.Set    { return c.Value(i).(*value.Set) }
+func (c *Col) Value(i int32) value.Value { return c.vals[i>>chunkBits][i&chunkMask] }
+func (c *Col) Hash(i int32) uint64       { return c.hashes[i>>chunkBits][i&chunkMask] }
 
 // Proj is a columnar projection of one extent: the original rows (tuples, in
 // extent order) plus the decoded columns for the attributes a pipeline
@@ -175,13 +185,13 @@ func (b *builder) chunk(ci int, same bool, rows []value.Value) {
 		if b.mixed = pc.kind != c.kind; b.mixed {
 			return
 		}
+		c.vals, c.hashes = append(c.vals, pc.vals[ci]), append(c.hashes, pc.hashes[ci])
 		switch pc.kind {
 		case Float:
 			c.floats = append(c.floats, pc.floats[ci])
 		case Str:
 			c.strs = append(c.strs, pc.strs[ci])
-		case Set:
-			c.sets = append(c.sets, pc.sets[ci])
+		case Set: // vals holds the sets
 		default:
 			c.ints = append(c.ints, pc.ints[ci])
 		}
@@ -202,24 +212,25 @@ func (b *builder) chunk(ci int, same bool, rows []value.Value) {
 			return
 		}
 		if k == 0 {
+			c.vals = append(c.vals, make([]value.Value, len(rows)))
+			c.hashes = append(c.hashes, make([]uint64, len(rows)))
 			switch kind {
 			case Float:
 				c.floats = append(c.floats, make([]float64, len(rows)))
 			case Str:
 				c.strs = append(c.strs, make([]string, len(rows)))
-			case Set:
-				c.sets = append(c.sets, make([]*value.Set, len(rows)))
+			case Set: // vals holds the sets
 			default:
 				c.ints = append(c.ints, make([]int64, len(rows)))
 			}
 		}
+		c.vals[ci][k], c.hashes[ci][k] = v, value.Hash(v)
 		switch kind {
 		case Float:
 			c.floats[ci][k] = float64(v.(value.Float))
 		case Str:
 			c.strs[ci][k] = string(v.(value.String))
-		case Set:
-			c.sets[ci][k] = v.(*value.Set)
+		case Set: // vals holds the sets
 		default:
 			c.ints[ci][k], _ = value.IntBits(v)
 		}

@@ -214,3 +214,53 @@ func TestPatchEqualsNew(t *testing.T) {
 		t.Error("an update in chunk 1 shared chunk 1")
 	}
 }
+
+// TestPatchKeepsValuesAndHashes: in a projection patched after an insert,
+// an update or a delete, every typed column holds each row's attribute as
+// stored and that value's value.Hash — the shared chunks' as well as the
+// re-decoded ones' — and a Mixed column holds neither.
+func TestPatchKeepsValuesAndHashes(t *testing.T) {
+	row := func(i int64) *value.Tuple {
+		return value.NewTuple("i", value.Int(i), "s", value.String(string(rune('a'+i%26))),
+			"f", value.Float(float64(i%7)-3), "d", value.Date(940101+i%30), "o", value.OID(i),
+			"b", value.Bool(i%2 == 0), "set", value.NewSet(value.Int(i%4)), "m", value.Int(i))
+	}
+	const n = 2*chunkLen + 9
+	r := make([]value.Value, n)
+	for i := range r {
+		r[i] = row(int64(i))
+	}
+	r[5] = value.NewTuple("i", value.Int(5), "s", value.String("x"), "f", value.Float(0), "d", value.Date(1),
+		"o", value.OID(5), "b", value.Bool(true), "set", value.EmptySet(), "m", value.String("odd"))
+	attrs := []string{"i", "s", "f", "d", "o", "b", "set", "m"}
+	prev := New("E", r, attrs)
+	updated := slices.Clone(r)
+	updated[chunkLen+3] = row(9000)
+	for name, rows := range map[string][]value.Value{
+		"insert": append(slices.Clone(r), row(7000)),
+		"update": updated,
+		"delete": append(slices.Clone(r[:chunkLen+1]), r[chunkLen+2:]...),
+	} {
+		kept := make([]bool, len(rows))
+		for i := range rows {
+			kept[i] = i < prev.Len() && prev.Row(int32(i)) == rows[i]
+		}
+		p := patch(prev, rows, kept, attrs)
+		for _, a := range attrs {
+			c := p.Col(a)
+			if a == "m" {
+				if c.Kind() != Mixed || c.vals != nil || c.hashes != nil {
+					t.Errorf("%s: Mixed column %s keeps values or hashes", name, a)
+				}
+				continue
+			}
+			for i := range int32(p.Len()) {
+				want, _ := p.Row(i).(*value.Tuple).Get(a)
+				if v := c.Value(i); v != want || c.Hash(i) != value.Hash(v) {
+					t.Fatalf("%s: column %s row %d holds %v (hash %x), want %v (hash %x)",
+						name, a, i, v, c.Hash(i), want, value.Hash(want))
+				}
+			}
+		}
+	}
+}

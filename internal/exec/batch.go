@@ -21,7 +21,7 @@ import (
 	"slices"
 
 	"repro/internal/col"
-	"repro/internal/value"
+	"repro/internal/eval"
 )
 
 // DefaultBatchSize is the rows the kernels narrow at a time: one selection
@@ -44,10 +44,17 @@ type ColumnarDB interface {
 // is the one a Filter meets first.
 type ColumnScan struct {
 	Extent string
-	// Attrs are the attributes the kernels read columnar.
+	// Attrs are the attributes the projection decodes: the ones the kernels
+	// read columnar, and Out.
 	Attrs   []string
 	Var     string
 	Kernels []VecCmp
+	// Out, if set, is the attribute the scan emits in place of each row:
+	// α[v: v.Out] fused into the scan. A typed column hands up its stored
+	// values with their stored hashes, which Collect adopts without hashing
+	// again; a Mixed or undecoded one reads each row's attribute through
+	// eval.Field, so the values and the error are α's.
+	Out string
 	// Workers > 1 splits the projection into that many contiguous shares of
 	// whole batches, one goroutine each; the rows, their order and the error
 	// are still the serial run's.
@@ -65,23 +72,35 @@ func (s ColumnScan) Open(ctx *Ctx) (Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := proj.Len()
-	batches := (n + DefaultBatchSize - 1) / DefaultBatchSize
-	shares, err := inShares(batches, s.Workers, func(lo, hi int) (out *rowBuf, err error) {
-		var sel [DefaultBatchSize]int32 // on the stack: batch keeps none of it
-		out = new(rowBuf)
-		for b := lo; b < hi; b++ {
-			first := b * DefaultBatchSize
-			if out.out, err = s.batch(ctx, proj, first, min(n, first+DefaultBatchSize), sel[:], out.out); err != nil {
-				return nil, err
-			}
+	batches := (proj.Len() + DefaultBatchSize - 1) / DefaultBatchSize
+	if s.Workers <= 1 {
+		out, err := s.span(ctx, proj, 0, batches)
+		if err != nil {
+			return nil, err
 		}
 		return out, nil
+	}
+	par := s // the shares' copy of the node, which a serial run does not make
+	shares, err := inShares(batches, s.Workers, func(lo, hi int) (*rowBuf, error) {
+		return par.span(ctx, proj, lo, hi)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return joined(shares)
+}
+
+// span runs batches [lo, hi) of p into one buffer.
+func (s *ColumnScan) span(ctx *Ctx, p *col.Proj, lo, hi int) (*rowBuf, error) {
+	var sel [DefaultBatchSize]int32 // on the stack: batch keeps none of it
+	out, n := new(rowBuf), p.Len()
+	for b := lo; b < hi; b++ {
+		first := b * DefaultBatchSize
+		if err := s.batch(ctx, p, first, min(n, first+DefaultBatchSize), sel[:], out); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // projection obtains the projection of the extent's Attrs.
@@ -97,8 +116,10 @@ func (s ColumnScan) projection(ctx *Ctx) (*col.Proj, error) {
 }
 
 // batch narrows rows [lo, hi) of p through the kernels, in buf, and appends
-// the survivors to out.
-func (s ColumnScan) batch(ctx *Ctx, p *col.Proj, lo, hi int, buf []int32, out []value.Value) ([]value.Value, error) {
+// the survivors, or their Out attribute, to out. Once a row's attribute has
+// failed, out takes the error and no more rows, but the kernels still run:
+// a kernel error anywhere is the one a Map over the unfused scan meets.
+func (s ColumnScan) batch(ctx *Ctx, p *col.Proj, lo, hi int, buf []int32, out *rowBuf) error {
 	sel := buf[:hi-lo]
 	for i := range sel {
 		sel[i] = int32(lo + i)
@@ -106,14 +127,35 @@ func (s ColumnScan) batch(ctx *Ctx, p *col.Proj, lo, hi int, buf []int32, out []
 	for ki := 0; ki < len(s.Kernels) && len(sel) > 0; ki++ {
 		var err error
 		if sel, err = s.Kernels[ki].apply(ctx, p, sel); err != nil {
-			return nil, s.firstError(ctx, p, lo, hi, err)
+			return s.firstError(ctx, p, lo, hi, err)
 		}
 	}
-	out = slices.Grow(out, len(sel))
-	for _, i := range sel {
-		out = append(out, p.Row(i))
+	if out.err != nil {
+		return nil
 	}
-	return out, nil
+	out.out = slices.Grow(out.out, len(sel))
+	c := p.Col(s.Out)
+	switch {
+	case s.Out == "":
+		for _, i := range sel {
+			out.out = append(out.out, p.Row(i))
+		}
+	case c != nil && c.Kind() != col.Mixed:
+		out.hashes = slices.Grow(out.hashes, len(sel))
+		for _, i := range sel {
+			out.out, out.hashes = append(out.out, c.Value(i)), append(out.hashes, c.Hash(i))
+		}
+	default:
+		for _, i := range sel {
+			v, err := eval.Field(p.Row(i), s.Out, ctx.DB)
+			if err != nil {
+				out.err = err
+				break
+			}
+			out.out = append(out.out, v)
+		}
+	}
+	return nil
 }
 
 // firstError is the error a Filter meets first in rows [lo, hi) of p, where

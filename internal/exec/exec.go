@@ -139,12 +139,16 @@ type blocking interface {
 
 // rowBuf is the stream of a blocking operator and of a leaf scan: Open
 // computes every row into out (or points out at the extent) and returns it.
-// err, if not nil, follows the rows (a fused nestjoin's, joinEmit). Nobody
-// writes into out: it may be an extent's own slice.
+// hashes, if not nil, holds each row's value.Hash aligned with out (a
+// ColumnScan's Out column), and then out is the buffer's own: set hands
+// both to the set it builds. err, if not nil, follows the rows (a fused
+// nestjoin's, joinEmit). Nobody else writes into out: it may be an extent's
+// own slice.
 type rowBuf struct {
-	out []value.Value
-	err error
-	pos int
+	out    []value.Value
+	hashes []uint64
+	err    error
+	pos    int
 }
 
 // buffered is the stream over rows.
@@ -170,8 +174,14 @@ func (b *rowBuf) rest() []value.Value { return b.out[b.pos:] }
 
 func (b *rowBuf) size() int { return len(b.rest()) }
 
-// set builds the set of the remaining rows in one bulk pass.
-func (b *rowBuf) set() *value.Set { return value.NewSetFromSlice(b.rest()) }
+// set builds the set of the remaining rows in one bulk pass, adopting the
+// rows and their hashes where the buffer holds them.
+func (b *rowBuf) set() *value.Set {
+	if b.hashes != nil {
+		return value.NewSetOwned(b.rest(), b.hashes[b.pos:])
+	}
+	return value.NewSetFromSlice(b.rest())
+}
 
 // drain runs an operator and returns its rows, propagating Close errors like
 // Collect. A blocking stream hands its buffer over as it is, unless an error

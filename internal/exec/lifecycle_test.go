@@ -68,6 +68,11 @@ var emptyRightTexts = []int{11, 12}
 // materialize query) or a value.
 var fusedTexts = []int{2, 3, 10}
 
+// outTexts are the lifecycleTexts of one attribute of a σ over an extent or
+// of an extent: every plan of them that does not run the σ as an IndexScan
+// serves α off its scan's column (exec.ColumnScan.Out).
+var outTexts = []int{6, 7, 8}
+
 // eq4Text is Example Query 4 in lifecycleTexts: every plan of it expands μ
 // inside the antijoin's probe, so none opens μ's stream.
 const eq4Text = 1
@@ -91,7 +96,8 @@ type arm struct {
 }
 
 // serialTexts are the lifecycleTexts whose plans hold no node with a
-// parallel form (α over a Scan), so that forcing the parallel operators
+// parallel form (α over a Scan, which becomes a serial ColumnScan after the
+// access path is priced), so that forcing the parallel operators
 // leaves them serial. Every other text's forced plan must be parallel, and
 // each of these must stay serial.
 var serialTexts = []int{8}
@@ -117,6 +123,9 @@ func textArms(t *testing.T, st *storage.Store) [][]arm {
 			x := plan.Explain(q.Plan)
 			if fused := strings.Contains(x, " ⇒ "); fused != slices.Contains(fusedTexts, i) {
 				t.Fatalf("text %d: the plan fuses α into its nestjoin=%v, want %v:\n%s", i, fused, !fused, x)
+			}
+			if out, want := strings.Contains(x, " | out "), slices.Contains(outTexts, i) && !strings.Contains(x, "IndexScan"); out != want {
+				t.Fatalf("text %d %s: α served off the scan's column=%v, want %v:\n%s", i, name, out, want, x)
 			}
 			if par, serial := strings.Contains(x, "-- parallel"), slices.Contains(serialTexts, i); name == "p3-forced" && par == serial {
 				t.Fatalf("text %d: the forced plan is parallel=%v, want %v:\n%s", i, par, !serial, x)

@@ -82,8 +82,9 @@ func joined(shares []*rowBuf) (Rows, error) {
 		return shares[0], nil
 	}
 	rows := make([][]value.Value, last+1)
+	var hashes []uint64
 	for i := range rows {
-		rows[i] = shares[i].out
+		rows[i], hashes = shares[i].out, append(hashes, shares[i].hashes...)
 	}
-	return &rowBuf{out: slices.Concat(rows...), err: shares[last].err}, nil
+	return &rowBuf{out: slices.Concat(rows...), hashes: hashes, err: shares[last].err}, nil
 }

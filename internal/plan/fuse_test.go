@@ -53,7 +53,7 @@ func TestFuseSelectIntoNestJoin(t *testing.T) {
 		{"variable is the group", adl.MapE("ys", adl.Dot(ys, "sname"), members), ""},
 		{"over a semijoin", adl.MapE("s", adl.Dot(s, "sname"), adl.SemiJoin(adl.T("SUPPLIER"), "s", "p",
 			adl.CmpE(adl.In, adl.SubT(p, "pid"), adl.Dot(s, "parts")), adl.T("PART"))), ""},
-		{"over a scan", adl.MapE("s", adl.Dot(s, "sname"), adl.T("SUPPLIER")), ""},
+		{"over a scan", adl.MapE("s", adl.Tup("n", adl.Dot(s, "sname")), adl.T("SUPPLIER")), ""},
 	}
 	joins := map[string]bool{}
 	for _, c := range cases {

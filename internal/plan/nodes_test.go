@@ -84,6 +84,7 @@ func TestEveryNodeIsPlanned(t *testing.T) {
 		"unnest":   adl.Mu("c", adl.T("X")),
 		"nest":     adl.Nu(adl.T("X"), "g", "b"),
 		"flatten":  adl.Flat(adl.MapE("x", adl.Dot(adl.V("x"), "c"), adl.T("X"))),
+		"map":      adl.MapE("x", adl.Tup("a", adl.Dot(adl.V("x"), "a")), adl.T("X")),
 		"let":      adl.LetE("k", adl.CInt(3), adl.Sel("x", adl.EqE(adl.Dot(adl.V("x"), "b"), adl.V("k")), adl.T("X"))),
 		"assembly": adl.Mat(adl.T("X"), "r", "o"),
 		"fallback": adl.C(value.NewSet(value.NewTuple("a", value.Int(1)))),

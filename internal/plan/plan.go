@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 
 	"repro/internal/adl"
@@ -224,6 +225,11 @@ func (p *planner) compile(e adl.Expr) (exec.Operator, nodeEst) {
 			p.record(child, est)
 			return child, est
 		}
+		if scan := fuseOut(child, n); scan != nil { // α's estimate
+			delete(p.est, child)
+			p.record(scan, est)
+			return scan, est
+		}
 		op := &exec.MapOp{Child: child, Var: n.Var, Body: exec.NewScalar(n.Body, n.Var)}
 		p.record(op, est)
 		return op, est
@@ -316,6 +322,29 @@ func fuseSelect(op exec.Operator, m *adl.Map) bool {
 	s := exec.NewScalar(body, v, as)
 	*sel = &s
 	return true
+}
+
+// fuseOut compiles α[v: v.a] over op, a ColumnScan or a Scan of an extent
+// just built, into a ColumnScan that emits attribute a (Out): the scan hands
+// up the column's stored values and hashes instead of its rows. A Scan
+// becomes a ColumnScan without kernels. The access path is already chosen,
+// so nothing is priced again.
+func fuseOut(op exec.Operator, m *adl.Map) *exec.ColumnScan {
+	a := fieldAttr(m.Body, m.Var)
+	switch o := op.(type) {
+	case *exec.ColumnScan:
+		if a != "" && o.Out == "" {
+			if o.Out = a; !slices.Contains(o.Attrs, a) {
+				o.Attrs = append(o.Attrs, a)
+			}
+			return o
+		}
+	case *exec.Scan:
+		if a != "" {
+			return &exec.ColumnScan{Extent: o.Table, Attrs: []string{a}, Var: m.Var, Out: a, Workers: 1}
+		}
+	}
+	return nil
 }
 
 // withOwn derives a child's estimate for a row-transforming parent: new row
@@ -684,9 +713,8 @@ func describe(op exec.Operator, args []value.Value) (string, []exec.Operator) {
 		if len(o.Attrs) > 0 {
 			cols = strings.Join(o.Attrs, ", ")
 		}
-		line := fmt.Sprintf("ColumnScan(%s | cols %s", o.Extent, cols)
+		line, typed := fmt.Sprintf("ColumnScan(%s | cols %s", o.Extent, cols), 0
 		if len(o.Kernels) > 0 {
-			typed := 0
 			parts := make([]string, len(o.Kernels))
 			for i, k := range o.Kernels {
 				parts[i] = fmt.Sprint(x(k.Pred.Expr))
@@ -694,8 +722,13 @@ func describe(op exec.Operator, args []value.Value) (string, []exec.Operator) {
 					typed++
 				}
 			}
-			line = fmt.Sprintf("ColumnScan(%s | %s: %s | cols %s | %d/%d typed kernels",
-				o.Extent, o.Var, strings.Join(parts, " ∧ "), cols, typed, len(o.Kernels))
+			line = fmt.Sprintf("ColumnScan(%s | %s: %s | cols %s", o.Extent, o.Var, strings.Join(parts, " ∧ "), cols)
+		}
+		if o.Out != "" {
+			line += " | out " + o.Out
+		}
+		if len(o.Kernels) > 0 {
+			line += fmt.Sprintf(" | %d/%d typed kernels", typed, len(o.Kernels))
 		}
 		if o.Workers > 1 {
 			return fmt.Sprintf("%s | %d workers)  -- parallel", line, o.Workers), nil

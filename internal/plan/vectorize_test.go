@@ -188,14 +188,16 @@ func holdsColumnScan(op exec.Operator) bool {
 	return strings.Contains(Explain(op), "ColumnScan(")
 }
 
-// columnScansRunSigma fails unless every ColumnScan of the plan is a σ: the
-// planner builds one only for σ over an extent, with a kernel per conjunct.
+// columnScansRunSigma fails unless every ColumnScan of the plan is a σ or α
+// of one attribute over an extent: the planner builds one for σ over an
+// extent, with a kernel per conjunct, and fuses α[v: v.a] over it or over a
+// Scan into one that emits a (Out).
 func columnScansRunSigma(t *testing.T, op exec.Operator) {
 	t.Helper()
 	var walk func(node exec.Operator)
 	walk = func(node exec.Operator) {
-		if cs, ok := node.(*exec.ColumnScan); ok && (cs.Var == "" || len(cs.Kernels) == 0) {
-			t.Fatalf("ColumnScan without a predicate:\n%s", Explain(op))
+		if cs, ok := node.(*exec.ColumnScan); ok && (cs.Var == "" || len(cs.Kernels) == 0 && cs.Out == "") {
+			t.Fatalf("ColumnScan without a predicate or an attribute to emit:\n%s", Explain(op))
 		}
 		_, children := describe(node, nil)
 		for _, c := range children {
@@ -335,8 +337,8 @@ func TestDifferentialScalarVsVectorized(t *testing.T) {
 // TestDifferentialVectorizedMVCC runs the planned queries against the
 // reference interpreter over pinned MVCC snapshots while the store keeps
 // mutating: the columnar projection reader, which the plans of the σ over
-// DELIVERY read, must respect each snapshot's visibility, including deletes
-// and updates pending after the pin.
+// DELIVERY and of α over a scan read, must respect each snapshot's
+// visibility, including deletes and updates pending after the pin.
 func TestDifferentialVectorizedMVCC(t *testing.T) {
 	st := bench.Generate(bench.Config{Suppliers: 12, Parts: 30, Deliveries: 90, Seed: 7})
 
@@ -344,7 +346,10 @@ func TestDifferentialVectorizedMVCC(t *testing.T) {
 		sel := adl.Sel("d",
 			adl.CmpE(adl.Lt, adl.Dot(adl.V("d"), "date"), adl.C(value.Date(940115))),
 			adl.T("DELIVERY"))
-		qs := []adl.Expr{sel, adl.Proj(sel, "date")}
+		// α of one attribute over the σ and over an extent: the scan emits
+		// the column's stored values and hashes (ColumnScan.Out).
+		qs := []adl.Expr{sel, adl.Proj(sel, "date"), adl.MapE("d", adl.Dot(adl.V("d"), "date"), sel),
+			adl.MapE("s", adl.Dot(adl.V("s"), "sname"), adl.T("SUPPLIER"))}
 		for _, kind := range []adl.JoinKind{adl.Inner, adl.Semi, adl.Anti} {
 			j := adl.JoinE(sel, "d", "s",
 				adl.EqE(adl.Dot(adl.V("d"), "supplier"), adl.Dot(adl.V("s"), "eid")),

@@ -275,19 +275,22 @@ func (idx *extIndex) absorb(v value.Value, oid value.OID) {
 	idx.entries[i] = &indexEntry{key: v, oids: []value.OID{oid}}
 }
 
-// probe runs f on an index under the read lock — f returns candidate oids
-// copied out of the index, pre-filtered to oid < bound (the probing
-// snapshot's allocation horizon) — then resolves each candidate through its
-// version chain at seq via the metered Lookup path (an index probe pays
-// per-object I/O, unlike an extent scan's page-granular sweep) and
-// re-verifies the indexed attribute with match. The re-verification is what
-// makes the shared index answer for every version at once: an entry may
-// point at a row state the probing snapshot cannot see (deleted, or
-// rewritten by an update), and the chain-resolved state either fails the
-// match or resolves to nothing. Candidates are deduplicated — an updated
-// row can appear under several keys of one range. With first set the probe
-// stops at its first row, reading no object after it.
-func (s *Store) probe(extent, attr string, seq uint64, first bool, match func(value.Value) bool, f func(*extIndex) ([]value.OID, error)) ([]value.Value, error) {
+// probe runs f on an index under the read lock — f returns the entries
+// whose oids are the candidates, as the index holds them — and takes the
+// candidates below bound (the probing snapshot's allocation horizon). Each
+// is resolved through its version chain at seq via the metered Lookup path
+// (an index probe pays per-object I/O, unlike an extent scan's
+// page-granular sweep) and its indexed attribute re-verified with match.
+// The re-verification is what makes the shared index answer for every
+// version at once: an entry may point at a row state the probing snapshot
+// cannot see (deleted, or rewritten by an update), and the chain-resolved
+// state either fails the match or resolves to nothing. Candidates are
+// deduplicated — an updated row can appear under several keys of one range.
+// The candidates are copied out under the lock, since GC prunes entries in
+// place, and resolved after it; with first set the probe resolves them under
+// the lock instead, stops at its first row, and copies nothing, so an
+// existence probe costs the same on a key of any size.
+func (s *Store) probe(extent, attr string, bound value.OID, seq uint64, first bool, match func(value.Value) bool, f func(*extIndex) ([]*indexEntry, error)) ([]value.Value, error) {
 	s.idxMu.RLock()
 	idx := s.indexes[extent][attr]
 	if idx == nil {
@@ -299,19 +302,37 @@ func (s *Store) probe(extent, attr string, seq uint64, first bool, match func(va
 		s.idxMu.RUnlock()
 		return nil, err
 	}
-	oids, err := f(idx)
+	entries, err := f(idx)
+	var oids []value.OID
+	var hit value.Value
+scan:
+	for _, e := range entries {
+		for _, oid := range e.oids {
+			switch {
+			case oid >= bound:
+			case !first:
+				oids = append(oids, oid)
+			default:
+				if hit = s.verified(oid, attr, seq, match); hit != nil {
+					break scan
+				}
+			}
+		}
+	}
 	s.idxMu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
 	s.indexProbes.Add(1)
-	n := len(oids)
 	if first {
-		n = min(n, 1)
+		if hit == nil {
+			return nil, nil
+		}
+		return []value.Value{hit}, nil
 	}
-	out := make([]value.Value, 0, n)
+	out := make([]value.Value, 0, len(oids))
 	var seen map[value.OID]bool
-	if n > 1 {
+	if len(oids) > 1 {
 		seen = make(map[value.OID]bool, len(oids))
 	}
 	for _, oid := range oids {
@@ -321,43 +342,38 @@ func (s *Store) probe(extent, attr string, seq uint64, first bool, match func(va
 			}
 			seen[oid] = true
 		}
-		obj, ok := s.lookupAt(oid, seq)
-		if !ok {
-			continue // deleted at seq, or born after it
-		}
-		v, ok := obj.Get(attr)
-		if !ok || !match(v) {
-			continue // the entry indexed a different state of this row
-		}
-		if out = append(out, obj); first {
-			break
+		if obj := s.verified(oid, attr, seq, match); obj != nil {
+			out = append(out, obj)
 		}
 	}
 	return out, nil
 }
 
-// visibleOIDs copies the entry oids that exist below the visibility bound.
-// The copy happens under the caller's read lock: a concurrent absorb may
-// extend the entry afterwards, but never mutates the prefix this probe saw.
-func visibleOIDs(dst []value.OID, e *indexEntry, bound value.OID) []value.OID {
-	for _, oid := range e.oids {
-		if oid < bound {
-			dst = append(dst, oid)
-		}
+// verified is the state of oid at seq if its attr satisfies match, else
+// nil: nil for a row deleted at seq or born after it, and for one whose
+// entry indexed a different state of the row.
+func (s *Store) verified(oid value.OID, attr string, seq uint64, match func(value.Value) bool) value.Value {
+	obj, ok := s.lookupAt(oid, seq)
+	if !ok {
+		return nil
 	}
-	return dst
+	if v, ok := obj.Get(attr); !ok || !match(v) {
+		return nil
+	}
+	return obj
 }
 
 // indexLookup answers an equality probe with rows visible at (bound, seq),
 // or with the first of them if first is set.
 func (s *Store) indexLookup(extent, attr string, key value.Value, bound value.OID, seq uint64, first bool) ([]value.Value, error) {
 	match := func(v value.Value) bool { return value.Equal(v, key) }
-	return s.probe(extent, attr, seq, first, match, func(idx *extIndex) ([]value.OID, error) {
+	return s.probe(extent, attr, bound, seq, first, match, func(idx *extIndex) ([]*indexEntry, error) {
 		switch idx.kind {
 		case HashIndex:
-			for _, e := range idx.buckets[value.Hash(key)] {
+			bucket := idx.buckets[value.Hash(key)]
+			for i, e := range bucket {
 				if value.Equal(e.key, key) {
-					return visibleOIDs(nil, e, bound), nil
+					return bucket[i : i+1], nil
 				}
 			}
 			return nil, nil
@@ -366,7 +382,7 @@ func (s *Store) indexLookup(extent, attr string, key value.Value, bound value.OI
 				return value.Compare(idx.entries[i].key, key) >= 0
 			})
 			if i < len(idx.entries) && value.Equal(idx.entries[i].key, key) {
-				return visibleOIDs(nil, idx.entries[i], bound), nil
+				return idx.entries[i : i+1], nil
 			}
 			return nil, nil
 		}
@@ -395,7 +411,7 @@ func (s *Store) indexRange(extent, attr string, lo, hi value.Value, loIncl, hiIn
 		}
 		return true
 	}
-	return s.probe(extent, attr, seq, false, match, func(idx *extIndex) ([]value.OID, error) {
+	return s.probe(extent, attr, bound, seq, false, match, func(idx *extIndex) ([]*indexEntry, error) {
 		if idx.kind != OrderedIndex {
 			return nil, fmt.Errorf("storage: range probe needs an ordered index on %s.%s (have %s)",
 				extent, attr, idx.kind)
@@ -420,11 +436,7 @@ func (s *Store) indexRange(extent, attr string, lo, hi value.Value, loIncl, hiIn
 				return c >= 0
 			})
 		}
-		var oids []value.OID
-		for i := start; i < end; i++ {
-			oids = visibleOIDs(oids, idx.entries[i], bound)
-		}
-		return oids, nil
+		return idx.entries[start:max(start, end)], nil
 	})
 }
 

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -256,4 +257,62 @@ func TestConcurrentIndexProbes(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestIndexExistsCostIsKeySizeFree: an existence probe stops at the first
+// candidate that is visible and still holds the key, and copies none of the
+// key's oids out of the index, so one costs the same allocations and bytes on
+// a key shared by 300 rows as on one shared by 3 000, through either index
+// kind — also when the key's first rows were deleted or moved off it.
+func TestIndexExistsCostIsKeySizeFree(t *testing.T) {
+	for _, kind := range []IndexKind{HashIndex, OrderedIndex} {
+		st := New(schema.SupplierPart())
+		var first []value.OID
+		for i, n := range []int{300, 3000} {
+			for j := range n {
+				oid, err := st.Insert("PART", value.NewTuple("pname", value.String("p"),
+					"price", value.Int(int64(i)), "color", value.String("c")))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if j < 2 {
+					first = append(first, oid)
+				}
+			}
+		}
+		if err := st.CreateIndex("PART", "price", kind); err != nil {
+			t.Fatal(err)
+		}
+		// Key 1 loses its first row to a delete and its second to an update.
+		if err := st.Delete("PART", first[2]); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Update("PART", first[3], value.NewTuple("pname", value.String("p"),
+			"price", value.Int(7), "color", value.String("c"))); err != nil {
+			t.Fatal(err)
+		}
+		var cost [2][2]float64 // per key: allocations, bytes
+		for key := range 2 {
+			probe := func() {
+				if ok, err := st.IndexExists("PART", "price", value.Int(int64(key))); err != nil || !ok {
+					t.Fatalf("%s: IndexExists(%d) = %t, %v", kind, key, ok, err)
+				}
+			}
+			cost[key][0] = testing.AllocsPerRun(100, probe)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range 100 {
+				probe()
+			}
+			runtime.ReadMemStats(&after)
+			cost[key][1] = float64(after.TotalAlloc-before.TotalAlloc) / 100
+		}
+		t.Logf("%s: %v allocations and bytes per probe", kind, cost[0])
+		if cost[0] != cost[1] {
+			t.Errorf("%s: IndexExists on 300 rows costs %v allocations and bytes, on 3 000 rows %v", kind, cost[0], cost[1])
+		}
+		if ok, err := st.IndexExists("PART", "price", value.Int(2)); err != nil || ok {
+			t.Errorf("%s: IndexExists(absent key) = %t, %v", kind, ok, err)
+		}
+	}
 }

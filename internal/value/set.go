@@ -88,6 +88,27 @@ func NewSetFromSlice(elems []Value) *Set {
 	return s
 }
 
+// NewSetOwned builds the set of elems, whose Hash values hashes holds
+// aligned, taking ownership of both slices: duplicates are dropped in place
+// and the set keeps the two arrays, so nothing is copied or hashed. The
+// caller must not use either slice afterwards.
+func NewSetOwned(elems []Value, hashes []uint64) *Set {
+	s := &Set{elems: elems[:0], idx: hashTable{hashes: hashes[:0]}}
+	for i, e := range elems {
+		if s.find(e, hashes[i]) {
+			continue
+		}
+		// Position n ≤ i: an element moves only once a duplicate has been
+		// dropped, so a set without one writes no pointer (no write barrier).
+		if n := len(s.elems); n < i {
+			elems[n] = e
+		}
+		s.elems = elems[:len(s.elems)+1]
+		s.idx.push(hashes[i])
+	}
+	return s
+}
+
 // Add inserts v unless an equal element is already present. It reports
 // whether the set grew. Add must only be called while the set is being
 // built, before it is shared.
