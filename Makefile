@@ -17,14 +17,12 @@ bench:
 
 # One iteration of every benchmark, then the experiment suite at smoke scale
 # with every check it makes (result equality, plan choice, page reads, lost
-# tuples, the orderings each claim names), then B14's parallel arms under the
-# race detector. Wall-clock comparison between commits is
-# `bash benchmark/run.sh --compare`'s job; allocations are gated by the
-# go test allocation tests (TestBatchAllocations and its neighbours).
+# tuples, the orderings each claim names). Wall-clock comparison between
+# commits is `bash benchmark/run.sh --compare`'s job; allocations are gated by
+# the go test allocation tests (TestBatchAllocations and its neighbours).
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 	$(GO) run ./cmd/adlbench -quick
-	$(GO) run -race ./cmd/adlbench -quick -exp B14
 
 # CPU and allocation profiles of the four benchmarks ROADMAP direction 1
 # names — the semijoin of B1, B13's row pipeline against the batch pipeline

@@ -2,7 +2,7 @@
 //
 //	go test -bench=. -benchmem
 //
-// BenchmarkB1–B9, B11, B13 and B14 time the arms of the experiment suite
+// BenchmarkB1–B7, B9, B11 and B13 time the arms of the experiment suite
 // (internal/experiments) on its case constructors; cmd/adlbench runs the
 // same arms as paper-style tables with their result and claim checks. The
 // remaining benchmarks and the allocation tests cover the serving path and
@@ -98,15 +98,6 @@ func BenchmarkB7(b *testing.B) {
 	}
 }
 
-// BenchmarkB8 — the supplier-deliveries grouping join executed by HashJoin
-// serially and in parallel (one worker per CPU, at least two).
-func BenchmarkB8(b *testing.B) {
-	for _, sc := range [][2]int{{500, 5000}, {2000, 20000}} {
-		c := experiments.StrategyJoin("group", adl.NestJ, sc[0], sc[1]).Only("hash", "parallel")
-		benchArms(b, c, fmt.Sprintf("/S%d_D%d", sc[0], sc[1]))
-	}
-}
-
 // BenchmarkB9 — every forced join strategy and the cost-based optimizer's
 // plan on the same logical joins.
 func BenchmarkB9(b *testing.B) {
@@ -130,34 +121,24 @@ func BenchmarkB11(b *testing.B) {
 // vectorized arm's allocations.
 func BenchmarkB13(b *testing.B) {
 	for _, sc := range [][2]int{{100, 10000}, {400, 40000}} {
-		c := experiments.VecJoin(sc[0], sc[1], exec.Parallelism(0)).Only("scalar", "vectorized")
-		benchArms(b, c, fmt.Sprintf("/S%d_D%d", sc[0], sc[1]))
-	}
-}
-
-// BenchmarkB14 — the parallel arms of the B13 pipeline: parallel scalar
-// operators, and a parallel ColumnScan feeding the parallel join.
-func BenchmarkB14(b *testing.B) {
-	for _, sc := range [][2]int{{100, 10000}, {400, 40000}} {
-		c := experiments.VecJoin(sc[0], sc[1], max(2, exec.Parallelism(0))).Only("parallel", "parallel-vectorized")
+		c := experiments.VecJoin(sc[0], sc[1])
 		benchArms(b, c, fmt.Sprintf("/S%d_D%d", sc[0], sc[1]))
 	}
 }
 
 // TestBatchAllocations pins ColumnScan's claim: nothing is allocated per row.
 // A run of B1's planned arm (1 200 input rows, σ on a ColumnScan) and of the
-// B13/B14 pipeline's vectorized and parallel-vectorized arms (40 400 rows, 4
-// workers) stays at or under 512 allocations. They take a few dozen; one
-// allocation per row would be thousands.
+// B13 pipeline's vectorized arm (40 400 rows) stays at or under 512
+// allocations. They take a few dozen; one allocation per row would be
+// thousands.
 func TestBatchAllocations(t *testing.T) {
-	eq5, vec := experiments.EQ5(400, 800), experiments.VecJoin(400, 40000, 4)
+	eq5, vec := experiments.EQ5(400, 800), experiments.VecJoin(400, 40000)
 	for _, tc := range []struct {
 		c   experiments.Case
 		arm experiments.Arm
 	}{
 		{eq5, eq5.Arms[1]},
 		{vec, vec.Only("vectorized").Arms[0]},
-		{vec, vec.Only("parallel-vectorized").Arms[0]},
 	} {
 		pl, run := tc.c.Exec(tc.arm)
 		if x := pl.Explain(); !strings.Contains(x, "ColumnScan(") {
@@ -177,8 +158,8 @@ func TestBatchAllocations(t *testing.T) {
 // store. Unfused they took 19 and 15 allocations and 12 832 and 16 664 bytes
 // per query: the Map's stream, its tally wrapper, the result set's arrays
 // and the hashes computed per row. Fused, the scan hands up the column's
-// stored values and hashes and the set adopts both arrays; a serial
-// ColumnScan keeps no copy of its node. Under the race detector sync.Pool
+// stored values and hashes and the set adopts both arrays. Under the race
+// detector sync.Pool
 // drops buffers at random, so the gate is skipped there.
 func TestPointAllocations(t *testing.T) {
 	if raceBuild() {
@@ -230,36 +211,32 @@ func raceBuild() bool {
 // TestUnnestAntijoinAllocations pins Example Query 4's plan, the antijoin
 // that expands μ inside its probe: it builds no row it drops, so a run's
 // allocations do not grow with the number of set elements. At 400 and 4 000
-// suppliers (≈ 3 000 and 30 000 elements) they differ by fewer than 16,
-// serial and on two workers.
+// suppliers (≈ 3 000 and 30 000 elements) they differ by fewer than 16.
 func TestUnnestAntijoinAllocations(t *testing.T) {
 	const eq4 = `select s.eid from s in SUPPLIER
  where exists z in s.parts_supplied : not exists p in PART : z = p`
-	for _, par := range []int{1, 2} {
-		var allocs [2]float64
-		for i, n := range []int{400, 4000} {
-			st := bench.Generate(bench.Config{Suppliers: n, Parts: 2 * n, Fanout: 8, EmptyFrac: 0.05, Seed: 94})
-			// Inflated statistics price the parallel join cheaper at both
-			// scales; at one worker there is no parallel candidate.
-			q, err := core.PrepareCfg(eq4, st.Catalog(), plan.Config{Statistics: inflated{st.Analyze()}, Parallelism: par})
-			if err != nil {
+	var allocs [2]float64
+	for i, n := range []int{400, 4000} {
+		st := bench.Generate(bench.Config{Suppliers: n, Parts: 2 * n, Fanout: 8, EmptyFrac: 0.05, Seed: 94})
+		// Inflated statistics price both scales as large extents.
+		q, err := core.PrepareCfg(eq4, st.Catalog(), plan.Config{Statistics: inflated{st.Analyze()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x := plan.Explain(q.Plan); !strings.Contains(x, "| μ parts") {
+			t.Fatalf("%d suppliers: want the antijoin expanding μ parts, got\n%s", n, x)
+		}
+		ctx := &exec.Ctx{DB: st}
+		allocs[i] = testing.AllocsPerRun(5, func() {
+			if _, err := exec.Collect(q.Plan, ctx); err != nil {
 				t.Fatal(err)
 			}
-			if x := plan.Explain(q.Plan); !strings.Contains(x, "| μ parts") || (par > 1) != strings.Contains(x, "-- parallel") {
-				t.Fatalf("%d suppliers, parallelism %d: want the antijoin expanding μ parts, got\n%s", n, par, x)
-			}
-			ctx := &exec.Ctx{DB: st}
-			allocs[i] = testing.AllocsPerRun(5, func() {
-				if _, err := exec.Collect(q.Plan, ctx); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-		if allocs[1]-allocs[0] >= 16 || allocs[0]-allocs[1] >= 16 {
-			t.Errorf("parallelism %d: %.0f allocations per run at 400 suppliers, %.0f at 4 000", par, allocs[0], allocs[1])
-		}
-		t.Logf("parallelism %d: %.0f allocations per run at 400 suppliers, %.0f at 4 000", par, allocs[0], allocs[1])
+		})
 	}
+	if allocs[1]-allocs[0] >= 16 || allocs[0]-allocs[1] >= 16 {
+		t.Errorf("%.0f allocations per run at 400 suppliers, %.0f at 4 000", allocs[0], allocs[1])
+	}
+	t.Logf("%.0f allocations per run at 400 suppliers, %.0f at 4 000", allocs[0], allocs[1])
 }
 
 // TestFusedNestJoinAllocations pins what a nestjoin that builds its select
@@ -267,65 +244,35 @@ func TestUnnestAntijoinAllocations(t *testing.T) {
 // and its scratch group, a fixed number of allocations per run besides the
 // result, and no tuple per left row. plan.miss's eq6 text with a price above
 // every part's (every group empty) allocates as often at 100 suppliers as at
-// 1 000, serial and with the join on two workers (the parts, 4 096 of them,
-// span two ColumnScan shares either way). Before the join built its select
-// row, the extended row and α's row were two allocations per supplier.
+// 1 000. Before the join built its select row, the extended row and α's row
+// were two allocations per supplier.
 func TestFusedNestJoinAllocations(t *testing.T) {
 	eq6k := fmt.Sprintf(missCycle[2][1], 1001)
-	for _, par := range []int{1, 2} {
-		var allocs [2]float64
-		for i, n := range []int{100, 1000} {
-			st := bench.Generate(bench.Config{Suppliers: n, Parts: 4096, Deliveries: 50, Seed: 94})
-			q, err := core.PrepareCfg(eq6k, st.Catalog(), plan.Config{Statistics: inflated{st.Analyze()}, Parallelism: par})
-			if err != nil {
+	var allocs [2]float64
+	for i, n := range []int{100, 1000} {
+		st := bench.Generate(bench.Config{Suppliers: n, Parts: 4096, Deliveries: 50, Seed: 94})
+		q, err := core.PrepareCfg(eq6k, st.Catalog(), plan.Config{Statistics: inflated{st.Analyze()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x := plan.Explain(q.Plan); !strings.Contains(x, "⇒ (sname = s.sname, pnames = ys)") {
+			t.Fatalf("%d suppliers: want a nestjoin building the select row, got\n%s", n, x)
+		}
+		ctx := &exec.Ctx{DB: st}
+		allocs[i] = testing.AllocsPerRun(10, func() {
+			if _, err := exec.Collect(q.Plan, ctx); err != nil {
 				t.Fatal(err)
 			}
-			if x := plan.Explain(q.Plan); !strings.Contains(x, "⇒ (sname = s.sname, pnames = ys)") ||
-				(par > 1) != strings.Contains(x, "-- parallel") {
-				t.Fatalf("%d suppliers, parallelism %d: want a nestjoin building the select row, got\n%s", n, par, x)
-			}
-			ctx := &exec.Ctx{DB: st}
-			allocs[i] = testing.AllocsPerRun(10, func() {
-				if _, err := exec.Collect(q.Plan, ctx); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-		if allocs[0] != allocs[1] {
-			t.Errorf("parallelism %d: %.0f allocations per run at 100 suppliers, %.0f at 1 000", par, allocs[0], allocs[1])
-		}
-		t.Logf("parallelism %d: %.0f allocations per run at 100 suppliers, %.0f at 1 000", par, allocs[0], allocs[1])
+		})
 	}
-}
-
-// BenchmarkParallelPlanner — the same join compiled by the planner without
-// statistics (priced on the default statistics, on one worker) and by the
-// cost model from the store's statistics with the row counts inflated a
-// thousandfold, so that it prices the parallel hash join cheaper on any
-// host.
-func BenchmarkParallelPlanner(b *testing.B) {
-	st := bench.Generate(bench.Config{Suppliers: 3000, Parts: 10, Fanout: 2,
-		Deliveries: 30000, Seed: 94})
-	j := adl.JoinE(adl.T("DELIVERY"), "d", "s",
-		adl.EqE(adl.Dot(adl.V("d"), "supplier"), adl.Dot(adl.V("s"), "eid")),
-		adl.T("SUPPLIER"))
-	serial := plan.Compile(j)
-	parallel := plan.Config{Statistics: inflated{st.Analyze()}, Parallelism: 4}.Compile(j)
-	if x := plan.Explain(parallel); !strings.Contains(x, "workers]  -- parallel") {
-		b.Fatalf("inflated statistics should plan a parallel hash join, got\n%s", x)
+	if allocs[0] != allocs[1] {
+		t.Errorf("%.0f allocations per run at 100 suppliers, %.0f at 1 000", allocs[0], allocs[1])
 	}
-	ctx := &exec.Ctx{DB: st}
-	b.Run("serial", func(b *testing.B) {
-		run(b, func() error { _, err := exec.Collect(serial, ctx); return err })
-	})
-	b.Run("parallel", func(b *testing.B) {
-		run(b, func() error { _, err := exec.Collect(parallel, ctx); return err })
-	})
+	t.Logf("%.0f allocations per run at 100 suppliers, %.0f at 1 000", allocs[0], allocs[1])
 }
 
 // inflated reports a thousand times the row counts of the statistics it
-// wraps: enough for the cost model to price every operator that has a
-// parallel form above its serial one.
+// wraps: the cost model prices every extent as a large one.
 type inflated struct{ *storage.DBStats }
 
 func (s inflated) RowCount(extent string) int {
@@ -440,7 +387,7 @@ var missCycle = [][2]string{
 func missEngine() (*server.Engine, int) {
 	st := bench.Generate(bench.Config{Suppliers: 100, Parts: 200, Deliveries: 50, Seed: 94})
 	st.Analyze()
-	return server.New(st, server.Options{Parallelism: 1}), 1000
+	return server.New(st, server.Options{}), 1000
 }
 
 // pointCycle is benchmark/spec.go's serve.point cycle, each text once.
@@ -464,7 +411,7 @@ func pointEngine(tb testing.TB) *server.Engine {
 		tb.Fatal(err)
 	}
 	st.Analyze()
-	return server.New(st, server.Options{Parallelism: 1})
+	return server.New(st, server.Options{})
 }
 
 // BenchmarkServeQuery — the serving layer's plan cache: repeated execution
@@ -488,7 +435,7 @@ func BenchmarkServeQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 		st.Analyze()
-		return server.New(st, server.Options{NoPlanCache: noCache, Parallelism: 1})
+		return server.New(st, server.Options{NoPlanCache: noCache})
 	}
 	b.Run("plancache", func(b *testing.B) {
 		eng := mk(false)
@@ -611,7 +558,7 @@ func serveResults(tb testing.TB, queries ...string) []*value.Set {
 	tb.Helper()
 	st := bench.Generate(bench.Config{Suppliers: 400, Parts: 800, Deliveries: 200, Seed: 94})
 	st.Analyze()
-	eng := server.New(st, server.Options{Parallelism: 1})
+	eng := server.New(st, server.Options{})
 	out := make([]*value.Set, len(queries))
 	for i, q := range queries {
 		res, err := eng.Query(q)
@@ -725,7 +672,7 @@ func BenchmarkNestJoinMaterialize(b *testing.B) {
 	st := bench.Generate(bench.Config{Suppliers: 4000, Parts: 8000, Deliveries: 200,
 		Fanout: 8, EmptyFrac: 0.05, Seed: 94})
 	st.Analyze()
-	eng := server.New(st, server.Options{Parallelism: 1})
+	eng := server.New(st, server.Options{})
 	if _, err := eng.Query(materializeQuery); err != nil { // warm the plan cache
 		b.Fatal(err)
 	}
@@ -953,7 +900,7 @@ func TestNestJoinAllocations(t *testing.T) {
 			name, src string
 			perRow    float64
 		}{{"eq6", eq6, 1}, {"materialize", materializeQuery, 2}} {
-			cfg := plan.Config{Statistics: st.Analyze(), Parallelism: 1}
+			cfg := plan.Config{Statistics: st.Analyze()}
 			p, err := core.PrepareCfg(q.src, st.Catalog(), cfg)
 			if err != nil {
 				t.Fatal(err)

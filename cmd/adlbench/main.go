@@ -1,4 +1,4 @@
-// Command adlbench runs the experiment suite — B1–B9, B11, B13 and B14, the
+// Command adlbench runs the experiment suite — B1–B7, B9, B11 and B13, the
 // paper's claims as checked demonstrations — and prints one paper-style
 // table per experiment.
 // Every arm's result is verified against its case's reference arm, and every
@@ -25,7 +25,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "", "experiment to run (B1..B9, B11, B13, B14); empty = all")
+	exp := flag.String("exp", "", "experiment to run (B1..B7, B9, B11, B13); empty = all")
 	quick := flag.Bool("quick", false, "smoke scales")
 	explain := flag.Bool("explain", false, "print every planned arm's Plan.Explain() before it runs")
 	flag.Parse()

@@ -401,7 +401,7 @@ func buildEngine(suppliers, parts, deliveries int, seed int64, noCache bool) *se
 		fatal(err)
 	}
 	st.Analyze()
-	return server.New(st, server.Options{NoPlanCache: noCache, Parallelism: 1})
+	return server.New(st, server.Options{NoPlanCache: noCache})
 }
 
 // assertEqualResults proves the two engines (plan cache on/off) answer every

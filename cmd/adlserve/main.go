@@ -44,16 +44,15 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		suppliers   = flag.Int("suppliers", 400, "generated SUPPLIER rows")
-		parts       = flag.Int("parts", 800, "generated PART rows")
-		deliveries  = flag.Int("deliveries", 200, "generated DELIVERY rows")
-		seed        = flag.Int64("seed", 94, "generator seed")
-		parallelism = flag.Int("parallelism", 0, "workers a parallel operator may get (0 = GOMAXPROCS)")
-		noCache     = flag.Bool("no-plan-cache", false, "plan every query from scratch (A/B baseline)")
-		noFeedback  = flag.Bool("no-feedback", false, "disable runtime cardinality feedback eviction")
-		verifyAll   = flag.Bool("verify-all", false, "differentially verify every query against a serial re-execution")
-		indexes     = flag.Bool("indexes", true, "create hash indexes on PART.color and PART.price")
+		addr       = flag.String("addr", ":8080", "listen address")
+		suppliers  = flag.Int("suppliers", 400, "generated SUPPLIER rows")
+		parts      = flag.Int("parts", 800, "generated PART rows")
+		deliveries = flag.Int("deliveries", 200, "generated DELIVERY rows")
+		seed       = flag.Int64("seed", 94, "generator seed")
+		noCache    = flag.Bool("no-plan-cache", false, "plan every query from scratch (A/B baseline)")
+		noFeedback = flag.Bool("no-feedback", false, "disable runtime cardinality feedback eviction")
+		verifyAll  = flag.Bool("verify-all", false, "differentially verify every query against a serial re-execution")
+		indexes    = flag.Bool("indexes", true, "create hash indexes on PART.color and PART.price")
 	)
 	flag.Parse()
 
@@ -70,7 +69,7 @@ func main() {
 	}
 	st.Analyze()
 	eng := server.New(st, server.Options{
-		NoPlanCache: *noCache, NoFeedback: *noFeedback, Parallelism: *parallelism,
+		NoPlanCache: *noCache, NoFeedback: *noFeedback,
 	})
 
 	log.Printf("adlserve: listening on %s (%d suppliers, %d parts, %d deliveries, plan cache %v, feedback %v)",

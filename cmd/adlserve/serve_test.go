@@ -20,7 +20,7 @@ func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	st := bench.Generate(bench.Config{Suppliers: 20, Parts: 50, Deliveries: 10, Seed: 94})
 	st.Analyze()
-	srv := httptest.NewServer(newMux(server.New(st, server.Options{Parallelism: 1}), false))
+	srv := httptest.NewServer(newMux(server.New(st, server.Options{}), false))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -183,7 +183,7 @@ func newDefaultEngine(tb testing.TB) *server.Engine {
 		tb.Fatal(err)
 	}
 	st.Analyze()
-	return server.New(st, server.Options{Parallelism: 1})
+	return server.New(st, server.Options{})
 }
 
 func postQuery(tb testing.TB, url, query string, result bool) []byte {

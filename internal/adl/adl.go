@@ -51,9 +51,7 @@ type Table struct{ Name string }
 
 // Field is attribute access e.a. When e evaluates to an oid, the reference
 // is implicitly followed through the object store (OOSQL path expressions,
-// e.g. d.supplier.sname); the Materialize operator is the explicit, logical
-// marker for such pointer navigation that a planner can map to an assembly
-// algorithm [BlMG93].
+// e.g. d.supplier.sname).
 type Field struct {
 	X    Expr
 	Name string
@@ -271,17 +269,6 @@ type Agg struct {
 	X  Expr
 }
 
-// Materialize is the logical materialize operator of [BlMG93]: it makes the
-// use of inter-object references explicit so algebraic transformations and a
-// pointer-based access algorithm (assembly) can be applied. For each tuple x
-// of the table X, the oid-valued attribute Attr (or set of unary oid tuples)
-// is dereferenced and the referenced object(s) are added as attribute As.
-type Materialize struct {
-	X    Expr
-	Attr string
-	As   string
-}
-
 // Let is the with-construct of the paper's general query format: Let binds
 // Var to Val inside Body. Translation inlines Lets before rewriting.
 type Let struct {
@@ -290,29 +277,28 @@ type Let struct {
 	Body Expr
 }
 
-func (*Const) exprNode()       {}
-func (*Var) exprNode()         {}
-func (*Table) exprNode()       {}
-func (*Field) exprNode()       {}
-func (*TupleExpr) exprNode()   {}
-func (*SetExpr) exprNode()     {}
-func (*Subscript) exprNode()   {}
-func (*ExceptExpr) exprNode()  {}
-func (*Concat) exprNode()      {}
-func (*Cmp) exprNode()         {}
-func (*Arith) exprNode()       {}
-func (*Not) exprNode()         {}
-func (*And) exprNode()         {}
-func (*Or) exprNode()          {}
-func (*SetOp) exprNode()       {}
-func (*Flatten) exprNode()     {}
-func (*Map) exprNode()         {}
-func (*Select) exprNode()      {}
-func (*Project) exprNode()     {}
-func (*Unnest) exprNode()      {}
-func (*Nest) exprNode()        {}
-func (*Join) exprNode()        {}
-func (*Quant) exprNode()       {}
-func (*Agg) exprNode()         {}
-func (*Materialize) exprNode() {}
-func (*Let) exprNode()         {}
+func (*Const) exprNode()      {}
+func (*Var) exprNode()        {}
+func (*Table) exprNode()      {}
+func (*Field) exprNode()      {}
+func (*TupleExpr) exprNode()  {}
+func (*SetExpr) exprNode()    {}
+func (*Subscript) exprNode()  {}
+func (*ExceptExpr) exprNode() {}
+func (*Concat) exprNode()     {}
+func (*Cmp) exprNode()        {}
+func (*Arith) exprNode()      {}
+func (*Not) exprNode()        {}
+func (*And) exprNode()        {}
+func (*Or) exprNode()         {}
+func (*SetOp) exprNode()      {}
+func (*Flatten) exprNode()    {}
+func (*Map) exprNode()        {}
+func (*Select) exprNode()     {}
+func (*Project) exprNode()    {}
+func (*Unnest) exprNode()     {}
+func (*Nest) exprNode()       {}
+func (*Join) exprNode()       {}
+func (*Quant) exprNode()      {}
+func (*Agg) exprNode()        {}
+func (*Let) exprNode()        {}

@@ -208,7 +208,6 @@ func TestPrintNotation(t *testing.T) {
 		{Exc(V("z"), "parts", CInt(1)), "(z except (parts = 1))"},
 		{SubT(V("z"), "a", "b"), "z[a, b]"},
 		{Cat(V("x"), V("y")), "(x ∘ y)"},
-		{Mat(T("D"), "supplier", "sup"), "mat[supplier→sup](D)"},
 		{LetE("Y1", T("Y"), V("Y1")), "(Y1 with Y1 = Y)"},
 		{Tup("sname", Dot(V("s"), "sname")), "(sname = s.sname)"},
 		{AndE(CBool(true), CBool(false)), "(true ∧ false)"},

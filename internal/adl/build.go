@@ -173,6 +173,3 @@ func AggE(op AggOp, x Expr) *Agg { return &Agg{Op: op, X: x} }
 
 // LetE binds v to val in body (the with-construct).
 func LetE(v string, val, body Expr) *Let { return &Let{Var: v, Val: val, Body: body} }
-
-// Mat is the materialize operator.
-func Mat(x Expr, attr, as string) *Materialize { return &Materialize{X: x, Attr: attr, As: as} }

@@ -369,51 +369,6 @@ func Infer(e Expr, env TypeEnv, r TypeResolver) (types.Type, error) {
 			return st.Elem, nil
 		}
 
-	case *Materialize:
-		xt, err := Infer(n.X, env, r)
-		if err != nil {
-			return nil, err
-		}
-		tt, err := tableElem(xt)
-		if err != nil {
-			return nil, fmt.Errorf("adl: materialize: %w", err)
-		}
-		at, ok := tt.Field(n.Attr)
-		if !ok {
-			return nil, fmt.Errorf("adl: materialize on missing attribute %q", n.Attr)
-		}
-		var resolved types.Type
-		switch att := at.(type) {
-		case types.Ref:
-			obj, err := r.ClassTuple(att.Class)
-			if err != nil {
-				return nil, err
-			}
-			resolved = obj
-		case *types.Set:
-			inner, ok := att.Elem.(*types.Tuple)
-			if !ok {
-				return nil, fmt.Errorf("adl: materialize of non-reference set %q", n.Attr)
-			}
-			cls, _, ok := refTupleClassT(inner)
-			if !ok {
-				return nil, fmt.Errorf("adl: materialize of non-reference set %q", n.Attr)
-			}
-			obj, err := r.ClassTuple(cls)
-			if err != nil {
-				return nil, err
-			}
-			resolved = types.NewSet(obj)
-		default:
-			return nil, fmt.Errorf("adl: materialize on non-reference attribute %q: %s", n.Attr, at)
-		}
-		out := &types.Tuple{Fields: append([]types.Field(nil), tt.Fields...)}
-		if _, dup := tt.Field(n.As); dup {
-			return nil, fmt.Errorf("adl: materialize result attribute %q already exists", n.As)
-		}
-		out.Fields = append(out.Fields, types.Field{Name: n.As, Type: resolved})
-		return types.NewSet(out), nil
-
 	case *Let:
 		vt, err := Infer(n.Val, env, r)
 		if err != nil {
@@ -509,15 +464,4 @@ func tableElem(t types.Type) (*types.Tuple, error) {
 		return tt.Tup, nil
 	}
 	return nil, fmt.Errorf("expected a set of tuples, got %s", t)
-}
-
-// refTupleClassT recognizes the unary reference tuple shape {(id: ref(C))}.
-func refTupleClassT(t *types.Tuple) (class, idField string, ok bool) {
-	if len(t.Fields) != 1 {
-		return "", "", false
-	}
-	if r, isRef := t.Fields[0].Type.(types.Ref); isRef {
-		return r.Class, t.Fields[0].Name, true
-	}
-	return "", "", false
 }

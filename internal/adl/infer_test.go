@@ -137,16 +137,6 @@ func TestInferPointerNavigation(t *testing.T) {
 	if ty.String() != "{string}" {
 		t.Errorf("navigation type = %s", ty)
 	}
-	// Materialize on a scalar ref and on a ref set.
-	ty = infer(t, Mat(T("S"), "ref", "obj"))
-	if !strings.Contains(ty.String(), "obj: (pid: oid, pname: string)") {
-		t.Errorf("materialize scalar type = %s", ty)
-	}
-	ty = infer(t, Mat(T("S"), "refs", "objs"))
-	if !strings.Contains(ty.String(), "objs: {(pid: oid, pname: string)}") {
-		t.Errorf("materialize set type = %s", ty)
-	}
-	inferErr(t, Mat(T("S"), "sid", "o")) // non-reference attribute
 }
 
 func TestInferLetAndFreeVars(t *testing.T) {

@@ -158,8 +158,6 @@ func (l *lifter) head(e Expr) {
 		l.node('q', uint8(n.Kind), n.Var)
 	case *Agg:
 		l.node('a', uint8(n.Op))
-	case *Materialize:
-		l.node('M', 0, n.Attr, n.As)
 	case *Let:
 		l.node('l', 0, n.Var)
 	default:

@@ -130,7 +130,7 @@ func TestLiftKeyCoversEveryNode(t *testing.T) {
 		&Unnest{Attr: "a", X: x}, &Nest{Attrs: []string{"a"}, As: "g", X: x}, &Nest{Attrs: []string{"g"}, As: "a", X: x},
 		JoinE(x, "x", "y", x, y), &Join{Kind: Semi, LVar: "x", RVar: "y", On: x, L: x, R: y},
 		Ex("x", x, y), All("x", x, y), &Agg{Op: Count, X: x}, &Agg{Op: Sum, X: x},
-		&Materialize{X: x, Attr: "a", As: "b"}, &Materialize{X: x, Attr: "b", As: "a"}, LetE("x", x, y),
+		LetE("x", x, y),
 	}
 	seen := map[string]Expr{}
 	for _, n := range nodes {

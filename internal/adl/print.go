@@ -188,10 +188,6 @@ func (op AggOp) String() string {
 
 func (e *Agg) String() string { return fmt.Sprintf("%s(%s)", e.Op, e.X) }
 
-func (e *Materialize) String() string {
-	return fmt.Sprintf("mat[%s→%s](%s)", e.Attr, e.As, e.X)
-}
-
 func (e *Let) String() string {
 	return fmt.Sprintf("(%s with %s = %s)", e.Body, e.Var, e.Val)
 }

@@ -44,7 +44,6 @@ func everyNode() []Expr {
 		Ex("e", T("E"), CBool(true)),
 		All("e", T("E"), CBool(true)),
 		AggE(Sum, T("A")),
-		Mat(T("M2"), "attr", "as"),
 		LetE("w", CInt(1), V("w")),
 	}
 }
@@ -146,7 +145,6 @@ func TestOperatorSymbols(t *testing.T) {
 
 func TestPrinterNotation(t *testing.T) {
 	cases := []struct{ got, want string }{
-		{Mat(T("X"), "a", "m").String(), "mat[a→m](X)"},
 		{Cat(V("l"), V("r")).String(), "(l ∘ r)"},
 		{Exc(V("t"), "a", CInt(1)).String(), "(t except (a = 1))"},
 		{Nu(T("X"), "g", "a", "b").String(), "ν[{a, b}→g](X)"},

@@ -57,8 +57,6 @@ func Rebuild(e Expr, f func(Expr) Expr) Expr {
 		return &Quant{Kind: n.Kind, Var: n.Var, Src: f(n.Src), Pred: f(n.Pred)}
 	case *Agg:
 		return &Agg{Op: n.Op, X: f(n.X)}
-	case *Materialize:
-		return &Materialize{X: f(n.X), Attr: n.Attr, As: n.As}
 	case *Let:
 		return &Let{Var: n.Var, Val: f(n.Val), Body: f(n.Body)}
 	}
@@ -202,9 +200,6 @@ func Equal(a, b Expr) bool {
 	case *Agg:
 		bn, ok := b.(*Agg)
 		return ok && an.Op == bn.Op && Equal(an.X, bn.X)
-	case *Materialize:
-		bn, ok := b.(*Materialize)
-		return ok && an.Attr == bn.Attr && an.As == bn.As && Equal(an.X, bn.X)
 	case *Let:
 		bn, ok := b.(*Let)
 		return ok && an.Var == bn.Var && Equal(an.Val, bn.Val) && Equal(an.Body, bn.Body)

@@ -11,8 +11,8 @@ import (
 
 // TestQueryExecuteConcurrent executes one prepared query from several
 // goroutines at once — a plan made without statistics, and one priced on
-// statistics for two workers, whose σ runs on a ColumnScan. A *Query
-// holds no state of a run, so every result equals the serial one; under
+// statistics, whose σ runs on a ColumnScan. A *Query holds no state of a
+// run, so every result equals the one-goroutine run's; under
 // -race this fails as soon as a plan node keeps iterator state.
 func TestQueryExecuteConcurrent(t *testing.T) {
 	st := bench.Generate(bench.Config{Suppliers: 400, Parts: 800, Deliveries: 2000,
@@ -26,7 +26,7 @@ func TestQueryExecuteConcurrent(t *testing.T) {
  where exists x in s.parts_supplied : exists p in PART : x = p and p.color = "red"`, plan.Config{}},
 		{"delivery-semi", `select s.sname from s in SUPPLIER
  where exists d in DELIVERY : d.supplier = s and d.date < 940105`,
-			plan.Config{Statistics: stats, Parallelism: 2}},
+			plan.Config{Statistics: stats}},
 	} {
 		q, err := PrepareCfg(tc.src, st.Catalog(), tc.cfg)
 		if err != nil {

@@ -194,8 +194,8 @@ func Prepare(src string, cat *schema.Catalog) (*Query, error) {
 }
 
 // PrepareCfg is Prepare with an explicit physical-planner configuration, so
-// callers holding collected statistics (or tuning parallelism) get a
-// cost-based plan instead of the zero-config heuristics.
+// callers holding collected statistics get a cost-based plan instead of the
+// zero-config heuristics.
 func PrepareCfg(src string, cat *schema.Catalog, cfg plan.Config) (*Query, error) {
 	return PrepareCached(src, cat, cfg, nil)
 }

@@ -363,7 +363,7 @@ func checkAgainstPrepare(t *testing.T, src string, st *storage.Store, cfg plan.C
 func TestTemplateReuse(t *testing.T) {
 	st := liftStore()
 	tc := newMapTemplates()
-	cfg := plan.Config{Statistics: st.Analyze(), Parallelism: 1}
+	cfg := plan.Config{Statistics: st.Analyze()}
 	rounds := []struct {
 		ints []int64
 		strs []string
@@ -486,7 +486,7 @@ func TestFingerprintRecipes(t *testing.T) {
 		if st == nil {
 			st = liftStore()
 		}
-		cfg := plan.Config{Statistics: st.Analyze(), Parallelism: 1}
+		cfg := plan.Config{Statistics: st.Analyze()}
 		tc := newMapTemplates()
 		for i, src := range c.texts {
 			q := checkAgainstPrepare(t, src, st, cfg, tc)
@@ -537,7 +537,7 @@ func FuzzLift(f *testing.F) {
 	}
 	st := liftStore()
 	ctx := rewrite.NewContext(st.Catalog())
-	cfg := plan.Config{Statistics: st.Analyze(), Parallelism: 1}
+	cfg := plan.Config{Statistics: st.Analyze()}
 	tc := newMapTemplates()
 	f.Fuzz(func(t *testing.T, qi uint8, i, j int64, s, u string) {
 		if len(s)+len(u) > 1<<10 {

@@ -2,8 +2,6 @@ package core
 
 import (
 	"reflect"
-	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/adl"
@@ -53,8 +51,7 @@ func interpreted(op exec.Operator) (exec.Operator, int) {
 }
 
 // inflated reports a thousand times the row counts of the statistics it
-// wraps, so that the cost model prices the operators that have a parallel
-// form cheaper parallel: the way a test forces them.
+// wraps, so that the cost model prices every extent as a large one.
 type inflated struct{ *storage.DBStats }
 
 func (s inflated) RowCount(extent string) int {
@@ -65,23 +62,16 @@ func (s inflated) RowCount(extent string) int {
 	return n
 }
 
-// serialCorpus are the liftCorpus queries whose plans hold no node with a
-// parallel form (α over a Scan, or α and σ over the membership HashJoin,
-// which the planner keeps serial), so that forcing the parallel operators
-// leaves them serial. Every other query's forced plan must be parallel, and
-// each of these must stay serial.
-var serialCorpus = []int{11, 12, 15, 16}
-
 // TestCompiledScalarsMatchInterpretedPlans runs every corpus query's plan —
-// serial and tuple-parallel — as planned and with every scalar
-// interpreted: the two must return the same set, so each compiled scalar
-// agrees with eval.Eval on every row its operator fed it.
+// priced on the store's statistics and on inflated ones — as planned and
+// with every scalar interpreted: the two must return the same set, so each
+// compiled scalar agrees with eval.Eval on every row its operator fed it.
 func TestCompiledScalarsMatchInterpretedPlans(t *testing.T) {
 	st := liftStore()
 	stats := st.Analyze()
 	configs := map[string]plan.Config{
-		"serial":   {Statistics: stats, Parallelism: 1},
-		"parallel": {Statistics: inflated{stats}, Parallelism: 3},
+		"stats":    {Statistics: stats},
+		"inflated": {Statistics: inflated{stats}},
 	}
 	total := 0
 	for qi, text := range liftCorpus {
@@ -95,10 +85,6 @@ func TestCompiledScalarsMatchInterpretedPlans(t *testing.T) {
 			if err != nil {
 				t.Fatalf("corpus %d (%s): %v", qi, name, err)
 			}
-			x := plan.Explain(q.Plan)
-			if par, serial := strings.Contains(x, "-- parallel"), slices.Contains(serialCorpus, qi); name == "parallel" && par == serial {
-				t.Fatalf("corpus %d: the forced plan is parallel=%v, want %v:\n%s", qi, par, !serial, x)
-			}
 			ref, n := interpreted(twin.Plan)
 			total += n
 			got, gotErr := exec.Collect(q.Plan, &exec.Ctx{DB: st})
@@ -106,7 +92,7 @@ func TestCompiledScalarsMatchInterpretedPlans(t *testing.T) {
 			switch {
 			case gotErr != nil || wantErr != nil:
 				// A dangling reference fails the query either way, on the
-				// same row: a parallel run returns the serial run's error.
+				// same row.
 				if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
 					t.Errorf("corpus %d (%s): compiled scalars fail with %v, interpreted with %v", qi, name, gotErr, wantErr)
 				}

@@ -317,9 +317,6 @@ func Eval(e adl.Expr, env *Env, db DB) (value.Value, error) {
 		}
 		return Agg(n.Op, s)
 
-	case *adl.Materialize:
-		return evalMaterialize(n, env, db)
-
 	case *adl.Let:
 		v, err := Eval(n.Val, env, db)
 		if err != nil {
@@ -738,79 +735,6 @@ func Agg(op adl.AggOp, s *value.Set) (value.Value, error) {
 		return nil, fmt.Errorf("eval: %s over non-numeric elements", op)
 	}
 	return nil, fmt.Errorf("eval: unknown aggregate")
-}
-
-// evalMaterialize dereferences the oid-valued attribute Attr of every tuple
-// of X and extends the tuple with the referenced object(s) as attribute As.
-// A scalar oid attribute yields the single object; a set-valued attribute of
-// unary oid tuples (the schema mapping of set-of-reference attributes)
-// yields the set of objects.
-func evalMaterialize(n *adl.Materialize, env *Env, db DB) (value.Value, error) {
-	src, err := evalSet(n.X, env, db, "materialize")
-	if err != nil {
-		return nil, err
-	}
-	out := value.NewSetCap(src.Len())
-	for _, xv := range src.Elems() {
-		x, ok := xv.(*value.Tuple)
-		if !ok {
-			return nil, fmt.Errorf("eval: materialize over non-tuple element %v", xv)
-		}
-		av, ok := x.Get(n.Attr)
-		if !ok {
-			return nil, fmt.Errorf("eval: materialize on missing attribute %q", n.Attr)
-		}
-		switch ref := av.(type) {
-		case value.OID:
-			obj, err := db.Deref(ref)
-			if err != nil {
-				return nil, err
-			}
-			w, err := x.With(n.As, obj)
-			if err != nil {
-				return nil, err
-			}
-			out.Add(w)
-		case *value.Set:
-			objs := value.NewSetCap(ref.Len())
-			for _, el := range ref.Elems() {
-				oid, err := refOID(el)
-				if err != nil {
-					return nil, err
-				}
-				obj, err := db.Deref(oid)
-				if err != nil {
-					return nil, err
-				}
-				objs.Add(obj)
-			}
-			w, err := x.With(n.As, objs)
-			if err != nil {
-				return nil, err
-			}
-			out.Add(w)
-		default:
-			return nil, fmt.Errorf("eval: materialize on non-reference attribute %q (%s)", n.Attr, av.Kind())
-		}
-	}
-	return out, nil
-}
-
-// refOID extracts the oid from a reference-set element: either a bare oid or
-// a unary tuple holding one.
-func refOID(el value.Value) (value.OID, error) {
-	switch rv := el.(type) {
-	case value.OID:
-		return rv, nil
-	case *value.Tuple:
-		if rv.Len() == 1 {
-			_, v := rv.At(0)
-			if oid, ok := v.(value.OID); ok {
-				return oid, nil
-			}
-		}
-	}
-	return 0, fmt.Errorf("eval: reference element %v is not an oid", el)
 }
 
 func evalAll(es []adl.Expr, env *Env, db DB) ([]value.Value, error) {

@@ -481,35 +481,6 @@ func TestImplicitPointerNavigation(t *testing.T) {
 	evalErr(t, adl.MapE("d", adl.Dot(adl.V("d"), "supplier", "sname"), adl.T("D")), db2)
 }
 
-func TestMaterialize(t *testing.T) {
-	db := storage.NewMemDB("S", value.NewSet(
-		value.NewTuple("eid", value.OID(1), "parts", value.NewSet(
-			value.NewTuple("pid", value.OID(20)), value.NewTuple("pid", value.OID(21)))),
-	))
-	db.Objs[20] = value.NewTuple("pid", value.OID(20), "pname", value.String("bolt"))
-	db.Objs[21] = value.NewTuple("pid", value.OID(21), "pname", value.String("nut"))
-	got := mustEval(t, adl.Mat(adl.T("S"), "parts", "partobjs"), db).(*value.Set)
-	tup := got.Elems()[0].(*value.Tuple)
-	objs := tup.MustGet("partobjs").(*value.Set)
-	if objs.Len() != 2 {
-		t.Fatalf("materialize = %v", objs)
-	}
-	if !objs.Contains(db.Objs[20]) || !objs.Contains(db.Objs[21]) {
-		t.Errorf("materialized objects wrong: %v", objs)
-	}
-
-	// Scalar reference.
-	db2 := storage.NewMemDB("D", value.NewSet(
-		value.NewTuple("did", value.OID(1), "supplier", value.OID(10)),
-	))
-	db2.Objs[10] = value.NewTuple("eid", value.OID(10), "sname", value.String("s1"))
-	got2 := mustEval(t, adl.Mat(adl.T("D"), "supplier", "sup"), db2).(*value.Set)
-	tup2 := got2.Elems()[0].(*value.Tuple)
-	if !value.Equal(tup2.MustGet("sup"), db2.Objs[10]) {
-		t.Errorf("scalar materialize = %v", tup2)
-	}
-}
-
 // TestSFWTranslationShape checks the §3 translation target directly:
 // select e1 from x in e2 where e3 ≡ α[x : e1](σ[x : e3](e2)).
 func TestSFWTranslationShape(t *testing.T) {

@@ -55,10 +55,6 @@ type ColumnScan struct {
 	// again; a Mixed or undecoded one reads each row's attribute through
 	// eval.Field, so the values and the error are α's.
 	Out string
-	// Workers > 1 splits the projection into that many contiguous shares of
-	// whole batches, one goroutine each; the rows, their order and the error
-	// are still the serial run's.
-	Workers int
 }
 
 // Open computes the rows: the stream is blocking, like the joins'.
@@ -72,31 +68,10 @@ func (s ColumnScan) Open(ctx *Ctx) (Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	batches := (proj.Len() + DefaultBatchSize - 1) / DefaultBatchSize
-	if s.Workers <= 1 {
-		out, err := s.span(ctx, proj, 0, batches)
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	par := s // the shares' copy of the node, which a serial run does not make
-	shares, err := inShares(batches, s.Workers, func(lo, hi int) (*rowBuf, error) {
-		return par.span(ctx, proj, lo, hi)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return joined(shares)
-}
-
-// span runs batches [lo, hi) of p into one buffer.
-func (s *ColumnScan) span(ctx *Ctx, p *col.Proj, lo, hi int) (*rowBuf, error) {
 	var sel [DefaultBatchSize]int32 // on the stack: batch keeps none of it
-	out, n := new(rowBuf), p.Len()
-	for b := lo; b < hi; b++ {
-		first := b * DefaultBatchSize
-		if err := s.batch(ctx, p, first, min(n, first+DefaultBatchSize), sel[:], out); err != nil {
+	out, n := new(rowBuf), proj.Len()
+	for first := 0; first < n; first += DefaultBatchSize {
+		if err := s.batch(ctx, proj, first, min(n, first+DefaultBatchSize), sel[:], out); err != nil {
 			return nil, err
 		}
 	}

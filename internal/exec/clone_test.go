@@ -29,13 +29,11 @@ func cloneFixtureTree() Operator {
 	}
 }
 
-// vecFixtureTree is a parallel hash join over a parallel ColumnScan and a
-// Filter: the two operators that start goroutines of their own, one above
-// the other.
+// vecFixtureTree is a hash join over a ColumnScan and a Filter.
 func vecFixtureTree() Operator {
 	k := fieldKernel("b", adl.Lt, value.Int(5))
-	return &HashJoin{Kind: adl.Semi, Workers: 3,
-		L: &ColumnScan{Extent: "L", Attrs: []string{"b"}, Var: "x", Kernels: []VecCmp{k}, Workers: 3},
+	return &HashJoin{Kind: adl.Semi,
+		L: &ColumnScan{Extent: "L", Attrs: []string{"b"}, Var: "x", Kernels: []VecCmp{k}},
 		R: &Filter{Child: &ColumnScan{Extent: "R"}, Var: "y",
 			Pred: NewScalar(adl.CBool(true), "y")},
 		LVar: "x", RVar: "y",
@@ -163,11 +161,10 @@ func TestNodesHoldNoRunState(t *testing.T) {
 	}
 }
 
-// TestOneGoStatement checks the shape that keeps every parallel run inside
-// its Open: non-test code of the package starts goroutines in one place,
-// inShares, which waits for them, and declares no channel to hand rows or
-// signals past Open.
-func TestOneGoStatement(t *testing.T) {
+// TestNoGoStatement checks that every operator runs on the goroutine that
+// opened it: non-test code of the package has no go statement and declares
+// no channel type, so no goroutine can outlive a run or need cancelling.
+func TestNoGoStatement(t *testing.T) {
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, 0)
@@ -193,7 +190,7 @@ func TestOneGoStatement(t *testing.T) {
 			})
 		}
 	}
-	if len(goIn) != 1 || goIn[0] != "inShares" {
-		t.Errorf("go statements in %v, want one, in inShares", goIn)
+	if len(goIn) != 0 {
+		t.Errorf("go statements in %v, want none", goIn)
 	}
 }

@@ -14,7 +14,7 @@ import (
 
 // TestColumnScanOutAgainstEval: a ColumnScan that emits attribute Out (α
 // fused into it) returns the interpreter's α[x: x.Out](σ(L)) — the same set,
-// or the same error text — at 1, 2 and 5 workers over three batches. A typed
+// or the same error text — over three batches. A typed
 // column hands up its stored values and hashes: strings that need escaping,
 // duplicates that dedupe, NaNs that do not, −0 and +0 as one element. A
 // Mixed column reads the rows: mixed kinds, and an attribute missing on one
@@ -80,17 +80,15 @@ func TestColumnScanOutAgainstEval(t *testing.T) {
 		if (wantErr == nil) != (c.err == "") || wantErr != nil && !strings.Contains(wantErr.Error(), c.err) {
 			t.Fatalf("%s: the interpreter fails with %v, want an error with %q", c.name, wantErr, c.err)
 		}
-		for _, workers := range []int{1, 2, 5} {
-			scan := &ColumnScan{Extent: "L", Attrs: attrs, Var: "x", Kernels: ks, Out: c.out, Workers: workers}
-			got, err := Collect(scan, &Ctx{DB: d})
-			switch {
-			case wantErr != nil || err != nil:
-				if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
-					t.Errorf("%s workers %d: error %v, want %v", c.name, workers, err, wantErr)
-				}
-			case got.Len() != want.Len() || got.String() != want.String():
-				t.Errorf("%s workers %d: %d elements %s, want %d %s", c.name, workers, got.Len(), got, want.Len(), want)
+		scan := &ColumnScan{Extent: "L", Attrs: attrs, Var: "x", Kernels: ks, Out: c.out}
+		got, err := Collect(scan, &Ctx{DB: d})
+		switch {
+		case wantErr != nil || err != nil:
+			if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+				t.Errorf("%s: error %v, want %v", c.name, err, wantErr)
 			}
+		case got.Len() != want.Len() || got.String() != want.String():
+			t.Errorf("%s: %d elements %s, want %d %s", c.name, got.Len(), got, want.Len(), want)
 		}
 	}
 }

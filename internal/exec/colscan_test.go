@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"runtime"
-	"slices"
 	"strings"
 	"testing"
 
@@ -12,35 +10,11 @@ import (
 	"repro/internal/value"
 )
 
-// TestColumnScanWorkersAgainstSerial checks that a parallel ColumnScan
-// returns exactly the serial one's rows in the serial order, for worker
-// counts from one up to more than the table has batches.
-func TestColumnScanWorkersAgainstSerial(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		d := db(seed, 4*DefaultBatchSize+150, 10)
-		ks := []VecCmp{
-			fieldKernel("b", adl.Lt, value.Int(6)),
-			fieldKernel("a", adl.Ge, value.Int(3)),
-		}
-		want := streamed(t, colScan("L", []string{"a", "b"}, ks...), d)
-		if len(want) == 0 {
-			t.Fatalf("seed %d: the serial scan keeps no row", seed)
-		}
-		for _, workers := range []int{1, 2, 3, 5, 8} {
-			par := colScan("L", []string{"a", "b"}, ks...)
-			par.Workers = workers
-			got := streamed(t, par, d)
-			if !slices.EqualFunc(got, want, value.Equal) {
-				t.Errorf("seed %d workers %d: %d rows, not the serial %d in order", seed, workers, len(got), len(want))
-			}
-		}
-	}
-}
-
-// TestColumnScanErrorAndReopen checks that a parallel ColumnScan fails with
-// the serial run's error — with two rows failing differently in different
-// batches, the earlier row's; with two rows of one batch failing different
-// conjuncts, a Filter's and the interpreter's — and reruns the same node.
+// TestColumnScanErrorAndReopen checks that a ColumnScan fails with the first
+// error a row-by-row run meets — with two rows failing differently in
+// different batches, the earlier row's; with two rows of one batch failing
+// different conjuncts, a Filter's and the interpreter's — and reruns the
+// same node.
 func TestColumnScanErrorAndReopen(t *testing.T) {
 	const n = 5 * DefaultBatchSize
 	rows := make([]value.Value, n)
@@ -53,16 +27,8 @@ func TestColumnScanErrorAndReopen(t *testing.T) {
 	rows[3000] = value.NewTuple("a", value.Int(3000), "b", value.Bool(true))
 	d := storage.NewMemDB("L", value.NewSet(rows...))
 	bad := fieldKernel("b", adl.Lt, value.Int(5))
-	_, serialErr := Collect(colScan("L", []string{"b"}, bad), &Ctx{DB: d})
-	if serialErr == nil || !strings.Contains(serialErr.Error(), "string") {
-		t.Fatalf("serial error %v, want the string row's", serialErr)
-	}
-	for _, workers := range []int{2, 3, 5} {
-		par := colScan("L", []string{"b"}, bad)
-		par.Workers = workers
-		if _, err := Collect(par, &Ctx{DB: d}); err == nil || err.Error() != serialErr.Error() {
-			t.Errorf("workers %d: error %v, want the serial %v", workers, err, serialErr)
-		}
+	if _, err := Collect(colScan("L", []string{"b"}, bad), &Ctx{DB: d}); err == nil || !strings.Contains(err.Error(), "string") {
+		t.Fatalf("error %v, want the string row's", err)
 	}
 
 	// The second batch opens with (a=1, b=0), which passes x.a = 1 and has no
@@ -85,17 +51,12 @@ func TestColumnScanErrorAndReopen(t *testing.T) {
 	typed := []VecCmp{fieldKernel("a", adl.Eq, value.Int(1)), fieldKernel("c", adl.Eq, value.Int(1))}
 	rowWise := []VecCmp{{Pred: NewScalar(ca, "x")}, {Pred: NewScalar(cc, "x")}}
 	for name, ks := range map[string][]VecCmp{"typed": typed, "row-wise": rowWise} {
-		for _, workers := range []int{1, 2, 3, 5} {
-			scan := colScan("L", []string{"a", "c"}, ks...)
-			scan.Workers = workers
-			if _, err := Collect(scan, &Ctx{DB: d}); err == nil || err.Error() != evalErr.Error() {
-				t.Errorf("%s kernels, workers %d: error %v, want %v", name, workers, err, evalErr)
-			}
+		if _, err := Collect(colScan("L", []string{"a", "c"}, ks...), &Ctx{DB: d}); err == nil || err.Error() != evalErr.Error() {
+			t.Errorf("%s kernels: error %v, want %v", name, err, evalErr)
 		}
 	}
 
 	good := colScan("L", []string{"b"}, fieldKernel("b", adl.Lt, value.Int(5)))
-	good.Workers = 3
 	d = db(5, crossRows, 10)
 	want := collect(t, good, d)
 	for i := 0; i < 3; i++ {
@@ -103,29 +64,6 @@ func TestColumnScanErrorAndReopen(t *testing.T) {
 			t.Fatalf("reopen %d: got %v want %v", i, got, want)
 		}
 	}
-}
-
-// TestColumnScanLeavesNoGoroutines checks that a parallel ColumnScan's
-// workers are gone when its stream is handed up: after a Collect, and after
-// Close on a stream read only in part.
-func TestColumnScanLeavesNoGoroutines(t *testing.T) {
-	d := db(7, 5000, 10)
-	scan := colScan("L", []string{"b"})
-	scan.Workers = 4
-	base := runtime.NumGoroutine()
-	collect(t, scan, d)
-	settled(t, "after Collect", base)
-	rows, err := scan.Open(&Ctx{DB: d})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := rows.Next(); err != nil || !ok {
-		t.Fatalf("Next: ok=%v err=%v", ok, err)
-	}
-	if err := rows.Close(); err != nil {
-		t.Fatal(err)
-	}
-	settled(t, "after Close on a partly read stream", base)
 }
 
 // TestVecPNHLAgainstScalar cross-validates PNHL fed by a ColumnScan against

@@ -108,8 +108,8 @@ func columnDBs(t *testing.T) (*storage.Store, *storage.MemDB) {
 // column over the store, where the sets have one, and over the MemDB, where
 // they do not, and checks both against NLJoin: HashJoin on membership (semi, anti,
 // nest with and without RFun) on OID and Int build keys and on keys of
-// another shape, and HashJoin expanding μ in its probe (semi, anti; 1, 2 and
-// 5 workers) on OID, Int and unary tuple keys. The cases hold empty sets,
+// another shape, and HashJoin expanding μ in its probe (semi, anti) on OID,
+// Int and unary tuple keys. The cases hold empty sets,
 // dangling references, Ints whose bits
 // equal an OID key's (which must not match it), a set above value.SmallSet,
 // and sets of two kinds or two shapes, which have no column.
@@ -159,16 +159,14 @@ func TestReferenceColumnDifferential(t *testing.T) {
 		{"tuple", adl.Dot(x, "pid"), adl.Tup("pid", adl.Dot(y, "pid"))}, // an oid never equals ⟨pid⟩
 	} {
 		for _, kind := range []adl.JoinKind{adl.Semi, adl.Anti} {
-			for _, parts := range []int{1, 2, 5} {
-				hj := &HashJoin{Kind: kind, L: &Scan{Table: "L"}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
-					LKey: NewScalar(keys.lkey, "x"), RKey: NewScalar(keys.rkey, "y"), Unnest: "parts", Workers: parts}
-				if hj.probeAttr() != "pid" {
-					t.Fatalf("%s keys: the join would not expand μ in its probe", keys.name)
-				}
-				oracle := &NLJoin{Kind: kind, L: &UnnestOp{Child: &Scan{Table: "L"}, Attr: "parts"}, R: &Scan{Table: "R"},
-					LVar: "x", RVar: "y", Pred: NewScalar(adl.EqE(keys.lkey, keys.rkey), "x", "y")}
-				check(fmt.Sprintf("HashJoin{μ} %v %s keys, %d workers", kind, keys.name, parts), hj, oracle)
+			hj := &HashJoin{Kind: kind, L: &Scan{Table: "L"}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
+				LKey: NewScalar(keys.lkey, "x"), RKey: NewScalar(keys.rkey, "y"), Unnest: "parts"}
+			if hj.probeAttr() != "pid" {
+				t.Fatalf("%s keys: the join would not expand μ in its probe", keys.name)
 			}
+			oracle := &NLJoin{Kind: kind, L: &UnnestOp{Child: &Scan{Table: "L"}, Attr: "parts"}, R: &Scan{Table: "R"},
+				LVar: "x", RVar: "y", Pred: NewScalar(adl.EqE(keys.lkey, keys.rkey), "x", "y")}
+			check(fmt.Sprintf("HashJoin{μ} %v %s keys", kind, keys.name), hj, oracle)
 		}
 	}
 	if hits == 0 {

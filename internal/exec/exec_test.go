@@ -212,23 +212,30 @@ func TestFilterMapProjectFlatten(t *testing.T) {
 	}
 }
 
-// TestAssembly validates the pointer-based materialize against the logical
-// operator.
+// TestAssembly validates the pointer-based materialize against the rows it
+// must build: each row extended by the object its oid references, or by the
+// set of objects its reference set names.
 func TestAssembly(t *testing.T) {
-	d := storage.NewMemDB("S", value.NewSet(
-		value.NewTuple("sid", value.OID(1), "ref", value.OID(10),
-			"refs", value.NewSet(value.NewTuple("pid", value.OID(10)), value.NewTuple("pid", value.OID(11)))),
-	))
+	row := value.NewTuple("sid", value.OID(1), "ref", value.OID(10),
+		"refs", value.NewSet(value.NewTuple("pid", value.OID(10)), value.NewTuple("pid", value.OID(11))))
+	d := storage.NewMemDB("S", value.NewSet(row))
 	d.Objs[10] = value.NewTuple("pid", value.OID(10), "v", value.Int(1))
 	d.Objs[11] = value.NewTuple("pid", value.OID(11), "v", value.Int(2))
+	extended := func(as string, v value.Value) *value.Set {
+		w, err := row.With(as, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return value.NewSet(w)
+	}
 
-	want := evalRef(t, adl.Mat(adl.T("S"), "ref", "obj"), d)
+	want := extended("obj", d.Objs[10])
 	a := &Assembly{Child: &Scan{Table: "S"}, Attr: "ref", As: "obj"}
 	if got := collect(t, a, d); !value.Equal(got, want) {
 		t.Errorf("Assembly scalar: got %v want %v", got, want)
 	}
 
-	want2 := evalRef(t, adl.Mat(adl.T("S"), "refs", "objs"), d)
+	want2 := extended("objs", value.NewSet(d.Objs[10], d.Objs[11]))
 	a2 := &Assembly{Child: &Scan{Table: "S"}, Attr: "refs", As: "objs"}
 	if got := collect(t, a2, d); !value.Equal(got, want2) {
 		t.Errorf("Assembly set: got %v want %v", got, want2)
@@ -243,8 +250,8 @@ func TestAssembly(t *testing.T) {
 }
 
 // TestDuplicateAttributeIsAnError: an operator that extends a row by an
-// attribute the row already holds — materialize, the nestjoin and ν —
-// fails with the interpreter's error, not a panic.
+// attribute the row already holds — the nestjoin and ν with the
+// interpreter's error, materialize with its own — fails, not panics.
 func TestDuplicateAttributeIsAnError(t *testing.T) {
 	d := db(3, 6, 4)
 	d.Objs[10] = value.NewTuple("pid", value.OID(10), "v", value.Int(1))
@@ -254,9 +261,6 @@ func TestDuplicateAttributeIsAnError(t *testing.T) {
 		op   Operator
 		expr adl.Expr
 	}{
-		{"materialize",
-			&Assembly{Child: &Assembly{Child: &Scan{Table: "S"}, Attr: "ref", As: "obj"}, Attr: "ref", As: "obj"},
-			adl.Mat(adl.Mat(adl.T("S"), "ref", "obj"), "ref", "obj")},
 		{"nestjoin",
 			&NLJoin{Kind: adl.NestJ, L: &Scan{Table: "L"}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
 				Pred: NewScalar(joinPred(), "x", "y"), As: "a"},
@@ -270,6 +274,10 @@ func TestDuplicateAttributeIsAnError(t *testing.T) {
 		if err == nil || rerr == nil || err.Error() != rerr.Error() || !strings.Contains(err.Error(), "duplicate attribute") {
 			t.Errorf("%s: exec %v, the interpreter %v; want the same duplicate-attribute error", c.name, err, rerr)
 		}
+	}
+	twice := &Assembly{Child: &Assembly{Child: &Scan{Table: "S"}, Attr: "ref", As: "obj"}, Attr: "ref", As: "obj"}
+	if _, err := Collect(twice, &Ctx{DB: d}); err == nil || !strings.Contains(err.Error(), "duplicate attribute") {
+		t.Errorf("materialize: %v, want a duplicate-attribute error", err)
 	}
 }
 

@@ -101,8 +101,8 @@ func errText(err error) string {
 
 // TestFusedNestJoinEqualsMap holds a nestjoin that builds its select row (Sel)
 // to α over the same nestjoin without it, for every join that emits
-// nestjoins — HashJoin on a key and on membership (In) at 1, 2 and 5
-// workers, NLJoin and IndexNLJoin — × select rows that build a tuple or
+// nestjoins — HashJoin on a key and on membership (In), NLJoin and
+// IndexNLJoin — × select rows that build a tuple or
 // not, and that fail on left row 0 or never × RFuns that are absent, read
 // only the right row (memoized per build row), fail on left row 3's match,
 // or read both rows × left rows with and without the group attribute: the
@@ -167,16 +167,14 @@ func TestFusedNestJoinEqualsMap(t *testing.T) {
 					LKey: NewScalar(adl.Dot(x, "k"), "x"), As: "ys", RFun: rf, Sel: sel}
 			},
 		}
-		for _, w := range []int{1, 2, 5} {
-			out[fmt.Sprintf("hash-key-%d", w)] = func(sel *Scalar) Operator {
-				return &HashJoin{Kind: adl.NestJ, L: &Scan{Table: left}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
-					LKey: NewScalar(adl.Dot(x, "k"), "x"), RKey: NewScalar(adl.Dot(y, "k"), "y"),
-					As: "ys", RFun: rf, Sel: sel, Workers: w}
-			}
-			out[fmt.Sprintf("hash-in-%d", w)] = func(sel *Scalar) Operator {
-				return &HashJoin{Kind: adl.NestJ, L: &Scan{Table: left}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
-					In: "parts", RKey: NewScalar(adl.SubT(y, "k"), "y"), As: "ys", RFun: rf, Sel: sel, Workers: w}
-			}
+		out["hash-key"] = func(sel *Scalar) Operator {
+			return &HashJoin{Kind: adl.NestJ, L: &Scan{Table: left}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
+				LKey: NewScalar(adl.Dot(x, "k"), "x"), RKey: NewScalar(adl.Dot(y, "k"), "y"),
+				As: "ys", RFun: rf, Sel: sel}
+		}
+		out["hash-in"] = func(sel *Scalar) Operator {
+			return &HashJoin{Kind: adl.NestJ, L: &Scan{Table: left}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
+				In: "parts", RKey: NewScalar(adl.SubT(y, "k"), "y"), As: "ys", RFun: rf, Sel: sel}
 		}
 		return out
 	}

@@ -62,11 +62,6 @@ func (j NLJoin) Open(ctx *Ctx) (Rows, error) {
 // LKey, applying an optional residual predicate. All join kinds are
 // supported; for the nestjoin this is the paper's "common join
 // implementation methods like the hash join can be adapted" (§6.1).
-//
-// With Workers > 1 it is the parallel form: the build keys are evaluated and
-// the left rows probed in that many contiguous shares, every share reading
-// the one table, their results joined in share order (parallel.go): the
-// serial join's rows, in its order, and its first error.
 type HashJoin struct {
 	Kind       adl.JoinKind
 	L, R       Operator
@@ -78,9 +73,6 @@ type HashJoin struct {
 	RFun     *Scalar
 	// Sel is NLJoin.Sel.
 	Sel *Scalar
-	// Workers is the share count of key evaluation and probe; at most 1 runs
-	// the join on the caller's goroutine.
-	Workers int
 	// Unnest, when set, is μ applied to L: the join runs on L's rows unnested
 	// on this attribute. A residual-free semi- or antijoin whose left key is
 	// an attribute of the unnested row expands each row inside its probe and
@@ -95,9 +87,8 @@ type HashJoin struct {
 	In string
 }
 
-// Open builds the table, drains L, and probes: on the caller's goroutine, or
-// in Workers contiguous shares of L's rows. A semi- or antijoin over an empty
-// right operand builds no table and probes nothing (emptyRight).
+// Open builds the table, drains L, and probes. A semi- or antijoin over an
+// empty right operand builds no table and probes nothing (emptyRight).
 func (j HashJoin) Open(ctx *Ctx) (Rows, error) {
 	if j.In != "" && j.Kind != adl.Semi && j.Kind != adl.Anti && j.Kind != adl.NestJ {
 		return nil, fmt.Errorf("exec: hash join on membership in %q does not support kind %v", j.In, j.Kind)
@@ -124,7 +115,7 @@ func (j HashJoin) Open(ctx *Ctx) (Rows, error) {
 		}
 		return emptyRight(j.Kind, "hash join", lrows)
 	}
-	tab, err := newJoinTable(ctx, rrows, rkey, j.Workers)
+	tab, err := newJoinTable(ctx, rrows, rkey)
 	if err != nil {
 		return nil, err
 	}
@@ -140,21 +131,11 @@ func (j HashJoin) Open(ctx *Ctx) (Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	if j.Workers <= 1 {
-		out, err := l.probe(lrows)
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	shared, rows := l, lrows // the shares' copies: l and lrows stay off the heap when serial
-	shares, err := inShares(len(rows), j.Workers, func(lo, hi int) (*rowBuf, error) {
-		return shared.probe(rows[lo:hi])
-	})
+	out, err := l.probe(lrows)
 	if err != nil {
 		return nil, err
 	}
-	return joined(shares)
+	return out, nil
 }
 
 // left drains L, unnested on Unnest if that is set.
@@ -186,8 +167,7 @@ func (j HashJoin) probeAttr() string {
 // key and, when the key reads one attribute of the row, that attribute, read
 // straight off the row wherever it has it; or, probing membership, the set
 // attribute in; and the verdict each probe starts from. Expanding μ inside
-// the probe, un is the unnester; otherwise its attr is "". The value
-// receiver of probe gives each share its own verdict and unnester. A set μ
+// the probe, un is the unnester; otherwise its attr is "". A set μ
 // expands whose reference column (value.Set.Column) is the key attribute is
 // probed by the column's bits: no element is read unless its unnested row is
 // emitted.
@@ -241,7 +221,7 @@ func (l *hashProbe) column(set *value.Set) (value.Kind, []int64, bool, error) {
 	return kind, bits, true, err
 }
 
-// probe joins rows, a share of L, against the table and returns what the
+// probe joins rows, L's, against the table and returns what the
 // verdict emits: each row's rows, or — expanding μ — each element's of its
 // set, whose unnested row is built only if the verdict emits it.
 func (l hashProbe) probe(rows []value.Value) (*rowBuf, error) {

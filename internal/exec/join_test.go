@@ -3,11 +3,9 @@ package exec
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/adl"
 	"repro/internal/eval"
@@ -98,7 +96,7 @@ func equiOracle(kind adl.JoinKind, l Operator, right string, lkey, rkey adl.Expr
 // keys of two kinds, keys of two kinds that never meet, keys of four kinds
 // that share their bits, signed zeros, unary tuples of one shape and of two,
 // an empty build side) × residual × left rows from a Scan and from a
-// ColumnScan × 1, 2 and 5 workers: the same rows in the same order. Each
+// ColumnScan: the same rows in the same order. Each
 // shape's build keys make the table it names: the int table or the
 // value.Index.
 func TestHashJoinKeyShapes(t *testing.T) {
@@ -132,7 +130,7 @@ func TestHashJoinKeyShapes(t *testing.T) {
 		lx, ry := adl.Dot(adl.V("x"), sh.lattr), adl.Dot(adl.V("y"), sh.rattr)
 		lkey, rkey := NewScalar(lx, "x"), NewScalar(ry, "y")
 		build, _ := d.Table(sh.table)
-		if tab, err := newJoinTable(&Ctx{DB: d}, build.Elems(), rkey, 1); err != nil || (tab.ints != nil) != sh.ints {
+		if tab, err := newJoinTable(&Ctx{DB: d}, build.Elems(), rkey); err != nil || (tab.ints != nil) != sh.ints {
 			t.Errorf("%s: int table %v (%v), want %v", sh.name, tab.ints != nil, err, sh.ints)
 		}
 		for _, kc := range joinKindCases() {
@@ -151,13 +149,11 @@ func TestHashJoinKeyShapes(t *testing.T) {
 					t.Errorf("%s %s residual=%v: NLJoin %v, the interpreter %v", sh.name, kc.name, res != nil, want, ref)
 				}
 				for arm, l := range leftArms("L") {
-					for _, w := range []int{1, 2, 5} {
-						hj := &HashJoin{Kind: kc.kind, L: l, R: &Scan{Table: sh.table}, LVar: "x", RVar: "y",
-							LKey: lkey, RKey: rkey, Residual: res, As: "ys", RFun: kc.rfun, Workers: w}
-						if got := streamed(t, hj, d); !sameRows(got, want) {
-							t.Errorf("%s %s residual=%v %s workers %d: got %v want %v",
-								sh.name, kc.name, res != nil, arm, w, got, want)
-						}
+					hj := &HashJoin{Kind: kc.kind, L: l, R: &Scan{Table: sh.table}, LVar: "x", RVar: "y",
+						LKey: lkey, RKey: rkey, Residual: res, As: "ys", RFun: kc.rfun}
+					if got := streamed(t, hj, d); !sameRows(got, want) {
+						t.Errorf("%s %s residual=%v %s: got %v want %v",
+							sh.name, kc.name, res != nil, arm, got, want)
 					}
 				}
 			}
@@ -171,8 +167,8 @@ func TestHashJoinKeyShapes(t *testing.T) {
 // does not: L's rows fail the key 1 / x.b (b = 0, or no b) and the fused
 // join's key x.k (an element without k), and membership in x.ps (no ps). A
 // left row that is no tuple fails every arm and the interpreter, and so does
-// μ over a row without ps. NLJoin, HashJoin on the key and on membership at
-// 1, 2 and 5 workers, and HashJoin expanding μ, over an empty extent and
+// μ over a row without ps. NLJoin, HashJoin on the key and on membership,
+// and HashJoin expanding μ, over an empty extent and
 // over a Filter that keeps no row, each against eval.
 func TestEmptyRightOperand(t *testing.T) {
 	x, y := adl.V("x"), adl.V("y")
@@ -219,22 +215,20 @@ func TestEmptyRightOperand(t *testing.T) {
 				scan := &Scan{Table: table}
 				arms := []arm{{"NLJoin", &NLJoin{Kind: kind, L: scan, R: r.op(), LVar: "x", RVar: "y",
 					Pred: NewScalar(adl.EqE(inv, dd), "x", "y")}, join(adl.T(table), adl.EqE(inv, dd)), scan}}
-				for _, w := range []int{1, 2, 5} {
-					arms = append(arms,
-						arm{fmt.Sprintf("HashJoin workers %d", w), &HashJoin{Kind: kind, L: scan, R: r.op(),
-							LVar: "x", RVar: "y", LKey: NewScalar(inv, "x"), RKey: NewScalar(dd, "y"), Workers: w},
-							join(adl.T(table), adl.EqE(inv, dd)), scan},
-						arm{fmt.Sprintf("HashJoin.In workers %d", w), &HashJoin{Kind: kind, L: scan, R: r.op(),
-							LVar: "x", RVar: "y", RKey: NewScalar(adl.SubT(y, "c"), "y"), In: "ps", Workers: w},
-							join(adl.T(table), adl.CmpE(adl.In, adl.SubT(y, "c"), adl.Dot(x, "ps"))), scan},
-						arm{fmt.Sprintf("HashJoin μ workers %d", w), &HashJoin{Kind: kind, L: scan, R: r.op(),
-							LVar: "x", RVar: "y", LKey: NewScalar(adl.Dot(x, "k"), "x"), RKey: NewScalar(dd, "y"),
-							Unnest: "ps", Workers: w},
-							join(adl.Mu("ps", adl.T(table)), adl.EqE(adl.Dot(x, "k"), dd)), &UnnestOp{Child: scan, Attr: "ps"}})
-				}
+				arms = append(arms,
+					arm{"HashJoin", &HashJoin{Kind: kind, L: scan, R: r.op(),
+						LVar: "x", RVar: "y", LKey: NewScalar(inv, "x"), RKey: NewScalar(dd, "y")},
+						join(adl.T(table), adl.EqE(inv, dd)), scan},
+					arm{"HashJoin.In", &HashJoin{Kind: kind, L: scan, R: r.op(),
+						LVar: "x", RVar: "y", RKey: NewScalar(adl.SubT(y, "c"), "y"), In: "ps"},
+						join(adl.T(table), adl.CmpE(adl.In, adl.SubT(y, "c"), adl.Dot(x, "ps"))), scan},
+					arm{"HashJoin μ", &HashJoin{Kind: kind, L: scan, R: r.op(),
+						LVar: "x", RVar: "y", LKey: NewScalar(adl.Dot(x, "k"), "x"), RKey: NewScalar(dd, "y"),
+						Unnest: "ps"},
+						join(adl.Mu("ps", adl.T(table)), adl.EqE(adl.Dot(x, "k"), dd)), &UnnestOp{Child: scan, Attr: "ps"}})
 				for _, a := range arms {
 					name := fmt.Sprintf("%s %v over %s, %s", a.name, kind, table, r.name)
-					if a.name == "HashJoin μ workers 1" && a.op.(*HashJoin).ProbeAttr() != "k" {
+					if a.name == "HashJoin μ" && a.op.(*HashJoin).ProbeAttr() != "k" {
 						t.Fatalf("%s: the join does not expand μ inside its probe", name)
 					}
 					ref, rerr := eval.EvalSet(a.logical, nil, d)
@@ -277,14 +271,12 @@ func TestHashJoinRandomized(t *testing.T) {
 				oracle.R = build()
 				want := collect(t, oracle, d)
 				for arm, l := range leftArms("L") {
-					for _, parts := range []int{1, 4} {
-						hj := &HashJoin{Kind: kc.kind, L: l, R: build(), LVar: "x", RVar: "y",
-							LKey: NewScalar(lx, "x"), RKey: NewScalar(ry, "y"), Residual: res,
-							As: "ys", RFun: kc.rfun, Workers: parts}
-						if got := collect(t, hj, d); !value.Equal(got, want) {
-							t.Errorf("seed %d %s residual=%v %s workers %d: got %v want %v",
-								seed, kc.name, res != nil, arm, parts, got, want)
-						}
+					hj := &HashJoin{Kind: kc.kind, L: l, R: build(), LVar: "x", RVar: "y",
+						LKey: NewScalar(lx, "x"), RKey: NewScalar(ry, "y"), Residual: res,
+						As: "ys", RFun: kc.rfun}
+					if got := collect(t, hj, d); !value.Equal(got, want) {
+						t.Errorf("seed %d %s residual=%v %s: got %v want %v",
+							seed, kc.name, res != nil, arm, got, want)
 					}
 				}
 			}
@@ -292,20 +284,9 @@ func TestHashJoinRandomized(t *testing.T) {
 	}
 }
 
-// goroutinesSettle waits for the goroutine count to come back to want.
-func goroutinesSettle(want int) int {
-	n := runtime.NumGoroutine()
-	for i := 0; i < 200 && n > want; i++ {
-		time.Sleep(time.Millisecond)
-		n = runtime.NumGoroutine()
-	}
-	return n
-}
-
 // TestHashJoinErrors checks that the hash join fails where NLJoin fails, with
-// one text whichever way its left rows arrive — on the caller's goroutine and
-// from a probe worker, which must not leave a goroutine behind — and that a
-// failed join runs again after Close.
+// one text whichever way its left rows arrive, and that a failed join, and
+// one closed twice after its first row, runs again after Close.
 func TestHashJoinErrors(t *testing.T) {
 	good := value.NewTuple("a", value.Int(1), "b", value.Int(1))
 	rows := func(vs ...value.Value) *value.Set { return value.NewSet(vs...) }
@@ -340,19 +321,13 @@ func TestHashJoinErrors(t *testing.T) {
 		}
 		var text string
 		for arm, l := range leftArms(tc.ltable) {
-			for _, parts := range []int{1, 3} {
-				before := runtime.NumGoroutine()
-				_, err := Collect(&HashJoin{Kind: tc.kind, L: l, R: &Scan{Table: tc.rtable}, LVar: "x", RVar: "y",
-					LKey: lkey, RKey: rkey, As: "ys", Workers: parts}, &Ctx{DB: d})
-				if text == "" && err != nil {
-					text = err.Error()
-				}
-				if err == nil || err.Error() != text {
-					t.Errorf("%s %s workers %d: %v, the others %q", tc.name, arm, parts, err, text)
-				}
-				if after := goroutinesSettle(before); after > before {
-					t.Errorf("%s %s workers %d: %d goroutines before, %d after", tc.name, arm, parts, before, after)
-				}
+			_, err := Collect(&HashJoin{Kind: tc.kind, L: l, R: &Scan{Table: tc.rtable}, LVar: "x", RVar: "y",
+				LKey: lkey, RKey: rkey, As: "ys"}, &Ctx{DB: d})
+			if text == "" && err != nil {
+				text = err.Error()
+			}
+			if err == nil || err.Error() != text {
+				t.Errorf("%s %s: %v, the others %q", tc.name, arm, err, text)
 			}
 		}
 		if tc.kind == adl.NestJ && !strings.Contains(text, `duplicate attribute "ys"`) {
@@ -361,20 +336,33 @@ func TestHashJoinErrors(t *testing.T) {
 	}
 
 	// Re-Open after Close: one instance, failing run first.
-	for _, parts := range []int{1, 3} {
-		scan := colScan("NT", []string{"b"})
-		hj := &HashJoin{Kind: adl.Semi, L: scan, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
-			LKey: NewScalar(b, "x"), RKey: NewScalar(dd, "y"), Workers: parts}
-		if _, err := Collect(hj, &Ctx{DB: d}); err == nil {
-			t.Fatalf("workers %d: non-tuple probe row must fail", parts)
+	scan := colScan("NT", []string{"b"})
+	hj := &HashJoin{Kind: adl.Semi, L: scan, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
+		LKey: NewScalar(b, "x"), RKey: NewScalar(dd, "y")}
+	if _, err := Collect(hj, &Ctx{DB: d}); err == nil {
+		t.Fatal("non-tuple probe row must fail")
+	}
+	scan.Extent = "L"
+	want := collect(t, equiOracle(adl.Semi, &Scan{Table: "L"}, "R", b, dd, nil, nil), d)
+	for run := 0; run < 2; run++ {
+		if got := rowFacade(t, hj, d); !value.Equal(got, want) {
+			t.Errorf("run %d after Close: got %v want %v", run, got, want)
 		}
-		scan.Extent = "L"
-		want := collect(t, equiOracle(adl.Semi, &Scan{Table: "L"}, "R", b, dd, nil, nil), d)
-		for run := 0; run < 2; run++ {
-			if got := rowFacade(t, hj, d); !value.Equal(got, want) {
-				t.Errorf("workers %d run %d after Close: got %v want %v", parts, run, got, want)
-			}
+	}
+	run, err := hj.Open(&Ctx{DB: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := run.Next(); !ok || err != nil {
+		t.Fatalf("first Next: %v, %v", ok, err)
+	}
+	for range 2 {
+		if err := run.Close(); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if got := rowFacade(t, hj, d); !value.Equal(got, want) {
+		t.Errorf("after an early Close: got %v want %v", got, want)
 	}
 }
 
@@ -444,16 +432,10 @@ func TestAntiJoinStopsAtFirstMatch(t *testing.T) {
 			return Collect(&IndexNLJoin{Kind: adl.Anti, L: scan("L"), Table: "R", Attr: "rk",
 				LVar: "x", RVar: "y", LKey: lkey, Residual: &res}, &Ctx{DB: st})
 		}},
-		{"HashJoin/workers-3", func(st *storage.Store) (*value.Set, error) {
-			return Collect(&HashJoin{Kind: adl.Anti, L: scan("L"), R: scan("R"), LVar: "x", RVar: "y",
-				LKey: lkey, RKey: rkey, Residual: &res, Workers: 3}, &Ctx{DB: st})
-		}},
-	}
-	for _, parts := range []int{1, 3} {
-		arms = append(arms, arm{fmt.Sprintf("HashJoin/batch/workers-%d", parts), func(st *storage.Store) (*value.Set, error) {
+		{"HashJoin/batch", func(st *storage.Store) (*value.Set, error) {
 			return Collect(&HashJoin{Kind: adl.Anti, L: colScan("L", nil), R: scan("R"),
-				LVar: "x", RVar: "y", LKey: lkey, RKey: rkey, Residual: &res, Workers: parts}, &Ctx{DB: st})
-		}})
+				LVar: "x", RVar: "y", LKey: lkey, RKey: rkey, Residual: &res}, &Ctx{DB: st})
+		}},
 	}
 
 	st := antiResidualStore(t, 4, 3)
@@ -518,8 +500,8 @@ func setMember(kind adl.JoinKind, left, right, attr string, rkey adl.Expr, rfun 
 // another kind, non-tuples), elements of four layouts, sets with a reference
 // column of the key's shape, of another shape or kind, against atomic keys
 // and against a value.Index table, dangling oids, empty sets and an empty
-// build side × left rows from a Scan and from a ColumnScan × 1, 2 and 5
-// workers: the same rows in the same order.
+// build side × left rows from a Scan and from a ColumnScan: the same rows in
+// the same order.
 func TestSetProbeJoinAgainstNLJoin(t *testing.T) {
 	// Owners hold sets of ⟨k:int⟩ refs, of plain ints, of ⟨t:string⟩ refs and
 	// of decoys that only some owners pair with a real match; items carry
@@ -641,12 +623,10 @@ func TestSetProbeJoinAgainstNLJoin(t *testing.T) {
 				sawHit, sawMiss = len(want) > 0, len(want) < collect(t, &Scan{Table: tc.left}, tc.d).Len()
 			}
 			for arm, l := range leftArms(tc.left) {
-				for _, w := range []int{1, 2, 5} {
-					sj := &HashJoin{Kind: kc.kind, L: l, R: &Scan{Table: tc.right},
-						In: tc.attr, RKey: rkey, As: "ys", RFun: kc.rfun, Workers: w}
-					if got := streamed(t, sj, tc.d); !sameRows(got, want) {
-						t.Errorf("%s %s %s workers %d: got %v want %v", tc.name, kc.name, arm, w, got, want)
-					}
+				sj := &HashJoin{Kind: kc.kind, L: l, R: &Scan{Table: tc.right},
+					In: tc.attr, RKey: rkey, As: "ys", RFun: kc.rfun}
+				if got := streamed(t, sj, tc.d); !sameRows(got, want) {
+					t.Errorf("%s %s %s: got %v want %v", tc.name, kc.name, arm, got, want)
 				}
 			}
 		}
@@ -655,10 +635,9 @@ func TestSetProbeJoinAgainstNLJoin(t *testing.T) {
 		}
 	}
 
-	// Error parity between the two ways left rows arrive and across 1, 2 and
-	// 5 workers, where the oracle fails too (it has a rule for every kind, so
-	// not the unsupported one), then a second run of the failed instance
-	// after Close.
+	// Error parity between the two ways left rows arrive, where the oracle
+	// fails too (it has a rule for every kind, so not the unsupported one),
+	// then a second run of the failed instance after Close.
 	subKey := NewScalar(adl.SubT(y, "k"), "y")
 	bad := value.NewSet(value.NewTuple("a", value.Int(1), "parts", value.EmptySet()), value.Int(7))
 	dup := value.NewSet(value.NewTuple("ys", value.Int(1), "parts", value.EmptySet()))
@@ -679,14 +658,10 @@ func TestSetProbeJoinAgainstNLJoin(t *testing.T) {
 			In: tc.attr, RKey: tc.rkey, As: "ys"}, &Ctx{DB: ed})
 		scan := colScan(tc.left, nil)
 		vj := &HashJoin{Kind: tc.kind, L: scan, R: &Scan{Table: "I"}, In: tc.attr, RKey: tc.rkey, As: "ys"}
-		for _, w := range []int{1, 2, 5} {
-			for arm, l := range map[string]Operator{"Scan": &Scan{Table: tc.left}, "ColumnScan": scan} {
-				_, gerr := Collect(&HashJoin{Kind: tc.kind, L: l, R: &Scan{Table: "I"}, In: tc.attr, RKey: tc.rkey,
-					As: "ys", Workers: w}, &Ctx{DB: ed})
-				if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
-					t.Errorf("%s: %s on %d workers %v, Scan on one %v", tc.name, arm, w, gerr, werr)
-				}
-			}
+		_, gerr := Collect(&HashJoin{Kind: tc.kind, L: scan, R: &Scan{Table: "I"}, In: tc.attr, RKey: tc.rkey,
+			As: "ys"}, &Ctx{DB: ed})
+		if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
+			t.Errorf("%s: ColumnScan %v, Scan %v", tc.name, gerr, werr)
 		}
 		if tc.left == "DUP" && (werr == nil || !strings.Contains(werr.Error(), `duplicate attribute "ys"`)) {
 			t.Errorf("%s: %v", tc.name, werr)
@@ -741,5 +716,101 @@ func TestEmptyRightUnnestAllocations(t *testing.T) {
 			t.Errorf("%d rows: %.0f allocations per run, its scans %.0f", n, allocs, scans)
 		}
 		t.Logf("%d rows: %.0f allocations per run, its scans %.0f", n, allocs, scans)
+	}
+}
+
+// TestHashJoinAgainstNLJoin cross-validates HashJoin against the interpreter
+// oracle and NLJoin's rows in their order, for every join kind over
+// randomized inputs, on keys that make each table: atomic ints and unary
+// tuples over them (the int table) and pairs (the value.Index).
+func TestHashJoinAgainstNLJoin(t *testing.T) {
+	kinds := []struct {
+		kind adl.JoinKind
+		as   string
+	}{
+		{adl.Inner, ""}, {adl.Semi, ""}, {adl.Anti, ""}, {adl.NestJ, "ys"}, {adl.Outer, ""},
+	}
+	x, y := adl.V("x"), adl.V("y")
+	for seed := int64(1); seed <= 4; seed++ {
+		d := db(seed, 40, 30)
+		for _, k := range []struct {
+			name       string
+			lkey, rkey adl.Expr
+		}{
+			{"int", adl.Dot(x, "b"), adl.Dot(y, "d")},
+			{"unary", adl.Tup("k", adl.Dot(x, "b")), adl.Tup("k", adl.Dot(y, "d"))},
+			{"pair", adl.Tup("k", adl.Dot(x, "b"), "w", adl.CInt(1)), adl.Tup("k", adl.Dot(y, "d"), "w", adl.CInt(1))},
+		} {
+			for _, kc := range kinds {
+				logical := logicalJoin(kc.kind, kc.as, nil)
+				logical.On = adl.EqE(k.lkey, k.rkey)
+				want := evalRef(t, logical, d)
+				rows := streamed(t, &NLJoin{Kind: kc.kind, L: &Scan{Table: "L"}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
+					Pred: NewScalar(logical.On, "x", "y"), As: kc.as}, d)
+				if !value.Equal(value.NewSetFromSlice(rows), want) {
+					t.Fatalf("seed %d %s keys %v: NLJoin %v, the interpreter %v", seed, k.name, kc.kind, rows, want)
+				}
+				hj := &HashJoin{Kind: kc.kind, L: &Scan{Table: "L"}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
+					LKey: NewScalar(k.lkey, "x"), RKey: NewScalar(k.rkey, "y"), As: kc.as}
+				if got := streamed(t, hj, d); !sameRows(got, rows) {
+					t.Errorf("seed %d %s keys HashJoin %v: got %v want %v", seed, k.name, kc.kind, got, rows)
+				}
+			}
+		}
+	}
+}
+
+// TestHashJoinResidualAndRFun is the differential of the hash join with a
+// residual predicate and, for the nestjoin, a right-tuple function: it
+// equals NLJoin on every kind; and a key that fails to evaluate, on either
+// side, fails it.
+func TestHashJoinResidualAndRFun(t *testing.T) {
+	d := db(7, 30, 25)
+	resExpr := adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "a"), adl.Dot(adl.V("y"), "c"))
+	res := NewScalar(resExpr, "x", "y")
+	pred := NewScalar(adl.AndE(joinPred(), resExpr), "x", "y")
+	rfun := NewScalar(adl.Dot(adl.V("y"), "c"), "x", "y")
+	lkey, rkey := NewScalar(adl.Dot(adl.V("x"), "b"), "x"), NewScalar(adl.Dot(adl.V("y"), "d"), "y")
+	for _, kind := range []adl.JoinKind{adl.Inner, adl.Semi, adl.Anti, adl.NestJ, adl.Outer} {
+		as, rf := "", (*Scalar)(nil)
+		if kind == adl.NestJ {
+			as, rf = "cs", &rfun
+		}
+		want := collect(t, &NLJoin{Kind: kind, L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
+			LVar: "x", RVar: "y", Pred: pred, As: as, RFun: rf}, d)
+		hj := &HashJoin{Kind: kind, L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
+			LVar: "x", RVar: "y", LKey: lkey, RKey: rkey, Residual: &res, As: as, RFun: rf}
+		if got := collect(t, hj, d); !value.Equal(got, want) {
+			t.Errorf("%v: got %v want %v", kind, got, want)
+		}
+	}
+
+	for _, bad := range []struct{ l, r Scalar }{
+		{NewScalar(adl.Dot(adl.V("x"), "nope"), "x"), rkey},
+		{lkey, NewScalar(adl.Dot(adl.V("y"), "nope"), "y")},
+	} {
+		if _, err := Collect(&HashJoin{Kind: adl.Semi, L: &Scan{Table: "L"}, R: &Scan{Table: "R"},
+			LVar: "x", RVar: "y", LKey: bad.l, RKey: bad.r}, &Ctx{DB: d}); err == nil {
+			t.Fatal("a failing key must fail the join")
+		}
+	}
+}
+
+// TestHashJoinEmptyInputs: an inner join over an empty left operand returns
+// no row, and an antijoin over an empty right operand every left row.
+func TestHashJoinEmptyInputs(t *testing.T) {
+	d := db(3, 10, 8)
+	d.Tables["E"] = value.EmptySet()
+	lkey, rkey := NewScalar(adl.Dot(adl.V("x"), "b"), "x"), NewScalar(adl.Dot(adl.V("y"), "d"), "y")
+	hj := &HashJoin{Kind: adl.Inner, L: &Scan{Table: "E"}, R: &Scan{Table: "R"},
+		LVar: "x", RVar: "y", LKey: lkey, RKey: rkey}
+	if got := collect(t, hj, d); got.Len() != 0 {
+		t.Errorf("empty left: got %v", got)
+	}
+	hj = &HashJoin{Kind: adl.Anti, L: &Scan{Table: "L"}, R: &Scan{Table: "E"},
+		LVar: "x", RVar: "y", LKey: lkey, RKey: rkey}
+	lt, _ := d.Table("L")
+	if got := collect(t, hj, d); got.Len() != lt.Len() {
+		t.Errorf("anti join with empty right should keep all left rows, got %d", got.Len())
 	}
 }

@@ -9,8 +9,8 @@ import (
 
 // joinEmit is the output rule of the join: what one left row emits once its
 // matches are known. The algebra's ⋈, ⋉, ▷, outer join and nestjoin differ in
-// nothing else, so every join operator — nested-loop, hash (serial or
-// parallel, on equal keys or on membership), index — finds the candidate
+// nothing else, so every join operator — nested-loop, hash (on equal
+// keys or on membership), index — finds the candidate
 // right rows its own way and hands them to this one verdict:
 //
 //	reserve(len(lrows)); for each left row { begin(lrow); for each candidate { if match(rrow) { break } }; end() }
@@ -28,8 +28,8 @@ import (
 // follows them (result), where α would have met it, so a join error of a
 // later left row still wins.
 //
-// It is plain per-run state: an operator owns one per Open, each share of a
-// parallel probe owns its own, and the owner takes the rows from result. A
+// It is plain per-run state: an operator owns one per Open and takes the
+// rows from result. A
 // nestjoin builds every group of the run in one scratch set and emits an
 // exact-size copy of it (nestGroup), and checks the layout of the rows it
 // extends once per left-row layout.

@@ -3,12 +3,10 @@ package exec_test
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/adl"
 	"repro/internal/bench"
@@ -95,26 +93,18 @@ type arm struct {
 	db   eval.DB
 }
 
-// serialTexts are the lifecycleTexts whose plans hold no node with a
-// parallel form (α over a Scan, which becomes a serial ColumnScan after the
-// access path is priced), so that forcing the parallel operators
-// leaves them serial. Every other text's forced plan must be parallel, and
-// each of these must stay serial.
-var serialTexts = []int{8}
-
 // textArms plans every text as the serving engine configures the planner
-// (serial, and three workers priced on statistics) and with the parallel
-// operators forced by statistics a thousand times the store's and no index
-// access paths, so that they appear at any scale.
+// (priced on statistics) and with statistics a thousand times the store's and
+// no index access paths, so that the set-oriented operators of large extents
+// appear at any scale.
 func textArms(t *testing.T, st *storage.Store) [][]arm {
 	stats := st.Analyze()
 	var out [][]arm
 	for i, src := range lifecycleTexts {
 		var arms []arm
 		for name, cfg := range map[string]plan.Config{
-			"p1":        {Statistics: stats, Parallelism: 1},
-			"p3":        {Statistics: stats, Parallelism: 3},
-			"p3-forced": {Statistics: inflated{stats}, Parallelism: 3, NoIndexes: true},
+			"stats":  {Statistics: stats},
+			"forced": {Statistics: inflated{stats}, NoIndexes: true},
 		} {
 			q, err := core.PrepareCfg(src, st.Catalog(), cfg)
 			if err != nil {
@@ -127,9 +117,6 @@ func textArms(t *testing.T, st *storage.Store) [][]arm {
 			if out, want := strings.Contains(x, " | out "), slices.Contains(outTexts, i) && !strings.Contains(x, "IndexScan"); out != want {
 				t.Fatalf("text %d %s: α served off the scan's column=%v, want %v:\n%s", i, name, out, want, x)
 			}
-			if par, serial := strings.Contains(x, "-- parallel"), slices.Contains(serialTexts, i); name == "p3-forced" && par == serial {
-				t.Fatalf("text %d: the forced plan is parallel=%v, want %v:\n%s", i, par, !serial, x)
-			}
 			arms = append(arms, arm{fmt.Sprintf("text %d %s", i, name), q.Plan, st})
 		}
 		out = append(out, arms)
@@ -138,8 +125,7 @@ func textArms(t *testing.T, st *storage.Store) [][]arm {
 }
 
 // inflated reports a thousand times the row counts of the statistics it
-// wraps, so that the cost model prices the operators that have a parallel
-// form cheaper parallel.
+// wraps, so that the cost model prices every extent as a large one.
 type inflated struct{ *storage.DBStats }
 
 func (s inflated) RowCount(extent string) int {
@@ -150,20 +136,17 @@ func (s inflated) RowCount(extent string) int {
 	return n
 }
 
-// experimentArms are the arms of B1, B8/B9's grouping join and B13/B14 at
-// smoke scale, with three workers so that parallel operators appear at any
-// scale, and with 2 100 deliveries so that B13/B14's ColumnScans span three
-// batches.
+// experimentArms are the arms of B1, B9's grouping join and B13 at smoke
+// scale, with 2 100 deliveries so that B13's ColumnScan spans three batches.
 func experimentArms() [][]arm {
 	var out [][]arm
 	for _, c := range []experiments.Case{experiments.EQ5(40, 80),
-		experiments.StrategyJoin("group", adl.NestJ, 60, 600), experiments.VecJoin(60, 2100, 3)} {
+		experiments.StrategyJoin("group", adl.NestJ, 60, 600), experiments.VecJoin(60, 2100)} {
 		var arms []arm
 		for _, a := range c.Arms {
 			root := a.Op
 			if a.Cfg != nil {
 				cfg := *a.Cfg
-				cfg.Parallelism = 3
 				if c.Analyze {
 					cfg.Statistics = c.DB.(*storage.Store).Analyze()
 				}
@@ -176,17 +159,6 @@ func experimentArms() [][]arm {
 		out = append(out, arms)
 	}
 	return out
-}
-
-// settle waits for the goroutine count to come back to base.
-func settle(t *testing.T, what string, base int) {
-	t.Helper()
-	for i := 0; runtime.NumGoroutine() > base; i++ {
-		if i == 200 {
-			t.Fatalf("%s: %d goroutines, %d before", what, runtime.NumGoroutine(), base)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }
 
 // errInjected is what a faultyDB fails with, errClose what the Tracker fails
@@ -255,14 +227,12 @@ func (f *faultyDB) IndexRange(extent, attr string, lo, hi value.Value, loIncl, h
 
 // TestEveryStreamClosedOnce checks, on every plan of the differential corpus,
 // what no static rule can: each stream a run opens — wherever, through the
-// one place streams are opened — is closed exactly once, and no goroutine
-// outlives the run. On success, where additionally the arms of a query agree
-// on the result; with a store that fails its n-th read, for every n the clean
-// run reached, where they agree on the error; and with the n-th stream Close
-// failing, for every n the clean run reached, where that error is what the
-// run returns.
+// one place streams are opened — is closed exactly once. On success, where
+// additionally the arms of a query agree on the result; with a store that
+// fails its n-th read, for every n the clean run reached, where they agree on
+// the error; and with the n-th stream Close failing, for every n the clean run
+// reached, where that error is what the run returns.
 func TestEveryStreamClosedOnce(t *testing.T) {
-	base := runtime.NumGoroutine()
 	tr := exec.NewTracker()
 	seen := map[string]bool{}
 	check := func(what string) map[string]bool {
@@ -274,7 +244,6 @@ func TestEveryStreamClosedOnce(t *testing.T) {
 		for _, p := range problems {
 			t.Errorf("%s: %s", what, p)
 		}
-		settle(t, what, base)
 		return kinds
 	}
 

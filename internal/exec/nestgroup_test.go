@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/adl"
@@ -10,12 +9,12 @@ import (
 )
 
 // TestNestGroupsKeepTheirMembers: a nestjoin builds every group of a run in
-// one scratch set (one per probe worker) and emits an exact-size copy of it.
+// one scratch set and emits an exact-size copy of it.
 // Left rows whose groups have 3, then 1, then 0 members, thirty rows in all,
 // must each keep exactly their own members once the later rows have been
-// grouped — on every nestjoin operator that runs the join verdict, serially
-// and on three workers, over a Scan and over a ColumnScan. Emitting the scratch set itself would leave every
-// group of a run holding the members of the run's last row.
+// grouped — on every nestjoin operator that runs the join verdict, over a
+// Scan and over a ColumnScan. Emitting the scratch set itself would leave
+// every group of a run holding the members of the run's last row.
 func TestNestGroupsKeepTheirMembers(t *testing.T) {
 	// R's rows 0-2 are group 0, row 3 is group 1; no row is group 2. A left
 	// row of group g references exactly the R rows of group g.
@@ -51,11 +50,8 @@ func TestNestGroupsKeepTheirMembers(t *testing.T) {
 	for arm, l := range leftArms("L") {
 		ops["HashJoin ∈ over "+arm] = &HashJoin{Kind: adl.NestJ, L: l, R: &Scan{Table: "R"},
 			In: "parts", RKey: pid, As: "ys"}
-		for _, p := range []int{1, 3} {
-			ops[fmt.Sprintf("HashJoin over %s on %d workers", arm, p)] = &HashJoin{Kind: adl.NestJ,
-				L: l, R: &Scan{Table: "R"}, LVar: "x", RVar: "y", LKey: lkey, RKey: rkey,
-				As: "ys", Workers: p}
-		}
+		ops["HashJoin over "+arm] = &HashJoin{Kind: adl.NestJ,
+			L: l, R: &Scan{Table: "R"}, LVar: "x", RVar: "y", LKey: lkey, RKey: rkey, As: "ys"}
 	}
 	for name, op := range ops {
 		got := collect(t, op, d)

@@ -115,7 +115,7 @@ func (p PNHL) Open(ctx *Ctx) (Rows, error) {
 	for i := 0; i < Segments(len(build), p.BudgetRows); i++ {
 		// Build phase: a table over this segment of the flat table.
 		lo, hi := segment(i, len(build), p.BudgetRows)
-		seg, err := newJoinTable(ctx, build[lo:hi], p.BuildKey, 1)
+		seg, err := newJoinTable(ctx, build[lo:hi], p.BuildKey)
 		if err != nil {
 			return nil, err
 		}

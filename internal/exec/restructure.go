@@ -64,8 +64,8 @@ func (u UnnestOp) Open(ctx *Ctx) (Rows, error) {
 // texts, and the unnested row elem ∘ rest, where rest is the row without
 // attr. The layouts are memoized — rest's per row shape, elem ∘ rest's per
 // (element, rest) shape pair — so checking an element allocates nothing and
-// a row is built only when asked for. It is per-run state: each goroutine
-// owns its own.
+// a row is built only when asked for. It is per-run state: each run owns its
+// own.
 type unnester struct {
 	attr string
 

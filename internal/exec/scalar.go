@@ -19,8 +19,8 @@ import (
 // constant is captured, a parameter (adl.Param) is read from the run's
 // Ctx.Args, a tuple constructor's shape is already derived, and no eval.Env
 // exists. The tree is immutable — closures capture plan-time values only,
-// never anything a run produced — so concurrent runs of a plan and the
-// workers of a parallel operator share one Scalar.
+// never anything a run produced — so concurrent runs of a plan share one
+// Scalar.
 type Scalar struct {
 	Vars []string
 	Expr adl.Expr

@@ -241,8 +241,8 @@ func TestCompiledScalarErrorParity(t *testing.T) {
 	}
 }
 
-// TestCompiledScalarShared has 8 goroutines evaluate one Scalar — as the
-// workers of a parallel operator do — and holds each to the interpreter.
+// TestCompiledScalarShared has 8 goroutines evaluate one Scalar — as
+// concurrent runs of one cached plan do — and holds each to the interpreter.
 func TestCompiledScalarShared(t *testing.T) {
 	d, xs, ys := scalarDB()
 	e := adl.Tup("n", adl.AggE(adl.Count, adl.Dot(adl.V("x"), "parts")),
@@ -295,8 +295,6 @@ func TestJoinKeysSingleAttribute(t *testing.T) {
 			for name, op := range map[string]Operator{
 				"HashJoin": &HashJoin{Kind: k, L: scan("L"), R: scan("R"), LVar: "x", RVar: "y", As: as,
 					LKey: NewScalar(lkey, "x"), RKey: NewScalar(rkey, "y")},
-				"HashJoin on 3 workers": &HashJoin{Kind: k, L: scan("L"), R: scan("R"), LVar: "x", RVar: "y", As: as,
-					LKey: NewScalar(lkey, "x"), RKey: NewScalar(rkey, "y"), Workers: 3},
 			} {
 				if got := collect(t, op, d); !value.Equal(got, want) {
 					t.Errorf("%s %v on x[b] = y[%s]: %d rows, nested loop %d", name, k, attr, got.Len(), want.Len())

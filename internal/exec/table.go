@@ -7,10 +7,9 @@ import (
 	"repro/internal/value"
 )
 
-// joinTable is the one build side of every hash join — HashJoin at any
-// worker count, its membership probe (HashJoin.In) and each PNHL segment:
-// the build rows, indexed by their keys once before any probe and read-only
-// after, so the probe shares of a parallel join all read it.
+// joinTable is the one build side of every hash join — HashJoin, its
+// membership probe (HashJoin.In) and each PNHL segment: the build rows,
+// indexed by their keys once before any probe and read-only after.
 //
 // It is a flat i64Table over the keys' raw bits (value.IntBits) when every key
 // is an int-backed value of one kind, or a unary tuple of one shape over
@@ -32,13 +31,12 @@ type joinTable struct {
 
 // newJoinTable indexes rows by key. A key that reads one attribute of the
 // row is read straight off the rows where they all hold an int-backed value
-// of one kind there (attrIntKeys); any other key is evaluated in up to
-// workers shares (evalKeys).
-func newJoinTable(ctx *Ctx, rows []value.Value, key Scalar, workers int) (joinTable, error) {
+// of one kind there (attrIntKeys); any other key is evaluated (evalKeys).
+func newJoinTable(ctx *Ctx, rows []value.Value, key Scalar) (joinTable, error) {
 	t := joinTable{rows: rows}
 	bs, shape, kind, ok := attrIntKeys(rows, key)
 	if !ok {
-		keys, hashes, err := evalKeys(ctx, rows, key, workers)
+		keys, hashes, err := evalKeys(ctx, rows, key)
 		if err != nil {
 			return t, err
 		}
@@ -157,23 +155,16 @@ func (t *joinTable) walk(i int, em *joinEmit) (stop bool) {
 	return false
 }
 
-// evalKeys computes key(row) and its value.Hash for every row, on up to
-// workers goroutines (inShares): each writes its own range of the result
-// slices, so none needs a lock, and the first failing row decides the error.
-func evalKeys(ctx *Ctx, rows []value.Value, key Scalar, workers int) ([]value.Value, []uint64, error) {
+// evalKeys computes key(row) and its value.Hash for every row; the first
+// failing row decides the error.
+func evalKeys(ctx *Ctx, rows []value.Value, key Scalar) ([]value.Value, []uint64, error) {
 	keys, hashes := make([]value.Value, len(rows)), make([]uint64, len(rows))
-	_, err := inShares(len(rows), workers, func(lo, hi int) (struct{}, error) {
-		for r := lo; r < hi; r++ {
-			v, err := key.Eval(ctx, rows[r])
-			if err != nil {
-				return struct{}{}, err
-			}
-			keys[r], hashes[r] = v, value.Hash(v)
+	for r, row := range rows {
+		v, err := key.Eval(ctx, row)
+		if err != nil {
+			return nil, nil, err
 		}
-		return struct{}{}, nil
-	})
-	if err != nil {
-		return nil, nil, err
+		keys[r], hashes[r] = v, value.Hash(v)
 	}
 	return keys, hashes, nil
 }

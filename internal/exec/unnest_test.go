@@ -15,12 +15,11 @@ import (
 // unnestJoins are the three plans of L′ ⋉/▷ R with L′ = μ_attr(L) and the
 // equi-predicate lkey = rkey over x and y: the hash join expanding μ itself,
 // the hash join over UnnestOp, and the nested loop over UnnestOp.
-func unnestJoins(kind adl.JoinKind, l exec.Operator, attr string, r exec.Operator, lkey, rkey adl.Expr, parts int) (fused, unfused, nl exec.Operator) {
+func unnestJoins(kind adl.JoinKind, l exec.Operator, attr string, r exec.Operator, lkey, rkey adl.Expr) (fused, unfused, nl exec.Operator) {
 	mu := &exec.UnnestOp{Child: l, Attr: attr}
 	hj := func(l exec.Operator, unnest string) *exec.HashJoin {
 		return &exec.HashJoin{Kind: kind, L: l, R: r, LVar: "x", RVar: "y",
-			LKey: exec.NewScalar(lkey, "x"), RKey: exec.NewScalar(rkey, "y"),
-			Workers: parts, Unnest: unnest}
+			LKey: exec.NewScalar(lkey, "x"), RKey: exec.NewScalar(rkey, "y"), Unnest: unnest}
 	}
 	return hj(l, attr), hj(mu, ""), &exec.NLJoin{Kind: kind, L: mu, R: r, LVar: "x", RVar: "y",
 		Pred: exec.NewScalar(adl.EqE(lkey, rkey), "x", "y")}
@@ -67,27 +66,25 @@ func TestHashJoinUnnestAgainstUnnestOp(t *testing.T) {
 		for _, c := range cases {
 			rows := 0
 			for _, kind := range []adl.JoinKind{adl.Semi, adl.Anti} {
-				for _, parts := range []int{1, 3} {
-					fused, unfused, nl := unnestJoins(kind, c.l, c.attr, c.r, c.lkey, c.rkey, parts)
-					if got := fused.(*exec.HashJoin).ProbeAttr(); got != c.probeAttr {
-						t.Fatalf("%s: the join reads its key off %q, want %q", c.name, got, c.probeAttr)
-					}
-					name := fmt.Sprintf("seed %d %s %v workers %d", seed, c.name, kind, parts)
-					got, err := exec.Collect(fused, ctx)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					for _, ref := range []exec.Operator{unfused, nl} {
-						want, err := exec.Collect(ref, ctx)
-						if err != nil {
-							t.Fatalf("%s: %T: %v", name, ref, err)
-						}
-						if !value.Equal(got, want) {
-							t.Errorf("%s: %d rows, %T over UnnestOp %d", name, got.Len(), ref, want.Len())
-						}
-					}
-					rows += got.Len()
+				fused, unfused, nl := unnestJoins(kind, c.l, c.attr, c.r, c.lkey, c.rkey)
+				if got := fused.(*exec.HashJoin).ProbeAttr(); got != c.probeAttr {
+					t.Fatalf("%s: the join reads its key off %q, want %q", c.name, got, c.probeAttr)
 				}
+				name := fmt.Sprintf("seed %d %s %v", seed, c.name, kind)
+				got, err := exec.Collect(fused, ctx)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for _, ref := range []exec.Operator{unfused, nl} {
+					want, err := exec.Collect(ref, ctx)
+					if err != nil {
+						t.Fatalf("%s: %T: %v", name, ref, err)
+					}
+					if !value.Equal(got, want) {
+						t.Errorf("%s: %d rows, %T over UnnestOp %d", name, got.Len(), ref, want.Len())
+					}
+				}
+				rows += got.Len()
 			}
 			if rows == 0 {
 				t.Errorf("seed %d %s: no rows under either kind", seed, c.name)
@@ -134,17 +131,15 @@ func TestHashJoinUnnestAgainstUnnestOp(t *testing.T) {
 				Pred: exec.NewScalar(adl.CmpE(adl.Lt, adl.Dot(adl.V("s"), "sname"), adl.CStr("z")), "s")}
 		}
 		for _, kind := range []adl.JoinKind{adl.Semi, adl.Anti} {
-			for _, parts := range []int{1, 3} {
-				fused, unfused, nl := unnestJoins(kind, l, f.attr, &exec.Scan{Table: "R"},
-					adl.SubT(x, "pid"), adl.SubT(y, "pid"), parts)
-				name := fmt.Sprintf("%s %v workers %d", f.name, kind, parts)
-				want := collectErr(t, name, unfused, db)
-				if got := collectErr(t, name, fused, db); got != want {
-					t.Errorf("%s: the fused join fails with %q, over UnnestOp with %q", name, got, want)
-				}
-				if got := collectErr(t, name, nl, db); got != want {
-					t.Errorf("%s: the nested loop fails with %q, the hash join with %q", name, got, want)
-				}
+			fused, unfused, nl := unnestJoins(kind, l, f.attr, &exec.Scan{Table: "R"},
+				adl.SubT(x, "pid"), adl.SubT(y, "pid"))
+			name := fmt.Sprintf("%s %v", f.name, kind)
+			want := collectErr(t, name, unfused, db)
+			if got := collectErr(t, name, fused, db); got != want {
+				t.Errorf("%s: the fused join fails with %q, over UnnestOp with %q", name, got, want)
+			}
+			if got := collectErr(t, name, nl, db); got != want {
+				t.Errorf("%s: the nested loop fails with %q, the hash join with %q", name, got, want)
 			}
 		}
 	}

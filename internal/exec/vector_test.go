@@ -146,8 +146,8 @@ func rowFacade(t *testing.T, op Operator, d eval.DB) *value.Set {
 	return value.NewSetFromSlice(streamed(t, op, d))
 }
 
-// TestRowFacadesMatchBulkCollect checks that the stream of a ColumnScan,
-// serial and parallel, and of the joins over one, yields row by row exactly
+// TestRowFacadesMatchBulkCollect checks that the stream of a ColumnScan and
+// of the joins over one yields row by row exactly
 // what Collect's bulk set build yields.
 func TestRowFacadesMatchBulkCollect(t *testing.T) {
 	d := db(11, crossRows, 14)
@@ -157,18 +157,13 @@ func TestRowFacadesMatchBulkCollect(t *testing.T) {
 		"scan": func() Operator {
 			return colScan("L", []string{"a", "b"}, fieldKernel("b", adl.Ge, value.Int(2)))
 		},
-		"scan-parallel": func() Operator {
-			s := colScan("L", []string{"a", "b"}, fieldKernel("b", adl.Ge, value.Int(2)))
-			s.Workers = 3
-			return s
-		},
 		"inner": func() Operator {
 			return &HashJoin{Kind: adl.Inner, L: colScan("L", nil), R: &Scan{Table: "R"},
 				LVar: "x", RVar: "y", LKey: lkey, RKey: rkey}
 		},
-		"semi-parallel": func() Operator {
+		"semi": func() Operator {
 			return &HashJoin{Kind: adl.Semi, L: colScan("L", nil), R: &Scan{Table: "R"},
-				LVar: "x", RVar: "y", LKey: lkey, RKey: rkey, Workers: 3}
+				LVar: "x", RVar: "y", LKey: lkey, RKey: rkey}
 		},
 		"set-anti": func() Operator {
 			return &HashJoin{Kind: adl.Anti, L: colScan("N", nil), R: &Scan{Table: "R"},

@@ -1,5 +1,5 @@
 // Package experiments checks the paper's claims by running them. The suite
-// B1–B9, B11, B13 and B14 (Suite, behind cmd/adlbench) pits the naive
+// B1–B7, B9, B11 and B13 (Suite, behind cmd/adlbench) pits the naive
 // nested-loop execution against the set-oriented plans the rewriter enables
 // and the physical strategies the planner chooses between; artifacts.go
 // regenerates the paper's tables, figures and example queries.
@@ -14,7 +14,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -64,13 +63,6 @@ type Case struct {
 	// Check asserts the claim on the results, given in arm order.
 	Check func(rs []Result) error
 }
-
-// Skipped is what a Check returns for a claim this run cannot check, at this
-// scale or on this host: the case passes, and the table says why in a note,
-// so a gate that did not run is never mistaken for one that passed.
-type Skipped string
-
-func (s Skipped) Error() string { return string(s) }
 
 // Result is the measurement of one arm.
 type Result struct {
@@ -159,9 +151,6 @@ func (e Experiment) Run(quick bool, explain io.Writer) (*bench.Table, error) {
 		rs, err := c.run(t, explain)
 		if err == nil && c.Check != nil {
 			err = c.Check(rs)
-		}
-		if skip := Skipped(""); errors.As(err, &skip) {
-			t.Notes, err = append(t.Notes, string(skip)), nil
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%s %s: %w", e.ID, c.Name, err)

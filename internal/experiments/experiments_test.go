@@ -23,13 +23,9 @@ func TestExperiments(t *testing.T) {
 		"B4":  {"unnest-join-nest", "PNHL budget unlimited (1 segments)", "VecPNHL budget 16 (13 segments)"},
 		"B5":  {"assembly", "object reads"},
 		"B7":  {"relational-join", "attribute-unnest", "nestjoin"},
-		"B8":  {"HashJoin[", "workers]  -- parallel"},
 		"B9":  {"inner_asym", "group_small", "group_big", "hash-swap", "build side swapped"},
 		"B11": {"IndexNLJoin", "index probes", "page reads", "optimizer, NoIndexes"},
 		"B13": {"ColumnScan(DELIVERY", "HashJoin[⋉", "typed kernels"},
-		// At smoke scale the ≥2x gate never runs, and the table says so.
-		"B14": {"scalar", "parallel", "vectorized", "parallel-vectorized", "no per-tuple sends",
-			"note: B14 ≥2x gate: skipped ("},
 	}
 	ids := map[string]bool{}
 	for _, e := range Suite {
@@ -48,7 +44,7 @@ func TestExperiments(t *testing.T) {
 			}
 		})
 	}
-	for _, id := range []string{"B1", "B2", "B3", "B4", "B5", "B6", "B7", "B8", "B9", "B11", "B13", "B14"} {
+	for _, id := range []string{"B1", "B2", "B3", "B4", "B5", "B6", "B7", "B9", "B11", "B13"} {
 		if !ids[id] {
 			t.Errorf("the suite has no %s", id)
 		}
@@ -286,28 +282,6 @@ func TestB13VectorizedAgreesAtSmokeScale(t *testing.T) {
 func TestB13ExplainShowsBothArms(t *testing.T) {
 	_, out := runOne(t, smoke(t, "B13"))
 	contains(t, out, "ColumnScan(DELIVERY", "HashJoin[⋉", "typed kernels")
-}
-
-// parallel4 returns the B14 pipeline at smoke scale with its parallel arms on
-// four workers, so the parallel plans run on any host.
-func parallel4() Case { return VecJoin(60, 1200, 4) }
-
-func TestB14FourArmsAgreeAtSmokeScale(t *testing.T) {
-	// The ≥2x gate is full-scale multi-core only, so a clean run asserts
-	// four-way result equality.
-	rs, out := runOne(t, parallel4())
-	if len(rs) != 4 {
-		t.Fatalf("arms = %d, want 4", len(rs))
-	}
-	contains(t, out, "scalar", "parallel", "vectorized", "parallel-vectorized")
-	sameSize(t, rs)
-}
-
-func TestB14ExplainShowsParallelVectorizedPlan(t *testing.T) {
-	rs, _ := runOne(t, parallel4())
-	contains(t, find(rs, "parallel-vectorized").Plan.Explain(), "ColumnScan(DELIVERY | d: d.date < ", "HashJoin[",
-		"4 workers]  -- parallel", "1/1 typed kernels | 4 workers)  -- parallel")
-	contains(t, find(rs, "parallel").Plan.Explain(), "HashJoin[", "4 workers]  -- parallel", "Filter[d: d.date < ")
 }
 
 func TestExplainPlansCoversEveryExperiment(t *testing.T) {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"regexp"
 	"strings"
 
 	"repro/internal/adl"
@@ -20,8 +19,8 @@ import (
 const seed = 94
 
 // batchAllocCeiling is the most allocations a vectorized run over thousands
-// of rows may make: a few dozen serial, about a hundred on four workers, so
-// anything allocated per row lands far above it.
+// of rows may make: it takes a few dozen, so anything allocated per row lands
+// far above it.
 const batchAllocCeiling = 512
 
 // pick returns full, or small at smoke scale.
@@ -51,8 +50,8 @@ func must(err error) {
 	}
 }
 
-// Suite is the experiment suite in presentation order: B1–B9, B11, B13 and
-// B14.
+// Suite is the experiment suite in presentation order: B1–B7, B9, B11 and
+// B13.
 var Suite = []Experiment{
 	{ID: "B1", Title: "EQ5: suppliers supplying red parts (σ[∃∃] vs semijoin)",
 		Cases: func(q bool) []func() Case {
@@ -114,18 +113,6 @@ var Suite = []Experiment{
 		},
 		Notes: []string{"the optimized arm names the §4 options that fired; it is rewritten once and planned once, as a cached query is"}},
 
-	{ID: "B8", Title: "grouping join: HashJoin serial vs parallel",
-		Cases: func(q bool) []func() Case {
-			return sized(q, [][4]int{{2000, 20000, 200, 2000}, {8000, 80000, 400, 4000}}, func(s, d int) Case {
-				c := StrategyJoin("group", adl.NestJ, s, d).Only("hash", "parallel")
-				c.Analyze = false
-				c.Check = func(rs []Result) error { return parallelArms(rs, "parallel") }
-				return c
-			})
-		},
-		Notes: []string{fmt.Sprintf("the build keys are evaluated and the one table probed in %d shares (one per CPU, at least two), a goroutine each",
-			workers())}},
-
 	{ID: "B9", Title: "forced join strategies vs the cost-based optimizer's choice",
 		Cases: func(q bool) []func() Case {
 			s, d := pick(q, 2000, 200), pick(q, 20000, 2000)
@@ -153,7 +140,7 @@ var Suite = []Experiment{
 	{ID: "B13", Title: "vectorized batch execution: scalar vs columnar kernels (semi-join pipeline)",
 		Cases: func(q bool) []func() Case {
 			return cases(func() Case {
-				c := VecJoin(pick(q, 400, 60), pick(q, 40000, 1200), workers()).Only("scalar", "vectorized")
+				c := VecJoin(pick(q, 400, 60), pick(q, 40000, 1200))
 				c.Check = func(rs []Result) error {
 					if err := plannedBatch(rs); err != nil {
 						return err
@@ -174,34 +161,6 @@ var Suite = []Experiment{
 		Notes: []string{"the scalar arm is the row pipeline (Filter over Scan) built by hand; the vectorized arm is the planner's own pick, which must be a ColumnScan",
 			"the vectorized arm filters the snapshot-pinned columnar projection with a typed kernel and hash-joins the rows that pass",
 			fmt.Sprintf("vectorized must allocate at most %d times per run, and at full scale be ≥3x faster", batchAllocCeiling)}},
-
-	{ID: "B14", Title: "parallel vectorized execution: four-way A/B (semi-join pipeline)",
-		Cases: func(q bool) []func() Case {
-			return cases(func() Case {
-				c := VecJoin(pick(q, 400, 60), pick(q, 200000, 1200), workers())
-				shape := c.Check
-				c.Check = func(rs []Result) error {
-					if err := shape(rs); err != nil {
-						return err
-					}
-					vec, parvec := find(rs, "vectorized"), find(rs, "parallel-vectorized")
-					switch cpus := exec.Parallelism(0); {
-					case cpus < 4:
-						return Skipped(fmt.Sprintf("B14 ≥2x gate: skipped (%d CPUs)", cpus))
-					case q:
-						return Skipped("B14 ≥2x gate: skipped (smoke scale)")
-					case parvec.Time*2 > vec.Time:
-						return fmt.Errorf("parallel-vectorized (%v) not ≥2x faster than vectorized (%v) on %d CPUs",
-							parvec.Time, vec.Time, cpus)
-					}
-					return nil
-				}
-				return c
-			})
-		},
-		Notes: []string{fmt.Sprintf("parallel arms run the hash join on %d workers (one per CPU, at least two), over the serial Filter and over a parallel ColumnScan; at full scale on ≥4 CPUs parallel-vectorized must halve vectorized (a note says when this gate is skipped)",
-			workers()),
-			"the parallel-vectorized arm's ColumnScan runs one contiguous share of the projection per worker and joins their rows in order: no per-tuple sends"}},
 }
 
 // nested is a case of the §4 strategy on a generated supplier-part store:
@@ -430,8 +389,6 @@ func StrategyJoin(name string, kind adl.JoinKind, suppliers, deliveries int) Cas
 		arms = append(arms, Arm{Label: "hash-swap", Op: &exec.HashJoin{Kind: adl.Inner, L: r, R: l, LVar: "d", RVar: "s",
 			LKey: rk, RKey: lk}})
 	}
-	arms = append(arms, Arm{Label: "parallel", Op: &exec.HashJoin{Kind: kind, L: l, R: r, LVar: "s", RVar: "d",
-		LKey: lk, RKey: rk, As: j.As, RFun: rfun, Workers: workers()}})
 	if suppliers*deliveries <= 1_000_000 {
 		arms = append(arms, Arm{Label: "nl", Op: &exec.NLJoin{Kind: kind, L: l, R: r, LVar: "s", RVar: "d",
 			Pred: exec.NewScalar(j.On, "s", "d"), As: j.As, RFun: rfun}})
@@ -484,15 +441,13 @@ func LookupJoin(suppliers, deliveries int) Case {
 }
 
 // VecJoin is the large equi-join + filter pipeline σ(date < cutoff)(DELIVERY)
-// ⋉(d.supplier = s.eid) SUPPLIER four ways: the row pipeline (Filter over
-// Scan) under the hash join, built by hand; the query as planned, where the
-// cost model puts σ on the batch kernels over the columnar projection; and
-// each hand-built with the hash join on the given workers — over the serial
-// Filter, and over a parallel ColumnScan. The cutoff keeps 1/28 of the
-// deliveries, so per-row predicate interpretation dominates the scalar arm.
-// The check is that the planned arm runs a ColumnScan and that both parallel
-// arms hold a parallel node: run serially, they would prove nothing.
-func VecJoin(suppliers, deliveries, workers int) Case {
+// ⋉(d.supplier = s.eid) SUPPLIER two ways: the row pipeline (Filter over
+// Scan) under the hash join, built by hand; and the query as planned, where
+// the cost model puts σ on the batch kernels over the columnar projection.
+// The cutoff keeps 1/28 of the deliveries, so per-row predicate
+// interpretation dominates the scalar arm. The check is that the planned arm
+// runs a ColumnScan.
+func VecJoin(suppliers, deliveries int) Case {
 	st := bench.Generate(bench.Config{Suppliers: suppliers, Parts: 10, Fanout: 2, SupplySize: 1, Deliveries: deliveries})
 	cut := adl.CmpE(adl.Lt, adl.Dot(adl.V("d"), "date"), adl.C(value.Date(940102)))
 	j := adl.JoinE(adl.Sel("d", cut, adl.T("DELIVERY")), "d", "s",
@@ -505,49 +460,14 @@ func VecJoin(suppliers, deliveries, workers int) Case {
 			L: &exec.Filter{Child: &exec.Scan{Table: "DELIVERY"}, Var: "d", Pred: pred},
 			R: &exec.Scan{Table: "SUPPLIER"}}},
 		{Label: "vectorized", Cfg: &plan.Config{}},
-		{Label: "parallel", Op: &exec.HashJoin{Kind: adl.Semi, LVar: "d", RVar: "s", LKey: lk, RKey: rk,
-			L: &exec.Filter{Child: &exec.Scan{Table: "DELIVERY"}, Var: "d", Pred: pred},
-			R: &exec.Scan{Table: "SUPPLIER"}, Workers: workers}},
-		{Label: "parallel-vectorized", Op: &exec.HashJoin{Kind: adl.Semi, LVar: "d", RVar: "s", LKey: lk, RKey: rk,
-			L: &exec.ColumnScan{Extent: "DELIVERY", Attrs: []string{"date"}, Var: "d", Workers: workers,
-				Kernels: []exec.VecCmp{{Attr: "date", Op: adl.Lt, Const: value.Date(940102), Pred: pred}}},
-			R: &exec.Scan{Table: "SUPPLIER"}, Workers: workers}},
-	}, Check: func(rs []Result) error {
-		if err := plannedBatch(rs); err != nil {
-			return err
-		}
-		if x := find(rs, "parallel-vectorized").Plan.Explain(); !parallelHashJoin.MatchString(x) || !strings.Contains(x, "ColumnScan(") {
-			return fmt.Errorf("parallel-vectorized arm is not a parallel hash join over a ColumnScan:\n%s", x)
-		}
-		return parallelArms(rs, "parallel", "parallel-vectorized")
-	}}
+	}, Check: plannedBatch}
 }
-
-// parallelHashJoin matches the Explain line of a HashJoin on more than one
-// worker.
-var parallelHashJoin = regexp.MustCompile(`HashJoin\[.* workers\]  -- parallel`)
 
 // plannedBatch fails unless VecJoin's planned arm runs σ on a ColumnScan: the
 // cost model, not a flag, chose it.
 func plannedBatch(rs []Result) error {
 	if x := find(rs, "vectorized").Plan.Explain(); !strings.Contains(x, "ColumnScan(") {
 		return fmt.Errorf("the planned arm does not run σ on a ColumnScan:\n%s", x)
-	}
-	return nil
-}
-
-// workers is the worker count of the suite's hand-built parallel arms: one
-// per CPU the scheduler runs goroutines on, and at least two, so that they
-// run the parallel code on any host.
-func workers() int { return max(2, exec.Parallelism(0)) }
-
-// parallelArms fails unless the plan of every labelled arm holds a node with
-// a worker count above one — what Explain labels "parallel".
-func parallelArms(rs []Result, labels ...string) error {
-	for _, label := range labels {
-		if x := find(rs, label).Plan.Explain(); !strings.Contains(x, "-- parallel") {
-			return fmt.Errorf("%s arm runs serially:\n%s", label, x)
-		}
 	}
 	return nil
 }

@@ -81,21 +81,15 @@ type selectCand struct {
 	build func() exec.Operator
 }
 
-// chooseSelect prices every way to run σ over a base extent — an IndexScan
-// with the other conjuncts as a residual Filter, and a ColumnScan, serially
-// and on contiguous shares (vectorize.go) — and builds the cheapest.
+// chooseSelect prices both ways to run σ over a base extent — an IndexScan
+// with the other conjuncts as a residual Filter, and a ColumnScan
+// (vectorize.go) — and builds the cheaper; a tie goes to the IndexScan.
 func (p *planner) chooseSelect(n *adl.Select, extent string) (exec.Operator, nodeEst) {
 	rows := p.rows(extent)
-	var cands []selectCand
-	if c, ok := p.indexSelect(n, extent, rows); ok {
-		cands = append(cands, c)
-	}
-	cands = append(cands, p.batchSelects(n, extent, rows, rows*p.card.selectivity(n.Pred, n.Var, extent))...)
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if c.est.cost < best.est.cost {
-			best = c
-		}
+	idx, indexed := p.indexSelect(n, extent, rows)
+	best := p.batchSelect(n, extent, rows, rows*p.card.selectivity(n.Pred, n.Var, extent))
+	if indexed && idx.est.cost <= best.est.cost {
+		best = idx
 	}
 	op := best.build()
 	p.record(op, best.est)

@@ -60,38 +60,32 @@ var missTexts = [][2]string{
 }
 
 // TestExplainGoldenBatch pins the plans of the analytic query texts as the
-// serving engine plans them (collected statistics), serial and with two
-// workers, on the store of those workloads: at a tenth of it the two-worker
-// plans are the serial ones and no golden would show the parallel join or
-// the parallel ColumnScan. Each σ over an extent shows the cost model's pick
-// among Filter, IndexScan and ColumnScan, and every ColumnScan line of a
-// two-worker golden shows its predicate.
+// serving engine plans them (collected statistics) on the store of those
+// workloads. Each σ over an extent shows the cost model's pick among Filter,
+// IndexScan and ColumnScan, and every ColumnScan line shows its predicate.
+// The _p1 suffix of the goldens' names is the one configuration left of the
+// worker counts they were once planned at.
 func TestExplainGoldenBatch(t *testing.T) {
 	st, exprs := analyticStore(t)
 	stats := st.Analyze()
-	parallelScans := 0
+	scans := 0
 	for i, q := range analyticTexts {
-		for _, par := range []int{1, 2} {
-			name := fmt.Sprintf("batch_%s_p%d", q[0], par)
-			t.Run(name, func(t *testing.T) {
-				cfg := Config{Statistics: stats, Parallelism: par}
-				p := cfg.Plan(exprs[i])
-				checkGolden(t, name, p.Explain())
-				if par == 2 {
-					parallelScans += goldenShowsPredicates(t, name, p.Root)
-				}
-			})
-		}
+		name := fmt.Sprintf("batch_%s_p1", q[0])
+		t.Run(name, func(t *testing.T) {
+			p := Config{Statistics: stats}.Plan(exprs[i])
+			checkGolden(t, name, p.Explain())
+			scans += goldenShowsPredicates(t, name, p.Root)
+		})
 	}
-	if parallelScans == 0 {
-		t.Error("no two-worker golden holds a parallel ColumnScan")
+	if scans == 0 {
+		t.Error("no golden holds a ColumnScan")
 	}
 }
 
 // goldenShowsPredicates fails unless testdata/name.golden renders every
 // ColumnScan of root on a line with its extent and its predicate, and returns
-// how many of them run on more than one worker.
-func goldenShowsPredicates(t *testing.T, name string, root exec.Operator) (parallel int) {
+// how many ColumnScans root holds.
+func goldenShowsPredicates(t *testing.T, name string, root exec.Operator) (scans int) {
 	t.Helper()
 	golden, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
 	if err != nil {
@@ -108,9 +102,7 @@ func goldenShowsPredicates(t *testing.T, name string, root exec.Operator) (paral
 			if !strings.Contains(string(golden), line) {
 				t.Errorf("%s shows no line %q:\n%s", name, line, golden)
 			}
-			if cs.Workers > 1 {
-				parallel++
-			}
+			scans++
 		}
 		_, children := describe(op, nil)
 		for _, c := range children {
@@ -118,13 +110,13 @@ func goldenShowsPredicates(t *testing.T, name string, root exec.Operator) (paral
 		}
 	}
 	walk(root)
-	return parallel
+	return scans
 }
 
 // TestExplainGoldenRuler pins the plans of the serve.* and plan.miss texts
-// as TestExplainGoldenBatch pins the analytic ones, serial and with two
-// workers, each on its workload's store: a change that moves one of them
-// shows in the diff of its testdata/ruler_*.golden.
+// as TestExplainGoldenBatch pins the analytic ones, each on its workload's
+// store: a change that moves one of them shows in the diff of its
+// testdata/ruler_*.golden.
 func TestExplainGoldenRuler(t *testing.T) {
 	for _, w := range []struct {
 		name    string
@@ -138,19 +130,17 @@ func TestExplainGoldenRuler(t *testing.T) {
 		st, exprs := textStore(t, w.store, w.indexed, w.texts)
 		stats := st.Analyze()
 		for i, q := range w.texts {
-			for _, par := range []int{1, 2} {
-				name := fmt.Sprintf("ruler_%s_%s_p%d", w.name, q[0], par)
-				t.Run(name, func(t *testing.T) {
-					checkGolden(t, name, Config{Statistics: stats, Parallelism: par}.Plan(exprs[i]).Explain())
-				})
-			}
+			name := fmt.Sprintf("ruler_%s_%s_p1", w.name, q[0])
+			t.Run(name, func(t *testing.T) {
+				checkGolden(t, name, Config{Statistics: stats}.Plan(exprs[i]).Explain())
+			})
 		}
 	}
 }
 
 // TestExplainActualsGolden pins the row tally of every plan node: Explain
-// after one committed instrumented run of the analytic texts, serial and
-// with two workers. The files were generated at the commit before rows were
+// after one committed instrumented run of the analytic texts. The files were
+// generated at the commit before rows were
 // counted where a child is opened and change only with the plan: a node that
 // loses its (actual=N) is a failure, not a golden update. Config.Vectorized
 // is ignored, so both of its settings read one file.
@@ -159,22 +149,18 @@ func TestExplainActualsGolden(t *testing.T) {
 	stats := st.Analyze()
 	for i, q := range analyticTexts {
 		for _, vec := range []bool{false, true} {
-			for _, par := range []int{1, 2} {
-				t.Run(fmt.Sprintf("actuals_%s_vec%t_p%d", q[0], vec, par), func(t *testing.T) {
-					cfg := Config{Statistics: stats, Vectorized: vec, Parallelism: par}
-					p := cfg.Plan(exprs[i])
-					root, commit := p.Instrumented()
-					if _, err := exec.Collect(root, &exec.Ctx{DB: st}); err != nil {
-						t.Fatal(err)
-					}
-					commit()
-					name := fmt.Sprintf("actuals_%s_p%d", q[0], par)
-					checkGolden(t, name, p.Explain())
-					if par == 2 {
-						goldenShowsPredicates(t, name, p.Root)
-					}
-				})
-			}
+			t.Run(fmt.Sprintf("actuals_%s_vec%t_p1", q[0], vec), func(t *testing.T) {
+				cfg := Config{Statistics: stats, Vectorized: vec}
+				p := cfg.Plan(exprs[i])
+				root, commit := p.Instrumented()
+				if _, err := exec.Collect(root, &exec.Ctx{DB: st}); err != nil {
+					t.Fatal(err)
+				}
+				commit()
+				name := fmt.Sprintf("actuals_%s_p1", q[0])
+				checkGolden(t, name, p.Explain())
+				goldenShowsPredicates(t, name, p.Root)
+			})
 		}
 	}
 }

@@ -15,10 +15,8 @@ import (
 
 // The chain differential property test: seeded random multi-join queries
 // (3–4 relations, random tree shapes, equi and theta conjuncts, occasional
-// empty tables) are planned from statistics serially and with parallel
-// operators, and every plan must return the exact result set of the serial
-// reference planned without statistics. CI runs this under -race, which also
-// shakes the parallel operators the cost model picks inside a chain.
+// empty tables) are planned from statistics, and every plan must return the
+// exact result set of the reference planned without statistics.
 
 // randRelations builds nt random tables T0..T{nt-1}, each with a key
 // attribute t{i}k (small domain), a second key t{i}j, and a value t{i}v,
@@ -129,17 +127,10 @@ func TestDifferentialChainEquivalence(t *testing.T) {
 
 		ref := collect(t, Compile(expr), db)
 
-		arms := map[string]Config{
-			"serial":   {Statistics: stats},
-			"parallel": {Statistics: stats, Parallelism: 3},
-		}
-		for name, cfg := range arms {
-			pl := cfg.Plan(expr)
-			got := collect(t, pl.Root, db)
-			if !value.Equal(got, ref) {
-				t.Fatalf("seed %d arm %s diverges from the no-statistics reference:\nquery: %s\nplan:\n%s\n got  %v\n want %v",
-					seed, name, expr, pl.Explain(), got, ref)
-			}
+		pl := Config{Statistics: stats}.Plan(expr)
+		if got := collect(t, pl.Root, db); !value.Equal(got, ref) {
+			t.Fatalf("seed %d diverges from the no-statistics reference:\nquery: %s\nplan:\n%s\n got  %v\n want %v",
+				seed, expr, pl.Explain(), got, ref)
 		}
 	}
 }
@@ -202,8 +193,8 @@ func storeRelations(t *testing.T, rng *rand.Rand, nt int, skewed bool) *storage.
 
 // TestDifferentialIndexedEquivalence is the indexed arm of the harness:
 // seeded random multi-join queries over a real store with secondary indexes
-// must return the no-statistics reference's exact result set with indexes on,
-// off, and under parallel operators — race-clean under -race.
+// must return the no-statistics reference's exact result set with indexes on
+// and off.
 func TestDifferentialIndexedEquivalence(t *testing.T) {
 	idxEngaged := 0
 	for seed := int64(1); seed <= 25; seed++ {
@@ -218,9 +209,8 @@ func TestDifferentialIndexedEquivalence(t *testing.T) {
 		ref := collect(t, Compile(expr), st)
 
 		arms := map[string]Config{
-			"indexed":          {Statistics: stats},
-			"indexed-parallel": {Statistics: stats, Parallelism: 3},
-			"indexes-off":      {Statistics: stats, NoIndexes: true},
+			"indexed":     {Statistics: stats},
+			"indexes-off": {Statistics: stats, NoIndexes: true},
 		}
 		for name, cfg := range arms {
 			pl := cfg.Plan(expr)

@@ -1,9 +1,9 @@
 // Cost model for physical operator selection. The paper's §5.1 promise —
 // "the optimizer may choose from a number of different join processing
 // strategies" — needs a way to rank the choices; this file prices every
-// physical join operator (NLJoin, HashJoin with either build side, serial or
-// parallel, its membership probe and PNHL, IndexNLJoin) and every way to run
-// σ over an extent (IndexScan, ColumnScan serial or parallel) from collected
+// physical join operator (NLJoin, HashJoin with either build side, its
+// membership probe and PNHL, IndexNLJoin) and every way to run σ over an
+// extent (IndexScan, ColumnScan) from collected
 // statistics (storage.Analyze), or from the default statistics when none
 // were collected, and lets the planner pick the cheapest.
 //
@@ -90,16 +90,6 @@ const (
 	// priced above a scan's sequential row hand-off.
 	cIndexProbe = 2.5
 	cIndexFetch = 1.5
-
-	// cParallelStartup is the fixed price of a parallel hash join's run (a
-	// goroutine per share, the shares' bookkeeping). It is hand-picked, not
-	// fitted: with the per-row terms below, the hash join on two workers
-	// overtakes the serial one at a combined input of a few thousand rows.
-	cParallelStartup = 12000.0
-	// cJoinedRow is the per-row price of handing a row a share emits to the
-	// joined output: appended to its share's rows, then copied into the
-	// result in share order.
-	cJoinedRow = 1.0
 
 	// defaultSelectivity is the guess for predicates the model cannot see
 	// through.
@@ -200,21 +190,11 @@ func costNL(l, r, out float64) float64 {
 	return l*r*cEval + out*cRow
 }
 
-// costHash prices the serial hash join: build on `build` rows, probe with
+// costHash prices the hash join: build on `build` rows, probe with
 // `probe` rows, evaluate the residual on the candidate matches.
 func costHash(build, probe, out, residMatches float64) float64 {
 	return build*(cEval+cHashBuild) + probe*(cEval+cHashProbe) +
 		residMatches*cEval + out*cRow
-}
-
-// costParallelHash prices the hash join on p workers: a fixed startup, one
-// pass handing every row of both inputs to its key or probe share, the key
-// evaluation, build and probe divided across the workers, and handing the
-// output to the joined result.
-func costParallelHash(build, probe, out, residMatches float64, p int) float64 {
-	w := math.Max(1, float64(p))
-	work := build*(cEval+cHashBuild) + probe*(cEval+cHashProbe) + residMatches*cEval
-	return cParallelStartup + (build+probe)*cRow + work/w + out*cJoinedRow
 }
 
 // costPNHL prices the Partitioned Nested-Hashed-Loops family for joining a
@@ -261,26 +241,11 @@ func pages(n float64) float64 {
 	return math.Ceil(math.Max(0, n) / exec.DefaultBatchSize)
 }
 
-// ColumnScan's parallel constants. Its workers split the projection into
-// contiguous shares of whole batches and share nothing but the result, so
-// the startup hurdle is a third of the hash join's cParallelStartup, and
-// joining their rows in share order is paid per batch, not per row.
-const (
-	cBatchMerge         = 4.0    // hand one batch's rows to the joined result
-	cVecParallelStartup = 4000.0 // spawn the workers, one selection vector each
-)
-
 // costColumnScan prices σ over n rows on the columnar projection, its
-// conjuncts costing perRow per input row together, on w workers: the
-// projection is read at cVecRow per row, and every row passes through each
-// kernel (no short-circuit across rows, only across kernels as the selection
-// narrows — priced pessimistically at full width). In parallel the kernel
-// work divides by the worker count; the merge and the startup hurdle do not.
-func costColumnScan(n, perRow float64, w int) float64 {
-	if w <= 1 {
-		return pages(n)*cBatchDispatch + n*cVecRow + (pages(n)*cBatchDispatch + n*perRow)
-	}
-	return cVecParallelStartup +
-		(pages(n)*cBatchDispatch+n*perRow)/float64(w) +
-		pages(n)*cBatchMerge
+// conjuncts costing perRow per input row together: the projection is read
+// at cVecRow per row, and every row passes through each kernel (no
+// short-circuit across rows, only across kernels as the selection narrows —
+// priced pessimistically at full width).
+func costColumnScan(n, perRow float64) float64 {
+	return pages(n)*cBatchDispatch + n*cVecRow + (pages(n)*cBatchDispatch + n*perRow)
 }

@@ -51,32 +51,15 @@ func equiJoin(kind adl.JoinKind) *adl.Join {
 	return j
 }
 
-// TestCostBasedPicksParallelForLargeJoin: with collected statistics the
-// optimizer prices the parallel hash join below the serial one for large
-// inputs — no size threshold involved.
-func TestCostBasedPicksParallelForLargeJoin(t *testing.T) {
-	stats := fakeStatistics{rows: map[string]int{"X": 50000, "Y": 50000}}
-	cfg := Config{Statistics: stats, Parallelism: 4}
-	op := cfg.Compile(equiJoin(adl.Inner))
-	if hj, ok := op.(*exec.HashJoin); !ok || hj.Workers != 4 {
-		t.Fatalf("large equi join should cost out to a parallel HashJoin, got\n%s", Explain(op))
-	}
-	small := fakeStatistics{rows: map[string]int{"X": 50, "Y": 50}}
-	op2 := Config{Statistics: small, Parallelism: 4}.Compile(equiJoin(adl.Inner))
-	if parallel(op2) {
-		t.Fatalf("small equi join should not go parallel:\n%s", Explain(op2))
-	}
-}
-
 // TestCostBasedSwapsBuildSide: an inner equi-join with a small left and a
 // large right operand builds the hash table on the smaller (left) side by
 // swapping the operands — a choice only the row counts can justify.
 func TestCostBasedSwapsBuildSide(t *testing.T) {
 	stats := fakeStatistics{rows: map[string]int{"X": 50, "Y": 2000}}
-	pl := Config{Statistics: stats, Parallelism: 4}.Plan(equiJoin(adl.Inner))
+	pl := Config{Statistics: stats}.Plan(equiJoin(adl.Inner))
 	hj, ok := pl.Root.(*exec.HashJoin)
 	if !ok {
-		t.Fatalf("expected serial HashJoin, got %T:\n%s", pl.Root, pl.Explain())
+		t.Fatalf("expected HashJoin, got %T:\n%s", pl.Root, pl.Explain())
 	}
 	// Swapped: the (large) Y scan is now the probe (left) child.
 	if scan, ok := hj.L.(*exec.Scan); !ok || scan.Table != "Y" {
@@ -96,7 +79,7 @@ func TestCostBasedSwapsBuildSide(t *testing.T) {
 func TestCostBasedNeverSwapsAsymmetricKinds(t *testing.T) {
 	stats := fakeStatistics{rows: map[string]int{"X": 50, "Y": 2000}}
 	for _, kind := range []adl.JoinKind{adl.Semi, adl.Anti, adl.NestJ} {
-		op := Config{Statistics: stats, Parallelism: 4}.Compile(equiJoin(kind))
+		op := Config{Statistics: stats}.Compile(equiJoin(kind))
 		hj, ok := op.(*exec.HashJoin)
 		if !ok {
 			t.Fatalf("kind %v: unexpected operator %T", kind, op)
@@ -127,7 +110,7 @@ func TestCostBasedSwapCorrectness(t *testing.T) {
 	}
 
 	stats := st.Analyze()
-	costedPl := Config{Statistics: stats, Parallelism: 2}.Plan(j)
+	costedPl := Config{Statistics: stats}.Plan(j)
 	hj, ok := costedPl.Root.(*exec.HashJoin)
 	if !ok {
 		t.Fatalf("cost-based plan is %T:\n%s", costedPl.Root, costedPl.Explain())
@@ -163,7 +146,7 @@ func TestCostBasedResidualSurvivesSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := Config{Statistics: st.Analyze(), Parallelism: 2}.Plan(j)
+	pl := Config{Statistics: st.Analyze()}.Plan(j)
 	hj, ok := pl.Root.(*exec.HashJoin)
 	if !ok || hj.Residual == nil {
 		t.Fatalf("expected HashJoin with residual, got %T:\n%s", pl.Root, pl.Explain())
@@ -239,7 +222,7 @@ func TestCostBasedUsesNDVForJoinEstimates(t *testing.T) {
 // any other.
 func TestCostBasedFallsBackWithoutRowCounts(t *testing.T) {
 	stats := fakeStatistics{rows: map[string]int{"X": 100}} // Y unknown
-	pl := Config{Statistics: stats, Parallelism: 4}.Plan(equiJoin(adl.Inner))
+	pl := Config{Statistics: stats}.Plan(equiJoin(adl.Inner))
 	hj, ok := pl.Root.(*exec.HashJoin)
 	if !ok {
 		t.Fatalf("equi join over an unknown extent should plan a HashJoin, got %T", pl.Root)
@@ -258,25 +241,25 @@ func TestCostBasedFallsBackWithoutRowCounts(t *testing.T) {
 	}
 }
 
-// TestCostBasedParallelFilter: σ over a large extent goes to a parallel
-// ColumnScan, over a small one to a serial one; σ over a computed input (μ of
-// an extent) is a serial Filter at any size.
-func TestCostBasedParallelFilter(t *testing.T) {
+// TestCostBasedColumnScanFilter: σ over an extent, large or small, goes to a
+// ColumnScan; σ over a computed input (μ of an extent) is a Filter at any
+// size.
+func TestCostBasedColumnScanFilter(t *testing.T) {
 	overMu := adl.Sel("u", adl.CmpE(adl.Lt, adl.Dot(adl.V("u"), "k"), adl.C(value.Int(3))), adl.Mu("c", adl.T("X")))
 	overX := adl.Sel("x", adl.CmpE(adl.Lt, adl.Dot(adl.V("x"), "a"), adl.C(value.Int(3))), adl.T("X"))
-	big := Config{Statistics: fakeStatistics{rows: map[string]int{"X": 50000}}, Parallelism: 8}
+	big := Config{Statistics: fakeStatistics{rows: map[string]int{"X": 50000}}}
 	if _, ok := big.Compile(overMu).(*exec.Filter); !ok {
 		t.Errorf("large σ over μ should plan a Filter, got\n%s", Explain(big.Compile(overMu)))
 	}
-	if cs, ok := big.Compile(overX).(*exec.ColumnScan); !ok || cs.Workers != 8 {
-		t.Errorf("large σ over an extent should cost out to a ColumnScan on 8 workers, got\n%s", Explain(big.Compile(overX)))
+	if _, ok := big.Compile(overX).(*exec.ColumnScan); !ok {
+		t.Errorf("large σ over an extent should cost out to a ColumnScan, got\n%s", Explain(big.Compile(overX)))
 	}
-	small := Config{Statistics: fakeStatistics{rows: map[string]int{"X": 100}}, Parallelism: 8}
+	small := Config{Statistics: fakeStatistics{rows: map[string]int{"X": 100}}}
 	if _, ok := small.Compile(overMu).(*exec.Filter); !ok {
 		t.Errorf("small σ over μ should plan a Filter, got\n%s", Explain(small.Compile(overMu)))
 	}
-	if cs, ok := small.Compile(overX).(*exec.ColumnScan); !ok || cs.Workers > 1 {
-		t.Errorf("small σ over an extent should cost out to a serial ColumnScan, got\n%s", Explain(small.Compile(overX)))
+	if _, ok := small.Compile(overX).(*exec.ColumnScan); !ok {
+		t.Errorf("small σ over an extent should cost out to a ColumnScan, got\n%s", Explain(small.Compile(overX)))
 	}
 }
 
@@ -287,7 +270,7 @@ func TestBatchFallbackPricedAsInterpreter(t *testing.T) {
 	const rows = 4000
 	// x[a] is a unary tuple, not the attribute's value: no typed kernel.
 	fallback := adl.Sel("x", adl.EqE(adl.SubT(adl.V("x"), "a"), adl.Tup("a", adl.CInt(3))), adl.T("X"))
-	p := Config{Statistics: fakeStatistics{rows: map[string]int{"X": rows}}, Parallelism: 1, Vectorized: true}.Plan(fallback)
+	p := Config{Statistics: fakeStatistics{rows: map[string]int{"X": rows}}, Vectorized: true}.Plan(fallback)
 	var scan exec.Operator
 	var walk func(op exec.Operator)
 	walk = func(op exec.Operator) {
@@ -364,7 +347,7 @@ func TestUnknownExtentSizeIsNotEmpty(t *testing.T) {
 	if got := stats.RowCount("Y"); got != -1 {
 		t.Fatalf("RowCount of unanalyzed extent = %d, want -1", got)
 	}
-	pl := Config{Statistics: stats, Parallelism: 4}.Plan(equiJoin(adl.Inner))
+	pl := Config{Statistics: stats}.Plan(equiJoin(adl.Inner))
 	hj, ok := pl.Root.(*exec.HashJoin)
 	if !ok {
 		t.Fatalf("join with an unknown extent should plan a HashJoin, got\n%s", pl.Explain())

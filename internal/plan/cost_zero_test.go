@@ -68,7 +68,7 @@ func TestZeroRowPlansStayFinite(t *testing.T) {
 	st := storage.New(schema.SupplierPart())
 	stats := st.Analyze()
 	for _, q := range zeroQueries() {
-		pl := Config{Statistics: stats, Parallelism: 4}.Plan(q)
+		pl := Config{Statistics: stats}.Plan(q)
 		assertFiniteEstimates(t, pl)
 		// The empty plans must also execute to an empty result, not crash.
 		got := collect(t, pl.Root, st)
@@ -89,7 +89,7 @@ func TestZeroRowChainStaysFinite(t *testing.T) {
 			"C.c_id": 0, "C.c_v": 0,
 		},
 	}
-	pl := Config{Statistics: stats, Parallelism: 4}.Plan(chain3())
+	pl := Config{Statistics: stats}.Plan(chain3())
 	assertFiniteEstimates(t, pl)
 	e, ok := pl.Estimate(pl.Root)
 	if !ok {

@@ -13,10 +13,9 @@ import (
 )
 
 // The differential property test: a seeded random data/query generator runs
-// every physical join strategy applicable to the same logical join — serial
-// and parallel, plus the cost-based optimizer's own pick — and asserts that
-// all of them produce identical result sets. Run under -race (CI does) this
-// also shakes the parallel operators for data races.
+// every physical join strategy applicable to the same logical join, plus the
+// cost-based optimizer's own pick, and asserts that all of them produce
+// identical result sets.
 
 // genTables builds two random tables: X{a, b, c={⟨k⟩}} and Y{d, e, k}. Small
 // key domains force duplicates, empty groups and dangling rows — the shapes
@@ -109,10 +108,6 @@ func TestDifferentialEquiJoinStrategies(t *testing.T) {
 				"hash": &exec.HashJoin{Kind: kind, L: scanX(), R: scanY(),
 					LVar: "x", RVar: "y", LKey: lk, RKey: rk,
 					Residual: res, As: j.As, RFun: rfun},
-				"parallel3": &exec.HashJoin{Kind: kind,
-					L: scanX(), R: scanY(), LVar: "x", RVar: "y",
-					LKey: lk, RKey: rk, Residual: res, As: j.As, RFun: rfun,
-					Workers: 3},
 			}
 			if kind == adl.Inner && rfun == nil {
 				var resSwap *exec.Scalar
@@ -128,8 +123,7 @@ func TestDifferentialEquiJoinStrategies(t *testing.T) {
 			}
 			// The planner's own picks: without statistics and with them.
 			strategies["planner"] = Compile(j)
-			strategies["planner-costed"] = Config{Statistics: tableStatistics(x, y),
-				Parallelism: 2}.Compile(j)
+			strategies["planner-costed"] = Config{Statistics: tableStatistics(x, y)}.Compile(j)
 
 			ref := collect(t, strategies["nl"], db)
 			for name, op := range strategies {
@@ -169,9 +163,8 @@ func TestDifferentialMembershipStrategies(t *testing.T) {
 					R: &exec.Scan{Table: "Y"}, In: "c",
 					RKey: exec.NewScalar(adl.SubT(adl.V("y"), "k"), "y"),
 					As:   j.As},
-				"planner": Compile(j),
-				"planner-costed": Config{Statistics: tableStatistics(x, y),
-					Parallelism: 2}.Compile(j),
+				"planner":        Compile(j),
+				"planner-costed": Config{Statistics: tableStatistics(x, y)}.Compile(j),
 			}
 			ref := collect(t, strategies["nl"], db)
 			for name, op := range strategies {

@@ -135,18 +135,18 @@ func goldenCases() map[string]goldenCase {
 			adl.T("DELIVERY"))
 	}
 
-	costed := Config{Statistics: goldenStats, Parallelism: 4}
+	costed := Config{Statistics: goldenStats}
 	return map[string]goldenCase{
-		"stats_hist_hot_eq":        {Config{Statistics: histStats, Parallelism: 4}, hotEq},
-		"stats_nohist_hot_eq":      {Config{Statistics: noHistograms{histStats}, Parallelism: 4}, hotEq},
-		"stats_hist_range_probe":   {Config{Statistics: histStats, Parallelism: 4}, qtyRange},
-		"stats_nohist_range_probe": {Config{Statistics: noHistograms{histStats}, Parallelism: 4}, qtyRange},
+		"stats_hist_hot_eq":        {Config{Statistics: histStats}, hotEq},
+		"stats_nohist_hot_eq":      {Config{Statistics: noHistograms{histStats}}, hotEq},
+		"stats_hist_range_probe":   {Config{Statistics: histStats}, qtyRange},
+		"stats_nohist_range_probe": {Config{Statistics: noHistograms{histStats}}, qtyRange},
 		"stats_index_lookup":       {Config{Statistics: indexStats}, lookupJoin},
 		"stats_index_range":        {Config{Statistics: indexStats}, rangeSel},
 		"stats_residual_index":     {Config{Statistics: indexStats}, residualSemi(lookupJoin.L)},
-		"stats_residual_hash":      {Config{Statistics: goldenStats, Parallelism: 1}, residualSemi(adl.T("SUPPLIER"))},
-		"stats_chain3":             {Config{Statistics: chain3Stats, Parallelism: 4}, chain3()},
-		"stats_chain4":             {Config{Statistics: chain4Stats, Parallelism: 4}, chain4},
+		"stats_residual_hash":      {Config{Statistics: goldenStats}, residualSemi(adl.T("SUPPLIER"))},
+		"stats_chain3":             {Config{Statistics: chain3Stats}, chain3()},
+		"stats_chain4":             {Config{Statistics: chain4Stats}, chain4},
 		"nostats_semijoin":         {Config{}, semiMembership},
 		"nostats_equijoin":         {Config{}, innerSwap},
 		"stats_semijoin":           {costed, semiMembership},

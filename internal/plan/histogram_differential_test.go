@@ -10,9 +10,9 @@ import (
 // The histogram arm of the differential harness: seeded random multi-join
 // queries over real stores whose key attributes are Zipf-skewed — the data
 // shape where histogram estimates and the NDV rules genuinely diverge — are
-// planned with histograms, with them hidden (noHistograms), and with
-// parallel operators. Every plan must return the exact result set of the
-// serial reference planned without statistics. CI runs this under -race.
+// planned with histograms and with them hidden (noHistograms). Every plan
+// must return the exact result set of the reference planned without
+// statistics.
 func TestDifferentialHistogramEquivalence(t *testing.T) {
 	histDiffers := 0
 	for seed := int64(1); seed <= 25; seed++ {
@@ -29,7 +29,6 @@ func TestDifferentialHistogramEquivalence(t *testing.T) {
 		arms := map[string]Config{
 			"histograms":       {Statistics: stats},
 			"nohistograms":     {Statistics: noHistograms{stats}},
-			"hist-parallel":    {Statistics: stats, Parallelism: 3},
 			"nohist-noindexes": {Statistics: noHistograms{stats}, NoIndexes: true},
 		}
 		var histPlan, ndvPlan string

@@ -19,9 +19,11 @@ import (
 // with the reason it stays in the tree.
 var unplannedNodes = map[string]string{
 	// PNHL is the paper's §6.2 algorithm under a memory budget; experiment
-	// B4 builds it to measure that budget. Materialize plans the pointer-based
-	// Assembly until the planner prices PNHL against it.
-	"PNHL": "built by experiment B4 only",
+	// B4 builds it to measure that budget. Assembly is the pointer-based
+	// materialize of [BlMG93]; no translation or rule produces a materialize,
+	// and experiment B5 builds it to measure it against the value hash join.
+	"PNHL":     "built by experiment B4 only",
+	"Assembly": "built by experiment B5 only",
 }
 
 // receiverTypes lists the exported types of dir's non-test files that carry
@@ -63,15 +65,14 @@ func receiverTypes(t *testing.T, dir, method string) []string {
 
 // TestEveryNodeIsPlanned: every exec node type is one the planner builds —
 // it appears in a plan of the golden corpus or of one expression per shape
-// the goldens lack, planned with and without statistics, on one worker and
-// on four — unless unplannedNodes says why not.
+// the goldens lack, planned with and without statistics — unless
+// unplannedNodes says why not.
 // An operator the planner cannot pick is dead code.
 func TestEveryNodeIsPlanned(t *testing.T) {
 	pred := func(v, attr string, op adl.CmpOp, c int64) adl.Expr {
 		return adl.CmpE(op, adl.Dot(adl.V(v), attr), adl.CInt(c))
 	}
-	// shapeStats price the extra shapes: X large enough for the parallel
-	// forms, and a hash index on X.a.
+	// shapeStats price the extra shapes: X large, and a hash index on X.a.
 	shapeStats := fakeStatistics{
 		rows: map[string]int{"X": 100000},
 		ndv:  map[string]int{"X.a": 50000},
@@ -86,7 +87,6 @@ func TestEveryNodeIsPlanned(t *testing.T) {
 		"flatten":  adl.Flat(adl.MapE("x", adl.Dot(adl.V("x"), "c"), adl.T("X"))),
 		"map":      adl.MapE("x", adl.Tup("a", adl.Dot(adl.V("x"), "a")), adl.T("X")),
 		"let":      adl.LetE("k", adl.CInt(3), adl.Sel("x", adl.EqE(adl.Dot(adl.V("x"), "b"), adl.V("k")), adl.T("X"))),
-		"assembly": adl.Mat(adl.T("X"), "r", "o"),
 		"fallback": adl.C(value.NewSet(value.NewTuple("a", value.Int(1)))),
 	}
 	corpus := map[string]goldenCase{}
@@ -112,11 +112,9 @@ func TestEveryNodeIsPlanned(t *testing.T) {
 			withStats = goldenStats
 		}
 		for _, stats := range []Statistics{withStats, nil} {
-			for _, par := range []int{1, 4} {
-				cfg := c.cfg
-				cfg.Statistics, cfg.Parallelism = stats, par
-				walk(cfg.Plan(c.expr).Root)
-			}
+			cfg := c.cfg
+			cfg.Statistics = stats
+			walk(cfg.Plan(c.expr).Root)
 		}
 	}
 

@@ -9,10 +9,8 @@
 // (storage.Analyze → Config.Statistics), or over default statistics when
 // none are given: every applicable physical join operator is priced by the
 // model in cost.go — including build/probe side swapping for inner
-// equi-joins, and the parallel form against the serial one — and the
-// cheapest wins. The cost model is the only way the planner chooses an
-// operator and the only way it chooses parallelism; without statistics it
-// plans on one worker.
+// equi-joins — and the cheapest wins. The cost model is the only way the
+// planner chooses an operator.
 package plan
 
 import (
@@ -28,15 +26,14 @@ import (
 	"repro/internal/value"
 )
 
-// Config parameterizes compilation. The zero Config plans serially on the
-// default statistics; set Statistics (collected by storage.Store.Analyze) to
+// Config parameterizes compilation. The zero Config plans on the default
+// statistics; set Statistics (collected by storage.Store.Analyze) to
 // price the plan on the data.
 type Config struct {
 	// Statistics feeds the cost model: every applicable strategy is priced
 	// and the cheapest chosen, and every plan node carries its
 	// cardinality/cost estimate (see Plan.Explain). nil prices every extent at
-	// defaultRows rows with no distinct counts, histograms or indexes, and
-	// plans on one worker.
+	// defaultRows rows with no distinct counts, histograms or indexes.
 	Statistics Statistics
 	// Stats is ignored.
 	//
@@ -45,10 +42,13 @@ type Config struct {
 	// the engine may not edit, still sets it. Remove it with the next change
 	// to benchmark/.
 	Stats any
-	// Parallelism is the worker count the cost model may give a parallel
-	// operator; 0 means exec.Parallelism's default, GOMAXPROCS. It is
-	// resolved once per plan and written into every node that has a count.
-	// Without Statistics it resolves to 1.
+	// Parallelism is ignored.
+	//
+	// Deprecated: it was the worker count of the parallel hash join and
+	// ColumnScan, which are gone — every plan runs on the goroutine that
+	// opens it. It remains only because benchmark/trace.go, which the engine
+	// may not edit, still sets it. Remove it with the next change to
+	// benchmark/.
 	Parallelism int
 	// NoIndexes disables index-aware planning — IndexScan leaves and the
 	// index-nested-loop join — even when the statistics report secondary
@@ -113,16 +113,15 @@ func (p *Plan) Rebind(c Config, args []value.Value) *Plan {
 func (p *Plan) Under(c Config) bool { return c.plansAs(p.cfg) }
 
 // plansAs reports whether c reads as the same configuration to the planner as
-// d, whose Parallelism is resolved: the planner ignores Stats and Vectorized.
+// d: the planner ignores Stats, Parallelism and Vectorized.
 // Statistics compare with ==, a pointer by identity; a configuration whose
 // Statistics == cannot compare matches none.
 func (c Config) plansAs(d Config) bool {
 	if c.Statistics != nil && !reflect.TypeOf(c.Statistics).Comparable() {
 		return false
 	}
-	c.Parallelism = exec.Parallelism(c.Parallelism)
-	c.Stats, c.Vectorized = nil, false
-	d.Stats, d.Vectorized = nil, false
+	c.Stats, c.Parallelism, c.Vectorized = nil, 0, false
+	d.Stats, d.Parallelism, d.Vectorized = nil, 0, false
 	return c == d
 }
 
@@ -137,8 +136,7 @@ func (p *Plan) Estimate(op exec.Operator) (Estimate, bool) {
 // parameter is rendered as its argument.
 func (p *Plan) Explain() string { return explainTree(p.Root, p.args, p.est, p.Actual) }
 
-// Compile builds a physical operator tree with the default (serial)
-// configuration.
+// Compile builds a physical operator tree with the default configuration.
 func Compile(e adl.Expr) exec.Operator { return Config{}.Compile(e) }
 
 // Compile builds a physical operator tree for a (set-valued) ADL expression.
@@ -154,13 +152,11 @@ func (c Config) Plan(e adl.Expr) *Plan { return c.PlanWith(e, nil) }
 // histogram estimates that read one are kept as the plan's signature
 // (Rebind).
 func (c Config) PlanWith(e adl.Expr, args []value.Value) *Plan {
-	c.Parallelism = exec.Parallelism(c.Parallelism)
 	pl := &Plan{cfg: c, args: args}
-	workers := c.Parallelism
 	if c.Statistics == nil {
-		c.Statistics, workers = defaultStatistics{}, 1
+		c.Statistics = defaultStatistics{}
 	}
-	p := &planner{cfg: c, workers: workers, card: newEstimator(c, args, &pl.reads),
+	p := &planner{cfg: c, card: newEstimator(c, args, &pl.reads),
 		est: map[exec.Operator]Estimate{}}
 	pl.Root, _ = p.compile(e)
 	pl.est = p.est
@@ -173,14 +169,13 @@ func Run(e adl.Expr, db eval.DB) (*value.Set, error) {
 	return exec.Collect(op, &exec.Ctx{DB: db})
 }
 
-// planner carries one compilation's state: the configuration and its
-// resolved worker count, the shared cardinality estimator (estimator.go) and
-// the estimates accumulated for the annotated plan.
+// planner carries one compilation's state: the configuration, the shared
+// cardinality estimator (estimator.go) and the estimates accumulated for the
+// annotated plan.
 type planner struct {
-	cfg     Config
-	workers int
-	card    estimator
-	est     map[exec.Operator]Estimate
+	cfg  Config
+	card estimator
+	est  map[exec.Operator]Estimate
 }
 
 // record stores a node's annotation.
@@ -266,13 +261,6 @@ func (p *planner) compile(e adl.Expr) (exec.Operator, nodeEst) {
 		p.record(op, est)
 		return op, est
 
-	case *adl.Materialize:
-		child, ce := p.compile(n.X)
-		op := &exec.Assembly{Child: child, Attr: n.Attr, As: n.As}
-		est := ce.withOwn(ce.rows, ce.rows*cEval)
-		p.record(op, est)
-		return op, est
-
 	case *adl.Let:
 		child, ce := p.compile(n.Body)
 		op := &exec.LetOp{Var: n.Var, Val: n.Val, Child: child}
@@ -341,7 +329,7 @@ func fuseOut(op exec.Operator, m *adl.Map) *exec.ColumnScan {
 		}
 	case *exec.Scan:
 		if a != "" {
-			return &exec.ColumnScan{Extent: o.Table, Attrs: []string{a}, Var: m.Var, Out: a, Workers: 1}
+			return &exec.ColumnScan{Extent: o.Table, Attrs: []string{a}, Var: m.Var, Out: a}
 		}
 	}
 	return nil
@@ -512,30 +500,25 @@ func (p *planner) chooseEquiJoin(j *adl.Join, l, r exec.Operator, le, re nodeEst
 		note  string
 	}
 	bothChildren := le.cost + re.cost
-	// hash is the hash join on workers shares, build side swapped or not.
-	hash := func(swapped bool, workers int) candidate {
+	// hash is the hash join, build side swapped or not.
+	hash := func(swapped bool) candidate {
 		build, probe, note := re.rows, le.rows, ""
 		if swapped {
 			build, probe, note = le.rows, re.rows, "build side swapped"
 		}
-		own := costHash(build, probe, out, residMatches)
-		if workers > 1 {
-			own = costParallelHash(build, probe, out, residMatches, workers)
-		}
-		return candidate{own: own, child: bothChildren, note: note, build: func() exec.Operator {
+		return candidate{own: costHash(build, probe, out, residMatches), child: bothChildren, note: note, build: func() exec.Operator {
 			if swapped {
 				return &exec.HashJoin{Kind: j.Kind, L: r, R: l, LVar: j.RVar, RVar: j.LVar,
 					LKey: keyScalar(rkeys, j.RVar), RKey: keyScalar(lkeys, j.LVar),
-					Residual: resSwapped, As: j.As, Workers: workers}
+					Residual: resSwapped, As: j.As}
 			}
 			return &exec.HashJoin{Kind: j.Kind, L: l, R: r, LVar: j.LVar, RVar: j.RVar,
 				LKey: keyScalar(lkeys, j.LVar), RKey: keyScalar(rkeys, j.RVar),
-				Residual: res, As: j.As, RFun: rfun, Workers: workers}
+				Residual: res, As: j.As, RFun: rfun}
 		}}
 	}
 	cands := []candidate{
-		hash(false, 1),
-		hash(false, p.workers),
+		hash(false),
 		{
 			build: func() exec.Operator {
 				return &exec.NLJoin{Kind: j.Kind, L: l, R: r,
@@ -546,25 +529,24 @@ func (p *planner) chooseEquiJoin(j *adl.Join, l, r exec.Operator, le, re nodeEst
 			own: costNL(le.rows, re.rows, out), child: bothChildren,
 		},
 	}
-	// A residual-free semi- or antijoin on one key over μ has a twin of each
+	// A residual-free semi- or antijoin on one key over μ has a twin of the
 	// hash candidate that expands μ inside its probe and builds only the rows
 	// it emits: it pays μ's child, not μ.
 	if u, ok := l.(*exec.UnnestOp); ok && (j.Kind == adl.Semi || j.Kind == adl.Anti) &&
 		len(lkeys) == 1 && len(residual) == 0 {
-		for _, c := range cands[:2] {
-			build := c.build
-			c.child = p.est[u.Child].Cost + re.cost
-			c.build = func() exec.Operator {
-				hj := build().(*exec.HashJoin)
-				hj.L, hj.Unnest = u.Child, u.Attr
-				delete(p.est, u) // μ is no node of the plan
-				return hj
-			}
-			cands = append(cands, c)
+		c := cands[0]
+		build := c.build
+		c.child = p.est[u.Child].Cost + re.cost
+		c.build = func() exec.Operator {
+			hj := build().(*exec.HashJoin)
+			hj.L, hj.Unnest = u.Child, u.Attr
+			delete(p.est, u) // μ is no node of the plan
+			return hj
 		}
+		cands = append(cands, c)
 	}
 	if swappable {
-		cands = append(cands, hash(true, 1), hash(true, p.workers))
+		cands = append(cands, hash(true))
 	}
 
 	// Index-nested-loop candidates: probe the inner extent's secondary index
@@ -730,9 +712,6 @@ func describe(op exec.Operator, args []value.Value) (string, []exec.Operator) {
 		if len(o.Kernels) > 0 {
 			line += fmt.Sprintf(" | %d/%d typed kernels", typed, len(o.Kernels))
 		}
-		if o.Workers > 1 {
-			return fmt.Sprintf("%s | %d workers)  -- parallel", line, o.Workers), nil
-		}
 		return line + ")  -- columnar projection", nil
 	case *exec.ExprScan:
 		return fmt.Sprintf("ExprScan(%s)  -- interpreter fallback", x(o.Expr)), nil
@@ -759,9 +738,6 @@ func describe(op exec.Operator, args []value.Value) (string, []exec.Operator) {
 		}
 		if on = fmt.Sprintf("%v on %s%s%s", o.Kind, on, scalarNote("if", o.Residual, args), scalarNote("⇒", o.Sel, args)); o.Unnest != "" {
 			on += " | μ " + o.Unnest
-		}
-		if o.Workers > 1 {
-			return fmt.Sprintf("HashJoin[%s | %d workers]  -- parallel", on, o.Workers), []exec.Operator{o.L, o.R}
 		}
 		return fmt.Sprintf("HashJoin[%s]", on), []exec.Operator{o.L, o.R}
 	case *exec.NLJoin:

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
@@ -126,13 +125,6 @@ func TestPlannerChoosesHashJoinForEquiKeys(t *testing.T) {
 	}
 }
 
-func TestPlannerMaterializeBecomesAssembly(t *testing.T) {
-	op := Compile(adl.Mat(adl.T("DELIVERY"), "supplier", "sup"))
-	if _, ok := op.(*exec.Assembly); !ok {
-		t.Errorf("materialize should plan Assembly, got %T", op)
-	}
-}
-
 func TestPlannerLetBecomesLetOp(t *testing.T) {
 	e := adl.LetE("v", adl.T("PART"), adl.V("v"))
 	op, ok := Compile(e).(*exec.LetOp)
@@ -208,15 +200,9 @@ func TestExplainRendersPlan(t *testing.T) {
 	}
 }
 
-// parallel reports whether a plan holds a node with a worker
-// count above one — what Explain labels "parallel". A test that forces
-// parallel plans asserts it, lest the planner silently go serial and the
-// test lose what it covers.
-func parallel(op exec.Operator) bool { return strings.Contains(Explain(op), "-- parallel") }
-
 // inflated reports a thousand times the row counts of the statistics it
-// wraps, so that the cost model prices the operators that have a parallel
-// form cheaper parallel: the way a test forces them.
+// wraps, so that the cost model prices every extent as a large one: the way
+// a test forces the set-oriented operators at any scale.
 type inflated struct{ Statistics }
 
 func (s inflated) RowCount(extent string) int {
@@ -225,56 +211,6 @@ func (s inflated) RowCount(extent string) int {
 		n *= 1000
 	}
 	return n
-}
-
-// TestPlannerParallelThreshold pins the cost-based choice between the serial
-// and the parallel hash join: large inputs cross the threshold the cost
-// model's startup price sets, small ones and unpriced ones do not, and the
-// default worker count is GOMAXPROCS, resolved when the plan is made.
-func TestPlannerParallelThreshold(t *testing.T) {
-	j := adl.JoinE(adl.T("X"), "x", "y",
-		adl.EqE(adl.Dot(adl.V("x"), "a"), adl.Dot(adl.V("y"), "d")), adl.T("Y"))
-	large := fakeStatistics{rows: map[string]int{"X": 50000, "Y": 50000}}
-
-	op := Config{Statistics: large, Parallelism: 4}.Compile(j)
-	if hj, ok := op.(*exec.HashJoin); !ok || hj.Workers != 4 {
-		t.Fatalf("large equi join should plan a HashJoin on 4 workers, got\n%s", Explain(op))
-	}
-	small := Config{Statistics: fakeStatistics{rows: map[string]int{"X": 10, "Y": 10}}, Parallelism: 4}
-	if op := small.Compile(j); parallel(op) {
-		t.Errorf("small equi join should stay serial, got\n%s", Explain(op))
-	}
-	// No statistics: the planner does not price, so the plan stays serial
-	// even with parallelism configured.
-	if op := (Config{Parallelism: 4}).Compile(j); parallel(op) {
-		t.Errorf("equi join without statistics should stay serial, got\n%s", Explain(op))
-	}
-
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	runtime.GOMAXPROCS(1)
-	if op := (Config{Statistics: large}).Compile(j); parallel(op) {
-		t.Errorf("under GOMAXPROCS(1) the default plan went parallel:\n%s", Explain(op))
-	}
-	runtime.GOMAXPROCS(4)
-	if hj, ok := (Config{Statistics: large}).Compile(j).(*exec.HashJoin); !ok || hj.Workers != 4 {
-		t.Errorf("under GOMAXPROCS(4) the default plan should have 4 workers, got %+v", hj)
-	}
-}
-
-// TestExplainShowsParallelOperators checks that the parallel choice is
-// visible in plans: the hash join on 4 workers over the serial σ of μ.
-func TestExplainShowsParallelOperators(t *testing.T) {
-	cfg := Config{Statistics: fakeStatistics{rows: map[string]int{"X": 50000, "Y": 50000}}, Parallelism: 4}
-	j := adl.JoinE(
-		adl.Sel("u", adl.CmpE(adl.Lt, adl.Dot(adl.V("u"), "k"), adl.C(value.Int(3))), adl.Mu("c", adl.T("X"))),
-		"u", "y",
-		adl.EqE(adl.Dot(adl.V("u"), "a"), adl.Dot(adl.V("y"), "d")), adl.T("Y"))
-	out := Explain(cfg.Compile(j))
-	for _, want := range []string{"HashJoin[", "4 workers]  -- parallel", "Filter[u: u.k < 3]"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("explain output missing %q:\n%s", want, out)
-		}
-	}
 }
 
 // TestPhysicalEquivalenceRandomized stresses the whole stack over random
@@ -302,12 +238,11 @@ func TestPhysicalEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-// TestSerialParallelEquivalenceRandomized mirrors the randomized stress test
-// with the parallel planner: for every seed and query, the serial plan, the
-// parallel plan (priced on inflated statistics, so that it is parallel) and
-// the reference interpreter must agree. Run under -race this
-// also shakes out data races in the parallel operators.
-func TestSerialParallelEquivalenceRandomized(t *testing.T) {
+// TestInflatedEquivalenceRandomized mirrors the randomized stress test with
+// the cost model: for every seed and query, the plan made without
+// statistics, the plan priced on inflated statistics and the reference
+// interpreter must agree.
+func TestInflatedEquivalenceRandomized(t *testing.T) {
 	srcs := []string{
 		`select s from s in SUPPLIER
 		 where exists x in s.parts_supplied : exists p in PART : x = p and p.color = "red"`,
@@ -333,24 +268,21 @@ func TestSerialParallelEquivalenceRandomized(t *testing.T) {
 			}
 			res := rewrite.Optimize(e, rewrite.NewContext(st.Catalog()))
 
-			serialGot, err := exec.Collect(Compile(res.Expr), &exec.Ctx{DB: st})
+			defaultGot, err := exec.Collect(Compile(res.Expr), &exec.Ctx{DB: st})
 			if err != nil {
-				t.Fatalf("seed %d query %d: serial exec: %v", seed, qi, err)
+				t.Fatalf("seed %d query %d: exec: %v", seed, qi, err)
 			}
-			pop := Config{Statistics: inflated{st.Analyze()}, Parallelism: 4}.Compile(res.Expr)
-			if !parallel(pop) {
-				t.Fatalf("seed %d query %d: the forced plan is serial:\n%s", seed, qi, Explain(pop))
-			}
-			parallelGot, err := exec.Collect(pop, &exec.Ctx{DB: st})
+			iop := Config{Statistics: inflated{st.Analyze()}}.Compile(res.Expr)
+			inflatedGot, err := exec.Collect(iop, &exec.Ctx{DB: st})
 			if err != nil {
-				t.Fatalf("seed %d query %d: parallel exec: %v", seed, qi, err)
+				t.Fatalf("seed %d query %d: inflated exec: %v", seed, qi, err)
 			}
-			if !value.Equal(serialGot, want) {
-				t.Fatalf("seed %d query %d: serial ≠ reference", seed, qi)
+			if !value.Equal(defaultGot, want) {
+				t.Fatalf("seed %d query %d: plan ≠ reference", seed, qi)
 			}
-			if !value.Equal(parallelGot, serialGot) {
-				t.Fatalf("seed %d query %d: parallel ≠ serial:\n parallel %v\n serial   %v",
-					seed, qi, parallelGot, serialGot)
+			if !value.Equal(inflatedGot, want) {
+				t.Fatalf("seed %d query %d: inflated plan ≠ reference:\n got  %v\n want %v\n%s",
+					seed, qi, inflatedGot, want, Explain(iop))
 			}
 		}
 	}

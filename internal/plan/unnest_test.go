@@ -9,24 +9,20 @@ import (
 )
 
 // TestPlannerExpandsUnnestInProbe pins where μ folds into the hash join's
-// probe: Example Query 4's antijoin does at every parallelism on the store
-// of the analytic workloads — serial and
-// parallel alike, with no Unnest node left — and of the joins over μ with
-// one key pair only the residual-free semijoin and antijoin do.
+// probe: Example Query 4's antijoin does on the store of the analytic
+// workloads, with no Unnest node left, and of the joins over μ with one key
+// pair only the residual-free semijoin and antijoin do.
 func TestPlannerExpandsUnnestInProbe(t *testing.T) {
 	st, exprs := analyticStore(t)
 	stats := st.Analyze()
-	for _, par := range []int{1, 2, 3} {
-		p := Config{Statistics: stats, Parallelism: par}.Plan(exprs[1])
-		x := p.Explain()
-		m, ok := p.Root.(*exec.MapOp)
-		if !ok {
-			t.Fatalf("p%d: Example Query 4 plans\n%s", par, x)
-		}
-		hj, ok := m.Child.(*exec.HashJoin)
-		if !ok || hj.Unnest != "parts" || hj.Workers != par || strings.Contains(x, "Unnest[") {
-			t.Errorf("p%d: want the antijoin expanding μ parts on %d workers, got\n%s", par, par, x)
-		}
+	p := Config{Statistics: stats}.Plan(exprs[1])
+	x := p.Explain()
+	m, ok := p.Root.(*exec.MapOp)
+	if !ok {
+		t.Fatalf("Example Query 4 plans\n%s", x)
+	}
+	if hj, ok := m.Child.(*exec.HashJoin); !ok || hj.Unnest != "parts" || strings.Contains(x, "Unnest[") {
+		t.Errorf("want the antijoin expanding μ parts, got\n%s", x)
 	}
 
 	s, pv := adl.V("s"), adl.V("p")
@@ -54,11 +50,9 @@ func TestPlannerExpandsUnnestInProbe(t *testing.T) {
 		{"nestjoin", join(adl.NestJ, key), false},
 		{"outer join", join(adl.Outer, key), false},
 	} {
-		for _, par := range []int{1, 2} {
-			x := Config{Statistics: stats, Parallelism: par}.Plan(c.join).Explain()
-			if fused := strings.Contains(x, "| μ parts"); fused != c.fused || fused == strings.Contains(x, "Unnest[parts]") {
-				t.Errorf("%s p%d: want μ expanded in the probe %t, got\n%s", c.name, par, c.fused, x)
-			}
+		x := Config{Statistics: stats}.Plan(c.join).Explain()
+		if fused := strings.Contains(x, "| μ parts"); fused != c.fused || fused == strings.Contains(x, "Unnest[parts]") {
+			t.Errorf("%s: want μ expanded in the probe %t, got\n%s", c.name, c.fused, x)
 		}
 	}
 }

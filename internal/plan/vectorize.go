@@ -1,8 +1,7 @@
-// The ColumnScan candidates of σ over a base extent. chooseSelect
-// (access.go) prices them beside IndexScan and keeps the cheapest:
+// The ColumnScan candidate of σ over a base extent. chooseSelect
+// (access.go) prices it beside IndexScan and keeps the cheaper:
 // ColumnScan reads a columnar projection of the extent and narrows a
-// selection vector with typed comparison kernels, serially or, with workers
-// available, on contiguous shares of the projection. Its rows go to the row
+// selection vector with typed comparison kernels. Its rows go to the row
 // operators above — the joins included, which price and pick their algorithm
 // whichever way their rows arrive.
 package plan
@@ -14,11 +13,11 @@ import (
 	"repro/internal/exec"
 )
 
-// batchSelects prices σ over extent (rows in, out estimated out) as a serial
-// ColumnScan and, with workers available, as a parallel one. A conjunct with
-// a typed kernel costs cVecRow per input row; one without runs the
-// interpreter row by row at cEval, as a Filter's predicate does.
-func (p *planner) batchSelects(n *adl.Select, extent string, rows, out float64) []selectCand {
+// batchSelect prices σ over extent (rows in, out estimated out) as a
+// ColumnScan. A conjunct with a typed kernel costs cVecRow per input row;
+// one without runs the interpreter row by row at cEval, as a Filter's
+// predicate does.
+func (p *planner) batchSelect(n *adl.Select, extent string, rows, out float64) selectCand {
 	cs := adl.Conjuncts(n.Pred)
 	perRow := 0.0
 	for _, c := range cs {
@@ -28,30 +27,23 @@ func (p *planner) batchSelects(n *adl.Select, extent string, rows, out float64) 
 			perRow += cEval
 		}
 	}
-	// scan compiles the conjuncts into kernels, in And order (matching the
-	// scalar short-circuit), over a projection of the columns they read.
-	scan := func(workers int) selectCand {
-		return selectCand{nodeEst{rows: out, extent: extent, cost: costColumnScan(rows, perRow, workers)},
-			func() exec.Operator {
-				ks := make([]exec.VecCmp, len(cs))
-				var attrs []string
-				for i, c := range cs {
-					ks[i] = kernel(c, n.Var)
-					ks[i].Pred = exec.NewScalar(c, n.Var)
-					for _, a := range []string{ks[i].Attr, ks[i].RAttr} {
-						if a != "" && !slices.Contains(attrs, a) {
-							attrs = append(attrs, a)
-						}
+	// The conjuncts compile into kernels, in And order (matching the scalar
+	// short-circuit), over a projection of the columns they read.
+	return selectCand{nodeEst{rows: out, extent: extent, cost: costColumnScan(rows, perRow)},
+		func() exec.Operator {
+			ks := make([]exec.VecCmp, len(cs))
+			var attrs []string
+			for i, c := range cs {
+				ks[i] = kernel(c, n.Var)
+				ks[i].Pred = exec.NewScalar(c, n.Var)
+				for _, a := range []string{ks[i].Attr, ks[i].RAttr} {
+					if a != "" && !slices.Contains(attrs, a) {
+						attrs = append(attrs, a)
 					}
 				}
-				return &exec.ColumnScan{Extent: extent, Attrs: attrs, Var: n.Var, Kernels: ks, Workers: workers}
-			}}
-	}
-	cands := []selectCand{scan(1)}
-	if p.workers > 1 {
-		cands = append(cands, scan(p.workers))
-	}
-	return cands
+			}
+			return &exec.ColumnScan{Extent: extent, Attrs: attrs, Var: n.Var, Kernels: ks}
+		}}
 }
 
 // kernel classifies one conjunct of a σ over v. The shapes v.a <op> const,

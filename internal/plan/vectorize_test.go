@@ -40,8 +40,8 @@ func TestVectorizedPlanShapes(t *testing.T) {
 	var def Config
 
 	op := def.Compile(sel)
-	if cs, ok := op.(*exec.ColumnScan); !ok || cs.Workers > 1 {
-		t.Fatalf("σ compiled to %T, want a serial *exec.ColumnScan", op)
+	if _, ok := op.(*exec.ColumnScan); !ok {
+		t.Fatalf("σ compiled to %T, want *exec.ColumnScan", op)
 	}
 	out := Explain(op)
 	for _, want := range []string{"ColumnScan(X | x: x.b < 10 | cols b", "1/1 typed kernels", "columnar projection"} {
@@ -80,8 +80,8 @@ func TestVectorizedPlanShapes(t *testing.T) {
 	}
 	for _, q := range []*adl.Join{semi, inner, outer, nestj, residual} {
 		hj, ok := def.Compile(over(q)).(*exec.HashJoin)
-		if !ok || hj.Kind != q.Kind || hj.Workers > 1 {
-			t.Fatalf("%v equi-join compiled to %T, want a serial *exec.HashJoin of that kind", q.Kind, def.Compile(over(q)))
+		if !ok || hj.Kind != q.Kind {
+			t.Fatalf("%v equi-join compiled to %T, want a *exec.HashJoin of that kind", q.Kind, def.Compile(over(q)))
 		}
 		sigma := hj.L
 		if q.Kind == adl.Inner {
@@ -104,23 +104,16 @@ func TestVectorizedPlanShapes(t *testing.T) {
 		}
 	}
 
-	// Priced on large inputs the equi-join is the parallel hash join over a
-	// parallel ColumnScan; on small ones both stay serial.
-	par := Config{Parallelism: 4,
-		Statistics: fakeStatistics{rows: map[string]int{"X": 100000, "Y": 100000}}}
-	pj, ok := par.Compile(over(semi)).(*exec.HashJoin)
-	if !ok || pj.Workers != 4 {
-		t.Fatalf("large semi join is %s, want 4 workers", Explain(par.Compile(over(semi))))
+	// Priced on large inputs and on small ones, the semijoin probes with a
+	// ColumnScan.
+	large := Config{Statistics: fakeStatistics{rows: map[string]int{"X": 100000, "Y": 100000}}}
+	small := Config{Statistics: fakeStatistics{rows: map[string]int{"X": 10, "Y": 10}}}
+	for _, cfg := range []Config{large, small} {
+		if hj, ok := cfg.Compile(over(semi)).(*exec.HashJoin); !ok || !holdsColumnScan(hj.L) {
+			t.Fatalf("semi join is %s, want a HashJoin probing with a ColumnScan", Explain(cfg.Compile(over(semi))))
+		}
 	}
-	if cs, ok := pj.L.(*exec.ColumnScan); !ok || cs.Workers != 4 {
-		t.Fatalf("parallel join probes %s, want a ColumnScan on 4 workers", Explain(pj.L))
-	}
-	small := Config{Parallelism: 4,
-		Statistics: fakeStatistics{rows: map[string]int{"X": 10, "Y": 10}}}
-	if parallel(small.Compile(over(semi))) {
-		t.Fatalf("small semi join must stay serial:\n%s", Explain(small.Compile(over(semi))))
-	}
-	for _, cfg := range []Config{def, par, small} {
+	for _, cfg := range []Config{def, large, small} {
 		for _, q := range []*adl.Join{semi, inner, outer, nestj, residual, setprobe, setnest} {
 			columnScansRunSigma(t, cfg.Compile(q))
 			columnScansRunSigma(t, cfg.Compile(over(q)))
@@ -137,7 +130,7 @@ func TestVectorizedPlanShapes(t *testing.T) {
 
 // TestVectorizedFieldIsInert: Config.Vectorized changes no plan. Every
 // golden-corpus expression and analytic text explains byte for byte the same
-// with it set and unset — serial and on two workers, with and without
+// with it set and unset, with and without
 // statistics — and a selective indexed equality plans its IndexScan either
 // way, where the flag once forced a full batch scan past it.
 func TestVectorizedFieldIsInert(t *testing.T) {
@@ -156,16 +149,14 @@ func TestVectorizedFieldIsInert(t *testing.T) {
 	}
 	for name, c := range cases {
 		for _, s := range []Statistics{c.cfg.Statistics, nil} {
-			for _, par := range []int{1, 2} {
-				cfg := c.cfg
-				cfg.Statistics, cfg.Parallelism = s, par
-				cfg.Vectorized = false
-				off := cfg.Plan(c.expr).Explain()
-				cfg.Vectorized = true
-				if on := cfg.Plan(c.expr).Explain(); on != off {
-					t.Errorf("%s (statistics %v, p%d): Vectorized changes the plan:\n--- on ---\n%s--- off ---\n%s",
-						name, s != nil, par, on, off)
-				}
+			cfg := c.cfg
+			cfg.Statistics = s
+			cfg.Vectorized = false
+			off := cfg.Plan(c.expr).Explain()
+			cfg.Vectorized = true
+			if on := cfg.Plan(c.expr).Explain(); on != off {
+				t.Errorf("%s (statistics %v): Vectorized changes the plan:\n--- on ---\n%s--- off ---\n%s",
+					name, s != nil, on, off)
 			}
 		}
 	}
@@ -280,12 +271,12 @@ func randVecQuery(rng *rand.Rand) adl.Expr {
 
 // TestDifferentialScalarVsVectorized is the batch arm of the differential
 // harness: randomized queries, planned without statistics, on their row
-// counts and on two workers over inflated statistics, return what the
-// reference interpreter returns. The cost model picks a ColumnScan for some
+// counts and over inflated statistics, return what the reference
+// interpreter returns. The cost model picks a ColumnScan for some
 // of them, and the test fails if it picks it for none. Run under -race
 // in CI.
 func TestDifferentialScalarVsVectorized(t *testing.T) {
-	queries, parallelPlans, batchPlans := 0, 0, 0
+	queries, batchPlans := 0, 0
 	for seed := int64(1); seed <= 14; seed++ {
 		rng := rand.New(rand.NewSource(seed + 500))
 		x, y := genTables(rng)
@@ -298,17 +289,13 @@ func TestDifferentialScalarVsVectorized(t *testing.T) {
 				t.Fatal(err)
 			}
 			arms := map[string]Config{
-				"default": {},
-				"costed":  {Statistics: tableStatistics(x, y)},
-				"parallel": {Parallelism: 4,
-					Statistics: inflated{tableStatistics(x, y)}},
+				"default":  {},
+				"costed":   {Statistics: tableStatistics(x, y)},
+				"inflated": {Statistics: inflated{tableStatistics(x, y)}},
 			}
 			for name, cfg := range arms {
 				op := cfg.Compile(q)
 				columnScansRunSigma(t, op)
-				if name == "parallel" && parallel(op) {
-					parallelPlans++
-				}
 				if holdsColumnScan(op) {
 					batchPlans++
 				}
@@ -323,15 +310,10 @@ func TestDifferentialScalarVsVectorized(t *testing.T) {
 	if queries < 25 {
 		t.Fatalf("differential harness ran %d queries, want ≥ 25", queries)
 	}
-	// Set-probe joins, the nestjoin and empty tables have no parallel form;
-	// the rest of the corpus must not have gone serial.
-	if parallelPlans < queries/2 {
-		t.Errorf("parallel arm planned %d of %d queries parallel", parallelPlans, queries)
-	}
 	if batchPlans == 0 {
 		t.Errorf("no plan of %d queries × 3 arms runs a ColumnScan", queries)
 	}
-	t.Logf("parallel arm planned %d of %d queries parallel; %d plans run a ColumnScan", parallelPlans, queries, batchPlans)
+	t.Logf("%d plans of %d queries × 3 arms run a ColumnScan", batchPlans, queries)
 }
 
 // TestDifferentialVectorizedMVCC runs the planned queries against the

@@ -17,7 +17,7 @@ const cheapParts = `select p.pname from p in PART where p.price < %d`
 // a seen token fingerprint the parse as well; when its literals leave every
 // estimate as the template's plan for other literals had it, it is that plan.
 func TestTemplateHit(t *testing.T) {
-	eng := newEngine(t, Options{Parallelism: 1})
+	eng := newEngine(t, Options{})
 	rows := map[int]int{}
 	for _, k := range []int{10, 40, 10_000, 20_000} {
 		r, err := eng.QueryVerified(fmt.Sprintf(cheapParts, k))
@@ -80,7 +80,7 @@ func TestTemplateHit(t *testing.T) {
 // evaluation of its own text. Under -race this fails if planning or a plan's
 // reuse writes to a template or to a plan another text runs.
 func TestConcurrentTemplateBinding(t *testing.T) {
-	eng := newEngine(t, Options{Parallelism: 1})
+	eng := newEngine(t, Options{})
 	shapes := []string{
 		cheapParts,
 		`select s from s in SUPPLIER
@@ -122,7 +122,7 @@ func TestConcurrentTemplateBinding(t *testing.T) {
 // and a template at most core.MaxPlans plans, all priced on the statistics
 // of the newest.
 func TestPlanCacheIsBounded(t *testing.T) {
-	eng := newEngine(t, Options{Parallelism: 1, NoFeedback: true})
+	eng := newEngine(t, Options{NoFeedback: true})
 	if _, err := eng.Query(redParts); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestFeedbackKeepsUnrepairablePlan(t *testing.T) {
 		}
 	}
 	st.Analyze()
-	eng := New(st, Options{Parallelism: 1})
+	eng := New(st, Options{})
 	const eq4 = `select s.eid from s in SUPPLIER
  where exists z in s.parts_supplied : not exists p in PART : z = p`
 	stable := []string{

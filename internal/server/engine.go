@@ -59,8 +59,13 @@ type Options struct {
 	// and the template cache, and with them runtime feedback: every query is
 	// prepared from scratch. The zero Options enables them.
 	NoPlanCache bool
-	// Parallelism is the worker count the physical planner may give a
-	// parallel operator; 0 means GOMAXPROCS (exec.Parallelism).
+	// Parallelism is ignored.
+	//
+	// Deprecated: it was the worker count of the parallel hash join and
+	// ColumnScan, which are gone — every plan runs on the goroutine that
+	// opens it. It remains only because benchmark/trace.go, which the engine
+	// may not edit, still reads it. Remove it with the next change to
+	// benchmark/.
 	Parallelism int
 	// NoFeedback disables runtime cardinality feedback. By default every
 	// cached execution runs instrumented (per-node row tallies) and a plan
@@ -167,7 +172,7 @@ func (e *Engine) prepare(src string, epoch uint64) (*cacheEntry, bool, bool, err
 // plan prepares a query against freshly published statistics.
 func (e *Engine) plan(src string, epoch uint64, tc core.TemplateCache) (*cacheEntry, error) {
 	stats := e.st.Analyze()
-	cfg := plan.Config{Statistics: stats, Parallelism: e.opts.Parallelism}
+	cfg := plan.Config{Statistics: stats}
 	q, err := core.PrepareCached(src, e.st.Catalog(), cfg, tc)
 	if err != nil {
 		return nil, err

@@ -31,7 +31,7 @@ func newPart(i int, color string) *value.Tuple {
 }
 
 func TestPlanCacheHitMissReplan(t *testing.T) {
-	eng := newEngine(t, Options{Parallelism: 1})
+	eng := newEngine(t, Options{})
 
 	r1, err := eng.Query(redParts)
 	if err != nil {
@@ -87,7 +87,7 @@ func TestPlanCacheHitMissReplan(t *testing.T) {
 }
 
 func TestNoPlanCache(t *testing.T) {
-	eng := newEngine(t, Options{NoPlanCache: true, Parallelism: 1})
+	eng := newEngine(t, Options{NoPlanCache: true})
 	for i := 0; i < 2; i++ {
 		r, err := eng.Query(redParts)
 		if err != nil {
@@ -107,7 +107,7 @@ func TestNoPlanCache(t *testing.T) {
 // verified query must match a serial re-execution of the untransformed
 // nested form against the same pinned snapshot.
 func TestQueryVerifiedUnderConcurrentInserts(t *testing.T) {
-	eng := newEngine(t, Options{Parallelism: 1})
+	eng := newEngine(t, Options{})
 
 	// The writer is bounded: the naive re-execution inside QueryVerified is
 	// the paper's quadratic baseline, so letting the extent grow without
@@ -145,7 +145,7 @@ func TestQueryVerifiedUnderConcurrentInserts(t *testing.T) {
 }
 
 func TestQueryError(t *testing.T) {
-	eng := newEngine(t, Options{Parallelism: 1})
+	eng := newEngine(t, Options{})
 	if _, err := eng.Query(`select x from x in NO_SUCH_EXTENT`); err == nil {
 		t.Fatalf("bad query must error")
 	}
@@ -155,7 +155,7 @@ func TestQueryError(t *testing.T) {
 }
 
 func TestDeleteUpdateThroughEngine(t *testing.T) {
-	eng := newEngine(t, Options{Parallelism: 1})
+	eng := newEngine(t, Options{})
 	oid, err := eng.Insert("PART", newPart(1, "cyan"))
 	if err != nil {
 		t.Fatalf("Insert: %v", err)
@@ -207,7 +207,7 @@ func TestFeedbackEvictsDriftedPlan(t *testing.T) {
 		}
 	}
 	st.Analyze()
-	eng := New(st, Options{Parallelism: 1})
+	eng := New(st, Options{})
 	src := `select p.pname from p in PART where p.color = "blue"`
 
 	r1, err := eng.Query(src)
@@ -283,7 +283,7 @@ func TestNoFeedbackOption(t *testing.T) {
 		oids = append(oids, oid)
 	}
 	st.Analyze()
-	eng := New(st, Options{Parallelism: 1, NoFeedback: true})
+	eng := New(st, Options{NoFeedback: true})
 	src := `select p.pname from p in PART where p.color = "blue"`
 	if _, err := eng.Query(src); err != nil {
 		t.Fatalf("Query: %v", err)
@@ -323,7 +323,7 @@ func cachedPlanHoldsColumnScan(t *testing.T, eng *Engine, src string) {
 // visible through it (the columnar projection is snapshot-pinned, not a
 // stale cache).
 func TestVectorizedEngine(t *testing.T) {
-	eng := newEngine(t, Options{Parallelism: 1})
+	eng := newEngine(t, Options{})
 	rv, err := eng.QueryVerified(redParts)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
@@ -347,7 +347,7 @@ func TestVectorizedEngine(t *testing.T) {
 // every execution instruments and runs the one cached tree, no copy made.
 // Under -race this fails when a node keeps anything of a run.
 func TestEngineConcurrentVectorizedInstrumented(t *testing.T) {
-	eng := newEngine(t, Options{Parallelism: 1})
+	eng := newEngine(t, Options{})
 	queries := []string{
 		redParts,
 		`select p.pname from p in PART where p.price < 10`,

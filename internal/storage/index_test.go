@@ -231,8 +231,8 @@ func TestIndexProbeMetering(t *testing.T) {
 	}
 }
 
-// TestConcurrentIndexProbes: concurrent probes (as the parallel operators
-// issue) are race-clean, including the lazy rebuild after an insert.
+// TestConcurrentIndexProbes: concurrent probes (as concurrent runs of cached
+// plans issue) are race-clean, including the lazy rebuild after an insert.
 func TestConcurrentIndexProbes(t *testing.T) {
 	st := indexFixture(t)
 	if err := st.CreateIndex("PART", "price", OrderedIndex); err != nil {

@@ -324,11 +324,10 @@ func (s *Store) lookupAt(oid value.OID, seq uint64) (*value.Tuple, bool) {
 }
 
 // Lookup fetches an object by oid as of the latest version, metering the
-// access. The page meter models a single one-page buffer: under serial
-// execution the counts are exact; under parallel execution concurrent
-// fetches share that one buffer, so PageReads is an upper bound (interleaved
-// goroutines evict each other's page) — compare page counts across serial
-// runs only. The load-then-store (rather than an unconditional swap) keeps
+// access. The page meter models a single one-page buffer: for one run at a
+// time the counts are exact; concurrent runs share that one buffer, so
+// PageReads is an upper bound (interleaved goroutines evict each other's
+// page) — compare page counts across lone runs only. The load-then-store (rather than an unconditional swap) keeps
 // the sequential-locality hot path free of contended writes.
 func (s *Store) Lookup(oid value.OID) (*value.Tuple, bool) {
 	return s.lookupAt(oid, s.head.Load().seq)
