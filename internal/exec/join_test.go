@@ -349,6 +349,41 @@ func TestHashJoinErrors(t *testing.T) {
 			t.Errorf("run %d after Close: got %v want %v", run, got, want)
 		}
 	}
+}
+
+// TestChunkedExchangeLifecycle covers the hash join's exits: Close after a
+// single Next, and re-Open of the same instance after that Close, which
+// returns the full result each time.
+func TestChunkedExchangeLifecycle(t *testing.T) {
+	d := db(19, 2560, 1281)
+	b, dd := adl.Dot(adl.V("x"), "b"), adl.Dot(adl.V("y"), "d")
+	op := &HashJoin{Kind: adl.Outer, L: &Scan{Table: "L"}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
+		LKey: NewScalar(b, "x"), RKey: NewScalar(dd, "y")}
+	rows, err := op.Open(&Ctx{DB: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := rows.Next(); !ok || err != nil {
+		t.Fatalf("first Next: %v, %v", ok, err)
+	}
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := collect(t, equiOracle(adl.Outer, &Scan{Table: "L"}, "R", b, dd, nil, nil), d)
+	for run := 0; run < 2; run++ {
+		if got := collect(t, op, d); !value.Equal(got, want) {
+			t.Errorf("re-Open %d after an early Close: %d rows, want %d", run, got.Len(), want.Len())
+		}
+	}
+}
+
+// TestParallelEarlyClose closes a hash join's stream after one row, twice:
+// Close is idempotent, and the instance re-opens to the full result.
+func TestParallelEarlyClose(t *testing.T) {
+	d := db(11, 3000, 100)
+	b, dd := adl.Dot(adl.V("x"), "b"), adl.Dot(adl.V("y"), "d")
+	hj := &HashJoin{Kind: adl.Inner, L: &Scan{Table: "L"}, R: &Scan{Table: "R"}, LVar: "x", RVar: "y",
+		LKey: NewScalar(b, "x"), RKey: NewScalar(dd, "y")}
 	run, err := hj.Open(&Ctx{DB: d})
 	if err != nil {
 		t.Fatal(err)
@@ -361,8 +396,9 @@ func TestHashJoinErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	want := collect(t, equiOracle(adl.Inner, &Scan{Table: "L"}, "R", b, dd, nil, nil), d)
 	if got := rowFacade(t, hj, d); !value.Equal(got, want) {
-		t.Errorf("after an early Close: got %v want %v", got, want)
+		t.Errorf("after an early Close: got %d rows, want %d", got.Len(), want.Len())
 	}
 }
 

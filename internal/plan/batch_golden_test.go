@@ -63,19 +63,22 @@ var missTexts = [][2]string{
 // serving engine plans them (collected statistics) on the store of those
 // workloads. Each σ over an extent shows the cost model's pick among Filter,
 // IndexScan and ColumnScan, and every ColumnScan line shows its predicate.
-// The _p1 suffix of the goldens' names is the one configuration left of the
-// worker counts they were once planned at.
+// Each text is planned at Parallelism 1 and 2 (subtests _p1 and _p2), and
+// both read the one batch_*_p1 golden: the planner ignores Parallelism, so
+// the field changes no plan.
 func TestExplainGoldenBatch(t *testing.T) {
 	st, exprs := analyticStore(t)
 	stats := st.Analyze()
 	scans := 0
 	for i, q := range analyticTexts {
-		name := fmt.Sprintf("batch_%s_p1", q[0])
-		t.Run(name, func(t *testing.T) {
-			p := Config{Statistics: stats}.Plan(exprs[i])
-			checkGolden(t, name, p.Explain())
-			scans += goldenShowsPredicates(t, name, p.Root)
-		})
+		for _, par := range ignoredParallelism {
+			name := fmt.Sprintf("batch_%s_p1", q[0])
+			t.Run(fmt.Sprintf("batch_%s_p%d", q[0], par), func(t *testing.T) {
+				p := Config{Statistics: stats, Parallelism: par}.Plan(exprs[i])
+				checkGolden(t, name, p.Explain())
+				scans += goldenShowsPredicates(t, name, p.Root)
+			})
+		}
 	}
 	if scans == 0 {
 		t.Error("no golden holds a ColumnScan")
@@ -115,8 +118,8 @@ func goldenShowsPredicates(t *testing.T, name string, root exec.Operator) (scans
 
 // TestExplainGoldenRuler pins the plans of the serve.* and plan.miss texts
 // as TestExplainGoldenBatch pins the analytic ones, each on its workload's
-// store: a change that moves one of them shows in the diff of its
-// testdata/ruler_*.golden.
+// store and at both settings of the ignored Parallelism: a change that moves
+// one of them shows in the diff of its testdata/ruler_*.golden.
 func TestExplainGoldenRuler(t *testing.T) {
 	for _, w := range []struct {
 		name    string
@@ -130,10 +133,12 @@ func TestExplainGoldenRuler(t *testing.T) {
 		st, exprs := textStore(t, w.store, w.indexed, w.texts)
 		stats := st.Analyze()
 		for i, q := range w.texts {
-			name := fmt.Sprintf("ruler_%s_%s_p1", w.name, q[0])
-			t.Run(name, func(t *testing.T) {
-				checkGolden(t, name, Config{Statistics: stats}.Plan(exprs[i]).Explain())
-			})
+			for _, par := range ignoredParallelism {
+				name := fmt.Sprintf("ruler_%s_%s_p1", w.name, q[0])
+				t.Run(fmt.Sprintf("ruler_%s_%s_p%d", w.name, q[0], par), func(t *testing.T) {
+					checkGolden(t, name, Config{Statistics: stats, Parallelism: par}.Plan(exprs[i]).Explain())
+				})
+			}
 		}
 	}
 }
@@ -143,27 +148,35 @@ func TestExplainGoldenRuler(t *testing.T) {
 // generated at the commit before rows were
 // counted where a child is opened and change only with the plan: a node that
 // loses its (actual=N) is a failure, not a golden update. Config.Vectorized
-// is ignored, so both of its settings read one file.
+// and Config.Parallelism are ignored, so all four of their settings read one
+// file.
 func TestExplainActualsGolden(t *testing.T) {
 	st, exprs := analyticStore(t)
 	stats := st.Analyze()
 	for i, q := range analyticTexts {
 		for _, vec := range []bool{false, true} {
-			t.Run(fmt.Sprintf("actuals_%s_vec%t_p1", q[0], vec), func(t *testing.T) {
-				cfg := Config{Statistics: stats, Vectorized: vec}
-				p := cfg.Plan(exprs[i])
-				root, commit := p.Instrumented()
-				if _, err := exec.Collect(root, &exec.Ctx{DB: st}); err != nil {
-					t.Fatal(err)
-				}
-				commit()
-				name := fmt.Sprintf("actuals_%s_p1", q[0])
-				checkGolden(t, name, p.Explain())
-				goldenShowsPredicates(t, name, p.Root)
-			})
+			for _, par := range ignoredParallelism {
+				t.Run(fmt.Sprintf("actuals_%s_vec%t_p%d", q[0], vec, par), func(t *testing.T) {
+					cfg := Config{Statistics: stats, Vectorized: vec, Parallelism: par}
+					p := cfg.Plan(exprs[i])
+					root, commit := p.Instrumented()
+					if _, err := exec.Collect(root, &exec.Ctx{DB: st}); err != nil {
+						t.Fatal(err)
+					}
+					commit()
+					name := fmt.Sprintf("actuals_%s_p1", q[0])
+					checkGolden(t, name, p.Explain())
+					goldenShowsPredicates(t, name, p.Root)
+				})
+			}
 		}
 	}
 }
+
+// ignoredParallelism are the settings of the deprecated Config.Parallelism
+// that the golden tests plan each text at; every one must give the plan of
+// the text's _p1 golden.
+var ignoredParallelism = []int{1, 2}
 
 // analyticStore generates the store of the analytic.* workloads and rewrites
 // the six texts against it.
